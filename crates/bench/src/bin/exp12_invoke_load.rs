@@ -1,24 +1,22 @@
-//! E12 — invoke latency and memory under concurrent in-flight load:
-//! the event-loop reactor core vs the threaded fallback.
+//! E12 — invoke latency and memory under concurrent in-flight load on
+//! the ORB's event-loop reactor.
 //!
-//! Starts one in-process ORB per server core with an `EchoServant`,
-//! then drives it from a raw pipelined GIOP client: ~64 connections,
+//! Starts one in-process ORB with an `EchoServant`, then drives it
+//! from a raw pipelined GIOP client: ~64 connections,
 //! each keeping a fixed window of requests outstanding so the server
 //! sees 1 000 / 10 000 / 100 000 requests in flight at once (200 /
 //! 1 000 under `--quick`). The client speaks the wire protocol
 //! directly — `Orb::invoke` is synchronous, and the whole point is to
 //! hold more requests in flight than anyone would hold threads.
 //!
-//! Per `(core, level)` the run records invoke p50/p99 and the process
-//! peak RSS sampled while the window is open. The threaded core spawns
-//! one thread per in-flight request, so its memory grows with the
-//! window and its high levels may fail outright (thread spawn failure
-//! closes the connection); that failure is recorded honestly as
+//! Per level the run records invoke p50/p99 and the process peak RSS
+//! sampled while the window is open. A level whose child process dies
+//! or whose connections fail is recorded honestly as
 //! `completed: false` rather than dropped. Results go to
 //! `BENCH_invoke.json`; EXPERIMENTS.md records them as E12.
 //!
-//! Acceptance (full run): reactor p99 at the 10k level beats the
-//! threaded core, with RSS staying near-flat across levels.
+//! Acceptance (full run): every level completes without errors and
+//! p99 does not decrease as the window grows.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -28,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use webfindit_bench::{header, percentile};
 use webfindit_orb::servant::EchoServant;
-use webfindit_orb::{Orb, OrbConfig, OrbDomain, ServerCore};
+use webfindit_orb::{Orb, OrbConfig, OrbDomain};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{self, GiopMessage};
 use webfindit_wire::transport::{FramedTcp, Transport};
@@ -53,7 +51,7 @@ fn rss_kb() -> u64 {
     0
 }
 
-/// What one `(core, level)` run produced.
+/// What one level's run produced.
 struct LevelOutcome {
     inflight: usize,
     requests: usize,
@@ -214,12 +212,11 @@ fn conn_worker(
 
 /// Format one result row as the JSON object recorded in
 /// `BENCH_invoke.json`.
-fn row_json(core_name: &str, out: &LevelOutcome) -> String {
+fn row_json(out: &LevelOutcome) -> String {
     format!(
-        "{{\"core\": \"{}\", \"inflight\": {}, \"requests\": {}, \
+        "{{\"inflight\": {}, \"requests\": {}, \
          \"completed\": {}, \"errors\": {}, \"p50_us\": {:.1}, \
          \"p99_us\": {:.1}, \"rss_peak_kb\": {}}}",
-        core_name,
         out.inflight,
         out.requests,
         out.completed,
@@ -230,21 +227,17 @@ fn row_json(core_name: &str, out: &LevelOutcome) -> String {
     )
 }
 
-/// Child mode: start an ORB on `core`, run exactly one `(core, level)`
-/// measurement, print its row JSON on the last stdout line, exit.
+/// Child mode: start an ORB, run exactly one level's measurement,
+/// print its row JSON on the last stdout line, exit.
 ///
-/// Each level runs in its own child process because the threaded core
-/// at high in-flight levels can die ungracefully (one OS thread per
-/// outstanding request); the parent records a dead child as
-/// `completed: false` instead of losing the whole benchmark with it.
-fn run_one(core_name: &str, conns: usize, inflight: usize, total: usize) {
-    let core = match core_name {
-        "threaded" => ServerCore::Threaded,
-        _ => ServerCore::Reactor,
-    };
+/// Each level runs in its own child process so that a process killed
+/// at an extreme window (out of memory, out of fds) costs one row: the
+/// parent records the dead child as `completed: false` instead of
+/// losing the whole benchmark with it.
+fn run_one(conns: usize, inflight: usize, total: usize) {
     let domain = OrbDomain::new();
     let server = Orb::start(
-        OrbConfig::new("E12", "bench.e12.net", 1, ByteOrder::BigEndian).with_server_core(core),
+        OrbConfig::new("E12", "bench.e12.net", 1, ByteOrder::BigEndian),
         Arc::clone(&domain),
     )
     .expect("start server ORB");
@@ -263,18 +256,17 @@ fn run_one(core_name: &str, conns: usize, inflight: usize, total: usize) {
         total,
     );
     server.shutdown();
-    println!("{}", row_json(core_name, &out));
+    println!("{}", row_json(&out));
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--one") {
-        // exp12_invoke_load --one <core> <conns> <inflight> <total>
-        let core = args[i + 1].as_str();
-        let conns: usize = args[i + 2].parse().expect("conns");
-        let inflight: usize = args[i + 3].parse().expect("inflight");
-        let total: usize = args[i + 4].parse().expect("total");
-        run_one(core, conns, inflight, total);
+        // exp12_invoke_load --one <conns> <inflight> <total>
+        let conns: usize = args[i + 1].parse().expect("conns");
+        let inflight: usize = args[i + 2].parse().expect("inflight");
+        let total: usize = args[i + 3].parse().expect("total");
+        run_one(conns, inflight, total);
         return;
     }
 
@@ -286,74 +278,67 @@ fn main() {
         &[1_000, 10_000, 100_000]
     };
 
-    header(
-        "E12",
-        "invoke latency under concurrent in-flight load, reactor vs threaded",
-    );
+    header("E12", "invoke latency under concurrent in-flight load");
     println!("connections: {conns}, levels: {levels:?}\n");
     println!(
-        "{:<9} | {:>9} | {:>10} {:>10} | {:>9} | ok",
-        "core", "in-flight", "p50 us", "p99 us", "rss MB"
+        "{:>9} | {:>10} {:>10} | {:>9} | ok",
+        "in-flight", "p50 us", "p99 us", "rss MB"
     );
 
     let exe = std::env::current_exe().expect("current exe");
     let mut rows = Vec::new();
-    for core_name in ["reactor", "threaded"] {
-        for &inflight in levels {
-            // Turn the window over a few times so steady-state
-            // latencies dominate the ramp-up.
-            let total = inflight * if quick { 2 } else { 3 };
-            let child = std::process::Command::new(&exe)
-                .args([
-                    "--one",
-                    core_name,
-                    &conns.to_string(),
-                    &inflight.to_string(),
-                    &total.to_string(),
-                ])
-                .stdout(std::process::Stdio::piped())
-                .stderr(std::process::Stdio::null())
-                .output();
-            // The row is the child's last stdout line; a child that
-            // crashed (or printed nothing) becomes an honest failure
-            // row rather than a missing one.
-            let row = child
-                .ok()
-                .filter(|o| o.status.success())
-                .and_then(|o| {
-                    let stdout = String::from_utf8_lossy(&o.stdout).into_owned();
-                    stdout.lines().last().map(str::to_owned)
-                })
-                .filter(|line| line.starts_with('{'));
-            let (row, out) = match row {
-                Some(r) => {
-                    let out = parse_row(&r);
-                    (r, out)
-                }
-                None => {
-                    let out = LevelOutcome {
-                        inflight,
-                        requests: total,
-                        completed: false,
-                        errors: total as u64,
-                        p50_us: 0.0,
-                        p99_us: 0.0,
-                        rss_peak_kb: 0,
-                    };
-                    (row_json(core_name, &out), out)
-                }
-            };
-            println!(
-                "{:<9} | {:>9} | {:>10.1} {:>10.1} | {:>9.1} | {}",
-                core_name,
-                out.inflight,
-                out.p50_us,
-                out.p99_us,
-                out.rss_peak_kb as f64 / 1024.0,
-                out.completed
-            );
-            rows.push(format!("    {row}"));
-        }
+    for &inflight in levels {
+        // Turn the window over a few times so steady-state
+        // latencies dominate the ramp-up.
+        let total = inflight * if quick { 2 } else { 3 };
+        let child = std::process::Command::new(&exe)
+            .args([
+                "--one",
+                &conns.to_string(),
+                &inflight.to_string(),
+                &total.to_string(),
+            ])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .output();
+        // The row is the child's last stdout line; a child that
+        // crashed (or printed nothing) becomes an honest failure
+        // row rather than a missing one.
+        let row = child
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| {
+                let stdout = String::from_utf8_lossy(&o.stdout).into_owned();
+                stdout.lines().last().map(str::to_owned)
+            })
+            .filter(|line| line.starts_with('{'));
+        let (row, out) = match row {
+            Some(r) => {
+                let out = parse_row(&r);
+                (r, out)
+            }
+            None => {
+                let out = LevelOutcome {
+                    inflight,
+                    requests: total,
+                    completed: false,
+                    errors: total as u64,
+                    p50_us: 0.0,
+                    p99_us: 0.0,
+                    rss_peak_kb: 0,
+                };
+                (row_json(&out), out)
+            }
+        };
+        println!(
+            "{:>9} | {:>10.1} {:>10.1} | {:>9.1} | {}",
+            out.inflight,
+            out.p50_us,
+            out.p99_us,
+            out.rss_peak_kb as f64 / 1024.0,
+            out.completed
+        );
+        rows.push(format!("    {row}"));
     }
 
     let json = format!(

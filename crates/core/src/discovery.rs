@@ -26,10 +26,11 @@
 //!
 //! The sites of one BFS wave are independent: each probe talks to a
 //! different co-database. [`DiscoveryEngine::find`] therefore dispatches
-//! every wave over a bounded pool of [`DiscoveryEngine::max_workers`]
-//! scoped threads, so naming resolution, the `find_coalitions` /
-//! `find_links` queries, and coalition-member expansion of several sites
-//! are in flight at once. Results are merged **in site-name order**, so
+//! every wave over the bounded pool of `crate::wave`
+//! ([`DiscoveryEngine::max_workers`] threads), so naming resolution,
+//! the `find_coalitions` / `find_links` queries, and coalition-member
+//! expansion of several sites are in flight at once. Results are merged
+//! **in site-name order**, so
 //! the outcome (leads, degraded sites, visit counts) is byte-identical
 //! to a serial run (`max_workers = 1`); parallelism changes only the
 //! wall-clock. Chaos-killed sites surface in
@@ -52,17 +53,16 @@
 //!   cannot answer the version call is degraded, never served from
 //!   cache.
 
-use crate::failure::degrade_reason;
+use crate::failure::{degrade_reason, is_breaker_rejection};
 use crate::federation::Federation;
 use crate::servants::value_to_link;
 use crate::value_map::value_to_strings;
 use crate::{WebfinditError, WfResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use webfindit_base::sync::Mutex;
 use webfindit_codb::{LinkEnd, ServiceLink};
-use webfindit_orb::OrbError;
+use webfindit_orb::OrbMetrics;
 use webfindit_wire::{Ior, Value};
 
 /// What a discovery found.
@@ -237,6 +237,42 @@ impl CodbAnswerCache {
     }
 }
 
+/// One probe's view of a site's cached answers: the cache, the site's
+/// key in it, and the version stamp the probe's live `version` call
+/// just returned.
+struct CachedSite<'a> {
+    cache: &'a CodbAnswerCache,
+    metrics: &'a OrbMetrics,
+    key: String,
+    version: u64,
+}
+
+impl CachedSite<'_> {
+    /// Answer one co-database question cache-first: serve what `read`
+    /// finds recorded under the current version stamp, otherwise count
+    /// one remote query in `queries`, `fetch` the answer live and
+    /// record it through `write`. A failed fetch records nothing and is
+    /// the caller's to fail on or tolerate.
+    fn answer<T: Clone>(
+        &self,
+        queries: &mut u64,
+        read: impl FnOnce(&SiteAnswers) -> Option<T>,
+        fetch: impl FnOnce() -> WfResult<T>,
+        write: impl FnOnce(&mut SiteAnswers, T),
+    ) -> WfResult<T> {
+        let hit = self.cache.with_current(&self.key, self.version, read);
+        self.metrics.record_codb_cache(hit.is_some());
+        if let Some(hit) = hit {
+            return Ok(hit);
+        }
+        *queries += 1;
+        let fetched = fetch()?;
+        self.cache
+            .store(&self.key, self.version, |e| write(e, fetched.clone()));
+        Ok(fetched)
+    }
+}
+
 /// Expand a co-database's inter-relationships into candidate sites:
 /// members of every known coalition, database link endpoints directly,
 /// and coalition link endpoints via the member lists. `members_of`
@@ -283,7 +319,7 @@ struct SiteProbe {
     naming_lookups: u64,
     codb_queries: u64,
     /// The failure was a circuit-breaker rejection — possibly a
-    /// half-open race against a wave-mate (see [`DiscoveryEngine::run_wave`]).
+    /// half-open race against a wave-mate (see `crate::wave`).
     breaker_rejected: bool,
 }
 
@@ -301,7 +337,7 @@ impl SiteProbe {
     }
 
     fn fail(&mut self, distance: usize, e: &WebfinditError) {
-        self.breaker_rejected = matches!(e, WebfinditError::Orb(OrbError::CircuitOpen { .. }));
+        self.breaker_rejected = is_breaker_rejection(e);
         self.failure = Some(SiteFailure {
             site: self.site.clone(),
             distance,
@@ -388,34 +424,29 @@ impl DiscoveryEngine {
             }
         };
 
-        let key = site.to_ascii_lowercase();
-        let cache = &self.codb_cache;
-        let metrics = self.fed.client_orb().metrics();
+        let cached = CachedSite {
+            cache: &self.codb_cache,
+            metrics: self.fed.client_orb().metrics(),
+            key: site.to_ascii_lowercase(),
+            version,
+        };
+        let topic_arg = [Value::string(topic)];
 
-        // Leads: find_coalitions then find_links, cache-first.
-        let coalitions = match cache
-            .with_current(&key, version, |e| e.coalitions_by_topic.get(topic).cloned())
-        {
-            Some(hit) => {
-                metrics.record_codb_cache(true);
-                hit
-            }
-            None => {
-                metrics.record_codb_cache(false);
-                probe.codb_queries += 1;
-                match self.fetch_strings(&ior, "find_coalitions", &[Value::string(topic)]) {
-                    Ok(v) => {
-                        cache.store(&key, version, |e| {
-                            e.coalitions_by_topic.insert(topic.to_owned(), v.clone());
-                        });
-                        v
-                    }
-                    Err(e) => {
-                        nc.invalidate(&binding);
-                        probe.fail(depth, &e);
-                        return probe;
-                    }
-                }
+        // Leads: find_coalitions then find_links. A site that cannot
+        // answer one of them is degraded, keeping the leads it gave.
+        let coalitions = match cached.answer(
+            &mut probe.codb_queries,
+            |e| e.coalitions_by_topic.get(topic).cloned(),
+            || self.fetch_strings(&ior, "find_coalitions", &topic_arg),
+            |e, v| {
+                e.coalitions_by_topic.insert(topic.to_owned(), v);
+            },
+        ) {
+            Ok(v) => v,
+            Err(e) => {
+                nc.invalidate(&binding);
+                probe.fail(depth, &e);
+                return probe;
             }
         };
         for name in coalitions {
@@ -425,30 +456,21 @@ impl DiscoveryEngine {
                 distance: depth,
             });
         }
-        let links =
-            match cache.with_current(&key, version, |e| e.links_by_topic.get(topic).cloned()) {
-                Some(hit) => {
-                    metrics.record_codb_cache(true);
-                    hit
-                }
-                None => {
-                    metrics.record_codb_cache(false);
-                    probe.codb_queries += 1;
-                    match self.fetch_links(&ior, "find_links", &[Value::string(topic)]) {
-                        Ok(v) => {
-                            cache.store(&key, version, |e| {
-                                e.links_by_topic.insert(topic.to_owned(), v.clone());
-                            });
-                            v
-                        }
-                        Err(e) => {
-                            nc.invalidate(&binding);
-                            probe.fail(depth, &e);
-                            return probe;
-                        }
-                    }
-                }
-            };
+        let links = match cached.answer(
+            &mut probe.codb_queries,
+            |e| e.links_by_topic.get(topic).cloned(),
+            || self.fetch_links(&ior, "find_links", &topic_arg),
+            |e, v| {
+                e.links_by_topic.insert(topic.to_owned(), v);
+            },
+        ) {
+            Ok(v) => v,
+            Err(e) => {
+                nc.invalidate(&binding);
+                probe.fail(depth, &e);
+                return probe;
+            }
+        };
         for link in links {
             probe.leads.push(Lead::Link {
                 link,
@@ -462,128 +484,53 @@ impl DiscoveryEngine {
 
         // No leads here: expand its inter-relationships. Expansion
         // failures are tolerated (the reachable part still expands).
-        let coalition_list = match cache.with_current(&key, version, |e| e.coalition_list.clone()) {
-            Some(hit) => {
-                metrics.record_codb_cache(true);
-                hit
-            }
-            None => {
-                metrics.record_codb_cache(false);
-                probe.codb_queries += 1;
-                match self.fetch_strings(&ior, "coalitions", &[]) {
-                    Ok(v) => {
-                        cache.store(&key, version, |e| e.coalition_list = Some(v.clone()));
-                        v
-                    }
-                    Err(_) => Vec::new(),
-                }
-            }
-        };
-        let service_links = match cache.with_current(&key, version, |e| e.service_links.clone()) {
-            Some(hit) => {
-                metrics.record_codb_cache(true);
-                hit
-            }
-            None => {
-                metrics.record_codb_cache(false);
-                probe.codb_queries += 1;
-                match self.fetch_links(&ior, "service_links", &[]) {
-                    Ok(v) => {
-                        cache.store(&key, version, |e| e.service_links = Some(v.clone()));
-                        v
-                    }
-                    Err(_) => Vec::new(),
-                }
-            }
-        };
-        let mut codb_queries = 0u64;
-        let mut expansion: Vec<String> = Vec::new();
+        let coalition_list = cached
+            .answer(
+                &mut probe.codb_queries,
+                |e| e.coalition_list.clone(),
+                || self.fetch_strings(&ior, "coalitions", &[]),
+                |e, v| e.coalition_list = Some(v),
+            )
+            .unwrap_or_default();
+        let service_links = cached
+            .answer(
+                &mut probe.codb_queries,
+                |e| e.service_links.clone(),
+                || self.fetch_links(&ior, "service_links", &[]),
+                |e, v| e.service_links = Some(v),
+            )
+            .unwrap_or_default();
         let mut members_of = |c: &str| -> Option<Vec<String>> {
-            if let Some(hit) = cache.with_current(&key, version, |e| e.members.get(c).cloned()) {
-                metrics.record_codb_cache(true);
-                return Some(hit);
-            }
-            metrics.record_codb_cache(false);
-            codb_queries += 1;
-            match self.fetch_strings(&ior, "members", &[Value::string(c)]) {
-                Ok(v) => {
-                    cache.store(&key, version, |e| {
-                        e.members.insert(c.to_owned(), v.clone());
-                    });
-                    Some(v)
-                }
-                Err(_) => None,
-            }
+            cached
+                .answer(
+                    &mut probe.codb_queries,
+                    |e| e.members.get(c).cloned(),
+                    || self.fetch_strings(&ior, "members", &[Value::string(c)]),
+                    |e, v| {
+                        e.members.insert(c.to_owned(), v);
+                    },
+                )
+                .ok()
         };
         expand_interrelationships(
             &coalition_list,
             &service_links,
             &mut members_of,
-            &mut expansion,
+            &mut probe.expansion,
         );
-        probe.codb_queries += codb_queries;
-        probe.expansion = expansion;
         probe
     }
 
-    /// Probe every site of one wave, concurrently on up to
-    /// `max_workers` scoped threads, returning the probes **in wave
-    /// (site-name) order** regardless of completion order.
+    /// Probe every site of one wave on the bounded pool, returning the
+    /// probes **in wave (site-name) order** regardless of completion
+    /// order; breaker-rejected probes get the pool's one serial re-run.
     fn run_wave(&self, wave: &[String], topic: &str, depth: usize) -> Vec<SiteProbe> {
-        let workers = self.max_workers.max(1).min(wave.len());
-        let mut probes: Vec<SiteProbe> = if workers <= 1 {
-            wave.iter()
-                .map(|site| self.probe_site(site, topic, depth))
-                .collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let mut slots: Vec<Option<SiteProbe>> = Vec::new();
-            slots.resize_with(wave.len(), || None);
-            std::thread::scope(|scope| {
-                let next = &next;
-                let run = move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= wave.len() {
-                            break;
-                        }
-                        mine.push((i, self.probe_site(&wave[i], topic, depth)));
-                    }
-                    mine
-                };
-                // The dispatching thread doubles as a worker, so a wave
-                // of width N costs N - 1 spawns, not N — warm-cache
-                // probes are cheap enough that the spawn itself would
-                // otherwise show up in the wave latency.
-                let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
-                for (i, probe) in run() {
-                    slots[i] = Some(probe);
-                }
-                for handle in handles {
-                    for (i, probe) in handle.join().expect("discovery wave worker panicked") {
-                        slots[i] = Some(probe);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every wave slot probed"))
-                .collect()
-        };
-        // A half-open breaker admits exactly one call, so wave-mates
-        // probing the same endpoint concurrently can be rejected while
-        // the admitted probe goes on to close the breaker — a race a
-        // serial traversal never loses. Re-probe breaker rejections
-        // once, serially, after the wave settles: a breaker the wave
-        // healed now admits the probe, and one that is still open
-        // rejects instantly without touching the wire.
-        for probe in &mut probes {
-            if probe.breaker_rejected {
-                *probe = self.probe_site(&probe.site, topic, depth);
-            }
-        }
-        probes
+        crate::wave::run_ordered(
+            wave,
+            self.max_workers,
+            |site| self.probe_site(site, topic, depth),
+            |probe| probe.breaker_rejected,
+        )
     }
 
     /// Run discovery for `topic`, starting at `start_site`.
@@ -697,6 +644,7 @@ impl DiscoveryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webfindit_orb::OrbError;
 
     #[test]
     fn answer_cache_serves_only_matching_versions() {

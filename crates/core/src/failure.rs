@@ -44,3 +44,10 @@ pub fn degrade_reason(e: &WebfinditError) -> String {
         other => other.to_string(),
     }
 }
+
+/// True when `e` is a circuit breaker refusing the call locally. In a
+/// parallel wave that can be a lost half-open race rather than a dead
+/// endpoint, so it is the one failure `crate::wave` re-runs.
+pub(crate) fn is_breaker_rejection(e: &WebfinditError) -> bool {
+    matches!(e, WebfinditError::Orb(OrbError::CircuitOpen { .. }))
+}

@@ -13,9 +13,9 @@
 //!
 //! Two properties are load-bearing:
 //!
-//! * **Serial ≡ parallel.** Subqueries are shipped by a bounded wave
-//!   pool (the [`crate::discovery`] idiom): results land in per-site
-//!   slots and merge in member order, and unreachable-endpoint causes
+//! * **Serial ≡ parallel.** Subqueries are shipped by the bounded wave
+//!   pool discovery uses (`crate::wave`): results come back and merge
+//!   in member order, and unreachable-endpoint causes
 //!   canonicalize through [`crate::failure::degrade_reason`], so a
 //!   `max_workers = 1` reference run is byte-identical to the parallel
 //!   one.
@@ -33,12 +33,11 @@
 //! back — the paper's "ship the smaller side" discipline.
 
 use crate::discovery::DiscoveryEngine;
-use crate::failure::{degrade_reason, SiteFailure};
+use crate::failure::{degrade_reason, is_breaker_rejection, SiteFailure};
 use crate::federation::Federation;
 use crate::trace::{Layer, Trace};
 use crate::value_map::value_to_strings;
 use crate::{Lead, WebfinditError, WfResult};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use webfindit_tassili::ast::{Arg, FedScope, Literal, Predicate, SemiJoin, Statement};
 use webfindit_tassili::translate::{access_call_to_oql, access_call_to_sql};
@@ -238,11 +237,26 @@ fn type_key(name: &str) -> String {
     lower.strip_suffix('s').map(str::to_owned).unwrap_or(lower)
 }
 
-/// A decoded subquery answer: projected cells as strings, plus the
-/// approximate bytes they occupied on the wire.
+/// A decoded subquery answer.
 struct Shipped {
+    /// Projected cells as strings.
     rows: Vec<Vec<String>>,
+    /// Approximate bytes those cells occupied on the wire.
     bytes: u64,
+    /// The first projected cell of every row as a typed literal, `NULL`s
+    /// dropped; filled on the semi-join build wave only.
+    keys: Vec<Literal>,
+}
+
+/// Which side of a federated plan a wave ships.
+#[derive(Clone, Copy, PartialEq)]
+enum Wave {
+    /// Semi-join build side: the answers' first column becomes the key
+    /// set shipped to the probe sites.
+    Build,
+    /// The answering members, whose rows are merged, capped per member
+    /// at the statement's limit.
+    Ship(Option<u64>),
 }
 
 /// The federated planner/executor (the coordinator role).
@@ -395,82 +409,62 @@ impl FedExecutor {
     }
 
     /// Ship one subquery to one member's ISI and decode the answer.
-    fn ship_one(&self, plan: &SitePlan, max_rows: Option<u64>) -> WfResult<Shipped> {
+    fn ship_one(&self, plan: &SitePlan, kind: Wave) -> WfResult<Shipped> {
         let ior = self
             .fed
             .naming_client()
             .resolve(&format!("isi/{}", plan.site))?;
         let mut args = vec![Value::string(plan.native.clone())];
-        if let Some(n) = max_rows {
+        if let Wave::Ship(Some(n)) = kind {
             args.push(Value::ULong(n.min(u32::MAX as u64) as u32));
         }
         let v = self.fed.invoke(&ior, "execute", &args)?;
-        decode_rows(&v)
+        decode_rows(&v, kind == Wave::Build)
     }
 
-    /// Ship a wave of subqueries over a bounded worker pool, returning
-    /// the results **in wave order** regardless of completion order —
-    /// the discovery wave-pool idiom, so serial and parallel runs merge
-    /// byte-identically.
+    /// Ship a wave of subqueries on the bounded pool and account for
+    /// every member: an answer is counted into `stats` and returned
+    /// with its site, **in wave order** regardless of completion order
+    /// (so serial and parallel runs merge byte-identically); a failure
+    /// becomes a [`SiteFailure`] in `degraded`. Breaker rejections get
+    /// the pool's one serial re-run first.
     fn ship_wave(
         &self,
         wave: &[SitePlan],
-        max_rows: Option<u64>,
-    ) -> Vec<(String, WfResult<Shipped>)> {
-        let workers = self.max_workers.max(1).min(wave.len());
-        if workers <= 1 {
-            return wave
-                .iter()
-                .map(|p| (p.site.clone(), self.ship_one(p, max_rows)))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<(String, WfResult<Shipped>)>> = Vec::new();
-        slots.resize_with(wave.len(), || None);
-        std::thread::scope(|scope| {
-            let next = &next;
-            let run = move || {
-                let mut mine = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= wave.len() {
-                        break;
-                    }
-                    mine.push((i, (wave[i].site.clone(), self.ship_one(&wave[i], max_rows))));
+        kind: Wave,
+        stats: &mut FedStats,
+        degraded: &mut Vec<SiteFailure>,
+    ) -> Vec<(String, Shipped)> {
+        let metrics = self.fed.client_orb().metrics();
+        stats.subqueries_shipped += wave.len() as u64;
+        let results = crate::wave::run_ordered(
+            wave,
+            self.max_workers,
+            |plan| self.ship_one(plan, kind),
+            |r| r.as_ref().is_err_and(is_breaker_rejection),
+        );
+        let mut answered = Vec::with_capacity(wave.len());
+        for (plan, result) in wave.iter().zip(results) {
+            let site = plan.site.clone();
+            match result {
+                Ok(s) => {
+                    stats.sites_answered += 1;
+                    stats.rows_shipped += s.rows.len() as u64;
+                    stats.bytes_shipped += s.bytes;
+                    metrics.record_fed_site(true, s.rows.len() as u64, s.bytes);
+                    answered.push((site, s));
                 }
-                mine
-            };
-            // The dispatcher doubles as a worker (width N = N-1 spawns).
-            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
-            for (i, r) in run() {
-                slots[i] = Some(r);
-            }
-            for handle in handles {
-                for (i, r) in handle.join().expect("federated ship worker panicked") {
-                    slots[i] = Some(r);
+                Err(e) => {
+                    metrics.record_fed_site(false, 0, 0);
+                    degraded.push(SiteFailure {
+                        site,
+                        distance: 0,
+                        reason: degrade_reason(&e),
+                    });
                 }
             }
-        });
-        let mut results: Vec<(String, WfResult<Shipped>)> = slots
-            .into_iter()
-            .map(|s| s.expect("every ship slot filled"))
-            .collect();
-        // A half-open breaker admits exactly one call, so wave-mates
-        // targeting the same recovering endpoint can lose the race the
-        // sequential reference never runs. Re-probe breaker rejections
-        // once, serially, after the wave settles (the discovery-wave
-        // discipline) — a breaker the wave closed then answers.
-        for (i, (_, r)) in results.iter_mut().enumerate() {
-            if matches!(
-                r,
-                Err(WebfinditError::Orb(
-                    webfindit_orb::OrbError::CircuitOpen { .. }
-                ))
-            ) {
-                *r = self.ship_one(&wave[i], max_rows);
-            }
         }
-        results
+        answered
     }
 
     /// Execute a `FedInvoke` statement: resolve members, run the
@@ -499,32 +493,11 @@ impl FedExecutor {
                 &semi.build_args,
                 None,
             )?;
-            stats.subqueries_shipped += build.len() as u64;
-            let mut keys: Vec<Literal> = Vec::new();
-            for (site, shipped) in self.ship_wave(&build, None) {
-                match shipped {
-                    Ok(s) => {
-                        stats.sites_answered += 1;
-                        stats.rows_shipped += s.rows.len() as u64;
-                        stats.bytes_shipped += s.bytes;
-                        metrics.record_fed_site(true, s.rows.len() as u64, s.bytes);
-                        keys.extend(
-                            s.rows
-                                .iter()
-                                .filter_map(|r| r.first())
-                                .map(|c| cell_to_literal(c)),
-                        );
-                    }
-                    Err(e) => {
-                        metrics.record_fed_site(false, 0, 0);
-                        degraded.push(SiteFailure {
-                            site,
-                            distance: 0,
-                            reason: degrade_reason(&e),
-                        });
-                    }
-                }
-            }
+            let mut keys: Vec<Literal> = self
+                .ship_wave(&build, Wave::Build, &mut stats, &mut degraded)
+                .into_iter()
+                .flat_map(|(_, s)| s.keys)
+                .collect();
             keys.sort_by_key(|l| l.to_string());
             keys.dedup_by_key(|l| l.to_string());
             stats.keys_shipped = keys.len() as u64;
@@ -561,7 +534,6 @@ impl FedExecutor {
         let mut per_site: Vec<(String, usize)> = Vec::new();
         let mut rows: Vec<Vec<String>> = Vec::new();
         if !probe_dead {
-            stats.subqueries_shipped += ship.len() as u64;
             if let Some(t) = trace.as_deref_mut() {
                 t.event(
                     Layer::Communication,
@@ -574,29 +546,14 @@ impl FedExecutor {
                 );
             }
             // ---- pull-merge, in member order ------------------------
-            for (site, shipped) in self.ship_wave(&ship, call.limit) {
-                match shipped {
-                    Ok(s) => {
-                        stats.sites_answered += 1;
-                        stats.rows_shipped += s.rows.len() as u64;
-                        stats.bytes_shipped += s.bytes;
-                        metrics.record_fed_site(true, s.rows.len() as u64, s.bytes);
-                        per_site.push((site.clone(), s.rows.len()));
-                        for r in s.rows {
-                            let mut row = Vec::with_capacity(r.len() + 1);
-                            row.push(site.clone());
-                            row.extend(r);
-                            rows.push(row);
-                        }
-                    }
-                    Err(e) => {
-                        metrics.record_fed_site(false, 0, 0);
-                        degraded.push(SiteFailure {
-                            site,
-                            distance: 0,
-                            reason: degrade_reason(&e),
-                        });
-                    }
+            let kind = Wave::Ship(call.limit);
+            for (site, s) in self.ship_wave(&ship, kind, &mut stats, &mut degraded) {
+                per_site.push((site.clone(), s.rows.len()));
+                for r in s.rows {
+                    let mut row = Vec::with_capacity(r.len() + 1);
+                    row.push(site.clone());
+                    row.extend(r);
+                    rows.push(row);
                 }
             }
         }
@@ -628,9 +585,11 @@ impl FedExecutor {
 }
 
 /// Decode one ISI `execute` answer into projected string cells plus an
-/// approximate wire size. Object answers drop the leading OID cell (an
-/// object identity is site-local and meaningless in a federated merge).
-fn decode_rows(v: &Value) -> WfResult<Shipped> {
+/// approximate wire size — and, when `keyed`, the first projected
+/// column as semi-join keys. Object answers drop the leading OID cell
+/// (an object identity is site-local and meaningless in a federated
+/// merge).
+fn decode_rows(v: &Value, keyed: bool) -> WfResult<Shipped> {
     let object = v.field("object_rows").is_some();
     if v.field("columns").is_none() {
         return Err(WebfinditError::Protocol(
@@ -643,33 +602,43 @@ fn decode_rows(v: &Value) -> WfResult<Shipped> {
         .ok_or_else(|| WebfinditError::Protocol("result set missing rows".into()))?;
     let mut rows = Vec::with_capacity(rows_v.len());
     let mut bytes = 0u64;
+    let mut keys = Vec::new();
     for r in rows_v {
         let cells = r
             .as_sequence()
             .ok_or_else(|| WebfinditError::Protocol("row is not a sequence".into()))?;
         let skip = usize::from(object);
+        if keyed {
+            keys.extend(cells.get(skip).and_then(key_literal));
+        }
         let row: Vec<String> = cells.iter().skip(skip).map(|c| c.to_string()).collect();
         bytes += row.iter().map(|c| c.len() as u64).sum::<u64>();
         rows.push(row);
     }
-    Ok(Shipped { rows, bytes })
+    Ok(Shipped { rows, bytes, keys })
 }
 
-/// Turn a shipped cell back into a WebTassili literal for the
-/// semi-join `IN` list: integers and floats stay numeric so the probe
-/// site compares them natively, everything else ships as a string.
-fn cell_to_literal(cell: &str) -> Literal {
-    if let Ok(i) = cell.parse::<i64>() {
-        return Literal::Int(i);
-    }
-    if let Ok(d) = cell.parse::<f64>() {
-        return Literal::Float(d);
-    }
-    match cell {
-        "true" => Literal::Bool(true),
-        "false" => Literal::Bool(false),
-        _ => Literal::Str(cell.to_string()),
-    }
+/// The WebTassili literal a build-side cell ships as in the semi-join
+/// `IN` list. The literal follows the cell's wire type, never its
+/// spelling: a text key that happens to look numeric (`'007'`, a
+/// postcode) must reach the probe sites as text. `NULL` yields no key —
+/// it never matches `IN`.
+fn key_literal(cell: &Value) -> Option<Literal> {
+    Some(match cell {
+        Value::Null => return None,
+        Value::Str(s) => Literal::Str(s.clone()),
+        Value::Bool(b) => Literal::Bool(*b),
+        Value::Octet(v) => Literal::Int(i64::from(*v)),
+        Value::Short(v) => Literal::Int(i64::from(*v)),
+        Value::Long(v) => Literal::Int(i64::from(*v)),
+        Value::LongLong(v) => Literal::Int(*v),
+        Value::ULong(v) => Literal::Int(i64::from(*v)),
+        Value::Float(v) => Literal::Float(f64::from(*v)),
+        Value::Double(v) => Literal::Float(*v),
+        // Dates, references and collections have no literal form; they
+        // ship as their rendering, which is what the merged rows show.
+        other => Literal::Str(other.to_string()),
+    })
 }
 
 #[cfg(test)]
@@ -685,14 +654,46 @@ mod tests {
     }
 
     #[test]
-    fn cells_become_typed_literals() {
-        assert_eq!(cell_to_literal("42"), Literal::Int(42));
-        assert_eq!(cell_to_literal("2.5"), Literal::Float(2.5));
-        assert_eq!(cell_to_literal("true"), Literal::Bool(true));
+    fn semi_join_keys_keep_their_wire_type() {
+        let cells = [
+            Value::string("007"),
+            Value::Null,
+            Value::LongLong(42),
+            Value::Long(7),
+            Value::Double(2.5),
+            Value::Bool(true),
+            Value::string("true"),
+            Value::string("Alice Nguyen"),
+        ];
+        let answer = Value::record([
+            ("columns", Value::Sequence(vec![Value::string("k")])),
+            (
+                "rows",
+                Value::Sequence(
+                    cells
+                        .iter()
+                        .map(|c| Value::Sequence(vec![c.clone(), Value::string("ignored")]))
+                        .collect(),
+                ),
+            ),
+        ]);
+        let shipped = decode_rows(&answer, true).unwrap();
         assert_eq!(
-            cell_to_literal("Alice Nguyen"),
-            Literal::Str("Alice Nguyen".into())
+            shipped.keys,
+            vec![
+                Literal::Str("007".into()),
+                Literal::Int(42),
+                Literal::Int(7),
+                Literal::Float(2.5),
+                Literal::Bool(true),
+                Literal::Str("true".into()),
+                Literal::Str("Alice Nguyen".into()),
+            ],
+            "text stays text however it is spelled; NULL yields no key"
         );
+        assert_eq!(shipped.rows.len(), cells.len(), "NULL rows still ship");
+        assert_eq!(shipped.rows[1], vec!["NULL", "ignored"]);
+        assert!(decode_rows(&answer, false).unwrap().keys.is_empty());
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub mod session;
 pub mod synth;
 pub mod trace;
 pub mod value_map;
+pub(crate) mod wave;
 
 pub use discovery::{CodbAnswerCache, DiscoveryEngine, DiscoveryOutcome, Lead};
 pub use docs::{DocFormat, DocStore, Document};

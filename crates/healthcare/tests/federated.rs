@@ -87,54 +87,95 @@ fn semi_join_ships_keys_from_medibank_to_mbf() {
     let processor = Processor::new(dep.fed.clone());
     let mut session = BrowserSession::new("Medicare");
 
-    // Reference sets pulled directly through the ISIs.
-    let members: Vec<String> = match fed_submit(
-        &processor,
-        &mut session,
-        "Submit Native 'SELECT name FROM members' To Instance Medibank;",
-    ) {
-        Response::Table(rs) => rs.rows.iter().map(|r| r[0].to_string()).collect(),
-        other => panic!("{other:?}"),
-    };
-    let all_policies = match fed_submit(
-        &processor,
-        &mut session,
-        "Submit Native 'SELECT holder, premium FROM policies' To Instance MBF;",
-    ) {
-        Response::Table(rs) => rs.rows,
-        other => panic!("{other:?}"),
-    };
-    let expected: Vec<String> = all_policies
-        .iter()
-        .filter(|r| members.contains(&r[0].to_string()))
-        .map(|r| r[1].to_string())
-        .collect();
-    assert!(
-        !expected.is_empty() && expected.len() < all_policies.len(),
-        "seeded data must overlap partially ({} of {})",
-        expected.len(),
-        all_policies.len()
-    );
+    // Second case: text keys spelled with digits only (leading zeros
+    // included) must reach MBF as text, not as the numbers they resemble.
+    for (site, update) in [
+        (
+            "Medibank",
+            "UPDATE members SET plan = \"007\" WHERE plan = \"basic\"",
+        ),
+        (
+            "Medibank",
+            "UPDATE members SET plan = \"042\" WHERE plan = \"family\"",
+        ),
+        (
+            "MBF",
+            "UPDATE policies SET cover = \"007\" WHERE cover = \"hospital\"",
+        ),
+        (
+            "MBF",
+            "UPDATE policies SET cover = \"099\" WHERE cover = \"extras\"",
+        ),
+    ] {
+        let update = update.replace('"', "''");
+        fed_submit(
+            &processor,
+            &mut session,
+            &format!("Submit Native '{update}' To Instance {site};"),
+        );
+    }
 
-    match fed_submit(&processor, &mut session, SEMI_JOIN) {
-        Response::Federated(o) => {
-            // Only MBF exports Policies; Medibank is the build side.
-            assert_eq!(o.per_site.len(), 1);
-            assert_eq!(o.per_site[0].0, "MBF");
-            let premiums: Vec<String> = o.rows.iter().map(|r| r[1].clone()).collect();
-            assert_eq!(premiums, expected, "semi-join keeps exactly the matches");
-            assert!(o.stats.keys_shipped > 0, "{:?}", o.stats);
-            // rows_shipped counts both the build rows (Medibank member
-            // names) and the filtered probe rows — the full MBF policy
-            // table never travels.
-            assert_eq!(
-                o.stats.rows_shipped,
-                (members.len() + expected.len()) as u64,
-                "{:?}",
-                o.stats
-            );
+    for (build_column, probe_column, statement) in [
+        ("name", "holder", SEMI_JOIN),
+        (
+            "plan",
+            "cover",
+            "Invoke Policies.Premium() At Coalition Medical Insurance \
+             Where Policies.Cover In Members.Plan();",
+        ),
+    ] {
+        // Reference sets pulled directly through the ISIs.
+        let keys: Vec<String> = match fed_submit(
+            &processor,
+            &mut session,
+            &format!("Submit Native 'SELECT {build_column} FROM members' To Instance Medibank;"),
+        ) {
+            Response::Table(rs) => rs.rows.iter().map(|r| r[0].to_string()).collect(),
+            other => panic!("{other:?}"),
+        };
+        let all_policies = match fed_submit(
+            &processor,
+            &mut session,
+            &format!(
+                "Submit Native 'SELECT {probe_column}, premium FROM policies' To Instance MBF;"
+            ),
+        ) {
+            Response::Table(rs) => rs.rows,
+            other => panic!("{other:?}"),
+        };
+        let expected: Vec<String> = all_policies
+            .iter()
+            .filter(|r| keys.contains(&r[0].to_string()))
+            .map(|r| r[1].to_string())
+            .collect();
+        assert!(
+            !expected.is_empty() && expected.len() < all_policies.len(),
+            "seeded data must overlap partially ({} of {}): {statement}",
+            expected.len(),
+            all_policies.len()
+        );
+
+        match fed_submit(&processor, &mut session, statement) {
+            Response::Federated(o) => {
+                // Only MBF exports Policies; Medibank is the build side.
+                assert!(o.complete(), "{statement}: {:?}", o.degraded);
+                assert_eq!(o.per_site.len(), 1);
+                assert_eq!(o.per_site[0].0, "MBF");
+                let premiums: Vec<String> = o.rows.iter().map(|r| r[1].clone()).collect();
+                assert_eq!(premiums, expected, "semi-join keeps exactly the matches");
+                assert!(o.stats.keys_shipped > 0, "{:?}", o.stats);
+                // rows_shipped counts both the build rows (one per
+                // Medibank member) and the filtered probe rows — the
+                // full MBF policy table never travels.
+                assert_eq!(
+                    o.stats.rows_shipped,
+                    (keys.len() + expected.len()) as u64,
+                    "{:?}",
+                    o.stats
+                );
+            }
+            other => panic!("{other:?}"),
         }
-        other => panic!("{other:?}"),
     }
     dep.fed.shutdown();
 }

@@ -6,13 +6,12 @@
 //! * binds a loopback TCP listener (its IIOP endpoint) and registers its
 //!   advertised `(host, port)` with the shared [`OrbDomain`];
 //! * serves GIOP Requests arriving on that endpoint by dispatching into
-//!   its [`ObjectAdapter`]. The default server core is the event-loop
-//!   reactor ([`crate::reactor`]): one poll-driven thread owns every
+//!   its [`ObjectAdapter`]. The server core is the event-loop reactor
+//!   ([`crate::reactor`]): one poll-driven thread owns every
 //!   connection and a bounded worker pool runs servant dispatch, so a
 //!   slow servant never holds up other requests on the same connection
 //!   and ten thousand idle connections cost ten thousand fds, not ten
-//!   thousand stacks. The original thread-per-connection core survives
-//!   behind [`ServerCore::Threaded`] as baseline and fallback;
+//!   thousand stacks;
 //! * acts as a client: [`Orb::invoke`] marshals a Request and ships it
 //!   over a multiplexed [`IiopChannel`] (see [`crate::channel`]); many
 //!   concurrent callers share each connection instead of serializing on
@@ -36,8 +35,8 @@ use crate::domain::OrbDomain;
 use crate::metrics::OrbMetrics;
 use crate::servant::Servant;
 use crate::{OrbError, OrbResult};
-use std::collections::{HashMap, HashSet};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -45,7 +44,6 @@ use webfindit_base::sync::Mutex;
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{self, GiopMessage, LocateStatus, ReplyStatus, RequestHeader};
 use webfindit_wire::ior::IiopProfile;
-use webfindit_wire::transport::{FramedTcp, Transport};
 use webfindit_wire::{BufPool, Ior, Value, WireError};
 
 /// Upper bound on multiplexed connections per remote endpoint.
@@ -55,32 +53,8 @@ const MAX_CONNS_PER_ENDPOINT: usize = 4;
 /// running; bounded so a hostile client cannot grow it without limit.
 pub(crate) const MAX_REMEMBERED_CANCELS: usize = 1024;
 
-/// Default size of the reactor core's dispatch worker pool.
+/// Default size of the reactor's dispatch worker pool.
 const DEFAULT_DISPATCH_WORKERS: usize = 8;
-
-/// Which server core an ORB runs its listener on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerCore {
-    /// The original core: one thread per connection plus one per
-    /// in-flight request. Simple, but per-request thread costs dominate
-    /// at high fan-in. Kept as a baseline and fallback.
-    Threaded,
-    /// The event-loop core ([`crate::reactor`]): one poll-driven
-    /// reactor thread plus a bounded dispatch worker pool, with write
-    /// backpressure and GIOP fragment streaming of large replies.
-    Reactor,
-}
-
-impl ServerCore {
-    /// Core selected by the `WEBFINDIT_SERVER_CORE` environment
-    /// variable (`"threaded"` or `"reactor"`); defaults to the reactor.
-    pub fn from_env() -> Self {
-        match std::env::var("WEBFINDIT_SERVER_CORE").as_deref() {
-            Ok("threaded") => ServerCore::Threaded,
-            _ => ServerCore::Reactor,
-        }
-    }
-}
 
 /// Static configuration of an ORB instance.
 #[derive(Debug, Clone)]
@@ -96,11 +70,7 @@ pub struct OrbConfig {
     pub byte_order: ByteOrder,
     /// Circuit-breaker policy applied to every client channel.
     pub breaker: BreakerConfig,
-    /// Which server core runs the listener (default: environment
-    /// selection via [`ServerCore::from_env`], i.e. the reactor).
-    pub server_core: ServerCore,
-    /// Dispatch worker threads under the reactor core (ignored by the
-    /// threaded core, which spawns per request).
+    /// Dispatch worker threads behind the reactor.
     pub dispatch_workers: usize,
 }
 
@@ -118,7 +88,6 @@ impl OrbConfig {
             advertised_port,
             byte_order,
             breaker: BreakerConfig::default(),
-            server_core: ServerCore::from_env(),
             dispatch_workers: DEFAULT_DISPATCH_WORKERS,
         }
     }
@@ -129,24 +98,11 @@ impl OrbConfig {
         self
     }
 
-    /// Pin the server core, overriding the environment selection.
-    pub fn with_server_core(mut self, core: ServerCore) -> Self {
-        self.server_core = core;
-        self
-    }
-
     /// Override the reactor's dispatch worker pool size.
     pub fn with_dispatch_workers(mut self, workers: usize) -> Self {
         self.dispatch_workers = workers.max(1);
         self
     }
-}
-
-/// One accepted server-side connection: the shared reply writer (worker
-/// threads interleave replies through it) plus a raw handle for severing.
-struct ServerConn {
-    writer: Arc<Mutex<FramedTcp>>,
-    raw: TcpStream,
 }
 
 /// A running ORB instance.
@@ -157,17 +113,13 @@ pub struct Orb {
     metrics: Arc<OrbMetrics>,
     listener_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// Accepted server-side connections, kept so `shutdown` can send an
-    /// orderly GIOP CloseConnection and then sever blocked readers.
-    server_conns: Arc<Mutex<Vec<ServerConn>>>,
     /// Client channel pool: advertised endpoint → multiplexed channel.
     channels: Mutex<HashMap<(String, u16), Arc<IiopChannel>>>,
     next_request_id: AtomicU32,
-    /// Join handle of the core's driver thread: the accept loop
-    /// (threaded) or the reactor event loop.
+    /// Join handle of the reactor event-loop thread.
     core_handle: Mutex<Option<JoinHandle<()>>>,
     /// Recycled buffers for the client-side CDR encode path (the
-    /// reactor core keeps its own pool for replies).
+    /// reactor keeps its own pool for replies).
     pool: Arc<BufPool>,
 }
 
@@ -191,43 +143,25 @@ impl Orb {
             metrics: Arc::new(OrbMetrics::default()),
             listener_addr,
             shutdown: Arc::new(AtomicBool::new(false)),
-            server_conns: Arc::new(Mutex::new(Vec::new())),
             channels: Mutex::new(HashMap::new()),
             next_request_id: AtomicU32::new(1),
             core_handle: Mutex::new(None),
             pool: BufPool::shared(),
         });
 
-        let handle = match orb.config.server_core {
-            ServerCore::Threaded => {
-                let accept_orb = Arc::clone(&orb);
-                std::thread::Builder::new()
-                    .name(format!("orb-{}-accept", orb.config.name))
-                    .spawn(move || accept_loop(accept_orb, listener))
-                    .expect("spawning ORB accept thread")
-            }
-            ServerCore::Reactor => {
-                let core = crate::reactor::spawn(
-                    orb.config.name.clone(),
-                    listener,
-                    Arc::clone(&orb.adapter),
-                    Arc::clone(&orb.metrics),
-                    orb.config.byte_order,
-                    Arc::clone(&orb.shutdown),
-                    orb.config.dispatch_workers,
-                    BufPool::shared(),
-                )
-                .map_err(WireError::Io)?;
-                core.join
-            }
-        };
-        *orb.core_handle.lock() = Some(handle);
+        let core = crate::reactor::spawn(
+            orb.config.name.clone(),
+            listener,
+            Arc::clone(&orb.adapter),
+            Arc::clone(&orb.metrics),
+            orb.config.byte_order,
+            Arc::clone(&orb.shutdown),
+            orb.config.dispatch_workers,
+            BufPool::shared(),
+        )
+        .map_err(WireError::Io)?;
+        *orb.core_handle.lock() = Some(core.join);
         Ok(orb)
-    }
-
-    /// Which server core this ORB is running.
-    pub fn server_core(&self) -> ServerCore {
-        self.config.server_core
     }
 
     /// This ORB's instance name.
@@ -546,26 +480,12 @@ impl Orb {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return; // already down
         }
-        // Unblock the core's driver thread by poking the listener: the
-        // accept loop returns from accept(), the reactor's poll reports
-        // the listener readable; both then see the flag. Joining the
-        // reactor also waits for its CloseConnection broadcast.
+        // Wake the reactor by poking the listener: its poll reports the
+        // listener readable and it then sees the flag. Joining it also
+        // waits for its CloseConnection broadcast.
         let _ = TcpStream::connect(self.listener_addr);
         if let Some(handle) = self.core_handle.lock().take() {
             let _ = handle.join();
-        }
-        // Threaded core only (the vec stays empty under the reactor).
-        // Drain under the lock, send outside it: CloseConnection goes
-        // over the socket, and holding `server_conns` across those
-        // writes would block the accept path of a concurrent connection.
-        let drained: Vec<ServerConn> = self.server_conns.lock().drain(..).collect();
-        for conn in drained {
-            // try_lock: a worker mid-send must not wedge shutdown; the
-            // sever below unblocks its peer regardless.
-            if let Some(mut w) = conn.writer.try_lock() {
-                let _ = w.send_message(&GiopMessage::CloseConnection, self.config.byte_order);
-            }
-            let _ = conn.raw.shutdown(Shutdown::Both);
         }
         self.domain
             .unregister_endpoint(&self.config.advertised_host, self.config.advertised_port);
@@ -586,152 +506,8 @@ impl Drop for Orb {
     }
 }
 
-fn accept_loop(orb: Arc<Orb>, listener: TcpListener) {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => break,
-        };
-        if orb.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let _ = stream.set_nodelay(true);
-        let writer = match stream.try_clone() {
-            // Held across send_frame by design: replies must hit the
-            // socket as whole frames. Exempt, like the client-side
-            // MuxConn writer.
-            Ok(clone) => Arc::new(
-                Mutex::new_labeled(FramedTcp::new(clone), "orb::ServerConn.writer")
-                    .allow_hold_across_blocking(
-                        "serializes whole-frame reply writes; held for one send only",
-                    ),
-            ),
-            Err(_) => continue,
-        };
-        if let Ok(raw) = stream.try_clone() {
-            orb.server_conns.lock().push(ServerConn {
-                writer: Arc::clone(&writer),
-                raw,
-            });
-        }
-        let adapter = Arc::clone(&orb.adapter);
-        let metrics = Arc::clone(&orb.metrics);
-        let order = orb.config.byte_order;
-        let name = orb.config.name.clone();
-        let _ = std::thread::Builder::new()
-            .name(format!("orb-{name}-conn"))
-            .spawn(move || serve_connection(stream, writer, adapter, metrics, order, name));
-    }
-}
-
-/// Serve one inbound IIOP connection until it closes or errors.
-///
-/// Requests dispatch on worker threads so a stalled servant cannot
-/// block other requests multiplexed on the same connection; all workers
-/// funnel replies through the shared `writer`. A CancelRequest for a
-/// request whose dispatch is still running suppresses its reply.
-fn serve_connection(
-    stream: TcpStream,
-    writer: Arc<Mutex<FramedTcp>>,
-    adapter: Arc<ObjectAdapter>,
-    metrics: Arc<OrbMetrics>,
-    order: ByteOrder,
-    orb_name: String,
-) {
-    let mut transport = FramedTcp::new(stream);
-    let canceled: Arc<Mutex<HashSet<u32>>> = Arc::new(Mutex::new(HashSet::new()));
-    loop {
-        let frame = match transport.recv_frame() {
-            Ok(f) => f,
-            Err(WireError::Closed) => break,
-            Err(_) => {
-                // Protocol garbage: tell the peer and drop the connection,
-                // as GIOP requires.
-                let _ = writer
-                    .lock()
-                    .send_message(&GiopMessage::MessageError, order);
-                break;
-            }
-        };
-        metrics.add(&metrics.bytes_received, frame.len() as u64);
-        let msg = match GiopMessage::decode_frame(&frame) {
-            Ok(m) => m,
-            Err(_) => {
-                let _ = writer
-                    .lock()
-                    .send_message(&GiopMessage::MessageError, order);
-                break;
-            }
-        };
-        match msg {
-            GiopMessage::Request { header, args } => {
-                metrics.add(&metrics.requests_served, 1);
-                let adapter = Arc::clone(&adapter);
-                let metrics = Arc::clone(&metrics);
-                let writer = Arc::clone(&writer);
-                let canceled = Arc::clone(&canceled);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("orb-{orb_name}-req-{}", header.request_id))
-                    .spawn(move || {
-                        serve_request(header, args, &adapter, &metrics, &writer, &canceled, order)
-                    });
-                if spawned.is_err() {
-                    // Out of threads: better to close than to hang the
-                    // client waiting for a reply that cannot come.
-                    break;
-                }
-            }
-            GiopMessage::LocateRequest {
-                request_id,
-                object_key,
-            } => {
-                metrics.add(&metrics.locates_served, 1);
-                let status = if adapter.contains(&object_key) {
-                    LocateStatus::ObjectHere
-                } else {
-                    LocateStatus::UnknownObject
-                };
-                let reply = GiopMessage::LocateReply {
-                    request_id,
-                    status,
-                    forward: None,
-                };
-                if writer.lock().send_message(&reply, order).is_err() {
-                    break;
-                }
-            }
-            GiopMessage::CancelRequest { request_id } => {
-                // Dispatch may still be running on a worker thread;
-                // remember the id so its reply is suppressed.
-                let mut set = canceled.lock();
-                if set.len() >= MAX_REMEMBERED_CANCELS {
-                    set.clear();
-                }
-                set.insert(request_id);
-            }
-            GiopMessage::CloseConnection => break,
-            GiopMessage::MessageError => break,
-            GiopMessage::Reply { .. } | GiopMessage::LocateReply { .. } => {
-                // Clients do not send replies; protocol violation.
-                let _ = writer
-                    .lock()
-                    .send_message(&GiopMessage::MessageError, order);
-                break;
-            }
-            GiopMessage::Fragment { .. } => {
-                // Fragmentation is not negotiated by this implementation.
-                let _ = writer
-                    .lock()
-                    .send_message(&GiopMessage::MessageError, order);
-                break;
-            }
-        }
-    }
-}
-
-/// Dispatch one request through the adapter and build its GIOP reply.
-/// Panic isolation and exception mapping live here so both server
-/// cores (threaded workers, reactor pool workers) behave identically.
+/// Dispatch one request through the adapter and build its GIOP reply,
+/// isolating servant panics and mapping exceptions.
 pub(crate) fn dispatch_reply(
     header: &RequestHeader,
     args: &[Value],
@@ -761,30 +537,6 @@ pub(crate) fn dispatch_reply(
                 true,
                 &format!("UNKNOWN: servant panicked: {what}"),
             )
-        }
-    }
-}
-
-/// Dispatch one request on its worker thread and send the reply.
-fn serve_request(
-    header: RequestHeader,
-    args: Vec<Value>,
-    adapter: &ObjectAdapter,
-    metrics: &OrbMetrics,
-    writer: &Mutex<FramedTcp>,
-    canceled: &Mutex<HashSet<u32>>,
-    order: ByteOrder,
-) {
-    let reply = dispatch_reply(&header, &args, adapter, metrics);
-    if canceled.lock().remove(&header.request_id) {
-        // The client gave up on this request (deadline expired there);
-        // a reply now would be bytes it will only discard.
-        return;
-    }
-    if header.response_expected {
-        if let Ok(frame) = reply.encode(order) {
-            metrics.add(&metrics.bytes_sent, frame.len() as u64);
-            let _ = writer.lock().send_frame(&frame);
         }
     }
 }

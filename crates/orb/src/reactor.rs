@@ -1,10 +1,10 @@
 //! The event-loop reactor server core.
 //!
-//! The threaded core in [`crate::orb`] spends one OS thread per
-//! connection plus one per in-flight request; at thousands of
-//! concurrent requests the per-thread stacks and scheduler churn
-//! dominate the cost of serving a call. This module replaces that with
-//! the shape real high-fan-in ORBs use:
+//! An ORB that spends one OS thread per connection, or per in-flight
+//! request, pays for thousands of concurrent requests in per-thread
+//! stacks and scheduler churn rather than in serving calls. Every
+//! [`crate::orb::Orb`] therefore serves its listener with the shape
+//! real high-fan-in ORBs use:
 //!
 //! * **one reactor thread** owns the listener and every accepted
 //!   connection, driven by `poll(2)` readiness
@@ -26,11 +26,11 @@
 //!   becomes a sequence of bounded buffers interleaved with the
 //!   connection's other traffic at frame granularity.
 //!
-//! Protocol semantics are identical to the threaded core: CancelRequest
-//! suppresses the reply of a still-running dispatch, servant panics
-//! become system exceptions, protocol garbage earns a GIOP MessageError
-//! and a closed connection, and shutdown broadcasts CloseConnection so
-//! clients classify their outstanding requests as safely retriable.
+//! Protocol semantics: CancelRequest suppresses the reply of a
+//! still-running dispatch, servant panics become system exceptions,
+//! protocol garbage earns a GIOP MessageError and a closed connection,
+//! and shutdown broadcasts CloseConnection so clients classify their
+//! outstanding requests as safely retriable.
 
 use crate::adapter::ObjectAdapter;
 use crate::metrics::OrbMetrics;
@@ -144,9 +144,8 @@ pub(crate) fn spawn(
         let shared = Arc::clone(&shared);
         let pool = Arc::clone(&pool);
         // Deliberately detached: a worker stalled inside a servant must
-        // not wedge shutdown (the threaded core's per-request threads
-        // were equally detached). Workers exit when the job sender
-        // drops with the reactor.
+        // not wedge shutdown. Workers exit when the job sender drops
+        // with the reactor.
         std::thread::Builder::new()
             .name(format!("orb-{name}-worker-{i}"))
             .spawn(move || worker_loop(job_rx, adapter, metrics, order, shared, pool))?;

@@ -1,11 +1,11 @@
-//! End-to-end GIOP fragment streaming through the reactor core: a
+//! End-to-end GIOP fragment streaming through the reactor: a
 //! servant reply bigger than the fragment chunk size must travel as a
 //! fragment train (server counts `fragmented_replies`/`fragments_sent`,
 //! client counts `fragments_reassembled`) and arrive byte-identical.
 
 use std::sync::Arc;
 use webfindit_orb::servant::{InvokeResult, Servant, ServantError};
-use webfindit_orb::{Orb, OrbConfig, OrbDomain, ServerCore};
+use webfindit_orb::{Orb, OrbConfig, OrbDomain};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::Value;
 
@@ -26,15 +26,15 @@ impl Servant for SizedServant {
     }
 }
 
-fn start_pair(core: ServerCore) -> (Arc<Orb>, Arc<Orb>) {
+fn start_pair() -> (Arc<Orb>, Arc<Orb>) {
     let domain = OrbDomain::new();
     let server = Orb::start(
-        OrbConfig::new("S", "frag-s.net", 1, ByteOrder::BigEndian).with_server_core(core),
+        OrbConfig::new("S", "frag-s.net", 1, ByteOrder::BigEndian),
         Arc::clone(&domain),
     )
     .unwrap();
     let client = Orb::start(
-        OrbConfig::new("C", "frag-c.net", 2, ByteOrder::LittleEndian).with_server_core(core),
+        OrbConfig::new("C", "frag-c.net", 2, ByteOrder::LittleEndian),
         Arc::clone(&domain),
     )
     .unwrap();
@@ -43,7 +43,7 @@ fn start_pair(core: ServerCore) -> (Arc<Orb>, Arc<Orb>) {
 
 #[test]
 fn large_reply_streams_as_a_fragment_train() {
-    let (server, client) = start_pair(ServerCore::Reactor);
+    let (server, client) = start_pair();
     let ior = server.activate("sized", Arc::new(SizedServant));
 
     let out = client.invoke(&ior, "big", &[]).unwrap();
@@ -66,7 +66,7 @@ fn large_reply_streams_as_a_fragment_train() {
 
 #[test]
 fn small_replies_stay_unfragmented() {
-    let (server, client) = start_pair(ServerCore::Reactor);
+    let (server, client) = start_pair();
     let ior = server.activate("sized", Arc::new(SizedServant));
 
     for _ in 0..3 {
@@ -83,24 +83,8 @@ fn small_replies_stay_unfragmented() {
 }
 
 #[test]
-fn large_reply_also_arrives_intact_on_the_threaded_core() {
-    // The threaded fallback sends whole frames; the client-side
-    // assembler must pass them straight through.
-    let (server, client) = start_pair(ServerCore::Threaded);
-    let ior = server.activate("sized", Arc::new(SizedServant));
-
-    let out = client.invoke(&ior, "big", &[]).unwrap();
-    assert_eq!(out, Value::Str("B".repeat(300 * 1024)));
-    assert_eq!(server.metrics().snapshot().fragmented_replies, 0);
-    assert_eq!(client.metrics().snapshot().fragments_reassembled, 0);
-
-    server.shutdown();
-    client.shutdown();
-}
-
-#[test]
 fn fragmented_replies_interleave_with_small_ones_on_one_connection() {
-    let (server, client) = start_pair(ServerCore::Reactor);
+    let (server, client) = start_pair();
     let ior = server.activate("sized", Arc::new(SizedServant));
 
     for i in 0..4 {
