@@ -24,7 +24,7 @@
 
 use crate::dialect::Dialect;
 use crate::exec::{execute_select_with_metrics, ExecMetrics, ResultSet};
-use crate::expr::{eval, EvalContext, Expr};
+use crate::expr::{eval, eval_true, EvalContext, Expr};
 use crate::file_mgr::{DiskVfs, Vfs};
 use crate::recovery::{self, Meta};
 use crate::sql::ast::Statement;
@@ -446,8 +446,8 @@ pub struct Database {
 /// Evaluation context rejecting all column references (INSERT values).
 struct ConstOnly;
 
-impl EvalContext for ConstOnly {
-    fn resolve_column(&self, _t: Option<&str>, name: &str) -> RelResult<Datum> {
+impl EvalContext<'_> for ConstOnly {
+    fn column(&self, _t: Option<&str>, name: &str) -> RelResult<&'static Datum> {
         Err(RelError::Unsupported(format!(
             "column reference {name} in a constant context"
         )))
@@ -1032,7 +1032,7 @@ impl Database {
                 }
                 let mut row = vec![Datum::Null; t.schema.arity()];
                 for (i, e) in exprs.iter().enumerate() {
-                    row[positions[i]] = eval(e, &ConstOnly)?;
+                    row[positions[i]] = eval(e, &ConstOnly)?.into_owned();
                 }
                 let slot = t.insert(row)?;
                 let captured = if durable { t.row(slot).cloned() } else { None };
@@ -1103,14 +1103,14 @@ impl Database {
             };
             let keep = match filter {
                 None => true,
-                Some(f) => matches!(eval(f, &ctx)?, Datum::Bool(true)),
+                Some(f) => eval_true(f, &ctx)?,
             };
             if !keep {
                 continue;
             }
             let mut new_row = row.clone();
             for (pos, e) in &targets {
-                new_row[*pos] = eval(e, &ctx)?;
+                new_row[*pos] = eval(e, &ctx)?.into_owned();
             }
             changes.push((slot, new_row));
         }
@@ -1185,7 +1185,7 @@ impl Database {
             };
             let doomed = match filter {
                 None => true,
-                Some(f) => matches!(eval(f, &ctx)?, Datum::Bool(true)),
+                Some(f) => eval_true(f, &ctx)?,
             };
             if doomed {
                 victims.push(slot);

@@ -6,24 +6,43 @@
 //! each operator produces one row per `next` call, so `LIMIT` stops
 //! pulling — and therefore stops scanning — as soon as it is
 //! satisfied. An [`ExecMetrics`] struct threads through the operator
-//! tree counting rows/bytes scanned, index hits, and rows spilled to
+//! tree counting rows/bytes scanned, index hits, and entries held by
 //! sorts/aggregation, and records the name of every operator that ran.
 //!
-//! The previous vector-at-a-time interpreter is retained verbatim as
-//! [`execute_select_naive`]: it is the semantic reference for the
-//! differential property tests and the baseline for the E10 benchmark.
+//! **Rows are borrowed.** Below the projection a row is a *tuple*: one
+//! `&[Datum]` into table storage per FROM item (a `LEFT` join's missing
+//! side is the plan's all-NULL pad). Scans, filters and joins advance
+//! the tuple in place by writing their own part; expressions arrive
+//! bound to `(part, col)` slots ([`crate::plan`]) and [`eval`] reads
+//! them by reference. A datum is cloned once, when `Project` or an
+//! aggregate's final row writes an output cell.
+//!
+//! **Aggregation streams.** `HashAggregate` keeps one entry per group —
+//! a [`GroupKey`] per GROUP BY expression, references to the group's
+//! first tuple, one accumulator per aggregate call — and feeds it as
+//! rows are pulled, so it holds groups, not input rows. `SUM`/`AVG`
+//! add their inputs in input order, which keeps float results
+//! bit-identical to the reference's collect-then-sum.
+//!
+//! The vector-at-a-time interpreter [`execute_select_naive`] is the
+//! semantic reference for the differential property tests and the
+//! baseline for the E10 benchmark. It resolves columns by name on
+//! every row and materializes every intermediate result.
 
-use crate::expr::{eval, AggFunc, BinOp, EvalContext, Expr};
+use crate::expr::{eval, eval_true, AggFunc, BinOp, EvalContext, Expr};
 use crate::plan::{
     conjuncts, detect_pk_point, eq_lowered, equi_join_offsets, expand_items, lookup, plan_select,
-    Layout, PhysicalPlan, PkPoint, Sarg,
+    AggSpec, HashAggregateNode, HashJoinNode, IxJoinNode, Layout, NlJoinNode, PhysicalPlan,
+    PkPoint, ProjectNode, Sarg, SortSource,
 };
 use crate::schema::TableSchema;
 use crate::sql::ast::{Join, JoinKind, OrderKey, SelectItem, SelectStmt};
 use crate::storage::Table;
-use crate::types::{Datum, Row};
+use crate::types::{Datum, GroupKey, Row};
 use crate::{RelError, RelResult};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 
 /// A query result: named columns and rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,11 +100,11 @@ impl ResultSet {
 /// Execution counters threaded through the pipelined operator tree.
 ///
 /// Rows/bytes are counted where storage is actually touched (scans,
-/// hash-build sides, index probes); `rows_spilled` counts rows
-/// materialized by blocking operators (sort, hash aggregation);
-/// `operators` lists every plan operator that ran, bottom-up, and is
-/// guaranteed to match [`PhysicalPlan::operator_names`] of the plan
-/// that produced it.
+/// hash-build sides, index probes); `rows_spilled` counts the entries
+/// blocking operators hold: one per row for a sort, one per group for
+/// hash aggregation; `operators` lists every plan operator that ran,
+/// bottom-up, and is guaranteed to match
+/// [`PhysicalPlan::operator_names`] of the plan that produced it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecMetrics {
     /// Rows read from table heaps (scans, join build/probe reads).
@@ -94,7 +113,7 @@ pub struct ExecMetrics {
     pub bytes_scanned: u64,
     /// Index entries returned by point lookups / range scans / probes.
     pub index_hits: u64,
-    /// Rows materialized by blocking operators (sort, aggregation).
+    /// Entries held by blocking operators (sorted rows, groups).
     pub rows_spilled: u64,
     /// Rows delivered to the client.
     pub rows_output: u64,
@@ -102,35 +121,37 @@ pub struct ExecMetrics {
     pub operators: Vec<&'static str>,
 }
 
+/// Naive-executor context: a concatenated joined row, columns resolved
+/// by name against the layout on every reference.
 struct LayoutRow<'a> {
     layout: &'a Layout,
     row: &'a [Datum],
 }
 
-impl EvalContext for LayoutRow<'_> {
-    fn resolve_column(&self, table: Option<&str>, name: &str) -> RelResult<Datum> {
-        Ok(self.row[self.layout.resolve(table, name)?].clone())
+impl<'a> EvalContext<'a> for LayoutRow<'a> {
+    fn column(&self, table: Option<&str>, name: &str) -> RelResult<&'a Datum> {
+        Ok(&self.row[self.layout.resolve(table, name)?])
     }
 }
 
-/// Group context: resolves columns from a representative row and
-/// aggregates from the precomputed per-group table.
+/// Naive-executor group context: resolves columns from a representative
+/// row and aggregates from the precomputed per-group table.
 struct GroupRow<'a> {
     layout: &'a Layout,
     representative: &'a [Datum],
     aggregates: &'a [(Expr, Datum)],
 }
 
-impl EvalContext for GroupRow<'_> {
-    fn resolve_column(&self, table: Option<&str>, name: &str) -> RelResult<Datum> {
-        Ok(self.representative[self.layout.resolve(table, name)?].clone())
+impl<'a> EvalContext<'a> for GroupRow<'a> {
+    fn column(&self, table: Option<&str>, name: &str) -> RelResult<&'a Datum> {
+        Ok(&self.representative[self.layout.resolve(table, name)?])
     }
 
-    fn resolve_aggregate(&self, expr: &Expr) -> RelResult<Datum> {
+    fn aggregate(&self, expr: &Expr) -> RelResult<&'a Datum> {
         self.aggregates
             .iter()
             .find(|(e, _)| e == expr)
-            .map(|(_, v)| v.clone())
+            .map(|(_, v)| v)
             .ok_or_else(|| RelError::AggregateMisuse("aggregate not precomputed".into()))
     }
 }
@@ -167,284 +188,480 @@ fn row_bytes(row: &[Datum]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Pipelined executor: lower half produces joined rows, upper half
-// produces (visible row, hidden sort keys) pairs.
+// Pipelined executor: the lower half advances a tuple of borrowed rows,
+// the upper half produces owned (visible row, hidden sort keys) pairs.
 // ---------------------------------------------------------------------
 
-trait RowOp {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Row>>;
+/// The pipeline's row: one borrowed stored row per FROM item, plus —
+/// above an aggregate — one part holding the group's aggregate results.
+type Tuple<'a> = [&'a [Datum]];
+
+impl<'a> EvalContext<'a> for Tuple<'a> {
+    fn column(&self, _table: Option<&str>, name: &str) -> RelResult<&'a Datum> {
+        Err(RelError::Unsupported(format!(
+            "column {name} reached the pipeline unbound"
+        )))
+    }
+
+    fn slot(&self, part: usize, col: usize) -> RelResult<&'a Datum> {
+        Ok(&self[part][col])
+    }
+}
+
+/// A produced row and its hidden ORDER BY keys.
+type Keyed = (Row, Vec<Datum>);
+
+trait RowOp<'a> {
+    /// Advance to the next tuple by writing this operator's part of
+    /// `t` (its input has written the parts below); `false` at the end.
+    fn next(&mut self, t: &mut Tuple<'a>, m: &mut ExecMetrics) -> RelResult<bool>;
 }
 
 trait KeyedOp {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<(Row, Vec<Datum>)>>;
+    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Keyed>>;
 }
 
-struct SeqScanExec<'a> {
-    iter: Box<dyn Iterator<Item = &'a Row> + 'a>,
+type BoxedRowOp<'a> = Box<dyn RowOp<'a> + 'a>;
+
+fn scanned(r: &[Datum], m: &mut ExecMetrics) {
+    m.rows_scanned += 1;
+    m.bytes_scanned += row_bytes(r);
 }
 
-impl RowOp for SeqScanExec<'_> {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Row>> {
-        match self.iter.next() {
-            Some(r) => {
-                m.rows_scanned += 1;
-                m.bytes_scanned += row_bytes(r);
-                Ok(Some(r.clone()))
-            }
-            None => Ok(None),
-        }
+struct SeqScanExec<I> {
+    iter: I,
+}
+
+impl<'a, I: Iterator<Item = (usize, &'a Row)>> RowOp<'a> for SeqScanExec<I> {
+    fn next(&mut self, t: &mut Tuple<'a>, m: &mut ExecMetrics) -> RelResult<bool> {
+        let Some((_, r)) = self.iter.next() else {
+            return Ok(false);
+        };
+        scanned(r, m);
+        t[0] = r;
+        Ok(true)
     }
 }
 
 struct IxScanExec<'a> {
     table: &'a Table,
-    slots: std::vec::IntoIter<usize>,
+    slots: Cow<'a, [usize]>,
+    pos: usize,
 }
 
-impl RowOp for IxScanExec<'_> {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Row>> {
-        for slot in self.slots.by_ref() {
+impl<'a> RowOp<'a> for IxScanExec<'a> {
+    fn next(&mut self, t: &mut Tuple<'a>, m: &mut ExecMetrics) -> RelResult<bool> {
+        while let Some(&slot) = self.slots.get(self.pos) {
+            self.pos += 1;
             if let Some(r) = self.table.row(slot) {
-                m.rows_scanned += 1;
-                m.bytes_scanned += row_bytes(r);
-                return Ok(Some(r.clone()));
+                scanned(r, m);
+                t[0] = r;
+                return Ok(true);
             }
         }
-        Ok(None)
+        Ok(false)
     }
 }
 
 struct FilterExec<'a> {
-    input: Box<dyn RowOp + 'a>,
+    input: BoxedRowOp<'a>,
     pred: &'a Expr,
-    layout: &'a Layout,
 }
 
-impl RowOp for FilterExec<'_> {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Row>> {
-        while let Some(row) = self.input.next(m)? {
-            let ctx = LayoutRow {
-                layout: self.layout,
-                row: &row,
-            };
-            if matches!(eval(self.pred, &ctx)?, Datum::Bool(true)) {
-                return Ok(Some(row));
+impl<'a> RowOp<'a> for FilterExec<'a> {
+    fn next(&mut self, t: &mut Tuple<'a>, m: &mut ExecMetrics) -> RelResult<bool> {
+        while self.input.next(t, m)? {
+            if eval_true(self.pred, t)? {
+                return Ok(true);
             }
         }
-        Ok(None)
+        Ok(false)
     }
 }
 
 struct NlJoinExec<'a> {
-    input: Box<dyn RowOp + 'a>,
+    input: BoxedRowOp<'a>,
+    node: &'a NlJoinNode,
     right_rows: Vec<&'a Row>,
-    right_width: usize,
-    kind: JoinKind,
-    on: Option<&'a Expr>,
-    layout: &'a Layout,
-    cur_left: Option<Row>,
+    /// A left tuple is in place and `idx` right rows have been tried.
+    have_left: bool,
     idx: usize,
     matched: bool,
 }
 
-impl RowOp for NlJoinExec<'_> {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Row>> {
+impl<'a> RowOp<'a> for NlJoinExec<'a> {
+    fn next(&mut self, t: &mut Tuple<'a>, m: &mut ExecMetrics) -> RelResult<bool> {
+        let node = self.node;
         loop {
-            if self.cur_left.is_none() {
-                match self.input.next(m)? {
-                    Some(l) => {
-                        self.cur_left = Some(l);
-                        self.idx = 0;
-                        self.matched = false;
-                    }
-                    None => return Ok(None),
+            if !self.have_left {
+                if !self.input.next(t, m)? {
+                    return Ok(false);
                 }
+                self.have_left = true;
+                self.idx = 0;
+                self.matched = false;
             }
-            let l = self.cur_left.as_ref().expect("left row set above");
-            while self.idx < self.right_rows.len() {
-                let r = self.right_rows[self.idx];
+            while let Some(&r) = self.right_rows.get(self.idx) {
                 self.idx += 1;
-                let mut row = l.clone();
-                row.extend(r.iter().cloned());
-                match (self.kind, self.on) {
-                    (JoinKind::Cross, _) => return Ok(Some(row)),
-                    (_, Some(on)) => {
-                        let ctx = LayoutRow {
-                            layout: self.layout,
-                            row: &row,
-                        };
-                        if matches!(eval(on, &ctx)?, Datum::Bool(true)) {
-                            self.matched = true;
-                            return Ok(Some(row));
-                        }
-                    }
-                    (_, None) => return Ok(Some(row)),
+                t[node.part] = r;
+                let pass = match (node.kind, &node.on) {
+                    (JoinKind::Cross, _) | (_, None) => true,
+                    (_, Some(on)) => eval_true(on, t)?,
+                };
+                if pass {
+                    self.matched = true;
+                    return Ok(true);
                 }
             }
-            // Right side exhausted for this left row.
-            let l = self.cur_left.take().expect("left row present");
-            if self.kind == JoinKind::Left && !self.matched {
-                let mut row = l;
-                row.extend(std::iter::repeat_n(Datum::Null, self.right_width));
-                return Ok(Some(row));
+            // Right side exhausted for this left tuple.
+            self.have_left = false;
+            if node.kind == JoinKind::Left && !self.matched {
+                t[node.part] = &node.null_pad;
+                return Ok(true);
             }
         }
     }
 }
 
 struct HashJoinExec<'a> {
-    input: Box<dyn RowOp + 'a>,
-    ht: HashMap<String, Vec<&'a Row>>,
-    left_off: usize,
-    pending: VecDeque<Row>,
+    input: BoxedRowOp<'a>,
+    node: &'a HashJoinNode,
+    /// Join key → index into `buckets`.
+    ht: HashMap<GroupKey<'a>, usize>,
+    buckets: Vec<Vec<&'a Row>>,
+    /// Matches of the current left tuple still to emit: `(bucket, next)`.
+    pending: Option<(usize, usize)>,
 }
 
-impl RowOp for HashJoinExec<'_> {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Row>> {
+impl<'a> RowOp<'a> for HashJoinExec<'a> {
+    fn next(&mut self, t: &mut Tuple<'a>, m: &mut ExecMetrics) -> RelResult<bool> {
+        let (lp, lc) = self.node.left;
         loop {
-            if let Some(row) = self.pending.pop_front() {
-                return Ok(Some(row));
-            }
-            match self.input.next(m)? {
-                None => return Ok(None),
-                Some(l) => {
-                    if l[self.left_off].is_null() {
-                        continue; // NULL never equi-matches
-                    }
-                    let mut key = String::new();
-                    l[self.left_off].group_key(&mut key);
-                    if let Some(matches) = self.ht.get(&key) {
-                        for r in matches {
-                            let mut row = l.clone();
-                            row.extend(r.iter().cloned());
-                            self.pending.push_back(row);
-                        }
-                    }
+            if let Some((b, i)) = self.pending {
+                if let Some(&r) = self.buckets[b].get(i) {
+                    self.pending = Some((b, i + 1));
+                    t[self.node.part] = r;
+                    return Ok(true);
                 }
+                self.pending = None;
             }
+            if !self.input.next(t, m)? {
+                return Ok(false);
+            }
+            let key = &t[lp][lc];
+            if key.is_null() {
+                continue; // NULL never equi-matches
+            }
+            self.pending = self.ht.get(&GroupKey::of(key)).map(|&b| (b, 0));
         }
     }
 }
 
 struct IxJoinExec<'a> {
-    input: Box<dyn RowOp + 'a>,
+    input: BoxedRowOp<'a>,
+    node: &'a IxJoinNode,
     right: &'a Table,
-    left_off: usize,
-    right_col: usize,
-    pending: VecDeque<Row>,
+    /// Index hits of the current left tuple still to fetch.
+    pending: &'a [usize],
 }
 
-impl RowOp for IxJoinExec<'_> {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Row>> {
+impl<'a> RowOp<'a> for IxJoinExec<'a> {
+    fn next(&mut self, t: &mut Tuple<'a>, m: &mut ExecMetrics) -> RelResult<bool> {
+        let (lp, lc) = self.node.left;
         loop {
-            if let Some(row) = self.pending.pop_front() {
-                return Ok(Some(row));
-            }
-            match self.input.next(m)? {
-                None => return Ok(None),
-                Some(l) => {
-                    if l[self.left_off].is_null() {
-                        continue;
-                    }
-                    let slots = self
-                        .right
-                        .index_lookup(self.right_col, &l[self.left_off])
-                        .unwrap_or_default();
-                    m.index_hits += slots.len() as u64;
-                    for s in slots {
-                        if let Some(r) = self.right.row(s) {
-                            m.rows_scanned += 1;
-                            m.bytes_scanned += row_bytes(r);
-                            let mut row = l.clone();
-                            row.extend(r.iter().cloned());
-                            self.pending.push_back(row);
-                        }
-                    }
+            while let Some((&slot, rest)) = self.pending.split_first() {
+                self.pending = rest;
+                if let Some(r) = self.right.row(slot) {
+                    scanned(r, m);
+                    t[self.node.part] = r;
+                    return Ok(true);
                 }
             }
+            if !self.input.next(t, m)? {
+                return Ok(false);
+            }
+            let key = &t[lp][lc];
+            if key.is_null() {
+                continue;
+            }
+            self.pending = self
+                .right
+                .index_lookup(self.node.right_col, key)
+                .unwrap_or_default();
+            m.index_hits += self.pending.len() as u64;
         }
     }
+}
+
+/// Evaluate a select list over `t` into an owned output row: the one
+/// place a stored datum is cloned.
+fn project<'a>(select: &'a [Expr], t: &Tuple<'a>) -> RelResult<Row> {
+    select
+        .iter()
+        .map(|e| eval(e, t).map(Cow::into_owned))
+        .collect()
+}
+
+fn sort_keys<'a>(order_by: &'a [SortSource], t: &Tuple<'a>, out: &[Datum]) -> RelResult<Row> {
+    order_by
+        .iter()
+        .map(|k| match k {
+            SortSource::Output(i) => Ok(out[*i].clone()),
+            SortSource::Expr(e) => eval(e, t).map(Cow::into_owned),
+        })
+        .collect()
 }
 
 struct ProjectExec<'a> {
-    input: Box<dyn RowOp + 'a>,
-    select_exprs: &'a [(Expr, String)],
-    columns: &'a [String],
-    order_by: &'a [OrderKey],
-    layout: &'a Layout,
+    input: BoxedRowOp<'a>,
+    node: &'a ProjectNode,
+    tuple: Vec<&'a [Datum]>,
 }
 
 impl KeyedOp for ProjectExec<'_> {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<(Row, Vec<Datum>)>> {
-        match self.input.next(m)? {
-            None => Ok(None),
-            Some(row) => {
-                let ctx = LayoutRow {
-                    layout: self.layout,
-                    row: &row,
-                };
-                let mut out = Vec::with_capacity(self.select_exprs.len());
-                for (e, _) in self.select_exprs {
-                    out.push(eval(e, &ctx)?);
-                }
-                let mut keys = Vec::with_capacity(self.order_by.len());
-                for k in self.order_by {
-                    keys.push(order_key_value(&k.expr, &ctx, self.columns, &out)?);
-                }
-                Ok(Some((out, keys)))
+    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Keyed>> {
+        if !self.input.next(&mut self.tuple, m)? {
+            return Ok(None);
+        }
+        let out = project(&self.node.select, &self.tuple)?;
+        let keys = sort_keys(&self.node.order_by, &self.tuple, &out)?;
+        Ok(Some((out, keys)))
+    }
+}
+
+/// The running state of one aggregate call in one group.
+enum AccState<'a> {
+    /// `COUNT`: rows (`COUNT(*)`) or non-NULL inputs so far.
+    Count(i64),
+    /// `SUM` and `AVG`. Inputs are added in input order, integers both
+    /// exactly and as doubles, so the results are bit-identical to
+    /// summing the group's values after collecting them.
+    Sum {
+        n: i64,
+        isum: i64,
+        fsum: f64,
+        all_int: bool,
+    },
+    /// `MIN` and `MAX`: the best input so far.
+    Best(Option<Cow<'a, Datum>>),
+}
+
+struct Acc<'a> {
+    state: AccState<'a>,
+    /// Inputs already fed, for a `DISTINCT` aggregate only.
+    seen: Option<HashSet<GroupKey<'a>>>,
+}
+
+impl<'a> Acc<'a> {
+    fn new(spec: &AggSpec) -> Acc<'a> {
+        Acc {
+            state: match (spec.func, &spec.arg) {
+                (AggFunc::Count, _) | (_, None) => AccState::Count(0),
+                (AggFunc::Sum | AggFunc::Avg, _) => AccState::Sum {
+                    n: 0,
+                    isum: 0,
+                    fsum: 0.0,
+                    all_int: true,
+                },
+                (AggFunc::Min | AggFunc::Max, _) => AccState::Best(None),
+            },
+            seen: (spec.distinct && spec.arg.is_some()).then(HashSet::new),
+        }
+    }
+
+    fn feed(&mut self, spec: &'a AggSpec, t: &Tuple<'a>) -> RelResult<()> {
+        let Some(arg) = &spec.arg else {
+            if let AccState::Count(n) = &mut self.state {
+                *n += 1;
             }
+            return Ok(());
+        };
+        let v = eval(arg, t)?;
+        if v.is_null() {
+            return Ok(());
+        }
+        if let Some(seen) = &mut self.seen {
+            if !seen.insert(GroupKey::of_cow(v.clone())) {
+                return Ok(());
+            }
+        }
+        match &mut self.state {
+            AccState::Count(n) => *n += 1,
+            AccState::Sum {
+                n,
+                isum,
+                fsum,
+                all_int,
+            } => {
+                match &*v {
+                    Datum::Int(i) => {
+                        *isum = isum.wrapping_add(*i);
+                        *fsum += *i as f64;
+                    }
+                    Datum::Double(d) => {
+                        *all_int = false;
+                        *fsum += d;
+                    }
+                    other => {
+                        return Err(RelError::TypeMismatch {
+                            expected: "numeric aggregate input".into(),
+                            found: format!("{other}"),
+                        })
+                    }
+                }
+                *n += 1;
+            }
+            AccState::Best(best) => {
+                let better = match best {
+                    None => true,
+                    Some(b) => match v.sql_cmp(b) {
+                        Some(Ordering::Less) => spec.func == AggFunc::Min,
+                        Some(Ordering::Greater) => spec.func == AggFunc::Max,
+                        _ => false,
+                    },
+                };
+                if better {
+                    *best = Some(v);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self, func: AggFunc) -> Datum {
+        match self.state {
+            AccState::Count(n) => Datum::Int(n),
+            AccState::Sum { n: 0, .. } => Datum::Null,
+            AccState::Sum {
+                n,
+                isum,
+                fsum,
+                all_int,
+            } => match (func, all_int) {
+                (AggFunc::Sum, true) => Datum::Int(isum),
+                (AggFunc::Sum, false) => Datum::Double(fsum),
+                _ => Datum::Double(fsum / n as f64),
+            },
+            AccState::Best(best) => best.map_or(Datum::Null, Cow::into_owned),
         }
     }
 }
 
+/// One group of a [`HashAggregateExec`]: references to its first input
+/// tuple (what a bare column reads) and one accumulator per aggregate.
+struct Group<'a> {
+    first: Vec<&'a [Datum]>,
+    accs: Vec<Acc<'a>>,
+}
+
+impl<'a> Group<'a> {
+    fn new(node: &HashAggregateNode, first: &Tuple<'a>) -> Group<'a> {
+        // Room for the aggregate-results part `emit` appends.
+        let mut parts = Vec::with_capacity(first.len() + 1);
+        parts.extend_from_slice(first);
+        Group {
+            first: parts,
+            accs: node.aggs.iter().map(Acc::new).collect(),
+        }
+    }
+
+    /// HAVING, the select list and the sort keys over the group tuple;
+    /// `None` when HAVING rejects the group.
+    fn emit(self, node: &HashAggregateNode) -> RelResult<Option<Keyed>> {
+        let aggs: Row = self
+            .accs
+            .into_iter()
+            .zip(&node.aggs)
+            .map(|(acc, spec)| acc.finish(spec.func))
+            .collect();
+        let mut t: Vec<&[Datum]> = self.first;
+        t.push(&aggs);
+        if let Some(having) = &node.having {
+            if !eval_true(having, &t[..])? {
+                return Ok(None);
+            }
+        }
+        let out = project(&node.select, &t)?;
+        let keys = sort_keys(&node.order_by, &t, &out)?;
+        Ok(Some((out, keys)))
+    }
+}
+
+/// Streaming hash aggregation: one [`Group`] per distinct key, in
+/// first-seen order, fed as the input is pulled. No input row is kept.
 struct HashAggregateExec<'a> {
-    input: Box<dyn RowOp + 'a>,
-    group_by: &'a [Expr],
-    having: Option<&'a Expr>,
-    select_exprs: &'a [(Expr, String)],
-    columns: &'a [String],
-    order_by: &'a [OrderKey],
-    layout: &'a Layout,
-    out: Option<std::vec::IntoIter<(Row, Vec<Datum>)>>,
+    input: BoxedRowOp<'a>,
+    node: &'a HashAggregateNode,
+    /// The finished groups, once the input is drained.
+    groups: Option<std::vec::IntoIter<Group<'a>>>,
+}
+
+impl<'a> HashAggregateExec<'a> {
+    fn drain(&mut self, m: &mut ExecMetrics) -> RelResult<Vec<Group<'a>>> {
+        let node = self.node;
+        let nulls = || -> Vec<&'a [Datum]> { node.null_tuple.iter().map(Vec::as_slice).collect() };
+        let mut tuple = nulls();
+        let mut groups: Vec<Group<'a>> = Vec::new();
+        let mut index: HashMap<Vec<GroupKey<'a>>, usize> = HashMap::new();
+        let mut key = Vec::with_capacity(node.group_by.len());
+        while self.input.next(&mut tuple, m)? {
+            let gi = if node.group_by.is_empty() {
+                // Every row belongs to the one group.
+                if groups.is_empty() {
+                    groups.push(Group::new(node, &tuple));
+                }
+                0
+            } else {
+                key.clear();
+                for g in &node.group_by {
+                    key.push(GroupKey::of_cow(eval(g, &tuple[..])?));
+                }
+                match index.get(&key[..]) {
+                    Some(&gi) => gi,
+                    None => {
+                        index.insert(key.clone(), groups.len());
+                        groups.push(Group::new(node, &tuple));
+                        groups.len() - 1
+                    }
+                }
+            };
+            for (acc, spec) in groups[gi].accs.iter_mut().zip(&node.aggs) {
+                acc.feed(spec, &tuple)?;
+            }
+        }
+        if node.group_by.is_empty() && groups.is_empty() {
+            // An ungrouped aggregate over no rows is one group whose
+            // columns read NULL.
+            groups.push(Group::new(node, &nulls()));
+        }
+        m.rows_spilled += groups.len() as u64;
+        Ok(groups)
+    }
 }
 
 impl KeyedOp for HashAggregateExec<'_> {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<(Row, Vec<Datum>)>> {
-        if self.out.is_none() {
-            // Blocking operator: drain the input, then group.
-            let mut rows = Vec::new();
-            while let Some(r) = self.input.next(m)? {
-                rows.push(r);
-            }
-            m.rows_spilled += rows.len() as u64;
-            let produced = aggregate_rows(
-                &rows,
-                self.group_by,
-                self.having,
-                self.select_exprs,
-                self.order_by,
-                self.columns,
-                self.layout,
-            )?;
-            self.out = Some(produced.into_iter());
+    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Keyed>> {
+        if self.groups.is_none() {
+            self.groups = Some(self.drain(m)?.into_iter());
         }
-        Ok(self.out.as_mut().expect("materialized above").next())
+        for group in self.groups.as_mut().expect("drained above") {
+            if let Some(row) = group.emit(self.node)? {
+                return Ok(Some(row));
+            }
+        }
+        Ok(None)
     }
 }
 
 struct DistinctExec<'a> {
     input: Box<dyn KeyedOp + 'a>,
-    seen: HashSet<String>,
+    seen: HashSet<Vec<GroupKey<'static>>>,
 }
 
 impl KeyedOp for DistinctExec<'_> {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<(Row, Vec<Datum>)>> {
+    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Keyed>> {
         while let Some((row, keys)) = self.input.next(m)? {
-            let mut key = String::new();
-            for d in &row {
-                d.group_key(&mut key);
-            }
-            if self.seen.insert(key) {
+            if self.seen.insert(row_key(&row)) {
                 return Ok(Some((row, keys)));
             }
         }
@@ -452,31 +669,38 @@ impl KeyedOp for DistinctExec<'_> {
     }
 }
 
+/// The DISTINCT key of a produced row. It owns its text because the
+/// row moves on to the consumer while the key stays in the seen-set.
+fn row_key(row: &[Datum]) -> Vec<GroupKey<'static>> {
+    row.iter().map(|d| GroupKey::of(d).into_owned()).collect()
+}
+
+fn cmp_sort_keys(descs: &[bool], ka: &[Datum], kb: &[Datum]) -> Ordering {
+    for (i, desc) in descs.iter().enumerate() {
+        let ord = ka[i].sort_cmp(&kb[i]);
+        let ord = if *desc { ord.reverse() } else { ord };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
+}
+
 struct SortExec<'a> {
     input: Box<dyn KeyedOp + 'a>,
     descs: Vec<bool>,
-    out: Option<std::vec::IntoIter<(Row, Vec<Datum>)>>,
+    out: Option<std::vec::IntoIter<Keyed>>,
 }
 
 impl KeyedOp for SortExec<'_> {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<(Row, Vec<Datum>)>> {
+    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Keyed>> {
         if self.out.is_none() {
             let mut all = Vec::new();
             while let Some(pair) = self.input.next(m)? {
                 all.push(pair);
             }
             m.rows_spilled += all.len() as u64;
-            let descs = &self.descs;
-            all.sort_by(|(_, ka), (_, kb)| {
-                for (i, desc) in descs.iter().enumerate() {
-                    let ord = ka[i].sort_cmp(&kb[i]);
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
+            all.sort_by(|(_, ka), (_, kb)| cmp_sort_keys(&self.descs, ka, kb));
             self.out = Some(all.into_iter());
         }
         Ok(self.out.as_mut().expect("materialized above").next())
@@ -489,7 +713,7 @@ struct LimitExec<'a> {
 }
 
 impl KeyedOp for LimitExec<'_> {
-    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<(Row, Vec<Datum>)>> {
+    fn next(&mut self, m: &mut ExecMetrics) -> RelResult<Option<Keyed>> {
         if self.remaining == 0 {
             return Ok(None); // stop pulling — upstream scans stop too
         }
@@ -506,101 +730,88 @@ impl KeyedOp for LimitExec<'_> {
     }
 }
 
-/// Build the row-producing lower half of the pipeline.
+/// Build the tuple-advancing lower half of the pipeline.
 fn build_rowop<'a>(
     plan: &'a PhysicalPlan,
     tables: &'a HashMap<String, Table>,
     m: &mut ExecMetrics,
-) -> RelResult<Box<dyn RowOp + 'a>> {
-    match plan {
-        PhysicalPlan::SeqScan(n) => {
-            let t = lookup(tables, &n.table)?;
-            m.operators.push(plan.name());
-            Ok(Box::new(SeqScanExec {
-                iter: Box::new(t.scan().map(|(_, r)| r)),
-            }))
-        }
+) -> RelResult<BoxedRowOp<'a>> {
+    let op: BoxedRowOp<'a> = match plan {
+        PhysicalPlan::SeqScan(n) => Box::new(SeqScanExec {
+            iter: lookup(tables, &n.table)?.scan(),
+        }),
         PhysicalPlan::IxScan(n) => {
-            let t = lookup(tables, &n.table)?;
+            let table = lookup(tables, &n.table)?;
             let slots = match &n.sarg {
-                Sarg::Eq(v) => t.index_lookup(n.col_idx, v),
-                Sarg::Range { lo, hi } => t.index_range(n.col_idx, lo.as_ref(), hi.as_ref()),
+                Sarg::Eq(v) => table.index_lookup(n.col_idx, v).map(Cow::Borrowed),
+                Sarg::Range { lo, hi } => table
+                    .index_range(n.col_idx, lo.as_ref(), hi.as_ref())
+                    .map(Cow::Owned),
             }
             .unwrap_or_default();
             m.index_hits += slots.len() as u64;
-            m.operators.push(plan.name());
-            Ok(Box::new(IxScanExec {
-                table: t,
-                slots: slots.into_iter(),
-            }))
+            Box::new(IxScanExec {
+                table,
+                slots,
+                pos: 0,
+            })
         }
         PhysicalPlan::NlJoin(n) => {
             let input = build_rowop(&n.input, tables, m)?;
-            let right = lookup(tables, &n.table)?;
-            let right_rows: Vec<&Row> = right.scan().map(|(_, r)| r).collect();
+            let right_rows: Vec<&Row> = lookup(tables, &n.table)?.scan().map(|(_, r)| r).collect();
             m.rows_scanned += right_rows.len() as u64;
             m.bytes_scanned += right_rows.iter().map(|r| row_bytes(r)).sum::<u64>();
-            m.operators.push(plan.name());
-            Ok(Box::new(NlJoinExec {
+            Box::new(NlJoinExec {
                 input,
+                node: n,
                 right_rows,
-                right_width: n.right_width,
-                kind: n.kind,
-                on: n.on.as_ref(),
-                layout: &n.layout,
-                cur_left: None,
+                have_left: false,
                 idx: 0,
                 matched: false,
-            }))
+            })
         }
         PhysicalPlan::HashJoin(n) => {
             let input = build_rowop(&n.input, tables, m)?;
-            let right = lookup(tables, &n.table)?;
-            let mut ht: HashMap<String, Vec<&Row>> = HashMap::new();
-            for (_, r) in right.scan() {
-                m.rows_scanned += 1;
-                m.bytes_scanned += row_bytes(r);
+            let mut ht: HashMap<GroupKey<'a>, usize> = HashMap::new();
+            let mut buckets: Vec<Vec<&Row>> = Vec::new();
+            for (_, r) in lookup(tables, &n.table)?.scan() {
+                scanned(r, m);
                 if r[n.right_col].is_null() {
                     continue;
                 }
-                let mut key = String::new();
-                r[n.right_col].group_key(&mut key);
-                ht.entry(key).or_default().push(r);
+                let b = *ht.entry(GroupKey::of(&r[n.right_col])).or_insert_with(|| {
+                    buckets.push(Vec::new());
+                    buckets.len() - 1
+                });
+                buckets[b].push(r);
             }
-            m.operators.push(plan.name());
-            Ok(Box::new(HashJoinExec {
+            Box::new(HashJoinExec {
                 input,
+                node: n,
                 ht,
-                left_off: n.left_off,
-                pending: VecDeque::new(),
-            }))
+                buckets,
+                pending: None,
+            })
         }
-        PhysicalPlan::IxJoin(n) => {
-            let input = build_rowop(&n.input, tables, m)?;
-            let right = lookup(tables, &n.table)?;
-            m.operators.push(plan.name());
-            Ok(Box::new(IxJoinExec {
-                input,
-                right,
-                left_off: n.left_off,
-                right_col: n.right_col,
-                pending: VecDeque::new(),
-            }))
+        PhysicalPlan::IxJoin(n) => Box::new(IxJoinExec {
+            input: build_rowop(&n.input, tables, m)?,
+            node: n,
+            right: lookup(tables, &n.table)?,
+            pending: &[],
+        }),
+        PhysicalPlan::Filter(n) => Box::new(FilterExec {
+            input: build_rowop(&n.input, tables, m)?,
+            pred: &n.pred,
+        }),
+        other => {
+            return Err(RelError::Unsupported(format!(
+                "operator {} cannot feed a row pipeline",
+                other.name()
+            )))
         }
-        PhysicalPlan::Filter(n) => {
-            let input = build_rowop(&n.input, tables, m)?;
-            m.operators.push(plan.name());
-            Ok(Box::new(FilterExec {
-                input,
-                pred: &n.pred,
-                layout: &n.layout,
-            }))
-        }
-        other => Err(RelError::Unsupported(format!(
-            "operator {} cannot feed a row pipeline",
-            other.name()
-        ))),
-    }
+    };
+    m.operators.push(plan.name());
+    Ok(op)
 }
 
 /// Build the keyed upper half of the pipeline.
@@ -609,133 +820,39 @@ fn build_keyed<'a>(
     tables: &'a HashMap<String, Table>,
     m: &mut ExecMetrics,
 ) -> RelResult<Box<dyn KeyedOp + 'a>> {
-    match plan {
-        PhysicalPlan::Limit(n) => {
-            let input = build_keyed(&n.input, tables, m)?;
-            m.operators.push(plan.name());
-            Ok(Box::new(LimitExec {
-                input,
-                remaining: n.n,
-            }))
+    let op: Box<dyn KeyedOp + 'a> = match plan {
+        PhysicalPlan::Limit(n) => Box::new(LimitExec {
+            input: build_keyed(&n.input, tables, m)?,
+            remaining: n.n,
+        }),
+        PhysicalPlan::Sort(n) => Box::new(SortExec {
+            input: build_keyed(&n.input, tables, m)?,
+            descs: n.keys.iter().map(|k| k.desc).collect(),
+            out: None,
+        }),
+        PhysicalPlan::Distinct(n) => Box::new(DistinctExec {
+            input: build_keyed(&n.input, tables, m)?,
+            seen: HashSet::new(),
+        }),
+        PhysicalPlan::Project(n) => Box::new(ProjectExec {
+            input: build_rowop(&n.input, tables, m)?,
+            node: n,
+            tuple: vec![&[]; n.parts],
+        }),
+        PhysicalPlan::HashAggregate(n) => Box::new(HashAggregateExec {
+            input: build_rowop(&n.input, tables, m)?,
+            node: n,
+            groups: None,
+        }),
+        other => {
+            return Err(RelError::Unsupported(format!(
+                "plan root {} lacks a projection",
+                other.name()
+            )))
         }
-        PhysicalPlan::Sort(n) => {
-            let input = build_keyed(&n.input, tables, m)?;
-            m.operators.push(plan.name());
-            Ok(Box::new(SortExec {
-                input,
-                descs: n.keys.iter().map(|k| k.desc).collect(),
-                out: None,
-            }))
-        }
-        PhysicalPlan::Distinct(n) => {
-            let input = build_keyed(&n.input, tables, m)?;
-            m.operators.push(plan.name());
-            Ok(Box::new(DistinctExec {
-                input,
-                seen: HashSet::new(),
-            }))
-        }
-        PhysicalPlan::Project(n) => {
-            let input = build_rowop(&n.input, tables, m)?;
-            m.operators.push(plan.name());
-            Ok(Box::new(ProjectExec {
-                input,
-                select_exprs: &n.select_exprs,
-                columns: &n.columns,
-                order_by: &n.order_by,
-                layout: &n.layout,
-            }))
-        }
-        PhysicalPlan::HashAggregate(n) => {
-            let input = build_rowop(&n.input, tables, m)?;
-            m.operators.push(plan.name());
-            Ok(Box::new(HashAggregateExec {
-                input,
-                group_by: &n.group_by,
-                having: n.having.as_ref(),
-                select_exprs: &n.select_exprs,
-                columns: &n.columns,
-                order_by: &n.order_by,
-                layout: &n.layout,
-                out: None,
-            }))
-        }
-        other => Err(RelError::Unsupported(format!(
-            "plan root {} lacks a projection",
-            other.name()
-        ))),
-    }
-}
-
-/// Direct interpreter for the planner's point-lookup shape
-/// (`project ← filter ← index scan` with an equality sarg), bypassing
-/// the boxed-operator pipeline. A PK point query touches at most one
-/// row, so the pipeline's setup cost (three heap-allocated operators
-/// plus a row clone per scan) dominates its runtime; this path
-/// evaluates the same filter and projection expressions borrowing the
-/// stored row in place. Metrics are recorded exactly as the pipeline
-/// operators record them — same counters, same leaf-first `operators`
-/// list — so callers cannot tell which interpreter ran.
-fn execute_point_lookup(
-    plan: &PhysicalPlan,
-    tables: &HashMap<String, Table>,
-) -> Option<RelResult<(ResultSet, ExecMetrics)>> {
-    let PhysicalPlan::Project(p) = plan else {
-        return None;
     };
-    if !p.order_by.is_empty() {
-        return None;
-    }
-    let filter_plan = p.input.as_ref();
-    let PhysicalPlan::Filter(f) = filter_plan else {
-        return None;
-    };
-    let scan_plan = f.input.as_ref();
-    let PhysicalPlan::IxScan(ix) = scan_plan else {
-        return None;
-    };
-    let Sarg::Eq(key) = &ix.sarg else {
-        return None;
-    };
-    Some((|| {
-        let t = lookup(tables, &ix.table)?;
-        let mut m = ExecMetrics::default();
-        let slots = t.index_lookup(ix.col_idx, key).unwrap_or_default();
-        m.index_hits += slots.len() as u64;
-        m.operators.push(scan_plan.name());
-        m.operators.push(filter_plan.name());
-        m.operators.push(plan.name());
-        let mut rows = Vec::new();
-        for slot in slots {
-            let Some(r) = t.row(slot) else { continue };
-            m.rows_scanned += 1;
-            m.bytes_scanned += row_bytes(r);
-            let ctx = LayoutRow {
-                layout: &f.layout,
-                row: r,
-            };
-            if !matches!(eval(&f.pred, &ctx)?, Datum::Bool(true)) {
-                continue;
-            }
-            let ctx = LayoutRow {
-                layout: &p.layout,
-                row: r,
-            };
-            let mut out = Vec::with_capacity(p.select_exprs.len());
-            for (e, _) in &p.select_exprs {
-                out.push(eval(e, &ctx)?);
-            }
-            m.rows_output += 1;
-            rows.push(out);
-        }
-        Ok((
-            ResultSet {
-                columns: plan.output_columns().to_vec(),
-                rows,
-            },
-            m,
-        ))
-    })())
+    m.operators.push(plan.name());
+    Ok(op)
 }
 
 /// Execute a previously planned [`PhysicalPlan`], returning the result
@@ -744,9 +861,6 @@ pub fn execute_plan(
     plan: &PhysicalPlan,
     tables: &HashMap<String, Table>,
 ) -> RelResult<(ResultSet, ExecMetrics)> {
-    if let Some(result) = execute_point_lookup(plan, tables) {
-        return result;
-    }
     let mut m = ExecMetrics::default();
     let mut op = build_keyed(plan, tables, &mut m)?;
     let mut rows = Vec::new();
@@ -780,8 +894,8 @@ struct SchemaRow<'a> {
     row: &'a [Datum],
 }
 
-impl EvalContext for SchemaRow<'_> {
-    fn resolve_column(&self, table: Option<&str>, name: &str) -> RelResult<Datum> {
+impl<'a> EvalContext<'a> for SchemaRow<'a> {
+    fn column(&self, table: Option<&str>, name: &str) -> RelResult<&'a Datum> {
         if let Some(t) = table {
             if !t.eq_ignore_ascii_case(self.binding) {
                 return Err(RelError::NoSuchTable(t.to_ascii_lowercase()));
@@ -793,7 +907,7 @@ impl EvalContext for SchemaRow<'_> {
             .iter()
             .position(|c| eq_lowered(&c.name, name))
             .ok_or_else(|| RelError::NoSuchColumn(name.to_ascii_lowercase()))?;
-        Ok(self.row[i].clone())
+        Ok(&self.row[i])
     }
 }
 
@@ -838,7 +952,7 @@ fn execute_pk_point_ast(
         let columns: Vec<String> = select.iter().map(|(_, n)| n.clone()).collect();
         let binding = stmt.from.binding();
         let mut rows = Vec::new();
-        for slot in slots {
+        for &slot in slots {
             let Some(r) = t.row(slot) else { continue };
             m.rows_scanned += 1;
             m.bytes_scanned += row_bytes(r);
@@ -847,12 +961,12 @@ fn execute_pk_point_ast(
                 schema: &t.schema,
                 row: r,
             };
-            if !matches!(eval(pk.filter, &ctx)?, Datum::Bool(true)) {
+            if !eval_true(pk.filter, &ctx)? {
                 continue;
             }
             let mut out = Vec::with_capacity(select.len());
             for (e, _) in &select {
-                out.push(eval(e, &ctx)?);
+                out.push(eval(e, &ctx)?.into_owned());
             }
             m.rows_output += 1;
             rows.push(out);
@@ -890,11 +1004,15 @@ pub fn explain_select(
     Ok(plan_select(stmt, tables)?.render())
 }
 
+// ---------------------------------------------------------------------
+// Naive reference executor.
+// ---------------------------------------------------------------------
+
 /// Evaluate an ORDER BY key: a bare column naming an output alias sorts
 /// by the output column; otherwise the expression is evaluated in `ctx`.
-fn order_key_value(
-    expr: &Expr,
-    ctx: &dyn EvalContext,
+fn order_key_value<'a>(
+    expr: &'a Expr,
+    ctx: &impl EvalContext<'a>,
     columns: &[String],
     out_row: &[Datum],
 ) -> RelResult<Datum> {
@@ -903,12 +1021,11 @@ fn order_key_value(
             return Ok(out_row[i].clone());
         }
     }
-    eval(expr, ctx)
+    eval(expr, ctx).map(Cow::into_owned)
 }
 
 /// Group `rows`, compute aggregates, apply HAVING, and evaluate the
-/// select list and ORDER BY keys per surviving group. Shared between
-/// the pipelined `HashAggregateExec` and the naive reference executor.
+/// select list and ORDER BY keys per surviving group.
 #[allow(clippy::too_many_arguments)]
 fn aggregate_rows(
     rows: &[Row],
@@ -940,13 +1057,13 @@ fn aggregate_rows(
             aggregates: &aggregates,
         };
         if let Some(having) = having {
-            if !matches!(eval(having, &ctx)?, Datum::Bool(true)) {
+            if !eval_true(having, &ctx)? {
                 continue;
             }
         }
         let mut out = Vec::with_capacity(select_exprs.len());
         for (e, _) in select_exprs {
-            out.push(eval(e, &ctx)?);
+            out.push(eval(e, &ctx)?.into_owned());
         }
         let mut keys = Vec::with_capacity(order_by.len());
         for k in order_by {
@@ -957,13 +1074,12 @@ fn aggregate_rows(
     Ok(produced)
 }
 
-/// Execute a SELECT with the original vector-at-a-time interpreter.
+/// Execute a SELECT with the vector-at-a-time reference interpreter.
 ///
-/// Retained as the semantic reference: the differential property tests
-/// assert the pipelined executor produces the same rows, and the E10
-/// benchmark uses it as the baseline. Indexes are only consulted for
-/// single-table equality predicates, matching the pre-planner
-/// behaviour.
+/// The semantic reference: the differential property tests assert the
+/// pipelined executor produces the same rows, and the E10 benchmark
+/// uses it as the baseline. Indexes are only consulted for
+/// single-table equality predicates.
 pub fn execute_select_naive(
     stmt: &SelectStmt,
     tables: &HashMap<String, Table>,
@@ -985,12 +1101,8 @@ pub fn execute_select_naive(
                 if let Some((col, value)) = eq_col_literal(c) {
                     if let Some(ci) = base.schema.column_index(col) {
                         if let Some(slots) = base.index_lookup(ci, value) {
-                            indexed = Some(
-                                slots
-                                    .into_iter()
-                                    .filter_map(|s| base.row(s).cloned())
-                                    .collect(),
-                            );
+                            indexed =
+                                Some(slots.iter().filter_map(|&s| base.row(s).cloned()).collect());
                             break;
                         }
                     }
@@ -1019,7 +1131,7 @@ pub fn execute_select_naive(
                 layout: &layout,
                 row: &row,
             };
-            if matches!(eval(filter, &ctx)?, Datum::Bool(true)) {
+            if eval_true(filter, &ctx)? {
                 kept.push(row);
             }
         }
@@ -1058,7 +1170,7 @@ pub fn execute_select_naive(
             };
             let mut out = Vec::with_capacity(select_exprs.len());
             for (e, _) in &select_exprs {
-                out.push(eval(e, &ctx)?);
+                out.push(eval(e, &ctx)?.into_owned());
             }
             let mut keys = Vec::with_capacity(stmt.order_by.len());
             for k in &stmt.order_by {
@@ -1072,28 +1184,13 @@ pub fn execute_select_naive(
     // ---- DISTINCT -------------------------------------------------------
     if stmt.distinct {
         let mut seen = HashSet::new();
-        produced.retain(|(row, _)| {
-            let mut key = String::new();
-            for d in row {
-                d.group_key(&mut key);
-            }
-            seen.insert(key)
-        });
+        produced.retain(|(row, _)| seen.insert(row_key(row)));
     }
 
     // ---- ORDER BY -------------------------------------------------------
     if !stmt.order_by.is_empty() {
         let descs: Vec<bool> = stmt.order_by.iter().map(|k| k.desc).collect();
-        produced.sort_by(|(_, ka), (_, kb)| {
-            for (i, desc) in descs.iter().enumerate() {
-                let ord = ka[i].sort_cmp(&kb[i]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        produced.sort_by(|(_, ka), (_, kb)| cmp_sort_keys(&descs, ka, kb));
     }
 
     // ---- LIMIT ----------------------------------------------------------
@@ -1143,22 +1240,18 @@ fn apply_join(
         JoinKind::Inner => {
             if let Some((l_off, r_off)) = equi {
                 // Hash join: build on the right side.
-                let mut ht: HashMap<String, Vec<&Row>> = HashMap::new();
+                let mut ht: HashMap<GroupKey<'_>, Vec<&Row>> = HashMap::new();
                 for r in &right_rows {
                     if r[r_off].is_null() {
                         continue; // NULL never equi-matches
                     }
-                    let mut key = String::new();
-                    r[r_off].group_key(&mut key);
-                    ht.entry(key).or_default().push(r);
+                    ht.entry(GroupKey::of(&r[r_off])).or_default().push(r);
                 }
                 for l in &left_rows {
                     if l[l_off].is_null() {
                         continue;
                     }
-                    let mut key = String::new();
-                    l[l_off].group_key(&mut key);
-                    if let Some(matches) = ht.get(&key) {
+                    if let Some(matches) = ht.get(&GroupKey::of(&l[l_off])) {
                         for r in matches {
                             let mut row = l.clone();
                             row.extend(r.iter().cloned());
@@ -1172,8 +1265,7 @@ fn apply_join(
                     for r in &right_rows {
                         let mut row = l.clone();
                         row.extend(r.iter().cloned());
-                        let ctx = LayoutRow { layout, row: &row };
-                        if matches!(eval(on, &ctx)?, Datum::Bool(true)) {
+                        if eval_true(on, &LayoutRow { layout, row: &row })? {
                             out.push(row);
                         }
                     }
@@ -1187,8 +1279,7 @@ fn apply_join(
                 for r in &right_rows {
                     let mut row = l.clone();
                     row.extend(r.iter().cloned());
-                    let ctx = LayoutRow { layout, row: &row };
-                    if matches!(eval(on, &ctx)?, Datum::Bool(true)) {
+                    if eval_true(on, &LayoutRow { layout, row: &row })? {
                         matched = true;
                         out.push(row);
                     }
@@ -1210,13 +1301,13 @@ fn build_groups(rows: &[Row], group_by: &[Expr], layout: &Layout) -> RelResult<V
     if group_by.is_empty() {
         return Ok(vec![rows.to_vec()]);
     }
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: HashMap<String, Vec<Row>> = HashMap::new();
+    let mut order: Vec<Vec<GroupKey<'_>>> = Vec::new();
+    let mut groups: HashMap<Vec<GroupKey<'_>>, Vec<Row>> = HashMap::new();
     for row in rows {
         let ctx = LayoutRow { layout, row };
-        let mut key = String::new();
+        let mut key = Vec::with_capacity(group_by.len());
         for g in group_by {
-            eval(g, &ctx)?.group_key(&mut key);
+            key.push(GroupKey::of_cow(eval(g, &ctx)?));
         }
         if !groups.contains_key(&key) {
             order.push(key.clone());
@@ -1286,18 +1377,14 @@ fn run_aggregate(
                 let ctx = LayoutRow { layout, row };
                 let v = eval(a, &ctx)?;
                 if !v.is_null() {
-                    values.push(v);
+                    values.push(v.into_owned());
                 }
             }
         }
     }
     if distinct {
         let mut seen = HashSet::new();
-        values.retain(|v| {
-            let mut k = String::new();
-            v.group_key(&mut k);
-            seen.insert(k)
-        });
+        values.retain(|v| seen.insert(GroupKey::of(v).into_owned()));
     }
     Ok(match func {
         AggFunc::Count => Datum::Int(values.len() as i64),
@@ -1344,8 +1431,8 @@ fn run_aggregate(
                     None => v,
                     Some(b) => {
                         let keep_new = match v.sql_cmp(&b) {
-                            Some(std::cmp::Ordering::Less) => func == AggFunc::Min,
-                            Some(std::cmp::Ordering::Greater) => func == AggFunc::Max,
+                            Some(Ordering::Less) => func == AggFunc::Min,
+                            Some(Ordering::Greater) => func == AggFunc::Max,
                             _ => false,
                         };
                         if keep_new {
@@ -1662,6 +1749,163 @@ mod tests {
             "expected index scan in {:?}",
             m.operators
         );
+    }
+
+    /// Catalog for the key-exactness tests: `l`/`r` hold the two
+    /// neighbouring BIGINTs an f64 cannot tell apart, `zd`/`zi` the
+    /// zeros that compare equal but differ in bits.
+    fn exact_key_catalog(index_r: bool) -> HashMap<String, Table> {
+        const BIG: i64 = 1 << 53;
+        let mut m = HashMap::new();
+        for name in ["l", "r"] {
+            let mut t = Table::new(TableSchema::new(
+                name,
+                vec![
+                    Column::new("k", DataType::Int),
+                    Column::new("tag", DataType::Text),
+                ],
+            ));
+            for (k, tag) in [(BIG, "even"), (BIG + 1, "odd")] {
+                t.insert(vec![Datum::Int(k), Datum::Text(format!("{name}-{tag}"))])
+                    .unwrap();
+            }
+            if index_r && name == "r" {
+                t.create_index("r_k", 0).unwrap();
+            }
+            m.insert(name.to_string(), t);
+        }
+        let mut zd = Table::new(TableSchema::new(
+            "zd",
+            vec![Column::new("d", DataType::Double)],
+        ));
+        for d in [0.0, -0.0] {
+            zd.insert(vec![Datum::Double(d)]).unwrap();
+        }
+        m.insert("zd".to_string(), zd);
+        let mut zi = Table::new(TableSchema::new(
+            "zi",
+            vec![Column::new("i", DataType::Int)],
+        ));
+        zi.insert(vec![Datum::Int(0)]).unwrap();
+        m.insert("zi".to_string(), zi);
+        m
+    }
+
+    fn select(sql: &str) -> SelectStmt {
+        match parse_statement(sql).unwrap() {
+            Statement::Select(s) => s,
+            other => panic!("not a select: {other:?}"),
+        }
+    }
+
+    /// Run `sql` through the planned pipeline and the naive reference;
+    /// both must agree; the planned rows and operators are returned.
+    fn run_both(sql: &str, tables: &HashMap<String, Table>) -> (Vec<Row>, Vec<&'static str>) {
+        let stmt = select(sql);
+        let (planned, m) = execute_select_with_metrics(&stmt, tables).unwrap();
+        let naive = execute_select_naive(&stmt, tables).unwrap();
+        assert_eq!(planned, naive, "{sql}");
+        (planned.rows, m.operators)
+    }
+
+    #[test]
+    fn equi_join_keys_above_2_pow_53_are_exact_with_or_without_an_index() {
+        let equi = "SELECT l.tag, r.tag FROM l JOIN r ON l.k = r.k ORDER BY l.tag";
+        let nested = "SELECT l.tag, r.tag FROM l JOIN r ON l.k <= r.k AND l.k >= r.k \
+                      ORDER BY l.tag";
+        let expected = vec![
+            vec![Datum::Text("l-even".into()), Datum::Text("r-even".into())],
+            vec![Datum::Text("l-odd".into()), Datum::Text("r-odd".into())],
+        ];
+        for (index_r, join_op) in [(false, "hash join"), (true, "index join")] {
+            let tables = exact_key_catalog(index_r);
+            let (rows, ops) = run_both(equi, &tables);
+            assert!(ops.contains(&join_op), "{ops:?}");
+            assert_eq!(rows, expected, "{join_op}");
+            let (rows, ops) = run_both(nested, &tables);
+            assert!(ops.contains(&"nested-loop join"), "{ops:?}");
+            assert_eq!(rows, expected, "nested-loop beside {join_op}");
+        }
+    }
+
+    #[test]
+    fn group_by_keeps_neighbouring_bigints_apart() {
+        let tables = exact_key_catalog(false);
+        let (rows, _) = run_both("SELECT k, COUNT(*) FROM l GROUP BY k ORDER BY k", &tables);
+        assert_eq!(rows.len(), 2, "two BIGINT groups: {rows:?}");
+    }
+
+    #[test]
+    fn count_distinct_keeps_neighbouring_bigints_apart() {
+        let tables = exact_key_catalog(false);
+        let (rows, _) = run_both("SELECT COUNT(DISTINCT k) FROM l", &tables);
+        assert_eq!(rows, vec![vec![Datum::Int(2)]]);
+    }
+
+    #[test]
+    fn distinct_treats_both_zeros_and_the_integer_zero_as_one_value() {
+        let tables = exact_key_catalog(false);
+        let (rows, _) = run_both("SELECT DISTINCT d FROM zd", &tables);
+        assert_eq!(rows.len(), 1, "{rows:?}");
+        // The integer zero hash-joins to both doubles: same key class.
+        let (rows, ops) = run_both("SELECT COUNT(*) FROM zi JOIN zd ON zi.i = zd.d", &tables);
+        assert!(ops.contains(&"hash join"), "{ops:?}");
+        assert_eq!(rows, vec![vec![Datum::Int(2)]]);
+    }
+
+    #[test]
+    fn aggregation_holds_groups_not_input_rows() {
+        // Two genders: the aggregate holds 2 entries however many rows
+        // feed it, and the sort above it holds the 2 produced rows.
+        let (rs, m) = run_with_metrics(
+            "SELECT p.gender, COUNT(*), AVG(h.cost) FROM history h \
+             JOIN patient p ON h.patient_id = p.patient_id \
+             GROUP BY p.gender ORDER BY p.gender",
+        );
+        assert_eq!(rs.rows.len(), 2);
+        assert_eq!(m.rows_spilled, 2 + 2, "{m:?}");
+        let (rs, m) = run_with_metrics("SELECT gender, COUNT(*) FROM patient GROUP BY gender");
+        assert_eq!(m.rows_spilled, rs.rows.len() as u64);
+        // An ungrouped aggregate is one group, even over no rows.
+        let (_, m) = run_with_metrics("SELECT COUNT(*) FROM history WHERE cost > 10000");
+        assert_eq!(m.rows_spilled, 1);
+    }
+
+    #[test]
+    fn column_errors_surface_at_plan_time_with_the_run_time_variants() {
+        let tables = catalog();
+        let join = "FROM patient p JOIN history h ON p.patient_id = h.patient_id";
+        for (sql, check) in [
+            (
+                "SELECT nope FROM patient".to_string(),
+                (|e| matches!(e, RelError::NoSuchColumn(_))) as fn(&RelError) -> bool,
+            ),
+            (format!("SELECT patient_id {join}"), |e| {
+                matches!(e, RelError::AmbiguousColumn(_))
+            }),
+            (format!("SELECT p.name {join} WHERE cost > nope"), |e| {
+                matches!(e, RelError::NoSuchColumn(_))
+            }),
+            (
+                "SELECT gender, COUNT(*) FROM patient GROUP BY nope".to_string(),
+                |e| matches!(e, RelError::NoSuchColumn(_)),
+            ),
+            (
+                "SELECT name FROM patient ORDER BY x.name".to_string(),
+                |e| matches!(e, RelError::NoSuchTable(_)),
+            ),
+            ("SELECT SUM(COUNT(*)) FROM patient".to_string(), |e| {
+                matches!(e, RelError::AggregateMisuse(_))
+            }),
+        ] {
+            let stmt = select(&sql);
+            let err = plan_select(&stmt, &tables).unwrap_err();
+            assert!(check(&err), "{sql}: {err:?}");
+            // The reference interpreter still meets the same error,
+            // when a row makes it evaluate the expression.
+            let naive = execute_select_naive(&stmt, &tables).unwrap_err();
+            assert!(check(&naive), "naive {sql}: {naive:?}");
+        }
     }
 
     #[test]

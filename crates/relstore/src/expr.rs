@@ -4,9 +4,17 @@
 //! translation layer (which builds queries like the paper's
 //! `Funding(ResearchProjects.Title, Title = 'AIDS and drugs')` →
 //! `SELECT a.funding FROM researchprojects a WHERE a.title = '…'`).
+//!
+//! [`eval`] is the one evaluator. It borrows: a column or literal comes
+//! back as a reference into the row or the expression, and only a
+//! computed value is owned, so a predicate over `TEXT` columns copies no
+//! string. Column references come in two forms — [`Expr::Column`], by
+//! name, as parsed; and [`Expr::Slot`], a position the planner resolved
+//! once — and an [`EvalContext`] answers the form its expressions use.
 
 use crate::types::{Datum, Row};
 use crate::{RelError, RelResult};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -117,6 +125,15 @@ pub enum Expr {
         /// Column name.
         name: String,
     },
+    /// A column reference the planner bound to a position in the
+    /// executor's tuple (see [`crate::plan`]): row `part` of the tuple,
+    /// cell `col` of that row. Never produced by the parser.
+    Slot {
+        /// Which row of the tuple.
+        part: usize,
+        /// Which cell of that row.
+        col: usize,
+    },
     /// Unary operation.
     Unary {
         /// Operator.
@@ -206,7 +223,7 @@ impl Expr {
     pub fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Aggregate { .. } => true,
-            Expr::Literal(_) | Expr::Column { .. } => false,
+            Expr::Literal(_) | Expr::Column { .. } | Expr::Slot { .. } => false,
             Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr.contains_aggregate(),
             Expr::Binary { left, right, .. } => {
                 left.contains_aggregate() || right.contains_aggregate()
@@ -229,7 +246,7 @@ impl Expr {
                     out.push(self);
                 }
             }
-            Expr::Literal(_) | Expr::Column { .. } => {}
+            Expr::Literal(_) | Expr::Column { .. } | Expr::Slot { .. } => {}
             Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr.collect_aggregates(out),
             Expr::Binary { left, right, .. } => {
                 left.collect_aggregates(out);
@@ -263,6 +280,7 @@ impl Expr {
                 Some(t) => format!("{t}.{name}"),
                 None => name.clone(),
             },
+            Expr::Slot { part, col } => format!("#{part}.{col}"),
             Expr::Unary { op, expr } => match op {
                 UnaryOp::Not => format!("NOT ({})", expr.to_sql()),
                 UnaryOp::Neg => format!("-({})", expr.to_sql()),
@@ -316,14 +334,22 @@ impl Expr {
     }
 }
 
-/// What an expression evaluates against: column resolution plus, inside
-/// the grouping executor, precomputed aggregate results.
-pub trait EvalContext {
-    /// Resolve a column reference to its value in the current row.
-    fn resolve_column(&self, table: Option<&str>, name: &str) -> RelResult<Datum>;
+/// What an expression evaluates against. `'a` is how long the values it
+/// hands out live: the rows it reads, not the context itself.
+pub trait EvalContext<'a> {
+    /// The value of a by-name column reference in the current row.
+    fn column(&self, table: Option<&str>, name: &str) -> RelResult<&'a Datum>;
 
-    /// Resolve a precomputed aggregate (grouping executor only).
-    fn resolve_aggregate(&self, expr: &Expr) -> RelResult<Datum> {
+    /// The value at a planner-bound position. Only the planned
+    /// pipeline's tuples hold bound expressions.
+    fn slot(&self, part: usize, col: usize) -> RelResult<&'a Datum> {
+        Err(RelError::Unsupported(format!(
+            "bound column #{part}.{col} outside a planned pipeline"
+        )))
+    }
+
+    /// The value of a precomputed aggregate (grouping executors only).
+    fn aggregate(&self, expr: &Expr) -> RelResult<&'a Datum> {
         let _ = expr;
         Err(RelError::AggregateMisuse(
             "aggregate used outside SELECT/HAVING".into(),
@@ -339,13 +365,13 @@ pub struct SingleRow<'a> {
     pub row: &'a Row,
 }
 
-impl EvalContext for SingleRow<'_> {
-    fn resolve_column(&self, _table: Option<&str>, name: &str) -> RelResult<Datum> {
+impl<'a> EvalContext<'a> for SingleRow<'a> {
+    fn column(&self, _table: Option<&str>, name: &str) -> RelResult<&'a Datum> {
         let lower = name.to_ascii_lowercase();
         self.columns
             .iter()
             .position(|c| *c == lower)
-            .map(|i| self.row[i].clone())
+            .map(|i| &self.row[i])
             .ok_or(RelError::NoSuchColumn(lower))
     }
 }
@@ -389,20 +415,23 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
     rec(&t, &p)
 }
 
-/// Evaluate `expr` in `ctx`, producing a [`Datum`].
-pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> RelResult<Datum> {
+/// Evaluate `expr` in `ctx`. Columns and literals come back borrowed;
+/// only computed values are owned.
+pub fn eval<'a, C: EvalContext<'a> + ?Sized>(expr: &'a Expr, ctx: &C) -> RelResult<Cow<'a, Datum>> {
+    let owned = |d: Datum| Ok(Cow::Owned(d));
     match expr {
-        Expr::Literal(d) => Ok(d.clone()),
-        Expr::Column { table, name } => ctx.resolve_column(table.as_deref(), name),
-        Expr::Aggregate { .. } => ctx.resolve_aggregate(expr),
+        Expr::Literal(d) => Ok(Cow::Borrowed(d)),
+        Expr::Column { table, name } => ctx.column(table.as_deref(), name).map(Cow::Borrowed),
+        Expr::Slot { part, col } => ctx.slot(*part, *col).map(Cow::Borrowed),
+        Expr::Aggregate { .. } => ctx.aggregate(expr).map(Cow::Borrowed),
         Expr::Unary { op, expr } => {
             let v = eval(expr, ctx)?;
             match op {
-                UnaryOp::Not => Ok(from_truth(truth(&v)?.map(|b| !b))),
-                UnaryOp::Neg => match v {
-                    Datum::Null => Ok(Datum::Null),
-                    Datum::Int(i) => Ok(Datum::Int(-i)),
-                    Datum::Double(d) => Ok(Datum::Double(-d)),
+                UnaryOp::Not => owned(from_truth(truth(&v)?.map(|b| !b))),
+                UnaryOp::Neg => match &*v {
+                    Datum::Null => owned(Datum::Null),
+                    Datum::Int(i) => owned(Datum::Int(-i)),
+                    Datum::Double(d) => owned(Datum::Double(-d)),
                     other => Err(RelError::TypeMismatch {
                         expected: "numeric".into(),
                         found: format!("{other}"),
@@ -410,10 +439,10 @@ pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> RelResult<Datum> {
                 },
             }
         }
-        Expr::Binary { op, left, right } => eval_binary(*op, left, right, ctx),
+        Expr::Binary { op, left, right } => eval_binary(*op, left, right, ctx).map(Cow::Owned),
         Expr::IsNull { expr, negated } => {
             let v = eval(expr, ctx)?;
-            Ok(Datum::Bool(v.is_null() != *negated))
+            owned(Datum::Bool(v.is_null() != *negated))
         }
         Expr::InList {
             expr,
@@ -422,7 +451,7 @@ pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> RelResult<Datum> {
         } => {
             let v = eval(expr, ctx)?;
             if v.is_null() {
-                return Ok(Datum::Null);
+                return owned(Datum::Null);
             }
             let mut saw_null = false;
             for item in list {
@@ -432,14 +461,14 @@ pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> RelResult<Datum> {
                     continue;
                 }
                 if v.sql_cmp(&w) == Some(Ordering::Equal) {
-                    return Ok(Datum::Bool(!*negated));
+                    return owned(Datum::Bool(!*negated));
                 }
             }
             // SQL: x IN (…, NULL) is NULL when no match was found.
             if saw_null {
-                Ok(Datum::Null)
+                owned(Datum::Null)
             } else {
-                Ok(Datum::Bool(*negated))
+                owned(Datum::Bool(*negated))
             }
         }
         Expr::Between {
@@ -452,29 +481,40 @@ pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> RelResult<Datum> {
             let lo = eval(low, ctx)?;
             let hi = eval(high, ctx)?;
             let ge_lo = match v.sql_cmp(&lo) {
-                None => return Ok(Datum::Null),
+                None => return owned(Datum::Null),
                 Some(o) => o != Ordering::Less,
             };
             let le_hi = match v.sql_cmp(&hi) {
-                None => return Ok(Datum::Null),
+                None => return owned(Datum::Null),
                 Some(o) => o != Ordering::Greater,
             };
-            Ok(Datum::Bool((ge_lo && le_hi) != *negated))
+            owned(Datum::Bool((ge_lo && le_hi) != *negated))
         }
     }
 }
 
-fn eval_binary(op: BinOp, left: &Expr, right: &Expr, ctx: &dyn EvalContext) -> RelResult<Datum> {
+/// Whether `expr` evaluates to SQL TRUE in `ctx` (NULL and FALSE both
+/// reject a row).
+pub fn eval_true<'a, C: EvalContext<'a> + ?Sized>(expr: &'a Expr, ctx: &C) -> RelResult<bool> {
+    Ok(matches!(&*eval(expr, ctx)?, Datum::Bool(true)))
+}
+
+fn eval_binary<'a, C: EvalContext<'a> + ?Sized>(
+    op: BinOp,
+    left: &'a Expr,
+    right: &'a Expr,
+    ctx: &C,
+) -> RelResult<Datum> {
     // AND/OR get short-circuit three-valued logic.
     if op == BinOp::And || op == BinOp::Or {
-        let l = truth(&eval(left, ctx)?)?;
+        let l = truth(&*eval(left, ctx)?)?;
         // Short circuit where the answer is determined.
         match (op, l) {
             (BinOp::And, Some(false)) => return Ok(Datum::Bool(false)),
             (BinOp::Or, Some(true)) => return Ok(Datum::Bool(true)),
             _ => {}
         }
-        let r = truth(&eval(right, ctx)?)?;
+        let r = truth(&*eval(right, ctx)?)?;
         let out = match op {
             BinOp::And => match (l, r) {
                 (Some(false), _) | (_, Some(false)) => Some(false),
@@ -493,16 +533,17 @@ fn eval_binary(op: BinOp, left: &Expr, right: &Expr, ctx: &dyn EvalContext) -> R
 
     let l = eval(left, ctx)?;
     let r = eval(right, ctx)?;
+    let (l, r) = (&*l, &*r);
 
     match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
             if l.is_null() || r.is_null() {
                 return Ok(Datum::Null);
             }
-            arith(op, &l, &r)
+            arith(op, l, r)
         }
         BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            match l.sql_cmp(&r) {
+            match l.sql_cmp(r) {
                 None => Ok(Datum::Null),
                 Some(ord) => {
                     let b = match op {
@@ -524,7 +565,7 @@ fn eval_binary(op: BinOp, left: &Expr, right: &Expr, ctx: &dyn EvalContext) -> R
             }
             Ok(Datum::Text(format!("{l}{r}")))
         }
-        BinOp::Like => match (&l, &r) {
+        BinOp::Like => match (l, r) {
             (Datum::Null, _) | (_, Datum::Null) => Ok(Datum::Null),
             (Datum::Text(t), Datum::Text(p)) => Ok(Datum::Bool(like_match(t, p))),
             _ => Err(RelError::TypeMismatch {
@@ -609,14 +650,14 @@ mod tests {
     use super::*;
 
     struct NoRows;
-    impl EvalContext for NoRows {
-        fn resolve_column(&self, _t: Option<&str>, name: &str) -> RelResult<Datum> {
+    impl EvalContext<'_> for NoRows {
+        fn column(&self, _t: Option<&str>, name: &str) -> RelResult<&'static Datum> {
             Err(RelError::NoSuchColumn(name.into()))
         }
     }
 
     fn ev(e: &Expr) -> Datum {
-        eval(e, &NoRows).unwrap()
+        eval(e, &NoRows).unwrap().into_owned()
     }
 
     #[test]
@@ -646,7 +687,7 @@ mod tests {
             Expr::lit(Datum::Int(1)),
             Expr::lit(Datum::Int(0)),
         );
-        assert_eq!(eval(&e, &NoRows), Err(RelError::DivisionByZero));
+        assert_eq!(eval(&e, &NoRows).unwrap_err(), RelError::DivisionByZero);
     }
 
     #[test]

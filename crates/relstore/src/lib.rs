@@ -17,7 +17,8 @@
 //!   lookups, index range scans, and hash/index/nested-loop joins from
 //!   lightweight per-table statistics;
 //! * a pull-based pipelined executor ([`exec`]) that runs the planned
-//!   operator tree, stops pulling at `LIMIT`, and reports
+//!   operator tree over borrowed rows and plan-time-bound columns,
+//!   aggregates as it pulls, stops pulling at `LIMIT`, and reports
 //!   [`exec::ExecMetrics`]; `EXPLAIN` renders the very plan it runs;
 //! * statement atomicity plus multi-statement transactions with an undo
 //!   log ([`engine`]);

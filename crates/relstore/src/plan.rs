@@ -8,6 +8,18 @@
 //! [`PhysicalPlan::render`], so the description can never drift from
 //! what actually executes.
 //!
+//! **Binding.** The executor's row is a *tuple*: one borrowed stored row
+//! per FROM item, in FROM order (part 0 is the base table, part `i + 1`
+//! the `i`-th join). The planner resolves every column reference
+//! against the [`Layout`] exactly once, rewriting [`Expr::Column`] into
+//! [`Expr::Slot`]`{ part, col }`, so no operator looks a name up per
+//! row and unknown or ambiguous columns are planning errors. Above a
+//! [`HashAggregateNode`] the tuple gains one more part — the group's
+//! aggregate results — and each aggregate call in the select list,
+//! `HAVING` and `ORDER BY` becomes a slot in it. A plan node keeps each
+//! expression twice: as written, which only `EXPLAIN` reads (and only
+//! then renders), and bound, which is what runs.
+//!
 //! Costing is deliberately simple: an equality sarg on an indexed
 //! column is estimated at `rows / distinct_keys`, a range sarg at
 //! `rows / 4`, and joins multiply. Those estimates only steer two
@@ -15,19 +27,19 @@
 //! inner equi-join probes the inner index per left row (`IxJoin`)
 //! instead of building a hash table (`HashJoin`).
 
-use crate::expr::{BinOp, Expr};
+use crate::expr::{AggFunc, BinOp, Expr};
 use crate::sql::ast::{JoinKind, OrderKey, SelectItem, SelectStmt};
 use crate::storage::{IndexKind, Table};
-use crate::types::Datum;
+use crate::types::{DataType, Datum, Row};
 use crate::{RelError, RelResult};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::ops::Bound;
 
 /// The table layout of a joined row: which bindings cover which column
-/// ranges of the concatenated row. Shared by the planner (column
-/// resolution, sarg extraction) and both executors (expression
-/// evaluation contexts).
+/// ranges of the concatenated row. The planner resolves names against
+/// it once per statement; the naive reference executor, whose rows are
+/// the concatenation itself, resolves against it per row.
 #[derive(Debug, Clone)]
 pub struct Layout {
     /// `(binding, column names, start offset)` per FROM item.
@@ -81,6 +93,148 @@ impl Layout {
             }
         }
     }
+
+    /// Split an absolute offset into `(part, column within the part)`.
+    pub(crate) fn part_col(&self, offset: usize) -> (usize, usize) {
+        let part = self
+            .parts
+            .iter()
+            .rposition(|(_, _, start)| *start <= offset)
+            .expect("offset inside the layout");
+        (part, offset - self.parts[part].2)
+    }
+
+    /// One all-NULL row per part: what a column reads when there is no
+    /// row to read it from.
+    fn null_tuple(&self) -> Vec<Row> {
+        self.parts
+            .iter()
+            .map(|(_, cols, _)| vec![Datum::Null; cols.len()])
+            .collect()
+    }
+}
+
+/// One aggregate call of a [`HashAggregateNode`], its argument bound to
+/// the input tuple.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct AggSpec {
+    pub(crate) func: AggFunc,
+    /// `None` for `COUNT(*)`.
+    pub(crate) arg: Option<Expr>,
+    pub(crate) distinct: bool,
+}
+
+/// Rewrite every column reference of `expr` into its [`Expr::Slot`].
+///
+/// With `aggs` absent the expression is row-level: an aggregate call is
+/// left as written and fails when evaluated, as it does in the
+/// reference executor. With `aggs` present the expression is
+/// group-level: each distinct aggregate call is appended to `aggs` and
+/// replaced by its slot in the tuple part after the layout's own.
+fn bind(expr: &Expr, layout: &Layout, mut aggs: Option<&mut Vec<AggSpec>>) -> RelResult<Expr> {
+    let mut sub = |e: &Expr| bind(e, layout, aggs.as_deref_mut()).map(Box::new);
+    Ok(match expr {
+        Expr::Literal(_) | Expr::Slot { .. } => expr.clone(),
+        Expr::Column { table, name } => {
+            let (part, col) = layout.part_col(layout.resolve(table.as_deref(), name)?);
+            Expr::Slot { part, col }
+        }
+        Expr::Unary { op, expr } => Expr::Unary {
+            op: *op,
+            expr: sub(expr)?,
+        },
+        Expr::Binary { op, left, right } => Expr::Binary {
+            op: *op,
+            left: sub(left)?,
+            right: sub(right)?,
+        },
+        Expr::IsNull { expr, negated } => Expr::IsNull {
+            expr: sub(expr)?,
+            negated: *negated,
+        },
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => Expr::InList {
+            expr: sub(expr)?,
+            list: list
+                .iter()
+                .map(|e| sub(e).map(|b| *b))
+                .collect::<RelResult<_>>()?,
+            negated: *negated,
+        },
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => Expr::Between {
+            expr: sub(expr)?,
+            low: sub(low)?,
+            high: sub(high)?,
+            negated: *negated,
+        },
+        Expr::Aggregate {
+            func,
+            arg,
+            distinct,
+        } => {
+            let Some(aggs) = aggs else {
+                return Ok(expr.clone());
+            };
+            let arg = match arg.as_deref() {
+                Some(a) if a.contains_aggregate() => {
+                    return Err(RelError::AggregateMisuse("nested aggregate".into()))
+                }
+                Some(a) => Some(bind(a, layout, None)?),
+                None => None,
+            };
+            let spec = AggSpec {
+                func: *func,
+                arg,
+                distinct: *distinct,
+            };
+            let col = aggs.iter().position(|s| *s == spec).unwrap_or_else(|| {
+                aggs.push(spec);
+                aggs.len() - 1
+            });
+            Expr::Slot {
+                part: layout.parts.len(),
+                col,
+            }
+        }
+    })
+}
+
+/// Where one ORDER BY key of a produced row comes from.
+#[derive(Debug, Clone)]
+pub(crate) enum SortSource {
+    /// A bare name that is an output column: sort by that output cell.
+    Output(usize),
+    /// Any other expression, evaluated beside the select list.
+    Expr(Expr),
+}
+
+/// Bind the ORDER BY keys of a projecting node whose output columns are
+/// `columns`.
+fn bind_order(
+    order_by: &[OrderKey],
+    columns: &[String],
+    layout: &Layout,
+    mut aggs: Option<&mut Vec<AggSpec>>,
+) -> RelResult<Vec<SortSource>> {
+    order_by
+        .iter()
+        .map(|k| {
+            if let Expr::Column { table: None, name } = &k.expr {
+                if let Some(i) = columns.iter().position(|c| c == name) {
+                    return Ok(SortSource::Output(i));
+                }
+            }
+            bind(&k.expr, layout, aggs.as_deref_mut()).map(SortSource::Expr)
+        })
+        .collect()
 }
 
 /// Look up a table in the catalog map (names are lowercase).
@@ -236,11 +390,14 @@ pub struct NlJoinNode {
     pub(crate) input: Box<PhysicalPlan>,
     pub(crate) table: String,
     pub(crate) kind: JoinKind,
+    /// The tuple part this join's table fills.
+    pub(crate) part: usize,
+    /// `ON`, bound over the tuple up to and including `part`.
     pub(crate) on: Option<Expr>,
-    /// Layout of the combined row (left side plus this join's table),
-    /// used to evaluate `on`.
-    pub(crate) layout: Layout,
-    pub(crate) right_width: usize,
+    pub(crate) on_written: Option<Expr>,
+    /// The all-NULL right row an unmatched left row of a `LEFT` join
+    /// is paired with.
+    pub(crate) null_pad: Row,
     pub(crate) right_rows: usize,
 }
 
@@ -251,7 +408,10 @@ pub struct HashJoinNode {
     pub(crate) input: Box<PhysicalPlan>,
     pub(crate) table: String,
     pub(crate) on_sql: String,
-    pub(crate) left_off: usize,
+    /// The tuple part this join's table fills.
+    pub(crate) part: usize,
+    /// `(part, col)` of the left join key in the input tuple.
+    pub(crate) left: (usize, usize),
     pub(crate) right_col: usize,
     pub(crate) build_rows: usize,
 }
@@ -265,7 +425,10 @@ pub struct IxJoinNode {
     pub(crate) input: Box<PhysicalPlan>,
     pub(crate) table: String,
     pub(crate) on_sql: String,
-    pub(crate) left_off: usize,
+    /// The tuple part this join's table fills.
+    pub(crate) part: usize,
+    /// `(part, col)` of the left join key in the input tuple.
+    pub(crate) left: (usize, usize),
     pub(crate) right_col: usize,
     pub(crate) via: IndexKind,
 }
@@ -278,20 +441,28 @@ pub struct IxJoinNode {
 pub struct FilterNode {
     pub(crate) input: Box<PhysicalPlan>,
     pub(crate) pred: Expr,
-    pub(crate) layout: Layout,
+    pub(crate) pred_written: Expr,
 }
 
 /// Hash-grouping aggregate node; also evaluates HAVING and the final
-/// projection for aggregate queries.
+/// projection for aggregate queries. `group_by` and the `aggs`
+/// arguments are bound over the input tuple; `having`, `select` and
+/// `order_by` over the group tuple — a group's first input tuple plus
+/// one part holding its aggregate results, in `aggs` order.
 #[derive(Debug, Clone)]
 pub struct HashAggregateNode {
     pub(crate) input: Box<PhysicalPlan>,
     pub(crate) group_by: Vec<Expr>,
+    pub(crate) group_by_written: Vec<Expr>,
+    pub(crate) aggs: Vec<AggSpec>,
     pub(crate) having: Option<Expr>,
-    pub(crate) select_exprs: Vec<(Expr, String)>,
+    pub(crate) having_written: Option<Expr>,
+    pub(crate) select: Vec<Expr>,
     pub(crate) columns: Vec<String>,
-    pub(crate) order_by: Vec<OrderKey>,
-    pub(crate) layout: Layout,
+    pub(crate) order_by: Vec<SortSource>,
+    /// The tuple an ungrouped aggregate over no rows reads columns
+    /// from; its length is the input tuple's.
+    pub(crate) null_tuple: Vec<Row>,
 }
 
 /// Streaming projection node for non-aggregate queries; also computes
@@ -299,10 +470,11 @@ pub struct HashAggregateNode {
 #[derive(Debug, Clone)]
 pub struct ProjectNode {
     pub(crate) input: Box<PhysicalPlan>,
-    pub(crate) select_exprs: Vec<(Expr, String)>,
+    pub(crate) select: Vec<Expr>,
     pub(crate) columns: Vec<String>,
-    pub(crate) order_by: Vec<OrderKey>,
-    pub(crate) layout: Layout,
+    pub(crate) order_by: Vec<SortSource>,
+    /// Parts in the input tuple (FROM items).
+    pub(crate) parts: usize,
 }
 
 /// Duplicate-elimination node (`SELECT DISTINCT`).
@@ -311,10 +483,12 @@ pub struct DistinctNode {
     pub(crate) input: Box<PhysicalPlan>,
 }
 
-/// Materializing sort node (`ORDER BY`).
+/// Materializing sort node (`ORDER BY`). The keys themselves are
+/// computed by the projecting node below and travel with each row.
 #[derive(Debug, Clone)]
 pub struct SortNode {
     pub(crate) input: Box<PhysicalPlan>,
+    /// The keys as written; the executor reads only their direction.
     pub(crate) keys: Vec<OrderKey>,
 }
 
@@ -466,21 +640,17 @@ impl PhysicalPlan {
                 }
             },
             PhysicalPlan::NlJoin(n) => {
-                match (n.kind, &n.on) {
+                match (n.kind, n.on_written.as_ref().map(Expr::to_sql)) {
                     (JoinKind::Cross, _) => out.push(format!(
                         "{pad}cross join {} ({} rows)",
                         n.table, n.right_rows
                     )),
-                    (JoinKind::Inner, Some(on)) => out.push(format!(
-                        "{pad}nested-loop inner join {} on {}",
-                        n.table,
-                        on.to_sql()
-                    )),
-                    (JoinKind::Left, Some(on)) => out.push(format!(
-                        "{pad}nested-loop left join {} on {}",
-                        n.table,
-                        on.to_sql()
-                    )),
+                    (JoinKind::Inner, Some(on)) => {
+                        out.push(format!("{pad}nested-loop inner join {} on {on}", n.table))
+                    }
+                    (JoinKind::Left, Some(on)) => {
+                        out.push(format!("{pad}nested-loop left join {} on {on}", n.table))
+                    }
                     (kind, None) => out.push(format!("{pad}nested-loop {kind:?} join {}", n.table)),
                 }
                 n.input.render_into(depth + 1, out);
@@ -500,17 +670,17 @@ impl PhysicalPlan {
                 n.input.render_into(depth + 1, out);
             }
             PhysicalPlan::Filter(n) => {
-                out.push(format!("{pad}filter: {}", n.pred.to_sql()));
+                out.push(format!("{pad}filter: {}", n.pred_written.to_sql()));
                 n.input.render_into(depth + 1, out);
             }
             PhysicalPlan::HashAggregate(n) => {
                 if n.group_by.is_empty() {
                     out.push(format!("{pad}aggregate over all rows"));
                 } else {
-                    let keys: Vec<String> = n.group_by.iter().map(Expr::to_sql).collect();
+                    let keys: Vec<String> = n.group_by_written.iter().map(Expr::to_sql).collect();
                     out.push(format!("{pad}hash group by: {}", keys.join(", ")));
                 }
-                if let Some(h) = &n.having {
+                if let Some(h) = &n.having_written {
                     out.push(format!("{pad}having: {}", h.to_sql()));
                 }
                 out.push(format!("{pad}project: {}", n.columns.join(", ")));
@@ -528,13 +698,7 @@ impl PhysicalPlan {
                 let keys: Vec<String> = n
                     .keys
                     .iter()
-                    .map(|k| {
-                        let mut s = k.expr.to_sql();
-                        if k.desc {
-                            s.push_str(" DESC");
-                        }
-                        s
-                    })
+                    .map(|k| format!("{}{}", k.expr.to_sql(), if k.desc { " DESC" } else { "" }))
                     .collect();
                 out.push(format!("{pad}sort: {}", keys.join(", ")));
                 n.input.render_into(depth + 1, out);
@@ -779,8 +943,8 @@ fn plan_pk_point(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> Option<P
         stmt.from.binding().to_ascii_lowercase(),
         base.schema.column_names(),
     );
-    let select_exprs = expand_items(&stmt.items, &layout).ok()?;
-    let columns: Vec<String> = select_exprs.iter().map(|(_, n)| n.clone()).collect();
+    let (select, columns) = bind_items(&stmt.items, &layout, None).ok()?;
+    let pred = bind(filter, &layout, None).ok()?;
     let scan = PhysicalPlan::IxScan(IxScanNode {
         table: stmt.from.name.to_ascii_lowercase(),
         column: base.schema.columns[col_idx].name.clone(),
@@ -791,23 +955,40 @@ fn plan_pk_point(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> Option<P
     });
     let filtered = PhysicalPlan::Filter(Box::new(FilterNode {
         input: Box::new(scan),
-        pred: filter.clone(),
-        layout: layout.clone(),
+        pred,
+        pred_written: filter.clone(),
     }));
     Some(PhysicalPlan::Project(Box::new(ProjectNode {
         input: Box::new(filtered),
-        select_exprs,
+        select,
         columns,
         order_by: Vec::new(),
-        layout,
+        parts: 1,
     })))
+}
+
+/// Expand the select list and bind it: `(bound expressions, output
+/// column names)`.
+fn bind_items(
+    items: &[SelectItem],
+    layout: &Layout,
+    mut aggs: Option<&mut Vec<AggSpec>>,
+) -> RelResult<(Vec<Expr>, Vec<String>)> {
+    let mut select = Vec::new();
+    let mut columns = Vec::new();
+    for (e, name) in expand_items(items, layout)? {
+        select.push(bind(&e, layout, aggs.as_deref_mut())?);
+        columns.push(name);
+    }
+    Ok((select, columns))
 }
 
 /// Build the physical plan for `stmt` against the current catalog.
 ///
 /// Planning never executes row-level work, so `EXPLAIN` is free; it
-/// does resolve tables (errors early, like the executor would) and
-/// reads table statistics for its access-path and join decisions.
+/// does resolve tables and bind every column reference (an unknown or
+/// ambiguous name fails here, before any row is read) and reads table
+/// statistics for its access-path and join decisions.
 /// Single-table primary-key point lookups short-circuit past the cost
 /// pass (see [`plan_pk_point`]).
 pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelResult<PhysicalPlan> {
@@ -888,8 +1069,7 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
         let right = join_tables[i];
         let right_binding = join.table.binding().to_ascii_lowercase();
         let right_name = join.table.name.to_ascii_lowercase();
-        let mut after = prefixes[i].clone();
-        after.push(right_binding.clone(), right.schema.column_names());
+        let part = i + 1;
 
         let equi = match (&join.kind, &join.on) {
             (JoinKind::Inner, Some(on)) => {
@@ -900,19 +1080,25 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
         match (join.kind, equi) {
             (JoinKind::Inner, Some((left_off, right_col))) => {
                 let on_sql = join.on.as_ref().expect("inner join has ON").to_sql();
+                let left = prefixes[i].part_col(left_off);
                 let via = right.index_kind(right_col);
-                let part_tables: Vec<&Table> = std::iter::once(base)
-                    .chain(join_tables[..i].iter().copied())
-                    .collect();
-                let compatible =
-                    types_joinable(&prefixes[i], &part_tables, left_off, right, right_col);
+                let left_table = if left.0 == 0 {
+                    base
+                } else {
+                    join_tables[left.0 - 1]
+                };
+                let compatible = types_joinable(
+                    left_table.schema.columns[left.1].data_type,
+                    right.schema.columns[right_col].data_type,
+                );
                 let distinct = right.index_distinct(right_col).unwrap_or(1).max(1);
                 if let (Some(via), true) = (via, compatible && est_rows <= right.len() as f64) {
                     plan = PhysicalPlan::IxJoin(Box::new(IxJoinNode {
                         input: Box::new(plan),
                         table: right_name,
                         on_sql,
-                        left_off,
+                        part,
+                        left,
                         right_col,
                         via,
                     }));
@@ -921,7 +1107,8 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
                         input: Box::new(plan),
                         table: right_name,
                         on_sql,
-                        left_off,
+                        part,
+                        left,
                         right_col,
                         build_rows: right.len(),
                     }));
@@ -932,13 +1119,21 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
                 if kind == JoinKind::Cross || kind == JoinKind::Inner {
                     est_rows *= right.len().max(1) as f64;
                 }
+                // `ON` sees the tuple up to and including this table.
+                let mut after = prefixes[i].clone();
+                after.push(right_binding, right.schema.column_names());
                 plan = PhysicalPlan::NlJoin(Box::new(NlJoinNode {
                     input: Box::new(plan),
                     table: right_name,
                     kind,
-                    on: join.on.clone(),
-                    layout: after,
-                    right_width: right.schema.arity(),
+                    part,
+                    on: join
+                        .on
+                        .as_ref()
+                        .map(|on| bind(on, &after, None))
+                        .transpose()?,
+                    on_written: join.on.clone(),
+                    null_pad: vec![Datum::Null; right.schema.arity()],
                     right_rows: right.len(),
                 }));
             }
@@ -949,38 +1144,52 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
     if let Some(filter) = &stmt.filter {
         plan = PhysicalPlan::Filter(Box::new(FilterNode {
             input: Box::new(plan),
-            pred: filter.clone(),
-            layout: layout.clone(),
+            pred: bind(filter, &layout, None)?,
+            pred_written: filter.clone(),
         }));
     }
 
     // ---- Projection / aggregation.
-    let select_exprs = expand_items(&stmt.items, &layout)?;
-    let columns: Vec<String> = select_exprs.iter().map(|(_, n)| n.clone()).collect();
-    let has_aggregates = select_exprs.iter().any(|(e, _)| e.contains_aggregate())
-        || stmt
-            .having
-            .as_ref()
-            .map(Expr::contains_aggregate)
-            .unwrap_or(false)
+    let has_aggregates = stmt
+        .items
+        .iter()
+        .any(|item| matches!(item, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
+        || stmt.having.as_ref().is_some_and(Expr::contains_aggregate)
         || stmt.order_by.iter().any(|k| k.expr.contains_aggregate());
     if has_aggregates || !stmt.group_by.is_empty() {
+        let mut aggs = Vec::new();
+        let (select, columns) = bind_items(&stmt.items, &layout, Some(&mut aggs))?;
+        let having = stmt
+            .having
+            .as_ref()
+            .map(|h| bind(h, &layout, Some(&mut aggs)))
+            .transpose()?;
+        let order_by = bind_order(&stmt.order_by, &columns, &layout, Some(&mut aggs))?;
         plan = PhysicalPlan::HashAggregate(Box::new(HashAggregateNode {
             input: Box::new(plan),
-            group_by: stmt.group_by.clone(),
-            having: stmt.having.clone(),
-            select_exprs,
+            group_by: stmt
+                .group_by
+                .iter()
+                .map(|g| bind(g, &layout, None))
+                .collect::<RelResult<_>>()?,
+            group_by_written: stmt.group_by.clone(),
+            aggs,
+            having,
+            having_written: stmt.having.clone(),
+            select,
             columns,
-            order_by: stmt.order_by.clone(),
-            layout: layout.clone(),
+            order_by,
+            null_tuple: layout.null_tuple(),
         }));
     } else {
+        let (select, columns) = bind_items(&stmt.items, &layout, None)?;
+        let order_by = bind_order(&stmt.order_by, &columns, &layout, None)?;
         plan = PhysicalPlan::Project(Box::new(ProjectNode {
             input: Box::new(plan),
-            select_exprs,
+            select,
             columns,
-            order_by: stmt.order_by.clone(),
-            layout: layout.clone(),
+            order_by,
+            parts: layout.parts.len(),
         }));
     }
 
@@ -1007,29 +1216,9 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
 /// True when the left join key's declared type and the right key's type
 /// compare identically under both the B-tree order and hash-equality —
 /// i.e. the index probe is allowed to replace the hash join.
-/// `part_tables[i]` is the table behind `prefix.parts[i]`.
-fn types_joinable(
-    prefix: &Layout,
-    part_tables: &[&Table],
-    left_off: usize,
-    right: &Table,
-    right_col: usize,
-) -> bool {
-    use crate::types::DataType;
-    let lt = prefix
-        .parts
-        .iter()
-        .enumerate()
-        .find(|(_, (_, cols, start))| left_off >= *start && left_off < start + cols.len())
-        .map(|(pi, (_, _, start))| part_tables[pi].schema.columns[left_off - start].data_type);
-    let rt = right.schema.columns[right_col].data_type;
-    match lt {
-        Some(lt) => {
-            let numeric = |t: DataType| matches!(t, DataType::Int | DataType::Double);
-            lt == rt || (numeric(lt) && numeric(rt))
-        }
-        None => false,
-    }
+fn types_joinable(lt: DataType, rt: DataType) -> bool {
+    let numeric = |t: DataType| matches!(t, DataType::Int | DataType::Double);
+    lt == rt || (numeric(lt) && numeric(rt))
 }
 
 #[cfg(test)]

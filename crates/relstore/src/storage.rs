@@ -4,7 +4,11 @@
 //! tombstones the slot so that slot ids stay stable for index entries
 //! and for the transaction undo log. Primary keys are enforced through
 //! a B-tree unique index; `CREATE INDEX` adds non-unique secondary
-//! B-trees used by the executor for equality lookups.
+//! B-trees used by the executor for equality lookups and range scans.
+//!
+//! Index keys are [`Datum`]s under their total order ([`Datum::cmp`]),
+//! held inline in the B-tree nodes: a probe hands in a `&Datum`, builds
+//! no key, and gets its slots back as a slice borrowed from the index.
 
 use crate::schema::TableSchema;
 use crate::types::{Datum, Row};
@@ -14,31 +18,73 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound;
 
-/// A `Datum` wrapper giving the total `sort_cmp` order, usable as a
-/// B-tree key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KeyDatum(pub Datum);
+/// The unique index over a table's primary-key columns. A one-column
+/// key is the datum itself; only composite keys pay for a `Vec`.
+#[derive(Debug, Clone)]
+enum PkIndex {
+    One(BTreeMap<Datum, usize>),
+    Many(BTreeMap<Vec<Datum>, usize>),
+}
 
-impl Eq for KeyDatum {}
+fn composite(row: &[Datum], cols: &[usize]) -> Vec<Datum> {
+    cols.iter().map(|&c| row[c].clone()).collect()
+}
 
-impl PartialOrd for KeyDatum {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl PkIndex {
+    fn new(cols: &[usize]) -> PkIndex {
+        if cols.len() == 1 {
+            PkIndex::One(BTreeMap::new())
+        } else {
+            PkIndex::Many(BTreeMap::new())
+        }
+    }
+
+    /// The slot holding the row whose key columns equal `row`'s.
+    fn get(&self, row: &[Datum], cols: &[usize]) -> Option<usize> {
+        match self {
+            PkIndex::One(m) => m.get(&row[cols[0]]).copied(),
+            PkIndex::Many(m) => m.get(&composite(row, cols)).copied(),
+        }
+    }
+
+    fn insert(&mut self, row: &[Datum], cols: &[usize], slot: usize) {
+        match self {
+            PkIndex::One(m) => m.insert(row[cols[0]].clone(), slot),
+            PkIndex::Many(m) => m.insert(composite(row, cols), slot),
+        };
+    }
+
+    fn remove(&mut self, row: &[Datum], cols: &[usize]) {
+        match self {
+            PkIndex::One(m) => m.remove(&row[cols[0]]),
+            PkIndex::Many(m) => m.remove(&composite(row, cols)),
+        };
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            PkIndex::One(m) => m.len(),
+            PkIndex::Many(m) => m.len(),
+        }
     }
 }
 
-impl Ord for KeyDatum {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.sort_cmp(&other.0)
-    }
+/// The slots holding one secondary-index key. Most keys hold one row
+/// (a foreign key mirroring a primary key), and that slot sits inline
+/// in the B-tree node rather than behind a `Vec`.
+#[derive(Debug, Clone)]
+enum SlotList {
+    One(usize),
+    Many(Vec<usize>),
 }
 
-/// A composite index key.
-pub type IndexKey = Vec<KeyDatum>;
-
-/// Build an index key from selected columns of a row.
-pub fn key_of(row: &Row, cols: &[usize]) -> IndexKey {
-    cols.iter().map(|&i| KeyDatum(row[i].clone())).collect()
+impl SlotList {
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            SlotList::One(slot) => std::slice::from_ref(slot),
+            SlotList::Many(slots) => slots,
+        }
+    }
 }
 
 /// A non-unique secondary index over one column.
@@ -48,8 +94,38 @@ pub struct SecondaryIndex {
     pub name: String,
     /// Indexed column position.
     pub column: usize,
-    /// Key → slots holding that key.
-    map: BTreeMap<IndexKey, Vec<usize>>,
+    /// Key → slots holding that key, in insertion order.
+    map: BTreeMap<Datum, SlotList>,
+}
+
+impl SecondaryIndex {
+    fn add(&mut self, row: &[Datum], slot: usize) {
+        match self.map.get_mut(&row[self.column]) {
+            None => {
+                self.map
+                    .insert(row[self.column].clone(), SlotList::One(slot));
+            }
+            Some(SlotList::Many(slots)) => slots.push(slot),
+            Some(one @ SlotList::One(_)) => {
+                *one = SlotList::Many(vec![one.as_slice()[0], slot]);
+            }
+        }
+    }
+
+    fn remove(&mut self, row: &[Datum], slot: usize) {
+        let key = &row[self.column];
+        let now_empty = match self.map.get_mut(key) {
+            None => false,
+            Some(SlotList::One(only)) => *only == slot,
+            Some(SlotList::Many(slots)) => {
+                slots.retain(|&s| s != slot);
+                slots.is_empty()
+            }
+        };
+        if now_empty {
+            self.map.remove(key);
+        }
+    }
 }
 
 /// A stored table: schema, heap, and indexes.
@@ -60,7 +136,7 @@ pub struct Table {
     slots: Vec<Option<Row>>,
     live: usize,
     /// Unique index over the primary-key columns (if any are declared).
-    pk: Option<BTreeMap<IndexKey, usize>>,
+    pk: Option<PkIndex>,
     pk_cols: Vec<usize>,
     secondary: Vec<SecondaryIndex>,
 }
@@ -73,11 +149,7 @@ impl Table {
             schema,
             slots: Vec::new(),
             live: 0,
-            pk: if pk_cols.is_empty() {
-                None
-            } else {
-                Some(BTreeMap::new())
-            },
+            pk: (!pk_cols.is_empty()).then(|| PkIndex::new(&pk_cols)),
             pk_cols,
             secondary: Vec::new(),
         }
@@ -132,28 +204,23 @@ impl Table {
     /// Insert a row, returning its slot id.
     pub fn insert(&mut self, row: Row) -> RelResult<usize> {
         let row = self.check_row(row)?;
-        if let Some(pk) = &self.pk {
-            let key = key_of(&row, &self.pk_cols);
-            if pk.contains_key(&key) {
+        let slot = self.slots.len();
+        if let Some(pk) = &mut self.pk {
+            if pk.get(&row, &self.pk_cols).is_some() {
                 return Err(RelError::DuplicateKey(format!(
                     "{} in table {}",
-                    key.iter()
-                        .map(|k| k.0.to_string())
+                    self.pk_cols
+                        .iter()
+                        .map(|&c| row[c].to_string())
                         .collect::<Vec<_>>()
                         .join(","),
                     self.schema.name
                 )));
             }
-        }
-        let slot = self.slots.len();
-        if let Some(pk) = &mut self.pk {
-            pk.insert(key_of(&row, &self.pk_cols), slot);
+            pk.insert(&row, &self.pk_cols, slot);
         }
         for idx in &mut self.secondary {
-            idx.map
-                .entry(vec![KeyDatum(row[idx.column].clone())])
-                .or_default()
-                .push(slot);
+            idx.add(&row, slot);
         }
         self.slots.push(Some(row));
         self.live += 1;
@@ -165,16 +232,10 @@ impl Table {
         let row = self.slots.get_mut(slot)?.take()?;
         self.live -= 1;
         if let Some(pk) = &mut self.pk {
-            pk.remove(&key_of(&row, &self.pk_cols));
+            pk.remove(&row, &self.pk_cols);
         }
         for idx in &mut self.secondary {
-            let key = vec![KeyDatum(row[idx.column].clone())];
-            if let Some(slots) = idx.map.get_mut(&key) {
-                slots.retain(|&s| s != slot);
-                if slots.is_empty() {
-                    idx.map.remove(&key);
-                }
-            }
+            idx.remove(&row, slot);
         }
         Some(row)
     }
@@ -184,13 +245,10 @@ impl Table {
     pub fn restore_slot(&mut self, slot: usize, row: Row) {
         debug_assert!(self.slots[slot].is_none(), "restoring into a live slot");
         if let Some(pk) = &mut self.pk {
-            pk.insert(key_of(&row, &self.pk_cols), slot);
+            pk.insert(&row, &self.pk_cols, slot);
         }
         for idx in &mut self.secondary {
-            idx.map
-                .entry(vec![KeyDatum(row[idx.column].clone())])
-                .or_default()
-                .push(slot);
+            idx.add(&row, slot);
         }
         self.slots[slot] = Some(row);
         self.live += 1;
@@ -236,30 +294,21 @@ impl Table {
             .expect("update_slot targets a live slot");
         // Primary key change must stay unique.
         if let Some(pk) = &mut self.pk {
-            let old_key = key_of(&old, &self.pk_cols);
-            let new_key = key_of(&new_row, &self.pk_cols);
-            if old_key != new_key {
-                if pk.contains_key(&new_key) {
+            if self.pk_cols.iter().any(|&c| old[c] != new_row[c]) {
+                if pk.get(&new_row, &self.pk_cols).is_some() {
                     return Err(RelError::DuplicateKey(format!(
                         "update collides in table {}",
                         self.schema.name
                     )));
                 }
-                pk.remove(&old_key);
-                pk.insert(new_key, slot);
+                pk.remove(&old, &self.pk_cols);
+                pk.insert(&new_row, &self.pk_cols, slot);
             }
         }
         for idx in &mut self.secondary {
-            let old_key = vec![KeyDatum(old[idx.column].clone())];
-            let new_key = vec![KeyDatum(new_row[idx.column].clone())];
-            if old_key != new_key {
-                if let Some(slots) = idx.map.get_mut(&old_key) {
-                    slots.retain(|&s| s != slot);
-                    if slots.is_empty() {
-                        idx.map.remove(&old_key);
-                    }
-                }
-                idx.map.entry(new_key).or_default().push(slot);
+            if old[idx.column] != new_row[idx.column] {
+                idx.remove(&old, slot);
+                idx.add(&new_row, slot);
             }
         }
         self.slots[slot] = Some(new_row);
@@ -279,11 +328,6 @@ impl Table {
         self.slots.get(slot).and_then(Option::as_ref)
     }
 
-    /// Point lookup by full primary key.
-    pub fn lookup_pk(&self, key: &IndexKey) -> Option<usize> {
-        self.pk.as_ref()?.get(key).copied()
-    }
-
     /// Positions of the primary-key columns.
     pub fn pk_columns(&self) -> &[usize] {
         &self.pk_cols
@@ -301,10 +345,7 @@ impl Table {
             map: BTreeMap::new(),
         };
         for (slot, row) in self.scan() {
-            idx.map
-                .entry(vec![KeyDatum(row[column].clone())])
-                .or_default()
-                .push(slot);
+            idx.add(row, slot);
         }
         self.secondary.push(idx);
         Ok(())
@@ -319,20 +360,27 @@ impl Table {
         self.secondary.len() != before
     }
 
+    /// The PK B-tree, when `column` alone is the primary key.
+    fn single_pk(&self, column: usize) -> Option<&BTreeMap<Datum, usize>> {
+        match (&self.pk, &self.pk_cols[..]) {
+            (Some(PkIndex::One(pk)), [pk_col]) if *pk_col == column => Some(pk),
+            _ => None,
+        }
+    }
+
     /// Slots whose `column` equals `value`, via a secondary index or the
     /// PK index when applicable. `None` means no usable index exists
-    /// (the executor falls back to a scan).
-    pub fn index_lookup(&self, column: usize, value: &Datum) -> Option<Vec<usize>> {
-        if self.pk_cols.len() == 1 && self.pk_cols[0] == column {
-            let key = vec![KeyDatum(value.clone())];
-            return Some(self.lookup_pk(&key).into_iter().collect());
+    /// (the executor falls back to a scan). The probe key is borrowed
+    /// from the caller and the slots from the index itself, so a lookup
+    /// allocates nothing.
+    pub fn index_lookup(&self, column: usize, value: &Datum) -> Option<&[usize]> {
+        if let Some(pk) = self.single_pk(column) {
+            return Some(pk.get(value).map(std::slice::from_ref).unwrap_or_default());
         }
-        self.secondary.iter().find(|s| s.column == column).map(|s| {
-            s.map
-                .get(&vec![KeyDatum(value.clone())])
-                .cloned()
-                .unwrap_or_default()
-        })
+        self.secondary
+            .iter()
+            .find(|s| s.column == column)
+            .map(|s| s.map.get(value).map(SlotList::as_slice).unwrap_or_default())
     }
 
     /// The kind of index usable for point/range access on `column`,
@@ -353,7 +401,7 @@ impl Table {
     /// equality-sarg selectivity as `len() / distinct`.
     pub fn index_distinct(&self, column: usize) -> Option<usize> {
         if self.schema.single_primary_key() == Some(column) {
-            return self.pk.as_ref().map(BTreeMap::len);
+            return self.pk.as_ref().map(PkIndex::len);
         }
         self.secondary
             .iter()
@@ -392,48 +440,40 @@ impl Table {
         lo: Bound<&Datum>,
         hi: Bound<&Datum>,
     ) -> Option<Vec<usize>> {
-        fn key_bound(b: Bound<&Datum>) -> Bound<IndexKey> {
-            match b {
-                Bound::Included(d) => Bound::Included(vec![KeyDatum(d.clone())]),
-                Bound::Excluded(d) => Bound::Excluded(vec![KeyDatum(d.clone())]),
-                Bound::Unbounded => Bound::Unbounded,
-            }
-        }
+        static NULL_KEY: Datum = Datum::Null;
+        // An open lower bound must still skip the NULL keys that sort
+        // first in the B-tree.
         let lo = match lo {
-            // An open lower bound must still skip the NULL keys that
-            // sort first in the B-tree.
-            Bound::Unbounded => Bound::Excluded(vec![KeyDatum(Datum::Null)]),
-            other => key_bound(other),
+            Bound::Unbounded => Bound::Excluded(&NULL_KEY),
+            other => other,
         };
-        let hi = key_bound(hi);
         // BTreeMap::range panics on inverted bounds; detect and return
         // an empty slot list instead.
-        let inverted = match (&lo, &hi) {
+        let inverted = match (lo, hi) {
             (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => {
                 match a.cmp(b) {
                     Ordering::Greater => true,
                     Ordering::Equal => {
-                        matches!(&lo, Bound::Excluded(_)) && matches!(&hi, Bound::Excluded(_))
+                        matches!(lo, Bound::Excluded(_)) && matches!(hi, Bound::Excluded(_))
                     }
                     Ordering::Less => false,
                 }
             }
             _ => false,
         };
-        if self.pk_cols.len() == 1 && self.pk_cols[0] == column {
-            let pk = self.pk.as_ref()?;
+        if let Some(pk) = self.single_pk(column) {
             if inverted {
                 return Some(Vec::new());
             }
-            return Some(pk.range((lo, hi)).map(|(_, &s)| s).collect());
+            return Some(pk.range::<Datum, _>((lo, hi)).map(|(_, &s)| s).collect());
         }
         self.secondary.iter().find(|s| s.column == column).map(|s| {
             if inverted {
                 return Vec::new();
             }
             s.map
-                .range((lo, hi))
-                .flat_map(|(_, slots)| slots.iter().copied())
+                .range::<Datum, _>((lo, hi))
+                .flat_map(|(_, slots)| slots.as_slice().iter().copied())
                 .collect()
         })
     }

@@ -1,11 +1,19 @@
 //! SQL data types and runtime values.
 //!
 //! [`Datum`] is the single runtime value representation: typed scalars
-//! plus SQL `NULL`. Comparison follows SQL semantics — `NULL` compares
-//! as *unknown* (`None`) in predicate position — while [`Datum::sort_cmp`]
-//! provides the total order used by `ORDER BY`, index keys, `DISTINCT`,
-//! and `GROUP BY`, where SQL treats NULLs as equal and orders them first.
+//! plus SQL `NULL`. Three relations are defined over it, each with one
+//! job:
+//!
+//! * [`Datum::sql_cmp`] is SQL comparison in predicate position: `NULL`
+//!   compares as *unknown* (`None`), numeric types compare cross-type.
+//! * [`Datum::sort_cmp`] — also `Datum`'s own `Ord`/`Eq` — is the total
+//!   order of `ORDER BY` and of the B-tree index keys, where SQL treats
+//!   NULLs as equal and orders them first.
+//! * [`GroupKey`] is the typed, hashable, borrowing key under which
+//!   `GROUP BY`, `DISTINCT`, `COUNT(DISTINCT …)` and hash joins decide
+//!   that two values are the same one.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -167,33 +175,76 @@ impl Datum {
     pub fn group_eq(&self, other: &Datum) -> bool {
         self.sort_cmp(other) == Ordering::Equal
     }
+}
 
-    /// A canonical key string for hashing in group-by/distinct/hash-join.
-    ///
-    /// Two datums with `group_eq` true produce identical keys. Numeric
-    /// values are canonicalized through f64 so `Int(1)` and `Double(1.0)`
-    /// collide, matching `sql_cmp`.
-    pub fn group_key(&self, out: &mut String) {
-        use std::fmt::Write;
-        match self {
-            Datum::Null => out.push('N'),
-            Datum::Bool(b) => {
-                let _ = write!(out, "b{}", *b as u8);
-            }
-            Datum::Int(v) => {
-                let _ = write!(out, "f{}", (*v as f64).to_bits());
-            }
-            Datum::Double(v) => {
-                let _ = write!(out, "f{}", v.to_bits());
-            }
-            Datum::Date(v) => {
-                let _ = write!(out, "d{v}");
-            }
-            Datum::Text(s) => {
-                let _ = write!(out, "t{}:{s}", s.len());
-            }
+/// The hash key of one value in `GROUP BY`, `DISTINCT`, `COUNT(DISTINCT)`
+/// and hash joins: typed, hashable, and borrowing `Text` from the datum
+/// it was taken from.
+///
+/// Equal keys are the executor's definition of "the same value". `Int`
+/// is exact; a `Double` that is integral and exactly an `i64` takes the
+/// `Int` form, so `Int(1)` and `Double(1.0)` collide as they do under
+/// [`Datum::sql_cmp`]; `-0.0` keys as `0`, and every NaN as one class.
+/// `sql_cmp` itself compares a mixed `Int`/`Double` pair through `f64`
+/// and so stops being transitive above 2^53 (`2^53 = 2^53 as f64 =
+/// 2^53 + 1`); no key can follow it there, and this one follows the
+/// exact integer, as two `Int`s compare everywhere else.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum GroupKey<'a> {
+    /// SQL NULL (one class: NULLs group together).
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// An integer, or a double holding exactly that integer.
+    Int(i64),
+    /// Bits of a double that is not exactly an `i64` (NaN canonical).
+    Double(u64),
+    /// Date as days since the Unix epoch.
+    Date(i32),
+    /// String, borrowed where the datum outlives the key.
+    Text(Cow<'a, str>),
+}
+
+impl<'a> GroupKey<'a> {
+    /// The key of `d`, borrowing its text.
+    pub fn of(d: &'a Datum) -> GroupKey<'a> {
+        // -2^63 and 2^63 as doubles: the half-open range in which
+        // `v as i64` is exact for an integral `v` (the cast saturates
+        // outside it).
+        const LO: f64 = -9_223_372_036_854_775_808.0;
+        const HI: f64 = 9_223_372_036_854_775_808.0;
+        match d {
+            Datum::Null => GroupKey::Null,
+            Datum::Bool(b) => GroupKey::Bool(*b),
+            Datum::Int(v) => GroupKey::Int(*v),
+            Datum::Double(v) if v.is_nan() => GroupKey::Double(f64::NAN.to_bits()),
+            Datum::Double(v) if (LO..HI).contains(v) && v.trunc() == *v => GroupKey::Int(*v as i64),
+            Datum::Double(v) => GroupKey::Double(v.to_bits()),
+            Datum::Date(v) => GroupKey::Date(*v),
+            Datum::Text(s) => GroupKey::Text(Cow::Borrowed(s)),
         }
-        out.push('|');
+    }
+
+    /// The key of a possibly computed value, keeping a borrow when the
+    /// value is one.
+    pub fn of_cow(d: Cow<'a, Datum>) -> GroupKey<'a> {
+        match d {
+            Cow::Borrowed(d) => GroupKey::of(d),
+            Cow::Owned(Datum::Text(s)) => GroupKey::Text(Cow::Owned(s)),
+            Cow::Owned(other) => GroupKey::of(&other).into_owned(),
+        }
+    }
+
+    /// The same key owning its text, for sets that outlive the datum.
+    pub fn into_owned(self) -> GroupKey<'static> {
+        match self {
+            GroupKey::Text(s) => GroupKey::Text(Cow::Owned(s.into_owned())),
+            GroupKey::Null => GroupKey::Null,
+            GroupKey::Bool(b) => GroupKey::Bool(b),
+            GroupKey::Int(v) => GroupKey::Int(v),
+            GroupKey::Double(v) => GroupKey::Double(v),
+            GroupKey::Date(v) => GroupKey::Date(v),
+        }
     }
 }
 
@@ -213,6 +264,31 @@ impl fmt::Display for Datum {
 impl PartialEq for Datum {
     fn eq(&self, other: &Self) -> bool {
         self.group_eq(other)
+    }
+}
+
+impl Eq for Datum {}
+
+/// `Datum`'s own order is the total [`Datum::sort_cmp`] order — what
+/// `ORDER BY` sorts by and what the B-tree indexes are keyed on, NULLs
+/// first and equal to each other. Predicates never use it: SQL
+/// comparison is [`Datum::sql_cmp`], where NULL is unknown.
+impl Ord for Datum {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Index keys of one column share a type; decide those pairs
+        // without the general comparison's NULL and coercion cases.
+        match (self, other) {
+            (Datum::Int(a), Datum::Int(b)) => a.cmp(b),
+            (Datum::Text(a), Datum::Text(b)) => a.cmp(b),
+            _ => self.sort_cmp(other),
+        }
+    }
+}
+
+impl PartialOrd for Datum {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -348,6 +424,7 @@ mod tests {
 
     #[test]
     fn group_keys_collide_exactly_when_equal() {
+        const BIG: i64 = 1 << 53;
         let cases = [
             (Datum::Int(1), Datum::Double(1.0), true),
             (Datum::Int(1), Datum::Int(2), false),
@@ -355,14 +432,37 @@ mod tests {
             (Datum::Text("a".into()), Datum::Text("a".into()), true),
             (Datum::Text("a".into()), Datum::Text("b".into()), false),
             (Datum::Bool(true), Datum::Bool(true), true),
+            // Exact above 2^53, where an f64 cannot tell neighbours apart.
+            (Datum::Int(BIG), Datum::Int(BIG + 1), false),
+            (Datum::Int(BIG), Datum::Double(BIG as f64), true),
+            (Datum::Double(0.0), Datum::Double(-0.0), true),
+            (Datum::Double(-0.0), Datum::Int(0), true),
+            (Datum::Double(1.5), Datum::Double(1.5), true),
+            (Datum::Double(1.5), Datum::Int(1), false),
         ];
         for (a, b, expect_equal) in cases {
-            let (mut ka, mut kb) = (String::new(), String::new());
-            a.group_key(&mut ka);
-            b.group_key(&mut kb);
-            assert_eq!(ka == kb, expect_equal, "{a:?} vs {b:?}");
+            assert_eq!(
+                GroupKey::of(&a) == GroupKey::of(&b),
+                expect_equal,
+                "{a:?} vs {b:?}"
+            );
             assert_eq!(a.group_eq(&b), expect_equal);
         }
+        // Every NaN is one class; the 2^63 boundary does not saturate
+        // into i64::MAX.
+        let nan = GroupKey::of(&Datum::Double(f64::NAN));
+        assert_eq!(nan, GroupKey::of(&Datum::Double(-f64::NAN)));
+        assert_ne!(
+            GroupKey::of(&Datum::Double(9_223_372_036_854_775_808.0)),
+            GroupKey::of(&Datum::Int(i64::MAX))
+        );
+        // A computed text value keys like a stored one.
+        let stored = Datum::Text("ward".into());
+        assert_eq!(
+            GroupKey::of_cow(Cow::Owned(Datum::Text("ward".into()))),
+            GroupKey::of(&stored)
+        );
+        assert_eq!(GroupKey::of(&stored).into_owned(), GroupKey::of(&stored));
     }
 
     #[test]

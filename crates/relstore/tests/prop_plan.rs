@@ -7,7 +7,10 @@
 //!    produce the same results as the retained naive reference
 //!    executor (`Database::query_naive`): exact sequences when the
 //!    query orders by a unique key, multisets otherwise, and for
-//!    `LIMIT` a correctly-sized subset of the unlimited result.
+//!    `LIMIT` a correctly-sized subset of the unlimited result. Rows
+//!    are compared cell by cell in a typed text form (doubles by their
+//!    bits), not through `Datum`'s own `==`, under which `1` equals
+//!    `1.0`.
 //! 2. **EXPLAIN consistency** — the rendered `EXPLAIN` output comes
 //!    from the same [`PhysicalPlan`] the executor runs, so the
 //!    operators named in the plan are exactly the operators
@@ -19,13 +22,17 @@ use webfindit_relstore::sql::{parse_statement, Statement};
 use webfindit_relstore::{plan_select, Database, Datum, Dialect};
 
 const WORDS: [&str; 5] = ["ward", "icu", "lab", "er", "hospice"];
+const QUARTERS: [&str; 4] = ["0", "25", "5", "75"];
 
 /// A fresh two-table database with `n1`/`n2` generated rows.
 ///
 /// `t1(id pk, a indexed, b, c)` and `t2(id pk, t1_id indexed, d)`;
 /// every non-key column is nullable and NULLs are generated, so the
 /// properties exercise three-valued logic, NULL grouping, and the
-/// rule that NULL never equi-joins.
+/// rule that NULL never equi-joins. `c` is a multiple of 0.25, some of
+/// them whole numbers: its sums are exact in any order, so `SUM`/`AVG`
+/// must agree to the bit even where the planner's access path feeds
+/// rows in index order and the reference in heap order.
 fn gen_db(rng: &mut StdRng) -> Database {
     let mut db = Database::new("prop", Dialect::Canonical);
     db.execute("CREATE TABLE t1 (id INT PRIMARY KEY, a INT, b TEXT, c DOUBLE)")
@@ -50,11 +57,7 @@ fn gen_db(rng: &mut StdRng) -> Database {
         let c = if rng.gen_bool(0.15) {
             "NULL".to_owned()
         } else {
-            format!(
-                "{}.{}",
-                rng.gen_range(0..100usize),
-                rng.gen_range(0..10usize)
-            )
+            format!("{}.{}", rng.gen_range(0..100usize), pick(rng, &QUARTERS))
         };
         db.execute(&format!("INSERT INTO t1 VALUES ({id}, {a}, {b}, {c})"))
             .unwrap();
@@ -104,8 +107,71 @@ struct GenQuery {
     limit: Option<usize>,
 }
 
-fn gen_query(rng: &mut StdRng) -> GenQuery {
+/// An aggregate query over `from` (`t1`, alone or left-joined to `t2`):
+/// no, one or two GROUP BY keys out of `keys`, two to four aggregate
+/// calls out of `aggs`, and optionally WHERE, HAVING, ORDER BY (an
+/// aggregate first, then every key, so the order is total) and LIMIT.
+fn gen_aggregate(rng: &mut StdRng, from: &str, keys: &[&str], aggs: &[&str]) -> GenQuery {
+    let mut group: Vec<&str> = Vec::new();
+    for _ in 0..rng.gen_range(0..3usize) {
+        let k = *pick(rng, keys);
+        if !group.contains(&k) {
+            group.push(k);
+        }
+    }
+    let mut calls: Vec<&str> = Vec::new();
+    for _ in 0..rng.gen_range(2..5usize) {
+        calls.push(*pick(rng, aggs));
+    }
+    let mut items: Vec<String> = group.iter().map(|k| k.to_string()).collect();
+    items.extend(calls.iter().enumerate().map(|(i, c)| format!("{c} x{i}")));
+    let mut sql = format!("SELECT {} FROM {from}", items.join(", "));
     match rng.gen_range(0..4usize) {
+        // No input rows at all: an ungrouped aggregate still answers.
+        0 => sql.push_str(" WHERE t1.id < 0"),
+        1 => sql.push_str(&format!(" WHERE {}", gen_pred(rng, true))),
+        _ => {}
+    }
+    if !group.is_empty() {
+        sql.push_str(&format!(" GROUP BY {}", group.join(", ")));
+    }
+    if rng.gen_bool(0.3) {
+        let having = [
+            "COUNT(*) > 1",
+            "SUM(t1.a) >= 4",
+            "MIN(t1.b) < 'lab'",
+            "AVG(t1.c) > 40",
+        ];
+        sql.push_str(&format!(" HAVING {}", pick(rng, &having)));
+    }
+    // Group keys are unique per output row, so ordering by all of them
+    // (after an optional aggregate) is a total order.
+    let ordered = rng.gen_bool(0.6);
+    if ordered {
+        let mut order: Vec<String> = Vec::new();
+        if rng.gen_bool(0.5) {
+            let desc = if rng.gen_bool(0.5) { " DESC" } else { "" };
+            order.push(format!("{}{desc}", pick(rng, &calls)));
+        }
+        order.extend(group.iter().map(|k| k.to_string()));
+        if !order.is_empty() {
+            sql.push_str(&format!(" ORDER BY {}", order.join(", ")));
+        }
+    }
+    let limit = rng.gen_bool(0.3).then(|| rng.gen_range(1..5usize));
+    if let Some(n) = limit {
+        sql.push_str(&format!(" LIMIT {n}"));
+    }
+    GenQuery {
+        sql,
+        // Without GROUP BY there is one row: any order is total.
+        ordered: ordered || group.is_empty(),
+        limit,
+    }
+}
+
+fn gen_query(rng: &mut StdRng) -> GenQuery {
+    match rng.gen_range(0..7usize) {
         // Single-table scan/filter, optional DISTINCT / ORDER BY id / LIMIT.
         0 => {
             let distinct = if rng.gen_bool(0.3) { "DISTINCT " } else { "" };
@@ -181,6 +247,48 @@ fn gen_query(rng: &mut StdRng) -> GenQuery {
                 limit,
             }
         }
+        // Aggregates over t1: nullable Int, Text and Double keys, alone
+        // and in pairs; every aggregate function over every type it
+        // accepts.
+        4 | 5 => gen_aggregate(
+            rng,
+            "t1",
+            &["t1.a", "t1.b", "t1.c"],
+            &[
+                "COUNT(*)",
+                "COUNT(t1.c)",
+                "COUNT(DISTINCT t1.a)",
+                "COUNT(DISTINCT t1.b)",
+                "COUNT(DISTINCT t1.c)",
+                "SUM(t1.a)",
+                "SUM(t1.c)",
+                "SUM(DISTINCT t1.a)",
+                "AVG(t1.a)",
+                "AVG(t1.c)",
+                "MIN(t1.b)",
+                "MAX(t1.b)",
+                "MIN(t1.c)",
+                "MAX(t1.id)",
+                "SUM(t1.a + t1.c)",
+            ],
+        ),
+        // LEFT JOIN feeding an aggregate: unmatched t1 rows arrive with
+        // a NULL-padded t2 side, and t2.d groups them under NULL.
+        6 => gen_aggregate(
+            rng,
+            "t1 LEFT JOIN t2 ON t1.id = t2.t1_id",
+            &["t1.b", "t2.d", "t1.a"],
+            &[
+                "COUNT(*)",
+                "COUNT(t2.id)",
+                "COUNT(DISTINCT t2.d)",
+                "SUM(t2.id)",
+                "AVG(t1.c)",
+                "MIN(t2.d)",
+                "MAX(t2.d)",
+                "MAX(t1.b)",
+            ],
+        ),
         // Join + aggregate.
         _ => {
             let ordered = rng.gen_bool(0.5);
@@ -200,14 +308,25 @@ fn gen_query(rng: &mut StdRng) -> GenQuery {
     }
 }
 
-/// Canonical text form of a row, NULL-safe, for multiset comparison.
+/// Canonical text form of a row: NULL-safe, typed (`Int(1)` is not
+/// `Double(1.0)`), doubles by their bits.
 fn canon(row: &[Datum]) -> String {
-    let parts: Vec<String> = row.iter().map(|d| format!("{d:?}")).collect();
+    let parts: Vec<String> = row
+        .iter()
+        .map(|d| match d {
+            Datum::Double(v) => format!("Double(#{:016x})", v.to_bits()),
+            other => format!("{other:?}"),
+        })
+        .collect();
     parts.join("|")
 }
 
+fn sequence(rows: &[Vec<Datum>]) -> Vec<String> {
+    rows.iter().map(|r| canon(r)).collect()
+}
+
 fn multiset(rows: &[Vec<Datum>]) -> Vec<String> {
-    let mut v: Vec<String> = rows.iter().map(|r| canon(r)).collect();
+    let mut v = sequence(rows);
     v.sort();
     v
 }
@@ -247,7 +366,7 @@ fn planned_executor_matches_the_naive_reference() {
                 }
                 // A total order: exact sequence equality.
                 (_, true) => {
-                    assert_eq!(planned.rows, naive.rows, "{}", q.sql);
+                    assert_eq!(sequence(&planned.rows), sequence(&naive.rows), "{}", q.sql);
                 }
                 // No order: multiset equality.
                 (None, false) => {
