@@ -17,10 +17,14 @@
 //! * [`bench`] — a miniature benchmark harness with a criterion-shaped
 //!   API (`benchmark_group` / `bench_function` / `iter`) so the bench
 //!   targets run standalone with `harness = false`.
+//! * [`counters`] — the `counter_set!` macro: one declaration per
+//!   statistic, from which the atomic struct, its snapshot, the
+//!   before/after delta and the labelled listing are derived.
 
 #![warn(missing_docs)]
 
 pub mod bench;
+pub mod counters;
 pub mod prop;
 pub mod rng;
 pub mod sync;

@@ -19,7 +19,7 @@
 //!
 //! Reports are deduplicated globally by site pair / site+region, pushed
 //! to a process-wide list that tests drain via [`take_violations`], and
-//! tallied in [`counters`] for export through `OrbMetrics`.
+//! tallied in [`counters`], which a trace renders like any counter set.
 
 /// Classification of a detector report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,14 +56,15 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// Monotonic totals of reports since process start (not reset by
-/// [`take_violations`]); exported through `OrbMetrics`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// Count of [`ViolationKind::LockOrderCycle`] reports.
-    pub lock_order_cycles: u64,
-    /// Count of hold-across / acquire-in blocking-region reports.
-    pub blocking_violations: u64,
+crate::counter_set! {
+    /// Monotonic totals of reports since process start (not reset by
+    /// [`take_violations`]); always zero without the feature.
+    pub struct DetectMetrics => Counters {
+        /// Count of [`ViolationKind::LockOrderCycle`] reports.
+        counter lock_order_cycles "lock-order cycles",
+        /// Count of hold-across / acquire-in blocking-region reports.
+        counter blocking_violations "blocking violations",
+    }
 }
 
 /// Whether the detector was compiled into this build.
@@ -73,7 +74,7 @@ pub const fn enabled() -> bool {
 
 #[cfg(feature = "deadlock-detect")]
 mod imp {
-    use super::{Counters, Violation, ViolationKind};
+    use super::{Counters, DetectMetrics, Violation, ViolationKind};
     use std::cell::RefCell;
     use std::collections::{HashMap, HashSet};
     use std::panic::Location;
@@ -110,8 +111,7 @@ mod imp {
         edges: Mutex<HashMap<u64, HashSet<u64>>>,
         reported: Mutex<HashSet<String>>,
         violations: Mutex<Vec<Violation>>,
-        cycles: AtomicU64,
-        blocking: AtomicU64,
+        totals: DetectMetrics,
     }
 
     static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -123,8 +123,7 @@ mod imp {
             edges: Mutex::new(HashMap::new()),
             reported: Mutex::new(HashSet::new()),
             violations: Mutex::new(Vec::new()),
-            cycles: AtomicU64::new(0),
-            blocking: AtomicU64::new(0),
+            totals: DetectMetrics::default(),
         })
     }
 
@@ -260,9 +259,10 @@ mod imp {
             }
         }
         match kind {
-            ViolationKind::LockOrderCycle => st.cycles.fetch_add(1, Ordering::Relaxed),
-            _ => st.blocking.fetch_add(1, Ordering::Relaxed),
-        };
+            ViolationKind::LockOrderCycle => &st.totals.lock_order_cycles,
+            _ => &st.totals.blocking_violations,
+        }
+        .fetch_add(1, Ordering::Relaxed);
         let thread = std::thread::current();
         let detail = format!(
             "thread={} held=[{}]\nbacktrace:\n{}",
@@ -420,11 +420,7 @@ mod imp {
 
     /// Monotonic report totals.
     pub fn counters() -> Counters {
-        let st = state();
-        Counters {
-            lock_order_cycles: st.cycles.load(Ordering::Relaxed),
-            blocking_violations: st.blocking.load(Ordering::Relaxed),
-        }
+        state().totals.snapshot()
     }
 
     /// Every registered lock that declared a hold-across-blocking

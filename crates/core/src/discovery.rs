@@ -59,10 +59,10 @@ use crate::servants::value_to_link;
 use crate::value_map::value_to_strings;
 use crate::{WebfinditError, WfResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use webfindit_base::sync::Mutex;
 use webfindit_codb::{LinkEnd, ServiceLink};
-use webfindit_orb::OrbMetrics;
 use webfindit_wire::{Ior, Value};
 
 /// What a discovery found.
@@ -172,14 +172,34 @@ struct SiteAnswers {
     service_links: Option<Vec<ServiceLink>>,
 }
 
+webfindit_base::counter_set! {
+    /// What the discovery engines over one federation did: remote BFS
+    /// waves fanned out, and co-database answers served from cache.
+    pub struct DiscoveryMetrics => DiscoverySnapshot {
+        /// Discovery waves dispatched concurrently (one per remote BFS
+        /// level actually fanned out).
+        counter fanout_waves "waves",
+        /// Sites dispatched across all fanned-out waves.
+        counter fanout_sites "fanout sites",
+        /// Widest single wave observed.
+        peak fanout_peak_width "peak width",
+        /// Co-database answer-cache hits (answer reused under a matching
+        /// metadata version stamp).
+        counter codb_cache_hits "codb cache hits",
+        /// Co-database answer-cache misses (no entry, or the remote
+        /// version stamp moved).
+        counter codb_cache_misses "codb cache misses",
+    }
+}
+
 /// A per-site cache of co-database answers, keyed by version stamp.
 ///
 /// Every [`webfindit_codb::CoDatabase`] mutation bumps its version
 /// stamp; a cached answer is served only when a **live** `version` call
 /// on the site returns the stamp the answer was recorded under, so the
 /// cache can never hide a registration, a withdrawal, or a dead site.
-/// Hits and misses are counted in the client ORB's
-/// [`webfindit_orb::OrbMetrics`].
+/// Hits and misses are counted in the federation's
+/// [`DiscoveryMetrics`].
 #[derive(Debug, Default)]
 pub struct CodbAnswerCache {
     sites: Mutex<HashMap<String, SiteAnswers>>,
@@ -242,7 +262,7 @@ impl CodbAnswerCache {
 /// just returned.
 struct CachedSite<'a> {
     cache: &'a CodbAnswerCache,
-    metrics: &'a OrbMetrics,
+    metrics: &'a DiscoveryMetrics,
     key: String,
     version: u64,
 }
@@ -261,7 +281,11 @@ impl CachedSite<'_> {
         write: impl FnOnce(&mut SiteAnswers, T),
     ) -> WfResult<T> {
         let hit = self.cache.with_current(&self.key, self.version, read);
-        self.metrics.record_codb_cache(hit.is_some());
+        let counter = match hit {
+            Some(_) => &self.metrics.codb_cache_hits,
+            None => &self.metrics.codb_cache_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         if let Some(hit) = hit {
             return Ok(hit);
         }
@@ -426,7 +450,7 @@ impl DiscoveryEngine {
 
         let cached = CachedSite {
             cache: &self.codb_cache,
-            metrics: self.fed.client_orb().metrics(),
+            metrics: self.fed.discovery_metrics(),
             key: site.to_ascii_lowercase(),
             version,
         };
@@ -594,7 +618,7 @@ impl DiscoveryEngine {
         }
 
         // ---- levels 1..max_depth: remote co-databases, one wave each ----
-        let metrics = self.fed.client_orb().metrics();
+        let metrics = self.fed.discovery_metrics();
         for depth in 1..=self.max_depth {
             let wave: Vec<String> = frontier
                 .iter()
@@ -609,7 +633,12 @@ impl DiscoveryEngine {
                 visited.insert(site.to_ascii_lowercase());
             }
             stats.sites_visited += wave.len();
-            metrics.record_fanout_wave(wave.len() as u64);
+            let width = wave.len() as u64;
+            metrics.fanout_waves.fetch_add(1, Ordering::Relaxed);
+            metrics.fanout_sites.fetch_add(width, Ordering::Relaxed);
+            metrics
+                .fanout_peak_width
+                .fetch_max(width, Ordering::Relaxed);
 
             // Merge in wave order — the probes ran concurrently, the
             // outcome reads as if they ran one by one.
@@ -645,6 +674,23 @@ impl DiscoveryEngine {
 mod tests {
     use super::*;
     use webfindit_orb::OrbError;
+
+    #[test]
+    fn every_discovery_counter_is_listed_and_rendered_once() {
+        let m = DiscoveryMetrics::default();
+        let table = [
+            (&m.fanout_waves, "waves"),
+            (&m.fanout_sites, "fanout sites"),
+            (&m.fanout_peak_width, "peak width"),
+            (&m.codb_cache_hits, "codb cache hits"),
+            (&m.codb_cache_misses, "codb cache misses"),
+        ];
+        crate::trace::assert_listed_and_rendered_once(&table, || m.snapshot().iter());
+        // The peak is a max, not a sum: a delta carries the later mark.
+        let before = m.snapshot();
+        m.fanout_peak_width.fetch_max(2, Ordering::Relaxed);
+        assert_eq!(m.snapshot().since(&before).fanout_peak_width, 3);
+    }
 
     #[test]
     fn answer_cache_serves_only_matching_versions() {

@@ -15,7 +15,9 @@
 //! ORB invocations on the co-database servants, so the churn
 //! experiments can count its cost in IIOP round-trips.
 
+use crate::discovery::DiscoveryMetrics;
 use crate::docs::DocStore;
+use crate::fedquery::FedMetrics;
 use crate::servants::{link_to_value, CoDatabaseServant, IsiServant, StallGate};
 use crate::value_map::descriptor_to_value;
 use crate::{WebfinditError, WfResult};
@@ -132,6 +134,9 @@ pub struct SiteHandle {
     pub codb_ior: Ior,
     /// IOR of the information-source-interface servant.
     pub isi_ior: Ior,
+    /// The ISI servant itself: it owns the site's data-layer counters
+    /// and is re-activated as-is when its hosting ORB restarts.
+    pub isi: Arc<IsiServant>,
     /// The full advertisement descriptor.
     pub descriptor: InformationSource,
     /// Shared stall gate of the co-database servant (chaos hook).
@@ -162,6 +167,10 @@ pub struct Federation {
     /// ORBs currently killed by a chaos plan (kill is idempotent;
     /// restart only brings back what kill took down).
     downed_orbs: RwLock<BTreeSet<String>>,
+    /// Counters of every discovery engine run over this federation.
+    discovery_metrics: DiscoveryMetrics,
+    /// Counters of every federated executor run over this federation.
+    fed_metrics: FedMetrics,
 }
 
 impl Federation {
@@ -195,6 +204,8 @@ impl Federation {
             ior_cache: IorCache::new(std::time::Duration::from_secs(30)),
             call_options: RwLock::new(CallOptions::default()),
             downed_orbs: RwLock::new(BTreeSet::new()),
+            discovery_metrics: DiscoveryMetrics::default(),
+            fed_metrics: FedMetrics::default(),
         }))
     }
 
@@ -221,6 +232,18 @@ impl Federation {
     /// The ORB the query layer uses for its outgoing invocations.
     pub fn client_orb(&self) -> &Arc<Orb> {
         &self.bootstrap_orb
+    }
+
+    /// Fan-out and answer-cache counters, bumped by every
+    /// [`crate::DiscoveryEngine`] over this federation.
+    pub fn discovery_metrics(&self) -> &DiscoveryMetrics {
+        &self.discovery_metrics
+    }
+
+    /// Federated-query counters, bumped by every
+    /// [`crate::FedExecutor`] over this federation.
+    pub fn fed_metrics(&self) -> &FedMetrics {
+        &self.fed_metrics
     }
 
     /// The per-call policy applied to the federation's invocations.
@@ -352,13 +375,10 @@ impl Federation {
         );
         let isi_stall = StallGate::new();
         let isi_key = format!("isi/{}", spec.name);
-        let isi_ior = orb.activate(
-            isi_key.as_bytes().to_vec(),
-            Arc::new(
-                IsiServant::with_metrics(Arc::clone(&self.manager), url.clone(), orb.metrics_arc())
-                    .with_gate(isi_stall.clone()),
-            ),
+        let isi = Arc::new(
+            IsiServant::new(Arc::clone(&self.manager), url.clone()).with_gate(isi_stall.clone()),
         );
+        let isi_ior = orb.activate(isi_key.as_bytes().to_vec(), Arc::clone(&isi) as _);
 
         // Bind both servants in the naming service, over the wire.
         let nc = self.naming_client();
@@ -374,6 +394,7 @@ impl Federation {
             codb,
             codb_ior,
             isi_ior,
+            isi,
             descriptor,
             stall,
             isi_stall,
@@ -700,17 +721,7 @@ impl Federation {
                 )),
             );
             let isi_key = format!("isi/{}", site.name);
-            orb.activate(
-                isi_key.as_bytes().to_vec(),
-                Arc::new(
-                    IsiServant::with_metrics(
-                        Arc::clone(&self.manager),
-                        site.url.clone(),
-                        orb.metrics_arc(),
-                    )
-                    .with_gate(site.isi_stall.clone()),
-                ),
-            );
+            orb.activate(isi_key.as_bytes().to_vec(), Arc::clone(&site.isi) as _);
         }
         self.orbs.write().insert(name.to_owned(), orb);
         Ok(true)

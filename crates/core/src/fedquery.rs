@@ -38,6 +38,7 @@ use crate::federation::Federation;
 use crate::trace::{Layer, Trace};
 use crate::value_map::value_to_strings;
 use crate::{Lead, WebfinditError, WfResult};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use webfindit_tassili::ast::{Arg, FedScope, Literal, Predicate, SemiJoin, Statement};
 use webfindit_tassili::translate::{access_call_to_oql, access_call_to_sql};
@@ -116,6 +117,31 @@ impl FedPlan {
             out.push(format!("  Skip @ {site}: {why}"));
         }
         out
+    }
+}
+
+webfindit_base::counter_set! {
+    /// Totals over every federated query the executors of one
+    /// federation ran — [`FedStats`] summed, plus the degradations.
+    pub struct FedMetrics => FedSnapshot {
+        /// Federated queries planned and executed (each fans out one
+        /// subquery per member site).
+        counter queries "fed queries",
+        /// Per-site subqueries shipped.
+        counter subqueries "subqueries",
+        /// Member sites that answered their shipped subquery.
+        counter sites_answered "sites answered",
+        /// Member sites that degraded (timeout, kill, open breaker)
+        /// instead of answering; their absence is reported, not fatal.
+        counter sites_degraded "sites degraded",
+        /// Rows returned over the wire by answering member sites.
+        counter rows_shipped "rows shipped",
+        /// Approximate bytes of those shipped rows.
+        counter bytes_shipped "bytes shipped",
+        /// Rows surviving the coordinator's merge (dedup/limit applied).
+        counter rows_merged "rows merged",
+        /// Semi-join build keys shipped to probe sites as IN-list values.
+        counter keys_shipped "keys shipped",
     }
 }
 
@@ -435,7 +461,7 @@ impl FedExecutor {
         stats: &mut FedStats,
         degraded: &mut Vec<SiteFailure>,
     ) -> Vec<(String, Shipped)> {
-        let metrics = self.fed.client_orb().metrics();
+        let metrics = self.fed.fed_metrics();
         stats.subqueries_shipped += wave.len() as u64;
         let results = crate::wave::run_ordered(
             wave,
@@ -451,11 +477,13 @@ impl FedExecutor {
                     stats.sites_answered += 1;
                     stats.rows_shipped += s.rows.len() as u64;
                     stats.bytes_shipped += s.bytes;
-                    metrics.record_fed_site(true, s.rows.len() as u64, s.bytes);
+                    metrics.sites_answered.fetch_add(1, Relaxed);
+                    metrics.rows_shipped.fetch_add(s.rows.len() as u64, Relaxed);
+                    metrics.bytes_shipped.fetch_add(s.bytes, Relaxed);
                     answered.push((site, s));
                 }
                 Err(e) => {
-                    metrics.record_fed_site(false, 0, 0);
+                    metrics.sites_degraded.fetch_add(1, Relaxed);
                     degraded.push(SiteFailure {
                         site,
                         distance: 0,
@@ -480,7 +508,7 @@ impl FedExecutor {
         let call = fed_parts(stmt)?;
         let (members, mut degraded) = self.resolve_members(engine, origin_site, call.scope)?;
         let mut stats = FedStats::default();
-        let metrics = self.fed.client_orb().metrics();
+        let metrics = self.fed.fed_metrics();
 
         // ---- semi-join build phase ---------------------------------
         let mut extra: Option<Predicate> = None;
@@ -561,17 +589,22 @@ impl FedExecutor {
             rows.truncate(n as usize);
         }
         stats.rows_merged = rows.len() as u64;
-        metrics.record_fed_query(stats.subqueries_shipped, stats.keys_shipped);
-        metrics.record_fed_merge(stats.rows_merged);
+        metrics.queries.fetch_add(1, Relaxed);
+        metrics
+            .subqueries
+            .fetch_add(stats.subqueries_shipped, Relaxed);
+        metrics.keys_shipped.fetch_add(stats.keys_shipped, Relaxed);
+        metrics.rows_merged.fetch_add(stats.rows_merged, Relaxed);
         if let Some(t) = trace {
-            t.fed_event(
+            t.counters(
+                Layer::Query,
                 format!(
                     "merged {} row(s) from {}/{} member(s)",
                     rows.len(),
                     per_site.len(),
                     stats.sites_targeted
                 ),
-                metrics,
+                metrics.snapshot().iter(),
             );
         }
         Ok(FedOutcome {
@@ -644,6 +677,22 @@ fn key_literal(cell: &Value) -> Option<Literal> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_fed_counter_is_listed_and_rendered_once() {
+        let m = FedMetrics::default();
+        let table = [
+            (&m.queries, "fed queries"),
+            (&m.subqueries, "subqueries"),
+            (&m.sites_answered, "sites answered"),
+            (&m.sites_degraded, "sites degraded"),
+            (&m.rows_shipped, "rows shipped"),
+            (&m.bytes_shipped, "bytes shipped"),
+            (&m.rows_merged, "rows merged"),
+            (&m.keys_shipped, "keys shipped"),
+        ];
+        crate::trace::assert_listed_and_rendered_once(&table, || m.snapshot().iter());
+    }
 
     #[test]
     fn type_key_normalizes_case_and_plural() {

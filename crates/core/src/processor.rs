@@ -195,13 +195,19 @@ impl Processor {
             Statement::FindCoalitions { topic } => {
                 let outcome = self.engine.find(&session.site, topic)?;
                 if let Some(t) = trace.as_deref_mut() {
-                    t.discovery_event(
+                    t.counters(
+                        Layer::Query,
                         format!(
                             "discovery visited {} co-database(s), {} round-trips",
                             outcome.stats.sites_visited,
                             outcome.stats.total_round_trips()
                         ),
-                        self.fed.client_orb().metrics(),
+                        self.fed.discovery_metrics().snapshot().iter(),
+                    );
+                    t.counters(
+                        Layer::Communication,
+                        "IIOP traffic of the client ORB so far",
+                        self.fed.client_orb().metrics().snapshot().iter(),
                     );
                 }
                 session.last_leads = outcome.leads.clone();
@@ -232,9 +238,10 @@ impl Processor {
             Statement::ConnectToCoalition { name } => {
                 let via_site = self.locate_coalition(session, name)?;
                 if let Some(t) = trace.as_deref_mut() {
-                    t.channel_event(
+                    t.counters(
+                        Layer::Communication,
                         format!("bound to co-database of {via_site}"),
-                        self.fed.client_orb().metrics(),
+                        self.fed.client_orb().metrics().snapshot().iter(),
                     );
                 }
                 session.coalition = Some((name.clone(), via_site.clone()));
@@ -495,22 +502,20 @@ impl Processor {
     ) -> WfResult<Response> {
         let ior = self.isi_ior_of(instance)?;
         if let Some(t) = trace.as_deref_mut() {
-            t.channel_event(
+            t.counters(
+                Layer::Communication,
                 format!("GIOP request execute → isi/{instance}"),
-                self.fed.client_orb().metrics(),
+                self.fed.client_orb().metrics().snapshot().iter(),
             );
         }
         let v = self.fed.invoke(&ior, "execute", &[Value::string(query)])?;
         if let Some(t) = trace {
-            // The ISI reports its execution counters into the hosting
-            // ORB's metrics; annotate the Data-layer event with them.
-            let hosting_orb = self
-                .fed
-                .site(instance)
-                .and_then(|s| self.fed.orb(&s.orb_name));
-            match hosting_orb {
-                Ok(orb) => t.data_event("native query executed by the wrapper", orb.metrics()),
-                Err(_) => t.event(Layer::Data, "native query executed by the wrapper"),
+            // The site's ISI servant counts the data-layer work it does;
+            // annotate the Data-layer event with its totals.
+            let message = "native query executed by the wrapper";
+            match self.fed.site(instance) {
+                Ok(site) => t.counters(Layer::Data, message, site.isi.metrics().snapshot().iter()),
+                Err(_) => t.event(Layer::Data, message),
             }
         }
         self.decode_isi_output(&v)

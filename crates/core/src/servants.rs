@@ -10,6 +10,7 @@ use crate::value_map::{
     descriptor_to_value, ovalue_to_value, result_set_to_value, strings_to_value,
     value_to_descriptor,
 };
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use webfindit_base::sync::RwLock;
 use webfindit_codb::{CoDatabase, LinkEnd, ServiceLink};
@@ -306,6 +307,32 @@ impl Servant for CoDatabaseServant {
     }
 }
 
+webfindit_base::counter_set! {
+    /// Data-layer work one [`IsiServant`] did on behalf of its callers,
+    /// in the paradigm-neutral vocabulary the connect layer reports
+    /// per statement ([`webfindit_connect::DataMetrics`]).
+    pub struct IsiMetrics => IsiSnapshot {
+        /// Rows (or objects) read from storage.
+        counter rows_scanned "rows scanned",
+        /// Approximate bytes of those rows.
+        counter bytes_scanned "bytes scanned",
+        /// Index entries hit (point lookups, range scans, index join
+        /// probes).
+        counter index_hits "index hits",
+        /// Rows materialized by blocking operators (sorts, aggregation).
+        counter rows_spilled "rows spilled",
+        /// Write-ahead-log records appended by a durable store.
+        counter wal_appends "wal appends",
+        /// Snapshot/checkpoint pages written back by a durable store.
+        counter pages_flushed "pages flushed",
+        /// WAL records replayed (REDO) during crash recovery.
+        counter recovery_redo "redo",
+        /// Loser-transaction records rolled back (UNDO) during crash
+        /// recovery.
+        counter recovery_undo "undo",
+    }
+}
+
 /// The Information Source Interface servant — the paper's wrapper.
 ///
 /// Each invocation opens a connection through the driver manager (the
@@ -315,7 +342,7 @@ impl Servant for CoDatabaseServant {
 pub struct IsiServant {
     manager: Arc<DriverManager>,
     url: String,
-    metrics: Option<Arc<webfindit_orb::OrbMetrics>>,
+    metrics: IsiMetrics,
     stall: StallGate,
 }
 
@@ -325,24 +352,14 @@ impl IsiServant {
         IsiServant {
             manager,
             url: url.into(),
-            metrics: None,
+            metrics: IsiMetrics::default(),
             stall: StallGate::new(),
         }
     }
 
-    /// Create an ISI that reports data-layer execution counters into
-    /// the hosting ORB's metrics after each query.
-    pub fn with_metrics(
-        manager: Arc<DriverManager>,
-        url: impl Into<String>,
-        metrics: Arc<webfindit_orb::OrbMetrics>,
-    ) -> IsiServant {
-        IsiServant {
-            manager,
-            url: url.into(),
-            metrics: Some(metrics),
-            stall: StallGate::new(),
-        }
+    /// The data-layer work this wrapper's queries have done so far.
+    pub fn metrics(&self) -> &IsiMetrics {
+        &self.metrics
     }
 
     /// Attach a shared stall gate (chaos hook / WAN-latency shaping in
@@ -361,19 +378,21 @@ impl IsiServant {
     }
 
     fn report_data_metrics(&self, conn: &CompensatingConnection) {
-        if let (Some(orb), Some(m)) = (&self.metrics, conn.last_data_metrics()) {
-            orb.record_query_exec(
-                m.rows_scanned,
-                m.bytes_scanned,
-                m.index_hits,
-                m.rows_spilled,
-            );
-            orb.record_durability(
-                m.wal_appends,
-                m.pages_flushed,
-                m.recovery_redo,
-                m.recovery_undo,
-            );
+        let Some(m) = conn.last_data_metrics() else {
+            return;
+        };
+        let total = &self.metrics;
+        for (counter, n) in [
+            (&total.rows_scanned, m.rows_scanned),
+            (&total.bytes_scanned, m.bytes_scanned),
+            (&total.index_hits, m.index_hits),
+            (&total.rows_spilled, m.rows_spilled),
+            (&total.wal_appends, m.wal_appends),
+            (&total.pages_flushed, m.pages_flushed),
+            (&total.recovery_redo, m.recovery_redo),
+            (&total.recovery_undo, m.recovery_undo),
+        ] {
+            counter.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -567,6 +586,22 @@ mod tests {
     }
 
     #[test]
+    fn every_isi_counter_is_listed_and_rendered_once() {
+        let m = IsiMetrics::default();
+        let table = [
+            (&m.rows_scanned, "rows scanned"),
+            (&m.bytes_scanned, "bytes scanned"),
+            (&m.index_hits, "index hits"),
+            (&m.rows_spilled, "rows spilled"),
+            (&m.wal_appends, "wal appends"),
+            (&m.pages_flushed, "pages flushed"),
+            (&m.recovery_redo, "redo"),
+            (&m.recovery_undo, "undo"),
+        ];
+        crate::trace::assert_listed_and_rendered_once(&table, || m.snapshot().iter());
+    }
+
+    #[test]
     fn metadata_operations() {
         let s = codb_servant();
         let coalitions = s
@@ -734,12 +769,7 @@ mod tests {
             Database::open_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>, "RBH", Dialect::Oracle).unwrap();
         registry.register_relational("oracle", "RBH", db);
         let manager = Arc::new(standard_manager(Arc::clone(&registry)));
-        let orb_metrics = Arc::new(webfindit_orb::OrbMetrics::default());
-        let isi = IsiServant::with_metrics(
-            manager,
-            "jdbc:oracle://dba.icis.qut.edu.au/RBH",
-            Arc::clone(&orb_metrics),
-        );
+        let isi = IsiServant::new(manager, "jdbc:oracle://dba.icis.qut.edu.au/RBH");
         assert!(isi.operations().contains(&"commit".to_string()));
 
         isi.invoke(
@@ -766,8 +796,8 @@ mod tests {
         .unwrap();
         isi.invoke("rollback", &[]).unwrap();
         assert!(
-            orb_metrics.snapshot().data_wal_appends > 0,
-            "durability work must reach the ORB metrics"
+            isi.metrics().snapshot().wal_appends > 0,
+            "durability work must reach the wrapper's counters"
         );
 
         assert!(registry.crash_relational("oracle", "RBH"));

@@ -74,196 +74,24 @@ impl Trace {
         });
     }
 
-    /// Record a Communication-layer event annotated with the live state
-    /// of the IIOP channel layer — the in-flight gauge, the timeout,
-    /// retry, and eviction counters, and the circuit-breaker transition
-    /// counters — so a rendered trace shows what the multiplexed
-    /// channels were doing (and which endpoints were being shed) at
-    /// that moment.
-    pub fn channel_event(
+    /// Record an event in `layer` annotated with a counter set: every
+    /// `(label, value)` pair of a `counter_set!` snapshot's `iter()`,
+    /// in declaration order, as `message [label value, label value]`.
+    /// Each layer passes the set it owns — the ORB's traffic counters,
+    /// discovery's fan-out and cache counters, the coordinator's
+    /// federated counters, a site's data-layer counters — so a
+    /// rendered trace shows every statistic that layer records.
+    pub fn counters(
         &mut self,
+        layer: Layer,
         message: impl Into<String>,
-        metrics: &webfindit_orb::OrbMetrics,
+        counters: impl IntoIterator<Item = (&'static str, u64)>,
     ) {
-        let m = metrics.snapshot();
-        self.event(
-            Layer::Communication,
-            format!(
-                "{} [in-flight {}, timeouts {}, retries {}, evictions {}, \
-                 breaker opened {}/probes {}/closed {}/rejected {}, \
-                 ior cache {}h/{}m/{}inv, codb cache {}h/{}m]",
-                message.into(),
-                m.in_flight,
-                m.timeouts,
-                m.retries,
-                m.evictions,
-                m.breaker_opened,
-                m.breaker_probes,
-                m.breaker_closed,
-                m.breaker_rejections,
-                m.ior_cache_hits,
-                m.ior_cache_misses,
-                m.ior_cache_invalidations,
-                m.codb_cache_hits,
-                m.codb_cache_misses
-            ),
-        );
-    }
-
-    /// Record a Query-layer event annotated with the discovery fanout
-    /// and metadata-cache state: how many parallel waves were
-    /// dispatched, over how many sites, the widest wave, and the
-    /// IOR/co-database cache hit ratios — the knobs behind the
-    /// parallel-discovery experiment (E8).
-    pub fn discovery_event(
-        &mut self,
-        message: impl Into<String>,
-        metrics: &webfindit_orb::OrbMetrics,
-    ) {
-        let m = metrics.snapshot();
-        self.event(
-            Layer::Query,
-            format!(
-                "{} [waves {}, fanout sites {}, peak width {}, \
-                 ior cache {}h/{}m/{}inv, codb cache {}h/{}m]",
-                message.into(),
-                m.fanout_waves,
-                m.fanout_sites,
-                m.fanout_peak_width,
-                m.ior_cache_hits,
-                m.ior_cache_misses,
-                m.ior_cache_invalidations,
-                m.codb_cache_hits,
-                m.codb_cache_misses
-            ),
-        );
-    }
-
-    /// Record a Data-layer event annotated with the data-layer
-    /// execution counters the wrappers report through
-    /// [`webfindit_orb::OrbMetrics::record_query_exec`]: rows and bytes
-    /// scanned, index hits, and rows spilled to sorts/aggregation —
-    /// plus the durability counters mirrored through
-    /// [`webfindit_orb::OrbMetrics::record_durability`]: WAL appends,
-    /// checkpoint pages flushed, and records replayed/rolled back by
-    /// crash recovery — so a rendered trace shows how much storage work
-    /// the member databases did, the way it already shows channel and
-    /// discovery work.
-    pub fn data_event(&mut self, message: impl Into<String>, metrics: &webfindit_orb::OrbMetrics) {
-        let m = metrics.snapshot();
-        self.event(
-            Layer::Data,
-            format!(
-                "{} [rows scanned {}, bytes {}, index hits {}, spilled {}, \
-                 wal appends {}, pages flushed {}, redo {}, undo {}]",
-                message.into(),
-                m.data_rows_scanned,
-                m.data_bytes_scanned,
-                m.data_index_hits,
-                m.data_rows_spilled,
-                m.data_wal_appends,
-                m.data_pages_flushed,
-                m.data_recovery_redo,
-                m.data_recovery_undo
-            ),
-        );
-    }
-
-    /// Record a Query-layer event annotated with the federated-query
-    /// counters the coordinator reports through
-    /// [`webfindit_orb::OrbMetrics::record_fed_query`],
-    /// [`webfindit_orb::OrbMetrics::record_fed_site`], and
-    /// [`webfindit_orb::OrbMetrics::record_fed_merge`]: queries fanned
-    /// out, per-site subqueries shipped, sites that answered vs
-    /// degraded, rows and bytes shipped over the wire, rows surviving
-    /// the merge, and semi-join keys shipped — so a rendered trace
-    /// shows the shape of a cross-site fan-out the way it already shows
-    /// discovery waves.
-    pub fn fed_event(&mut self, message: impl Into<String>, metrics: &webfindit_orb::OrbMetrics) {
-        let m = metrics.snapshot();
-        self.event(
-            Layer::Query,
-            format!(
-                "{} [fed queries {}, subqueries {}, sites {}ok/{}deg, \
-                 rows {}shipped/{}merged, bytes shipped {}, keys shipped {}]",
-                message.into(),
-                m.fed_queries,
-                m.fed_subqueries,
-                m.fed_sites_answered,
-                m.fed_sites_degraded,
-                m.fed_rows_shipped,
-                m.fed_rows_merged,
-                m.fed_bytes_shipped,
-                m.fed_keys_shipped
-            ),
-        );
-    }
-
-    /// Record a Communication-layer event annotated with the GIOP
-    /// transport totals: request/reply traffic (sent, served, local
-    /// short-circuits), raw bytes on the wire in both directions,
-    /// exception and LocateReply counts, replies that arrived after
-    /// their caller gave up, the fragmentation counters (replies split,
-    /// fragments sent and reassembled), and the reactor's backpressure
-    /// pauses — the wire-level half of the Communication layer the
-    /// breaker-centric [`Trace::channel_event`] does not cover.
-    pub fn transport_event(
-        &mut self,
-        message: impl Into<String>,
-        metrics: &webfindit_orb::OrbMetrics,
-    ) {
-        let m = metrics.snapshot();
-        self.event(
-            Layer::Communication,
-            format!(
-                "{} [requests {}s/{}r, local {}, bytes {}out/{}in, \
-                 exceptions {}, locates {}, late {}, \
-                 fragmented {}/{}sent/{}reasm, backpressure {}]",
-                message.into(),
-                m.requests_sent,
-                m.requests_served,
-                m.local_dispatches,
-                m.bytes_sent,
-                m.bytes_received,
-                m.exceptions_sent,
-                m.locates_served,
-                m.late_replies,
-                m.fragmented_replies,
-                m.fragments_sent,
-                m.fragments_reassembled,
-                m.backpressure_pauses
-            ),
-        );
-    }
-
-    /// Record a Communication-layer event annotated with the
-    /// concurrency-analysis state: the `deadlock-detect` detector's
-    /// report totals (after mirroring them into `metrics` via
-    /// [`webfindit_orb::OrbMetrics::sync_analysis`]) and whether the
-    /// detector is compiled in at all — so a rendered trace from an
-    /// instrumented run shows at a glance if the workload tripped any
-    /// lock-order or hold-across-blocking rule.
-    pub fn analysis_event(
-        &mut self,
-        message: impl Into<String>,
-        metrics: &webfindit_orb::OrbMetrics,
-    ) {
-        metrics.sync_analysis();
-        let m = metrics.snapshot();
-        self.event(
-            Layer::Communication,
-            format!(
-                "{} [detector {}, lock-order cycles {}, blocking violations {}]",
-                message.into(),
-                if webfindit_base::sync::detect::enabled() {
-                    "on"
-                } else {
-                    "off"
-                },
-                m.analysis_lock_cycles,
-                m.analysis_blocking_violations
-            ),
-        );
+        let listed: Vec<String> = counters
+            .into_iter()
+            .map(|(label, value)| format!("{label} {value}"))
+            .collect();
+        self.event(layer, format!("{} [{}]", message.into(), listed.join(", ")));
     }
 
     /// The collected events.
@@ -293,10 +121,35 @@ impl Trace {
     }
 }
 
+/// Test support for the modules that declare a counter set: give every
+/// counter in `table` a distinct value, then check that the snapshot
+/// `list`s each one exactly once under its label, in table order, and
+/// that a trace renders exactly that listing.
+#[cfg(test)]
+pub(crate) fn assert_listed_and_rendered_once<I>(
+    table: &[(&std::sync::atomic::AtomicU64, &'static str)],
+    list: impl Fn() -> I,
+) where
+    I: Iterator<Item = (&'static str, u64)>,
+{
+    let mut expected = Vec::new();
+    for ((counter, label), value) in table.iter().zip(1..) {
+        counter.store(value, std::sync::atomic::Ordering::Relaxed);
+        expected.push((*label, value));
+    }
+    assert_eq!(list().collect::<Vec<_>>(), expected);
+    let mut t = Trace::new();
+    t.counters(Layer::Query, "set", list());
+    let rendered = t.render();
+    let bracket = rendered.trim_end().strip_prefix("[query] set [").unwrap();
+    let pairs: Vec<&str> = bracket.strip_suffix(']').unwrap().split(", ").collect();
+    let wanted: Vec<String> = expected.iter().map(|(l, v)| format!("{l} {v}")).collect();
+    assert_eq!(pairs, wanted);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
 
     #[test]
     fn events_keep_order_and_layer() {
@@ -316,84 +169,16 @@ mod tests {
     }
 
     #[test]
-    fn data_event_reports_exec_counters() {
-        let metrics = webfindit_orb::OrbMetrics::default();
-        metrics.record_query_exec(40, 1024, 3, 5);
-        metrics.record_durability(7, 2, 19, 1);
+    fn counters_render_each_pair_once_in_order() {
         let mut t = Trace::new();
-        t.data_event("SQL executed by the wrapper", &metrics);
-        let rendered = t.render();
-        assert!(rendered.contains("[data] SQL executed by the wrapper"));
-        assert!(rendered.contains("rows scanned 40"));
-        assert!(rendered.contains("index hits 3"));
-        assert!(rendered.contains("spilled 5"));
-        assert!(rendered.contains("wal appends 7"));
-        assert!(rendered.contains("pages flushed 2"));
-        assert!(rendered.contains("redo 19"));
-        assert!(rendered.contains("undo 1"));
-    }
-
-    #[test]
-    fn fed_event_reports_federation_counters() {
-        let metrics = webfindit_orb::OrbMetrics::default();
-        metrics.record_fed_query(3, 8);
-        metrics.record_fed_site(true, 20, 400);
-        metrics.record_fed_site(false, 0, 0);
-        metrics.record_fed_merge(20);
-        let mut t = Trace::new();
-        t.fed_event("federated fan-out merged", &metrics);
-        let rendered = t.render();
-        assert!(rendered.contains("[query] federated fan-out merged"));
-        assert!(rendered.contains("fed queries 1"));
-        assert!(rendered.contains("subqueries 3"));
-        assert!(rendered.contains("sites 1ok/1deg"));
-        assert!(rendered.contains("rows 20shipped/20merged"));
-        assert!(rendered.contains("bytes shipped 400"));
-        assert!(rendered.contains("keys shipped 8"));
-    }
-
-    #[test]
-    fn transport_event_reports_wire_counters() {
-        let metrics = webfindit_orb::OrbMetrics::default();
-        metrics.requests_sent.fetch_add(3, Ordering::Relaxed);
-        metrics.requests_served.fetch_add(2, Ordering::Relaxed);
-        metrics.local_dispatches.fetch_add(1, Ordering::Relaxed);
-        metrics.bytes_sent.fetch_add(512, Ordering::Relaxed);
-        metrics.bytes_received.fetch_add(256, Ordering::Relaxed);
-        metrics.exceptions_sent.fetch_add(1, Ordering::Relaxed);
-        metrics.locates_served.fetch_add(4, Ordering::Relaxed);
-        metrics.late_replies.fetch_add(1, Ordering::Relaxed);
-        metrics.fragmented_replies.fetch_add(1, Ordering::Relaxed);
-        metrics.fragments_sent.fetch_add(6, Ordering::Relaxed);
-        metrics
-            .fragments_reassembled
-            .fetch_add(6, Ordering::Relaxed);
-        metrics.backpressure_pauses.fetch_add(2, Ordering::Relaxed);
-        let mut t = Trace::new();
-        t.transport_event("GIOP reply flushed", &metrics);
-        let rendered = t.render();
-        assert!(rendered.contains("[communication] GIOP reply flushed"));
-        assert!(rendered.contains("requests 3s/2r"));
-        assert!(rendered.contains("local 1"));
-        assert!(rendered.contains("bytes 512out/256in"));
-        assert!(rendered.contains("exceptions 1"));
-        assert!(rendered.contains("locates 4"));
-        assert!(rendered.contains("late 1"));
-        assert!(rendered.contains("fragmented 1/6sent/6reasm"));
-        assert!(rendered.contains("backpressure 2"));
-    }
-
-    #[test]
-    fn analysis_event_reports_detector_state() {
-        let metrics = webfindit_orb::OrbMetrics::default();
-        let mut t = Trace::new();
-        t.analysis_event("post-discovery check", &metrics);
-        let rendered = t.render();
-        assert!(rendered.contains("post-discovery check"));
-        assert!(rendered.contains("lock-order cycles"));
-        // Without the feature the detector reports "off" and zeros; an
-        // instrumented clean run reports "on" and still zeros.
-        assert!(rendered.contains("cycles 0"));
-        assert!(rendered.contains("violations 0"));
+        t.counters(
+            Layer::Data,
+            "SQL executed by the wrapper",
+            [("rows scanned", 40), ("index hits", 3), ("undo", 1)],
+        );
+        assert_eq!(
+            t.render(),
+            "    [data] SQL executed by the wrapper [rows scanned 40, index hits 3, undo 1]\n"
+        );
     }
 }

@@ -310,7 +310,7 @@ fn killed_member_degrades_instead_of_failing_the_query() {
 }
 
 #[test]
-fn federated_counters_reach_the_client_orb_and_trace() {
+fn federated_counters_reach_the_federation_and_trace() {
     let dep = build_healthcare(1999).unwrap();
     let processor = Processor::new(dep.fed.clone());
     let mut session = BrowserSession::new("QUT Research");
@@ -319,13 +319,13 @@ fn federated_counters_reach_the_client_orb_and_trace() {
         .submit(&mut session, SEMI_JOIN, Some(&mut trace))
         .unwrap();
     assert!(matches!(resp, Response::Federated(_)));
-    let m = dep.fed.client_orb().metrics().snapshot();
-    assert_eq!(m.fed_queries, 1);
-    assert!(m.fed_subqueries >= 2, "build + probe subqueries: {m:?}");
-    assert!(m.fed_sites_answered >= 2);
-    assert!(m.fed_rows_shipped > 0);
-    assert!(m.fed_bytes_shipped > 0);
-    assert!(m.fed_keys_shipped > 0);
+    let m = dep.fed.fed_metrics().snapshot();
+    assert_eq!(m.queries, 1);
+    assert!(m.subqueries >= 2, "build + probe subqueries: {m:?}");
+    assert!(m.sites_answered >= 2);
+    assert!(m.rows_shipped > 0);
+    assert!(m.bytes_shipped > 0);
+    assert!(m.keys_shipped > 0);
     let rendered = trace.render();
     assert!(rendered.contains("semi-join build"), "{rendered}");
     assert!(rendered.contains("keys shipped"), "{rendered}");

@@ -466,11 +466,18 @@ fn parallel_discovery_matches_serial_across_the_topology() {
         );
     }
 
-    // The fanout and cache counters behind E8 are live on the client ORB.
-    let m = dep.fed.client_orb().metrics().snapshot();
+    // The fanout and cache counters behind E8 are live where they are
+    // bumped: discovery's on the federation, the IOR cache's on the
+    // client ORB.
+    let m = dep.fed.discovery_metrics().snapshot();
     assert!(m.fanout_waves > 0, "remote waves were dispatched");
     assert!(m.fanout_peak_width > 1, "waves actually fanned out");
+    assert!(
+        m.fanout_waves > 1 && m.fanout_peak_width < m.fanout_sites,
+        "peak is a max, not a sum: {m:?}"
+    );
     assert!(m.codb_cache_hits > 0, "warm runs hit the metadata cache");
+    let m = dep.fed.client_orb().metrics().snapshot();
     assert!(m.ior_cache_hits > 0, "repeat resolutions hit the IOR cache");
     dep.fed.shutdown();
 }

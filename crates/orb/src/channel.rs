@@ -24,7 +24,7 @@
 //!   blind resend can execute a non-idempotent operation twice.
 
 use crate::chaos::ChaosRegistry;
-use crate::metrics::OrbMetrics;
+use crate::metrics::{EndpointLatency, LatencyMetrics, OrbMetrics};
 use crate::OrbError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -393,6 +393,7 @@ pub struct IiopChannel {
     endpoint: (String, u16),
     order: ByteOrder,
     metrics: Arc<OrbMetrics>,
+    latency: LatencyMetrics,
     conns: Mutex<Vec<Arc<MuxConn>>>,
     max_conns: usize,
     breaker: Breaker,
@@ -417,6 +418,7 @@ impl IiopChannel {
             endpoint,
             order,
             metrics,
+            latency: LatencyMetrics::default(),
             conns: Mutex::new_labeled(Vec::new(), "orb::IiopChannel.conns"),
             max_conns: max_conns.max(1),
             breaker: Breaker::new(breaker),
@@ -428,6 +430,11 @@ impl IiopChannel {
     /// Current state of this endpoint's circuit breaker.
     pub fn breaker_state(&self) -> BreakerState {
         self.breaker.state()
+    }
+
+    /// Reply latency of the round-trips this channel completed.
+    pub fn latency(&self) -> EndpointLatency {
+        self.latency.snapshot()
     }
 
     /// Number of currently live multiplexed connections.
@@ -599,7 +606,7 @@ impl IiopChannel {
         // the reader thread before we would otherwise get back here.
         let (tx, rx) = sync_channel::<ReplyOutcome>(1);
         conn.pending.lock().insert(request_id, tx);
-        self.metrics.gauge_add(&self.metrics.in_flight, 1);
+        self.metrics.add(&self.metrics.in_flight, 1);
         let started = Instant::now();
 
         let sent = {
@@ -632,8 +639,7 @@ impl IiopChannel {
 
         match outcome {
             Ok(ReplyOutcome::Message(msg)) => {
-                self.metrics
-                    .record_latency(&self.endpoint, started.elapsed());
+                self.latency.record(started.elapsed());
                 Ok(msg)
             }
             Ok(ReplyOutcome::ClosedUnprocessed) => Err(CallFailure {
@@ -653,8 +659,7 @@ impl IiopChannel {
                 let raced = conn.pending.lock().remove(&request_id).is_none();
                 if raced {
                     if let Ok(ReplyOutcome::Message(msg)) = rx.try_recv() {
-                        self.metrics
-                            .record_latency(&self.endpoint, started.elapsed());
+                        self.latency.record(started.elapsed());
                         return Ok(msg);
                     }
                 }

@@ -38,7 +38,7 @@ pub use adapter::ObjectAdapter;
 pub use channel::{BreakerConfig, BreakerState, CallOptions, IiopChannel, RetryPolicy};
 pub use chaos::{ChaosAction, ChaosEvent, ChaosHost, ChaosPlan, ChaosRegistry, ChaosTargets};
 pub use domain::OrbDomain;
-pub use metrics::{EndpointLatency, OrbMetrics};
+pub use metrics::{EndpointLatency, OrbMetrics, OrbSnapshot};
 pub use naming::{IorCache, NamingClient, NamingService};
 pub use orb::{Orb, OrbConfig};
 pub use servant::{Servant, ServantError};

@@ -5,147 +5,103 @@
 //! argues about qualitatively. Counters are lock-free atomics so that
 //! the measurement does not perturb the measured path.
 //!
-//! The multiplexed channel layer adds liveness metrics: an in-flight
-//! gauge, deadline/retry/eviction counters, and per-endpoint latency
-//! accumulators (updated under a mutex, off the reader thread's
-//! demultiplexing path).
+//! This set holds only what the communication layer itself increments
+//! (`orb.rs`, `channel.rs`, `reactor.rs`, `naming.rs`); the layers
+//! above declare their own sets next to the code that bumps them.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use webfindit_base::sync::Mutex;
+use webfindit_base::counter_set;
 
-/// Monotonic traffic counters for one ORB instance.
-#[derive(Default, Debug)]
-pub struct OrbMetrics {
-    /// GIOP Requests sent by this ORB acting as a client.
-    pub requests_sent: AtomicU64,
-    /// GIOP Requests served by this ORB's adapter (arrived via IIOP).
-    pub requests_served: AtomicU64,
-    /// Invocations short-circuited because the target servant is local.
-    pub local_dispatches: AtomicU64,
-    /// Bytes of GIOP frames written to transports.
-    pub bytes_sent: AtomicU64,
-    /// Bytes of GIOP frames read from transports.
-    pub bytes_received: AtomicU64,
-    /// Replies carrying exceptions (user or system) sent by this ORB.
-    pub exceptions_sent: AtomicU64,
-    /// LocateRequest probes served.
-    pub locates_served: AtomicU64,
-    /// Gauge: remote requests currently awaiting a reply.
-    pub in_flight: AtomicU64,
-    /// Calls that hit their deadline before the reply arrived.
-    pub timeouts: AtomicU64,
-    /// Transparent retries of provably-unprocessed requests.
-    pub retries: AtomicU64,
-    /// Multiplexed connections evicted (desync, unexpected message
-    /// kind, or pruned after death).
-    pub evictions: AtomicU64,
-    /// Replies that arrived after their caller had given up.
-    pub late_replies: AtomicU64,
-    /// Circuit breakers tripped open (too many consecutive failures).
-    pub breaker_opened: AtomicU64,
-    /// Half-open probe invocations admitted through an open breaker.
-    pub breaker_probes: AtomicU64,
-    /// Breakers re-closed after a successful half-open probe.
-    pub breaker_closed: AtomicU64,
-    /// Calls rejected immediately because the endpoint's breaker was open.
-    pub breaker_rejections: AtomicU64,
-    /// Naming resolutions answered from the client-side IOR cache
-    /// without touching the wire.
-    pub ior_cache_hits: AtomicU64,
-    /// Naming resolutions that missed the IOR cache (expired, absent,
-    /// or uncached) and went to the naming service.
-    pub ior_cache_misses: AtomicU64,
-    /// IOR cache entries dropped because an invocation on the cached
-    /// reference failed (or its endpoint's breaker opened).
-    pub ior_cache_invalidations: AtomicU64,
-    /// Co-database answer-cache hits (answer reused under a matching
-    /// metadata version stamp).
-    pub codb_cache_hits: AtomicU64,
-    /// Co-database answer-cache misses (no entry, or the remote
-    /// version stamp moved).
-    pub codb_cache_misses: AtomicU64,
-    /// Discovery waves dispatched concurrently (one per remote BFS
-    /// level actually fanned out).
-    pub fanout_waves: AtomicU64,
-    /// Sites dispatched across all fanned-out waves.
-    pub fanout_sites: AtomicU64,
-    /// Widest single wave observed (high-water mark, not a sum).
-    pub fanout_peak_width: AtomicU64,
-    /// Rows (or objects) read from data-layer storage by queries the
-    /// wrappers executed through this ORB's servants.
-    pub data_rows_scanned: AtomicU64,
-    /// Approximate bytes of those rows.
-    pub data_bytes_scanned: AtomicU64,
-    /// Data-layer index entries hit (point lookups, range scans, index
-    /// join probes).
-    pub data_index_hits: AtomicU64,
-    /// Data-layer rows materialized by blocking operators (sorts,
-    /// aggregation).
-    pub data_rows_spilled: AtomicU64,
-    /// Write-ahead-log records appended by durable data-layer stores
-    /// behind this ORB's servants.
-    pub data_wal_appends: AtomicU64,
-    /// Snapshot/checkpoint pages written back by durable stores.
-    pub data_pages_flushed: AtomicU64,
-    /// WAL records replayed (REDO) during crash recovery of durable
-    /// stores.
-    pub data_recovery_redo: AtomicU64,
-    /// Loser-transaction records rolled back (UNDO) during crash
-    /// recovery of durable stores.
-    pub data_recovery_undo: AtomicU64,
-    /// Federated queries planned and executed through this ORB (each
-    /// fans out one subquery per member site).
-    pub fed_queries: AtomicU64,
-    /// Per-site subqueries shipped by federated queries.
-    pub fed_subqueries: AtomicU64,
-    /// Member sites that answered their shipped subquery.
-    pub fed_sites_answered: AtomicU64,
-    /// Member sites that degraded (timeout, kill, open breaker) instead
-    /// of answering; their partial absence is reported, not fatal.
-    pub fed_sites_degraded: AtomicU64,
-    /// Rows returned over the wire by answering member sites.
-    pub fed_rows_shipped: AtomicU64,
-    /// Approximate bytes of those shipped rows.
-    pub fed_bytes_shipped: AtomicU64,
-    /// Rows surviving the coordinator's merge (dedup/limit applied).
-    pub fed_rows_merged: AtomicU64,
-    /// Semi-join build keys shipped to probe sites as IN-list values.
-    pub fed_keys_shipped: AtomicU64,
-    /// Replies whose encoded body exceeded the fragment threshold and
-    /// were streamed as an initial frame plus `Fragment` continuations.
-    pub fragmented_replies: AtomicU64,
-    /// Continuation `Fragment` frames sent by the reactor core.
-    pub fragments_sent: AtomicU64,
-    /// Fragment trains reassembled into complete messages on the
-    /// client's reader threads.
-    pub fragments_reassembled: AtomicU64,
-    /// Times the reactor paused reading a connection because its write
-    /// queue crossed the backpressure high-water mark.
-    pub backpressure_pauses: AtomicU64,
-    /// Lock-order (ABBA) cycles reported by the `deadlock-detect`
-    /// runtime detector. Process-global (the detector is a process
-    /// singleton), mirrored here by [`OrbMetrics::sync_analysis`];
-    /// always zero without the feature.
-    pub analysis_lock_cycles: AtomicU64,
-    /// Hold-across / acquire-in blocking-region violations reported by
-    /// the detector; same provenance as
-    /// [`OrbMetrics::analysis_lock_cycles`].
-    pub analysis_blocking_violations: AtomicU64,
-    /// Per-endpoint reply latency accumulators.
-    latencies: Mutex<HashMap<(String, u16), EndpointLatency>>,
+counter_set! {
+    /// Traffic counters for one ORB instance.
+    pub struct OrbMetrics => OrbSnapshot {
+        /// GIOP Requests sent by this ORB acting as a client.
+        counter requests_sent "requests sent",
+        /// GIOP Requests served by this ORB's adapter (arrived via IIOP).
+        counter requests_served "requests served",
+        /// Invocations short-circuited because the target servant is local.
+        counter local_dispatches "local dispatches",
+        /// Bytes of GIOP frames written to transports.
+        counter bytes_sent "bytes out",
+        /// Bytes of GIOP frames read from transports.
+        counter bytes_received "bytes in",
+        /// Replies carrying exceptions (user or system) sent by this ORB.
+        counter exceptions_sent "exceptions",
+        /// LocateRequest probes served.
+        counter locates_served "locates",
+        /// Remote requests currently awaiting a reply.
+        gauge in_flight "in-flight",
+        /// Calls that hit their deadline before the reply arrived.
+        counter timeouts "timeouts",
+        /// Transparent retries of provably-unprocessed requests.
+        counter retries "retries",
+        /// Multiplexed connections evicted (desync, unexpected message
+        /// kind, or pruned after death).
+        counter evictions "evictions",
+        /// Replies that arrived after their caller had given up.
+        counter late_replies "late replies",
+        /// Circuit breakers tripped open (too many consecutive failures).
+        counter breaker_opened "breaker opened",
+        /// Half-open probe invocations admitted through an open breaker.
+        counter breaker_probes "breaker probes",
+        /// Breakers re-closed after a successful half-open probe.
+        counter breaker_closed "breaker closed",
+        /// Calls rejected immediately because the endpoint's breaker was open.
+        counter breaker_rejections "breaker rejected",
+        /// Naming resolutions answered from the client-side IOR cache
+        /// without touching the wire.
+        counter ior_cache_hits "ior cache hits",
+        /// Naming resolutions that missed the IOR cache (expired, absent,
+        /// or uncached) and went to the naming service.
+        counter ior_cache_misses "ior cache misses",
+        /// IOR cache entries dropped because an invocation on the cached
+        /// reference failed (or its endpoint's breaker opened).
+        counter ior_cache_invalidations "ior cache invalidations",
+        /// Replies whose encoded body exceeded the fragment threshold and
+        /// were streamed as an initial frame plus `Fragment` continuations.
+        counter fragmented_replies "fragmented replies",
+        /// Continuation `Fragment` frames sent by the reactor core.
+        counter fragments_sent "fragments sent",
+        /// Fragment trains reassembled into complete messages on the
+        /// client's reader threads.
+        counter fragments_reassembled "fragments reassembled",
+        /// Times the reactor paused reading a connection because its write
+        /// queue crossed the backpressure high-water mark.
+        counter backpressure_pauses "backpressure pauses",
+    }
 }
 
-/// Accumulated reply-latency statistics for one remote endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EndpointLatency {
-    /// Completed round-trips measured.
-    pub calls: u64,
-    /// Sum of round-trip times, in nanoseconds.
-    pub total_nanos: u64,
-    /// Slowest observed round-trip, in nanoseconds.
-    pub max_nanos: u64,
+impl OrbMetrics {
+    pub(crate) fn add(&self, counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub(crate) fn gauge_sub(&self, gauge: &AtomicU64, n: u64) {
+        gauge.fetch_sub(n, Ordering::Relaxed);
+    }
+}
+
+counter_set! {
+    /// Reply-latency accumulators of one [`crate::IiopChannel`], bumped
+    /// by the caller that measured the round-trip.
+    pub struct LatencyMetrics => EndpointLatency {
+        /// Completed round-trips measured.
+        counter calls "calls",
+        /// Sum of round-trip times, in nanoseconds.
+        counter total_nanos "total ns",
+        /// Slowest observed round-trip, in nanoseconds.
+        peak max_nanos "max ns",
+    }
+}
+
+impl LatencyMetrics {
+    pub(crate) fn record(&self, elapsed: Duration) {
+        let nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+    }
 }
 
 impl EndpointLatency {
@@ -162,365 +118,44 @@ impl EndpointLatency {
     }
 }
 
-/// A point-in-time copy of the counters, for before/after deltas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// See [`OrbMetrics::requests_sent`].
-    pub requests_sent: u64,
-    /// See [`OrbMetrics::requests_served`].
-    pub requests_served: u64,
-    /// See [`OrbMetrics::local_dispatches`].
-    pub local_dispatches: u64,
-    /// See [`OrbMetrics::bytes_sent`].
-    pub bytes_sent: u64,
-    /// See [`OrbMetrics::bytes_received`].
-    pub bytes_received: u64,
-    /// See [`OrbMetrics::exceptions_sent`].
-    pub exceptions_sent: u64,
-    /// See [`OrbMetrics::locates_served`].
-    pub locates_served: u64,
-    /// See [`OrbMetrics::in_flight`] (a gauge — `since` saturates).
-    pub in_flight: u64,
-    /// See [`OrbMetrics::timeouts`].
-    pub timeouts: u64,
-    /// See [`OrbMetrics::retries`].
-    pub retries: u64,
-    /// See [`OrbMetrics::evictions`].
-    pub evictions: u64,
-    /// See [`OrbMetrics::late_replies`].
-    pub late_replies: u64,
-    /// See [`OrbMetrics::breaker_opened`].
-    pub breaker_opened: u64,
-    /// See [`OrbMetrics::breaker_probes`].
-    pub breaker_probes: u64,
-    /// See [`OrbMetrics::breaker_closed`].
-    pub breaker_closed: u64,
-    /// See [`OrbMetrics::breaker_rejections`].
-    pub breaker_rejections: u64,
-    /// See [`OrbMetrics::ior_cache_hits`].
-    pub ior_cache_hits: u64,
-    /// See [`OrbMetrics::ior_cache_misses`].
-    pub ior_cache_misses: u64,
-    /// See [`OrbMetrics::ior_cache_invalidations`].
-    pub ior_cache_invalidations: u64,
-    /// See [`OrbMetrics::codb_cache_hits`].
-    pub codb_cache_hits: u64,
-    /// See [`OrbMetrics::codb_cache_misses`].
-    pub codb_cache_misses: u64,
-    /// See [`OrbMetrics::fanout_waves`].
-    pub fanout_waves: u64,
-    /// See [`OrbMetrics::fanout_sites`].
-    pub fanout_sites: u64,
-    /// See [`OrbMetrics::fanout_peak_width`] (a high-water mark —
-    /// `since` saturates).
-    pub fanout_peak_width: u64,
-    /// See [`OrbMetrics::data_rows_scanned`].
-    pub data_rows_scanned: u64,
-    /// See [`OrbMetrics::data_bytes_scanned`].
-    pub data_bytes_scanned: u64,
-    /// See [`OrbMetrics::data_index_hits`].
-    pub data_index_hits: u64,
-    /// See [`OrbMetrics::data_rows_spilled`].
-    pub data_rows_spilled: u64,
-    /// See [`OrbMetrics::data_wal_appends`].
-    pub data_wal_appends: u64,
-    /// See [`OrbMetrics::data_pages_flushed`].
-    pub data_pages_flushed: u64,
-    /// See [`OrbMetrics::data_recovery_redo`].
-    pub data_recovery_redo: u64,
-    /// See [`OrbMetrics::data_recovery_undo`].
-    pub data_recovery_undo: u64,
-    /// See [`OrbMetrics::fed_queries`].
-    pub fed_queries: u64,
-    /// See [`OrbMetrics::fed_subqueries`].
-    pub fed_subqueries: u64,
-    /// See [`OrbMetrics::fed_sites_answered`].
-    pub fed_sites_answered: u64,
-    /// See [`OrbMetrics::fed_sites_degraded`].
-    pub fed_sites_degraded: u64,
-    /// See [`OrbMetrics::fed_rows_shipped`].
-    pub fed_rows_shipped: u64,
-    /// See [`OrbMetrics::fed_bytes_shipped`].
-    pub fed_bytes_shipped: u64,
-    /// See [`OrbMetrics::fed_rows_merged`].
-    pub fed_rows_merged: u64,
-    /// See [`OrbMetrics::fed_keys_shipped`].
-    pub fed_keys_shipped: u64,
-    /// See [`OrbMetrics::fragmented_replies`].
-    pub fragmented_replies: u64,
-    /// See [`OrbMetrics::fragments_sent`].
-    pub fragments_sent: u64,
-    /// See [`OrbMetrics::fragments_reassembled`].
-    pub fragments_reassembled: u64,
-    /// See [`OrbMetrics::backpressure_pauses`].
-    pub backpressure_pauses: u64,
-    /// See [`OrbMetrics::analysis_lock_cycles`] (process-global —
-    /// `since` saturates).
-    pub analysis_lock_cycles: u64,
-    /// See [`OrbMetrics::analysis_blocking_violations`] (process-global
-    /// — `since` saturates).
-    pub analysis_blocking_violations: u64,
-}
-
-impl MetricsSnapshot {
-    /// Component-wise difference `self - earlier`.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests_sent: self.requests_sent - earlier.requests_sent,
-            requests_served: self.requests_served - earlier.requests_served,
-            local_dispatches: self.local_dispatches - earlier.local_dispatches,
-            bytes_sent: self.bytes_sent - earlier.bytes_sent,
-            bytes_received: self.bytes_received - earlier.bytes_received,
-            exceptions_sent: self.exceptions_sent - earlier.exceptions_sent,
-            locates_served: self.locates_served - earlier.locates_served,
-            // The gauge moves both ways; a delta can be "negative".
-            in_flight: self.in_flight.saturating_sub(earlier.in_flight),
-            timeouts: self.timeouts - earlier.timeouts,
-            retries: self.retries - earlier.retries,
-            evictions: self.evictions - earlier.evictions,
-            late_replies: self.late_replies - earlier.late_replies,
-            breaker_opened: self.breaker_opened - earlier.breaker_opened,
-            breaker_probes: self.breaker_probes - earlier.breaker_probes,
-            breaker_closed: self.breaker_closed - earlier.breaker_closed,
-            breaker_rejections: self.breaker_rejections - earlier.breaker_rejections,
-            ior_cache_hits: self.ior_cache_hits - earlier.ior_cache_hits,
-            ior_cache_misses: self.ior_cache_misses - earlier.ior_cache_misses,
-            ior_cache_invalidations: self.ior_cache_invalidations - earlier.ior_cache_invalidations,
-            codb_cache_hits: self.codb_cache_hits - earlier.codb_cache_hits,
-            codb_cache_misses: self.codb_cache_misses - earlier.codb_cache_misses,
-            fanout_waves: self.fanout_waves - earlier.fanout_waves,
-            fanout_sites: self.fanout_sites - earlier.fanout_sites,
-            // A high-water mark only rises; against a later snapshot it
-            // saturates rather than underflowing.
-            fanout_peak_width: self
-                .fanout_peak_width
-                .saturating_sub(earlier.fanout_peak_width),
-            data_rows_scanned: self.data_rows_scanned - earlier.data_rows_scanned,
-            data_bytes_scanned: self.data_bytes_scanned - earlier.data_bytes_scanned,
-            data_index_hits: self.data_index_hits - earlier.data_index_hits,
-            data_rows_spilled: self.data_rows_spilled - earlier.data_rows_spilled,
-            data_wal_appends: self.data_wal_appends - earlier.data_wal_appends,
-            data_pages_flushed: self.data_pages_flushed - earlier.data_pages_flushed,
-            data_recovery_redo: self.data_recovery_redo - earlier.data_recovery_redo,
-            data_recovery_undo: self.data_recovery_undo - earlier.data_recovery_undo,
-            fed_queries: self.fed_queries - earlier.fed_queries,
-            fed_subqueries: self.fed_subqueries - earlier.fed_subqueries,
-            fed_sites_answered: self.fed_sites_answered - earlier.fed_sites_answered,
-            fed_sites_degraded: self.fed_sites_degraded - earlier.fed_sites_degraded,
-            fed_rows_shipped: self.fed_rows_shipped - earlier.fed_rows_shipped,
-            fed_bytes_shipped: self.fed_bytes_shipped - earlier.fed_bytes_shipped,
-            fed_rows_merged: self.fed_rows_merged - earlier.fed_rows_merged,
-            fed_keys_shipped: self.fed_keys_shipped - earlier.fed_keys_shipped,
-            fragmented_replies: self.fragmented_replies - earlier.fragmented_replies,
-            fragments_sent: self.fragments_sent - earlier.fragments_sent,
-            fragments_reassembled: self.fragments_reassembled - earlier.fragments_reassembled,
-            backpressure_pauses: self.backpressure_pauses - earlier.backpressure_pauses,
-            analysis_lock_cycles: self
-                .analysis_lock_cycles
-                .saturating_sub(earlier.analysis_lock_cycles),
-            analysis_blocking_violations: self
-                .analysis_blocking_violations
-                .saturating_sub(earlier.analysis_blocking_violations),
-        }
-    }
-
-    /// Total invocations regardless of locality.
-    pub fn total_invocations(&self) -> u64 {
-        self.requests_sent + self.local_dispatches
-    }
-}
-
-impl OrbMetrics {
-    /// Capture the current values.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests_sent: self.requests_sent.load(Ordering::Relaxed),
-            requests_served: self.requests_served.load(Ordering::Relaxed),
-            local_dispatches: self.local_dispatches.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            exceptions_sent: self.exceptions_sent.load(Ordering::Relaxed),
-            locates_served: self.locates_served.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            late_replies: self.late_replies.load(Ordering::Relaxed),
-            breaker_opened: self.breaker_opened.load(Ordering::Relaxed),
-            breaker_probes: self.breaker_probes.load(Ordering::Relaxed),
-            breaker_closed: self.breaker_closed.load(Ordering::Relaxed),
-            breaker_rejections: self.breaker_rejections.load(Ordering::Relaxed),
-            ior_cache_hits: self.ior_cache_hits.load(Ordering::Relaxed),
-            ior_cache_misses: self.ior_cache_misses.load(Ordering::Relaxed),
-            ior_cache_invalidations: self.ior_cache_invalidations.load(Ordering::Relaxed),
-            codb_cache_hits: self.codb_cache_hits.load(Ordering::Relaxed),
-            codb_cache_misses: self.codb_cache_misses.load(Ordering::Relaxed),
-            fanout_waves: self.fanout_waves.load(Ordering::Relaxed),
-            fanout_sites: self.fanout_sites.load(Ordering::Relaxed),
-            fanout_peak_width: self.fanout_peak_width.load(Ordering::Relaxed),
-            data_rows_scanned: self.data_rows_scanned.load(Ordering::Relaxed),
-            data_bytes_scanned: self.data_bytes_scanned.load(Ordering::Relaxed),
-            data_index_hits: self.data_index_hits.load(Ordering::Relaxed),
-            data_rows_spilled: self.data_rows_spilled.load(Ordering::Relaxed),
-            data_wal_appends: self.data_wal_appends.load(Ordering::Relaxed),
-            data_pages_flushed: self.data_pages_flushed.load(Ordering::Relaxed),
-            data_recovery_redo: self.data_recovery_redo.load(Ordering::Relaxed),
-            data_recovery_undo: self.data_recovery_undo.load(Ordering::Relaxed),
-            fed_queries: self.fed_queries.load(Ordering::Relaxed),
-            fed_subqueries: self.fed_subqueries.load(Ordering::Relaxed),
-            fed_sites_answered: self.fed_sites_answered.load(Ordering::Relaxed),
-            fed_sites_degraded: self.fed_sites_degraded.load(Ordering::Relaxed),
-            fed_rows_shipped: self.fed_rows_shipped.load(Ordering::Relaxed),
-            fed_bytes_shipped: self.fed_bytes_shipped.load(Ordering::Relaxed),
-            fed_rows_merged: self.fed_rows_merged.load(Ordering::Relaxed),
-            fed_keys_shipped: self.fed_keys_shipped.load(Ordering::Relaxed),
-            fragmented_replies: self.fragmented_replies.load(Ordering::Relaxed),
-            fragments_sent: self.fragments_sent.load(Ordering::Relaxed),
-            fragments_reassembled: self.fragments_reassembled.load(Ordering::Relaxed),
-            backpressure_pauses: self.backpressure_pauses.load(Ordering::Relaxed),
-            analysis_lock_cycles: self.analysis_lock_cycles.load(Ordering::Relaxed),
-            analysis_blocking_violations: self.analysis_blocking_violations.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Mirror the `deadlock-detect` detector's process-global report
-    /// totals into this instance's analysis counters, so snapshots and
-    /// experiment reports carry them alongside the traffic counters.
-    /// A no-op (counters stay zero) when the feature is off.
-    pub fn sync_analysis(&self) {
-        let c = webfindit_base::sync::detect::counters();
-        self.analysis_lock_cycles
-            .store(c.lock_order_cycles, Ordering::Relaxed);
-        self.analysis_blocking_violations
-            .store(c.blocking_violations, Ordering::Relaxed);
-    }
-
-    /// Reply-latency statistics per remote endpoint, sorted by endpoint.
-    pub fn endpoint_latencies(&self) -> Vec<((String, u16), EndpointLatency)> {
-        let mut stats: Vec<_> = self
-            .latencies
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        stats.sort_by(|a, b| a.0.cmp(&b.0));
-        stats
-    }
-
-    /// Latency statistics for one endpoint, if any call completed.
-    pub fn endpoint_latency(&self, host: &str, port: u16) -> Option<EndpointLatency> {
-        self.latencies
-            .lock()
-            .get(&(host.to_string(), port))
-            .copied()
-    }
-
-    pub(crate) fn add(&self, counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record one discovery wave fanned out over `width` sites.
-    pub fn record_fanout_wave(&self, width: u64) {
-        self.fanout_waves.fetch_add(1, Ordering::Relaxed);
-        self.fanout_sites.fetch_add(width, Ordering::Relaxed);
-        self.fanout_peak_width.fetch_max(width, Ordering::Relaxed);
-    }
-
-    /// Record one data-layer query execution, in the paradigm-neutral
-    /// counter vocabulary the connect layer reports.
-    pub fn record_query_exec(
-        &self,
-        rows_scanned: u64,
-        bytes_scanned: u64,
-        index_hits: u64,
-        rows_spilled: u64,
-    ) {
-        self.data_rows_scanned
-            .fetch_add(rows_scanned, Ordering::Relaxed);
-        self.data_bytes_scanned
-            .fetch_add(bytes_scanned, Ordering::Relaxed);
-        self.data_index_hits
-            .fetch_add(index_hits, Ordering::Relaxed);
-        self.data_rows_spilled
-            .fetch_add(rows_spilled, Ordering::Relaxed);
-    }
-
-    /// Record durable-storage activity (WAL appends, checkpoint page
-    /// write-backs, recovery REDO/UNDO work) observed behind a servant.
-    pub fn record_durability(
-        &self,
-        wal_appends: u64,
-        pages_flushed: u64,
-        recovery_redo: u64,
-        recovery_undo: u64,
-    ) {
-        self.data_wal_appends
-            .fetch_add(wal_appends, Ordering::Relaxed);
-        self.data_pages_flushed
-            .fetch_add(pages_flushed, Ordering::Relaxed);
-        self.data_recovery_redo
-            .fetch_add(recovery_redo, Ordering::Relaxed);
-        self.data_recovery_undo
-            .fetch_add(recovery_undo, Ordering::Relaxed);
-    }
-
-    /// Record one federated query fanning `subqueries` per-site
-    /// subqueries out, carrying `keys_shipped` semi-join keys.
-    pub fn record_fed_query(&self, subqueries: u64, keys_shipped: u64) {
-        self.fed_queries.fetch_add(1, Ordering::Relaxed);
-        self.fed_subqueries.fetch_add(subqueries, Ordering::Relaxed);
-        self.fed_keys_shipped
-            .fetch_add(keys_shipped, Ordering::Relaxed);
-    }
-
-    /// Record one member site's outcome within a federated fan-out: an
-    /// answer shipping `rows`/`bytes`, or a degradation.
-    pub fn record_fed_site(&self, answered: bool, rows: u64, bytes: u64) {
-        if answered {
-            self.fed_sites_answered.fetch_add(1, Ordering::Relaxed);
-            self.fed_rows_shipped.fetch_add(rows, Ordering::Relaxed);
-            self.fed_bytes_shipped.fetch_add(bytes, Ordering::Relaxed);
-        } else {
-            self.fed_sites_degraded.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record the coordinator's merge emitting `rows` final rows.
-    pub fn record_fed_merge(&self, rows: u64) {
-        self.fed_rows_merged.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Record a co-database answer-cache lookup.
-    pub fn record_codb_cache(&self, hit: bool) {
-        let counter = if hit {
-            &self.codb_cache_hits
-        } else {
-            &self.codb_cache_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn gauge_add(&self, gauge: &AtomicU64, n: u64) {
-        gauge.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn gauge_sub(&self, gauge: &AtomicU64, n: u64) {
-        gauge.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_latency(&self, endpoint: &(String, u16), elapsed: Duration) {
-        let nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        let mut map = self.latencies.lock();
-        let entry = map.entry(endpoint.clone()).or_default();
-        entry.calls += 1;
-        entry.total_nanos = entry.total_nanos.saturating_add(nanos);
-        entry.max_nanos = entry.max_nanos.max(nanos);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_orb_counter_is_listed_once_under_its_label() {
+        let m = OrbMetrics::default();
+        let table = [
+            (&m.requests_sent, "requests sent"),
+            (&m.requests_served, "requests served"),
+            (&m.local_dispatches, "local dispatches"),
+            (&m.bytes_sent, "bytes out"),
+            (&m.bytes_received, "bytes in"),
+            (&m.exceptions_sent, "exceptions"),
+            (&m.locates_served, "locates"),
+            (&m.in_flight, "in-flight"),
+            (&m.timeouts, "timeouts"),
+            (&m.retries, "retries"),
+            (&m.evictions, "evictions"),
+            (&m.late_replies, "late replies"),
+            (&m.breaker_opened, "breaker opened"),
+            (&m.breaker_probes, "breaker probes"),
+            (&m.breaker_closed, "breaker closed"),
+            (&m.breaker_rejections, "breaker rejected"),
+            (&m.ior_cache_hits, "ior cache hits"),
+            (&m.ior_cache_misses, "ior cache misses"),
+            (&m.ior_cache_invalidations, "ior cache invalidations"),
+            (&m.fragmented_replies, "fragmented replies"),
+            (&m.fragments_sent, "fragments sent"),
+            (&m.fragments_reassembled, "fragments reassembled"),
+            (&m.backpressure_pauses, "backpressure pauses"),
+        ];
+        for (i, (counter, _)) in table.iter().enumerate() {
+            m.add(counter, i as u64 + 1);
+        }
+        let expected: Vec<_> = table.iter().map(|(_, label)| *label).zip(1..).collect();
+        assert_eq!(m.snapshot().iter().collect::<Vec<_>>(), expected);
+    }
 
     #[test]
     fn snapshot_delta() {
@@ -533,13 +168,12 @@ mod tests {
         let d = s2.since(&s1);
         assert_eq!(d.requests_sent, 2);
         assert_eq!(d.bytes_sent, 0);
-        assert_eq!(s2.total_invocations(), 5);
     }
 
     #[test]
     fn gauge_moves_both_ways() {
         let m = OrbMetrics::default();
-        m.gauge_add(&m.in_flight, 3);
+        m.add(&m.in_flight, 3);
         m.gauge_sub(&m.in_flight, 2);
         assert_eq!(m.snapshot().in_flight, 1);
         // A falling gauge saturates in `since` instead of underflowing.
@@ -549,84 +183,14 @@ mod tests {
     }
 
     #[test]
-    fn fanout_and_cache_counters() {
-        let m = OrbMetrics::default();
-        m.record_fanout_wave(3);
-        m.record_fanout_wave(7);
-        m.record_fanout_wave(2);
-        m.record_codb_cache(true);
-        m.record_codb_cache(false);
-        m.record_codb_cache(true);
-        let s = m.snapshot();
-        assert_eq!(s.fanout_waves, 3);
-        assert_eq!(s.fanout_sites, 12);
-        assert_eq!(s.fanout_peak_width, 7, "peak is a max, not a sum");
-        assert_eq!(s.codb_cache_hits, 2);
-        assert_eq!(s.codb_cache_misses, 1);
-    }
-
-    #[test]
-    fn query_exec_counters_accumulate() {
-        let m = OrbMetrics::default();
-        m.record_query_exec(100, 2048, 7, 10);
-        m.record_query_exec(1, 16, 1, 0);
-        let s = m.snapshot();
-        assert_eq!(s.data_rows_scanned, 101);
-        assert_eq!(s.data_bytes_scanned, 2064);
-        assert_eq!(s.data_index_hits, 8);
-        assert_eq!(s.data_rows_spilled, 10);
-    }
-
-    #[test]
-    fn durability_counters_accumulate() {
-        let m = OrbMetrics::default();
-        m.record_durability(12, 3, 0, 0);
-        m.record_durability(5, 0, 40, 2);
-        let s = m.snapshot();
-        assert_eq!(s.data_wal_appends, 17);
-        assert_eq!(s.data_pages_flushed, 3);
-        assert_eq!(s.data_recovery_redo, 40);
-        assert_eq!(s.data_recovery_undo, 2);
-        let later = {
-            m.record_durability(1, 1, 1, 1);
-            m.snapshot()
-        };
-        assert_eq!(later.since(&s).data_wal_appends, 1);
-        assert_eq!(later.since(&s).data_recovery_undo, 1);
-    }
-
-    #[test]
-    fn federated_counters_accumulate() {
-        let m = OrbMetrics::default();
-        m.record_fed_query(4, 12);
-        m.record_fed_site(true, 30, 640);
-        m.record_fed_site(true, 10, 200);
-        m.record_fed_site(false, 0, 0);
-        m.record_fed_merge(35);
-        let s = m.snapshot();
-        assert_eq!(s.fed_queries, 1);
-        assert_eq!(s.fed_subqueries, 4);
-        assert_eq!(s.fed_keys_shipped, 12);
-        assert_eq!(s.fed_sites_answered, 2);
-        assert_eq!(s.fed_sites_degraded, 1);
-        assert_eq!(s.fed_rows_shipped, 40);
-        assert_eq!(s.fed_bytes_shipped, 840);
-        assert_eq!(s.fed_rows_merged, 35);
-        m.record_fed_query(2, 0);
-        assert_eq!(m.snapshot().since(&s).fed_subqueries, 2);
-    }
-
-    #[test]
     fn latency_accumulates_per_endpoint() {
-        let m = OrbMetrics::default();
-        let ep = ("db.example".to_string(), 9000);
-        m.record_latency(&ep, Duration::from_millis(2));
-        m.record_latency(&ep, Duration::from_millis(4));
-        let stats = m.endpoint_latency("db.example", 9000).unwrap();
+        let m = LatencyMetrics::default();
+        m.record(Duration::from_millis(2));
+        m.record(Duration::from_millis(4));
+        let stats = m.snapshot();
         assert_eq!(stats.calls, 2);
         assert_eq!(stats.mean(), Duration::from_millis(3));
         assert_eq!(stats.max(), Duration::from_millis(4));
-        assert!(m.endpoint_latency("other", 1).is_none());
-        assert_eq!(m.endpoint_latencies().len(), 1);
+        assert_eq!(EndpointLatency::default().mean(), Duration::ZERO);
     }
 }

@@ -32,7 +32,7 @@ use crate::channel::{
     BreakerConfig, BreakerState, CallFailure, CallOptions, FailureClass, IiopChannel,
 };
 use crate::domain::OrbDomain;
-use crate::metrics::OrbMetrics;
+use crate::metrics::{EndpointLatency, OrbMetrics};
 use crate::servant::Servant;
 use crate::{OrbError, OrbResult};
 use std::collections::HashMap;
@@ -185,12 +185,6 @@ impl Orb {
     /// Traffic counters.
     pub fn metrics(&self) -> &OrbMetrics {
         &self.metrics
-    }
-
-    /// A shared handle to the traffic counters, for components (e.g.
-    /// data-source servants) that outlive a borrow of the ORB.
-    pub fn metrics_arc(&self) -> Arc<OrbMetrics> {
-        Arc::clone(&self.metrics)
     }
 
     /// The domain this ORB participates in.
@@ -450,6 +444,30 @@ impl Orb {
             .map(|ch| ch.breaker_state())
     }
 
+    /// Reply latency measured by the channel to `host:port`, if any
+    /// call on it completed.
+    pub fn endpoint_latency(&self, host: &str, port: u16) -> Option<EndpointLatency> {
+        self.channels
+            .lock()
+            .get(&(host.to_owned(), port))
+            .map(|ch| ch.latency())
+            .filter(|l| l.calls > 0)
+    }
+
+    /// Reply latency per remote endpoint with a completed call, sorted
+    /// by endpoint.
+    pub fn endpoint_latencies(&self) -> Vec<((String, u16), EndpointLatency)> {
+        let mut stats: Vec<_> = self
+            .channels
+            .lock()
+            .iter()
+            .map(|(k, ch)| (k.clone(), ch.latency()))
+            .filter(|(_, l)| l.calls > 0)
+            .collect();
+        stats.sort_by(|a, b| a.0.cmp(&b.0));
+        stats
+    }
+
     /// The multiplexed channel for `host:port`, creating it on first use.
     fn channel_to(&self, host: &str, port: u16) -> Arc<IiopChannel> {
         let key = (host.to_owned(), port);
@@ -590,12 +608,11 @@ mod tests {
         assert_eq!(orbix_m.requests_served, 1);
         assert!(visi_m.bytes_sent > 12);
         assert_eq!(visi_m.in_flight, 0);
-        let lat = visi
-            .metrics()
-            .endpoint_latency("orbix.qut.edu.au", 9000)
-            .unwrap();
+        let lat = visi.endpoint_latency("orbix.qut.edu.au", 9000).unwrap();
         assert_eq!(lat.calls, 1);
         assert!(lat.max() > Duration::ZERO);
+        assert!(visi.endpoint_latency("other", 1).is_none());
+        assert_eq!(visi.endpoint_latencies().len(), 1);
 
         orbix.shutdown();
         visi.shutdown();

@@ -216,11 +216,7 @@ fn chaos_interleaving_has_no_detector_violations_and_no_lost_updates() {
         "detector reported violations:\n{:#?}",
         violations
     );
-    let metrics = client.metrics();
-    metrics.sync_analysis();
-    let snap = metrics.snapshot();
-    assert_eq!(snap.analysis_lock_cycles, 0);
-    assert_eq!(snap.analysis_blocking_violations, 0);
+    assert_eq!(detect::counters(), detect::Counters::default());
 
     server.shutdown();
     client.shutdown();

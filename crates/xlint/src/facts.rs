@@ -212,7 +212,8 @@ pub struct ServantFact {
     pub operations: Vec<String>,
 }
 
-/// An `AtomicU64` counter field of a `*Metrics` struct.
+/// An `AtomicU64` counter field of a `*Metrics` struct, written out or
+/// declared through `counter_set!`.
 #[derive(Debug)]
 pub struct CounterDecl {
     pub struct_name: String,
@@ -229,8 +230,6 @@ pub struct FileFacts {
     pub arg_calls: Vec<ArgCall>,
     pub servants: Vec<ServantFact>,
     pub counters: Vec<CounterDecl>,
-    /// `.ident` mentions inside `impl Trace` function bodies.
-    pub trace_mentions: Vec<String>,
     /// `const NAME: &str = "…";` bindings (interface-id resolution).
     pub consts: BTreeMap<String, String>,
     pub test_ranges: Vec<(usize, usize)>,
@@ -1099,8 +1098,10 @@ fn extract_consts(scrubbed: &str, strings: &[StrLit]) -> BTreeMap<String, String
     out
 }
 
-/// `AtomicU64` counter fields of `*Metrics` structs (one field per
-/// line, the declaration idiom throughout the workspace).
+/// `AtomicU64` counter fields of `*Metrics` structs, one field per
+/// line: `name: AtomicU64` in a written-out struct, or `counter name`
+/// / `gauge name` / `peak name` (the label is a blanked string) in a
+/// `counter_set!` declaration.
 fn extract_counters(scrubbed: &str, file_idx: usize) -> Vec<CounterDecl> {
     let mut out = Vec::new();
     let mut current: Option<(String, usize)> = None; // (struct name, open depth)
@@ -1117,17 +1118,21 @@ fn extract_counters(scrubbed: &str, file_idx: usize) -> Vec<CounterDecl> {
             }
         }
         if let Some((sname, _)) = &current {
-            if line.contains(": AtomicU64") {
-                if let Some(colon) = line.find(": AtomicU64") {
-                    if let Some(field) = ident_before(line, colon) {
-                        out.push(CounterDecl {
-                            struct_name: sname.clone(),
-                            field,
-                            file: file_idx,
-                            line: lno + 1,
-                        });
-                    }
-                }
+            let written_out = line
+                .find(": AtomicU64")
+                .and_then(|colon| ident_before(line, colon));
+            let by_macro = ["counter ", "gauge ", "peak "].iter().find_map(|kind| {
+                let name = line.trim_start().strip_prefix(kind)?.trim_start();
+                let end = name.bytes().take_while(|b| is_ident_byte(*b)).count();
+                (end > 0).then(|| name[..end].to_owned())
+            });
+            if let Some(field) = written_out.or(by_macro) {
+                out.push(CounterDecl {
+                    struct_name: sname.clone(),
+                    field,
+                    file: file_idx,
+                    line: lno + 1,
+                });
             }
         }
         for c in line.chars() {
@@ -1145,35 +1150,6 @@ fn extract_counters(scrubbed: &str, file_idx: usize) -> Vec<CounterDecl> {
             }
         }
     }
-    out
-}
-
-/// `.ident` mentions inside `impl Trace` function bodies.
-fn extract_trace_mentions(m: &Machine<'_>, scrubbed: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for span in &m.impls {
-        if span.type_name != "Trace" {
-            continue;
-        }
-        let body = &scrubbed[span.body_start..span.body_end.max(span.body_start)];
-        let bytes = body.as_bytes();
-        let mut i = 0;
-        while i + 1 < bytes.len() {
-            if bytes[i] == b'.' && is_ident_byte(bytes[i + 1]) {
-                let start = i + 1;
-                let mut end = start;
-                while end < bytes.len() && is_ident_byte(bytes[end]) {
-                    end += 1;
-                }
-                out.push(body[start..end].to_owned());
-                i = end;
-            } else {
-                i += 1;
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
     out
 }
 
@@ -1204,8 +1180,8 @@ pub fn extract(file_idx: usize, path: &Path, src: &str) -> FileFacts {
         &test_ranges,
         file_idx,
     );
-    let counters = extract_counters(&scrubbed.text, file_idx);
-    let trace_mentions = extract_trace_mentions(&machine, &scrubbed.text);
+    let mut counters = extract_counters(&scrubbed.text, file_idx);
+    counters.retain(|c| !in_ranges(&test_ranges, c.line));
     let arg_calls = extract_arg_calls(&scrubbed.text, &scrubbed.strings, &table);
     FileFacts {
         path: path.to_path_buf(),
@@ -1214,7 +1190,6 @@ pub fn extract(file_idx: usize, path: &Path, src: &str) -> FileFacts {
         arg_calls,
         servants,
         counters,
-        trace_mentions,
         consts,
         test_ranges,
         token_findings: machine.token_findings,
@@ -1300,18 +1275,13 @@ mod tests {
 
     #[test]
     fn metrics_counters_are_extracted() {
-        let src = "pub struct FooMetrics {\n    pub hits: AtomicU64,\n    pub misses: AtomicU64,\n    latencies: Mutex<u8>,\n}\n";
+        let src = "pub struct FooMetrics {\n    pub hits: AtomicU64,\n    pub misses: AtomicU64,\n    latencies: Mutex<u8>,\n}\n\
+                   counter_set! {\n    pub struct BarMetrics => BarSnapshot {\n        /// Doc.\n        counter sent \"sent\",\n        peak widest \"widest\",\n    }\n}\n";
         let f = facts(src);
         let fields: Vec<&str> = f.counters.iter().map(|c| c.field.as_str()).collect();
-        assert_eq!(fields, ["hits", "misses"]);
+        assert_eq!(fields, ["hits", "misses", "sent", "widest"]);
         assert_eq!(f.counters[0].line, 2);
-    }
-
-    #[test]
-    fn trace_mentions_collect_field_accesses() {
-        let src = "impl Trace {\n    pub fn event(&self, m: &Snap) {\n        let _ = m.hits;\n        self.emit(m.misses);\n    }\n}\n";
-        let f = facts(src);
-        assert!(f.trace_mentions.contains(&"hits".to_owned()));
-        assert!(f.trace_mentions.contains(&"misses".to_owned()));
+        assert_eq!(f.counters[2].struct_name, "BarMetrics");
+        assert_eq!(f.counters[2].line, 9);
     }
 }

@@ -12,7 +12,7 @@
 //!    and records per-function facts — calls made (with the lock guards
 //!    live at each call site), locks acquired, blocking tokens,
 //!    `invoke("op")` literals, servant dispatch arms keyed by interface
-//!    id, and `*Metrics` counters declared/recorded/surfaced.
+//!    id, and `*Metrics` counters declared/recorded.
 //! 2. **Call graph** ([`graph`]): name-based resolution
 //!    (`self.`/`Type::` precise, bare and method names by workspace
 //!    lookup with a std-collision stoplist), then BFS reachability that
@@ -24,8 +24,7 @@
 //!    interprocedural families: `reactor-blocking` (nothing reachable
 //!    from `Reactor::run` may block or take a tracked lock),
 //!    `idl-drift` (client invoke strings vs servant dispatch arms), and
-//!    `metrics-drift` (counters declared vs recorded vs surfaced
-//!    through `Trace`).
+//!    `metrics-drift` (counters declared but never recorded).
 //!
 //! Findings print as `file:line: [rule] message`, with interprocedural
 //! findings carrying a `witness:` line — the chain of `file:line` call

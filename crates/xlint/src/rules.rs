@@ -494,14 +494,10 @@ pub fn idl_drift(files: &[FileFacts], scopes: &[Scope]) -> Vec<Finding> {
     out
 }
 
-/// `metrics-drift`: counters declared but never recorded, or recorded
-/// but never surfaced through `Trace`.
+/// `metrics-drift`: counters declared but never recorded. (A recorded
+/// counter cannot go unrendered: a `counter_set!` snapshot lists every
+/// declared field, and `Trace` renders the listing.)
 pub fn metrics_drift(files: &[FileFacts], scopes: &[Scope]) -> Vec<Finding> {
-    let traced: BTreeSet<&str> = files
-        .iter()
-        .flat_map(|f| f.trace_mentions.iter().map(String::as_str))
-        .collect();
-
     let mut out = Vec::new();
     for (fi, file) in files.iter().enumerate() {
         if !is_findings(scopes, fi) {
@@ -520,17 +516,6 @@ pub fn metrics_drift(files: &[FileFacts], scopes: &[Scope]) -> Vec<Finding> {
                     "metrics-drift",
                     format!(
                         "counter `{}.{}` is declared but never recorded anywhere",
-                        c.struct_name, c.field
-                    ),
-                ));
-            } else if !traced.contains(c.field.as_str()) {
-                out.push(Finding::new(
-                    file.path.clone(),
-                    c.line,
-                    "metrics-drift",
-                    format!(
-                        "counter `{}.{}` is recorded but never surfaced through `Trace` — \
-                         the measurement exists and nobody can see it",
                         c.struct_name, c.field
                     ),
                 ));

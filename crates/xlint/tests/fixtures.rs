@@ -49,8 +49,8 @@ fn idl_drift_fixture() {
     run_case("idl_drift");
 }
 
-/// A healthy counter, a recorded-but-unsurfaced counter, and a counter
-/// nothing ever increments.
+/// Healthy counters beside ones nothing ever increments, in a
+/// written-out struct and in a `counter_set!` declaration.
 #[test]
 fn metrics_drift_fixture() {
     run_case("metrics_drift");

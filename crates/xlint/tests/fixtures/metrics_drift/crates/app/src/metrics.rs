@@ -1,4 +1,5 @@
-//! Fixture: one healthy counter, one recorded-but-invisible, one dead.
+//! Fixture: two healthy counters and one dead one in a written-out
+//! struct; one healthy and one dead in a `counter_set!` declaration.
 
 pub struct FooMetrics {
     pub hits: AtomicU64,
@@ -16,4 +17,18 @@ impl FooMetrics {
         self.misses
             .fetch_add(1, Ordering::Relaxed);
     }
+}
+
+counter_set! {
+    /// Declared through the macro.
+    pub struct BarMetrics => BarSnapshot {
+        /// Bumped below.
+        counter sent "sent",
+        /// Never bumped.
+        peak phantoms "phantoms",
+    }
+}
+
+pub fn record_sent(m: &BarMetrics) {
+    m.sent.fetch_add(1, Ordering::Relaxed);
 }

@@ -364,9 +364,10 @@ fn concurrent_discovery_under_chaos_has_no_detector_violations() {
 
     // The rendered trace carries the verdict for the experiment logs.
     let mut trace = webfindit::Trace::new();
-    trace.analysis_event(
+    trace.counters(
+        webfindit::Layer::Communication,
         "post-discovery concurrency check",
-        dep.fed.client_orb().metrics(),
+        detect::counters().iter(),
     );
     let rendered = trace.render();
     assert!(rendered.contains("lock-order cycles 0"), "{rendered}");
@@ -397,5 +398,65 @@ fn orb_metrics_account_for_every_layer() {
     let d = visi_after.since(&visi_before);
     assert_eq!(d.requests_served, 1, "exactly the ISI execute");
     assert!(d.bytes_received > 12 && d.bytes_sent > 12);
+    dep.fed.shutdown();
+}
+
+#[test]
+fn data_counters_move_only_at_the_site_that_ran_the_query() {
+    let dep = build_healthcare(1999).unwrap();
+    let processor = Processor::new(dep.fed.clone());
+    let mut session = BrowserSession::new("QUT Research");
+
+    let data = |site: &String| dep.fed.site(site).unwrap().isi.metrics().snapshot();
+    let sites = dep.fed.site_names();
+    let before: Vec<_> = sites.iter().map(data).collect();
+    processor
+        .submit(
+            &mut session,
+            "Submit Native 'SELECT COUNT(*) FROM doctors' To Instance Royal Brisbane Hospital;",
+            None,
+        )
+        .unwrap();
+    for (site, before) in sites.iter().zip(before) {
+        let d = data(site).since(&before);
+        if site == "Royal Brisbane Hospital" {
+            assert!(d.rows_scanned > 0, "the hosting site did the scan: {d:?}");
+        } else {
+            // Neither the client's home site nor RBH's ORB-mates.
+            assert_eq!(d, Default::default(), "{site} ran nothing");
+        }
+    }
+    dep.fed.shutdown();
+}
+
+#[test]
+fn since_survives_an_orb_restart_between_the_snapshots() {
+    let dep = build_healthcare(1999).unwrap();
+    let processor = Processor::new(dep.fed.clone());
+    let mut session = BrowserSession::new("QUT Research");
+    let native =
+        "Submit Native 'SELECT COUNT(*) FROM doctors' To Instance Royal Brisbane Hospital;";
+    processor.submit(&mut session, native, None).unwrap();
+
+    let orb_before = dep.fed.orb("VisiBroker").unwrap().metrics().snapshot();
+    let data = || {
+        dep.fed
+            .site("Royal Brisbane Hospital")
+            .unwrap()
+            .isi
+            .metrics()
+            .snapshot()
+    };
+    let data_before = data();
+    assert!(orb_before.requests_served > 0 && data_before.rows_scanned > 0);
+
+    assert!(dep.fed.kill_orb("VisiBroker").unwrap());
+    assert!(dep.fed.restart_orb("VisiBroker").unwrap());
+
+    // The restarted ORB counts from zero: its delta saturates instead
+    // of underflowing. The site's data counters outlive the ORB.
+    let orb_after = dep.fed.orb("VisiBroker").unwrap().metrics().snapshot();
+    assert_eq!(orb_after.since(&orb_before).requests_served, 0);
+    assert_eq!(data(), data_before);
     dep.fed.shutdown();
 }
