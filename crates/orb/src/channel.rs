@@ -8,13 +8,22 @@
 //! * an [`IiopChannel`] per advertised endpoint owns a small bounded
 //!   pool of multiplexed connections ([`MuxConn`]); callers are spread
 //!   round-robin and *share* each connection concurrently;
-//! * each `MuxConn` runs a dedicated reader thread that demultiplexes
-//!   GIOP `Reply`/`LocateReply` frames by `request_id` and hands each to
-//!   the parked caller that registered it — the writer mutex is held
-//!   only for the microseconds of `send_frame`, never across the wait;
-//! * deadlines: a caller waits at most its [`CallOptions::deadline`];
-//!   on expiry it unregisters, fires a best-effort GIOP `CancelRequest`
-//!   at the server, and surfaces `DeadlineExpired`;
+//! * callers read their own replies (leader/follower): after its send
+//!   a caller takes the connection's read half if it is free and reads
+//!   frames itself, demultiplexing GIOP `Reply`/`LocateReply` by
+//!   `request_id` — its own reply ends its wait with no thread hand-off
+//!   at all, anyone else's goes to the slot that caller parked on. A
+//!   caller that finds the read half taken parks on its slot; whoever
+//!   lets go of the read half asks one parked caller to take over. The
+//!   writer mutex is held only for the microseconds of `send_frame`,
+//!   never across the wait. Nobody reads an idle connection, so what
+//!   the peer said since the last call (`CloseConnection`, EOF) is
+//!   looked at when the connection is next picked;
+//! * deadlines: a caller waits at most its [`CallOptions::deadline`],
+//!   one budget over every retry and forward; on expiry it unregisters,
+//!   fires a best-effort GIOP `CancelRequest` at the server, and
+//!   surfaces `DeadlineExpired`. A frame the peer has half delivered by
+//!   then stays buffered in the read half for the next leader;
 //! * retry safety: the channel classifies every failure by whether the
 //!   request *provably never reached the peer's dispatcher* (connect
 //!   failure, dead-at-acquire, incomplete send, or an orderly GIOP
@@ -28,7 +37,7 @@ use crate::metrics::{EndpointLatency, LatencyMetrics, OrbMetrics};
 use crate::OrbError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webfindit_base::sync::{detect, Mutex};
@@ -79,6 +88,26 @@ impl RetryPolicy {
     /// Never retry, even when provably safe.
     pub fn never() -> Self {
         RetryPolicy { attempts: 1 }
+    }
+}
+
+/// A call's [`CallOptions::deadline`] pinned to the clock once, when
+/// the invocation starts, so every attempt and every forward draws on
+/// the one budget.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Deadline {
+    /// When the budget runs out.
+    pub(crate) at: Instant,
+    /// The budget as the caller gave it, for `DeadlineExpired`.
+    pub(crate) budget: Duration,
+}
+
+impl Deadline {
+    pub(crate) fn after(budget: Duration) -> Deadline {
+        Deadline {
+            at: Instant::now() + budget,
+            budget,
+        }
     }
 }
 
@@ -270,7 +299,7 @@ impl CallFailure {
     }
 }
 
-/// What the reader thread hands to a parked caller.
+/// How a registered call ended on its connection.
 enum ReplyOutcome {
     /// The routed `Reply`/`LocateReply` for this caller's request id.
     Message(GiopMessage),
@@ -280,16 +309,36 @@ enum ReplyOutcome {
     Dropped(String),
 }
 
-/// One multiplexed connection: a shared writer plus a reader thread
-/// that routes replies by request id.
+/// What arrives in a parked caller's slot.
+enum Wake {
+    /// The call's outcome, from the leader that read it.
+    Done(ReplyOutcome),
+    /// The read half is free and this caller is the one asked to take
+    /// it.
+    Lead,
+}
+
+/// The read side of a connection, owned by whichever caller currently
+/// leads: the stream clone that reads, and the reassembly state of a
+/// fragment train in progress.
+struct ReadHalf {
+    tcp: FramedTcp,
+    assembler: FragmentAssembler,
+}
+
+/// One multiplexed connection: a shared writer, and a read half that
+/// the waiting callers take turns holding.
 struct MuxConn {
     writer: Mutex<FramedTcp>,
-    /// Callers parked for a reply, by request id.
-    pending: Mutex<HashMap<u32, SyncSender<ReplyOutcome>>>,
+    /// Held by the leader for as long as it reads. Always `try_lock`ed:
+    /// a caller that finds it taken parks on its slot instead.
+    reader: Mutex<ReadHalf>,
+    /// Callers awaiting a reply, by request id. The sender is unbounded
+    /// so neither a leader nor `hand_off` can block on a slow caller; a
+    /// slot receives at most one outcome, plus the odd `Lead`.
+    pending: Mutex<HashMap<u32, Sender<Wake>>>,
     /// Set once the connection can no longer carry new calls.
     dead: AtomicBool,
-    /// Set when death came via orderly `CloseConnection`.
-    closed_by_peer: AtomicBool,
 }
 
 impl MuxConn {
@@ -298,39 +347,84 @@ impl MuxConn {
         self.dead.store(true, Ordering::SeqCst);
         let waiters: Vec<_> = self.pending.lock().drain().collect();
         for (_, tx) in waiters {
-            let _ = tx.send(mk_outcome());
+            let _ = tx.send(Wake::Done(mk_outcome()));
         }
     }
 
-    /// Sever the socket (unblocks the reader thread).
+    /// Sever the socket (unblocks a leader parked in its read).
     fn sever(&self) {
         self.writer.lock().shutdown();
     }
+
+    /// Ask one caller still awaiting its reply to take the read half.
+    /// Whoever releases the read half calls this AFTER the release (a
+    /// caller woken earlier would find it taken and park for good), and
+    /// so does a caller that leaves with a `Lead` in its slot. The send
+    /// happens under the `pending` lock: a caller unregisters under the
+    /// same lock and looks at its slot afterwards, so it cannot miss a
+    /// `Lead` addressed to it.
+    fn hand_off(&self) {
+        if let Some(tx) = self.pending.lock().values().next() {
+            let _ = tx.send(Wake::Lead);
+        }
+    }
 }
 
-/// The reader loop: demultiplex frames until the connection dies.
+/// How a turn as leader ended.
+enum Led {
+    /// The leader's own reply arrived.
+    Mine(GiopMessage),
+    /// The deadline passed first.
+    TimedOut,
+    /// The connection died; `poison` has put an outcome in every
+    /// registered slot, the leader's included.
+    Dead,
+}
+
+/// Lead `conn`: read frames until the reply to `own_id` arrives, the
+/// connection dies or `deadline` passes, routing every other caller's
+/// reply to its slot on the way. `own_id = None` with a deadline of
+/// "now" just takes in what the socket already holds.
 ///
-/// Frames pass through a [`FragmentAssembler`], so a reply the server
-/// streamed as a GIOP fragment train arrives here as one reassembled
+/// Frames pass through the [`FragmentAssembler`], so a reply the server
+/// streamed as a GIOP fragment train is routed as one reassembled
 /// message; unfragmented frames decode on the spot.
-fn reader_loop(conn: Arc<MuxConn>, mut reader: FramedTcp, metrics: Arc<OrbMetrics>) {
-    let mut assembler = FragmentAssembler::new();
+fn lead(
+    conn: &MuxConn,
+    rd: &mut ReadHalf,
+    own_id: Option<u32>,
+    deadline: Option<Instant>,
+    metrics: &OrbMetrics,
+) -> Led {
     loop {
-        let frame = match reader.recv_frame() {
-            Ok(f) => f,
+        // The socket wait is the blocking heart of Orb::invoke. The
+        // read half is the only lock held into it.
+        let received = detect::blocking_region("orb::IiopChannel::reply_wait", || {
+            rd.tcp.wait_readable(deadline)
+        })
+        .and_then(|ready| {
+            if ready {
+                rd.tcp.recv_frame_by(deadline)
+            } else {
+                Ok(None)
+            }
+        });
+        let frame = match received {
+            Ok(Some(f)) => f,
+            Ok(None) => return Led::TimedOut,
             Err(WireError::Closed) => {
                 conn.poison(|| ReplyOutcome::Dropped("connection closed by peer".into()));
-                return;
+                return Led::Dead;
             }
             Err(e) => {
                 let text = e.to_string();
                 conn.poison(|| ReplyOutcome::Dropped(text.clone()));
-                return;
+                return Led::Dead;
             }
         };
         metrics.add(&metrics.bytes_received, frame.len() as u64);
-        let mid_train = assembler.in_progress();
-        let msg = match assembler.push_frame(&frame) {
+        let mid_train = rd.assembler.in_progress();
+        let msg = match rd.assembler.push_frame(&frame) {
             Ok(Some(m)) => {
                 if mid_train {
                     metrics.add(&metrics.fragments_reassembled, 1);
@@ -346,15 +440,16 @@ fn reader_loop(conn: Arc<MuxConn>, mut reader: FramedTcp, metrics: Arc<OrbMetric
                 metrics.add(&metrics.evictions, 1);
                 let text = format!("protocol desync: {e}");
                 conn.poison(|| ReplyOutcome::Dropped(text.clone()));
-                return;
+                return Led::Dead;
             }
         };
         match msg {
             GiopMessage::Reply { request_id, .. } | GiopMessage::LocateReply { request_id, .. } => {
                 let waiter = conn.pending.lock().remove(&request_id);
                 match waiter {
+                    Some(_) if own_id == Some(request_id) => return Led::Mine(msg),
                     Some(tx) => {
-                        let _ = tx.send(ReplyOutcome::Message(msg));
+                        let _ = tx.send(Wake::Done(ReplyOutcome::Message(msg)));
                     }
                     None => {
                         // The caller gave up (deadline) before the reply
@@ -365,9 +460,8 @@ fn reader_loop(conn: Arc<MuxConn>, mut reader: FramedTcp, metrics: Arc<OrbMetric
             }
             GiopMessage::CloseConnection => {
                 // GIOP: outstanding requests were not processed.
-                conn.closed_by_peer.store(true, Ordering::SeqCst);
                 conn.poison(|| ReplyOutcome::ClosedUnprocessed);
-                return;
+                return Led::Dead;
             }
             other => {
                 // A server must only send replies on this connection; a
@@ -378,10 +472,18 @@ fn reader_loop(conn: Arc<MuxConn>, mut reader: FramedTcp, metrics: Arc<OrbMetric
                 metrics.add(&metrics.evictions, 1);
                 let text = format!("unexpected message kind {:?}", other.kind());
                 conn.poison(|| ReplyOutcome::Dropped(text.clone()));
-                return;
+                return Led::Dead;
             }
         }
     }
+}
+
+/// The outcome already sitting in a caller's slot, if any.
+fn delivered(rx: &Receiver<Wake>) -> Option<ReplyOutcome> {
+    rx.try_iter().find_map(|wake| match wake {
+        Wake::Done(outcome) => Some(outcome),
+        Wake::Lead => None,
+    })
 }
 
 /// A multiplexed channel to one advertised endpoint.
@@ -476,12 +578,29 @@ impl IiopChannel {
     /// to this endpoint — the exact hold-across-blocking hazard the
     /// `deadlock-detect` feature exists to flag.
     fn acquire(&self) -> Result<Arc<MuxConn>, CallFailure> {
-        {
-            let mut conns = self.conns.lock();
-            match self.pick_least_loaded(&mut conns) {
-                Some((0, i)) => return Ok(Arc::clone(&conns[i])),
-                Some((_, i)) if conns.len() >= self.max_conns => return Ok(Arc::clone(&conns[i])),
-                _ => {}
+        loop {
+            let idle = {
+                let mut conns = self.conns.lock();
+                match self.pick_least_loaded(&mut conns) {
+                    Some((0, i)) => Arc::clone(&conns[i]),
+                    Some((_, i)) if conns.len() >= self.max_conns => {
+                        return Ok(Arc::clone(&conns[i]))
+                    }
+                    _ => break,
+                }
+            };
+            // Nobody has been reading this connection: an unsolicited
+            // CloseConnection or EOF since its last call is still in
+            // the socket. Take in what is there (a zero-length wait,
+            // with the pool lock released) so that a connection found
+            // dead here fails as "dead at acquire", never after a send.
+            if let Some(mut rd) = idle.reader.try_lock() {
+                lead(&idle, &mut rd, None, Some(Instant::now()), &self.metrics);
+                drop(rd);
+                idle.hand_off();
+            }
+            if !idle.dead.load(Ordering::SeqCst) {
+                return Ok(idle);
             }
         }
         let conn = self.dial()?;
@@ -540,24 +659,28 @@ impl IiopChannel {
         let reader = writer
             .try_clone()
             .map_err(|e| CallFailure::never_sent(OrbError::Wire(e)))?;
-        let conn = Arc::new(MuxConn {
+        Ok(Arc::new(MuxConn {
             // The writer mutex deliberately spans send_frame: GIOP
             // frames must hit the socket whole, so the hold IS the
             // framing discipline. Declared exempt rather than fixed.
             writer: Mutex::new_labeled(writer, "orb::MuxConn.writer").allow_hold_across_blocking(
                 "serializes whole-frame socket writes; held for one send_frame only",
             ),
+            // Held by the leader across its socket wait: the hold IS
+            // the leadership.
+            reader: Mutex::new_labeled(
+                ReadHalf {
+                    tcp: reader,
+                    assembler: FragmentAssembler::new(),
+                },
+                "orb::MuxConn.reader",
+            )
+            .allow_hold_across_blocking(
+                "the leader reads replies under it; everyone else try_locks and parks on a slot",
+            ),
             pending: Mutex::new_labeled(HashMap::new(), "orb::MuxConn.pending"),
             dead: AtomicBool::new(false),
-            closed_by_peer: AtomicBool::new(false),
-        });
-        let reader_conn = Arc::clone(&conn);
-        let metrics = Arc::clone(&self.metrics);
-        std::thread::Builder::new()
-            .name(format!("iiop-mux-{}:{}", self.endpoint.0, self.endpoint.1))
-            .spawn(move || reader_loop(reader_conn, reader, metrics))
-            .expect("spawning channel reader thread");
-        Ok(conn)
+        }))
     }
 
     /// Send `frame` (already carrying `request_id`) and wait for the
@@ -570,7 +693,7 @@ impl IiopChannel {
         &self,
         request_id: u32,
         frame: &[u8],
-        deadline: Option<Duration>,
+        deadline: Option<Deadline>,
     ) -> Result<GiopMessage, CallFailure> {
         let Ok(is_probe) = self.breaker.admit(&self.metrics) else {
             let (host, port) = &self.endpoint;
@@ -595,16 +718,15 @@ impl IiopChannel {
         &self,
         request_id: u32,
         frame: &[u8],
-        deadline: Option<Duration>,
+        deadline: Option<Deadline>,
     ) -> Result<GiopMessage, CallFailure> {
         let conn = self.acquire()?;
         if conn.dead.load(Ordering::SeqCst) {
             return Err(CallFailure::never_sent(OrbError::Wire(WireError::Closed)));
         }
-        // Bound 1: rendezvous buffer so the reader never blocks on a
-        // slow caller. Register BEFORE sending: the reply can arrive on
-        // the reader thread before we would otherwise get back here.
-        let (tx, rx) = sync_channel::<ReplyOutcome>(1);
+        // Register BEFORE sending: another caller may be leading and
+        // route the reply before we would otherwise get back here.
+        let (tx, rx) = channel::<Wake>();
         conn.pending.lock().insert(request_id, tx);
         self.metrics.add(&self.metrics.in_flight, 1);
         let started = Instant::now();
@@ -624,44 +746,41 @@ impl IiopChannel {
         self.metrics
             .add(&self.metrics.bytes_sent, frame.len() as u64);
 
-        // The reply wait is the blocking heart of Orb::invoke: every
-        // remote call parks here until the reader thread routes the
-        // reply (or the deadline fires). No lock may be held into it.
-        let outcome = detect::blocking_region("orb::IiopChannel::reply_wait", || match deadline {
-            Some(d) => rx.recv_timeout(d),
-            // "No deadline" still needs the reader's failure signal, so
-            // block on the channel rather than the socket.
-            None => rx
-                .recv()
-                .map_err(|_| std::sync::mpsc::RecvTimeoutError::Disconnected),
-        });
+        let outcome = self.await_reply(&conn, request_id, &rx, deadline.map(|d| d.at));
         self.metrics.gauge_sub(&self.metrics.in_flight, 1);
 
         match outcome {
-            Ok(ReplyOutcome::Message(msg)) => {
+            Some(ReplyOutcome::Message(msg)) => {
                 self.latency.record(started.elapsed());
                 Ok(msg)
             }
-            Ok(ReplyOutcome::ClosedUnprocessed) => Err(CallFailure {
+            Some(ReplyOutcome::ClosedUnprocessed) => Err(CallFailure {
                 class: FailureClass::NotProcessed,
                 error: OrbError::Wire(WireError::Closed),
             }),
-            Ok(ReplyOutcome::Dropped(reason)) => Err(CallFailure {
+            Some(ReplyOutcome::Dropped(reason)) => Err(CallFailure {
                 class: FailureClass::Ambiguous,
                 error: OrbError::RemoteException {
                     system: true,
                     description: format!("connection lost awaiting reply: {reason}"),
                 },
             }),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                // Unregister; if the reader routed the reply in this
-                // instant, the rendezvous buffer holds it — take it.
-                let raced = conn.pending.lock().remove(&request_id).is_none();
-                if raced {
-                    if let Ok(ReplyOutcome::Message(msg)) = rx.try_recv() {
-                        self.latency.record(started.elapsed());
-                        return Ok(msg);
+            None => {
+                // Unregister, then look at the slot: a reply routed in
+                // this instant is taken, and a hand-off addressed to
+                // this caller is passed on rather than lost with it.
+                conn.pending.lock().remove(&request_id);
+                let mut raced = None;
+                for arrived in rx.try_iter() {
+                    match arrived {
+                        Wake::Lead => conn.hand_off(),
+                        Wake::Done(ReplyOutcome::Message(msg)) => raced = Some(msg),
+                        Wake::Done(_) => {}
                     }
+                }
+                if let Some(msg) = raced {
+                    self.latency.record(started.elapsed());
+                    return Ok(msg);
                 }
                 // Tell the server to abandon the work if it still can.
                 let cancel = GiopMessage::CancelRequest { request_id };
@@ -672,22 +791,55 @@ impl IiopChannel {
                 Err(CallFailure {
                     class: FailureClass::Ambiguous,
                     error: OrbError::DeadlineExpired {
-                        operation_deadline: deadline.unwrap_or_default(),
+                        operation_deadline: deadline.map(|d| d.budget).unwrap_or_default(),
                     },
                 })
             }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                // Reader dropped our sender without an outcome; treat
-                // like an orderly close only if the peer said so.
-                let class = if conn.closed_by_peer.load(Ordering::SeqCst) {
-                    FailureClass::NotProcessed
-                } else {
-                    FailureClass::Ambiguous
-                };
-                Err(CallFailure {
-                    class,
-                    error: OrbError::Wire(WireError::Closed),
-                })
+        }
+    }
+
+    /// Wait for the outcome of `request_id` on `conn`: as the leader
+    /// when the read half is free, parked on `rx` while another caller
+    /// leads. `None` means the deadline passed.
+    fn await_reply(
+        &self,
+        conn: &MuxConn,
+        request_id: u32,
+        rx: &Receiver<Wake>,
+        deadline: Option<Instant>,
+    ) -> Option<ReplyOutcome> {
+        loop {
+            if let Some(mut rd) = conn.reader.try_lock() {
+                // An earlier leader may have routed the reply already.
+                let outcome = delivered(rx).or_else(|| {
+                    match lead(conn, &mut rd, Some(request_id), deadline, &self.metrics) {
+                        Led::Mine(msg) => Some(ReplyOutcome::Message(msg)),
+                        Led::TimedOut => None,
+                        Led::Dead => delivered(rx)
+                            .or_else(|| Some(ReplyOutcome::Dropped("connection lost".into()))),
+                    }
+                });
+                drop(rd);
+                conn.hand_off();
+                return outcome;
+            }
+            // Another caller leads and will route the reply here, or a
+            // `Lead` when it is done first. No lock is held into the
+            // wait.
+            let parked =
+                detect::blocking_region("orb::IiopChannel::reply_wait", || match deadline {
+                    Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+                    None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                });
+            match parked {
+                Ok(Wake::Lead) => continue,
+                Ok(Wake::Done(outcome)) => return Some(outcome),
+                Err(RecvTimeoutError::Timeout) => return None,
+                // The slot's sender is dropped only after an outcome was
+                // sent through it or by this caller itself.
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Some(ReplyOutcome::Dropped("connection lost".into()))
+                }
             }
         }
     }
@@ -709,5 +861,256 @@ impl std::fmt::Debug for IiopChannel {
             .field("max_conns", &self.max_conns)
             .field("live", &self.live_connections())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{SocketAddr, TcpListener};
+    use std::sync::atomic::AtomicU32;
+    use std::sync::mpsc;
+    use std::thread;
+    use webfindit_base::rng::StdRng;
+    use webfindit_wire::giop;
+    use webfindit_wire::Value;
+
+    /// A one-connection channel (`max_conns = 1`, so every caller
+    /// shares the one read half) to `addr`, with a breaker that never
+    /// trips: deadline expiries are the point of these tests.
+    fn channel_to(addr: SocketAddr) -> (Arc<IiopChannel>, Arc<OrbMetrics>) {
+        let metrics = Arc::new(OrbMetrics::default());
+        let channel = Arc::new(IiopChannel::new(
+            ("peer.example".into(), 7),
+            ByteOrder::LittleEndian,
+            Arc::clone(&metrics),
+            1,
+            BreakerConfig {
+                failure_threshold: u32::MAX,
+                cooldown: Duration::from_secs(1),
+            },
+            ChaosRegistry::new(),
+            Box::new(move || Some(addr)),
+        ));
+        (channel, metrics)
+    }
+
+    /// Accept one connection; forward every decoded message to `seen`
+    /// and hand the write side back.
+    fn peer(listener: TcpListener, seen: mpsc::Sender<GiopMessage>) -> mpsc::Receiver<FramedTcp> {
+        let (writer_tx, writer_rx) = mpsc::channel();
+        thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("peer accepts");
+            let mut reader = FramedTcp::new(stream);
+            writer_tx
+                .send(reader.try_clone().expect("clone peer stream"))
+                .expect("test takes the writer");
+            while let Ok(frame) = reader.recv_frame() {
+                let msg = GiopMessage::decode_frame(&frame).expect("peer decodes");
+                if seen.send(msg).is_err() {
+                    break;
+                }
+            }
+        });
+        writer_rx
+    }
+
+    fn echo_frame(request_id: u32, payload: &str) -> Vec<u8> {
+        giop::request(
+            request_id,
+            b"k".to_vec(),
+            "echo",
+            vec![Value::string(payload)],
+        )
+        .encode(ByteOrder::LittleEndian)
+        .expect("request encodes")
+    }
+
+    fn reply_frame(request_id: u32, body: Value) -> Vec<u8> {
+        giop::reply_ok(request_id, body)
+            .encode(ByteOrder::BigEndian)
+            .expect("reply encodes")
+    }
+
+    /// Run `f` on its own thread and fail if it is not done in time: a
+    /// lost wake-up shows as this panic, not as a hung test binary.
+    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(limit)
+            .expect("watchdog: callers still parked — a hand-off or wake-up was lost")
+    }
+
+    /// 8 callers × 500 calls over ONE connection against a peer that
+    /// batches, reorders and randomly delays its replies, a third of
+    /// the calls on 1–5 ms deadlines: leaders come and go constantly
+    /// (own reply, own deadline) and every exit must hand the read half
+    /// on. Each call ends with its own reply or `DeadlineExpired`.
+    #[test]
+    fn leader_follower_stress_every_call_ends_with_its_own_reply_or_its_deadline() {
+        const THREADS: u32 = 8;
+        const CALLS: u32 = 500;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer");
+        let addr = listener.local_addr().unwrap();
+        let (seen_tx, seen_rx) = mpsc::channel();
+        let writer_rx = peer(listener, seen_tx);
+        thread::spawn(move || {
+            let mut writer = writer_rx.recv().expect("peer connected");
+            let mut rng = StdRng::seed_from_u64(1999);
+            while let Ok(first) = seen_rx.recv() {
+                let mut batch = vec![first];
+                batch.extend(seen_rx.try_iter());
+                rng.shuffle(&mut batch);
+                for msg in batch {
+                    // CancelRequests are ignored: the late reply still
+                    // goes out and must be dropped, not misrouted.
+                    let GiopMessage::Request { header, args } = msg else {
+                        continue;
+                    };
+                    if rng.gen_range(0..4u32) == 0 {
+                        thread::sleep(Duration::from_micros(rng.gen_range(100..4000u64)));
+                    }
+                    let body = args.into_iter().next().unwrap_or(Value::Null);
+                    if writer
+                        .send_frame(&reply_frame(header.request_id, body))
+                        .is_err()
+                    {
+                        return;
+                    }
+                }
+            }
+        });
+
+        let (channel, metrics) = channel_to(addr);
+        let ids = Arc::new(AtomicU32::new(1));
+        let expired = within(Duration::from_secs(120), {
+            let channel = Arc::clone(&channel);
+            move || {
+                let callers: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let channel = Arc::clone(&channel);
+                        let ids = Arc::clone(&ids);
+                        thread::spawn(move || {
+                            let mut rng = StdRng::seed_from_u64(u64::from(t));
+                            let mut expired = 0u64;
+                            for i in 0..CALLS {
+                                let id = ids.fetch_add(1, Ordering::Relaxed);
+                                let payload = format!("t{t}-{i}");
+                                let deadline = (rng.gen_range(0..3u32) == 0).then(|| {
+                                    Deadline::after(Duration::from_millis(rng.gen_range(1..6u64)))
+                                });
+                                match channel.call(id, &echo_frame(id, &payload), deadline) {
+                                    Ok(GiopMessage::Reply {
+                                        request_id, body, ..
+                                    }) => {
+                                        assert_eq!(request_id, id);
+                                        assert_eq!(body.as_str(), Some(payload.as_str()));
+                                    }
+                                    Err(CallFailure {
+                                        error: OrbError::DeadlineExpired { .. },
+                                        ..
+                                    }) if deadline.is_some() => expired += 1,
+                                    other => panic!("call {payload}: {other:?}"),
+                                }
+                            }
+                            expired
+                        })
+                    })
+                    .collect();
+                callers
+                    .into_iter()
+                    .map(|c| c.join().expect("caller thread"))
+                    .sum::<u64>()
+            }
+        });
+
+        let snap = metrics.snapshot();
+        assert_eq!(snap.in_flight, 0, "every caller unregistered");
+        assert_eq!(snap.timeouts, expired);
+        assert_eq!(snap.evictions, 0, "the one connection never desynchronized");
+        assert_eq!(channel.live_connections(), 1);
+        let conns = channel.conns.lock();
+        assert!(conns[0].pending.lock().is_empty(), "no slot left behind");
+        assert!(conns[0].reader.try_lock().is_some(), "nobody still leads");
+        // Under `deadlock-detect` every wait above was a checked
+        // blocking region: the read half (exempt) is the only lock a
+        // caller may hold into one. Other tests of this binary run
+        // beside this one, so only this channel's locks are looked at.
+        let ours: Vec<_> = detect::take_violations()
+            .into_iter()
+            .filter(|v| {
+                v.message.contains("orb::MuxConn") || v.message.contains("orb::IiopChannel")
+            })
+            .collect();
+        assert!(ours.is_empty(), "detector reports: {ours:#?}");
+    }
+
+    /// The leader's own deadline fires while a follower still waits:
+    /// the follower must be asked to lead, or its reply is never read.
+    #[test]
+    fn a_leader_that_times_out_hands_the_read_half_to_a_waiting_follower() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer");
+        let addr = listener.local_addr().unwrap();
+        let (seen_tx, seen_rx) = mpsc::channel();
+        let writer_rx = peer(listener, seen_tx);
+        let (channel, metrics) = channel_to(addr);
+
+        // A leads: it is alone on the connection when it sends.
+        let a = {
+            let channel = Arc::clone(&channel);
+            thread::spawn(move || {
+                let deadline = Some(Deadline::after(Duration::from_millis(300)));
+                channel.call(1, &echo_frame(1, "a"), deadline)
+            })
+        };
+        let mut writer = writer_rx.recv().expect("peer connected");
+        assert!(matches!(
+            seen_rx.recv().expect("A's request"),
+            GiopMessage::Request { .. }
+        ));
+        // A reply nobody waits for: once it is counted, A is known to
+        // hold the read half (it read the frame) and keeps it until its
+        // deadline — so B, started after, finds it taken and parks.
+        writer
+            .send_frame(&reply_frame(999, Value::Null))
+            .expect("stray reply");
+        while metrics.snapshot().late_replies == 0 {
+            thread::yield_now();
+        }
+        let b = {
+            let channel = Arc::clone(&channel);
+            thread::spawn(move || channel.call(2, &echo_frame(2, "b"), None))
+        };
+        assert!(matches!(
+            seen_rx.recv().expect("B's request"),
+            GiopMessage::Request { .. }
+        ));
+        // A's CancelRequest proves A has given up; only now is B answered.
+        match seen_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("A's cancel")
+        {
+            GiopMessage::CancelRequest { request_id } => assert_eq!(request_id, 1),
+            other => panic!("expected CancelRequest, got {:?}", other.kind()),
+        }
+        writer
+            .send_frame(&reply_frame(2, Value::string("b")))
+            .expect("reply to B");
+
+        assert!(matches!(
+            a.join().expect("caller A"),
+            Err(CallFailure {
+                class: FailureClass::Ambiguous,
+                error: OrbError::DeadlineExpired { .. },
+            })
+        ));
+        let reply = within(Duration::from_secs(10), move || b.join().expect("caller B"));
+        match reply {
+            Ok(GiopMessage::Reply { request_id, .. }) => assert_eq!(request_id, 2),
+            other => panic!("B must read its own reply, got {other:?}"),
+        }
+        assert_eq!(metrics.snapshot().in_flight, 0);
     }
 }

@@ -63,8 +63,8 @@ counter_set! {
         counter fragmented_replies "fragmented replies",
         /// Continuation `Fragment` frames sent by the reactor core.
         counter fragments_sent "fragments sent",
-        /// Fragment trains reassembled into complete messages on the
-        /// client's reader threads.
+        /// Fragment trains reassembled into complete messages by the
+        /// client channel's leaders.
         counter fragments_reassembled "fragments reassembled",
         /// Times the reactor paused reading a connection because its write
         /// queue crossed the backpressure high-water mark.

@@ -29,7 +29,8 @@
 
 use crate::adapter::ObjectAdapter;
 use crate::channel::{
-    BreakerConfig, BreakerState, CallFailure, CallOptions, FailureClass, IiopChannel,
+    BreakerConfig, BreakerState, CallFailure, CallOptions, Deadline, FailureClass, IiopChannel,
+    RetryPolicy,
 };
 use crate::domain::OrbDomain;
 use crate::metrics::{EndpointLatency, OrbMetrics};
@@ -244,6 +245,20 @@ impl Orb {
         args: &[Value],
         options: &CallOptions,
     ) -> OrbResult<Value> {
+        // The budget starts here, once: retries and forwards below all
+        // run against the same instant.
+        let deadline = options.deadline.map(Deadline::after);
+        self.invoke_by(ior, operation, args, options.retry, deadline)
+    }
+
+    fn invoke_by(
+        &self,
+        ior: &Ior,
+        operation: &str,
+        args: &[Value],
+        retry: RetryPolicy,
+        deadline: Option<Deadline>,
+    ) -> OrbResult<Value> {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(OrbError::ShutDown);
         }
@@ -269,7 +284,7 @@ impl Orb {
                         description: e.description(),
                     });
             }
-            match self.invoke_remote(profile, operation, args, options) {
+            match self.invoke_remote(profile, operation, args, retry, deadline) {
                 Ok(v) => return Ok(v),
                 // The request never reached this endpoint, so an
                 // alternate profile is a safe fallback, not a duplicate.
@@ -287,28 +302,28 @@ impl Orb {
         profile: &IiopProfile,
         operation: &str,
         args: &[Value],
-        options: &CallOptions,
+        retry: RetryPolicy,
+        deadline: Option<Deadline>,
     ) -> Result<Value, CallFailure> {
         let channel = self.channel_to(&profile.host, profile.port);
+        // Built once; an attempt changes nothing but the request id.
+        let mut msg = giop::request(0, profile.object_key.clone(), operation, args.to_vec());
         let mut attempt = 0;
         loop {
             attempt += 1;
             // A fresh id per attempt, so a late reply to an abandoned
             // attempt can never be routed to its retry.
             let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
-            let msg = giop::request(
-                request_id,
-                profile.object_key.clone(),
-                operation,
-                args.to_vec(),
-            );
+            if let GiopMessage::Request { header, .. } = &mut msg {
+                header.request_id = request_id;
+            }
             let frame = msg
                 .encode_pooled(self.config.byte_order, &self.pool)
                 .map_err(|e| CallFailure {
                     class: FailureClass::NeverSent,
                     error: OrbError::Wire(e),
                 })?;
-            let result = channel.call(request_id, &frame, options.deadline);
+            let result = channel.call(request_id, &frame, deadline);
             if !matches!(
                 &result,
                 Err(CallFailure {
@@ -319,13 +334,13 @@ impl Orb {
                 self.metrics.add(&self.metrics.requests_sent, 1);
             }
             match result {
-                Ok(reply) => return self.interpret_reply(reply, operation, args, options),
+                Ok(reply) => return self.interpret_reply(reply, operation, args, retry, deadline),
                 Err(f) => {
                     // Retry only failures that prove the request was
                     // never dispatched by the peer; resending after an
                     // ambiguous drop could execute the operation twice.
                     let safe = f.class != FailureClass::Ambiguous;
-                    if safe && attempt < options.retry.attempts {
+                    if safe && attempt < retry.attempts {
                         self.metrics.add(&self.metrics.retries, 1);
                         continue;
                     }
@@ -341,7 +356,8 @@ impl Orb {
         reply: GiopMessage,
         operation: &str,
         args: &[Value],
-        options: &CallOptions,
+        retry: RetryPolicy,
+        deadline: Option<Deadline>,
     ) -> Result<Value, CallFailure> {
         // The reply already completed on the wire: none of these
         // outcomes may be retried, so failures classify as Ambiguous.
@@ -365,7 +381,7 @@ impl Orb {
                 }
                 ReplyStatus::LocationForward => match body {
                     Value::ObjectRef(fwd) => self
-                        .invoke_with(&fwd, operation, args, options)
+                        .invoke_by(&fwd, operation, args, retry, deadline)
                         .map_err(completed),
                     _ => Err(completed(OrbError::RemoteException {
                         system: true,
@@ -562,7 +578,6 @@ pub(crate) fn dispatch_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::RetryPolicy;
     use crate::servant::{EchoServant, ServantError};
     use std::time::Duration;
 

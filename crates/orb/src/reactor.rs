@@ -13,18 +13,23 @@
 //!   trickles half a header costs a buffer, not a blocked thread;
 //! * **a bounded worker pool** executes servant dispatch off the
 //!   reactor thread, so a stalled servant blocks one worker, never the
-//!   event loop. Workers hand encoded reply frames back through a
-//!   completion queue and wake the reactor via a loopback socket pair;
-//! * **write backpressure**: replies queue per connection
-//!   ([`NbFramed`]'s send queue) and drain on write readiness. When a
-//!   connection's queue crosses the high-water mark the reactor stops
+//!   event loop. The worker that ran the servant writes the reply
+//!   itself: each connection's send half ([`NbSender`]) sits behind one
+//!   lock shared by the reactor and the workers, the worker queues its
+//!   frames and does the nonblocking write under it, and the reactor
+//!   hears about it (a byte on a loopback socket pair) only when the
+//!   socket would not take everything or the write failed;
+//! * **write backpressure**: what a write leaves behind stays queued
+//!   per connection and the reactor drains it on write readiness. When
+//!   a connection's queue crosses the high-water mark the reactor stops
 //!   *reading* from it — a client that will not drain its replies
 //!   cannot balloon server memory by pipelining more requests;
 //! * **fragment streaming**: replies whose encoded body exceeds
 //!   [`FRAGMENT_BODY_SIZE`] are split into a GIOP fragment train
 //!   ([`giop::split_into_fragments`]), so one multi-megabyte reply
-//!   becomes a sequence of bounded buffers interleaved with the
-//!   connection's other traffic at frame granularity.
+//!   becomes a sequence of bounded buffers. A train is queued under one
+//!   hold of the send lock, so trains of concurrent replies never
+//!   interleave.
 //!
 //! Protocol semantics: CancelRequest suppresses the reply of a
 //! still-running dispatch, servant panics become system exceptions,
@@ -43,13 +48,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use webfindit_base::sync::Mutex;
+use webfindit_base::sync::{Mutex, MutexGuard};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{
     self, FragmentAssembler, GiopMessage, LocateStatus, RequestHeader, FRAGMENT_BODY_SIZE,
 };
 use webfindit_wire::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
-use webfindit_wire::transport::NbFramed;
+use webfindit_wire::transport::{NbFramed, NbSender};
 use webfindit_wire::{BufPool, FrameBuf, Value, WireResult};
 
 /// Per-connection send-queue depth above which the reactor stops
@@ -58,50 +63,66 @@ const HIGH_WATER: usize = 1 << 20;
 /// Queue depth at which a paused connection resumes reading.
 const LOW_WATER: usize = HIGH_WATER / 2;
 /// Fallback poll timeout so a lost wake can delay, never deadlock,
-/// shutdown or completion delivery.
+/// shutdown or the draining of a worker's unfinished write.
 const POLL_TIMEOUT_MS: i32 = 250;
+
+/// A connection's send half, shared by the reactor and the workers
+/// that have a dispatch of that connection in hand.
+type SendHalf = Arc<Mutex<NbSender>>;
 
 /// A dispatch handed to the worker pool.
 struct Job {
-    conn_id: u64,
     header: RequestHeader,
     args: Vec<Value>,
+    /// Where the worker writes the reply.
+    send: SendHalf,
     /// Shared with the reactor so a CancelRequest arriving mid-dispatch
     /// suppresses the reply.
     canceled: Arc<Mutex<HashSet<u32>>>,
 }
 
-/// Encoded reply frames ready to be queued on a connection.
-struct Completion {
-    conn_id: u64,
-    frames: Vec<FrameBuf>,
-}
-
-/// State shared between the reactor thread and the worker pool.
-struct Shared {
-    completions: Mutex<Vec<Completion>>,
-    /// Write end of the wake pair; one byte means "drain completions".
-    wake_tx: TcpStream,
-}
-
-impl Shared {
-    fn push(&self, completion: Completion) {
-        self.completions.lock().push(completion);
-        // Nonblocking: a full wake buffer already guarantees a pending
-        // wake, so WouldBlock is success, not failure.
-        let _ = (&self.wake_tx).write(&[1u8]);
-    }
-}
-
 /// One accepted connection in the reactor's table.
 struct Conn {
     nb: NbFramed,
+    send: SendHalf,
     assembler: FragmentAssembler,
     canceled: Arc<Mutex<HashSet<u32>>>,
     /// Reads suspended: the send queue crossed [`HIGH_WATER`].
     paused: bool,
     /// Drain the send queue, then drop (set after MessageError).
     closing: bool,
+}
+
+impl Conn {
+    /// The reactor's one way to the send half. A worker holds the same
+    /// lock only to queue a reply and do a nonblocking write.
+    fn send_half(&self) -> MutexGuard<'_, NbSender> {
+        self.send.lock()
+    }
+}
+
+impl Drop for Conn {
+    /// A worker still dispatching for this connection keeps its own
+    /// handle of the socket alive, so the peer is told now rather than
+    /// when that worker lets go.
+    fn drop(&mut self) {
+        self.nb.shutdown();
+    }
+}
+
+/// Queue `frames` on a connection's send half under one hold, so a
+/// fragment train stays contiguous, and write as much as the socket
+/// takes. Returns false when the write failed.
+fn send_frames(
+    send: &mut NbSender,
+    frames: impl IntoIterator<Item = FrameBuf>,
+    metrics: &OrbMetrics,
+) -> bool {
+    for frame in frames {
+        metrics.add(&metrics.bytes_sent, frame.len() as u64);
+        send.enqueue(frame);
+    }
+    send.on_writable().is_ok()
 }
 
 /// Handle kept by [`crate::orb::Orb`]: joining it completes shutdown.
@@ -123,10 +144,7 @@ pub(crate) fn spawn(
 ) -> std::io::Result<ReactorCore> {
     listener.set_nonblocking(true)?;
     let (wake_tx, wake_rx) = wake_pair()?;
-    let shared = Arc::new(Shared {
-        completions: Mutex::new_labeled(Vec::new(), "orb::reactor::Shared.completions"),
-        wake_tx,
-    });
+    let wake_tx = Arc::new(wake_tx);
 
     let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
     // Workers share one receiver behind a mutex: the holder parks in
@@ -141,14 +159,14 @@ pub(crate) fn spawn(
         let job_rx = Arc::clone(&job_rx);
         let adapter = Arc::clone(&adapter);
         let metrics = Arc::clone(&metrics);
-        let shared = Arc::clone(&shared);
+        let wake_tx = Arc::clone(&wake_tx);
         let pool = Arc::clone(&pool);
         // Deliberately detached: a worker stalled inside a servant must
         // not wedge shutdown. Workers exit when the job sender drops
         // with the reactor.
         std::thread::Builder::new()
             .name(format!("orb-{name}-worker-{i}"))
-            .spawn(move || worker_loop(job_rx, adapter, metrics, order, shared, pool))?;
+            .spawn(move || worker_loop(job_rx, adapter, metrics, order, wake_tx, pool))?;
     }
 
     let join = std::thread::Builder::new()
@@ -159,7 +177,6 @@ pub(crate) fn spawn(
                 wake_rx,
                 conns: HashMap::new(),
                 next_conn_id: 1,
-                shared,
                 job_tx,
                 shutdown,
                 adapter,
@@ -172,9 +189,10 @@ pub(crate) fn spawn(
     Ok(ReactorCore { join })
 }
 
-/// A connected loopback socket pair: workers write to `.0`, the reactor
-/// polls `.1`. (std offers no `socketpair`, so one is improvised from a
-/// throwaway listener.)
+/// A connected loopback socket pair: workers write a byte to `.0` when
+/// a connection needs the reactor (bytes left queued, or a failed
+/// write), the reactor polls `.1`. (std offers no `socketpair`, so one
+/// is improvised from a throwaway listener.)
 fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let tx = TcpStream::connect(listener.local_addr()?)?;
@@ -190,7 +208,7 @@ fn worker_loop(
     adapter: Arc<ObjectAdapter>,
     metrics: Arc<OrbMetrics>,
     order: ByteOrder,
-    shared: Arc<Shared>,
+    wake_tx: Arc<TcpStream>,
     pool: Arc<BufPool>,
 ) {
     loop {
@@ -208,11 +226,25 @@ fn worker_loop(
             continue;
         }
         if let Ok(frames) = encode_reply_frames(&reply, order, &pool, &metrics) {
-            shared.push(Completion {
-                conn_id: job.conn_id,
-                frames,
-            });
+            write_reply(&job.send, frames, &wake_tx, &metrics);
         }
+    }
+}
+
+/// The worker's side of a reply: queue the frames on the connection and
+/// write them from this thread. The reactor is woken only when it has
+/// something to do for this connection — bytes the socket would not
+/// take are left for POLLOUT, a failed write leaves a connection to
+/// reap — and finds out what when it rebuilds its poll set.
+fn write_reply(send: &SendHalf, frames: Vec<FrameBuf>, wake_tx: &TcpStream, metrics: &OrbMetrics) {
+    let needs_reactor = {
+        let mut send = send.lock();
+        !send_frames(&mut send, frames, metrics) || send.wants_write()
+    };
+    if needs_reactor {
+        // Nonblocking: a full wake buffer already guarantees a pending
+        // wake, so WouldBlock is success, not failure.
+        let _ = (&*wake_tx).write(&[1u8]);
     }
 }
 
@@ -251,7 +283,6 @@ struct Reactor {
     wake_rx: TcpStream,
     conns: HashMap<u64, Conn>,
     next_conn_id: u64,
-    shared: Arc<Shared>,
     job_tx: Sender<Job>,
     shutdown: Arc<AtomicBool>,
     adapter: Arc<ObjectAdapter>,
@@ -306,37 +337,51 @@ impl Reactor {
             for id in dead {
                 self.conns.remove(&id);
             }
-            // Completions drain strictly AFTER the wake socket: workers
-            // push a completion and THEN write the wake byte, so once a
-            // wake byte has been consumed the matching completion is
-            // guaranteed visible here. Draining in the other order can
-            // eat the wake byte for a completion it never saw, leaving
-            // that reply to wait out a full poll timeout.
-            self.drain_completions();
         }
         self.close_all();
     }
 
-    fn build_poll_set(&self) -> (Vec<PollFd>, Vec<Target>) {
+    /// One pass over the connection table: what each send half holds
+    /// right now (workers write to it between passes) decides whether
+    /// the connection is reaped, paused, or watched for POLLOUT. A
+    /// worker that changes that answer writes the wake byte AFTER it
+    /// released the send lock, so the poll that follows this pass either
+    /// saw the change here or returns at once and comes back.
+    fn build_poll_set(&mut self) -> (Vec<PollFd>, Vec<Target>) {
         let mut fds = Vec::with_capacity(2 + self.conns.len());
         let mut targets = Vec::with_capacity(2 + self.conns.len());
         fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
         targets.push(Target::Listener);
         fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
         targets.push(Target::Wake);
-        for (id, conn) in &self.conns {
+        let metrics = &self.metrics;
+        self.conns.retain(|id, conn| {
+            let (queued, failed) = {
+                let send = conn.send_half();
+                (send.queued_bytes(), send.failed())
+            };
+            if failed || (conn.closing && queued == 0) {
+                return false;
+            }
+            if !conn.paused && queued > HIGH_WATER {
+                conn.paused = true;
+                metrics.add(&metrics.backpressure_pauses, 1);
+            } else if conn.paused && queued < LOW_WATER {
+                conn.paused = false;
+            }
             let mut events = 0i16;
             if !conn.paused && !conn.closing {
                 events |= POLLIN;
             }
-            if conn.nb.wants_write() {
+            if queued > 0 {
                 events |= POLLOUT;
             }
             // Registering with no events still reports errors/hangups,
             // which is exactly what a paused connection needs.
             fds.push(PollFd::new(conn.nb.stream().as_raw_fd(), events));
             targets.push(Target::Conn(*id));
-        }
+            true
+        });
         (fds, targets)
     }
 
@@ -348,8 +393,8 @@ impl Reactor {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            let nb = match NbFramed::new(stream) {
-                Ok(nb) => nb,
+            let (nb, sender) = match NbFramed::new(stream) {
+                Ok(halves) => halves,
                 Err(_) => continue,
             };
             let id = self.next_conn_id;
@@ -358,6 +403,7 @@ impl Reactor {
                 id,
                 Conn {
                     nb,
+                    send: Arc::new(Mutex::new_labeled(sender, "orb::reactor::Conn.send")),
                     assembler: FragmentAssembler::new(),
                     canceled: Arc::new(Mutex::new_labeled(
                         HashSet::new(),
@@ -370,41 +416,14 @@ impl Reactor {
         }
     }
 
-    /// Queue every completed reply on its connection and start the
-    /// frames moving; completions for connections that died in the
-    /// meantime are dropped.
-    fn drain_completions(&mut self) {
-        let completions: Vec<Completion> = {
-            let mut queue = self.shared.completions.lock();
-            std::mem::take(&mut *queue)
-        };
-        let mut dead: Vec<u64> = Vec::new();
-        for completion in completions {
-            let Some(conn) = self.conns.get_mut(&completion.conn_id) else {
-                continue;
-            };
-            for frame in completion.frames {
-                self.metrics
-                    .add(&self.metrics.bytes_sent, frame.len() as u64);
-                conn.nb.enqueue(frame);
-            }
-            if !flush_conn(conn, &self.metrics) {
-                dead.push(completion.conn_id);
-            }
-        }
-        for id in dead {
-            self.conns.remove(&id);
-        }
-    }
-
     /// Service readiness on one connection. Returns false when the
     /// connection must be dropped.
     fn service_conn(&mut self, id: u64, readable: bool, writable: bool) -> bool {
         if writable {
-            let Some(conn) = self.conns.get_mut(&id) else {
+            let Some(conn) = self.conns.get(&id) else {
                 return true;
             };
-            if !flush_conn(conn, &self.metrics) {
+            if conn.send_half().on_writable().is_err() {
                 return false;
             }
         }
@@ -450,14 +469,7 @@ impl Reactor {
                 ConnAction::ProtocolError => return self.protocol_error(id),
             }
         }
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return true;
-        };
-        if read.closed {
-            return false;
-        }
-        // Replies enqueued inline (LocateReply) start draining now.
-        flush_conn(conn, &self.metrics)
+        !read.closed
     }
 
     fn handle_message(&mut self, id: u64, msg: GiopMessage) -> ConnAction {
@@ -468,9 +480,9 @@ impl Reactor {
                     return ConnAction::Close;
                 };
                 let job = Job {
-                    conn_id: id,
                     header,
                     args,
+                    send: Arc::clone(&conn.send),
                     canceled: Arc::clone(&conn.canceled),
                 };
                 if self.job_tx.send(job).is_err() {
@@ -494,17 +506,16 @@ impl Reactor {
                     status,
                     forward: None,
                 };
-                match reply.encode_pooled(self.order, &self.pool) {
-                    Ok(frame) => {
-                        let Some(conn) = self.conns.get_mut(&id) else {
-                            return ConnAction::Close;
-                        };
-                        self.metrics
-                            .add(&self.metrics.bytes_sent, frame.len() as u64);
-                        conn.nb.enqueue(frame);
-                        ConnAction::Continue
-                    }
-                    Err(_) => ConnAction::Close,
+                let (Ok(frame), Some(conn)) = (
+                    reply.encode_pooled(self.order, &self.pool),
+                    self.conns.get(&id),
+                ) else {
+                    return ConnAction::Close;
+                };
+                if send_frames(&mut conn.send_half(), [frame.into()], &self.metrics) {
+                    ConnAction::Continue
+                } else {
+                    ConnAction::Close
                 }
             }
             GiopMessage::CancelRequest { request_id } => {
@@ -534,14 +545,14 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&id) else {
             return true;
         };
-        if let Ok(frame) = GiopMessage::MessageError.encode_pooled(self.order, &self.pool) {
-            self.metrics
-                .add(&self.metrics.bytes_sent, frame.len() as u64);
-            conn.nb.enqueue(frame);
-        }
         conn.closing = true;
         conn.assembler.reset();
-        flush_conn(conn, &self.metrics)
+        let frame = GiopMessage::MessageError.encode_pooled(self.order, &self.pool);
+        send_frames(
+            &mut conn.send_half(),
+            frame.ok().map(FrameBuf::from),
+            &self.metrics,
+        )
     }
 
     /// Shutdown path: tell every peer its outstanding requests were not
@@ -549,37 +560,18 @@ impl Reactor {
     /// everything.
     fn close_all(&mut self) {
         let close = GiopMessage::CloseConnection.encode(self.order).ok();
-        for (_, mut conn) in self.conns.drain() {
+        for (_, conn) in self.conns.drain() {
             if let Some(frame) = close.clone() {
-                conn.nb.enqueue(frame);
-                let _ = conn.nb.on_writable();
+                let mut send = conn.send_half();
+                send.enqueue(frame);
+                let _ = send.on_writable();
             }
-            conn.nb.shutdown();
         }
     }
 }
 
-/// Push queued bytes, then recompute the backpressure state. Returns
-/// false when the connection must be dropped (write error, or `closing`
-/// with an empty queue).
-fn flush_conn(conn: &mut Conn, metrics: &OrbMetrics) -> bool {
-    if conn.nb.on_writable().is_err() {
-        return false;
-    }
-    let queued = conn.nb.queued_bytes();
-    if conn.closing && queued == 0 {
-        return false;
-    }
-    if !conn.paused && queued > HIGH_WATER {
-        conn.paused = true;
-        metrics.add(&metrics.backpressure_pauses, 1);
-    } else if conn.paused && queued < LOW_WATER {
-        conn.paused = false;
-    }
-    true
-}
-
-/// Swallow pending wake bytes; the actual work is the completion queue.
+/// Swallow pending wake bytes; the work they announce is found when
+/// the poll set is rebuilt.
 fn drain_wake(wake_rx: &TcpStream) {
     let mut sink = [0u8; 256];
     loop {
@@ -588,5 +580,80 @@ fn drain_wake(wake_rx: &TcpStream) {
             Ok(_) => continue, // coalesce every pending wake
             Err(_) => return,  // WouldBlock: drained
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use webfindit_wire::poll::POLLHUP;
+
+    /// A reactor over one accepted connection, its peer, and both ends
+    /// of the wake pair; nothing runs — the test drives the steps.
+    fn reactor_with_one_conn() -> (Reactor, TcpStream, Arc<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (wake_tx, wake_rx) = wake_pair().unwrap();
+        let (job_tx, _job_rx) = std::sync::mpsc::channel();
+        let mut reactor = Reactor {
+            listener,
+            wake_rx,
+            conns: HashMap::new(),
+            next_conn_id: 1,
+            job_tx,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            adapter: Arc::new(ObjectAdapter::new()),
+            metrics: Arc::new(OrbMetrics::default()),
+            order: ByteOrder::BigEndian,
+            pool: BufPool::shared(),
+        };
+        while reactor.conns.is_empty() {
+            reactor.accept_ready();
+        }
+        (reactor, peer, Arc::new(wake_tx))
+    }
+
+    fn wait_for(fd: &TcpStream, events: i16) -> i16 {
+        let mut fds = [PollFd::new(fd.as_raw_fd(), events)];
+        assert_eq!(poll_fds(&mut fds, 10_000).unwrap(), 1, "event never came");
+        fds[0].revents
+    }
+
+    /// A worker whose write fails on a dead peer must get the connection
+    /// reaped now: it wakes the reactor, and the rebuilt poll set no
+    /// longer has the connection. (Without the wake byte the reactor
+    /// would sit out its 250 ms poll timeout first.)
+    #[test]
+    fn a_failed_worker_write_wakes_the_reactor_and_the_connection_is_reaped() {
+        let (mut reactor, peer, wake_tx) = reactor_with_one_conn();
+        let send = Arc::clone(&reactor.conns.values().next().unwrap().send);
+        let reply = |id| {
+            let frame = giop::reply_ok(id, Value::string("r"))
+                .encode(ByteOrder::BigEndian)
+                .unwrap();
+            vec![FrameBuf::from(frame)]
+        };
+
+        // A healthy write is the common case and costs the reactor
+        // nothing: no residue, no wake.
+        write_reply(&send, reply(1), &wake_tx, &reactor.metrics);
+        let (fds, _) = reactor.build_poll_set();
+        assert_eq!(fds.len(), 3, "listener, wake and the connection");
+        assert_eq!(poll_fds(&mut [fds[1]], 0).unwrap(), 0, "no wake byte");
+
+        // The peer dies with that reply unread, which resets the
+        // connection; wait until the reset has reached this side.
+        wait_for(&peer, POLLIN);
+        drop(peer);
+        let conn_fd = reactor.conns.values().next().unwrap().nb.stream();
+        assert_ne!(wait_for(conn_fd, 0) & POLLHUP, 0);
+
+        write_reply(&send, reply(2), &wake_tx, &reactor.metrics);
+        assert!(send.lock().failed());
+        wait_for(&reactor.wake_rx, POLLIN);
+        let (fds, _) = reactor.build_poll_set();
+        assert_eq!(fds.len(), 2, "the dead connection is gone");
+        assert!(reactor.conns.is_empty());
     }
 }

@@ -10,7 +10,7 @@
 use std::net::TcpListener;
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use webfindit_base::prop;
 use webfindit_base::rng::StdRng;
 use webfindit_base::sync::Mutex;
@@ -184,5 +184,138 @@ fn deadline_expiry_sends_cancel_request() {
         other => panic!("expected CancelRequest, got {:?}", other.kind()),
     }
     assert_eq!(client.metrics().snapshot().timeouts, 1);
+    client.shutdown();
+}
+
+/// The deadline is one budget for the whole invocation: when the first
+/// attempt dies retriably 60 ms in, the retry has the remaining 40 ms,
+/// not a fresh 100.
+#[test]
+fn a_retry_spends_what_is_left_of_the_deadline() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind scripted peer");
+    let addr = listener.local_addr().unwrap();
+    let (tx, rx) = mpsc::channel();
+    let writers = scripted_peer(listener, tx);
+    let (client, ior) = client_for(addr);
+
+    // The script: the first connection answers its Request with an
+    // orderly CloseConnection after 60 ms (so the call is retried); the
+    // retry's connection never answers at all.
+    let script = thread::spawn(move || {
+        let (first_conn, first) = rx.recv().expect("first attempt observed");
+        assert!(matches!(first, GiopMessage::Request { .. }));
+        thread::sleep(Duration::from_millis(60));
+        let close = GiopMessage::CloseConnection
+            .encode(ByteOrder::BigEndian)
+            .expect("close encodes");
+        writers.lock()[first_conn]
+            .send_frame(&close)
+            .expect("close sends");
+        let (retry_conn, retry) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("retry observed");
+        assert!(matches!(retry, GiopMessage::Request { .. }));
+        assert_ne!(retry_conn, first_conn, "the retry dials a fresh connection");
+        rx // keeps the peer's readers draining until the test ends
+    });
+
+    let started = Instant::now();
+    let result = client.invoke_with(
+        &ior,
+        "stall",
+        &[],
+        &CallOptions::with_deadline(Duration::from_millis(100)),
+    );
+    let took = started.elapsed();
+    match result {
+        Err(OrbError::DeadlineExpired { operation_deadline }) => {
+            assert_eq!(operation_deadline, Duration::from_millis(100));
+        }
+        other => panic!("expected DeadlineExpired, got {other:?}"),
+    }
+    assert!(
+        took >= Duration::from_millis(100),
+        "gave up early: {took:?}"
+    );
+    assert!(
+        took < Duration::from_millis(150),
+        "the retry was given a fresh deadline: {took:?}"
+    );
+    let snap = client.metrics().snapshot();
+    assert_eq!((snap.retries, snap.timeouts), (1, 1));
+    let _rx = script.join().expect("script thread");
+    client.shutdown();
+}
+
+/// A deadline that fires when the peer is 20 bytes into a reply must
+/// not lose those bytes: the next caller on the connection finishes the
+/// frame (a late reply, dropped) and then reads its own.
+#[test]
+fn a_reply_cut_off_by_a_deadline_is_finished_by_the_next_leader() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind scripted peer");
+    let addr = listener.local_addr().unwrap();
+    let (tx, rx) = mpsc::channel();
+    let writers = scripted_peer(listener, tx);
+    let (client, ior) = client_for(addr);
+
+    let a = {
+        let client = Arc::clone(&client);
+        let ior = ior.clone();
+        thread::spawn(move || {
+            let options = CallOptions {
+                deadline: Some(Duration::from_millis(60)),
+                retry: RetryPolicy::never(),
+            };
+            client.invoke_with(&ior, "echo", &[Value::string("a")], &options)
+        })
+    };
+    let (conn, a_id) = match rx.recv().expect("A's request") {
+        (conn, GiopMessage::Request { header, .. }) => (conn, header.request_id),
+        (_, other) => panic!("expected Request, got {:?}", other.kind()),
+    };
+    let a_reply = giop::reply_ok(a_id, Value::string("too late for a"))
+        .encode(ByteOrder::BigEndian)
+        .expect("reply encodes");
+    writers.lock()[conn]
+        .send_frame(&a_reply[..20])
+        .expect("first 20 bytes");
+    // A's CancelRequest is the proof that A gave up mid-frame.
+    match rx.recv_timeout(Duration::from_secs(5)).expect("A's cancel") {
+        (_, GiopMessage::CancelRequest { request_id }) => assert_eq!(request_id, a_id),
+        (_, other) => panic!("expected CancelRequest, got {:?}", other.kind()),
+    }
+    assert!(matches!(
+        a.join().expect("caller A"),
+        Err(OrbError::DeadlineExpired { .. })
+    ));
+
+    let b = {
+        let client = Arc::clone(&client);
+        thread::spawn(move || client.invoke(&ior, "echo", &[Value::string("b")]))
+    };
+    let b_id = match rx.recv().expect("B's request") {
+        (b_conn, GiopMessage::Request { header, .. }) => {
+            assert_eq!(b_conn, conn, "B reuses A's connection");
+            header.request_id
+        }
+        (_, other) => panic!("expected Request, got {:?}", other.kind()),
+    };
+    let b_reply = giop::reply_ok(b_id, Value::string("b"))
+        .encode(ByteOrder::BigEndian)
+        .expect("reply encodes");
+    {
+        let mut w = writers.lock();
+        w[conn]
+            .send_frame(&a_reply[20..])
+            .expect("rest of A's reply");
+        w[conn].send_frame(&b_reply).expect("B's reply");
+    }
+    let got = b.join().expect("caller B").expect("B's call completes");
+    assert_eq!(got.as_str(), Some("b"));
+
+    let snap = client.metrics().snapshot();
+    assert_eq!(snap.evictions, 0, "the stream never desynchronized");
+    assert_eq!(snap.late_replies, 1, "A's reply arrived whole, too late");
+    assert_eq!(snap.timeouts, 1);
     client.shutdown();
 }

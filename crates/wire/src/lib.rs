@@ -44,8 +44,8 @@ pub use giop::{
 };
 pub use ior::{IiopProfile, Ior, TaggedProfile};
 pub use transport::{
-    duplex, Fault, FaultSlot, FaultyTransport, FramedTcp, NbFramed, NbRead, PipeTransport,
-    Transport,
+    duplex, Fault, FaultSlot, FaultyTransport, FramedTcp, NbFramed, NbRead, NbSender,
+    PipeTransport, Transport,
 };
 pub use value::Value;
 

@@ -16,13 +16,15 @@
 
 use crate::bufpool::FrameBuf;
 use crate::giop::{GiopHeader, GiopMessage};
+use crate::poll::{poll_fds, PollFd, POLLIN};
 use crate::{WireError, WireResult};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use webfindit_base::sync::{detect, Mutex};
 
 /// A bidirectional, message-framed byte channel.
@@ -221,6 +223,14 @@ impl FaultState {
 pub struct FramedTcp {
     stream: TcpStream,
     fault: FaultState,
+    /// The frame being received: the 12 header bytes, then — once the
+    /// header has named the size — header and body in the one buffer
+    /// the caller gets. Its length is what the frame needs so far,
+    /// `filled` how much of that has arrived; both survive a
+    /// [`FramedTcp::recv_frame_by`] that ran out of time, so a frame
+    /// the peer delivers in pieces never desynchronizes the stream.
+    partial: Vec<u8>,
+    filled: usize,
 }
 
 impl FramedTcp {
@@ -229,6 +239,8 @@ impl FramedTcp {
         FramedTcp {
             stream,
             fault: FaultState::default(),
+            partial: Vec::new(),
+            filled: 0,
         }
     }
 
@@ -244,8 +256,9 @@ impl FramedTcp {
     }
 
     /// Clone the underlying stream (TCP streams are duplicable handles).
-    /// The fault slot is shared with the clone; frame counters are not,
-    /// so each direction of a split connection counts its own traffic.
+    /// The fault slot is shared with the clone; frame counters and the
+    /// partially received frame are not, so each direction of a split
+    /// connection counts its own traffic and exactly one clone reads.
     pub fn try_clone(&self) -> WireResult<Self> {
         Ok(FramedTcp {
             stream: self.stream.try_clone()?,
@@ -253,6 +266,8 @@ impl FramedTcp {
                 slot: self.fault.slot.clone(),
                 ..FaultState::default()
             },
+            partial: Vec::new(),
+            filled: 0,
         })
     }
 
@@ -280,6 +295,86 @@ impl FramedTcp {
     pub fn install_fault_slot(&mut self, slot: FaultSlot) {
         self.fault.slot = slot;
     }
+
+    /// Block until the socket has bytes to read (or the peer hung up),
+    /// at most until `deadline`; `None` waits without bound. False
+    /// means the deadline passed first. This is the wait itself: the
+    /// caller brackets it with its own `detect::blocking_region`.
+    pub fn wait_readable(&self, deadline: Option<Instant>) -> WireResult<bool> {
+        let timeout_ms = match deadline {
+            None => -1,
+            // poll(2) counts whole milliseconds: round up, so a wait is
+            // never cut short of its deadline.
+            Some(at) => at
+                .saturating_duration_since(Instant::now())
+                .as_micros()
+                .div_ceil(1000)
+                .min(i32::MAX as u128) as i32,
+        };
+        let mut fds = [PollFd::new(self.stream.as_raw_fd(), POLLIN)];
+        Ok(poll_fds(&mut fds, timeout_ms)? > 0)
+    }
+
+    /// Receive one complete frame, waiting at most until `deadline`
+    /// (`None`: as long as it takes). `Ok(None)` means time ran out;
+    /// whatever part of a frame had arrived stays buffered and the next
+    /// call carries on from there.
+    pub fn recv_frame_by(&mut self, deadline: Option<Instant>) -> WireResult<Option<Vec<u8>>> {
+        loop {
+            if self.fault.severed {
+                return Err(WireError::Closed);
+            }
+            let Some(frame) = detect::blocking_region("wire::FramedTcp::recv_frame", || {
+                self.read_frame(deadline)
+            })?
+            else {
+                return Ok(None);
+            };
+            match self.fault.plan_recv(frame)? {
+                RecvPlan::Deliver(f) => return Ok(Some(f)),
+                RecvPlan::Discard => continue,
+                RecvPlan::Close => {
+                    self.shutdown();
+                    return Err(WireError::Closed);
+                }
+            }
+        }
+    }
+
+    /// Fill `partial` up to a whole frame. With a deadline every read
+    /// is preceded by a readiness wait, so no read can block past it.
+    fn read_frame(&mut self, deadline: Option<Instant>) -> WireResult<Option<Vec<u8>>> {
+        if self.partial.is_empty() {
+            self.partial.resize(12, 0);
+        }
+        while self.filled < self.partial.len() {
+            if deadline.is_some() && !self.wait_readable(deadline)? {
+                return Ok(None);
+            }
+            match self.stream.read(&mut self.partial[self.filled..]) {
+                // EOF: between or inside headers the peer simply closed;
+                // inside a body it abandoned a frame it had announced.
+                Ok(0) if self.partial.len() == 12 => return Err(WireError::Closed),
+                Ok(0) => {
+                    return Err(WireError::Io(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "failed to fill whole buffer",
+                    )))
+                }
+                Ok(n) => self.filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(WireError::Io(e)),
+            }
+            if self.filled == 12 && self.partial.len() == 12 {
+                let hdr: [u8; 12] = self.partial[..].try_into().expect("12 header bytes");
+                let header = GiopHeader::from_bytes(&hdr)?;
+                // The body lands behind the header in the same buffer.
+                self.partial.resize(12 + header.body_size as usize, 0);
+            }
+        }
+        self.filled = 0;
+        Ok(Some(std::mem::take(&mut self.partial)))
+    }
 }
 
 impl Transport for FramedTcp {
@@ -305,38 +400,8 @@ impl Transport for FramedTcp {
     }
 
     fn recv_frame(&mut self) -> WireResult<Vec<u8>> {
-        loop {
-            if self.fault.severed {
-                return Err(WireError::Closed);
-            }
-            let mut hdr = [0u8; 12];
-            let stream = &mut self.stream;
-            if let Err(e) = detect::blocking_region("wire::FramedTcp::recv_frame", || {
-                stream.read_exact(&mut hdr)
-            }) {
-                return Err(if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    WireError::Closed
-                } else {
-                    WireError::Io(e)
-                });
-            }
-            let header = GiopHeader::from_bytes(&hdr)?;
-            let mut body = vec![0u8; header.body_size as usize];
-            detect::blocking_region("wire::FramedTcp::recv_frame", || {
-                stream.read_exact(&mut body)
-            })?;
-            let mut frame = Vec::with_capacity(12 + body.len());
-            frame.extend_from_slice(&hdr);
-            frame.extend_from_slice(&body);
-            match self.fault.plan_recv(frame)? {
-                RecvPlan::Deliver(f) => return Ok(f),
-                RecvPlan::Discard => continue,
-                RecvPlan::Close => {
-                    self.shutdown();
-                    return Err(WireError::Closed);
-                }
-            }
-        }
+        // No deadline: `None` (time ran out) cannot come back.
+        self.recv_frame_by(None)?.ok_or(WireError::Closed)
     }
 }
 
@@ -353,16 +418,16 @@ pub struct NbRead {
     pub closed: bool,
 }
 
-/// Nonblocking, incrementally-parsed GIOP framing for the reactor core.
+/// Nonblocking, incrementally-parsed GIOP framing for the reactor core:
+/// the read half of an accepted connection.
 ///
-/// Unlike [`FramedTcp`], which parks a thread in `read_exact` until a
-/// whole frame arrives, `NbFramed` is driven by readiness: each
+/// Unlike [`FramedTcp`], which parks a thread in `read` until a whole
+/// frame arrives, `NbFramed` is driven by readiness: each
 /// [`NbFramed::on_readable`] drains whatever bytes the socket has into
 /// an accumulation buffer and extracts every complete frame; partial
-/// frames simply wait for the next readiness event. Writes mirror that:
-/// frames are queued whole, and [`NbFramed::on_writable`] pushes queued
-/// bytes until the socket would block, tracking a byte count the
-/// reactor uses for per-connection backpressure.
+/// frames simply wait for the next readiness event. Writes go through
+/// the connection's [`NbSender`], which [`NbFramed::new`] returns
+/// beside it.
 ///
 /// Chaos wire faults are a client-side concern (they are installed on
 /// dialed connections); this server-side path stays fault-free.
@@ -372,26 +437,50 @@ pub struct NbFramed {
     /// Received-but-unparsed bytes; complete frames are drained off the
     /// front, a trailing partial frame stays for the next pass.
     recv: Vec<u8>,
+}
+
+/// The send half of a nonblocking connection: whole frames are queued,
+/// and [`NbSender::on_writable`] pushes queued bytes until the socket
+/// would block, tracking a byte count the reactor uses for
+/// per-connection backpressure.
+///
+/// It owns a duplicate handle of the stream, so it can sit behind a
+/// lock that the reactor and its dispatch workers share: whoever has a
+/// reply queues it and writes, and frames queued under one hold of that
+/// lock reach the wire back to back.
+#[derive(Debug)]
+pub struct NbSender {
+    stream: TcpStream,
     /// Outgoing frames not yet (fully) written.
     send_q: VecDeque<FrameBuf>,
     /// How many bytes of the queue's front frame are already written.
     send_off: usize,
     /// Total unwritten bytes across the queue.
     queued: usize,
+    /// A write failed: the connection is beyond use.
+    failed: bool,
 }
 
 impl NbFramed {
-    /// Wrap a connected stream, switching it to nonblocking mode.
-    pub fn new(stream: TcpStream) -> WireResult<Self> {
+    /// Wrap a connected stream, switching it to nonblocking mode, and
+    /// split it into its read half and its send half.
+    pub fn new(stream: TcpStream) -> WireResult<(Self, NbSender)> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
-        Ok(NbFramed {
-            stream,
-            recv: Vec::new(),
+        let sender = NbSender {
+            stream: stream.try_clone()?,
             send_q: VecDeque::new(),
             send_off: 0,
             queued: 0,
-        })
+            failed: false,
+        };
+        Ok((
+            NbFramed {
+                stream,
+                recv: Vec::new(),
+            },
+            sender,
+        ))
     }
 
     /// The underlying stream (for fd registration and severing).
@@ -449,8 +538,16 @@ impl NbFramed {
         Ok(out)
     }
 
-    /// Queue one whole frame for writing. The caller checks
-    /// [`NbFramed::queued_bytes`] against its high-water mark; the queue
+    /// Sever both directions of the stream (the send half's handle
+    /// refers to the same socket).
+    pub fn shutdown(&self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+impl NbSender {
+    /// Queue one whole frame for writing. The reactor checks
+    /// [`NbSender::queued_bytes`] against its high-water mark; the queue
     /// itself never refuses a frame (replies to already-admitted
     /// requests must not be dropped).
     pub fn enqueue(&mut self, frame: impl Into<FrameBuf>) {
@@ -460,8 +557,9 @@ impl NbFramed {
     }
 
     /// Write queued bytes until the queue empties or the socket would
-    /// block. Call when the socket polls writable (or right after
-    /// enqueueing, to attempt an eager flush).
+    /// block. Call right after enqueueing, and again when the socket
+    /// polls writable while [`NbSender::wants_write`]. A write error is
+    /// remembered ([`NbSender::failed`]).
     pub fn on_writable(&mut self) -> WireResult<()> {
         while let Some(front) = self.send_q.front() {
             let bytes = &front[self.send_off..];
@@ -476,7 +574,10 @@ impl NbFramed {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(WireError::Io(e)),
+                Err(e) => {
+                    self.failed = true;
+                    return Err(WireError::Io(e));
+                }
             }
         }
         Ok(())
@@ -492,9 +593,9 @@ impl NbFramed {
         self.queued
     }
 
-    /// Sever both directions of the stream.
-    pub fn shutdown(&self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    /// True once a write has failed; nothing more can be sent.
+    pub fn failed(&self) -> bool {
+        self.failed
     }
 }
 
@@ -860,12 +961,13 @@ mod tests {
         assert_eq!(server.join().unwrap(), vec![0, 1]);
     }
 
-    fn nb_pair() -> (NbFramed, FramedTcp) {
+    fn nb_pair() -> (NbFramed, NbSender, FramedTcp) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let peer = TcpStream::connect(addr).unwrap();
         let (accepted, _) = listener.accept().unwrap();
-        (NbFramed::new(accepted).unwrap(), FramedTcp::new(peer))
+        let (nb, sender) = NbFramed::new(accepted).unwrap();
+        (nb, sender, FramedTcp::new(peer))
     }
 
     /// Poll `f` until it returns Some, for nonblocking tests.
@@ -882,7 +984,7 @@ mod tests {
 
     #[test]
     fn nb_framed_parses_split_and_coalesced_frames() {
-        let (mut nb, peer) = nb_pair();
+        let (mut nb, _sender, peer) = nb_pair();
         let f1 = request(1, b"k".to_vec(), "op", vec![Value::Long(1)])
             .encode(ByteOrder::BigEndian)
             .unwrap();
@@ -921,7 +1023,7 @@ mod tests {
 
     #[test]
     fn nb_framed_reports_peer_close() {
-        let (mut nb, peer) = nb_pair();
+        let (mut nb, _sender, peer) = nb_pair();
         drop(peer);
         let closed = wait_for(|| {
             let r = nb.on_readable().unwrap();
@@ -932,7 +1034,7 @@ mod tests {
 
     #[test]
     fn nb_framed_write_queue_drains_under_backpressure() {
-        let (mut nb, mut peer) = nb_pair();
+        let (_nb, mut nb, mut peer) = nb_pair();
         // A reply large enough to overflow any sane socket buffer, so
         // flushes leave queued bytes behind until the peer drains.
         let big = reply_ok(1, Value::string("y".repeat(8 << 20)));
@@ -953,7 +1055,7 @@ mod tests {
 
     #[test]
     fn nb_framed_rejects_bad_magic() {
-        let (mut nb, peer) = nb_pair();
+        let (mut nb, _sender, peer) = nb_pair();
         let mut raw = peer.stream.try_clone().unwrap();
         raw.write_all(b"POIGxxxxxxxxxxxx").unwrap();
         let err = wait_for(|| match nb.on_readable() {

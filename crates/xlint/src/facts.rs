@@ -25,7 +25,7 @@ pub const ACQUIRE_CALLS: [&str; 3] = ["lock", "read", "write"];
 /// invocations, frame I/O, connection establishment. A live guard at
 /// one of these is a `guard-across-blocking` finding; reachability of
 /// one from the reactor thread is a `reactor-blocking` finding.
-pub const BLOCKING_TOKENS: [&str; 14] = [
+pub const BLOCKING_TOKENS: [&str; 16] = [
     ".invoke(",
     ".invoke_with(",
     "invoke_codb(",
@@ -33,6 +33,8 @@ pub const BLOCKING_TOKENS: [&str; 14] = [
     "recv_reply(",
     ".send_frame(",
     ".recv_frame(",
+    ".recv_frame_by(",
+    ".wait_readable(",
     ".send_message(",
     ".recv_message(",
     "TcpStream::connect",
@@ -45,7 +47,7 @@ pub const BLOCKING_TOKENS: [&str; 14] = [
 /// Method names whose callee is a blocking token in its own right; call
 /// sites with these names are covered by the direct
 /// guard-across-blocking rule, so the transitive rule skips them.
-pub const BLOCKING_CALL_NAMES: [&str; 14] = [
+pub const BLOCKING_CALL_NAMES: [&str; 16] = [
     "invoke",
     "invoke_with",
     "invoke_codb",
@@ -53,6 +55,8 @@ pub const BLOCKING_CALL_NAMES: [&str; 14] = [
     "recv_reply",
     "send_frame",
     "recv_frame",
+    "recv_frame_by",
+    "wait_readable",
     "send_message",
     "recv_message",
     "connect",

@@ -460,3 +460,28 @@ fn since_survives_an_orb_restart_between_the_snapshots() {
     assert_eq!(data(), data_before);
     dep.fed.shutdown();
 }
+
+#[test]
+fn an_idle_pooled_connection_to_a_restarted_orb_costs_at_most_one_retry() {
+    let dep = build_healthcare(1999).unwrap();
+    let fed = &dep.fed;
+    let rbh = fed.site("Royal Brisbane Hospital").unwrap();
+    let client = fed.client_orb();
+    // The first call leaves a connection to VisiBroker idle in the pool.
+    fed.invoke(&rbh.codb_ior, "version", &[]).unwrap();
+
+    assert!(fed.kill_orb(&rbh.orb_name).unwrap());
+    assert!(fed.restart_orb(&rbh.orb_name).unwrap());
+
+    // Nobody was reading that connection when the old ORB said
+    // CloseConnection and hung up. The next call must find that out
+    // before it sends (or, at worst, as a provably unprocessed request
+    // it may retry once) — never as an ambiguous loss that surfaces.
+    let before = client.metrics().snapshot();
+    fed.invoke(&rbh.codb_ior, "version", &[])
+        .expect("the call reaches the restarted ORB");
+    let delta = client.metrics().snapshot().since(&before);
+    assert!(delta.retries <= 1, "retries = {}", delta.retries);
+    assert_eq!(delta.evictions, 1, "the stale connection is dropped");
+    fed.shutdown();
+}
