@@ -29,7 +29,7 @@ use webfindit_orb::servant::EchoServant;
 use webfindit_orb::{Orb, OrbConfig, OrbDomain};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{self, GiopMessage};
-use webfindit_wire::transport::{FramedTcp, Transport};
+use webfindit_wire::transport::FramedTcp;
 use webfindit_wire::value::Value;
 
 /// Resident set size of this process in KiB (`VmRSS` from
@@ -189,7 +189,7 @@ fn conn_worker(
                 return latencies;
             }
         };
-        match GiopMessage::decode_frame(&frame) {
+        match GiopMessage::decode_frame(frame) {
             Ok(GiopMessage::Reply { request_id, .. }) => {
                 if let Some(t0) = in_flight.remove(&request_id) {
                     latencies.push(t0.elapsed().as_secs_f64() * 1e6);

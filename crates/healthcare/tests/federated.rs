@@ -1,9 +1,10 @@
 //! Federated cross-site query execution over the healthcare
 //! deployment: union across a coalition, semi-join key shipping
-//! between the insurers, serial/parallel merge identity, EXPLAIN
-//! plans, and graceful degradation when a member's ORB dies mid-query.
+//! between the insurers, serial/parallel merge identity, a ship wave
+//! that overlaps its members, EXPLAIN plans, and graceful degradation
+//! when a member's ORB dies mid-query.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use webfindit::orb::CallOptions;
 use webfindit::processor::{Processor, Response};
 use webfindit::session::BrowserSession;
@@ -78,6 +79,54 @@ fn parallel_merge_is_byte_identical_to_sequential_reference() {
         assert_eq!(a.render(), cold.render(), "{query}");
         assert_eq!(a.render(), warm.render(), "{query}");
     }
+    dep.fed.shutdown();
+}
+
+/// The ship wave overlaps its members: with each union member's ISI
+/// servant held 100 ms, one fed worker pays the three holds in a row and
+/// eight pay about one, with the same rows either way.
+#[test]
+fn ship_wave_overlaps_stalled_members() {
+    const MEMBERS: [&str; 3] = [
+        "QUT Research",
+        "RMIT Medical Research",
+        "Royal Brisbane Hospital",
+    ];
+    let dep = build_healthcare(1999).unwrap();
+    let mut serial = Processor::new(dep.fed.clone());
+    serial.set_fed_workers(1);
+    let mut parallel = Processor::new(dep.fed.clone());
+    parallel.set_fed_workers(8);
+    let mut ss = BrowserSession::new("QUT Research");
+    let mut sp = BrowserSession::new("QUT Research");
+    // Warm both first, so the timed runs are the ship wave, not
+    // plan-time discovery.
+    fed_submit(&serial, &mut ss, UNION);
+    fed_submit(&parallel, &mut sp, UNION);
+
+    for site in MEMBERS {
+        dep.fed.site(site).unwrap().isi_stall.stall(100);
+    }
+    let timed = |processor: &Processor, session: &mut BrowserSession| {
+        let started = Instant::now();
+        let rendered = fed_submit(processor, session, UNION).render();
+        (started.elapsed(), rendered)
+    };
+    let (serial_took, serial_rows) = timed(&serial, &mut ss);
+    let (parallel_took, parallel_rows) = timed(&parallel, &mut sp);
+    for site in MEMBERS {
+        dep.fed.site(site).unwrap().isi_stall.clear();
+    }
+
+    assert!(
+        serial_took >= Duration::from_millis(300),
+        "one worker took {serial_took:?}"
+    );
+    assert!(
+        parallel_took < Duration::from_millis(200),
+        "eight workers took {parallel_took:?}"
+    );
+    assert_eq!(serial_rows, parallel_rows);
     dep.fed.shutdown();
 }
 

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use webfindit_base::sync::{detect, Mutex};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{FragmentAssembler, GiopMessage};
-use webfindit_wire::transport::{FramedTcp, Transport};
+use webfindit_wire::transport::FramedTcp;
 use webfindit_wire::WireError;
 
 /// Per-call policy knobs, threaded from the application layers down to
@@ -319,8 +319,9 @@ enum Wake {
 }
 
 /// The read side of a connection, owned by whichever caller currently
-/// leads: the stream clone that reads, and the reassembly state of a
-/// fragment train in progress.
+/// leads: the stream clone that reads (its frame reader holds a frame
+/// still arriving), and the reassembly state of a fragment train in
+/// progress.
 struct ReadHalf {
     tcp: FramedTcp,
     assembler: FragmentAssembler,
@@ -397,19 +398,10 @@ fn lead(
     metrics: &OrbMetrics,
 ) -> Led {
     loop {
-        // The socket wait is the blocking heart of Orb::invoke. The
-        // read half is the only lock held into it.
-        let received = detect::blocking_region("orb::IiopChannel::reply_wait", || {
-            rd.tcp.wait_readable(deadline)
-        })
-        .and_then(|ready| {
-            if ready {
-                rd.tcp.recv_frame_by(deadline)
-            } else {
-                Ok(None)
-            }
-        });
-        let frame = match received {
+        // The socket wait (a checked blocking region inside
+        // `recv_frame_by`) is the blocking heart of Orb::invoke. The read
+        // half is the only lock held into it.
+        let frame = match rd.tcp.recv_frame_by(deadline) {
             Ok(Some(f)) => f,
             Ok(None) => return Led::TimedOut,
             Err(WireError::Closed) => {
@@ -424,7 +416,7 @@ fn lead(
         };
         metrics.add(&metrics.bytes_received, frame.len() as u64);
         let mid_train = rd.assembler.in_progress();
-        let msg = match rd.assembler.push_frame(&frame) {
+        let msg = match rd.assembler.push_frame(frame) {
             Ok(Some(m)) => {
                 if mid_train {
                     metrics.add(&metrics.fragments_reassembled, 1);
@@ -906,7 +898,7 @@ mod tests {
                 .send(reader.try_clone().expect("clone peer stream"))
                 .expect("test takes the writer");
             while let Ok(frame) = reader.recv_frame() {
-                let msg = GiopMessage::decode_frame(&frame).expect("peer decodes");
+                let msg = GiopMessage::decode_frame(frame).expect("peer decodes");
                 if seen.send(msg).is_err() {
                     break;
                 }

@@ -280,10 +280,10 @@ impl ChaosPlan {
             }
             2 if !targets.endpoints.is_empty() => {
                 let (host, port) = endpoint(rng);
-                // Note `DropAfter` is deliberately absent: which pooled
-                // connection carries which request is scheduler-dependent,
-                // so a frame-counting fault would make replay transcripts
-                // diverge. Scripted plans may still use it.
+                // No fault counts frames: which pooled connection
+                // carries which request is scheduler-dependent, so a
+                // frame-counting fault would make replay transcripts
+                // diverge.
                 let fault = match rng.gen_range(0u32..4) {
                     0 => Fault::DropFrames,
                     1 => Fault::DelayMs(rng.gen_range(1u64..=20)),

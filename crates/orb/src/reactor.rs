@@ -8,9 +8,10 @@
 //!
 //! * **one reactor thread** owns the listener and every accepted
 //!   connection, driven by `poll(2)` readiness
-//!   ([`webfindit_wire::poll`]). Reads are incremental
-//!   ([`NbFramed::on_readable`]) so a slow or malicious peer that
-//!   trickles half a header costs a buffer, not a blocked thread;
+//!   ([`webfindit_wire::poll`]). Reads are incremental — one
+//!   [`FrameReader::fill`] per readiness event, then every whole frame
+//!   it buffered — so a slow or malicious peer that trickles half a
+//!   header costs a buffer, not a blocked thread;
 //! * **a bounded worker pool** executes servant dispatch off the
 //!   reactor thread, so a stalled servant blocks one worker, never the
 //!   event loop. The worker that ran the servant writes the reply
@@ -54,7 +55,7 @@ use webfindit_wire::giop::{
     self, FragmentAssembler, GiopMessage, LocateStatus, RequestHeader, FRAGMENT_BODY_SIZE,
 };
 use webfindit_wire::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
-use webfindit_wire::transport::{NbFramed, NbSender};
+use webfindit_wire::transport::{FrameReader, NbSender};
 use webfindit_wire::{BufPool, FrameBuf, Value, WireResult};
 
 /// Per-connection send-queue depth above which the reactor stops
@@ -83,7 +84,8 @@ struct Job {
 
 /// One accepted connection in the reactor's table.
 struct Conn {
-    nb: NbFramed,
+    stream: TcpStream,
+    reader: FrameReader,
     send: SendHalf,
     assembler: FragmentAssembler,
     canceled: Arc<Mutex<HashSet<u32>>>,
@@ -106,7 +108,7 @@ impl Drop for Conn {
     /// handle of the socket alive, so the peer is told now rather than
     /// when that worker lets go.
     fn drop(&mut self) {
-        self.nb.shutdown();
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -378,7 +380,7 @@ impl Reactor {
             }
             // Registering with no events still reports errors/hangups,
             // which is exactly what a paused connection needs.
-            fds.push(PollFd::new(conn.nb.stream().as_raw_fd(), events));
+            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
             targets.push(Target::Conn(*id));
             true
         });
@@ -393,16 +395,16 @@ impl Reactor {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            let (nb, sender) = match NbFramed::new(stream) {
-                Ok(halves) => halves,
-                Err(_) => continue,
+            let Ok(sender) = NbSender::new(&stream) else {
+                continue;
             };
             let id = self.next_conn_id;
             self.next_conn_id += 1;
             self.conns.insert(
                 id,
                 Conn {
-                    nb,
+                    stream,
+                    reader: FrameReader::default(),
                     send: Arc::new(Mutex::new_labeled(sender, "orb::reactor::Conn.send")),
                     assembler: FragmentAssembler::new(),
                     canceled: Arc::new(Mutex::new_labeled(
@@ -435,28 +437,32 @@ impl Reactor {
         true
     }
 
-    /// Read whatever the socket has, reassemble frames, and act on each
+    /// Read once from the socket, reassemble frames, and act on each
     /// complete message. Returns false when the connection must drop.
     fn read_conn(&mut self, id: u64) -> bool {
-        let read = {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return true;
+        };
+        // One read per readiness event: poll is level-triggered, so what
+        // the buffer had no room for is reported again next round. An
+        // error here is the peer hanging up (or the socket failing).
+        if conn.reader.fill(&conn.stream).is_err() {
+            return false;
+        }
+        loop {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return true;
             };
-            match conn.nb.on_readable() {
-                Ok(read) => read,
+            let pushed = match conn.reader.next_frame() {
+                Ok(Some(frame)) => {
+                    self.metrics
+                        .add(&self.metrics.bytes_received, frame.len() as u64);
+                    conn.assembler.push_frame(frame)
+                }
+                Ok(None) => return true,
                 // Framing garbage (bad magic, oversized header): GIOP
                 // says tell the peer, then hang up.
                 Err(_) => return self.protocol_error(id),
-            }
-        };
-        for frame in &read.frames {
-            self.metrics
-                .add(&self.metrics.bytes_received, frame.len() as u64);
-            let pushed = {
-                let Some(conn) = self.conns.get_mut(&id) else {
-                    return true;
-                };
-                conn.assembler.push_frame(frame)
             };
             let action = match pushed {
                 Ok(None) => ConnAction::Continue, // mid-train
@@ -469,7 +475,6 @@ impl Reactor {
                 ConnAction::ProtocolError => return self.protocol_error(id),
             }
         }
-        !read.closed
     }
 
     fn handle_message(&mut self, id: u64, msg: GiopMessage) -> ConnAction {
@@ -646,7 +651,7 @@ mod tests {
         // connection; wait until the reset has reached this side.
         wait_for(&peer, POLLIN);
         drop(peer);
-        let conn_fd = reactor.conns.values().next().unwrap().nb.stream();
+        let conn_fd = &reactor.conns.values().next().unwrap().stream;
         assert_ne!(wait_for(conn_fd, 0) & POLLHUP, 0);
 
         write_reply(&send, reply(2), &wake_tx, &reactor.metrics);

@@ -17,7 +17,7 @@ use webfindit_base::sync::Mutex;
 use webfindit_orb::{CallOptions, Orb, OrbConfig, OrbDomain, OrbError, RetryPolicy};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{self, GiopMessage};
-use webfindit_wire::transport::{FramedTcp, Transport};
+use webfindit_wire::transport::FramedTcp;
 use webfindit_wire::{Ior, Value};
 
 /// A decoded Request observed by the scripted peer, tagged with the
@@ -50,7 +50,7 @@ fn scripted_peer(
             let tx = tx.clone();
             thread::spawn(move || {
                 while let Ok(frame) = reader.recv_frame() {
-                    let msg = GiopMessage::decode_frame(&frame).expect("scripted peer decodes");
+                    let msg = GiopMessage::decode_frame(frame).expect("scripted peer decodes");
                     if tx.send((conn, msg)).is_err() {
                         break;
                     }

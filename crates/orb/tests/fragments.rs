@@ -12,7 +12,7 @@ use webfindit_orb::servant::{InvokeResult, Servant, ServantError};
 use webfindit_orb::{Orb, OrbConfig, OrbDomain};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{self, FragmentAssembler, GiopHeader, GiopMessage, MessageKind};
-use webfindit_wire::transport::{FramedTcp, Transport};
+use webfindit_wire::transport::FramedTcp;
 use webfindit_wire::Value;
 
 /// Returns a payload of the requested size; `big` is comfortably past
@@ -170,7 +170,7 @@ impl RawClient {
             if self.assembler.in_progress() {
                 assert_eq!(kind, MessageKind::Fragment, "a frame cut into a train");
             }
-            match self.assembler.push_frame(&frame).expect("frame assembles") {
+            match self.assembler.push_frame(frame).expect("frame assembles") {
                 Some(GiopMessage::Reply {
                     request_id, body, ..
                 }) => return (request_id, body),

@@ -661,19 +661,6 @@ impl Database {
         &self.tables
     }
 
-    /// Run a SELECT through the retained naive reference executor.
-    ///
-    /// Differential tests and the E10 benchmark use this as the
-    /// semantic baseline for the planned pipeline.
-    pub fn query_naive(&self, sql: &str) -> RelResult<ResultSet> {
-        match parse_statement(sql)? {
-            Statement::Select(s) => crate::exec::execute_select_naive(&s, &self.tables),
-            other => Err(RelError::Unsupported(format!(
-                "query_naive only runs SELECT, got {other:?}"
-            ))),
-        }
-    }
-
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.tables.keys().cloned().collect();

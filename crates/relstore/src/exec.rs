@@ -25,9 +25,9 @@
 //! bit-identical to the reference's collect-then-sum.
 //!
 //! The vector-at-a-time interpreter [`execute_select_naive`] is the
-//! semantic reference for the differential property tests and the
-//! baseline for the E10 benchmark. It resolves columns by name on
-//! every row and materializes every intermediate result.
+//! semantic reference for the differential property tests. It resolves
+//! columns by name on every row and materializes every intermediate
+//! result.
 
 use crate::expr::{eval, eval_true, AggFunc, BinOp, EvalContext, Expr};
 use crate::plan::{
@@ -1077,9 +1077,8 @@ fn aggregate_rows(
 /// Execute a SELECT with the vector-at-a-time reference interpreter.
 ///
 /// The semantic reference: the differential property tests assert the
-/// pipelined executor produces the same rows, and the E10 benchmark
-/// uses it as the baseline. Indexes are only consulted for
-/// single-table equality predicates.
+/// pipelined executor produces the same rows. Indexes are only
+/// consulted for single-table equality predicates.
 pub fn execute_select_naive(
     stmt: &SelectStmt,
     tables: &HashMap<String, Table>,

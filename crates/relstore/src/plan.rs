@@ -931,7 +931,7 @@ pub(crate) fn detect_pk_point<'a>(
 /// A primary-key equality can only ever plan one way (index lookup,
 /// residual filter, projection), so running the full sarg sweep and
 /// statistics pass for it is pure overhead; at one-row result sizes
-/// that overhead is what the E10 `pk_point` measurement is made of.
+/// that overhead is most of what a point read costs in the planner.
 /// The tree built here is node-for-node identical to what the general
 /// path would produce (same operators, same `est_rows`, same EXPLAIN
 /// rendering) — only the work to decide it is skipped.

@@ -11,8 +11,8 @@
 //!
 //! **Property:** post-recovery state equals replaying exactly the
 //! *acknowledged-committed* statement prefix on a fresh in-memory
-//! database (the `query_naive`-style reference-model pattern from the
-//! planner suite, applied to durability). Committed transactions
+//! database (the reference-model pattern of the planner suite's naive
+//! executor, applied to durability). Committed transactions
 //! survive; uncommitted and unacknowledged ones vanish entirely.
 
 use std::collections::BTreeMap;

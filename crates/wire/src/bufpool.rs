@@ -103,7 +103,7 @@ impl BufPool {
 /// An encoded frame backed by pool storage; returns it on drop.
 ///
 /// Dereferences to the frame bytes, so it drops into any API taking
-/// `&[u8]` (e.g. `Transport::send_frame`).
+/// `&[u8]` (e.g. `FramedTcp::send_frame`).
 #[derive(Debug)]
 pub struct PooledBuf {
     buf: Option<Vec<u8>>,

@@ -3,8 +3,8 @@
 //! A from-scratch implementation of the wire layer that the WebFINDIT paper
 //! relies on for inter-ORB interoperability: the CORBA 2.0 **Common Data
 //! Representation** (CDR), the **General Inter-ORB Protocol** (GIOP) message
-//! set, **Interoperable Object References** (IORs), and byte transports
-//! (TCP and in-process pipes).
+//! set, **Interoperable Object References** (IORs), and GIOP framing over
+//! TCP (IIOP).
 //!
 //! The paper's prototype connects three commercial ORBs (Orbix, OrbixWeb,
 //! VisiBroker) that can only talk to each other because they all speak GIOP
@@ -23,9 +23,9 @@
 //!   Fragment).
 //! * [`ior`] — interoperable object references with tagged IIOP profiles.
 //! * [`poll`] — a minimal `poll(2)` readiness binding for the reactor core.
-//! * [`transport`] — framed byte transports: TCP (blocking and
-//!   nonblocking/incremental), in-process duplex pipes, and a
-//!   fault-injecting wrapper for tests.
+//! * [`transport`] — GIOP framing over TCP: the one incremental frame
+//!   reader, a blocking connection with chaos fault injection, and the
+//!   reactor's nonblocking send half.
 
 #![warn(missing_docs)]
 
@@ -43,10 +43,7 @@ pub use giop::{
     FragmentAssembler, GiopHeader, GiopMessage, MessageKind, ReplyStatus, RequestHeader,
 };
 pub use ior::{IiopProfile, Ior, TaggedProfile};
-pub use transport::{
-    duplex, Fault, FaultSlot, FaultyTransport, FramedTcp, NbFramed, NbRead, NbSender,
-    PipeTransport, Transport,
-};
+pub use transport::{Fault, FaultSlot, FrameReader, FramedTcp, NbSender};
 pub use value::Value;
 
 use std::fmt;

@@ -1,52 +1,28 @@
-//! Framed byte transports for GIOP.
+//! GIOP framing over TCP — IIOP, the one transport WebFINDIT's ORBs
+//! speak.
 //!
-//! GIOP is transport-agnostic; IIOP is its mapping to TCP. WebFINDIT's
-//! three ORBs talk IIOP over real sockets, so this module provides:
-//!
-//! * [`FramedTcp`] — GIOP framing over a `TcpStream` (the genuine IIOP
-//!   path used by the multi-ORB integration tests and benches);
-//! * [`PipeTransport`] — an in-process duplex pipe with identical framing
-//!   semantics, for fast deterministic tests and single-process
-//!   deployments;
-//! * [`FaultyTransport`] — a wrapper that injects truncation and
-//!   corruption faults, used by the failure-injection tests.
-//!
-//! All transports move whole frames: a 12-byte GIOP header followed by
-//! exactly `body_size` bytes.
+//! * [`FrameReader`] — the GIOP framer. It reads what a socket has and
+//!   yields whole frames (a 12-byte header, then exactly `body_size`
+//!   bytes), and never waits: the reactor drives it on readiness,
+//!   [`FramedTcp`] after its own deadline-bounded wait.
+//! * [`FramedTcp`] — a blocking IIOP connection for callers, whose
+//!   [`FaultSlot`] lets a chaos plan inject wire faults while traffic is
+//!   in flight.
+//! * [`NbSender`] — the queued, nonblocking send half of a connection
+//!   the reactor serves.
 
 use crate::bufpool::FrameBuf;
-use crate::giop::{GiopHeader, GiopMessage};
+use crate::cdr::ByteOrder;
+use crate::giop::{GiopHeader, GiopMessage, FRAGMENT_BODY_SIZE};
 use crate::poll::{poll_fds, PollFd, POLLIN};
 use crate::{WireError, WireResult};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webfindit_base::sync::{detect, Mutex};
-
-/// A bidirectional, message-framed byte channel.
-pub trait Transport: Send {
-    /// Send one complete GIOP frame.
-    fn send_frame(&mut self, frame: &[u8]) -> WireResult<()>;
-
-    /// Receive one complete GIOP frame (header + body).
-    fn recv_frame(&mut self) -> WireResult<Vec<u8>>;
-
-    /// Encode and send a message in one step.
-    fn send_message(&mut self, msg: &GiopMessage, order: crate::cdr::ByteOrder) -> WireResult<()> {
-        let frame = msg.encode(order)?;
-        self.send_frame(&frame)
-    }
-
-    /// Receive and decode a message in one step.
-    fn recv_message(&mut self) -> WireResult<GiopMessage> {
-        let frame = self.recv_frame()?;
-        GiopMessage::decode_frame(&frame)
-    }
-}
 
 /// Kinds of injected transport faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,23 +30,14 @@ pub enum Fault {
     /// Deliver frames untouched.
     #[default]
     None,
-    /// Cut each outgoing frame to at most this many bytes.
-    Truncate(usize),
     /// Overwrite the GIOP magic of outgoing frames.
     CorruptMagic,
-    /// Flip the declared body size to a huge value.
-    InflateSize,
-    /// Drop outgoing frames entirely (the receiver sees `Closed` when the
-    /// wrapper is later dropped, or blocks — callers pair this with
-    /// timeouts).
+    /// Drop outgoing frames entirely (the peer never sees them —
+    /// callers pair this with deadlines).
     DropFrames,
     /// Hold every frame for this many milliseconds before letting it
     /// through (both directions) — simulated link latency.
     DelayMs(u64),
-    /// Let this many frames through, then drop every later one (each
-    /// direction counts its own frames). Simulates a link that silently
-    /// starts losing traffic mid-conversation.
-    DropAfter(u64),
     /// Sever the connection in the middle of the next frame: the send
     /// path writes only half the frame before closing, so the peer sees
     /// a genuine mid-frame connection loss; the receive path reports
@@ -109,128 +76,134 @@ impl FaultSlot {
     }
 }
 
-/// What the fault logic decided to do with an outgoing frame.
-enum SendPlan {
-    /// Send these bytes.
-    Send(Vec<u8>),
-    /// Pretend success without sending anything.
-    Swallow,
-    /// Send these (partial) bytes, then sever the connection.
-    SendPartThenClose(Vec<u8>),
-}
+/// Room a reader's first read gets; the buffer grows past it only for a
+/// frame that needs more.
+const READ_CHUNK: usize = 16 * 1024;
 
-/// What the fault logic decided to do with a received frame.
-enum RecvPlan {
-    /// Hand the frame to the caller.
-    Deliver(Vec<u8>),
-    /// Silently discard it and wait for the next one.
-    Discard,
-    /// Sever the connection instead of delivering.
-    Close,
-}
+/// The largest buffer a reader keeps between frames: one whole fragment
+/// of a fragment train, so a connection that streams trains reads every
+/// fragment in place. A bigger frame's buffer is let go once the frame
+/// has been handed out.
+const KEEP_MAX: usize = 12 + FRAGMENT_BODY_SIZE;
 
-/// Per-transport fault bookkeeping around a shared [`FaultSlot`].
+/// Incremental GIOP framing — the one place a GIOP header is parsed off
+/// a socket.
 ///
-/// The slot is shared; the frame counters and the severed flag are per
-/// transport instance, so the writer and reader halves of one TCP
-/// connection count their own directions.
+/// [`FrameReader::fill`] makes one `read` of whatever the socket has, and
+/// [`FrameReader::next_frame`] hands out each whole frame now buffered; a
+/// partial frame waits for the next `fill`. The reader itself never
+/// waits for bytes: the reactor calls `fill` when its nonblocking socket
+/// polls readable, [`FramedTcp::recv_frame_by`] after its own
+/// deadline-bounded wait.
+///
+/// The buffer is zero-filled only when it grows. A frame is handed out
+/// as a slice of it, so whoever keeps its bytes (the fragment assembler)
+/// makes the only full copy; what had arrived of a frame before the
+/// buffer had room for all of it — it came behind another frame, or the
+/// buffer had to grow — is moved once.
 #[derive(Debug, Default)]
-struct FaultState {
-    slot: FaultSlot,
-    sent: u64,
-    received: u64,
-    severed: bool,
+pub struct FrameReader {
+    /// Received bytes are `buf[head..tail]`: whole frames not yet handed
+    /// out, then at most one partial frame.
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
 }
 
-impl FaultState {
-    fn plan_send(&mut self, frame: &[u8]) -> WireResult<SendPlan> {
-        if self.severed {
-            return Err(WireError::Closed);
+impl FrameReader {
+    /// Make one `read` from `stream` into the buffer; call it once
+    /// [`FrameReader::next_frame`] has nothing left. Returns how many
+    /// bytes arrived: 0 when the socket had none to give (a nonblocking
+    /// socket would block, or a blocking one's read timeout passed). A
+    /// peer that closed its side is `Closed` between frames or inside a
+    /// header, and `UnexpectedEof` inside a body.
+    pub fn fill(&mut self, stream: &TcpStream) -> WireResult<usize> {
+        if self.head == self.tail {
+            (self.head, self.tail) = (0, 0);
+            if self.buf.len() > KEEP_MAX {
+                self.buf = Vec::new();
+            }
         }
-        Ok(match self.slot.get() {
-            Fault::None => SendPlan::Send(frame.to_vec()),
-            Fault::Truncate(n) => SendPlan::Send(frame[..frame.len().min(n)].to_vec()),
-            Fault::CorruptMagic => {
-                let mut f = frame.to_vec();
-                if f.len() >= 4 {
-                    f[..4].copy_from_slice(b"POIG");
+        // Room for the whole frame at the front — or for a chunk, while
+        // its header is still incomplete.
+        let need = self.frame_len()?.unwrap_or(READ_CHUNK);
+        if self.head + need > self.buf.len() {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+            if self.buf.len() < need {
+                self.buf.resize(need, 0);
+            }
+        }
+        let mut stream = stream;
+        loop {
+            match stream.read(&mut self.buf[self.tail..]) {
+                Ok(0) if self.tail - self.head < 12 => return Err(WireError::Closed),
+                // The peer abandoned a frame whose header it had sent.
+                Ok(0) => {
+                    return Err(WireError::Io(std::io::Error::new(
+                        ErrorKind::UnexpectedEof,
+                        "failed to fill whole buffer",
+                    )))
                 }
-                SendPlan::Send(f)
-            }
-            Fault::InflateSize => {
-                let mut f = frame.to_vec();
-                if f.len() >= 12 {
-                    // Body size field at offset 8; write an absurd size in
-                    // the frame's own byte order (bit 0 of flags octet).
-                    let huge = (crate::MAX_MESSAGE_SIZE + 17).to_be_bytes();
-                    let huge_le = (crate::MAX_MESSAGE_SIZE + 17).to_le_bytes();
-                    if f[6] & 1 == 0 {
-                        f[8..12].copy_from_slice(&huge);
-                    } else {
-                        f[8..12].copy_from_slice(&huge_le);
-                    }
+                Ok(n) => {
+                    self.tail += n;
+                    return Ok(n);
                 }
-                SendPlan::Send(f)
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(0),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(WireError::Io(e)),
             }
-            Fault::DropFrames => SendPlan::Swallow,
-            Fault::DelayMs(ms) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                SendPlan::Send(frame.to_vec())
-            }
-            Fault::DropAfter(n) => {
-                self.sent += 1;
-                if self.sent <= n {
-                    SendPlan::Send(frame.to_vec())
-                } else {
-                    SendPlan::Swallow
-                }
-            }
-            Fault::CloseMidFrame => {
-                self.severed = true;
-                SendPlan::SendPartThenClose(frame[..frame.len() / 2].to_vec())
-            }
-        })
+        }
     }
 
-    fn plan_recv(&mut self, frame: Vec<u8>) -> WireResult<RecvPlan> {
-        if self.severed {
-            return Err(WireError::Closed);
+    /// The next whole frame (header and body), if one is buffered. A
+    /// header that fails validation (bad magic, unknown version or kind,
+    /// a body over [`crate::MAX_MESSAGE_SIZE`]) desynchronizes the
+    /// stream: the caller must drop the connection.
+    pub fn next_frame(&mut self) -> WireResult<Option<&[u8]>> {
+        let Some(len) = self.whole_frame()? else {
+            return Ok(None);
+        };
+        let start = self.head;
+        self.head += len;
+        Ok(Some(&self.buf[start..self.head]))
+    }
+
+    /// The length of the frame at the front, if all of it is buffered.
+    fn whole_frame(&self) -> WireResult<Option<usize>> {
+        Ok(self
+            .frame_len()?
+            .filter(|&len| self.tail - self.head >= len))
+    }
+
+    /// The length of the frame at the front, once its header is in.
+    fn frame_len(&self) -> WireResult<Option<usize>> {
+        if self.tail - self.head < 12 {
+            return Ok(None);
         }
-        Ok(match self.slot.get() {
-            Fault::DelayMs(ms) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                RecvPlan::Deliver(frame)
-            }
-            Fault::DropAfter(n) => {
-                self.received += 1;
-                if self.received <= n {
-                    RecvPlan::Deliver(frame)
-                } else {
-                    RecvPlan::Discard
-                }
-            }
-            Fault::CloseMidFrame => {
-                self.severed = true;
-                RecvPlan::Close
-            }
-            _ => RecvPlan::Deliver(frame),
-        })
+        let header: &[u8; 12] = self.buf[self.head..self.head + 12]
+            .try_into()
+            .expect("12 header bytes");
+        Ok(Some(
+            12 + GiopHeader::from_bytes(header)?.body_size as usize,
+        ))
     }
 }
 
-/// GIOP framing over a TCP stream — the literal IIOP of the paper.
+/// A blocking IIOP connection — the literal IIOP of the paper — whose
+/// every frame passes through the active [`Fault`].
 #[derive(Debug)]
 pub struct FramedTcp {
     stream: TcpStream,
-    fault: FaultState,
-    /// The frame being received: the 12 header bytes, then — once the
-    /// header has named the size — header and body in the one buffer
-    /// the caller gets. Its length is what the frame needs so far,
-    /// `filled` how much of that has arrived; both survive a
-    /// [`FramedTcp::recv_frame_by`] that ran out of time, so a frame
-    /// the peer delivers in pieces never desynchronizes the stream.
-    partial: Vec<u8>,
-    filled: usize,
+    /// A frame the peer delivers in pieces stays here across a
+    /// [`FramedTcp::recv_frame_by`] that ran out of time, so the stream
+    /// never desynchronizes.
+    reader: FrameReader,
+    fault: FaultSlot,
+    /// A `CloseMidFrame` fault cut this handle off: every later call
+    /// fails.
+    severed: bool,
 }
 
 impl FramedTcp {
@@ -238,36 +211,20 @@ impl FramedTcp {
     pub fn new(stream: TcpStream) -> Self {
         FramedTcp {
             stream,
-            fault: FaultState::default(),
-            partial: Vec::new(),
-            filled: 0,
+            reader: FrameReader::default(),
+            fault: FaultSlot::default(),
+            severed: false,
         }
     }
 
-    /// Connect to `host:port` with a bounded timeout so a dead endpoint
-    /// fails fast instead of hanging a discovery traversal.
-    pub fn connect(host: &str, port: u16) -> WireResult<Self> {
-        let addr = format!("{host}:{port}");
-        let stream =
-            detect::blocking_region("wire::FramedTcp::connect", || TcpStream::connect(&addr))?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        Ok(FramedTcp::new(stream))
-    }
-
     /// Clone the underlying stream (TCP streams are duplicable handles).
-    /// The fault slot is shared with the clone; frame counters and the
+    /// The fault slot is shared with the clone; the severed flag and the
     /// partially received frame are not, so each direction of a split
-    /// connection counts its own traffic and exactly one clone reads.
+    /// connection fails on its own and exactly one clone reads.
     pub fn try_clone(&self) -> WireResult<Self> {
         Ok(FramedTcp {
-            stream: self.stream.try_clone()?,
-            fault: FaultState {
-                slot: self.fault.slot.clone(),
-                ..FaultState::default()
-            },
-            partial: Vec::new(),
-            filled: 0,
+            fault: self.fault.clone(),
+            ..FramedTcp::new(self.stream.try_clone()?)
         })
     }
 
@@ -283,165 +240,126 @@ impl FramedTcp {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 
-    /// The fault slot governing this connection (shared with clones).
-    pub fn fault_slot(&self) -> FaultSlot {
-        self.fault.slot.clone()
+    /// Wire this connection to an externally controlled fault slot — the
+    /// chaos hook: a [`FaultSlot`] held by a chaos controller lets faults
+    /// be flipped on the live connection at any time.
+    pub fn install_fault_slot(&mut self, slot: FaultSlot) {
+        self.fault = slot;
     }
 
-    /// Replace the fault slot, wiring this connection to an externally
-    /// controlled slot — the chaos hook: a [`crate::transport::FaultSlot`]
-    /// held by a chaos controller lets faults be flipped on the live
-    /// connection at any time.
-    pub fn install_fault_slot(&mut self, slot: FaultSlot) {
-        self.fault.slot = slot;
+    /// Send one complete GIOP frame.
+    pub fn send_frame(&mut self, frame: &[u8]) -> WireResult<()> {
+        if self.severed {
+            return Err(WireError::Closed);
+        }
+        let corrupted;
+        let bytes = match self.fault.get() {
+            Fault::None => frame,
+            Fault::CorruptMagic => {
+                let mut f = frame.to_vec();
+                if f.len() >= 4 {
+                    f[..4].copy_from_slice(b"POIG");
+                }
+                corrupted = f;
+                &corrupted
+            }
+            Fault::DropFrames => return Ok(()),
+            Fault::DelayMs(ms) => {
+                std::thread::sleep(Duration::from_millis(ms));
+                frame
+            }
+            Fault::CloseMidFrame => {
+                self.severed = true;
+                let _ = self.send_bytes(&frame[..frame.len() / 2]);
+                self.shutdown();
+                return Err(WireError::Closed);
+            }
+        };
+        self.send_bytes(bytes)
+    }
+
+    fn send_bytes(&self, bytes: &[u8]) -> WireResult<()> {
+        let mut stream = &self.stream;
+        detect::blocking_region("wire::FramedTcp::send_frame", || stream.write_all(bytes))?;
+        Ok(())
+    }
+
+    /// Encode and send a message in one step.
+    pub fn send_message(&mut self, msg: &GiopMessage, order: ByteOrder) -> WireResult<()> {
+        self.send_frame(&msg.encode(order)?)
+    }
+
+    /// Receive one complete frame, waiting at most until `deadline`
+    /// (`None`: as long as the stream's read timeout allows). `Ok(None)`
+    /// means time ran out; whatever part of a frame had arrived stays
+    /// buffered and the next call carries on from there.
+    pub fn recv_frame_by(&mut self, deadline: Option<Instant>) -> WireResult<Option<&[u8]>> {
+        if self.severed {
+            return Err(WireError::Closed);
+        }
+        if !detect::blocking_region("wire::FramedTcp::recv_frame", || self.await_frame(deadline))? {
+            return Ok(None);
+        }
+        match self.fault.get() {
+            Fault::DelayMs(ms) => std::thread::sleep(Duration::from_millis(ms)),
+            Fault::CloseMidFrame => {
+                self.severed = true;
+                self.shutdown();
+                return Err(WireError::Closed);
+            }
+            _ => {}
+        }
+        self.reader.next_frame()
+    }
+
+    /// Read until a whole frame is buffered; false when `deadline`
+    /// passed first. With a deadline every read follows a readiness
+    /// wait, so none can block past it; without one the read waits.
+    fn await_frame(&mut self, deadline: Option<Instant>) -> WireResult<bool> {
+        while self.reader.whole_frame()?.is_none() {
+            if let Some(at) = deadline {
+                if !self.wait_readable(at)? {
+                    return Ok(false);
+                }
+            }
+            // A waiting read that brings nothing ran into the stream's
+            // read timeout.
+            if self.reader.fill(&self.stream)? == 0 && deadline.is_none() {
+                return Err(WireError::Io(ErrorKind::TimedOut.into()));
+            }
+        }
+        Ok(true)
     }
 
     /// Block until the socket has bytes to read (or the peer hung up),
-    /// at most until `deadline`; `None` waits without bound. False
-    /// means the deadline passed first. This is the wait itself: the
-    /// caller brackets it with its own `detect::blocking_region`.
-    pub fn wait_readable(&self, deadline: Option<Instant>) -> WireResult<bool> {
-        let timeout_ms = match deadline {
-            None => -1,
-            // poll(2) counts whole milliseconds: round up, so a wait is
-            // never cut short of its deadline.
-            Some(at) => at
-                .saturating_duration_since(Instant::now())
-                .as_micros()
-                .div_ceil(1000)
-                .min(i32::MAX as u128) as i32,
-        };
+    /// at most until `at`. False means `at` passed first.
+    fn wait_readable(&self, at: Instant) -> WireResult<bool> {
+        // poll(2) counts whole milliseconds: round up, so a wait is
+        // never cut short of its deadline.
+        let timeout_ms = at
+            .saturating_duration_since(Instant::now())
+            .as_micros()
+            .div_ceil(1000)
+            .min(i32::MAX as u128) as i32;
         let mut fds = [PollFd::new(self.stream.as_raw_fd(), POLLIN)];
         Ok(poll_fds(&mut fds, timeout_ms)? > 0)
     }
 
-    /// Receive one complete frame, waiting at most until `deadline`
-    /// (`None`: as long as it takes). `Ok(None)` means time ran out;
-    /// whatever part of a frame had arrived stays buffered and the next
-    /// call carries on from there.
-    pub fn recv_frame_by(&mut self, deadline: Option<Instant>) -> WireResult<Option<Vec<u8>>> {
-        loop {
-            if self.fault.severed {
-                return Err(WireError::Closed);
-            }
-            let Some(frame) = detect::blocking_region("wire::FramedTcp::recv_frame", || {
-                self.read_frame(deadline)
-            })?
-            else {
-                return Ok(None);
-            };
-            match self.fault.plan_recv(frame)? {
-                RecvPlan::Deliver(f) => return Ok(Some(f)),
-                RecvPlan::Discard => continue,
-                RecvPlan::Close => {
-                    self.shutdown();
-                    return Err(WireError::Closed);
-                }
-            }
-        }
-    }
-
-    /// Fill `partial` up to a whole frame. With a deadline every read
-    /// is preceded by a readiness wait, so no read can block past it.
-    fn read_frame(&mut self, deadline: Option<Instant>) -> WireResult<Option<Vec<u8>>> {
-        if self.partial.is_empty() {
-            self.partial.resize(12, 0);
-        }
-        while self.filled < self.partial.len() {
-            if deadline.is_some() && !self.wait_readable(deadline)? {
-                return Ok(None);
-            }
-            match self.stream.read(&mut self.partial[self.filled..]) {
-                // EOF: between or inside headers the peer simply closed;
-                // inside a body it abandoned a frame it had announced.
-                Ok(0) if self.partial.len() == 12 => return Err(WireError::Closed),
-                Ok(0) => {
-                    return Err(WireError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "failed to fill whole buffer",
-                    )))
-                }
-                Ok(n) => self.filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(WireError::Io(e)),
-            }
-            if self.filled == 12 && self.partial.len() == 12 {
-                let hdr: [u8; 12] = self.partial[..].try_into().expect("12 header bytes");
-                let header = GiopHeader::from_bytes(&hdr)?;
-                // The body lands behind the header in the same buffer.
-                self.partial.resize(12 + header.body_size as usize, 0);
-            }
-        }
-        self.filled = 0;
-        Ok(Some(std::mem::take(&mut self.partial)))
-    }
-}
-
-impl Transport for FramedTcp {
-    fn send_frame(&mut self, frame: &[u8]) -> WireResult<()> {
-        match self.fault.plan_send(frame)? {
-            SendPlan::Send(bytes) => {
-                let stream = &mut self.stream;
-                detect::blocking_region("wire::FramedTcp::send_frame", || {
-                    stream.write_all(&bytes)
-                })?;
-                Ok(())
-            }
-            SendPlan::Swallow => Ok(()),
-            SendPlan::SendPartThenClose(bytes) => {
-                let stream = &mut self.stream;
-                let _ = detect::blocking_region("wire::FramedTcp::send_frame", || {
-                    stream.write_all(&bytes)
-                });
-                self.shutdown();
-                Err(WireError::Closed)
-            }
-        }
-    }
-
-    fn recv_frame(&mut self) -> WireResult<Vec<u8>> {
+    /// Receive one complete frame, as long as it takes.
+    pub fn recv_frame(&mut self) -> WireResult<&[u8]> {
         // No deadline: `None` (time ran out) cannot come back.
         self.recv_frame_by(None)?.ok_or(WireError::Closed)
     }
+
+    /// Receive and decode a message in one step.
+    pub fn recv_message(&mut self) -> WireResult<GiopMessage> {
+        GiopMessage::decode_frame(self.recv_frame()?)
+    }
 }
 
-/// How many bytes `NbFramed` reads per `read` call while draining a
-/// readable socket.
-const NB_READ_CHUNK: usize = 64 * 1024;
-
-/// What one readiness-driven read pass produced.
-#[derive(Debug, Default)]
-pub struct NbRead {
-    /// Complete frames extracted from the stream, oldest first.
-    pub frames: Vec<Vec<u8>>,
-    /// The peer closed its write side (frames may still be present).
-    pub closed: bool,
-}
-
-/// Nonblocking, incrementally-parsed GIOP framing for the reactor core:
-/// the read half of an accepted connection.
-///
-/// Unlike [`FramedTcp`], which parks a thread in `read` until a whole
-/// frame arrives, `NbFramed` is driven by readiness: each
-/// [`NbFramed::on_readable`] drains whatever bytes the socket has into
-/// an accumulation buffer and extracts every complete frame; partial
-/// frames simply wait for the next readiness event. Writes go through
-/// the connection's [`NbSender`], which [`NbFramed::new`] returns
-/// beside it.
-///
-/// Chaos wire faults are a client-side concern (they are installed on
-/// dialed connections); this server-side path stays fault-free.
-#[derive(Debug)]
-pub struct NbFramed {
-    stream: TcpStream,
-    /// Received-but-unparsed bytes; complete frames are drained off the
-    /// front, a trailing partial frame stays for the next pass.
-    recv: Vec<u8>,
-}
-
-/// The send half of a nonblocking connection: whole frames are queued,
-/// and [`NbSender::on_writable`] pushes queued bytes until the socket
-/// would block, tracking a byte count the reactor uses for
+/// The send half of a connection the reactor serves: whole frames are
+/// queued, and [`NbSender::on_writable`] pushes queued bytes until the
+/// socket would block, tracking a byte count the reactor uses for
 /// per-connection backpressure.
 ///
 /// It owns a duplicate handle of the stream, so it can sit behind a
@@ -461,91 +379,21 @@ pub struct NbSender {
     failed: bool,
 }
 
-impl NbFramed {
-    /// Wrap a connected stream, switching it to nonblocking mode, and
-    /// split it into its read half and its send half.
-    pub fn new(stream: TcpStream) -> WireResult<(Self, NbSender)> {
+impl NbSender {
+    /// The send half of an accepted `stream`. Switches the socket to
+    /// nonblocking mode — for every handle of it, the reader's included.
+    pub fn new(stream: &TcpStream) -> WireResult<Self> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
-        let sender = NbSender {
+        Ok(NbSender {
             stream: stream.try_clone()?,
             send_q: VecDeque::new(),
             send_off: 0,
             queued: 0,
             failed: false,
-        };
-        Ok((
-            NbFramed {
-                stream,
-                recv: Vec::new(),
-            },
-            sender,
-        ))
+        })
     }
 
-    /// The underlying stream (for fd registration and severing).
-    pub fn stream(&self) -> &TcpStream {
-        &self.stream
-    }
-
-    /// Drain readable bytes and extract complete frames. Call when the
-    /// socket polls readable. A header that fails validation (bad
-    /// magic, oversized body) is a protocol error that desynchronizes
-    /// the stream — the caller must drop the connection.
-    pub fn on_readable(&mut self) -> WireResult<NbRead> {
-        let mut out = NbRead::default();
-        loop {
-            let old = self.recv.len();
-            self.recv.resize(old + NB_READ_CHUNK, 0);
-            match self.stream.read(&mut self.recv[old..]) {
-                Ok(0) => {
-                    self.recv.truncate(old);
-                    out.closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.recv.truncate(old + n);
-                    if n < NB_READ_CHUNK {
-                        break; // socket drained
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.recv.truncate(old);
-                    break;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    self.recv.truncate(old);
-                }
-                Err(e) => {
-                    self.recv.truncate(old);
-                    return Err(WireError::Io(e));
-                }
-            }
-        }
-        let mut off = 0;
-        while self.recv.len() - off >= 12 {
-            let mut hdr = [0u8; 12];
-            hdr.copy_from_slice(&self.recv[off..off + 12]);
-            let header = GiopHeader::from_bytes(&hdr)?;
-            let total = 12 + header.body_size as usize;
-            if self.recv.len() - off < total {
-                break;
-            }
-            out.frames.push(self.recv[off..off + total].to_vec());
-            off += total;
-        }
-        self.recv.drain(..off);
-        Ok(out)
-    }
-
-    /// Sever both directions of the stream (the send half's handle
-    /// refers to the same socket).
-    pub fn shutdown(&self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-impl NbSender {
     /// Queue one whole frame for writing. The reactor checks
     /// [`NbSender::queued_bytes`] against its high-water mark; the queue
     /// itself never refuses a frame (replies to already-admitted
@@ -572,8 +420,8 @@ impl NbSender {
                         self.send_off = 0;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => {
                     self.failed = true;
                     return Err(WireError::Io(e));
@@ -599,134 +447,36 @@ impl NbSender {
     }
 }
 
-/// One endpoint of an in-process duplex pipe.
-///
-/// Created in pairs by [`duplex`]; whatever one side sends the other
-/// receives, whole frames at a time. Dropping either end closes the pipe.
-#[derive(Debug)]
-pub struct PipeTransport {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-}
-
-/// Create a connected pair of in-process transports.
-pub fn duplex() -> (PipeTransport, PipeTransport) {
-    let (atx, brx) = channel();
-    let (btx, arx) = channel();
-    (
-        PipeTransport { tx: atx, rx: arx },
-        PipeTransport { tx: btx, rx: brx },
-    )
-}
-
-impl Transport for PipeTransport {
-    fn send_frame(&mut self, frame: &[u8]) -> WireResult<()> {
-        self.tx.send(frame.to_vec()).map_err(|_| WireError::Closed)
-    }
-
-    fn recv_frame(&mut self) -> WireResult<Vec<u8>> {
-        detect::blocking_region("wire::PipeTransport::recv_frame", || self.rx.recv())
-            .map_err(|_| WireError::Closed)
-    }
-}
-
-/// A transport wrapper that injects faults on both paths.
-///
-/// Used by failure-injection tests to prove the decoder and the ORB's
-/// error handling survive hostile or broken peers. The active fault
-/// lives in an [`Arc`]-shared [`FaultSlot`], so a test can keep a handle
-/// (via [`FaultyTransport::slot`]) and flip faults while the transport
-/// is live on another thread.
-pub struct FaultyTransport<T: Transport> {
-    inner: T,
-    fault: FaultState,
-}
-
-impl<T: Transport> FaultyTransport<T> {
-    /// Wrap `inner`, applying `fault` to every frame.
-    pub fn new(inner: T, fault: Fault) -> Self {
-        Self::with_slot(inner, FaultSlot::new(fault))
-    }
-
-    /// Wrap `inner` around an externally shared fault slot.
-    pub fn with_slot(inner: T, slot: FaultSlot) -> Self {
-        FaultyTransport {
-            inner,
-            fault: FaultState {
-                slot,
-                ..FaultState::default()
-            },
-        }
-    }
-
-    /// Change the active fault (also visible through shared slots).
-    pub fn set_fault(&mut self, fault: Fault) {
-        self.fault.slot.set(fault);
-    }
-
-    /// A shared handle to the active fault, for live flipping.
-    pub fn slot(&self) -> FaultSlot {
-        self.fault.slot.clone()
-    }
-}
-
-impl<T: Transport> Transport for FaultyTransport<T> {
-    fn send_frame(&mut self, frame: &[u8]) -> WireResult<()> {
-        match self.fault.plan_send(frame)? {
-            SendPlan::Send(bytes) => self.inner.send_frame(&bytes),
-            SendPlan::Swallow => Ok(()),
-            SendPlan::SendPartThenClose(bytes) => {
-                let _ = self.inner.send_frame(&bytes);
-                Err(WireError::Closed)
-            }
-        }
-    }
-
-    fn recv_frame(&mut self) -> WireResult<Vec<u8>> {
-        loop {
-            // A severed transport must fail before blocking on the
-            // inner receive — the pipe variant has no socket to close,
-            // so waiting for bytes that cannot arrive would hang.
-            if self.fault.severed {
-                return Err(WireError::Closed);
-            }
-            let frame = self.inner.recv_frame()?;
-            match self.fault.plan_recv(frame)? {
-                RecvPlan::Deliver(f) => return Ok(f),
-                RecvPlan::Discard => continue,
-                RecvPlan::Close => return Err(WireError::Closed),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cdr::ByteOrder;
     use crate::giop::{reply_ok, request};
     use crate::value::Value;
     use std::net::TcpListener;
     use std::thread;
 
-    #[test]
-    fn pipe_roundtrip() {
-        let (mut a, mut b) = duplex();
-        let msg = request(1, b"k".to_vec(), "ping", vec![]);
-        a.send_message(&msg, ByteOrder::BigEndian).unwrap();
-        assert_eq!(b.recv_message().unwrap(), msg);
-
-        let rep = reply_ok(1, Value::string("pong"));
-        b.send_message(&rep, ByteOrder::LittleEndian).unwrap();
-        assert_eq!(a.recv_message().unwrap(), rep);
+    /// A connected loopback pair: the dialed end, then the accepted one.
+    fn tcp_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialed = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (dialed, accepted)
     }
 
-    #[test]
-    fn pipe_close_detected() {
-        let (mut a, b) = duplex();
-        drop(b);
-        assert!(matches!(a.send_frame(&[0u8; 12]), Err(WireError::Closed)));
-        assert!(matches!(a.recv_frame(), Err(WireError::Closed)));
+    fn ping(id: u32) -> GiopMessage {
+        request(
+            id,
+            b"key".to_vec(),
+            "operation",
+            vec![Value::Long(id as i32)],
+        )
+    }
+
+    fn request_id(msg: GiopMessage) -> u32 {
+        match msg {
+            GiopMessage::Request { header, .. } => header.request_id,
+            other => panic!("expected request, got {other:?}"),
+        }
     }
 
     #[test]
@@ -749,7 +499,7 @@ mod tests {
             }
         });
 
-        let mut client = FramedTcp::connect("127.0.0.1", addr.port()).unwrap();
+        let mut client = FramedTcp::new(TcpStream::connect(addr).unwrap());
         client
             .send_message(
                 &request(42, b"obj".to_vec(), "echo", vec![Value::Long(5)]),
@@ -769,161 +519,199 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_magic_detected_by_receiver() {
-        let (a, mut b) = duplex();
-        let mut faulty = FaultyTransport::new(a, Fault::CorruptMagic);
-        faulty
-            .send_message(
-                &request(1, b"k".to_vec(), "op", vec![]),
-                ByteOrder::BigEndian,
-            )
-            .unwrap();
-        assert!(matches!(b.recv_message(), Err(WireError::BadMagic(_))));
+    fn pipe_close_detected() {
+        let (a, b) = tcp_pair();
+        let mut t = FramedTcp::new(a);
+        drop(b);
+        assert!(matches!(t.recv_frame(), Err(WireError::Closed)));
+        // The first write after the peer went away may still be taken;
+        // once the peer's reset is back, sending fails.
+        let frame = ping(1).encode(ByteOrder::BigEndian).unwrap();
+        let err = (0..200)
+            .find_map(|_| {
+                thread::sleep(Duration::from_millis(1));
+                t.send_frame(&frame).err()
+            })
+            .expect("sending to a closed peer never failed");
+        assert!(
+            matches!(&err, WireError::Io(e)
+                if matches!(e.kind(), ErrorKind::BrokenPipe | ErrorKind::ConnectionReset)),
+            "{err}"
+        );
     }
 
     #[test]
     fn truncated_frame_detected_by_receiver() {
-        let (a, mut b) = duplex();
-        let mut faulty = FaultyTransport::new(a, Fault::Truncate(15));
-        faulty
-            .send_message(
-                &request(1, b"key".to_vec(), "operation", vec![Value::Long(9)]),
-                ByteOrder::BigEndian,
-            )
-            .unwrap();
-        // The pipe delivers a 15-byte frame whose header declares a larger
-        // body; decode must fail, not panic.
-        assert!(b.recv_message().is_err());
+        let (a, b) = tcp_pair();
+        let frame = ping(1).encode(ByteOrder::BigEndian).unwrap();
+        assert!(frame.len() > 15);
+        // The sender dies 15 bytes into a frame whose header declares a
+        // larger body: receiving must fail, not panic or hang.
+        (&a).write_all(&frame[..15]).unwrap();
+        drop(a);
+        let mut t = FramedTcp::new(b);
+        assert!(matches!(t.recv_message(),
+            Err(WireError::Io(e)) if e.kind() == ErrorKind::UnexpectedEof));
     }
 
     #[test]
     fn inflated_size_rejected() {
-        let (a, mut b) = duplex();
-        let mut faulty = FaultyTransport::new(a, Fault::InflateSize);
-        faulty
-            .send_message(
-                &request(1, b"k".to_vec(), "op", vec![]),
-                ByteOrder::BigEndian,
-            )
+        let (a, b) = tcp_pair();
+        let mut frame = request(1, b"k".to_vec(), "op", vec![])
+            .encode(ByteOrder::BigEndian)
             .unwrap();
-        assert!(matches!(b.recv_message(), Err(WireError::TooLarge { .. })));
+        frame[8..12].copy_from_slice(&(crate::MAX_MESSAGE_SIZE + 1).to_be_bytes());
+        FramedTcp::new(a).send_frame(&frame).unwrap();
+        let mut t = FramedTcp::new(b);
+        assert!(matches!(t.recv_message(), Err(WireError::TooLarge { .. })));
     }
 
-    #[test]
-    fn delay_fault_holds_frames() {
-        let (a, mut b) = duplex();
-        let mut faulty = FaultyTransport::new(a, Fault::DelayMs(20));
-        let started = std::time::Instant::now();
-        faulty
-            .send_message(
-                &request(1, b"k".to_vec(), "op", vec![]),
-                ByteOrder::BigEndian,
-            )
-            .unwrap();
-        assert!(started.elapsed() >= Duration::from_millis(20));
-        assert!(b.recv_message().is_ok());
-    }
-
-    #[test]
-    fn drop_after_passes_then_loses_on_send() {
-        let (a, mut b) = duplex();
-        let mut faulty = FaultyTransport::new(a, Fault::DropAfter(2));
-        for id in 0..4 {
-            faulty
-                .send_message(
-                    &request(id, b"k".to_vec(), "op", vec![]),
-                    ByteOrder::BigEndian,
-                )
-                .unwrap();
+    /// Drive a [`FrameReader`] over `stream` the way the reactor does —
+    /// wait for readiness, one `fill`, then the whole frames — until it
+    /// fails, and return that error. No frame may come out first.
+    fn read_until_error(stream: &TcpStream) -> WireError {
+        stream.set_nonblocking(true).unwrap();
+        let mut reader = FrameReader::default();
+        loop {
+            let mut fds = [PollFd::new(stream.as_raw_fd(), POLLIN)];
+            assert_eq!(poll_fds(&mut fds, 10_000).unwrap(), 1, "stream stalled");
+            if let Err(e) = reader.fill(stream) {
+                return e;
+            }
+            match reader.next_frame() {
+                Ok(None) => {}
+                Ok(Some(frame)) => panic!("unexpected frame {frame:?}"),
+                Err(e) => return e,
+            }
         }
-        // Only the first two frames arrive; the pipe then closes.
-        assert!(b.recv_message().is_ok());
-        assert!(b.recv_message().is_ok());
-        drop(faulty);
-        assert!(matches!(b.recv_frame(), Err(WireError::Closed)));
     }
 
     #[test]
-    fn drop_after_discards_on_receive_path() {
-        let (mut a, b) = duplex();
-        let mut faulty = FaultyTransport::new(b, Fault::DropAfter(1));
-        for id in 0..3 {
-            a.send_message(
-                &request(id, b"k".to_vec(), "op", vec![]),
-                ByteOrder::BigEndian,
-            )
-            .unwrap();
-        }
-        // First frame delivered; the rest are swallowed, so the close of
-        // the sender surfaces next.
-        assert!(faulty.recv_message().is_ok());
-        drop(a);
-        assert!(matches!(faulty.recv_frame(), Err(WireError::Closed)));
+    fn nb_framed_reports_peer_close() {
+        let (peer, accepted) = tcp_pair();
+        drop(peer);
+        assert!(matches!(read_until_error(&accepted), WireError::Closed));
     }
 
     #[test]
-    fn close_mid_frame_truncates_then_closes() {
-        let (a, mut b) = duplex();
-        let mut faulty = FaultyTransport::new(a, Fault::CloseMidFrame);
-        let send = faulty.send_message(
-            &request(1, b"key".to_vec(), "operation", vec![Value::Long(7)]),
-            ByteOrder::BigEndian,
-        );
-        assert!(matches!(send, Err(WireError::Closed)));
-        // The peer got half a frame: decodable never, panicking never.
-        assert!(b.recv_message().is_err());
-        // The faulty side is severed for good.
+    fn nb_framed_rejects_bad_magic() {
+        let (peer, accepted) = tcp_pair();
+        (&peer).write_all(b"POIGxxxxxxxxxxxx").unwrap();
         assert!(matches!(
-            faulty.send_frame(&[0u8; 12]),
-            Err(WireError::Closed)
+            read_until_error(&accepted),
+            WireError::BadMagic(_)
         ));
-        assert!(matches!(faulty.recv_frame(), Err(WireError::Closed)));
     }
 
-    #[test]
-    fn close_mid_frame_on_receive_path_reports_closed() {
-        let (mut a, b) = duplex();
-        let mut faulty = FaultyTransport::new(b, Fault::CloseMidFrame);
-        a.send_message(
-            &request(1, b"k".to_vec(), "op", vec![]),
-            ByteOrder::BigEndian,
-        )
-        .unwrap();
-        assert!(matches!(faulty.recv_frame(), Err(WireError::Closed)));
+    /// The direction of the faulty end a fault case drives.
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        Send,
+        Recv,
+    }
+
+    /// What the receiving end of one frame got.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        /// The frame, byte for byte.
+        Frame,
+        /// `BadMagic`.
+        BadMagic,
+        /// `Closed`, and no frame.
+        Closed,
+        /// `UnexpectedEof`: the connection ended inside the frame.
+        Torn,
+    }
+
+    /// Install `fault` on one end of a loopback pair and move one frame
+    /// through that end in `path`'s direction. Returns what the receiver
+    /// saw, whether the faulty end was severed, and how long its side of
+    /// the transfer took.
+    fn run_fault(fault: Fault, path: Path) -> (Seen, bool, Duration) {
+        let (a, b) = tcp_pair();
+        let mut faulty = FramedTcp::new(a);
+        faulty.install_fault_slot(FaultSlot::new(fault));
+        let mut clean = FramedTcp::new(b);
+        let frame = ping(1).encode(ByteOrder::BigEndian).unwrap();
+        let started = Instant::now();
+        let (got, took) = match path {
+            Path::Send => {
+                let sent = faulty.send_frame(&frame);
+                let took = started.elapsed();
+                assert_eq!(sent.is_ok(), !faulty.severed, "{fault:?}: {sent:?}");
+                // Hang up, so a frame that never comes reads as EOF.
+                faulty.shutdown();
+                (clean.recv_frame().map(<[u8]>::to_vec), took)
+            }
+            Path::Recv => {
+                clean.send_frame(&frame).unwrap();
+                let got = faulty.recv_frame().map(<[u8]>::to_vec);
+                (got, started.elapsed())
+            }
+        };
+        let seen = match got {
+            Ok(f) => {
+                assert_eq!(f, frame, "{fault:?} on {path:?} altered the frame");
+                Seen::Frame
+            }
+            Err(WireError::BadMagic(_)) => Seen::BadMagic,
+            Err(WireError::Closed) => Seen::Closed,
+            Err(WireError::Io(e)) if e.kind() == ErrorKind::UnexpectedEof => Seen::Torn,
+            Err(e) => panic!("{fault:?} on {path:?}: unexpected {e}"),
+        };
+        if faulty.severed {
+            // Severed for good, in both directions.
+            assert!(matches!(faulty.send_frame(&frame), Err(WireError::Closed)));
+            assert!(matches!(faulty.recv_frame(), Err(WireError::Closed)));
+        }
+        (seen, faulty.severed, took)
+    }
+
+    /// The fault table: one test per row — the fault, the path it is
+    /// driven on, what the receiver must see, whether the faulty end is
+    /// severed after, and the least time its side must take.
+    macro_rules! fault_cases {
+        ($($name:ident: $fault:expr, $path:ident => $seen:ident, severed $severed:expr, $ms:expr;)*) => {$(
+            #[test]
+            fn $name() {
+                let (seen, severed, took) = run_fault($fault, Path::$path);
+                assert_eq!((seen, severed), (Seen::$seen, $severed));
+                assert!(took >= Duration::from_millis($ms), "took {took:?}");
+            }
+        )*};
+    }
+
+    fault_cases! {
+        no_fault_passes_sent_frames: Fault::None, Send => Frame, severed false, 0;
+        no_fault_passes_received_frames: Fault::None, Recv => Frame, severed false, 0;
+        corrupt_magic_detected_by_receiver: Fault::CorruptMagic, Send => BadMagic, severed false, 0;
+        corrupt_magic_spares_received_frames: Fault::CorruptMagic, Recv => Frame, severed false, 0;
+        dropped_frames_never_arrive: Fault::DropFrames, Send => Closed, severed false, 0;
+        dropped_frames_spares_received_frames: Fault::DropFrames, Recv => Frame, severed false, 0;
+        delay_fault_holds_frames: Fault::DelayMs(20), Send => Frame, severed false, 20;
+        delay_fault_holds_received_frames: Fault::DelayMs(20), Recv => Frame, severed false, 20;
+        close_mid_frame_truncates_then_closes: Fault::CloseMidFrame, Send => Torn, severed true, 0;
+        close_mid_frame_on_receive_path_reports_closed: Fault::CloseMidFrame, Recv => Closed, severed true, 0;
     }
 
     #[test]
     fn shared_slot_flips_faults_on_a_live_transport() {
-        let (a, mut b) = duplex();
-        let mut faulty = FaultyTransport::new(a, Fault::None);
-        let slot = faulty.slot();
-        faulty
-            .send_message(
-                &request(1, b"k".to_vec(), "op", vec![]),
-                ByteOrder::BigEndian,
-            )
-            .unwrap();
-        assert!(b.recv_message().is_ok());
-        // Flip the fault through the shared handle — no &mut needed.
+        let (a, b) = tcp_pair();
+        let slot = FaultSlot::default();
+        let mut faulty = FramedTcp::new(a);
+        faulty.install_fault_slot(slot.clone());
+        let mut clone = faulty.try_clone().unwrap();
+        let mut clean = FramedTcp::new(b);
+        faulty.send_message(&ping(1), ByteOrder::BigEndian).unwrap();
+        // Flip the fault through the shared handle — no &mut needed —
+        // and it holds for the clone too.
         slot.set(Fault::DropFrames);
-        faulty
-            .send_message(
-                &request(2, b"k".to_vec(), "op", vec![]),
-                ByteOrder::BigEndian,
-            )
-            .unwrap();
+        clone.send_message(&ping(2), ByteOrder::BigEndian).unwrap();
         slot.clear();
-        faulty
-            .send_message(
-                &request(3, b"k".to_vec(), "op", vec![]),
-                ByteOrder::BigEndian,
-            )
-            .unwrap();
+        faulty.send_message(&ping(3), ByteOrder::BigEndian).unwrap();
         // Frame 2 was dropped; frame 3 arrives right behind frame 1.
-        match b.recv_message().unwrap() {
-            GiopMessage::Request { header, .. } => assert_eq!(header.request_id, 3),
-            other => panic!("expected request, got {other:?}"),
-        }
+        assert_eq!(request_id(clean.recv_message().unwrap()), 1);
+        assert_eq!(request_id(clean.recv_message().unwrap()), 3);
     }
 
     #[test]
@@ -934,107 +722,30 @@ mod tests {
             let (stream, _) = listener.accept().unwrap();
             let mut t = FramedTcp::new(stream);
             let mut got = Vec::new();
-            while let Ok(GiopMessage::Request { header, .. }) = t.recv_message() {
-                got.push(header.request_id);
+            while let Ok(msg) = t.recv_message() {
+                got.push(request_id(msg));
             }
             got
         });
-        let mut client = FramedTcp::connect("127.0.0.1", addr.port()).unwrap();
+        let mut client = FramedTcp::new(TcpStream::connect(addr).unwrap());
         let slot = FaultSlot::default();
         client.install_fault_slot(slot.clone());
         for id in 0..2 {
             client
-                .send_message(
-                    &request(id, b"k".to_vec(), "op", vec![]),
-                    ByteOrder::BigEndian,
-                )
+                .send_message(&ping(id), ByteOrder::BigEndian)
                 .unwrap();
         }
         slot.set(Fault::DropFrames);
-        client
-            .send_message(
-                &request(2, b"k".to_vec(), "op", vec![]),
-                ByteOrder::BigEndian,
-            )
-            .unwrap();
+        client.send_message(&ping(2), ByteOrder::BigEndian).unwrap();
         client.shutdown();
         assert_eq!(server.join().unwrap(), vec![0, 1]);
     }
 
-    fn nb_pair() -> (NbFramed, NbSender, FramedTcp) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let peer = TcpStream::connect(addr).unwrap();
-        let (accepted, _) = listener.accept().unwrap();
-        let (nb, sender) = NbFramed::new(accepted).unwrap();
-        (nb, sender, FramedTcp::new(peer))
-    }
-
-    /// Poll `f` until it returns Some, for nonblocking tests.
-    fn wait_for<T>(mut f: impl FnMut() -> Option<T>) -> T {
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            if let Some(v) = f() {
-                return v;
-            }
-            assert!(std::time::Instant::now() < deadline, "timed out waiting");
-            thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    #[test]
-    fn nb_framed_parses_split_and_coalesced_frames() {
-        let (mut nb, _sender, peer) = nb_pair();
-        let f1 = request(1, b"k".to_vec(), "op", vec![Value::Long(1)])
-            .encode(ByteOrder::BigEndian)
-            .unwrap();
-        let f2 = request(2, b"k".to_vec(), "op", vec![])
-            .encode(ByteOrder::LittleEndian)
-            .unwrap();
-
-        // Deliver both frames in one burst, split mid-header of the
-        // second: the parser must return frame 1, hold the tail.
-        let mut raw = peer.stream.try_clone().unwrap();
-        let burst: Vec<u8> = f1.iter().chain(f2.iter()).copied().collect();
-        let cut = f1.len() + 5;
-        raw.write_all(&burst[..cut]).unwrap();
-        let got = wait_for(|| {
-            let r = nb.on_readable().unwrap();
-            assert!(!r.closed);
-            if r.frames.is_empty() {
-                None
-            } else {
-                Some(r.frames)
-            }
-        });
-        assert_eq!(got, vec![f1]);
-
-        raw.write_all(&burst[cut..]).unwrap();
-        let got = wait_for(|| {
-            let r = nb.on_readable().unwrap();
-            if r.frames.is_empty() {
-                None
-            } else {
-                Some(r.frames)
-            }
-        });
-        assert_eq!(got, vec![f2]);
-    }
-
-    #[test]
-    fn nb_framed_reports_peer_close() {
-        let (mut nb, _sender, peer) = nb_pair();
-        drop(peer);
-        let closed = wait_for(|| {
-            let r = nb.on_readable().unwrap();
-            r.closed.then_some(true)
-        });
-        assert!(closed);
-    }
-
     #[test]
     fn nb_framed_write_queue_drains_under_backpressure() {
-        let (_nb, mut nb, mut peer) = nb_pair();
+        let (peer, accepted) = tcp_pair();
+        let mut nb = NbSender::new(&accepted).unwrap();
+        let mut peer = FramedTcp::new(peer);
         // A reply large enough to overflow any sane socket buffer, so
         // flushes leave queued bytes behind until the peer drains.
         let big = reply_ok(1, Value::string("y".repeat(8 << 20)));
@@ -1044,42 +755,12 @@ mod tests {
         nb.on_writable().unwrap();
 
         // Reader drains on another thread while we keep flushing.
-        let reader = thread::spawn(move || peer.recv_frame().unwrap());
+        let reader = thread::spawn(move || peer.recv_frame().unwrap().to_vec());
         while nb.wants_write() {
             nb.on_writable().unwrap();
             thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(nb.queued_bytes(), 0);
         assert_eq!(reader.join().unwrap(), frame);
-    }
-
-    #[test]
-    fn nb_framed_rejects_bad_magic() {
-        let (mut nb, _sender, peer) = nb_pair();
-        let mut raw = peer.stream.try_clone().unwrap();
-        raw.write_all(b"POIGxxxxxxxxxxxx").unwrap();
-        let err = wait_for(|| match nb.on_readable() {
-            Ok(r) => {
-                assert!(r.frames.is_empty());
-                None
-            }
-            Err(e) => Some(e),
-        });
-        assert!(matches!(err, WireError::BadMagic(_)));
-    }
-
-    #[test]
-    fn dropped_frames_never_arrive() {
-        let (a, b) = duplex();
-        let mut faulty = FaultyTransport::new(a, Fault::DropFrames);
-        faulty
-            .send_message(
-                &request(1, b"k".to_vec(), "op", vec![]),
-                ByteOrder::BigEndian,
-            )
-            .unwrap();
-        drop(faulty); // closes the pipe
-        let mut b = b;
-        assert!(matches!(b.recv_frame(), Err(WireError::Closed)));
     }
 }

@@ -22,7 +22,7 @@ use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{
     reply_ok, request, split_into_fragments, FragmentAssembler, GiopMessage, MessageKind,
 };
-use webfindit_wire::transport::{FramedTcp, Transport};
+use webfindit_wire::transport::FramedTcp;
 use webfindit_wire::value::Value;
 use webfindit_wire::WireError;
 
@@ -191,7 +191,7 @@ fn peer_close_mid_fragment_surfaces_closed_not_a_hang() {
 
     let mut asm = FragmentAssembler::new();
     let lead = framed.recv_frame().expect("lead frame");
-    assert!(asm.push_frame(&lead).expect("lead").is_none());
+    assert!(asm.push_frame(lead).expect("lead").is_none());
     assert!(asm.in_progress());
 
     match framed.recv_frame() {
