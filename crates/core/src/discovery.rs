@@ -1,4 +1,4 @@
-//! The incremental discovery algorithm of §2, parallelized.
+//! The incremental discovery algorithm of §2, pipelined.
 //!
 //! "Initially, the user specifies the query in terms of relevant
 //! information […] The query is sent to a local metadata repository […]
@@ -15,55 +15,65 @@
 //! * **Level k ≥ 1** — remote co-databases reached through the previous
 //!   level's inter-relationships: coalition peers (other members of the
 //!   coalitions known there) and service-link endpoints. Each remote
-//!   probe is a naming lookup plus GIOP invocations, all counted in
+//!   visit is a naming lookup plus one GIOP `probe`, all counted in
 //!   [`DiscoveryStats`].
 //!
 //! The search stops at the first level that produces leads (all leads
 //! of that level are returned, supporting the paper's "the system
 //! prompts the user to select the most interesting leads").
 //!
-//! # Parallel wave fanout
+//! # One conditional probe per site
+//!
+//! A remote visit is the paper's "one query per remote repository": a
+//! single `probe(topic, known_version)` call. The co-database answers
+//! under one read lock — with its version stamp alone when that matches
+//! the stamp the engine's cached answer was recorded under, otherwise
+//! with the stamp plus its answer to the topic: the coalitions and
+//! service links advertising it or, when there are none, the sites its
+//! inter-relationships point at. A servant computes that answer with
+//! the same `TopicAnswer::of` level 0 runs on the local co-database, so
+//! a remote visit answers exactly as a local one would.
+//!
+//! # Pipelined waves
 //!
 //! The sites of one BFS wave are independent: each probe talks to a
-//! different co-database. [`DiscoveryEngine::find`] therefore dispatches
-//! every wave over the bounded pool of `crate::wave`
-//! ([`DiscoveryEngine::max_workers`] threads), so naming resolution,
-//! the `find_coalitions` / `find_links` queries, and coalition-member
-//! expansion of several sites are in flight at once. Results are merged
-//! **in site-name order**, so
+//! different co-database. [`DiscoveryEngine::find`] sends a wave's
+//! probes from the calling thread through [`Federation::invoke_all`],
+//! [`DiscoveryEngine::max_workers`] at a time, each batch sent whole
+//! before any of its replies is read — the round trips overlap and no
+//! thread is spawned. Results are merged **in site-name order**, so
 //! the outcome (leads, degraded sites, visit counts) is byte-identical
-//! to a serial run (`max_workers = 1`); parallelism changes only the
+//! to a serial run (`max_workers = 1`); batching changes only the
 //! wall-clock. Chaos-killed sites surface in
 //! [`DiscoveryOutcome::degraded`] exactly as they do serially.
 //!
 //! # Metadata caching
 //!
-//! Two caches cut the per-probe round-trips:
+//! Two caches cut the per-visit round-trips:
 //!
 //! * the federation-wide [`webfindit_orb::naming::IorCache`] in front of
 //!   naming resolution (a hit skips the naming round-trip entirely;
 //!   entries are invalidated the moment an invocation on the cached
 //!   reference fails), and
-//! * a per-site [`CodbAnswerCache`] of co-database answers (topic →
-//!   coalitions/links, coalition → members, the coalition and link
-//!   lists), keyed by the co-database's **version stamp**. Every visit
-//!   makes exactly one live `version` call — the liveness probe and the
-//!   coherence check in one round-trip. Any registration or mutation
-//!   bumps the stamp, so stale answers are never served; a site that
-//!   cannot answer the version call is degraded, never served from
-//!   cache.
+//! * a per-site [`CodbAnswerCache`] of co-database answers (one per
+//!   topic), keyed by the co-database's **version stamp**. Every visit
+//!   makes exactly one live `probe` call — liveness, coherence check
+//!   and, on a miss, the answer in one round-trip. Any registration or
+//!   mutation bumps the stamp, so stale answers are never served; a site
+//!   that cannot answer the probe is degraded, never served from cache.
 
 use crate::failure::{degrade_reason, is_breaker_rejection};
 use crate::federation::Federation;
-use crate::servants::value_to_link;
-use crate::value_map::value_to_strings;
+use crate::servants::{link_to_value, value_to_link};
+use crate::value_map::{strings_to_value, value_to_strings};
 use crate::{WebfinditError, WfResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use webfindit_base::sync::Mutex;
-use webfindit_codb::{LinkEnd, ServiceLink};
-use webfindit_wire::{Ior, Value};
+use webfindit_codb::{CoDatabase, LinkEnd, ServiceLink};
+use webfindit_orb::Invocation;
+use webfindit_wire::Value;
 
 /// What a discovery found.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,9 +118,8 @@ impl Lead {
 /// Cost accounting for one discovery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiscoveryStats {
-    /// GIOP invocations on remote co-database servants. Answers served
-    /// from the metadata cache cost none; the per-visit `version` probe
-    /// always costs one.
+    /// GIOP invocations on remote co-database servants: one `probe` per
+    /// remote site whose co-database resolved, cache hit or not.
     pub codb_queries: u64,
     /// Naming-service resolutions that went to the wire ([`IorCache`]
     /// hits cost none).
@@ -161,15 +170,118 @@ impl DiscoveryOutcome {
     }
 }
 
-/// Cached answers of one co-database, valid for one version stamp.
-#[derive(Debug, Clone, Default)]
+/// What one co-database says about one topic: the coalitions and
+/// service links advertising it or, when there are none, the sites its
+/// inter-relationships point at.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct TopicAnswer {
+    coalitions: Vec<String>,
+    links: Vec<ServiceLink>,
+    expansion: Vec<String>,
+}
+
+impl TopicAnswer {
+    /// Answer `topic` from `codb` — level 0 on the local co-database, a
+    /// probed servant on its own. The expansion lists the members of
+    /// every known coalition, then each service link's ends: a database
+    /// directly, a coalition by its members (an unknown one by none).
+    fn of(codb: &CoDatabase, topic: &str) -> TopicAnswer {
+        let coalitions = codb.find_coalitions(topic);
+        let links: Vec<ServiceLink> = codb.find_links(topic).into_iter().cloned().collect();
+        let mut expansion = Vec::new();
+        if coalitions.is_empty() && links.is_empty() {
+            let members = |c: &str| codb.members(c).unwrap_or_default();
+            for c in codb.coalitions() {
+                expansion.extend(members(&c));
+            }
+            for link in codb.service_links() {
+                for end in [&link.from, &link.to] {
+                    match end {
+                        LinkEnd::Database(name) => expansion.push(name.clone()),
+                        LinkEnd::Coalition(c) => expansion.extend(members(c)),
+                    }
+                }
+            }
+        }
+        TopicAnswer {
+            coalitions,
+            links,
+            expansion,
+        }
+    }
+
+    /// Record this answer's leads as found at `site`, `distance` hops
+    /// out, and return the sites it points at (none when it had leads).
+    fn into_leads(self, site: &str, distance: usize, leads: &mut Vec<Lead>) -> Vec<String> {
+        leads.extend(self.coalitions.into_iter().map(|name| Lead::Coalition {
+            name,
+            via_site: site.to_owned(),
+            distance,
+        }));
+        leads.extend(self.links.into_iter().map(|link| Lead::Link {
+            link,
+            via_site: site.to_owned(),
+            distance,
+        }));
+        self.expansion
+    }
+}
+
+/// A co-database's reply to `probe(topic, known)`: its version stamp
+/// alone when `known` is that stamp, else the stamp and its answer.
+pub(crate) fn probe_reply(codb: &CoDatabase, topic: &str, known: Option<i64>) -> Value {
+    let version = codb.version() as i64;
+    if known == Some(version) {
+        return Value::record([("version", Value::LongLong(version))]);
+    }
+    let answer = TopicAnswer::of(codb, topic);
+    Value::record([
+        ("version", Value::LongLong(version)),
+        ("coalitions", strings_to_value(answer.coalitions)),
+        (
+            "links",
+            Value::Sequence(answer.links.iter().map(link_to_value).collect()),
+        ),
+        ("expansion", strings_to_value(answer.expansion)),
+    ])
+}
+
+/// Read a [`probe_reply`]: the stamp, and the answer unless the reply
+/// carries the stamp alone.
+fn read_probe_reply(reply: &Value) -> WfResult<(u64, Option<TopicAnswer>)> {
+    let malformed = |what: &str| WebfinditError::Protocol(format!("probe reply without {what}"));
+    let version = reply
+        .field("version")
+        .and_then(Value::as_i64)
+        .ok_or_else(|| malformed("a version"))? as u64;
+    let Some(coalitions) = reply.field("coalitions") else {
+        return Ok((version, None));
+    };
+    let links = reply
+        .field("links")
+        .and_then(Value::as_sequence)
+        .ok_or_else(|| malformed("links"))?
+        .iter()
+        .map(|l| value_to_link(l).map_err(|e| WebfinditError::Protocol(e.to_string())))
+        .collect::<WfResult<_>>()?;
+    let expansion = reply
+        .field("expansion")
+        .ok_or_else(|| malformed("an expansion"))?;
+    Ok((
+        version,
+        Some(TopicAnswer {
+            coalitions: value_to_strings(coalitions)?,
+            links,
+            expansion: value_to_strings(expansion)?,
+        }),
+    ))
+}
+
+/// Cached answers of one co-database, all valid for one version stamp.
+#[derive(Debug, Default)]
 struct SiteAnswers {
     version: u64,
-    coalitions_by_topic: HashMap<String, Vec<String>>,
-    links_by_topic: HashMap<String, Vec<ServiceLink>>,
-    coalition_list: Option<Vec<String>>,
-    members: HashMap<String, Vec<String>>,
-    service_links: Option<Vec<ServiceLink>>,
+    by_topic: HashMap<String, TopicAnswer>,
 }
 
 webfindit_base::counter_set! {
@@ -183,11 +295,11 @@ webfindit_base::counter_set! {
         counter fanout_sites "fanout sites",
         /// Widest single wave observed.
         peak fanout_peak_width "peak width",
-        /// Co-database answer-cache hits (answer reused under a matching
-        /// metadata version stamp).
+        /// Probes answered with the stamp alone: the cached answer
+        /// recorded under it was reused.
         counter codb_cache_hits "codb cache hits",
-        /// Co-database answer-cache misses (no entry, or the remote
-        /// version stamp moved).
+        /// Probes answered in full (no cached answer, or the stamp
+        /// moved).
         counter codb_cache_misses "codb cache misses",
     }
 }
@@ -195,11 +307,10 @@ webfindit_base::counter_set! {
 /// A per-site cache of co-database answers, keyed by version stamp.
 ///
 /// Every [`webfindit_codb::CoDatabase`] mutation bumps its version
-/// stamp; a cached answer is served only when a **live** `version` call
-/// on the site returns the stamp the answer was recorded under, so the
-/// cache can never hide a registration, a withdrawal, or a dead site.
-/// Hits and misses are counted in the federation's
-/// [`DiscoveryMetrics`].
+/// stamp; a cached answer is served only when a **live** `probe` of the
+/// site confirms the stamp the answer was recorded under, so the cache
+/// can never hide a registration, a withdrawal, or a dead site. Hits and
+/// misses are counted in the federation's [`DiscoveryMetrics`].
 #[derive(Debug, Default)]
 pub struct CodbAnswerCache {
     sites: Mutex<HashMap<String, SiteAnswers>>,
@@ -231,99 +342,27 @@ impl CodbAnswerCache {
         self.sites.lock().remove(&site.to_ascii_lowercase());
     }
 
-    fn with_current<T>(
-        &self,
-        site: &str,
-        version: u64,
-        read: impl FnOnce(&SiteAnswers) -> Option<T>,
-    ) -> Option<T> {
+    /// `site`'s cached answer to `topic`, with the stamp it was
+    /// recorded under.
+    fn get(&self, site: &str, topic: &str) -> Option<(u64, TopicAnswer)> {
         let guard = self.sites.lock();
-        guard
-            .get(site)
-            .filter(|e| e.version == version)
-            .and_then(read)
+        let entry = guard.get(&site.to_ascii_lowercase())?;
+        let answer = entry.by_topic.get(topic)?;
+        Some((entry.version, answer.clone()))
     }
 
-    fn store(&self, site: &str, version: u64, write: impl FnOnce(&mut SiteAnswers)) {
+    /// Record `site`'s `answer` to `topic` under `version`; a new stamp
+    /// first drops every answer recorded under the old one.
+    fn store(&self, site: &str, version: u64, topic: &str, answer: TopicAnswer) {
         let mut guard = self.sites.lock();
-        let entry = guard.entry(site.to_owned()).or_default();
+        let entry = guard.entry(site.to_ascii_lowercase()).or_default();
         if entry.version != version {
             *entry = SiteAnswers {
                 version,
-                ..SiteAnswers::default()
+                by_topic: HashMap::new(),
             };
         }
-        write(entry);
-    }
-}
-
-/// One probe's view of a site's cached answers: the cache, the site's
-/// key in it, and the version stamp the probe's live `version` call
-/// just returned.
-struct CachedSite<'a> {
-    cache: &'a CodbAnswerCache,
-    metrics: &'a DiscoveryMetrics,
-    key: String,
-    version: u64,
-}
-
-impl CachedSite<'_> {
-    /// Answer one co-database question cache-first: serve what `read`
-    /// finds recorded under the current version stamp, otherwise count
-    /// one remote query in `queries`, `fetch` the answer live and
-    /// record it through `write`. A failed fetch records nothing and is
-    /// the caller's to fail on or tolerate.
-    fn answer<T: Clone>(
-        &self,
-        queries: &mut u64,
-        read: impl FnOnce(&SiteAnswers) -> Option<T>,
-        fetch: impl FnOnce() -> WfResult<T>,
-        write: impl FnOnce(&mut SiteAnswers, T),
-    ) -> WfResult<T> {
-        let hit = self.cache.with_current(&self.key, self.version, read);
-        let counter = match hit {
-            Some(_) => &self.metrics.codb_cache_hits,
-            None => &self.metrics.codb_cache_misses,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        if let Some(hit) = hit {
-            return Ok(hit);
-        }
-        *queries += 1;
-        let fetched = fetch()?;
-        self.cache
-            .store(&self.key, self.version, |e| write(e, fetched.clone()));
-        Ok(fetched)
-    }
-}
-
-/// Expand a co-database's inter-relationships into candidate sites:
-/// members of every known coalition, database link endpoints directly,
-/// and coalition link endpoints via the member lists. `members_of`
-/// answers `None` for unknown coalitions (or unreachable servants);
-/// those expand to nothing, matching the tolerant serial behaviour.
-fn expand_interrelationships(
-    coalitions: &[String],
-    links: &[ServiceLink],
-    members_of: &mut dyn FnMut(&str) -> Option<Vec<String>>,
-    out: &mut Vec<String>,
-) {
-    for c in coalitions {
-        if let Some(m) = members_of(c) {
-            out.extend(m);
-        }
-    }
-    for link in links {
-        for end in [&link.from, &link.to] {
-            match end {
-                LinkEnd::Database(name) => out.push(name.clone()),
-                LinkEnd::Coalition(c) => {
-                    if let Some(m) = members_of(c) {
-                        out.extend(m);
-                    }
-                }
-            }
-        }
+        entry.by_topic.insert(topic.to_owned(), answer);
     }
 }
 
@@ -334,32 +373,21 @@ fn propose(frontier: &mut BTreeMap<String, String>, name: String) {
     frontier.entry(name.to_ascii_lowercase()).or_insert(name);
 }
 
-/// Everything one site probe produced, merged serially after the wave.
+/// One site's part in a wave, merged serially after it.
+#[derive(Default)]
 struct SiteProbe {
     site: String,
-    leads: Vec<Lead>,
+    /// What the site answered; `None` when it could not be consulted.
+    answer: Option<TopicAnswer>,
     failure: Option<SiteFailure>,
-    expansion: Vec<String>,
     naming_lookups: u64,
     codb_queries: u64,
     /// The failure was a circuit-breaker rejection — possibly a
-    /// half-open race against a wave-mate (see `crate::wave`).
+    /// half-open race against a wave-mate.
     breaker_rejected: bool,
 }
 
 impl SiteProbe {
-    fn new(site: &str) -> SiteProbe {
-        SiteProbe {
-            site: site.to_owned(),
-            leads: Vec::new(),
-            failure: None,
-            expansion: Vec::new(),
-            naming_lookups: 0,
-            codb_queries: 0,
-            breaker_rejected: false,
-        }
-    }
-
     fn fail(&mut self, distance: usize, e: &WebfinditError) {
         self.breaker_rejected = is_breaker_rejection(e);
         self.failure = Some(SiteFailure {
@@ -375,9 +403,10 @@ pub struct DiscoveryEngine {
     fed: Arc<Federation>,
     /// Maximum BFS depth (levels of remote expansion).
     pub max_depth: usize,
-    /// Worker-pool bound for one wave's concurrent site probes.
-    /// `1` reproduces the serial engine exactly; larger values change
-    /// only the wall-clock, never the outcome.
+    /// Bound on one wave's probes in flight at once: a wave is sent in
+    /// batches of this many, each batch whole before any of its replies
+    /// is read. `1` reproduces the serial engine exactly; larger values
+    /// change only the wall-clock, never the outcome.
     pub max_workers: usize,
     codb_cache: Arc<CodbAnswerCache>,
 }
@@ -400,161 +429,115 @@ impl DiscoveryEngine {
         &self.codb_cache
     }
 
-    fn fetch_strings(&self, ior: &Ior, op: &str, args: &[Value]) -> WfResult<Vec<String>> {
-        let v = self.fed.invoke(ior, op, args)?;
-        value_to_strings(&v)
-    }
-
-    fn fetch_links(&self, ior: &Ior, op: &str, args: &[Value]) -> WfResult<Vec<ServiceLink>> {
-        let v = self.fed.invoke(ior, op, args)?;
-        v.as_sequence()
-            .ok_or_else(|| WebfinditError::Protocol("expected link sequence".into()))?
-            .iter()
-            .map(|l| value_to_link(l).map_err(|e| WebfinditError::Protocol(e.to_string())))
-            .collect()
-    }
-
-    /// Probe one remote site: resolve its co-database, check liveness
-    /// and cache coherence with a single `version` call, collect leads,
-    /// and (when it has none) expand its inter-relationships. Runs on a
-    /// wave worker thread; everything it touches is `Sync`.
-    fn probe_site(&self, site: &str, topic: &str, depth: usize) -> SiteProbe {
-        let mut probe = SiteProbe::new(site);
+    /// Probe `sites` as one pipelined batch: resolve each co-database,
+    /// then send every probe before reading any reply. The probes come
+    /// back in `sites` order.
+    fn probe_sites(&self, sites: &[String], topic: &str, depth: usize) -> Vec<SiteProbe> {
         let nc = self.fed.naming_client();
-        let binding = format!("codb/{site}");
-        let (ior, from_cache) = match nc.resolve_detailed(&binding) {
-            Ok(r) => r,
-            Err(e) => {
-                probe.fail(depth, &WebfinditError::Orb(e));
-                return probe;
+        let binding = |site: &str| format!("codb/{site}");
+        let mut probes: Vec<SiteProbe> = sites
+            .iter()
+            .map(|site| SiteProbe {
+                site: site.clone(),
+                ..SiteProbe::default()
+            })
+            .collect();
+        // (probe index, co-database reference, cached answer)
+        let mut targets = Vec::with_capacity(sites.len());
+        for (i, probe) in probes.iter_mut().enumerate() {
+            match nc.resolve_detailed(&binding(&probe.site)) {
+                Ok((ior, from_cache)) => {
+                    probe.naming_lookups += u64::from(!from_cache);
+                    targets.push((i, ior, self.codb_cache.get(&probe.site, topic)));
+                }
+                Err(e) => probe.fail(depth, &WebfinditError::Orb(e)),
             }
-        };
-        if !from_cache {
-            probe.naming_lookups += 1;
         }
-
-        // The one mandatory live call: liveness probe + coherence check.
-        probe.codb_queries += 1;
-        let version = match self.fed.invoke(&ior, "version", &[]) {
-            Ok(Value::LongLong(n)) => n as u64,
-            Ok(_) => 0,
-            Err(e) => {
-                // The cached reference (if any) is unusable and the
-                // site's cached answers are unverifiable: drop both.
-                nc.invalidate(&binding);
-                self.codb_cache.forget(site);
-                probe.fail(depth, &e);
-                return probe;
+        let args: Vec<[Value; 2]> = targets
+            .iter()
+            .map(|(_, _, cached)| {
+                let known = cached
+                    .as_ref()
+                    .map_or(Value::Null, |(v, _)| Value::LongLong(*v as i64));
+                [Value::string(topic), known]
+            })
+            .collect();
+        let calls: Vec<Invocation<'_>> = targets
+            .iter()
+            .zip(&args)
+            .map(|((_, ior, _), args)| Invocation {
+                target: ior,
+                operation: "probe",
+                args,
+            })
+            .collect();
+        let replies = self.fed.invoke_all(&calls);
+        for ((i, _, cached), reply) in targets.into_iter().zip(replies) {
+            let probe = &mut probes[i];
+            probe.codb_queries += 1;
+            match reply.and_then(|r| self.answer(&probe.site, topic, &r, cached)) {
+                Ok(answer) => probe.answer = Some(answer),
+                Err(e) => {
+                    // The cached reference (if any) is unusable and the
+                    // site's cached answers are unverifiable: drop both.
+                    nc.invalidate(&binding(&probe.site));
+                    self.codb_cache.forget(&probe.site);
+                    probe.fail(depth, &e);
+                }
             }
-        };
-
-        let cached = CachedSite {
-            cache: &self.codb_cache,
-            metrics: self.fed.discovery_metrics(),
-            key: site.to_ascii_lowercase(),
-            version,
-        };
-        let topic_arg = [Value::string(topic)];
-
-        // Leads: find_coalitions then find_links. A site that cannot
-        // answer one of them is degraded, keeping the leads it gave.
-        let coalitions = match cached.answer(
-            &mut probe.codb_queries,
-            |e| e.coalitions_by_topic.get(topic).cloned(),
-            || self.fetch_strings(&ior, "find_coalitions", &topic_arg),
-            |e, v| {
-                e.coalitions_by_topic.insert(topic.to_owned(), v);
-            },
-        ) {
-            Ok(v) => v,
-            Err(e) => {
-                nc.invalidate(&binding);
-                probe.fail(depth, &e);
-                return probe;
-            }
-        };
-        for name in coalitions {
-            probe.leads.push(Lead::Coalition {
-                name,
-                via_site: probe.site.clone(),
-                distance: depth,
-            });
         }
-        let links = match cached.answer(
-            &mut probe.codb_queries,
-            |e| e.links_by_topic.get(topic).cloned(),
-            || self.fetch_links(&ior, "find_links", &topic_arg),
-            |e, v| {
-                e.links_by_topic.insert(topic.to_owned(), v);
-            },
-        ) {
-            Ok(v) => v,
-            Err(e) => {
-                nc.invalidate(&binding);
-                probe.fail(depth, &e);
-                return probe;
-            }
-        };
-        for link in links {
-            probe.leads.push(Lead::Link {
-                link,
-                via_site: probe.site.clone(),
-                distance: depth,
-            });
-        }
-        if !probe.leads.is_empty() {
-            return probe;
-        }
-
-        // No leads here: expand its inter-relationships. Expansion
-        // failures are tolerated (the reachable part still expands).
-        let coalition_list = cached
-            .answer(
-                &mut probe.codb_queries,
-                |e| e.coalition_list.clone(),
-                || self.fetch_strings(&ior, "coalitions", &[]),
-                |e, v| e.coalition_list = Some(v),
-            )
-            .unwrap_or_default();
-        let service_links = cached
-            .answer(
-                &mut probe.codb_queries,
-                |e| e.service_links.clone(),
-                || self.fetch_links(&ior, "service_links", &[]),
-                |e, v| e.service_links = Some(v),
-            )
-            .unwrap_or_default();
-        let mut members_of = |c: &str| -> Option<Vec<String>> {
-            cached
-                .answer(
-                    &mut probe.codb_queries,
-                    |e| e.members.get(c).cloned(),
-                    || self.fetch_strings(&ior, "members", &[Value::string(c)]),
-                    |e, v| {
-                        e.members.insert(c.to_owned(), v);
-                    },
-                )
-                .ok()
-        };
-        expand_interrelationships(
-            &coalition_list,
-            &service_links,
-            &mut members_of,
-            &mut probe.expansion,
-        );
-        probe
+        probes
     }
 
-    /// Probe every site of one wave on the bounded pool, returning the
-    /// probes **in wave (site-name) order** regardless of completion
-    /// order; breaker-rejected probes get the pool's one serial re-run.
+    /// `site`'s answer from its probe reply: the fresh one it carries
+    /// (recorded for the next visit) or, when the reply confirms the
+    /// stamp of the `cached` answer, that one.
+    fn answer(
+        &self,
+        site: &str,
+        topic: &str,
+        reply: &Value,
+        cached: Option<(u64, TopicAnswer)>,
+    ) -> WfResult<TopicAnswer> {
+        let metrics = self.fed.discovery_metrics();
+        match (read_probe_reply(reply)?, cached) {
+            ((version, Some(fresh)), _) => {
+                metrics.codb_cache_misses.fetch_add(1, Ordering::Relaxed);
+                self.codb_cache.store(site, version, topic, fresh.clone());
+                Ok(fresh)
+            }
+            ((version, None), Some((known, answer))) if known == version => {
+                metrics.codb_cache_hits.fetch_add(1, Ordering::Relaxed);
+                Ok(answer)
+            }
+            _ => Err(WebfinditError::Protocol(
+                "probe reply confirms a stamp no answer was cached under".into(),
+            )),
+        }
+    }
+
+    /// Probe every site of one wave, [`DiscoveryEngine::max_workers`]
+    /// in flight at once, returning the probes **in wave (site-name)
+    /// order**.
     fn run_wave(&self, wave: &[String], topic: &str, depth: usize) -> Vec<SiteProbe> {
-        crate::wave::run_ordered(
-            wave,
-            self.max_workers,
-            |site| self.probe_site(site, topic, depth),
-            |probe| probe.breaker_rejected,
-        )
+        let mut probes: Vec<SiteProbe> = wave
+            .chunks(self.max_workers.max(1))
+            .flat_map(|batch| self.probe_sites(batch, topic, depth))
+            .collect();
+        // A half-open breaker admits one call, so a batch-mate bound for
+        // the same recovering endpoint can be rejected while the
+        // admitted probe goes on to close the breaker — a race a serial
+        // walk never loses. Re-run those probes once, one by one, now
+        // that the wave has settled; a breaker still open rejects again
+        // without touching the wire.
+        for probe in probes.iter_mut().filter(|p| p.breaker_rejected) {
+            let site = [std::mem::take(&mut probe.site)];
+            *probe = self
+                .probe_sites(&site, topic, depth)
+                .pop()
+                .expect("one probe per site");
+        }
+        probes
     }
 
     /// Run discovery for `topic`, starting at `start_site`.
@@ -562,7 +545,7 @@ impl DiscoveryEngine {
     /// A dead or unreachable site never aborts the traversal: it is
     /// recorded in [`DiscoveryOutcome::degraded`] and the search keeps
     /// walking the surviving subtree of coalitions and service links.
-    /// Each wave's sites are probed concurrently (see
+    /// Each wave's sites are probed in pipelined batches (see
     /// [`DiscoveryEngine::max_workers`]); the merge is in site-name
     /// order, so the outcome is identical to a serial traversal.
     pub fn find(&self, start_site: &str, topic: &str) -> WfResult<DiscoveryOutcome> {
@@ -576,37 +559,9 @@ impl DiscoveryEngine {
         // ---- level 0: the local co-database, no network ----
         let mut leads: Vec<Lead> = Vec::new();
         let mut frontier: BTreeMap<String, String> = BTreeMap::new();
-        {
-            let codb = start.codb.read();
-            for c in codb.find_coalitions(topic) {
-                leads.push(Lead::Coalition {
-                    name: c,
-                    via_site: start.name.clone(),
-                    distance: 0,
-                });
-            }
-            for l in codb.find_links(topic) {
-                leads.push(Lead::Link {
-                    link: l.clone(),
-                    via_site: start.name.clone(),
-                    distance: 0,
-                });
-            }
-            if leads.is_empty() {
-                // Expand through local inter-relationships.
-                let coalitions = codb.coalitions();
-                let links: Vec<ServiceLink> = codb.service_links().to_vec();
-                let mut proposals = Vec::new();
-                expand_interrelationships(
-                    &coalitions,
-                    &links,
-                    &mut |c| codb.members(c).ok(),
-                    &mut proposals,
-                );
-                for name in proposals {
-                    propose(&mut frontier, name);
-                }
-            }
+        let local = TopicAnswer::of(&start.codb.read(), topic);
+        for name in local.into_leads(&start.name, 0, &mut leads) {
+            propose(&mut frontier, name);
         }
         if !leads.is_empty() {
             stats.found_at_level = Some(0);
@@ -640,17 +595,16 @@ impl DiscoveryEngine {
                 .fanout_peak_width
                 .fetch_max(width, Ordering::Relaxed);
 
-            // Merge in wave order — the probes ran concurrently, the
-            // outcome reads as if they ran one by one.
+            // Merge in wave order — the probes overlapped, the outcome
+            // reads as if they ran one by one.
             for probe in self.run_wave(&wave, topic, depth) {
                 stats.naming_lookups += probe.naming_lookups;
                 stats.codb_queries += probe.codb_queries;
-                leads.extend(probe.leads);
-                if let Some(failure) = probe.failure {
-                    degraded.push(failure);
-                }
-                for name in probe.expansion {
-                    propose(&mut frontier, name);
+                degraded.extend(probe.failure);
+                if let Some(answer) = probe.answer {
+                    for name in answer.into_leads(&probe.site, depth, &mut leads) {
+                        propose(&mut frontier, name);
+                    }
                 }
             }
             if !leads.is_empty() {
@@ -673,6 +627,7 @@ impl DiscoveryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webfindit_codb::InformationSource;
     use webfindit_orb::OrbError;
 
     #[test]
@@ -692,40 +647,83 @@ mod tests {
         assert_eq!(m.snapshot().since(&before).fanout_peak_width, 3);
     }
 
+    fn answer(coalitions: &[&str]) -> TopicAnswer {
+        TopicAnswer {
+            coalitions: coalitions.iter().map(|c| c.to_string()).collect(),
+            ..TopicAnswer::default()
+        }
+    }
+
     #[test]
     fn answer_cache_serves_only_matching_versions() {
         let cache = CodbAnswerCache::new();
         assert!(cache.is_empty());
-        cache.store("rbh", 3, |e| {
-            e.coalition_list = Some(vec!["Research".into()]);
-            e.members.insert("Research".into(), vec!["RBH".into()]);
-        });
-        assert_eq!(cache.len(), 1);
+        cache.store("RBH", 3, "research", answer(&["Research"]));
+        cache.store("rbh", 3, "medicine", answer(&["Medical"]));
+        assert_eq!(cache.len(), 1, "one entry per site, whatever the case");
         assert_eq!(
-            cache.with_current("rbh", 3, |e| e.coalition_list.clone()),
-            Some(vec!["Research".to_string()])
+            cache.get("rbh", "research"),
+            Some((3, answer(&["Research"])))
         );
-        // A bumped version makes every cached answer invisible…
+        assert_eq!(cache.get("rbh", "tax"), None);
+        // The first store under a new stamp drops every answer of the
+        // old one.
+        cache.store("rbh", 4, "research", answer(&["Research", "Grants"]));
         assert_eq!(
-            cache.with_current("rbh", 4, |e| e.coalition_list.clone()),
-            None
-        );
-        // …and the first store under the new version resets the entry.
-        cache.store("rbh", 4, |e| {
-            e.coalition_list = Some(vec!["Medical".into()])
-        });
-        assert_eq!(
-            cache.with_current("rbh", 4, |e| e.members.get("Research").cloned()),
+            cache.get("rbh", "medicine"),
             None,
-            "stale members must not survive a version bump"
+            "stale answers must not survive a version bump"
         );
         assert_eq!(
-            cache.with_current("rbh", 4, |e| e.coalition_list.clone()),
-            Some(vec!["Medical".to_string()])
+            cache.get("RBH", "research"),
+            Some((4, answer(&["Research", "Grants"])))
         );
-        cache.forget("rbh");
+        cache.forget("RBH");
         assert!(cache.is_empty());
+        cache.store("rbh", 4, "research", answer(&[]));
         cache.clear();
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_probe_reply_round_trips_its_answer_or_confirms_the_stamp() {
+        let mut codb = CoDatabase::new("RBH");
+        codb.create_coalition("Research", None, "medical research")
+            .unwrap();
+        codb.advertise(
+            "Research",
+            InformationSource {
+                name: "Royal Brisbane Hospital".into(),
+                information_type: "Research and Medical".into(),
+                documentation_url: "http://docs/RBH".into(),
+                location: "dba.icis.qut.edu.au".into(),
+                wrapper: "jdbc:oracle://dba.icis.qut.edu.au/RBH".into(),
+                interface: Vec::new(),
+            },
+        )
+        .unwrap();
+        codb.add_service_link(ServiceLink {
+            from: LinkEnd::Coalition("Research".into()),
+            to: LinkEnd::Database("ATO".into()),
+            description: "tax data for research grants".into(),
+        })
+        .unwrap();
+        let version = codb.version();
+        for topic in ["medical research", "tax data", "welfare"] {
+            let (stamp, fresh) = read_probe_reply(&probe_reply(&codb, topic, None)).unwrap();
+            assert_eq!(stamp, version);
+            assert_eq!(fresh, Some(TopicAnswer::of(&codb, topic)), "{topic}");
+            let confirmed = probe_reply(&codb, topic, Some(version as i64));
+            assert_eq!(read_probe_reply(&confirmed).unwrap(), (version, None));
+        }
+        // No leads for welfare: the answer is the expansion — coalition
+        // members, then the link's ends (a coalition by its members).
+        let rbh = "Royal Brisbane Hospital".to_string();
+        assert_eq!(
+            TopicAnswer::of(&codb, "welfare").expansion,
+            vec![rbh.clone(), rbh, "ATO".into()]
+        );
+        assert!(read_probe_reply(&Value::Null).is_err());
     }
 
     #[test]

@@ -31,7 +31,7 @@ use webfindit_oostore::method::MethodTable;
 use webfindit_oostore::ObjectStore;
 use webfindit_orb::chaos::{ChaosHost, ChaosRegistry, ChaosTargets};
 use webfindit_orb::naming::{IorCache, NamingClient, NamingService, NAMING_OBJECT_KEY};
-use webfindit_orb::{CallOptions, Orb, OrbConfig, OrbDomain};
+use webfindit_orb::{CallOptions, Invocation, Orb, OrbConfig, OrbDomain};
 use webfindit_relstore::{Database, Dialect};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::{Ior, Value};
@@ -265,6 +265,17 @@ impl Federation {
         Ok(self
             .bootstrap_orb
             .invoke_with(ior, operation, args, &self.call_options())?)
+    }
+
+    /// Pipeline a batch of invocations through the client ORB under the
+    /// federation-wide [`CallOptions`] (see [`Orb::invoke_all`]); the
+    /// outcomes come back in call order.
+    pub fn invoke_all(&self, calls: &[Invocation<'_>]) -> Vec<WfResult<Value>> {
+        self.bootstrap_orb
+            .invoke_all(calls, &self.call_options())
+            .into_iter()
+            .map(|outcome| Ok(outcome?))
+            .collect()
     }
 
     /// A naming-service client over the wire, backed by the

@@ -6,6 +6,7 @@
 //! wrapper through which actual data queries reach a database over its
 //! JDBC/JNI/native bridge.
 
+use crate::discovery::probe_reply;
 use crate::value_map::{
     descriptor_to_value, ovalue_to_value, result_set_to_value, strings_to_value,
     value_to_descriptor,
@@ -153,6 +154,12 @@ impl Servant for CoDatabaseServant {
         match operation {
             "owner" => Ok(Value::string(self.codb.read().owner().to_owned())),
             "version" => Ok(Value::LongLong(self.codb.read().version() as i64)),
+            // One discovery visit: see `crate::discovery::probe_reply`.
+            "probe" => {
+                let topic = arg_str(args, 0, "an information type")?;
+                let known = args.get(1).and_then(Value::as_i64);
+                Ok(probe_reply(&self.codb.read(), &topic, known))
+            }
             "find_coalitions" => {
                 let topic = arg_str(args, 0, "an information type")?;
                 Ok(strings_to_value(self.codb.read().find_coalitions(&topic)))
@@ -167,7 +174,6 @@ impl Servant for CoDatabaseServant {
                         .collect(),
                 ))
             }
-            "coalitions" => Ok(strings_to_value(self.codb.read().coalitions())),
             "subclasses" => {
                 let class = arg_str(args, 0, "a class name")?;
                 self.codb
@@ -285,9 +291,9 @@ impl Servant for CoDatabaseServant {
         [
             "owner",
             "version",
+            "probe",
             "find_coalitions",
             "find_links",
-            "coalitions",
             "subclasses",
             "coalition_documentation",
             "members",
@@ -623,6 +629,48 @@ mod tests {
         assert!(s.invoke("members", &[Value::string("Ghost")]).is_err());
         assert!(s.invoke("members", &[]).is_err());
         assert!(s.invoke("nonsense", &[]).is_err());
+    }
+
+    #[test]
+    fn a_probe_answers_whole_unless_the_caller_holds_the_current_stamp() {
+        let s = codb_servant();
+        let topic = Value::string("medical research");
+        let full = s.invoke("probe", &[topic.clone(), Value::Null]).unwrap();
+        let version = full.field("version").cloned().expect("stamped");
+        assert_eq!(
+            full.field("coalitions"),
+            Some(&Value::Sequence(vec![Value::string("Research")]))
+        );
+        assert_eq!(full.field("links"), Some(&Value::Sequence(vec![])));
+        assert_eq!(full.field("expansion"), Some(&Value::Sequence(vec![])));
+
+        // The caller's stamp is current: the stamp alone comes back.
+        let confirmed = s
+            .invoke("probe", &[topic.clone(), version.clone()])
+            .unwrap();
+        assert_eq!(confirmed, Value::record([("version", version.clone())]));
+
+        // A registration bumps the stamp: the same probe is answered in
+        // full again, under the new stamp.
+        s.invoke(
+            "create_coalition",
+            &[
+                Value::string("Grants"),
+                Value::Null,
+                Value::string("medical research grants"),
+            ],
+        )
+        .unwrap();
+        let bumped = s.invoke("probe", &[topic, version.clone()]).unwrap();
+        assert_ne!(bumped.field("version"), Some(&version));
+        assert_eq!(
+            bumped.field("coalitions"),
+            Some(&Value::Sequence(vec![
+                Value::string("Grants"),
+                Value::string("Research")
+            ]))
+        );
+        assert!(s.invoke("probe", &[]).is_err());
     }
 
     #[test]

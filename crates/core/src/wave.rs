@@ -1,8 +1,9 @@
-//! The bounded fan-out pool behind discovery waves and federated ship
-//! waves.
+//! The bounded fan-out pool behind federated ship waves. (Discovery
+//! waves pipeline their probes from the calling thread instead; see
+//! [`crate::discovery`].)
 //!
-//! A wave is a slice of independent items (co-database sites to probe,
-//! subqueries to ship), each costing a few remote round-trips.
+//! A wave is a slice of independent items (subqueries to ship), each
+//! costing a few remote round-trips.
 //! [`run_ordered`] runs them on a bounded set of scoped threads and
 //! hands the results back **in item order**, so a caller that merges
 //! them sequentially produces the same outcome whatever the worker

@@ -483,6 +483,119 @@ fn parallel_discovery_matches_serial_across_the_topology() {
 }
 
 #[test]
+fn every_remote_visit_costs_one_probe_cold_and_warm() {
+    let dep = build_healthcare(1999).unwrap();
+    for start in ["QUT Research", "Medicare", "Royal Brisbane Hospital"] {
+        let engine = DiscoveryEngine::new(dep.fed.clone());
+        for topic in [
+            "Medical Insurance",
+            "cancer Research funding",
+            "subject nobody advertises",
+        ] {
+            let hits = || dep.fed.discovery_metrics().snapshot().codb_cache_hits;
+            let cold = engine.find(start, topic).unwrap();
+            let before = hits();
+            let warm = engine.find(start, topic).unwrap();
+            for out in [&cold, &warm] {
+                assert!(out.complete(), "{start} / {topic}: {out:?}");
+                assert_eq!(
+                    out.stats.codb_queries,
+                    out.stats.sites_visited as u64 - 1,
+                    "{start} / {topic}: one probe per remote site, {:?}",
+                    out.stats
+                );
+            }
+            // Warm, every probe is confirmed by its stamp and the
+            // naming lookups are cached: the probes are the round trips.
+            assert_eq!(
+                warm.stats.total_round_trips(),
+                warm.stats.codb_queries,
+                "{start} / {topic}"
+            );
+            assert_eq!(
+                hits() - before,
+                warm.stats.codb_queries,
+                "{start} / {topic}"
+            );
+        }
+    }
+    dep.fed.shutdown();
+}
+
+/// The servant-side probe answers exactly what the client-side calls it
+/// replaced did: `find_coalitions` and `find_links` for the leads and,
+/// when there are none, the expansion the client used to walk from the
+/// coalition list, `service_links` and one `members` call per
+/// coalition.
+#[test]
+fn a_probe_answers_what_the_client_side_walk_it_replaced_did() {
+    use webfindit::value_map::value_to_strings;
+    use webfindit::wire::Value;
+
+    let dep = build_healthcare(1999).unwrap();
+    let fed = &dep.fed;
+    let strings = |v: Option<&Value>| value_to_strings(v.expect("field present")).unwrap();
+    let mut topics: Vec<String> = fed
+        .site_names()
+        .iter()
+        .map(|s| fed.site(s).unwrap().descriptor.information_type)
+        .collect();
+    topics.push("subject nobody advertises".into());
+    let mut expanded = 0;
+    for site in fed.site_names() {
+        let handle = fed.site(&site).unwrap();
+        let ior = &handle.codb_ior;
+        let members_of = |c: &str| {
+            fed.invoke(ior, "members", &[Value::string(c)])
+                .map(|v| value_to_strings(&v).unwrap())
+                .unwrap_or_default()
+        };
+        for topic in &topics {
+            let topic_arg = [Value::string(topic.as_str())];
+            let probe = fed
+                .invoke(ior, "probe", &[Value::string(topic.as_str()), Value::Null])
+                .unwrap();
+            let coalitions = fed.invoke(ior, "find_coalitions", &topic_arg).unwrap();
+            let links = fed.invoke(ior, "find_links", &topic_arg).unwrap();
+            assert_eq!(
+                probe.field("coalitions"),
+                Some(&coalitions),
+                "{site} / {topic}"
+            );
+            assert_eq!(probe.field("links"), Some(&links), "{site} / {topic}");
+
+            let mut walked = Vec::new();
+            let leads = links.as_sequence().unwrap().len() + strings(Some(&coalitions)).len();
+            if leads == 0 {
+                expanded += 1;
+                // The coalition list the removed `coalitions` operation
+                // served.
+                for c in handle.codb.read().coalitions() {
+                    walked.extend(members_of(&c));
+                }
+                let all_links = fed.invoke(ior, "service_links", &[]).unwrap();
+                for link in all_links.as_sequence().unwrap() {
+                    for (kind, name) in [("from_kind", "from"), ("to_kind", "to")] {
+                        let name = link.field(name).and_then(Value::as_str).unwrap();
+                        match link.field(kind).and_then(Value::as_str) {
+                            Some("database") => walked.push(name.to_owned()),
+                            _ => walked.extend(members_of(name)),
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                strings(probe.field("expansion")),
+                walked,
+                "{site} / {topic}"
+            );
+        }
+    }
+    assert!(expanded >= fed.site_names().len(), "every site expanded");
+    dep.fed.shutdown();
+}
+
+#[test]
 fn discovery_trace_reports_fanout_and_cache_counters() {
     let dep = build_healthcare(1999).unwrap();
     let processor = Processor::new(dep.fed.clone());

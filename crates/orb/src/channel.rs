@@ -19,6 +19,11 @@
 //!   never across the wait. Nobody reads an idle connection, so what
 //!   the peer said since the last call (`CloseConnection`, EOF) is
 //!   looked at when the connection is next picked;
+//! * pipelined batches: a call is [`IiopChannel::start`] (admit, send)
+//!   then [`IiopChannel::finish`] (wait, classify), so
+//!   [`crate::Orb::invoke_all`] sends a whole batch before reading any
+//!   reply. Its caller waits on one request at a time, so the read half
+//!   is handed only to a caller flagged as parked on that connection;
 //! * deadlines: a caller waits at most its [`CallOptions::deadline`],
 //!   one budget over every retry and forward; on expiry it unregisters,
 //!   fires a best-effort GIOP `CancelRequest` at the server, and
@@ -291,7 +296,7 @@ pub(crate) struct CallFailure {
 }
 
 impl CallFailure {
-    fn never_sent(error: OrbError) -> Self {
+    pub(crate) fn never_sent(error: OrbError) -> Self {
         CallFailure {
             class: FailureClass::NeverSent,
             error,
@@ -327,6 +332,15 @@ struct ReadHalf {
     assembler: FragmentAssembler,
 }
 
+/// A registered request. `tx` is unbounded, so neither a leader nor
+/// `hand_off` can block on a slow caller; it receives at most one
+/// outcome, plus the odd `Lead`. `parked` is set, under the `pending`
+/// lock, by a caller about to sleep waiting for this request.
+struct Slot {
+    tx: Sender<Wake>,
+    parked: bool,
+}
+
 /// One multiplexed connection: a shared writer, and a read half that
 /// the waiting callers take turns holding.
 struct MuxConn {
@@ -334,10 +348,8 @@ struct MuxConn {
     /// Held by the leader for as long as it reads. Always `try_lock`ed:
     /// a caller that finds it taken parks on its slot instead.
     reader: Mutex<ReadHalf>,
-    /// Callers awaiting a reply, by request id. The sender is unbounded
-    /// so neither a leader nor `hand_off` can block on a slow caller; a
-    /// slot receives at most one outcome, plus the odd `Lead`.
-    pending: Mutex<HashMap<u32, Sender<Wake>>>,
+    /// Requests awaiting a reply, by request id.
+    pending: Mutex<HashMap<u32, Slot>>,
     /// Set once the connection can no longer carry new calls.
     dead: AtomicBool,
 }
@@ -347,8 +359,8 @@ impl MuxConn {
     fn poison(&self, mk_outcome: impl Fn() -> ReplyOutcome) {
         self.dead.store(true, Ordering::SeqCst);
         let waiters: Vec<_> = self.pending.lock().drain().collect();
-        for (_, tx) in waiters {
-            let _ = tx.send(Wake::Done(mk_outcome()));
+        for (_, slot) in waiters {
+            let _ = slot.tx.send(Wake::Done(mk_outcome()));
         }
     }
 
@@ -357,16 +369,18 @@ impl MuxConn {
         self.writer.lock().shutdown();
     }
 
-    /// Ask one caller still awaiting its reply to take the read half.
+    /// Ask one caller parked on this connection to take the read half.
     /// Whoever releases the read half calls this AFTER the release (a
     /// caller woken earlier would find it taken and park for good), and
     /// so does a caller that leaves with a `Lead` in its slot. The send
     /// happens under the `pending` lock: a caller unregisters under the
     /// same lock and looks at its slot afterwards, so it cannot miss a
-    /// `Lead` addressed to it.
+    /// `Lead` addressed to it. A request whose caller is not parked on
+    /// it (a later one of its batch) is never chosen: its caller would
+    /// not see the `Lead`, and whoever is parked here would not wake.
     fn hand_off(&self) {
-        if let Some(tx) = self.pending.lock().values().next() {
-            let _ = tx.send(Wake::Lead);
+        if let Some(slot) = self.pending.lock().values().find(|s| s.parked) {
+            let _ = slot.tx.send(Wake::Lead);
         }
     }
 }
@@ -440,8 +454,8 @@ fn lead(
                 let waiter = conn.pending.lock().remove(&request_id);
                 match waiter {
                     Some(_) if own_id == Some(request_id) => return Led::Mine(msg),
-                    Some(tx) => {
-                        let _ = tx.send(Wake::Done(ReplyOutcome::Message(msg)));
+                    Some(slot) => {
+                        let _ = slot.tx.send(Wake::Done(ReplyOutcome::Message(msg)));
                     }
                     None => {
                         // The caller gave up (deadline) before the reply
@@ -468,6 +482,18 @@ fn lead(
             }
         }
     }
+}
+
+/// A request [`IiopChannel::start`] put on the wire; its reply is read
+/// by [`IiopChannel::finish`].
+pub(crate) struct InFlight {
+    conn: Arc<MuxConn>,
+    request_id: u32,
+    rx: Receiver<Wake>,
+    started: Instant,
+    deadline: Option<Deadline>,
+    /// Admitted as the breaker's half-open probe.
+    is_probe: bool,
 }
 
 /// The outcome already sitting in a caller's slot, if any.
@@ -675,18 +701,17 @@ impl IiopChannel {
         }))
     }
 
-    /// Send `frame` (already carrying `request_id`) and wait for the
-    /// routed reply, respecting `deadline`. The endpoint's circuit
-    /// breaker gates admission: an open breaker rejects instantly
-    /// (classified `NeverSent`, so the caller may fail over to another
-    /// profile), and the outcome of every admitted call feeds back into
-    /// the breaker.
-    pub(crate) fn call(
+    /// Put `frame` (already carrying `request_id`) on the wire; its reply
+    /// is read by [`IiopChannel::finish`]. The endpoint's circuit breaker
+    /// gates admission: an open breaker rejects instantly (classified
+    /// `NeverSent`, so the caller may fail over to another profile), and
+    /// the outcome of every admitted call feeds back into the breaker.
+    pub(crate) fn start(
         &self,
         request_id: u32,
         frame: &[u8],
         deadline: Option<Deadline>,
-    ) -> Result<GiopMessage, CallFailure> {
+    ) -> Result<InFlight, CallFailure> {
         let Ok(is_probe) = self.breaker.admit(&self.metrics) else {
             let (host, port) = &self.endpoint;
             return Err(CallFailure::never_sent(OrbError::CircuitOpen {
@@ -694,11 +719,16 @@ impl IiopChannel {
                 port: *port,
             }));
         };
-        match self.call_inner(request_id, frame, deadline) {
-            Ok(msg) => {
-                self.breaker.on_success(&self.metrics);
-                Ok(msg)
-            }
+        let started = Instant::now();
+        match self.send(request_id, frame) {
+            Ok((conn, rx)) => Ok(InFlight {
+                conn,
+                request_id,
+                rx,
+                started,
+                deadline,
+                is_probe,
+            }),
             Err(failure) => {
                 self.breaker.on_failure(is_probe, &self.metrics);
                 Err(failure)
@@ -706,12 +736,11 @@ impl IiopChannel {
         }
     }
 
-    fn call_inner(
+    fn send(
         &self,
         request_id: u32,
         frame: &[u8],
-        deadline: Option<Deadline>,
-    ) -> Result<GiopMessage, CallFailure> {
+    ) -> Result<(Arc<MuxConn>, Receiver<Wake>), CallFailure> {
         let conn = self.acquire()?;
         if conn.dead.load(Ordering::SeqCst) {
             return Err(CallFailure::never_sent(OrbError::Wire(WireError::Closed)));
@@ -719,9 +748,10 @@ impl IiopChannel {
         // Register BEFORE sending: another caller may be leading and
         // route the reply before we would otherwise get back here.
         let (tx, rx) = channel::<Wake>();
-        conn.pending.lock().insert(request_id, tx);
+        conn.pending
+            .lock()
+            .insert(request_id, Slot { tx, parked: false });
         self.metrics.add(&self.metrics.in_flight, 1);
-        let started = Instant::now();
 
         let sent = {
             let mut w = conn.writer.lock();
@@ -737,15 +767,15 @@ impl IiopChannel {
         }
         self.metrics
             .add(&self.metrics.bytes_sent, frame.len() as u64);
+        Ok((conn, rx))
+    }
 
-        let outcome = self.await_reply(&conn, request_id, &rx, deadline.map(|d| d.at));
-        self.metrics.gauge_sub(&self.metrics.in_flight, 1);
-
-        match outcome {
-            Some(ReplyOutcome::Message(msg)) => {
-                self.latency.record(started.elapsed());
-                Ok(msg)
-            }
+    /// Wait for the reply to a request [`IiopChannel::start`] sent,
+    /// respecting its deadline, and classify the outcome.
+    pub(crate) fn finish(&self, sent: InFlight) -> Result<GiopMessage, CallFailure> {
+        let (conn, id, deadline) = (&sent.conn, sent.request_id, sent.deadline);
+        let outcome = match self.await_reply(conn, id, &sent.rx, deadline.map(|d| d.at)) {
+            Some(ReplyOutcome::Message(msg)) => Ok(msg),
             Some(ReplyOutcome::ClosedUnprocessed) => Err(CallFailure {
                 class: FailureClass::NotProcessed,
                 error: OrbError::Wire(WireError::Closed),
@@ -761,33 +791,40 @@ impl IiopChannel {
                 // Unregister, then look at the slot: a reply routed in
                 // this instant is taken, and a hand-off addressed to
                 // this caller is passed on rather than lost with it.
-                conn.pending.lock().remove(&request_id);
+                conn.pending.lock().remove(&id);
                 let mut raced = None;
-                for arrived in rx.try_iter() {
+                for arrived in sent.rx.try_iter() {
                     match arrived {
                         Wake::Lead => conn.hand_off(),
                         Wake::Done(ReplyOutcome::Message(msg)) => raced = Some(msg),
                         Wake::Done(_) => {}
                     }
                 }
-                if let Some(msg) = raced {
-                    self.latency.record(started.elapsed());
-                    return Ok(msg);
-                }
-                // Tell the server to abandon the work if it still can.
-                let cancel = GiopMessage::CancelRequest { request_id };
-                if let Ok(cancel_frame) = cancel.encode(self.order) {
-                    let _ = conn.writer.lock().send_frame(&cancel_frame);
-                }
-                self.metrics.add(&self.metrics.timeouts, 1);
-                Err(CallFailure {
-                    class: FailureClass::Ambiguous,
-                    error: OrbError::DeadlineExpired {
-                        operation_deadline: deadline.map(|d| d.budget).unwrap_or_default(),
-                    },
+                raced.ok_or_else(|| {
+                    // Tell the server to abandon the work if it still can.
+                    let cancel = GiopMessage::CancelRequest { request_id: id };
+                    if let Ok(cancel_frame) = cancel.encode(self.order) {
+                        let _ = conn.writer.lock().send_frame(&cancel_frame);
+                    }
+                    self.metrics.add(&self.metrics.timeouts, 1);
+                    CallFailure {
+                        class: FailureClass::Ambiguous,
+                        error: OrbError::DeadlineExpired {
+                            operation_deadline: deadline.map(|d| d.budget).unwrap_or_default(),
+                        },
+                    }
                 })
             }
+        };
+        self.metrics.gauge_sub(&self.metrics.in_flight, 1);
+        match &outcome {
+            Ok(_) => {
+                self.latency.record(sent.started.elapsed());
+                self.breaker.on_success(&self.metrics);
+            }
+            Err(_) => self.breaker.on_failure(sent.is_probe, &self.metrics),
         }
+        outcome
     }
 
     /// Wait for the outcome of `request_id` on `conn`: as the leader
@@ -800,6 +837,7 @@ impl IiopChannel {
         rx: &Receiver<Wake>,
         deadline: Option<Instant>,
     ) -> Option<ReplyOutcome> {
+        let mut parked = false;
         loop {
             if let Some(mut rd) = conn.reader.try_lock() {
                 // An earlier leader may have routed the reply already.
@@ -815,15 +853,24 @@ impl IiopChannel {
                 conn.hand_off();
                 return outcome;
             }
+            if !parked {
+                // A leader that let go before seeing the flag handed the
+                // read half to nobody: flag, then look once more. (A slot
+                // already gone holds its outcome.)
+                if let Some(slot) = conn.pending.lock().get_mut(&request_id) {
+                    slot.parked = true;
+                }
+                parked = true;
+                continue;
+            }
             // Another caller leads and will route the reply here, or a
             // `Lead` when it is done first. No lock is held into the
             // wait.
-            let parked =
-                detect::blocking_region("orb::IiopChannel::reply_wait", || match deadline {
-                    Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
-                    None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                });
-            match parked {
+            let woke = detect::blocking_region("orb::IiopChannel::reply_wait", || match deadline {
+                Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            });
+            match woke {
                 Ok(Wake::Lead) => continue,
                 Ok(Wake::Done(outcome)) => return Some(outcome),
                 Err(RecvTimeoutError::Timeout) => return None,
@@ -866,6 +913,24 @@ mod tests {
     use webfindit_base::rng::StdRng;
     use webfindit_wire::giop;
     use webfindit_wire::Value;
+
+    impl IiopChannel {
+        /// Requests registered and not yet answered.
+        pub(crate) fn pending_requests(&self) -> usize {
+            let conns = self.conns.lock();
+            conns.iter().map(|c| c.pending.lock().len()).sum()
+        }
+
+        /// Send and wait: a batch of one.
+        fn call(
+            &self,
+            request_id: u32,
+            frame: &[u8],
+            deadline: Option<Deadline>,
+        ) -> Result<GiopMessage, CallFailure> {
+            self.finish(self.start(request_id, frame, deadline)?)
+        }
+    }
 
     /// A one-connection channel (`max_conns = 1`, so every caller
     /// shares the one read half) to `addr`, with a breaker that never

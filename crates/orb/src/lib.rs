@@ -40,7 +40,7 @@ pub use chaos::{ChaosAction, ChaosEvent, ChaosHost, ChaosPlan, ChaosRegistry, Ch
 pub use domain::OrbDomain;
 pub use metrics::{EndpointLatency, OrbMetrics, OrbSnapshot};
 pub use naming::{IorCache, NamingClient, NamingService};
-pub use orb::{Orb, OrbConfig};
+pub use orb::{Invocation, Orb, OrbConfig};
 pub use servant::{Servant, ServantError};
 
 use std::fmt;

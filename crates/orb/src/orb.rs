@@ -16,10 +16,12 @@
 //!   over a multiplexed [`IiopChannel`] (see [`crate::channel`]); many
 //!   concurrent callers share each connection instead of serializing on
 //!   a per-connection mutex. [`Orb::invoke_with`] additionally threads
-//!   [`CallOptions`] — a deadline and a retry policy — down to the wire.
-//!   Invocations whose target lives on this same ORB short-circuit
-//!   through the adapter (counted separately — collocated calls were a
-//!   selling point of 1990s ORBs too);
+//!   [`CallOptions`] — a deadline and a retry policy — down to the wire,
+//!   and [`Orb::invoke_all`] pipelines a batch of calls from the calling
+//!   thread (every request sent before any reply is read); a single
+//!   call is a batch of one. Invocations whose target lives on this
+//!   same ORB short-circuit through the adapter (counted separately —
+//!   collocated calls were a selling point of 1990s ORBs too);
 //! * keeps [`OrbMetrics`] so experiments can count round-trips and bytes.
 //!
 //! Vendor flavor: each ORB is configured with a preferred byte order, so
@@ -30,7 +32,7 @@
 use crate::adapter::ObjectAdapter;
 use crate::channel::{
     BreakerConfig, BreakerState, CallFailure, CallOptions, Deadline, FailureClass, IiopChannel,
-    RetryPolicy,
+    InFlight, RetryPolicy,
 };
 use crate::domain::OrbDomain;
 use crate::metrics::{EndpointLatency, OrbMetrics};
@@ -92,18 +94,37 @@ impl OrbConfig {
             dispatch_workers: DEFAULT_DISPATCH_WORKERS,
         }
     }
+}
 
-    /// Override the circuit-breaker policy.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
+/// One call of a batch handed to [`Orb::invoke_all`].
+#[derive(Debug, Clone, Copy)]
+pub struct Invocation<'a> {
+    /// The object to invoke.
+    pub target: &'a Ior,
+    /// The operation to invoke on it.
+    pub operation: &'a str,
+    /// Its arguments.
+    pub args: &'a [Value],
+}
 
-    /// Override the reactor's dispatch worker pool size.
-    pub fn with_dispatch_workers(mut self, workers: usize) -> Self {
-        self.dispatch_workers = workers.max(1);
-        self
-    }
+/// One call's walk over its target's profiles: `profiles[at]` is being
+/// tried, `tries` requests went to it so far, and `last_err` is why the
+/// one before was given up on.
+struct Attempt<'a> {
+    call: Invocation<'a>,
+    retry: RetryPolicy,
+    deadline: Option<Deadline>,
+    profiles: Vec<IiopProfile>,
+    at: usize,
+    tries: u32,
+    last_err: OrbError,
+}
+
+/// Where one call of a batch stands: settled (collocated, or failed
+/// before a send), or with a request on the wire.
+enum Step<'a> {
+    Settled(OrbResult<Value>),
+    Sent(Attempt<'a>, Arc<IiopChannel>, InFlight),
 }
 
 /// A running ORB instance.
@@ -231,13 +252,8 @@ impl Orb {
         self.invoke_with(ior, operation, args, &CallOptions::default())
     }
 
-    /// Invoke `operation(args)` under explicit per-call `options`.
-    ///
-    /// Collocated targets dispatch directly through the adapter; remote
-    /// targets marshal through GIOP over a multiplexed [`IiopChannel`].
-    /// Every IIOP profile in the IOR is tried in order; the call falls
-    /// through to the next profile only when the request provably never
-    /// reached the previous endpoint.
+    /// Invoke `operation(args)` under explicit per-call `options`: a
+    /// batch of one for [`Orb::invoke_all`].
     pub fn invoke_with(
         &self,
         ior: &Ior,
@@ -245,126 +261,138 @@ impl Orb {
         args: &[Value],
         options: &CallOptions,
     ) -> OrbResult<Value> {
-        // The budget starts here, once: retries and forwards below all
-        // run against the same instant.
-        let deadline = options.deadline.map(Deadline::after);
-        self.invoke_by(ior, operation, args, options.retry, deadline)
+        let call = Invocation {
+            target: ior,
+            operation,
+            args,
+        };
+        let mut out = self.invoke_all(std::slice::from_ref(&call), options);
+        out.pop().expect("one result per invocation")
     }
 
-    fn invoke_by(
+    /// Invoke every call of `calls` under `options`, all first requests
+    /// sent from the calling thread before any reply is read, so their
+    /// round trips overlap; the outcomes come back in call order. Each
+    /// call tries its IOR's profiles in turn, falling through only when
+    /// a request provably never reached an endpoint; retries, fall-through
+    /// and `LocationForward` after a failed first request run one by one.
+    /// All calls draw on one deadline, started here.
+    pub fn invoke_all(
         &self,
-        ior: &Ior,
-        operation: &str,
-        args: &[Value],
+        calls: &[Invocation<'_>],
+        options: &CallOptions,
+    ) -> Vec<OrbResult<Value>> {
+        let deadline = options.deadline.map(Deadline::after);
+        let sent: Vec<Step<'_>> = calls
+            .iter()
+            .map(|&call| self.begin(call, options.retry, deadline))
+            .collect();
+        sent.into_iter().map(|step| self.complete(step)).collect()
+    }
+
+    /// Start `call` on its healthiest profile.
+    fn begin<'a>(
+        &self,
+        call: Invocation<'a>,
         retry: RetryPolicy,
         deadline: Option<Deadline>,
-    ) -> OrbResult<Value> {
+    ) -> Step<'a> {
         if self.shutdown.load(Ordering::SeqCst) {
-            return Err(OrbError::ShutDown);
+            return Step::Settled(Err(OrbError::ShutDown));
         }
-        let mut profiles = ior.iiop_profiles();
-        if profiles.is_empty() {
-            return Err(OrbError::NoEndpoint);
-        }
+        let mut profiles = call.target.iiop_profiles();
         // Health-scored profile selection: endpoints whose breaker is
         // open go last, half-open after healthy ones. The sort is
         // stable, so the IOR's own preference order breaks ties.
         if profiles.len() > 1 {
             profiles.sort_by_key(|p| self.profile_health(&p.host, p.port));
         }
-        let mut last_err = None;
-        for profile in &profiles {
+        self.advance(Attempt {
+            call,
+            retry,
+            deadline,
+            profiles,
+            at: 0,
+            tries: 0,
+            last_err: OrbError::NoEndpoint,
+        })
+    }
+
+    /// Send `a`'s next request: on its current profile, or on the next
+    /// one once the current one provably never received it.
+    fn advance<'a>(&self, mut a: Attempt<'a>) -> Step<'a> {
+        while let Some(profile) = a.profiles.get(a.at) {
+            let (op, args) = (a.call.operation, a.call.args);
             if self.is_local(&profile.host, profile.port) {
                 self.metrics.add(&self.metrics.local_dispatches, 1);
-                return self
-                    .adapter
-                    .dispatch(&profile.object_key, operation, args)
-                    .map_err(|e| OrbError::RemoteException {
-                        system: e.is_system(),
-                        description: e.description(),
-                    });
+                let done = self.adapter.dispatch(&profile.object_key, op, args);
+                return Step::Settled(done.map_err(|e| OrbError::RemoteException {
+                    system: e.is_system(),
+                    description: e.description(),
+                }));
             }
-            match self.invoke_remote(profile, operation, args, retry, deadline) {
-                Ok(v) => return Ok(v),
-                // The request never reached this endpoint, so an
-                // alternate profile is a safe fallback, not a duplicate.
-                Err(f) if f.class == FailureClass::NeverSent => {
-                    last_err = Some(f.error);
-                }
-                Err(f) => return Err(f.error),
-            }
-        }
-        Err(last_err.expect("profile loop ran at least once"))
-    }
-
-    fn invoke_remote(
-        &self,
-        profile: &IiopProfile,
-        operation: &str,
-        args: &[Value],
-        retry: RetryPolicy,
-        deadline: Option<Deadline>,
-    ) -> Result<Value, CallFailure> {
-        let channel = self.channel_to(&profile.host, profile.port);
-        // Built once; an attempt changes nothing but the request id.
-        let mut msg = giop::request(0, profile.object_key.clone(), operation, args.to_vec());
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
+            a.tries += 1;
+            let channel = self.channel_to(&profile.host, profile.port);
             // A fresh id per attempt, so a late reply to an abandoned
             // attempt can never be routed to its retry.
-            let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
-            if let GiopMessage::Request { header, .. } = &mut msg {
-                header.request_id = request_id;
-            }
-            let frame = msg
-                .encode_pooled(self.config.byte_order, &self.pool)
-                .map_err(|e| CallFailure {
-                    class: FailureClass::NeverSent,
-                    error: OrbError::Wire(e),
-                })?;
-            let result = channel.call(request_id, &frame, deadline);
-            if !matches!(
-                &result,
-                Err(CallFailure {
-                    class: FailureClass::NeverSent,
-                    ..
-                })
-            ) {
-                self.metrics.add(&self.metrics.requests_sent, 1);
-            }
-            match result {
-                Ok(reply) => return self.interpret_reply(reply, operation, args, retry, deadline),
-                Err(f) => {
-                    // Retry only failures that prove the request was
-                    // never dispatched by the peer; resending after an
-                    // ambiguous drop could execute the operation twice.
-                    let safe = f.class != FailureClass::Ambiguous;
-                    if safe && attempt < retry.attempts {
-                        self.metrics.add(&self.metrics.retries, 1);
-                        continue;
-                    }
-                    return Err(f);
+            let id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
+            let msg = giop::request(id, profile.object_key.clone(), op, args.to_vec());
+            let sent = match msg.encode_pooled(self.config.byte_order, &self.pool) {
+                Ok(frame) => channel.start(id, &frame, a.deadline),
+                Err(e) => Err(CallFailure::never_sent(OrbError::Wire(e))),
+            };
+            match sent {
+                Ok(sent) => {
+                    self.metrics.add(&self.metrics.requests_sent, 1);
+                    return Step::Sent(a, channel, sent);
                 }
+                Err(f) => {
+                    if let Some(error) = self.give_up(&mut a, f) {
+                        return Step::Settled(Err(error));
+                    }
+                }
+            }
+        }
+        Step::Settled(Err(a.last_err))
+    }
+
+    /// After a failed attempt: `None` when `a` may go on — a retry of a
+    /// request the peer provably never dispatched (never one after an
+    /// ambiguous drop, which could run the operation twice), or the next
+    /// profile after one that never received it — else the error.
+    fn give_up(&self, a: &mut Attempt<'_>, f: CallFailure) -> Option<OrbError> {
+        if f.class != FailureClass::Ambiguous && a.tries < a.retry.attempts {
+            self.metrics.add(&self.metrics.retries, 1);
+            return None;
+        }
+        if f.class != FailureClass::NeverSent {
+            return Some(f.error);
+        }
+        (a.at, a.tries, a.last_err) = (a.at + 1, 0, f.error);
+        None
+    }
+
+    /// Read the reply of a started call, going on with its retries and
+    /// profiles until it settles.
+    fn complete(&self, mut step: Step<'_>) -> OrbResult<Value> {
+        loop {
+            let (mut a, channel, sent) = match step {
+                Step::Settled(outcome) => return outcome,
+                Step::Sent(a, channel, sent) => (a, channel, sent),
+            };
+            match channel.finish(sent) {
+                Ok(reply) => return self.interpret_reply(reply, &a),
+                Err(f) => match self.give_up(&mut a, f) {
+                    Some(error) => return Err(error),
+                    None => step = self.advance(a),
+                },
             }
         }
     }
 
-    /// Turn a routed GIOP Reply into the invocation outcome.
-    fn interpret_reply(
-        &self,
-        reply: GiopMessage,
-        operation: &str,
-        args: &[Value],
-        retry: RetryPolicy,
-        deadline: Option<Deadline>,
-    ) -> Result<Value, CallFailure> {
-        // The reply already completed on the wire: none of these
-        // outcomes may be retried, so failures classify as Ambiguous.
-        let completed = |error| CallFailure {
-            class: FailureClass::Ambiguous,
-            error,
-        };
+    /// Turn a routed GIOP Reply into the invocation outcome. The reply
+    /// completed on the wire, so none of these outcomes is retried.
+    fn interpret_reply(&self, reply: GiopMessage, a: &Attempt<'_>) -> OrbResult<Value> {
         match reply {
             GiopMessage::Reply { status, body, .. } => match status {
                 ReplyStatus::NoException => Ok(body),
@@ -374,25 +402,29 @@ impl Orb {
                         .and_then(Value::as_str)
                         .unwrap_or("unknown exception")
                         .to_owned();
-                    Err(completed(OrbError::RemoteException {
+                    Err(OrbError::RemoteException {
                         system: status == ReplyStatus::SystemException,
                         description,
-                    }))
+                    })
                 }
                 ReplyStatus::LocationForward => match body {
-                    Value::ObjectRef(fwd) => self
-                        .invoke_by(&fwd, operation, args, retry, deadline)
-                        .map_err(completed),
-                    _ => Err(completed(OrbError::RemoteException {
+                    Value::ObjectRef(fwd) => {
+                        let call = Invocation {
+                            target: &fwd,
+                            ..a.call
+                        };
+                        self.complete(self.begin(call, a.retry, a.deadline))
+                    }
+                    _ => Err(OrbError::RemoteException {
                         system: true,
                         description: "malformed LocationForward body".into(),
-                    })),
+                    }),
                 },
             },
-            other => Err(completed(OrbError::RemoteException {
+            other => Err(OrbError::RemoteException {
                 system: true,
                 description: format!("unexpected message kind {:?}", other.kind()),
-            })),
+            }),
         }
     }
 
@@ -418,7 +450,10 @@ impl Orb {
                 object_key: profile.object_key.clone(),
             };
             let frame = msg.encode(self.config.byte_order)?;
-            match channel.call(request_id, &frame, None) {
+            match channel
+                .start(request_id, &frame, None)
+                .and_then(|sent| channel.finish(sent))
+            {
                 Ok(GiopMessage::LocateReply { status, .. }) => return Ok(status),
                 Ok(other) => {
                     return Err(OrbError::RemoteException {
@@ -780,6 +815,88 @@ mod tests {
             .unwrap();
         assert!(channel.live_connections() <= MAX_CONNS_PER_ENDPOINT);
         drop(channels);
+        orbix.shutdown();
+        visi.shutdown();
+    }
+
+    /// Two callers pipeline batches over the same two endpoints in
+    /// opposite orders, each caller with twice as many requests per
+    /// endpoint as its connection pool holds, so the callers share
+    /// connections and each has a second request registered behind the
+    /// one it waits on. Were the read half handed to a request nobody is
+    /// waiting on, the caller parked behind it would never wake — the
+    /// watchdog fails the test instead of hanging it.
+    #[test]
+    fn pipelined_batches_in_opposite_orders_every_call_gets_its_own_reply() {
+        const ROUNDS: usize = 500;
+        let (orbix, visi, domain) = two_orbs();
+        let client = Orb::start(
+            OrbConfig::new("OrbixWeb", "web.qut.edu.au", 9002, ByteOrder::BigEndian),
+            domain,
+        )
+        .unwrap();
+        let a = orbix.activate("echo/a", Arc::new(EchoServant));
+        let b = visi.activate("echo/b", Arc::new(EchoServant));
+        let width = 2 * MAX_CONNS_PER_ENDPOINT;
+
+        // Every round starts together, so the batches overlap and a
+        // caller that finishes first waits here instead of rescuing one
+        // left asleep.
+        let rounds = Arc::new(std::sync::Barrier::new(2));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for (t, first, second) in [(0, a.clone(), b.clone()), (1, b, a)] {
+            let client = Arc::clone(&client);
+            let rounds = Arc::clone(&rounds);
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    rounds.wait();
+                    let args: Vec<[Value; 1]> = (0..2 * width)
+                        .map(|i| [Value::string(format!("t{t}-r{round}-c{i}"))])
+                        .collect();
+                    let calls: Vec<Invocation<'_>> = args
+                        .iter()
+                        .enumerate()
+                        .map(|(i, args)| Invocation {
+                            target: if i < width { &first } else { &second },
+                            operation: "echo",
+                            args,
+                        })
+                        .collect();
+                    let out = client.invoke_all(&calls, &CallOptions::default());
+                    for (args, reply) in args.iter().zip(out) {
+                        assert_eq!(reply.unwrap(), Value::Sequence(args.to_vec()));
+                    }
+                }
+                let _ = done_tx.send(t);
+            });
+        }
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("watchdog: a pipelining caller never woke — a Lead went to a request nobody waits on");
+        }
+
+        assert_eq!(client.metrics().snapshot().in_flight, 0);
+        let channels = client.channels.lock();
+        assert_eq!(channels.len(), 2);
+        for channel in channels.values() {
+            assert_eq!(channel.pending_requests(), 0, "no slot left behind");
+        }
+        assert_eq!(
+            client.metrics().snapshot().requests_sent,
+            (2 * ROUNDS * 2 * width) as u64
+        );
+        drop(channels);
+        // Under `deadlock-detect` the read half (exempt) is the only
+        // lock a caller may hold into a wait; other tests of this binary
+        // run beside this one, so only channel locks are looked at.
+        let ours: Vec<_> = webfindit_base::sync::detect::take_violations()
+            .into_iter()
+            .filter(|v| v.message.contains("orb::MuxConn"))
+            .collect();
+        assert!(ours.is_empty(), "detector reports: {ours:#?}");
+        client.shutdown();
         orbix.shutdown();
         visi.shutdown();
     }

@@ -119,14 +119,6 @@ impl Value {
         }
     }
 
-    /// View as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// View as a sequence slice.
     pub fn as_sequence(&self) -> Option<&[Value]> {
         match self {
