@@ -41,10 +41,11 @@
 //! probes from the calling thread through [`Federation::invoke_all`],
 //! [`DiscoveryEngine::max_workers`] at a time, each batch sent whole
 //! before any of its replies is read — the round trips overlap and no
-//! thread is spawned. Results are merged **in site-name order**, so
-//! the outcome (leads, degraded sites, visit counts) is byte-identical
-//! to a serial run (`max_workers = 1`); batching changes only the
-//! wall-clock. Chaos-killed sites surface in
+//! thread is spawned (`crate::wave::batched`, the step every read
+//! fan-out in the core shares). Results are merged **in site-name
+//! order**, so the outcome (leads, degraded sites, visit counts) is
+//! byte-identical to a serial run (`max_workers = 1`); batching changes
+//! only the wall-clock. Chaos-killed sites surface in
 //! [`DiscoveryOutcome::degraded`] exactly as they do serially.
 //!
 //! # Metadata caching
@@ -72,8 +73,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use webfindit_base::sync::Mutex;
 use webfindit_codb::{CoDatabase, LinkEnd, ServiceLink};
-use webfindit_orb::Invocation;
-use webfindit_wire::Value;
+use webfindit_wire::{Ior, Value};
 
 /// What a discovery found.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -453,25 +453,16 @@ impl DiscoveryEngine {
                 Err(e) => probe.fail(depth, &WebfinditError::Orb(e)),
             }
         }
-        let args: Vec<[Value; 2]> = targets
+        let calls: Vec<(&Ior, Vec<Value>)> = targets
             .iter()
-            .map(|(_, _, cached)| {
+            .map(|(_, ior, cached)| {
                 let known = cached
                     .as_ref()
                     .map_or(Value::Null, |(v, _)| Value::LongLong(*v as i64));
-                [Value::string(topic), known]
+                (ior, vec![Value::string(topic), known])
             })
             .collect();
-        let calls: Vec<Invocation<'_>> = targets
-            .iter()
-            .zip(&args)
-            .map(|((_, ior, _), args)| Invocation {
-                target: ior,
-                operation: "probe",
-                args,
-            })
-            .collect();
-        let replies = self.fed.invoke_all(&calls);
+        let replies = self.fed.invoke_all("probe", &calls);
         for ((i, _, cached), reply) in targets.into_iter().zip(replies) {
             let probe = &mut probes[i];
             probe.codb_queries += 1;
@@ -518,26 +509,31 @@ impl DiscoveryEngine {
 
     /// Probe every site of one wave, [`DiscoveryEngine::max_workers`]
     /// in flight at once, returning the probes **in wave (site-name)
-    /// order**.
+    /// order**; breaker-rejected probes get `crate::wave::batched`'s
+    /// one re-run.
     fn run_wave(&self, wave: &[String], topic: &str, depth: usize) -> Vec<SiteProbe> {
-        let mut probes: Vec<SiteProbe> = wave
-            .chunks(self.max_workers.max(1))
-            .flat_map(|batch| self.probe_sites(batch, topic, depth))
-            .collect();
-        // A half-open breaker admits one call, so a batch-mate bound for
-        // the same recovering endpoint can be rejected while the
-        // admitted probe goes on to close the breaker — a race a serial
-        // walk never loses. Re-run those probes once, one by one, now
-        // that the wave has settled; a breaker still open rejects again
-        // without touching the wire.
-        for probe in probes.iter_mut().filter(|p| p.breaker_rejected) {
-            let site = [std::mem::take(&mut probe.site)];
-            *probe = self
-                .probe_sites(&site, topic, depth)
-                .pop()
-                .expect("one probe per site");
-        }
-        probes
+        crate::wave::batched(
+            wave,
+            self.max_workers,
+            |sites| self.probe_sites(sites, topic, depth),
+            |probe| probe.breaker_rejected,
+        )
+    }
+
+    /// The member databases of every coalition lead, asked of the
+    /// co-database that reported it in one pipelined batch
+    /// (`Federation::members_union`).
+    pub(crate) fn lead_members(&self, leads: &[Lead]) -> WfResult<Vec<String>> {
+        let nc = self.fed.naming_client();
+        let asks = leads
+            .iter()
+            .filter_map(|lead| match lead {
+                Lead::Coalition { name, via_site, .. } => Some((via_site, name.as_str())),
+                Lead::Link { .. } => None,
+            })
+            .map(|(via_site, name)| Ok((nc.resolve(&format!("codb/{via_site}"))?, name)))
+            .collect::<WfResult<Vec<_>>>()?;
+        self.fed.members_union(&asks)
     }
 
     /// Run discovery for `topic`, starting at `start_site`.

@@ -46,9 +46,9 @@ pub fn degrade_reason(e: &WebfinditError) -> String {
 }
 
 /// True when `e` is a circuit breaker refusing the call locally. In a
-/// parallel wave that can be a lost half-open race rather than a dead
-/// endpoint, so it is the one failure both waves (discovery's and
-/// `crate::wave`'s) re-run.
+/// pipelined batch that can be a lost half-open race rather than a dead
+/// endpoint, so it is the one failure every read fan-out flags for
+/// `crate::wave::batched`'s re-run.
 pub(crate) fn is_breaker_rejection(e: &WebfinditError) -> bool {
     matches!(e, WebfinditError::Orb(OrbError::CircuitOpen { .. }))
 }

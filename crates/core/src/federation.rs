@@ -17,9 +17,10 @@
 
 use crate::discovery::DiscoveryMetrics;
 use crate::docs::DocStore;
+use crate::failure::is_breaker_rejection;
 use crate::fedquery::FedMetrics;
 use crate::servants::{link_to_value, CoDatabaseServant, IsiServant, StallGate};
-use crate::value_map::descriptor_to_value;
+use crate::value_map::{descriptor_to_value, value_to_strings};
 use crate::{WebfinditError, WfResult};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -267,12 +268,24 @@ impl Federation {
             .invoke_with(ior, operation, args, &self.call_options())?)
     }
 
-    /// Pipeline a batch of invocations through the client ORB under the
-    /// federation-wide [`CallOptions`] (see [`Orb::invoke_all`]); the
-    /// outcomes come back in call order.
-    pub fn invoke_all(&self, calls: &[Invocation<'_>]) -> Vec<WfResult<Value>> {
+    /// Pipeline `operation` on every `(target, args)` through the client
+    /// ORB under the federation-wide [`CallOptions`] (see
+    /// [`Orb::invoke_all`]); the outcomes come back in call order.
+    pub fn invoke_all(
+        &self,
+        operation: &str,
+        calls: &[(&Ior, Vec<Value>)],
+    ) -> Vec<WfResult<Value>> {
+        let calls: Vec<Invocation<'_>> = calls
+            .iter()
+            .map(|(target, args)| Invocation {
+                target,
+                operation,
+                args,
+            })
+            .collect();
         self.bootstrap_orb
-            .invoke_all(calls, &self.call_options())
+            .invoke_all(&calls, &self.call_options())
             .into_iter()
             .map(|outcome| Ok(outcome?))
             .collect()
@@ -544,13 +557,33 @@ impl Federation {
     /// single answer can be trusted to be complete: take the union over
     /// every co-database that knows the coalition.
     pub fn coalition_members(&self, coalition: &str) -> WfResult<Vec<String>> {
-        let mut union: Vec<String> = Vec::new();
         // Same discipline as leave_coalition: no guard across invokes.
-        let handles: Vec<SiteHandle> = self.sites.read().values().cloned().collect();
-        for s in &handles {
-            if let Ok(m) = self.invoke_codb(s, "members", &[Value::string(coalition)]) {
-                union.extend(crate::value_map::value_to_strings(&m)?);
-            }
+        let asks: Vec<(Ior, &str)> = self
+            .sites
+            .read()
+            .values()
+            .map(|s| (s.codb_ior.clone(), coalition))
+            .collect();
+        self.members_union(&asks)
+    }
+
+    /// The sorted, deduplicated union of `members(coalition)` asked of
+    /// each `(co-database, coalition)` pair in one pipelined batch. A
+    /// co-database that cannot answer is skipped.
+    pub(crate) fn members_union(&self, asks: &[(Ior, &str)]) -> WfResult<Vec<String>> {
+        let calls: Vec<(&Ior, Vec<Value>)> = asks
+            .iter()
+            .map(|(codb, coalition)| (codb, vec![Value::string(*coalition)]))
+            .collect();
+        let answers = crate::wave::batched(
+            &calls,
+            calls.len(),
+            |batch| self.invoke_all("members", batch),
+            |answer| answer.as_ref().is_err_and(is_breaker_rejection),
+        );
+        let mut union: Vec<String> = Vec::new();
+        for members in answers.into_iter().flatten() {
+            union.extend(value_to_strings(&members)?);
         }
         union.sort();
         union.dedup();

@@ -7,18 +7,20 @@
 //! `At Sites With Information …` scope, decomposes the call into one
 //! native subquery per member (SQL or OQL, decided by each site's
 //! wrapper scheme, with predicates and the row limit pushed down),
-//! ships the subqueries in parallel over the multiplexed IIOP channels
+//! ships the subqueries pipelined over the multiplexed IIOP channels
 //! through each site's ISI, and pull-merges the partial results into
 //! one deterministic answer.
 //!
 //! Two properties are load-bearing:
 //!
-//! * **Serial ≡ parallel.** Subqueries are shipped by the bounded wave
-//!   pool discovery uses (`crate::wave`): results come back and merge
-//!   in member order, and unreachable-endpoint causes
-//!   canonicalize through [`crate::failure::degrade_reason`], so a
-//!   `max_workers = 1` reference run is byte-identical to the parallel
-//!   one.
+//! * **Serial ≡ parallel.** Subqueries are shipped the way discovery
+//!   sends its probes (`crate::wave::batched`): each batch of
+//!   [`FedExecutor::max_workers`] goes out from the calling thread
+//!   through [`Federation::invoke_all`] before any answer is read,
+//!   results come back and merge in member order, and
+//!   unreachable-endpoint causes canonicalize through
+//!   [`crate::failure::degrade_reason`], so a `max_workers = 1`
+//!   reference run is byte-identical to the batched one.
 //! * **Graceful degradation.** A killed or circuit-open member never
 //!   aborts the query: it becomes a [`SiteFailure`] in
 //!   [`FedOutcome::degraded`] — the same shape discovery reports — and
@@ -36,13 +38,12 @@ use crate::discovery::DiscoveryEngine;
 use crate::failure::{degrade_reason, is_breaker_rejection, SiteFailure};
 use crate::federation::Federation;
 use crate::trace::{Layer, Trace};
-use crate::value_map::value_to_strings;
-use crate::{Lead, WebfinditError, WfResult};
+use crate::{WebfinditError, WfResult};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use webfindit_tassili::ast::{Arg, FedScope, Literal, Predicate, SemiJoin, Statement};
 use webfindit_tassili::translate::{access_call_to_oql, access_call_to_sql};
-use webfindit_wire::Value;
+use webfindit_wire::{Ior, Value};
 
 /// A member excluded at plan time: `(site, reason)`. Skips are not
 /// degradation — the site is healthy, it just does not export the
@@ -288,8 +289,10 @@ enum Wave {
 /// The federated planner/executor (the coordinator role).
 pub struct FedExecutor {
     fed: Arc<Federation>,
-    /// Ship-wave concurrency. `1` is the sequential reference execution
-    /// the parallel merge must be byte-identical to.
+    /// Bound on one build or ship wave's subqueries in flight at once:
+    /// a wave is sent from the calling thread in batches of this many,
+    /// each batch whole before any of its answers is read. `1` is the
+    /// serial reference the batched merge must be byte-identical to.
     pub max_workers: usize,
 }
 
@@ -320,23 +323,7 @@ impl FedExecutor {
             }
             FedScope::Topic(topic) => {
                 let outcome = engine.find(origin_site, topic)?;
-                let mut members = Vec::new();
-                for lead in &outcome.leads {
-                    if let Lead::Coalition { name, via_site, .. } = lead {
-                        let ior = self
-                            .fed
-                            .naming_client()
-                            .resolve(&format!("codb/{via_site}"))?;
-                        if let Ok(v) =
-                            self.fed
-                                .invoke(&ior, "members", &[Value::string(name.clone())])
-                        {
-                            members.extend(value_to_strings(&v)?);
-                        }
-                    }
-                }
-                members.sort();
-                members.dedup();
+                let members = engine.lead_members(&outcome.leads)?;
                 if members.is_empty() {
                     return Err(WebfinditError::NothingFound(topic.clone()));
                 }
@@ -434,26 +421,44 @@ impl FedExecutor {
         })
     }
 
-    /// Ship one subquery to one member's ISI and decode the answer.
-    fn ship_one(&self, plan: &SitePlan, kind: Wave) -> WfResult<Shipped> {
-        let ior = self
-            .fed
-            .naming_client()
-            .resolve(&format!("isi/{}", plan.site))?;
-        let mut args = vec![Value::string(plan.native.clone())];
-        if let Wave::Ship(Some(n)) = kind {
-            args.push(Value::ULong(n.min(u32::MAX as u64) as u32));
-        }
-        let v = self.fed.invoke(&ior, "execute", &args)?;
-        decode_rows(&v, kind == Wave::Build)
+    /// Ship `plans` as one pipelined batch: resolve each member's ISI,
+    /// then send every subquery before reading any answer. The decoded
+    /// answers come back in `plans` order; a member whose ISI did not
+    /// resolve keeps that error in its place.
+    fn ship_batch(&self, plans: &[SitePlan], kind: Wave) -> Vec<WfResult<Shipped>> {
+        let nc = self.fed.naming_client();
+        let targets: Vec<WfResult<Ior>> = plans
+            .iter()
+            .map(|plan| Ok(nc.resolve(&format!("isi/{}", plan.site))?))
+            .collect();
+        let calls: Vec<(&Ior, Vec<Value>)> = targets
+            .iter()
+            .zip(plans)
+            .filter_map(|(target, plan)| {
+                let mut args = vec![Value::string(plan.native.clone())];
+                if let Wave::Ship(Some(n)) = kind {
+                    args.push(Value::ULong(n.min(u32::MAX as u64) as u32));
+                }
+                Some((target.as_ref().ok()?, args))
+            })
+            .collect();
+        let mut answers = self.fed.invoke_all("execute", &calls).into_iter();
+        targets
+            .into_iter()
+            .map(|target| {
+                target?;
+                let answer = answers.next().expect("one answer per resolved member")?;
+                decode_rows(&answer, kind == Wave::Build)
+            })
+            .collect()
     }
 
-    /// Ship a wave of subqueries on the bounded pool and account for
-    /// every member: an answer is counted into `stats` and returned
-    /// with its site, **in wave order** regardless of completion order
-    /// (so serial and parallel runs merge byte-identically); a failure
-    /// becomes a [`SiteFailure`] in `degraded`. Breaker rejections get
-    /// the pool's one serial re-run first.
+    /// Ship a wave of subqueries in pipelined batches of
+    /// [`FedExecutor::max_workers`] and account for every member: an
+    /// answer is counted into `stats` and returned with its site, **in
+    /// wave order** (so serial and batched runs merge byte-identically);
+    /// a failure becomes a [`SiteFailure`] in `degraded`. Breaker
+    /// rejections get `crate::wave::batched`'s one re-run first.
     fn ship_wave(
         &self,
         wave: &[SitePlan],
@@ -463,10 +468,10 @@ impl FedExecutor {
     ) -> Vec<(String, Shipped)> {
         let metrics = self.fed.fed_metrics();
         stats.subqueries_shipped += wave.len() as u64;
-        let results = crate::wave::run_ordered(
+        let results = crate::wave::batched(
             wave,
             self.max_workers,
-            |plan| self.ship_one(plan, kind),
+            |plans| self.ship_batch(plans, kind),
             |r| r.as_ref().is_err_and(is_breaker_rejection),
         );
         let mut answered = Vec::with_capacity(wave.len());
@@ -497,7 +502,7 @@ impl FedExecutor {
 
     /// Execute a `FedInvoke` statement: resolve members, run the
     /// semi-join build side (if any), ship the per-site subqueries in
-    /// parallel, and pull-merge the partials deterministically.
+    /// pipelined batches, and pull-merge the partials deterministically.
     pub fn execute(
         &self,
         engine: &DiscoveryEngine,
@@ -566,7 +571,7 @@ impl FedExecutor {
                 t.event(
                     Layer::Communication,
                     format!(
-                        "shipping {} subquery(ies) over {} worker(s), {} member(s) skipped",
+                        "shipping {} subquery(ies) in batches of {}, {} member(s) skipped",
                         ship.len(),
                         self.max_workers.max(1).min(ship.len().max(1)),
                         skipped.len()

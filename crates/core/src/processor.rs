@@ -164,8 +164,9 @@ impl Processor {
         &self.fed
     }
 
-    /// Set the federated ship-wave concurrency (`1` = the sequential
-    /// reference execution the parallel merge is byte-identical to).
+    /// Set how many subqueries of a federated build or ship wave are
+    /// pipelined per batch ([`FedExecutor::max_workers`]; `1` = the
+    /// serial reference the batched merge is byte-identical to).
     pub fn set_fed_workers(&mut self, workers: usize) {
         self.fedex.max_workers = workers;
     }
@@ -219,21 +220,7 @@ impl Processor {
             Statement::FindDatabases { topic } => {
                 let outcome = self.engine.find(&session.site, topic)?;
                 session.last_leads = outcome.leads.clone();
-                let mut names = Vec::new();
-                for lead in &outcome.leads {
-                    if let Lead::Coalition { name, via_site, .. } = lead {
-                        let ior = self.codb_ior_of(via_site)?;
-                        if let Ok(v) =
-                            self.fed
-                                .invoke(&ior, "members", &[Value::string(name.clone())])
-                        {
-                            names.extend(value_to_strings(&v)?);
-                        }
-                    }
-                }
-                names.sort();
-                names.dedup();
-                Response::Databases(names)
+                Response::Databases(self.engine.lead_members(&outcome.leads)?)
             }
             Statement::ConnectToCoalition { name } => {
                 let via_site = self.locate_coalition(session, name)?;

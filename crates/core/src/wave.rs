@@ -1,68 +1,39 @@
-//! The bounded fan-out pool behind federated ship waves. (Discovery
-//! waves pipeline their probes from the calling thread instead; see
-//! [`crate::discovery`].)
+//! The one fan-out step behind every read fan-out in the core: discovery
+//! probe waves, federated build and ship waves, and the `members`
+//! lookups behind coalition and topic scopes.
 //!
-//! A wave is a slice of independent items (subqueries to ship), each
-//! costing a few remote round-trips.
-//! [`run_ordered`] runs them on a bounded set of scoped threads and
-//! hands the results back **in item order**, so a caller that merges
-//! them sequentially produces the same outcome whatever the worker
-//! count — `max_workers = 1` is the serial reference the parallel runs
-//! are compared against.
+//! A wave is a slice of independent items, each one remote call. The
+//! caller's `batch` sends a slice of them pipelined from the calling
+//! thread (through [`crate::Federation::invoke_all`]) and returns one
+//! result per item, in item order. [`batched`] cuts the wave into
+//! slices of at most `width` items and spawns no thread, so a caller
+//! that merges the results in order produces the same outcome whatever
+//! the width — `width = 1` is the serial reference.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Apply `f` to every item on up to `max_workers` threads and return
-/// the results in item order, then re-run — once, serially, on the
-/// calling thread — every item whose result `retry_if` flags.
+/// Run `items` through `batch` in slices of at most `width` (0 counts
+/// as 1), one slice after another in item order, and return the
+/// results in item order; then re-run every item whose result
+/// `retry_if` flags — once, alone, after the last slice.
 ///
-/// The retry pass exists for circuit breakers: a half-open breaker
-/// admits exactly one call, so wave-mates targeting the same recovering
+/// The re-run exists for circuit breakers: a half-open breaker admits
+/// exactly one call, so batch-mates bound for the same recovering
 /// endpoint can be rejected while the admitted call goes on to close
-/// the breaker — a race a serial traversal never loses. Re-running the
+/// the breaker — a race a serial walk never loses. Re-running the
 /// rejected items after the wave settles lets a breaker the wave healed
 /// admit them; one that is still open rejects again instantly, without
 /// touching the wire.
-///
-/// A panic in `f` propagates to the caller.
-pub(crate) fn run_ordered<I: Sync, R: Send>(
+pub(crate) fn batched<I, R>(
     items: &[I],
-    max_workers: usize,
-    f: impl Fn(&I) -> R + Sync,
+    width: usize,
+    mut batch: impl FnMut(&[I]) -> Vec<R>,
     retry_if: impl Fn(&R) -> bool,
 ) -> Vec<R> {
-    let workers = max_workers.min(items.len());
-    let mut results: Vec<R> = if workers <= 1 {
-        items.iter().map(&f).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let run = || {
-            let mut mine = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                mine.push((i, f(item)));
-            }
-            mine
-        };
-        let mut done = std::thread::scope(|scope| {
-            // The dispatching thread doubles as a worker, so a wave of
-            // width N costs N - 1 spawns, not N — warm-cache probes are
-            // cheap enough that the spawn itself would otherwise show
-            // up in the wave latency.
-            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
-            let mut done = run();
-            for handle in handles {
-                done.extend(handle.join().expect("wave worker panicked"));
-            }
-            done
-        });
-        done.sort_unstable_by_key(|(i, _)| *i);
-        done.into_iter().map(|(_, r)| r).collect()
-    };
+    let mut results: Vec<R> = items.chunks(width.max(1)).flat_map(&mut batch).collect();
     for (item, result) in items.iter().zip(&mut results) {
         if retry_if(result) {
-            *result = f(item);
+            *result = batch(std::slice::from_ref(item))
+                .pop()
+                .expect("one result per item");
         }
     }
     results
@@ -71,139 +42,86 @@ pub(crate) fn run_ordered<I: Sync, R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-    use std::thread::ThreadId;
-    use std::time::Duration;
 
     fn never<R>(_: &R) -> bool {
         false
     }
 
-    #[test]
-    fn results_come_back_in_item_order_when_completion_order_is_reversed() {
-        let items: Vec<u64> = (0..6).collect();
-        let finished = Mutex::new(Vec::new());
-        let out = run_ordered(
-            &items,
-            items.len(),
-            |&i| {
-                // Item 0 sleeps longest, so it completes last.
-                std::thread::sleep(Duration::from_millis((6 - i) * 25));
-                finished.lock().unwrap().push(i);
-                i * 10
+    /// Run `items` through [`batched`], recording every slice `batch`
+    /// was handed; each item's result is `(item, attempt)`.
+    fn record(
+        items: &[u32],
+        width: usize,
+        retry_if: impl Fn(&(u32, usize)) -> bool,
+    ) -> (Vec<(u32, usize)>, Vec<Vec<u32>>) {
+        let mut slices: Vec<Vec<u32>> = Vec::new();
+        let out = batched(
+            items,
+            width,
+            |slice| {
+                slices.push(slice.to_vec());
+                slice
+                    .iter()
+                    .map(|&i| (i, slices.iter().flatten().filter(|&&j| j == i).count() - 1))
+                    .collect()
             },
-            never,
+            retry_if,
         );
-        assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
-        assert_eq!(*finished.lock().unwrap(), vec![5, 4, 3, 2, 1, 0]);
+        (out, slices)
     }
 
     #[test]
-    fn every_item_runs_exactly_once_and_in_flight_calls_stay_bounded() {
-        for (max_workers, len) in [(3usize, 20usize), (8, 4), (2, 2)] {
-            let items: Vec<usize> = (0..len).collect();
-            let calls: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-            let in_flight = AtomicUsize::new(0);
-            let peak = AtomicUsize::new(0);
-            run_ordered(
-                &items,
-                max_workers,
-                |&i| {
-                    let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(3));
-                    calls[i].fetch_add(1, Ordering::SeqCst);
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                },
-                never,
-            );
-            assert!(calls.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-            let bound = max_workers.min(len);
-            let peak = peak.load(Ordering::SeqCst);
-            assert!(peak <= bound, "{peak} calls in flight, bound {bound}");
+    fn results_come_back_in_item_order() {
+        let items: Vec<u32> = (0..7).rev().collect();
+        let (out, _) = record(&items, 3, never);
+        let ids: Vec<u32> = out.iter().map(|&(i, _)| i).collect();
+        assert_eq!(ids, items);
+        assert!(out.iter().all(|&(_, attempt)| attempt == 0));
+    }
+
+    #[test]
+    fn slices_hold_at_most_width_items_and_run_in_item_order() {
+        let items: Vec<u32> = (0..10).collect();
+        for width in [1, 3, 4, 10, 64] {
+            let (_, slices) = record(&items, width, never);
+            assert!(slices.iter().all(|s| !s.is_empty() && s.len() <= width));
+            assert_eq!(slices.concat(), items, "width {width}");
+            assert_eq!(slices.len(), items.len().div_ceil(width), "width {width}");
         }
+        let (out, slices) = record(&[], 8, never);
+        assert!(
+            out.is_empty() && slices.is_empty(),
+            "an empty wave sends nothing"
+        );
     }
 
     #[test]
-    fn flagged_results_rerun_once_on_the_caller_after_the_workers_joined() {
-        let items: Vec<usize> = (0..8).collect();
-        let caller = std::thread::current().id();
-        let first_pass_done = AtomicUsize::new(0);
-        // (item, thread, first-pass completions seen at call start)
-        let log: Mutex<Vec<(usize, ThreadId, usize)>> = Mutex::new(Vec::new());
-        let out = run_ordered(
-            &items,
-            4,
-            |&i| {
-                let seen = first_pass_done.load(Ordering::SeqCst);
-                let mut log = log.lock().unwrap();
-                let attempt = log.iter().filter(|(item, ..)| *item == i).count();
-                log.push((i, std::thread::current().id(), seen));
-                drop(log);
-                if attempt == 0 {
-                    std::thread::sleep(Duration::from_millis(5));
-                    first_pass_done.fetch_add(1, Ordering::SeqCst);
-                }
-                (i, attempt)
-            },
-            // Flag odd items — on both attempts, so a second retry pass
-            // would show up as a third call.
-            |&(i, _)| i % 2 == 1,
-        );
-        let expected: Vec<(usize, usize)> = (0..8).map(|i| (i, i % 2)).collect();
+    fn flagged_items_rerun_once_alone_after_the_last_slice() {
+        let items: Vec<u32> = (0..8).collect();
+        // Flag odd items on every attempt, so a second re-run would
+        // show up as a third slice holding the same item.
+        let (out, slices) = record(&items, 3, |&(i, _)| i % 2 == 1);
+        let expected: Vec<(u32, usize)> = items.iter().map(|&i| (i, (i % 2) as usize)).collect();
         assert_eq!(out, expected, "odd items carry their second result");
-        let log = log.into_inner().unwrap();
-        assert_eq!(log.len(), 8 + 4, "eight first runs, four retries");
-        let retries = &log[8..];
+        assert_eq!(slices[..3].concat(), items, "the wave first, whole");
         assert_eq!(
-            retries.iter().map(|(i, ..)| *i).collect::<Vec<_>>(),
-            vec![1, 3, 5, 7],
-            "retries run serially, in item order"
+            slices[3..].to_vec(),
+            vec![vec![1], vec![3], vec![5], vec![7]],
+            "then one re-run per flagged item, alone, in item order"
         );
-        for (_, thread, seen) in retries {
-            assert_eq!(*thread, caller, "retries run on the calling thread");
-            assert_eq!(*seen, 8, "retries start after the whole first pass");
-        }
     }
 
     #[test]
-    fn serial_widths_and_empty_waves_spawn_no_thread() {
-        let caller = std::thread::current().id();
-        let items = [1, 2, 3];
-        for max_workers in [0, 1] {
-            let threads = run_ordered(&items, max_workers, |_| std::thread::current().id(), never);
-            assert_eq!(threads, vec![caller; 3]);
-        }
-        let none: Vec<ThreadId> =
-            run_ordered(&[] as &[i32], 8, |_| std::thread::current().id(), never);
-        assert!(none.is_empty());
-        // A single item never needs a second thread either.
-        let one = run_ordered(&[7], 8, |_| std::thread::current().id(), never);
-        assert_eq!(one, vec![caller]);
-    }
-
-    #[test]
-    #[should_panic(expected = "wave worker panicked")]
-    fn a_panic_on_a_spawned_worker_propagates() {
-        let caller = std::thread::current().id();
-        run_ordered(
-            &[0, 1, 2, 3],
-            4,
-            |_| {
-                if std::thread::current().id() != caller {
-                    panic!("boom");
-                }
-                // Hold the dispatcher's item until the workers have
-                // claimed (and panicked on) theirs.
-                std::thread::sleep(Duration::from_millis(30));
-            },
-            never,
-        );
+    fn width_zero_behaves_as_width_one() {
+        let items: Vec<u32> = (0..4).collect();
+        assert_eq!(record(&items, 0, never), record(&items, 1, never));
+        let (_, slices) = record(&items, 0, never);
+        assert_eq!(slices, vec![vec![0], vec![1], vec![2], vec![3]]);
     }
 
     #[test]
     #[should_panic(expected = "boom")]
     fn a_panic_on_the_calling_thread_propagates() {
-        run_ordered(&[0], 4, |_| panic!("boom"), never::<()>);
+        batched(&[0], 4, |_| -> Vec<()> { panic!("boom") }, never);
     }
 }

@@ -1,7 +1,7 @@
 //! Federated cross-site query execution over the healthcare
 //! deployment: union across a coalition, semi-join key shipping
-//! between the insurers, serial/parallel merge identity, a ship wave
-//! that overlaps its members, EXPLAIN plans, and graceful degradation
+//! between the insurers, serial/parallel merge identity, ship waves and
+//! member lookups that overlap their sites, EXPLAIN plans, and graceful degradation
 //! when a member's ORB dies mid-query.
 
 use std::time::{Duration, Instant};
@@ -127,6 +127,37 @@ fn ship_wave_overlaps_stalled_members() {
         "eight workers took {parallel_took:?}"
     );
     assert_eq!(serial_rows, parallel_rows);
+    dep.fed.shutdown();
+}
+
+/// A coalition's member set is the union over all fourteen
+/// co-databases, asked in one pipelined batch: with every co-database
+/// held 20 ms the lookup pays about one hold, not fourteen in a row,
+/// and finds the same members.
+#[test]
+fn coalition_members_overlaps_stalled_co_databases() {
+    const STALL_MS: u64 = 20;
+    let dep = build_healthcare(1999).unwrap();
+    let unstalled = dep.fed.coalition_members("Research").unwrap();
+    assert_eq!(unstalled.len(), 4, "{unstalled:?}");
+
+    let sites = dep.fed.site_names();
+    assert_eq!(sites.len(), 14);
+    for site in &sites {
+        dep.fed.site(site).unwrap().stall.stall(STALL_MS);
+    }
+    let started = Instant::now();
+    let stalled = dep.fed.coalition_members("Research").unwrap();
+    let took = started.elapsed();
+    for site in &sites {
+        dep.fed.site(site).unwrap().stall.clear();
+    }
+
+    assert_eq!(stalled, unstalled);
+    assert!(
+        took < Duration::from_millis(5 * STALL_MS),
+        "14 stalled co-databases took {took:?}"
+    );
     dep.fed.shutdown();
 }
 

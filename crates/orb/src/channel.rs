@@ -1042,6 +1042,14 @@ mod tests {
 
         let (channel, metrics) = channel_to(addr);
         let ids = Arc::new(AtomicU32::new(1));
+        // One call before the callers start, so the connection the pool
+        // holds is the one the peer accepted: eight first calls would
+        // all dial while the pool is empty, and the one that wins the
+        // pool need not be the one the peer serves.
+        let warm_up = ids.fetch_add(1, Ordering::Relaxed);
+        assert!(channel
+            .call(warm_up, &echo_frame(warm_up, "warm-up"), None)
+            .is_ok());
         let expired = within(Duration::from_secs(120), {
             let channel = Arc::clone(&channel);
             move || {

@@ -276,6 +276,8 @@ impl Orb {
     /// call tries its IOR's profiles in turn, falling through only when
     /// a request provably never reached an endpoint; retries, fall-through
     /// and `LocationForward` after a failed first request run one by one.
+    /// A collocated call (its profile is this ORB's own endpoint) runs
+    /// inline during the send phase, before later calls go out.
     /// All calls draw on one deadline, started here.
     pub fn invoke_all(
         &self,
