@@ -1,9 +1,8 @@
 //! # webfindit-base — zero-dependency substrate utilities
 //!
-//! The build environment for this reproduction is fully offline: no
-//! crates.io access, no vendored registry. Everything the workspace
-//! previously pulled from external crates is reimplemented here in the
-//! small form the codebase actually uses:
+//! The workspace builds offline with no external crates. What it would
+//! otherwise take from crates.io is written here in the small form the
+//! codebase actually uses:
 //!
 //! * [`sync`] — `Mutex`/`RwLock` with the poison-free locking API the
 //!   code was written against (a thread that panicked while holding a
@@ -14,16 +13,16 @@
 //! * [`prop`] — a miniature property-testing harness (seeded case
 //!   loops with failing-seed reporting) used by the `prop_*` test
 //!   suites.
-//! * [`bench`] — a miniature benchmark harness with a criterion-shaped
-//!   API (`benchmark_group` / `bench_function` / `iter`) so the bench
-//!   targets run standalone with `harness = false`.
 //! * [`counters`] — the `counter_set!` macro: one declaration per
 //!   statistic, from which the atomic struct, its snapshot, the
 //!   before/after delta and the labelled listing are derived.
+//!
+//! Timing lives elsewhere: the figure and experiment bins in
+//! `crates/bench` time with `std::time::Instant`, and the benchmark
+//! package under `benchmark/` owns the per-layer metrics.
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod counters;
 pub mod prop;
 pub mod rng;

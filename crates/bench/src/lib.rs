@@ -1,6 +1,6 @@
-//! Shared helpers for the benchmark harness and the figure/experiment
-//! regeneration binaries. See DESIGN.md §6 for the experiment index and
-//! EXPERIMENTS.md for recorded results.
+//! Shared helpers for the figure/experiment regeneration binaries. See
+//! DESIGN.md §6 for the experiment index and EXPERIMENTS.md for
+//! recorded results.
 
 #![warn(missing_docs)]
 
@@ -17,15 +17,6 @@ pub fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Sample standard deviation of a series.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
 /// The p-th percentile (0 ≤ p ≤ 100) of a series, nearest-rank over a
@@ -48,8 +39,6 @@ mod tests {
     fn stats() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-        assert!((stddev(&[2.0, 4.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
-        assert_eq!(stddev(&[1.0]), 0.0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!    stage them in an embedded canonical engine, and run the original
 //!    statement there.
 //!
-//! The staged path is visible in [`CompensatingConnection::compensations`],
-//! which experiment E3 reports.
+//! The staged path is counted by [`CompensatingConnection::compensations`],
+//! which the `exp3_bridges` bin (experiment E3) prints.
 
 use crate::api::{BridgeKind, Connection, DataMetrics, QueryOutput, SourceMetadata};
 use crate::{ConnectError, ConnectResult};

@@ -5,31 +5,11 @@ use crate::api::{
 };
 use crate::registry::{DataSourceRegistry, OoInstance};
 use crate::{ConnectError, ConnectResult};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use webfindit_base::sync::Mutex;
 use webfindit_oostore::{OValue, OqlQuery};
 use webfindit_relstore::engine::ExecOutcome;
 use webfindit_relstore::{Database, Dialect};
-
-/// Per-bridge traffic counters (read by experiment E3).
-#[derive(Debug, Default)]
-pub struct BridgeStats {
-    /// Statements/invocations carried.
-    pub calls: AtomicU64,
-    /// Data rows returned.
-    pub rows: AtomicU64,
-}
-
-impl BridgeStats {
-    /// Snapshot `(calls, rows)`.
-    pub fn snapshot(&self) -> (u64, u64) {
-        (
-            self.calls.load(Ordering::Relaxed),
-            self.rows.load(Ordering::Relaxed),
-        )
-    }
-}
 
 // ---- relational (JDBC) --------------------------------------------------
 
@@ -38,7 +18,6 @@ pub struct RelationalDriver {
     vendor: &'static str,
     dialect: Dialect,
     registry: Arc<DataSourceRegistry>,
-    stats: Arc<BridgeStats>,
 }
 
 impl RelationalDriver {
@@ -55,13 +34,7 @@ impl RelationalDriver {
             vendor,
             dialect,
             registry,
-            stats: Arc::new(BridgeStats::default()),
         }
-    }
-
-    /// The driver's cumulative bridge statistics.
-    pub fn stats(&self) -> Arc<BridgeStats> {
-        Arc::clone(&self.stats)
     }
 }
 
@@ -94,7 +67,6 @@ impl Driver for RelationalDriver {
         }
         Ok(Box::new(RelationalConnection {
             db: Some(db),
-            stats: Arc::clone(&self.stats),
             last_metrics: None,
         }))
     }
@@ -103,7 +75,6 @@ impl Driver for RelationalDriver {
 /// A live JDBC-style connection.
 pub struct RelationalConnection {
     db: Option<Arc<Mutex<Database>>>,
-    stats: Arc<BridgeStats>,
     last_metrics: Option<DataMetrics>,
 }
 
@@ -116,7 +87,6 @@ impl RelationalConnection {
 impl Connection for RelationalConnection {
     fn execute(&mut self, text: &str) -> ConnectResult<QueryOutput> {
         let db = self.live()?;
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
         let (outcome, metrics) = {
             let mut guard = db.lock();
             // Durability work (WAL appends, checkpoint flushes,
@@ -152,12 +122,7 @@ impl Connection for RelationalConnection {
         };
         self.last_metrics = Some(metrics);
         Ok(match outcome {
-            ExecOutcome::Rows(rs) => {
-                self.stats
-                    .rows
-                    .fetch_add(rs.rows.len() as u64, Ordering::Relaxed);
-                QueryOutput::Rows(rs)
-            }
+            ExecOutcome::Rows(rs) => QueryOutput::Rows(rs),
             ExecOutcome::Count(n) => QueryOutput::Count(n),
             ExecOutcome::Done => QueryOutput::Done,
         })
@@ -216,7 +181,6 @@ pub struct ObjectDriver {
     scheme: &'static str,
     bridge: BridgeKind,
     registry: Arc<DataSourceRegistry>,
-    stats: Arc<BridgeStats>,
 }
 
 impl ObjectDriver {
@@ -227,7 +191,6 @@ impl ObjectDriver {
             scheme: "jni",
             bridge: BridgeKind::Jni,
             registry,
-            stats: Arc::new(BridgeStats::default()),
         }
     }
 
@@ -238,13 +201,7 @@ impl ObjectDriver {
             scheme: "native",
             bridge: BridgeKind::NativeCpp,
             registry,
-            stats: Arc::new(BridgeStats::default()),
         }
-    }
-
-    /// The driver's cumulative bridge statistics.
-    pub fn stats(&self) -> Arc<BridgeStats> {
-        Arc::clone(&self.stats)
     }
 }
 
@@ -266,7 +223,6 @@ impl Driver for ObjectDriver {
             inst: Some(inst),
             bridge: self.bridge,
             vendor: self.vendor,
-            stats: Arc::clone(&self.stats),
             last_metrics: None,
         }))
     }
@@ -277,7 +233,6 @@ pub struct ObjectConnection {
     inst: Option<Arc<Mutex<OoInstance>>>,
     bridge: BridgeKind,
     vendor: &'static str,
-    stats: Arc<BridgeStats>,
     last_metrics: Option<DataMetrics>,
 }
 
@@ -290,7 +245,6 @@ impl ObjectConnection {
 impl Connection for ObjectConnection {
     fn execute(&mut self, text: &str) -> ConnectResult<QueryOutput> {
         let inst = self.live()?;
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
         let query = OqlQuery::parse(text)?;
         let inst = Arc::clone(inst);
         let guard = inst.lock();
@@ -300,9 +254,6 @@ impl Connection for ObjectConnection {
             rows_spilled: m.rows_spilled,
             ..DataMetrics::default()
         });
-        self.stats
-            .rows
-            .fetch_add(result.rows.len() as u64, Ordering::Relaxed);
         Ok(QueryOutput::Objects {
             columns: result.columns,
             rows: result.rows,
@@ -315,7 +266,6 @@ impl Connection for ObjectConnection {
 
     fn invoke(&mut self, method: &str, args: &[OValue]) -> ConnectResult<QueryOutput> {
         let inst = self.live()?;
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
         // Method invocations are addressed `Class.method` or
         // `Class.method@oid`.
         let (class, rest) = method.split_once('.').ok_or_else(|| {
@@ -409,7 +359,6 @@ mod tests {
             .unwrap();
         assert_eq!(out.row_count(), 2);
         assert_eq!(conn.bridge(), BridgeKind::Jdbc);
-        assert_eq!(driver.stats().snapshot(), (1, 2));
 
         let md = conn.metadata().unwrap();
         assert_eq!(md.product, "Oracle");
@@ -451,7 +400,6 @@ mod tests {
         assert_eq!(v, QueryOutput::Value(OValue::Int(1)));
 
         assert!(conn.invoke("count_all", &[]).is_err()); // missing class
-        assert_eq!(driver.stats().snapshot().0, 3);
     }
 
     #[test]

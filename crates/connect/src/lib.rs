@@ -18,8 +18,7 @@
 //!   `native:objectstore://host/db`);
 //! * [`api`] — `Driver` / `Connection` traits and result types;
 //! * [`drivers`] — one relational driver per vendor, plus the two OO
-//!   bridges, each tagged with its [`BridgeKind`] and instrumented with
-//!   per-bridge call counters (experiment E3 reads these);
+//!   bridges, each tagged with its [`BridgeKind`];
 //! * [`registry`] — the "network" of running database instances that
 //!   URLs resolve against;
 //! * [`compensate`] — a gateway-side compensating connection that

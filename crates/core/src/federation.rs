@@ -142,8 +142,8 @@ pub struct SiteHandle {
     pub descriptor: InformationSource,
     /// Shared stall gate of the co-database servant (chaos hook).
     pub stall: StallGate,
-    /// Shared stall gate of the ISI servant (chaos hook; benches use it
-    /// to shape per-site data-path latency independently of metadata).
+    /// Shared stall gate of the ISI servant (chaos hook; tests use it to
+    /// shape per-site data-path latency independently of metadata).
     pub isi_stall: StallGate,
 }
 

@@ -369,7 +369,7 @@ impl IsiServant {
     }
 
     /// Attach a shared stall gate (chaos hook / WAN-latency shaping in
-    /// benches), mirroring the co-database servant's gate.
+    /// tests), mirroring the co-database servant's gate.
     pub fn with_gate(mut self, stall: StallGate) -> IsiServant {
         self.stall = stall;
         self

@@ -5,15 +5,18 @@
 //! `TcpListener` that buffers every incoming Request and then replies
 //! in a seed-shuffled order, proving each parked caller receives
 //! exactly its own reply — and that an expired deadline really puts a
-//! GIOP CancelRequest on the wire.
+//! GIOP CancelRequest on the wire. The last test drives a real server
+//! ORB whose servant holds every call, to show the channel keeps many
+//! calls in flight at once (experiment E7).
 
 use std::net::TcpListener;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 use webfindit_base::prop;
 use webfindit_base::rng::StdRng;
 use webfindit_base::sync::Mutex;
+use webfindit_orb::servant::{InvokeResult, Servant};
 use webfindit_orb::{CallOptions, Orb, OrbConfig, OrbDomain, OrbError, RetryPolicy};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{self, GiopMessage};
@@ -318,4 +321,71 @@ fn a_reply_cut_off_by_a_deadline_is_finished_by_the_next_leader() {
     assert_eq!(snap.late_replies, 1, "A's reply arrived whole, too late");
     assert_eq!(snap.timeouts, 1);
     client.shutdown();
+}
+
+/// A backend with real service time: every call holds its dispatch
+/// worker for `HOLD`, then echoes its first argument.
+struct HoldingServant;
+
+const HOLD: Duration = Duration::from_millis(20);
+
+impl Servant for HoldingServant {
+    fn interface_id(&self) -> &str {
+        "IDL:test/Holding:1.0"
+    }
+    fn invoke(&self, _operation: &str, args: &[Value]) -> InvokeResult {
+        thread::sleep(HOLD);
+        Ok(args.first().cloned().unwrap_or(Value::Null))
+    }
+}
+
+/// E7: 8 threads share one client ORB's channel to one endpoint whose
+/// servant holds each call 20 ms. Issued one after another the calls
+/// would take at least 8 × 20 = 160 ms; multiplexed they overlap, so
+/// the whole round stays under 5 × 20 ms and every thread still gets
+/// its own reply.
+#[test]
+fn concurrent_calls_to_a_slow_backend_overlap_on_one_channel() {
+    const THREADS: usize = 8;
+    let domain = OrbDomain::new();
+    let server = Orb::start(
+        OrbConfig::new("S", "slow.example", 1, ByteOrder::BigEndian),
+        Arc::clone(&domain),
+    )
+    .expect("server orb starts");
+    let client = Orb::start(
+        OrbConfig::new("C", "client.example", 2, ByteOrder::LittleEndian),
+        Arc::clone(&domain),
+    )
+    .expect("client orb starts");
+    let ior = server.activate("hold", Arc::new(HoldingServant));
+    // One untimed call opens the channel, so the round times calls only.
+    client.invoke(&ior, "hold", &[]).expect("warm-up call");
+
+    let start = Arc::new(Barrier::new(THREADS + 1));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|i| {
+            let (client, ior, start) = (Arc::clone(&client), ior.clone(), Arc::clone(&start));
+            thread::spawn(move || {
+                start.wait();
+                let payload = Value::string(format!("caller-{i}"));
+                let got = client.invoke(&ior, "hold", std::slice::from_ref(&payload));
+                assert_eq!(got.expect("held call completes"), payload, "caller {i}");
+            })
+        })
+        .collect();
+    start.wait();
+    let began = Instant::now();
+    for h in handles {
+        h.join().expect("caller thread");
+    }
+    let took = began.elapsed();
+    assert!(
+        took < HOLD * 5,
+        "{THREADS} held calls took {took:?}; serial issue takes at least {:?}",
+        HOLD * THREADS as u32
+    );
+    assert_eq!(client.metrics().snapshot().in_flight, 0);
+    client.shutdown();
+    server.shutdown();
 }

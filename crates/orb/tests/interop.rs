@@ -1,13 +1,17 @@
-//! Cross-ORB interoperability tests: panic isolation, value fidelity
-//! across mixed byte orders, many-ORB meshes, and location probing
-//! under churn.
+//! Cross-ORB interoperability tests: panic isolation, hostile-frame
+//! isolation, value fidelity across mixed byte orders, many-ORB meshes,
+//! and location probing under churn.
 
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 use webfindit_base::prop::{self, string_of, vec_of};
 use webfindit_base::rng::StdRng;
-use webfindit_orb::servant::{InvokeResult, Servant, ServantError};
+use webfindit_orb::servant::{EchoServant, InvokeResult, Servant, ServantError};
 use webfindit_orb::{Orb, OrbConfig, OrbDomain, OrbError};
 use webfindit_wire::cdr::ByteOrder;
+use webfindit_wire::giop::{self, GiopMessage};
+use webfindit_wire::transport::FramedTcp;
 use webfindit_wire::Value;
 
 struct PanickyServant;
@@ -58,6 +62,55 @@ fn servant_panic_becomes_system_exception_and_connection_survives() {
     client.shutdown();
 }
 
+/// A Request whose one argument nests 20 000 sequences (160 001 bytes)
+/// would overflow the decoding thread's stack and abort the server
+/// process. The depth limit turns it into a GIOP MessageError and a
+/// closed connection, and the ORB goes on serving new connections.
+#[test]
+fn a_too_deeply_nested_argument_earns_message_error_and_the_orb_survives() {
+    let domain = OrbDomain::new();
+    let server = Orb::start(
+        OrbConfig::new("S", "sdeep.net", 1, ByteOrder::BigEndian),
+        Arc::clone(&domain),
+    )
+    .unwrap();
+    let ior = server.activate("e", Arc::new(EchoServant));
+    let addr = domain.resolve("sdeep.net", 1).expect("server endpoint");
+
+    // A valid argument-less Request, whose trailing argument count (the
+    // last 4 bytes) is replaced by one argument: 20 000 times tag 10
+    // (SEQUENCE), three alignment octets and length 1, then tag 13
+    // (NULL). The header's body size is patched to match.
+    let mut frame = giop::request(7, b"e".to_vec(), "echo", Vec::new())
+        .encode(ByteOrder::BigEndian)
+        .unwrap();
+    frame.truncate(frame.len() - 4);
+    frame.extend_from_slice(&1u32.to_be_bytes());
+    frame.extend([10, 0, 0, 0, 0, 0, 0, 1].repeat(20_000));
+    frame.push(13);
+    let body_size = (frame.len() - 12) as u32;
+    frame[8..12].copy_from_slice(&body_size.to_be_bytes());
+
+    let mut raw = FramedTcp::new(TcpStream::connect(addr).unwrap());
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.send_frame(&frame).unwrap();
+    let answer = GiopMessage::decode_frame(raw.recv_frame().expect("server answers")).unwrap();
+    assert_eq!(answer, GiopMessage::MessageError);
+    assert!(raw.recv_frame().is_err(), "server closes the connection");
+
+    let client = Orb::start(
+        OrbConfig::new("C", "cdeep.net", 2, ByteOrder::LittleEndian),
+        Arc::clone(&domain),
+    )
+    .unwrap();
+    let pong = client
+        .invoke(&ior, "ping", &[])
+        .expect("a new connection is served");
+    assert_eq!(pong, Value::string("pong"));
+    client.shutdown();
+    server.shutdown();
+}
+
 #[test]
 fn three_orb_mesh_full_interop() {
     // Every ORB can call servants on every other ORB, mixed byte orders.
@@ -84,12 +137,7 @@ fn three_orb_mesh_full_interop() {
     let iors: Vec<_> = orbs
         .iter()
         .enumerate()
-        .map(|(i, orb)| {
-            orb.activate(
-                format!("echo{i}"),
-                Arc::new(webfindit_orb::servant::EchoServant),
-            )
-        })
+        .map(|(i, orb)| orb.activate(format!("echo{i}"), Arc::new(EchoServant)))
         .collect();
     for caller in &orbs {
         for ior in &iors {
@@ -144,7 +192,7 @@ fn values_cross_the_wire_unchanged() {
             Arc::clone(&domain),
         )
         .unwrap();
-        let ior = server.activate("echo", Arc::new(webfindit_orb::servant::EchoServant));
+        let ior = server.activate("echo", Arc::new(EchoServant));
         let out = client.invoke(&ior, "echo", &values).unwrap();
         assert_eq!(out, Value::Sequence(values));
         server.shutdown();
@@ -166,7 +214,7 @@ fn deactivation_is_visible_to_remote_locate() {
         Arc::clone(&domain),
     )
     .unwrap();
-    let ior = server.activate("e", Arc::new(webfindit_orb::servant::EchoServant));
+    let ior = server.activate("e", Arc::new(EchoServant));
     assert_eq!(client.locate(&ior).unwrap(), LocateStatus::ObjectHere);
     server.adapter().deactivate(b"e");
     assert_eq!(client.locate(&ior).unwrap(), LocateStatus::UnknownObject);
@@ -190,7 +238,7 @@ fn pooled_connection_survives_server_restart() {
         Arc::clone(&domain),
     )
     .unwrap();
-    let ior = server1.activate("e", Arc::new(webfindit_orb::servant::EchoServant));
+    let ior = server1.activate("e", Arc::new(EchoServant));
     assert_eq!(
         client.invoke(&ior, "ping", &[]).unwrap(),
         Value::string("pong")
@@ -203,7 +251,7 @@ fn pooled_connection_survives_server_restart() {
         Arc::clone(&domain),
     )
     .unwrap();
-    server2.activate("e", Arc::new(webfindit_orb::servant::EchoServant));
+    server2.activate("e", Arc::new(EchoServant));
 
     // The pooled connection is dead; the retry path must reconnect.
     assert_eq!(

@@ -92,6 +92,11 @@ pub enum WireError {
         /// The enforced limit.
         limit: u64,
     },
+    /// A decoded value nested more containers than the decoder allows.
+    TooDeep {
+        /// The enforced nesting limit.
+        limit: usize,
+    },
     /// The underlying transport failed.
     Io(std::io::Error),
     /// The peer closed the connection or pipe.
@@ -118,6 +123,9 @@ impl fmt::Display for WireError {
             WireError::InvalidBoolean(b) => write!(f, "invalid boolean octet {b}"),
             WireError::TooLarge { declared, limit } => {
                 write!(f, "declared size {declared} exceeds limit {limit}")
+            }
+            WireError::TooDeep { limit } => {
+                write!(f, "value nests deeper than {limit} containers")
             }
             WireError::Io(e) => write!(f, "transport I/O error: {e}"),
             WireError::Closed => write!(f, "transport closed by peer"),

@@ -30,6 +30,13 @@ mod tag {
     pub const NULL: u8 = 13;
 }
 
+/// How many `SEQUENCE`/`STRUCT` containers a decoded [`Value`] may sit
+/// inside. Decoding recurses once per level, so without a bound a peer
+/// could send a small frame of nested tags that overflows the decoding
+/// thread's stack, which aborts the whole process. The rows, records
+/// and descriptors this system sends nest a handful of levels.
+pub const MAX_VALUE_DEPTH: usize = 64;
+
 /// A dynamically-typed, self-describing value.
 ///
 /// This is the currency of every WebFINDIT remote invocation: operation
@@ -196,8 +203,20 @@ impl Value {
         Ok(())
     }
 
-    /// Decode a value (tag + body) from a CDR reader.
+    /// Decode a value (tag + body) from a CDR reader. A value nested
+    /// inside more than [`MAX_VALUE_DEPTH`] containers is refused with
+    /// [`WireError::TooDeep`] before the recursion can exhaust the stack.
     pub fn decode(r: &mut CdrReader<'_>) -> WireResult<Value> {
+        Value::decode_nested(r, 0)
+    }
+
+    /// Decode a value that sits inside `depth` containers.
+    fn decode_nested(r: &mut CdrReader<'_>, depth: usize) -> WireResult<Value> {
+        if depth > MAX_VALUE_DEPTH {
+            return Err(WireError::TooDeep {
+                limit: MAX_VALUE_DEPTH,
+            });
+        }
         let t = r.read_octet()?;
         Ok(match t {
             tag::VOID => Value::Void,
@@ -223,7 +242,7 @@ impl Value {
                 }
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(Value::decode(r)?);
+                    items.push(Value::decode_nested(r, depth + 1)?);
                 }
                 Value::Sequence(items)
             }
@@ -238,7 +257,7 @@ impl Value {
                 let mut fields = Vec::with_capacity(n);
                 for _ in 0..n {
                     let name = r.read_string()?;
-                    let value = Value::decode(r)?;
+                    let value = Value::decode_nested(r, depth + 1)?;
                     fields.push((name, value));
                 }
                 Value::Struct(fields)
@@ -429,6 +448,37 @@ mod tests {
             Value::decode(&mut r),
             Err(WireError::TooLarge { .. })
         ));
+    }
+
+    /// Decode `levels` nested one-element sequences around a null. Each
+    /// level is a tag, three alignment octets and a length: 8 bytes.
+    fn decode_nested_sequences(levels: usize) -> WireResult<Value> {
+        let mut w = CdrWriter::new(ByteOrder::BigEndian);
+        for _ in 0..levels {
+            w.write_octet(tag::SEQUENCE);
+            w.write_ulong(1);
+        }
+        w.write_octet(tag::NULL);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8 * levels + 1);
+        Value::decode(&mut CdrReader::new(&bytes, ByteOrder::BigEndian))
+    }
+
+    /// Nesting up to the limit decodes and one level more is refused.
+    /// Without the limit, 20 000 levels (160 001 bytes) recurse once per
+    /// level and overflow a 2 MiB thread stack, which aborts the process.
+    #[test]
+    fn deep_nesting_is_refused_on_a_small_stack() {
+        assert!(decode_nested_sequences(MAX_VALUE_DEPTH).is_ok());
+        let too_deep = decode_nested_sequences(MAX_VALUE_DEPTH + 1);
+        assert!(matches!(too_deep, Err(WireError::TooDeep { limit: 64 })));
+        let decoded = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| decode_nested_sequences(20_000).map(|_| ()))
+            .unwrap()
+            .join()
+            .expect("decoder thread returns");
+        assert!(matches!(decoded, Err(WireError::TooDeep { .. })));
     }
 
     #[test]
