@@ -3,13 +3,14 @@
 use crate::api::{
     parse_url, BridgeKind, Connection, DataMetrics, Driver, QueryOutput, SourceMetadata,
 };
-use crate::registry::{DataSourceRegistry, OoInstance};
+use crate::registry::{DataSourceRegistry, Instance, OoInstance};
 use crate::{ConnectError, ConnectResult};
 use std::sync::Arc;
-use webfindit_base::sync::Mutex;
 use webfindit_oostore::{OValue, OqlQuery};
 use webfindit_relstore::engine::ExecOutcome;
-use webfindit_relstore::{Database, Dialect};
+use webfindit_relstore::sql::ast::Statement;
+use webfindit_relstore::sql::parse_statement;
+use webfindit_relstore::{Database, Dialect, ExecMetrics};
 
 // ---- relational (JDBC) --------------------------------------------------
 
@@ -55,7 +56,7 @@ impl Driver for RelationalDriver {
         // The registered instance must actually speak this dialect —
         // catching mis-deployments early.
         {
-            let guard = db.lock();
+            let guard = db.read();
             if guard.dialect() != self.dialect {
                 return Err(ConnectError::WrongParadigm(format!(
                     "instance {} speaks {}, driver is {}",
@@ -74,19 +75,42 @@ impl Driver for RelationalDriver {
 
 /// A live JDBC-style connection.
 pub struct RelationalConnection {
-    db: Option<Arc<Mutex<Database>>>,
+    db: Option<Arc<Instance<Database>>>,
     last_metrics: Option<DataMetrics>,
 }
 
 impl RelationalConnection {
-    fn live(&self) -> ConnectResult<&Arc<Mutex<Database>>> {
+    fn live(&self) -> ConnectResult<&Arc<Instance<Database>>> {
         self.db.as_ref().ok_or(ConnectError::Closed)
     }
 }
 
+fn query_metrics(m: &ExecMetrics) -> DataMetrics {
+    DataMetrics {
+        rows_scanned: m.rows_scanned,
+        bytes_scanned: m.bytes_scanned,
+        index_hits: m.index_hits,
+        rows_spilled: m.rows_spilled,
+        ..DataMetrics::default()
+    }
+}
+
 impl Connection for RelationalConnection {
+    /// A SELECT runs under the instance's shared guard, beside other
+    /// readers; every other statement, and a SELECT that owes the
+    /// instance a checkpoint, runs under the exclusive guard.
     fn execute(&mut self, text: &str) -> ConnectResult<QueryOutput> {
         let db = self.live()?;
+        let stmt = parse_statement(text)?;
+        if let Statement::Select(_) = stmt {
+            let guard = db.read();
+            if !guard.owes_checkpoint() {
+                let (rs, m) = guard.select(&stmt)?;
+                drop(guard);
+                self.last_metrics = Some(query_metrics(&m));
+                return Ok(QueryOutput::Rows(rs));
+            }
+        }
         let (outcome, metrics) = {
             let mut guard = db.lock();
             // Durability work (WAL appends, checkpoint flushes,
@@ -95,20 +119,14 @@ impl Connection for RelationalConnection {
             // under the same lock so a concurrent statement on a
             // sibling connection can't interleave.
             let before = guard.storage_stats();
-            let outcome = guard.execute(text)?;
+            let outcome = guard.execute_stmt(&stmt)?;
             // `last_exec_metrics` is only refreshed by SELECTs; for
             // DML/DDL outcomes it still describes an older query and
             // must not be attributed to this statement.
             let mut metrics = match &outcome {
                 ExecOutcome::Rows(_) => guard
                     .last_exec_metrics()
-                    .map(|m| DataMetrics {
-                        rows_scanned: m.rows_scanned,
-                        bytes_scanned: m.bytes_scanned,
-                        index_hits: m.index_hits,
-                        rows_spilled: m.rows_spilled,
-                        ..DataMetrics::default()
-                    })
+                    .map(query_metrics)
                     .unwrap_or_default(),
                 _ => DataMetrics::default(),
             };
@@ -146,7 +164,7 @@ impl Connection for RelationalConnection {
 
     fn metadata(&self) -> ConnectResult<SourceMetadata> {
         let db = self.live()?;
-        let guard = db.lock();
+        let guard = db.read();
         let tables = guard
             .table_names()
             .into_iter()
@@ -230,14 +248,14 @@ impl Driver for ObjectDriver {
 
 /// A live object-database connection.
 pub struct ObjectConnection {
-    inst: Option<Arc<Mutex<OoInstance>>>,
+    inst: Option<Arc<Instance<OoInstance>>>,
     bridge: BridgeKind,
     vendor: &'static str,
     last_metrics: Option<DataMetrics>,
 }
 
 impl ObjectConnection {
-    fn live(&self) -> ConnectResult<&Arc<Mutex<OoInstance>>> {
+    fn live(&self) -> ConnectResult<&Arc<Instance<OoInstance>>> {
         self.inst.as_ref().ok_or(ConnectError::Closed)
     }
 }
@@ -246,9 +264,7 @@ impl Connection for ObjectConnection {
     fn execute(&mut self, text: &str) -> ConnectResult<QueryOutput> {
         let inst = self.live()?;
         let query = OqlQuery::parse(text)?;
-        let inst = Arc::clone(inst);
-        let guard = inst.lock();
-        let (result, m) = query.execute_with_metrics(&guard.store)?;
+        let (result, m) = query.execute_with_metrics(&inst.read().store)?;
         self.last_metrics = Some(DataMetrics {
             rows_scanned: m.objects_scanned,
             rows_spilled: m.rows_spilled,
@@ -280,7 +296,7 @@ impl Connection for ObjectConnection {
             }
             None => (rest, None),
         };
-        let guard = inst.lock();
+        let guard = inst.read();
         let out = guard
             .methods
             .invoke_on_class(&guard.store, class, receiver, name, args)?;
@@ -289,7 +305,7 @@ impl Connection for ObjectConnection {
 
     fn metadata(&self) -> ConnectResult<SourceMetadata> {
         let inst = self.live()?;
-        let guard = inst.lock();
+        let guard = inst.read();
         Ok(SourceMetadata {
             product: match self.vendor {
                 "ontos" => "Ontos".to_owned(),

@@ -8,7 +8,7 @@
 use crate::{ConnectError, ConnectResult};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use webfindit_base::sync::{Mutex, RwLock};
+use webfindit_base::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use webfindit_oostore::method::MethodTable;
 use webfindit_oostore::ObjectStore;
 use webfindit_relstore::Database;
@@ -21,8 +21,27 @@ pub struct OoInstance {
     pub methods: MethodTable,
 }
 
+/// A registered engine instance. Queries share it through [`Instance::read`];
+/// anything that may write (DML, DDL, transaction control, a checkpoint,
+/// crash and restart) holds it alone through [`Instance::lock`].
+pub struct Instance<T>(RwLock<T>);
+
+impl<T> Instance<T> {
+    /// The exclusive guard.
+    #[track_caller]
+    pub fn lock(&self) -> RwLockWriteGuard<'_, T> {
+        self.0.write()
+    }
+
+    /// The shared guard.
+    #[track_caller]
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.0.read()
+    }
+}
+
 /// `(vendor, instance)` → shared engine handle.
-type InstanceMap<T> = RwLock<BTreeMap<(String, String), Arc<Mutex<T>>>>;
+type InstanceMap<T> = RwLock<BTreeMap<(String, String), Arc<Instance<T>>>>;
 
 /// Shared registry of running database instances.
 #[derive(Default)]
@@ -43,16 +62,18 @@ impl DataSourceRegistry {
         vendor: &str,
         name: &str,
         db: Database,
-    ) -> Arc<Mutex<Database>> {
-        // Durable instances fsync their WAL inside COMMIT while this
-        // lock is held; that hold-across-blocking is deliberate (the
-        // database is single-writer by design) and exempted from the
-        // runtime detector.
-        let handle = Arc::new(
-            Mutex::new_labeled(db, "connect.registry.relational-db").allow_hold_across_blocking(
+    ) -> Arc<Instance<Database>> {
+        // Durable instances fsync their WAL inside COMMIT while the
+        // exclusive guard is held; that hold-across-blocking is
+        // deliberate (writers are serialised so the WAL order is the
+        // commit order, and readers must not see a half-applied
+        // statement) and exempted from the runtime detector. A shared
+        // guard only reads and never reaches the WAL.
+        let handle = Arc::new(Instance(
+            RwLock::new_labeled(db, "connect.registry.relational-db").allow_hold_across_blocking(
                 "commit-path fsync runs under the per-instance database lock",
             ),
-        );
+        ));
         self.relational.write().insert(
             (vendor.to_ascii_lowercase(), name.to_ascii_lowercase()),
             Arc::clone(&handle),
@@ -67,8 +88,8 @@ impl DataSourceRegistry {
         name: &str,
         store: ObjectStore,
         methods: MethodTable,
-    ) -> Arc<Mutex<OoInstance>> {
-        let handle = Arc::new(Mutex::new(OoInstance { store, methods }));
+    ) -> Arc<Instance<OoInstance>> {
+        let handle = Arc::new(Instance(RwLock::new(OoInstance { store, methods })));
         self.object.write().insert(
             (vendor.to_ascii_lowercase(), name.to_ascii_lowercase()),
             Arc::clone(&handle),
@@ -77,7 +98,7 @@ impl DataSourceRegistry {
     }
 
     /// Resolve a relational instance.
-    pub fn relational(&self, vendor: &str, name: &str) -> ConnectResult<Arc<Mutex<Database>>> {
+    pub fn relational(&self, vendor: &str, name: &str) -> ConnectResult<Arc<Instance<Database>>> {
         self.relational
             .read()
             .get(&(vendor.to_ascii_lowercase(), name.to_ascii_lowercase()))
@@ -86,7 +107,7 @@ impl DataSourceRegistry {
     }
 
     /// Resolve an object instance.
-    pub fn object(&self, vendor: &str, name: &str) -> ConnectResult<Arc<Mutex<OoInstance>>> {
+    pub fn object(&self, vendor: &str, name: &str) -> ConnectResult<Arc<Instance<OoInstance>>> {
         self.object
             .read()
             .get(&(vendor.to_ascii_lowercase(), name.to_ascii_lowercase()))

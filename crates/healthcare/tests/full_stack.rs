@@ -4,8 +4,11 @@
 //! information, and failure behaviour.
 
 use webfindit::discovery::{DiscoveryEngine, Lead};
+use webfindit::orb::OrbError;
 use webfindit::processor::{Processor, Response};
 use webfindit::session::BrowserSession;
+use webfindit::wire::Value;
+use webfindit::WebfinditError;
 use webfindit_healthcare::build_healthcare;
 use webfindit_relstore::Datum;
 
@@ -223,6 +226,61 @@ fn bad_sql_returns_a_user_visible_error_not_a_crash() {
         )
         .unwrap();
     assert!(matches!(ok, Response::Table(_)));
+    dep.fed.shutdown();
+}
+
+/// A query nested 20 000 levels deep is about 40 KB of text. Parsed
+/// without a depth limit on an ISI's dispatch worker, it overflows the
+/// worker's stack and aborts the whole process. With the limits, the
+/// SQL and OQL wrappers answer with an application error and go on
+/// serving.
+#[test]
+fn a_too_deeply_nested_query_earns_an_application_error_and_the_isi_serves_on() {
+    let dep = build_healthcare(1999).unwrap();
+    let deep_sql = format!(
+        "SELECT {}1{} FROM doctors",
+        "(".repeat(20_000),
+        ")".repeat(20_000)
+    );
+    let deep_oql = format!(
+        "select name from Treatment where {}cost > 1",
+        "not ".repeat(20_000)
+    );
+    for (site, deep, next) in [
+        (
+            "Royal Brisbane Hospital",
+            deep_sql,
+            "SELECT COUNT(*) FROM doctors",
+        ),
+        (
+            "Prince Charles Hospital",
+            deep_oql,
+            "select name from Treatment",
+        ),
+    ] {
+        let isi = dep.fed.site(site).unwrap().isi_ior;
+        let err = dep
+            .fed
+            .invoke(&isi, "execute", &[Value::string(deep)])
+            .unwrap_err();
+        match &err {
+            WebfinditError::Orb(OrbError::RemoteException {
+                system: false,
+                description,
+            }) => assert!(description.contains("nest deeper than 64"), "{description}"),
+            other => panic!("{site}: expected an application error, got {other}"),
+        }
+        let rows = dep
+            .fed
+            .invoke(&isi, "execute", &[Value::string(next)])
+            .unwrap();
+        assert!(
+            rows.field("rows")
+                .and_then(Value::as_sequence)
+                .is_some_and(|r| !r.is_empty()),
+            "{site}: {rows}"
+        );
+    }
     dep.fed.shutdown();
 }
 

@@ -74,6 +74,13 @@ pub enum OoError {
         /// Byte offset.
         offset: usize,
     },
+    /// OQL text nests predicates deeper than [`oql::MAX_PRED_DEPTH`].
+    TooDeep {
+        /// The nesting limit.
+        limit: usize,
+        /// Byte offset where the limit was reached.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for OoError {
@@ -103,6 +110,10 @@ impl fmt::Display for OoError {
             OoError::Parse { message, offset } => {
                 write!(f, "OQL parse error at byte {offset}: {message}")
             }
+            OoError::TooDeep { limit, offset } => write!(
+                f,
+                "OQL parse error at byte {offset}: predicates nest deeper than {limit} levels"
+            ),
         }
     }
 }

@@ -460,6 +460,13 @@ fn like(text: &str, pattern: &str) -> bool {
 
 // ---- parsing ----------------------------------------------------------
 
+/// How many predicates may sit inside one another: the whole `WHERE`
+/// predicate is one level, and each parenthesis or `NOT` inside it one
+/// more. Parsing recurses once per level, so without a bound a peer
+/// could send a short query that overflows the parsing thread's stack,
+/// which aborts the whole process.
+pub const MAX_PRED_DEPTH: usize = 64;
+
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Ident(String),
@@ -473,6 +480,8 @@ enum Tok {
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// Predicates currently open, bounded by [`MAX_PRED_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -480,7 +489,23 @@ impl Parser {
         Parser {
             toks: lex(text),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Parse one more level of predicate nesting, refusing to go past
+    /// [`MAX_PRED_DEPTH`].
+    fn nested(&mut self, level: fn(&mut Parser) -> OoResult<Pred>) -> OoResult<Pred> {
+        if self.depth == MAX_PRED_DEPTH {
+            return Err(OoError::TooDeep {
+                limit: MAX_PRED_DEPTH,
+                offset: self.offset(),
+            });
+        }
+        self.depth += 1;
+        let p = level(self);
+        self.depth -= 1;
+        p
     }
 
     fn peek(&self) -> &Tok {
@@ -547,7 +572,7 @@ impl Parser {
         self.expect_kw("from")?;
         let class = self.ident()?;
         let filter = if self.eat_kw("where") {
-            Some(self.pred_or()?)
+            Some(self.nested(Parser::pred_or)?)
         } else {
             None
         };
@@ -604,12 +629,12 @@ impl Parser {
 
     fn pred_not(&mut self) -> OoResult<Pred> {
         if self.eat_kw("not") {
-            let inner = self.pred_not()?;
+            let inner = self.nested(Parser::pred_not)?;
             return Ok(Pred::Not(Box::new(inner)));
         }
         if matches!(self.peek(), Tok::Sym("(")) {
             self.bump();
-            let inner = self.pred_or()?;
+            let inner = self.nested(Parser::pred_or)?;
             if !matches!(self.bump(), Tok::Sym(")")) {
                 return self.err("expected ')'");
             }
@@ -980,6 +1005,44 @@ mod order_limit_tests {
     fn order_by_parse_errors() {
         assert!(OqlQuery::parse("select * from G order amount").is_err());
         assert!(OqlQuery::parse("select * from G limit x").is_err());
+    }
+
+    /// Nesting up to the limit parses and one level more is refused.
+    /// Without the limit, 20 000 nested parentheses or `NOT`s recurse
+    /// once per level and overflow a 2 MiB thread stack, which aborts
+    /// the process.
+    #[test]
+    fn deep_nesting_is_refused_on_a_small_stack() {
+        let parens = |n: usize| {
+            format!(
+                "select * from G where {}amount = 1{}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        let nots = |n: usize| format!("select * from G where {}amount = 1", "not ".repeat(n));
+        // The whole predicate is the first level.
+        for text in [parens(MAX_PRED_DEPTH - 1), nots(MAX_PRED_DEPTH - 1)] {
+            assert!(OqlQuery::parse(&text).is_ok(), "{text}");
+        }
+        for text in [parens(MAX_PRED_DEPTH), nots(MAX_PRED_DEPTH)] {
+            assert!(
+                matches!(
+                    OqlQuery::parse(&text),
+                    Err(OoError::TooDeep { limit: 64, .. })
+                ),
+                "{text}"
+            );
+        }
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || [parens(20_000), nots(20_000)].map(|text| OqlQuery::parse(&text)))
+            .unwrap()
+            .join()
+            .expect("parser thread returns");
+        for res in deep {
+            assert!(matches!(res, Err(OoError::TooDeep { .. })), "{res:?}");
+        }
     }
 
     #[test]

@@ -412,21 +412,15 @@ impl Storage {
     }
 }
 
-/// Cumulative execution statistics (read by the experiments).
+/// Cumulative write-side statistics. A query's own counts are its
+/// [`ExecMetrics`]; a shared [`Database::select`] bumps nothing here.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DbStats {
-    /// Statements successfully executed.
+    /// Statements successfully executed through
+    /// [`Database::execute_stmt`].
     pub statements: u64,
-    /// Rows returned by queries.
-    pub rows_returned: u64,
     /// Rows written (inserted + updated + deleted).
     pub rows_written: u64,
-    /// Rows read from table heaps by query pipelines.
-    pub rows_scanned: u64,
-    /// Index entries hit by point lookups, range scans, and probes.
-    pub index_hits: u64,
-    /// Rows materialized by blocking operators (sort, aggregation).
-    pub rows_spilled: u64,
 }
 
 /// One simulated relational database instance.
@@ -745,14 +739,42 @@ impl Database {
     /// statement that has not yet touched memory or the log, keeping
     /// "COMMIT acknowledged ⟺ transaction durable" exact.
     fn maybe_checkpoint(&mut self) -> RelResult<()> {
-        if self.txn.is_some() {
-            return Ok(());
+        if self.owes_checkpoint() {
+            self.checkpoint()
+        } else {
+            Ok(())
         }
-        match self.storage.as_ref() {
-            Some(st) if !st.dead && st.commits_since_ckpt >= st.checkpoint_every => {
-                self.checkpoint()
-            }
-            _ => Ok(()),
+    }
+
+    /// True when the next statement through [`Database::execute_stmt`]
+    /// takes a checkpoint first. A caller choosing between that and the
+    /// shared [`Database::select`] sends a SELECT that owes one through
+    /// `execute_stmt`, so checkpoints (and the crash points inside them)
+    /// fall on the same statement either way.
+    pub fn owes_checkpoint(&self) -> bool {
+        self.txn.is_none()
+            && self
+                .storage
+                .as_ref()
+                .is_some_and(|st| !st.dead && st.commits_since_ckpt >= st.checkpoint_every)
+    }
+
+    /// Run a SELECT without changing anything, so readers can share the
+    /// database: a crashed instance is `Unavailable`, then the dialect
+    /// gates what the query may use. [`Database::execute_stmt`] runs its
+    /// SELECTs through here; unlike it, `select` takes no owed
+    /// checkpoint and leaves [`Database::last_exec_metrics`] alone, and
+    /// returns the metrics instead.
+    pub fn select(&self, stmt: &Statement) -> RelResult<(ResultSet, ExecMetrics)> {
+        if self.is_crashed() {
+            return Err(RelError::Unavailable("database crashed; reopen it".into()));
+        }
+        self.dialect.check(stmt)?;
+        match stmt {
+            Statement::Select(s) => execute_select_with_metrics(s, &self.tables),
+            _ => Err(RelError::Unsupported(
+                "only a SELECT runs on a shared database".into(),
+            )),
         }
     }
 
@@ -810,16 +832,11 @@ impl Database {
             return Err(RelError::Unavailable("database crashed; reopen it".into()));
         }
         self.maybe_checkpoint()?;
-        self.dialect.check(stmt)?;
         let durable = self.storage.is_some();
         let mut wal: Vec<WalChange> = Vec::new();
         let outcome = match stmt {
-            Statement::Select(s) => {
-                let (rs, m) = execute_select_with_metrics(s, &self.tables)?;
-                self.stats.rows_returned += rs.rows.len() as u64;
-                self.stats.rows_scanned += m.rows_scanned;
-                self.stats.index_hits += m.index_hits;
-                self.stats.rows_spilled += m.rows_spilled;
+            Statement::Select(_) => {
+                let (rs, m) = self.select(stmt)?;
                 self.last_exec = Some(m);
                 ExecOutcome::Rows(rs)
             }

@@ -78,6 +78,14 @@ pub enum RelError {
         /// Byte offset where the problem was noticed.
         offset: usize,
     },
+    /// SQL text nests expressions deeper than
+    /// [`sql::parser::MAX_EXPR_DEPTH`].
+    TooDeep {
+        /// The nesting limit.
+        limit: usize,
+        /// Byte offset where the limit was reached.
+        offset: usize,
+    },
     /// A referenced table does not exist.
     NoSuchTable(String),
     /// A referenced column does not exist.
@@ -131,6 +139,10 @@ impl fmt::Display for RelError {
             RelError::Parse { message, offset } => {
                 write!(f, "SQL parse error at byte {offset}: {message}")
             }
+            RelError::TooDeep { limit, offset } => write!(
+                f,
+                "SQL parse error at byte {offset}: expressions nest deeper than {limit} levels"
+            ),
             RelError::NoSuchTable(t) => write!(f, "no such table: {t}"),
             RelError::NoSuchColumn(c) => write!(f, "no such column: {c}"),
             RelError::TableExists(t) => write!(f, "table already exists: {t}"),

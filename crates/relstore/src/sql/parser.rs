@@ -11,10 +11,23 @@ use crate::sql::lexer::{Lexer, Token, TokenKind};
 use crate::types::{DataType, Datum};
 use crate::{RelError, RelResult};
 
+/// How many expressions may sit inside one another: the whole
+/// expression is one level, and each parenthesis, `NOT`, unary minus,
+/// `IN` list or aggregate argument inside it one more. Parsing recurses
+/// once per level, so without a bound a peer could send a short
+/// statement that overflows the parsing thread's stack, which aborts
+/// the whole process. The SQL this system writes nests a handful of
+/// levels.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 /// Parse a single SQL statement (a trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> RelResult<Statement> {
     let tokens = Lexer::tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.statement()?;
     p.eat_symbol(";");
     p.expect_eof()?;
@@ -24,6 +37,8 @@ pub fn parse_statement(sql: &str) -> RelResult<Statement> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Expressions currently open, bounded by [`MAX_EXPR_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -87,6 +102,21 @@ impl Parser {
         } else {
             self.err(format!("expected {sym:?}"))
         }
+    }
+
+    /// Parse one more level of expression nesting, refusing to go past
+    /// [`MAX_EXPR_DEPTH`].
+    fn nested(&mut self, level: fn(&mut Parser) -> RelResult<Expr>) -> RelResult<Expr> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(RelError::TooDeep {
+                limit: MAX_EXPR_DEPTH,
+                offset: self.offset(),
+            });
+        }
+        self.depth += 1;
+        let e = level(self);
+        self.depth -= 1;
+        e
     }
 
     fn expect_eof(&self) -> RelResult<()> {
@@ -497,7 +527,7 @@ impl Parser {
 
     /// Public entry for expression parsing (used by the dialect tests).
     pub(crate) fn expr(&mut self) -> RelResult<Expr> {
-        self.or_expr()
+        self.nested(Parser::or_expr)
     }
 
     fn or_expr(&mut self) -> RelResult<Expr> {
@@ -520,7 +550,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> RelResult<Expr> {
         if self.eat_kw("not") {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Parser::not_expr)?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),
@@ -658,7 +688,7 @@ impl Parser {
 
     fn unary(&mut self) -> RelResult<Expr> {
         if self.eat_symbol("-") {
-            let inner = self.unary()?;
+            let inner = self.nested(Parser::unary)?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Neg,
                 expr: Box::new(inner),
@@ -989,6 +1019,38 @@ mod tests {
         assert!(parse_statement("SELECT * FROM t extra garbage !").is_err());
         assert!(parse_statement("CREATE TABLE t (x BLOB)").is_err());
         assert!(parse_statement("SELECT SUM(*) FROM t").is_err());
+    }
+
+    /// Nesting up to the limit parses and one level more is refused.
+    /// Without the limit, 20 000 nested parentheses or `NOT`s recurse
+    /// once per level and overflow a 2 MiB thread stack, which aborts
+    /// the process.
+    #[test]
+    fn deep_nesting_is_refused_on_a_small_stack() {
+        let parens = |n: usize| format!("SELECT {}1{} FROM t", "(".repeat(n), ")".repeat(n));
+        let nots = |n: usize| format!("SELECT * FROM t WHERE {}x = 1", "NOT ".repeat(n));
+        // The whole expression is the first level.
+        for sql in [parens(MAX_EXPR_DEPTH - 1), nots(MAX_EXPR_DEPTH - 1)] {
+            assert!(parse_statement(&sql).is_ok(), "{sql}");
+        }
+        for sql in [parens(MAX_EXPR_DEPTH), nots(MAX_EXPR_DEPTH)] {
+            assert!(
+                matches!(
+                    parse_statement(&sql),
+                    Err(RelError::TooDeep { limit: 64, .. })
+                ),
+                "{sql}"
+            );
+        }
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || [parens(20_000), nots(20_000)].map(|sql| parse_statement(&sql)))
+            .unwrap()
+            .join()
+            .expect("parser thread returns");
+        for res in deep {
+            assert!(matches!(res, Err(RelError::TooDeep { .. })), "{res:?}");
+        }
     }
 
     #[test]

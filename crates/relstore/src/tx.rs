@@ -1,10 +1,11 @@
 //! A minimal lock-table transaction manager.
 //!
-//! relstore databases are single-threaded behind the connect layer's
-//! `Arc<Mutex<Database>>`, so the lock table's job is not concurrency
-//! control between threads — it is conflict *accounting* between the
-//! logical transactions that interleave through one session (and a
-//! guard rail for any future multi-session engine). Locks are
+//! Behind the connect layer, readers share a database (a SELECT takes
+//! `&Database`) and everything that writes holds it alone, so the lock
+//! table's job is not concurrency control between threads — it is
+//! conflict *accounting* between the logical transactions that
+//! interleave through one session (and a guard rail for any future
+//! engine with concurrent writers). Locks are
 //! table-granular and exclusive; a transaction touching a table locked
 //! by another live transaction gets [`RelError::LockConflict`]
 //! immediately (no-wait policy — the simplest deadlock-free choice).
