@@ -13,6 +13,8 @@
 //! * [`prop`] — a miniature property-testing harness (seeded case
 //!   loops with failing-seed reporting) used by the `prop_*` test
 //!   suites.
+//! * [`like`] — the SQL `LIKE` matcher both engines run, iterative so
+//!   that a hostile pattern costs neither stack nor exponential time.
 //! * [`counters`] — the `counter_set!` macro: one declaration per
 //!   statistic, from which the atomic struct, its snapshot, the
 //!   before/after delta and the labelled listing are derived.
@@ -24,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod counters;
+pub mod like;
 pub mod prop;
 pub mod rng;
 pub mod sync;

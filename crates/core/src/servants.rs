@@ -133,11 +133,6 @@ impl CoDatabaseServant {
     pub fn with_gate(codb: Arc<RwLock<CoDatabase>>, stall: StallGate) -> CoDatabaseServant {
         CoDatabaseServant { codb, stall }
     }
-
-    /// The servant's stall gate (shared; chaos plans flip it live).
-    pub fn stall_gate(&self) -> StallGate {
-        self.stall.clone()
-    }
 }
 
 fn codb_err(e: webfindit_codb::CodbError) -> ServantError {

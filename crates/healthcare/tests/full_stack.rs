@@ -284,6 +284,43 @@ fn a_too_deeply_nested_query_earns_an_application_error_and_the_isi_serves_on() 
     dep.fed.shutdown();
 }
 
+/// A LIKE pattern of 200 000 `%` is about 200 KB of text. A matcher
+/// that recursed once per pattern character would overflow the ISI
+/// dispatch worker's stack and abort the whole process. The SQL and
+/// OQL wrappers answer it, and go on serving.
+#[test]
+fn a_long_like_pattern_is_answered_and_the_isi_serves_on() {
+    let dep = build_healthcare(1999).unwrap();
+    let pattern = "%".repeat(200_000);
+    for (site, query, next) in [
+        (
+            "Royal Brisbane Hospital",
+            format!("SELECT position FROM doctors WHERE qualification LIKE '{pattern}'"),
+            "SELECT COUNT(*) FROM doctors",
+        ),
+        (
+            "Prince Charles Hospital",
+            format!("select name from Treatment where name like '{pattern}'"),
+            "select name from Treatment",
+        ),
+    ] {
+        let isi = dep.fed.site(site).unwrap().isi_ior;
+        for text in [query, next.to_string()] {
+            let rows = dep
+                .fed
+                .invoke(&isi, "execute", &[Value::string(text)])
+                .unwrap();
+            assert!(
+                rows.field("rows")
+                    .and_then(Value::as_sequence)
+                    .is_some_and(|r| !r.is_empty()),
+                "{site}: {rows}"
+            );
+        }
+    }
+    dep.fed.shutdown();
+}
+
 #[test]
 fn two_deployments_coexist_in_one_process() {
     // ORB ports are ephemeral and domains are isolated, so two

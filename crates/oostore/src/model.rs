@@ -89,35 +89,11 @@ impl OValue {
         }
     }
 
-    /// Integer view (widening from Int only).
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            OValue::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Float view (widening Int).
     pub fn as_double(&self) -> Option<f64> {
         match self {
             OValue::Double(v) => Some(*v),
             OValue::Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// List view.
-    pub fn as_list(&self) -> Option<&[OValue]> {
-        match self {
-            OValue::List(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Reference view.
-    pub fn as_ref_oid(&self) -> Option<Oid> {
-        match self {
-            OValue::Ref(o) => Some(*o),
             _ => None,
         }
     }

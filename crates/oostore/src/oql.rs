@@ -21,6 +21,7 @@ use crate::model::Oid;
 use crate::store::ObjectStore;
 use crate::{OoError, OoResult};
 use std::cmp::Ordering;
+use webfindit_base::like::like_match;
 
 /// A parsed OQL query.
 #[derive(Debug, Clone, PartialEq)]
@@ -395,7 +396,7 @@ fn eval_pred(p: &Pred, obj: &crate::store::Object) -> Option<bool> {
             let v = obj.get(attr);
             if *op == CmpOp::Like {
                 return match (v.as_text(), value.as_text()) {
-                    (Some(t), Some(pat)) => Some(like(t, pat)),
+                    (Some(t), Some(pat)) => Some(like_match(t, pat)),
                     _ => None,
                 };
             }
@@ -439,23 +440,6 @@ fn eval_pred(p: &Pred, obj: &crate::store::Object) -> Option<bool> {
         },
         Pred::Not(a) => eval_pred(a, obj).map(|b| !b),
     }
-}
-
-/// LIKE matching with `%` and `_`.
-fn like(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[char], p: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some(('%', rest)) => (0..=t.len()).any(|i| rec(&t[i..], rest)),
-            Some(('_', rest)) => t.split_first().is_some_and(|(_, tr)| rec(tr, rest)),
-            Some((c, rest)) => t
-                .split_first()
-                .is_some_and(|(tc, tr)| tc == c && rec(tr, rest)),
-        }
-    }
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&t, &p)
 }
 
 // ---- parsing ----------------------------------------------------------
@@ -1086,5 +1070,51 @@ mod order_limit_tests {
         assert_eq!(r.rows.len(), 2);
         // Pushdown: only the two delivered objects were loaded.
         assert_eq!(m.objects_scanned, 2);
+    }
+
+    /// Run `select name from G where name like <pattern>` over one `G`
+    /// named `name`, on a 2 MiB-stack thread, and wait at most ten
+    /// seconds for the rows.
+    fn like_rows_within_deadline(name: String, pattern: String) -> usize {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut s = ObjectStore::new("x");
+                s.define_class(ClassDef::root("G").attr("name", OType::Text))
+                    .unwrap();
+                s.create("G", [("name".to_string(), OValue::from(name.as_str()))])
+                    .unwrap();
+                let q = OqlQuery::parse(&format!("select name from G where name like '{pattern}'"))
+                    .unwrap();
+                tx.send(q.execute(&s).map(|r| r.rows.len()))
+                    .expect("the test awaits the answer");
+            })
+            .unwrap();
+        let answer = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the query answers within its deadline");
+        worker.join().expect("the query thread returns");
+        answer.unwrap()
+    }
+
+    /// A recursive matcher takes one stack frame per pattern character,
+    /// so 200 000 `%` overflow a 2 MiB stack and abort the process.
+    #[test]
+    fn a_long_run_of_percent_signs_matches_on_a_small_stack() {
+        assert_eq!(
+            like_rows_within_deadline("grant".into(), "%".repeat(200_000)),
+            1
+        );
+    }
+
+    /// A recursive matcher retries every split of the text at every
+    /// `%`, which takes exponential time on this pattern.
+    #[test]
+    fn many_percent_signs_before_a_mismatch_finish_quickly() {
+        assert_eq!(
+            like_rows_within_deadline("a".repeat(60), "%a%a%a%a%a%a%a%a%a%ab".into()),
+            0
+        );
     }
 }

@@ -66,11 +66,6 @@ impl Dialect {
         !matches!(self, Dialect::MSql)
     }
 
-    /// Whether the vendor accepts a row limit natively (in any spelling).
-    pub fn supports_row_limit(&self) -> bool {
-        true // every profile has *some* spelling; see render_select
-    }
-
     /// The string concatenation operator.
     pub fn concat_op(&self) -> &'static str {
         match self {

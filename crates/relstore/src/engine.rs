@@ -16,8 +16,8 @@
 //! [`Database::make_durable`]): every mutation then also emits
 //! ARIES-style WAL records (redo + undo images) before the statement
 //! is acknowledged, the log is forced at commit, checkpoints write
-//! double-buffered snapshots through the buffer pool, and open-time
-//! recovery replays the log to the last committed state. A crash —
+//! double-buffered page snapshots, and open-time recovery replays the
+//! log to the last committed state. A crash —
 //! real or injected via [`Database::arm_crash_point`] — leaves the
 //! instance dead ([`RelError::Unavailable`]) until
 //! [`Database::reopen`] recovers it.
@@ -25,12 +25,11 @@
 use crate::dialect::Dialect;
 use crate::exec::{execute_select_with_metrics, ExecMetrics, ResultSet};
 use crate::expr::{eval, eval_true, EvalContext, Expr};
-use crate::file_mgr::{DiskVfs, Vfs};
+use crate::file_mgr::{DiskVfs, PageFileMgr, Vfs};
 use crate::recovery::{self, Meta};
 use crate::sql::ast::Statement;
 use crate::sql::parse_statement;
 use crate::storage::Table;
-use crate::tx::{TxId, TxManager};
 use crate::types::{Datum, Row};
 use crate::wal::{CrashInjector, CrashPoint, LogMgr, TableImage, WalRecord};
 use crate::{RelError, RelResult};
@@ -64,6 +63,19 @@ impl ExecOutcome {
             _ => None,
         }
     }
+}
+
+/// A transaction id, handed out in order from 1 and stored in the WAL
+/// and the meta slots.
+type TxId = u64;
+
+/// The open transaction.
+#[derive(Debug)]
+struct Txn {
+    /// What `ROLLBACK` replays, newest first.
+    undo: Vec<UndoOp>,
+    /// The id its WAL records carry (`None` in memory).
+    wal_tx: Option<TxId>,
 }
 
 /// Inverse operations recorded while a transaction is open.
@@ -125,17 +137,6 @@ enum WalChange {
 }
 
 impl WalChange {
-    fn table_name(&self) -> &str {
-        match self {
-            WalChange::Insert { table, .. }
-            | WalChange::Delete { table, .. }
-            | WalChange::Update { table, .. }
-            | WalChange::CreateIndex { table, .. } => table,
-            WalChange::CreateTable { schema } => &schema.name,
-            WalChange::DropTable { image } => &image.schema.name,
-        }
-    }
-
     fn into_record(self, tx: TxId) -> WalRecord {
         match self {
             WalChange::Insert { table, slot, row } => WalRecord::Insert {
@@ -187,7 +188,7 @@ pub struct StorageStats {
     pub wal_bytes: u64,
     /// Log forces (fsync at commit / checkpoint barriers).
     pub wal_flushes: u64,
-    /// Snapshot pages written back through the buffer pool.
+    /// Snapshot pages written by checkpoints.
     pub pages_flushed: u64,
     /// Checkpoints taken (snapshot + meta flip + WAL compaction).
     pub checkpoints: u64,
@@ -205,9 +206,6 @@ pub struct StorageStats {
     pub snapshot_fallbacks: u64,
 }
 
-/// Buffer-pool frames used for snapshot reads and writes.
-const SNAP_POOL_FRAMES: usize = 64;
-
 /// Commits between automatic checkpoints.
 const DEFAULT_CHECKPOINT_EVERY: u32 = 32;
 
@@ -217,8 +215,8 @@ const DEFAULT_CHECKPOINT_EVERY: u32 = 32;
 struct Storage {
     vfs: Arc<dyn Vfs>,
     log: LogMgr,
-    txm: TxManager,
-    current_tx: Option<TxId>,
+    /// The id the next transaction gets.
+    next_tx: TxId,
     /// WAL records of the open transaction, buffered until COMMIT.
     /// The engine is strictly no-steal (uncommitted data never reaches
     /// a page), so nothing before the commit point needs to be on
@@ -244,8 +242,7 @@ impl Storage {
         Storage {
             vfs,
             log,
-            txm: TxManager::new(next_tx),
-            current_tx: None,
+            next_tx,
             txn_buf: Vec::new(),
             injector: CrashInjector::default(),
             dead: false,
@@ -259,7 +256,6 @@ impl Storage {
 
     fn crash(&mut self, point: CrashPoint) -> RelError {
         self.dead = true;
-        self.current_tx = None;
         RelError::Unavailable(format!("crash injected at {point}"))
     }
 
@@ -287,11 +283,11 @@ impl Storage {
         Ok(())
     }
 
-    fn begin(&mut self) -> RelResult<TxId> {
-        let tx = self.txm.begin();
-        self.current_tx = Some(tx);
+    fn begin(&mut self) -> TxId {
+        let tx = self.next_tx;
+        self.next_tx += 1;
         self.txn_buf.clear();
-        Ok(tx)
+        tx
     }
 
     /// Write the transaction's buffered records — `Begin`, the ops,
@@ -314,8 +310,6 @@ impl Storage {
         }
         self.append(&WalRecord::Commit { tx })?;
         self.force_log()?;
-        self.txm.release(tx);
-        self.current_tx = None;
         self.stats.commits += 1;
         self.commits_since_ckpt += 1;
         Ok(())
@@ -324,50 +318,36 @@ impl Storage {
     /// Roll back the open transaction. Its buffered records are simply
     /// discarded — nothing was ever appended, so the log needs no
     /// abort record and recovery never sees the transaction.
-    fn rollback(&mut self, tx: TxId) -> RelResult<()> {
+    fn rollback(&mut self) {
         self.txn_buf.clear();
-        self.txm.release(tx);
-        self.current_tx = None;
         self.stats.rollbacks += 1;
-        Ok(())
     }
 
-    /// Buffer one statement's changes: reuse the open transaction or
-    /// wrap the statement in its own begin/commit.
-    fn apply(&mut self, changes: Vec<WalChange>) -> RelResult<()> {
-        let auto = self.current_tx.is_none();
-        let tx = match self.current_tx {
-            Some(tx) => tx,
-            None => self.begin()?,
-        };
-        for ch in &changes {
-            self.txm.lock(tx, ch.table_name())?;
+    /// Buffer one statement's changes: into the open transaction `open`,
+    /// or wrapped in a begin/commit of their own.
+    fn apply(&mut self, open: Option<TxId>, changes: Vec<WalChange>) -> RelResult<()> {
+        let tx = open.unwrap_or_else(|| self.begin());
+        self.txn_buf
+            .extend(changes.into_iter().map(|ch| ch.into_record(tx)));
+        match open {
+            Some(_) => Ok(()),
+            None => self.commit(tx),
         }
-        for ch in changes {
-            self.txn_buf.push(ch.into_record(tx));
-        }
-        if auto {
-            self.commit(tx)?;
-        }
-        Ok(())
     }
 
     /// Write a checkpoint: snapshot every table into the inactive
-    /// generation through a buffer pool (the mid-page-flush crash
-    /// point sits between page write-backs), flip the meta slot, then
-    /// compact the WAL. A crash anywhere in between recovers from the
-    /// previous snapshot + log — the active generation is never
-    /// written in place.
+    /// generation (the mid-page-flush crash point sits between page
+    /// writes), flip the meta slot, then compact the WAL. A crash
+    /// anywhere in between recovers from the previous snapshot + log —
+    /// the active generation is never written in place.
     fn checkpoint(&mut self, tables: &HashMap<String, Table>) -> RelResult<()> {
-        debug_assert!(self.current_tx.is_none(), "checkpoint requires quiescence");
         let target = 1 - (self.active_gen & 1);
         let stream = recovery::encode_snapshot(tables);
-        let mgr =
-            crate::file_mgr::PageFileMgr::new(Arc::clone(&self.vfs), recovery::snap_file(target));
-        let mut pool = crate::buffer::BufferPool::new(mgr, SNAP_POOL_FRAMES);
-        let injector = &mut self.injector;
+        let mgr = PageFileMgr::new(Arc::clone(&self.vfs), recovery::snap_file(target));
+        let (injector, stats) = (&mut self.injector, &mut self.stats);
         let mut crashed = false;
-        let res = recovery::write_snapshot(&mut pool, &stream, || {
+        let res = recovery::write_snapshot(&mgr, &stream, || {
+            stats.pages_flushed += 1;
             if injector.hit(CrashPoint::MidPageFlush) {
                 crashed = true;
                 return Err(RelError::Unavailable(
@@ -376,7 +356,6 @@ impl Storage {
             }
             Ok(())
         });
-        self.stats.pages_flushed += pool.stats().pages_flushed;
         if crashed {
             return Err(self.crash(CrashPoint::MidPageFlush));
         }
@@ -388,7 +367,7 @@ impl Storage {
                 epoch: self.epoch,
                 active_gen: target,
                 watermark: self.log.tail(),
-                next_tx: self.txm.next_tx(),
+                next_tx: self.next_tx,
             },
         )?;
         self.active_gen = target;
@@ -403,7 +382,7 @@ impl Storage {
                 epoch: self.epoch,
                 active_gen: target,
                 watermark: 0,
-                next_tx: self.txm.next_tx(),
+                next_tx: self.next_tx,
             },
         )?;
         self.stats.checkpoints += 1;
@@ -429,7 +408,7 @@ pub struct Database {
     name: String,
     dialect: Dialect,
     tables: HashMap<String, Table>,
-    txn: Option<Vec<UndoOp>>,
+    txn: Option<Txn>,
     stats: DbStats,
     last_exec: Option<ExecMetrics>,
     /// `None` for the in-memory fast path; `Some` once the durable
@@ -482,7 +461,7 @@ impl Database {
         name: impl Into<String>,
         dialect: Dialect,
     ) -> RelResult<Database> {
-        let r = recovery::recover(&vfs, SNAP_POOL_FRAMES)?;
+        let r = recovery::recover(&vfs)?;
         let mut st = Storage::new(vfs, r.wal_tail, r.next_tx, r.epoch, r.active_gen);
         st.stats.recovery_redo = r.stats.redo;
         st.stats.recovery_undo = r.stats.undo;
@@ -548,13 +527,6 @@ impl Database {
         }
     }
 
-    /// Disarm any pending crash point.
-    pub fn disarm_crash_points(&mut self) {
-        if let Some(st) = &mut self.storage {
-            st.injector.disarm();
-        }
-    }
-
     /// Override the automatic checkpoint cadence (commits between
     /// checkpoints); tests use small values to exercise the snapshot
     /// path, benches large ones to isolate WAL cost.
@@ -573,7 +545,6 @@ impl Database {
             return false;
         };
         st.dead = true;
-        st.current_tx = None;
         self.tables = HashMap::new();
         self.txn = None;
         true
@@ -587,7 +558,7 @@ impl Database {
             .storage
             .take()
             .ok_or_else(|| RelError::Storage("reopen on an in-memory database".into()))?;
-        let r = recovery::recover(&old.vfs, SNAP_POOL_FRAMES)?;
+        let r = recovery::recover(&old.vfs)?;
         let mut st = Storage::new(
             Arc::clone(&old.vfs),
             r.wal_tail,
@@ -622,10 +593,7 @@ impl Database {
             return Err(RelError::Unavailable("database crashed; reopen it".into()));
         }
         let res = st.checkpoint(&self.tables);
-        if self.storage.as_ref().is_some_and(|s| s.dead) {
-            self.tables = HashMap::new();
-            self.txn = None;
-        }
+        self.forget_if_crashed();
         res
     }
 
@@ -778,52 +746,25 @@ impl Database {
         }
     }
 
-    /// Reset volatile state after a storage call that crashed.
-    fn after_storage(&mut self, res: RelResult<()>) -> RelResult<()> {
-        if self.storage.as_ref().is_some_and(|s| s.dead) {
+    /// Drop the volatile state once a storage call has crashed.
+    fn forget_if_crashed(&mut self) {
+        if self.is_crashed() {
             self.tables = HashMap::new();
             self.txn = None;
         }
+    }
+
+    /// Run `f` on the durable tier (a no-op in memory).
+    fn on_storage(&mut self, f: impl FnOnce(&mut Storage) -> RelResult<()>) -> RelResult<()> {
+        let res = self.storage.as_mut().map_or(Ok(()), f);
+        self.forget_if_crashed();
         res
     }
 
     /// Emit one successful statement's WAL records (durable only).
     fn wal_apply(&mut self, changes: Vec<WalChange>) -> RelResult<()> {
-        let res = match self.storage.as_mut() {
-            Some(st) => st.apply(changes),
-            None => Ok(()),
-        };
-        self.after_storage(res)
-    }
-
-    fn durable_begin(&mut self) -> RelResult<()> {
-        let res = match self.storage.as_mut() {
-            Some(st) => st.begin().map(|_| ()),
-            None => Ok(()),
-        };
-        self.after_storage(res)
-    }
-
-    fn durable_commit(&mut self) -> RelResult<()> {
-        let res = match self.storage.as_mut() {
-            Some(st) => match st.current_tx {
-                Some(tx) => st.commit(tx),
-                None => Ok(()),
-            },
-            None => Ok(()),
-        };
-        self.after_storage(res)
-    }
-
-    fn durable_rollback(&mut self) -> RelResult<()> {
-        let res = match self.storage.as_mut() {
-            Some(st) => match st.current_tx {
-                Some(tx) => st.rollback(tx),
-                None => Ok(()),
-            },
-            None => Ok(()),
-        };
-        self.after_storage(res)
+        let open = self.txn.as_ref().and_then(|t| t.wal_tx);
+        self.on_storage(|st| st.apply(open, changes))
     }
 
     /// Execute an already-parsed statement.
@@ -856,7 +797,7 @@ impl Database {
                 }
                 self.tables
                     .insert(schema.name.clone(), Table::new(schema.clone()));
-                if let Some(log) = &mut self.txn {
+                if let Some(Txn { undo: log, .. }) = &mut self.txn {
                     log.push(UndoOp::CreateTable {
                         name: schema.name.clone(),
                     });
@@ -877,7 +818,7 @@ impl Database {
                                 image: TableImage::of(&t),
                             });
                         }
-                        if let Some(log) = &mut self.txn {
+                        if let Some(Txn { undo: log, .. }) = &mut self.txn {
                             log.push(UndoOp::DropTable {
                                 name: lower,
                                 table: Box::new(t),
@@ -901,7 +842,7 @@ impl Database {
                     .ok_or_else(|| RelError::NoSuchTable(lower.clone()))?;
                 let (ci, _) = t.schema.column(column)?;
                 t.create_index(name, ci)?;
-                if let Some(log) = &mut self.txn {
+                if let Some(Txn { undo: log, .. }) = &mut self.txn {
                     log.push(UndoOp::CreateIndex {
                         table: lower.clone(),
                         name: name.to_ascii_lowercase(),
@@ -935,25 +876,32 @@ impl Database {
                         "transaction already open".into(),
                     ));
                 }
-                self.durable_begin()?;
-                self.txn = Some(Vec::new());
+                self.txn = Some(Txn {
+                    undo: Vec::new(),
+                    wal_tx: self.storage.as_mut().map(Storage::begin),
+                });
                 ExecOutcome::Done
             }
             Statement::Commit => {
-                if self.txn.is_none() {
-                    return Err(RelError::TransactionState("no open transaction".into()));
+                let txn = self
+                    .txn
+                    .as_ref()
+                    .ok_or(RelError::TransactionState("no open transaction".into()))?;
+                if let Some(tx) = txn.wal_tx {
+                    self.on_storage(|st| st.commit(tx))?;
                 }
-                self.durable_commit()?;
                 self.txn = None;
                 ExecOutcome::Done
             }
             Statement::Rollback => {
-                let log = self
+                let txn = self
                     .txn
                     .take()
                     .ok_or(RelError::TransactionState("no open transaction".into()))?;
-                self.apply_undo(log);
-                self.durable_rollback()?;
+                self.apply_undo(txn.undo);
+                if let Some(st) = &mut self.storage {
+                    st.rollback();
+                }
                 ExecOutcome::Done
             }
         };
@@ -1047,7 +995,7 @@ impl Database {
         match insert_all() {
             Ok(()) => {
                 let n = inserted.len();
-                if let Some(log) = &mut self.txn {
+                if let Some(Txn { undo: log, .. }) = &mut self.txn {
                     for (slot, _) in &inserted {
                         log.push(UndoOp::Insert {
                             table: lower.clone(),
@@ -1140,7 +1088,7 @@ impl Database {
         let n = applied.len();
         if durable {
             for (slot, old, new) in applied {
-                if let Some(log) = &mut self.txn {
+                if let Some(Txn { undo: log, .. }) = &mut self.txn {
                     log.push(UndoOp::Update {
                         table: lower.clone(),
                         slot,
@@ -1154,7 +1102,7 @@ impl Database {
                     new: new.expect("captured on the durable path"),
                 });
             }
-        } else if let Some(log) = &mut self.txn {
+        } else if let Some(Txn { undo: log, .. }) = &mut self.txn {
             for (slot, old, _) in applied {
                 log.push(UndoOp::Update {
                     table: lower.clone(),
@@ -1200,7 +1148,7 @@ impl Database {
             if let Some(row) = t.delete_slot(slot) {
                 n += 1;
                 if durable {
-                    if let Some(log) = &mut self.txn {
+                    if let Some(Txn { undo: log, .. }) = &mut self.txn {
                         log.push(UndoOp::Delete {
                             table: lower.clone(),
                             slot,
@@ -1212,7 +1160,7 @@ impl Database {
                         slot,
                         row,
                     });
-                } else if let Some(log) = &mut self.txn {
+                } else if let Some(Txn { undo: log, .. }) = &mut self.txn {
                     log.push(UndoOp::Delete {
                         table: lower.clone(),
                         slot,
@@ -1402,6 +1350,51 @@ mod tests {
         let mut db = Database::new("x", Dialect::Canonical);
         db.execute("CREATE TABLE t (a INT)").unwrap();
         assert!(db.execute("INSERT INTO t VALUES (b)").is_err());
+    }
+
+    /// Count the rows of a one-row table whose text matches `pattern`,
+    /// on a 2 MiB-stack thread, waiting at most ten seconds.
+    fn like_count_within_deadline(text: String, pattern: String) -> Datum {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut db = Database::new("x", Dialect::Canonical);
+                db.execute("CREATE TABLE t (v TEXT)").unwrap();
+                db.execute(&format!("INSERT INTO t VALUES ('{text}')"))
+                    .unwrap();
+                let sql = format!("SELECT COUNT(*) FROM t WHERE v LIKE '{pattern}'");
+                let answer = db
+                    .execute(&sql)
+                    .map(|out| out.rows().unwrap().rows[0][0].clone());
+                tx.send(answer).expect("the test awaits the answer");
+            })
+            .unwrap();
+        let answer = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the query answers within its deadline");
+        worker.join().expect("the query thread returns");
+        answer.unwrap()
+    }
+
+    /// A recursive matcher takes one stack frame per pattern character,
+    /// so 200 000 `%` overflow a 2 MiB stack and abort the process.
+    #[test]
+    fn a_long_run_of_percent_signs_matches_on_a_small_stack() {
+        assert_eq!(
+            like_count_within_deadline("ward".into(), "%".repeat(200_000)),
+            Datum::Int(1)
+        );
+    }
+
+    /// A recursive matcher retries every split of the text at every
+    /// `%`, which takes exponential time on this pattern.
+    #[test]
+    fn many_percent_signs_before_a_mismatch_finish_quickly() {
+        assert_eq!(
+            like_count_within_deadline("a".repeat(60), "%a%a%a%a%a%a%a%a%a%ab".into()),
+            Datum::Int(0)
+        );
     }
 
     // ---- durable tier ---------------------------------------------------

@@ -17,6 +17,7 @@ use crate::{RelError, RelResult};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
+use webfindit_base::like::like_match;
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -392,27 +393,6 @@ fn from_truth(t: Option<bool>) -> Datum {
         Some(b) => Datum::Bool(b),
         None => Datum::Null,
     }
-}
-
-/// SQL LIKE pattern matching with `%` (any run) and `_` (single char).
-pub fn like_match(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[char], p: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some(('%', rest)) => (0..=t.len()).any(|i| rec(&t[i..], rest)),
-            Some(('_', rest)) => match t.split_first() {
-                Some((_, t_rest)) => rec(t_rest, rest),
-                None => false,
-            },
-            Some((c, rest)) => match t.split_first() {
-                Some((tc, t_rest)) => tc == c && rec(t_rest, rest),
-                None => false,
-            },
-        }
-    }
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&t, &p)
 }
 
 /// Evaluate `expr` in `ctx`. Columns and literals come back borrowed;

@@ -361,11 +361,6 @@ impl PageFileMgr {
         &self.file
     }
 
-    /// Number of (possibly partial) pages currently in the file.
-    pub fn page_count(&self) -> RelResult<u64> {
-        Ok(self.vfs.len(&self.file)?.div_ceil(PAGE_SIZE as u64))
-    }
-
     /// Read page `no`, verifying its checksum. `Ok(None)` means the
     /// page is absent, short, or torn — corruption the caller can
     /// recover from, as opposed to an I/O error.
@@ -428,7 +423,6 @@ mod tests {
         mgr.write_page(0, b"hello pages").unwrap();
         mgr.write_page(1, &[7u8; PAGE_CAPACITY]).unwrap();
         mgr.sync().unwrap();
-        assert_eq!(mgr.page_count().unwrap(), 2);
         assert_eq!(mgr.read_page(0).unwrap().unwrap(), b"hello pages");
         assert_eq!(mgr.read_page(1).unwrap().unwrap().len(), PAGE_CAPACITY);
         assert!(mgr.read_page(2).unwrap().is_none());

@@ -26,11 +26,10 @@
 //!   query arrives in visibly different SQL per "product", which is the
 //!   heterogeneity WebFINDIT's wrappers absorb;
 //! * an optional durable storage tier — a checksummed page file manager
-//!   over a pluggable [`file_mgr::Vfs`] ([`file_mgr`]), a pinning buffer
-//!   pool with clock-sweep eviction ([`buffer`]), an ARIES-style
-//!   write-ahead log ([`wal`]), a recovery manager that repeats history
-//!   and rolls back losers on open ([`recovery`]), and a lock-table
-//!   transaction manager ([`tx`]).
+//!   over a pluggable [`file_mgr::Vfs`] ([`file_mgr`]) that holds the
+//!   checkpoint snapshots, an ARIES-style write-ahead log ([`wal`])
+//!   written at commit, and a recovery manager that repeats history
+//!   and rolls back losers on open ([`recovery`]).
 //!
 //! The engine is deliberately synchronous: the paper's experiments
 //! stress *federation* behaviour, not single-node throughput.
@@ -41,7 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod buffer;
 pub mod dialect;
 pub mod engine;
 pub mod exec;
@@ -52,7 +50,6 @@ pub mod recovery;
 pub mod schema;
 pub mod sql;
 pub mod storage;
-pub mod tx;
 pub mod types;
 pub mod wal;
 
@@ -122,15 +119,14 @@ pub enum RelError {
     TransactionState(String),
     /// The statement is valid SQL but not supported by this engine.
     Unsupported(String),
-    /// Durable storage failed (I/O, buffer pool exhaustion).
+    /// Durable storage failed or was misused (an I/O error, an
+    /// oversized page, a reopen of an in-memory database).
     Storage(String),
     /// On-disk data failed a checksum or decoded to garbage.
     Corrupt(String),
     /// The database crashed (or was crash-injected) and must be
     /// reopened before use.
     Unavailable(String),
-    /// A table lock is held by another live transaction.
-    LockConflict(String),
 }
 
 impl fmt::Display for RelError {
@@ -163,7 +159,6 @@ impl fmt::Display for RelError {
             RelError::Storage(msg) => write!(f, "storage error: {msg}"),
             RelError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
             RelError::Unavailable(msg) => write!(f, "database unavailable: {msg}"),
-            RelError::LockConflict(msg) => write!(f, "lock conflict: {msg}"),
         }
     }
 }

@@ -9,7 +9,7 @@
 //!                   with the highest epoch wins. Points at the active
 //!                   snapshot generation and the WAL watermark.
 //! snap.0 / snap.1   double-buffered checkpoint snapshots, stored as
-//!                   checksummed pages written through the BufferPool.
+//!                   checksummed pages written by [`write_snapshot`].
 //!                   A checkpoint always writes the INACTIVE generation
 //!                   and then flips meta, so the active snapshot is
 //!                   never overwritten in place.
@@ -24,7 +24,6 @@
 //! last page of a snapshot is detected by page checksum and recovery
 //! falls back to the other meta slot rather than panicking.
 
-use crate::buffer::BufferPool;
 use crate::file_mgr::{fnv1a64, PageFileMgr, Vfs, PAGE_CAPACITY};
 use crate::storage::Table;
 use crate::wal::{dec_table_image, enc_table_image, Dec, Enc, LogMgr, TableImage, WalRecord};
@@ -167,38 +166,45 @@ fn decode_snapshot(bytes: &[u8]) -> RelResult<HashMap<String, Table>> {
     Ok(tables)
 }
 
-/// Write `stream` as checksummed pages through `pool`, invoking
-/// `between_pages` after each page write-back (the mid-page-flush
-/// crash point). The pool's file is cleared first so stale pages from
-/// a previous, larger snapshot cannot trail the new one.
+/// Write `stream` as checksummed pages of `mgr`'s file, invoking
+/// `between_pages` after each page write (the mid-page-flush crash
+/// point, and where the caller counts pages), then sync. The file is
+/// cleared first so stale pages from a previous, larger snapshot
+/// cannot trail the new one.
 pub fn write_snapshot(
-    pool: &mut BufferPool,
+    mgr: &PageFileMgr,
     stream: &[u8],
     mut between_pages: impl FnMut() -> RelResult<()>,
 ) -> RelResult<()> {
-    pool.mgr().clear()?;
-    pool.invalidate();
+    mgr.clear()?;
     let chunks: Vec<&[u8]> = if stream.is_empty() {
         vec![&[]]
     } else {
         stream.chunks(PAGE_CAPACITY).collect()
     };
     for (no, chunk) in chunks.iter().enumerate() {
-        let frame = pool.pin_new(no as u64, chunk.to_vec())?;
-        pool.flush_page(no as u64)?;
-        pool.unpin(frame);
+        mgr.write_page(no as u64, chunk)?;
         between_pages()?;
     }
-    pool.mgr().sync()
+    mgr.sync()
 }
 
-/// Load a snapshot previously written by [`write_snapshot`], pinning
-/// pages through `pool`. Errors with [`RelError::Corrupt`] on a
-/// missing or checksum-failing page.
-pub fn load_snapshot(pool: &mut BufferPool) -> RelResult<HashMap<String, Table>> {
-    let first = pool.pin(0)?;
-    let mut bytes = pool.payload(first).to_vec();
-    pool.unpin(first);
+/// Read page `no` of a snapshot; a missing or checksum-failing page is
+/// [`RelError::Corrupt`].
+fn snapshot_page(mgr: &PageFileMgr, no: u64) -> RelResult<Vec<u8>> {
+    mgr.read_page(no)?.ok_or_else(|| {
+        RelError::Corrupt(format!(
+            "page {no} of {} is missing or fails its checksum",
+            mgr.file()
+        ))
+    })
+}
+
+/// Load a snapshot previously written by [`write_snapshot`], reading
+/// its pages in order. Errors with [`RelError::Corrupt`] on a missing
+/// or checksum-failing page.
+pub fn load_snapshot(mgr: &PageFileMgr) -> RelResult<HashMap<String, Table>> {
+    let mut bytes = snapshot_page(mgr, 0)?;
     if bytes.len() < 8 {
         return Err(RelError::Corrupt("snapshot header short".into()));
     }
@@ -206,13 +212,8 @@ pub fn load_snapshot(pool: &mut BufferPool) -> RelResult<HashMap<String, Table>>
     let total = body_len + 8;
     let mut no = 1u64;
     while bytes.len() < total {
-        let frame = pool.pin(no)?;
-        bytes.extend_from_slice(pool.payload(frame));
-        pool.unpin(frame);
+        bytes.extend_from_slice(&snapshot_page(mgr, no)?);
         no += 1;
-    }
-    if bytes.len() < total {
-        return Err(RelError::Corrupt("snapshot body short".into()));
     }
     decode_snapshot(&bytes[8..total])
 }
@@ -255,7 +256,7 @@ pub struct Recovered {
 /// than panicking.
 fn redo(tables: &mut HashMap<String, Table>, rec: &WalRecord) -> bool {
     match rec {
-        WalRecord::Begin { .. } | WalRecord::Commit { .. } | WalRecord::Abort { .. } => false,
+        WalRecord::Begin { .. } | WalRecord::Commit { .. } => false,
         WalRecord::Insert {
             table, slot, row, ..
         } => {
@@ -311,7 +312,7 @@ fn redo(tables: &mut HashMap<String, Table>, rec: &WalRecord) -> bool {
 /// UNDO one record (loser transactions, reverse log order).
 fn undo(tables: &mut HashMap<String, Table>, rec: &WalRecord) -> bool {
     match rec {
-        WalRecord::Begin { .. } | WalRecord::Commit { .. } | WalRecord::Abort { .. } => false,
+        WalRecord::Begin { .. } | WalRecord::Commit { .. } => false,
         WalRecord::Insert { table, slot, .. } => {
             if let Some(t) = tables.get_mut(table) {
                 t.delete_slot(*slot as usize);
@@ -355,10 +356,9 @@ fn undo(tables: &mut HashMap<String, Table>, rec: &WalRecord) -> bool {
 
 /// Recover the database on `vfs` to its last committed state.
 ///
-/// `pool_capacity` sizes the buffer pool used to read snapshot pages.
 /// The WAL is truncated past its last valid record as a side effect
 /// (so a reopened log manager can append immediately).
-pub fn recover(vfs: &Arc<dyn Vfs>, pool_capacity: usize) -> RelResult<Recovered> {
+pub fn recover(vfs: &Arc<dyn Vfs>) -> RelResult<Recovered> {
     let mut stats = RecoveryStats::default();
 
     // 1. Superblock: best meta slot first; each candidate names a
@@ -373,9 +373,7 @@ pub fn recover(vfs: &Arc<dyn Vfs>, pool_capacity: usize) -> RelResult<Recovered>
     let mut chosen: Option<(Option<Meta>, HashMap<String, Table>, u64)> = None;
     for (meta, gen, watermark) in candidates.iter() {
         let tables = if meta.is_some() {
-            let mgr = PageFileMgr::new(Arc::clone(vfs), snap_file(*gen));
-            let mut pool = BufferPool::new(mgr, pool_capacity);
-            match load_snapshot(&mut pool) {
+            match load_snapshot(&PageFileMgr::new(Arc::clone(vfs), snap_file(*gen))) {
                 Ok(t) => t,
                 Err(_) => {
                     stats.snapshot_fallbacks += 1;
@@ -501,12 +499,15 @@ mod tests {
         let stream = encode_snapshot(&tables);
         assert!(stream.len() > PAGE_CAPACITY, "multi-page snapshot");
         let mgr = PageFileMgr::new(Arc::clone(&vfs), snap_file(0));
-        let mut pool = BufferPool::new(mgr, 2);
-        write_snapshot(&mut pool, &stream, || Ok(())).unwrap();
+        let mut pages = 0;
+        write_snapshot(&mgr, &stream, || {
+            pages += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(pages, stream.len().div_ceil(PAGE_CAPACITY));
 
-        let mgr2 = PageFileMgr::new(Arc::clone(&vfs), snap_file(0));
-        let mut pool2 = BufferPool::new(mgr2, 2);
-        let loaded = load_snapshot(&mut pool2).unwrap();
+        let loaded = load_snapshot(&PageFileMgr::new(Arc::clone(&vfs), snap_file(0))).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded["beds"].len(), 500);
         assert_eq!(
@@ -518,7 +519,7 @@ mod tests {
     #[test]
     fn recover_from_nothing_is_empty() {
         let (_v, vfs) = dyn_vfs();
-        let r = recover(&vfs, 4).unwrap();
+        let r = recover(&vfs).unwrap();
         assert!(r.tables.is_empty());
         assert_eq!(r.next_tx, 1);
         assert_eq!(r.wal_tail, 0);
@@ -569,7 +570,7 @@ mod tests {
         }
         log.flush().unwrap();
 
-        let r = recover(&vfs, 4).unwrap();
+        let r = recover(&vfs).unwrap();
         let beds = &r.tables["beds"];
         assert_eq!(beds.len(), 1, "loser insert rolled back");
         assert_eq!(
@@ -595,7 +596,7 @@ mod tests {
         vfs.truncate(WAL_FILE, full - 5).unwrap();
         vfs.sync(WAL_FILE).unwrap();
 
-        let r = recover(&vfs, 4).unwrap();
+        let r = recover(&vfs).unwrap();
         assert_eq!(r.stats.torn_tail_truncations, 1);
         assert_eq!(r.wal_tail, good);
         assert_eq!(vfs.len(WAL_FILE).unwrap(), good, "tail physically dropped");
@@ -610,8 +611,7 @@ mod tests {
             let mut tables = HashMap::new();
             tables.insert("beds".to_string(), beds_table(rows));
             let mgr = PageFileMgr::new(Arc::clone(&vfs), snap_file(gen));
-            let mut pool = BufferPool::new(mgr, 4);
-            write_snapshot(&mut pool, &encode_snapshot(&tables), || Ok(())).unwrap();
+            write_snapshot(&mgr, &encode_snapshot(&tables), || Ok(())).unwrap();
             write_meta(
                 &vfs,
                 &Meta {
@@ -624,12 +624,12 @@ mod tests {
             .unwrap();
         }
         // Intact: newest meta wins.
-        let r = recover(&vfs, 4).unwrap();
+        let r = recover(&vfs).unwrap();
         assert_eq!(r.tables["beds"].len(), 5);
         assert_eq!(r.stats.snapshot_fallbacks, 0);
         // Corrupt gen 1's pages: recovery falls back to gen 0.
         sim.corrupt(&snap_file(1), 30, &[0xde, 0xad]);
-        let r = recover(&vfs, 4).unwrap();
+        let r = recover(&vfs).unwrap();
         assert_eq!(r.tables["beds"].len(), 3);
         assert_eq!(r.stats.snapshot_fallbacks, 1);
     }

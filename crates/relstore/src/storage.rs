@@ -328,11 +328,6 @@ impl Table {
         self.slots.get(slot).and_then(Option::as_ref)
     }
 
-    /// Positions of the primary-key columns.
-    pub fn pk_columns(&self) -> &[usize] {
-        &self.pk_cols
-    }
-
     /// Create a secondary index named `name` over `column`.
     pub fn create_index(&mut self, name: &str, column: usize) -> RelResult<()> {
         let lower = name.to_ascii_lowercase();

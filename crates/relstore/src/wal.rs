@@ -37,11 +37,6 @@ pub enum WalRecord {
         /// Transaction id.
         tx: u64,
     },
-    /// Transaction `tx` rolled back in memory before the crash.
-    Abort {
-        /// Transaction id.
-        tx: u64,
-    },
     /// A row was inserted into `table` at `slot`.
     Insert {
         /// Transaction id.
@@ -110,7 +105,6 @@ impl WalRecord {
         match self {
             WalRecord::Begin { tx }
             | WalRecord::Commit { tx }
-            | WalRecord::Abort { tx }
             | WalRecord::Insert { tx, .. }
             | WalRecord::Delete { tx, .. }
             | WalRecord::Update { tx, .. }
@@ -401,6 +395,9 @@ pub(crate) fn dec_table_image(d: &mut Dec<'_>) -> RelResult<TableImage> {
     })
 }
 
+/// Record tags are part of the on-disk format. Tag 2 belonged to an
+/// abort record, never written since commits started appending whole
+/// batches; it stays unassigned.
 fn encode_record(rec: &WalRecord) -> Vec<u8> {
     let mut e = Enc::new();
     match rec {
@@ -410,10 +407,6 @@ fn encode_record(rec: &WalRecord) -> Vec<u8> {
         }
         WalRecord::Commit { tx } => {
             e.u8(1);
-            e.u64(*tx);
-        }
-        WalRecord::Abort { tx } => {
-            e.u8(2);
             e.u64(*tx);
         }
         WalRecord::Insert {
@@ -485,7 +478,6 @@ fn decode_record(payload: &[u8]) -> RelResult<WalRecord> {
     let rec = match d.u8()? {
         0 => WalRecord::Begin { tx: d.u64()? },
         1 => WalRecord::Commit { tx: d.u64()? },
-        2 => WalRecord::Abort { tx: d.u64()? },
         3 => WalRecord::Insert {
             tx: d.u64()?,
             table: d.str()?,
@@ -547,8 +539,6 @@ pub struct LogMgr {
     vfs: Arc<dyn Vfs>,
     file: String,
     tail: u64,
-    appends: u64,
-    flushes: u64,
 }
 
 impl LogMgr {
@@ -558,19 +548,12 @@ impl LogMgr {
             vfs,
             file: file.into(),
             tail,
-            appends: 0,
-            flushes: 0,
         }
     }
 
     /// Byte offset the next append will land at (the next LSN).
     pub fn tail(&self) -> u64 {
         self.tail
-    }
-
-    /// `(appends, flushes)` since this manager was created.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.appends, self.flushes)
     }
 
     /// Append `rec`, returning its LSN (byte offset). Not durable
@@ -584,15 +567,12 @@ impl LogMgr {
         let lsn = self.tail;
         self.vfs.write_at(&self.file, lsn, &frame)?;
         self.tail += frame.len() as u64;
-        self.appends += 1;
         Ok(lsn)
     }
 
     /// Force the log to durable storage.
     pub fn flush(&mut self) -> RelResult<()> {
-        self.vfs.sync(&self.file)?;
-        self.flushes += 1;
-        Ok(())
+        self.vfs.sync(&self.file)
     }
 
     /// Scan all records from `start`. Decoding stops at the first
@@ -695,11 +675,6 @@ impl CrashInjector {
         self.armed = Some((point, n.max(1)));
     }
 
-    /// Disarm without firing.
-    pub fn disarm(&mut self) {
-        self.armed = None;
-    }
-
     /// Report an occurrence of `point`; true means "crash now" (the
     /// injector disarms itself).
     pub fn hit(&mut self, point: CrashPoint) -> bool {
@@ -769,7 +744,6 @@ mod tests {
                 column: 1,
             },
             WalRecord::Commit { tx: 1 },
-            WalRecord::Abort { tx: 2 },
         ]
     }
 

@@ -1,12 +1,11 @@
-//! Multi-statement isolation tests for the lock-table transaction
-//! manager under concurrent connection load (the open ROADMAP item).
+//! Multi-statement isolation tests for the engine's one-transaction-
+//! at-a-time rule under concurrent connection load.
 //!
 //! Two contracts are pinned here:
 //!
 //! * **No-wait admission.** The engine admits one open transaction at
 //!   a time; a second connection's `BEGIN` is rejected immediately
-//!   (never blocked, never deadlocked), and the lock table's no-wait
-//!   conflict rule behaves the same way for individual tables.
+//!   (never blocked, never deadlocked).
 //! * **Atomic interleaving.** Connections that retry around the
 //!   rejection commit exactly their own multi-statement work: after a
 //!   concurrent run the table holds every committed row and nothing
@@ -14,7 +13,6 @@
 
 use std::sync::{Arc, Mutex};
 use webfindit_relstore::file_mgr::{SimVfs, Vfs};
-use webfindit_relstore::tx::TxManager;
 use webfindit_relstore::{Database, Datum, Dialect, RelError};
 
 fn durable_db() -> Database {
@@ -80,73 +78,6 @@ fn rollback_undoes_the_whole_multi_statement_transaction() {
         .rows
         .clone();
     assert_eq!(rs, vec![vec![Datum::Int(100)]], "update undone");
-}
-
-#[test]
-fn lock_table_no_wait_conflicts_across_logical_transactions() {
-    // The lock table itself, driven as two interleaving multi-statement
-    // transactions: exclusive table locks, immediate conflict for the
-    // non-holder, full release at commit/rollback boundaries.
-    let mut txm = TxManager::new(1);
-    let a = txm.begin();
-    let b = txm.begin();
-    // A's statements touch two tables.
-    txm.lock(a, "accounts").unwrap();
-    txm.lock(a, "audit").unwrap();
-    // B conflicts on both, no-wait, but proceeds elsewhere.
-    assert!(matches!(
-        txm.lock(b, "accounts"),
-        Err(RelError::LockConflict(_))
-    ));
-    assert!(matches!(
-        txm.lock(b, "audit"),
-        Err(RelError::LockConflict(_))
-    ));
-    txm.lock(b, "sessions").unwrap();
-    assert_eq!(txm.locked_tables(), 3);
-    // A commits: everything it held frees in one step.
-    txm.release(a);
-    txm.lock(b, "accounts").unwrap();
-    txm.lock(b, "audit").unwrap();
-    txm.release(b);
-    assert_eq!(txm.locked_tables(), 0, "no lock survives its transaction");
-}
-
-#[test]
-fn lock_table_stays_consistent_under_concurrent_load() {
-    let txm = Arc::new(Mutex::new(TxManager::new(1)));
-    let tables = ["accounts", "audit", "sessions", "claims"];
-    let mut handles = Vec::new();
-    for t in 0..4usize {
-        let txm = Arc::clone(&txm);
-        handles.push(std::thread::spawn(move || {
-            let mut conflicts = 0u32;
-            for round in 0..50 {
-                let mut guard = txm.lock().unwrap();
-                let tx = guard.begin();
-                // Each "statement" locks a couple of tables; conflicts
-                // abort the transaction no-wait, like the engine does.
-                let mut aborted = false;
-                for k in 0..2 {
-                    let table = tables[(t + round + k) % tables.len()];
-                    if guard.lock(tx, table).is_err() {
-                        conflicts += 1;
-                        aborted = true;
-                        break;
-                    }
-                }
-                let _ = aborted;
-                guard.release(tx);
-            }
-            conflicts
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let guard = txm.lock().unwrap();
-    assert_eq!(guard.locked_tables(), 0, "load leaves no stray locks");
-    assert_eq!(guard.next_tx(), 201, "every begin got a unique id");
 }
 
 #[test]

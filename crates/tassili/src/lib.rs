@@ -49,6 +49,13 @@ pub enum TassiliError {
         /// Byte offset where it was noticed.
         offset: usize,
     },
+    /// The input nests deeper than [`parser::MAX_DEPTH`].
+    TooDeep {
+        /// The nesting limit.
+        limit: usize,
+        /// Byte offset where the limit was reached.
+        offset: usize,
+    },
     /// A translation was requested that the target cannot express.
     Translate(String),
 }
@@ -59,6 +66,10 @@ impl fmt::Display for TassiliError {
             TassiliError::Parse { message, offset } => {
                 write!(f, "WebTassili parse error at byte {offset}: {message}")
             }
+            TassiliError::TooDeep { limit, offset } => write!(
+                f,
+                "WebTassili parse error at byte {offset}: statement nests deeper than {limit} levels"
+            ),
             TassiliError::Translate(msg) => write!(f, "translation error: {msg}"),
         }
     }

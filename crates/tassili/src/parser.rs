@@ -8,10 +8,21 @@ use crate::ast::{Arg, FedScope, LinkTarget, Literal, PredOp, Predicate, SemiJoin
 use crate::lexer::{tokenize, Spanned, Tok};
 use crate::{TassiliError, TassiliResult};
 
+/// How deeply a statement may nest: each `Explain` prefix is one
+/// level, and so is each parenthesis or `Not` in a predicate argument.
+/// Parsing recurses once per level, so without a bound a peer could
+/// send a short statement that overflows the parsing thread's stack,
+/// which aborts the whole process.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse one WebTassili statement (trailing `;` optional).
 pub fn parse(input: &str) -> TassiliResult<Statement> {
     let toks = tokenize(input)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.statement()?;
     p.eat_sym(";");
     p.expect_eof()?;
@@ -21,9 +32,26 @@ pub fn parse(input: &str) -> TassiliResult<Statement> {
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Levels currently open, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
+    /// Parse one more level of nesting, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested<T>(&mut self, level: fn(&mut Parser) -> TassiliResult<T>) -> TassiliResult<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(TassiliError::TooDeep {
+                limit: MAX_DEPTH,
+                offset: self.offset(),
+            });
+        }
+        self.depth += 1;
+        let t = level(self);
+        self.depth -= 1;
+        t
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].0
     }
@@ -314,7 +342,7 @@ impl Parser {
             });
         }
         if self.eat_kw("explain") {
-            let inner = self.statement()?;
+            let inner = self.nested(Parser::statement)?;
             return Ok(Statement::Explain(Box::new(inner)));
         }
         self.err(format!("unrecognized statement start: {:?}", self.peek()))
@@ -440,11 +468,11 @@ impl Parser {
 
     fn pred_not(&mut self) -> TassiliResult<Predicate> {
         if self.eat_kw("not") {
-            let inner = self.pred_not()?;
+            let inner = self.nested(Parser::pred_not)?;
             return Ok(Predicate::Not(Box::new(inner)));
         }
         if self.eat_sym("(") {
-            let inner = self.pred_or()?;
+            let inner = self.nested(Parser::pred_or)?;
             if !self.eat_sym(")") {
                 return self.err("expected ')'");
             }
@@ -788,6 +816,46 @@ mod tests {
             let stmt = parse(text).unwrap();
             let printed = stmt.to_string();
             assert_eq!(parse(&printed).unwrap(), stmt, "roundtrip of {text}");
+        }
+    }
+
+    /// Nesting up to the limit parses and one level more is refused.
+    /// Without the limit, 20 000 nested parentheses, `Not`s or
+    /// `Explain`s recurse once per level and overflow a 2 MiB thread
+    /// stack, which aborts the process.
+    #[test]
+    fn deep_nesting_is_refused_on_a_small_stack() {
+        let parens = |n: usize| {
+            format!(
+                "Invoke T.F({}A.x = 1{}) On Instance D;",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        // The argument's own parenthesis is the first level.
+        let nots = |n: usize| format!("Invoke T.F(({}A.x = 1)) On Instance D;", "Not ".repeat(n));
+        let explains = |n: usize| format!("{}Invoke T.F() On Instance D;", "Explain ".repeat(n));
+        for text in [parens(MAX_DEPTH), nots(MAX_DEPTH - 1), explains(MAX_DEPTH)] {
+            assert!(parse(&text).is_ok(), "{text}");
+        }
+        for text in [
+            parens(MAX_DEPTH + 1),
+            nots(MAX_DEPTH),
+            explains(MAX_DEPTH + 1),
+        ] {
+            assert!(
+                matches!(parse(&text), Err(TassiliError::TooDeep { limit: 64, .. })),
+                "{text}"
+            );
+        }
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || [parens(20_000), nots(20_000), explains(20_000)].map(|t| parse(&t)))
+            .unwrap()
+            .join()
+            .expect("parser thread returns");
+        for res in deep {
+            assert!(matches!(res, Err(TassiliError::TooDeep { .. })), "{res:?}");
         }
     }
 }

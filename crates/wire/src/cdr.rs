@@ -440,11 +440,6 @@ impl<'a> CdrReader<'a> {
         let len = self.read_ulong_seq_len()? as usize;
         Ok(self.take(len)?.to_vec())
     }
-
-    /// Read `n` raw bytes with no length prefix.
-    pub fn read_raw(&mut self, n: usize) -> WireResult<&'a [u8]> {
-        self.take(n)
-    }
 }
 
 /// Helper namespace for defensive size checking on sequence lengths.
