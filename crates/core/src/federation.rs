@@ -35,7 +35,7 @@ use webfindit_orb::naming::{IorCache, NamingClient, NamingService, NAMING_OBJECT
 use webfindit_orb::{CallOptions, Invocation, Orb, OrbConfig, OrbDomain};
 use webfindit_relstore::{Database, Dialect};
 use webfindit_wire::cdr::ByteOrder;
-use webfindit_wire::{Ior, Value};
+use webfindit_wire::{CdrReader, Ior, Value};
 
 /// Which product a site runs, deciding dialect, URL scheme, and bridge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,9 +263,20 @@ impl Federation {
     /// (discovery, query processor, baselines) route through this, so a
     /// deadline set on the federation bounds every remote hop.
     pub fn invoke(&self, ior: &Ior, operation: &str, args: &[Value]) -> WfResult<Value> {
-        Ok(self
-            .bootstrap_orb
-            .invoke_with(ior, operation, args, &self.call_options())?)
+        self.invoke_as(ior, operation, args, |r| Ok(Value::decode(r)?))
+    }
+
+    /// [`Federation::invoke`] with the caller's decoder of a successful
+    /// result (see [`Orb::invoke_as`]).
+    pub fn invoke_as<T>(
+        &self,
+        ior: &Ior,
+        operation: &str,
+        args: &[Value],
+        decode: impl Fn(&mut CdrReader<'_>) -> WfResult<T>,
+    ) -> WfResult<T> {
+        self.bootstrap_orb
+            .invoke_as(ior, operation, args, &self.call_options(), decode)
     }
 
     /// Pipeline `operation` on every `(target, args)` through the client

@@ -128,6 +128,13 @@ impl From<webfindit_orb::OrbError> for WebfinditError {
         WebfinditError::Orb(e)
     }
 }
+/// A result that does not decode is the communication layer's failure:
+/// the bytes came off the wire.
+impl From<webfindit_wire::WireError> for WebfinditError {
+    fn from(e: webfindit_wire::WireError) -> Self {
+        WebfinditError::Orb(webfindit_orb::OrbError::Wire(e))
+    }
+}
 impl From<webfindit_connect::ConnectError> for WebfinditError {
     fn from(e: webfindit_connect::ConnectError) -> Self {
         WebfinditError::Connect(e)

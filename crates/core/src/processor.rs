@@ -12,13 +12,13 @@ use crate::federation::Federation;
 use crate::fedquery::{FedExecutor, FedOutcome};
 use crate::session::BrowserSession;
 use crate::trace::{Layer, Trace};
-use crate::value_map::{value_to_descriptor, value_to_result_set, value_to_strings};
+use crate::value_map::{is_result_set, read_result_set, value_to_descriptor, value_to_strings};
 use crate::{WebfinditError, WfResult};
 use std::sync::Arc;
 use webfindit_codb::{InformationSource, LinkEnd, ServiceLink};
 use webfindit_relstore::exec::ResultSet;
 use webfindit_tassili::{parse, translate_invoke_to_sql, Statement};
-use webfindit_wire::{Ior, Value};
+use webfindit_wire::{CdrReader, Ior, Value};
 
 /// What the processor hands back to the browser.
 #[derive(Debug, Clone, PartialEq)]
@@ -495,7 +495,9 @@ impl Processor {
                 self.fed.client_orb().metrics().snapshot().iter(),
             );
         }
-        let v = self.fed.invoke(&ior, "execute", &[Value::string(query)])?;
+        let response =
+            self.fed
+                .invoke_as(&ior, "execute", &[Value::string(query)], decode_isi_output)?;
         if let Some(t) = trace {
             // The site's ISI servant counts the data-layer work it does;
             // annotate the Data-layer event with its totals.
@@ -505,32 +507,35 @@ impl Processor {
                 Err(_) => t.event(Layer::Data, message),
             }
         }
-        self.decode_isi_output(&v)
+        Ok(response)
     }
+}
 
-    fn decode_isi_output(&self, v: &Value) -> WfResult<Response> {
-        if v.field("object_rows").is_some() {
-            let columns = value_to_strings(
-                v.field("columns")
-                    .ok_or_else(|| WebfinditError::Protocol("missing columns".into()))?,
-            )?;
-            let mut rows = Vec::new();
-            if let Some(seq) = v.field("rows").and_then(Value::as_sequence) {
-                for r in seq {
-                    let cells = r
-                        .as_sequence()
-                        .ok_or_else(|| WebfinditError::Protocol("bad object row".into()))?;
-                    rows.push(cells.iter().map(|c| c.to_string()).collect());
-                }
-            }
-            return Ok(Response::Objects { columns, rows });
-        }
-        if v.field("columns").is_some() {
-            return Ok(Response::Table(value_to_result_set(v)?));
-        }
-        if let Some(n) = v.field("count") {
-            return Ok(Response::Scalar(format!("{n} row(s) affected")));
-        }
-        Ok(Response::Scalar(v.to_string()))
+/// Decode an ISI's answer: a table straight into a [`ResultSet`], any
+/// other shape (objects, a count, void, a scalar) through its [`Value`].
+fn decode_isi_output(r: &mut CdrReader<'_>) -> WfResult<Response> {
+    if is_result_set(r) {
+        return Ok(Response::Table(read_result_set(r)?));
     }
+    let v = Value::decode(r)?;
+    if v.field("object_rows").is_some() {
+        let columns = value_to_strings(
+            v.field("columns")
+                .ok_or_else(|| WebfinditError::Protocol("missing columns".into()))?,
+        )?;
+        let mut rows = Vec::new();
+        if let Some(seq) = v.field("rows").and_then(Value::as_sequence) {
+            for r in seq {
+                let cells = r
+                    .as_sequence()
+                    .ok_or_else(|| WebfinditError::Protocol("bad object row".into()))?;
+                rows.push(cells.iter().map(|c| c.to_string()).collect());
+            }
+        }
+        return Ok(Response::Objects { columns, rows });
+    }
+    if let Some(n) = v.field("count") {
+        return Ok(Response::Scalar(format!("{n} row(s) affected")));
+    }
+    Ok(Response::Scalar(v.to_string()))
 }

@@ -8,8 +8,7 @@
 
 use crate::discovery::probe_reply;
 use crate::value_map::{
-    descriptor_to_value, ovalue_to_value, result_set_to_value, strings_to_value,
-    value_to_descriptor,
+    descriptor_to_value, ovalue_to_value, strings_to_value, value_to_descriptor, write_result_set,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -18,7 +17,7 @@ use webfindit_codb::{CoDatabase, LinkEnd, ServiceLink};
 use webfindit_connect::{CompensatingConnection, Connection, DriverManager, QueryOutput};
 use webfindit_oostore::OValue;
 use webfindit_orb::servant::{InvokeResult, Servant, ServantError};
-use webfindit_wire::Value;
+use webfindit_wire::{ByteOrder, CdrReader, CdrWriter, Value};
 
 /// Interface id of co-database servants.
 pub const CODB_INTERFACE_ID: &str = "IDL:webfindit/CoDatabase:1.0";
@@ -404,17 +403,24 @@ impl IsiServant {
     fn tx_control(
         &self,
         f: impl FnOnce(&mut CompensatingConnection) -> webfindit_connect::ConnectResult<QueryOutput>,
-    ) -> InvokeResult {
+        out: &mut CdrWriter,
+    ) -> Result<(), ServantError> {
         let mut conn = self.open()?;
-        let out = f(&mut conn).map_err(|e| ServantError::Application(e.to_string()))?;
+        let done = f(&mut conn).map_err(|e| ServantError::Application(e.to_string()))?;
         self.report_data_metrics(&conn);
-        Ok(output_to_value(out))
+        write_output(done, out)
     }
 }
 
-fn output_to_value(out: QueryOutput) -> Value {
-    match out {
-        QueryOutput::Rows(rs) => result_set_to_value(&rs),
+fn marshal(e: webfindit_wire::WireError) -> ServantError {
+    ServantError::Marshal(e.to_string())
+}
+
+/// Write a data-layer answer into a reply: a table through the typed
+/// table codec, anything else as its [`Value`].
+fn write_output(out: QueryOutput, w: &mut CdrWriter) -> Result<(), ServantError> {
+    let value = match out {
+        QueryOutput::Rows(rs) => return write_result_set(&rs, w).map_err(marshal),
         QueryOutput::Count(n) => Value::record([("count", Value::ULong(n as u32))]),
         QueryOutput::Done => Value::Void,
         QueryOutput::Objects { columns, rows } => Value::record([
@@ -437,7 +443,8 @@ fn output_to_value(out: QueryOutput) -> Value {
             ("object_rows", Value::Bool(true)),
         ]),
         QueryOutput::Value(v) => ovalue_to_value(&v),
-    }
+    };
+    value.encode(w).map_err(marshal)
 }
 
 fn value_to_ovalue(v: &Value) -> Result<OValue, ServantError> {
@@ -468,9 +475,23 @@ impl Servant for IsiServant {
         ISI_INTERFACE_ID
     }
 
+    /// [`IsiServant::invoke_into`], read back: the ISI has one encoder.
     fn invoke(&self, operation: &str, args: &[Value]) -> InvokeResult {
+        let order = ByteOrder::BigEndian;
+        let mut w = CdrWriter::new(order);
+        self.invoke_into(operation, args, &mut w)?;
+        let bytes = w.into_bytes();
+        Value::decode(&mut CdrReader::new(&bytes, order)).map_err(marshal)
+    }
+
+    fn invoke_into(
+        &self,
+        operation: &str,
+        args: &[Value],
+        out: &mut CdrWriter,
+    ) -> Result<(), ServantError> {
         self.stall.wait();
-        match operation {
+        let value = match operation {
             "execute" => {
                 let text = arg_str(args, 0, "a query string")?;
                 // Optional second argument: a server-side row cap. The
@@ -488,14 +509,14 @@ impl Servant for IsiServant {
                     }
                 };
                 let mut conn = self.open()?;
-                let mut out = conn
+                let mut done = conn
                     .execute(&text)
                     .map_err(|e| ServantError::Application(e.to_string()))?;
                 if let Some(n) = max_rows {
-                    out.truncate(n);
+                    done.truncate(n);
                 }
                 self.report_data_metrics(&conn);
-                Ok(output_to_value(out))
+                return write_output(done, out);
             }
             "invoke_function" => {
                 let method = arg_str(args, 0, "a Class.method name")?;
@@ -504,17 +525,17 @@ impl Servant for IsiServant {
                     ovals.push(value_to_ovalue(a)?);
                 }
                 let mut conn = self.open()?;
-                let out = conn
+                let done = conn
                     .invoke(&method, &ovals)
                     .map_err(|e| ServantError::Application(e.to_string()))?;
-                Ok(output_to_value(out))
+                return write_output(done, out);
             }
             "interface_of" => {
                 let conn = self.open()?;
                 let md = conn
                     .metadata()
                     .map_err(|e| ServantError::Resource(e.to_string()))?;
-                Ok(Value::record([
+                Value::record([
                     ("product", Value::Str(md.product)),
                     ("instance", Value::Str(md.instance)),
                     (
@@ -530,17 +551,18 @@ impl Servant for IsiServant {
                         "classes",
                         Value::Sequence(md.classes.into_iter().map(Value::Str).collect()),
                     ),
-                ]))
+                ])
             }
             "bridge" => {
                 let conn = self.open()?;
-                Ok(Value::string(conn.bridge().to_string()))
+                Value::string(conn.bridge().to_string())
             }
-            "begin" => self.tx_control(|c| c.begin()),
-            "commit" => self.tx_control(|c| c.commit()),
-            "rollback" => self.tx_control(|c| c.rollback()),
-            other => Err(ServantError::UnknownOperation(other.to_owned())),
-        }
+            "begin" => return self.tx_control(|c| c.begin(), out),
+            "commit" => return self.tx_control(|c| c.commit(), out),
+            "rollback" => return self.tx_control(|c| c.rollback(), out),
+            other => return Err(ServantError::UnknownOperation(other.to_owned())),
+        };
+        value.encode(out).map_err(marshal)
     }
 
     fn operations(&self) -> Vec<String> {

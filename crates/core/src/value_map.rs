@@ -1,56 +1,153 @@
-//! Serialization between engine-level results and wire [`Value`]s.
+//! Serialization between engine-level results and the wire.
 //!
-//! Everything crossing an ORB boundary is a self-describing [`Value`];
-//! these helpers define the canonical encodings for relational result
-//! sets, object rows, and information-source descriptors, with strict
-//! decoders (malformed payloads become [`WebfinditError::Protocol`]).
+//! Descriptors, object rows and name lists cross an ORB boundary as
+//! self-describing [`Value`]s, with strict decoders (malformed payloads
+//! become [`WebfinditError::Protocol`]). A relational table skips the
+//! `Value` tree: [`write_result_set`] writes a [`ResultSet`] straight
+//! into a reply frame and [`read_result_set`] reads it straight back.
+//! The bytes are those `Value::encode` writes for the record
+//! `{columns: [Str], rows: [[cell]]}`, a date cell being `{date: "iso"}`.
 
 use crate::{WebfinditError, WfResult};
 use webfindit_codb::{ExportedFunction, ExportedType, InformationSource};
 use webfindit_oostore::OValue;
 use webfindit_relstore::exec::ResultSet;
-use webfindit_relstore::types::{format_date, Datum};
-use webfindit_wire::Value;
+use webfindit_relstore::types::{format_date, parse_date, Datum};
+use webfindit_wire::value::tag;
+use webfindit_wire::{CdrReader, CdrWriter, Value, WireError, WireResult};
 
-/// Encode a [`Datum`] (dates travel as ISO strings tagged by position).
-pub fn datum_to_value(d: &Datum) -> Value {
-    match d {
-        Datum::Null => Value::Null,
-        Datum::Int(v) => Value::LongLong(*v),
-        Datum::Double(v) => Value::Double(*v),
-        Datum::Text(s) => Value::Str(s.clone()),
-        Datum::Bool(b) => Value::Bool(*b),
-        Datum::Date(days) => Value::record([("date", Value::string(format_date(*days)))]),
+/// Write `rs` as the record `{columns: [Str], rows: [[cell]]}`.
+pub fn write_result_set(rs: &ResultSet, w: &mut CdrWriter) -> WireResult<()> {
+    w.write_octet(tag::STRUCT);
+    w.write_ulong(2);
+    w.write_string("columns")?;
+    write_count(w, rs.columns.len());
+    for c in &rs.columns {
+        w.write_octet(tag::STRING);
+        w.write_string(c)?;
+    }
+    w.write_string("rows")?;
+    write_count(w, rs.rows.len());
+    for row in &rs.rows {
+        write_count(w, row.len());
+        for d in row {
+            match d {
+                Datum::Null => w.write_octet(tag::NULL),
+                Datum::Int(v) => {
+                    w.write_octet(tag::LONGLONG);
+                    w.write_longlong(*v);
+                }
+                Datum::Double(v) => {
+                    w.write_octet(tag::DOUBLE);
+                    w.write_double(*v);
+                }
+                Datum::Text(s) => {
+                    w.write_octet(tag::STRING);
+                    w.write_string(s)?;
+                }
+                Datum::Bool(b) => {
+                    w.write_octet(tag::BOOL);
+                    w.write_bool(*b);
+                }
+                Datum::Date(days) => {
+                    w.write_octet(tag::STRUCT);
+                    w.write_ulong(1);
+                    w.write_string("date")?;
+                    w.write_octet(tag::STRING);
+                    w.write_string(&format_date(*days))?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+fn write_count(w: &mut CdrWriter, n: usize) {
+    w.write_octet(tag::SEQUENCE);
+    w.write_ulong(n as u32);
+}
+
+/// True when `r` is at a two-field record whose first field is
+/// `columns`: a table. Looks ahead without consuming.
+pub fn is_result_set(r: &CdrReader<'_>) -> bool {
+    let mut r = r.clone();
+    r.read_octet().is_ok_and(|t| t == tag::STRUCT)
+        && r.read_ulong().is_ok_and(|n| n == 2)
+        && r.read_str().is_ok_and(|name| name == "columns")
+}
+
+/// Read what [`write_result_set`] wrote, with the checks `Value::decode`
+/// makes: every tag is checked, every count is checked against the bytes
+/// left before anything is sized by it, and bad UTF-8 or a bad date is an
+/// error, never a panic.
+pub fn read_result_set(r: &mut CdrReader<'_>) -> WfResult<ResultSet> {
+    expect_tag(r, tag::STRUCT, "result set")?;
+    if r.read_ulong()? != 2 || r.read_str()? != "columns" {
+        return Err(WebfinditError::Protocol("result set lacks columns".into()));
+    }
+    let mut columns = Vec::with_capacity(read_count(r, "result set columns")?);
+    for _ in 0..columns.capacity() {
+        expect_tag(r, tag::STRING, "result set column name")?;
+        columns.push(r.read_string()?);
+    }
+    if r.read_str()? != "rows" {
+        return Err(WebfinditError::Protocol("result set lacks rows".into()));
+    }
+    let mut rows = Vec::with_capacity(read_count(r, "result set rows")?);
+    for _ in 0..rows.capacity() {
+        let mut row = Vec::with_capacity(read_count(r, "result set row")?);
+        for _ in 0..row.capacity() {
+            row.push(read_datum(r)?);
+        }
+        rows.push(row);
+    }
+    Ok(ResultSet { columns, rows })
+}
+
+fn expect_tag(r: &mut CdrReader<'_>, want: u8, context: &'static str) -> WireResult<()> {
+    match r.read_octet()? {
+        t if t == want => Ok(()),
+        t => Err(WireError::BadTag {
+            context,
+            tag: t.into(),
+        }),
     }
 }
 
-/// Decode a [`Datum`].
-pub fn value_to_datum(v: &Value) -> WfResult<Datum> {
-    Ok(match v {
-        Value::Null | Value::Void => Datum::Null,
-        Value::LongLong(v) => Datum::Int(*v),
-        Value::Long(v) => Datum::Int(*v as i64),
-        Value::Short(v) => Datum::Int(*v as i64),
-        Value::ULong(v) => Datum::Int(*v as i64),
-        Value::Double(v) => Datum::Double(*v),
-        Value::Float(v) => Datum::Double(*v as f64),
-        Value::Str(s) => Datum::Text(s.clone()),
-        Value::Bool(b) => Datum::Bool(*b),
-        Value::Struct(_) => {
-            let iso = v
-                .field("date")
-                .and_then(Value::as_str)
-                .ok_or_else(|| WebfinditError::Protocol("struct datum is not a date".into()))?;
-            Datum::Date(
-                webfindit_relstore::types::parse_date(iso)
-                    .ok_or_else(|| WebfinditError::Protocol(format!("bad date {iso}")))?,
-            )
+/// A sequence's count, which must fit in the bytes left: each element
+/// is at least one octet.
+fn read_count(r: &mut CdrReader<'_>, context: &'static str) -> WireResult<usize> {
+    expect_tag(r, tag::SEQUENCE, context)?;
+    let n = r.read_ulong()? as usize;
+    if n > r.remaining() {
+        return Err(WireError::TooLarge {
+            declared: n as u64,
+            limit: r.remaining() as u64,
+        });
+    }
+    Ok(n)
+}
+
+fn read_datum(r: &mut CdrReader<'_>) -> WfResult<Datum> {
+    Ok(match r.read_octet()? {
+        tag::NULL => Datum::Null,
+        tag::LONGLONG => Datum::Int(r.read_longlong()?),
+        tag::DOUBLE => Datum::Double(r.read_double()?),
+        tag::STRING => Datum::Text(r.read_string()?),
+        tag::BOOL => Datum::Bool(r.read_bool()?),
+        tag::STRUCT => {
+            if r.read_ulong()? != 1 || r.read_str()? != "date" {
+                return Err(WebfinditError::Protocol("cell is not a date".into()));
+            }
+            expect_tag(r, tag::STRING, "date datum")?;
+            let iso = r.read_str()?;
+            let date = parse_date(iso);
+            Datum::Date(date.ok_or_else(|| WebfinditError::Protocol(format!("bad date {iso}")))?)
         }
-        other => {
-            return Err(WebfinditError::Protocol(format!(
-                "unexpected datum encoding: {other}"
-            )))
-        }
+        t => Err(WireError::BadTag {
+            context: "result set cell",
+            tag: t.into(),
+        })?,
     })
 }
 
@@ -67,130 +164,48 @@ pub fn ovalue_to_value(v: &OValue) -> Value {
     }
 }
 
-/// Encode a relational [`ResultSet`].
-pub fn result_set_to_value(rs: &ResultSet) -> Value {
-    Value::record([
-        (
-            "columns",
-            Value::Sequence(
-                rs.columns
-                    .iter()
-                    .map(|c| Value::string(c.clone()))
-                    .collect(),
-            ),
-        ),
-        (
-            "rows",
-            Value::Sequence(
-                rs.rows
-                    .iter()
-                    .map(|r| Value::Sequence(r.iter().map(datum_to_value).collect()))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Decode a relational [`ResultSet`].
-pub fn value_to_result_set(v: &Value) -> WfResult<ResultSet> {
-    let columns = v
-        .field("columns")
-        .and_then(Value::as_sequence)
-        .ok_or_else(|| WebfinditError::Protocol("result set missing columns".into()))?
-        .iter()
-        .map(|c| {
-            c.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| WebfinditError::Protocol("non-string column name".into()))
-        })
-        .collect::<WfResult<Vec<String>>>()?;
-    let rows_v = v
-        .field("rows")
-        .and_then(Value::as_sequence)
-        .ok_or_else(|| WebfinditError::Protocol("result set missing rows".into()))?;
-    let mut rows = Vec::with_capacity(rows_v.len());
-    for r in rows_v {
-        let cells = r
-            .as_sequence()
-            .ok_or_else(|| WebfinditError::Protocol("row is not a sequence".into()))?;
-        rows.push(
-            cells
-                .iter()
-                .map(value_to_datum)
-                .collect::<WfResult<Vec<Datum>>>()?,
-        );
-    }
-    Ok(ResultSet { columns, rows })
-}
-
 /// Encode an information-source descriptor.
 pub fn descriptor_to_value(d: &InformationSource) -> Value {
+    let interface = d.interface.iter().map(exported_type_to_value).collect();
     Value::record([
-        ("name", Value::string(d.name.clone())),
-        (
-            "information_type",
-            Value::string(d.information_type.clone()),
-        ),
-        ("documentation", Value::string(d.documentation_url.clone())),
-        ("location", Value::string(d.location.clone())),
-        ("wrapper", Value::string(d.wrapper.clone())),
-        (
-            "interface",
-            Value::Sequence(d.interface.iter().map(exported_type_to_value).collect()),
-        ),
+        ("name", Value::string(&d.name)),
+        ("information_type", Value::string(&d.information_type)),
+        ("documentation", Value::string(&d.documentation_url)),
+        ("location", Value::string(&d.location)),
+        ("wrapper", Value::string(&d.wrapper)),
+        ("interface", Value::Sequence(interface)),
     ])
 }
 
 fn exported_type_to_value(t: &ExportedType) -> Value {
+    let attribute = |(ty, name): &(String, String)| {
+        Value::record([("type", Value::string(ty)), ("name", Value::string(name))])
+    };
+    let function = |f: &ExportedFunction| {
+        Value::record([
+            ("name", Value::string(&f.name)),
+            ("returns", Value::string(&f.returns)),
+            ("params", strings_to_value(f.params.iter().cloned())),
+            ("description", Value::string(&f.description)),
+        ])
+    };
     Value::record([
-        ("name", Value::string(t.name.clone())),
-        ("description", Value::string(t.description.clone())),
+        ("name", Value::string(&t.name)),
+        ("description", Value::string(&t.description)),
         (
             "attributes",
-            Value::Sequence(
-                t.attributes
-                    .iter()
-                    .map(|(ty, name)| {
-                        Value::record([
-                            ("type", Value::string(ty.clone())),
-                            ("name", Value::string(name.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Value::Sequence(t.attributes.iter().map(attribute).collect()),
         ),
         (
             "functions",
-            Value::Sequence(
-                t.functions
-                    .iter()
-                    .map(|f| {
-                        Value::record([
-                            ("name", Value::string(f.name.clone())),
-                            ("returns", Value::string(f.returns.clone())),
-                            (
-                                "params",
-                                Value::Sequence(
-                                    f.params.iter().map(|p| Value::string(p.clone())).collect(),
-                                ),
-                            ),
-                            ("description", Value::string(f.description.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Value::Sequence(t.functions.iter().map(function).collect()),
         ),
     ])
 }
 
 /// Decode an information-source descriptor.
 pub fn value_to_descriptor(v: &Value) -> WfResult<InformationSource> {
-    let get = |name: &str| -> WfResult<String> {
-        v.field(name)
-            .and_then(Value::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| WebfinditError::Protocol(format!("descriptor missing {name}")))
-    };
+    let get = |name| text(v, name, None);
     let mut interface = Vec::new();
     if let Some(types) = v.field("interface").and_then(Value::as_sequence) {
         for t in types {
@@ -208,69 +223,45 @@ pub fn value_to_descriptor(v: &Value) -> WfResult<InformationSource> {
 }
 
 fn value_to_exported_type(v: &Value) -> WfResult<ExportedType> {
-    let name = v
-        .field("name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WebfinditError::Protocol("exported type missing name".into()))?
-        .to_owned();
-    let description = v
-        .field("description")
-        .and_then(Value::as_str)
-        .unwrap_or("")
-        .to_owned();
-    let mut attributes = Vec::new();
-    if let Some(attrs) = v.field("attributes").and_then(Value::as_sequence) {
-        for a in attrs {
-            let ty = a
-                .field("type")
-                .and_then(Value::as_str)
-                .unwrap_or("string")
-                .to_owned();
-            let an = a
-                .field("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| WebfinditError::Protocol("attribute missing name".into()))?
-                .to_owned();
-            attributes.push((ty, an));
-        }
-    }
-    let mut functions = Vec::new();
-    if let Some(funcs) = v.field("functions").and_then(Value::as_sequence) {
-        for f in funcs {
-            functions.push(ExportedFunction {
-                name: f
-                    .field("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| WebfinditError::Protocol("function missing name".into()))?
-                    .to_owned(),
-                returns: f
-                    .field("returns")
-                    .and_then(Value::as_str)
-                    .unwrap_or("void")
-                    .to_owned(),
-                params: f
-                    .field("params")
-                    .and_then(Value::as_sequence)
-                    .map(|ps| {
-                        ps.iter()
-                            .filter_map(|p| p.as_str().map(str::to_owned))
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-                description: f
-                    .field("description")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_owned(),
-            });
-        }
-    }
+    let list = |name| v.field(name).and_then(Value::as_sequence).unwrap_or(&[]);
     Ok(ExportedType {
-        name,
-        attributes,
-        functions,
-        description,
+        name: text(v, "name", None)?,
+        description: text(v, "description", Some(""))?,
+        attributes: list("attributes")
+            .iter()
+            .map(|a| Ok((text(a, "type", Some("string"))?, text(a, "name", None)?)))
+            .collect::<WfResult<_>>()?,
+        functions: list("functions")
+            .iter()
+            .map(|f| {
+                Ok(ExportedFunction {
+                    name: text(f, "name", None)?,
+                    returns: text(f, "returns", Some("void"))?,
+                    params: f
+                        .field("params")
+                        .and_then(Value::as_sequence)
+                        .map(|ps| {
+                            ps.iter()
+                                .filter_map(Value::as_str)
+                                .map(str::to_owned)
+                                .collect()
+                        })
+                        .unwrap_or_default(),
+                    description: text(f, "description", Some(""))?,
+                })
+            })
+            .collect::<WfResult<_>>()?,
     })
+}
+
+/// The string field `name` of a record: `default` when absent, and an
+/// error when absent with no default.
+fn text(v: &Value, name: &str, default: Option<&str>) -> WfResult<String> {
+    v.field(name)
+        .and_then(Value::as_str)
+        .or(default)
+        .map(str::to_owned)
+        .ok_or_else(|| WebfinditError::Protocol(format!("record missing {name}: {v}")))
 }
 
 /// Decode a list of strings (coalition names, member names, …).
@@ -295,33 +286,35 @@ pub fn strings_to_value<I: IntoIterator<Item = String>>(items: I) -> Value {
 mod tests {
     use super::*;
 
+    fn table_roundtrip(rs: ResultSet) {
+        let order = webfindit_wire::ByteOrder::LittleEndian;
+        let mut w = CdrWriter::new(order);
+        write_result_set(&rs, &mut w).unwrap();
+        let bytes = w.into_bytes();
+        let mut r = CdrReader::new(&bytes, order);
+        assert!(is_result_set(&r));
+        assert_eq!(read_result_set(&mut r).unwrap(), rs);
+        assert!(r.is_exhausted(), "table decode left trailing bytes");
+    }
+
     #[test]
     fn datum_roundtrip() {
-        let data = vec![
-            Datum::Null,
-            Datum::Int(42),
-            Datum::Double(2.5),
-            Datum::Text("x".into()),
-            Datum::Bool(true),
-            Datum::Date(webfindit_relstore::types::parse_date("1999-06-15").unwrap()),
-        ];
-        for d in data {
-            let v = datum_to_value(&d);
-            assert_eq!(value_to_datum(&v).unwrap(), d);
+        let date = Datum::Date(parse_date("1999-06-15").unwrap());
+        for d in [Datum::Null, Datum::Int(42), Datum::Double(2.5), date] {
+            let (columns, rows) = (vec!["c".into()], vec![vec![d]]);
+            table_roundtrip(ResultSet { columns, rows });
         }
     }
 
     #[test]
     fn result_set_roundtrip() {
-        let rs = ResultSet {
-            columns: vec!["id".into(), "name".into()],
+        table_roundtrip(ResultSet {
+            columns: vec!["id".into(), "name".into(), "ok".into()],
             rows: vec![
-                vec![Datum::Int(1), Datum::Text("a".into())],
-                vec![Datum::Int(2), Datum::Null],
+                vec![Datum::Int(1), Datum::Text("a".into()), Datum::Bool(true)],
+                vec![Datum::Int(2), Datum::Null, Datum::Bool(false)],
             ],
-        };
-        let v = result_set_to_value(&rs);
-        assert_eq!(value_to_result_set(&v).unwrap(), rs);
+        });
     }
 
     #[test]
@@ -350,9 +343,11 @@ mod tests {
 
     #[test]
     fn malformed_payloads_rejected() {
-        assert!(value_to_result_set(&Value::Long(5)).is_err());
+        let long_5 = [tag::LONG, 0, 0, 0, 0, 0, 0, 5];
+        let r = CdrReader::new(&long_5, webfindit_wire::ByteOrder::BigEndian);
+        assert!(!is_result_set(&r));
+        assert!(read_result_set(&mut r.clone()).is_err());
         assert!(value_to_descriptor(&Value::record([("name", Value::Long(1))])).is_err());
         assert!(value_to_strings(&Value::Long(1)).is_err());
-        assert!(value_to_datum(&Value::Sequence(vec![])).is_err());
     }
 }

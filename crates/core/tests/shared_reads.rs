@@ -9,8 +9,8 @@ use std::thread;
 use std::time::Duration;
 use webfindit::orb::servant::Servant;
 use webfindit::servants::IsiServant;
-use webfindit::value_map::value_to_result_set;
-use webfindit::wire::Value;
+use webfindit::value_map::read_result_set;
+use webfindit::wire::{ByteOrder, CdrReader, CdrWriter, Value};
 use webfindit_base::sync::detect;
 use webfindit_connect::manager::standard_manager;
 use webfindit_connect::DataSourceRegistry;
@@ -31,10 +31,16 @@ fn beds(db: &mut Database) {
 }
 
 fn count(isi: &IsiServant) -> i64 {
-    let out = isi
-        .invoke("execute", &[Value::string("SELECT COUNT(*) FROM beds")])
-        .unwrap();
-    match value_to_result_set(&out).unwrap().rows[0][0] {
+    let mut out = CdrWriter::new(ByteOrder::BigEndian);
+    isi.invoke_into(
+        "execute",
+        &[Value::string("SELECT COUNT(*) FROM beds")],
+        &mut out,
+    )
+    .unwrap();
+    let bytes = out.into_bytes();
+    let mut r = CdrReader::new(&bytes, ByteOrder::BigEndian);
+    match read_result_set(&mut r).unwrap().rows[0][0] {
         Datum::Int(n) => n,
         ref other => panic!("COUNT(*) returned {other:?}"),
     }

@@ -4,9 +4,10 @@
 //! information, and failure behaviour.
 
 use webfindit::discovery::{DiscoveryEngine, Lead};
-use webfindit::orb::OrbError;
+use webfindit::orb::{CallOptions, Orb, OrbError};
 use webfindit::processor::{Processor, Response};
 use webfindit::session::BrowserSession;
+use webfindit::value_map::read_result_set;
 use webfindit::wire::Value;
 use webfindit::WebfinditError;
 use webfindit_healthcare::build_healthcare;
@@ -42,6 +43,66 @@ fn cross_orb_iiop_traffic_actually_flows() {
         .map(|n| dep.fed.orb(n).unwrap().metrics().snapshot().requests_served)
         .sum();
     assert!(after > before, "the data query must cross an ORB");
+    dep.fed.shutdown();
+}
+
+/// An ISI's table is the same through a collocated profile (its own ORB
+/// skips the socket but not the codec) and through a remote one: as a
+/// `Value`, as a table, and as the processor renders it.
+#[test]
+fn an_isi_table_is_the_same_collocated_and_remote() {
+    let dep = build_healthcare(1999).unwrap();
+    let site = dep.fed.site("Royal Brisbane Hospital").unwrap();
+    let host = dep.fed.orb(&site.orb_name).unwrap();
+    let client = dep.fed.client_orb();
+    let sql = "SELECT * FROM researchprojects ORDER BY project_id";
+    let args = [Value::string(sql)];
+    let local_before = host.metrics().snapshot().local_dispatches;
+
+    let collocated = host.invoke(&site.isi_ior, "execute", &args).unwrap();
+    let remote = client.invoke(&site.isi_ior, "execute", &args).unwrap();
+    assert_eq!(collocated, remote);
+
+    let table = |orb: &Orb| {
+        orb.invoke_as(
+            &site.isi_ior,
+            "execute",
+            &args,
+            &CallOptions::default(),
+            |r| read_result_set(r).map(Response::Table),
+        )
+        .unwrap()
+    };
+    let collocated = table(&host);
+    assert_eq!(collocated, table(client));
+    assert_eq!(host.metrics().snapshot().local_dispatches, local_before + 2);
+
+    let processor = Processor::new(dep.fed.clone());
+    let mut session = BrowserSession::new("QUT Research");
+    let rendered = processor
+        .submit(
+            &mut session,
+            &format!("Submit Native '{sql}' To Instance Royal Brisbane Hospital;"),
+            None,
+        )
+        .unwrap();
+    assert_eq!(rendered, collocated);
+    match rendered {
+        Response::Table(rs) => {
+            assert!(!rs.rows.is_empty());
+            assert!(rs
+                .rows
+                .iter()
+                .flatten()
+                .any(|d| matches!(d, Datum::Date(_))));
+            assert!(rs
+                .rows
+                .iter()
+                .flatten()
+                .any(|d| matches!(d, Datum::Double(_))));
+        }
+        other => panic!("{other:?}"),
+    }
     dep.fed.shutdown();
 }
 

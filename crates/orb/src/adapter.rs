@@ -6,10 +6,11 @@
 //! they are human-readable UTF-8 paths like `codb/RBH` or
 //! `isi/Medicare`, which makes traces and experiments legible.
 
-use crate::servant::{InvokeResult, Servant, ServantError};
+use crate::servant::{Servant, ServantError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use webfindit_base::sync::RwLock;
+use webfindit_wire::{CdrWriter, Value};
 
 /// A shared, thread-safe servant registry.
 #[derive(Default)]
@@ -65,7 +66,8 @@ impl ObjectAdapter {
         self.servants.read().get(key).cloned()
     }
 
-    /// Dispatch an invocation to the servant under `key`.
+    /// Dispatch an invocation to the servant under `key`, its result
+    /// written into `out` (see [`Servant::invoke_into`]).
     ///
     /// Missing keys become an `OBJECT_NOT_EXIST`-style error so the ORB
     /// can turn them into a system exception reply.
@@ -73,15 +75,16 @@ impl ObjectAdapter {
         &self,
         key: &[u8],
         operation: &str,
-        args: &[webfindit_wire::Value],
-    ) -> InvokeResult {
+        args: &[Value],
+        out: &mut CdrWriter,
+    ) -> Result<(), ServantError> {
         let servant = self.lookup(key).ok_or_else(|| {
             ServantError::Resource(format!(
                 "OBJECT_NOT_EXIST: {}",
                 String::from_utf8_lossy(key)
             ))
         })?;
-        servant.invoke(operation, args)
+        servant.invoke_into(operation, args, out)
     }
 }
 
@@ -89,7 +92,14 @@ impl ObjectAdapter {
 mod tests {
     use super::*;
     use crate::servant::EchoServant;
-    use webfindit_wire::Value;
+    use webfindit_wire::{ByteOrder, CdrReader};
+
+    fn dispatch(oa: &ObjectAdapter, key: &[u8], op: &str) -> Result<Value, ServantError> {
+        let mut w = CdrWriter::new(ByteOrder::BigEndian);
+        oa.dispatch(key, op, &[], &mut w)?;
+        let bytes = w.into_bytes();
+        Ok(Value::decode(&mut CdrReader::new(&bytes, ByteOrder::BigEndian)).unwrap())
+    }
 
     #[test]
     fn activate_lookup_dispatch() {
@@ -98,7 +108,7 @@ mod tests {
         assert!(!oa.activate("echo/1", Arc::new(EchoServant)));
         assert!(oa.contains(b"echo/1"));
         assert_eq!(oa.len(), 1);
-        let out = oa.dispatch(b"echo/1", "ping", &[]).unwrap();
+        let out = dispatch(&oa, b"echo/1", "ping").unwrap();
         assert_eq!(out, Value::string("pong"));
     }
 
@@ -116,7 +126,7 @@ mod tests {
         oa.activate("k", Arc::new(EchoServant));
         assert!(oa.deactivate(b"k"));
         assert!(!oa.deactivate(b"k"));
-        let err = oa.dispatch(b"k", "ping", &[]).unwrap_err();
+        let err = dispatch(&oa, b"k", "ping").unwrap_err();
         assert!(err.description().contains("OBJECT_NOT_EXIST"));
     }
 

@@ -8,17 +8,19 @@
 //! * an [`IiopChannel`] per advertised endpoint owns a small bounded
 //!   pool of multiplexed connections ([`MuxConn`]); callers are spread
 //!   round-robin and *share* each connection concurrently;
-//! * callers read their own replies (leader/follower): after its send
-//!   a caller takes the connection's read half if it is free and reads
+//! * callers read their own replies (leader/follower): after its send a
+//!   caller takes the connection's read half if it is free and reads
 //!   frames itself, demultiplexing GIOP `Reply`/`LocateReply` by
-//!   `request_id` — its own reply ends its wait with no thread hand-off
-//!   at all, anyone else's goes to the slot that caller parked on. A
-//!   caller that finds the read half taken parks on its slot; whoever
-//!   lets go of the read half asks one parked caller to take over. The
-//!   writer mutex is held only for the microseconds of `send_frame`,
-//!   never across the wait. Nobody reads an idle connection, so what
-//!   the peer said since the last call (`CloseConnection`, EOF) is
-//!   looked at when the connection is next picked;
+//!   `request_id` (a Reply by its head alone, its result left as bytes
+//!   for its caller's decoder) — its own reply ends its wait with no
+//!   thread hand-off at all, anyone else's goes to the slot that caller
+//!   parked on. A caller that finds the read half taken parks on its
+//!   slot; whoever lets go of the read half asks one parked caller to
+//!   take over. The writer mutex is held only for the microseconds of
+//!   `send_frame`, never across the wait. Nobody reads an idle
+//!   connection, so what the peer said since the last call
+//!   (`CloseConnection`, EOF) is looked at when the connection is next
+//!   picked;
 //! * pipelined batches: a call is [`IiopChannel::start`] (admit, send)
 //!   then [`IiopChannel::finish`] (wait, classify), so
 //!   [`crate::Orb::invoke_all`] sends a whole batch before reading any
@@ -47,7 +49,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webfindit_base::sync::{detect, Mutex};
 use webfindit_wire::cdr::ByteOrder;
-use webfindit_wire::giop::{FragmentAssembler, GiopMessage};
+use webfindit_wire::giop::{FragmentAssembler, GiopMessage, Routed};
 use webfindit_wire::transport::FramedTcp;
 use webfindit_wire::WireError;
 
@@ -307,7 +309,7 @@ impl CallFailure {
 /// How a registered call ended on its connection.
 enum ReplyOutcome {
     /// The routed `Reply`/`LocateReply` for this caller's request id.
-    Message(GiopMessage),
+    Message(Routed),
     /// Orderly `CloseConnection`: provably not processed.
     ClosedUnprocessed,
     /// Connection failure or protocol desync: outcome unknowable.
@@ -388,7 +390,7 @@ impl MuxConn {
 /// How a turn as leader ended.
 enum Led {
     /// The leader's own reply arrived.
-    Mine(GiopMessage),
+    Mine(Routed),
     /// The deadline passed first.
     TimedOut,
     /// The connection died; `poison` has put an outcome in every
@@ -401,9 +403,11 @@ enum Led {
 /// reply to its slot on the way. `own_id = None` with a deadline of
 /// "now" just takes in what the socket already holds.
 ///
-/// Frames pass through the [`FragmentAssembler`], so a reply the server
-/// streamed as a GIOP fragment train is routed as one reassembled
-/// message; unfragmented frames decode on the spot.
+/// Frames pass through the [`FragmentAssembler`] in raw mode, so a
+/// reply the server streamed as a GIOP fragment train is routed as one
+/// reassembled message. A Reply is routed by its head alone: its result
+/// stays bytes until its caller decodes it, on its own thread, so a
+/// result that does not decode fails that one call, not the connection.
 fn lead(
     conn: &MuxConn,
     rd: &mut ReadHalf,
@@ -430,7 +434,7 @@ fn lead(
         };
         metrics.add(&metrics.bytes_received, frame.len() as u64);
         let mid_train = rd.assembler.in_progress();
-        let msg = match rd.assembler.push_frame(frame) {
+        let msg = match rd.assembler.push_raw(frame) {
             Ok(Some(m)) => {
                 if mid_train {
                     metrics.add(&metrics.fragments_reassembled, 1);
@@ -449,22 +453,10 @@ fn lead(
                 return Led::Dead;
             }
         };
-        match msg {
-            GiopMessage::Reply { request_id, .. } | GiopMessage::LocateReply { request_id, .. } => {
-                let waiter = conn.pending.lock().remove(&request_id);
-                match waiter {
-                    Some(_) if own_id == Some(request_id) => return Led::Mine(msg),
-                    Some(slot) => {
-                        let _ = slot.tx.send(Wake::Done(ReplyOutcome::Message(msg)));
-                    }
-                    None => {
-                        // The caller gave up (deadline) before the reply
-                        // arrived; drop it, the stream itself is fine.
-                        metrics.add(&metrics.late_replies, 1);
-                    }
-                }
-            }
-            GiopMessage::CloseConnection => {
+        let request_id = match &msg {
+            Routed::Reply(reply) => reply.request_id,
+            Routed::Other(GiopMessage::LocateReply { request_id, .. }) => *request_id,
+            Routed::Other(GiopMessage::CloseConnection) => {
                 // GIOP: outstanding requests were not processed.
                 conn.poison(|| ReplyOutcome::ClosedUnprocessed);
                 return Led::Dead;
@@ -479,6 +471,18 @@ fn lead(
                 let text = format!("unexpected message kind {:?}", other.kind());
                 conn.poison(|| ReplyOutcome::Dropped(text.clone()));
                 return Led::Dead;
+            }
+        };
+        let waiter = conn.pending.lock().remove(&request_id);
+        match waiter {
+            Some(_) if own_id == Some(request_id) => return Led::Mine(msg),
+            Some(slot) => {
+                let _ = slot.tx.send(Wake::Done(ReplyOutcome::Message(msg)));
+            }
+            None => {
+                // The caller gave up (deadline) before the reply
+                // arrived; drop it, the stream itself is fine.
+                metrics.add(&metrics.late_replies, 1);
             }
         }
     }
@@ -772,7 +776,7 @@ impl IiopChannel {
 
     /// Wait for the reply to a request [`IiopChannel::start`] sent,
     /// respecting its deadline, and classify the outcome.
-    pub(crate) fn finish(&self, sent: InFlight) -> Result<GiopMessage, CallFailure> {
+    pub(crate) fn finish(&self, sent: InFlight) -> Result<Routed, CallFailure> {
         let (conn, id, deadline) = (&sent.conn, sent.request_id, sent.deadline);
         let outcome = match self.await_reply(conn, id, &sent.rx, deadline.map(|d| d.at)) {
             Some(ReplyOutcome::Message(msg)) => Ok(msg),
@@ -928,7 +932,11 @@ mod tests {
             frame: &[u8],
             deadline: Option<Deadline>,
         ) -> Result<GiopMessage, CallFailure> {
-            self.finish(self.start(request_id, frame, deadline)?)
+            let routed = self.finish(self.start(request_id, frame, deadline)?)?;
+            Ok(match routed {
+                Routed::Reply(r) => giop::reply_ok(r.request_id, r.value().unwrap()),
+                Routed::Other(msg) => msg,
+            })
         }
     }
 

@@ -19,9 +19,12 @@
 //!   [`CallOptions`] — a deadline and a retry policy — down to the wire,
 //!   and [`Orb::invoke_all`] pipelines a batch of calls from the calling
 //!   thread (every request sent before any reply is read); a single
-//!   call is a batch of one. Invocations whose target lives on this
-//!   same ORB short-circuit through the adapter (counted separately —
-//!   collocated calls were a selling point of 1990s ORBs too);
+//!   call is a batch of one. [`Orb::invoke_as`] lets the caller pick the
+//!   decoder of the result; the others decode a [`Value`]. Invocations
+//!   whose target lives on this same ORB skip the socket (counted
+//!   separately — collocated calls were a selling point of 1990s ORBs
+//!   too) but not the codec: the servant writes the same reply frame a
+//!   remote caller would read, and the caller decodes it the same way;
 //! * keeps [`OrbMetrics`] so experiments can count round-trips and bytes.
 //!
 //! Vendor flavor: each ORB is configured with a preferred byte order, so
@@ -44,10 +47,10 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use webfindit_base::sync::Mutex;
-use webfindit_wire::cdr::ByteOrder;
-use webfindit_wire::giop::{self, GiopMessage, LocateStatus, ReplyStatus, RequestHeader};
+use webfindit_wire::cdr::{ByteOrder, CdrReader};
+use webfindit_wire::giop::{self, GiopMessage, LocateStatus, ReplyStatus, Routed};
 use webfindit_wire::ior::IiopProfile;
-use webfindit_wire::{BufPool, Ior, Value, WireError};
+use webfindit_wire::{BufPool, Ior, Value, WireError, WireResult};
 
 /// Upper bound on multiplexed connections per remote endpoint.
 const MAX_CONNS_PER_ENDPOINT: usize = 4;
@@ -120,11 +123,21 @@ struct Attempt<'a> {
     last_err: OrbError,
 }
 
-/// Where one call of a batch stands: settled (collocated, or failed
-/// before a send), or with a request on the wire.
+/// Where one call of a batch stands: failed before a send, answered
+/// (collocated), or with a request on the wire.
 enum Step<'a> {
-    Settled(OrbResult<Value>),
+    Failed(OrbError),
+    Answered(Attempt<'a>, Routed),
     Sent(Attempt<'a>, Arc<IiopChannel>, InFlight),
+}
+
+/// How a caller turns the result bytes of a `NoException` reply into
+/// its own type (see [`Orb::invoke_as`]).
+type Decode<'d, T, E> = &'d dyn Fn(&mut CdrReader<'_>) -> Result<T, E>;
+
+/// The decoder behind [`Orb::invoke`] and [`Orb::invoke_all`].
+fn decode_value(r: &mut CdrReader<'_>) -> OrbResult<Value> {
+    Ok(Value::decode(r)?)
 }
 
 /// A running ORB instance.
@@ -261,12 +274,28 @@ impl Orb {
         args: &[Value],
         options: &CallOptions,
     ) -> OrbResult<Value> {
+        self.invoke_as(ior, operation, args, options, decode_value)
+    }
+
+    /// Invoke `operation(args)` under `options` and decode a successful
+    /// result with `decode`, on the calling thread, from a reader at the
+    /// start of the result (CDR alignment counts from the GIOP body
+    /// start, as the sender's did). Exception and forward bodies are
+    /// still read as [`Value`]s.
+    pub fn invoke_as<T, E: From<OrbError>>(
+        &self,
+        ior: &Ior,
+        operation: &str,
+        args: &[Value],
+        options: &CallOptions,
+        decode: impl Fn(&mut CdrReader<'_>) -> Result<T, E>,
+    ) -> Result<T, E> {
         let call = Invocation {
             target: ior,
             operation,
             args,
         };
-        let mut out = self.invoke_all(std::slice::from_ref(&call), options);
+        let mut out = self.invoke_batch(std::slice::from_ref(&call), options, &decode);
         out.pop().expect("one result per invocation")
     }
 
@@ -284,12 +313,24 @@ impl Orb {
         calls: &[Invocation<'_>],
         options: &CallOptions,
     ) -> Vec<OrbResult<Value>> {
+        self.invoke_batch(calls, options, &decode_value)
+    }
+
+    /// [`Orb::invoke_all`] with the caller's decoder.
+    fn invoke_batch<T, E: From<OrbError>>(
+        &self,
+        calls: &[Invocation<'_>],
+        options: &CallOptions,
+        decode: Decode<'_, T, E>,
+    ) -> Vec<Result<T, E>> {
         let deadline = options.deadline.map(Deadline::after);
         let sent: Vec<Step<'_>> = calls
             .iter()
             .map(|&call| self.begin(call, options.retry, deadline))
             .collect();
-        sent.into_iter().map(|step| self.complete(step)).collect()
+        sent.into_iter()
+            .map(|step| self.complete(step, decode))
+            .collect()
     }
 
     /// Start `call` on its healthiest profile.
@@ -300,7 +341,7 @@ impl Orb {
         deadline: Option<Deadline>,
     ) -> Step<'a> {
         if self.shutdown.load(Ordering::SeqCst) {
-            return Step::Settled(Err(OrbError::ShutDown));
+            return Step::Failed(OrbError::ShutDown);
         }
         let mut profiles = call.target.iiop_profiles();
         // Health-scored profile selection: endpoints whose breaker is
@@ -327,11 +368,14 @@ impl Orb {
             let (op, args) = (a.call.operation, a.call.args);
             if self.is_local(&profile.host, profile.port) {
                 self.metrics.add(&self.metrics.local_dispatches, 1);
-                let done = self.adapter.dispatch(&profile.object_key, op, args);
-                return Step::Settled(done.map_err(|e| OrbError::RemoteException {
-                    system: e.is_system(),
-                    description: e.description(),
-                }));
+                let order = self.config.byte_order;
+                let (key, adapter) = (&profile.object_key, &self.adapter);
+                let frame =
+                    dispatch_reply(0, key, op, args, adapter, &self.metrics, order, Vec::new());
+                return match frame.and_then(|f| Routed::from_frame(&f)) {
+                    Ok(reply) => Step::Answered(a, reply),
+                    Err(e) => Step::Failed(OrbError::Wire(e)),
+                };
             }
             a.tries += 1;
             let channel = self.channel_to(&profile.host, profile.port);
@@ -350,12 +394,12 @@ impl Orb {
                 }
                 Err(f) => {
                     if let Some(error) = self.give_up(&mut a, f) {
-                        return Step::Settled(Err(error));
+                        return Step::Failed(error);
                     }
                 }
             }
         }
-        Step::Settled(Err(a.last_err))
+        Step::Failed(a.last_err)
     }
 
     /// After a failed attempt: `None` when `a` may go on — a retry of a
@@ -376,57 +420,77 @@ impl Orb {
 
     /// Read the reply of a started call, going on with its retries and
     /// profiles until it settles.
-    fn complete(&self, mut step: Step<'_>) -> OrbResult<Value> {
+    fn complete<T, E: From<OrbError>>(
+        &self,
+        mut step: Step<'_>,
+        decode: Decode<'_, T, E>,
+    ) -> Result<T, E> {
         loop {
             let (mut a, channel, sent) = match step {
-                Step::Settled(outcome) => return outcome,
+                Step::Failed(error) => return Err(error.into()),
+                Step::Answered(a, reply) => return self.interpret_reply(reply, &a, decode),
                 Step::Sent(a, channel, sent) => (a, channel, sent),
             };
             match channel.finish(sent) {
-                Ok(reply) => return self.interpret_reply(reply, &a),
+                Ok(reply) => return self.interpret_reply(reply, &a, decode),
                 Err(f) => match self.give_up(&mut a, f) {
-                    Some(error) => return Err(error),
+                    Some(error) => return Err(error.into()),
                     None => step = self.advance(a),
                 },
             }
         }
     }
 
-    /// Turn a routed GIOP Reply into the invocation outcome. The reply
-    /// completed on the wire, so none of these outcomes is retried.
-    fn interpret_reply(&self, reply: GiopMessage, a: &Attempt<'_>) -> OrbResult<Value> {
-        match reply {
-            GiopMessage::Reply { status, body, .. } => match status {
-                ReplyStatus::NoException => Ok(body),
-                ReplyStatus::UserException | ReplyStatus::SystemException => {
-                    let description = body
-                        .field("exception")
-                        .and_then(Value::as_str)
-                        .unwrap_or("unknown exception")
-                        .to_owned();
-                    Err(OrbError::RemoteException {
-                        system: status == ReplyStatus::SystemException,
-                        description,
-                    })
+    /// Turn a routed GIOP Reply into the invocation outcome: its result
+    /// through `decode`, anything else as a [`Value`]. The reply
+    /// completed, so none of these outcomes is retried.
+    fn interpret_reply<T, E: From<OrbError>>(
+        &self,
+        reply: Routed,
+        a: &Attempt<'_>,
+        decode: Decode<'_, T, E>,
+    ) -> Result<T, E> {
+        let reply = match reply {
+            Routed::Reply(reply) => reply,
+            Routed::Other(other) => {
+                return Err(OrbError::RemoteException {
+                    system: true,
+                    description: format!("unexpected message kind {:?}", other.kind()),
                 }
-                ReplyStatus::LocationForward => match body {
-                    Value::ObjectRef(fwd) => {
-                        let call = Invocation {
-                            target: &fwd,
-                            ..a.call
-                        };
-                        self.complete(self.begin(call, a.retry, a.deadline))
-                    }
-                    _ => Err(OrbError::RemoteException {
-                        system: true,
-                        description: "malformed LocationForward body".into(),
-                    }),
-                },
+                .into())
+            }
+        };
+        let body = match reply.status {
+            ReplyStatus::NoException => return decode(&mut reply.payload()),
+            _ => reply.value().map_err(OrbError::Wire)?,
+        };
+        match reply.status {
+            ReplyStatus::LocationForward => match body {
+                Value::ObjectRef(fwd) => {
+                    let call = Invocation {
+                        target: &fwd,
+                        ..a.call
+                    };
+                    self.complete(self.begin(call, a.retry, a.deadline), decode)
+                }
+                _ => Err(OrbError::RemoteException {
+                    system: true,
+                    description: "malformed LocationForward body".into(),
+                }
+                .into()),
             },
-            other => Err(OrbError::RemoteException {
-                system: true,
-                description: format!("unexpected message kind {:?}", other.kind()),
-            }),
+            status => {
+                let description = body
+                    .field("exception")
+                    .and_then(Value::as_str)
+                    .unwrap_or("unknown exception")
+                    .to_owned();
+                Err(OrbError::RemoteException {
+                    system: status == ReplyStatus::SystemException,
+                    description,
+                }
+                .into())
+            }
         }
     }
 
@@ -456,7 +520,7 @@ impl Orb {
                 .start(request_id, &frame, None)
                 .and_then(|sent| channel.finish(sent))
             {
-                Ok(GiopMessage::LocateReply { status, .. }) => return Ok(status),
+                Ok(Routed::Other(GiopMessage::LocateReply { status, .. })) => return Ok(status),
                 Ok(other) => {
                     return Err(OrbError::RemoteException {
                         system: true,
@@ -577,39 +641,40 @@ impl Drop for Orb {
     }
 }
 
-/// Dispatch one request through the adapter and build its GIOP reply,
-/// isolating servant panics and mapping exceptions.
+/// Dispatch one request through the adapter and write its GIOP reply
+/// frame into `buf`: the servant writes its result straight after the
+/// Reply head. A servant that fails or panics, however much it wrote,
+/// gets its frame restarted as the exception reply; panics are isolated
+/// so they cost this one request, not the connection.
+#[allow(clippy::too_many_arguments)] // one request, and where its reply goes
 pub(crate) fn dispatch_reply(
-    header: &RequestHeader,
+    request_id: u32,
+    object_key: &[u8],
+    operation: &str,
     args: &[Value],
     adapter: &ObjectAdapter,
     metrics: &OrbMetrics,
-) -> GiopMessage {
-    // A servant bug must become a system exception for this one
-    // request, not a dead connection: isolate panics.
+    order: ByteOrder,
+    buf: Vec<u8>,
+) -> WireResult<Vec<u8>> {
+    let mut out = giop::reply_frame(order, buf, request_id);
     let dispatched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        adapter.dispatch(&header.object_key, &header.operation, args)
+        adapter.dispatch(object_key, operation, args, &mut out)
     }));
-    match dispatched {
-        Ok(Ok(value)) => giop::reply_ok(header.request_id, value),
-        Ok(Err(e)) => {
-            metrics.add(&metrics.exceptions_sent, 1);
-            giop::reply_exception(header.request_id, e.is_system(), &e.description())
-        }
+    let (system, description) = match dispatched {
+        Ok(Ok(())) => return giop::finish_reply(out),
+        Ok(Err(e)) => (e.is_system(), e.description()),
         Err(panic) => {
-            metrics.add(&metrics.exceptions_sent, 1);
             let what = panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "unknown panic".into());
-            giop::reply_exception(
-                header.request_id,
-                true,
-                &format!("UNKNOWN: servant panicked: {what}"),
-            )
+            (true, format!("UNKNOWN: servant panicked: {what}"))
         }
-    }
+    };
+    metrics.add(&metrics.exceptions_sent, 1);
+    giop::reply_exception(request_id, system, &description).encode_into(order, out.into_bytes())
 }
 
 #[cfg(test)]

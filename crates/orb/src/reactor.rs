@@ -12,14 +12,16 @@
 //!   [`FrameReader::fill`] per readiness event, then every whole frame
 //!   it buffered — so a slow or malicious peer that trickles half a
 //!   header costs a buffer, not a blocked thread;
-//! * **a bounded worker pool** executes servant dispatch off the
-//!   reactor thread, so a stalled servant blocks one worker, never the
-//!   event loop. The worker that ran the servant writes the reply
-//!   itself: each connection's send half ([`NbSender`]) sits behind one
-//!   lock shared by the reactor and the workers, the worker queues its
-//!   frames and does the nonblocking write under it, and the reactor
-//!   hears about it (a byte on a loopback socket pair) only when the
-//!   socket would not take everything or the write failed;
+//! * **a bounded worker pool** executes servant dispatch off the reactor
+//!   thread, so a stalled servant blocks one worker, never the event
+//!   loop. The servant writes its result straight into a pooled reply
+//!   frame ([`crate::servant::Servant::invoke_into`]), and the worker
+//!   that ran it writes the reply itself: each connection's send half
+//!   ([`NbSender`]) sits behind one lock shared by the reactor and the
+//!   workers, the worker queues its frames and does the nonblocking
+//!   write under it, and the reactor hears about it (a byte on a
+//!   loopback socket pair) only when the socket would not take
+//!   everything or the write failed;
 //! * **write backpressure**: what a write leaves behind stays queued
 //!   per connection and the reactor drains it on write readiness. When
 //!   a connection's queue crosses the high-water mark the reactor stops
@@ -56,7 +58,7 @@ use webfindit_wire::giop::{
 };
 use webfindit_wire::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use webfindit_wire::transport::{FrameReader, NbSender};
-use webfindit_wire::{BufPool, FrameBuf, Value, WireResult};
+use webfindit_wire::{BufPool, FrameBuf, PooledBuf, Value, WireResult};
 
 /// Per-connection send-queue depth above which the reactor stops
 /// reading from that connection until the queue drains.
@@ -218,7 +220,18 @@ fn worker_loop(
             Ok(job) => job,
             Err(_) => return, // reactor gone, queue drained
         };
-        let reply = dispatch_reply(&job.header, &job.args, &adapter, &metrics);
+        let header = &job.header;
+        let reply = dispatch_reply(
+            header.request_id,
+            &header.object_key,
+            &header.operation,
+            &job.args,
+            &adapter,
+            &metrics,
+            order,
+            pool.take(),
+        )
+        .map(|frame| PooledBuf::new(frame, Arc::clone(&pool)));
         if job.canceled.lock().remove(&job.header.request_id) {
             // The client's deadline already expired; the reply would be
             // bytes it discards.
@@ -227,7 +240,7 @@ fn worker_loop(
         if !job.header.response_expected {
             continue;
         }
-        if let Ok(frames) = encode_reply_frames(&reply, order, &pool, &metrics) {
+        if let Ok(frames) = reply.and_then(|frame| reply_frames(frame, &pool, &metrics)) {
             write_reply(&job.send, frames, &wake_tx, &metrics);
         }
     }
@@ -250,15 +263,13 @@ fn write_reply(send: &SendHalf, frames: Vec<FrameBuf>, wake_tx: &TcpStream, metr
     }
 }
 
-/// Encode `msg` into one pooled frame, or a fragment train when the
+/// A reply frame as it goes out: whole, or a fragment train when the
 /// body exceeds [`FRAGMENT_BODY_SIZE`].
-fn encode_reply_frames(
-    msg: &GiopMessage,
-    order: ByteOrder,
+fn reply_frames(
+    frame: PooledBuf,
     pool: &Arc<BufPool>,
     metrics: &OrbMetrics,
 ) -> WireResult<Vec<FrameBuf>> {
-    let frame = msg.encode_pooled(order, pool)?;
     if frame.len() <= 12 + FRAGMENT_BODY_SIZE {
         return Ok(vec![frame.into()]);
     }

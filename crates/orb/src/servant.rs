@@ -6,9 +6,14 @@
 //! Skeleton Interface model, which is what 1990s database gateways used
 //! too, since wrappers could not know the exported schema at compile
 //! time).
+//!
+//! The ORB dispatches through [`Servant::invoke_into`], which writes the
+//! result straight into the reply frame. Its default encodes what
+//! [`Servant::invoke`] returns; a servant whose results are large and
+//! typed (the ISI's tables) overrides it and skips the `Value` tree.
 
 use std::fmt;
-use webfindit_wire::Value;
+use webfindit_wire::{CdrWriter, Value};
 
 /// Errors a servant can raise; mapped onto GIOP reply statuses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,6 +30,9 @@ pub enum ServantError {
     /// The underlying resource (database, file) failed.
     /// Becomes a `PERSIST_STORE` system exception.
     Resource(String),
+    /// The result could not be marshalled (a string with a NUL in it).
+    /// Becomes a `MARSHAL` system exception.
+    Marshal(String),
 }
 
 impl ServantError {
@@ -40,6 +48,7 @@ impl ServantError {
             ServantError::BadArguments(msg) => format!("BAD_PARAM: {msg}"),
             ServantError::Application(msg) => msg.clone(),
             ServantError::Resource(msg) => format!("PERSIST_STORE: {msg}"),
+            ServantError::Marshal(msg) => format!("MARSHAL: {msg}"),
         }
     }
 }
@@ -67,6 +76,23 @@ pub trait Servant: Send + Sync {
 
     /// Invoke `operation` with `args`, returning the result value.
     fn invoke(&self, operation: &str, args: &[Value]) -> InvokeResult;
+
+    /// Invoke `operation` with `args`, writing the result into `out`,
+    /// the reply frame, as [`Value::encode`] would write it. The ORB
+    /// dispatches every call through here; the default encodes what
+    /// [`Servant::invoke`] returns. On `Err` (or a panic) whatever was
+    /// written is discarded and the caller gets the exception.
+    fn invoke_into(
+        &self,
+        operation: &str,
+        args: &[Value],
+        out: &mut CdrWriter,
+    ) -> Result<(), ServantError> {
+        let result = self.invoke(operation, args)?;
+        result
+            .encode(out)
+            .map_err(|e| ServantError::Marshal(e.to_string()))
+    }
 
     /// Operations this servant understands, for `Display Access
     /// Information` style introspection. Default: unknown.

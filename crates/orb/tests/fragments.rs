@@ -247,3 +247,88 @@ fn a_client_that_stops_reading_is_paused_then_drained_by_the_reactor() {
     server.shutdown();
     client.shutdown();
 }
+
+/// Writes 100 KiB of result into the reply frame, more than a fragment
+/// chunk, then fails the way its operation says; `ok` answers normally.
+struct HalfWayServant;
+
+impl Servant for HalfWayServant {
+    fn interface_id(&self) -> &str {
+        "IDL:test/HalfWay:1.0"
+    }
+    fn invoke(&self, operation: &str, _args: &[Value]) -> InvokeResult {
+        match operation {
+            "ok" => Ok(Value::string("fine")),
+            other => Err(ServantError::UnknownOperation(other.into())),
+        }
+    }
+    fn invoke_into(
+        &self,
+        operation: &str,
+        args: &[Value],
+        out: &mut webfindit_wire::CdrWriter,
+    ) -> Result<(), ServantError> {
+        if operation == "ok" {
+            let result = self.invoke(operation, args)?;
+            return result
+                .encode(out)
+                .map_err(|e| ServantError::Marshal(e.to_string()));
+        }
+        Value::Str("P".repeat(100 * 1024)).encode(out).unwrap();
+        match operation {
+            "user" => Err(ServantError::Application("gave up halfway".into())),
+            "system" => Err(ServantError::Resource("disk gone halfway".into())),
+            "panic" => panic!("halfway"),
+            other => Err(ServantError::UnknownOperation(other.into())),
+        }
+    }
+}
+
+/// However much a failing servant wrote, its caller gets the exception
+/// alone: no fragment of the partial body is sent, and the connection
+/// serves the next call.
+#[test]
+fn a_servant_that_fails_partway_through_its_reply_sends_only_the_exception() {
+    let (server, client) = start_pair();
+    let ior = server.activate("halfway", Arc::new(HalfWayServant));
+    assert_eq!(
+        client.invoke(&ior, "ok", &[]).unwrap(),
+        Value::string("fine")
+    );
+
+    for (op, want_system, want) in [
+        ("user", false, "gave up halfway"),
+        ("system", true, "PERSIST_STORE: disk gone halfway"),
+        ("panic", true, "UNKNOWN: servant panicked: halfway"),
+    ] {
+        let received = client.metrics().snapshot().bytes_received;
+        match client.invoke(&ior, op, &[]) {
+            Err(webfindit_orb::OrbError::RemoteException {
+                system,
+                description,
+            }) => {
+                assert_eq!(system, want_system, "{op}");
+                assert!(description.starts_with(want), "{op}: {description}");
+            }
+            other => panic!("{op}: expected an exception, got {other:?}"),
+        }
+        let reply_bytes = client.metrics().snapshot().bytes_received - received;
+        assert!(reply_bytes < 1024, "{op}: {reply_bytes} bytes came back");
+        assert_eq!(
+            client.invoke(&ior, "ok", &[]).unwrap(),
+            Value::string("fine"),
+            "{op}: the next call"
+        );
+    }
+
+    let s = server.metrics().snapshot();
+    assert_eq!(s.fragmented_replies, 0);
+    assert_eq!(s.fragments_sent, 0);
+    assert_eq!(s.exceptions_sent, 3);
+    let c = client.metrics().snapshot();
+    assert_eq!(c.fragments_reassembled, 0);
+    assert_eq!(c.evictions, 0);
+
+    server.shutdown();
+    client.shutdown();
+}

@@ -257,8 +257,9 @@ impl CdrWriter {
 /// An aligned CDR decoder over a borrowed byte slice.
 ///
 /// Like the writer, alignment is relative to the start of the slice, which
-/// must be the start of a message body or encapsulation.
-#[derive(Debug)]
+/// must be the start of a message body or encapsulation. Cloning a
+/// reader is cheap and lets a decoder look ahead without consuming.
+#[derive(Debug, Clone)]
 pub struct CdrReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -269,6 +270,17 @@ impl<'a> CdrReader<'a> {
     /// Create a reader decoding in the given byte order.
     pub fn new(buf: &'a [u8], order: ByteOrder) -> Self {
         CdrReader { buf, pos: 0, order }
+    }
+
+    /// Create a reader over `buf` whose next read starts at `pos`;
+    /// alignment is still measured from the start of `buf`.
+    pub(crate) fn at(buf: &'a [u8], pos: usize, order: ByteOrder) -> Self {
+        CdrReader { buf, pos, order }
+    }
+
+    /// Offset of the next read from the start of the buffer.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
     }
 
     /// Create a reader over an encapsulation: the first octet is consumed
@@ -418,11 +430,16 @@ impl<'a> CdrReader<'a> {
     /// Read a CDR string (length includes trailing NUL, which is checked
     /// and stripped).
     pub fn read_string(&mut self) -> WireResult<String> {
+        self.read_str().map(str::to_owned)
+    }
+
+    /// Read a CDR string as a slice of the buffer, without copying it.
+    pub fn read_str(&mut self) -> WireResult<&'a str> {
         let len = self.read_ulong_seq_len()? as usize;
         if len == 0 {
             // Some encoders emit length 0 for an empty string instead of
             // length 1 + NUL; accept both.
-            return Ok(String::new());
+            return Ok("");
         }
         let bytes = self.take(len)?;
         let (body, nul) = bytes.split_at(len - 1);
@@ -432,7 +449,7 @@ impl<'a> CdrReader<'a> {
                 tag: nul[0] as u32,
             });
         }
-        String::from_utf8(body.to_vec()).map_err(|_| WireError::InvalidUtf8)
+        std::str::from_utf8(body).map_err(|_| WireError::InvalidUtf8)
     }
 
     /// Read a `sequence<octet>`.

@@ -19,6 +19,7 @@ use crate::bufpool::{BufPool, PooledBuf};
 use crate::cdr::{ByteOrder, CdrReader, CdrWriter};
 use crate::value::Value;
 use crate::{WireError, WireResult, MAX_MESSAGE_SIZE};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Body size above which the reactor streams a reply as an initial
@@ -200,6 +201,154 @@ fn decode_service_contexts(r: &mut CdrReader<'_>) -> WireResult<Vec<ServiceConte
         out.push(ServiceContext { context_id, data });
     }
     Ok(out)
+}
+
+fn write_reply_head(
+    w: &mut CdrWriter,
+    service_contexts: &[ServiceContext],
+    request_id: u32,
+    status: ReplyStatus,
+) {
+    encode_service_contexts(w, service_contexts);
+    w.write_ulong(request_id);
+    w.write_ulong(status as u32);
+}
+
+/// Patch the 12-byte GIOP header into a frame writer's preamble once the
+/// body is complete, refusing a body over [`MAX_MESSAGE_SIZE`].
+fn seal(body: CdrWriter, kind: MessageKind, more_fragments: bool) -> WireResult<Vec<u8>> {
+    let body_len = body.len();
+    if body_len as u64 > MAX_MESSAGE_SIZE as u64 {
+        return Err(WireError::TooLarge {
+            declared: body_len as u64,
+            limit: MAX_MESSAGE_SIZE as u64,
+        });
+    }
+    let header = GiopHeader {
+        version_major: 1,
+        version_minor: 2,
+        order: body.order(),
+        more_fragments,
+        kind,
+        body_size: body_len as u32,
+    };
+    let mut frame = body.into_bytes();
+    frame[..12].copy_from_slice(&header.to_bytes());
+    Ok(frame)
+}
+
+/// Open the frame of a successful Reply to `request_id` over `buf`
+/// (recycled storage welcome): the header preamble and the Reply head
+/// are written, and the result goes after them, straight from whatever
+/// holds it. [`finish_reply`] closes the frame. The bytes are those
+/// [`reply_ok`] would encode for the same result.
+pub fn reply_frame(order: ByteOrder, buf: Vec<u8>, request_id: u32) -> CdrWriter {
+    let mut w = CdrWriter::frame(order, buf);
+    write_reply_head(&mut w, &[], request_id, ReplyStatus::NoException);
+    w
+}
+
+/// Close a frame [`reply_frame`] opened: patch in its GIOP header.
+pub fn finish_reply(body: CdrWriter) -> WireResult<Vec<u8>> {
+    seal(body, MessageKind::Reply, false)
+}
+
+/// A complete message as a caller's channel routes it: a Reply by its
+/// head, its result still bytes, and anything else decoded.
+#[derive(Debug, Clone)]
+pub enum Routed {
+    /// A Reply, its result not yet decoded.
+    Reply(RawReply),
+    /// Any other message, decoded.
+    Other(GiopMessage),
+}
+
+impl Routed {
+    /// Route a whole unfragmented frame (12-byte header + body).
+    pub fn from_frame(frame: &[u8]) -> WireResult<Routed> {
+        let header = frame_header(frame)?;
+        check_body(&header, &frame[12..])?;
+        Routed::new(header, Cow::Borrowed(&frame[12..]))
+    }
+
+    /// Decode what a caller routes by: a Reply's head only, leaving its
+    /// result for the caller's own decoder; any other message whole.
+    fn new(header: GiopHeader, body: Cow<'_, [u8]>) -> WireResult<Routed> {
+        if header.kind != MessageKind::Reply {
+            return GiopMessage::decode(&header, &body).map(Routed::Other);
+        }
+        let mut r = CdrReader::new(&body, header.order);
+        decode_service_contexts(&mut r)?;
+        let request_id = r.read_ulong()?;
+        let status = ReplyStatus::from_u32(r.read_ulong()?)?;
+        let payload_at = r.position();
+        Ok(Routed::Reply(RawReply {
+            request_id,
+            status,
+            order: header.order,
+            body: body.into_owned(),
+            payload_at,
+        }))
+    }
+
+    /// The message kind.
+    pub fn kind(&self) -> MessageKind {
+        match self {
+            Routed::Reply(_) => MessageKind::Reply,
+            Routed::Other(msg) => msg.kind(),
+        }
+    }
+}
+
+/// A GIOP Reply with its head decoded and its result left as bytes.
+#[derive(Debug, Clone)]
+pub struct RawReply {
+    /// Matches the originating request.
+    pub request_id: u32,
+    /// Outcome class.
+    pub status: ReplyStatus,
+    order: ByteOrder,
+    /// The whole GIOP body: CDR alignment counts from its start.
+    body: Vec<u8>,
+    /// Where the result starts in the body.
+    payload_at: usize,
+}
+
+impl RawReply {
+    /// A reader at the start of the result, aligned as the sender wrote
+    /// it: from the start of the GIOP body.
+    pub fn payload(&self) -> CdrReader<'_> {
+        CdrReader::at(&self.body, self.payload_at, self.order)
+    }
+
+    /// The result as a [`Value`].
+    pub fn value(&self) -> WireResult<Value> {
+        Value::decode(&mut self.payload())
+    }
+}
+
+/// Parse the 12-byte header that opens `frame`.
+fn frame_header(frame: &[u8]) -> WireResult<GiopHeader> {
+    if frame.len() < 12 {
+        return Err(WireError::UnexpectedEof {
+            needed: 12,
+            remaining: frame.len(),
+        });
+    }
+    let mut hdr = [0u8; 12];
+    hdr.copy_from_slice(&frame[..12]);
+    GiopHeader::from_bytes(&hdr)
+}
+
+/// A body must be exactly as long as its header says.
+fn check_body(header: &GiopHeader, body: &[u8]) -> WireResult<()> {
+    if body.len() != header.body_size as usize {
+        return Err(WireError::UnexpectedEof {
+            needed: header.body_size as usize,
+            remaining: body.len(),
+        });
+    }
+    Ok(())
 }
 
 /// GIOP Request header plus a dynamically-typed argument list as body.
@@ -387,9 +536,7 @@ impl GiopMessage {
                 status,
                 body: payload,
             } => {
-                encode_service_contexts(&mut body, service_contexts);
-                body.write_ulong(*request_id);
-                body.write_ulong(*status as u32);
+                write_reply_head(&mut body, service_contexts, *request_id, *status);
                 payload.encode(&mut body)?;
             }
             GiopMessage::CancelRequest { request_id } => {
@@ -419,34 +566,12 @@ impl GiopMessage {
                 body.write_raw(data);
             }
         }
-        let body_len = body.len();
-        if body_len as u64 > MAX_MESSAGE_SIZE as u64 {
-            return Err(WireError::TooLarge {
-                declared: body_len as u64,
-                limit: MAX_MESSAGE_SIZE as u64,
-            });
-        }
-        let header = GiopHeader {
-            version_major: 1,
-            version_minor: 2,
-            order,
-            more_fragments,
-            kind: self.kind(),
-            body_size: body_len as u32,
-        };
-        let mut frame = body.into_bytes();
-        frame[..12].copy_from_slice(&header.to_bytes());
-        Ok(frame)
+        seal(body, self.kind(), more_fragments)
     }
 
     /// Decode a message given its already-parsed header and body bytes.
     pub fn decode(header: &GiopHeader, body: &[u8]) -> WireResult<GiopMessage> {
-        if body.len() != header.body_size as usize {
-            return Err(WireError::UnexpectedEof {
-                needed: header.body_size as usize,
-                remaining: body.len(),
-            });
-        }
+        check_body(header, body)?;
         let mut r = CdrReader::new(body, header.order);
         Ok(match header.kind {
             MessageKind::Request => {
@@ -522,16 +647,7 @@ impl GiopMessage {
 
     /// Decode a complete frame (12-byte header + body).
     pub fn decode_frame(frame: &[u8]) -> WireResult<GiopMessage> {
-        if frame.len() < 12 {
-            return Err(WireError::UnexpectedEof {
-                needed: 12,
-                remaining: frame.len(),
-            });
-        }
-        let mut hdr = [0u8; 12];
-        hdr.copy_from_slice(&frame[..12]);
-        let header = GiopHeader::from_bytes(&hdr)?;
-        GiopMessage::decode(&header, &frame[12..])
+        GiopMessage::decode(&frame_header(frame)?, &frame[12..])
     }
 }
 
@@ -549,16 +665,8 @@ pub fn split_into_fragments(
     max_body: usize,
     pool: &Arc<BufPool>,
 ) -> WireResult<Vec<PooledBuf>> {
-    if frame.len() < 12 {
-        return Err(WireError::UnexpectedEof {
-            needed: 12,
-            remaining: frame.len(),
-        });
-    }
+    let mut header = frame_header(frame)?;
     let max_body = max_body.max(1);
-    let mut hdr = [0u8; 12];
-    hdr.copy_from_slice(&frame[..12]);
-    let mut header = GiopHeader::from_bytes(&hdr)?;
     let body = &frame[12..];
     let mut chunks = body.chunks(max_body);
     let first = chunks.next().unwrap_or(&[]);
@@ -590,13 +698,15 @@ pub fn split_into_fragments(
 /// Receive-side reassembly of fragment trains.
 ///
 /// Feed every raw frame arriving on one connection through
-/// [`FragmentAssembler::push_frame`]; unfragmented messages decode and
-/// return immediately, while an initial frame flagged `more_fragments`
-/// opens an accumulation that completes on the final `Fragment`. Our
-/// framing never interleaves trains on one connection (the sender
-/// enqueues a whole train atomically), so a non-`Fragment` frame
-/// arriving mid-train — or a `Fragment` with no train open — is a
-/// protocol error, not a reordering to tolerate.
+/// [`FragmentAssembler::push_frame`], which decodes each complete
+/// message, or through [`FragmentAssembler::push_raw`], which leaves
+/// the body as bytes. An unfragmented message completes at once, while
+/// an initial frame flagged `more_fragments` opens an accumulation that
+/// completes on the final `Fragment`. Our framing never interleaves
+/// trains on one connection (the sender enqueues a whole train
+/// atomically), so a non-`Fragment` frame arriving mid-train — or a
+/// `Fragment` with no train open — is a protocol error, not a
+/// reordering to tolerate.
 #[derive(Debug, Default)]
 pub struct FragmentAssembler {
     initial: Option<GiopHeader>,
@@ -623,22 +733,27 @@ impl FragmentAssembler {
     /// Feed one complete raw frame (header + body). Returns the decoded
     /// message when one is complete, `None` while mid-train.
     pub fn push_frame(&mut self, frame: &[u8]) -> WireResult<Option<GiopMessage>> {
-        if frame.len() < 12 {
-            return Err(WireError::UnexpectedEof {
-                needed: 12,
-                remaining: frame.len(),
-            });
+        match self.accept(frame)? {
+            Some((header, body)) => GiopMessage::decode(&header, &body).map(Some),
+            None => Ok(None),
         }
-        let mut hdr = [0u8; 12];
-        hdr.copy_from_slice(&frame[..12]);
-        let header = GiopHeader::from_bytes(&hdr)?;
+    }
+
+    /// [`FragmentAssembler::push_frame`] in raw mode: a complete message
+    /// comes back routed, a Reply's result undecoded.
+    pub fn push_raw(&mut self, frame: &[u8]) -> WireResult<Option<Routed>> {
+        match self.accept(frame)? {
+            Some((header, body)) => Routed::new(header, body).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Take in one frame; a complete message comes back as its header
+    /// and body: the frame's own, or a train's joined body.
+    fn accept<'f>(&mut self, frame: &'f [u8]) -> WireResult<Option<(GiopHeader, Cow<'f, [u8]>)>> {
+        let header = frame_header(frame)?;
         let body = &frame[12..];
-        if body.len() != header.body_size as usize {
-            return Err(WireError::UnexpectedEof {
-                needed: header.body_size as usize,
-                remaining: body.len(),
-            });
-        }
+        check_body(&header, body)?;
         match (self.initial.is_some(), header.kind) {
             (false, MessageKind::Fragment) => Err(WireError::BadTag {
                 context: "GIOP Fragment with no message in progress",
@@ -650,7 +765,7 @@ impl FragmentAssembler {
                 self.initial = Some(header);
                 Ok(None)
             }
-            (false, _) => GiopMessage::decode(&header, body).map(Some),
+            (false, _) => Ok(Some((header, Cow::Borrowed(body)))),
             (true, MessageKind::Fragment) => {
                 if self.body.len() + body.len() > MAX_MESSAGE_SIZE as usize {
                     self.reset();
@@ -666,8 +781,7 @@ impl FragmentAssembler {
                     let mut initial = self.initial.take().expect("train in progress");
                     initial.more_fragments = false;
                     initial.body_size = self.body.len() as u32;
-                    let body = std::mem::take(&mut self.body);
-                    GiopMessage::decode(&initial, &body).map(Some)
+                    Ok(Some((initial, Cow::Owned(std::mem::take(&mut self.body)))))
                 }
             }
             (true, other) => {
@@ -755,6 +869,35 @@ mod tests {
             Value::Sequence(vec![Value::string("Research"), Value::string("Medical")]),
         );
         assert_eq!(roundtrip(&msg, ByteOrder::LittleEndian), msg);
+    }
+
+    /// A result written into its reply frame is the `reply_ok` frame,
+    /// and routing by the head leaves exactly that result to decode,
+    /// whole or reassembled from a fragment train.
+    #[test]
+    fn a_reply_written_into_its_frame_routes_by_its_head() {
+        let result = Value::record([("n", Value::Long(7)), ("s", Value::string("x"))]);
+        for order in [ByteOrder::BigEndian, ByteOrder::LittleEndian] {
+            let mut w = reply_frame(order, Vec::new(), 42);
+            result.encode(&mut w).unwrap();
+            let frame = finish_reply(w).unwrap();
+            assert_eq!(frame, reply_ok(42, result.clone()).encode(order).unwrap());
+
+            let pool = BufPool::shared();
+            let mut asm = FragmentAssembler::new();
+            let train = split_into_fragments(&frame, 8, &pool).unwrap();
+            let reassembled = train.iter().find_map(|f| asm.push_raw(f).unwrap());
+            for routed in [Routed::from_frame(&frame).unwrap(), reassembled.unwrap()] {
+                match routed {
+                    Routed::Reply(reply) => {
+                        assert_eq!(reply.request_id, 42);
+                        assert_eq!(reply.status, ReplyStatus::NoException);
+                        assert_eq!(reply.value().unwrap(), result);
+                    }
+                    Routed::Other(other) => panic!("routed as {:?}", other.kind()),
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub mod value;
 pub use bufpool::{BufPool, FrameBuf, PooledBuf};
 pub use cdr::{ByteOrder, CdrReader, CdrWriter};
 pub use giop::{
-    FragmentAssembler, GiopHeader, GiopMessage, MessageKind, ReplyStatus, RequestHeader,
+    FragmentAssembler, GiopHeader, GiopMessage, MessageKind, RawReply, ReplyStatus, RequestHeader,
+    Routed,
 };
 pub use ior::{IiopProfile, Ior, TaggedProfile};
 pub use transport::{Fault, FaultSlot, FrameReader, FramedTcp, NbSender};

@@ -12,21 +12,38 @@ use crate::ior::Ior;
 use crate::{WireError, WireResult};
 use std::fmt;
 
-/// Type tags used on the wire. One octet each.
-mod tag {
+/// Type tags used on the wire, one octet each. Public so that a typed
+/// codec elsewhere (a result-set table, say) can write and read the
+/// same bytes `Value::encode` and `Value::decode` do without building a
+/// `Value` tree.
+pub mod tag {
+    /// [`super::Value::Void`].
     pub const VOID: u8 = 0;
+    /// [`super::Value::Bool`].
     pub const BOOL: u8 = 1;
+    /// [`super::Value::Octet`].
     pub const OCTET: u8 = 2;
+    /// [`super::Value::Short`].
     pub const SHORT: u8 = 3;
+    /// [`super::Value::Long`].
     pub const LONG: u8 = 4;
+    /// [`super::Value::LongLong`].
     pub const LONGLONG: u8 = 5;
+    /// [`super::Value::ULong`].
     pub const ULONG: u8 = 6;
+    /// [`super::Value::Float`].
     pub const FLOAT: u8 = 7;
+    /// [`super::Value::Double`].
     pub const DOUBLE: u8 = 8;
+    /// [`super::Value::Str`].
     pub const STRING: u8 = 9;
+    /// [`super::Value::Sequence`]: a ulong count, then the items.
     pub const SEQUENCE: u8 = 10;
+    /// [`super::Value::Struct`]: a ulong count, then (name, value) pairs.
     pub const STRUCT: u8 = 11;
+    /// [`super::Value::ObjectRef`].
     pub const OBJECT_REF: u8 = 12;
+    /// [`super::Value::Null`].
     pub const NULL: u8 = 13;
 }
 

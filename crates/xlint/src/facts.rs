@@ -208,8 +208,8 @@ pub struct ServantFact {
     pub line: usize,
     pub in_test: bool,
     pub interface_id: Option<String>,
-    /// Dispatch arm literals from `fn invoke`'s `match operation`,
-    /// with the line each arm pattern appears on.
+    /// Dispatch arm literals from the `match operation` of `fn invoke`
+    /// and `fn invoke_into`, with the line each arm pattern appears on.
     pub arms: Vec<(String, usize)>,
     /// Literals returned from `fn operations` (empty when the servant
     /// relies on the trait default).
@@ -1034,11 +1034,13 @@ fn extract_servants(
                         .find_map(|tok| consts.get(tok).cloned())
                 })
         });
-        // Dispatch arms: literals in `fn invoke`'s body followed (after
-        // whitespace) by `=>` or `|`, kept at the minimum such depth so
-        // nested matches inside arm bodies don't masquerade as arms.
+        // Dispatch arms: literals in the body of `fn invoke` or `fn
+        // invoke_into` (a servant may dispatch in either) followed (after
+        // whitespace) by `=>` or `|`, kept at the minimum such depth per
+        // function so nested matches inside arm bodies don't masquerade
+        // as arms.
         let mut arms = Vec::new();
-        if let Some(f) = fn_in_span("invoke") {
+        for f in ["invoke", "invoke_into"].into_iter().filter_map(fn_in_span) {
             let mut candidates: Vec<(usize, String, usize)> = Vec::new(); // (depth, value, line)
             for (li, lit) in strings.iter().enumerate() {
                 if lit.start <= f.body_start || lit.end >= f.body_end {

@@ -49,6 +49,14 @@ fn idl_drift_fixture() {
     run_case("idl_drift");
 }
 
+/// A servant that dispatches in `invoke_into`: its arms are read from
+/// there, so only the listed-but-missing op and the never-invoked arm
+/// are reported.
+#[test]
+fn idl_drift_invoke_into_fixture() {
+    run_case("idl_drift_into");
+}
+
 /// Healthy counters beside ones nothing ever increments, in a
 /// written-out struct and in a `counter_set!` declaration.
 #[test]
