@@ -109,12 +109,12 @@ fn main() {
             .unwrap()
     });
     let mut ontos = connect("jni:ontos://h/PCH");
-    time_op("JNI -> Ontos", "OQL filter (extent scan)", 27, || {
+    time_op("JNI -> Ontos", "OQL filter (index scan)", 27, || {
         ontos.execute(OQL_FILTER).unwrap()
     });
     let mut objectstore = connect("native:objectstore://h/PCH");
     let path = "C++ invocation -> ObjectStore";
-    time_op(path, "OQL filter (extent scan)", 27, || {
+    time_op(path, "OQL filter (index scan)", 27, || {
         objectstore.execute(OQL_FILTER).unwrap()
     });
     time_op("JNI -> Ontos", "access-routine invocation", 1, || {
@@ -146,8 +146,9 @@ fn main() {
         2 * ITERS
     );
     println!(
-        "\nReading: the indexed relational path is fastest; object extents pay\n\
-         the scan; the compensated mSQL aggregate pays a full fetch of the\n\
+        "\nReading: the indexed relational path is fastest; the OQL filter reads\n\
+         its cost index, then rechecks and projects each candidate object;\n\
+         the compensated mSQL aggregate pays a full fetch of the\n\
          base table plus a local re-execution on every call — the price of\n\
          the fetch-and-compute wrapper trick for a missing vendor feature."
     );

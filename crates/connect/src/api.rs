@@ -90,7 +90,8 @@ pub struct DataMetrics {
     pub rows_scanned: u64,
     /// Approximate bytes of those rows (0 for object stores).
     pub bytes_scanned: u64,
-    /// Index entries hit (0 for object stores).
+    /// Index entries hit (for object stores, the candidates an
+    /// attribute index returned).
     pub index_hits: u64,
     /// Rows materialized by blocking operators (sort, aggregation).
     pub rows_spilled: u64,

@@ -267,6 +267,7 @@ impl Connection for ObjectConnection {
         let (result, m) = query.execute_with_metrics(&inst.read().store)?;
         self.last_metrics = Some(DataMetrics {
             rows_scanned: m.objects_scanned,
+            index_hits: m.index_hits,
             rows_spilled: m.rows_spilled,
             ..DataMetrics::default()
         });

@@ -11,9 +11,12 @@ use webfindit::orb::servant::Servant;
 use webfindit::servants::IsiServant;
 use webfindit::value_map::read_result_set;
 use webfindit::wire::{ByteOrder, CdrReader, CdrWriter, Value};
+use webfindit_base::rng::StdRng;
 use webfindit_base::sync::detect;
 use webfindit_connect::manager::standard_manager;
 use webfindit_connect::DataSourceRegistry;
+use webfindit_oostore::method::MethodTable;
+use webfindit_oostore::{ClassDef, OType, OValue, ObjectStore, Oid, OqlQuery};
 use webfindit_relstore::file_mgr::{SimVfs, Vfs};
 use webfindit_relstore::{Database, Datum, Dialect};
 
@@ -169,6 +172,132 @@ fn shared_read_stress_on_a_durable_site() {
         // The body panicked: join to report its message.
         Err(RecvTimeoutError::Disconnected) => body.join().unwrap(),
         Err(RecvTimeoutError::Timeout) => panic!("shared-read stress hung for 60 s"),
+    }
+    let violations = detect::take_violations();
+    assert!(violations.is_empty(), "detector reports: {violations:#?}");
+}
+
+const OBJECT_WRITES: u64 = 1_500;
+const OQL_READERS: usize = 3;
+const OQL_READS_PER_READER: usize = 300;
+
+fn define_urgent(store: &mut ObjectStore) {
+    store
+        .define_class(ClassDef::root("Urgent").extends("Visit"))
+        .unwrap();
+}
+
+/// One `Visit` or `Urgent` object numbered `seq`.
+fn visit(store: &mut ObjectStore, urgent: bool, seq: i64) -> Oid {
+    let attrs = [
+        ("seq".to_string(), OValue::Int(seq)),
+        ("ward".to_string(), OValue::Text(format!("w{}", seq % 7))),
+        ("cost".to_string(), OValue::Double((seq % 97) as f64 / 4.0)),
+    ];
+    let class = if urgent { "Urgent" } else { "Visit" };
+    store.create(class, attrs).unwrap()
+}
+
+/// Readers run OQL range queries on an object site under its shared
+/// guard, so they build its attribute indexes beside one another, while
+/// a writer creates, updates and deletes objects under the exclusive
+/// guard and now and then drops and redefines the subclass, whose
+/// indexes the next readers build again. Under each guard, a reader's
+/// range query, which reads an index, and the same query with an `OR`
+/// no index can serve, which scans the extent, return the same rows.
+#[test]
+fn oql_index_build_stress_on_an_object_site() {
+    let (done, finished) = mpsc::channel();
+    let body = thread::spawn(move || {
+        let mut store = ObjectStore::new("Archive");
+        store
+            .define_class(
+                ClassDef::root("Visit")
+                    .attr("seq", OType::Int)
+                    .attr("ward", OType::Text)
+                    .attr("cost", OType::Double),
+            )
+            .unwrap();
+        define_urgent(&mut store);
+        let mut live: Vec<(Oid, bool)> = (0..500)
+            .map(|seq| (visit(&mut store, seq % 5 == 0, seq), seq % 5 == 0))
+            .collect();
+        let registry = DataSourceRegistry::new();
+        let site = registry.register_object("objectstore", "Archive", store, MethodTable::new());
+
+        let start = Arc::new(Barrier::new(OQL_READERS + 1));
+        let readers: Vec<_> = (0..OQL_READERS)
+            .map(|r| {
+                let (site, start) = (Arc::clone(&site), Arc::clone(&start));
+                thread::spawn(move || {
+                    start.wait();
+                    let mut rng = StdRng::seed_from_u64(r as u64);
+                    for _ in 0..OQL_READS_PER_READER {
+                        let lo = rng.gen_range(0i64..2_000);
+                        let range = match rng.gen_range(0..3) {
+                            0 => format!("seq >= {lo} and seq < {}", lo + 150),
+                            1 => format!("cost > {} and cost <= {}", lo % 20, lo % 20 + 3),
+                            _ => format!("ward in ('w{}', 'w{}')", lo % 7, lo % 3),
+                        };
+                        let class = if lo % 4 == 0 { "Urgent" } else { "Visit" };
+                        let indexed = format!("select seq, cost from {class} where {range}");
+                        let scanned = format!("{indexed} or ward = 'nowhere'");
+                        let guard = site.read();
+                        let run = |text: &str, leaf: &str| {
+                            let q = OqlQuery::parse(text).unwrap();
+                            let (rows, m) = q.execute_with_metrics(&guard.store).unwrap();
+                            assert_eq!(m.operators[0], leaf, "{text}");
+                            rows.rows
+                        };
+                        assert_eq!(run(&indexed, "index scan"), run(&scanned, "extent scan"));
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut next_seq = 500;
+        for i in 0..OBJECT_WRITES {
+            let mut guard = site.lock();
+            let store = &mut guard.store;
+            match i % 10 {
+                0..=4 => {
+                    let urgent = rng.gen_bool(0.3);
+                    live.push((visit(store, urgent, next_seq), urgent));
+                    next_seq += 1;
+                }
+                5..=7 if !live.is_empty() => {
+                    let (oid, _) = live[rng.gen_range(0..live.len())];
+                    let attr = ["seq", "cost", "ward"][rng.gen_range(0usize..3)];
+                    let value = match attr {
+                        "seq" => OValue::Int(rng.gen_range(0i64..2_000)),
+                        "cost" => OValue::Double(rng.gen_range(0i64..100) as f64 / 4.0),
+                        _ => OValue::Text(format!("w{}", rng.gen_range(0..7))),
+                    };
+                    store.set_attr(oid, attr, value).unwrap();
+                }
+                8 if !live.is_empty() => {
+                    let (oid, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                    store.delete(oid).unwrap();
+                }
+                _ if i % 100 == 9 => {
+                    store.drop_class("Urgent").unwrap();
+                    live.retain(|(_, urgent)| !urgent);
+                    define_urgent(store);
+                }
+                _ => {}
+            }
+        }
+        for r in readers {
+            r.join().unwrap();
+        }
+        done.send(()).unwrap();
+    });
+    match finished.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => body.join().unwrap(),
+        // The body panicked: join to report its message.
+        Err(RecvTimeoutError::Disconnected) => body.join().unwrap(),
+        Err(RecvTimeoutError::Timeout) => panic!("OQL index-build stress hung for 60 s"),
     }
     let violations = detect::take_violations();
     assert!(violations.is_empty(), "detector reports: {violations:#?}");

@@ -13,17 +13,20 @@
 //!   attribute access with inheritance, lattice queries
 //!   (sub/superclasses, instances-of with subclass closure);
 //! * [`oql`] — a small OQL-flavoured query language over extents
-//!   (`select <attrs> from <Class> where <predicate>`);
+//!   (`select <attrs> from <Class> where <predicate>`), which reads
+//!   ordered attribute indexes for a range on one attribute;
 //! * [`method`] — registered access routines (the paper's
 //!   `Description()` / `Funding()` functions), invokable per class.
 
 #![warn(missing_docs)]
 
+mod index;
 pub mod method;
 pub mod model;
 pub mod oql;
 pub mod store;
 
+pub use index::KeyRange;
 pub use model::{AttrDef, ClassDef, OType, OValue, Oid};
 pub use oql::{OoExecMetrics, OqlPlan, OqlQuery};
 pub use store::{Object, ObjectStore};

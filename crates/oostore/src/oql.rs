@@ -15,12 +15,23 @@
 //! `FROM Class` ranges over the extent *closure* (instances of the class
 //! and all its subclasses), which is what makes coalition queries like
 //! "all databases under Research" one-liners in the co-database.
+//!
+//! When a top-level `AND` conjunct of `WHERE` compares one attribute
+//! with `=`, `<`, `<=`, `>`, `>=` or `IN` against a literal, the plan
+//! reads that attribute's index instead of the whole closure. The index
+//! only narrows the objects visited: each candidate is still checked
+//! against the full predicate, in OID order, so the rows and their
+//! order are the ones the extent scan gives.
 
+use crate::index::{Key, KeyRange};
 use crate::model::OValue;
 use crate::model::Oid;
 use crate::store::ObjectStore;
 use crate::{OoError, OoResult};
 use std::cmp::Ordering;
+use std::fmt;
+use std::mem::{discriminant, Discriminant};
+use std::ops::Bound;
 use webfindit_base::like::like_match;
 
 /// A parsed OQL query.
@@ -106,8 +117,11 @@ pub struct OqlResult {
 /// work uniformly across both stores.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OoExecMetrics {
-    /// Objects loaded from the extent closure.
+    /// Objects examined: from the extent closure, or the candidates an
+    /// index returned.
     pub objects_scanned: u64,
+    /// Candidates an index returned.
+    pub index_hits: u64,
     /// Objects surviving the predicate.
     pub objects_matched: u64,
     /// Rows materialized for sorting.
@@ -131,6 +145,16 @@ pub enum OqlPlan {
         class: String,
         /// Objects currently in the closure.
         objects: usize,
+    },
+    /// Visit, in OID order, the objects of the extent closure whose
+    /// attribute has a key in the range.
+    IndexScan {
+        /// Class whose closure is read.
+        class: String,
+        /// Indexed attribute (lowercase).
+        attr: String,
+        /// Keys read.
+        range: KeyRange,
     },
     /// Keep objects whose predicate is true.
     Filter {
@@ -169,6 +193,7 @@ impl OqlPlan {
     pub fn name(&self) -> &'static str {
         match self {
             OqlPlan::ExtentScan { .. } => "extent scan",
+            OqlPlan::IndexScan { .. } => "index scan",
             OqlPlan::Filter { .. } => "filter",
             OqlPlan::Project { .. } => "project",
             OqlPlan::Sort { .. } => "sort",
@@ -179,7 +204,7 @@ impl OqlPlan {
     /// The upstream operator, if any.
     pub fn input(&self) -> Option<&OqlPlan> {
         match self {
-            OqlPlan::ExtentScan { .. } => None,
+            OqlPlan::ExtentScan { .. } | OqlPlan::IndexScan { .. } => None,
             OqlPlan::Filter { input, .. }
             | OqlPlan::Project { input, .. }
             | OqlPlan::Sort { input, .. }
@@ -197,6 +222,11 @@ impl OqlPlan {
         out
     }
 
+    /// The scan at the bottom of the plan.
+    fn leaf(&self) -> &OqlPlan {
+        self.input().map_or(self, OqlPlan::leaf)
+    }
+
     /// Render the plan root-first, indented two spaces per level.
     pub fn render(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -209,6 +239,9 @@ impl OqlPlan {
         let line = match self {
             OqlPlan::ExtentScan { class, objects } => {
                 format!("{pad}extent scan {class} ({objects} objects, closure)")
+            }
+            OqlPlan::IndexScan { class, attr, range } => {
+                format!("{pad}index scan {class}.{attr} {range} (closure)")
             }
             OqlPlan::Filter { pred, .. } => format!("{pad}filter: {pred}"),
             OqlPlan::Project { attrs, .. } => format!("{pad}project: {}", attrs.join(", ")),
@@ -229,6 +262,124 @@ fn value_to_text(v: &OValue) -> String {
         OValue::Text(s) => format!("'{}'", s.replace('\'', "''")),
         other => other.to_string(),
     }
+}
+
+impl fmt::Display for KeyRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KeyRange::Between { lo, hi } => {
+                match lo {
+                    Bound::Included(v) => write!(f, "[{}", value_to_text(v))?,
+                    Bound::Excluded(v) => write!(f, "({}", value_to_text(v))?,
+                    Bound::Unbounded => write!(f, "(-∞")?,
+                }
+                match hi {
+                    Bound::Included(v) => write!(f, ", {}]", value_to_text(v)),
+                    Bound::Excluded(v) => write!(f, ", {})", value_to_text(v)),
+                    Bound::Unbounded => write!(f, ", ∞)"),
+                }
+            }
+            KeyRange::Points(values) => {
+                let vs: Vec<String> = values.iter().map(value_to_text).collect();
+                write!(f, "{{{}}}", vs.join(", "))
+            }
+        }
+    }
+}
+
+/// The tighter of two bounds on one side of a range: `toward` is
+/// `Greater` for lower bounds and `Less` for upper ones.
+fn tighter<'a>(
+    old: Bound<&'a OValue>,
+    new: Bound<&'a OValue>,
+    toward: Ordering,
+) -> Bound<&'a OValue> {
+    match (old, new) {
+        (b, Bound::Unbounded) | (Bound::Unbounded, b) => b,
+        (Bound::Included(o) | Bound::Excluded(o), Bound::Included(n) | Bound::Excluded(n)) => {
+            match n.compare(o) {
+                Some(ord) if ord == toward => new,
+                Some(Ordering::Equal) if matches!(new, Bound::Excluded(_)) => new,
+                _ => old,
+            }
+        }
+    }
+}
+
+/// The index read `filter` allows, as (attribute, keys), from its
+/// top-level `AND` conjuncts: `=`, `<`, `<=`, `>`, `>=` and `IN`
+/// against literals that have an index key. The comparisons on one
+/// attribute and key family narrow one range. An equality goes first,
+/// then an `IN` list, then a range bounded on both sides, then one
+/// bounded on one side; the first such conjunct wins a tie.
+fn index_access(filter: &Pred) -> Option<(String, KeyRange)> {
+    let mut conjuncts = Vec::new();
+    let mut stack = vec![filter];
+    while let Some(p) = stack.pop() {
+        match p {
+            Pred::And(a, b) => stack.extend([b.as_ref(), a.as_ref()]),
+            other => conjuncts.push(other),
+        }
+    }
+    // (attribute, key family, lower bound, upper bound)
+    let mut ranges: Vec<(&str, Discriminant<Key>, _, _)> = Vec::new();
+    let mut lists = Vec::new();
+    for c in conjuncts {
+        match c {
+            Pred::Cmp { attr, op, value } => {
+                let Some(family) = Key::of(value).map(|k| discriminant(&k)) else {
+                    continue;
+                };
+                let (lo, hi) = match op {
+                    CmpOp::Eq => (Bound::Included(value), Bound::Included(value)),
+                    CmpOp::Lt => (Bound::Unbounded, Bound::Excluded(value)),
+                    CmpOp::Le => (Bound::Unbounded, Bound::Included(value)),
+                    CmpOp::Gt => (Bound::Excluded(value), Bound::Unbounded),
+                    CmpOp::Ge => (Bound::Included(value), Bound::Unbounded),
+                    CmpOp::Ne | CmpOp::Like => continue,
+                };
+                match ranges.iter_mut().find(|r| r.0 == attr && r.1 == family) {
+                    Some(r) => {
+                        r.2 = tighter(r.2, lo, Ordering::Greater);
+                        r.3 = tighter(r.3, hi, Ordering::Less);
+                    }
+                    None => ranges.push((attr, family, lo, hi)),
+                }
+            }
+            Pred::In { attr, values } => {
+                let keyed = values.iter().filter(|v| Key::of(v).is_some()).cloned();
+                lists.push((attr.clone(), KeyRange::Points(keyed.collect())));
+            }
+            _ => {}
+        }
+    }
+    let rank = |range: &KeyRange| match range {
+        KeyRange::Between {
+            lo: Bound::Included(a),
+            hi: Bound::Included(b),
+        } if a.compare(b) == Some(Ordering::Equal) => 0,
+        KeyRange::Points(_) => 1,
+        KeyRange::Between {
+            lo: Bound::Unbounded,
+            ..
+        }
+        | KeyRange::Between {
+            hi: Bound::Unbounded,
+            ..
+        } => 3,
+        KeyRange::Between { .. } => 2,
+    };
+    ranges
+        .into_iter()
+        .map(|(attr, _, lo, hi)| {
+            let range = KeyRange::Between {
+                lo: lo.cloned(),
+                hi: hi.cloned(),
+            };
+            (attr.to_owned(), range)
+        })
+        .chain(lists)
+        .min_by_key(|(_, range)| rank(range))
 }
 
 fn pred_to_text(p: &Pred) -> String {
@@ -279,11 +430,21 @@ impl OqlQuery {
 
     /// Build the physical plan this query executes against `store`.
     pub fn plan(&self, store: &ObjectStore) -> OoResult<OqlPlan> {
-        let objects = store.instances_of(&self.class, true)?.len();
+        self.plan_with_closure(store).map(|(plan, _)| plan)
+    }
+
+    /// The plan, and the lowercase names of the classes in the extent
+    /// closure it reads.
+    fn plan_with_closure(&self, store: &ObjectStore) -> OoResult<(OqlPlan, Vec<String>)> {
+        let closure = store.closure(&self.class)?;
         let attrs = self.output_columns(store)?;
-        let mut plan = OqlPlan::ExtentScan {
-            class: self.class.clone(),
-            objects,
+        let class = self.class.clone();
+        let mut plan = match self.filter.as_ref().and_then(index_access) {
+            Some((attr, range)) => OqlPlan::IndexScan { class, attr, range },
+            None => OqlPlan::ExtentScan {
+                class,
+                objects: store.closure_len(&closure),
+            },
         };
         if let Some(p) = &self.filter {
             plan = OqlPlan::Filter {
@@ -308,7 +469,7 @@ impl OqlQuery {
                 n,
             };
         }
-        Ok(plan)
+        Ok((plan, closure))
     }
 
     /// Describe the plan [`OqlQuery::execute`] would run, without
@@ -323,20 +484,30 @@ impl OqlQuery {
     }
 
     /// Execute against a store, returning [`OoExecMetrics`] alongside
-    /// the result. `LIMIT` without `ORDER BY` stops the extent scan as
-    /// soon as enough objects matched.
+    /// the result. `LIMIT` without `ORDER BY` stops the scan as soon as
+    /// enough objects matched.
     pub fn execute_with_metrics(
         &self,
         store: &ObjectStore,
     ) -> OoResult<(OqlResult, OoExecMetrics)> {
-        let plan = self.plan(store)?;
+        let (plan, closure) = self.plan_with_closure(store)?;
         let mut m = OoExecMetrics {
             operators: plan.operator_names(),
             ..OoExecMetrics::default()
         };
-        let oids = store.instances_of(&self.class, true)?;
+        let oids = match plan.leaf() {
+            OqlPlan::IndexScan { attr, range, .. } => {
+                let oids = store.index_candidates(&closure, attr, range)?;
+                m.index_hits = oids.len() as u64;
+                oids
+            }
+            _ => store.closure_oids(&closure),
+        };
         let columns = self.output_columns(store)?;
+        let sort_attr = self.order_by.as_ref().map(|(attr, _)| attr.as_str());
         let mut rows = Vec::new();
+        // The sort key of each row, when there is a sort.
+        let mut keys = Vec::new();
         for oid in oids {
             // LIMIT pushdown: without a sort there is no need to keep
             // scanning once the cap is reached.
@@ -355,29 +526,18 @@ impl OqlQuery {
                 }
             }
             m.objects_matched += 1;
-            let values = columns.iter().map(|c| obj.get(c)).collect();
+            let values = columns.iter().map(|c| obj.attr(c).clone()).collect();
             rows.push((oid, values));
+            if let Some(attr) = sort_attr {
+                keys.push(obj.attr(attr));
+            }
         }
-        if let Some((attr, desc)) = &self.order_by {
+        if let Some((_, desc)) = &self.order_by {
             m.rows_spilled += rows.len() as u64;
-            let mut keyed: Vec<(OValue, (Oid, Vec<OValue>))> = rows
-                .into_iter()
-                .map(|(oid, values)| {
-                    let key = store
-                        .object(oid)
-                        .map(|o| o.get(attr))
-                        .unwrap_or(OValue::Null);
-                    (key, (oid, values))
-                })
-                .collect();
+            let mut keyed: Vec<(&OValue, (Oid, Vec<OValue>))> =
+                keys.into_iter().zip(rows).collect();
             keyed.sort_by(|(a, (ao, _)), (b, (bo, _))| {
-                // Nulls first, incomparables by OID for a stable total order.
-                let ord = match (a.is_null(), b.is_null()) {
-                    (true, true) => Ordering::Equal,
-                    (true, false) => Ordering::Less,
-                    (false, true) => Ordering::Greater,
-                    (false, false) => a.compare(b).unwrap_or(Ordering::Equal),
-                };
+                let ord = sort_order(a, b);
                 let ord = if *desc { ord.reverse() } else { ord };
                 ord.then(ao.cmp(bo))
             });
@@ -390,10 +550,49 @@ impl OqlQuery {
     }
 }
 
+/// The order `ORDER BY` sorts keys in: NULLs first, then Bools, then
+/// numbers, then Text. Numbers sort by their exact value, so Ints and
+/// Doubles that round to one f64 still sort consistently, and NaN sorts
+/// after every other number. Where [`OValue::compare`] orders two
+/// values consistently this agrees with it; unlike it, this is a total
+/// order, as `sort_by` requires.
+fn sort_order(a: &OValue, b: &OValue) -> Ordering {
+    fn rank(v: &OValue) -> u8 {
+        match v {
+            OValue::Null => 0,
+            OValue::Bool(_) => 1,
+            OValue::Double(d) if d.is_nan() => 3,
+            OValue::Int(_) | OValue::Double(_) => 2,
+            OValue::Text(_) => 4,
+            OValue::List(_) => 5,
+            OValue::Ref(_) => 6,
+        }
+    }
+    match (a, b) {
+        _ if rank(a) != rank(b) => rank(a).cmp(&rank(b)),
+        (OValue::Int(i), OValue::Double(f)) => int_against_double(*i, *f),
+        (OValue::Double(f), OValue::Int(i)) => int_against_double(*i, *f).reverse(),
+        // NULLs, NaNs and lists never compare, so they tie.
+        _ => a.compare(b).unwrap_or(Ordering::Equal),
+    }
+}
+
+/// `i` against the non-NaN `f`, by exact value.
+fn int_against_double(i: i64, f: f64) -> Ordering {
+    // Rounding to nearest never crosses a representable `f`.
+    match (i as f64).partial_cmp(&f).expect("f is not NaN") {
+        // `f` is an integer here; 2^63 is the one such value an i64
+        // can round to that it cannot hold.
+        Ordering::Equal if f >= 9_223_372_036_854_775_808.0 => Ordering::Less,
+        Ordering::Equal => i.cmp(&(f as i64)),
+        unequal => unequal,
+    }
+}
+
 fn eval_pred(p: &Pred, obj: &crate::store::Object) -> Option<bool> {
     match p {
         Pred::Cmp { attr, op, value } => {
-            let v = obj.get(attr);
+            let v = obj.attr(attr);
             if *op == CmpOp::Like {
                 return match (v.as_text(), value.as_text()) {
                     (Some(t), Some(pat)) => Some(like_match(t, pat)),
@@ -411,9 +610,9 @@ fn eval_pred(p: &Pred, obj: &crate::store::Object) -> Option<bool> {
                 CmpOp::Like => unreachable!(),
             })
         }
-        Pred::IsNull { attr, negated } => Some(obj.get(attr).is_null() != *negated),
+        Pred::IsNull { attr, negated } => Some(obj.attr(attr).is_null() != *negated),
         Pred::In { attr, values } => {
-            let v = obj.get(attr);
+            let v = obj.attr(attr);
             let mut unknown = false;
             for candidate in values {
                 match v.compare(candidate) {
@@ -1029,11 +1228,13 @@ mod order_limit_tests {
         }
     }
 
+    /// A predicate no index can serve (a top-level `OR`) plans an
+    /// extent scan over the whole closure.
     #[test]
     fn explain_renders_the_executed_plan() {
         let s = funded();
         let q = OqlQuery::parse(
-            "select name from G where amount > 15 and name like '%' order by amount desc limit 2",
+            "select name from G where amount > 15 or name = 'zzz' order by amount desc limit 2",
         )
         .unwrap();
         let plan = q.plan(&s).unwrap();
@@ -1042,7 +1243,7 @@ mod order_limit_tests {
         assert!(text.contains("sort: amount DESC"), "{text}");
         assert!(text.contains("project: name"), "{text}");
         assert!(
-            text.contains("filter: (amount > 15 AND name LIKE '%')"),
+            text.contains("filter: (amount > 15 OR name = 'zzz')"),
             "{text}"
         );
         assert!(
@@ -1060,6 +1261,77 @@ mod order_limit_tests {
         assert_eq!(m.objects_scanned, 4);
         assert_eq!(m.objects_matched, 2);
         assert_eq!(m.rows_spilled, 2);
+        assert_eq!(m.index_hits, 0);
+    }
+
+    /// A range on one attribute under a top-level `AND` reads that
+    /// attribute's index: only the candidates are examined, and the
+    /// whole predicate is still checked on each.
+    #[test]
+    fn explain_renders_an_index_scan() {
+        let s = funded();
+        let q = OqlQuery::parse(
+            "select name from G where amount > 15 and name like '%' order by amount desc limit 2",
+        )
+        .unwrap();
+        let plan = q.plan(&s).unwrap();
+        assert_eq!(
+            plan.render(),
+            vec![
+                "limit: 2",
+                "  sort: amount DESC",
+                "    project: name",
+                "      filter: (amount > 15 AND name LIKE '%')",
+                "        index scan G.amount (15, ∞) (closure)",
+            ]
+        );
+        let (r, m) = q.execute_with_metrics(&s).unwrap();
+        assert_eq!(m.operators, plan.operator_names());
+        assert_eq!(
+            m.operators,
+            vec!["index scan", "filter", "project", "sort", "limit"]
+        );
+        let names: Vec<String> = r.rows.iter().map(|(_, v)| v[0].to_string()).collect();
+        assert_eq!(names, vec!["a", "c"]);
+        // a (30) and c (20) are the candidates; b and the NULL d are not.
+        assert_eq!(m.index_hits, 2);
+        assert_eq!(m.objects_scanned, 2);
+        assert_eq!(m.objects_matched, 2);
+        assert_eq!(m.rows_spilled, 2);
+
+        // Comparisons on one attribute narrow one range, and a second
+        // attribute's conjunct is only rechecked.
+        let q = OqlQuery::parse(
+            "select name from G where amount >= 10 and name <> 'b' and amount < 30 and amount > 5",
+        )
+        .unwrap();
+        let plan = q.plan(&s).unwrap();
+        let text = plan.render().join("\n");
+        assert!(
+            text.contains("index scan G.amount [10, 30) (closure)"),
+            "{text}"
+        );
+        // The scan reads its bounds inclusively (b, c and a), and the
+        // recheck drops a (30) and b.
+        let (r, m) = q.execute_with_metrics(&s).unwrap();
+        assert_eq!((m.index_hits, m.objects_scanned, r.rows.len()), (3, 3, 1));
+
+        // An equality beats a range, and an IN list beats a range too.
+        let q = OqlQuery::parse("select name from G where amount > 5 and name = 'c'").unwrap();
+        let text = q.plan(&s).unwrap().render().join("\n");
+        assert!(
+            text.contains("index scan G.name ['c', 'c'] (closure)"),
+            "{text}"
+        );
+        let q =
+            OqlQuery::parse("select name from G where amount > 5 and name in ('a', 'd')").unwrap();
+        let text = q.plan(&s).unwrap().render().join("\n");
+        assert!(
+            text.contains("index scan G.name {'a', 'd'} (closure)"),
+            "{text}"
+        );
+        let (r, m) = q.execute_with_metrics(&s).unwrap();
+        assert_eq!((m.index_hits, m.objects_matched, r.rows.len()), (2, 1, 1));
     }
 
     #[test]

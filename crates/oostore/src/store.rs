@@ -1,8 +1,10 @@
 //! The object store: classes, extents, objects, lattice queries.
 
+use crate::index::{AttrIndex, KeyRange};
 use crate::model::{AttrDef, ClassDef, OValue, Oid};
 use crate::{OoError, OoResult};
 use std::collections::{BTreeMap, BTreeSet};
+use webfindit_base::sync::RwLock;
 
 /// A stored object: its class and attribute values.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,10 +23,20 @@ impl Object {
             .cloned()
             .unwrap_or(OValue::Null)
     }
+
+    /// Borrow one attribute by its lowercase name (Null if unset).
+    pub(crate) fn attr(&self, lname: &str) -> &OValue {
+        const NULL: &OValue = &OValue::Null;
+        self.attrs.get(lname).unwrap_or(NULL)
+    }
 }
 
+/// Built attribute indexes: lowercase class name → attribute → index
+/// over that class's own extent.
+type Indexes = BTreeMap<String, BTreeMap<String, AttrIndex>>;
+
 /// An object-oriented database instance (the ObjectStore/Ontos stand-in).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct ObjectStore {
     name: String,
     /// Lowercase class name → definition.
@@ -33,6 +45,24 @@ pub struct ObjectStore {
     extents: BTreeMap<String, Vec<Oid>>,
     objects: BTreeMap<Oid, Object>,
     next_oid: u64,
+    /// Attribute indexes, each bulk-built the first time a query
+    /// constrains its attribute. A query holding only `&self` builds
+    /// under the lock; writers own `&mut self` and keep every built
+    /// index current without taking it.
+    indexes: RwLock<Indexes>,
+}
+
+impl Clone for ObjectStore {
+    fn clone(&self) -> ObjectStore {
+        ObjectStore {
+            name: self.name.clone(),
+            classes: self.classes.clone(),
+            extents: self.extents.clone(),
+            objects: self.objects.clone(),
+            next_oid: self.next_oid,
+            indexes: RwLock::new(self.indexes.read().clone()),
+        }
+    }
 }
 
 impl ObjectStore {
@@ -98,6 +128,7 @@ impl ObjectStore {
                     self.objects.remove(&oid);
                 }
             }
+            self.indexes.get_mut().remove(&ck);
             self.classes.remove(&ck);
         }
         // Remove dangling parent references from remaining classes.
@@ -238,6 +269,11 @@ impl ObjectStore {
         }
         let oid = Oid(self.next_oid);
         self.next_oid += 1;
+        if let Some(built) = self.indexes.get_mut().get_mut(&key) {
+            for (attr, ix) in built {
+                ix.insert(oid, map.get(attr).unwrap_or(&OValue::Null));
+            }
+        }
         self.objects.insert(
             oid,
             Object {
@@ -255,8 +291,14 @@ impl ObjectStore {
             .objects
             .remove(&oid)
             .ok_or(OoError::NoSuchObject(oid))?;
-        if let Some(extent) = self.extents.get_mut(&obj.class.to_ascii_lowercase()) {
+        let key = obj.class.to_ascii_lowercase();
+        if let Some(extent) = self.extents.get_mut(&key) {
             extent.retain(|&o| o != oid);
+        }
+        if let Some(built) = self.indexes.get_mut().get_mut(&key) {
+            for (attr, ix) in built {
+                ix.remove(oid, obj.attr(attr));
+            }
         }
         Ok(())
     }
@@ -290,26 +332,105 @@ impl ObjectStore {
                 });
             }
         }
-        self.objects
-            .get_mut(&oid)
-            .expect("checked above")
-            .attrs
-            .insert(lname, value);
+        let attrs = &mut self.objects.get_mut(&oid).expect("checked above").attrs;
+        let ix = self
+            .indexes
+            .get_mut()
+            .get_mut(&class.to_ascii_lowercase())
+            .and_then(|built| built.get_mut(&lname));
+        if let Some(ix) = ix {
+            if let Some(old) = attrs.get(&lname) {
+                ix.remove(oid, old);
+            }
+            ix.insert(oid, &value);
+        }
+        attrs.insert(lname, value);
         Ok(())
     }
 
     /// Instances of `class`; with `include_subclasses`, the full extent
     /// closure (the default semantics of OQL `from Class`).
     pub fn instances_of(&self, class: &str, include_subclasses: bool) -> OoResult<Vec<Oid>> {
+        if include_subclasses {
+            return Ok(self.closure_oids(&self.closure(class)?));
+        }
         let key = class.to_ascii_lowercase();
         self.class(&key)?;
-        let mut out: Vec<Oid> = self.extents[&key].clone();
-        if include_subclasses {
-            for sub in self.subclasses_transitive(&key)? {
-                out.extend(self.extents[&sub.to_ascii_lowercase()].iter().copied());
-            }
+        Ok(self.extents[&key].clone())
+    }
+
+    /// The lowercase names of `class` and every class below it: the
+    /// classes whose extents make up its extent closure.
+    pub(crate) fn closure(&self, class: &str) -> OoResult<Vec<String>> {
+        let key = class.to_ascii_lowercase();
+        let subs = self.subclasses_transitive(&key)?;
+        let mut out = vec![key];
+        out.extend(subs.iter().map(|s| s.to_ascii_lowercase()));
+        Ok(out)
+    }
+
+    /// How many objects the extents of `closure` hold.
+    pub(crate) fn closure_len(&self, closure: &[String]) -> usize {
+        closure.iter().map(|c| self.extents[c].len()).sum()
+    }
+
+    /// Every object in the extents of `closure`, in OID order.
+    pub(crate) fn closure_oids(&self, closure: &[String]) -> Vec<Oid> {
+        let mut out = Vec::with_capacity(self.closure_len(closure));
+        for c in closure {
+            out.extend_from_slice(&self.extents[c]);
         }
-        out.sort();
+        // One extent is already in OID order.
+        if closure.len() > 1 {
+            out.sort_unstable();
+        }
+        out
+    }
+
+    /// The objects in the extents of `closure` whose `attr` (lowercase)
+    /// has a key in `range`, in OID order: a superset of the objects a
+    /// predicate with that range matches. Builds each missing index in
+    /// one sorted bulk load; a class that does not declare `attr` holds
+    /// no object with it and gets no index.
+    pub(crate) fn index_candidates(
+        &self,
+        closure: &[String],
+        attr: &str,
+        range: &KeyRange,
+    ) -> OoResult<Vec<Oid>> {
+        let missing: Vec<&String> = {
+            let built = self.indexes.read();
+            closure
+                .iter()
+                .filter(|c| !built.get(*c).is_some_and(|ixs| ixs.contains_key(attr)))
+                .collect()
+        };
+        for class in missing {
+            if !self.all_attributes(class)?.iter().any(|a| a.name == attr) {
+                continue;
+            }
+            let ix = AttrIndex::build(
+                self.extents[class]
+                    .iter()
+                    .map(|oid| (*oid, self.objects[oid].attr(attr))),
+            );
+            self.indexes
+                .write()
+                .entry(class.clone())
+                .or_default()
+                .entry(attr.to_owned())
+                .or_insert(ix);
+        }
+        let mut out = Vec::new();
+        let built = self.indexes.read();
+        for ix in closure
+            .iter()
+            .filter_map(|c| built.get(c).and_then(|ixs| ixs.get(attr)))
+        {
+            ix.scan(range, &mut out);
+        }
+        out.sort_unstable();
+        out.dedup();
         Ok(out)
     }
 }
