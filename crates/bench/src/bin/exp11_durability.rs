@@ -10,11 +10,13 @@
 //!   "databases may come and go" availability story costs per commit.
 //! * **Group commit** — the same row count committed in batches of 32
 //!   per transaction: one log force amortized over 32 ops.
-//! * **Recovery time** — after `n` commits beyond the last checkpoint,
-//!   the instance is crashed (`simulate_crash`) and reopened; we time
-//!   `reopen()` and report how many WAL records the REDO pass replayed.
-//!   Run at three checkpoint cadences to show recovery time tracks the
-//!   checkpoint interval, not database size.
+//! * **Recovery time** — after `n` commits, the instance is crashed
+//!   (`simulate_crash`) and reopened; we time `reopen()` and report how
+//!   many WAL records the REDO pass replayed. Run at three pinned
+//!   checkpoint cadences to show recovery time tracks the WAL since the
+//!   last checkpoint, not database size, and once under the default
+//!   rule (a checkpoint once the WAL is as long as the last snapshot),
+//!   which the three backends above also run under.
 //!
 //! Results print as a table and land in `BENCH_durability.json`;
 //! EXPERIMENTS.md records them as E11. `--quick` shrinks the row counts
@@ -107,16 +109,16 @@ fn run_backend(name: &'static str, mut db: Database, n: usize) -> BackendResult 
 }
 
 struct RecoveryResult {
-    checkpoint_every: u32,
-    commits_since_checkpoint: usize,
+    checkpoints: u64,
+    commits_since_checkpoint: u64,
     recover_ms: f64,
     redo: u64,
     undo: u64,
 }
 
-/// Commit `n` rows at a given checkpoint cadence, leave one transaction
-/// in flight, crash, and time recovery.
-fn run_recovery(checkpoint_every: u32, n: usize) -> RecoveryResult {
+/// Commit `n` rows at a pinned checkpoint cadence (`None`: the default
+/// rule), leave one transaction in flight, crash, and time recovery.
+fn run_recovery(checkpoint_every: Option<u32>, n: usize) -> RecoveryResult {
     let vfs = SimVfs::new();
     let mut db = Database::open_vfs(
         Arc::clone(&vfs) as Arc<dyn Vfs>,
@@ -124,11 +126,20 @@ fn run_recovery(checkpoint_every: u32, n: usize) -> RecoveryResult {
         Dialect::Canonical,
     )
     .expect("open");
-    db.set_checkpoint_every(checkpoint_every);
+    if let Some(every) = checkpoint_every {
+        db.set_checkpoint_every(every);
+    }
     create_schema(&mut db);
+    // A checkpoint runs first thing in the statement that owes it, so
+    // the commits before that statement are the ones it folded in.
+    let mut folded = 0;
     for i in 0..n as i64 {
+        let prior = db.storage_stats().unwrap_or_default();
         db.execute(&format!("INSERT INTO accounts VALUES ({i}, {i}, 'r')"))
             .expect("insert");
+        if db.storage_stats().unwrap_or_default().checkpoints > prior.checkpoints {
+            folded = prior.commits;
+        }
     }
     let before = db.storage_stats().unwrap_or_default();
     // Crash with a transaction in flight. Under commit-time logging its
@@ -153,8 +164,8 @@ fn run_recovery(checkpoint_every: u32, n: usize) -> RecoveryResult {
         "recovery restores exactly the committed rows"
     );
     RecoveryResult {
-        checkpoint_every,
-        commits_since_checkpoint: n % checkpoint_every.max(1) as usize,
+        checkpoints: before.checkpoints,
+        commits_since_checkpoint: before.commits - folded,
         recover_ms,
         redo: after.recovery_redo - before.recovery_redo,
         undo: after.recovery_undo - before.recovery_undo,
@@ -216,23 +227,29 @@ fn main() {
         );
     }
 
-    // Recovery at three checkpoint cadences.
+    // Recovery at three pinned checkpoint cadences, then at the default
+    // rule.
     let rec_n = if quick { 300 } else { 5_000 };
     let cadences: [u32; 3] = [32, 256, 1_000_000];
-    let mut recoveries = Vec::new();
     println!("\nrecovery after {rec_n} commits (crash with one in-flight transaction):");
     println!(
-        "{:<18} | {:>11} | {:>9} {:>6}",
-        "checkpoint every", "recover ms", "redo", "undo"
+        "{:<18} | {:>11} | {:>9} {:>6} | {:>11} {:>13}",
+        "checkpoint every", "recover ms", "redo", "undo", "checkpoints", "since last"
     );
-    for every in cadences {
-        let r = run_recovery(every, rec_n);
+    let row = |label: &str, r: &RecoveryResult| {
         println!(
-            "{:<18} | {:>11.2} | {:>9} {:>6}",
-            r.checkpoint_every, r.recover_ms, r.redo, r.undo
+            "{:<18} | {:>11.2} | {:>9} {:>6} | {:>11} {:>13}",
+            label, r.recover_ms, r.redo, r.undo, r.checkpoints, r.commits_since_checkpoint
         );
-        recoveries.push(r);
+    };
+    let mut recoveries = Vec::new();
+    for every in cadences {
+        let r = run_recovery(Some(every), rec_n);
+        row(&every.to_string(), &r);
+        recoveries.push((every, r));
     }
+    let default_rule = run_recovery(None, rec_n);
+    row("default rule", &default_rule);
 
     let _ = std::fs::remove_dir_all(disk_root);
 
@@ -256,21 +273,30 @@ fn main() {
             )
         })
         .collect();
+    let recovery_json = |r: &RecoveryResult| {
+        format!(
+            "\"commits_since_checkpoint\": {}, \"recover_ms\": {:.2}, \
+             \"redo_records\": {}, \"undo_records\": {}",
+            r.commits_since_checkpoint, r.recover_ms, r.redo, r.undo
+        )
+    };
     let recoveries_json: Vec<String> = recoveries
         .iter()
-        .map(|r| {
+        .map(|(every, r)| {
             format!(
-                "    {{\"checkpoint_every\": {}, \"commits_since_checkpoint\": {}, \
-                 \"recover_ms\": {:.2}, \"redo_records\": {}, \"undo_records\": {}}}",
-                r.checkpoint_every, r.commits_since_checkpoint, r.recover_ms, r.redo, r.undo
+                "    {{\"checkpoint_every\": {every}, {}}}",
+                recovery_json(r)
             )
         })
         .collect();
     let json = format!(
         "{{\n  \"experiment\": \"E11\",\n  \"transactions\": {n},\n  \"quick\": {quick},\n  \
-         \"backends\": [\n{}\n  ],\n  \"recovery_commits\": {rec_n},\n  \"recoveries\": [\n{}\n  ]\n}}\n",
+         \"backends\": [\n{}\n  ],\n  \"recovery_commits\": {rec_n},\n  \"recoveries\": [\n{}\n  ],\n  \
+         \"default_rule\": {{\"checkpoints\": {}, {}}}\n}}\n",
         backends_json.join(",\n"),
-        recoveries_json.join(",\n")
+        recoveries_json.join(",\n"),
+        default_rule.checkpoints,
+        recovery_json(&default_rule)
     );
     std::fs::write("BENCH_durability.json", &json).expect("write BENCH_durability.json");
     println!("\nwrote BENCH_durability.json");

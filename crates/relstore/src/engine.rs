@@ -206,8 +206,8 @@ pub struct StorageStats {
     pub snapshot_fallbacks: u64,
 }
 
-/// Commits between automatic checkpoints.
-const DEFAULT_CHECKPOINT_EVERY: u32 = 32;
+/// The fewest commits between two automatic checkpoints.
+const CHECKPOINT_MIN_COMMITS: u32 = 32;
 
 /// The durable tier attached to a [`Database`] opened with
 /// [`Database::open`]/[`Database::open_vfs`]/[`Database::make_durable`].
@@ -232,7 +232,12 @@ struct Storage {
     epoch: u64,
     active_gen: u8,
     commits_since_ckpt: u32,
-    checkpoint_every: u32,
+    /// `Some(n)`: a checkpoint every `n` commits, as pinned by
+    /// [`Database::set_checkpoint_every`]. `None`: the default rule of
+    /// [`Storage::owes_checkpoint`].
+    checkpoint_every: Option<u32>,
+    /// Bytes of the last snapshot this instance wrote.
+    snapshot_len: u64,
     stats: StorageStats,
 }
 
@@ -249,9 +254,26 @@ impl Storage {
             epoch,
             active_gen,
             commits_since_ckpt: 0,
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+            checkpoint_every: None,
+            snapshot_len: 0,
             stats: StorageStats::default(),
         }
+    }
+
+    /// [`Database::owes_checkpoint`], outside a transaction. The size
+    /// term keeps a large database from rewriting its whole snapshot
+    /// every 32 commits: checkpoints write at most about as many bytes
+    /// as the log does, and replay stays bounded by one snapshot's
+    /// worth of WAL.
+    fn owes_checkpoint(&self) -> bool {
+        !self.dead
+            && match self.checkpoint_every {
+                Some(every) => self.commits_since_ckpt >= every,
+                None => {
+                    self.commits_since_ckpt >= CHECKPOINT_MIN_COMMITS
+                        && self.log.tail() >= self.snapshot_len
+                }
+            }
     }
 
     fn crash(&mut self, point: CrashPoint) -> RelError {
@@ -342,7 +364,10 @@ impl Storage {
     /// the active generation is never written in place.
     fn checkpoint(&mut self, tables: &HashMap<String, Table>) -> RelResult<()> {
         let target = 1 - (self.active_gen & 1);
-        let stream = recovery::encode_snapshot(tables);
+        // The last snapshot's length, with room for the tables to have
+        // grown by an eighth without the buffer reallocating.
+        let reserve = self.snapshot_len + self.snapshot_len / 8;
+        let stream = recovery::encode_snapshot(tables, reserve as usize);
         let mgr = PageFileMgr::new(Arc::clone(&self.vfs), recovery::snap_file(target));
         let (injector, stats) = (&mut self.injector, &mut self.stats);
         let mut crashed = false;
@@ -387,6 +412,7 @@ impl Storage {
         )?;
         self.stats.checkpoints += 1;
         self.commits_since_ckpt = 0;
+        self.snapshot_len = stream.len() as u64;
         Ok(())
     }
 }
@@ -476,8 +502,8 @@ impl Database {
             last_exec: None,
             storage: Some(st),
         };
-        // Compact on open so recovery time stays bounded by one
-        // checkpoint interval, not the database's whole history.
+        // Compact on open so recovery replays at most what was logged
+        // since one checkpoint, not the database's whole history.
         db.checkpoint()?;
         Ok(db)
     }
@@ -527,12 +553,15 @@ impl Database {
         }
     }
 
-    /// Override the automatic checkpoint cadence (commits between
-    /// checkpoints); tests use small values to exercise the snapshot
-    /// path, benches large ones to isolate WAL cost.
+    /// Pin the checkpoint cadence to exactly one checkpoint every
+    /// `every` commits, whatever the WAL's or the snapshot's size, in
+    /// place of the default rule (see [`Database::owes_checkpoint`]).
+    /// Tests use small values to exercise the snapshot path and to place
+    /// checkpoints at known commits; experiments use large ones to
+    /// isolate WAL cost.
     pub fn set_checkpoint_every(&mut self, every: u32) {
         if let Some(st) = &mut self.storage {
-            st.checkpoint_every = every.max(1);
+            st.checkpoint_every = Some(every.max(1));
         }
     }
 
@@ -715,16 +744,16 @@ impl Database {
     }
 
     /// True when the next statement through [`Database::execute_stmt`]
-    /// takes a checkpoint first. A caller choosing between that and the
-    /// shared [`Database::select`] sends a SELECT that owes one through
-    /// `execute_stmt`, so checkpoints (and the crash points inside them)
-    /// fall on the same statement either way.
+    /// takes a checkpoint first: outside a transaction, once at least 32
+    /// commits have passed since the last checkpoint and the WAL written
+    /// since then is as long as that checkpoint's snapshot, or every `n`
+    /// commits after [`Database::set_checkpoint_every`]. A caller
+    /// choosing between that and the shared [`Database::select`] sends a
+    /// SELECT that owes one through `execute_stmt`, so checkpoints (and
+    /// the crash points inside them) fall on the same statement either
+    /// way.
     pub fn owes_checkpoint(&self) -> bool {
-        self.txn.is_none()
-            && self
-                .storage
-                .as_ref()
-                .is_some_and(|st| !st.dead && st.commits_since_ckpt >= st.checkpoint_every)
+        self.txn.is_none() && self.storage.as_ref().is_some_and(Storage::owes_checkpoint)
     }
 
     /// Run a SELECT without changing anything, so readers can share the

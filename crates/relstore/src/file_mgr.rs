@@ -324,8 +324,12 @@ impl Vfs for SimVfs {
     fn sync(&self, file: &str) -> RelResult<()> {
         let mut files = self.files.lock();
         if let Some(f) = files.get_mut(file) {
-            f.durable = f.current.clone();
-            f.pending.clear();
+            // `current` is `durable` with `pending` applied, so replaying
+            // the pending ops costs what was written since the last sync,
+            // not the whole file (a WAL grows to a snapshot's length).
+            for op in f.pending.drain(..) {
+                apply_op(&mut f.durable, &op);
+            }
         }
         Ok(())
     }
@@ -456,6 +460,22 @@ mod tests {
         vfs.read_at("wal", 0, &mut buf).unwrap();
         assert_eq!(&buf, b"aaaa", "synced bytes always survive");
         assert_eq!(vfs.pending_ops(), 0);
+    }
+
+    #[test]
+    fn sim_sync_makes_every_pending_op_durable() {
+        let vfs = SimVfs::new();
+        vfs.write_at("f", 0, b"abcdefgh").unwrap();
+        vfs.sync("f").unwrap();
+        vfs.write_at("f", 2, b"XY").unwrap();
+        vfs.truncate("f", 6).unwrap();
+        vfs.write_at("f", 8, b"zz").unwrap();
+        vfs.truncate("f", 12).unwrap();
+        vfs.sync("f").unwrap();
+        vfs.power_loss(3);
+        let mut buf = vec![0u8; 16];
+        let n = vfs.read_at("f", 0, &mut buf).unwrap();
+        assert_eq!(&buf[..n], b"abXYef\0\0zz\0\0");
     }
 
     #[test]

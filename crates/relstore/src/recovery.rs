@@ -26,7 +26,7 @@
 
 use crate::file_mgr::{fnv1a64, PageFileMgr, Vfs, PAGE_CAPACITY};
 use crate::storage::Table;
-use crate::wal::{dec_table_image, enc_table_image, Dec, Enc, LogMgr, TableImage, WalRecord};
+use crate::wal::{dec_table_image, enc_table, Dec, Enc, LogMgr, WalRecord};
 use crate::{RelError, RelResult};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -135,19 +135,22 @@ pub fn read_metas(vfs: &Arc<dyn Vfs>) -> Vec<Meta> {
 // ---- snapshots ----------------------------------------------------------
 
 /// Serialize the full table catalog + heaps into one byte stream:
-/// `[u64 body length][u32 table count][table images...]`.
-pub fn encode_snapshot(tables: &HashMap<String, Table>) -> Vec<u8> {
-    let mut body = Enc::new();
+/// `[u64 body length][u32 table count][table images...]`. The rows are
+/// encoded straight from each heap into one buffer of `capacity` bytes
+/// (the last snapshot's length is a good guess), and the body length is
+/// patched in at the end.
+pub fn encode_snapshot(tables: &HashMap<String, Table>, capacity: usize) -> Vec<u8> {
+    let mut out = Enc(Vec::with_capacity(capacity));
+    out.u64(0);
     let mut names: Vec<&String> = tables.keys().collect();
     names.sort();
-    body.u32(names.len() as u32);
+    out.u32(names.len() as u32);
     for name in names {
-        body.str(name);
-        enc_table_image(&mut body, &TableImage::of(&tables[name]));
+        out.str(name);
+        enc_table(&mut out, &tables[name]);
     }
-    let mut out = Enc::new();
-    out.u64(body.0.len() as u64);
-    out.0.extend_from_slice(&body.0);
+    let body_len = (out.0.len() - 8) as u64;
+    out.0[..8].copy_from_slice(&body_len.to_le_bytes());
     out.0
 }
 
@@ -496,7 +499,7 @@ mod tests {
         let (_v, vfs) = dyn_vfs();
         let mut tables = HashMap::new();
         tables.insert("beds".to_string(), beds_table(500));
-        let stream = encode_snapshot(&tables);
+        let stream = encode_snapshot(&tables, 0);
         assert!(stream.len() > PAGE_CAPACITY, "multi-page snapshot");
         let mgr = PageFileMgr::new(Arc::clone(&vfs), snap_file(0));
         let mut pages = 0;
@@ -611,7 +614,7 @@ mod tests {
             let mut tables = HashMap::new();
             tables.insert("beds".to_string(), beds_table(rows));
             let mgr = PageFileMgr::new(Arc::clone(&vfs), snap_file(gen));
-            write_snapshot(&mgr, &encode_snapshot(&tables), || Ok(())).unwrap();
+            write_snapshot(&mgr, &encode_snapshot(&tables, 0), || Ok(())).unwrap();
             write_meta(
                 &vfs,
                 &Meta {

@@ -199,6 +199,18 @@ impl Enc {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
     }
+    /// Write a `u32` count, then each item through `f`; the count is
+    /// patched in afterwards, so `items` need not know its length.
+    fn counted<T>(&mut self, items: impl Iterator<Item = T>, mut f: impl FnMut(&mut Enc, T)) {
+        let at = self.0.len();
+        self.u32(0);
+        let mut n = 0u32;
+        for item in items {
+            f(self, item);
+            n += 1;
+        }
+        self.0[at..at + 4].copy_from_slice(&n.to_le_bytes());
+    }
 }
 
 /// Byte-reader over a borrowed buffer; every read is bounds-checked so
@@ -357,19 +369,52 @@ fn dec_schema(d: &mut Dec<'_>) -> RelResult<TableSchema> {
     Ok(TableSchema { name, columns })
 }
 
-pub(crate) fn enc_table_image(e: &mut Enc, img: &TableImage) {
-    enc_schema(e, &img.schema);
-    e.u64(img.slot_count);
-    e.u32(img.rows.len() as u32);
-    for (slot, row) in &img.rows {
-        e.u64(*slot);
+/// The one writer of the table format that snapshots and `DropTable`
+/// records share: schema, heap length, the live `(slot, row)` pairs in
+/// slot order, then the secondary index definitions.
+fn enc_table_parts<'r, 'i>(
+    e: &mut Enc,
+    schema: &TableSchema,
+    slot_count: u64,
+    rows: impl Iterator<Item = (u64, &'r Row)>,
+    indexes: impl Iterator<Item = (&'i str, u32)>,
+) {
+    enc_schema(e, schema);
+    e.u64(slot_count);
+    e.counted(rows, |e, (slot, row)| {
+        e.u64(slot);
         enc_row(e, row);
-    }
-    e.u32(img.indexes.len() as u32);
-    for (name, column) in &img.indexes {
+    });
+    e.counted(indexes, |e, (name, column)| {
         e.str(name);
-        e.u32(*column);
-    }
+        e.u32(column);
+    });
+}
+
+/// Encode a live table straight from its heap, in the same bytes
+/// [`enc_table_image`] writes for `TableImage::of(table)`.
+pub(crate) fn enc_table(e: &mut Enc, table: &crate::storage::Table) {
+    let defs = table.secondary_defs();
+    enc_table_parts(
+        e,
+        &table.schema,
+        table.slot_count() as u64,
+        table.scan().map(|(slot, row)| (slot as u64, row)),
+        defs.iter()
+            .map(|(name, column)| (name.as_str(), *column as u32)),
+    );
+}
+
+pub(crate) fn enc_table_image(e: &mut Enc, img: &TableImage) {
+    enc_table_parts(
+        e,
+        &img.schema,
+        img.slot_count,
+        img.rows.iter().map(|(slot, row)| (*slot, row)),
+        img.indexes
+            .iter()
+            .map(|(name, column)| (name.as_str(), *column)),
+    );
 }
 
 pub(crate) fn dec_table_image(d: &mut Dec<'_>) -> RelResult<TableImage> {
@@ -830,6 +875,9 @@ mod tests {
         let img = TableImage::of(&t);
         let mut e = Enc::new();
         enc_table_image(&mut e, &img);
+        let mut live = Enc::new();
+        enc_table(&mut live, &t);
+        assert_eq!(live.0, e.0, "a live table encodes as its image does");
         let img2 = dec_table_image(&mut Dec::new(&e.0)).unwrap();
         assert_eq!(img, img2);
 
