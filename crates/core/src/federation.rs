@@ -287,6 +287,17 @@ impl Federation {
         operation: &str,
         calls: &[(&Ior, Vec<Value>)],
     ) -> Vec<WfResult<Value>> {
+        self.invoke_all_as(operation, calls, |r| Ok(Value::decode(r)?))
+    }
+
+    /// [`Federation::invoke_all`] with the caller's decoder of each
+    /// successful result (see [`Orb::invoke_all_as`]).
+    pub fn invoke_all_as<T>(
+        &self,
+        operation: &str,
+        calls: &[(&Ior, Vec<Value>)],
+        decode: impl Fn(&mut CdrReader<'_>) -> WfResult<T>,
+    ) -> Vec<WfResult<T>> {
         let calls: Vec<Invocation<'_>> = calls
             .iter()
             .map(|(target, args)| Invocation {
@@ -296,10 +307,7 @@ impl Federation {
             })
             .collect();
         self.bootstrap_orb
-            .invoke_all(&calls, &self.call_options())
-            .into_iter()
-            .map(|outcome| Ok(outcome?))
-            .collect()
+            .invoke_all_as(&calls, &self.call_options(), decode)
     }
 
     /// A naming-service client over the wire, backed by the

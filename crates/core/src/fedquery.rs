@@ -16,7 +16,7 @@
 //! * **Serial ≡ parallel.** Subqueries are shipped the way discovery
 //!   sends its probes (`crate::wave::batched`): each batch of
 //!   [`FedExecutor::max_workers`] goes out from the calling thread
-//!   through [`Federation::invoke_all`] before any answer is read,
+//!   through [`Federation::invoke_all_as`] before any answer is read,
 //!   results come back and merge in member order, and
 //!   unreachable-endpoint causes canonicalize through
 //!   [`crate::failure::degrade_reason`], so a `max_workers = 1`
@@ -28,6 +28,14 @@
 //!   federation's [`webfindit_orb::CallOptions`] deadline bounds each
 //!   shipped call, so the fan-out cannot hang on a silent member.
 //!
+//! Answers are read straight from each reply frame: [`read_shipped`],
+//! the decoder [`Federation::invoke_all_as`] runs per member, turns a
+//! relational or object table into merge rows whose first slot is left
+//! for the site name, and the merge fills that slot once, in member
+//! order. Each cell is rendered as `Value`'s `Display` renders it; only
+//! a compound cell (a date record, a list, a reference) passes through
+//! a [`Value`], and only for itself.
+//!
 //! The cross-site join strategy is a semi-join: the build side
 //! (`Where probe In Build.Attr(…)`) runs first over the members
 //! exporting the build type, its distinct keys are shipped to the
@@ -38,12 +46,14 @@ use crate::discovery::DiscoveryEngine;
 use crate::failure::{degrade_reason, is_breaker_rejection, SiteFailure};
 use crate::federation::Federation;
 use crate::trace::{Layer, Trace};
+use crate::value_map::{expect_tag, read_count, table_fields};
 use crate::{WebfinditError, WfResult};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use webfindit_tassili::ast::{Arg, FedScope, Literal, Predicate, SemiJoin, Statement};
 use webfindit_tassili::translate::{access_call_to_oql, access_call_to_sql};
-use webfindit_wire::{Ior, Value};
+use webfindit_wire::value::tag;
+use webfindit_wire::{CdrReader, Ior, Value};
 
 /// A member excluded at plan time: `(site, reason)`. Skips are not
 /// degradation — the site is healthy, it just does not export the
@@ -264,15 +274,18 @@ fn type_key(name: &str) -> String {
     lower.strip_suffix('s').map(str::to_owned).unwrap_or(lower)
 }
 
-/// A decoded subquery answer.
-struct Shipped {
-    /// Projected cells as strings.
-    rows: Vec<Vec<String>>,
-    /// Approximate bytes those cells occupied on the wire.
-    bytes: u64,
+/// A member's subquery answer, read by [`read_shipped`].
+#[derive(Debug)]
+pub struct Shipped {
+    /// One merged row per answer row: slot 0 is left empty for the
+    /// site name, then the projected cells as strings.
+    pub rows: Vec<Vec<String>>,
+    /// Approximate bytes the projected cells occupied on the wire: the
+    /// lengths of their renderings.
+    pub bytes: u64,
     /// The first projected cell of every row as a typed literal, `NULL`s
     /// dropped; filled on the semi-join build wave only.
-    keys: Vec<Literal>,
+    pub keys: Vec<Literal>,
 }
 
 /// Which side of a federated plan a wave ships.
@@ -442,13 +455,16 @@ impl FedExecutor {
                 Some((target.as_ref().ok()?, args))
             })
             .collect();
-        let mut answers = self.fed.invoke_all("execute", &calls).into_iter();
+        let keyed = kind == Wave::Build;
+        let mut answers = self
+            .fed
+            .invoke_all_as("execute", &calls, |r| read_shipped(r, keyed))
+            .into_iter();
         targets
             .into_iter()
             .map(|target| {
                 target?;
-                let answer = answers.next().expect("one answer per resolved member")?;
-                decode_rows(&answer, kind == Wave::Build)
+                answers.next().expect("one answer per resolved member")
             })
             .collect()
     }
@@ -526,13 +542,17 @@ impl FedExecutor {
                 &semi.build_args,
                 None,
             )?;
-            let mut keys: Vec<Literal> = self
+            // Each key is rendered once; the stable sort and the dedup
+            // order and compare those renderings.
+            let mut rendered: Vec<(String, Literal)> = self
                 .ship_wave(&build, Wave::Build, &mut stats, &mut degraded)
                 .into_iter()
                 .flat_map(|(_, s)| s.keys)
+                .map(|l| (l.to_string(), l))
                 .collect();
-            keys.sort_by_key(|l| l.to_string());
-            keys.dedup_by_key(|l| l.to_string());
+            rendered.sort_by(|a, b| a.0.cmp(&b.0));
+            rendered.dedup_by(|a, b| a.0 == b.0);
+            let keys: Vec<Literal> = rendered.into_iter().map(|(_, l)| l).collect();
             stats.keys_shipped = keys.len() as u64;
             if let Some(t) = trace.as_deref_mut() {
                 t.event(
@@ -582,12 +602,10 @@ impl FedExecutor {
             let kind = Wave::Ship(call.limit);
             for (site, s) in self.ship_wave(&ship, kind, &mut stats, &mut degraded) {
                 per_site.push((site.clone(), s.rows.len()));
-                for r in s.rows {
-                    let mut row = Vec::with_capacity(r.len() + 1);
-                    row.push(site.clone());
-                    row.extend(r);
-                    rows.push(row);
-                }
+                rows.extend(s.rows.into_iter().map(|mut row| {
+                    row[0].clone_from(&site);
+                    row
+                }));
             }
         }
         if let Some(n) = call.limit {
@@ -622,60 +640,101 @@ impl FedExecutor {
     }
 }
 
-/// Decode one ISI `execute` answer into projected string cells plus an
-/// approximate wire size — and, when `keyed`, the first projected
-/// column as semi-join keys. Object answers drop the leading OID cell
-/// (an object identity is site-local and meaningless in a federated
-/// merge).
-fn decode_rows(v: &Value, keyed: bool) -> WfResult<Shipped> {
-    let object = v.field("object_rows").is_some();
-    if v.field("columns").is_none() {
-        return Err(WebfinditError::Protocol(
-            "federated subquery did not return rows".into(),
-        ));
-    }
-    let rows_v = v
-        .field("rows")
-        .and_then(Value::as_sequence)
-        .ok_or_else(|| WebfinditError::Protocol("result set missing rows".into()))?;
-    let mut rows = Vec::with_capacity(rows_v.len());
-    let mut bytes = 0u64;
-    let mut keys = Vec::new();
-    for r in rows_v {
-        let cells = r
-            .as_sequence()
-            .ok_or_else(|| WebfinditError::Protocol("row is not a sequence".into()))?;
-        let skip = usize::from(object);
-        if keyed {
-            keys.extend(cells.get(skip).and_then(key_literal));
+/// Read one ISI `execute` answer, a relational or an object table,
+/// straight from the reply into merge rows (see [`Shipped`]), each cell
+/// rendered as `Value`'s `Display` renders it. When `keyed`, the first
+/// projected cell of every row also becomes a semi-join key. Object
+/// answers drop the leading OID cell: an object identity is site-local
+/// and meaningless in a federated merge. Any other answer is a
+/// [`WebfinditError::Protocol`] error.
+pub fn read_shipped(r: &mut CdrReader<'_>, keyed: bool) -> WfResult<Shipped> {
+    let object = match table_fields(r) {
+        Some(2) => false,
+        Some(3) => true,
+        _ => {
+            return Err(WebfinditError::Protocol(
+                "federated subquery did not return rows".into(),
+            ))
         }
-        let row: Vec<String> = cells.iter().skip(skip).map(|c| c.to_string()).collect();
-        bytes += row.iter().map(|c| c.len() as u64).sum::<u64>();
+    };
+    // The head `table_fields` looked at.
+    r.read_octet()?;
+    r.read_ulong()?;
+    r.read_str()?;
+    for _ in 0..read_count(r, "result set columns")? {
+        expect_tag(r, tag::STRING, "result set column name")?;
+        r.read_str()?;
+    }
+    if r.read_str()? != "rows" {
+        return Err(WebfinditError::Protocol("result set missing rows".into()));
+    }
+    let n = read_count(r, "result set rows")?;
+    let (mut rows, mut bytes, mut keys) = (Vec::with_capacity(n), 0u64, Vec::new());
+    for _ in 0..n {
+        let mut width = read_count(r, "result set row")?;
+        if object && width > 0 {
+            read_cell(r, false)?;
+            width -= 1;
+        }
+        let mut row = Vec::with_capacity(width + 1);
+        row.push(String::new());
+        for i in 0..width {
+            let (text, key) = read_cell(r, keyed && i == 0)?;
+            bytes += text.len() as u64;
+            keys.extend(key);
+            row.push(text);
+        }
         rows.push(row);
+    }
+    if object {
+        if r.read_str()? != "object_rows" {
+            return Err(WebfinditError::Protocol(
+                "object rows lack their flag".into(),
+            ));
+        }
+        Value::decode(r)?;
     }
     Ok(Shipped { rows, bytes, keys })
 }
 
-/// The WebTassili literal a build-side cell ships as in the semi-join
-/// `IN` list. The literal follows the cell's wire type, never its
-/// spelling: a text key that happens to look numeric (`'007'`, a
-/// postcode) must reach the probe sites as text. `NULL` yields no key —
-/// it never matches `IN`.
-fn key_literal(cell: &Value) -> Option<Literal> {
-    Some(match cell {
-        Value::Null => return None,
-        Value::Str(s) => Literal::Str(s.clone()),
-        Value::Bool(b) => Literal::Bool(*b),
-        Value::Octet(v) => Literal::Int(i64::from(*v)),
-        Value::Short(v) => Literal::Int(i64::from(*v)),
-        Value::Long(v) => Literal::Int(i64::from(*v)),
-        Value::LongLong(v) => Literal::Int(*v),
-        Value::ULong(v) => Literal::Int(i64::from(*v)),
-        Value::Float(v) => Literal::Float(f64::from(*v)),
-        Value::Double(v) => Literal::Float(*v),
-        // Dates, references and collections have no literal form; they
-        // ship as their rendering, which is what the merged rows show.
-        other => Literal::Str(other.to_string()),
+/// Read one cell: its rendering and, when `keyed`, the literal it ships
+/// as in a semi-join `IN` list. The literal follows the cell's wire type,
+/// never its spelling: a text key that happens to look numeric (`'007'`,
+/// a postcode) must reach the probe sites as text. `NULL` yields no key,
+/// since it never matches `IN`. A compound cell (a date record, a list, a
+/// reference) is read as a [`Value`] and ships as its rendering.
+fn read_cell(r: &mut CdrReader<'_>, keyed: bool) -> WfResult<(String, Option<Literal>)> {
+    let int = |v: i64| (v.to_string(), keyed.then_some(Literal::Int(v)));
+    let text = |s: String| {
+        let key = keyed.then(|| Literal::Str(s.clone()));
+        (s, key)
+    };
+    let start = r.clone();
+    Ok(match r.read_octet()? {
+        tag::NULL => ("NULL".to_owned(), None),
+        tag::VOID => text("void".to_owned()),
+        tag::BOOL => {
+            let b = r.read_bool()?;
+            (b.to_string(), keyed.then_some(Literal::Bool(b)))
+        }
+        tag::OCTET => int(i64::from(r.read_octet()?)),
+        tag::SHORT => int(i64::from(r.read_short()?)),
+        tag::LONG => int(i64::from(r.read_long()?)),
+        tag::LONGLONG => int(r.read_longlong()?),
+        tag::ULONG => int(i64::from(r.read_ulong()?)),
+        tag::FLOAT => {
+            let v = r.read_float()?;
+            (v.to_string(), keyed.then_some(Literal::Float(f64::from(v))))
+        }
+        tag::DOUBLE => {
+            let v = r.read_double()?;
+            (v.to_string(), keyed.then_some(Literal::Float(v)))
+        }
+        tag::STRING => text(r.read_string()?),
+        _ => {
+            *r = start;
+            text(Value::decode(r)?.to_string())
+        }
     })
 }
 
@@ -731,7 +790,13 @@ mod tests {
                 ),
             ),
         ]);
-        let shipped = decode_rows(&answer, true).unwrap();
+        let read = |keyed| {
+            let order = webfindit_wire::ByteOrder::BigEndian;
+            let mut w = webfindit_wire::CdrWriter::new(order);
+            answer.encode(&mut w).unwrap();
+            read_shipped(&mut CdrReader::new(&w.into_bytes(), order), keyed).unwrap()
+        };
+        let shipped = read(true);
         assert_eq!(
             shipped.keys,
             vec![
@@ -746,8 +811,8 @@ mod tests {
             "text stays text however it is spelled; NULL yields no key"
         );
         assert_eq!(shipped.rows.len(), cells.len(), "NULL rows still ship");
-        assert_eq!(shipped.rows[1], vec!["NULL", "ignored"]);
-        assert!(decode_rows(&answer, false).unwrap().keys.is_empty());
+        assert_eq!(shipped.rows[1], vec!["", "NULL", "ignored"]);
+        assert!(read(false).keys.is_empty());
     }
 
     #[test]

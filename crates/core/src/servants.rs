@@ -8,7 +8,8 @@
 
 use crate::discovery::probe_reply;
 use crate::value_map::{
-    descriptor_to_value, ovalue_to_value, strings_to_value, value_to_descriptor, write_result_set,
+    descriptor_to_value, ovalue_to_value, strings_to_value, value_to_descriptor, write_object_rows,
+    write_result_set,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -416,32 +417,17 @@ fn marshal(e: webfindit_wire::WireError) -> ServantError {
     ServantError::Marshal(e.to_string())
 }
 
-/// Write a data-layer answer into a reply: a table through the typed
-/// table codec, anything else as its [`Value`].
+/// Write a data-layer answer into a reply: a table, relational or
+/// object, through the typed table codec, anything else as its
+/// [`Value`].
 fn write_output(out: QueryOutput, w: &mut CdrWriter) -> Result<(), ServantError> {
     let value = match out {
         QueryOutput::Rows(rs) => return write_result_set(&rs, w).map_err(marshal),
+        QueryOutput::Objects { columns, rows } => {
+            return write_object_rows(&columns, &rows, w).map_err(marshal)
+        }
         QueryOutput::Count(n) => Value::record([("count", Value::ULong(n as u32))]),
         QueryOutput::Done => Value::Void,
-        QueryOutput::Objects { columns, rows } => Value::record([
-            (
-                "columns",
-                Value::Sequence(columns.into_iter().map(Value::Str).collect()),
-            ),
-            (
-                "rows",
-                Value::Sequence(
-                    rows.into_iter()
-                        .map(|(oid, vals)| {
-                            let mut cells = vec![Value::ULong(oid.0 as u32)];
-                            cells.extend(vals.iter().map(ovalue_to_value));
-                            Value::Sequence(cells)
-                        })
-                        .collect(),
-                ),
-            ),
-            ("object_rows", Value::Bool(true)),
-        ]),
         QueryOutput::Value(v) => ovalue_to_value(&v),
     };
     value.encode(w).map_err(marshal)

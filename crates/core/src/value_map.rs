@@ -2,15 +2,17 @@
 //!
 //! Descriptors, object rows and name lists cross an ORB boundary as
 //! self-describing [`Value`]s, with strict decoders (malformed payloads
-//! become [`WebfinditError::Protocol`]). A relational table skips the
-//! `Value` tree: [`write_result_set`] writes a [`ResultSet`] straight
-//! into a reply frame and [`read_result_set`] reads it straight back.
-//! The bytes are those `Value::encode` writes for the record
-//! `{columns: [Str], rows: [[cell]]}`, a date cell being `{date: "iso"}`.
+//! become [`WebfinditError::Protocol`]). A table skips the `Value`
+//! tree: [`write_result_set`] writes a [`ResultSet`] straight into a
+//! reply frame and [`read_result_set`] reads it straight back, and
+//! [`write_object_rows`] does the writing for an OQL answer. The bytes
+//! are those `Value::encode` writes for the record `{columns: [Str],
+//! rows: [[cell]]}`, a date cell being `{date: "iso"}`; an object table
+//! leads each row with its OID and ends with `object_rows: true`.
 
 use crate::{WebfinditError, WfResult};
 use webfindit_codb::{ExportedFunction, ExportedType, InformationSource};
-use webfindit_oostore::OValue;
+use webfindit_oostore::{OValue, Oid};
 use webfindit_relstore::exec::ResultSet;
 use webfindit_relstore::types::{format_date, parse_date, Datum};
 use webfindit_wire::value::tag;
@@ -18,47 +20,121 @@ use webfindit_wire::{CdrReader, CdrWriter, Value, WireError, WireResult};
 
 /// Write `rs` as the record `{columns: [Str], rows: [[cell]]}`.
 pub fn write_result_set(rs: &ResultSet, w: &mut CdrWriter) -> WireResult<()> {
-    w.write_octet(tag::STRUCT);
-    w.write_ulong(2);
-    w.write_string("columns")?;
-    write_count(w, rs.columns.len());
-    for c in &rs.columns {
-        w.write_octet(tag::STRING);
-        w.write_string(c)?;
-    }
-    w.write_string("rows")?;
-    write_count(w, rs.rows.len());
+    write_head(w, 2, &rs.columns, rs.rows.len())?;
     for row in &rs.rows {
         write_count(w, row.len());
         for d in row {
             match d {
-                Datum::Null => w.write_octet(tag::NULL),
-                Datum::Int(v) => {
-                    w.write_octet(tag::LONGLONG);
-                    w.write_longlong(*v);
-                }
-                Datum::Double(v) => {
-                    w.write_octet(tag::DOUBLE);
-                    w.write_double(*v);
-                }
-                Datum::Text(s) => {
-                    w.write_octet(tag::STRING);
-                    w.write_string(s)?;
-                }
-                Datum::Bool(b) => {
-                    w.write_octet(tag::BOOL);
-                    w.write_bool(*b);
-                }
+                Datum::Null => write_scalar(w, Scalar::Null)?,
+                Datum::Int(v) => write_scalar(w, Scalar::Int(*v))?,
+                Datum::Double(v) => write_scalar(w, Scalar::Double(*v))?,
+                Datum::Text(s) => write_scalar(w, Scalar::Text(s))?,
+                Datum::Bool(b) => write_scalar(w, Scalar::Bool(*b))?,
                 Datum::Date(days) => {
                     w.write_octet(tag::STRUCT);
                     w.write_ulong(1);
                     w.write_string("date")?;
-                    w.write_octet(tag::STRING);
-                    w.write_string(&format_date(*days))?;
+                    write_scalar(w, Scalar::Text(&format_date(*days)))?;
                 }
             }
         }
     }
+    Ok(())
+}
+
+/// Write an OQL answer as the record `{columns: [Str], rows: [[ULong
+/// oid, cell…]], object_rows: true}`: the bytes `Value::encode` writes
+/// for it, a reference cell being `{oid: ULong}`.
+pub fn write_object_rows(
+    columns: &[String],
+    rows: &[(Oid, Vec<OValue>)],
+    w: &mut CdrWriter,
+) -> WireResult<()> {
+    write_head(w, 3, columns, rows.len())?;
+    for (oid, cells) in rows {
+        write_count(w, cells.len() + 1);
+        write_oid(w, *oid);
+        for v in cells {
+            write_ovalue(w, v)?;
+        }
+    }
+    w.write_string("object_rows")?;
+    w.write_octet(tag::BOOL);
+    w.write_bool(true);
+    Ok(())
+}
+
+fn write_ovalue(w: &mut CdrWriter, v: &OValue) -> WireResult<()> {
+    match v {
+        OValue::Null => write_scalar(w, Scalar::Null),
+        OValue::Int(i) => write_scalar(w, Scalar::Int(*i)),
+        OValue::Double(d) => write_scalar(w, Scalar::Double(*d)),
+        OValue::Text(s) => write_scalar(w, Scalar::Text(s)),
+        OValue::Bool(b) => write_scalar(w, Scalar::Bool(*b)),
+        OValue::List(items) => {
+            write_count(w, items.len());
+            items.iter().try_for_each(|item| write_ovalue(w, item))
+        }
+        OValue::Ref(oid) => {
+            w.write_octet(tag::STRUCT);
+            w.write_ulong(1);
+            w.write_string("oid")?;
+            write_oid(w, *oid);
+            Ok(())
+        }
+    }
+}
+
+/// An object identity on the wire: its number as a `ULong`.
+fn write_oid(w: &mut CdrWriter, oid: Oid) {
+    w.write_octet(tag::ULONG);
+    w.write_ulong(oid.0 as u32);
+}
+
+/// A scalar cell, which a relational and an object table write alike.
+enum Scalar<'a> {
+    Null,
+    Int(i64),
+    Double(f64),
+    Text(&'a str),
+    Bool(bool),
+}
+
+fn write_scalar(w: &mut CdrWriter, cell: Scalar<'_>) -> WireResult<()> {
+    match cell {
+        Scalar::Null => w.write_octet(tag::NULL),
+        Scalar::Int(v) => {
+            w.write_octet(tag::LONGLONG);
+            w.write_longlong(v);
+        }
+        Scalar::Double(v) => {
+            w.write_octet(tag::DOUBLE);
+            w.write_double(v);
+        }
+        Scalar::Text(s) => {
+            w.write_octet(tag::STRING);
+            w.write_string(s)?;
+        }
+        Scalar::Bool(b) => {
+            w.write_octet(tag::BOOL);
+            w.write_bool(b);
+        }
+    }
+    Ok(())
+}
+
+/// A table record's head: `fields` fields, the first two `columns` and
+/// `rows`, written up to the count of `rows`.
+fn write_head(w: &mut CdrWriter, fields: u32, columns: &[String], rows: usize) -> WireResult<()> {
+    w.write_octet(tag::STRUCT);
+    w.write_ulong(fields);
+    w.write_string("columns")?;
+    write_count(w, columns.len());
+    for c in columns {
+        write_scalar(w, Scalar::Text(c))?;
+    }
+    w.write_string("rows")?;
+    write_count(w, rows);
     Ok(())
 }
 
@@ -70,10 +146,19 @@ fn write_count(w: &mut CdrWriter, n: usize) {
 /// True when `r` is at a two-field record whose first field is
 /// `columns`: a table. Looks ahead without consuming.
 pub fn is_result_set(r: &CdrReader<'_>) -> bool {
+    table_fields(r) == Some(2)
+}
+
+/// The field count of the record `r` is at, when its first field is
+/// `columns`: 2 for a relational table, 3 for an object one. Looks
+/// ahead without consuming.
+pub(crate) fn table_fields(r: &CdrReader<'_>) -> Option<u32> {
     let mut r = r.clone();
-    r.read_octet().is_ok_and(|t| t == tag::STRUCT)
-        && r.read_ulong().is_ok_and(|n| n == 2)
-        && r.read_str().is_ok_and(|name| name == "columns")
+    if r.read_octet().ok()? != tag::STRUCT {
+        return None;
+    }
+    let fields = r.read_ulong().ok()?;
+    (r.read_str().ok()? == "columns").then_some(fields)
 }
 
 /// Read what [`write_result_set`] wrote, with the checks `Value::decode`
@@ -104,7 +189,7 @@ pub fn read_result_set(r: &mut CdrReader<'_>) -> WfResult<ResultSet> {
     Ok(ResultSet { columns, rows })
 }
 
-fn expect_tag(r: &mut CdrReader<'_>, want: u8, context: &'static str) -> WireResult<()> {
+pub(crate) fn expect_tag(r: &mut CdrReader<'_>, want: u8, context: &'static str) -> WireResult<()> {
     match r.read_octet()? {
         t if t == want => Ok(()),
         t => Err(WireError::BadTag {
@@ -116,7 +201,7 @@ fn expect_tag(r: &mut CdrReader<'_>, want: u8, context: &'static str) -> WireRes
 
 /// A sequence's count, which must fit in the bytes left: each element
 /// is at least one octet.
-fn read_count(r: &mut CdrReader<'_>, context: &'static str) -> WireResult<usize> {
+pub(crate) fn read_count(r: &mut CdrReader<'_>, context: &'static str) -> WireResult<usize> {
     expect_tag(r, tag::SEQUENCE, context)?;
     let n = r.read_ulong()? as usize;
     if n > r.remaining() {

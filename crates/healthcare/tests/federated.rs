@@ -412,3 +412,108 @@ fn federated_counters_reach_the_federation_and_trace() {
     assert!(rendered.contains("merged"), "{rendered}");
     dep.fed.shutdown();
 }
+
+/// A federated range over two relational members and an object member:
+/// each SQL member's index walk reads exactly the rows it returns, and
+/// every member's answer, object rows included, reaches the merge in
+/// member order.
+#[test]
+fn a_federated_range_reads_only_each_members_key_range() {
+    use webfindit::federation::{SiteSpec, SiteVendor};
+    use webfindit_codb::ExportedType;
+    use webfindit_oostore::method::MethodTable;
+    use webfindit_oostore::model::{ClassDef, OType, OValue};
+    use webfindit_oostore::ObjectStore;
+    use webfindit_relstore::{Column, DataType, Database, Datum, Dialect, TableSchema};
+
+    const ROWS: i64 = 2_000;
+    let cost = |seq: i64| seq as f64 + 0.5;
+    let spec = |name: &str, orb: &str, vendor, exported: &str| SiteSpec {
+        name: name.into(),
+        orb: orb.into(),
+        vendor,
+        host: format!(
+            "{}.test.webfindit.net",
+            name.to_ascii_lowercase().replace(' ', "-")
+        ),
+        information_type: "visit records".into(),
+        documentation_url: "http://docs.webfindit.net/visits".into(),
+        interface: vec![ExportedType {
+            name: exported.into(),
+            attributes: Vec::new(),
+            functions: Vec::new(),
+            description: "visits".into(),
+        }],
+    };
+    let dep = build_healthcare(1999).unwrap();
+    let fed = &dep.fed;
+    let mut store = ObjectStore::new("Visits Archive");
+    store
+        .define_class(
+            ClassDef::root("Visit")
+                .attr("seq", OType::Int)
+                .attr("cost", OType::Double),
+        )
+        .unwrap();
+    for seq in 0..ROWS {
+        let attrs = [
+            ("seq".to_string(), OValue::Int(seq)),
+            ("cost".to_string(), OValue::Double(cost(seq))),
+        ];
+        store.create("Visit", attrs).unwrap();
+    }
+    let archive = spec("Visits Archive", "Orbix", SiteVendor::ObjectStore, "Visit");
+    fed.add_object_site(archive, store, MethodTable::new())
+        .unwrap();
+    let mut sql_members = Vec::new();
+    for (name, orb, dialect) in [
+        ("Visits North", "VisiBroker", Dialect::Oracle),
+        ("Visits South", "OrbixWeb", Dialect::Db2),
+    ] {
+        let mut db = Database::new(name, dialect);
+        let schema = TableSchema::new(
+            "visits",
+            vec![
+                Column::new("seq", DataType::Int).primary_key(),
+                Column::new("cost", DataType::Double),
+            ],
+        );
+        let rows = (0..ROWS)
+            .map(|seq| vec![Datum::Int(seq), Datum::Double(cost(seq))])
+            .collect();
+        db.import_table(schema, rows).unwrap();
+        let vendor = SiteVendor::Relational(dialect);
+        sql_members.push(
+            fed.add_relational_site(spec(name, orb, vendor, "Visits"), db)
+                .unwrap(),
+        );
+    }
+    let members = ["Visits Archive", "Visits North", "Visits South"];
+    fed.form_coalition("Visit Records", None, "visit records", &members)
+        .unwrap();
+
+    let scanned = || -> Vec<u64> {
+        sql_members
+            .iter()
+            .map(|s| s.isi.metrics().snapshot().rows_scanned)
+            .collect()
+    };
+    let before = scanned();
+    let processor = Processor::new(fed.clone());
+    let mut session = BrowserSession::new("QUT Research");
+    let stmt = "Invoke Visits.Cost((Visits.Seq >= 700 And Visits.Seq < 850)) \
+                At Coalition Visit Records;";
+    let Response::Federated(o) = fed_submit(&processor, &mut session, stmt) else {
+        panic!("expected a federated answer");
+    };
+    assert!(o.complete(), "{:?}", o.degraded);
+    let expect: Vec<Vec<String>> = members
+        .iter()
+        .flat_map(|site| (700..850).map(move |seq| vec![site.to_string(), cost(seq).to_string()]))
+        .collect();
+    assert_eq!(o.rows, expect);
+    let after = scanned();
+    let read: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+    assert_eq!(read, vec![150, 150], "rows scanned per SQL member");
+    dep.fed.shutdown();
+}

@@ -19,8 +19,9 @@
 //!   [`CallOptions`] — a deadline and a retry policy — down to the wire,
 //!   and [`Orb::invoke_all`] pipelines a batch of calls from the calling
 //!   thread (every request sent before any reply is read); a single
-//!   call is a batch of one. [`Orb::invoke_as`] lets the caller pick the
-//!   decoder of the result; the others decode a [`Value`]. Invocations
+//!   call is a batch of one. [`Orb::invoke_as`] and
+//!   [`Orb::invoke_all_as`] let the caller pick the decoder of the
+//!   result; the others decode a [`Value`]. Invocations
 //!   whose target lives on this same ORB skip the socket (counted
 //!   separately — collocated calls were a selling point of 1990s ORBs
 //!   too) but not the codec: the servant writes the same reply frame a
@@ -295,7 +296,7 @@ impl Orb {
             operation,
             args,
         };
-        let mut out = self.invoke_batch(std::slice::from_ref(&call), options, &decode);
+        let mut out = self.invoke_all_as(std::slice::from_ref(&call), options, decode);
         out.pop().expect("one result per invocation")
     }
 
@@ -313,15 +314,16 @@ impl Orb {
         calls: &[Invocation<'_>],
         options: &CallOptions,
     ) -> Vec<OrbResult<Value>> {
-        self.invoke_batch(calls, options, &decode_value)
+        self.invoke_all_as(calls, options, decode_value)
     }
 
-    /// [`Orb::invoke_all`] with the caller's decoder.
-    fn invoke_batch<T, E: From<OrbError>>(
+    /// [`Orb::invoke_all`] with the caller's decoder of each successful
+    /// result (see [`Orb::invoke_as`]).
+    pub fn invoke_all_as<T, E: From<OrbError>>(
         &self,
         calls: &[Invocation<'_>],
         options: &CallOptions,
-        decode: Decode<'_, T, E>,
+        decode: impl Fn(&mut CdrReader<'_>) -> Result<T, E>,
     ) -> Vec<Result<T, E>> {
         let deadline = options.deadline.map(Deadline::after);
         let sent: Vec<Step<'_>> = calls
@@ -329,7 +331,7 @@ impl Orb {
             .map(|&call| self.begin(call, options.retry, deadline))
             .collect();
         sent.into_iter()
-            .map(|step| self.complete(step, decode))
+            .map(|step| self.complete(step, &decode))
             .collect()
     }
 

@@ -20,6 +20,14 @@
 //! expression twice: as written, which only `EXPLAIN` reads (and only
 //! then renders), and bound, which is what runs.
 //!
+//! **Sargs.** Each WHERE conjunct that compares an indexed base column
+//! with a literal becomes a sarg candidate. Range conjuncts on the same
+//! column intersect into one two-sided range before the best candidate
+//! is chosen, comparing bounds by the B-tree's own [`Datum`] order (on
+//! equal keys an excluded bound is the tighter), so `a >= 10 AND a < 20`
+//! walks only the keys in between. The residual filter still evaluates
+//! the whole WHERE clause.
+//!
 //! Costing is deliberately simple: an equality sarg on an indexed
 //! column is estimated at `rows / distinct_keys`, a range sarg at
 //! `rows / 4`, and joins multiply. Those estimates only steer two
@@ -32,6 +40,7 @@ use crate::sql::ast::{JoinKind, OrderKey, SelectItem, SelectStmt};
 use crate::storage::{IndexKind, Table};
 use crate::types::{DataType, Datum, Row};
 use crate::{RelError, RelResult};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::ops::Bound;
@@ -831,6 +840,57 @@ fn sarg_of(
     })
 }
 
+/// Merge the range candidates on one column into a single two-sided
+/// range: `seq >= 7000 AND seq < 8500` walks 1 500 keys, not the 8 500
+/// below the upper bound alone. The merged candidate takes the place of
+/// its column's last range conjunct, so ties between columns break as
+/// they did before merging. Equality candidates pass through unchanged.
+fn intersect_ranges(candidates: impl Iterator<Item = SargCandidate>) -> Vec<SargCandidate> {
+    let mut out: Vec<SargCandidate> = Vec::new();
+    for mut cand in candidates {
+        let earlier = out.iter().position(|c| {
+            c.col_idx == cand.col_idx
+                && matches!(
+                    (&c.sarg, &cand.sarg),
+                    (Sarg::Range { .. }, Sarg::Range { .. })
+                )
+        });
+        if let Some(i) = earlier {
+            let (Sarg::Range { lo, hi }, Sarg::Range { lo: lo2, hi: hi2 }) =
+                (out.remove(i).sarg, cand.sarg)
+            else {
+                unreachable!("only ranges merge")
+            };
+            cand.sarg = Sarg::Range {
+                lo: tighter(lo, lo2, Ordering::Greater),
+                hi: tighter(hi, hi2, Ordering::Less),
+            };
+        }
+        out.push(cand);
+    }
+    out
+}
+
+/// The tighter of two bounds on one side of a range: the one whose key
+/// compares `inward` (`Greater` for a lower bound, `Less` for an upper
+/// one) by the B-tree's own order, and `Excluded` on equal keys. An
+/// inverted result stays inverted; `Table::index_range` returns nothing
+/// for it.
+fn tighter(a: Bound<Datum>, b: Bound<Datum>, inward: Ordering) -> Bound<Datum> {
+    match (&a, &b) {
+        (Bound::Unbounded, _) => b,
+        (_, Bound::Unbounded) => a,
+        (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
+            match x.cmp(y) {
+                Ordering::Equal if matches!(b, Bound::Excluded(_)) => b,
+                Ordering::Equal => a,
+                ord if ord == inward => a,
+                _ => b,
+            }
+        }
+    }
+}
+
 /// The facts of a detected single-table primary-key point lookup,
 /// borrowed from the statement and catalog. Produced by
 /// [`detect_pk_point`]; consumed by [`plan_pk_point`] (to build the
@@ -1032,9 +1092,11 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
     let mut plan;
     let mut est_rows: f64;
     let best = stmt.filter.as_ref().and_then(|filter| {
-        conjuncts(filter)
+        let candidates = conjuncts(filter)
             .into_iter()
-            .filter_map(|c| sarg_of(c, &layout, base, base_arity))
+            .filter_map(|c| sarg_of(c, &layout, base, base_arity));
+        intersect_ranges(candidates)
+            .into_iter()
             // Prefer equality over range, then the most selective
             // (highest distinct count) index.
             .max_by_key(|c| (matches!(c.sarg, Sarg::Eq(_)), c.distinct))

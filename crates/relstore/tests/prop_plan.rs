@@ -92,12 +92,52 @@ fn gen_pred(rng: &mut StdRng, qualify: bool) -> String {
         format!("{q}b = '{w}'"),
         format!("{q}c >= {k}0.5"),
         format!("{q}b IS NULL"),
+        range_pair(rng, q),
     ];
-    match rng.gen_range(0..4usize) {
+    match rng.gen_range(0..5usize) {
         0 => format!("{} AND {}", pick(rng, &atoms), pick(rng, &atoms)),
         1 => format!("{} OR {}", pick(rng, &atoms), pick(rng, &atoms)),
+        // Three range conjuncts on one column intersect into one sarg.
+        2 => {
+            let col = *pick(rng, &["id", "a"]);
+            format!("{} AND {}", range_pair(rng, q), range_bound(rng, q, col))
+        }
         _ => pick(rng, &atoms).clone(),
     }
+}
+
+/// One range conjunct on `col`: any of the four comparisons, with the
+/// literal on either side (`5 < id`), an Int or a Double bound.
+fn range_bound(rng: &mut StdRng, q: &str, col: &str) -> String {
+    let op = *pick(rng, &["<", "<=", ">", ">="]);
+    let lit = match rng.gen_range(0..4usize) {
+        0 => format!("{}.5", rng.gen_range(0..40usize)),
+        1 => format!("{}.0", rng.gen_range(0..40usize)),
+        _ => rng.gen_range(0..40usize).to_string(),
+    };
+    if rng.gen_bool(0.5) {
+        format!("{q}{col} {op} {lit}")
+    } else {
+        format!("{lit} {op} {q}{col}")
+    }
+}
+
+/// Two range conjuncts on the primary key `id` or the secondary-indexed
+/// `a`: random bounds (so inverted pairs too), or both bounds on one
+/// key with one or both ends excluded.
+fn range_pair(rng: &mut StdRng, q: &str) -> String {
+    let col = *pick(rng, &["id", "a"]);
+    if rng.gen_bool(0.5) {
+        return format!(
+            "{} AND {}",
+            range_bound(rng, q, col),
+            range_bound(rng, q, col)
+        );
+    }
+    let k = rng.gen_range(0..40usize);
+    let lo = *pick(rng, &[">", ">="]);
+    let hi = *pick(rng, &["<", "<="]);
+    format!("{q}{col} {lo} {k} AND {q}{col} {hi} {k}")
 }
 
 /// A generated query: the SQL, whether its output order is fully
@@ -456,4 +496,33 @@ fn explain_names_the_operators_that_ran() {
             .collect();
         assert_eq!(lines, rendered, "EXPLAIN text for {sql}");
     }
+}
+
+/// Both bounds of `seq >= 7000 AND seq < 8500` narrow one index walk:
+/// the scan touches the 1 500 keys in range, not the 8 500 below the
+/// upper bound.
+#[test]
+fn a_two_sided_range_walks_only_its_keys() {
+    let mut db = Database::new("visits", Dialect::Canonical);
+    db.execute("CREATE TABLE visits (seq INT PRIMARY KEY, cost DOUBLE)")
+        .unwrap();
+    for chunk in (0..20_000).collect::<Vec<i64>>().chunks(1_000) {
+        let values: Vec<String> = chunk.iter().map(|s| format!("({s}, {s}.5)")).collect();
+        db.execute(&format!("INSERT INTO visits VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+    let sql = "SELECT cost FROM visits WHERE seq >= 7000 AND seq < 8500";
+    let Statement::Select(select) = parse_statement(sql).unwrap() else {
+        unreachable!()
+    };
+    let plan = plan_select(&select, db.tables()).unwrap().render();
+    assert!(
+        plan.iter()
+            .any(|l| l.contains("index range scan visits.seq >= 7000 AND seq < 8500")),
+        "{plan:?}"
+    );
+    let rows = db.execute(sql).unwrap().rows().unwrap().rows.len();
+    assert_eq!(rows, 1_500);
+    let m = db.last_exec_metrics().unwrap();
+    assert_eq!((m.rows_scanned, m.index_hits), (1_500, 1_500));
 }
