@@ -28,7 +28,7 @@
 //!   federation's [`webfindit_orb::CallOptions`] deadline bounds each
 //!   shipped call, so the fan-out cannot hang on a silent member.
 //!
-//! Answers are read straight from each reply frame: [`read_shipped`],
+//! Answers are read straight from each reply frame: `read_shipped`,
 //! the decoder [`Federation::invoke_all_as`] runs per member, turns a
 //! relational or object table into merge rows whose first slot is left
 //! for the site name, and the merge fills that slot once, in member
@@ -46,7 +46,7 @@ use crate::discovery::DiscoveryEngine;
 use crate::failure::{degrade_reason, is_breaker_rejection, SiteFailure};
 use crate::federation::Federation;
 use crate::trace::{Layer, Trace};
-use crate::value_map::{expect_tag, read_count, table_fields};
+use crate::value_map::{read_head, read_oid, read_row_len, table_fields};
 use crate::{WebfinditError, WfResult};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -275,17 +275,16 @@ fn type_key(name: &str) -> String {
 }
 
 /// A member's subquery answer, read by [`read_shipped`].
-#[derive(Debug)]
-pub struct Shipped {
+struct Shipped {
     /// One merged row per answer row: slot 0 is left empty for the
     /// site name, then the projected cells as strings.
-    pub rows: Vec<Vec<String>>,
+    rows: Vec<Vec<String>>,
     /// Approximate bytes the projected cells occupied on the wire: the
     /// lengths of their renderings.
-    pub bytes: u64,
+    bytes: u64,
     /// The first projected cell of every row as a typed literal, `NULL`s
     /// dropped; filled on the semi-join build wave only.
-    pub keys: Vec<Literal>,
+    keys: Vec<Literal>,
 }
 
 /// Which side of a federated plan a wave ships.
@@ -647,33 +646,17 @@ impl FedExecutor {
 /// answers drop the leading OID cell: an object identity is site-local
 /// and meaningless in a federated merge. Any other answer is a
 /// [`WebfinditError::Protocol`] error.
-pub fn read_shipped(r: &mut CdrReader<'_>, keyed: bool) -> WfResult<Shipped> {
-    let object = match table_fields(r) {
-        Some(2) => false,
-        Some(3) => true,
-        _ => {
-            return Err(WebfinditError::Protocol(
-                "federated subquery did not return rows".into(),
-            ))
-        }
-    };
-    // The head `table_fields` looked at.
-    r.read_octet()?;
-    r.read_ulong()?;
-    r.read_str()?;
-    for _ in 0..read_count(r, "result set columns")? {
-        expect_tag(r, tag::STRING, "result set column name")?;
-        r.read_str()?;
-    }
-    if r.read_str()? != "rows" {
-        return Err(WebfinditError::Protocol("result set missing rows".into()));
-    }
-    let n = read_count(r, "result set rows")?;
+fn read_shipped(r: &mut CdrReader<'_>, keyed: bool) -> WfResult<Shipped> {
+    let fields = table_fields(r)
+        .filter(|f| matches!(f, 2 | 3))
+        .ok_or_else(|| WebfinditError::Protocol("federated subquery did not return rows".into()))?;
+    let object = fields == 3;
+    let (_, n) = read_head(r, fields)?;
     let (mut rows, mut bytes, mut keys) = (Vec::with_capacity(n), 0u64, Vec::new());
     for _ in 0..n {
-        let mut width = read_count(r, "result set row")?;
+        let mut width = read_row_len(r)?;
         if object && width > 0 {
-            read_cell(r, false)?;
+            read_oid(r)?;
             width -= 1;
         }
         let mut row = Vec::with_capacity(width + 1);
@@ -867,5 +850,258 @@ mod tests {
         let text = o.render();
         assert!(text.contains("site | funding"));
         assert!(text.contains("degraded: B — endpoint h:1 unreachable"));
+    }
+
+    /// The federated merge's reply decoder (`read_shipped`) and the
+    /// object-table writer (`value_map::write_object_rows`) against the
+    /// path they replaced: a reply decoded into a `Value` tree, then
+    /// mapped to string rows and semi-join keys, and an OQL answer built
+    /// as a `Value` record and encoded with `Value::encode`.
+    ///
+    /// Over random relational and object answers of every cell kind, in
+    /// both byte orders and at the body offset of a GIOP frame:
+    ///
+    /// * the object-table writer writes the old record's bytes;
+    /// * the decoder's rows (after the empty site slot), byte count and
+    ///   semi-join keys equal the old mapping's;
+    /// * an answer that is not a table fails with the old message.
+    mod decoder {
+        use crate::fedquery::read_shipped;
+        use crate::value_map::{write_object_rows, write_result_set};
+        use crate::{WebfinditError, WfResult};
+        use webfindit_base::prop;
+        use webfindit_base::rng::StdRng;
+        use webfindit_oostore::{OValue, Oid};
+        use webfindit_relstore::exec::ResultSet;
+        use webfindit_relstore::types::Datum;
+        use webfindit_tassili::ast::Literal;
+        use webfindit_wire::{ByteOrder, CdrReader, CdrWriter, Value};
+
+        /// What the old decoder produced: rows without the site slot, the
+        /// rendered byte count, and the keys.
+        type OldShipped = (Vec<Vec<String>>, u64, Vec<Literal>);
+
+        /// The decoder `read_shipped` replaced, kept here as its oracle.
+        fn old_decode_rows(v: &Value, keyed: bool) -> WfResult<OldShipped> {
+            let object = v.field("object_rows").is_some();
+            if v.field("columns").is_none() {
+                return Err(WebfinditError::Protocol(
+                    "federated subquery did not return rows".into(),
+                ));
+            }
+            let rows_v = v
+                .field("rows")
+                .and_then(Value::as_sequence)
+                .ok_or_else(|| WebfinditError::Protocol("result set missing rows".into()))?;
+            let mut rows = Vec::with_capacity(rows_v.len());
+            let mut bytes = 0u64;
+            let mut keys = Vec::new();
+            for r in rows_v {
+                let cells = r
+                    .as_sequence()
+                    .ok_or_else(|| WebfinditError::Protocol("row is not a sequence".into()))?;
+                let skip = usize::from(object);
+                if keyed {
+                    keys.extend(cells.get(skip).and_then(old_key_literal));
+                }
+                let row: Vec<String> = cells.iter().skip(skip).map(|c| c.to_string()).collect();
+                bytes += row.iter().map(|c| c.len() as u64).sum::<u64>();
+                rows.push(row);
+            }
+            Ok((rows, bytes, keys))
+        }
+
+        fn old_key_literal(cell: &Value) -> Option<Literal> {
+            Some(match cell {
+                Value::Null => return None,
+                Value::Str(s) => Literal::Str(s.clone()),
+                Value::Bool(b) => Literal::Bool(*b),
+                Value::Octet(v) => Literal::Int(i64::from(*v)),
+                Value::Short(v) => Literal::Int(i64::from(*v)),
+                Value::Long(v) => Literal::Int(i64::from(*v)),
+                Value::LongLong(v) => Literal::Int(*v),
+                Value::ULong(v) => Literal::Int(i64::from(*v)),
+                Value::Float(v) => Literal::Float(f64::from(*v)),
+                Value::Double(v) => Literal::Float(*v),
+                other => Literal::Str(other.to_string()),
+            })
+        }
+
+        /// The OQL answer record the object-table writer replaced.
+        fn old_object_record(columns: &[String], rows: &[(Oid, Vec<OValue>)]) -> Value {
+            Value::record([
+                (
+                    "columns",
+                    Value::Sequence(columns.iter().cloned().map(Value::Str).collect()),
+                ),
+                (
+                    "rows",
+                    Value::Sequence(
+                        rows.iter()
+                            .map(|(oid, vals)| {
+                                let mut cells = vec![Value::ULong(oid.0 as u32)];
+                                cells.extend(vals.iter().map(old_ovalue_to_value));
+                                Value::Sequence(cells)
+                            })
+                            .collect(),
+                    ),
+                ),
+                ("object_rows", Value::Bool(true)),
+            ])
+        }
+
+        fn old_ovalue_to_value(v: &OValue) -> Value {
+            match v {
+                OValue::Null => Value::Null,
+                OValue::Int(i) => Value::LongLong(*i),
+                OValue::Double(d) => Value::Double(*d),
+                OValue::Text(s) => Value::Str(s.clone()),
+                OValue::Bool(b) => Value::Bool(*b),
+                OValue::List(items) => {
+                    Value::Sequence(items.iter().map(old_ovalue_to_value).collect())
+                }
+                OValue::Ref(oid) => Value::record([("oid", Value::ULong(oid.0 as u32))]),
+            }
+        }
+
+        const TEXT: &str = "abcXYZ 019_-'\"é日本🦀";
+
+        const DOUBLES: [f64; 9] = [
+            0.0,
+            -0.0,
+            1.5,
+            -2.25,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+
+        fn double(rng: &mut StdRng) -> f64 {
+            if rng.gen_bool(0.5) {
+                *prop::pick(rng, &DOUBLES)
+            } else {
+                f64::from_bits(rng.next_u64())
+            }
+        }
+
+        fn datum(rng: &mut StdRng) -> Datum {
+            match rng.gen_range(0u32..7) {
+                0 => Datum::Null,
+                1 => Datum::Int(*prop::pick(rng, &[i64::MIN, -1, 0, 7, i64::MAX])),
+                2 => Datum::Double(double(rng)),
+                3 => Datum::Text(prop::string_of(rng, TEXT, 0..12)),
+                // Text that reads as a number or a boolean stays text.
+                4 => Datum::Text(prop::pick(rng, &["007", "true", "2.5", ""]).to_string()),
+                5 => Datum::Bool(rng.gen_bool(0.5)),
+                // 1900-01-01 ..= 2100-12-31 as days from 1970-01-01.
+                _ => Datum::Date(rng.gen_range(-25_567i32..47_847)),
+            }
+        }
+
+        fn ovalue(rng: &mut StdRng, depth: u32) -> OValue {
+            match rng.gen_range(0u32..if depth < 2 { 7 } else { 6 }) {
+                0 => OValue::Null,
+                1 => OValue::Int(rng.gen_range(-1_000_000i64..1_000_000)),
+                2 => OValue::Double(double(rng)),
+                3 => OValue::Text(prop::string_of(rng, TEXT, 0..12)),
+                4 => OValue::Bool(rng.gen_bool(0.5)),
+                5 => OValue::Ref(Oid(rng.gen_range(0u64..1 << 32))),
+                _ => OValue::List(prop::vec_of(rng, 0..4, |rng| ovalue(rng, depth + 1))),
+            }
+        }
+
+        fn columns(rng: &mut StdRng, width: usize) -> Vec<String> {
+            (0..width)
+                .map(|_| prop::string_of(rng, TEXT, 0..8))
+                .collect()
+        }
+
+        /// A random answer as `(its old Value record, the new writer's bytes)`.
+        fn answer(rng: &mut StdRng, order: ByteOrder) -> (Value, Vec<u8>) {
+            let width = rng.gen_range(0usize..5);
+            let columns = columns(rng, width);
+            if rng.gen_bool(0.5) {
+                let rows = prop::vec_of(rng, 0..20, |rng| (0..width).map(|_| datum(rng)).collect());
+                let rs = ResultSet { columns, rows };
+                let bytes = frame_bytes(order, |w| write_result_set(&rs, w).unwrap());
+                (
+                    Value::decode(&mut CdrReader::new(&bytes[12..], order)).unwrap(),
+                    bytes,
+                )
+            } else {
+                let rows: Vec<(Oid, Vec<OValue>)> = prop::vec_of(rng, 0..20, |rng| {
+                    let oid = Oid(rng.gen_range(0u64..1 << 32));
+                    (oid, (0..width).map(|_| ovalue(rng, 0)).collect())
+                });
+                let old = old_object_record(&columns, &rows);
+                let bytes = frame_bytes(order, |w| write_object_rows(&columns, &rows, w).unwrap());
+                assert_eq!(
+                    bytes,
+                    frame_bytes(order, |w| old.encode(w).unwrap()),
+                    "{order:?}: object-table bytes differ"
+                );
+                (old, bytes)
+            }
+        }
+
+        /// A frame writer: CDR alignment counts from byte 12, as in a GIOP body.
+        fn frame_bytes(order: ByteOrder, write: impl FnOnce(&mut CdrWriter)) -> Vec<u8> {
+            let mut w = CdrWriter::frame(order, Vec::new());
+            write(&mut w);
+            w.into_bytes()
+        }
+
+        /// Keys compared by their Debug form, under which NaN equals NaN and
+        /// `-0.0` differs from `0.0`.
+        fn debug<T: std::fmt::Debug>(items: &[T]) -> Vec<String> {
+            items.iter().map(|k| format!("{k:?}")).collect()
+        }
+
+        #[test]
+        fn the_fed_decoder_reads_what_the_value_path_read() {
+            prop::cases(2_000, |rng| {
+                for order in [ByteOrder::BigEndian, ByteOrder::LittleEndian] {
+                    let (old, bytes) = answer(rng, order);
+                    for keyed in [false, true] {
+                        let (rows, old_bytes, keys) = old_decode_rows(&old, keyed).unwrap();
+                        let mut r = CdrReader::new(&bytes[12..], order);
+                        let new = read_shipped(&mut r, keyed).unwrap();
+                        assert!(r.is_exhausted(), "the decoder left bytes behind");
+                        assert!(new.rows.iter().all(|row| row[0].is_empty()));
+                        let cells: Vec<&[String]> = new.rows.iter().map(|row| &row[1..]).collect();
+                        assert_eq!(cells, rows, "{order:?}: rows differ");
+                        assert_eq!(new.bytes, old_bytes);
+                        assert_eq!(debug(&new.keys), debug(&keys), "{order:?}: keys differ");
+                    }
+                }
+            });
+        }
+
+        #[test]
+        fn a_non_table_answer_fails_with_the_old_message() {
+            let answers = [
+                Value::record([("count", Value::ULong(3))]),
+                Value::Void,
+                Value::Null,
+                Value::Long(5),
+                Value::string("done"),
+                Value::Sequence(vec![Value::string("columns")]),
+                Value::record([("rows", Value::Sequence(vec![]))]),
+            ];
+            for v in answers {
+                let old = old_decode_rows(&v, false).unwrap_err().to_string();
+                for order in [ByteOrder::BigEndian, ByteOrder::LittleEndian] {
+                    let bytes = frame_bytes(order, |w| v.encode(w).unwrap());
+                    let mut r = CdrReader::new(&bytes[12..], order);
+                    let Err(new) = read_shipped(&mut r, true) else {
+                        panic!("{v}: a non-table answer was read as a table")
+                    };
+                    assert!(matches!(new, WebfinditError::Protocol(_)), "{v}: {new:?}");
+                    assert_eq!(new.to_string(), old, "{v}");
+                }
+            }
+        }
     }
 }

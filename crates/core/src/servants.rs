@@ -8,7 +8,7 @@
 
 use crate::discovery::probe_reply;
 use crate::value_map::{
-    descriptor_to_value, ovalue_to_value, strings_to_value, value_to_descriptor, write_object_rows,
+    descriptor_to_value, strings_to_value, value_to_descriptor, write_object_rows, write_ovalue,
     write_result_set,
 };
 use std::sync::atomic::Ordering;
@@ -428,7 +428,7 @@ fn write_output(out: QueryOutput, w: &mut CdrWriter) -> Result<(), ServantError>
         }
         QueryOutput::Count(n) => Value::record([("count", Value::ULong(n as u32))]),
         QueryOutput::Done => Value::Void,
-        QueryOutput::Value(v) => ovalue_to_value(&v),
+        QueryOutput::Value(v) => return write_ovalue(w, &v).map_err(marshal),
     };
     value.encode(w).map_err(marshal)
 }

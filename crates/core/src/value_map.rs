@@ -45,7 +45,7 @@ pub fn write_result_set(rs: &ResultSet, w: &mut CdrWriter) -> WireResult<()> {
 /// Write an OQL answer as the record `{columns: [Str], rows: [[ULong
 /// oid, cell…]], object_rows: true}`: the bytes `Value::encode` writes
 /// for it, a reference cell being `{oid: ULong}`.
-pub fn write_object_rows(
+pub(crate) fn write_object_rows(
     columns: &[String],
     rows: &[(Oid, Vec<OValue>)],
     w: &mut CdrWriter,
@@ -64,7 +64,9 @@ pub fn write_object_rows(
     Ok(())
 }
 
-fn write_ovalue(w: &mut CdrWriter, v: &OValue) -> WireResult<()> {
+/// Write an [`OValue`] as its `Value` (object references travel as
+/// their OID number).
+pub(crate) fn write_ovalue(w: &mut CdrWriter, v: &OValue) -> WireResult<()> {
     match v {
         OValue::Null => write_scalar(w, Scalar::Null),
         OValue::Int(i) => write_scalar(w, Scalar::Int(*i)),
@@ -166,8 +168,23 @@ pub(crate) fn table_fields(r: &CdrReader<'_>) -> Option<u32> {
 /// left before anything is sized by it, and bad UTF-8 or a bad date is an
 /// error, never a panic.
 pub fn read_result_set(r: &mut CdrReader<'_>) -> WfResult<ResultSet> {
+    let (columns, n) = read_head(r, 2)?;
+    let mut rows = Vec::with_capacity(n);
+    for _ in 0..n {
+        let mut row = Vec::with_capacity(read_row_len(r)?);
+        for _ in 0..row.capacity() {
+            row.push(read_datum(r)?);
+        }
+        rows.push(row);
+    }
+    Ok(ResultSet { columns, rows })
+}
+
+/// Read what [`write_head`] wrote for a record of `fields` fields: the
+/// columns and the count of rows that follow.
+pub(crate) fn read_head(r: &mut CdrReader<'_>, fields: u32) -> WfResult<(Vec<String>, usize)> {
     expect_tag(r, tag::STRUCT, "result set")?;
-    if r.read_ulong()? != 2 || r.read_str()? != "columns" {
+    if r.read_ulong()? != fields || r.read_str()? != "columns" {
         return Err(WebfinditError::Protocol("result set lacks columns".into()));
     }
     let mut columns = Vec::with_capacity(read_count(r, "result set columns")?);
@@ -178,18 +195,21 @@ pub fn read_result_set(r: &mut CdrReader<'_>) -> WfResult<ResultSet> {
     if r.read_str()? != "rows" {
         return Err(WebfinditError::Protocol("result set lacks rows".into()));
     }
-    let mut rows = Vec::with_capacity(read_count(r, "result set rows")?);
-    for _ in 0..rows.capacity() {
-        let mut row = Vec::with_capacity(read_count(r, "result set row")?);
-        for _ in 0..row.capacity() {
-            row.push(read_datum(r)?);
-        }
-        rows.push(row);
-    }
-    Ok(ResultSet { columns, rows })
+    Ok((columns, read_count(r, "result set rows")?))
 }
 
-pub(crate) fn expect_tag(r: &mut CdrReader<'_>, want: u8, context: &'static str) -> WireResult<()> {
+/// The count of cells in the row `r` is at.
+pub(crate) fn read_row_len(r: &mut CdrReader<'_>) -> WireResult<usize> {
+    read_count(r, "result set row")
+}
+
+/// Read what [`write_oid`] wrote.
+pub(crate) fn read_oid(r: &mut CdrReader<'_>) -> WireResult<Oid> {
+    expect_tag(r, tag::ULONG, "object row oid")?;
+    Ok(Oid(u64::from(r.read_ulong()?)))
+}
+
+fn expect_tag(r: &mut CdrReader<'_>, want: u8, context: &'static str) -> WireResult<()> {
     match r.read_octet()? {
         t if t == want => Ok(()),
         t => Err(WireError::BadTag {
@@ -201,7 +221,7 @@ pub(crate) fn expect_tag(r: &mut CdrReader<'_>, want: u8, context: &'static str)
 
 /// A sequence's count, which must fit in the bytes left: each element
 /// is at least one octet.
-pub(crate) fn read_count(r: &mut CdrReader<'_>, context: &'static str) -> WireResult<usize> {
+fn read_count(r: &mut CdrReader<'_>, context: &'static str) -> WireResult<usize> {
     expect_tag(r, tag::SEQUENCE, context)?;
     let n = r.read_ulong()? as usize;
     if n > r.remaining() {
@@ -234,19 +254,6 @@ fn read_datum(r: &mut CdrReader<'_>) -> WfResult<Datum> {
             tag: t.into(),
         })?,
     })
-}
-
-/// Encode an [`OValue`] (object references travel as their OID number).
-pub fn ovalue_to_value(v: &OValue) -> Value {
-    match v {
-        OValue::Null => Value::Null,
-        OValue::Int(i) => Value::LongLong(*i),
-        OValue::Double(d) => Value::Double(*d),
-        OValue::Text(s) => Value::Str(s.clone()),
-        OValue::Bool(b) => Value::Bool(*b),
-        OValue::List(items) => Value::Sequence(items.iter().map(ovalue_to_value).collect()),
-        OValue::Ref(oid) => Value::record([("oid", Value::ULong(oid.0 as u32))]),
-    }
 }
 
 /// Encode an information-source descriptor.
