@@ -4,7 +4,7 @@ use crate::ConnectResult;
 use std::fmt;
 use webfindit_oostore::{OValue, Oid};
 use webfindit_relstore::exec::ResultSet;
-use webfindit_relstore::TableSchema;
+use webfindit_relstore::{RowSink, TableSchema};
 
 /// Which physical bridge a connection uses — the three arrows of the
 /// paper's Figure 2.
@@ -125,6 +125,19 @@ pub trait Connection: Send {
     /// Execute a statement in the source's native language (SQL for
     /// relational sources, OQL for object stores).
     fn execute(&mut self, text: &str) -> ConnectResult<QueryOutput>;
+
+    /// Execute a statement, handing a relational answer's column names
+    /// and rows to `sink` as the engine produces them. `None` means the
+    /// rows went to the sink; otherwise the output is what
+    /// [`Connection::execute`] returns, and the sink saw nothing. The
+    /// default runs `execute`.
+    fn execute_into(
+        &mut self,
+        text: &str,
+        _sink: &mut dyn RowSink<crate::ConnectError>,
+    ) -> ConnectResult<Option<QueryOutput>> {
+        self.execute(text).map(Some)
+    }
 
     /// Invoke a named access routine (object stores only; relational
     /// connections reject this).

@@ -20,7 +20,7 @@ use crate::api::{BridgeKind, Connection, DataMetrics, QueryOutput, SourceMetadat
 use crate::{ConnectError, ConnectResult};
 use webfindit_relstore::sql::ast::Statement;
 use webfindit_relstore::sql::parse_statement;
-use webfindit_relstore::{Database, Dialect, RelError};
+use webfindit_relstore::{Database, Dialect, RelError, RowSink};
 
 /// A connection wrapper that absorbs `Unsupported` vendor errors by
 /// staging and re-executing locally.
@@ -96,6 +96,23 @@ impl Connection for CompensatingConnection {
             Err(ConnectError::Rel(RelError::Unsupported(_))) => {
                 let stmt = parse_statement(text).map_err(ConnectError::Rel)?;
                 self.compensate_select(&stmt)
+            }
+            other => other,
+        }
+    }
+
+    /// Forwards to the inner connection. relstore raises `Unsupported`
+    /// from the dialect check or the planner, before the sink sees a
+    /// column, so the staged fallback returns its output whole.
+    fn execute_into(
+        &mut self,
+        text: &str,
+        sink: &mut dyn RowSink<ConnectError>,
+    ) -> ConnectResult<Option<QueryOutput>> {
+        match self.inner.execute_into(text, sink) {
+            Err(ConnectError::Rel(RelError::Unsupported(_))) => {
+                let stmt = parse_statement(text).map_err(ConnectError::Rel)?;
+                self.compensate_select(&stmt).map(Some)
             }
             other => other,
         }
@@ -194,6 +211,45 @@ mod tests {
         // Rows with no strictly-larger same-client payment: the max per client.
         assert_eq!(out.row_count(), 3);
         assert_eq!(conn.compensations(), 1);
+    }
+
+    /// Counts what a sink was handed.
+    #[derive(Default)]
+    struct Seen(usize);
+
+    impl RowSink<ConnectError> for Seen {
+        fn columns(&mut self, _: &[String]) -> ConnectResult<()> {
+            self.0 += 1;
+            Ok(())
+        }
+
+        fn row(&mut self, _: &mut [std::borrow::Cow<'_, Datum>]) -> ConnectResult<()> {
+            self.0 += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_unsupported_select_fails_before_its_sink_sees_a_column() {
+        let sql = "SELECT client_id, SUM(amount) s FROM payments GROUP BY client_id";
+        let mut seen = Seen::default();
+        let mut conn = msql_connection();
+        assert!(matches!(
+            conn.inner.execute_into(sql, &mut seen),
+            Err(ConnectError::Rel(RelError::Unsupported(_)))
+        ));
+        assert_eq!(seen.0, 0, "the vendor refused after handing rows over");
+
+        // So the staged answer comes back whole.
+        let out = conn.execute_into(sql, &mut seen).unwrap();
+        assert_eq!(out.map(|o| o.row_count()), Some(3));
+        assert_eq!((seen.0, conn.compensations()), (0, 1));
+
+        // A SELECT the vendor runs streams into the sink: the column
+        // names, then four rows.
+        let out = conn.execute_into("SELECT amount FROM payments", &mut seen);
+        assert!(out.unwrap().is_none());
+        assert_eq!((seen.0, conn.compensations()), (5, 1));
     }
 
     #[test]

@@ -8,9 +8,10 @@ use crate::{ConnectError, ConnectResult};
 use std::sync::Arc;
 use webfindit_oostore::{OValue, OqlQuery};
 use webfindit_relstore::engine::ExecOutcome;
+use webfindit_relstore::exec::ResultSet;
 use webfindit_relstore::sql::ast::Statement;
 use webfindit_relstore::sql::parse_statement;
-use webfindit_relstore::{Database, Dialect, ExecMetrics};
+use webfindit_relstore::{Database, Dialect, ExecMetrics, RowSink};
 
 // ---- relational (JDBC) --------------------------------------------------
 
@@ -96,19 +97,30 @@ fn query_metrics(m: &ExecMetrics) -> DataMetrics {
 }
 
 impl Connection for RelationalConnection {
-    /// A SELECT runs under the instance's shared guard, beside other
-    /// readers; every other statement, and a SELECT that owes the
-    /// instance a checkpoint, runs under the exclusive guard.
     fn execute(&mut self, text: &str) -> ConnectResult<QueryOutput> {
+        let mut rs = ResultSet::default();
+        let out = self.execute_into(text, &mut rs)?;
+        Ok(out.unwrap_or(QueryOutput::Rows(rs)))
+    }
+
+    /// A SELECT runs under the instance's shared guard, beside other
+    /// readers, and streams its rows into `sink`; every other
+    /// statement, and a SELECT that owes the instance a checkpoint,
+    /// runs under the exclusive guard and returns its output.
+    fn execute_into(
+        &mut self,
+        text: &str,
+        sink: &mut dyn RowSink<ConnectError>,
+    ) -> ConnectResult<Option<QueryOutput>> {
         let db = self.live()?;
         let stmt = parse_statement(text)?;
         if let Statement::Select(_) = stmt {
             let guard = db.read();
             if !guard.owes_checkpoint() {
-                let (rs, m) = guard.select(&stmt)?;
+                let m = guard.select_into(&stmt, sink)?;
                 drop(guard);
                 self.last_metrics = Some(query_metrics(&m));
-                return Ok(QueryOutput::Rows(rs));
+                return Ok(None);
             }
         }
         let (outcome, metrics) = {
@@ -139,11 +151,11 @@ impl Connection for RelationalConnection {
             (outcome, metrics)
         };
         self.last_metrics = Some(metrics);
-        Ok(match outcome {
+        Ok(Some(match outcome {
             ExecOutcome::Rows(rs) => QueryOutput::Rows(rs),
             ExecOutcome::Count(n) => QueryOutput::Count(n),
             ExecOutcome::Done => QueryOutput::Done,
-        })
+        }))
     }
 
     fn begin(&mut self) -> ConnectResult<QueryOutput> {

@@ -62,6 +62,9 @@ pub enum ConnectError {
     /// The operation is not meaningful for this connection kind
     /// (e.g. SQL against an object store).
     WrongParadigm(String),
+    /// The consumer of a statement's rows refused one (a reply that
+    /// outgrew its size limit); the statement stopped there.
+    Sink(String),
 }
 
 impl fmt::Display for ConnectError {
@@ -76,6 +79,7 @@ impl fmt::Display for ConnectError {
             ConnectError::Oo(e) => write!(f, "object store: {e}"),
             ConnectError::Closed => write!(f, "connection is closed"),
             ConnectError::WrongParadigm(msg) => write!(f, "wrong paradigm: {msg}"),
+            ConnectError::Sink(msg) => write!(f, "row sink: {msg}"),
         }
     }
 }

@@ -9,15 +9,19 @@
 use crate::discovery::probe_reply;
 use crate::value_map::{
     descriptor_to_value, strings_to_value, value_to_descriptor, write_object_rows, write_ovalue,
-    write_result_set,
+    write_result_set, TableWriter,
 };
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use webfindit_base::sync::RwLock;
 use webfindit_codb::{CoDatabase, LinkEnd, ServiceLink};
-use webfindit_connect::{CompensatingConnection, Connection, DriverManager, QueryOutput};
+use webfindit_connect::{
+    CompensatingConnection, ConnectError, Connection, DriverManager, QueryOutput,
+};
 use webfindit_oostore::OValue;
 use webfindit_orb::servant::{InvokeResult, Servant, ServantError};
+use webfindit_relstore::{Datum, RowSink};
 use webfindit_wire::{ByteOrder, CdrReader, CdrWriter, Value};
 
 /// Interface id of co-database servants.
@@ -417,6 +421,22 @@ fn marshal(e: webfindit_wire::WireError) -> ServantError {
     ServantError::Marshal(e.to_string())
 }
 
+/// The ISI's row sink: each row the executor hands over is written into
+/// the reply at once.
+impl RowSink<ConnectError> for TableWriter<'_> {
+    fn columns(&mut self, columns: &[String]) -> Result<(), ConnectError> {
+        self.head(columns).map_err(refused)
+    }
+
+    fn row(&mut self, row: &mut [Cow<'_, Datum>]) -> Result<(), ConnectError> {
+        TableWriter::row(self, row).map_err(refused)
+    }
+}
+
+fn refused(e: webfindit_wire::WireError) -> ConnectError {
+    ConnectError::Sink(e.to_string())
+}
+
 /// Write a data-layer answer into a reply: a table, relational or
 /// object, through the typed table codec, anything else as its
 /// [`Value`].
@@ -494,14 +514,24 @@ impl Servant for IsiServant {
                         )))
                     }
                 };
+                // A SELECT's rows go from the executor straight into
+                // the reply; past `max_rows` they are drained unwritten,
+                // so the data-layer counters are those of the whole
+                // statement.
                 let mut conn = self.open()?;
-                let mut done = conn
-                    .execute(&text)
-                    .map_err(|e| ServantError::Application(e.to_string()))?;
+                let mut table = TableWriter::new(out, max_rows);
+                let done = conn.execute_into(&text, &mut table).map_err(|e| match e {
+                    ConnectError::Sink(msg) => ServantError::Marshal(msg),
+                    e => ServantError::Application(e.to_string()),
+                })?;
+                self.report_data_metrics(&conn);
+                let Some(mut done) = done else {
+                    table.finish();
+                    return Ok(());
+                };
                 if let Some(n) = max_rows {
                     done.truncate(n);
                 }
-                self.report_data_metrics(&conn);
                 return write_output(done, out);
             }
             "invoke_function" => {

@@ -3,28 +3,82 @@
 //! Descriptors, object rows and name lists cross an ORB boundary as
 //! self-describing [`Value`]s, with strict decoders (malformed payloads
 //! become [`WebfinditError::Protocol`]). A table skips the `Value`
-//! tree: [`write_result_set`] writes a [`ResultSet`] straight into a
-//! reply frame and [`read_result_set`] reads it straight back, and
-//! [`write_object_rows`] does the writing for an OQL answer. The bytes
+//! tree. One row writer, `TableWriter`, encodes a relational table: the
+//! ISI hands it the executor's rows as they are produced, so a SELECT
+//! answered on the shared path goes into the reply frame with no
+//! `ResultSet` on the server, and [`write_result_set`] feeds it a
+//! collected [`ResultSet`]. It reserves the row count and patches it at
+//! the end, drops rows past a cap, and fails a row that takes the body
+//! past `MAX_MESSAGE_SIZE`. [`read_result_set`] reads a table straight
+//! back, and [`write_object_rows`] writes an OQL answer. The bytes
 //! are those `Value::encode` writes for the record `{columns: [Str],
 //! rows: [[cell]]}`, a date cell being `{date: "iso"}`; an object table
 //! leads each row with its OID and ends with `object_rows: true`.
 
 use crate::{WebfinditError, WfResult};
+use std::borrow::Borrow;
 use webfindit_codb::{ExportedFunction, ExportedType, InformationSource};
 use webfindit_oostore::{OValue, Oid};
 use webfindit_relstore::exec::ResultSet;
 use webfindit_relstore::types::{format_date, parse_date, Datum};
 use webfindit_wire::value::tag;
-use webfindit_wire::{CdrReader, CdrWriter, Value, WireError, WireResult};
+use webfindit_wire::{CdrReader, CdrWriter, Value, WireError, WireResult, MAX_MESSAGE_SIZE};
 
 /// Write `rs` as the record `{columns: [Str], rows: [[cell]]}`.
 pub fn write_result_set(rs: &ResultSet, w: &mut CdrWriter) -> WireResult<()> {
-    write_head(w, 2, &rs.columns, rs.rows.len())?;
+    let mut table = TableWriter::new(w, None);
+    table.head(&rs.columns)?;
     for row in &rs.rows {
-        write_count(w, row.len());
-        for d in row {
-            match d {
+        table.row(row.as_slice())?;
+    }
+    table.finish();
+    Ok(())
+}
+
+/// Writes a relational table as its rows arrive: the head with the row
+/// count reserved, each row, and the count patched in by
+/// [`TableWriter::finish`]. [`write_result_set`] feeds it a
+/// [`ResultSet`] and the ISI feeds it the executor's rows, so a table
+/// has one encoder.
+pub(crate) struct TableWriter<'w> {
+    w: &'w mut CdrWriter,
+    /// Rows past this many are dropped unwritten.
+    max_rows: usize,
+    /// Where the row count sits, once the head is written.
+    count_at: Option<usize>,
+    rows: usize,
+}
+
+impl<'w> TableWriter<'w> {
+    /// A writer of at most `max_rows` rows (all of them for `None`).
+    pub(crate) fn new(w: &'w mut CdrWriter, max_rows: Option<usize>) -> TableWriter<'w> {
+        TableWriter {
+            w,
+            max_rows: max_rows.unwrap_or(usize::MAX),
+            count_at: None,
+            rows: 0,
+        }
+    }
+
+    /// Write the head, up to the row count, which is reserved.
+    pub(crate) fn head(&mut self, columns: &[String]) -> WireResult<()> {
+        write_head(self.w, 2, columns)?;
+        self.count_at = Some(self.w.reserve_ulong());
+        Ok(())
+    }
+
+    /// Write one row, unless `max_rows` are written already. A body
+    /// grown past [`MAX_MESSAGE_SIZE`] could never be sent, so the row
+    /// that takes it there fails.
+    pub(crate) fn row<D: Borrow<Datum>>(&mut self, cells: &[D]) -> WireResult<()> {
+        if self.rows == self.max_rows {
+            return Ok(());
+        }
+        self.rows += 1;
+        let w = &mut *self.w;
+        write_count(w, cells.len());
+        for d in cells {
+            match d.borrow() {
                 Datum::Null => write_scalar(w, Scalar::Null)?,
                 Datum::Int(v) => write_scalar(w, Scalar::Int(*v))?,
                 Datum::Double(v) => write_scalar(w, Scalar::Double(*v))?,
@@ -38,8 +92,21 @@ pub fn write_result_set(rs: &ResultSet, w: &mut CdrWriter) -> WireResult<()> {
                 }
             }
         }
+        if w.len() > MAX_MESSAGE_SIZE as usize {
+            return Err(WireError::TooLarge {
+                declared: w.len() as u64,
+                limit: u64::from(MAX_MESSAGE_SIZE),
+            });
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// Patch in the count of rows written.
+    pub(crate) fn finish(self) {
+        if let Some(at) = self.count_at {
+            self.w.patch_ulong(at, self.rows as u32);
+        }
+    }
 }
 
 /// Write an OQL answer as the record `{columns: [Str], rows: [[ULong
@@ -50,7 +117,8 @@ pub(crate) fn write_object_rows(
     rows: &[(Oid, Vec<OValue>)],
     w: &mut CdrWriter,
 ) -> WireResult<()> {
-    write_head(w, 3, columns, rows.len())?;
+    write_head(w, 3, columns)?;
+    w.write_ulong(rows.len() as u32);
     for (oid, cells) in rows {
         write_count(w, cells.len() + 1);
         write_oid(w, *oid);
@@ -126,8 +194,8 @@ fn write_scalar(w: &mut CdrWriter, cell: Scalar<'_>) -> WireResult<()> {
 }
 
 /// A table record's head: `fields` fields, the first two `columns` and
-/// `rows`, written up to the count of `rows`.
-fn write_head(w: &mut CdrWriter, fields: u32, columns: &[String], rows: usize) -> WireResult<()> {
+/// `rows`, written up to the count of `rows`, which the caller writes.
+fn write_head(w: &mut CdrWriter, fields: u32, columns: &[String]) -> WireResult<()> {
     w.write_octet(tag::STRUCT);
     w.write_ulong(fields);
     w.write_string("columns")?;
@@ -136,7 +204,7 @@ fn write_head(w: &mut CdrWriter, fields: u32, columns: &[String], rows: usize) -
         write_scalar(w, Scalar::Text(c))?;
     }
     w.write_string("rows")?;
-    write_count(w, rows);
+    w.write_octet(tag::SEQUENCE);
     Ok(())
 }
 

@@ -40,7 +40,7 @@ use crate::channel::{
 };
 use crate::domain::OrbDomain;
 use crate::metrics::{EndpointLatency, OrbMetrics};
-use crate::servant::Servant;
+use crate::servant::{Servant, ServantError};
 use crate::{OrbError, OrbResult};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -51,7 +51,7 @@ use webfindit_base::sync::Mutex;
 use webfindit_wire::cdr::{ByteOrder, CdrReader};
 use webfindit_wire::giop::{self, GiopMessage, LocateStatus, ReplyStatus, Routed};
 use webfindit_wire::ior::IiopProfile;
-use webfindit_wire::{BufPool, Ior, Value, WireError, WireResult};
+use webfindit_wire::{BufPool, Ior, Value, WireError, WireResult, MAX_MESSAGE_SIZE};
 
 /// Upper bound on multiplexed connections per remote endpoint.
 const MAX_CONNS_PER_ENDPOINT: usize = 4;
@@ -646,8 +646,9 @@ impl Drop for Orb {
 /// Dispatch one request through the adapter and write its GIOP reply
 /// frame into `buf`: the servant writes its result straight after the
 /// Reply head. A servant that fails or panics, however much it wrote,
-/// gets its frame restarted as the exception reply; panics are isolated
-/// so they cost this one request, not the connection.
+/// or writes a result past [`MAX_MESSAGE_SIZE`], gets its frame
+/// restarted as the exception reply; panics are isolated so they cost
+/// this one request, not the connection.
 #[allow(clippy::too_many_arguments)] // one request, and where its reply goes
 pub(crate) fn dispatch_reply(
     request_id: u32,
@@ -664,7 +665,16 @@ pub(crate) fn dispatch_reply(
         adapter.dispatch(object_key, operation, args, &mut out)
     }));
     let (system, description) = match dispatched {
-        Ok(Ok(())) => return giop::finish_reply(out),
+        Ok(Ok(())) if out.len() <= MAX_MESSAGE_SIZE as usize => return giop::finish_reply(out),
+        // A result too large to frame fails as a servant error would,
+        // so the caller gets an exception rather than no reply at all.
+        Ok(Ok(())) => {
+            let e = WireError::TooLarge {
+                declared: out.len() as u64,
+                limit: u64::from(MAX_MESSAGE_SIZE),
+            };
+            (true, ServantError::Marshal(e.to_string()).description())
+        }
         Ok(Err(e)) => (e.is_system(), e.description()),
         Err(panic) => {
             let what = panic

@@ -23,7 +23,7 @@
 //! [`Database::reopen`] recovers it.
 
 use crate::dialect::Dialect;
-use crate::exec::{execute_select_with_metrics, ExecMetrics, ResultSet};
+use crate::exec::{execute_select_into, ExecMetrics, ResultSet, RowSink};
 use crate::expr::{eval, eval_true, EvalContext, Expr};
 use crate::file_mgr::{DiskVfs, PageFileMgr, Vfs};
 use crate::recovery::{self, Meta};
@@ -761,17 +761,30 @@ impl Database {
     /// gates what the query may use. [`Database::execute_stmt`] runs its
     /// SELECTs through here; unlike it, `select` takes no owed
     /// checkpoint and leaves [`Database::last_exec_metrics`] alone, and
-    /// returns the metrics instead.
+    /// returns the metrics instead. It collects what
+    /// [`Database::select_into`] hands its sink.
     pub fn select(&self, stmt: &Statement) -> RelResult<(ResultSet, ExecMetrics)> {
+        ResultSet::collect(|rs| self.select_into(stmt, rs))
+    }
+
+    /// [`Database::select`] with its rows handed to `sink` as the
+    /// executor produces them (column names first) instead of
+    /// collected. The same checks run first, so a crashed database or a
+    /// construct the dialect lacks fails before the sink sees anything.
+    pub fn select_into<E, S>(&self, stmt: &Statement, sink: &mut S) -> Result<ExecMetrics, E>
+    where
+        E: From<RelError>,
+        S: RowSink<E> + ?Sized,
+    {
         if self.is_crashed() {
-            return Err(RelError::Unavailable("database crashed; reopen it".into()));
+            return Err(RelError::Unavailable("database crashed; reopen it".into()).into());
         }
         self.dialect.check(stmt)?;
         match stmt {
-            Statement::Select(s) => execute_select_with_metrics(s, &self.tables),
-            _ => Err(RelError::Unsupported(
-                "only a SELECT runs on a shared database".into(),
-            )),
+            Statement::Select(s) => execute_select_into(s, &self.tables, sink),
+            _ => {
+                Err(RelError::Unsupported("only a SELECT runs on a shared database".into()).into())
+            }
         }
     }
 

@@ -14,8 +14,17 @@
 //! side is the plan's all-NULL pad). Scans, filters and joins advance
 //! the tuple in place by writing their own part; expressions arrive
 //! bound to `(part, col)` slots ([`crate::plan`]) and [`eval`] reads
-//! them by reference. A datum is cloned once, when `Project` or an
-//! aggregate's final row writes an output cell.
+//! them by reference.
+//!
+//! **Rows go to a sink.** [`execute_plan_into`] hands each output row to
+//! a [`RowSink`] as the pipeline produces it, after the column names. A
+//! projection at the root, alone or under `LIMIT`, evaluates its select
+//! list into one reused row of [`Cow`] cells that borrow the stored
+//! datums, so a sink that encodes a reply copies no cell. A sort,
+//! `DISTINCT` or aggregation at the root already holds owned rows and
+//! moves them into the sink's row. [`execute_plan`] and
+//! [`execute_select_with_metrics`] are one consumer of that path: their
+//! [`ResultSet`] clones a borrowed cell and moves an owned one.
 //!
 //! **Aggregation streams.** `HashAggregate` keeps one entry per group —
 //! a [`GroupKey`] per GROUP BY expression, references to the group's
@@ -45,7 +54,7 @@ use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 /// A query result: named columns and rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResultSet {
     /// Output column names.
     pub columns: Vec<String>,
@@ -54,6 +63,16 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
+    /// Run `f` with a fresh result set as its sink and return what it
+    /// collected.
+    pub(crate) fn collect(
+        f: impl FnOnce(&mut ResultSet) -> RelResult<ExecMetrics>,
+    ) -> RelResult<(ResultSet, ExecMetrics)> {
+        let mut rs = ResultSet::default();
+        let m = f(&mut rs)?;
+        Ok((rs, m))
+    }
+
     /// Render as a fixed-width text table (used by examples and the
     /// figure-regeneration binaries; Figure 6 is exactly this view).
     pub fn to_text_table(&self) -> String {
@@ -94,6 +113,38 @@ impl ResultSet {
         sep(&mut out);
         out.push_str(&format!("{} row(s)\n", self.rows.len()));
         out
+    }
+}
+
+/// The consumer of a SELECT's output, in the shape of a row callback:
+/// the column names once, before any row, then each row as the
+/// pipeline produces it. A cell borrows the stored datum where the
+/// select list reads a column, and is owned where it is computed or
+/// where a blocking operator already held the row; the sink may move
+/// owned cells out. An `Err` from the sink stops the statement and is
+/// its error.
+pub trait RowSink<E = RelError> {
+    /// The output column names.
+    fn columns(&mut self, columns: &[String]) -> Result<(), E>;
+
+    /// One output row.
+    fn row(&mut self, row: &mut [Cow<'_, Datum>]) -> Result<(), E>;
+}
+
+/// Collecting is one way to consume the rows: a borrowed cell is cloned
+/// and an owned one moved.
+impl<E> RowSink<E> for ResultSet {
+    fn columns(&mut self, columns: &[String]) -> Result<(), E> {
+        self.columns = columns.to_vec();
+        Ok(())
+    }
+
+    fn row(&mut self, row: &mut [Cow<'_, Datum>]) -> Result<(), E> {
+        let owned = row
+            .iter_mut()
+            .map(|c| std::mem::replace(c, Cow::Owned(Datum::Null)).into_owned());
+        self.rows.push(owned.collect());
+        Ok(())
     }
 }
 
@@ -393,8 +444,8 @@ impl<'a> RowOp<'a> for IxJoinExec<'a> {
     }
 }
 
-/// Evaluate a select list over `t` into an owned output row: the one
-/// place a stored datum is cloned.
+/// Evaluate a select list over `t` into an owned output row, for an
+/// operator that holds rows (sort, `DISTINCT`) above the projection.
 fn project<'a>(select: &'a [Expr], t: &Tuple<'a>) -> RelResult<Row> {
     select
         .iter()
@@ -861,21 +912,75 @@ pub fn execute_plan(
     plan: &PhysicalPlan,
     tables: &HashMap<String, Table>,
 ) -> RelResult<(ResultSet, ExecMetrics)> {
+    ResultSet::collect(|rs| execute_plan_into(plan, tables, rs))
+}
+
+/// Execute a previously planned [`PhysicalPlan`], handing its column
+/// names and then each row to `sink`, and return the execution metrics.
+pub fn execute_plan_into<E, S>(
+    plan: &PhysicalPlan,
+    tables: &HashMap<String, Table>,
+    sink: &mut S,
+) -> Result<ExecMetrics, E>
+where
+    E: From<RelError>,
+    S: RowSink<E> + ?Sized,
+{
+    let (node, limit) = match plan {
+        PhysicalPlan::Project(n) => (n, None),
+        PhysicalPlan::Limit(l) => match &*l.input {
+            PhysicalPlan::Project(n) => (n, Some(l.n)),
+            _ => return drain_keyed(plan, tables, sink),
+        },
+        _ => return drain_keyed(plan, tables, sink),
+    };
+    // A root projection: its row borrows what it reads, and LIMIT stops
+    // pulling once satisfied, as `LimitExec` does.
+    let mut m = ExecMetrics::default();
+    let mut input = build_rowop(&node.input, tables, &mut m)?;
+    m.operators.push("project");
+    if limit.is_some() {
+        m.operators.push("limit");
+    }
+    sink.columns(plan.output_columns())?;
+    let mut tuple: Vec<&[Datum]> = vec![&[]; node.parts];
+    let mut row = Vec::with_capacity(node.select.len());
+    let mut remaining = limit.unwrap_or(u64::MAX);
+    while remaining > 0 && input.next(&mut tuple, &mut m)? {
+        remaining -= 1;
+        row.clear();
+        for e in &node.select {
+            row.push(eval(e, &tuple[..])?);
+        }
+        m.rows_output += 1;
+        sink.row(&mut row)?;
+    }
+    Ok(m)
+}
+
+/// Run a plan whose root holds owned rows (sort, `DISTINCT`,
+/// aggregation, a LIMIT above one of them) and move each row into the
+/// sink's.
+fn drain_keyed<E, S>(
+    plan: &PhysicalPlan,
+    tables: &HashMap<String, Table>,
+    sink: &mut S,
+) -> Result<ExecMetrics, E>
+where
+    E: From<RelError>,
+    S: RowSink<E> + ?Sized,
+{
     let mut m = ExecMetrics::default();
     let mut op = build_keyed(plan, tables, &mut m)?;
-    let mut rows = Vec::new();
-    while let Some((row, _)) = op.next(&mut m)? {
+    sink.columns(plan.output_columns())?;
+    let mut row = Vec::new();
+    while let Some((out, _)) = op.next(&mut m)? {
         m.rows_output += 1;
-        rows.push(row);
+        row.clear();
+        row.extend(out.into_iter().map(Cow::Owned));
+        sink.row(&mut row)?;
     }
-    drop(op);
-    Ok((
-        ResultSet {
-            columns: plan.output_columns().to_vec(),
-            rows,
-        },
-        m,
-    ))
+    Ok(m)
 }
 
 /// Execute a SELECT against the given tables (plan + pipeline).
@@ -919,24 +1024,30 @@ impl<'a> EvalContext<'a> for SchemaRow<'a> {
 /// names of the tree [`plan_select`] would have built — so EXPLAIN,
 /// `last_exec_metrics`, and the differential tests cannot tell the
 /// paths apart.
-fn execute_pk_point_ast(
+fn execute_pk_point_into<E, S>(
     stmt: &SelectStmt,
     pk: &PkPoint<'_>,
-) -> Option<RelResult<(ResultSet, ExecMetrics)>> {
-    let mut select: Vec<(&Expr, String)> = Vec::with_capacity(stmt.items.len());
+    sink: &mut S,
+) -> Option<Result<ExecMetrics, E>>
+where
+    E: From<RelError>,
+    S: RowSink<E> + ?Sized,
+{
+    let mut select: Vec<&Expr> = Vec::with_capacity(stmt.items.len());
+    let mut columns: Vec<String> = Vec::with_capacity(stmt.items.len());
     for item in &stmt.items {
         let SelectItem::Expr { expr, alias } = item else {
             return None;
         };
         // Output naming mirrors `expand_items` for non-wildcard items.
-        let name = match alias {
+        columns.push(match alias {
             Some(a) => a.to_ascii_lowercase(),
             None => match expr {
                 Expr::Column { name, .. } => name.clone(),
                 other => other.to_sql().to_ascii_lowercase(),
             },
-        };
-        select.push((expr, name));
+        });
+        select.push(expr);
     }
     Some((|| {
         let t = pk.base;
@@ -949,9 +1060,9 @@ fn execute_pk_point_ast(
         m.operators.push("index scan");
         m.operators.push("filter");
         m.operators.push("project");
-        let columns: Vec<String> = select.iter().map(|(_, n)| n.clone()).collect();
+        sink.columns(&columns)?;
         let binding = stmt.from.binding();
-        let mut rows = Vec::new();
+        let mut out = Vec::with_capacity(select.len());
         for &slot in slots {
             let Some(r) = t.row(slot) else { continue };
             m.rows_scanned += 1;
@@ -964,33 +1075,47 @@ fn execute_pk_point_ast(
             if !eval_true(pk.filter, &ctx)? {
                 continue;
             }
-            let mut out = Vec::with_capacity(select.len());
-            for (e, _) in &select {
-                out.push(eval(e, &ctx)?.into_owned());
+            out.clear();
+            for e in &select {
+                out.push(eval(e, &ctx)?);
             }
             m.rows_output += 1;
-            rows.push(out);
+            sink.row(&mut out)?;
         }
-        Ok((ResultSet { columns, rows }, m))
+        Ok(m)
     })())
 }
 
 /// Execute a SELECT and return the [`ExecMetrics`] alongside the rows.
-///
-/// Single-table primary-key equality lookups skip plan construction
-/// entirely (see [`execute_pk_point_ast`]); everything else is planned
-/// with [`plan_select`] and run through the pipelined executor.
 pub fn execute_select_with_metrics(
     stmt: &SelectStmt,
     tables: &HashMap<String, Table>,
 ) -> RelResult<(ResultSet, ExecMetrics)> {
+    ResultSet::collect(|rs| execute_select_into(stmt, tables, rs))
+}
+
+/// Execute a SELECT, handing its column names and rows to `sink`, and
+/// return its [`ExecMetrics`].
+///
+/// Single-table primary-key equality lookups skip plan construction
+/// entirely (see [`execute_pk_point_into`]); everything else is planned
+/// with [`plan_select`] and run through the pipelined executor.
+pub fn execute_select_into<E, S>(
+    stmt: &SelectStmt,
+    tables: &HashMap<String, Table>,
+    sink: &mut S,
+) -> Result<ExecMetrics, E>
+where
+    E: From<RelError>,
+    S: RowSink<E> + ?Sized,
+{
     if let Some(pk) = detect_pk_point(stmt, tables) {
-        if let Some(result) = execute_pk_point_ast(stmt, &pk) {
+        if let Some(result) = execute_pk_point_into(stmt, &pk, sink) {
             return result;
         }
     }
     let plan = plan_select(stmt, tables)?;
-    execute_plan(&plan, tables)
+    execute_plan_into(&plan, tables, sink)
 }
 
 /// Describe the plan `execute_select` would run, without executing it.

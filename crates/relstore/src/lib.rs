@@ -18,7 +18,8 @@
 //!   lightweight per-table statistics;
 //! * a pull-based pipelined executor ([`exec`]) that runs the planned
 //!   operator tree over borrowed rows and plan-time-bound columns,
-//!   aggregates as it pulls, stops pulling at `LIMIT`, and reports
+//!   aggregates as it pulls, stops pulling at `LIMIT`, hands its rows
+//!   to a [`RowSink`] as it produces them, and reports
 //!   [`exec::ExecMetrics`]; `EXPLAIN` renders the very plan it runs;
 //! * statement atomicity plus multi-statement transactions with an undo
 //!   log ([`engine`]);
@@ -55,7 +56,7 @@ pub mod wal;
 
 pub use dialect::Dialect;
 pub use engine::{Database, ExecOutcome, StorageStats};
-pub use exec::ExecMetrics;
+pub use exec::{ExecMetrics, RowSink};
 pub use plan::{plan_select, PhysicalPlan, Sarg};
 pub use schema::{Column, TableSchema};
 pub use storage::{IndexKind, TableStats};

@@ -895,7 +895,7 @@ fn tighter(a: Bound<Datum>, b: Bound<Datum>, inward: Ordering) -> Bound<Datum> {
 /// borrowed from the statement and catalog. Produced by
 /// [`detect_pk_point`]; consumed by [`plan_pk_point`] (to build the
 /// canonical plan tree) and by the executor's direct AST path in
-/// [`crate::exec::execute_select_with_metrics`] (to skip plan
+/// [`crate::exec::execute_select_into`] (to skip plan
 /// construction entirely).
 pub(crate) struct PkPoint<'a> {
     /// The resolved base table.

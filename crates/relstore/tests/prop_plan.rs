@@ -15,12 +15,17 @@
 //!    from the same [`PhysicalPlan`] the executor runs, so the
 //!    operators named in the plan are exactly the operators
 //!    [`ExecMetrics`] says executed.
+//! 3. **Sink parity** — the rows `execute_plan_into` and
+//!    `Database::select_into` hand a sink, made owned, are the rows
+//!    `execute_plan` and `Database::select` collect, column names
+//!    first, with equal [`ExecMetrics`].
 
+use std::borrow::Cow;
 use webfindit_base::prop::{cases, pick};
 use webfindit_base::rng::StdRng;
-use webfindit_relstore::exec::{execute_select_naive, ResultSet};
+use webfindit_relstore::exec::{execute_plan, execute_plan_into, execute_select_naive, ResultSet};
 use webfindit_relstore::sql::{parse_statement, Statement};
-use webfindit_relstore::{plan_select, Database, Datum, Dialect, RelResult};
+use webfindit_relstore::{plan_select, Database, Datum, Dialect, ExecMetrics, RelResult, RowSink};
 
 const WORDS: [&str; 5] = ["ward", "icu", "lab", "er", "hospice"];
 const QUARTERS: [&str; 4] = ["0", "25", "5", "75"];
@@ -380,6 +385,55 @@ fn run_naive(db: &Database, sql: &str) -> RelResult<ResultSet> {
     execute_select_naive(&select, db.tables())
 }
 
+/// A sink that keeps `into_owned` of each cell it is handed, leaving
+/// the executor's row as it was, and checks the column names come first.
+#[derive(Default)]
+struct Owned {
+    columns: Option<Vec<String>>,
+    rows: Vec<Vec<Datum>>,
+}
+
+impl RowSink for Owned {
+    fn columns(&mut self, columns: &[String]) -> RelResult<()> {
+        assert!(self.columns.is_none() && self.rows.is_empty());
+        self.columns = Some(columns.to_vec());
+        Ok(())
+    }
+
+    fn row(&mut self, row: &mut [Cow<'_, Datum>]) -> RelResult<()> {
+        assert!(self.columns.is_some(), "a row before the column names");
+        self.rows
+            .push(row.iter().map(|c| c.clone().into_owned()).collect());
+        Ok(())
+    }
+}
+
+/// The sink paths against the collecting ones for `sql` over `db`: the
+/// planned pipeline and `Database::select` (which may take the PK-point
+/// shortcut). Returns the streamed rows.
+fn sink_parity(db: &Database, sql: &str) -> Vec<Vec<Datum>> {
+    let stmt = parse_statement(sql).unwrap();
+    let Statement::Select(select) = &stmt else {
+        panic!("{sql}: expected SELECT");
+    };
+    let plan = plan_select(select, db.tables()).unwrap();
+    let (collected, m) = execute_plan(&plan, db.tables()).unwrap();
+    let mut owned = Owned::default();
+    let streamed: ExecMetrics = execute_plan_into(&plan, db.tables(), &mut owned).unwrap();
+    assert_eq!(owned.columns.as_ref(), Some(&collected.columns), "{sql}");
+    assert_eq!(sequence(&owned.rows), sequence(&collected.rows), "{sql}");
+    assert_eq!(streamed, m, "plan metrics for {sql}");
+    assert_eq!(streamed.operators, plan.operator_names(), "{sql}");
+
+    let (selected, m) = db.select(&stmt).unwrap();
+    let mut owned = Owned::default();
+    let streamed: ExecMetrics = db.select_into(&stmt, &mut owned).unwrap();
+    assert_eq!(owned.columns.as_ref(), Some(&selected.columns), "{sql}");
+    assert_eq!(sequence(&owned.rows), sequence(&selected.rows), "{sql}");
+    assert_eq!(streamed, m, "select metrics for {sql}");
+    owned.rows
+}
+
 #[test]
 fn planned_executor_matches_the_naive_reference() {
     cases(60, |rng| {
@@ -394,30 +448,33 @@ fn planned_executor_matches_the_naive_reference() {
                 .clone();
             let naive = run_naive(&db, &q.sql).unwrap_or_else(|e| panic!("naive {}: {e}", q.sql));
             assert_eq!(planned.columns, naive.columns, "columns for {}", q.sql);
-            match (q.limit, q.ordered) {
-                // LIMIT without a total order: both executors may keep
-                // different rows. The planned result must be the right
-                // size and a sub-multiset of the unlimited result.
-                (Some(_), false) => {
-                    assert_eq!(planned.rows.len(), naive.rows.len(), "{}", q.sql);
-                    let unlimited = q.sql[..q.sql.rfind(" LIMIT").unwrap()].to_owned();
-                    let full = multiset(&run_naive(&db, &unlimited).unwrap().rows);
-                    for row in &planned.rows {
-                        assert!(
-                            full.contains(&canon(row)),
-                            "{}: row {:?} not in unlimited result",
-                            q.sql,
-                            row
-                        );
+            let streamed = sink_parity(&db, &q.sql);
+            for rows in [&planned.rows, &streamed] {
+                match (q.limit, q.ordered) {
+                    // LIMIT without a total order: both executors may keep
+                    // different rows. The planned result must be the right
+                    // size and a sub-multiset of the unlimited result.
+                    (Some(_), false) => {
+                        assert_eq!(rows.len(), naive.rows.len(), "{}", q.sql);
+                        let unlimited = q.sql[..q.sql.rfind(" LIMIT").unwrap()].to_owned();
+                        let full = multiset(&run_naive(&db, &unlimited).unwrap().rows);
+                        for row in rows {
+                            assert!(
+                                full.contains(&canon(row)),
+                                "{}: row {:?} not in unlimited result",
+                                q.sql,
+                                row
+                            );
+                        }
                     }
-                }
-                // A total order: exact sequence equality.
-                (_, true) => {
-                    assert_eq!(sequence(&planned.rows), sequence(&naive.rows), "{}", q.sql);
-                }
-                // No order: multiset equality.
-                (None, false) => {
-                    assert_eq!(multiset(&planned.rows), multiset(&naive.rows), "{}", q.sql);
+                    // A total order: exact sequence equality.
+                    (_, true) => {
+                        assert_eq!(sequence(rows), sequence(&naive.rows), "{}", q.sql);
+                    }
+                    // No order: multiset equality.
+                    (None, false) => {
+                        assert_eq!(multiset(rows), multiset(&naive.rows), "{}", q.sql);
+                    }
                 }
             }
         }
@@ -474,7 +531,9 @@ fn explain_names_the_operators_that_ran() {
             (plan.operator_names(), plan.render())
         };
 
-        // Execute: metrics must list exactly the planned operators.
+        // Execute: metrics must list exactly the planned operators, on
+        // the sink path too.
+        sink_parity(&db, sql);
         db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
         let ran = db.last_exec_metrics().expect("metrics after SELECT");
         assert_eq!(ran.operators, expected_ops, "operators for {sql}");

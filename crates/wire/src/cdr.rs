@@ -175,6 +175,24 @@ impl CdrWriter {
         }
     }
 
+    /// Write a placeholder `ulong`, aligned as [`CdrWriter::write_ulong`]
+    /// aligns one, for a count not known yet; returns where it sits, for
+    /// [`CdrWriter::patch_ulong`].
+    pub fn reserve_ulong(&mut self) -> usize {
+        self.write_ulong(0);
+        self.buf.len() - 4
+    }
+
+    /// Fill in a `ulong` that [`CdrWriter::reserve_ulong`] reserved at
+    /// `at`, in this writer's byte order.
+    pub fn patch_ulong(&mut self, at: usize, v: u32) {
+        let bytes = match self.order {
+            ByteOrder::BigEndian => v.to_be_bytes(),
+            ByteOrder::LittleEndian => v.to_le_bytes(),
+        };
+        self.buf[at..at + 4].copy_from_slice(&bytes);
+    }
+
     /// Write a signed 64-bit integer, aligned to 8.
     pub fn write_longlong(&mut self, v: i64) {
         self.align(8);
@@ -568,6 +586,23 @@ mod tests {
         let mut r = CdrReader::new(&bytes[12..], ByteOrder::BigEndian);
         assert_eq!(r.read_octet().unwrap(), 1);
         assert_eq!(r.read_double().unwrap(), 2.5);
+    }
+
+    #[test]
+    fn a_patched_ulong_is_the_written_one() {
+        for order in [ByteOrder::BigEndian, ByteOrder::LittleEndian] {
+            let mut reserved = CdrWriter::frame(order, Vec::new());
+            let mut written = CdrWriter::frame(order, Vec::new());
+            for w in [&mut reserved, &mut written] {
+                w.write_octet(9);
+            }
+            let at = reserved.reserve_ulong();
+            reserved.write_octet(1);
+            reserved.patch_ulong(at, 0xDEAD_BEEF);
+            written.write_ulong(0xDEAD_BEEF);
+            written.write_octet(1);
+            assert_eq!(reserved.into_bytes(), written.into_bytes(), "{order:?}");
+        }
     }
 
     #[test]
