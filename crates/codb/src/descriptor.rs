@@ -84,13 +84,6 @@ impl InformationSource {
     pub fn interface_names(&self) -> Vec<String> {
         self.interface.iter().map(|t| t.name.clone()).collect()
     }
-
-    /// Look up an exported type by (case-insensitive) name.
-    pub fn exported_type(&self, name: &str) -> Option<&ExportedType> {
-        self.interface
-            .iter()
-            .find(|t| t.name.eq_ignore_ascii_case(name))
-    }
 }
 
 impl fmt::Display for InformationSource {
@@ -154,7 +147,7 @@ mod tests {
     #[test]
     fn type_rendering() {
         let src = rbh();
-        let t = src.exported_type("researchprojects").unwrap();
+        let t = &src.interface[0];
         let r = t.render();
         assert!(r.starts_with("Type ResearchProjects {"));
         assert!(r.contains("attribute String ResearchProjects.Title;"));
@@ -168,6 +161,5 @@ mod tests {
             src.interface_names(),
             vec!["ResearchProjects", "PatientHistory"]
         );
-        assert!(src.exported_type("nothing").is_none());
     }
 }

@@ -377,17 +377,6 @@ impl CoDatabase {
         &self.links
     }
 
-    /// Service links whose offering or consuming end is `name`
-    /// (coalition or database).
-    pub fn links_involving(&self, name: &str) -> Vec<&ServiceLink> {
-        self.links
-            .iter()
-            .filter(|l| {
-                l.from.name().eq_ignore_ascii_case(name) || l.to.name().eq_ignore_ascii_case(name)
-            })
-            .collect()
-    }
-
     // ---- information-type matching -----------------------------------------
 
     /// Coalitions in this co-database that advertise `information_type`:
@@ -576,8 +565,7 @@ mod tests {
             Err(CodbError::DuplicateLink)
         ));
         assert_eq!(link.link_name(), "Medical_to_MedicalInsurance");
-        assert_eq!(c.links_involving("medical").len(), 1);
-        assert_eq!(c.links_involving("nothing").len(), 0);
+        assert_eq!(c.service_links(), std::slice::from_ref(&link));
         assert_eq!(c.find_links("medical insurance").len(), 1);
         assert!(c.remove_service_link(&link.from, &link.to));
         assert!(!c.remove_service_link(&link.from, &link.to));

@@ -23,15 +23,6 @@ impl DriverManager {
         self.drivers.write().push(driver);
     }
 
-    /// Names of registered drivers, in registration order.
-    pub fn driver_names(&self) -> Vec<String> {
-        self.drivers
-            .read()
-            .iter()
-            .map(|d| d.name().to_owned())
-            .collect()
-    }
-
     /// Open a connection to `url`.
     pub fn get_connection(&self, url: &str) -> ConnectResult<Box<dyn Connection>> {
         for driver in self.drivers.read().iter() {
@@ -77,7 +68,7 @@ mod tests {
         let reg = DataSourceRegistry::new();
         reg.register_relational("db2", "ATO", Database::new("ATO", Dialect::Db2));
         let m = standard_manager(Arc::clone(&reg));
-        assert_eq!(m.driver_names().len(), 6);
+        assert_eq!(m.drivers.read().len(), 6);
         assert!(m.get_connection("jdbc:db2://h/ATO").is_ok());
         assert!(matches!(
             m.get_connection("jdbc:postgres://h/ATO"),

@@ -99,11 +99,6 @@ impl Trace {
         &self.events
     }
 
-    /// Events that occurred in `layer`.
-    pub fn in_layer(&self, layer: Layer) -> Vec<&TraceEvent> {
-        self.events.iter().filter(|e| e.layer == layer).collect()
-    }
-
     /// Render as an indented layer transcript (indentation depth encodes
     /// the layer: query < communication < metadata/data).
     pub fn render(&self) -> String {
@@ -159,7 +154,16 @@ mod tests {
         t.event(Layer::Metadata, "co-database lookup");
         t.event(Layer::Data, "SQL execution");
         assert_eq!(t.events().len(), 4);
-        assert_eq!(t.in_layer(Layer::Communication).len(), 1);
+        let layers: Vec<Layer> = t.events().iter().map(|e| e.layer).collect();
+        assert_eq!(
+            layers,
+            [
+                Layer::Query,
+                Layer::Communication,
+                Layer::Metadata,
+                Layer::Data
+            ]
+        );
         let rendered = t.render();
         assert!(rendered.contains("[query] parse"));
         assert!(rendered.contains("    [data] SQL execution"));

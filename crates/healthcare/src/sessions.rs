@@ -5,11 +5,6 @@
 //! Research coalition, reads the Royal Brisbane Hospital documentation,
 //! and finally fetches `select * from medical_students`.
 
-use crate::deploy::HealthcareDeployment;
-use webfindit::processor::{Processor, Response};
-use webfindit::session::BrowserSession;
-use webfindit::WfResult;
-
 /// The statements of the §5 walk-through, in order.
 pub const SECTION5_SCRIPT: &[&str] = &[
     "Find Coalitions With Information Medical Research;",
@@ -24,27 +19,30 @@ pub const SECTION5_SCRIPT: &[&str] = &[
     "Submit Native 'select * from medical_students' To Instance Royal Brisbane Hospital;",
 ];
 
-/// Run the §5 session for a QUT researcher and return the session with
-/// its transcript filled in.
-pub fn run_section5_session(
-    dep: &HealthcareDeployment,
-) -> WfResult<(BrowserSession, Vec<Response>)> {
-    let processor = Processor::new(dep.fed.clone());
-    let mut session = BrowserSession::new("QUT Research");
-    let mut responses = Vec::with_capacity(SECTION5_SCRIPT.len());
-    for stmt in SECTION5_SCRIPT {
-        let response = processor.submit(&mut session, stmt, None)?;
-        session.record(*stmt, response.render());
-        responses.push(response);
-    }
-    Ok((session, responses))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::build_healthcare;
+    use crate::deploy::{build_healthcare, HealthcareDeployment};
+    use webfindit::processor::{Processor, Response};
+    use webfindit::session::BrowserSession;
+    use webfindit::WfResult;
     use webfindit_relstore::Datum;
+
+    /// Run the §5 session for a QUT researcher and return the session with
+    /// its transcript filled in.
+    fn run_section5_session(
+        dep: &HealthcareDeployment,
+    ) -> WfResult<(BrowserSession, Vec<Response>)> {
+        let processor = Processor::new(dep.fed.clone());
+        let mut session = BrowserSession::new("QUT Research");
+        let mut responses = Vec::with_capacity(SECTION5_SCRIPT.len());
+        for stmt in SECTION5_SCRIPT {
+            let response = processor.submit(&mut session, stmt, None)?;
+            session.record(*stmt, response.render());
+            responses.push(response);
+        }
+        Ok((session, responses))
+    }
 
     #[test]
     fn the_section5_walkthrough() {

@@ -47,16 +47,6 @@ impl MethodTable {
         );
     }
 
-    /// Names of the methods registered directly on `class`.
-    pub fn methods_of(&self, class: &str) -> Vec<String> {
-        let key = class.to_ascii_lowercase();
-        self.routines
-            .keys()
-            .filter(|(c, _)| *c == key)
-            .map(|(_, m)| m.clone())
-            .collect()
-    }
-
     /// Invoke `method` on an instance, walking up the inheritance chain
     /// until an implementation is found (dynamic dispatch).
     pub fn invoke(
@@ -195,7 +185,8 @@ mod tests {
     #[test]
     fn methods_of_lists_direct_only() {
         let (_, mt, _) = setup();
-        assert_eq!(mt.methods_of("Research").len(), 2);
-        assert!(mt.methods_of("MedicalResearch").is_empty());
+        let on = |class: &str| mt.routines.keys().filter(|(c, _)| c == class).count();
+        assert_eq!(on("research"), 2);
+        assert_eq!(on("medicalresearch"), 0);
     }
 }

@@ -84,11 +84,6 @@ impl ObjectStore {
         self.objects.len()
     }
 
-    /// Number of defined classes.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
-
     // ---- schema -------------------------------------------------------
 
     /// Define a class. Parents must already exist; cycles are impossible

@@ -31,11 +31,6 @@ impl ObjectAdapter {
         self.servants.write().insert(key.into(), servant).is_some()
     }
 
-    /// Deactivate the servant under `key`. Returns true if one existed.
-    pub fn deactivate(&self, key: &[u8]) -> bool {
-        self.servants.write().remove(key).is_some()
-    }
-
     /// Whether a servant is active under `key`.
     pub fn contains(&self, key: &[u8]) -> bool {
         self.servants.read().contains_key(key)
@@ -118,16 +113,6 @@ mod tests {
         oa.activate("k", Arc::new(EchoServant));
         assert!(oa.activate("k", Arc::new(EchoServant)));
         assert_eq!(oa.len(), 1);
-    }
-
-    #[test]
-    fn deactivate_then_dispatch_fails() {
-        let oa = ObjectAdapter::new();
-        oa.activate("k", Arc::new(EchoServant));
-        assert!(oa.deactivate(b"k"));
-        assert!(!oa.deactivate(b"k"));
-        let err = dispatch(&oa, b"k", "ping").unwrap_err();
-        assert!(err.description().contains("OBJECT_NOT_EXIST"));
     }
 
     #[test]

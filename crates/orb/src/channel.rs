@@ -40,7 +40,7 @@
 //!   blind resend can execute a non-idempotent operation twice.
 
 use crate::chaos::ChaosRegistry;
-use crate::metrics::{EndpointLatency, LatencyMetrics, OrbMetrics};
+use crate::metrics::OrbMetrics;
 use crate::OrbError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -494,7 +494,6 @@ pub(crate) struct InFlight {
     conn: Arc<MuxConn>,
     request_id: u32,
     rx: Receiver<Wake>,
-    started: Instant,
     deadline: Option<Deadline>,
     /// Admitted as the breaker's half-open probe.
     is_probe: bool,
@@ -517,7 +516,6 @@ pub struct IiopChannel {
     endpoint: (String, u16),
     order: ByteOrder,
     metrics: Arc<OrbMetrics>,
-    latency: LatencyMetrics,
     conns: Mutex<Vec<Arc<MuxConn>>>,
     max_conns: usize,
     breaker: Breaker,
@@ -542,7 +540,6 @@ impl IiopChannel {
             endpoint,
             order,
             metrics,
-            latency: LatencyMetrics::default(),
             conns: Mutex::new_labeled(Vec::new(), "orb::IiopChannel.conns"),
             max_conns: max_conns.max(1),
             breaker: Breaker::new(breaker),
@@ -554,11 +551,6 @@ impl IiopChannel {
     /// Current state of this endpoint's circuit breaker.
     pub fn breaker_state(&self) -> BreakerState {
         self.breaker.state()
-    }
-
-    /// Reply latency of the round-trips this channel completed.
-    pub fn latency(&self) -> EndpointLatency {
-        self.latency.snapshot()
     }
 
     /// Number of currently live multiplexed connections.
@@ -723,13 +715,11 @@ impl IiopChannel {
                 port: *port,
             }));
         };
-        let started = Instant::now();
         match self.send(request_id, frame) {
             Ok((conn, rx)) => Ok(InFlight {
                 conn,
                 request_id,
                 rx,
-                started,
                 deadline,
                 is_probe,
             }),
@@ -822,10 +812,7 @@ impl IiopChannel {
         };
         self.metrics.gauge_sub(&self.metrics.in_flight, 1);
         match &outcome {
-            Ok(_) => {
-                self.latency.record(sent.started.elapsed());
-                self.breaker.on_success(&self.metrics);
-            }
+            Ok(_) => self.breaker.on_success(&self.metrics),
             Err(_) => self.breaker.on_failure(sent.is_probe, &self.metrics),
         }
         outcome

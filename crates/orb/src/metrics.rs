@@ -10,7 +10,6 @@
 //! above declare their own sets next to the code that bumps them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 use webfindit_base::counter_set;
 
 counter_set! {
@@ -82,42 +81,6 @@ impl OrbMetrics {
     }
 }
 
-counter_set! {
-    /// Reply-latency accumulators of one [`crate::IiopChannel`], bumped
-    /// by the caller that measured the round-trip.
-    pub struct LatencyMetrics => EndpointLatency {
-        /// Completed round-trips measured.
-        counter calls "calls",
-        /// Sum of round-trip times, in nanoseconds.
-        counter total_nanos "total ns",
-        /// Slowest observed round-trip, in nanoseconds.
-        peak max_nanos "max ns",
-    }
-}
-
-impl LatencyMetrics {
-    pub(crate) fn record(&self, elapsed: Duration) {
-        let nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
-    }
-}
-
-impl EndpointLatency {
-    /// Mean round-trip time, or zero when nothing was measured.
-    pub fn mean(&self) -> Duration {
-        self.total_nanos
-            .checked_div(self.calls)
-            .map_or(Duration::ZERO, Duration::from_nanos)
-    }
-
-    /// Slowest observed round-trip.
-    pub fn max(&self) -> Duration {
-        Duration::from_nanos(self.max_nanos)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,17 +143,5 @@ mod tests {
         let high = m.snapshot();
         m.gauge_sub(&m.in_flight, 1);
         assert_eq!(m.snapshot().since(&high).in_flight, 0);
-    }
-
-    #[test]
-    fn latency_accumulates_per_endpoint() {
-        let m = LatencyMetrics::default();
-        m.record(Duration::from_millis(2));
-        m.record(Duration::from_millis(4));
-        let stats = m.snapshot();
-        assert_eq!(stats.calls, 2);
-        assert_eq!(stats.mean(), Duration::from_millis(3));
-        assert_eq!(stats.max(), Duration::from_millis(4));
-        assert_eq!(EndpointLatency::default().mean(), Duration::ZERO);
     }
 }

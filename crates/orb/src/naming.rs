@@ -35,16 +35,6 @@ impl NamingService {
         Arc::new(Self::default())
     }
 
-    /// Direct (in-process) bind, used during deployment bootstrap.
-    pub fn bind_direct(&self, name: impl Into<String>, ior: Ior) {
-        self.bindings.write().insert(name.into(), ior);
-    }
-
-    /// Direct resolve, used by tests.
-    pub fn resolve_direct(&self, name: &str) -> Option<Ior> {
-        self.bindings.read().get(name).cloned()
-    }
-
     /// Number of bindings.
     pub fn len(&self) -> usize {
         self.bindings.read().len()
@@ -435,10 +425,16 @@ mod tests {
     fn direct_bindings() {
         let ns = NamingService::new();
         assert!(ns.is_empty());
-        ns.bind_direct("a", Ior::new_iiop("IDL:X:1.0", "h", 1, b"k".to_vec()));
+        // In process, through the servant's own operations.
+        let ior = Ior::new_iiop("IDL:X:1.0", "h", 1, b"k".to_vec()).to_stringified();
+        ns.invoke("bind", &[Value::string("a"), Value::string(ior.clone())])
+            .unwrap();
         assert_eq!(ns.len(), 1);
-        assert!(ns.resolve_direct("a").is_some());
-        assert!(ns.resolve_direct("b").is_none());
+        assert_eq!(
+            ns.invoke("resolve", &[Value::string("a")]).unwrap(),
+            Value::string(ior)
+        );
+        assert!(ns.invoke("resolve", &[Value::string("b")]).is_err());
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::channel::{
     InFlight, RetryPolicy,
 };
 use crate::domain::OrbDomain;
-use crate::metrics::{EndpointLatency, OrbMetrics};
+use crate::metrics::OrbMetrics;
 use crate::servant::{Servant, ServantError};
 use crate::{OrbError, OrbResult};
 use std::collections::HashMap;
@@ -238,16 +238,6 @@ impl Orb {
         let key = key.into();
         let type_id = servant.interface_id().to_owned();
         self.adapter.activate(key.clone(), servant);
-        Ior::new_iiop(
-            type_id,
-            self.config.advertised_host.clone(),
-            self.config.advertised_port,
-            key,
-        )
-    }
-
-    /// Build an IOR for an already-activated key.
-    pub fn ior_for(&self, key: impl Into<Vec<u8>>, type_id: impl Into<String>) -> Ior {
         Ior::new_iiop(
             type_id,
             self.config.advertised_host.clone(),
@@ -563,30 +553,6 @@ impl Orb {
             .map(|ch| ch.breaker_state())
     }
 
-    /// Reply latency measured by the channel to `host:port`, if any
-    /// call on it completed.
-    pub fn endpoint_latency(&self, host: &str, port: u16) -> Option<EndpointLatency> {
-        self.channels
-            .lock()
-            .get(&(host.to_owned(), port))
-            .map(|ch| ch.latency())
-            .filter(|l| l.calls > 0)
-    }
-
-    /// Reply latency per remote endpoint with a completed call, sorted
-    /// by endpoint.
-    pub fn endpoint_latencies(&self) -> Vec<((String, u16), EndpointLatency)> {
-        let mut stats: Vec<_> = self
-            .channels
-            .lock()
-            .iter()
-            .map(|(k, ch)| (k.clone(), ch.latency()))
-            .filter(|(_, l)| l.calls > 0)
-            .collect();
-        stats.sort_by(|a, b| a.0.cmp(&b.0));
-        stats
-    }
-
     /// The multiplexed channel for `host:port`, creating it on first use.
     fn channel_to(&self, host: &str, port: u16) -> Arc<IiopChannel> {
         let key = (host.to_owned(), port);
@@ -737,11 +703,6 @@ mod tests {
         assert_eq!(orbix_m.requests_served, 1);
         assert!(visi_m.bytes_sent > 12);
         assert_eq!(visi_m.in_flight, 0);
-        let lat = visi.endpoint_latency("orbix.qut.edu.au", 9000).unwrap();
-        assert_eq!(lat.calls, 1);
-        assert!(lat.max() > Duration::ZERO);
-        assert!(visi.endpoint_latency("other", 1).is_none());
-        assert_eq!(visi.endpoint_latencies().len(), 1);
 
         orbix.shutdown();
         visi.shutdown();
@@ -789,7 +750,7 @@ mod tests {
     #[test]
     fn unknown_object_key_is_object_not_exist() {
         let (orbix, visi, _domain) = two_orbs();
-        let ior = orbix.ior_for("ghost", "IDL:X:1.0");
+        let ior = Ior::new_iiop("IDL:X:1.0", "orbix.qut.edu.au", 9000, b"ghost".to_vec());
         match visi.invoke(&ior, "ping", &[]) {
             Err(OrbError::RemoteException {
                 system: true,
@@ -806,7 +767,7 @@ mod tests {
         let (orbix, visi, _domain) = two_orbs();
         let ior = orbix.activate("echo/1", Arc::new(EchoServant));
         assert_eq!(visi.locate(&ior).unwrap(), LocateStatus::ObjectHere);
-        let ghost = orbix.ior_for("ghost", "IDL:X:1.0");
+        let ghost = Ior::new_iiop("IDL:X:1.0", "orbix.qut.edu.au", 9000, b"ghost".to_vec());
         assert_eq!(visi.locate(&ghost).unwrap(), LocateStatus::UnknownObject);
         // Local probe too.
         assert_eq!(orbix.locate(&ior).unwrap(), LocateStatus::ObjectHere);
@@ -1070,7 +1031,13 @@ mod tests {
             1,
             b"echo/1".to_vec(),
         );
-        ior.push_iiop_profile("orbix.qut.edu.au", 9000, b"echo/1".to_vec());
+        let live = Ior::new_iiop(
+            "IDL:webfindit/Echo:1.0",
+            "orbix.qut.edu.au",
+            9000,
+            b"echo/1".to_vec(),
+        );
+        ior.profiles.extend(live.profiles);
         let out = visi.invoke(&ior, "ping", &[]).unwrap();
         assert_eq!(out, Value::string("pong"));
         orbix.shutdown();

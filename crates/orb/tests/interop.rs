@@ -201,28 +201,6 @@ fn values_cross_the_wire_unchanged() {
 }
 
 #[test]
-fn deactivation_is_visible_to_remote_locate() {
-    use webfindit_wire::giop::LocateStatus;
-    let domain = OrbDomain::new();
-    let server = Orb::start(
-        OrbConfig::new("S", "sd.net", 1, ByteOrder::BigEndian),
-        Arc::clone(&domain),
-    )
-    .unwrap();
-    let client = Orb::start(
-        OrbConfig::new("C", "cd.net", 2, ByteOrder::LittleEndian),
-        Arc::clone(&domain),
-    )
-    .unwrap();
-    let ior = server.activate("e", Arc::new(EchoServant));
-    assert_eq!(client.locate(&ior).unwrap(), LocateStatus::ObjectHere);
-    server.adapter().deactivate(b"e");
-    assert_eq!(client.locate(&ior).unwrap(), LocateStatus::UnknownObject);
-    server.shutdown();
-    client.shutdown();
-}
-
-#[test]
 fn pooled_connection_survives_server_restart() {
     // A client with a stale pooled connection must evict and retry when
     // the server comes back at the same advertised endpoint.

@@ -646,8 +646,8 @@ impl Database {
         self.last_exec.as_ref()
     }
 
-    /// Borrow the whole catalog (read-only), e.g. for planning or for
-    /// running the naive reference executor against live tables.
+    /// Borrow the whole catalog (read-only), e.g. for planning a
+    /// statement against the live tables.
     pub fn tables(&self) -> &HashMap<String, Table> {
         &self.tables
     }

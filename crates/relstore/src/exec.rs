@@ -1,11 +1,12 @@
 //! Query execution: pipelined pull-based operators over a physical plan.
 //!
-//! [`execute_select`] plans the statement with
+//! [`execute_select_into`] plans the statement with
 //! [`crate::plan::plan_select`] and runs the resulting
 //! [`PhysicalPlan`] tree with a pull-based (iterator-style) executor:
 //! each operator produces one row per `next` call, so `LIMIT` stops
 //! pulling — and therefore stops scanning — as soon as it is
-//! satisfied. An [`ExecMetrics`] struct threads through the operator
+//! satisfied. Every SELECT, a primary-key point lookup included, takes
+//! this one path. An [`ExecMetrics`] struct threads through the operator
 //! tree counting rows/bytes scanned, index hits, and entries held by
 //! sorts/aggregation, and records the name of every operator that ran.
 //!
@@ -22,9 +23,8 @@
 //! list into one reused row of [`Cow`] cells that borrow the stored
 //! datums, so a sink that encodes a reply copies no cell. A sort,
 //! `DISTINCT` or aggregation at the root already holds owned rows and
-//! moves them into the sink's row. [`execute_plan`] and
-//! [`execute_select_with_metrics`] are one consumer of that path: their
-//! [`ResultSet`] clones a borrowed cell and moves an owned one.
+//! moves them into the sink's row. A [`ResultSet`] is one consumer of
+//! that path: it clones a borrowed cell and moves an owned one.
 //!
 //! **Aggregation streams.** `HashAggregate` keeps one entry per group —
 //! a [`GroupKey`] per GROUP BY expression, references to the group's
@@ -33,19 +33,16 @@
 //! add their inputs in input order, which keeps float results
 //! bit-identical to the reference's collect-then-sum.
 //!
-//! The vector-at-a-time interpreter [`execute_select_naive`] is the
-//! semantic reference for the differential property tests. It resolves
-//! columns by name on every row and materializes every intermediate
-//! result.
+//! The differential tests check the pipeline against a vector-at-a-time
+//! reference interpreter that lives in the test tree
+//! (`tests/support/naive.rs`).
 
-use crate::expr::{eval, eval_true, AggFunc, BinOp, EvalContext, Expr};
+use crate::expr::{eval, eval_true, AggFunc, EvalContext, Expr};
 use crate::plan::{
-    conjuncts, detect_pk_point, eq_lowered, equi_join_offsets, expand_items, lookup, plan_select,
-    AggSpec, HashAggregateNode, HashJoinNode, IxJoinNode, Layout, NlJoinNode, PhysicalPlan,
-    PkPoint, ProjectNode, Sarg, SortSource,
+    lookup, plan_select, AggSpec, HashAggregateNode, HashJoinNode, IxJoinNode, NlJoinNode,
+    PhysicalPlan, ProjectNode, Sarg, SortSource,
 };
-use crate::schema::TableSchema;
-use crate::sql::ast::{Join, JoinKind, OrderKey, SelectItem, SelectStmt};
+use crate::sql::ast::{JoinKind, SelectStmt};
 use crate::storage::Table;
 use crate::types::{Datum, GroupKey, Row};
 use crate::{RelError, RelResult};
@@ -170,60 +167,6 @@ pub struct ExecMetrics {
     pub rows_output: u64,
     /// Operators that actually ran, leaf first.
     pub operators: Vec<&'static str>,
-}
-
-/// Naive-executor context: a concatenated joined row, columns resolved
-/// by name against the layout on every reference.
-struct LayoutRow<'a> {
-    layout: &'a Layout,
-    row: &'a [Datum],
-}
-
-impl<'a> EvalContext<'a> for LayoutRow<'a> {
-    fn column(&self, table: Option<&str>, name: &str) -> RelResult<&'a Datum> {
-        Ok(&self.row[self.layout.resolve(table, name)?])
-    }
-}
-
-/// Naive-executor group context: resolves columns from a representative
-/// row and aggregates from the precomputed per-group table.
-struct GroupRow<'a> {
-    layout: &'a Layout,
-    representative: &'a [Datum],
-    aggregates: &'a [(Expr, Datum)],
-}
-
-impl<'a> EvalContext<'a> for GroupRow<'a> {
-    fn column(&self, table: Option<&str>, name: &str) -> RelResult<&'a Datum> {
-        Ok(&self.representative[self.layout.resolve(table, name)?])
-    }
-
-    fn aggregate(&self, expr: &Expr) -> RelResult<&'a Datum> {
-        self.aggregates
-            .iter()
-            .find(|(e, _)| e == expr)
-            .map(|(_, v)| v)
-            .ok_or_else(|| RelError::AggregateMisuse("aggregate not precomputed".into()))
-    }
-}
-
-/// If `expr` is `col = literal` (either side), return them. Used only
-/// by the naive reference executor; the planner's sarg extraction in
-/// `plan.rs` is qualifier-aware.
-fn eq_col_literal(expr: &Expr) -> Option<(&str, &Datum)> {
-    if let Expr::Binary {
-        op: BinOp::Eq,
-        left,
-        right,
-    } = expr
-    {
-        match (&**left, &**right) {
-            (Expr::Column { name, .. }, Expr::Literal(d)) => return Some((name, d)),
-            (Expr::Literal(d), Expr::Column { name, .. }) => return Some((name, d)),
-            _ => {}
-        }
-    }
-    None
 }
 
 fn datum_bytes(d: &Datum) -> u64 {
@@ -906,15 +849,6 @@ fn build_keyed<'a>(
     Ok(op)
 }
 
-/// Execute a previously planned [`PhysicalPlan`], returning the result
-/// set and the execution metrics it generated.
-pub fn execute_plan(
-    plan: &PhysicalPlan,
-    tables: &HashMap<String, Table>,
-) -> RelResult<(ResultSet, ExecMetrics)> {
-    ResultSet::collect(|rs| execute_plan_into(plan, tables, rs))
-}
-
 /// Execute a previously planned [`PhysicalPlan`], handing its column
 /// names and then each row to `sink`, and return the execution metrics.
 pub fn execute_plan_into<E, S>(
@@ -983,123 +917,9 @@ where
     Ok(m)
 }
 
-/// Execute a SELECT against the given tables (plan + pipeline).
-pub fn execute_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelResult<ResultSet> {
-    execute_select_with_metrics(stmt, tables).map(|(rs, _)| rs)
-}
-
-/// Evaluation context for the AST-level point lookup: resolves columns
-/// against the single FROM table's schema directly, with the same
-/// case-folding [`Layout::resolve`] applies, but without materializing
-/// a `Layout` (whose per-column `String` clones dominate a one-row
-/// query).
-struct SchemaRow<'a> {
-    binding: &'a str,
-    schema: &'a TableSchema,
-    row: &'a [Datum],
-}
-
-impl<'a> EvalContext<'a> for SchemaRow<'a> {
-    fn column(&self, table: Option<&str>, name: &str) -> RelResult<&'a Datum> {
-        if let Some(t) = table {
-            if !t.eq_ignore_ascii_case(self.binding) {
-                return Err(RelError::NoSuchTable(t.to_ascii_lowercase()));
-            }
-        }
-        let i = self
-            .schema
-            .columns
-            .iter()
-            .position(|c| eq_lowered(&c.name, name))
-            .ok_or_else(|| RelError::NoSuchColumn(name.to_ascii_lowercase()))?;
-        Ok(&self.row[i])
-    }
-}
-
-/// Run a detected PK point lookup straight off the AST: no plan tree,
-/// no `Layout`, no operator boxes. Returns `None` (fall back to the
-/// planned pipeline) when the select list needs layout expansion
-/// (wildcards). Metrics are recorded exactly as the planned pipeline
-/// would record them for the same statement — including the operator
-/// names of the tree [`plan_select`] would have built — so EXPLAIN,
-/// `last_exec_metrics`, and the differential tests cannot tell the
-/// paths apart.
-fn execute_pk_point_into<E, S>(
-    stmt: &SelectStmt,
-    pk: &PkPoint<'_>,
-    sink: &mut S,
-) -> Option<Result<ExecMetrics, E>>
-where
-    E: From<RelError>,
-    S: RowSink<E> + ?Sized,
-{
-    let mut select: Vec<&Expr> = Vec::with_capacity(stmt.items.len());
-    let mut columns: Vec<String> = Vec::with_capacity(stmt.items.len());
-    for item in &stmt.items {
-        let SelectItem::Expr { expr, alias } = item else {
-            return None;
-        };
-        // Output naming mirrors `expand_items` for non-wildcard items.
-        columns.push(match alias {
-            Some(a) => a.to_ascii_lowercase(),
-            None => match expr {
-                Expr::Column { name, .. } => name.clone(),
-                other => other.to_sql().to_ascii_lowercase(),
-            },
-        });
-        select.push(expr);
-    }
-    Some((|| {
-        let t = pk.base;
-        let mut m = ExecMetrics::default();
-        let slots = t.index_lookup(pk.col_idx, pk.key).unwrap_or_default();
-        m.index_hits += slots.len() as u64;
-        // The operator list of the point-lookup tree `plan_select`
-        // commits to under these exact preconditions; the
-        // explain/metrics equivalence tests pin this correspondence.
-        m.operators.push("index scan");
-        m.operators.push("filter");
-        m.operators.push("project");
-        sink.columns(&columns)?;
-        let binding = stmt.from.binding();
-        let mut out = Vec::with_capacity(select.len());
-        for &slot in slots {
-            let Some(r) = t.row(slot) else { continue };
-            m.rows_scanned += 1;
-            m.bytes_scanned += row_bytes(r);
-            let ctx = SchemaRow {
-                binding,
-                schema: &t.schema,
-                row: r,
-            };
-            if !eval_true(pk.filter, &ctx)? {
-                continue;
-            }
-            out.clear();
-            for e in &select {
-                out.push(eval(e, &ctx)?);
-            }
-            m.rows_output += 1;
-            sink.row(&mut out)?;
-        }
-        Ok(m)
-    })())
-}
-
-/// Execute a SELECT and return the [`ExecMetrics`] alongside the rows.
-pub fn execute_select_with_metrics(
-    stmt: &SelectStmt,
-    tables: &HashMap<String, Table>,
-) -> RelResult<(ResultSet, ExecMetrics)> {
-    ResultSet::collect(|rs| execute_select_into(stmt, tables, rs))
-}
-
 /// Execute a SELECT, handing its column names and rows to `sink`, and
-/// return its [`ExecMetrics`].
-///
-/// Single-table primary-key equality lookups skip plan construction
-/// entirely (see [`execute_pk_point_into`]); everything else is planned
-/// with [`plan_select`] and run through the pipelined executor.
+/// return its [`ExecMetrics`]: [`plan_select`], then the pipelined
+/// executor.
 pub fn execute_select_into<E, S>(
     stmt: &SelectStmt,
     tables: &HashMap<String, Table>,
@@ -1109,16 +929,11 @@ where
     E: From<RelError>,
     S: RowSink<E> + ?Sized,
 {
-    if let Some(pk) = detect_pk_point(stmt, tables) {
-        if let Some(result) = execute_pk_point_into(stmt, &pk, sink) {
-            return result;
-        }
-    }
     let plan = plan_select(stmt, tables)?;
     execute_plan_into(&plan, tables, sink)
 }
 
-/// Describe the plan `execute_select` would run, without executing it.
+/// Describe the plan `execute_select_into` would run, without executing it.
 ///
 /// This renders the *same* [`PhysicalPlan`] the executor runs — there
 /// is no separate description path to drift.
@@ -1129,456 +944,32 @@ pub fn explain_select(
     Ok(plan_select(stmt, tables)?.render())
 }
 
-// ---------------------------------------------------------------------
-// Naive reference executor.
-// ---------------------------------------------------------------------
-
-/// Evaluate an ORDER BY key: a bare column naming an output alias sorts
-/// by the output column; otherwise the expression is evaluated in `ctx`.
-fn order_key_value<'a>(
-    expr: &'a Expr,
-    ctx: &impl EvalContext<'a>,
-    columns: &[String],
-    out_row: &[Datum],
-) -> RelResult<Datum> {
-    if let Expr::Column { table: None, name } = expr {
-        if let Some(i) = columns.iter().position(|c| c == name) {
-            return Ok(out_row[i].clone());
-        }
-    }
-    eval(expr, ctx).map(Cow::into_owned)
-}
-
-/// Group `rows`, compute aggregates, apply HAVING, and evaluate the
-/// select list and ORDER BY keys per surviving group.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_rows(
-    rows: &[Row],
-    group_by: &[Expr],
-    having: Option<&Expr>,
-    select_exprs: &[(Expr, String)],
-    order_by: &[OrderKey],
-    columns: &[String],
-    layout: &Layout,
-) -> RelResult<Vec<(Row, Vec<Datum>)>> {
-    let groups = build_groups(rows, group_by, layout)?;
-    let mut produced = Vec::with_capacity(groups.len());
-    for group in groups {
-        let aggregates = compute_aggregates(&group, select_exprs, having, order_by, layout)?;
-        let representative: &[Datum] = group.first().map(|r| r.as_slice()).unwrap_or(&[]);
-        // An empty representative only happens for zero-row ungrouped
-        // aggregates; column references would error there, which is
-        // the correct SQL behaviour for e.g. `SELECT x, COUNT(*)`.
-        let dummy: Row;
-        let rep = if representative.is_empty() {
-            dummy = vec![Datum::Null; layout.width];
-            &dummy[..]
-        } else {
-            representative
-        };
-        let ctx = GroupRow {
-            layout,
-            representative: rep,
-            aggregates: &aggregates,
-        };
-        if let Some(having) = having {
-            if !eval_true(having, &ctx)? {
-                continue;
-            }
-        }
-        let mut out = Vec::with_capacity(select_exprs.len());
-        for (e, _) in select_exprs {
-            out.push(eval(e, &ctx)?.into_owned());
-        }
-        let mut keys = Vec::with_capacity(order_by.len());
-        for k in order_by {
-            keys.push(order_key_value(&k.expr, &ctx, columns, &out)?);
-        }
-        produced.push((out, keys));
-    }
-    Ok(produced)
-}
-
-/// Execute a SELECT with the vector-at-a-time reference interpreter.
-///
-/// The semantic reference: the differential property tests assert the
-/// pipelined executor produces the same rows. Indexes are only
-/// consulted for single-table equality predicates.
-pub fn execute_select_naive(
-    stmt: &SelectStmt,
-    tables: &HashMap<String, Table>,
-) -> RelResult<ResultSet> {
-    // ---- FROM + JOIN -------------------------------------------------
-    let base = lookup(tables, &stmt.from.name)?;
-    let mut layout = Layout::new();
-    layout.push(
-        stmt.from.binding().to_ascii_lowercase(),
-        base.schema.column_names(),
-    );
-
-    // Index-assisted base scan: single-table query with an indexable
-    // equality conjunct.
-    let mut rows: Vec<Row> = if stmt.joins.is_empty() {
-        let mut indexed: Option<Vec<Row>> = None;
-        if let Some(filter) = &stmt.filter {
-            for c in conjuncts(filter) {
-                if let Some((col, value)) = eq_col_literal(c) {
-                    if let Some(ci) = base.schema.column_index(col) {
-                        if let Some(slots) = base.index_lookup(ci, value) {
-                            indexed =
-                                Some(slots.iter().filter_map(|&s| base.row(s).cloned()).collect());
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        indexed.unwrap_or_else(|| base.scan().map(|(_, r)| r.clone()).collect())
-    } else {
-        base.scan().map(|(_, r)| r.clone()).collect()
-    };
-
-    for join in &stmt.joins {
-        rows = apply_join(rows, &mut layout, join, tables)?;
-    }
-
-    // ---- WHERE --------------------------------------------------------
-    if let Some(filter) = &stmt.filter {
-        if filter.contains_aggregate() {
-            return Err(RelError::AggregateMisuse(
-                "aggregate in WHERE; use HAVING".into(),
-            ));
-        }
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            let ctx = LayoutRow {
-                layout: &layout,
-                row: &row,
-            };
-            if eval_true(filter, &ctx)? {
-                kept.push(row);
-            }
-        }
-        rows = kept;
-    }
-
-    // ---- Grouping / projection ----------------------------------------
-    let select_exprs = expand_items(&stmt.items, &layout)?;
-    let has_aggregates = select_exprs.iter().any(|(e, _)| e.contains_aggregate())
-        || stmt
-            .having
-            .as_ref()
-            .map(Expr::contains_aggregate)
-            .unwrap_or(false)
-        || stmt.order_by.iter().any(|k| k.expr.contains_aggregate());
-
-    let columns: Vec<String> = select_exprs.iter().map(|(_, n)| n.clone()).collect();
-
-    // Each produced row carries hidden sort keys after the visible columns.
-    let mut produced: Vec<(Row, Vec<Datum>)> = if has_aggregates || !stmt.group_by.is_empty() {
-        aggregate_rows(
-            &rows,
-            &stmt.group_by,
-            stmt.having.as_ref(),
-            &select_exprs,
-            &stmt.order_by,
-            &columns,
-            &layout,
-        )?
-    } else {
-        let mut produced = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let ctx = LayoutRow {
-                layout: &layout,
-                row,
-            };
-            let mut out = Vec::with_capacity(select_exprs.len());
-            for (e, _) in &select_exprs {
-                out.push(eval(e, &ctx)?.into_owned());
-            }
-            let mut keys = Vec::with_capacity(stmt.order_by.len());
-            for k in &stmt.order_by {
-                keys.push(order_key_value(&k.expr, &ctx, &columns, &out)?);
-            }
-            produced.push((out, keys));
-        }
-        produced
-    };
-
-    // ---- DISTINCT -------------------------------------------------------
-    if stmt.distinct {
-        let mut seen = HashSet::new();
-        produced.retain(|(row, _)| seen.insert(row_key(row)));
-    }
-
-    // ---- ORDER BY -------------------------------------------------------
-    if !stmt.order_by.is_empty() {
-        let descs: Vec<bool> = stmt.order_by.iter().map(|k| k.desc).collect();
-        produced.sort_by(|(_, ka), (_, kb)| cmp_sort_keys(&descs, ka, kb));
-    }
-
-    // ---- LIMIT ----------------------------------------------------------
-    if let Some(n) = stmt.limit {
-        produced.truncate(n as usize);
-    }
-
-    Ok(ResultSet {
-        columns,
-        rows: produced.into_iter().map(|(r, _)| r).collect(),
-    })
-}
-
-/// Attach one join step to the current row set (naive executor).
-fn apply_join(
-    left_rows: Vec<Row>,
-    layout: &mut Layout,
-    join: &Join,
-    tables: &HashMap<String, Table>,
-) -> RelResult<Vec<Row>> {
-    let right = lookup(tables, &join.table.name)?;
-    let right_binding = join.table.binding().to_ascii_lowercase();
-    let right_cols = right.schema.column_names();
-    let right_width = right_cols.len();
-
-    // Try the hash-join fast path for inner equi-joins.
-    let equi = match (&join.kind, &join.on) {
-        (JoinKind::Inner, Some(on)) => equi_join_offsets(on, layout, &right_binding, right),
-        _ => None,
-    };
-
-    layout.push(right_binding.clone(), right_cols);
-
-    let right_rows: Vec<&Row> = right.scan().map(|(_, r)| r).collect();
-
-    let mut out = Vec::new();
-    match join.kind {
-        JoinKind::Cross => {
-            for l in &left_rows {
-                for r in &right_rows {
-                    let mut row = l.clone();
-                    row.extend(r.iter().cloned());
-                    out.push(row);
-                }
-            }
-        }
-        JoinKind::Inner => {
-            if let Some((l_off, r_off)) = equi {
-                // Hash join: build on the right side.
-                let mut ht: HashMap<GroupKey<'_>, Vec<&Row>> = HashMap::new();
-                for r in &right_rows {
-                    if r[r_off].is_null() {
-                        continue; // NULL never equi-matches
-                    }
-                    ht.entry(GroupKey::of(&r[r_off])).or_default().push(r);
-                }
-                for l in &left_rows {
-                    if l[l_off].is_null() {
-                        continue;
-                    }
-                    if let Some(matches) = ht.get(&GroupKey::of(&l[l_off])) {
-                        for r in matches {
-                            let mut row = l.clone();
-                            row.extend(r.iter().cloned());
-                            out.push(row);
-                        }
-                    }
-                }
-            } else {
-                let on = join.on.as_ref().expect("inner join has ON");
-                for l in &left_rows {
-                    for r in &right_rows {
-                        let mut row = l.clone();
-                        row.extend(r.iter().cloned());
-                        if eval_true(on, &LayoutRow { layout, row: &row })? {
-                            out.push(row);
-                        }
-                    }
-                }
-            }
-        }
-        JoinKind::Left => {
-            let on = join.on.as_ref().expect("left join has ON");
-            for l in &left_rows {
-                let mut matched = false;
-                for r in &right_rows {
-                    let mut row = l.clone();
-                    row.extend(r.iter().cloned());
-                    if eval_true(on, &LayoutRow { layout, row: &row })? {
-                        matched = true;
-                        out.push(row);
-                    }
-                }
-                if !matched {
-                    let mut row = l.clone();
-                    row.extend(std::iter::repeat_n(Datum::Null, right_width));
-                    out.push(row);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Partition rows into groups by the GROUP BY keys (one all-encompassing
-/// group when the key list is empty).
-fn build_groups(rows: &[Row], group_by: &[Expr], layout: &Layout) -> RelResult<Vec<Vec<Row>>> {
-    if group_by.is_empty() {
-        return Ok(vec![rows.to_vec()]);
-    }
-    let mut order: Vec<Vec<GroupKey<'_>>> = Vec::new();
-    let mut groups: HashMap<Vec<GroupKey<'_>>, Vec<Row>> = HashMap::new();
-    for row in rows {
-        let ctx = LayoutRow { layout, row };
-        let mut key = Vec::with_capacity(group_by.len());
-        for g in group_by {
-            key.push(GroupKey::of_cow(eval(g, &ctx)?));
-        }
-        if !groups.contains_key(&key) {
-            order.push(key.clone());
-        }
-        groups.entry(key).or_default().push(row.clone());
-    }
-    Ok(order
-        .into_iter()
-        .map(|k| groups.remove(&k).expect("key present"))
-        .collect())
-}
-
-/// Compute every aggregate appearing in SELECT, HAVING, or ORDER BY for
-/// one group.
-fn compute_aggregates(
-    group: &[Row],
-    select_exprs: &[(Expr, String)],
-    having: Option<&Expr>,
-    order_by: &[OrderKey],
-    layout: &Layout,
-) -> RelResult<Vec<(Expr, Datum)>> {
-    let mut agg_exprs: Vec<&Expr> = Vec::new();
-    for (e, _) in select_exprs {
-        e.collect_aggregates(&mut agg_exprs);
-    }
-    if let Some(h) = having {
-        h.collect_aggregates(&mut agg_exprs);
-    }
-    for k in order_by {
-        k.expr.collect_aggregates(&mut agg_exprs);
-    }
-
-    let mut out = Vec::with_capacity(agg_exprs.len());
-    for agg in agg_exprs {
-        let (func, arg, distinct) = match agg {
-            Expr::Aggregate {
-                func,
-                arg,
-                distinct,
-            } => (*func, arg.as_deref(), *distinct),
-            _ => unreachable!("collect_aggregates returns aggregates"),
-        };
-        let value = run_aggregate(func, arg, distinct, group, layout)?;
-        out.push((agg.clone(), value));
-    }
-    Ok(out)
-}
-
-fn run_aggregate(
-    func: AggFunc,
-    arg: Option<&Expr>,
-    distinct: bool,
-    group: &[Row],
-    layout: &Layout,
-) -> RelResult<Datum> {
-    // Gather the non-null argument values (COUNT(*) counts rows directly).
-    let mut values: Vec<Datum> = Vec::new();
-    match arg {
-        None => {
-            return Ok(Datum::Int(group.len() as i64));
-        }
-        Some(a) => {
-            if a.contains_aggregate() {
-                return Err(RelError::AggregateMisuse("nested aggregate".into()));
-            }
-            for row in group {
-                let ctx = LayoutRow { layout, row };
-                let v = eval(a, &ctx)?;
-                if !v.is_null() {
-                    values.push(v.into_owned());
-                }
-            }
-        }
-    }
-    if distinct {
-        let mut seen = HashSet::new();
-        values.retain(|v| seen.insert(GroupKey::of(v).into_owned()));
-    }
-    Ok(match func {
-        AggFunc::Count => Datum::Int(values.len() as i64),
-        AggFunc::Sum | AggFunc::Avg => {
-            if values.is_empty() {
-                Datum::Null
-            } else {
-                let mut all_int = true;
-                let mut sum = 0f64;
-                let mut isum = 0i64;
-                for v in &values {
-                    match v {
-                        Datum::Int(i) => {
-                            isum = isum.wrapping_add(*i);
-                            sum += *i as f64;
-                        }
-                        Datum::Double(d) => {
-                            all_int = false;
-                            sum += d;
-                        }
-                        other => {
-                            return Err(RelError::TypeMismatch {
-                                expected: "numeric aggregate input".into(),
-                                found: format!("{other}"),
-                            })
-                        }
-                    }
-                }
-                if func == AggFunc::Sum {
-                    if all_int {
-                        Datum::Int(isum)
-                    } else {
-                        Datum::Double(sum)
-                    }
-                } else {
-                    Datum::Double(sum / values.len() as f64)
-                }
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let mut best: Option<Datum> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let keep_new = match v.sql_cmp(&b) {
-                            Some(Ordering::Less) => func == AggFunc::Min,
-                            Some(Ordering::Greater) => func == AggFunc::Max,
-                            _ => false,
-                        };
-                        if keep_new {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best.unwrap_or(Datum::Null)
-        }
-    })
-}
+#[cfg(test)]
+#[path = "../tests/support/naive.rs"]
+pub(crate) mod naive;
 
 #[cfg(test)]
 mod tests {
+    use super::naive::execute_select_naive;
     use super::*;
     use crate::schema::{Column, TableSchema};
     use crate::sql::ast::Statement;
     use crate::sql::parse_statement;
     use crate::types::DataType;
+    use crate::{Database, Dialect};
+
+    /// Execute a SELECT against the given tables (plan + pipeline).
+    fn execute_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelResult<ResultSet> {
+        execute_select_with_metrics(stmt, tables).map(|(rs, _)| rs)
+    }
+
+    /// Execute a SELECT and return the [`ExecMetrics`] alongside the rows.
+    fn execute_select_with_metrics(
+        stmt: &SelectStmt,
+        tables: &HashMap<String, Table>,
+    ) -> RelResult<(ResultSet, ExecMetrics)> {
+        ResultSet::collect(|rs| execute_select_into(stmt, tables, rs))
+    }
 
     fn catalog() -> HashMap<String, Table> {
         let mut patient = Table::new(TableSchema::new(
@@ -1631,6 +1022,18 @@ mod tests {
         m.insert("patient".to_string(), patient);
         m.insert("history".to_string(), history);
         m
+    }
+
+    /// [`catalog`]'s tables in a [`Database`].
+    fn catalog_db() -> Database {
+        let mut db = Database::new("catalog", Dialect::Canonical);
+        let mut tables: Vec<Table> = catalog().into_values().collect();
+        tables.sort_by(|a, b| a.schema.name.cmp(&b.schema.name));
+        for t in tables {
+            let rows = t.scan().map(|(_, r)| r.clone()).collect();
+            db.import_table(t.schema, rows).unwrap();
+        }
+        db
     }
 
     fn run(sql: &str) -> ResultSet {
@@ -1853,7 +1256,7 @@ mod tests {
                 other => panic!("not a select: {other:?}"),
             };
             let plan = plan_select(&stmt, &tables).unwrap();
-            let (_, m) = execute_plan(&plan, &tables).unwrap();
+            let (_, m) = ResultSet::collect(|rs| execute_plan_into(&plan, &tables, rs)).unwrap();
             assert_eq!(m.operators, plan.operator_names(), "{sql}");
         }
     }
@@ -1998,6 +1401,7 @@ mod tests {
     #[test]
     fn column_errors_surface_at_plan_time_with_the_run_time_variants() {
         let tables = catalog();
+        let db = catalog_db();
         let join = "FROM patient p JOIN history h ON p.patient_id = h.patient_id";
         for (sql, check) in [
             (
@@ -2021,14 +1425,43 @@ mod tests {
             ("SELECT SUM(COUNT(*)) FROM patient".to_string(), |e| {
                 matches!(e, RelError::AggregateMisuse(_))
             }),
+            // A PK point fails the same way whether or not its key is
+            // stored.
+            (
+                "SELECT nope FROM patient WHERE patient_id = 1".to_string(),
+                |e| matches!(e, RelError::NoSuchColumn(_)),
+            ),
+            (
+                "SELECT nope FROM patient WHERE patient_id = 999".to_string(),
+                |e| matches!(e, RelError::NoSuchColumn(_)),
+            ),
+            (
+                "SELECT x.name FROM patient WHERE patient_id = 1".to_string(),
+                |e| matches!(e, RelError::NoSuchTable(_)),
+            ),
+            (
+                "SELECT x.name FROM patient WHERE patient_id = 999".to_string(),
+                |e| matches!(e, RelError::NoSuchTable(_)),
+            ),
         ] {
-            let stmt = select(&sql);
-            let err = plan_select(&stmt, &tables).unwrap_err();
+            let parsed = parse_statement(&sql).unwrap();
+            let Statement::Select(stmt) = &parsed else {
+                panic!("not a select: {parsed:?}");
+            };
+            let err = plan_select(stmt, &tables).unwrap_err();
             assert!(check(&err), "{sql}: {err:?}");
+            // The database's SELECT path fails with the planner's error.
+            assert_eq!(db.select(&parsed).unwrap_err(), err, "select {sql}");
             // The reference interpreter still meets the same error,
-            // when a row makes it evaluate the expression.
-            let naive = execute_select_naive(&stmt, &tables).unwrap_err();
-            assert!(check(&naive), "naive {sql}: {naive:?}");
+            // when a row makes it evaluate the expression; with the key
+            // absent it reads no row.
+            match execute_select_naive(stmt, &tables) {
+                Err(naive) => assert!(check(&naive), "naive {sql}: {naive:?}"),
+                Ok(rs) => assert!(
+                    sql.ends_with("= 999") && rs.rows.is_empty(),
+                    "naive {sql}: {rs:?}"
+                ),
+            }
         }
     }
 

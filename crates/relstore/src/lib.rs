@@ -168,3 +168,10 @@ impl std::error::Error for RelError {}
 
 /// Result alias for engine operations.
 pub type RelResult<T> = Result<T, RelError>;
+
+/// The planner's property tests. They live in the test tree but compile
+/// as a unit-test module, because they run the reference interpreter,
+/// which is only built under `cfg(test)`.
+#[cfg(test)]
+#[path = "../tests/support/prop_plan.rs"]
+mod prop_plan;

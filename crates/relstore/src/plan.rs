@@ -36,10 +36,12 @@
 //! instead of building a hash table (`HashJoin`).
 
 use crate::expr::{AggFunc, BinOp, Expr};
+use crate::schema::Column;
 use crate::sql::ast::{JoinKind, OrderKey, SelectItem, SelectStmt};
 use crate::storage::{IndexKind, Table};
 use crate::types::{DataType, Datum, Row};
 use crate::{RelError, RelResult};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -47,58 +49,63 @@ use std::ops::Bound;
 
 /// The table layout of a joined row: which bindings cover which column
 /// ranges of the concatenated row. The planner resolves names against
-/// it once per statement; the naive reference executor, whose rows are
-/// the concatenation itself, resolves against it per row.
+/// it once per statement; the reference interpreter in relstore's test
+/// tree, whose rows are the concatenation itself, resolves against it
+/// per row.
 #[derive(Debug, Clone)]
-pub struct Layout {
-    /// `(binding, column names, start offset)` per FROM item.
-    pub(crate) parts: Vec<(String, Vec<String>, usize)>,
+pub struct Layout<'a> {
+    /// `(binding, the table's columns, start offset)` per FROM item.
+    pub(crate) parts: Vec<(String, &'a [Column], usize)>,
     pub(crate) width: usize,
 }
 
-impl Layout {
-    pub(crate) fn new() -> Layout {
+impl<'a> Layout<'a> {
+    pub(crate) fn new() -> Layout<'a> {
         Layout {
             parts: Vec::new(),
             width: 0,
         }
     }
 
-    pub(crate) fn push(&mut self, binding: String, columns: Vec<String>) {
+    pub(crate) fn push(&mut self, binding: String, columns: &'a [Column]) {
         let start = self.width;
         self.width += columns.len();
         self.parts.push((binding, columns, start));
     }
 
-    /// Resolve `table.name` or bare `name` to an absolute offset.
+    /// Resolve `table.name` or bare `name` to an absolute offset. Names
+    /// are stored lowercase and matched without allocating.
     pub(crate) fn resolve(&self, table: Option<&str>, name: &str) -> RelResult<usize> {
-        let lname = name.to_ascii_lowercase();
+        let find = |cols: &[Column]| cols.iter().position(|c| eq_lowered(&c.name, name));
         match table {
             Some(t) => {
-                let lt = t.to_ascii_lowercase();
                 let (_, cols, start) = self
                     .parts
                     .iter()
-                    .find(|(b, _, _)| *b == lt)
-                    .ok_or_else(|| RelError::NoSuchTable(lt.clone()))?;
-                cols.iter()
-                    .position(|c| *c == lname)
-                    .map(|i| start + i)
-                    .ok_or(RelError::NoSuchColumn(format!("{lt}.{lname}")))
+                    .find(|(b, _, _)| eq_lowered(b, t))
+                    .ok_or_else(|| RelError::NoSuchTable(t.to_ascii_lowercase()))?;
+                find(cols).map(|i| start + i).ok_or_else(|| {
+                    RelError::NoSuchColumn(format!(
+                        "{}.{}",
+                        t.to_ascii_lowercase(),
+                        name.to_ascii_lowercase()
+                    ))
+                })
             }
             None => {
                 let mut found = None;
                 for (b, cols, start) in &self.parts {
-                    if let Some(i) = cols.iter().position(|c| *c == lname) {
+                    if let Some(i) = find(cols) {
                         if found.is_some() {
                             return Err(RelError::AmbiguousColumn(format!(
-                                "{lname} (in {b} and another table)"
+                                "{} (in {b} and another table)",
+                                name.to_ascii_lowercase()
                             )));
                         }
                         found = Some(start + i);
                     }
                 }
-                found.ok_or(RelError::NoSuchColumn(lname))
+                found.ok_or_else(|| RelError::NoSuchColumn(name.to_ascii_lowercase()))
             }
         }
     }
@@ -268,18 +275,23 @@ pub(crate) fn conjuncts(expr: &Expr) -> Vec<&Expr> {
     }
 }
 
-/// Expand the select list into `(expression, output name)` pairs.
-pub(crate) fn expand_items(
-    items: &[SelectItem],
+/// Expand the select list into `(expression, output name)` pairs. An
+/// item written as an expression is borrowed; a wildcard expands into
+/// owned column references.
+pub(crate) fn expand_items<'a>(
+    items: &'a [SelectItem],
     layout: &Layout,
-) -> RelResult<Vec<(Expr, String)>> {
-    let mut out = Vec::new();
+) -> RelResult<Vec<(Cow<'a, Expr>, String)>> {
+    let mut out = Vec::with_capacity(items.len());
     for item in items {
         match item {
             SelectItem::Wildcard => {
                 for (binding, cols, _) in &layout.parts {
-                    for c in cols {
-                        out.push((Expr::qcol(binding.clone(), c.clone()), c.clone()));
+                    for c in cols.iter() {
+                        out.push((
+                            Cow::Owned(Expr::qcol(binding.clone(), c.name.clone())),
+                            c.name.clone(),
+                        ));
                     }
                 }
             }
@@ -290,8 +302,11 @@ pub(crate) fn expand_items(
                     .iter()
                     .find(|(b, _, _)| *b == lt)
                     .ok_or(RelError::NoSuchTable(lt.clone()))?;
-                for c in &part.1 {
-                    out.push((Expr::qcol(lt.clone(), c.clone()), c.clone()));
+                for c in part.1 {
+                    out.push((
+                        Cow::Owned(Expr::qcol(lt.clone(), c.name.clone())),
+                        c.name.clone(),
+                    ));
                 }
             }
             SelectItem::Expr { expr, alias } => {
@@ -302,7 +317,7 @@ pub(crate) fn expand_items(
                         other => other.to_sql().to_ascii_lowercase(),
                     },
                 };
-                out.push((expr.clone(), name));
+                out.push((Cow::Borrowed(expr), name));
             }
         }
     }
@@ -510,7 +525,7 @@ pub struct LimitNode {
 }
 
 /// A physical operator tree. Produced by [`plan_select`], executed by
-/// [`crate::exec::execute_plan`], and rendered for `EXPLAIN` by
+/// [`crate::exec::execute_plan_into`], and rendered for `EXPLAIN` by
 /// [`PhysicalPlan::render`] — one structure, no separate description
 /// path.
 #[derive(Debug, Clone)]
@@ -891,27 +906,10 @@ fn tighter(a: Bound<Datum>, b: Bound<Datum>, inward: Ordering) -> Bound<Datum> {
     }
 }
 
-/// The facts of a detected single-table primary-key point lookup,
-/// borrowed from the statement and catalog. Produced by
-/// [`detect_pk_point`]; consumed by [`plan_pk_point`] (to build the
-/// canonical plan tree) and by the executor's direct AST path in
-/// [`crate::exec::execute_select_into`] (to skip plan
-/// construction entirely).
-pub(crate) struct PkPoint<'a> {
-    /// The resolved base table.
-    pub(crate) base: &'a Table,
-    /// Offset of the primary-key column in the table schema.
-    pub(crate) col_idx: usize,
-    /// The literal the key column is compared against.
-    pub(crate) key: &'a Datum,
-    /// The full WHERE expression (still evaluated per fetched row).
-    pub(crate) filter: &'a Expr,
-}
-
 /// Compare a stored (already lowercase) identifier against a query
-/// identifier, mirroring [`Layout::resolve`]'s
-/// `stored == query.to_ascii_lowercase()` without allocating.
-pub(crate) fn eq_lowered(stored: &str, query: &str) -> bool {
+/// identifier: `stored == query.to_ascii_lowercase()` without
+/// allocating.
+fn eq_lowered(stored: &str, query: &str) -> bool {
     stored.len() == query.len()
         && stored
             .bytes()
@@ -919,15 +917,21 @@ pub(crate) fn eq_lowered(stored: &str, query: &str) -> bool {
             .all(|(s, q)| s == q.to_ascii_lowercase())
 }
 
-/// Recognize `SELECT <no aggregates> FROM one_table WHERE pk = literal`
-/// with no joins, grouping, ordering, DISTINCT, or LIMIT. The
-/// preconditions here are exactly the ones under which [`plan_select`]
-/// commits to the point-lookup tree, so both the planner shortcut and
-/// the executor's AST path key off one detector and cannot drift.
-pub(crate) fn detect_pk_point<'a>(
-    stmt: &'a SelectStmt,
-    tables: &'a HashMap<String, Table>,
-) -> Option<PkPoint<'a>> {
+/// Recognize the canonical point lookup — `SELECT <no aggregates> FROM
+/// one_table WHERE pk = literal`, with no joins, grouping, ordering,
+/// DISTINCT, or LIMIT — and build its plan directly, skipping the
+/// costing pass entirely.
+///
+/// A primary-key equality can only ever plan one way (index lookup,
+/// residual filter, projection), so running the full sarg sweep and
+/// statistics pass for it is pure overhead; at one-row result sizes
+/// that overhead is most of what a point read costs in the planner.
+/// The tree built here is node-for-node identical to what the general
+/// path would produce (same operators, same `est_rows`, same EXPLAIN
+/// rendering) — only the work to decide it is skipped. A statement
+/// that fails to bind here falls through to the general path, which
+/// reports the error.
+fn plan_pk_point(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> Option<PhysicalPlan> {
     if !stmt.joins.is_empty()
         || !stmt.group_by.is_empty()
         || stmt.having.is_some()
@@ -976,32 +980,10 @@ pub(crate) fn detect_pk_point<'a>(
     if base.schema.single_primary_key() != Some(col_idx) {
         return None;
     }
-    Some(PkPoint {
-        base,
-        col_idx,
-        key: lit,
-        filter,
-    })
-}
-
-/// Recognize the canonical point lookup — `SELECT ... FROM t WHERE
-/// pk = literal`, single table, nothing else in play — and build its
-/// plan directly, skipping the costing pass entirely.
-///
-/// A primary-key equality can only ever plan one way (index lookup,
-/// residual filter, projection), so running the full sarg sweep and
-/// statistics pass for it is pure overhead; at one-row result sizes
-/// that overhead is most of what a point read costs in the planner.
-/// The tree built here is node-for-node identical to what the general
-/// path would produce (same operators, same `est_rows`, same EXPLAIN
-/// rendering) — only the work to decide it is skipped.
-fn plan_pk_point(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> Option<PhysicalPlan> {
-    let pk = detect_pk_point(stmt, tables)?;
-    let (base, col_idx, lit, filter) = (pk.base, pk.col_idx, pk.key, pk.filter);
     let mut layout = Layout::new();
     layout.push(
         stmt.from.binding().to_ascii_lowercase(),
-        base.schema.column_names(),
+        &base.schema.columns,
     );
     let (select, columns) = bind_items(&stmt.items, &layout, None).ok()?;
     let pred = bind(filter, &layout, None).ok()?;
@@ -1034,9 +1016,10 @@ fn bind_items(
     layout: &Layout,
     mut aggs: Option<&mut Vec<AggSpec>>,
 ) -> RelResult<(Vec<Expr>, Vec<String>)> {
-    let mut select = Vec::new();
-    let mut columns = Vec::new();
-    for (e, name) in expand_items(items, layout)? {
+    let expanded = expand_items(items, layout)?;
+    let mut select = Vec::with_capacity(expanded.len());
+    let mut columns = Vec::with_capacity(expanded.len());
+    for (e, name) in expanded {
         select.push(bind(&e, layout, aggs.as_deref_mut())?);
         columns.push(name);
     }
@@ -1065,7 +1048,7 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
     let mut layout = Layout::new();
     layout.push(
         stmt.from.binding().to_ascii_lowercase(),
-        base.schema.column_names(),
+        &base.schema.columns,
     );
     let mut prefixes: Vec<Layout> = Vec::with_capacity(stmt.joins.len());
     let mut join_tables: Vec<&Table> = Vec::with_capacity(stmt.joins.len());
@@ -1075,7 +1058,7 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
         join_tables.push(right);
         layout.push(
             join.table.binding().to_ascii_lowercase(),
-            right.schema.column_names(),
+            &right.schema.columns,
         );
     }
 
@@ -1183,7 +1166,7 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
                 }
                 // `ON` sees the tuple up to and including this table.
                 let mut after = prefixes[i].clone();
-                after.push(right_binding, right.schema.column_names());
+                after.push(right_binding, &right.schema.columns);
                 plan = PhysicalPlan::NlJoin(Box::new(NlJoinNode {
                     input: Box::new(plan),
                     table: right_name,

@@ -1,31 +1,36 @@
 //! Property tests for the planned, pipelined executor.
 //!
-//! Two contracts from the query-engine refactor:
+//! A unit-test module of the relstore library (see `lib.rs`), so that
+//! it can run the reference interpreter, which only test builds carry.
+//!
+//! Three contracts from the query-engine refactor:
 //!
 //! 1. **Result equivalence** — over generated schemas, data, and
 //!    queries, the cost-informed planner + pipelined executor must
-//!    produce the same results as the retained naive reference
-//!    executor (`exec::execute_select_naive`): exact sequences when the
+//!    produce the same results as the naive reference interpreter
+//!    (`tests/support/naive.rs`): exact sequences when the
 //!    query orders by a unique key, multisets otherwise, and for
 //!    `LIMIT` a correctly-sized subset of the unlimited result. Rows
 //!    are compared cell by cell in a typed text form (doubles by their
 //!    bits), not through `Datum`'s own `==`, under which `1` equals
 //!    `1.0`.
 //! 2. **EXPLAIN consistency** — the rendered `EXPLAIN` output comes
-//!    from the same [`PhysicalPlan`] the executor runs, so the
+//!    from the same [`crate::PhysicalPlan`] the executor runs, so the
 //!    operators named in the plan are exactly the operators
-//!    [`ExecMetrics`] says executed.
+//!    [`ExecMetrics`] says executed, a primary-key point lookup
+//!    included.
 //! 3. **Sink parity** — the rows `execute_plan_into` and
-//!    `Database::select_into` hand a sink, made owned, are the rows
-//!    `execute_plan` and `Database::select` collect, column names
-//!    first, with equal [`ExecMetrics`].
+//!    `Database::select_into` hand a sink, made owned, are the rows a
+//!    [`ResultSet`] collects from them, column names first, with equal
+//!    [`ExecMetrics`].
 
+use crate::exec::naive::execute_select_naive;
+use crate::exec::{execute_plan_into, ResultSet};
+use crate::sql::{parse_statement, Statement};
+use crate::{plan_select, Database, Datum, Dialect, ExecMetrics, RelResult, RowSink};
 use std::borrow::Cow;
 use webfindit_base::prop::{cases, pick};
 use webfindit_base::rng::StdRng;
-use webfindit_relstore::exec::{execute_plan, execute_plan_into, execute_select_naive, ResultSet};
-use webfindit_relstore::sql::{parse_statement, Statement};
-use webfindit_relstore::{plan_select, Database, Datum, Dialect, ExecMetrics, RelResult, RowSink};
 
 const WORDS: [&str; 5] = ["ward", "icu", "lab", "er", "hospice"];
 const QUARTERS: [&str; 4] = ["0", "25", "5", "75"];
@@ -409,15 +414,15 @@ impl RowSink for Owned {
 }
 
 /// The sink paths against the collecting ones for `sql` over `db`: the
-/// planned pipeline and `Database::select` (which may take the PK-point
-/// shortcut). Returns the streamed rows.
+/// planned pipeline and `Database::select`. Returns the streamed rows.
 fn sink_parity(db: &Database, sql: &str) -> Vec<Vec<Datum>> {
     let stmt = parse_statement(sql).unwrap();
     let Statement::Select(select) = &stmt else {
         panic!("{sql}: expected SELECT");
     };
     let plan = plan_select(select, db.tables()).unwrap();
-    let (collected, m) = execute_plan(&plan, db.tables()).unwrap();
+    let (collected, m) =
+        ResultSet::collect(|rs| execute_plan_into(&plan, db.tables(), rs)).unwrap();
     let mut owned = Owned::default();
     let streamed: ExecMetrics = execute_plan_into(&plan, db.tables(), &mut owned).unwrap();
     assert_eq!(owned.columns.as_ref(), Some(&collected.columns), "{sql}");
@@ -555,6 +560,32 @@ fn explain_names_the_operators_that_ran() {
             .collect();
         assert_eq!(lines, rendered, "EXPLAIN text for {sql}");
     }
+
+    // Generated PK points, with an explicit select list and with `*`,
+    // the key stored or not: `Database::select` runs the planned tree.
+    cases(20, |rng| {
+        let db = gen_db(rng);
+        let key = rng.gen_range(0..45usize);
+        let cols = *pick(rng, &["b", "a, c", "id, b, c", "c AS cost, id"]);
+        for list in [cols, "*"] {
+            let sql = format!("SELECT {list} FROM t1 WHERE id = {key}");
+            let stmt = parse_statement(&sql).unwrap();
+            let Statement::Select(select) = &stmt else {
+                unreachable!()
+            };
+            let plan = plan_select(select, db.tables()).unwrap();
+            assert_eq!(
+                plan.operator_names(),
+                ["index scan", "filter", "project"],
+                "{sql}"
+            );
+            let (rs, m) = db.select(&stmt).unwrap();
+            assert_eq!(m.operators, plan.operator_names(), "{sql}");
+            assert_eq!(rs.columns, plan.output_columns(), "{sql}");
+            assert!(rs.rows.len() <= 1, "{sql}");
+            sink_parity(&db, &sql);
+        }
+    });
 }
 
 /// Both bounds of `seq >= 7000 AND seq < 8500` narrow one index walk:

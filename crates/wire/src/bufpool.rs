@@ -93,11 +93,6 @@ impl BufPool {
             self.misses.load(Ordering::Relaxed),
         )
     }
-
-    /// Buffers currently shelved.
-    pub fn shelved(&self) -> usize {
-        self.shelf.lock().len()
-    }
 }
 
 /// An encoded frame backed by pool storage; returns it on drop.
@@ -117,11 +112,6 @@ impl PooledBuf {
             buf: Some(buf),
             pool,
         }
-    }
-
-    /// Detach the bytes from the pool (they will not be recycled).
-    pub fn into_vec(mut self) -> Vec<u8> {
-        self.buf.take().expect("buffer present until drop")
     }
 }
 
@@ -178,6 +168,13 @@ impl From<Vec<u8>> for FrameBuf {
 mod tests {
     use super::*;
 
+    impl BufPool {
+        /// Buffers currently shelved.
+        fn shelved(&self) -> usize {
+            self.shelf.lock().len()
+        }
+    }
+
     #[test]
     fn take_give_recycles() {
         let pool = BufPool::shared();
@@ -219,14 +216,5 @@ mod tests {
             assert_eq!(&framed[..], &[1, 2, 3]);
         }
         assert_eq!(pool.shelved(), 1);
-    }
-
-    #[test]
-    fn into_vec_detaches() {
-        let pool = BufPool::shared();
-        let framed = PooledBuf::new(vec![9], Arc::clone(&pool));
-        let v = framed.into_vec();
-        assert_eq!(v, vec![9]);
-        assert_eq!(pool.shelved(), 0);
     }
 }

@@ -202,15 +202,6 @@ impl CdrWriter {
         }
     }
 
-    /// Write an unsigned 64-bit integer, aligned to 8.
-    pub fn write_ulonglong(&mut self, v: u64) {
-        self.align(8);
-        match self.order {
-            ByteOrder::BigEndian => self.buf.extend_from_slice(&v.to_be_bytes()),
-            ByteOrder::LittleEndian => self.buf.extend_from_slice(&v.to_le_bytes()),
-        }
-    }
-
     /// Write an IEEE-754 single-precision float, aligned to 4.
     pub fn write_float(&mut self, v: f32) {
         self.align(4);
@@ -253,22 +244,6 @@ impl CdrWriter {
     /// Write raw bytes with no length prefix (caller manages framing).
     pub fn write_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Write a nested encapsulation: a `sequence<octet>` whose first octet
-    /// is a byte-order flag, produced by `f` writing into a fresh writer.
-    ///
-    /// Tagged IOR profiles and service contexts are encoded this way, which
-    /// is what lets an ORB forward profiles it does not understand.
-    pub fn write_encapsulation<F>(&mut self, order: ByteOrder, f: F) -> WireResult<()>
-    where
-        F: FnOnce(&mut CdrWriter) -> WireResult<()>,
-    {
-        let mut inner = CdrWriter::new(order);
-        inner.write_octet(order.flag());
-        f(&mut inner)?;
-        self.write_octets(&inner.into_bytes());
-        Ok(())
     }
 }
 
@@ -415,16 +390,6 @@ impl<'a> CdrReader<'a> {
         })
     }
 
-    /// Read an aligned unsigned 64-bit integer.
-    pub fn read_ulonglong(&mut self) -> WireResult<u64> {
-        self.align(8)?;
-        let b: [u8; 8] = self.take(8)?.try_into().expect("take returned 8 bytes");
-        Ok(match self.order {
-            ByteOrder::BigEndian => u64::from_be_bytes(b),
-            ByteOrder::LittleEndian => u64::from_le_bytes(b),
-        })
-    }
-
     /// Read an aligned single-precision float.
     pub fn read_float(&mut self) -> WireResult<f32> {
         self.align(4)?;
@@ -515,7 +480,6 @@ mod tests {
         w.write_long(-70000);
         w.write_ulong(70000);
         w.write_longlong(-1 << 40);
-        w.write_ulonglong(1 << 40);
         w.write_float(1.5);
         w.write_double(-2.25);
         w.write_string("hello webfindit").unwrap();
@@ -530,7 +494,6 @@ mod tests {
         assert_eq!(r.read_long().unwrap(), -70000);
         assert_eq!(r.read_ulong().unwrap(), 70000);
         assert_eq!(r.read_longlong().unwrap(), -1 << 40);
-        assert_eq!(r.read_ulonglong().unwrap(), 1 << 40);
         assert_eq!(r.read_float().unwrap(), 1.5);
         assert_eq!(r.read_double().unwrap(), -2.25);
         assert_eq!(r.read_string().unwrap(), "hello webfindit");
@@ -675,12 +638,14 @@ mod tests {
         // Outer message big-endian, inner encapsulation little-endian —
         // exactly what happens when a VisiBroker-style ORB embeds a profile
         // in an Orbix-style IOR.
+        // An encapsulation is a `sequence<octet>` whose first octet is
+        // the inner byte-order flag, as `IiopProfile::to_tagged` writes it.
+        let mut inner = CdrWriter::new(ByteOrder::LittleEndian);
+        inner.write_octet(ByteOrder::LittleEndian.flag());
+        inner.write_ulong(12345);
+        inner.write_string("nested").unwrap();
         let mut w = CdrWriter::new(ByteOrder::BigEndian);
-        w.write_encapsulation(ByteOrder::LittleEndian, |inner| {
-            inner.write_ulong(12345);
-            inner.write_string("nested")
-        })
-        .unwrap();
+        w.write_octets(&inner.into_bytes());
         let bytes = w.into_bytes();
 
         let mut r = CdrReader::new(&bytes, ByteOrder::BigEndian);

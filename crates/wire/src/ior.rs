@@ -158,27 +158,6 @@ impl Ior {
             .collect()
     }
 
-    /// Append an additional IIOP profile (an alternate endpoint).
-    pub fn push_iiop_profile(
-        &mut self,
-        host: impl Into<String>,
-        port: u16,
-        object_key: impl Into<Vec<u8>>,
-    ) {
-        let profile = IiopProfile {
-            version_major: 1,
-            version_minor: 2,
-            host: host.into(),
-            port,
-            object_key: object_key.into(),
-        };
-        self.profiles.push(
-            profile
-                .to_tagged(ByteOrder::BigEndian)
-                .expect("static profile encodes"),
-        );
-    }
-
     /// Encode into a CDR stream.
     pub fn encode(&self, w: &mut CdrWriter) -> WireResult<()> {
         w.write_string(&self.type_id)?;
