@@ -49,7 +49,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use webfindit_base::sync::Mutex;
 use webfindit_wire::cdr::{ByteOrder, CdrReader};
-use webfindit_wire::giop::{self, GiopMessage, LocateStatus, ReplyStatus, Routed};
+use webfindit_wire::giop::{self, ReplyStatus, Routed};
 use webfindit_wire::ior::IiopProfile;
 use webfindit_wire::{BufPool, Ior, Value, WireError, WireResult, MAX_MESSAGE_SIZE};
 
@@ -486,48 +486,6 @@ impl Orb {
         }
     }
 
-    /// Probe where an object lives (GIOP LocateRequest).
-    pub fn locate(&self, ior: &Ior) -> OrbResult<LocateStatus> {
-        let profiles = ior.iiop_profiles();
-        if profiles.is_empty() {
-            return Err(OrbError::NoEndpoint);
-        }
-        let mut last_err = None;
-        for profile in &profiles {
-            if self.is_local(&profile.host, profile.port) {
-                return Ok(if self.adapter.contains(&profile.object_key) {
-                    LocateStatus::ObjectHere
-                } else {
-                    LocateStatus::UnknownObject
-                });
-            }
-            let channel = self.channel_to(&profile.host, profile.port);
-            let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
-            let msg = GiopMessage::LocateRequest {
-                request_id,
-                object_key: profile.object_key.clone(),
-            };
-            let frame = msg.encode(self.config.byte_order)?;
-            match channel
-                .start(request_id, &frame, None)
-                .and_then(|sent| channel.finish(sent))
-            {
-                Ok(Routed::Other(GiopMessage::LocateReply { status, .. })) => return Ok(status),
-                Ok(other) => {
-                    return Err(OrbError::RemoteException {
-                        system: true,
-                        description: format!("unexpected locate reply {:?}", other.kind()),
-                    })
-                }
-                Err(f) if f.class == FailureClass::NeverSent => {
-                    last_err = Some(f.error);
-                }
-                Err(f) => return Err(f.error),
-            }
-        }
-        Err(last_err.expect("profile loop ran at least once"))
-    }
-
     /// Health score for ordering an IOR's profiles: local collocation
     /// is best, then endpoints with a closed (or not-yet-dialed)
     /// breaker, then half-open, with tripped-open endpoints last.
@@ -758,19 +716,6 @@ mod tests {
             }) => assert!(description.contains("OBJECT_NOT_EXIST")),
             other => panic!("expected OBJECT_NOT_EXIST, got {other:?}"),
         }
-        orbix.shutdown();
-        visi.shutdown();
-    }
-
-    #[test]
-    fn locate_probe() {
-        let (orbix, visi, _domain) = two_orbs();
-        let ior = orbix.activate("echo/1", Arc::new(EchoServant));
-        assert_eq!(visi.locate(&ior).unwrap(), LocateStatus::ObjectHere);
-        let ghost = Ior::new_iiop("IDL:X:1.0", "orbix.qut.edu.au", 9000, b"ghost".to_vec());
-        assert_eq!(visi.locate(&ghost).unwrap(), LocateStatus::UnknownObject);
-        // Local probe too.
-        assert_eq!(orbix.locate(&ior).unwrap(), LocateStatus::ObjectHere);
         orbix.shutdown();
         visi.shutdown();
     }

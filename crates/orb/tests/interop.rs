@@ -10,7 +10,7 @@ use webfindit_base::rng::StdRng;
 use webfindit_orb::servant::{EchoServant, InvokeResult, Servant, ServantError};
 use webfindit_orb::{Orb, OrbConfig, OrbDomain, OrbError};
 use webfindit_wire::cdr::ByteOrder;
-use webfindit_wire::giop::{self, GiopMessage};
+use webfindit_wire::giop::{self, GiopMessage, LocateStatus};
 use webfindit_wire::transport::FramedTcp;
 use webfindit_wire::Value;
 
@@ -108,6 +108,55 @@ fn a_too_deeply_nested_argument_earns_message_error_and_the_orb_survives() {
         .expect("a new connection is served");
     assert_eq!(pong, Value::string("pong"));
     client.shutdown();
+    server.shutdown();
+}
+
+/// The ORB sends no LocateRequest of its own, but a foreign ORB may
+/// probe it with one before committing to a connection: the reactor
+/// answers `ObjectHere` for an active key and `UnknownObject` for any
+/// other, on the same connection.
+#[test]
+fn a_foreign_locate_request_is_answered_over_the_wire() {
+    let domain = OrbDomain::new();
+    let server = Orb::start(
+        OrbConfig::new("S", "slocate.net", 1, ByteOrder::BigEndian),
+        Arc::clone(&domain),
+    )
+    .unwrap();
+    server.activate("e", Arc::new(EchoServant));
+    let addr = domain.resolve("slocate.net", 1).expect("server endpoint");
+    let mut raw = FramedTcp::new(TcpStream::connect(addr).unwrap());
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    for (request_id, key, status, order) in [
+        (
+            41,
+            &b"e"[..],
+            LocateStatus::ObjectHere,
+            ByteOrder::BigEndian,
+        ),
+        (
+            42,
+            &b"ghost"[..],
+            LocateStatus::UnknownObject,
+            ByteOrder::LittleEndian,
+        ),
+    ] {
+        let probe = GiopMessage::LocateRequest {
+            request_id,
+            object_key: key.to_vec(),
+        };
+        raw.send_frame(&probe.encode(order).unwrap()).unwrap();
+        let answer = GiopMessage::decode_frame(raw.recv_frame().expect("server answers")).unwrap();
+        assert_eq!(
+            answer,
+            GiopMessage::LocateReply {
+                request_id,
+                status,
+                forward: None,
+            }
+        );
+    }
+    assert_eq!(server.metrics().snapshot().locates_served, 2);
     server.shutdown();
 }
 

@@ -7,8 +7,9 @@
 //!
 //! * a typed catalog ([`schema`]) with primary-key and NOT NULL
 //!   constraints;
-//! * heap table storage with B-tree primary and secondary indexes
-//!   ([`storage`]);
+//! * heap table storage ([`storage`]) whose primary keys answer `=`
+//!   through a hashed point index over the heap and ranges through a
+//!   B-tree, with non-unique B-tree secondary indexes;
 //! * a SQL subset ([`sql`]) — `CREATE TABLE/INDEX`, `INSERT`, `UPDATE`,
 //!   `DELETE`, and `SELECT` with joins, aggregation, `GROUP BY`/`HAVING`,
 //!   `ORDER BY`, `DISTINCT`, and `LIMIT`;

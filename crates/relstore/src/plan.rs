@@ -831,18 +831,21 @@ fn sarg_of(
     let via = base.index_kind(off)?;
     // The B-tree compares with the total sort order, which coincides
     // with SQL comparison only within the column's own type family.
-    // Equality sargs are safe for any literal (a key either compares
-    // group-equal or is absent); range sargs additionally require a
-    // literal the column's type can represent, which the residual
-    // filter would otherwise handle via numeric coercion. Keep ranges
-    // to literals matching the stored type family.
-    if let Sarg::Range { lo, hi } = &sarg {
-        let col_type = base.schema.columns[off].data_type;
-        for b in [lo, hi] {
-            if let Bound::Included(v) | Bound::Excluded(v) = b {
-                v.coerce(col_type)?;
+    // Range sargs therefore require a literal the column's type can
+    // represent, which the residual filter would otherwise handle via
+    // numeric coercion. Equality sargs are safe for any literal but a
+    // DATE against TEXT (see `eq_sargable`).
+    let col_type = base.schema.columns[off].data_type;
+    match &sarg {
+        Sarg::Eq(v) if !eq_sargable(v, col_type) => return None,
+        Sarg::Range { lo, hi } => {
+            for b in [lo, hi] {
+                if let Bound::Included(v) | Bound::Excluded(v) = b {
+                    v.coerce(col_type)?;
+                }
             }
         }
+        Sarg::Eq(_) => {}
     }
     Some(SargCandidate {
         col_idx: off,
@@ -853,6 +856,14 @@ fn sarg_of(
             .index_distinct(off)
             .unwrap_or_else(|| base.len().max(1)),
     })
+}
+
+/// Whether an index can answer `column = lit` for a column of type
+/// `col_type`. Not a DATE literal against TEXT: SQL equates it with
+/// every spelling that parses to that date (`'2024-1-5'` as well as
+/// `'2024-01-05'`), and an index holds each spelling as its own key.
+fn eq_sargable(lit: &Datum, col_type: DataType) -> bool {
+    !matches!((lit, col_type), (Datum::Date(_), DataType::Text))
 }
 
 /// Merge the range candidates on one column into a single two-sided
@@ -977,7 +988,9 @@ fn plan_pk_point(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> Option<P
         .columns
         .iter()
         .position(|c| eq_lowered(&c.name, col.1))?;
-    if base.schema.single_primary_key() != Some(col_idx) {
+    if base.schema.single_primary_key() != Some(col_idx)
+        || !eq_sargable(lit, base.schema.columns[col_idx].data_type)
+    {
         return None;
     }
     let mut layout = Layout::new();

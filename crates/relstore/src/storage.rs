@@ -1,71 +1,154 @@
-//! Heap table storage with B-tree primary and secondary indexes.
+//! Heap table storage with a hashed primary-key point index and B-tree
+//! range and secondary indexes.
 //!
 //! Rows live in slot-addressed heaps (`Vec<Option<Row>>`); deletion
 //! tombstones the slot so that slot ids stay stable for index entries
-//! and for the transaction undo log. Primary keys are enforced through
-//! a B-tree unique index; `CREATE INDEX` adds non-unique secondary
-//! B-trees used by the executor for equality lookups and range scans.
+//! and for the transaction undo log.
 //!
-//! Index keys are [`Datum`]s under their total order ([`Datum::cmp`]),
-//! held inline in the B-tree nodes: a probe hands in a `&Datum`, builds
-//! no key, and gets its slots back as a slice borrowed from the index.
+//! A primary key of any width is enforced, and answers `=`, through a
+//! point index: an open-addressing hash table whose buckets hold only a
+//! key's hash and its heap slot. The key is read back from the heap row,
+//! so the index keeps no second copy of it. A one-column primary key
+//! also keeps a B-tree from key to slot, which only range scans read.
+//! `CREATE INDEX` adds non-unique secondary B-trees used by the executor
+//! for equality lookups and range scans.
+//!
+//! B-tree keys are [`Datum`]s under their total order ([`Datum::cmp`]),
+//! held inline in the nodes. A probe of any index hands in a `&Datum`
+//! and gets its slots back as a slice borrowed from the index.
 
 use crate::schema::TableSchema;
-use crate::types::{Datum, Row};
+use crate::types::{format_date, parse_date, DataType, Datum, GroupKey, Row};
 use crate::{RelError, RelResult};
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Bound;
 
-/// The unique index over a table's primary-key columns. A one-column
-/// key is the datum itself; only composite keys pay for a `Vec`.
-#[derive(Debug, Clone)]
-enum PkIndex {
-    One(BTreeMap<Datum, usize>),
-    Many(BTreeMap<Vec<Datum>, usize>),
+/// One bucket of a [`PointIndex`]: a key's hash and the heap slot of
+/// its row, or [`VACANT`].
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    hash: u64,
+    slot: usize,
 }
 
-fn composite(row: &[Datum], cols: &[usize]) -> Vec<Datum> {
-    cols.iter().map(|&c| row[c].clone()).collect()
+/// The slot of a bucket that holds no entry; no heap reaches it.
+const VACANT: usize = usize::MAX;
+
+/// The primary key's point index: linear probing over a power-of-two
+/// bucket array, at most 7/8 full. Keys are hashed by their
+/// [`GroupKey`]s under a per-table random seed, so a client cannot
+/// choose keys that collide. The caller compares keys: every probe takes
+/// an `eq` test over heap slots. Deletion shifts the entries after the
+/// hole back, so no tombstones are left behind.
+#[derive(Debug, Clone, Default)]
+struct PointIndex {
+    buckets: Vec<Bucket>,
+    len: usize,
+    seed: RandomState,
 }
 
-impl PkIndex {
-    fn new(cols: &[usize]) -> PkIndex {
-        if cols.len() == 1 {
-            PkIndex::One(BTreeMap::new())
-        } else {
-            PkIndex::Many(BTreeMap::new())
+impl PointIndex {
+    /// The hash of a key given column by column.
+    fn hash<'k>(&self, key: impl IntoIterator<Item = GroupKey<'k>>) -> u64 {
+        let mut h = self.seed.build_hasher();
+        for k in key {
+            k.hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// The bucket holding an entry with `hash` whose slot `eq` accepts.
+    fn position(&self, hash: u64, mut eq: impl FnMut(usize) -> bool) -> Option<usize> {
+        let mask = self.buckets.len().checked_sub(1)?;
+        let mut i = hash as usize & mask;
+        loop {
+            let b = self.buckets[i];
+            if b.slot == VACANT {
+                return None;
+            }
+            if b.hash == hash && eq(b.slot) {
+                return Some(i);
+            }
+            i = (i + 1) & mask;
         }
     }
 
-    /// The slot holding the row whose key columns equal `row`'s.
-    fn get(&self, row: &[Datum], cols: &[usize]) -> Option<usize> {
-        match self {
-            PkIndex::One(m) => m.get(&row[cols[0]]).copied(),
-            PkIndex::Many(m) => m.get(&composite(row, cols)).copied(),
-        }
+    /// The slot of the entry with `hash` that `eq` accepts, borrowed
+    /// from the index.
+    fn get(&self, hash: u64, eq: impl FnMut(usize) -> bool) -> Option<&usize> {
+        self.position(hash, eq).map(|i| &self.buckets[i].slot)
     }
 
-    fn insert(&mut self, row: &[Datum], cols: &[usize], slot: usize) {
-        match self {
-            PkIndex::One(m) => m.insert(row[cols[0]].clone(), slot),
-            PkIndex::Many(m) => m.insert(composite(row, cols), slot),
+    /// Enter `slot` under `hash`; the caller has checked that its key is
+    /// absent.
+    fn insert(&mut self, hash: u64, slot: usize) {
+        if (self.len + 1) * 8 > self.buckets.len() * 7 {
+            let vacant = Bucket {
+                hash: 0,
+                slot: VACANT,
+            };
+            let grown = vec![vacant; (self.buckets.len() * 2).max(8)];
+            for b in std::mem::replace(&mut self.buckets, grown) {
+                if b.slot != VACANT {
+                    self.place(b);
+                }
+            }
+        }
+        self.place(Bucket { hash, slot });
+        self.len += 1;
+    }
+
+    /// Store `b` in the first vacant bucket from its home on.
+    fn place(&mut self, b: Bucket) {
+        let mask = self.buckets.len() - 1;
+        let mut i = b.hash as usize & mask;
+        while self.buckets[i].slot != VACANT {
+            i = (i + 1) & mask;
+        }
+        self.buckets[i] = b;
+    }
+
+    /// Remove the entry for `slot` under `hash`, then close the hole:
+    /// each later entry of the probe run moves back into it unless its
+    /// home bucket lies after the hole.
+    fn remove(&mut self, hash: u64, slot: usize) {
+        let Some(mut hole) = self.position(hash, |s| s == slot) else {
+            return;
         };
-    }
-
-    fn remove(&mut self, row: &[Datum], cols: &[usize]) {
-        match self {
-            PkIndex::One(m) => m.remove(&row[cols[0]]),
-            PkIndex::Many(m) => m.remove(&composite(row, cols)),
-        };
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            PkIndex::One(m) => m.len(),
-            PkIndex::Many(m) => m.len(),
+        self.len -= 1;
+        let mask = self.buckets.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let b = self.buckets[i];
+            if b.slot == VACANT {
+                break;
+            }
+            let home = b.hash as usize & mask;
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.buckets[hole] = b;
+                hole = i;
+            }
         }
+        self.buckets[hole].slot = VACANT;
+    }
+}
+
+/// `value` as a key of type `ty` stores it, for an equality probe: the
+/// conversions [`Datum::sql_cmp`] makes when it compares the two. Int
+/// and Double need none, as their [`GroupKey`]s already agree. `None`
+/// (NULL, or text that is no date) matches no key.
+fn probe_as(value: &Datum, ty: DataType) -> Option<Cow<'_, Datum>> {
+    match (value, ty) {
+        (Datum::Null, _) => None,
+        (Datum::Text(s), DataType::Date) => parse_date(s).map(|d| Cow::Owned(Datum::Date(d))),
+        (Datum::Date(d), DataType::Text) => Some(Cow::Owned(Datum::Text(format_date(*d)))),
+        _ => Some(Cow::Borrowed(value)),
     }
 }
 
@@ -135,9 +218,11 @@ pub struct Table {
     pub schema: TableSchema,
     slots: Vec<Option<Row>>,
     live: usize,
-    /// Unique index over the primary-key columns (if any are declared).
-    pk: Option<PkIndex>,
+    /// Point index over the primary-key columns (if any are declared).
+    pk: Option<PointIndex>,
     pk_cols: Vec<usize>,
+    /// A one-column primary key's B-tree, which only range scans read.
+    pk_range: Option<BTreeMap<Datum, usize>>,
     secondary: Vec<SecondaryIndex>,
 }
 
@@ -149,7 +234,8 @@ impl Table {
             schema,
             slots: Vec::new(),
             live: 0,
-            pk: (!pk_cols.is_empty()).then(|| PkIndex::new(&pk_cols)),
+            pk: (!pk_cols.is_empty()).then(PointIndex::default),
+            pk_range: (pk_cols.len() == 1).then(BTreeMap::new),
             pk_cols,
             secondary: Vec::new(),
         }
@@ -201,27 +287,75 @@ impl Table {
         Ok(row)
     }
 
+    /// The hash of `row`'s primary key in the point index (0 when the
+    /// table has no key). Writers take it once per row and pass it on.
+    fn key_hash(&self, row: &[Datum]) -> u64 {
+        self.pk.as_ref().map_or(0, |pk| {
+            pk.hash(self.pk_cols.iter().map(|&c| GroupKey::of(&row[c])))
+        })
+    }
+
+    /// True when a live row holds `row`'s primary key, whose hash is
+    /// `hash`.
+    fn key_taken(&self, row: &[Datum], hash: u64) -> bool {
+        let Some(pk) = &self.pk else {
+            return false;
+        };
+        let same = |slot: usize| {
+            self.slots[slot].as_ref().is_some_and(|r| {
+                self.pk_cols
+                    .iter()
+                    .all(|&c| GroupKey::of(&r[c]) == GroupKey::of(&row[c]))
+            })
+        };
+        pk.get(hash, same).is_some()
+    }
+
+    /// Enter `row`, stored or about to be stored in `slot`, in every
+    /// index; `hash` is its key's.
+    fn index_row(&mut self, row: &[Datum], hash: u64, slot: usize) {
+        if let Some(pk) = &mut self.pk {
+            pk.insert(hash, slot);
+        }
+        if let Some(range) = &mut self.pk_range {
+            range.insert(row[self.pk_cols[0]].clone(), slot);
+        }
+        for idx in &mut self.secondary {
+            idx.add(row, slot);
+        }
+    }
+
+    /// Remove `row`, held in `slot`, from every index.
+    fn unindex_row(&mut self, row: &[Datum], slot: usize) {
+        let hash = self.key_hash(row);
+        if let Some(pk) = &mut self.pk {
+            pk.remove(hash, slot);
+        }
+        if let Some(range) = &mut self.pk_range {
+            range.remove(&row[self.pk_cols[0]]);
+        }
+        for idx in &mut self.secondary {
+            idx.remove(row, slot);
+        }
+    }
+
     /// Insert a row, returning its slot id.
     pub fn insert(&mut self, row: Row) -> RelResult<usize> {
         let row = self.check_row(row)?;
+        let hash = self.key_hash(&row);
+        if self.key_taken(&row, hash) {
+            return Err(RelError::DuplicateKey(format!(
+                "{} in table {}",
+                self.pk_cols
+                    .iter()
+                    .map(|&c| row[c].to_string())
+                    .collect::<Vec<_>>()
+                    .join(","),
+                self.schema.name
+            )));
+        }
         let slot = self.slots.len();
-        if let Some(pk) = &mut self.pk {
-            if pk.get(&row, &self.pk_cols).is_some() {
-                return Err(RelError::DuplicateKey(format!(
-                    "{} in table {}",
-                    self.pk_cols
-                        .iter()
-                        .map(|&c| row[c].to_string())
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    self.schema.name
-                )));
-            }
-            pk.insert(&row, &self.pk_cols, slot);
-        }
-        for idx in &mut self.secondary {
-            idx.add(&row, slot);
-        }
+        self.index_row(&row, hash, slot);
         self.slots.push(Some(row));
         self.live += 1;
         Ok(slot)
@@ -231,12 +365,7 @@ impl Table {
     pub fn delete_slot(&mut self, slot: usize) -> Option<Row> {
         let row = self.slots.get_mut(slot)?.take()?;
         self.live -= 1;
-        if let Some(pk) = &mut self.pk {
-            pk.remove(&row, &self.pk_cols);
-        }
-        for idx in &mut self.secondary {
-            idx.remove(&row, slot);
-        }
+        self.unindex_row(&row, slot);
         Some(row)
     }
 
@@ -244,12 +373,7 @@ impl Table {
     /// (transaction rollback). The slot must be empty.
     pub fn restore_slot(&mut self, slot: usize, row: Row) {
         debug_assert!(self.slots[slot].is_none(), "restoring into a live slot");
-        if let Some(pk) = &mut self.pk {
-            pk.insert(&row, &self.pk_cols, slot);
-        }
-        for idx in &mut self.secondary {
-            idx.add(&row, slot);
-        }
+        self.index_row(&row, self.key_hash(&row), slot);
         self.slots[slot] = Some(row);
         self.live += 1;
     }
@@ -293,16 +417,21 @@ impl Table {
             .clone()
             .expect("update_slot targets a live slot");
         // Primary key change must stay unique.
-        if let Some(pk) = &mut self.pk {
-            if self.pk_cols.iter().any(|&c| old[c] != new_row[c]) {
-                if pk.get(&new_row, &self.pk_cols).is_some() {
-                    return Err(RelError::DuplicateKey(format!(
-                        "update collides in table {}",
-                        self.schema.name
-                    )));
-                }
-                pk.remove(&old, &self.pk_cols);
-                pk.insert(&new_row, &self.pk_cols, slot);
+        if self.pk_cols.iter().any(|&c| old[c] != new_row[c]) {
+            let (old_hash, hash) = (self.key_hash(&old), self.key_hash(&new_row));
+            if self.key_taken(&new_row, hash) {
+                return Err(RelError::DuplicateKey(format!(
+                    "update collides in table {}",
+                    self.schema.name
+                )));
+            }
+            if let Some(pk) = &mut self.pk {
+                pk.remove(old_hash, slot);
+                pk.insert(hash, slot);
+            }
+            if let Some(range) = &mut self.pk_range {
+                range.remove(&old[self.pk_cols[0]]);
+                range.insert(new_row[self.pk_cols[0]].clone(), slot);
             }
         }
         for idx in &mut self.secondary {
@@ -355,22 +484,34 @@ impl Table {
         self.secondary.len() != before
     }
 
-    /// The PK B-tree, when `column` alone is the primary key.
-    fn single_pk(&self, column: usize) -> Option<&BTreeMap<Datum, usize>> {
-        match (&self.pk, &self.pk_cols[..]) {
-            (Some(PkIndex::One(pk)), [pk_col]) if *pk_col == column => Some(pk),
-            _ => None,
-        }
-    }
-
-    /// Slots whose `column` equals `value`, via a secondary index or the
-    /// PK index when applicable. `None` means no usable index exists
-    /// (the executor falls back to a scan). The probe key is borrowed
-    /// from the caller and the slots from the index itself, so a lookup
-    /// allocates nothing.
+    /// Slots whose `column` equals `value`, via the point index when
+    /// `column` alone is the primary key, else via a secondary index.
+    /// `None` means no usable index exists (the executor falls back to a
+    /// scan). The probe key is borrowed from the caller and the slots
+    /// from the index itself, so a lookup allocates nothing.
+    ///
+    /// A primary-key probe matches the stored key whose [`GroupKey`]
+    /// equals the probe's, once the probe is converted to the column's
+    /// type as [`Datum::sql_cmp`] would compare it: Int and Double
+    /// through their shared key, a Text probe on a DATE key through
+    /// [`parse_date`], a Date probe on a TEXT key through
+    /// [`format_date`]. NULL, and text that is no date, match nothing.
+    /// The match is exact where `sql_cmp` is not: an Int/Double pair at
+    /// or above 2^53 matches only the key holding that very integer, as
+    /// equi-joins do.
     pub fn index_lookup(&self, column: usize, value: &Datum) -> Option<&[usize]> {
-        if let Some(pk) = self.single_pk(column) {
-            return Some(pk.get(value).map(std::slice::from_ref).unwrap_or_default());
+        if self.pk_cols == [column] {
+            let pk = self.pk.as_ref()?;
+            let hit = probe_as(value, self.schema.columns[column].data_type).and_then(|probe| {
+                let key = GroupKey::of(&probe);
+                let same = |slot: usize| {
+                    self.slots[slot]
+                        .as_ref()
+                        .is_some_and(|r| GroupKey::of(&r[column]) == key)
+                };
+                pk.get(pk.hash([key.clone()]), same)
+            });
+            return Some(hit.map(std::slice::from_ref).unwrap_or_default());
         }
         self.secondary
             .iter()
@@ -379,10 +520,10 @@ impl Table {
     }
 
     /// The kind of index usable for point/range access on `column`,
-    /// if any: the PK B-tree (single-column primary keys only) or the
-    /// first secondary index over that column.
+    /// if any: the primary key's (one-column keys only) or the first
+    /// secondary index over that column.
     pub fn index_kind(&self, column: usize) -> Option<IndexKind> {
-        if self.schema.single_primary_key() == Some(column) {
+        if self.pk_cols == [column] {
             return Some(IndexKind::PrimaryKey);
         }
         self.secondary
@@ -395,8 +536,8 @@ impl Table {
     /// when no usable index exists. The planner uses this to estimate
     /// equality-sarg selectivity as `len() / distinct`.
     pub fn index_distinct(&self, column: usize) -> Option<usize> {
-        if self.schema.single_primary_key() == Some(column) {
-            return self.pk.as_ref().map(PkIndex::len);
+        if self.pk_cols == [column] {
+            return Some(self.live);
         }
         self.secondary
             .iter()
@@ -406,11 +547,12 @@ impl Table {
 
     /// Lightweight planner statistics: live row count plus the distinct
     /// key count of every index (PK and secondary), keyed by column
-    /// position. Maintained for free by the B-tree indexes themselves.
+    /// position. A primary key has one key per live row; a secondary
+    /// B-tree counts its own keys.
     pub fn stats(&self) -> TableStats {
         let mut column_distinct = Vec::new();
-        if let (Some(col), Some(pk)) = (self.schema.single_primary_key(), self.pk.as_ref()) {
-            column_distinct.push((col, pk.len()));
+        if let [col] = self.pk_cols[..] {
+            column_distinct.push((col, self.live));
         }
         for s in &self.secondary {
             if !column_distinct.iter().any(|&(c, _)| c == s.column) {
@@ -456,7 +598,7 @@ impl Table {
             }
             _ => false,
         };
-        if let Some(pk) = self.single_pk(column) {
+        if let Some(pk) = self.pk_range.as_ref().filter(|_| self.pk_cols == [column]) {
             if inverted {
                 return Some(Vec::new());
             }
@@ -477,7 +619,7 @@ impl Table {
 /// Which index structure serves an access path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// The unique primary-key B-tree.
+    /// The primary key's point index, and its B-tree for ranges.
     PrimaryKey,
     /// A non-unique secondary B-tree.
     Secondary,
@@ -651,6 +793,152 @@ mod tests {
         t.restore_slot(s, r);
         assert_eq!(t.len(), 1);
         assert_eq!(t.index_lookup(0, &Datum::Int(1)).unwrap(), vec![s]);
+    }
+
+    /// The `(hash, slot)` entries of `ix` must each be found from their
+    /// home bucket, and the index must hold nothing else.
+    fn assert_holds(ix: &PointIndex, entries: &[(u64, usize)]) {
+        for &(hash, slot) in entries {
+            assert_eq!(ix.get(hash, |s| s == slot), Some(&slot), "{hash}/{slot}");
+        }
+        let occupied = ix.buckets.iter().filter(|b| b.slot != VACANT).count();
+        assert_eq!((ix.len, occupied), (entries.len(), entries.len()));
+    }
+
+    #[test]
+    fn point_index_wraps_around_and_shifts_back_on_delete() {
+        let mut ix = PointIndex::default();
+        // Eight buckets: hashes 7 and 15 share home 7, so their run
+        // wraps past the end into 0, 1 and 2, over hash 0's home.
+        let mut entries = vec![(7, 10), (15, 11), (7, 12), (6, 13), (0, 14)];
+        for &(hash, slot) in &entries {
+            ix.insert(hash, slot);
+        }
+        assert_eq!(ix.buckets.len(), 8);
+        let at: Vec<usize> = ix.buckets.iter().map(|b| b.slot).collect();
+        assert_eq!(at, [11, 12, 14, VACANT, VACANT, VACANT, 13, 10]);
+        // Deleting the run's head pulls each later entry back one step,
+        // across the wrap, and leaves bucket 2 vacant, not a tombstone.
+        ix.remove(7, 10);
+        entries.retain(|&e| e != (7, 10));
+        let at: Vec<usize> = ix.buckets.iter().map(|b| b.slot).collect();
+        assert_eq!(at, [12, 14, VACANT, VACANT, VACANT, VACANT, 13, 11]);
+        assert_holds(&ix, &entries);
+        // An entry already at its home stays; later ones whose home lies
+        // after the hole do too.
+        ix.remove(6, 13);
+        entries.retain(|&e| e != (6, 13));
+        assert_eq!(ix.buckets[7].slot, 11);
+        assert_holds(&ix, &entries);
+        // A miss whose home is inside the run stops at the first vacancy.
+        assert_eq!(ix.get(7, |s| s == 99), None);
+        // Removing an absent entry changes nothing.
+        ix.remove(0, 99);
+        assert_holds(&ix, &entries);
+    }
+
+    #[test]
+    fn point_index_agrees_with_a_list_under_colliding_hashes() {
+        webfindit_base::prop::cases(64, |rng| {
+            let mut ix = PointIndex::default();
+            let mut live: Vec<(u64, usize)> = Vec::new();
+            for slot in 0..rng.gen_range(1..200usize) {
+                // Four hashes low and high: long runs, wrapped, and
+                // entries displaced across the resizes.
+                let hash = rng.gen_range(0..4u64) * (1 << rng.gen_range(0..3u32)) + u64::MAX / 2;
+                if !live.is_empty() && rng.gen_bool(0.4) {
+                    let (h, s) = live.swap_remove(rng.gen_range(0..live.len()));
+                    ix.remove(h, s);
+                }
+                ix.insert(hash, slot);
+                live.push((hash, slot));
+                assert!(ix.len * 8 <= ix.buckets.len() * 7);
+            }
+            assert_holds(&ix, &live);
+            while let Some((h, s)) = live.pop() {
+                ix.remove(h, s);
+                assert_holds(&ix, &live);
+            }
+        });
+    }
+
+    #[test]
+    fn pk_probes_convert_to_the_key_type() {
+        let mut t = Table::new(TableSchema::new(
+            "k",
+            vec![
+                Column::new("d", DataType::Double).primary_key(),
+                Column::new("day", DataType::Date),
+            ],
+        ));
+        let s = t.insert(vec![Datum::Int(3), Datum::Null]).unwrap();
+        let hit = |t: &Table, col, v: Datum| t.index_lookup(col, &v).unwrap().to_vec();
+        assert_eq!(hit(&t, 0, Datum::Int(3)), [s]);
+        assert_eq!(hit(&t, 0, Datum::Double(3.0)), [s]);
+        assert!(hit(&t, 0, Datum::Double(3.5)).is_empty());
+        assert!(hit(&t, 0, Datum::Text("3".into())).is_empty());
+        assert!(hit(&t, 0, Datum::Null).is_empty());
+        for (ty, stored, probe, found) in [
+            (
+                DataType::Date,
+                "2024-01-05",
+                Datum::Text("2024-01-05".into()),
+                true,
+            ),
+            (
+                DataType::Date,
+                "2024-01-05",
+                Datum::Text("2024-1-5".into()),
+                true,
+            ),
+            (
+                DataType::Date,
+                "2024-01-05",
+                Datum::Text("someday".into()),
+                false,
+            ),
+            (DataType::Text, "2024-01-05", Datum::Date(19727), true),
+            (DataType::Text, "2024-1-5", Datum::Date(19727), false),
+        ] {
+            let mut t = Table::new(TableSchema::new(
+                "k",
+                vec![Column::new("k", ty).primary_key()],
+            ));
+            let s = t.insert(vec![Datum::Text(stored.into())]).unwrap();
+            let want: &[usize] = if found { &[s] } else { &[] };
+            assert_eq!(hit(&t, 0, probe.clone()), want, "{ty} {stored} {probe:?}");
+        }
+    }
+
+    #[test]
+    fn composite_keys_are_unique_through_the_point_index() {
+        let mut t = Table::new(TableSchema::new(
+            "visit",
+            vec![
+                Column::new("patient", DataType::Int).primary_key(),
+                Column::new("day", DataType::Date).primary_key(),
+            ],
+        ));
+        let row = |p: i64, d: &str| vec![Datum::Int(p), Datum::Text(d.into())];
+        let s = t.insert(row(1, "2024-01-05")).unwrap();
+        t.insert(row(1, "2024-01-06")).unwrap();
+        t.insert(row(2, "2024-01-05")).unwrap();
+        assert!(matches!(
+            t.insert(row(1, "2024-1-5")),
+            Err(RelError::DuplicateKey(_))
+        ));
+        // A composite key serves no single-column probe or range.
+        assert!(t.index_lookup(0, &Datum::Int(1)).is_none());
+        assert!(t
+            .index_range(0, Bound::Unbounded, Bound::Unbounded)
+            .is_none());
+        assert!(matches!(
+            t.update_slot(s, row(2, "2024-01-05")),
+            Err(RelError::DuplicateKey(_))
+        ));
+        let old = t.delete_slot(s).unwrap();
+        t.insert(row(1, "2024-01-05")).unwrap();
+        assert!(matches!(t.insert(old), Err(RelError::DuplicateKey(_))));
     }
 
     #[test]

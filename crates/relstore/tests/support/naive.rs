@@ -6,8 +6,8 @@
 //! the planner's crate-private helpers without widening them.
 
 use super::{cmp_sort_keys, row_key, ResultSet};
-use crate::expr::{eval, eval_true, AggFunc, BinOp, EvalContext, Expr};
-use crate::plan::{conjuncts, equi_join_offsets, expand_items, lookup, Layout};
+use crate::expr::{eval, eval_true, AggFunc, EvalContext, Expr};
+use crate::plan::{equi_join_offsets, expand_items, lookup, Layout};
 use crate::sql::ast::{Join, JoinKind, OrderKey, SelectStmt};
 use crate::storage::Table;
 use crate::types::{Datum, GroupKey, Row};
@@ -49,25 +49,6 @@ impl<'a> EvalContext<'a> for GroupRow<'a> {
             .map(|(_, v)| v)
             .ok_or_else(|| RelError::AggregateMisuse("aggregate not precomputed".into()))
     }
-}
-
-/// If `expr` is `col = literal` (either side), return them. Used only
-/// by the naive reference executor; the planner's sarg extraction in
-/// `plan.rs` is qualifier-aware.
-fn eq_col_literal(expr: &Expr) -> Option<(&str, &Datum)> {
-    if let Expr::Binary {
-        op: BinOp::Eq,
-        left,
-        right,
-    } = expr
-    {
-        match (&**left, &**right) {
-            (Expr::Column { name, .. }, Expr::Literal(d)) => return Some((name, d)),
-            (Expr::Literal(d), Expr::Column { name, .. }) => return Some((name, d)),
-            _ => {}
-        }
-    }
-    None
 }
 
 /// Evaluate an ORDER BY key: a bare column naming an output alias sorts
@@ -139,8 +120,7 @@ fn aggregate_rows(
 /// Execute a SELECT with the vector-at-a-time reference interpreter.
 ///
 /// The semantic reference: the differential property tests assert the
-/// pipelined executor produces the same rows. Indexes are only
-/// consulted for single-table equality predicates.
+/// pipelined executor produces the same rows. It consults no index.
 pub fn execute_select_naive(
     stmt: &SelectStmt,
     tables: &HashMap<String, Table>,
@@ -153,27 +133,9 @@ pub fn execute_select_naive(
         &base.schema.columns,
     );
 
-    // Index-assisted base scan: single-table query with an indexable
-    // equality conjunct.
-    let mut rows: Vec<Row> = if stmt.joins.is_empty() {
-        let mut indexed: Option<Vec<Row>> = None;
-        if let Some(filter) = &stmt.filter {
-            for c in conjuncts(filter) {
-                if let Some((col, value)) = eq_col_literal(c) {
-                    if let Some(ci) = base.schema.column_index(col) {
-                        if let Some(slots) = base.index_lookup(ci, value) {
-                            indexed =
-                                Some(slots.iter().filter_map(|&s| base.row(s).cloned()).collect());
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        indexed.unwrap_or_else(|| base.scan().map(|(_, r)| r.clone()).collect())
-    } else {
-        base.scan().map(|(_, r)| r.clone()).collect()
-    };
+    // The reference reads the heap only: it must not lean on the
+    // indexes whose answers it checks.
+    let mut rows: Vec<Row> = base.scan().map(|(_, r)| r.clone()).collect();
 
     for join in &stmt.joins {
         rows = apply_join(rows, &mut layout, join, tables)?;

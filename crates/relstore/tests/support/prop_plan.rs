@@ -486,6 +486,141 @@ fn planned_executor_matches_the_naive_reference() {
     });
 }
 
+/// At least four distinct values from `pool`, in a random order.
+fn some_of<'p>(rng: &mut StdRng, pool: &[&'p str]) -> Vec<&'p str> {
+    let mut v = pool.to_vec();
+    rng.shuffle(&mut v);
+    v.truncate(rng.gen_range(4..=pool.len()));
+    v
+}
+
+const DAYS: [&str; 6] = [
+    "'2024-01-04'",
+    "'2024-01-05'",
+    "'2024-1-5'",
+    "'2024-01-06'",
+    "'2024-1-7'",
+    "'2024-01-08'",
+];
+
+/// Tables keyed on each type, `ki` INT, `kd` DOUBLE, `kt` TEXT and
+/// `kday` DATE (`k PRIMARY KEY, v INT`), and `src`, whose nullable
+/// columns `i` INT, `d` DOUBLE, `day` DATE and `t` TEXT join them.
+/// TEXT keys and `t` hold two spellings of some days. `src` holds at
+/// most three rows and a keyed table at least three, so every join the
+/// key types allow is an index join.
+fn gen_keyed_db(rng: &mut StdRng) -> Database {
+    let mut db = Database::new("keyed", Dialect::Canonical);
+    let ints: Vec<String> = (0..12).map(|n| n.to_string()).collect();
+    let doubles: Vec<String> = (0..6)
+        .flat_map(|n| [format!("{n}.0"), format!("{n}.5")])
+        .collect();
+    let texts = ["'ward'", "'icu'", "'4'"];
+    let pools: [(&str, &str, Vec<&str>); 4] = [
+        ("ki", "INT", ints.iter().map(String::as_str).collect()),
+        ("kd", "DOUBLE", doubles.iter().map(String::as_str).collect()),
+        ("kt", "TEXT", DAYS.iter().chain(&texts).copied().collect()),
+        ("kday", "DATE", DAYS.to_vec()),
+    ];
+    for (name, ty, pool) in &pools {
+        db.execute(&format!("CREATE TABLE {name} (k {ty} PRIMARY KEY, v INT)"))
+            .unwrap();
+        for (v, k) in some_of(rng, pool).iter().enumerate() {
+            // Two spellings of one day are one DATE key.
+            let _ = db.execute(&format!("INSERT INTO {name} VALUES ({k}, {v})"));
+        }
+    }
+    db.execute("CREATE TABLE src (id INT PRIMARY KEY, i INT, d DOUBLE, day DATE, t TEXT)")
+        .unwrap();
+    for id in 0..rng.gen_range(0..4usize) {
+        let mut cell = |values: &[&str]| -> String {
+            if rng.gen_bool(0.15) {
+                "NULL".to_owned()
+            } else {
+                pick(rng, values).to_string()
+            }
+        };
+        let i = cell(&["0", "3", "5", "11", "12"]);
+        let d = cell(&["0.0", "3.0", "3.5", "5", "11.0"]);
+        let day = cell(&DAYS);
+        let t = cell(&[
+            "'2024-01-05'",
+            "'2024-1-5'",
+            "'2024-01-08'",
+            "'ward'",
+            "'4'",
+        ]);
+        db.execute(&format!(
+            "INSERT INTO src VALUES ({id}, {i}, {d}, {day}, {t})"
+        ))
+        .unwrap();
+    }
+    db
+}
+
+/// Primary-key points and joins whose literal or probe type differs
+/// from the key's (`k = 3.0` on INT, an integer on DOUBLE, text on
+/// DATE, a DATE on TEXT), planned against the reference, which reads
+/// only the heap. A join of numeric or same-typed keys runs as an index
+/// join; any other pair, a DATE column against a TEXT key among them,
+/// hash-joins under `GroupKey` equality, where no DATE equals a TEXT. A
+/// point on a key runs as an index scan, except a DATE literal on TEXT,
+/// which equals every spelling of its day.
+#[test]
+fn cross_type_key_probes_match_the_naive_reference() {
+    cases(60, |rng| {
+        let db = gen_keyed_db(rng);
+        let n = rng.gen_range(0..7usize);
+        let day = *pick(rng, &DAYS);
+        let points = [
+            (format!("SELECT * FROM ki WHERE k = {n}.0"), true),
+            (format!("SELECT * FROM ki WHERE k = {n}.5"), true),
+            (format!("SELECT * FROM ki WHERE k = {n}"), true),
+            (format!("SELECT v FROM kd WHERE k = {n}"), true),
+            (format!("SELECT v FROM kd WHERE {n}.5 = k"), true),
+            (format!("SELECT v FROM kday WHERE k = {day}"), true),
+            (format!("SELECT v FROM kday WHERE k = DATE {day}"), true),
+            (format!("SELECT v FROM kt WHERE k = {day}"), true),
+            (format!("SELECT v FROM kt WHERE k = '{n}'"), true),
+            (format!("SELECT v FROM kt WHERE k = DATE {day}"), false),
+            (format!("SELECT * FROM ki WHERE k = '{n}'"), true),
+        ];
+        let joins = [
+            ("ki", "src.d", "index join"),
+            ("kd", "src.i", "index join"),
+            ("kday", "src.day", "index join"),
+            ("kt", "src.t", "index join"),
+            ("kt", "src.day", "hash join"),
+            ("kday", "src.t", "hash join"),
+            ("ki", "src.t", "hash join"),
+        ];
+        let mut queries: Vec<(String, Option<&str>)> = Vec::new();
+        for (sql, indexed) in points {
+            queries.push((sql, Some(if indexed { "index scan" } else { "seq scan" })));
+        }
+        for (table, col, op) in joins {
+            let kind = *pick(rng, &["JOIN", "LEFT JOIN"]);
+            let sql =
+                format!("SELECT src.id, {table}.v FROM src {kind} {table} ON {col} = {table}.k");
+            queries.push((sql, (kind == "JOIN").then_some(op)));
+        }
+        for (sql, op) in queries {
+            let planned = db
+                .select(&parse_statement(&sql).unwrap())
+                .unwrap_or_else(|e| panic!("planned {sql}: {e}"));
+            let naive = run_naive(&db, &sql).unwrap_or_else(|e| panic!("naive {sql}: {e}"));
+            assert_eq!(multiset(&planned.0.rows), multiset(&naive.rows), "{sql}");
+            if let Some(op) = op {
+                assert!(
+                    planned.1.operators.contains(&op),
+                    "{sql}: {:?}",
+                    planned.1.operators
+                );
+            }
+        }
+    });
+}
+
 /// Build a small fixed database whose queries exercise every physical
 /// operator at least once.
 fn fixed_db() -> Database {

@@ -25,7 +25,7 @@ pub const ACQUIRE_CALLS: [&str; 3] = ["lock", "read", "write"];
 /// invocations, frame I/O, connection establishment. A live guard at
 /// one of these is a `guard-across-blocking` finding; reachability of
 /// one from the reactor thread is a `reactor-blocking` finding.
-pub const BLOCKING_TOKENS: [&str; 16] = [
+pub const BLOCKING_TOKENS: [&str; 15] = [
     ".invoke(",
     ".invoke_with(",
     "invoke_codb(",
@@ -38,7 +38,6 @@ pub const BLOCKING_TOKENS: [&str; 16] = [
     ".send_message(",
     ".recv_message(",
     "TcpStream::connect",
-    ".locate(",
     ".call(",
     ".sync_all(",
     ".sync_data(",
@@ -47,7 +46,7 @@ pub const BLOCKING_TOKENS: [&str; 16] = [
 /// Method names whose callee is a blocking token in its own right; call
 /// sites with these names are covered by the direct
 /// guard-across-blocking rule, so the transitive rule skips them.
-pub const BLOCKING_CALL_NAMES: [&str; 16] = [
+pub const BLOCKING_CALL_NAMES: [&str; 15] = [
     "invoke",
     "invoke_with",
     "invoke_codb",
@@ -60,7 +59,6 @@ pub const BLOCKING_CALL_NAMES: [&str; 16] = [
     "send_message",
     "recv_message",
     "connect",
-    "locate",
     "call",
     "sync_all",
     "sync_data",
