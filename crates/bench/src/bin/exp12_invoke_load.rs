@@ -25,8 +25,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use webfindit_bench::{header, percentile};
-use webfindit_orb::servant::EchoServant;
-use webfindit_orb::{Orb, OrbConfig, OrbDomain};
+use webfindit_orb::servant::{echo, EchoServant};
+use webfindit_orb::{Operation, Orb, OrbConfig, OrbDomain};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{self, GiopMessage};
 use webfindit_wire::transport::FramedTcp;
@@ -160,7 +160,7 @@ fn conn_worker(
             let msg = giop::request(
                 id,
                 object_key.to_vec(),
-                "echo",
+                echo::Echo::NAME,
                 vec![Value::Long(id as i32)],
             );
             let frame = match msg.encode(order) {

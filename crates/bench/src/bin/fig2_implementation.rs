@@ -4,7 +4,7 @@
 //! connects proxy to database — by interrogating the running system:
 //! the ISI servants report their own bridge kind over IIOP.
 
-use webfindit::wire::Value;
+use webfindit::isi;
 use webfindit_bench::header;
 use webfindit_healthcare::build_healthcare;
 
@@ -20,24 +20,16 @@ fn main() {
     for site_name in dep.fed.site_names() {
         let site = dep.fed.site(&site_name).expect("site");
         // Ask the live ISI servant which bridge it uses (a real GIOP call).
+        let ior = &site.isi_ior;
         let bridge = dep
             .fed
-            .client_orb()
-            .invoke(&site.isi_ior, "bridge", &[])
-            .ok()
-            .and_then(|v| v.as_str().map(str::to_owned))
-            .unwrap_or_else(|| "?".into());
+            .call(ior, isi::Bridge {})
+            .unwrap_or_else(|_| "?".into());
         let product = dep
             .fed
-            .client_orb()
-            .invoke(&site.isi_ior, "interface_of", &[])
-            .ok()
-            .and_then(|v| {
-                v.field("product")
-                    .and_then(Value::as_str)
-                    .map(str::to_owned)
-            })
-            .unwrap_or_else(|| site.product.clone());
+            .call(ior, isi::InterfaceOf {})
+            .map(|interface| interface.product)
+            .unwrap_or_else(|_| site.product.clone());
         println!(
             "{:<28} {:<12} {:<12} {:<24} {}",
             site.name, product, site.orb_name, bridge, site.url

@@ -23,6 +23,7 @@
 
 pub mod descriptor;
 pub mod evolution;
+mod marshal;
 pub mod metadata;
 
 pub use descriptor::{ExportedFunction, ExportedType, InformationSource};

@@ -18,14 +18,12 @@
 
 use crate::discovery::{DiscoveryOutcome, DiscoveryStats, Lead};
 use crate::federation::Federation;
-use crate::servants::CoDatabaseServant;
-use crate::servants::{link_to_value, value_to_link};
-use crate::value_map::{descriptor_to_value, value_to_strings};
+use crate::servants::{codb, CoDatabaseServant};
 use crate::{WebfinditError, WfResult};
 use std::sync::Arc;
 use webfindit_base::sync::RwLock;
 use webfindit_codb::CoDatabase;
-use webfindit_wire::{Ior, Value};
+use webfindit_wire::Ior;
 
 /// The no-organization baseline: ask everyone, every time.
 pub struct FlatBroadcast {
@@ -52,31 +50,28 @@ impl FlatBroadcast {
                 Err(_) => continue,
             };
             stats.codb_queries += 1;
-            if let Ok(v) = self
-                .fed
-                .invoke(&ior, "find_coalitions", &[Value::string(topic)])
-            {
-                for name in value_to_strings(&v)? {
-                    leads.push(Lead::Coalition {
-                        name,
-                        via_site: site.clone(),
-                        distance: 1,
-                    });
-                }
+            let topic = topic.to_owned();
+            let find = codb::FindCoalitions {
+                topic: topic.clone(),
+            };
+            for name in self.fed.call(&ior, find).unwrap_or_default() {
+                leads.push(Lead::Coalition {
+                    name,
+                    via_site: site.clone(),
+                    distance: 1,
+                });
             }
             stats.codb_queries += 1;
-            if let Ok(v) = self.fed.invoke(&ior, "find_links", &[Value::string(topic)]) {
-                if let Some(seq) = v.as_sequence() {
-                    for l in seq {
-                        if let Ok(link) = value_to_link(l) {
-                            leads.push(Lead::Link {
-                                link,
-                                via_site: site.clone(),
-                                distance: 1,
-                            });
-                        }
-                    }
-                }
+            for link in self
+                .fed
+                .call(&ior, codb::FindLinks { topic })
+                .unwrap_or_default()
+            {
+                leads.push(Lead::Link {
+                    link,
+                    via_site: site.clone(),
+                    distance: 1,
+                });
             }
         }
         if !leads.is_empty() {
@@ -140,15 +135,12 @@ impl CentralIndex {
             };
             for (coalition, doc, descriptors) in coalition_data {
                 registration_calls += 1;
-                match fed.invoke(
-                    &central_ior,
-                    "create_coalition",
-                    &[
-                        Value::string(coalition.clone()),
-                        Value::Null,
-                        Value::Str(doc),
-                    ],
-                ) {
+                let create = codb::CreateCoalition {
+                    name: coalition.clone(),
+                    parent: None,
+                    documentation: doc,
+                };
+                match fed.call(&central_ior, create) {
                     Ok(_) => {}
                     Err(WebfinditError::Orb(webfindit_orb::OrbError::RemoteException {
                         system: false,
@@ -158,11 +150,11 @@ impl CentralIndex {
                 }
                 for d in &descriptors {
                     registration_calls += 1;
-                    match fed.invoke(
-                        &central_ior,
-                        "advertise",
-                        &[Value::string(coalition.clone()), descriptor_to_value(d)],
-                    ) {
+                    let advertise = codb::Advertise {
+                        coalition: coalition.clone(),
+                        descriptor: d.clone(),
+                    };
+                    match fed.call(&central_ior, advertise) {
                         Ok(_) => {}
                         Err(WebfinditError::Orb(webfindit_orb::OrbError::RemoteException {
                             system: false,
@@ -174,7 +166,7 @@ impl CentralIndex {
             }
             for link in &links {
                 registration_calls += 1;
-                match fed.invoke(&central_ior, "add_link", &[link_to_value(link)]) {
+                match fed.call(&central_ior, codb::AddLink { link: link.clone() }) {
                     Ok(_) => {}
                     Err(WebfinditError::Orb(webfindit_orb::OrbError::RemoteException {
                         system: false,
@@ -198,12 +190,14 @@ impl CentralIndex {
             ..Default::default()
         };
         stats.codb_queries += 1;
-        let v = self.fed.invoke(
-            &self.central_ior,
-            "find_coalitions",
-            &[Value::string(topic)],
-        )?;
-        let mut leads: Vec<Lead> = value_to_strings(&v)?
+        let ior = &self.central_ior;
+        let topic = topic.to_owned();
+        let find = codb::FindCoalitions {
+            topic: topic.clone(),
+        };
+        let mut leads: Vec<Lead> = self
+            .fed
+            .call(ior, find)?
             .into_iter()
             .map(|name| Lead::Coalition {
                 name,
@@ -212,18 +206,12 @@ impl CentralIndex {
             })
             .collect();
         stats.codb_queries += 1;
-        let lv = self
-            .fed
-            .invoke(&self.central_ior, "find_links", &[Value::string(topic)])?;
-        if let Some(seq) = lv.as_sequence() {
-            for l in seq {
-                let link = value_to_link(l).map_err(|e| WebfinditError::Protocol(e.to_string()))?;
-                leads.push(Lead::Link {
-                    link,
-                    via_site: "central-index".into(),
-                    distance: 1,
-                });
-            }
+        for link in self.fed.call(ior, codb::FindLinks { topic })? {
+            leads.push(Lead::Link {
+                link,
+                via_site: "central-index".into(),
+                distance: 1,
+            });
         }
         if !leads.is_empty() {
             stats.found_at_level = Some(1);

@@ -65,15 +65,15 @@
 
 use crate::failure::{degrade_reason, is_breaker_rejection};
 use crate::federation::Federation;
-use crate::servants::{link_to_value, value_to_link};
-use crate::value_map::{strings_to_value, value_to_strings};
+use crate::servants::codb;
 use crate::{WebfinditError, WfResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use webfindit_base::sync::Mutex;
 use webfindit_codb::{CoDatabase, LinkEnd, ServiceLink};
-use webfindit_wire::{Ior, Value};
+use webfindit_wire::marshal::{read_field, read_record, write_field, write_record};
+use webfindit_wire::{CdrReader, CdrWriter, Ior, Marshal, WireError, WireResult};
 
 /// What a discovery found.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,10 +174,13 @@ impl DiscoveryOutcome {
 /// service links advertising it or, when there are none, the sites its
 /// inter-relationships point at.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct TopicAnswer {
-    coalitions: Vec<String>,
-    links: Vec<ServiceLink>,
-    expansion: Vec<String>,
+pub struct TopicAnswer {
+    /// Coalitions advertising the topic.
+    pub coalitions: Vec<String>,
+    /// Service links whose description matches it.
+    pub links: Vec<ServiceLink>,
+    /// With no leads: the sites to visit next.
+    pub expansion: Vec<String>,
 }
 
 impl TopicAnswer {
@@ -228,53 +231,52 @@ impl TopicAnswer {
 }
 
 /// A co-database's reply to `probe(topic, known)`: its version stamp
-/// alone when `known` is that stamp, else the stamp and its answer.
-pub(crate) fn probe_reply(codb: &CoDatabase, topic: &str, known: Option<i64>) -> Value {
-    let version = codb.version() as i64;
-    if known == Some(version) {
-        return Value::record([("version", Value::LongLong(version))]);
-    }
-    let answer = TopicAnswer::of(codb, topic);
-    Value::record([
-        ("version", Value::LongLong(version)),
-        ("coalitions", strings_to_value(answer.coalitions)),
-        (
-            "links",
-            Value::Sequence(answer.links.iter().map(link_to_value).collect()),
-        ),
-        ("expansion", strings_to_value(answer.expansion)),
-    ])
+/// alone when `known` is that stamp, else the stamp and its answer. On
+/// the wire, the record `{version: LongLong}` or `{version, coalitions,
+/// links, expansion}`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProbeReply {
+    /// The co-database's version stamp.
+    pub version: u64,
+    /// Its answer, unless the caller holds the current stamp.
+    pub answer: Option<TopicAnswer>,
 }
 
-/// Read a [`probe_reply`]: the stamp, and the answer unless the reply
-/// carries the stamp alone.
-fn read_probe_reply(reply: &Value) -> WfResult<(u64, Option<TopicAnswer>)> {
-    let malformed = |what: &str| WebfinditError::Protocol(format!("probe reply without {what}"));
-    let version = reply
-        .field("version")
-        .and_then(Value::as_i64)
-        .ok_or_else(|| malformed("a version"))? as u64;
-    let Some(coalitions) = reply.field("coalitions") else {
-        return Ok((version, None));
-    };
-    let links = reply
-        .field("links")
-        .and_then(Value::as_sequence)
-        .ok_or_else(|| malformed("links"))?
-        .iter()
-        .map(|l| value_to_link(l).map_err(|e| WebfinditError::Protocol(e.to_string())))
-        .collect::<WfResult<_>>()?;
-    let expansion = reply
-        .field("expansion")
-        .ok_or_else(|| malformed("an expansion"))?;
-    Ok((
-        version,
-        Some(TopicAnswer {
-            coalitions: value_to_strings(coalitions)?,
-            links,
-            expansion: value_to_strings(expansion)?,
-        }),
-    ))
+impl ProbeReply {
+    /// Answer a probe of `codb`.
+    pub(crate) fn of(codb: &CoDatabase, topic: &str, known: Option<i64>) -> ProbeReply {
+        let version = codb.version();
+        let answer = (known != Some(version as i64)).then(|| TopicAnswer::of(codb, topic));
+        ProbeReply { version, answer }
+    }
+}
+
+impl Marshal for ProbeReply {
+    fn write(&self, w: &mut CdrWriter) -> WireResult<()> {
+        write_record(w, if self.answer.is_some() { 4 } else { 1 });
+        write_field(w, "version", &(self.version as i64))?;
+        let Some(answer) = &self.answer else {
+            return Ok(());
+        };
+        write_field(w, "coalitions", &answer.coalitions)?;
+        write_field(w, "links", &answer.links)?;
+        write_field(w, "expansion", &answer.expansion)
+    }
+
+    fn read(r: &mut CdrReader<'_>) -> WireResult<ProbeReply> {
+        let fields = read_record(r, "probe reply")?;
+        let version = read_field::<i64>(r, "version")? as u64;
+        let answer = match fields {
+            1 => None,
+            4 => Some(TopicAnswer {
+                coalitions: read_field(r, "coalitions")?,
+                links: read_field(r, "links")?,
+                expansion: read_field(r, "expansion")?,
+            }),
+            _ => return Err(WireError::Shape("probe reply")),
+        };
+        Ok(ProbeReply { version, answer })
+    }
 }
 
 /// Cached answers of one co-database, all valid for one version stamp.
@@ -453,20 +455,21 @@ impl DiscoveryEngine {
                 Err(e) => probe.fail(depth, &WebfinditError::Orb(e)),
             }
         }
-        let calls: Vec<(&Ior, Vec<Value>)> = targets
+        let calls: Vec<(&Ior, codb::Probe)> = targets
             .iter()
             .map(|(_, ior, cached)| {
-                let known = cached
-                    .as_ref()
-                    .map_or(Value::Null, |(v, _)| Value::LongLong(*v as i64));
-                (ior, vec![Value::string(topic), known])
+                let probe = codb::Probe {
+                    topic: topic.to_owned(),
+                    known: cached.as_ref().map(|(v, _)| *v as i64),
+                };
+                (ior, probe)
             })
             .collect();
-        let replies = self.fed.invoke_all("probe", &calls);
+        let replies = self.fed.call_all(&calls);
         for ((i, _, cached), reply) in targets.into_iter().zip(replies) {
             let probe = &mut probes[i];
             probe.codb_queries += 1;
-            match reply.and_then(|r| self.answer(&probe.site, topic, &r, cached)) {
+            match reply.and_then(|r| self.answer(&probe.site, topic, r, cached)) {
                 Ok(answer) => probe.answer = Some(answer),
                 Err(e) => {
                     // The cached reference (if any) is unusable and the
@@ -487,11 +490,11 @@ impl DiscoveryEngine {
         &self,
         site: &str,
         topic: &str,
-        reply: &Value,
+        reply: ProbeReply,
         cached: Option<(u64, TopicAnswer)>,
     ) -> WfResult<TopicAnswer> {
         let metrics = self.fed.discovery_metrics();
-        match (read_probe_reply(reply)?, cached) {
+        match ((reply.version, reply.answer), cached) {
             ((version, Some(fresh)), _) => {
                 metrics.codb_cache_misses.fetch_add(1, Ordering::Relaxed);
                 self.codb_cache.store(site, version, topic, fresh.clone());
@@ -705,12 +708,20 @@ mod tests {
         })
         .unwrap();
         let version = codb.version();
+        let order = webfindit_wire::ByteOrder::LittleEndian;
+        let round_trip = |reply: ProbeReply| {
+            let mut w = CdrWriter::new(order);
+            reply.write(&mut w).unwrap();
+            let bytes = w.into_bytes();
+            ProbeReply::read(&mut CdrReader::new(&bytes, order)).unwrap()
+        };
         for topic in ["medical research", "tax data", "welfare"] {
-            let (stamp, fresh) = read_probe_reply(&probe_reply(&codb, topic, None)).unwrap();
-            assert_eq!(stamp, version);
-            assert_eq!(fresh, Some(TopicAnswer::of(&codb, topic)), "{topic}");
-            let confirmed = probe_reply(&codb, topic, Some(version as i64));
-            assert_eq!(read_probe_reply(&confirmed).unwrap(), (version, None));
+            let full = round_trip(ProbeReply::of(&codb, topic, None));
+            assert_eq!(full.version, version);
+            assert_eq!(full.answer, Some(TopicAnswer::of(&codb, topic)), "{topic}");
+            let confirmed = round_trip(ProbeReply::of(&codb, topic, Some(version as i64)));
+            let answer = None;
+            assert_eq!(confirmed, ProbeReply { version, answer });
         }
         // No leads for welfare: the answer is the expansion — coalition
         // members, then the link's ends (a coalition by its members).
@@ -719,7 +730,8 @@ mod tests {
             TopicAnswer::of(&codb, "welfare").expansion,
             vec![rbh.clone(), rbh, "ATO".into()]
         );
-        assert!(read_probe_reply(&Value::Null).is_err());
+        let null = [webfindit_wire::value::tag::NULL];
+        assert!(ProbeReply::read(&mut CdrReader::new(&null, order)).is_err());
     }
 
     #[test]

@@ -19,8 +19,7 @@ use crate::discovery::DiscoveryMetrics;
 use crate::docs::DocStore;
 use crate::failure::is_breaker_rejection;
 use crate::fedquery::FedMetrics;
-use crate::servants::{link_to_value, CoDatabaseServant, IsiServant, StallGate};
-use crate::value_map::{descriptor_to_value, value_to_strings};
+use crate::servants::{codb, CoDatabaseServant, IsiServant, StallGate};
 use crate::{WebfinditError, WfResult};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -32,10 +31,10 @@ use webfindit_oostore::method::MethodTable;
 use webfindit_oostore::ObjectStore;
 use webfindit_orb::chaos::{ChaosHost, ChaosRegistry, ChaosTargets};
 use webfindit_orb::naming::{IorCache, NamingClient, NamingService, NAMING_OBJECT_KEY};
-use webfindit_orb::{CallOptions, Invocation, Orb, OrbConfig, OrbDomain};
+use webfindit_orb::{CallOptions, Operation, Orb, OrbConfig, OrbDomain};
 use webfindit_relstore::{Database, Dialect};
 use webfindit_wire::cdr::ByteOrder;
-use webfindit_wire::{CdrReader, Ior, Value};
+use webfindit_wire::{Ior, Value};
 
 /// Which product a site runs, deciding dialect, URL scheme, and bridge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,56 +257,37 @@ impl Federation {
         *self.call_options.write() = options;
     }
 
-    /// Invoke an operation through the client ORB under the
-    /// federation-wide [`CallOptions`]. All query-layer components
-    /// (discovery, query processor, baselines) route through this, so a
-    /// deadline set on the federation bounds every remote hop.
+    /// Invoke `operation` by name through the client ORB under the
+    /// federation-wide [`CallOptions`]: CORBA's Dynamic Invocation
+    /// Interface, for callers that only know the operation at run time.
     pub fn invoke(&self, ior: &Ior, operation: &str, args: &[Value]) -> WfResult<Value> {
-        self.invoke_as(ior, operation, args, |r| Ok(Value::decode(r)?))
+        let options = self.call_options();
+        Ok(self
+            .bootstrap_orb
+            .invoke_with(ior, operation, args, &options)?)
     }
 
-    /// [`Federation::invoke`] with the caller's decoder of a successful
-    /// result (see [`Orb::invoke_as`]).
-    pub fn invoke_as<T>(
-        &self,
-        ior: &Ior,
-        operation: &str,
-        args: &[Value],
-        decode: impl Fn(&mut CdrReader<'_>) -> WfResult<T>,
-    ) -> WfResult<T> {
-        self.bootstrap_orb
-            .invoke_as(ior, operation, args, &self.call_options(), decode)
+    /// Send the typed operation `op` to `ior` through the client ORB
+    /// under the federation-wide [`CallOptions`]. Every query-layer
+    /// component (discovery, query processor, baselines) routes through
+    /// here or [`Federation::call_all`], so a deadline set on the
+    /// federation bounds every remote hop.
+    pub fn call<O: Operation>(&self, ior: &Ior, op: O) -> WfResult<O::Reply>
+    where
+        WebfinditError: From<O::Error>,
+    {
+        Ok(self.bootstrap_orb.call(ior, op, &self.call_options())?)
     }
 
-    /// Pipeline `operation` on every `(target, args)` through the client
-    /// ORB under the federation-wide [`CallOptions`] (see
-    /// [`Orb::invoke_all`]); the outcomes come back in call order.
-    pub fn invoke_all(
-        &self,
-        operation: &str,
-        calls: &[(&Ior, Vec<Value>)],
-    ) -> Vec<WfResult<Value>> {
-        self.invoke_all_as(operation, calls, |r| Ok(Value::decode(r)?))
-    }
-
-    /// [`Federation::invoke_all`] with the caller's decoder of each
-    /// successful result (see [`Orb::invoke_all_as`]).
-    pub fn invoke_all_as<T>(
-        &self,
-        operation: &str,
-        calls: &[(&Ior, Vec<Value>)],
-        decode: impl Fn(&mut CdrReader<'_>) -> WfResult<T>,
-    ) -> Vec<WfResult<T>> {
-        let calls: Vec<Invocation<'_>> = calls
-            .iter()
-            .map(|(target, args)| Invocation {
-                target,
-                operation,
-                args,
-            })
-            .collect();
-        self.bootstrap_orb
-            .invoke_all_as(&calls, &self.call_options(), decode)
+    /// Pipeline every `(target, op)` through the client ORB under the
+    /// federation-wide [`CallOptions`] (see [`Orb::call_all`]); the
+    /// outcomes come back in call order.
+    pub fn call_all<O: Operation>(&self, calls: &[(&Ior, O)]) -> Vec<WfResult<O::Reply>>
+    where
+        WebfinditError: From<O::Error>,
+    {
+        let out = self.bootstrap_orb.call_all(calls, &self.call_options());
+        out.into_iter().map(|r| Ok(r?)).collect()
     }
 
     /// A naming-service client over the wire, backed by the
@@ -464,10 +444,6 @@ impl Federation {
 
     // ---- metadata propagation (all via ORB invocations) ----------------
 
-    fn invoke_codb(&self, site: &SiteHandle, op: &str, args: &[Value]) -> WfResult<Value> {
-        self.invoke(&site.codb_ior, op, args)
-    }
-
     /// Form (or extend) a coalition: every member's co-database gets the
     /// coalition class and descriptions of *all* members.
     ///
@@ -486,14 +462,12 @@ impl Federation {
             .map(|m| self.site(m))
             .collect::<WfResult<_>>()?;
         for member in &handles {
-            let mut args = vec![Value::string(name)];
-            if let Some(p) = parent {
-                args.push(Value::string(p));
-            } else {
-                args.push(Value::Null);
-            }
-            args.push(Value::string(documentation));
-            match self.invoke_codb(member, "create_coalition", &args) {
+            let create = codb::CreateCoalition {
+                name: name.to_owned(),
+                parent: parent.map(str::to_owned),
+                documentation: documentation.to_owned(),
+            };
+            match self.call(&member.codb_ior, create) {
                 Ok(_) => {}
                 Err(WebfinditError::Orb(webfindit_orb::OrbError::RemoteException {
                     system: false,
@@ -503,11 +477,11 @@ impl Federation {
             }
             calls += 1;
             for other in &handles {
-                match self.invoke_codb(
-                    member,
-                    "advertise",
-                    &[Value::string(name), descriptor_to_value(&other.descriptor)],
-                ) {
+                let advertise = codb::Advertise {
+                    coalition: name.to_owned(),
+                    descriptor: other.descriptor.clone(),
+                };
+                match self.call(&member.codb_ior, advertise) {
                     Ok(_) => {}
                     Err(WebfinditError::Orb(webfindit_orb::OrbError::RemoteException {
                         system: false,
@@ -547,17 +521,17 @@ impl Federation {
     pub fn leave_coalition(&self, site: &str, coalition: &str) -> WfResult<u64> {
         let leaver = self.site(site)?;
         let mut calls = 0;
-        // Snapshot the handles first: invoke_codb goes over IIOP, and
+        // Snapshot the handles first: a call goes over IIOP, and
         // iterating `values()` directly would hold the sites read guard
         // across every one of those blocking calls.
         let handles: Vec<SiteHandle> = self.sites.read().values().cloned().collect();
         for s in &handles {
             calls += 1;
-            match self.invoke_codb(
-                s,
-                "withdraw",
-                &[Value::string(coalition), Value::string(&leaver.name)],
-            ) {
+            let withdraw = codb::Withdraw {
+                coalition: coalition.to_owned(),
+                source: leaver.name.clone(),
+            };
+            match self.call(&s.codb_ior, withdraw) {
                 Ok(_) => {}
                 Err(WebfinditError::Orb(webfindit_orb::OrbError::RemoteException {
                     system: false,
@@ -590,20 +564,24 @@ impl Federation {
     /// each `(co-database, coalition)` pair in one pipelined batch. A
     /// co-database that cannot answer is skipped.
     pub(crate) fn members_union(&self, asks: &[(Ior, &str)]) -> WfResult<Vec<String>> {
-        let calls: Vec<(&Ior, Vec<Value>)> = asks
+        let calls: Vec<(&Ior, codb::Members)> = asks
             .iter()
-            .map(|(codb, coalition)| (codb, vec![Value::string(*coalition)]))
+            .map(|(ior, coalition)| {
+                (
+                    ior,
+                    codb::Members {
+                        coalition: coalition.to_string(),
+                    },
+                )
+            })
             .collect();
         let answers = crate::wave::batched(
             &calls,
             calls.len(),
-            |batch| self.invoke_all("members", batch),
+            |batch| self.call_all(batch),
             |answer| answer.as_ref().is_err_and(is_breaker_rejection),
         );
-        let mut union: Vec<String> = Vec::new();
-        for members in answers.into_iter().flatten() {
-            union.extend(value_to_strings(&members)?);
-        }
+        let mut union: Vec<String> = answers.into_iter().flatten().flatten().collect();
         union.sort();
         union.dedup();
         Ok(union)
@@ -654,7 +632,7 @@ impl Federation {
             let other = 1 - side;
             for name in involved {
                 let Ok(site) = self.site(name) else { continue };
-                match self.invoke_codb(&site, "add_link", &[link_to_value(link)]) {
+                match self.call(&site.codb_ior, codb::AddLink { link: link.clone() }) {
                     Ok(_) => calls += 1,
                     Err(WebfinditError::Orb(webfindit_orb::OrbError::RemoteException {
                         system: false,
@@ -666,15 +644,12 @@ impl Federation {
                 if let (LinkEnd::Coalition(other_coalition), Some((_, contact_desc))) =
                     (ends[other], &contact_by_end[other])
                 {
-                    match self.invoke_codb(
-                        &site,
-                        "create_coalition",
-                        &[
-                            Value::string(other_coalition.clone()),
-                            Value::Null,
-                            Value::string(link.description.clone()),
-                        ],
-                    ) {
+                    let create = codb::CreateCoalition {
+                        name: other_coalition.clone(),
+                        parent: None,
+                        documentation: link.description.clone(),
+                    };
+                    match self.call(&site.codb_ior, create) {
                         Ok(_) => calls += 1,
                         Err(WebfinditError::Orb(webfindit_orb::OrbError::RemoteException {
                             system: false,
@@ -682,14 +657,11 @@ impl Federation {
                         })) if description.contains("already exists") => {}
                         Err(e) => return Err(e),
                     }
-                    match self.invoke_codb(
-                        &site,
-                        "advertise",
-                        &[
-                            Value::string(other_coalition.clone()),
-                            descriptor_to_value(contact_desc),
-                        ],
-                    ) {
+                    let advertise = codb::Advertise {
+                        coalition: other_coalition.clone(),
+                        descriptor: contact_desc.clone(),
+                    };
+                    match self.call(&site.codb_ior, advertise) {
                         Ok(_) => calls += 1,
                         Err(WebfinditError::Orb(webfindit_orb::OrbError::RemoteException {
                             system: false,

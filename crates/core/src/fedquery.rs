@@ -45,6 +45,7 @@
 use crate::discovery::DiscoveryEngine;
 use crate::failure::{degrade_reason, is_breaker_rejection, SiteFailure};
 use crate::federation::Federation;
+use crate::servants::isi;
 use crate::trace::{Layer, Trace};
 use crate::value_map::{read_head, read_oid, read_row_len, table_fields};
 use crate::{WebfinditError, WfResult};
@@ -53,7 +54,7 @@ use std::sync::Arc;
 use webfindit_tassili::ast::{Arg, FedScope, Literal, Predicate, SemiJoin, Statement};
 use webfindit_tassili::translate::{access_call_to_oql, access_call_to_sql};
 use webfindit_wire::value::tag;
-use webfindit_wire::{CdrReader, Ior, Value};
+use webfindit_wire::{CdrReader, Ior, Trailing, Value};
 
 /// A member excluded at plan time: `(site, reason)`. Skips are not
 /// degradation — the site is healthy, it just does not export the
@@ -443,22 +444,25 @@ impl FedExecutor {
             .iter()
             .map(|plan| Ok(nc.resolve(&format!("isi/{}", plan.site))?))
             .collect();
-        let calls: Vec<(&Ior, Vec<Value>)> = targets
+        let keyed = kind == Wave::Build;
+        let read = |r: &mut CdrReader<'_>| read_shipped(r, keyed);
+        let max_rows = match kind {
+            Wave::Ship(Some(n)) => Some(n.min(u32::MAX as u64) as u32),
+            _ => None,
+        };
+        let calls: Vec<(&Ior, isi::Execute<_>)> = targets
             .iter()
             .zip(plans)
             .filter_map(|(target, plan)| {
-                let mut args = vec![Value::string(plan.native.clone())];
-                if let Wave::Ship(Some(n)) = kind {
-                    args.push(Value::ULong(n.min(u32::MAX as u64) as u32));
-                }
-                Some((target.as_ref().ok()?, args))
+                let execute = isi::Execute {
+                    text: plan.native.clone(),
+                    max_rows: Trailing(max_rows),
+                    read,
+                };
+                Some((target.as_ref().ok()?, execute))
             })
             .collect();
-        let keyed = kind == Wave::Build;
-        let mut answers = self
-            .fed
-            .invoke_all_as("execute", &calls, |r| read_shipped(r, keyed))
-            .into_iter();
+        let mut answers = self.fed.call_all(&calls).into_iter();
         targets
             .into_iter()
             .map(|target| {

@@ -56,7 +56,7 @@ pub use failure::SiteFailure;
 pub use federation::{Federation, SiteHandle, SiteSpec};
 pub use fedquery::{FedExecutor, FedOutcome, FedPlan, FedStats};
 pub use processor::{Processor, Response};
-pub use servants::StallGate;
+pub use servants::{codb, isi, StallGate};
 pub use session::BrowserSession;
 pub use trace::{Layer, Trace, TraceEvent};
 /// Re-export of the communication layer (needed by deployments for

@@ -10,15 +10,16 @@ use crate::discovery::{DiscoveryEngine, Lead};
 use crate::docs::{DocFormat, Document};
 use crate::federation::Federation;
 use crate::fedquery::{FedExecutor, FedOutcome};
+use crate::servants::{codb, isi};
 use crate::session::BrowserSession;
 use crate::trace::{Layer, Trace};
-use crate::value_map::{is_result_set, read_result_set, value_to_descriptor, value_to_strings};
+use crate::value_map::{is_result_set, read_result_set};
 use crate::{WebfinditError, WfResult};
 use std::sync::Arc;
 use webfindit_codb::{InformationSource, LinkEnd, ServiceLink};
 use webfindit_relstore::exec::ResultSet;
 use webfindit_tassili::{parse, translate_invoke_to_sql, Statement};
-use webfindit_wire::{CdrReader, Ior, Value};
+use webfindit_wire::{CdrReader, Ior, Trailing, Value};
 
 /// What the processor hands back to the browser.
 #[derive(Debug, Clone, PartialEq)]
@@ -239,20 +240,16 @@ impl Processor {
             }
             Statement::DisplaySubclasses { class } => {
                 let ior = self.connected_codb(session)?;
-                let v = self
-                    .fed
-                    .invoke(&ior, "subclasses", &[Value::string(class.clone())])?;
-                Response::Subclasses(value_to_strings(&v)?)
+                let class = class.clone();
+                Response::Subclasses(self.fed.call(&ior, codb::Subclasses { class })?)
             }
             Statement::DisplayInstances { class } => {
                 let ior = self.connected_codb(session)?;
                 if let Some(t) = trace.as_deref_mut() {
                     t.event(Layer::Metadata, format!("listing instances of {class}"));
                 }
-                let v = self
-                    .fed
-                    .invoke(&ior, "members", &[Value::string(class.clone())])?;
-                Response::Instances(value_to_strings(&v)?)
+                let coalition = class.clone();
+                Response::Instances(self.fed.call(&ior, codb::Members { coalition })?)
             }
             Statement::DisplayDocument { instance, .. } => {
                 let (descriptor, _) = self.find_descriptor(session, instance)?;
@@ -324,13 +321,12 @@ impl Processor {
                 documentation,
             } => {
                 let site = self.fed.site(&session.site)?;
-                let mut args = vec![Value::string(name.clone())];
-                args.push(match parent {
-                    Some(p) => Value::string(p.clone()),
-                    None => Value::Null,
-                });
-                args.push(Value::string(documentation.clone().unwrap_or_default()));
-                self.fed.invoke(&site.codb_ior, "create_coalition", &args)?;
+                let create = codb::CreateCoalition {
+                    name: name.clone(),
+                    parent: parent.clone(),
+                    documentation: documentation.clone().unwrap_or_default(),
+                };
+                self.fed.call(&site.codb_ior, create)?;
                 Response::Ack {
                     message: format!("coalition {name} created at {}", site.name),
                     calls: 1,
@@ -341,11 +337,8 @@ impl Processor {
                 for site_name in self.fed.site_names() {
                     let site = self.fed.site(&site_name)?;
                     calls += 1;
-                    match self.fed.invoke(
-                        &site.codb_ior,
-                        "dissolve_coalition",
-                        &[Value::string(name.clone())],
-                    ) {
+                    let dissolve = codb::DissolveCoalition { name: name.clone() };
+                    match self.fed.call(&site.codb_ior, dissolve) {
                         Ok(_) => {}
                         Err(WebfinditError::Orb(webfindit_orb::OrbError::RemoteException {
                             system: false,
@@ -469,11 +462,9 @@ impl Processor {
             let Ok(ior) = self.codb_ior_of(&site) else {
                 continue;
             };
-            if let Ok(v) = self
-                .fed
-                .invoke(&ior, "descriptor", &[Value::string(instance)])
-            {
-                return Ok((value_to_descriptor(&v)?, site));
+            let source = instance.to_owned();
+            if let Ok(descriptor) = self.fed.call(&ior, codb::Descriptor { source }) {
+                return Ok((descriptor, site));
             }
         }
         Err(WebfinditError::UnknownSite(instance.to_owned()))
@@ -495,9 +486,12 @@ impl Processor {
                 self.fed.client_orb().metrics().snapshot().iter(),
             );
         }
-        let response =
-            self.fed
-                .invoke_as(&ior, "execute", &[Value::string(query)], decode_isi_output)?;
+        let execute = isi::Execute {
+            text: query.to_owned(),
+            max_rows: Trailing(None),
+            read: decode_isi_output,
+        };
+        let response = self.fed.call(&ior, execute)?;
         if let Some(t) = trace {
             // The site's ISI servant counts the data-layer work it does;
             // annotate the Data-layer event with its totals.
@@ -519,10 +513,13 @@ fn decode_isi_output(r: &mut CdrReader<'_>) -> WfResult<Response> {
     }
     let v = Value::decode(r)?;
     if v.field("object_rows").is_some() {
-        let columns = value_to_strings(
-            v.field("columns")
-                .ok_or_else(|| WebfinditError::Protocol("missing columns".into()))?,
-        )?;
+        let columns = v
+            .field("columns")
+            .and_then(Value::as_sequence)
+            .ok_or_else(|| WebfinditError::Protocol("missing columns".into()))?
+            .iter()
+            .map(|c| c.to_string())
+            .collect();
         let mut rows = Vec::new();
         if let Some(seq) = v.field("rows").and_then(Value::as_sequence) {
             for r in seq {

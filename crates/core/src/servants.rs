@@ -4,81 +4,129 @@
 //! server object. [`CoDatabaseServant`] exports a co-database's metadata
 //! operations; [`IsiServant`] is the Information Source Interface — the
 //! wrapper through which actual data queries reach a database over its
-//! JDBC/JNI/native bridge.
+//! JDBC/JNI/native bridge. Each interface is declared once, below: the
+//! declaration generates the servant's skeleton and the client types
+//! ([`codb`], [`isi`]) that callers send.
 
-use crate::discovery::probe_reply;
-use crate::value_map::{
-    descriptor_to_value, strings_to_value, value_to_descriptor, write_object_rows, write_ovalue,
-    write_result_set, TableWriter,
-};
+use crate::discovery::ProbeReply;
+use crate::value_map::{write_object_rows, write_result_set, TableWriter};
 use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use webfindit_base::sync::RwLock;
-use webfindit_codb::{CoDatabase, LinkEnd, ServiceLink};
+use webfindit_codb::evolution::DissolutionReport;
+use webfindit_codb::{CoDatabase, InformationSource, ServiceLink};
 use webfindit_connect::{
     CompensatingConnection, ConnectError, Connection, DriverManager, QueryOutput,
 };
 use webfindit_oostore::OValue;
-use webfindit_orb::servant::{InvokeResult, Servant, ServantError};
+use webfindit_orb::servant::ServantError;
 use webfindit_relstore::{Datum, RowSink};
-use webfindit_wire::{ByteOrder, CdrReader, CdrWriter, Value};
+use webfindit_wire::marshal::{read_field, read_record_of, write_field, write_record};
+use webfindit_wire::{CdrReader, CdrWriter, Marshal, Rest, Trailing, WireResult};
 
-/// Interface id of co-database servants.
-pub const CODB_INTERFACE_ID: &str = "IDL:webfindit/CoDatabase:1.0";
-/// Interface id of information-source-interface servants.
-pub const ISI_INTERFACE_ID: &str = "IDL:webfindit/InformationSource:1.0";
-
-fn arg_str(args: &[Value], i: usize, what: &str) -> Result<String, ServantError> {
-    args.get(i)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| ServantError::BadArguments(format!("argument {i} must be {what}")))
+webfindit_orb::interface! {
+    /// The co-database server object's operations: metadata lookups,
+    /// one discovery visit (`probe`), and the WebTassili maintenance
+    /// constructs.
+    pub trait CoDatabaseOperations for CoDatabaseServant as codb = "IDL:webfindit/CoDatabase:1.0" {
+        /// The owning site's name.
+        Owner: fn owner() -> String;
+        /// The version stamp, bumped by every registration.
+        Version: fn version() -> i64;
+        /// One discovery visit: the stamp alone when `known` is current,
+        /// else the stamp and the answer for `topic`.
+        Probe: fn probe(topic: String, known: Option<i64>) -> ProbeReply;
+        /// Coalitions advertising `topic`.
+        FindCoalitions: fn find_coalitions(topic: String) -> Vec<String>;
+        /// Service links whose description matches `topic`.
+        FindLinks: fn find_links(topic: String) -> Vec<ServiceLink>;
+        /// Direct subclasses of a coalition.
+        Subclasses: fn subclasses(class: String) -> Vec<String>;
+        /// A coalition's documentation.
+        CoalitionDocumentation: fn coalition_documentation(class: String) -> String;
+        /// A coalition's member databases.
+        Members: fn members(coalition: String) -> Vec<String>;
+        /// The coalitions a database belongs to.
+        Memberships: fn memberships(source: String) -> Vec<String>;
+        /// Every database this co-database describes.
+        Sources: fn sources() -> Vec<String>;
+        /// A database's advertisement.
+        Descriptor: fn descriptor(source: String) -> InformationSource;
+        /// Every service link recorded here.
+        ServiceLinks: fn service_links() -> Vec<ServiceLink>;
+        /// Create a coalition, under `parent` or the lattice root.
+        CreateCoalition: fn create_coalition(name: String, parent: Option<String>, documentation: String) -> ();
+        /// Dissolve a coalition and its sub-coalitions.
+        DissolveCoalition: fn dissolve_coalition(name: String) -> DissolutionReport;
+        /// Record `descriptor` as a member of `coalition`.
+        Advertise: fn advertise(coalition: String, descriptor: InformationSource) -> ();
+        /// End `source`'s membership of `coalition`.
+        Withdraw: fn withdraw(coalition: String, source: String) -> ();
+        /// Record a service link.
+        AddLink: fn add_link(link: ServiceLink) -> ();
+    }
 }
 
-fn opt_arg_str(args: &[Value], i: usize) -> Option<String> {
-    args.get(i).and_then(Value::as_str).map(str::to_owned)
+webfindit_orb::interface! {
+    /// The Information Source Interface's operations. A data-layer answer
+    /// (a table, a count, a value) is written by the servant, and its
+    /// caller supplies the decoder.
+    pub trait InformationSourceOperations for IsiServant as isi = "IDL:webfindit/InformationSource:1.0" {
+        /// The source's product, instance, tables and classes.
+        InterfaceOf: fn interface_of() -> SourceInterface;
+        /// The bridge the wrapper reaches the source through.
+        Bridge: fn bridge() -> String;
+    }
+    writes {
+        /// Run a native query, returning at most `max_rows` rows. The
+        /// federated executor pushes LIMIT down this way because not
+        /// every vendor dialect can fold a row limit into the shipped
+        /// text (mSQL has none).
+        Execute: fn execute(text: String, max_rows: Trailing<u32>);
+        /// Invoke a `Class.method` of an object source.
+        InvokeFunction: fn invoke_function(method: String, arguments: Rest<OValue>);
+        /// Begin a transaction.
+        Begin: fn begin();
+        /// Commit the open transaction.
+        Commit: fn commit();
+        /// Roll the open transaction back.
+        Rollback: fn rollback();
+    }
 }
 
-/// Encode a service link as a wire struct.
-pub fn link_to_value(l: &ServiceLink) -> Value {
-    let end = |e: &LinkEnd| match e {
-        LinkEnd::Coalition(n) => ("coalition", n.clone()),
-        LinkEnd::Database(n) => ("database", n.clone()),
-    };
-    let (fk, fname) = end(&l.from);
-    let (tk, tname) = end(&l.to);
-    Value::record([
-        ("from_kind", Value::string(fk)),
-        ("from", Value::Str(fname)),
-        ("to_kind", Value::string(tk)),
-        ("to", Value::Str(tname)),
-        ("description", Value::string(l.description.clone())),
-    ])
+/// What `interface_of` answers: the record `{product, instance, tables:
+/// [CREATE TABLE …], classes: [name]}`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SourceInterface {
+    /// Product name (`"Oracle"`, `"ObjectStore"`, …).
+    pub product: String,
+    /// Instance name.
+    pub instance: String,
+    /// Each relational table as its `CREATE TABLE` statement.
+    pub tables: Vec<String>,
+    /// Object-store class names.
+    pub classes: Vec<String>,
 }
 
-/// Decode a service link from a wire struct.
-pub fn value_to_link(v: &Value) -> Result<ServiceLink, ServantError> {
-    let get = |name: &str| -> Result<String, ServantError> {
-        v.field(name)
-            .and_then(Value::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| ServantError::BadArguments(format!("link missing {name}")))
-    };
-    let end = |kind: &str, name: String| -> Result<LinkEnd, ServantError> {
-        match kind {
-            "coalition" => Ok(LinkEnd::Coalition(name)),
-            "database" => Ok(LinkEnd::Database(name)),
-            other => Err(ServantError::BadArguments(format!(
-                "unknown link end kind {other}"
-            ))),
-        }
-    };
-    Ok(ServiceLink {
-        from: end(&get("from_kind")?, get("from")?)?,
-        to: end(&get("to_kind")?, get("to")?)?,
-        description: get("description")?,
-    })
+impl Marshal for SourceInterface {
+    fn write(&self, w: &mut CdrWriter) -> WireResult<()> {
+        write_record(w, 4);
+        write_field(w, "product", &self.product)?;
+        write_field(w, "instance", &self.instance)?;
+        write_field(w, "tables", &self.tables)?;
+        write_field(w, "classes", &self.classes)
+    }
+
+    fn read(r: &mut CdrReader<'_>) -> WireResult<SourceInterface> {
+        read_record_of(r, 4, "source interface")?;
+        Ok(SourceInterface {
+            product: read_field(r, "product")?,
+            instance: read_field(r, "instance")?,
+            tables: read_field(r, "tables")?,
+            classes: read_field(r, "classes")?,
+        })
+    }
 }
 
 /// A shared stall gate: while set, the owning servant holds every
@@ -143,172 +191,99 @@ fn codb_err(e: webfindit_codb::CodbError) -> ServantError {
     ServantError::Application(e.to_string())
 }
 
-impl Servant for CoDatabaseServant {
-    fn interface_id(&self) -> &str {
-        CODB_INTERFACE_ID
-    }
-
-    fn invoke(&self, operation: &str, args: &[Value]) -> InvokeResult {
+impl CoDatabaseOperations for CoDatabaseServant {
+    fn admit(&self) {
         self.stall.wait();
-        match operation {
-            "owner" => Ok(Value::string(self.codb.read().owner().to_owned())),
-            "version" => Ok(Value::LongLong(self.codb.read().version() as i64)),
-            // One discovery visit: see `crate::discovery::probe_reply`.
-            "probe" => {
-                let topic = arg_str(args, 0, "an information type")?;
-                let known = args.get(1).and_then(Value::as_i64);
-                Ok(probe_reply(&self.codb.read(), &topic, known))
-            }
-            "find_coalitions" => {
-                let topic = arg_str(args, 0, "an information type")?;
-                Ok(strings_to_value(self.codb.read().find_coalitions(&topic)))
-            }
-            "find_links" => {
-                let topic = arg_str(args, 0, "an information type")?;
-                let codb = self.codb.read();
-                Ok(Value::Sequence(
-                    codb.find_links(&topic)
-                        .into_iter()
-                        .map(link_to_value)
-                        .collect(),
-                ))
-            }
-            "subclasses" => {
-                let class = arg_str(args, 0, "a class name")?;
-                self.codb
-                    .read()
-                    .subclasses(&class)
-                    .map(strings_to_value)
-                    .map_err(codb_err)
-            }
-            "coalition_documentation" => {
-                let class = arg_str(args, 0, "a class name")?;
-                self.codb
-                    .read()
-                    .coalition_documentation(&class)
-                    .map(Value::Str)
-                    .map_err(codb_err)
-            }
-            "members" => {
-                let coalition = arg_str(args, 0, "a coalition name")?;
-                self.codb
-                    .read()
-                    .members(&coalition)
-                    .map(strings_to_value)
-                    .map_err(codb_err)
-            }
-            "memberships" => {
-                let source = arg_str(args, 0, "a source name")?;
-                Ok(strings_to_value(self.codb.read().memberships(&source)))
-            }
-            "sources" => Ok(strings_to_value(self.codb.read().sources())),
-            "descriptor" => {
-                let source = arg_str(args, 0, "a source name")?;
-                self.codb
-                    .read()
-                    .descriptor(&source)
-                    .map(descriptor_to_value)
-                    .map_err(codb_err)
-            }
-            "service_links" => Ok(Value::Sequence(
-                self.codb
-                    .read()
-                    .service_links()
-                    .iter()
-                    .map(link_to_value)
-                    .collect(),
-            )),
-            // ---- management (WebTassili maintenance constructs) ----
-            "create_coalition" => {
-                let name = arg_str(args, 0, "a coalition name")?;
-                let parent = opt_arg_str(args, 1);
-                let documentation = opt_arg_str(args, 2).unwrap_or_default();
-                self.codb
-                    .write()
-                    .create_coalition(&name, parent.as_deref(), &documentation)
-                    .map(|_| Value::Void)
-                    .map_err(codb_err)
-            }
-            "dissolve_coalition" => {
-                let name = arg_str(args, 0, "a coalition name")?;
-                self.codb
-                    .write()
-                    .dissolve_coalition(&name)
-                    .map(|report| {
-                        Value::record([
-                            (
-                                "removed_coalitions",
-                                strings_to_value(report.removed_coalitions),
-                            ),
-                            (
-                                "displaced_sources",
-                                strings_to_value(report.displaced_sources),
-                            ),
-                            ("severed_links", Value::ULong(report.severed_links as u32)),
-                        ])
-                    })
-                    .map_err(codb_err)
-            }
-            "advertise" => {
-                let coalition = arg_str(args, 0, "a coalition name")?;
-                let descriptor = args
-                    .get(1)
-                    .ok_or_else(|| ServantError::BadArguments("missing descriptor".into()))?;
-                let source = value_to_descriptor(descriptor)
-                    .map_err(|e| ServantError::BadArguments(e.to_string()))?;
-                self.codb
-                    .write()
-                    .advertise(&coalition, source)
-                    .map(|_| Value::Void)
-                    .map_err(codb_err)
-            }
-            "withdraw" => {
-                let coalition = arg_str(args, 0, "a coalition name")?;
-                let source = arg_str(args, 1, "a source name")?;
-                self.codb
-                    .write()
-                    .withdraw(&coalition, &source)
-                    .map(|_| Value::Void)
-                    .map_err(codb_err)
-            }
-            "add_link" => {
-                let link = value_to_link(
-                    args.first()
-                        .ok_or_else(|| ServantError::BadArguments("missing link".into()))?,
-                )?;
-                self.codb
-                    .write()
-                    .add_service_link(link)
-                    .map(|_| Value::Void)
-                    .map_err(codb_err)
-            }
-            other => Err(ServantError::UnknownOperation(other.to_owned())),
-        }
     }
 
-    fn operations(&self) -> Vec<String> {
-        [
-            "owner",
-            "version",
-            "probe",
-            "find_coalitions",
-            "find_links",
-            "subclasses",
-            "coalition_documentation",
-            "members",
-            "memberships",
-            "sources",
-            "descriptor",
-            "service_links",
-            "create_coalition",
-            "dissolve_coalition",
-            "advertise",
-            "withdraw",
-            "add_link",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
+    fn owner(&self) -> Result<String, ServantError> {
+        Ok(self.codb.read().owner().to_owned())
+    }
+
+    fn version(&self) -> Result<i64, ServantError> {
+        Ok(self.codb.read().version() as i64)
+    }
+
+    fn probe(&self, topic: String, known: Option<i64>) -> Result<ProbeReply, ServantError> {
+        Ok(ProbeReply::of(&self.codb.read(), &topic, known))
+    }
+
+    fn find_coalitions(&self, topic: String) -> Result<Vec<String>, ServantError> {
+        Ok(self.codb.read().find_coalitions(&topic))
+    }
+
+    fn find_links(&self, topic: String) -> Result<Vec<ServiceLink>, ServantError> {
+        let codb = self.codb.read();
+        Ok(codb.find_links(&topic).into_iter().cloned().collect())
+    }
+
+    fn subclasses(&self, class: String) -> Result<Vec<String>, ServantError> {
+        self.codb.read().subclasses(&class).map_err(codb_err)
+    }
+
+    fn coalition_documentation(&self, class: String) -> Result<String, ServantError> {
+        let codb = self.codb.read();
+        codb.coalition_documentation(&class).map_err(codb_err)
+    }
+
+    fn members(&self, coalition: String) -> Result<Vec<String>, ServantError> {
+        self.codb.read().members(&coalition).map_err(codb_err)
+    }
+
+    fn memberships(&self, source: String) -> Result<Vec<String>, ServantError> {
+        Ok(self.codb.read().memberships(&source))
+    }
+
+    fn sources(&self) -> Result<Vec<String>, ServantError> {
+        Ok(self.codb.read().sources())
+    }
+
+    fn descriptor(&self, source: String) -> Result<InformationSource, ServantError> {
+        let codb = self.codb.read();
+        codb.descriptor(&source).cloned().map_err(codb_err)
+    }
+
+    fn service_links(&self) -> Result<Vec<ServiceLink>, ServantError> {
+        Ok(self.codb.read().service_links().to_vec())
+    }
+
+    fn create_coalition(
+        &self,
+        name: String,
+        parent: Option<String>,
+        documentation: String,
+    ) -> Result<(), ServantError> {
+        let mut codb = self.codb.write();
+        codb.create_coalition(&name, parent.as_deref(), &documentation)
+            .map(drop)
+            .map_err(codb_err)
+    }
+
+    fn dissolve_coalition(&self, name: String) -> Result<DissolutionReport, ServantError> {
+        self.codb
+            .write()
+            .dissolve_coalition(&name)
+            .map_err(codb_err)
+    }
+
+    fn advertise(
+        &self,
+        coalition: String,
+        descriptor: InformationSource,
+    ) -> Result<(), ServantError> {
+        let mut codb = self.codb.write();
+        codb.advertise(&coalition, descriptor).map_err(codb_err)
+    }
+
+    fn withdraw(&self, coalition: String, source: String) -> Result<(), ServantError> {
+        self.codb
+            .write()
+            .withdraw(&coalition, &source)
+            .map_err(codb_err)
+    }
+
+    fn add_link(&self, link: ServiceLink) -> Result<(), ServantError> {
+        self.codb.write().add_service_link(link).map_err(codb_err)
     }
 }
 
@@ -438,172 +413,106 @@ fn refused(e: webfindit_wire::WireError) -> ConnectError {
 }
 
 /// Write a data-layer answer into a reply: a table, relational or
-/// object, through the typed table codec, anything else as its
-/// [`Value`].
+/// object, through the typed table codec; a count as the record
+/// `{count: ULong}`; a value as its `Value`.
 fn write_output(out: QueryOutput, w: &mut CdrWriter) -> Result<(), ServantError> {
-    let value = match out {
-        QueryOutput::Rows(rs) => return write_result_set(&rs, w).map_err(marshal),
-        QueryOutput::Objects { columns, rows } => {
-            return write_object_rows(&columns, &rows, w).map_err(marshal)
+    match out {
+        QueryOutput::Rows(rs) => write_result_set(&rs, w),
+        QueryOutput::Objects { columns, rows } => write_object_rows(&columns, &rows, w),
+        QueryOutput::Count(n) => {
+            write_record(w, 1);
+            write_field(w, "count", &(n as u32))
         }
-        QueryOutput::Count(n) => Value::record([("count", Value::ULong(n as u32))]),
-        QueryOutput::Done => Value::Void,
-        QueryOutput::Value(v) => return write_ovalue(w, &v).map_err(marshal),
-    };
-    value.encode(w).map_err(marshal)
+        QueryOutput::Done => ().write(w),
+        QueryOutput::Value(v) => v.write(w),
+    }
+    .map_err(marshal)
 }
 
-fn value_to_ovalue(v: &Value) -> Result<OValue, ServantError> {
-    Ok(match v {
-        Value::Null | Value::Void => OValue::Null,
-        Value::LongLong(i) => OValue::Int(*i),
-        Value::Long(i) => OValue::Int(*i as i64),
-        Value::Double(d) => OValue::Double(*d),
-        Value::Float(d) => OValue::Double(*d as f64),
-        Value::Str(s) => OValue::Text(s.clone()),
-        Value::Bool(b) => OValue::Bool(*b),
-        Value::Sequence(items) => OValue::List(
-            items
-                .iter()
-                .map(value_to_ovalue)
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-        other => {
-            return Err(ServantError::BadArguments(format!(
-                "cannot convert {other} to an object value"
-            )))
-        }
-    })
-}
-
-impl Servant for IsiServant {
-    fn interface_id(&self) -> &str {
-        ISI_INTERFACE_ID
+impl InformationSourceOperations for IsiServant {
+    fn admit(&self) {
+        self.stall.wait();
     }
 
-    /// [`IsiServant::invoke_into`], read back: the ISI has one encoder.
-    fn invoke(&self, operation: &str, args: &[Value]) -> InvokeResult {
-        let order = ByteOrder::BigEndian;
-        let mut w = CdrWriter::new(order);
-        self.invoke_into(operation, args, &mut w)?;
-        let bytes = w.into_bytes();
-        Value::decode(&mut CdrReader::new(&bytes, order)).map_err(marshal)
+    fn interface_of(&self) -> Result<SourceInterface, ServantError> {
+        let md = self
+            .open()?
+            .metadata()
+            .map_err(|e| ServantError::Resource(e.to_string()))?;
+        Ok(SourceInterface {
+            product: md.product,
+            instance: md.instance,
+            tables: md.tables.iter().map(|t| t.to_create_sql()).collect(),
+            classes: md.classes,
+        })
     }
 
-    fn invoke_into(
+    fn bridge(&self) -> Result<String, ServantError> {
+        Ok(self.open()?.bridge().to_string())
+    }
+
+    fn execute(
         &self,
-        operation: &str,
-        args: &[Value],
+        text: String,
+        max_rows: Trailing<u32>,
         out: &mut CdrWriter,
     ) -> Result<(), ServantError> {
-        self.stall.wait();
-        let value = match operation {
-            "execute" => {
-                let text = arg_str(args, 0, "a query string")?;
-                // Optional second argument: a server-side row cap. The
-                // federated executor pushes LIMIT down this way because
-                // not every vendor dialect can fold a row limit into
-                // the shipped text (mSQL has none) — truncating at the
-                // ISI keeps the cap effective without widening the wire.
-                let max_rows = match args.get(1) {
-                    None | Some(Value::Null) => None,
-                    Some(Value::ULong(n)) => Some(*n as usize),
-                    Some(other) => {
-                        return Err(ServantError::BadArguments(format!(
-                            "max_rows must be an unsigned long, got {other}"
-                        )))
-                    }
-                };
-                // A SELECT's rows go from the executor straight into
-                // the reply; past `max_rows` they are drained unwritten,
-                // so the data-layer counters are those of the whole
-                // statement.
-                let mut conn = self.open()?;
-                let mut table = TableWriter::new(out, max_rows);
-                let done = conn.execute_into(&text, &mut table).map_err(|e| match e {
-                    ConnectError::Sink(msg) => ServantError::Marshal(msg),
-                    e => ServantError::Application(e.to_string()),
-                })?;
-                self.report_data_metrics(&conn);
-                let Some(mut done) = done else {
-                    table.finish();
-                    return Ok(());
-                };
-                if let Some(n) = max_rows {
-                    done.truncate(n);
-                }
-                return write_output(done, out);
-            }
-            "invoke_function" => {
-                let method = arg_str(args, 0, "a Class.method name")?;
-                let mut ovals = Vec::new();
-                for a in &args[1..] {
-                    ovals.push(value_to_ovalue(a)?);
-                }
-                let mut conn = self.open()?;
-                let done = conn
-                    .invoke(&method, &ovals)
-                    .map_err(|e| ServantError::Application(e.to_string()))?;
-                return write_output(done, out);
-            }
-            "interface_of" => {
-                let conn = self.open()?;
-                let md = conn
-                    .metadata()
-                    .map_err(|e| ServantError::Resource(e.to_string()))?;
-                Value::record([
-                    ("product", Value::Str(md.product)),
-                    ("instance", Value::Str(md.instance)),
-                    (
-                        "tables",
-                        Value::Sequence(
-                            md.tables
-                                .iter()
-                                .map(|t| Value::string(t.to_create_sql()))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "classes",
-                        Value::Sequence(md.classes.into_iter().map(Value::Str).collect()),
-                    ),
-                ])
-            }
-            "bridge" => {
-                let conn = self.open()?;
-                Value::string(conn.bridge().to_string())
-            }
-            "begin" => return self.tx_control(|c| c.begin(), out),
-            "commit" => return self.tx_control(|c| c.commit(), out),
-            "rollback" => return self.tx_control(|c| c.rollback(), out),
-            other => return Err(ServantError::UnknownOperation(other.to_owned())),
+        let max_rows = max_rows.0.map(|n| n as usize);
+        // A SELECT's rows go from the executor straight into the reply;
+        // past `max_rows` they are drained unwritten, so the data-layer
+        // counters are those of the whole statement.
+        let mut conn = self.open()?;
+        let mut table = TableWriter::new(out, max_rows);
+        let done = conn.execute_into(&text, &mut table).map_err(|e| match e {
+            ConnectError::Sink(msg) => ServantError::Marshal(msg),
+            e => ServantError::Application(e.to_string()),
+        })?;
+        self.report_data_metrics(&conn);
+        let Some(mut done) = done else {
+            table.finish();
+            return Ok(());
         };
-        value.encode(out).map_err(marshal)
+        if let Some(n) = max_rows {
+            done.truncate(n);
+        }
+        write_output(done, out)
     }
 
-    fn operations(&self) -> Vec<String> {
-        [
-            "execute",
-            "invoke_function",
-            "interface_of",
-            "bridge",
-            "begin",
-            "commit",
-            "rollback",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
+    fn invoke_function(
+        &self,
+        method: String,
+        arguments: Rest<OValue>,
+        out: &mut CdrWriter,
+    ) -> Result<(), ServantError> {
+        let done = self
+            .open()?
+            .invoke(&method, &arguments.0)
+            .map_err(|e| ServantError::Application(e.to_string()))?;
+        write_output(done, out)
+    }
+
+    fn begin(&self, out: &mut CdrWriter) -> Result<(), ServantError> {
+        self.tx_control(|c| c.begin(), out)
+    }
+
+    fn commit(&self, out: &mut CdrWriter) -> Result<(), ServantError> {
+        self.tx_control(|c| c.commit(), out)
+    }
+
+    fn rollback(&self, out: &mut CdrWriter) -> Result<(), ServantError> {
+        self.tx_control(|c| c.rollback(), out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webfindit_codb::InformationSource;
+    use webfindit_codb::LinkEnd;
     use webfindit_connect::manager::standard_manager;
     use webfindit_connect::DataSourceRegistry;
+    use webfindit_orb::{Operation, Servant};
     use webfindit_relstore::{Database, Dialect};
+    use webfindit_wire::Value;
 
     fn codb_servant() -> CoDatabaseServant {
         let mut codb = CoDatabase::new("RBH");
@@ -643,90 +552,66 @@ mod tests {
     #[test]
     fn metadata_operations() {
         let s = codb_servant();
-        let coalitions = s
-            .invoke("find_coalitions", &[Value::string("medical research")])
-            .unwrap();
-        assert_eq!(coalitions, Value::Sequence(vec![Value::string("Research")]));
-        let members = s.invoke("members", &[Value::string("Research")]).unwrap();
-        assert_eq!(
-            members,
-            Value::Sequence(vec![Value::string("Royal Brisbane Hospital")])
-        );
-        let d = s
-            .invoke("descriptor", &[Value::string("Royal Brisbane Hospital")])
-            .unwrap();
-        assert_eq!(
-            d.field("location").and_then(Value::as_str),
-            Some("dba.icis.qut.edu.au")
-        );
-        assert!(s.invoke("members", &[Value::string("Ghost")]).is_err());
-        assert!(s.invoke("members", &[]).is_err());
+        let coalitions = s.find_coalitions("medical research".into()).unwrap();
+        assert_eq!(coalitions, ["Research"]);
+        let members = s.members("Research".into()).unwrap();
+        assert_eq!(members, ["Royal Brisbane Hospital"]);
+        let d = s.descriptor("Royal Brisbane Hospital".into()).unwrap();
+        assert_eq!(d.location, "dba.icis.qut.edu.au");
+        assert!(s.members("Ghost".into()).is_err());
+        // By name, through the skeleton: a missing argument and an
+        // unknown operation are refused.
+        assert!(s.invoke(codb::Members::NAME, &[]).is_err());
         assert!(s.invoke("nonsense", &[]).is_err());
     }
 
     #[test]
     fn a_probe_answers_whole_unless_the_caller_holds_the_current_stamp() {
         let s = codb_servant();
-        let topic = Value::string("medical research");
-        let full = s.invoke("probe", &[topic.clone(), Value::Null]).unwrap();
-        let version = full.field("version").cloned().expect("stamped");
-        assert_eq!(
-            full.field("coalitions"),
-            Some(&Value::Sequence(vec![Value::string("Research")]))
-        );
-        assert_eq!(full.field("links"), Some(&Value::Sequence(vec![])));
-        assert_eq!(full.field("expansion"), Some(&Value::Sequence(vec![])));
+        let topic = || "medical research".to_string();
+        let full = s.probe(topic(), None).unwrap();
+        let version = full.version as i64;
+        let answer = full.answer.expect("answered in full");
+        assert_eq!(answer.coalitions, ["Research"]);
+        assert!(answer.links.is_empty());
+        assert!(answer.expansion.is_empty());
 
         // The caller's stamp is current: the stamp alone comes back.
-        let confirmed = s
-            .invoke("probe", &[topic.clone(), version.clone()])
-            .unwrap();
-        assert_eq!(confirmed, Value::record([("version", version.clone())]));
+        let confirmed = s.probe(topic(), Some(version)).unwrap();
+        assert_eq!(confirmed.answer, None);
+        assert_eq!(confirmed.version, full.version);
 
         // A registration bumps the stamp: the same probe is answered in
         // full again, under the new stamp.
-        s.invoke(
-            "create_coalition",
-            &[
-                Value::string("Grants"),
-                Value::Null,
-                Value::string("medical research grants"),
-            ],
-        )
-        .unwrap();
-        let bumped = s.invoke("probe", &[topic, version.clone()]).unwrap();
-        assert_ne!(bumped.field("version"), Some(&version));
-        assert_eq!(
-            bumped.field("coalitions"),
-            Some(&Value::Sequence(vec![
-                Value::string("Grants"),
-                Value::string("Research")
-            ]))
-        );
-        assert!(s.invoke("probe", &[]).is_err());
+        let grants = "medical research grants".to_string();
+        s.create_coalition("Grants".into(), None, grants).unwrap();
+        let bumped = s.probe(topic(), Some(version)).unwrap();
+        assert_ne!(bumped.version, full.version);
+        let answer = bumped.answer.expect("answered in full");
+        assert_eq!(answer.coalitions, ["Grants", "Research"]);
+        assert!(s.invoke(codb::Probe::NAME, &[]).is_err());
     }
 
     #[test]
     fn descriptive_operations() {
         let s = codb_servant();
-        let owner = s.invoke("owner", &[]).unwrap();
-        assert_eq!(owner.as_str(), Some("RBH"));
-        let doc = s
-            .invoke("coalition_documentation", &[Value::string("Research")])
-            .unwrap();
-        assert_eq!(doc.as_str(), Some("medical research"));
-        let memberships = s
-            .invoke("memberships", &[Value::string("Royal Brisbane Hospital")])
-            .unwrap();
-        assert_eq!(
-            memberships,
-            Value::Sequence(vec![Value::string("Research")])
-        );
-        let sources = s.invoke("sources", &[]).unwrap();
-        assert_eq!(
-            sources,
-            Value::Sequence(vec![Value::string("Royal Brisbane Hospital")])
-        );
+        assert_eq!(s.owner().unwrap(), "RBH");
+        let doc = s.coalition_documentation("Research".into()).unwrap();
+        assert_eq!(doc, "medical research");
+        let memberships = s.memberships("Royal Brisbane Hospital".into()).unwrap();
+        assert_eq!(memberships, ["Research"]);
+        assert_eq!(s.sources().unwrap(), ["Royal Brisbane Hospital"]);
+    }
+
+    /// A written reply, read back as the `Value` a dynamic caller sees.
+    fn written(
+        f: impl FnOnce(&mut CdrWriter) -> Result<(), ServantError>,
+    ) -> Result<Value, ServantError> {
+        let order = webfindit_wire::ByteOrder::BigEndian;
+        let mut w = CdrWriter::new(order);
+        f(&mut w)?;
+        let bytes = w.into_bytes();
+        Ok(Value::decode(&mut CdrReader::new(&bytes, order)).unwrap())
     }
 
     #[test]
@@ -756,51 +641,33 @@ mod tests {
         let manager = Arc::new(standard_manager(registry));
 
         let isi = IsiServant::new(manager, "jni:ontos://dba.icis.qut.edu.au/PrinceCharles");
-        let out = isi
-            .invoke("invoke_function", &[Value::string("Treatment.count_all")])
-            .unwrap();
-        assert_eq!(out, Value::LongLong(1));
+        let call = |method: &str| written(|w| isi.invoke_function(method.into(), Rest(vec![]), w));
+        assert_eq!(call("Treatment.count_all").unwrap(), Value::LongLong(1));
 
         // A bogus Class.method surfaces as an application exception.
-        assert!(isi
-            .invoke("invoke_function", &[Value::string("Treatment.nope")])
-            .is_err());
+        assert!(call("Treatment.nope").is_err());
     }
 
     #[test]
     fn management_operations() {
         let s = codb_servant();
-        s.invoke(
-            "create_coalition",
-            &[
-                Value::string("MedicalResearch"),
-                Value::string("Research"),
-                Value::string("medical research sub-area"),
-            ],
-        )
-        .unwrap();
-        let subs = s
-            .invoke("subclasses", &[Value::string("Research")])
+        let doc = "medical research sub-area".to_string();
+        s.create_coalition("MedicalResearch".into(), Some("Research".into()), doc)
             .unwrap();
         assert_eq!(
-            subs,
-            Value::Sequence(vec![Value::string("MedicalResearch")])
+            s.subclasses("Research".into()).unwrap(),
+            ["MedicalResearch"]
         );
         let link = ServiceLink {
             from: LinkEnd::Coalition("Research".into()),
             to: LinkEnd::Database("ATO".into()),
             description: "tax data for research grants".into(),
         };
-        s.invoke("add_link", &[link_to_value(&link)]).unwrap();
-        let links = s.invoke("service_links", &[]).unwrap();
-        assert_eq!(links.as_sequence().unwrap().len(), 1);
-        let back = value_to_link(&links.as_sequence().unwrap()[0]).unwrap();
-        assert_eq!(back, link);
+        s.add_link(link.clone()).unwrap();
+        assert_eq!(s.service_links().unwrap(), [link]);
 
-        let report = s
-            .invoke("dissolve_coalition", &[Value::string("MedicalResearch")])
-            .unwrap();
-        assert_eq!(report.field("severed_links"), Some(&Value::ULong(0)));
+        let report = s.dissolve_coalition("MedicalResearch".into()).unwrap();
+        assert_eq!(report.severed_links, 0);
     }
 
     #[test]
@@ -815,28 +682,16 @@ mod tests {
         let manager = Arc::new(standard_manager(registry));
 
         let isi = IsiServant::new(manager, "jdbc:oracle://dba.icis.qut.edu.au/RBH");
-        let out = isi
-            .invoke(
-                "execute",
-                &[Value::string("select * from medical_students")],
-            )
-            .unwrap();
+        let execute = |sql: &str| written(|w| isi.execute(sql.into(), Trailing(None), w));
+        let out = execute("select * from medical_students").unwrap();
         let rows = out.field("rows").and_then(Value::as_sequence).unwrap();
         assert_eq!(rows.len(), 2);
 
-        let bridge = isi.invoke("bridge", &[]).unwrap();
-        assert_eq!(bridge.as_str(), Some("JDBC"));
-
-        let iface = isi.invoke("interface_of", &[]).unwrap();
-        assert_eq!(
-            iface.field("product").and_then(Value::as_str),
-            Some("Oracle")
-        );
+        assert_eq!(isi.bridge().unwrap(), "JDBC");
+        assert_eq!(isi.interface_of().unwrap().product, "Oracle");
 
         // Errors surface as application exceptions, not panics.
-        assert!(isi
-            .invoke("execute", &[Value::string("garbage !")])
-            .is_err());
+        assert!(execute("garbage !").is_err());
     }
 
     #[test]
@@ -851,31 +706,17 @@ mod tests {
         registry.register_relational("oracle", "RBH", db);
         let manager = Arc::new(standard_manager(Arc::clone(&registry)));
         let isi = IsiServant::new(manager, "jdbc:oracle://dba.icis.qut.edu.au/RBH");
-        assert!(isi.operations().contains(&"commit".to_string()));
+        let execute = |sql: &str| written(|w| isi.execute(sql.into(), Trailing(None), w));
 
-        isi.invoke(
-            "execute",
-            &[Value::string(
-                "CREATE TABLE beds (bed_id INT PRIMARY KEY, location TEXT)",
-            )],
-        )
-        .unwrap();
+        execute("CREATE TABLE beds (bed_id INT PRIMARY KEY, location TEXT)").unwrap();
         // Committed over ISI: survives the site crash.
-        isi.invoke("begin", &[]).unwrap();
-        isi.invoke(
-            "execute",
-            &[Value::string("INSERT INTO beds VALUES (1, 'ward A')")],
-        )
-        .unwrap();
-        isi.invoke("commit", &[]).unwrap();
+        written(|w| isi.begin(w)).unwrap();
+        execute("INSERT INTO beds VALUES (1, 'ward A')").unwrap();
+        written(|w| isi.commit(w)).unwrap();
         // Rolled back over ISI: never visible.
-        isi.invoke("begin", &[]).unwrap();
-        isi.invoke(
-            "execute",
-            &[Value::string("INSERT INTO beds VALUES (2, 'ward B')")],
-        )
-        .unwrap();
-        isi.invoke("rollback", &[]).unwrap();
+        written(|w| isi.begin(w)).unwrap();
+        execute("INSERT INTO beds VALUES (2, 'ward B')").unwrap();
+        written(|w| isi.rollback(w)).unwrap();
         assert!(
             isi.metrics().snapshot().wal_appends > 0,
             "durability work must reach the wrapper's counters"
@@ -884,9 +725,7 @@ mod tests {
         assert!(registry.crash_relational("oracle", "RBH"));
         vfs.power_loss(3);
         registry.restart_relational("oracle", "RBH").unwrap();
-        let out = isi
-            .invoke("execute", &[Value::string("SELECT bed_id FROM beds")])
-            .unwrap();
+        let out = execute("SELECT bed_id FROM beds").unwrap();
         let rows = out.field("rows").and_then(Value::as_sequence).unwrap();
         assert_eq!(rows.len(), 1, "only the committed insert survives");
     }

@@ -1,28 +1,26 @@
-//! Serialization between engine-level results and the wire.
+//! Tables between engine-level results and the wire.
 //!
-//! Descriptors, object rows and name lists cross an ORB boundary as
-//! self-describing [`Value`]s, with strict decoders (malformed payloads
-//! become [`WebfinditError::Protocol`]). A table skips the `Value`
-//! tree. One row writer, `TableWriter`, encodes a relational table: the
-//! ISI hands it the executor's rows as they are produced, so a SELECT
-//! answered on the shared path goes into the reply frame with no
-//! `ResultSet` on the server, and [`write_result_set`] feeds it a
-//! collected [`ResultSet`]. It reserves the row count and patches it at
-//! the end, drops rows past a cap, and fails a row that takes the body
-//! past `MAX_MESSAGE_SIZE`. [`read_result_set`] reads a table straight
-//! back, and [`write_object_rows`] writes an OQL answer. The bytes
-//! are those `Value::encode` writes for the record `{columns: [Str],
-//! rows: [[cell]]}`, a date cell being `{date: "iso"}`; an object table
-//! leads each row with its OID and ends with `object_rows: true`.
+//! A table skips the `Value` tree. One row writer, `TableWriter`,
+//! encodes a relational table: the ISI hands it the executor's rows as
+//! they are produced, so a SELECT answered on the shared path goes into
+//! the reply frame with no `ResultSet` on the server, and
+//! [`write_result_set`] feeds it a collected [`ResultSet`]. It reserves
+//! the row count and patches it at the end, drops rows past a cap, and
+//! fails a row that takes the body past `MAX_MESSAGE_SIZE`.
+//! [`read_result_set`] reads a table straight back, and
+//! [`write_object_rows`] writes an OQL answer. The bytes are those
+//! `Value::encode` writes for the record `{columns: [Str], rows:
+//! [[cell]]}`, a date cell being `{date: "iso"}`; an object table leads
+//! each row with its OID and ends with `object_rows: true`.
 
 use crate::{WebfinditError, WfResult};
 use std::borrow::Borrow;
-use webfindit_codb::{ExportedFunction, ExportedType, InformationSource};
 use webfindit_oostore::{OValue, Oid};
 use webfindit_relstore::exec::ResultSet;
 use webfindit_relstore::types::{format_date, parse_date, Datum};
+use webfindit_wire::marshal::{expect_tag, read_count};
 use webfindit_wire::value::tag;
-use webfindit_wire::{CdrReader, CdrWriter, Value, WireError, WireResult, MAX_MESSAGE_SIZE};
+use webfindit_wire::{CdrReader, CdrWriter, Marshal, WireError, WireResult, MAX_MESSAGE_SIZE};
 
 /// Write `rs` as the record `{columns: [Str], rows: [[cell]]}`.
 pub fn write_result_set(rs: &ResultSet, w: &mut CdrWriter) -> WireResult<()> {
@@ -123,36 +121,13 @@ pub(crate) fn write_object_rows(
         write_count(w, cells.len() + 1);
         write_oid(w, *oid);
         for v in cells {
-            write_ovalue(w, v)?;
+            v.write(w)?;
         }
     }
     w.write_string("object_rows")?;
     w.write_octet(tag::BOOL);
     w.write_bool(true);
     Ok(())
-}
-
-/// Write an [`OValue`] as its `Value` (object references travel as
-/// their OID number).
-pub(crate) fn write_ovalue(w: &mut CdrWriter, v: &OValue) -> WireResult<()> {
-    match v {
-        OValue::Null => write_scalar(w, Scalar::Null),
-        OValue::Int(i) => write_scalar(w, Scalar::Int(*i)),
-        OValue::Double(d) => write_scalar(w, Scalar::Double(*d)),
-        OValue::Text(s) => write_scalar(w, Scalar::Text(s)),
-        OValue::Bool(b) => write_scalar(w, Scalar::Bool(*b)),
-        OValue::List(items) => {
-            write_count(w, items.len());
-            items.iter().try_for_each(|item| write_ovalue(w, item))
-        }
-        OValue::Ref(oid) => {
-            w.write_octet(tag::STRUCT);
-            w.write_ulong(1);
-            w.write_string("oid")?;
-            write_oid(w, *oid);
-            Ok(())
-        }
-    }
 }
 
 /// An object identity on the wire: its number as a `ULong`.
@@ -277,30 +252,6 @@ pub(crate) fn read_oid(r: &mut CdrReader<'_>) -> WireResult<Oid> {
     Ok(Oid(u64::from(r.read_ulong()?)))
 }
 
-fn expect_tag(r: &mut CdrReader<'_>, want: u8, context: &'static str) -> WireResult<()> {
-    match r.read_octet()? {
-        t if t == want => Ok(()),
-        t => Err(WireError::BadTag {
-            context,
-            tag: t.into(),
-        }),
-    }
-}
-
-/// A sequence's count, which must fit in the bytes left: each element
-/// is at least one octet.
-fn read_count(r: &mut CdrReader<'_>, context: &'static str) -> WireResult<usize> {
-    expect_tag(r, tag::SEQUENCE, context)?;
-    let n = r.read_ulong()? as usize;
-    if n > r.remaining() {
-        return Err(WireError::TooLarge {
-            declared: n as u64,
-            limit: r.remaining() as u64,
-        });
-    }
-    Ok(n)
-}
-
 fn read_datum(r: &mut CdrReader<'_>) -> WfResult<Datum> {
     Ok(match r.read_octet()? {
         tag::NULL => Datum::Null,
@@ -322,124 +273,6 @@ fn read_datum(r: &mut CdrReader<'_>) -> WfResult<Datum> {
             tag: t.into(),
         })?,
     })
-}
-
-/// Encode an information-source descriptor.
-pub fn descriptor_to_value(d: &InformationSource) -> Value {
-    let interface = d.interface.iter().map(exported_type_to_value).collect();
-    Value::record([
-        ("name", Value::string(&d.name)),
-        ("information_type", Value::string(&d.information_type)),
-        ("documentation", Value::string(&d.documentation_url)),
-        ("location", Value::string(&d.location)),
-        ("wrapper", Value::string(&d.wrapper)),
-        ("interface", Value::Sequence(interface)),
-    ])
-}
-
-fn exported_type_to_value(t: &ExportedType) -> Value {
-    let attribute = |(ty, name): &(String, String)| {
-        Value::record([("type", Value::string(ty)), ("name", Value::string(name))])
-    };
-    let function = |f: &ExportedFunction| {
-        Value::record([
-            ("name", Value::string(&f.name)),
-            ("returns", Value::string(&f.returns)),
-            ("params", strings_to_value(f.params.iter().cloned())),
-            ("description", Value::string(&f.description)),
-        ])
-    };
-    Value::record([
-        ("name", Value::string(&t.name)),
-        ("description", Value::string(&t.description)),
-        (
-            "attributes",
-            Value::Sequence(t.attributes.iter().map(attribute).collect()),
-        ),
-        (
-            "functions",
-            Value::Sequence(t.functions.iter().map(function).collect()),
-        ),
-    ])
-}
-
-/// Decode an information-source descriptor.
-pub fn value_to_descriptor(v: &Value) -> WfResult<InformationSource> {
-    let get = |name| text(v, name, None);
-    let mut interface = Vec::new();
-    if let Some(types) = v.field("interface").and_then(Value::as_sequence) {
-        for t in types {
-            interface.push(value_to_exported_type(t)?);
-        }
-    }
-    Ok(InformationSource {
-        name: get("name")?,
-        information_type: get("information_type")?,
-        documentation_url: get("documentation")?,
-        location: get("location")?,
-        wrapper: get("wrapper")?,
-        interface,
-    })
-}
-
-fn value_to_exported_type(v: &Value) -> WfResult<ExportedType> {
-    let list = |name| v.field(name).and_then(Value::as_sequence).unwrap_or(&[]);
-    Ok(ExportedType {
-        name: text(v, "name", None)?,
-        description: text(v, "description", Some(""))?,
-        attributes: list("attributes")
-            .iter()
-            .map(|a| Ok((text(a, "type", Some("string"))?, text(a, "name", None)?)))
-            .collect::<WfResult<_>>()?,
-        functions: list("functions")
-            .iter()
-            .map(|f| {
-                Ok(ExportedFunction {
-                    name: text(f, "name", None)?,
-                    returns: text(f, "returns", Some("void"))?,
-                    params: f
-                        .field("params")
-                        .and_then(Value::as_sequence)
-                        .map(|ps| {
-                            ps.iter()
-                                .filter_map(Value::as_str)
-                                .map(str::to_owned)
-                                .collect()
-                        })
-                        .unwrap_or_default(),
-                    description: text(f, "description", Some(""))?,
-                })
-            })
-            .collect::<WfResult<_>>()?,
-    })
-}
-
-/// The string field `name` of a record: `default` when absent, and an
-/// error when absent with no default.
-fn text(v: &Value, name: &str, default: Option<&str>) -> WfResult<String> {
-    v.field(name)
-        .and_then(Value::as_str)
-        .or(default)
-        .map(str::to_owned)
-        .ok_or_else(|| WebfinditError::Protocol(format!("record missing {name}: {v}")))
-}
-
-/// Decode a list of strings (coalition names, member names, …).
-pub fn value_to_strings(v: &Value) -> WfResult<Vec<String>> {
-    v.as_sequence()
-        .ok_or_else(|| WebfinditError::Protocol("expected a string sequence".into()))?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| WebfinditError::Protocol("expected a string".into()))
-        })
-        .collect()
-}
-
-/// Encode a list of strings.
-pub fn strings_to_value<I: IntoIterator<Item = String>>(items: I) -> Value {
-    Value::Sequence(items.into_iter().map(Value::Str).collect())
 }
 
 #[cfg(test)]
@@ -479,6 +312,7 @@ mod tests {
 
     #[test]
     fn descriptor_roundtrip() {
+        use webfindit_codb::{ExportedFunction, ExportedType, InformationSource};
         let d = InformationSource {
             name: "RBH".into(),
             information_type: "Research and Medical".into(),
@@ -497,17 +331,28 @@ mod tests {
                 description: "projects".into(),
             }],
         };
-        let v = descriptor_to_value(&d);
-        assert_eq!(value_to_descriptor(&v).unwrap(), d);
+        let order = webfindit_wire::ByteOrder::BigEndian;
+        let mut w = CdrWriter::new(order);
+        d.write(&mut w).unwrap();
+        let bytes = w.into_bytes();
+        let back = InformationSource::read(&mut CdrReader::new(&bytes, order)).unwrap();
+        assert_eq!(back, d);
     }
 
     #[test]
     fn malformed_payloads_rejected() {
+        use webfindit_codb::InformationSource;
+        let order = webfindit_wire::ByteOrder::BigEndian;
         let long_5 = [tag::LONG, 0, 0, 0, 0, 0, 0, 5];
-        let r = CdrReader::new(&long_5, webfindit_wire::ByteOrder::BigEndian);
+        let r = CdrReader::new(&long_5, order);
         assert!(!is_result_set(&r));
         assert!(read_result_set(&mut r.clone()).is_err());
-        assert!(value_to_descriptor(&Value::record([("name", Value::Long(1))])).is_err());
-        assert!(value_to_strings(&Value::Long(1)).is_err());
+        assert!(Vec::<String>::read(&mut r.clone()).is_err());
+        let mut w = CdrWriter::new(order);
+        webfindit_wire::Value::record([("name", webfindit_wire::Value::Long(1))])
+            .encode(&mut w)
+            .unwrap();
+        let bytes = w.into_bytes();
+        assert!(InformationSource::read(&mut CdrReader::new(&bytes, order)).is_err());
     }
 }

@@ -147,8 +147,7 @@ fn build_healthcare_with(seed: u64, durable: bool) -> WfResult<HealthcareDeploym
     // member learns the subclass, with Queensland Cancer Fund as its
     // instance.
     {
-        use webfindit::value_map::descriptor_to_value;
-        use webfindit::wire::Value;
+        use webfindit::codb;
         let qcf = fed.site("Queensland Cancer Fund")?;
         let research_members = coalitions()
             .into_iter()
@@ -157,23 +156,17 @@ fn build_healthcare_with(seed: u64, durable: bool) -> WfResult<HealthcareDeploym
             .unwrap_or_default();
         for member in research_members {
             let site = fed.site(member)?;
-            fed.invoke(
-                &site.codb_ior,
-                "create_coalition",
-                &[
-                    Value::string("Cancer Research"),
-                    Value::string("Research"),
-                    Value::string("cancer-specific medical research"),
-                ],
-            )?;
-            fed.invoke(
-                &site.codb_ior,
-                "advertise",
-                &[
-                    Value::string("Cancer Research"),
-                    descriptor_to_value(&qcf.descriptor),
-                ],
-            )?;
+            let create = codb::CreateCoalition {
+                name: "Cancer Research".into(),
+                parent: Some("Research".into()),
+                documentation: "cancer-specific medical research".into(),
+            };
+            fed.call(&site.codb_ior, create)?;
+            let advertise = codb::Advertise {
+                coalition: "Cancer Research".into(),
+                descriptor: qcf.descriptor.clone(),
+            };
+            fed.call(&site.codb_ior, advertise)?;
             wiring_calls += 2;
         }
     }

@@ -685,12 +685,11 @@ fn every_remote_visit_costs_one_probe_cold_and_warm() {
 /// coalition.
 #[test]
 fn a_probe_answers_what_the_client_side_walk_it_replaced_did() {
-    use webfindit::value_map::value_to_strings;
-    use webfindit::wire::Value;
+    use webfindit::codb;
+    use webfindit_codb::LinkEnd;
 
     let dep = build_healthcare(1999).unwrap();
     let fed = &dep.fed;
-    let strings = |v: Option<&Value>| value_to_strings(v.expect("field present")).unwrap();
     let mut topics: Vec<String> = fed
         .site_names()
         .iter()
@@ -702,49 +701,46 @@ fn a_probe_answers_what_the_client_side_walk_it_replaced_did() {
         let handle = fed.site(&site).unwrap();
         let ior = &handle.codb_ior;
         let members_of = |c: &str| {
-            fed.invoke(ior, "members", &[Value::string(c)])
-                .map(|v| value_to_strings(&v).unwrap())
+            let coalition = c.to_owned();
+            fed.call(ior, codb::Members { coalition })
                 .unwrap_or_default()
         };
         for topic in &topics {
-            let topic_arg = [Value::string(topic.as_str())];
-            let probe = fed
-                .invoke(ior, "probe", &[Value::string(topic.as_str()), Value::Null])
-                .unwrap();
-            let coalitions = fed.invoke(ior, "find_coalitions", &topic_arg).unwrap();
-            let links = fed.invoke(ior, "find_links", &topic_arg).unwrap();
-            assert_eq!(
-                probe.field("coalitions"),
-                Some(&coalitions),
-                "{site} / {topic}"
-            );
-            assert_eq!(probe.field("links"), Some(&links), "{site} / {topic}");
+            let topic = topic.clone();
+            let probe = codb::Probe {
+                topic: topic.clone(),
+                known: None,
+            };
+            let answer = fed.call(ior, probe).unwrap().answer.unwrap();
+            let find = codb::FindCoalitions {
+                topic: topic.clone(),
+            };
+            let coalitions = fed.call(ior, find).unwrap();
+            let find = codb::FindLinks {
+                topic: topic.clone(),
+            };
+            let links = fed.call(ior, find).unwrap();
+            assert_eq!(answer.coalitions, coalitions, "{site} / {topic}");
+            assert_eq!(answer.links, links, "{site} / {topic}");
 
             let mut walked = Vec::new();
-            let leads = links.as_sequence().unwrap().len() + strings(Some(&coalitions)).len();
-            if leads == 0 {
+            if links.len() + coalitions.len() == 0 {
                 expanded += 1;
                 // The coalition list the removed `coalitions` operation
                 // served.
                 for c in handle.codb.read().coalitions() {
                     walked.extend(members_of(&c));
                 }
-                let all_links = fed.invoke(ior, "service_links", &[]).unwrap();
-                for link in all_links.as_sequence().unwrap() {
-                    for (kind, name) in [("from_kind", "from"), ("to_kind", "to")] {
-                        let name = link.field(name).and_then(Value::as_str).unwrap();
-                        match link.field(kind).and_then(Value::as_str) {
-                            Some("database") => walked.push(name.to_owned()),
-                            _ => walked.extend(members_of(name)),
+                for link in fed.call(ior, codb::ServiceLinks {}).unwrap() {
+                    for end in [&link.from, &link.to] {
+                        match end {
+                            LinkEnd::Database(name) => walked.push(name.clone()),
+                            LinkEnd::Coalition(name) => walked.extend(members_of(name)),
                         }
                     }
                 }
             }
-            assert_eq!(
-                strings(probe.field("expansion")),
-                walked,
-                "{site} / {topic}"
-            );
+            assert_eq!(answer.expansion, walked, "{site} / {topic}");
         }
     }
     assert!(expanded >= fed.site_names().len(), "every site expanded");

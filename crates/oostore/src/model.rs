@@ -1,6 +1,9 @@
 //! The object model: OIDs, values, attribute and class definitions.
 
 use std::fmt;
+use webfindit_wire::marshal::{read_field, write_field, write_record};
+use webfindit_wire::value::{tag, MAX_VALUE_DEPTH};
+use webfindit_wire::{CdrReader, CdrWriter, Marshal, WireError, WireResult};
 
 /// An object identifier, unique within one store for its lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -232,6 +235,79 @@ impl ClassDef {
         self.documentation = text.into();
         self
     }
+}
+
+/// An object value on the wire, as its `Value`: a scalar as its tag, a
+/// list as a sequence, a reference as the record `{oid: ULong}`. Read
+/// back, a `Void` is `Null`, a `Long` an `Int` and a `Float` a `Double`.
+impl Marshal for OValue {
+    fn write(&self, w: &mut CdrWriter) -> WireResult<()> {
+        match self {
+            OValue::Null => w.write_octet(tag::NULL),
+            OValue::Int(i) => return i.write(w),
+            OValue::Double(d) => {
+                w.write_octet(tag::DOUBLE);
+                w.write_double(*d);
+            }
+            OValue::Text(s) => return s.write(w),
+            OValue::Bool(b) => {
+                w.write_octet(tag::BOOL);
+                w.write_bool(*b);
+            }
+            OValue::List(items) => return items.write(w),
+            OValue::Ref(oid) => {
+                write_record(w, 1);
+                return write_field(w, "oid", &(oid.0 as u32));
+            }
+        }
+        Ok(())
+    }
+
+    fn read(r: &mut CdrReader<'_>) -> WireResult<OValue> {
+        read_ovalue(r, 0)
+    }
+}
+
+/// Read an [`OValue`] that sits inside `depth` lists, refusing one
+/// nested deeper than a `Value` may be.
+fn read_ovalue(r: &mut CdrReader<'_>, depth: usize) -> WireResult<OValue> {
+    if depth > MAX_VALUE_DEPTH {
+        return Err(WireError::TooDeep {
+            limit: MAX_VALUE_DEPTH,
+        });
+    }
+    Ok(match r.read_octet()? {
+        tag::NULL | tag::VOID => OValue::Null,
+        tag::LONGLONG => OValue::Int(r.read_longlong()?),
+        tag::LONG => OValue::Int(r.read_long()?.into()),
+        tag::DOUBLE => OValue::Double(r.read_double()?),
+        tag::FLOAT => OValue::Double(r.read_float()?.into()),
+        tag::STRING => OValue::Text(r.read_string()?),
+        tag::BOOL => OValue::Bool(r.read_bool()?),
+        tag::SEQUENCE => {
+            let n = r.read_ulong()? as usize;
+            if n > r.remaining() {
+                return Err(WireError::TooLarge {
+                    declared: n as u64,
+                    limit: r.remaining() as u64,
+                });
+            }
+            let items = (0..n).map(|_| read_ovalue(r, depth + 1));
+            OValue::List(items.collect::<WireResult<_>>()?)
+        }
+        tag::STRUCT => {
+            if r.read_ulong()? != 1 {
+                return Err(WireError::Shape("object reference"));
+            }
+            OValue::Ref(Oid(read_field::<u32>(r, "oid")?.into()))
+        }
+        t => {
+            return Err(WireError::BadTag {
+                context: "object value",
+                tag: t.into(),
+            })
+        }
+    })
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@
 //! ORBs to interoperate. This crate rebuilds that substrate:
 //!
 //! * [`servant::Servant`] — the server-side object implementation trait
-//!   (the skeleton side of IDL).
+//!   (the skeleton side of IDL), and [`interface!`], which declares an
+//!   interface once and generates its skeleton and its typed client
+//!   [`Operation`]s.
 //! * [`adapter::ObjectAdapter`] — a POA-style adapter mapping opaque
 //!   object keys to active servants.
 //! * [`orb::Orb`] — a named ORB instance with an IIOP listener, client
@@ -28,6 +30,7 @@ pub mod adapter;
 pub mod channel;
 pub mod chaos;
 pub mod domain;
+pub mod interface;
 pub mod metrics;
 pub mod naming;
 pub mod orb;
@@ -38,6 +41,7 @@ pub use adapter::ObjectAdapter;
 pub use channel::{BreakerConfig, BreakerState, CallOptions, IiopChannel, RetryPolicy};
 pub use chaos::{ChaosAction, ChaosEvent, ChaosHost, ChaosPlan, ChaosRegistry, ChaosTargets};
 pub use domain::OrbDomain;
+pub use interface::Operation;
 pub use metrics::{OrbMetrics, OrbSnapshot};
 pub use naming::{IorCache, NamingClient, NamingService};
 pub use orb::{Invocation, Orb, OrbConfig};

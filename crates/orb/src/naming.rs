@@ -8,20 +8,31 @@
 //! IORs cross the wire in their stringified `IOR:…` form, exactly how
 //! 1990s deployments moved references between ORBs.
 
-use crate::servant::{InvokeResult, Servant, ServantError};
-use crate::{Orb, OrbError, OrbResult};
+use crate::servant::ServantError;
+use crate::{CallOptions, Operation, Orb, OrbError, OrbResult};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webfindit_base::sync::{Mutex, RwLock};
-use webfindit_wire::{Ior, Value};
-
-/// Interface repository id of the naming service.
-pub const NAMING_INTERFACE_ID: &str = "IDL:webfindit/NamingContext:1.0";
+use webfindit_wire::Ior;
 
 /// Conventional object key under which the naming servant is activated.
 pub const NAMING_OBJECT_KEY: &[u8] = b"naming/root";
+
+crate::interface! {
+    /// A flat naming context: names bound to object references.
+    pub trait NamingOperations for NamingService as context = "IDL:webfindit/NamingContext:1.0" {
+        /// Bind `name` to `ior`, replacing any earlier binding.
+        Bind: fn bind(name: String, ior: Ior) -> ();
+        /// The reference bound to `name`.
+        Resolve: fn resolve(name: String) -> Ior;
+        /// Remove the binding of `name`.
+        Unbind: fn unbind(name: String) -> ();
+        /// Every bound name, sorted.
+        List: fn list() -> Vec<String>;
+    }
+}
 
 /// The server-side naming context: a flat name → IOR table.
 #[derive(Default)]
@@ -46,63 +57,28 @@ impl NamingService {
     }
 }
 
-impl Servant for NamingService {
-    fn interface_id(&self) -> &str {
-        NAMING_INTERFACE_ID
+fn not_found(name: &str) -> ServantError {
+    ServantError::Application(format!("NotFound: {name}"))
+}
+
+impl NamingOperations for NamingService {
+    fn bind(&self, name: String, ior: Ior) -> Result<(), ServantError> {
+        self.bindings.write().insert(name, ior);
+        Ok(())
     }
 
-    fn invoke(&self, operation: &str, args: &[Value]) -> InvokeResult {
-        match operation {
-            "bind" => {
-                let name = args
-                    .first()
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ServantError::BadArguments("bind(name, ior)".into()))?;
-                let ior_str = args
-                    .get(1)
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ServantError::BadArguments("bind(name, ior)".into()))?;
-                let ior = Ior::from_stringified(ior_str)
-                    .map_err(|e| ServantError::BadArguments(format!("unparseable IOR: {e}")))?;
-                self.bindings.write().insert(name.to_owned(), ior);
-                Ok(Value::Void)
-            }
-            "resolve" => {
-                let name = args
-                    .first()
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ServantError::BadArguments("resolve(name)".into()))?;
-                match self.bindings.read().get(name) {
-                    Some(ior) => Ok(Value::string(ior.to_stringified())),
-                    None => Err(ServantError::Application(format!("NotFound: {name}"))),
-                }
-            }
-            "unbind" => {
-                let name = args
-                    .first()
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ServantError::BadArguments("unbind(name)".into()))?;
-                match self.bindings.write().remove(name) {
-                    Some(_) => Ok(Value::Void),
-                    None => Err(ServantError::Application(format!("NotFound: {name}"))),
-                }
-            }
-            "list" => Ok(Value::Sequence(
-                self.bindings
-                    .read()
-                    .keys()
-                    .map(|k| Value::string(k.clone()))
-                    .collect(),
-            )),
-            other => Err(ServantError::UnknownOperation(other.to_owned())),
-        }
+    fn resolve(&self, name: String) -> Result<Ior, ServantError> {
+        let bindings = self.bindings.read();
+        bindings.get(&name).cloned().ok_or_else(|| not_found(&name))
     }
 
-    fn operations(&self) -> Vec<String> {
-        ["bind", "resolve", "unbind", "list"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
+    fn unbind(&self, name: String) -> Result<(), ServantError> {
+        let removed = self.bindings.write().remove(&name);
+        removed.map(|_| ()).ok_or_else(|| not_found(&name))
+    }
+
+    fn list(&self) -> Result<Vec<String>, ServantError> {
+        Ok(self.bindings.read().keys().cloned().collect())
     }
 }
 
@@ -214,11 +190,11 @@ impl NamingClient {
 
     /// Bind `name` to `ior`.
     pub fn bind(&self, name: &str, ior: &Ior) -> OrbResult<()> {
-        self.orb.invoke(
-            &self.naming_ior,
-            "bind",
-            &[Value::string(name), Value::string(ior.to_stringified())],
-        )?;
+        let ior = ior.clone();
+        self.call(context::Bind {
+            name: name.into(),
+            ior,
+        })?;
         // A rebind supersedes whatever the cache held for the name.
         if let Some(cache) = &self.cache {
             cache.invalidate(name);
@@ -265,31 +241,25 @@ impl NamingClient {
     }
 
     fn resolve_remote(&self, name: &str) -> OrbResult<Ior> {
-        match self
-            .orb
-            .invoke(&self.naming_ior, "resolve", &[Value::string(name)])
-        {
-            Ok(v) => {
-                let s = v.as_str().ok_or_else(|| OrbError::RemoteException {
-                    system: true,
-                    description: "resolve returned a non-string".into(),
-                })?;
-                Ior::from_stringified(s).map_err(OrbError::from)
-            }
+        match self.call(context::Resolve { name: name.into() }) {
             Err(OrbError::RemoteException {
                 system: false,
                 description,
             }) if description.starts_with("NotFound") => Err(OrbError::NameNotFound {
                 name: name.to_owned(),
             }),
-            Err(e) => Err(e),
+            other => other,
         }
+    }
+
+    /// Call the naming service.
+    fn call<O: Operation<Error = OrbError>>(&self, op: O) -> OrbResult<O::Reply> {
+        self.orb.call(&self.naming_ior, op, &CallOptions::default())
     }
 
     /// Remove the binding for `name`.
     pub fn unbind(&self, name: &str) -> OrbResult<()> {
-        self.orb
-            .invoke(&self.naming_ior, "unbind", &[Value::string(name)])?;
+        self.call(context::Unbind { name: name.into() })?;
         if let Some(cache) = &self.cache {
             cache.invalidate(name);
         }
@@ -298,12 +268,7 @@ impl NamingClient {
 
     /// All bound names.
     pub fn list(&self) -> OrbResult<Vec<String>> {
-        let v = self.orb.invoke(&self.naming_ior, "list", &[])?;
-        Ok(v.as_sequence()
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|x| x.as_str().map(str::to_owned))
-            .collect())
+        self.call(context::List {})
     }
 }
 
@@ -311,9 +276,10 @@ impl NamingClient {
 mod tests {
     use super::*;
     use crate::orb::OrbConfig;
-    use crate::servant::EchoServant;
+    use crate::servant::{echo, EchoServant, Servant};
     use crate::OrbDomain;
     use webfindit_wire::cdr::ByteOrder;
+    use webfindit_wire::Value;
 
     #[test]
     fn naming_over_the_wire() {
@@ -341,8 +307,8 @@ mod tests {
         assert_eq!(resolved, echo_ior);
 
         // The resolved reference is usable.
-        let out = client_orb.invoke(&resolved, "ping", &[]).unwrap();
-        assert_eq!(out, Value::string("pong"));
+        let out = client_orb.call(&resolved, echo::Ping {}, &CallOptions::default());
+        assert_eq!(out.unwrap(), "pong");
 
         nc.unbind("RBH").unwrap();
         assert!(matches!(
@@ -426,25 +392,27 @@ mod tests {
         let ns = NamingService::new();
         assert!(ns.is_empty());
         // In process, through the servant's own operations.
-        let ior = Ior::new_iiop("IDL:X:1.0", "h", 1, b"k".to_vec()).to_stringified();
-        ns.invoke("bind", &[Value::string("a"), Value::string(ior.clone())])
-            .unwrap();
+        let ior = Ior::new_iiop("IDL:X:1.0", "h", 1, b"k".to_vec());
+        ns.bind("a".into(), ior.clone()).unwrap();
         assert_eq!(ns.len(), 1);
-        assert_eq!(
-            ns.invoke("resolve", &[Value::string("a")]).unwrap(),
-            Value::string(ior)
-        );
-        assert!(ns.invoke("resolve", &[Value::string("b")]).is_err());
+        assert_eq!(ns.resolve("a".into()).unwrap(), ior);
+        assert!(ns.resolve("b".into()).is_err());
+        // The DSI answers with the stringified reference.
+        let name = [Value::string("a")];
+        let dsi = ns.invoke(context::Resolve::NAME, &name).unwrap();
+        assert_eq!(dsi, Value::string(ior.to_stringified()));
     }
 
     #[test]
     fn bad_arguments_rejected() {
         let ns = NamingService::new();
-        assert!(ns.invoke("bind", &[]).is_err());
+        let bind = context::Bind::NAME;
+        assert!(ns.invoke(bind, &[]).is_err());
+        let junk = [Value::string("x"), Value::string("junk")];
+        assert!(ns.invoke(bind, &junk).is_err());
         assert!(ns
-            .invoke("bind", &[Value::string("x"), Value::string("junk")])
+            .invoke(context::Resolve::NAME, &[Value::Long(1)])
             .is_err());
-        assert!(ns.invoke("resolve", &[Value::Long(1)]).is_err());
         assert!(ns.invoke("nonsense", &[]).is_err());
     }
 }

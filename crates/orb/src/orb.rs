@@ -39,6 +39,7 @@ use crate::channel::{
     InFlight, RetryPolicy,
 };
 use crate::domain::OrbDomain;
+use crate::interface::Operation;
 use crate::metrics::OrbMetrics;
 use crate::servant::{Servant, ServantError};
 use crate::{OrbError, OrbResult};
@@ -315,13 +316,74 @@ impl Orb {
         options: &CallOptions,
         decode: impl Fn(&mut CdrReader<'_>) -> Result<T, E>,
     ) -> Vec<Result<T, E>> {
-        let deadline = options.deadline.map(Deadline::after);
-        let sent: Vec<Step<'_>> = calls
+        self.run_all(calls.iter().map(|&c| Ok(c)), options, |_, r| decode(r))
+    }
+
+    /// Send the typed operation `op` to `ior` under `options`: a batch of
+    /// one for [`Orb::call_all`].
+    pub fn call<O: Operation>(
+        &self,
+        ior: &Ior,
+        op: O,
+        options: &CallOptions,
+    ) -> Result<O::Reply, O::Error> {
+        let args = op.args().map_err(OrbError::Wire)?;
+        let call = Invocation {
+            target: ior,
+            operation: O::NAME,
+            args: &args,
+        };
+        let mut out = self.run_all(std::iter::once(Ok(call)), options, |_, r| op.read_reply(r));
+        out.pop().expect("one result per call")
+    }
+
+    /// [`Orb::invoke_all`] for typed operations, each reply read by its
+    /// operation. A call whose arguments cannot be marshalled fails in
+    /// place, never sent.
+    pub fn call_all<O: Operation>(
+        &self,
+        calls: &[(&Ior, O)],
+        options: &CallOptions,
+    ) -> Vec<Result<O::Reply, O::Error>> {
+        let (args, mut unsendable): (Vec<_>, Vec<_>) = calls
             .iter()
-            .map(|&call| self.begin(call, options.retry, deadline))
+            .map(|(_, op)| match op.args() {
+                Ok(args) => (args, None),
+                Err(e) => (Vec::new(), Some(e)),
+            })
+            .unzip();
+        let invocations = calls.iter().zip(&args).zip(&mut unsendable).map(
+            |((&(target, _), args), unsendable)| match unsendable.take() {
+                Some(e) => Err(OrbError::Wire(e)),
+                None => Ok(Invocation {
+                    target,
+                    operation: O::NAME,
+                    args,
+                }),
+            },
+        );
+        self.run_all(invocations, options, |i, r| calls[i].1.read_reply(r))
+    }
+
+    /// Send every call from the calling thread before any reply is read,
+    /// then read the replies in call order, the `i`th through
+    /// `decode(i, …)`. All calls draw on one deadline, started here.
+    fn run_all<'a, T, E: From<OrbError>>(
+        &self,
+        calls: impl Iterator<Item = OrbResult<Invocation<'a>>>,
+        options: &CallOptions,
+        decode: impl Fn(usize, &mut CdrReader<'_>) -> Result<T, E>,
+    ) -> Vec<Result<T, E>> {
+        let deadline = options.deadline.map(Deadline::after);
+        let sent: Vec<Step<'a>> = calls
+            .map(|call| match call {
+                Ok(call) => self.begin(call, options.retry, deadline),
+                Err(e) => Step::Failed(e),
+            })
             .collect();
         sent.into_iter()
-            .map(|step| self.complete(step, &decode))
+            .enumerate()
+            .map(|(i, step)| self.complete(step, &|r| decode(i, r)))
             .collect()
     }
 
@@ -616,8 +678,9 @@ pub(crate) fn dispatch_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::servant::{EchoServant, ServantError};
+    use crate::servant::{echo, EchoServant, ServantError};
     use std::time::Duration;
+    use webfindit_wire::Rest;
 
     fn two_orbs() -> (Arc<Orb>, Arc<Orb>, Arc<OrbDomain>) {
         let domain = OrbDomain::new();
@@ -639,6 +702,19 @@ mod tests {
         (orbix, visi, domain)
     }
 
+    /// `ping` on the echo object `ior`, through `orb`.
+    fn ping(orb: &Orb, ior: &Ior) -> OrbResult<String> {
+        orb.call(ior, echo::Ping {}, &CallOptions::default())
+    }
+
+    /// `echo(values)` on the echo object `ior`, through `orb`.
+    fn echo(orb: &Orb, ior: &Ior, values: Vec<Value>) -> OrbResult<Vec<Value>> {
+        let op = echo::Echo {
+            values: Rest(values),
+        };
+        orb.call(ior, op, &CallOptions::default())
+    }
+
     #[test]
     fn cross_orb_invocation_over_iiop() {
         let (orbix, visi, _domain) = two_orbs();
@@ -646,13 +722,8 @@ mod tests {
 
         // VisiBroker (little-endian) calls a servant hosted on Orbix
         // (big-endian): a genuine cross-vendor IIOP round-trip.
-        let out = visi
-            .invoke(&ior, "echo", &[Value::Long(5), Value::string("hi")])
-            .unwrap();
-        assert_eq!(
-            out,
-            Value::Sequence(vec![Value::Long(5), Value::string("hi")])
-        );
+        let values = vec![Value::Long(5), Value::string("hi")];
+        assert_eq!(echo(&visi, &ior, values.clone()).unwrap(), values);
 
         let visi_m = visi.metrics().snapshot();
         let orbix_m = orbix.metrics().snapshot();
@@ -670,8 +741,7 @@ mod tests {
     fn collocated_invocation_short_circuits() {
         let (orbix, _visi, _domain) = two_orbs();
         let ior = orbix.activate("echo/1", Arc::new(EchoServant));
-        let out = orbix.invoke(&ior, "ping", &[]).unwrap();
-        assert_eq!(out, Value::string("pong"));
+        assert_eq!(ping(&orbix, &ior).unwrap(), "pong");
         let m = orbix.metrics().snapshot();
         assert_eq!(m.local_dispatches, 1);
         assert_eq!(m.requests_sent, 0);
@@ -683,14 +753,14 @@ mod tests {
         let (orbix, visi, _domain) = two_orbs();
         let ior = orbix.activate("echo/1", Arc::new(EchoServant));
 
-        match visi.invoke(&ior, "fail_user", &[]) {
+        match visi.call(&ior, echo::FailUser {}, &CallOptions::default()) {
             Err(OrbError::RemoteException {
                 system: false,
                 description,
             }) => assert_eq!(description, "declared failure"),
             other => panic!("expected user exception, got {other:?}"),
         }
-        match visi.invoke(&ior, "fail_system", &[]) {
+        match visi.call(&ior, echo::FailSystem {}, &CallOptions::default()) {
             Err(OrbError::RemoteException { system: true, .. }) => {}
             other => panic!("expected system exception, got {other:?}"),
         }
@@ -709,7 +779,7 @@ mod tests {
     fn unknown_object_key_is_object_not_exist() {
         let (orbix, visi, _domain) = two_orbs();
         let ior = Ior::new_iiop("IDL:X:1.0", "orbix.qut.edu.au", 9000, b"ghost".to_vec());
-        match visi.invoke(&ior, "ping", &[]) {
+        match ping(&visi, &ior) {
             Err(OrbError::RemoteException {
                 system: true,
                 description,
@@ -725,7 +795,7 @@ mod tests {
         let (_orbix, visi, _domain) = two_orbs();
         let ior = Ior::new_iiop("IDL:X:1.0", "nowhere.example", 1234, b"k".to_vec());
         assert!(matches!(
-            visi.invoke(&ior, "ping", &[]),
+            ping(&visi, &ior),
             Err(OrbError::UnknownHost { .. })
         ));
     }
@@ -734,7 +804,7 @@ mod tests {
     fn nil_reference_rejected() {
         let (_orbix, visi, _domain) = two_orbs();
         assert!(matches!(
-            visi.invoke(&Ior::nil(), "ping", &[]),
+            ping(&visi, &Ior::nil()),
             Err(OrbError::NoEndpoint)
         ));
     }
@@ -743,11 +813,11 @@ mod tests {
     fn shutdown_then_invoke_errors() {
         let (orbix, visi, _domain) = two_orbs();
         let ior = orbix.activate("echo/1", Arc::new(EchoServant));
-        visi.invoke(&ior, "ping", &[]).unwrap();
+        ping(&visi, &ior).unwrap();
         orbix.shutdown();
         // The endpoint is gone from the domain and the connection severed;
         // either way the call must fail, not hang.
-        assert!(visi.invoke(&ior, "ping", &[]).is_err());
+        assert!(ping(&visi, &ior).is_err());
         visi.shutdown();
     }
 
@@ -756,7 +826,7 @@ mod tests {
         let (orbix, visi, _domain) = two_orbs();
         let ior = orbix.activate("echo/1", Arc::new(EchoServant));
         for _ in 0..10 {
-            visi.invoke(&ior, "ping", &[]).unwrap();
+            ping(&visi, &ior).unwrap();
         }
         let channels = visi.channels.lock();
         assert_eq!(channels.len(), 1);
@@ -781,10 +851,8 @@ mod tests {
             let ior = ior.clone();
             handles.push(std::thread::spawn(move || {
                 for j in 0..25 {
-                    let v = visi
-                        .invoke(&ior, "echo", &[Value::Long(i * 100 + j)])
-                        .unwrap();
-                    assert_eq!(v, Value::Sequence(vec![Value::Long(i * 100 + j)]));
+                    let v = echo(&visi, &ior, vec![Value::Long(i * 100 + j)]).unwrap();
+                    assert_eq!(v, [Value::Long(i * 100 + j)]);
                 }
             }));
         }
@@ -844,7 +912,7 @@ mod tests {
                         .enumerate()
                         .map(|(i, args)| Invocation {
                             target: if i < width { &first } else { &second },
-                            operation: "echo",
+                            operation: echo::Echo::NAME,
                             args,
                         })
                         .collect();
@@ -943,7 +1011,7 @@ mod tests {
         // While the stalling request occupies the server, other calls
         // multiplexed over the same endpoint must still complete.
         for _ in 0..5 {
-            visi.invoke(&echo_ior, "ping", &[]).unwrap();
+            ping(&visi, &echo_ior).unwrap();
         }
 
         match stalled.join().unwrap() {
@@ -983,8 +1051,7 @@ mod tests {
             b"echo/1".to_vec(),
         );
         ior.profiles.extend(live.profiles);
-        let out = visi.invoke(&ior, "ping", &[]).unwrap();
-        assert_eq!(out, Value::string("pong"));
+        assert_eq!(ping(&visi, &ior).unwrap(), "pong");
         orbix.shutdown();
         visi.shutdown();
     }

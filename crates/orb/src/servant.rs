@@ -1,19 +1,21 @@
 //! The servant trait — the server-side implementation of a CORBA object.
 //!
-//! In IDL-based CORBA a compiler generates a skeleton per interface; here
-//! a servant is any type implementing [`Servant`], dispatching on the
-//! operation name with self-describing [`Value`] arguments (the Dynamic
-//! Skeleton Interface model, which is what 1990s database gateways used
-//! too, since wrappers could not know the exported schema at compile
-//! time).
+//! The ORB dispatches every request through [`Servant::invoke_into`],
+//! which writes the result straight into the reply frame.
 //!
-//! The ORB dispatches through [`Servant::invoke_into`], which writes the
-//! result straight into the reply frame. Its default encodes what
-//! [`Servant::invoke`] returns; a servant whose results are large and
-//! typed (the ISI's tables) overrides it and skips the `Value` tree.
+//! The skeletons of the system's own interfaces (co-database,
+//! information source, naming, echo) are generated: each interface is
+//! declared once with [`interface!`](crate::interface!), whose skeleton
+//! reads typed arguments and writes typed results, and whose client types
+//! make a misspelt operation or a mistyped argument a compile error.
+//!
+//! The Dynamic Skeleton Interface remains for dynamic servants, which
+//! dispatch on the operation name with self-describing [`Value`]
+//! arguments: a servant may implement [`Servant::invoke`] alone, and the
+//! default `invoke_into` encodes what it returns.
 
 use std::fmt;
-use webfindit_wire::{CdrWriter, Value};
+use webfindit_wire::{CdrWriter, Rest, Value};
 
 /// Errors a servant can raise; mapped onto GIOP reply statuses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,50 +95,53 @@ pub trait Servant: Send + Sync {
             .encode(out)
             .map_err(|e| ServantError::Marshal(e.to_string()))
     }
+}
 
-    /// Operations this servant understands, for `Display Access
-    /// Information` style introspection. Default: unknown.
-    fn operations(&self) -> Vec<String> {
-        Vec::new()
+crate::interface! {
+    /// A trivial interface for tests and liveness probes.
+    pub trait EchoOperations for EchoServant as echo = "IDL:webfindit/Echo:1.0" {
+        /// The arguments, as one sequence.
+        Echo: fn echo(values: Rest<Value>) -> Vec<Value>;
+        /// `"pong"`.
+        Ping: fn ping() -> String;
+        /// Always a user exception.
+        FailUser: fn fail_user() -> ();
+        /// Always a system exception.
+        FailSystem: fn fail_system() -> ();
     }
 }
 
-/// A trivial servant used by tests and liveness probes: echoes its
-/// arguments and reports a fixed interface id.
+/// The [`EchoOperations`] servant.
 pub struct EchoServant;
 
-impl Servant for EchoServant {
-    fn interface_id(&self) -> &str {
-        "IDL:webfindit/Echo:1.0"
+impl EchoOperations for EchoServant {
+    fn echo(&self, values: Rest<Value>) -> Result<Vec<Value>, ServantError> {
+        Ok(values.0)
     }
 
-    fn invoke(&self, operation: &str, args: &[Value]) -> InvokeResult {
-        match operation {
-            "echo" => Ok(Value::Sequence(args.to_vec())),
-            "ping" => Ok(Value::string("pong")),
-            "fail_user" => Err(ServantError::Application("declared failure".into())),
-            "fail_system" => Err(ServantError::Resource("backing store on fire".into())),
-            other => Err(ServantError::UnknownOperation(other.to_owned())),
-        }
+    fn ping(&self) -> Result<String, ServantError> {
+        Ok("pong".into())
     }
 
-    fn operations(&self) -> Vec<String> {
-        ["echo", "ping", "fail_user", "fail_system"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
+    fn fail_user(&self) -> Result<(), ServantError> {
+        Err(ServantError::Application("declared failure".into()))
+    }
+
+    fn fail_system(&self) -> Result<(), ServantError> {
+        Err(ServantError::Resource("backing store on fire".into()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Operation;
 
     #[test]
     fn echo_round() {
         let s = EchoServant;
         let out = s
-            .invoke("echo", &[Value::Long(1), Value::string("x")])
+            .invoke(echo::Echo::NAME, &[Value::Long(1), Value::string("x")])
             .unwrap();
         assert_eq!(
             out,
@@ -155,7 +160,7 @@ mod tests {
     #[test]
     fn application_errors_are_user_exceptions() {
         let s = EchoServant;
-        let err = s.invoke("fail_user", &[]).unwrap_err();
+        let err = s.invoke(echo::FailUser::NAME, &[]).unwrap_err();
         assert!(!err.is_system());
     }
 }

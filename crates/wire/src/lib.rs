@@ -18,6 +18,9 @@
 //! * [`cdr`] — aligned CDR encoding/decoding with both byte orders.
 //! * [`value`] — a self-describing value model (the `any`/TypeCode analog)
 //!   used by dynamic invocation.
+//! * [`marshal`] — its static twin: [`Marshal`] types, the arguments and
+//!   results of typed interfaces, write exactly their `Value` shape's
+//!   bytes.
 //! * [`giop`] — GIOP message headers and bodies (Request, Reply,
 //!   LocateRequest/Reply, CancelRequest, CloseConnection, MessageError,
 //!   Fragment).
@@ -33,6 +36,7 @@ pub mod bufpool;
 pub mod cdr;
 pub mod giop;
 pub mod ior;
+pub mod marshal;
 pub mod poll;
 pub mod transport;
 pub mod value;
@@ -44,6 +48,7 @@ pub use giop::{
     Routed,
 };
 pub use ior::{IiopProfile, Ior, TaggedProfile};
+pub use marshal::{Marshal, Rest, Trailing};
 pub use transport::{Fault, FaultSlot, FrameReader, FramedTcp, NbSender};
 pub use value::Value;
 
@@ -104,6 +109,9 @@ pub enum WireError {
     Closed,
     /// A string that must not contain a NUL byte contained one.
     EmbeddedNul,
+    /// A typed value did not have its declared shape: a record lacked
+    /// the named field, or had another field count.
+    Shape(&'static str),
 }
 
 impl fmt::Display for WireError {
@@ -131,6 +139,7 @@ impl fmt::Display for WireError {
             WireError::Io(e) => write!(f, "transport I/O error: {e}"),
             WireError::Closed => write!(f, "transport closed by peer"),
             WireError::EmbeddedNul => write!(f, "string contains an embedded NUL byte"),
+            WireError::Shape(what) => write!(f, "typed value lacks its declared shape at {what}"),
         }
     }
 }

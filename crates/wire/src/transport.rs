@@ -350,11 +350,6 @@ impl FramedTcp {
         // No deadline: `None` (time ran out) cannot come back.
         self.recv_frame_by(None)?.ok_or(WireError::Closed)
     }
-
-    /// Receive and decode a message in one step.
-    pub fn recv_message(&mut self) -> WireResult<GiopMessage> {
-        GiopMessage::decode_frame(self.recv_frame()?)
-    }
 }
 
 /// The send half of a connection the reactor serves: whole frames are
@@ -486,7 +481,7 @@ mod tests {
         let server = thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let mut t = FramedTcp::new(stream);
-            let msg = t.recv_message().unwrap();
+            let msg = t.recv_frame().and_then(GiopMessage::decode_frame).unwrap();
             match msg {
                 GiopMessage::Request { header, .. } => {
                     t.send_message(
@@ -506,7 +501,11 @@ mod tests {
                 ByteOrder::BigEndian,
             )
             .unwrap();
-        match client.recv_message().unwrap() {
+        match client
+            .recv_frame()
+            .and_then(GiopMessage::decode_frame)
+            .unwrap()
+        {
             GiopMessage::Reply {
                 request_id, body, ..
             } => {
@@ -550,7 +549,7 @@ mod tests {
         (&a).write_all(&frame[..15]).unwrap();
         drop(a);
         let mut t = FramedTcp::new(b);
-        assert!(matches!(t.recv_message(),
+        assert!(matches!(t.recv_frame().and_then(GiopMessage::decode_frame),
             Err(WireError::Io(e)) if e.kind() == ErrorKind::UnexpectedEof));
     }
 
@@ -563,7 +562,10 @@ mod tests {
         frame[8..12].copy_from_slice(&(crate::MAX_MESSAGE_SIZE + 1).to_be_bytes());
         FramedTcp::new(a).send_frame(&frame).unwrap();
         let mut t = FramedTcp::new(b);
-        assert!(matches!(t.recv_message(), Err(WireError::TooLarge { .. })));
+        assert!(matches!(
+            t.recv_frame().and_then(GiopMessage::decode_frame),
+            Err(WireError::TooLarge { .. })
+        ));
     }
 
     /// Drive a [`FrameReader`] over `stream` the way the reactor does —
@@ -710,8 +712,24 @@ mod tests {
         slot.clear();
         faulty.send_message(&ping(3), ByteOrder::BigEndian).unwrap();
         // Frame 2 was dropped; frame 3 arrives right behind frame 1.
-        assert_eq!(request_id(clean.recv_message().unwrap()), 1);
-        assert_eq!(request_id(clean.recv_message().unwrap()), 3);
+        assert_eq!(
+            request_id(
+                clean
+                    .recv_frame()
+                    .and_then(GiopMessage::decode_frame)
+                    .unwrap()
+            ),
+            1
+        );
+        assert_eq!(
+            request_id(
+                clean
+                    .recv_frame()
+                    .and_then(GiopMessage::decode_frame)
+                    .unwrap()
+            ),
+            3
+        );
     }
 
     #[test]
@@ -722,7 +740,7 @@ mod tests {
             let (stream, _) = listener.accept().unwrap();
             let mut t = FramedTcp::new(stream);
             let mut got = Vec::new();
-            while let Ok(msg) = t.recv_message() {
+            while let Ok(msg) = t.recv_frame().and_then(GiopMessage::decode_frame) {
                 got.push(request_id(msg));
             }
             got

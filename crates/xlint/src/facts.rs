@@ -1,10 +1,8 @@
 //! Per-file fact extraction: a lightweight item/statement parser over
 //! scrubbed source that records, for every function, the calls it
 //! makes (with the lock guards live at each call site), the locks it
-//! acquires, the blocking tokens it contains, plus file-level facts the
-//! interprocedural rules need — servant dispatch arms keyed by
-//! interface id, `invoke("op")` string literals, `*Metrics` counter
-//! declarations, and `impl Trace` counter mentions.
+//! acquires, the blocking tokens it contains, plus the file-level facts
+//! the interprocedural rules need: `*Metrics` counter declarations.
 //!
 //! The same statement machine also emits the five original token-level
 //! findings (guard-across-blocking in its same-statement form,
@@ -13,7 +11,7 @@
 //! and the existing allowlist entries stay valid.
 
 use crate::report::Finding;
-use crate::scrub::{ident_before, in_ranges, is_ident_byte, scrub, test_line_ranges, StrLit};
+use crate::scrub::{ident_before, in_ranges, is_ident_byte, scrub, test_line_ranges};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -25,10 +23,10 @@ pub const ACQUIRE_CALLS: [&str; 3] = ["lock", "read", "write"];
 /// invocations, frame I/O, connection establishment. A live guard at
 /// one of these is a `guard-across-blocking` finding; reachability of
 /// one from the reactor thread is a `reactor-blocking` finding.
-pub const BLOCKING_TOKENS: [&str; 15] = [
+pub const BLOCKING_TOKENS: [&str; 14] = [
     ".invoke(",
     ".invoke_with(",
-    "invoke_codb(",
+    ".call_all(",
     "send_request(",
     "recv_reply(",
     ".send_frame(",
@@ -36,7 +34,6 @@ pub const BLOCKING_TOKENS: [&str; 15] = [
     ".recv_frame_by(",
     ".wait_readable(",
     ".send_message(",
-    ".recv_message(",
     "TcpStream::connect",
     ".call(",
     ".sync_all(",
@@ -46,10 +43,10 @@ pub const BLOCKING_TOKENS: [&str; 15] = [
 /// Method names whose callee is a blocking token in its own right; call
 /// sites with these names are covered by the direct
 /// guard-across-blocking rule, so the transitive rule skips them.
-pub const BLOCKING_CALL_NAMES: [&str; 15] = [
+pub const BLOCKING_CALL_NAMES: [&str; 14] = [
     "invoke",
     "invoke_with",
-    "invoke_codb",
+    "call_all",
     "send_request",
     "recv_reply",
     "send_frame",
@@ -57,7 +54,6 @@ pub const BLOCKING_CALL_NAMES: [&str; 15] = [
     "recv_frame_by",
     "wait_readable",
     "send_message",
-    "recv_message",
     "connect",
     "call",
     "sync_all",
@@ -174,44 +170,10 @@ pub struct FnFact {
     pub file: usize,
     pub start_line: usize,
     pub end_line: usize,
-    pub body_start: usize,
-    pub body_end: usize,
     pub in_test: bool,
-    /// Parameter names with a `&str`/`String`-like type (forwarder
-    /// detection for `invoke(ior, op, args)`-shaped helpers).
-    pub str_params: Vec<String>,
     pub calls: Vec<CallSite>,
     pub acquires: Vec<AcquireSite>,
     pub blocking: Vec<BlockingSite>,
-}
-
-/// A call with its literal and bare-identifier arguments recovered from
-/// the original source (the statement machine only sees blanked text).
-#[derive(Debug)]
-pub struct ArgCall {
-    pub name: String,
-    pub line: usize,
-    pub offset: usize,
-    /// Top-level string-literal arguments, in order.
-    pub str_args: Vec<String>,
-    /// Top-level bare-identifier arguments (possibly `&`-prefixed).
-    pub ident_args: Vec<String>,
-}
-
-/// One `impl Servant for Type` block's dispatch contract.
-#[derive(Debug)]
-pub struct ServantFact {
-    pub type_name: String,
-    pub file: usize,
-    pub line: usize,
-    pub in_test: bool,
-    pub interface_id: Option<String>,
-    /// Dispatch arm literals from the `match operation` of `fn invoke`
-    /// and `fn invoke_into`, with the line each arm pattern appears on.
-    pub arms: Vec<(String, usize)>,
-    /// Literals returned from `fn operations` (empty when the servant
-    /// relies on the trait default).
-    pub operations: Vec<String>,
 }
 
 /// An `AtomicU64` counter field of a `*Metrics` struct, written out or
@@ -229,11 +191,7 @@ pub struct FileFacts {
     pub path: PathBuf,
     pub crate_name: String,
     pub fns: Vec<FnFact>,
-    pub arg_calls: Vec<ArgCall>,
-    pub servants: Vec<ServantFact>,
     pub counters: Vec<CounterDecl>,
-    /// `const NAME: &str = "…";` bindings (interface-id resolution).
-    pub consts: BTreeMap<String, String>,
     pub test_ranges: Vec<(usize, usize)>,
     /// Token-level findings (same-statement rules), pre test-filtering.
     pub token_findings: Vec<Finding>,
@@ -261,16 +219,9 @@ struct Ctx {
     depth: usize,
 }
 
-struct ImplSpan {
-    type_name: String,
-    trait_name: Option<String>,
-    line: usize,
-    body_start: usize,
-    body_end: usize,
-}
-
-/// Parse `impl …` header text into (type, trait) last segments.
-fn parse_impl_header(header: &str) -> Option<(String, Option<String>)> {
+/// Parse `impl …` header text into the implementing type's last
+/// segment.
+fn parse_impl_header(header: &str) -> Option<String> {
     let t = header.trim_start();
     let rest = t.strip_prefix("impl")?;
     if !rest.starts_with(|c: char| c.is_whitespace() || c == '<') {
@@ -302,23 +253,17 @@ fn parse_impl_header(header: &str) -> Option<(String, Option<String>)> {
     let rest = &rest[i..];
     // Cut at `where`.
     let rest = rest.split(" where ").next().unwrap_or(rest).trim();
-    let (trait_part, type_part) = match rest.split_once(" for ") {
-        Some((tr, ty)) => (Some(tr.trim()), ty.trim()),
-        None => (None, rest),
-    };
+    let type_part = rest.split_once(" for ").map_or(rest, |(_, ty)| ty.trim());
     let last_segment = |s: &str| -> String {
         let s = s.split('<').next().unwrap_or(s).trim();
         s.rsplit("::").next().unwrap_or(s).trim().to_owned()
     };
     let ty = last_segment(type_part);
-    if ty.is_empty() {
-        return None;
-    }
-    Some((ty, trait_part.map(last_segment)))
+    (!ty.is_empty()).then_some(ty)
 }
 
-/// Parse a `fn name(params)` header into (name, str_params), or None.
-fn parse_fn_header(header: &str) -> Option<(String, Vec<String>)> {
+/// Parse a `fn name(…)` header into the function's name, or None.
+fn parse_fn_header(header: &str) -> Option<String> {
     // Find the `fn` keyword as a standalone word.
     let bytes = header.as_bytes();
     let mut at = None;
@@ -333,68 +278,11 @@ fn parse_fn_header(header: &str) -> Option<(String, Vec<String>)> {
         }
         i += 1;
     }
-    let after = &header[at?..];
-    let after = after.trim_start();
+    let after = header[at?..].trim_start();
     let name_end = after.find(|c: char| !c.is_alphanumeric() && c != '_')?;
     let name = &after[..name_end];
-    if name.is_empty() {
-        return None;
-    }
-    // Parameter list: balanced parens after the name (and any generics).
-    let open = after.find('(')?;
-    let pbytes = after.as_bytes();
-    let mut depth = 0i32;
-    let mut close = None;
-    for (j, b) in pbytes.iter().enumerate().skip(open) {
-        match b {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    close = Some(j);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let params = &after[open + 1..close?];
-    let mut str_params = Vec::new();
-    for p in split_top_level(params, ',') {
-        let p = p.trim();
-        let Some((pname, ty)) = p.split_once(':') else {
-            continue;
-        };
-        let pname = pname.trim().trim_start_matches("mut ").trim();
-        let ty = ty.trim();
-        if !pname.is_empty()
-            && pname.chars().all(|c| c.is_alphanumeric() || c == '_')
-            && (ty.contains("str") || ty.contains("String"))
-        {
-            str_params.push(pname.to_owned());
-        }
-    }
-    Some((name.to_owned(), str_params))
-}
-
-/// Split `s` on `sep` at zero paren/angle/bracket depth.
-fn split_top_level(s: &str, sep: char) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut start = 0;
-    for (i, c) in s.char_indices() {
-        match c {
-            '(' | '[' | '<' => depth += 1,
-            ')' | ']' | '>' => depth -= 1,
-            c if c == sep && depth == 0 => {
-                out.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    out.push(&s[start..]);
-    out
+    // A parameter list follows the name (and any generics).
+    (!name.is_empty() && after.contains('(')).then(|| name.to_owned())
 }
 
 /// True when the statement is a `let` whose right-hand side *ends* with
@@ -499,13 +387,14 @@ struct Machine<'a> {
     file_idx: usize,
     path: &'a Path,
     fns: Vec<FnFact>,
-    impls: Vec<ImplSpan>,
+    /// The type (or trait) each open `impl`/`trait` block declares
+    /// methods of, innermost last.
+    impl_stack: Vec<String>,
     token_findings: Vec<Finding>,
     order_edges: BTreeMap<(String, String), usize>,
     guards: Vec<Guard>,
     ctx: Vec<Ctx>,
     fn_stack: Vec<usize>,
-    impl_stack: Vec<usize>,
 }
 
 impl Machine<'_> {
@@ -514,8 +403,8 @@ impl Machine<'_> {
             .push(Finding::new(self.path.to_path_buf(), line, rule, message));
     }
 
-    fn current_impl(&self) -> Option<&ImplSpan> {
-        self.impl_stack.last().map(|&i| &self.impls[i])
+    fn current_impl(&self) -> Option<&String> {
+        self.impl_stack.last()
     }
 
     /// Process accumulated statement text. `opens_brace` is true when
@@ -723,9 +612,9 @@ impl Machine<'_> {
     }
 
     /// Classify a `{`-terminated header and push the new scope context.
-    fn open_scope(&mut self, header: &str, line: usize, depth: usize, offset: usize) {
-        let kind = if let Some((name, str_params)) = parse_fn_header(header) {
-            let impl_type = self.current_impl().map(|i| i.type_name.clone());
+    fn open_scope(&mut self, header: &str, line: usize, depth: usize) {
+        let kind = if let Some(name) = parse_fn_header(header) {
+            let impl_type = self.current_impl().cloned();
             let qualified = match &impl_type {
                 Some(t) => format!("{t}::{name}"),
                 None => name.clone(),
@@ -737,10 +626,7 @@ impl Machine<'_> {
                 file: self.file_idx,
                 start_line: line,
                 end_line: line,
-                body_start: offset,
-                body_end: offset,
                 in_test: false,
-                str_params,
                 calls: Vec::new(),
                 acquires: Vec::new(),
                 blocking: Vec::new(),
@@ -748,15 +634,8 @@ impl Machine<'_> {
             let fi = self.fns.len() - 1;
             self.fn_stack.push(fi);
             CtxKind::Fn(fi)
-        } else if let Some((ty, tr)) = parse_impl_header(header) {
-            self.impls.push(ImplSpan {
-                type_name: ty.clone(),
-                trait_name: tr.clone(),
-                line,
-                body_start: offset,
-                body_end: offset,
-            });
-            self.impl_stack.push(self.impls.len() - 1);
+        } else if let Some(ty) = parse_impl_header(header) {
+            self.impl_stack.push(ty);
             CtxKind::ImplBlock
         } else if let Some(rest) = header
             .trim_start()
@@ -768,14 +647,7 @@ impl Machine<'_> {
                 .take_while(|c| c.is_alphanumeric() || *c == '_')
                 .collect();
             // Trait default bodies count as methods of the trait name.
-            self.impls.push(ImplSpan {
-                type_name: name.clone(),
-                trait_name: None,
-                line,
-                body_start: offset,
-                body_end: offset,
-            });
-            self.impl_stack.push(self.impls.len() - 1);
+            self.impl_stack.push(name);
             CtxKind::ImplBlock
         } else {
             CtxKind::Other
@@ -783,7 +655,7 @@ impl Machine<'_> {
         self.ctx.push(Ctx { kind, depth });
     }
 
-    fn close_scope(&mut self, depth: usize, line: usize, offset: usize) {
+    fn close_scope(&mut self, depth: usize, line: usize) {
         while let Some(ctx) = self.ctx.last() {
             if ctx.depth < depth {
                 break;
@@ -791,13 +663,10 @@ impl Machine<'_> {
             match &ctx.kind {
                 CtxKind::Fn(fi) => {
                     self.fns[*fi].end_line = line;
-                    self.fns[*fi].body_end = offset;
                     self.fn_stack.pop();
                 }
                 CtxKind::ImplBlock => {
-                    if let Some(ii) = self.impl_stack.pop() {
-                        self.impls[ii].body_end = offset;
-                    }
+                    self.impl_stack.pop();
                 }
                 CtxKind::Other => {}
             }
@@ -812,20 +681,19 @@ fn run_machine<'a>(file_idx: usize, path: &'a Path, scrubbed: &str) -> Machine<'
         file_idx,
         path,
         fns: Vec::new(),
-        impls: Vec::new(),
+        impl_stack: Vec::new(),
         token_findings: Vec::new(),
         order_edges: BTreeMap::new(),
         guards: Vec::new(),
         ctx: Vec::new(),
         fn_stack: Vec::new(),
-        impl_stack: Vec::new(),
     };
     let mut depth: usize = 0;
     let mut stmt = String::new();
     let mut stmt_line = 1;
     let mut line = 1;
     let mut in_stmt = false;
-    for (offset, c) in scrubbed.char_indices() {
+    for c in scrubbed.chars() {
         match c {
             '\n' => {
                 line += 1;
@@ -833,7 +701,7 @@ fn run_machine<'a>(file_idx: usize, path: &'a Path, scrubbed: &str) -> Machine<'
             }
             '{' => {
                 m.statement(&stmt, stmt_line, depth, true);
-                m.open_scope(&stmt, stmt_line, depth, offset);
+                m.open_scope(&stmt, stmt_line, depth);
                 depth += 1;
                 stmt.clear();
                 in_stmt = false;
@@ -842,7 +710,7 @@ fn run_machine<'a>(file_idx: usize, path: &'a Path, scrubbed: &str) -> Machine<'
                 m.statement(&stmt, stmt_line, depth, false);
                 depth = depth.saturating_sub(1);
                 m.guards.retain(|g| g.depth <= depth);
-                m.close_scope(depth, line, offset);
+                m.close_scope(depth, line);
                 stmt.clear();
                 in_stmt = false;
             }
@@ -862,244 +730,6 @@ fn run_machine<'a>(file_idx: usize, path: &'a Path, scrubbed: &str) -> Machine<'
         }
     }
     m
-}
-
-/// Byte-offset → line-number table.
-fn line_table(text: &str) -> Vec<usize> {
-    let mut starts = vec![0usize];
-    for (i, b) in text.bytes().enumerate() {
-        if b == b'\n' {
-            starts.push(i + 1);
-        }
-    }
-    starts
-}
-
-fn line_of(table: &[usize], offset: usize) -> usize {
-    match table.binary_search(&offset) {
-        Ok(i) => i + 1,
-        Err(i) => i,
-    }
-}
-
-/// Extract calls with their top-level string-literal and bare-identifier
-/// arguments. Works on scrubbed text for structure and the literal
-/// index for contents.
-fn extract_arg_calls(scrubbed: &str, strings: &[StrLit], table: &[usize]) -> Vec<ArgCall> {
-    let bytes = scrubbed.as_bytes();
-    let mut out = Vec::new();
-    for p in 1..bytes.len() {
-        if bytes[p] != b'(' || !is_ident_byte(bytes[p - 1]) {
-            continue;
-        }
-        let Some(name) = ident_before(scrubbed, p) else {
-            continue;
-        };
-        if is_call_keyword(&name) {
-            continue;
-        }
-        let start = p - name.len();
-        if scrubbed[..start].trim_end().ends_with("fn") {
-            continue;
-        }
-        // Balanced argument region.
-        let mut depth = 0i32;
-        let mut close = None;
-        for (j, b) in bytes.iter().enumerate().skip(p) {
-            match b {
-                b'(' => depth += 1,
-                b')' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = Some(j);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(close) = close else { continue };
-        let args = &scrubbed[p + 1..close];
-        let mut str_args = Vec::new();
-        let mut ident_args = Vec::new();
-        let mut arg_start = p + 1;
-        let mut d = 0i32;
-        let mut spans = Vec::new();
-        for (j, b) in bytes.iter().enumerate().take(close).skip(p + 1) {
-            match b {
-                b'(' | b'[' => d += 1,
-                b')' | b']' => d -= 1,
-                b',' if d == 0 => {
-                    spans.push((arg_start, j));
-                    arg_start = j + 1;
-                }
-                _ => {}
-            }
-        }
-        spans.push((arg_start, close));
-        for (s, e) in spans {
-            // Blanked literals are all spaces in scrubbed text, so stop
-            // the whitespace skip at any recorded literal start.
-            let mut s = s;
-            while s < e && bytes[s].is_ascii_whitespace() && !strings.iter().any(|l| l.start == s) {
-                s += 1;
-            }
-            if s >= e {
-                continue;
-            }
-            if let Some(lit) = strings.iter().find(|l| l.start == s) {
-                if lit.end <= e + 1 {
-                    str_args.push(lit.value.clone());
-                    continue;
-                }
-            }
-            let text = scrubbed[s..e].trim();
-            let bare = text.strip_prefix('&').unwrap_or(text);
-            if !bare.is_empty() && bare.chars().all(|c| c.is_alphanumeric() || c == '_') {
-                ident_args.push(bare.to_owned());
-            }
-        }
-        if str_args.is_empty() && ident_args.is_empty() && args.trim().is_empty() {
-            continue;
-        }
-        out.push(ArgCall {
-            name,
-            line: line_of(table, start),
-            offset: start,
-            str_args,
-            ident_args,
-        });
-    }
-    out
-}
-
-/// Brace depth at each string literal's start offset.
-fn literal_depths(scrubbed: &str, strings: &[StrLit]) -> Vec<usize> {
-    let bytes = scrubbed.as_bytes();
-    let mut depths = Vec::with_capacity(strings.len());
-    let mut depth = 0usize;
-    let mut si = 0;
-    for (i, b) in bytes.iter().enumerate() {
-        while si < strings.len() && strings[si].start == i {
-            depths.push(depth);
-            si += 1;
-        }
-        match b {
-            b'{' => depth += 1,
-            b'}' => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-    }
-    while si < strings.len() {
-        depths.push(depth);
-        si += 1;
-    }
-    depths
-}
-
-/// Extract `impl Servant for Type` contracts from the machine's impl
-/// spans plus the literal index.
-fn extract_servants(
-    m: &Machine<'_>,
-    scrubbed: &str,
-    strings: &[StrLit],
-    consts: &BTreeMap<String, String>,
-    test_ranges: &[(usize, usize)],
-    file_idx: usize,
-) -> Vec<ServantFact> {
-    let depths = literal_depths(scrubbed, strings);
-    let mut out = Vec::new();
-    for span in &m.impls {
-        if span.trait_name.as_deref() != Some("Servant") {
-            continue;
-        }
-        let in_test = in_ranges(test_ranges, span.line);
-        let fn_in_span = |name: &str| {
-            m.fns.iter().find(|f| {
-                f.name == name && f.body_start >= span.body_start && f.body_end <= span.body_end
-            })
-        };
-        // interface_id: first literal in the body, else a const lookup.
-        let interface_id = fn_in_span("interface_id").and_then(|f| {
-            strings
-                .iter()
-                .find(|l| l.start > f.body_start && l.end < f.body_end)
-                .map(|l| l.value.clone())
-                .or_else(|| {
-                    let body = &scrubbed[f.body_start..f.body_end];
-                    body.split(|c: char| !c.is_alphanumeric() && c != '_')
-                        .rev()
-                        .find_map(|tok| consts.get(tok).cloned())
-                })
-        });
-        // Dispatch arms: literals in the body of `fn invoke` or `fn
-        // invoke_into` (a servant may dispatch in either) followed (after
-        // whitespace) by `=>` or `|`, kept at the minimum such depth per
-        // function so nested matches inside arm bodies don't masquerade
-        // as arms.
-        let mut arms = Vec::new();
-        for f in ["invoke", "invoke_into"].into_iter().filter_map(fn_in_span) {
-            let mut candidates: Vec<(usize, String, usize)> = Vec::new(); // (depth, value, line)
-            for (li, lit) in strings.iter().enumerate() {
-                if lit.start <= f.body_start || lit.end >= f.body_end {
-                    continue;
-                }
-                let after = scrubbed[lit.end..f.body_end].trim_start();
-                if after.starts_with("=>") || after.starts_with('|') {
-                    candidates.push((depths[li], lit.value.clone(), lit.line));
-                }
-            }
-            if let Some(min_depth) = candidates.iter().map(|(d, _, _)| *d).min() {
-                for (d, v, l) in candidates {
-                    if d == min_depth {
-                        arms.push((v, l));
-                    }
-                }
-            }
-        }
-        let operations = fn_in_span("operations")
-            .map(|f| {
-                strings
-                    .iter()
-                    .filter(|l| l.start > f.body_start && l.end < f.body_end)
-                    .map(|l| l.value.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
-        out.push(ServantFact {
-            type_name: span.type_name.clone(),
-            file: file_idx,
-            line: span.line,
-            in_test,
-            interface_id,
-            arms,
-            operations,
-        });
-    }
-    out
-}
-
-/// `const NAME: &str = "…";` bindings (scrubbed lines + literal index).
-fn extract_consts(scrubbed: &str, strings: &[StrLit]) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    for (lno, line) in scrubbed.lines().enumerate() {
-        let Some(at) = line.find("const ") else {
-            continue;
-        };
-        let rest = &line[at + 6..];
-        let name: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if name.is_empty() || !rest.contains("str") {
-            continue;
-        }
-        if let Some(lit) = strings.iter().find(|l| l.line == lno + 1) {
-            out.insert(name, lit.value.clone());
-        }
-    }
-    out
 }
 
 /// `AtomicU64` counter fields of `*Metrics` structs, one field per
@@ -1169,37 +799,23 @@ fn crate_of(path: &Path) -> String {
 /// Extract all facts from one file.
 pub fn extract(file_idx: usize, path: &Path, src: &str) -> FileFacts {
     let scrubbed = scrub(src);
-    let table = line_table(&scrubbed.text);
-    let test_ranges = test_line_ranges(&scrubbed.text);
-    let mut machine = run_machine(file_idx, path, &scrubbed.text);
+    let test_ranges = test_line_ranges(&scrubbed);
+    let mut machine = run_machine(file_idx, path, &scrubbed);
     for f in &mut machine.fns {
         f.in_test = in_ranges(&test_ranges, f.start_line);
     }
-    let consts = extract_consts(&scrubbed.text, &scrubbed.strings);
-    let servants = extract_servants(
-        &machine,
-        &scrubbed.text,
-        &scrubbed.strings,
-        &consts,
-        &test_ranges,
-        file_idx,
-    );
-    let mut counters = extract_counters(&scrubbed.text, file_idx);
+    let mut counters = extract_counters(&scrubbed, file_idx);
     counters.retain(|c| !in_ranges(&test_ranges, c.line));
-    let arg_calls = extract_arg_calls(&scrubbed.text, &scrubbed.strings, &table);
     FileFacts {
         path: path.to_path_buf(),
         crate_name: crate_of(path),
         fns: machine.fns,
-        arg_calls,
-        servants,
         counters,
-        consts,
         test_ranges,
         token_findings: machine.token_findings,
         order_edges: machine.order_edges,
         source_lines: src.lines().map(str::to_owned).collect(),
-        scrubbed: scrubbed.text,
+        scrubbed,
     }
 }
 
@@ -1242,39 +858,6 @@ mod tests {
         assert!(f.fns[0].blocking.is_empty());
         assert_eq!(f.fns[1].blocking.len(), 1);
         assert_eq!(f.fns[1].blocking[0].token, ".send_frame(");
-    }
-
-    #[test]
-    fn servant_arms_and_interface_are_extracted() {
-        let src = "const IFACE: &str = \"IDL:webfindit/Thing:1.0\";\nstruct S;\nimpl Servant for S {\n    fn interface_id(&self) -> &str {\n        IFACE\n    }\n    fn invoke(&self, operation: &str, args: &[Value]) -> InvokeResult {\n        match operation {\n            \"alpha\" => run_alpha(),\n            \"beta\" | \"gamma\" => run_beta(),\n            other => fail(other),\n        }\n    }\n    fn operations(&self) -> Vec<String> {\n        [\"alpha\", \"beta\", \"gamma\"].iter().map(|s| s.to_string()).collect()\n    }\n}\n";
-        let f = facts(src);
-        assert_eq!(f.servants.len(), 1);
-        let s = &f.servants[0];
-        assert_eq!(s.type_name, "S");
-        assert_eq!(s.interface_id.as_deref(), Some("IDL:webfindit/Thing:1.0"));
-        let arm_names: Vec<&str> = s.arms.iter().map(|(a, _)| a.as_str()).collect();
-        assert_eq!(arm_names, ["alpha", "beta", "gamma"]);
-        assert_eq!(s.operations, ["alpha", "beta", "gamma"]);
-    }
-
-    #[test]
-    fn arg_calls_capture_literal_and_ident_args() {
-        let src = "fn go(fed: &F, op: &str) {\n    fed.invoke(&ior, \"find_links\", &[]);\n    fed.invoke(&ior, op, &[]);\n}\n";
-        let f = facts(src);
-        let invokes: Vec<&ArgCall> = f.arg_calls.iter().filter(|c| c.name == "invoke").collect();
-        assert_eq!(invokes.len(), 2);
-        assert_eq!(invokes[0].str_args, ["find_links"]);
-        assert!(invokes[1].str_args.is_empty());
-        assert!(invokes[1].ident_args.contains(&"op".to_owned()));
-        assert_eq!(f.fns[0].str_params, ["op"]);
-    }
-
-    #[test]
-    fn nested_literal_args_are_not_top_level() {
-        let src = "fn go(s: &S) {\n    s.invoke(\"members\", &[Value::string(\"Ghost\")]);\n}\n";
-        let f = facts(src);
-        let inv = f.arg_calls.iter().find(|c| c.name == "invoke").unwrap();
-        assert_eq!(inv.str_args, ["members"]);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! 1. **Fact extraction** ([`facts`]): a lightweight lexer/item parser
 //!    scrubs comments and strings, tracks brace depth and item context,
 //!    and records per-function facts — calls made (with the lock guards
-//!    live at each call site), locks acquired, blocking tokens,
-//!    `invoke("op")` literals, servant dispatch arms keyed by interface
-//!    id, and `*Metrics` counters declared/recorded.
+//!    live at each call site), locks acquired, blocking tokens, and
+//!    `*Metrics` counters declared/recorded.
 //! 2. **Call graph** ([`graph`]): name-based resolution
 //!    (`self.`/`Type::` precise, bare and method names by workspace
 //!    lookup with a std-collision stoplist), then BFS reachability that
@@ -20,11 +19,13 @@
 //!    parent chain IS the witness path in the report.
 //! 3. **Rules** ([`rules`]): the five original token rules
 //!    (guard-across-blocking now transitive, std-sync-direct,
-//!    lock-order-cycle, lock-unwrap, thread-spawn-dispatch) plus three
+//!    lock-order-cycle, lock-unwrap, thread-spawn-dispatch) plus two
 //!    interprocedural families: `reactor-blocking` (nothing reachable
-//!    from `Reactor::run` may block or take a tracked lock),
-//!    `idl-drift` (client invoke strings vs servant dispatch arms), and
-//!    `metrics-drift` (counters declared but never recorded).
+//!    from `Reactor::run` may block or take a tracked lock) and
+//!    `metrics-drift` (counters declared but never recorded). Client and
+//!    servant cannot disagree on an operation: each CORBA interface is
+//!    declared once (`webfindit_orb::interface!`), so a misspelt
+//!    operation does not compile.
 //!
 //! Findings print as `file:line: [rule] message`, with interprocedural
 //! findings carrying a `witness:` line — the chain of `file:line` call
@@ -73,7 +74,6 @@ pub fn analyze_sources(sources: &[(PathBuf, String, Scope)]) -> Analysis {
     findings.extend(rules::token_rules(&files, &scopes));
     findings.extend(rules::reactor_blocking(&files, &scopes, &graph));
     findings.extend(rules::guard_transitive(&files, &scopes, &graph));
-    findings.extend(rules::idl_drift(&files, &scopes));
     findings.extend(rules::metrics_drift(&files, &scopes));
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))

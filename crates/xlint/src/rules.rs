@@ -3,19 +3,18 @@
 //! Token-level rules (std-sync-direct, lock-unwrap,
 //! thread-spawn-dispatch, same-statement guard-across-blocking) are
 //! emitted by the fact extractor itself; this module adds the
-//! file-level lock-order-cycle pass and the three interprocedural
-//! families: `reactor-blocking`, `idl-drift`, `metrics-drift`, plus the
-//! transitive form of `guard-across-blocking`.
+//! file-level lock-order-cycle pass and the interprocedural families:
+//! `reactor-blocking`, `metrics-drift`, and the transitive form of
+//! `guard-across-blocking`.
 
 use crate::facts::{FileFacts, BLOCKING_CALL_NAMES};
 use crate::graph::{fn_at, CallGraph, NodeId};
 use crate::report::{Finding, Step};
 use crate::scrub::{in_ranges, is_ident_byte};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Per-file scope: findings-scope files produce findings; evidence
-/// files (tests/, benches/) only contribute facts — a test invoking an
-/// operation proves the servant arm is exercised, but nothing inside a
+/// files (tests/, benches/) only contribute facts, and nothing inside a
 /// test is ever reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
@@ -271,222 +270,6 @@ pub fn guard_transitive(files: &[FileFacts], scopes: &[Scope], graph: &CallGraph
                         )
                         .with_witness(witness),
                     );
-                }
-            }
-        }
-    }
-    out
-}
-
-/// An operation-name string literal: lowercase identifier shaped like an
-/// IDL operation. Filters out `Class.method` driver strings, format
-/// fragments, and error text.
-fn is_op_literal(s: &str) -> bool {
-    !s.is_empty()
-        && s.bytes()
-            .next()
-            .is_some_and(|b| b.is_ascii_lowercase() || b == b'_')
-        && s.bytes()
-            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-}
-
-struct Forwarder {
-    qualified: String,
-    file: usize,
-    /// Line of the call that forwards the `&str` parameter onward.
-    fwd_line: usize,
-    /// Name of the callee the parameter is forwarded to.
-    next: String,
-}
-
-/// `idl-drift`: client-invoked operations with no matching servant arm,
-/// servant arms nothing ever exercises, and `operations()` lists that
-/// disagree with the dispatch arms.
-pub fn idl_drift(files: &[FileFacts], scopes: &[Scope]) -> Vec<Finding> {
-    // Every operation any servant exports (arms or operations() lists),
-    // including test/bench servants — a test client invoking a
-    // test servant's op is not drift.
-    let mut exported: BTreeSet<String> = BTreeSet::new();
-    for file in files {
-        for s in &file.servants {
-            for (arm, _) in &s.arms {
-                exported.insert(arm.clone());
-            }
-            for op in &s.operations {
-                exported.insert(op.clone());
-            }
-        }
-    }
-
-    // Forwarder fixpoint: a function that threads one of its `&str`
-    // parameters into `invoke`/`invoke_with` (or another forwarder) is
-    // itself an invoke site for literal-extraction purposes.
-    let enclosing_fn = |file: &FileFacts, offset: usize| -> Option<usize> {
-        file.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.body_start <= offset && offset <= f.body_end)
-            .max_by_key(|(_, f)| f.body_start)
-            .map(|(i, _)| i)
-    };
-    let mut family: BTreeSet<String> = ["invoke", "invoke_with"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut forwarders: BTreeMap<String, Forwarder> = BTreeMap::new();
-    loop {
-        let mut grew = false;
-        for (fi, file) in files.iter().enumerate() {
-            for call in &file.arg_calls {
-                if !family.contains(&call.name) {
-                    continue;
-                }
-                let Some(fidx) = enclosing_fn(file, call.offset) else {
-                    continue;
-                };
-                let f = &file.fns[fidx];
-                if f.str_params.iter().any(|p| call.ident_args.contains(p))
-                    && !family.contains(&f.name)
-                {
-                    family.insert(f.name.clone());
-                    forwarders.insert(
-                        f.name.clone(),
-                        Forwarder {
-                            qualified: f.qualified.clone(),
-                            file: fi,
-                            fwd_line: call.line,
-                            next: call.name.clone(),
-                        },
-                    );
-                    grew = true;
-                }
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-
-    // Every op literal passed to an invoke-family call, everywhere.
-    let mut exercised: BTreeSet<String> = BTreeSet::new();
-    let mut orphan_candidates: Vec<(String, usize, usize, String, Option<usize>)> = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        for call in &file.arg_calls {
-            if !family.contains(&call.name) {
-                continue;
-            }
-            let Some(op) = call.str_args.iter().find(|s| is_op_literal(s)) else {
-                continue;
-            };
-            exercised.insert(op.clone());
-            let in_test = scopes[fi] == Scope::Evidence || in_ranges(&file.test_ranges, call.line);
-            if !in_test && is_findings(scopes, fi) {
-                orphan_candidates.push((
-                    op.clone(),
-                    fi,
-                    call.line,
-                    call.name.clone(),
-                    enclosing_fn(file, call.offset),
-                ));
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-
-    // Orphan invokes: a non-test client invokes an op no servant exports.
-    for (op, fi, line, callee, encl) in orphan_candidates {
-        if exported.contains(&op) {
-            continue;
-        }
-        // Witness: the forwarder chain from this call down to the real
-        // invoke, when the literal travels through helpers.
-        let mut witness = Vec::new();
-        if let Some(fidx) = encl {
-            witness.push(Step {
-                what: files[fi].fns[fidx].qualified.clone(),
-                file: files[fi].path.clone(),
-                line,
-            });
-        }
-        let mut next = callee.clone();
-        let mut hops = 0;
-        while let Some(fw) = forwarders.get(&next) {
-            witness.push(Step {
-                what: fw.qualified.clone(),
-                file: files[fw.file].path.clone(),
-                line: fw.fwd_line,
-            });
-            next = fw.next.clone();
-            hops += 1;
-            if hops > 5 {
-                break;
-            }
-        }
-        out.push(
-            Finding::new(
-                files[fi].path.clone(),
-                line,
-                "idl-drift",
-                format!(
-                    "client invokes `{op}` but no servant exports that operation — \
-                     the call compiles and fails at runtime with UnknownOperation"
-                ),
-            )
-            .with_witness(witness),
-        );
-    }
-
-    // Dead arms and operations()/arms disagreement, per non-test servant.
-    for (fi, file) in files.iter().enumerate() {
-        if !is_findings(scopes, fi) {
-            continue;
-        }
-        for s in &file.servants {
-            if s.in_test {
-                continue;
-            }
-            let iface = s.interface_id.as_deref().unwrap_or("<unknown interface>");
-            for (arm, line) in &s.arms {
-                if !exercised.contains(arm) {
-                    out.push(Finding::new(
-                        file.path.clone(),
-                        *line,
-                        "idl-drift",
-                        format!(
-                            "servant arm `{arm}` on `{}` ({iface}) is never invoked by \
-                             any client, test, or bench — dead dispatch surface",
-                            s.type_name
-                        ),
-                    ));
-                }
-            }
-            if !s.operations.is_empty() {
-                let arm_set: BTreeSet<&str> = s.arms.iter().map(|(a, _)| a.as_str()).collect();
-                let op_set: BTreeSet<&str> = s.operations.iter().map(String::as_str).collect();
-                for op in op_set.difference(&arm_set) {
-                    out.push(Finding::new(
-                        file.path.clone(),
-                        s.line,
-                        "idl-drift",
-                        format!(
-                            "`{}::operations()` lists `{op}` but `invoke()` has no \
-                             matching dispatch arm",
-                            s.type_name
-                        ),
-                    ));
-                }
-                for arm in arm_set.difference(&op_set) {
-                    out.push(Finding::new(
-                        file.path.clone(),
-                        s.line,
-                        "idl-drift",
-                        format!(
-                            "`{}::invoke()` dispatches `{arm}` but `operations()` \
-                             does not list it",
-                            s.type_name
-                        ),
-                    ));
                 }
             }
         }

@@ -1,28 +1,5 @@
 //! Source scrubbing: blank comments, string/char literals, and lifetime
-//! ticks while preserving byte offsets and newlines, and record every
-//! string literal's span and contents so later passes (IDL-drift arm
-//! extraction, `invoke("op")` argument reading) can recover literal text
-//! at a known offset.
-
-/// One string literal found while scrubbing. `start` is the byte offset
-/// of the opening quote (or the `r` of a raw string); `end` is one past
-/// the closing quote (including closing hashes for raw strings).
-#[derive(Debug, Clone)]
-pub struct StrLit {
-    pub start: usize,
-    pub end: usize,
-    pub line: usize,
-    pub value: String,
-}
-
-/// A scrubbed file: `text` is byte-for-byte the same length as the
-/// input with comments/strings/chars blanked to spaces (newlines kept),
-/// `strings` lists the blanked string literals in offset order.
-#[derive(Debug)]
-pub struct Scrubbed {
-    pub text: String,
-    pub strings: Vec<StrLit>,
-}
+//! ticks while preserving byte offsets and newlines.
 
 pub fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
@@ -45,11 +22,9 @@ pub fn ident_before(text: &str, end: usize) -> Option<String> {
 /// Blank out comments, string literals, char literals, and lifetime
 /// ticks, preserving every newline (so byte offsets keep their line
 /// numbers) and leaving all other characters in place.
-pub fn scrub(src: &str) -> Scrubbed {
+pub fn scrub(src: &str) -> String {
     let bytes = src.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
-    let mut strings = Vec::new();
-    let mut line = 1usize;
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
@@ -73,12 +48,7 @@ pub fn scrub(src: &str) -> Scrubbed {
                         out.extend_from_slice(b"  ");
                         i += 2;
                     } else {
-                        if bytes[i] == b'\n' {
-                            line += 1;
-                            out.push(b'\n');
-                        } else {
-                            out.push(b' ');
-                        }
+                        out.push(blank(bytes[i]));
                         i += 1;
                     }
                 }
@@ -86,50 +56,28 @@ pub fn scrub(src: &str) -> Scrubbed {
             b'"' => {
                 // Ordinary string literal (raw strings are handled below
                 // via the `r` prefix case before we ever see the quote).
-                let start = i;
-                let start_line = line;
                 out.push(b' ');
                 i += 1;
-                let lit_start = i;
                 while i < bytes.len() && bytes[i] != b'"' {
                     if bytes[i] == b'\\' {
                         out.push(b' ');
                         i += 1;
                         if i < bytes.len() {
-                            if bytes[i] == b'\n' {
-                                line += 1;
-                                out.push(b'\n');
-                            } else {
-                                out.push(b' ');
-                            }
+                            out.push(blank(bytes[i]));
                             i += 1;
                         }
                     } else {
-                        if bytes[i] == b'\n' {
-                            line += 1;
-                            out.push(b'\n');
-                        } else {
-                            out.push(b' ');
-                        }
+                        out.push(blank(bytes[i]));
                         i += 1;
                     }
                 }
-                let value = String::from_utf8_lossy(&bytes[lit_start..i]).into_owned();
                 out.push(b' ');
                 i += 1;
-                strings.push(StrLit {
-                    start,
-                    end: i,
-                    line: start_line,
-                    value,
-                });
             }
             b'r' if matches!(bytes.get(i + 1), Some(b'"') | Some(b'#'))
                 && (i == 0 || !is_ident_byte(bytes[i - 1])) =>
             {
                 // Raw string r"…", r#"…"#, r##"…"##, …
-                let start = i;
-                let start_line = line;
                 let mut hashes = 0;
                 let mut j = i + 1;
                 while bytes.get(j) == Some(&b'#') {
@@ -138,9 +86,7 @@ pub fn scrub(src: &str) -> Scrubbed {
                 }
                 if bytes.get(j) == Some(&b'"') {
                     out.extend(std::iter::repeat_n(b' ', j - i + 1));
-                    let lit_start = j + 1;
                     let mut k = j + 1;
-                    let mut lit_end = k;
                     'raw: while k < bytes.len() {
                         if bytes[k] == b'"' {
                             let mut h = 0;
@@ -148,27 +94,14 @@ pub fn scrub(src: &str) -> Scrubbed {
                                 h += 1;
                             }
                             if h == hashes {
-                                lit_end = k;
                                 out.extend(std::iter::repeat_n(b' ', hashes + 1));
                                 k += 1 + hashes;
                                 break 'raw;
                             }
                         }
-                        if bytes[k] == b'\n' {
-                            line += 1;
-                            out.push(b'\n');
-                        } else {
-                            out.push(b' ');
-                        }
+                        out.push(blank(bytes[k]));
                         k += 1;
                     }
-                    let value = String::from_utf8_lossy(&bytes[lit_start..lit_end]).into_owned();
-                    strings.push(StrLit {
-                        start,
-                        end: k,
-                        line: start_line,
-                        value,
-                    });
                     i = k;
                 } else {
                     out.push(bytes[i]);
@@ -200,20 +133,21 @@ pub fn scrub(src: &str) -> Scrubbed {
                     i += 1;
                 }
             }
-            b'\n' => {
-                line += 1;
-                out.push(b'\n');
-                i += 1;
-            }
             b => {
                 out.push(b);
                 i += 1;
             }
         }
     }
-    Scrubbed {
-        text: String::from_utf8_lossy(&out).into_owned(),
-        strings,
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+/// A blanked byte: newlines stay, so offsets keep their line numbers.
+fn blank(b: u8) -> u8 {
+    if b == b'\n' {
+        b'\n'
+    } else {
+        b' '
     }
 }
 
@@ -280,41 +214,28 @@ mod tests {
     fn scrub_blanks_comments_and_strings_preserving_lines() {
         let src = "let a = \"x.lock()\"; // .invoke(\nlet b = 1; /* .read() */ let c = 'x';";
         let s = scrub(src);
-        assert!(!s.text.contains("x.lock()"));
-        assert!(!s.text.contains(".invoke("));
-        assert!(!s.text.contains(".read()"));
-        assert_eq!(s.text.matches('\n').count(), src.matches('\n').count());
-        assert!(s.text.contains("let b = 1;"));
-        assert_eq!(s.text.len(), src.len());
-    }
-
-    #[test]
-    fn scrub_records_string_literals_with_offsets() {
-        let src = "fn f() { g(\"find_links\", 1); }\nconst X: &str = \"IDL:a/B:1.0\";";
-        let s = scrub(src);
-        assert_eq!(s.strings.len(), 2);
-        assert_eq!(s.strings[0].value, "find_links");
-        assert_eq!(s.strings[0].line, 1);
-        assert_eq!(&src[s.strings[0].start..s.strings[0].end], "\"find_links\"");
-        assert_eq!(s.strings[1].value, "IDL:a/B:1.0");
-        assert_eq!(s.strings[1].line, 2);
+        assert!(!s.contains("x.lock()"));
+        assert!(!s.contains(".invoke("));
+        assert!(!s.contains(".read()"));
+        assert_eq!(s.matches('\n').count(), src.matches('\n').count());
+        assert!(s.contains("let b = 1;"));
+        assert_eq!(s.len(), src.len());
     }
 
     #[test]
     fn scrub_handles_raw_strings_and_lifetimes() {
         let src = "fn f<'a>(x: &'a str) { let s = r#\"a.lock()\"#; }";
         let s = scrub(src);
-        assert!(!s.text.contains("a.lock()"));
-        assert!(s.text.contains("fn f"));
-        assert_eq!(s.strings.len(), 1);
-        assert_eq!(s.strings[0].value, "a.lock()");
+        assert!(!s.contains("a.lock()"));
+        assert!(s.contains("fn f"));
+        assert_eq!(s.len(), src.len());
     }
 
     #[test]
     fn test_ranges_cover_cfg_test_modules() {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() {}\n}\n";
         let s = scrub(src);
-        let ranges = test_line_ranges(&s.text);
+        let ranges = test_line_ranges(&s);
         assert_eq!(ranges.len(), 1);
         assert!(in_ranges(&ranges, 4));
         assert!(!in_ranges(&ranges, 1));

@@ -41,22 +41,6 @@ fn reactor_blocking_fixture() {
     run_case("reactor_blocking");
 }
 
-/// Client-side orphan invokes (direct and through a forwarder), a dead
-/// servant arm, and an `operations()` listing out of step with the
-/// dispatch table.
-#[test]
-fn idl_drift_fixture() {
-    run_case("idl_drift");
-}
-
-/// A servant that dispatches in `invoke_into`: its arms are read from
-/// there, so only the listed-but-missing op and the never-invoked arm
-/// are reported.
-#[test]
-fn idl_drift_invoke_into_fixture() {
-    run_case("idl_drift_into");
-}
-
 /// Healthy counters beside ones nothing ever increments, in a
 /// written-out struct and in a `counter_set!` declaration.
 #[test]

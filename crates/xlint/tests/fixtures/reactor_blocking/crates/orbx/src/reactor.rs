@@ -18,5 +18,10 @@ impl Reactor {
         // Cycle back into tick: reachability must terminate.
         self.tick();
         helper_flush(self);
+        self.dispatch();
+    }
+
+    fn dispatch(&self) {
+        forward(self);
     }
 }
