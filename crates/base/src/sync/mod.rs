@@ -238,6 +238,27 @@ impl<T: ?Sized> RwLock<T> {
         }
     }
 
+    /// Try to take a shared read guard without blocking: `None` while a
+    /// writer holds the lock (or, as std decides, waits for it).
+    #[track_caller]
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        let inner = match self.inner.try_read() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        // As for `Mutex::try_lock`: held from here on, never cycle-checked.
+        #[cfg(feature = "deadlock-detect")]
+        let id = self.meta.pre_acquire(detect::AcquireKind::Try);
+        #[cfg(feature = "deadlock-detect")]
+        detect::post_acquire(id);
+        Some(RwLockReadGuard {
+            #[cfg(feature = "deadlock-detect")]
+            id,
+            inner,
+        })
+    }
+
     /// Acquire an exclusive write guard, recovering from poisoning.
     #[track_caller]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
@@ -384,6 +405,18 @@ mod tests {
         assert!(m.try_lock().is_none());
         drop(g);
         assert!(m.try_lock().is_some());
+    }
+
+    #[test]
+    fn try_read_fails_under_a_writer_and_shares_with_a_reader() {
+        let l = RwLock::new(1);
+        let w = l.write();
+        assert!(l.try_read().is_none(), "a held writer refuses a reader");
+        drop(w);
+        let r = l.read();
+        assert_eq!(l.try_read().map(|g| *g), Some(1), "readers share");
+        drop(r);
+        assert!(l.try_read().is_some());
     }
 
     #[test]

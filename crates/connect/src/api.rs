@@ -139,6 +139,19 @@ pub trait Connection: Send {
         self.execute(text).map(Some)
     }
 
+    /// [`Connection::execute_into`] for a statement answered without
+    /// waiting on anything: a primary-key point probe that finds the
+    /// source's shared guard free. `None` means the statement did not
+    /// run and the sink saw nothing; the caller runs it through
+    /// `execute_into`. The default answers nothing.
+    fn execute_now(
+        &mut self,
+        _text: &str,
+        _sink: &mut dyn RowSink<crate::ConnectError>,
+    ) -> Option<ConnectResult<()>> {
+        None
+    }
+
     /// Invoke a named access routine (object stores only; relational
     /// connections reject this).
     fn invoke(&mut self, _method: &str, _args: &[OValue]) -> ConnectResult<QueryOutput> {

@@ -118,6 +118,19 @@ impl Connection for CompensatingConnection {
         }
     }
 
+    /// Forwards to the inner connection; a probe the dialect refuses is
+    /// left to `execute_into`, which compensates.
+    fn execute_now(
+        &mut self,
+        text: &str,
+        sink: &mut dyn RowSink<ConnectError>,
+    ) -> Option<ConnectResult<()>> {
+        match self.inner.execute_now(text, sink)? {
+            Err(ConnectError::Rel(RelError::Unsupported(_))) => None,
+            answer => Some(answer),
+        }
+    }
+
     fn invoke(
         &mut self,
         method: &str,

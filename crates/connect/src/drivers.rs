@@ -56,16 +56,11 @@ impl Driver for RelationalDriver {
         let db = self.registry.relational(parts.vendor, parts.instance)?;
         // The registered instance must actually speak this dialect —
         // catching mis-deployments early.
-        {
-            let guard = db.read();
-            if guard.dialect() != self.dialect {
-                return Err(ConnectError::WrongParadigm(format!(
-                    "instance {} speaks {}, driver is {}",
-                    guard.name(),
-                    guard.dialect(),
-                    self.dialect
-                )));
-            }
+        if let Some(dialect) = db.dialect().filter(|d| *d != self.dialect) {
+            return Err(ConnectError::WrongParadigm(format!(
+                "instance {} speaks {dialect}, driver is {}",
+                parts.instance, self.dialect
+            )));
         }
         Ok(Box::new(RelationalConnection {
             db: Some(db),
@@ -156,6 +151,25 @@ impl Connection for RelationalConnection {
             ExecOutcome::Count(n) => QueryOutput::Count(n),
             ExecOutcome::Done => QueryOutput::Done,
         }))
+    }
+
+    /// A point probe under the shared guard, if the guard is free and
+    /// the instance owes no checkpoint: `execute_into`'s SELECT path,
+    /// taking the guard with `try_read`.
+    fn execute_now(
+        &mut self,
+        text: &str,
+        sink: &mut dyn RowSink<ConnectError>,
+    ) -> Option<ConnectResult<()>> {
+        let db = self.db.as_ref()?;
+        let stmt = parse_statement(text).ok()?;
+        let guard = db.try_read()?;
+        if guard.owes_checkpoint() {
+            return None;
+        }
+        let answer = guard.select_point_into(&stmt, sink)?;
+        drop(guard);
+        Some(answer.map(|m| self.last_metrics = Some(query_metrics(&m))))
     }
 
     fn begin(&mut self) -> ConnectResult<QueryOutput> {

@@ -3,29 +3,22 @@
 use crate::api::{Connection, Driver};
 use crate::{ConnectError, ConnectResult};
 use std::sync::Arc;
-use webfindit_base::sync::RwLock;
 
-/// Registry of drivers; connections are opened by URL, first driver that
-/// accepts wins (JDBC semantics).
-#[derive(Default)]
+/// The drivers, fixed when the manager is built; connections are opened
+/// by URL, first driver that accepts wins (JDBC semantics).
 pub struct DriverManager {
-    drivers: RwLock<Vec<Arc<dyn Driver>>>,
+    drivers: Vec<Box<dyn Driver>>,
 }
 
 impl DriverManager {
-    /// Create an empty manager.
-    pub fn new() -> DriverManager {
-        DriverManager::default()
-    }
-
-    /// Register a driver.
-    pub fn register(&self, driver: Arc<dyn Driver>) {
-        self.drivers.write().push(driver);
+    /// A manager over `drivers`, tried in this order.
+    pub fn new(drivers: Vec<Box<dyn Driver>>) -> DriverManager {
+        DriverManager { drivers }
     }
 
     /// Open a connection to `url`.
     pub fn get_connection(&self, url: &str) -> ConnectResult<Box<dyn Connection>> {
-        for driver in self.drivers.read().iter() {
+        for driver in &self.drivers {
             if driver.accepts(url) {
                 return driver.connect(url);
             }
@@ -40,21 +33,20 @@ pub fn standard_manager(registry: Arc<crate::registry::DataSourceRegistry>) -> D
     use crate::drivers::{ObjectDriver, RelationalDriver};
     use webfindit_relstore::Dialect;
 
-    let m = DriverManager::new();
-    for dialect in [
+    let mut drivers: Vec<Box<dyn Driver>> = [
         Dialect::Oracle,
         Dialect::MSql,
         Dialect::Db2,
         Dialect::Sybase,
-    ] {
-        m.register(Arc::new(RelationalDriver::new(
-            dialect,
-            Arc::clone(&registry),
-        )));
-    }
-    m.register(Arc::new(ObjectDriver::ontos(Arc::clone(&registry))));
-    m.register(Arc::new(ObjectDriver::objectstore(registry)));
-    m
+    ]
+    .into_iter()
+    .map(|dialect| {
+        Box::new(RelationalDriver::new(dialect, Arc::clone(&registry))) as Box<dyn Driver>
+    })
+    .collect();
+    drivers.push(Box::new(ObjectDriver::ontos(Arc::clone(&registry))));
+    drivers.push(Box::new(ObjectDriver::objectstore(registry)));
+    DriverManager::new(drivers)
 }
 
 #[cfg(test)]
@@ -68,7 +60,7 @@ mod tests {
         let reg = DataSourceRegistry::new();
         reg.register_relational("db2", "ATO", Database::new("ATO", Dialect::Db2));
         let m = standard_manager(Arc::clone(&reg));
-        assert_eq!(m.drivers.read().len(), 6);
+        assert_eq!(m.drivers.len(), 6);
         assert!(m.get_connection("jdbc:db2://h/ATO").is_ok());
         assert!(matches!(
             m.get_connection("jdbc:postgres://h/ATO"),

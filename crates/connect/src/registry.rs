@@ -11,7 +11,7 @@ use std::sync::Arc;
 use webfindit_base::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use webfindit_oostore::method::MethodTable;
 use webfindit_oostore::ObjectStore;
-use webfindit_relstore::Database;
+use webfindit_relstore::{Database, Dialect};
 
 /// A registered object database: the store plus its access routines.
 pub struct OoInstance {
@@ -24,24 +24,49 @@ pub struct OoInstance {
 /// A registered engine instance. Queries share it through [`Instance::read`];
 /// anything that may write (DML, DDL, transaction control, a checkpoint,
 /// crash and restart) holds it alone through [`Instance::lock`].
-pub struct Instance<T>(RwLock<T>);
+pub struct Instance<T> {
+    engine: RwLock<T>,
+    /// The SQL dialect a relational engine speaks (`None` for an object
+    /// store). It never changes, so it is read without the guard.
+    dialect: Option<Dialect>,
+}
 
 impl<T> Instance<T> {
     /// The exclusive guard.
     #[track_caller]
     pub fn lock(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write()
+        self.engine.write()
     }
 
     /// The shared guard.
     #[track_caller]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read()
+        self.engine.read()
+    }
+
+    /// The shared guard if nobody holds the exclusive one, without
+    /// waiting.
+    #[track_caller]
+    pub(crate) fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        self.engine.try_read()
+    }
+
+    /// The dialect the instance was registered with.
+    pub(crate) fn dialect(&self) -> Option<Dialect> {
+        self.dialect
     }
 }
 
 /// `(vendor, instance)` → shared engine handle.
 type InstanceMap<T> = RwLock<BTreeMap<(String, String), Arc<Instance<T>>>>;
+
+/// Resolve `(vendor, name)` in `map`.
+fn resolve<T>(map: &InstanceMap<T>, vendor: &str, name: &str) -> ConnectResult<Arc<Instance<T>>> {
+    map.read()
+        .get(&(vendor.to_ascii_lowercase(), name.to_ascii_lowercase()))
+        .cloned()
+        .ok_or_else(|| ConnectError::UnknownDataSource(format!("{vendor}/{name}")))
+}
 
 /// Shared registry of running database instances.
 #[derive(Default)]
@@ -69,11 +94,14 @@ impl DataSourceRegistry {
         // commit order, and readers must not see a half-applied
         // statement) and exempted from the runtime detector. A shared
         // guard only reads and never reaches the WAL.
-        let handle = Arc::new(Instance(
-            RwLock::new_labeled(db, "connect.registry.relational-db").allow_hold_across_blocking(
-                "commit-path fsync runs under the per-instance database lock",
-            ),
-        ));
+        let dialect = Some(db.dialect());
+        let handle = Arc::new(Instance {
+            engine: RwLock::new_labeled(db, "connect.registry.relational-db")
+                .allow_hold_across_blocking(
+                    "commit-path fsync runs under the per-instance database lock",
+                ),
+            dialect,
+        });
         self.relational.write().insert(
             (vendor.to_ascii_lowercase(), name.to_ascii_lowercase()),
             Arc::clone(&handle),
@@ -89,7 +117,10 @@ impl DataSourceRegistry {
         store: ObjectStore,
         methods: MethodTable,
     ) -> Arc<Instance<OoInstance>> {
-        let handle = Arc::new(Instance(RwLock::new(OoInstance { store, methods })));
+        let handle = Arc::new(Instance {
+            engine: RwLock::new(OoInstance { store, methods }),
+            dialect: None,
+        });
         self.object.write().insert(
             (vendor.to_ascii_lowercase(), name.to_ascii_lowercase()),
             Arc::clone(&handle),
@@ -99,20 +130,12 @@ impl DataSourceRegistry {
 
     /// Resolve a relational instance.
     pub fn relational(&self, vendor: &str, name: &str) -> ConnectResult<Arc<Instance<Database>>> {
-        self.relational
-            .read()
-            .get(&(vendor.to_ascii_lowercase(), name.to_ascii_lowercase()))
-            .cloned()
-            .ok_or_else(|| ConnectError::UnknownDataSource(format!("{vendor}/{name}")))
+        resolve(&self.relational, vendor, name)
     }
 
     /// Resolve an object instance.
     pub fn object(&self, vendor: &str, name: &str) -> ConnectResult<Arc<Instance<OoInstance>>> {
-        self.object
-            .read()
-            .get(&(vendor.to_ascii_lowercase(), name.to_ascii_lowercase()))
-            .cloned()
-            .ok_or_else(|| ConnectError::UnknownDataSource(format!("{vendor}/{name}")))
+        resolve(&self.object, vendor, name)
     }
 
     /// Simulate a crash of a relational instance (the site loses

@@ -20,10 +20,12 @@ use webfindit_connect::{
     CompensatingConnection, ConnectError, Connection, DriverManager, QueryOutput,
 };
 use webfindit_oostore::OValue;
+use webfindit_orb::interface::arg;
 use webfindit_orb::servant::ServantError;
+use webfindit_orb::Operation;
 use webfindit_relstore::{Datum, RowSink};
 use webfindit_wire::marshal::{read_field, read_record_of, write_field, write_record};
-use webfindit_wire::{CdrReader, CdrWriter, Marshal, Rest, Trailing, WireResult};
+use webfindit_wire::{CdrReader, CdrWriter, Marshal, Rest, Trailing, Value, WireResult};
 
 webfindit_orb::interface! {
     /// The co-database server object's operations: metadata lookups,
@@ -429,9 +431,46 @@ fn write_output(out: QueryOutput, w: &mut CdrWriter) -> Result<(), ServantError>
     .map_err(marshal)
 }
 
+/// How a failed `execute` reaches its caller.
+fn execute_error(e: ConnectError) -> ServantError {
+    match e {
+        ConnectError::Sink(msg) => ServantError::Marshal(msg),
+        e => ServantError::Application(e.to_string()),
+    }
+}
+
+/// A reply decoder type, to name the `isi::Execute` operation.
+type Unread = fn(&mut CdrReader<'_>) -> Result<(), webfindit_orb::OrbError>;
+
 impl InformationSourceOperations for IsiServant {
     fn admit(&self) {
         self.stall.wait();
+    }
+
+    /// An `execute` whose statement is a primary-key point probe, when
+    /// no stall is set and the source answers it without waiting
+    /// ([`Connection::execute_now`]): `execute`'s path, with its reply.
+    /// Anything else is left to the dispatch pool.
+    fn invoke_now(
+        &self,
+        operation: &str,
+        args: &[Value],
+        out: &mut CdrWriter,
+    ) -> Option<Result<(), ServantError>> {
+        if operation != <isi::Execute<Unread>>::NAME || self.stall.millis() > 0 {
+            return None;
+        }
+        let mut at = 0;
+        let text: String = arg(args, &mut at, operation, "text").ok()?;
+        let max_rows: Trailing<u32> = arg(args, &mut at, operation, "max_rows").ok()?;
+        let mut conn = self.open().ok()?;
+        let mut table = TableWriter::new(out, max_rows.0.map(|n| n as usize));
+        let answer = conn.execute_now(&text, &mut table)?;
+        if answer.is_ok() {
+            self.report_data_metrics(&conn);
+            table.finish();
+        }
+        Some(answer.map_err(execute_error))
     }
 
     fn interface_of(&self) -> Result<SourceInterface, ServantError> {
@@ -463,10 +502,9 @@ impl InformationSourceOperations for IsiServant {
         // counters are those of the whole statement.
         let mut conn = self.open()?;
         let mut table = TableWriter::new(out, max_rows);
-        let done = conn.execute_into(&text, &mut table).map_err(|e| match e {
-            ConnectError::Sink(msg) => ServantError::Marshal(msg),
-            e => ServantError::Application(e.to_string()),
-        })?;
+        let done = conn
+            .execute_into(&text, &mut table)
+            .map_err(execute_error)?;
         self.report_data_metrics(&conn);
         let Some(mut done) = done else {
             table.finish();

@@ -81,6 +81,21 @@ impl ObjectAdapter {
         })?;
         servant.invoke_into(operation, args, out)
     }
+
+    /// Answer an invocation at once, if the servant under `key` does
+    /// ([`Servant::invoke_now`]). `None`, with nothing written, when it
+    /// does not, when no servant is active under `key` (the dispatch
+    /// pool reports that), or when an activation holds the servant map.
+    pub(crate) fn dispatch_now(
+        &self,
+        key: &[u8],
+        operation: &str,
+        args: &[Value],
+        out: &mut CdrWriter,
+    ) -> Option<Result<(), ServantError>> {
+        let servant = self.servants.try_read()?.get(key).cloned()?;
+        servant.invoke_now(operation, args, out)
+    }
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ use webfindit_base::sync::{detect, Mutex};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{FragmentAssembler, GiopMessage, Routed};
 use webfindit_wire::transport::FramedTcp;
-use webfindit_wire::WireError;
+use webfindit_wire::{WireError, WireResult};
 
 /// Per-call policy knobs, threaded from the application layers down to
 /// the wire.
@@ -369,6 +369,12 @@ impl MuxConn {
     /// Sever the socket (unblocks a leader parked in its read).
     fn sever(&self) {
         self.writer.lock().shutdown();
+    }
+
+    /// Write one whole frame: the writer lock is held for exactly this
+    /// send, so frames of concurrent callers never interleave.
+    fn send_frame(&self, frame: &[u8]) -> WireResult<()> {
+        self.writer.lock().send_frame(frame)
     }
 
     /// Ask one caller parked on this connection to take the read half.
@@ -747,11 +753,7 @@ impl IiopChannel {
             .insert(request_id, Slot { tx, parked: false });
         self.metrics.add(&self.metrics.in_flight, 1);
 
-        let sent = {
-            let mut w = conn.writer.lock();
-            w.send_frame(frame)
-        };
-        if let Err(e) = sent {
+        if let Err(e) = conn.send_frame(frame) {
             // An incomplete frame is unparsable by the peer, so the
             // request was provably never dispatched.
             conn.pending.lock().remove(&request_id);
@@ -798,7 +800,7 @@ impl IiopChannel {
                     // Tell the server to abandon the work if it still can.
                     let cancel = GiopMessage::CancelRequest { request_id: id };
                     if let Ok(cancel_frame) = cancel.encode(self.order) {
-                        let _ = conn.writer.lock().send_frame(&cancel_frame);
+                        let _ = conn.send_frame(&cancel_frame);
                     }
                     self.metrics.add(&self.metrics.timeouts, 1);
                     CallFailure {

@@ -92,8 +92,10 @@ pub fn read_back(servant: &dyn Servant, operation: &str, args: &[Value]) -> Invo
 /// ```
 ///
 /// The servant trait also has `admit`, run before every request is
-/// dispatched (a stall gate holds requests there); it does nothing by
-/// default.
+/// dispatched (a stall gate holds requests there), which does nothing
+/// by default, and `invoke_now`, the skeleton's
+/// [`Servant::invoke_now`](crate::Servant::invoke_now), which answers
+/// nothing by default.
 #[macro_export]
 macro_rules! interface {
     (
@@ -116,6 +118,16 @@ macro_rules! interface {
             /// Runs before each request is dispatched, whatever its
             /// operation.
             fn admit(&self) {}
+            /// Answer a call on the reactor thread that read it; see
+            /// `Servant::invoke_now`.
+            fn invoke_now(
+                &self,
+                _operation: &str,
+                _args: &[$crate::interface::Value],
+                _out: &mut $crate::interface::CdrWriter,
+            ) -> Option<Result<(), $crate::ServantError>> {
+                None
+            }
             $(
                 $(#[$op_meta])*
                 fn $op(&self, $($arg: $aty),*) -> Result<$ret, $crate::ServantError>;
@@ -164,6 +176,15 @@ macro_rules! interface {
                     })*)?
                     other => Err($crate::ServantError::UnknownOperation(other.to_owned())),
                 }
+            }
+
+            fn invoke_now(
+                &self,
+                operation: &str,
+                args: &[$crate::interface::Value],
+                out: &mut $crate::interface::CdrWriter,
+            ) -> Option<Result<(), $crate::ServantError>> {
+                <Self as $Trait>::invoke_now(self, operation, args, out)
             }
         }
 

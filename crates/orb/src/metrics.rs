@@ -19,6 +19,9 @@ counter_set! {
         counter requests_sent "requests sent",
         /// GIOP Requests served by this ORB's adapter (arrived via IIOP).
         counter requests_served "requests served",
+        /// Of those, requests answered on the reactor thread that read
+        /// them, without the dispatch pool.
+        counter requests_inline "requests inline",
         /// Invocations short-circuited because the target servant is local.
         counter local_dispatches "local dispatches",
         /// Bytes of GIOP frames written to transports.
@@ -91,6 +94,7 @@ mod tests {
         let table = [
             (&m.requests_sent, "requests sent"),
             (&m.requests_served, "requests served"),
+            (&m.requests_inline, "requests inline"),
             (&m.local_dispatches, "local dispatches"),
             (&m.bytes_sent, "bytes out"),
             (&m.bytes_received, "bytes in"),

@@ -8,10 +8,11 @@
 //! * serves GIOP Requests arriving on that endpoint by dispatching into
 //!   its [`ObjectAdapter`]. The server core is the event-loop reactor
 //!   ([`crate::reactor`]): one poll-driven thread owns every
-//!   connection and a bounded worker pool runs servant dispatch, so a
-//!   slow servant never holds up other requests on the same connection
-//!   and ten thousand idle connections cost ten thousand fds, not ten
-//!   thousand stacks;
+//!   connection and answers the calls that cannot wait
+//!   ([`Servant::invoke_now`]), and a bounded worker pool runs all
+//!   other servant dispatch, so a slow servant never holds up other
+//!   requests on the same connection and ten thousand idle connections
+//!   cost ten thousand fds, not ten thousand stacks;
 //! * acts as a client: [`Orb::invoke`] marshals a Request and ships it
 //!   over a multiplexed [`IiopChannel`] (see [`crate::channel`]); many
 //!   concurrent callers share each connection instead of serializing on
@@ -49,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use webfindit_base::sync::Mutex;
-use webfindit_wire::cdr::{ByteOrder, CdrReader};
+use webfindit_wire::cdr::{ByteOrder, CdrReader, CdrWriter};
 use webfindit_wire::giop::{self, ReplyStatus, Routed};
 use webfindit_wire::ior::IiopProfile;
 use webfindit_wire::{BufPool, Ior, Value, WireError, WireResult, MAX_MESSAGE_SIZE};
@@ -650,6 +651,51 @@ pub(crate) fn dispatch_reply(
     let dispatched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         adapter.dispatch(object_key, operation, args, &mut out)
     }));
+    seal_reply(request_id, out, dispatched, metrics, order)
+}
+
+/// What [`reply_now`] made of a request.
+pub(crate) enum Now {
+    /// The servant answered: the reply frame, as [`dispatch_reply`]
+    /// would have written it.
+    Answered(WireResult<Vec<u8>>),
+    /// The servant left the call to the dispatch pool: the reply
+    /// buffer, for the worker that will write the reply.
+    Deferred(Vec<u8>),
+}
+
+/// [`dispatch_reply`] for a call the servant answers at once, on the
+/// calling thread ([`ObjectAdapter::dispatch_now`]).
+#[allow(clippy::too_many_arguments)] // one request, and where its reply goes
+pub(crate) fn reply_now(
+    request_id: u32,
+    object_key: &[u8],
+    operation: &str,
+    args: &[Value],
+    adapter: &ObjectAdapter,
+    metrics: &OrbMetrics,
+    order: ByteOrder,
+    buf: Vec<u8>,
+) -> Now {
+    let mut out = giop::reply_frame(order, buf, request_id);
+    let answered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        adapter.dispatch_now(object_key, operation, args, &mut out)
+    }));
+    match answered.transpose() {
+        Some(dispatched) => Now::Answered(seal_reply(request_id, out, dispatched, metrics, order)),
+        None => Now::Deferred(out.into_bytes()),
+    }
+}
+
+/// Close the reply frame a servant wrote into, or restart it as the
+/// exception reply its failure or panic earns.
+fn seal_reply(
+    request_id: u32,
+    out: CdrWriter,
+    dispatched: std::thread::Result<Result<(), ServantError>>,
+    metrics: &OrbMetrics,
+    order: ByteOrder,
+) -> WireResult<Vec<u8>> {
     let (system, description) = match dispatched {
         Ok(Ok(())) if out.len() <= MAX_MESSAGE_SIZE as usize => return giop::finish_reply(out),
         // A result too large to frame fails as a servant error would,

@@ -12,8 +12,15 @@
 //!   [`FrameReader::fill`] per readiness event, then every whole frame
 //!   it buffered — so a slow or malicious peer that trickles half a
 //!   header costs a buffer, not a blocked thread;
-//! * **a bounded worker pool** executes servant dispatch off the reactor
-//!   thread, so a stalled servant blocks one worker, never the event
+//! * **short calls on the reactor, the rest on a bounded worker pool**:
+//!   each request is first offered to its servant's
+//!   [`crate::servant::Servant::invoke_now`], which answers it on this
+//!   thread only when nothing on its path can wait (no blocking lock,
+//!   sleep, I/O or remote call; today an ISI primary-key point read
+//!   whose site guard a `try_read` gets). xlint's `reactor-blocking`
+//!   rule treats that hook as a root of the event loop, so a blocking
+//!   step on its path is a lint finding. Every other request runs on
+//!   the pool, so a stalled servant blocks one worker, never the event
 //!   loop. The servant writes its result straight into a pooled reply
 //!   frame ([`crate::servant::Servant::invoke_into`]), and the worker
 //!   that ran it writes the reply itself: each connection's send half
@@ -42,7 +49,7 @@
 
 use crate::adapter::ObjectAdapter;
 use crate::metrics::OrbMetrics;
-use crate::orb::{dispatch_reply, MAX_REMEMBERED_CANCELS};
+use crate::orb::{dispatch_reply, reply_now, Now, MAX_REMEMBERED_CANCELS};
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -77,6 +84,8 @@ type SendHalf = Arc<Mutex<NbSender>>;
 struct Job {
     header: RequestHeader,
     args: Vec<Value>,
+    /// The buffer the reply is written into.
+    buf: Vec<u8>,
     /// Where the worker writes the reply.
     send: SendHalf,
     /// Shared with the reactor so a CancelRequest arriving mid-dispatch
@@ -220,7 +229,7 @@ fn worker_loop(
             Ok(job) => job,
             Err(_) => return, // reactor gone, queue drained
         };
-        let header = &job.header;
+        let header = job.header;
         let reply = dispatch_reply(
             header.request_id,
             &header.object_key,
@@ -229,15 +238,15 @@ fn worker_loop(
             &adapter,
             &metrics,
             order,
-            pool.take(),
+            job.buf,
         )
         .map(|frame| PooledBuf::new(frame, Arc::clone(&pool)));
-        if job.canceled.lock().remove(&job.header.request_id) {
+        if job.canceled.lock().remove(&header.request_id) {
             // The client's deadline already expired; the reply would be
             // bytes it discards.
             continue;
         }
-        if !job.header.response_expected {
+        if !header.response_expected {
             continue;
         }
         if let Ok(frames) = reply.and_then(|frame| reply_frames(frame, &pool, &metrics)) {
@@ -495,9 +504,27 @@ impl Reactor {
                 let Some(conn) = self.conns.get(&id) else {
                     return ConnAction::Close;
                 };
+                let now = reply_now(
+                    header.request_id,
+                    &header.object_key,
+                    &header.operation,
+                    &args,
+                    &self.adapter,
+                    &self.metrics,
+                    self.order,
+                    self.pool.take(),
+                );
+                let buf = match now {
+                    Now::Answered(reply) => {
+                        self.metrics.add(&self.metrics.requests_inline, 1);
+                        return self.send_reply(conn, header.response_expected, reply);
+                    }
+                    Now::Deferred(buf) => buf,
+                };
                 let job = Job {
                     header,
                     args,
+                    buf,
                     send: Arc::clone(&conn.send),
                     canceled: Arc::clone(&conn.canceled),
                 };
@@ -551,6 +578,30 @@ impl Reactor {
             GiopMessage::Reply { .. }
             | GiopMessage::LocateReply { .. }
             | GiopMessage::Fragment { .. } => ConnAction::ProtocolError,
+        }
+    }
+
+    /// Queue the reply of a request answered on this thread, as a
+    /// worker would queue it.
+    fn send_reply(
+        &self,
+        conn: &Conn,
+        response_expected: bool,
+        reply: WireResult<Vec<u8>>,
+    ) -> ConnAction {
+        if !response_expected {
+            return ConnAction::Continue;
+        }
+        let frame = reply.map(|frame| PooledBuf::new(frame, Arc::clone(&self.pool)));
+        let Ok(frames) = frame.and_then(|frame| reply_frames(frame, &self.pool, &self.metrics))
+        else {
+            // As on a worker: a reply that cannot be framed is not sent.
+            return ConnAction::Continue;
+        };
+        if send_frames(&mut conn.send_half(), frames, &self.metrics) {
+            ConnAction::Continue
+        } else {
+            ConnAction::Close
         }
     }
 

@@ -1,7 +1,8 @@
 //! The servant trait — the server-side implementation of a CORBA object.
 //!
 //! The ORB dispatches every request through [`Servant::invoke_into`],
-//! which writes the result straight into the reply frame.
+//! which writes the result straight into the reply frame, unless the
+//! servant answers it at once through [`Servant::invoke_now`].
 //!
 //! The skeletons of the system's own interfaces (co-database,
 //! information source, naming, echo) are generated: each interface is
@@ -94,6 +95,22 @@ pub trait Servant: Send + Sync {
         result
             .encode(out)
             .map_err(|e| ServantError::Marshal(e.to_string()))
+    }
+
+    /// Answer a call on the reactor thread that read it, if nothing on
+    /// its path can wait: no blocking lock, no sleep, no I/O, no remote
+    /// call, and a bounded amount of work. The answer is what
+    /// [`Servant::invoke_into`] answers for the same call, written into
+    /// `out` alike. `None` means the call is not answered here and
+    /// nothing was written; the ORB then hands it to its dispatch pool.
+    /// The default answers nothing.
+    fn invoke_now(
+        &self,
+        _operation: &str,
+        _args: &[Value],
+        _out: &mut CdrWriter,
+    ) -> Option<Result<(), ServantError>> {
+        None
     }
 }
 

@@ -23,9 +23,10 @@
 //! [`Database::reopen`] recovers it.
 
 use crate::dialect::Dialect;
-use crate::exec::{execute_select_into, ExecMetrics, ResultSet, RowSink};
+use crate::exec::{execute_plan_into, execute_select_into, ExecMetrics, ResultSet, RowSink};
 use crate::expr::{eval, eval_true, EvalContext, Expr};
 use crate::file_mgr::{DiskVfs, PageFileMgr, Vfs};
+use crate::plan::plan_pk_point;
 use crate::recovery::{self, Meta};
 use crate::sql::ast::Statement;
 use crate::sql::parse_statement;
@@ -776,9 +777,7 @@ impl Database {
         E: From<RelError>,
         S: RowSink<E> + ?Sized,
     {
-        if self.is_crashed() {
-            return Err(RelError::Unavailable("database crashed; reopen it".into()).into());
-        }
+        self.check_available()?;
         self.dialect.check(stmt)?;
         match stmt {
             Statement::Select(s) => execute_select_into(s, &self.tables, sink),
@@ -786,6 +785,42 @@ impl Database {
                 Err(RelError::Unsupported("only a SELECT runs on a shared database".into()).into())
             }
         }
+    }
+
+    /// [`Database::select_into`] for a primary-key point probe, the one
+    /// SELECT whose cost is bounded by one index lookup. Any other
+    /// statement is `None`, and its sink has seen nothing; what a probe
+    /// answers, an error included, is what `select_into` answers.
+    pub fn select_point_into<E, S>(
+        &self,
+        stmt: &Statement,
+        sink: &mut S,
+    ) -> Option<Result<ExecMetrics, E>>
+    where
+        E: From<RelError>,
+        S: RowSink<E> + ?Sized,
+    {
+        let Statement::Select(select) = stmt else {
+            return None;
+        };
+        if let Err(e) = self.check_available() {
+            return Some(Err(e.into()));
+        }
+        // The point plan raises nothing, so checking the dialect after it
+        // keeps `select_into`'s order of errors.
+        let plan = plan_pk_point(select, &self.tables)?;
+        if let Err(e) = self.dialect.check(stmt) {
+            return Some(Err(e.into()));
+        }
+        Some(execute_plan_into(&plan, &self.tables, sink))
+    }
+
+    /// A crashed database answers nothing until it is reopened.
+    fn check_available(&self) -> RelResult<()> {
+        if self.is_crashed() {
+            return Err(RelError::Unavailable("database crashed; reopen it".into()));
+        }
+        Ok(())
     }
 
     /// Drop the volatile state once a storage call has crashed.

@@ -942,7 +942,10 @@ fn eq_lowered(stored: &str, query: &str) -> bool {
 /// rendering) — only the work to decide it is skipped. A statement
 /// that fails to bind here falls through to the general path, which
 /// reports the error.
-fn plan_pk_point(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> Option<PhysicalPlan> {
+pub(crate) fn plan_pk_point(
+    stmt: &SelectStmt,
+    tables: &HashMap<String, Table>,
+) -> Option<PhysicalPlan> {
     if !stmt.joins.is_empty()
         || !stmt.group_by.is_empty()
         || stmt.having.is_some()

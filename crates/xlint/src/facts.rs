@@ -167,9 +167,9 @@ pub struct FnFact {
     pub impl_type: Option<String>,
     /// `Type::name` when inside an impl/trait block, else `name`.
     pub qualified: String,
-    pub file: usize,
+    /// Takes a `self` receiver, so `expr.name(…)` can call it.
+    pub method: bool,
     pub start_line: usize,
-    pub end_line: usize,
     pub in_test: bool,
     pub calls: Vec<CallSite>,
     pub acquires: Vec<AcquireSite>,
@@ -209,7 +209,7 @@ enum CtxKind {
     /// is the type (or trait) whose methods the block declares, the
     /// option is the implemented trait's name.
     ImplBlock,
-    Fn(usize),
+    Fn,
     Other,
 }
 
@@ -262,8 +262,9 @@ fn parse_impl_header(header: &str) -> Option<String> {
     (!ty.is_empty()).then_some(ty)
 }
 
-/// Parse a `fn name(…)` header into the function's name, or None.
-fn parse_fn_header(header: &str) -> Option<String> {
+/// Parse a `fn name(…)` header into the function's name and whether
+/// its first parameter is a `self` receiver, or None.
+fn parse_fn_header(header: &str) -> Option<(String, bool)> {
     // Find the `fn` keyword as a standalone word.
     let bytes = header.as_bytes();
     let mut at = None;
@@ -282,7 +283,46 @@ fn parse_fn_header(header: &str) -> Option<String> {
     let name_end = after.find(|c: char| !c.is_alphanumeric() && c != '_')?;
     let name = &after[..name_end];
     // A parameter list follows the name (and any generics).
-    (!name.is_empty() && after.contains('(')).then(|| name.to_owned())
+    if name.is_empty() || !after.contains('(') {
+        return None;
+    }
+    Some((name.to_owned(), takes_self(&after[name_end..])))
+}
+
+/// Whether the parameter list after a function's name (generics first,
+/// if any) opens with a `self` receiver: `self`, `mut self`, `&self`,
+/// `&'a mut self`, `self: Arc<Self>`.
+fn takes_self(after_name: &str) -> bool {
+    let mut depth = 0usize;
+    let mut params = None;
+    for (i, c) in after_name.char_indices() {
+        match c {
+            '<' => depth += 1,
+            '>' => depth = depth.saturating_sub(1),
+            '(' if depth == 0 => {
+                params = Some(&after_name[i + 1..]);
+                break;
+            }
+            _ => {}
+        }
+    }
+    let Some(mut p) = params.map(str::trim_start) else {
+        return false;
+    };
+    if let Some(rest) = p.strip_prefix('&') {
+        p = rest.trim_start();
+        if let Some(rest) = p.strip_prefix('\'') {
+            let end = rest
+                .find(|c: char| !is_ident_byte(c as u8))
+                .unwrap_or(rest.len());
+            p = rest[end..].trim_start();
+        }
+    }
+    if let Some(rest) = p.strip_prefix("mut ") {
+        p = rest.trim_start();
+    }
+    p.strip_prefix("self")
+        .is_some_and(|rest| !rest.bytes().next().is_some_and(is_ident_byte))
 }
 
 /// True when the statement is a `let` whose right-hand side *ends* with
@@ -384,7 +424,6 @@ fn call_sites(stmt: &str, stmt_line: usize, guards: &[Guard]) -> Vec<CallSite> {
 }
 
 struct Machine<'a> {
-    file_idx: usize,
     path: &'a Path,
     fns: Vec<FnFact>,
     /// The type (or trait) each open `impl`/`trait` block declares
@@ -613,7 +652,7 @@ impl Machine<'_> {
 
     /// Classify a `{`-terminated header and push the new scope context.
     fn open_scope(&mut self, header: &str, line: usize, depth: usize) {
-        let kind = if let Some(name) = parse_fn_header(header) {
+        let kind = if let Some((name, method)) = parse_fn_header(header) {
             let impl_type = self.current_impl().cloned();
             let qualified = match &impl_type {
                 Some(t) => format!("{t}::{name}"),
@@ -623,9 +662,8 @@ impl Machine<'_> {
                 name,
                 impl_type,
                 qualified,
-                file: self.file_idx,
+                method,
                 start_line: line,
-                end_line: line,
                 in_test: false,
                 calls: Vec::new(),
                 acquires: Vec::new(),
@@ -633,7 +671,7 @@ impl Machine<'_> {
             });
             let fi = self.fns.len() - 1;
             self.fn_stack.push(fi);
-            CtxKind::Fn(fi)
+            CtxKind::Fn
         } else if let Some(ty) = parse_impl_header(header) {
             self.impl_stack.push(ty);
             CtxKind::ImplBlock
@@ -655,14 +693,13 @@ impl Machine<'_> {
         self.ctx.push(Ctx { kind, depth });
     }
 
-    fn close_scope(&mut self, depth: usize, line: usize) {
+    fn close_scope(&mut self, depth: usize) {
         while let Some(ctx) = self.ctx.last() {
             if ctx.depth < depth {
                 break;
             }
             match &ctx.kind {
-                CtxKind::Fn(fi) => {
-                    self.fns[*fi].end_line = line;
+                CtxKind::Fn => {
                     self.fn_stack.pop();
                 }
                 CtxKind::ImplBlock => {
@@ -676,9 +713,8 @@ impl Machine<'_> {
 }
 
 /// Run the statement machine over scrubbed text.
-fn run_machine<'a>(file_idx: usize, path: &'a Path, scrubbed: &str) -> Machine<'a> {
+fn run_machine<'a>(path: &'a Path, scrubbed: &str) -> Machine<'a> {
     let mut m = Machine {
-        file_idx,
         path,
         fns: Vec::new(),
         impl_stack: Vec::new(),
@@ -710,7 +746,7 @@ fn run_machine<'a>(file_idx: usize, path: &'a Path, scrubbed: &str) -> Machine<'
                 m.statement(&stmt, stmt_line, depth, false);
                 depth = depth.saturating_sub(1);
                 m.guards.retain(|g| g.depth <= depth);
-                m.close_scope(depth, line);
+                m.close_scope(depth);
                 stmt.clear();
                 in_stmt = false;
             }
@@ -800,7 +836,7 @@ fn crate_of(path: &Path) -> String {
 pub fn extract(file_idx: usize, path: &Path, src: &str) -> FileFacts {
     let scrubbed = scrub(src);
     let test_ranges = test_line_ranges(&scrubbed);
-    let mut machine = run_machine(file_idx, path, &scrubbed);
+    let mut machine = run_machine(path, &scrubbed);
     for f in &mut machine.fns {
         f.in_test = in_ranges(&test_ranges, f.start_line);
     }
@@ -847,6 +883,23 @@ mod tests {
         assert_eq!(call.name, "helper");
         assert_eq!(call.guards.len(), 1);
         assert_eq!(call.guards[0].site, "cache");
+    }
+
+    #[test]
+    fn self_receivers_are_recognised() {
+        for (header, method) in [
+            ("fn a(&self) ", true),
+            ("pub fn a(&mut self, x: u8) ", true),
+            ("fn a<'b>(&'b mut self) ", true),
+            ("fn a(mut self) ", true),
+            ("fn a(self: Arc<Self>) ", true),
+            ("fn a<F: Fn(u8)>(f: F) ", false),
+            ("fn a(selfish: u8) ", false),
+            ("fn a() ", false),
+        ] {
+            let (_, got) = parse_fn_header(header).unwrap();
+            assert_eq!(got, method, "{header}");
+        }
     }
 
     #[test]

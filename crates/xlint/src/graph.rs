@@ -102,19 +102,15 @@ pub fn fn_at(files: &[FileFacts], id: NodeId) -> &FnFact {
 }
 
 /// Build name indexes and resolve every call site to zero or more
-/// workspace functions. Test-only functions and non-resolvable files
-/// (evidence scope: tests/, benches/) are excluded as resolution
+/// workspace functions. Test-only functions are excluded as resolution
 /// targets so name collisions with test helpers never create edges.
-pub fn build(files: &[FileFacts], resolvable: &[bool]) -> CallGraph {
+pub fn build(files: &[FileFacts]) -> CallGraph {
     // Indexes: qualified (Type, name) → nodes; free-fn name → nodes;
     // method name → nodes (any impl type).
     let mut by_qualified: BTreeMap<(String, String), Vec<NodeId>> = BTreeMap::new();
     let mut by_free: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
     let mut by_method: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
     for (fi, file) in files.iter().enumerate() {
-        if !resolvable.get(fi).copied().unwrap_or(true) {
-            continue;
-        }
         for (gi, f) in file.fns.iter().enumerate() {
             if f.in_test {
                 continue;
@@ -126,7 +122,11 @@ pub fn build(files: &[FileFacts], resolvable: &[bool]) -> CallGraph {
                         .entry((ty.clone(), f.name.clone()))
                         .or_default()
                         .push(id);
-                    by_method.entry(f.name.clone()).or_default().push(id);
+                    // `expr.name(…)` cannot call an associated function
+                    // without a `self` receiver.
+                    if f.method {
+                        by_method.entry(f.name.clone()).or_default().push(id);
+                    }
                 }
                 None => by_free.entry(f.name.clone()).or_default().push(id),
             }
@@ -274,7 +274,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "impl R {\n    fn run(&self) { self.tick(); }\n    fn tick(&self) {}\n}\n",
         )]);
-        let g = build(&fs, &vec![true; fs.len()]);
+        let g = build(&fs);
         let run = (0, 0);
         assert_eq!(g.edges[&run], vec![((0, 1), 2)]);
     }
@@ -286,8 +286,19 @@ mod tests {
             ("crates/a/src/b.rs", "pub fn helper() {}\n"),
             ("crates/z/src/c.rs", "pub fn helper() {}\n"),
         ]);
-        let g = build(&fs, &vec![true; fs.len()]);
+        let g = build(&fs);
         assert_eq!(g.edges[&(0, 0)], vec![((1, 0), 1)]);
+    }
+
+    #[test]
+    fn method_calls_skip_associated_functions_without_self() {
+        let fs = files(&[(
+            "crates/a/src/lib.rs",
+            "impl Log {\n    pub fn scan(file: &str) {}\n}\nimpl Table {\n    pub fn scan(&self) {}\n}\nfn f(t: &Table) { t.scan(); }\n",
+        )]);
+        let g = build(&fs);
+        // `t.scan()` can only be `Table::scan`.
+        assert_eq!(g.edges[&(0, 2)], vec![((0, 1), 7)]);
     }
 
     #[test]
@@ -296,7 +307,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "impl Q {\n    pub fn push(&self) { x.send_frame(&f); }\n}\nfn f() { v.push(1); }\n",
         )]);
-        let g = build(&fs, &vec![true; fs.len()]);
+        let g = build(&fs);
         // `v.push(1)` must NOT resolve to Q::push.
         assert!(g.edges[&(0, 1)].is_empty());
     }
@@ -307,7 +318,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "fn a() { b(); }\nfn b() { a(); c(); }\nfn c() {}\n",
         )]);
-        let g = build(&fs, &vec![true; fs.len()]);
+        let g = build(&fs);
         let reach = g.reach(&[(0, 0)]);
         assert!(reach.contains_key(&(0, 2)));
         let path = g.path_to(&reach, (0, 2));

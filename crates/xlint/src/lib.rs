@@ -46,7 +46,6 @@ pub mod scrub;
 
 pub use allow::{classify_unused, parse_allowlist_text, AllowEntry, AllowIssue};
 pub use report::{Finding, Step};
-pub use rules::Scope;
 
 use facts::FileFacts;
 use std::path::{Path, PathBuf};
@@ -58,23 +57,21 @@ pub struct Analysis {
     pub scanned: usize,
 }
 
-/// Analyze in-memory sources. Findings-scope sources produce findings;
-/// evidence sources (tests/, benches/) only contribute facts.
-pub fn analyze_sources(sources: &[(PathBuf, String, Scope)]) -> Analysis {
+/// Analyze in-memory sources, each a `(path, text)` pair of production
+/// code.
+pub fn analyze_sources(sources: &[(PathBuf, String)]) -> Analysis {
     let files: Vec<FileFacts> = sources
         .iter()
         .enumerate()
-        .map(|(i, (p, s, _))| facts::extract(i, p, s))
+        .map(|(i, (p, s))| facts::extract(i, p, s))
         .collect();
-    let scopes: Vec<Scope> = sources.iter().map(|(_, _, sc)| *sc).collect();
-    let resolvable: Vec<bool> = scopes.iter().map(|s| *s == Scope::Findings).collect();
-    let graph = graph::build(&files, &resolvable);
+    let graph = graph::build(&files);
 
     let mut findings = Vec::new();
-    findings.extend(rules::token_rules(&files, &scopes));
-    findings.extend(rules::reactor_blocking(&files, &scopes, &graph));
-    findings.extend(rules::guard_transitive(&files, &scopes, &graph));
-    findings.extend(rules::metrics_drift(&files, &scopes));
+    findings.extend(rules::token_rules(&files));
+    findings.extend(rules::reactor_blocking(&files, &graph));
+    findings.extend(rules::guard_transitive(&files, &graph));
+    findings.extend(rules::metrics_drift(&files));
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
@@ -82,7 +79,7 @@ pub fn analyze_sources(sources: &[(PathBuf, String, Scope)]) -> Analysis {
         a.file == b.file && a.line == b.line && a.rule == b.rule && a.message == b.message
     });
 
-    let scanned = scopes.iter().filter(|s| **s == Scope::Findings).count();
+    let scanned = files.len();
     let by_path: std::collections::BTreeMap<&Path, &FileFacts> =
         files.iter().map(|f| (f.path.as_path(), f)).collect();
     let findings = findings
@@ -99,9 +96,9 @@ pub fn analyze_sources(sources: &[(PathBuf, String, Scope)]) -> Analysis {
     Analysis { findings, scanned }
 }
 
-/// Analyze a workspace on disk: `crates/*/src` as findings scope,
-/// `crates/*/tests`, `crates/*/benches`, and the root `tests/` as
-/// evidence.
+/// Analyze a workspace on disk: every `crates/*/src` file. Test trees
+/// are not read; nothing inside a test is ever reported, and `#[cfg(test)]`
+/// code in `src` is skipped the same way.
 pub fn analyze(root: &Path) -> Analysis {
     let mut sources = Vec::new();
     for file in collect_rs_files(root, "src") {
@@ -110,24 +107,7 @@ pub fn analyze(root: &Path) -> Analysis {
         }
         if let Ok(src) = std::fs::read_to_string(&file) {
             let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-            sources.push((rel, src, Scope::Findings));
-        }
-    }
-    let mut evidence = Vec::new();
-    evidence.extend(collect_rs_files(root, "tests"));
-    evidence.extend(collect_rs_files(root, "benches"));
-    let root_tests = root.join("tests");
-    if root_tests.is_dir() {
-        walk(&root_tests, &mut evidence);
-    }
-    evidence.sort();
-    for file in evidence {
-        if exempt_file(root, &file) {
-            continue;
-        }
-        if let Ok(src) = std::fs::read_to_string(&file) {
-            let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-            sources.push((rel, src, Scope::Evidence));
+            sources.push((rel, src));
         }
     }
     analyze_sources(&sources)

@@ -13,28 +13,11 @@ use crate::report::{Finding, Step};
 use crate::scrub::{in_ranges, is_ident_byte};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// Per-file scope: findings-scope files produce findings; evidence
-/// files (tests/, benches/) only contribute facts, and nothing inside a
-/// test is ever reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scope {
-    Findings,
-    Evidence,
-}
-
-fn is_findings(scopes: &[Scope], file: usize) -> bool {
-    scopes[file] == Scope::Findings
-}
-
 /// Token findings from the statement machine, filtered to non-test
-/// lines of findings-scope files, plus the intra-file
-/// lock-order-cycle pass.
-pub fn token_rules(files: &[FileFacts], scopes: &[Scope]) -> Vec<Finding> {
+/// lines, plus the intra-file lock-order-cycle pass.
+pub fn token_rules(files: &[FileFacts]) -> Vec<Finding> {
     let mut out = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        if !is_findings(scopes, fi) {
-            continue;
-        }
+    for file in files {
         for f in &file.token_findings {
             if !in_ranges(&file.test_ranges, f.line) {
                 out.push(f.clone());
@@ -83,17 +66,23 @@ fn witness_steps(files: &[FileFacts], path: &[(NodeId, usize)], site_line: usize
     steps
 }
 
+/// The servant hook the reactor runs requests through on its own thread
+/// (`Servant::invoke_now`). The reactor reaches an implementation
+/// through a trait object, and `interface!` forwards to the hand-written
+/// one from generated code, so neither edge is in the name-based graph:
+/// every function of this name is a root of its own.
+pub const REACTOR_HOOK: &str = "invoke_now";
+
 /// `reactor-blocking`: blocking tokens or tracked-lock acquisitions in
-/// any function transitively reachable from `Reactor::run`. The
-/// reactor thread must never wait on anything but `poll(2)`.
-pub fn reactor_blocking(files: &[FileFacts], scopes: &[Scope], graph: &CallGraph) -> Vec<Finding> {
+/// any function transitively reachable from `Reactor::run` or from a
+/// [`REACTOR_HOOK`]. The reactor thread must never wait on anything but
+/// `poll(2)`.
+pub fn reactor_blocking(files: &[FileFacts], graph: &CallGraph) -> Vec<Finding> {
     let mut roots = Vec::new();
     for (fi, file) in files.iter().enumerate() {
-        if !is_findings(scopes, fi) {
-            continue;
-        }
         for (gi, f) in file.fns.iter().enumerate() {
-            if f.name == "run" && f.impl_type.as_deref() == Some("Reactor") && !f.in_test {
+            let event_loop = f.name == "run" && f.impl_type.as_deref() == Some("Reactor");
+            if (event_loop || f.name == REACTOR_HOOK) && !f.in_test {
                 roots.push((fi, gi));
             }
         }
@@ -106,9 +95,6 @@ pub fn reactor_blocking(files: &[FileFacts], scopes: &[Scope], graph: &CallGraph
     let mut nodes: Vec<NodeId> = reach.keys().copied().collect();
     nodes.sort();
     for n in nodes {
-        if !is_findings(scopes, n.0) {
-            continue;
-        }
         let f = fn_at(files, n);
         if f.in_test {
             continue;
@@ -161,7 +147,7 @@ pub fn reactor_blocking(files: &[FileFacts], scopes: &[Scope], graph: &CallGraph
 /// site whose callee (transitively) performs a blocking operation. The
 /// same-statement form is handled by the token rules; call sites whose
 /// name IS a blocking token are skipped here to avoid double-reporting.
-pub fn guard_transitive(files: &[FileFacts], scopes: &[Scope], graph: &CallGraph) -> Vec<Finding> {
+pub fn guard_transitive(files: &[FileFacts], graph: &CallGraph) -> Vec<Finding> {
     // Reverse reachability: which nodes can reach a blocking op?
     let mut rev_edges: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
     for (&from, outs) in &graph.edges {
@@ -192,9 +178,6 @@ pub fn guard_transitive(files: &[FileFacts], scopes: &[Scope], graph: &CallGraph
     let mut out = Vec::new();
     let mut seen: BTreeSet<(usize, usize, String)> = BTreeSet::new();
     for (fi, file) in files.iter().enumerate() {
-        if !is_findings(scopes, fi) {
-            continue;
-        }
         for (gi, f) in file.fns.iter().enumerate() {
             if f.in_test {
                 continue;
@@ -280,18 +263,11 @@ pub fn guard_transitive(files: &[FileFacts], scopes: &[Scope], graph: &CallGraph
 /// `metrics-drift`: counters declared but never recorded. (A recorded
 /// counter cannot go unrendered: a `counter_set!` snapshot lists every
 /// declared field, and `Trace` renders the listing.)
-pub fn metrics_drift(files: &[FileFacts], scopes: &[Scope]) -> Vec<Finding> {
+pub fn metrics_drift(files: &[FileFacts]) -> Vec<Finding> {
     let mut out = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        if !is_findings(scopes, fi) {
-            continue;
-        }
+    for file in files {
         for c in &file.counters {
-            let recorded = files
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| is_findings(scopes, *i))
-                .any(|(_, other)| field_recorded(other, &c.field));
+            let recorded = files.iter().any(|other| field_recorded(other, &c.field));
             if !recorded {
                 out.push(Finding::new(
                     file.path.clone(),

@@ -5,7 +5,7 @@
 //! pinned `via` step is not on the finding's witness path).
 
 use std::path::PathBuf;
-use xlint::{analyze_sources, apply_allowlist, parse_allowlist_text, AllowIssue, Scope};
+use xlint::{analyze_sources, apply_allowlist, parse_allowlist_text, AllowIssue};
 
 /// A two-file workspace with exactly one interprocedural finding:
 /// `caller` holds `g` across `mid`, which reaches `sync_all` in
@@ -14,16 +14,8 @@ fn analysis() -> xlint::Analysis {
     let a = "pub fn caller(s: &Store) {\n    let g = s.state.lock();\n    mid(s);\n    drop(g);\n}\n\nfn mid(s: &Store) {\n    slow_io(s);\n}\n";
     let b = "pub fn slow_io(s: &Store) {\n    s.file.sync_all();\n}\n";
     analyze_sources(&[
-        (
-            PathBuf::from("crates/app/src/a.rs"),
-            a.to_owned(),
-            Scope::Findings,
-        ),
-        (
-            PathBuf::from("crates/app/src/b.rs"),
-            b.to_owned(),
-            Scope::Findings,
-        ),
+        (PathBuf::from("crates/app/src/a.rs"), a.to_owned()),
+        (PathBuf::from("crates/app/src/b.rs"), b.to_owned()),
     ])
 }
 

@@ -41,6 +41,14 @@ fn reactor_blocking_fixture() {
     run_case("reactor_blocking");
 }
 
+/// Inline hooks (`invoke_now`) are roots of their own: one that takes a
+/// blocking `read()` and one that reaches a remote `.call(` are
+/// reported; one that only `try_read`s is not.
+#[test]
+fn reactor_hook_fixture() {
+    run_case("reactor_hook");
+}
+
 /// Healthy counters beside ones nothing ever increments, in a
 /// written-out struct and in a `counter_set!` declaration.
 #[test]
