@@ -6,7 +6,7 @@
 //! each keeping a fixed window of requests outstanding so the server
 //! sees 1 000 / 10 000 / 100 000 requests in flight at once (200 /
 //! 1 000 under `--quick`). The client speaks the wire protocol
-//! directly — `Orb::invoke` is synchronous, and the whole point is to
+//! directly — `Orb::call` is synchronous, and the whole point is to
 //! hold more requests in flight than anyone would hold threads.
 //!
 //! Per level the run records invoke p50/p99 and the process peak RSS

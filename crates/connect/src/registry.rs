@@ -6,7 +6,7 @@
 //! resolve connection URLs against it.
 
 use crate::{ConnectError, ConnectResult};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 use webfindit_base::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use webfindit_oostore::method::MethodTable;
@@ -57,15 +57,59 @@ impl<T> Instance<T> {
     }
 }
 
-/// `(vendor, instance)` → shared engine handle.
-type InstanceMap<T> = RwLock<BTreeMap<(String, String), Arc<Instance<T>>>>;
+/// A registered instance under its lowercased `(vendor, instance)` key.
+type Entry<T> = ((String, String), Arc<Instance<T>>);
+
+/// Registered instances sorted by key, so a lookup folds case as it
+/// compares and builds no key.
+type InstanceMap<T> = RwLock<Vec<Entry<T>>>;
+
+/// `key`, stored lowercase, against `(vendor, name)` in any case.
+fn cmp_folded(key: &(String, String), vendor: &str, name: &str) -> Ordering {
+    fn folded(s: &str) -> impl Iterator<Item = u8> + '_ {
+        s.bytes().map(|b| b.to_ascii_lowercase())
+    }
+    key.0
+        .bytes()
+        .cmp(folded(vendor))
+        .then_with(|| key.1.bytes().cmp(folded(name)))
+}
+
+/// Where `(vendor, name)` is in `map`, or where it would go.
+fn position<T>(map: &[Entry<T>], vendor: &str, name: &str) -> Result<usize, usize> {
+    map.binary_search_by(|(key, _)| cmp_folded(key, vendor, name))
+}
 
 /// Resolve `(vendor, name)` in `map`.
 fn resolve<T>(map: &InstanceMap<T>, vendor: &str, name: &str) -> ConnectResult<Arc<Instance<T>>> {
-    map.read()
-        .get(&(vendor.to_ascii_lowercase(), name.to_ascii_lowercase()))
-        .cloned()
-        .ok_or_else(|| ConnectError::UnknownDataSource(format!("{vendor}/{name}")))
+    let map = map.read();
+    match position(&map, vendor, name) {
+        Ok(at) => Ok(Arc::clone(&map[at].1)),
+        Err(_) => Err(ConnectError::UnknownDataSource(format!("{vendor}/{name}"))),
+    }
+}
+
+/// Register `handle` under `(vendor, name)`, replacing any instance
+/// registered there.
+fn insert<T>(map: &InstanceMap<T>, vendor: &str, name: &str, handle: &Arc<Instance<T>>) {
+    let mut map = map.write();
+    match position(&map, vendor, name) {
+        Ok(at) => map[at].1 = Arc::clone(handle),
+        Err(at) => {
+            let key = (vendor.to_ascii_lowercase(), name.to_ascii_lowercase());
+            map.insert(at, (key, Arc::clone(handle)));
+        }
+    }
+}
+
+/// Remove `(vendor, name)` from `map`; true if it was there.
+fn remove<T>(map: &InstanceMap<T>, vendor: &str, name: &str) -> bool {
+    let mut map = map.write();
+    let found = position(&map, vendor, name);
+    if let Ok(at) = found {
+        map.remove(at);
+    }
+    found.is_ok()
 }
 
 /// Shared registry of running database instances.
@@ -102,10 +146,7 @@ impl DataSourceRegistry {
                 ),
             dialect,
         });
-        self.relational.write().insert(
-            (vendor.to_ascii_lowercase(), name.to_ascii_lowercase()),
-            Arc::clone(&handle),
-        );
+        insert(&self.relational, vendor, name, &handle);
         handle
     }
 
@@ -121,10 +162,7 @@ impl DataSourceRegistry {
             engine: RwLock::new(OoInstance { store, methods }),
             dialect: None,
         });
-        self.object.write().insert(
-            (vendor.to_ascii_lowercase(), name.to_ascii_lowercase()),
-            Arc::clone(&handle),
-        );
+        insert(&self.object, vendor, name, &handle);
         handle
     }
 
@@ -166,9 +204,8 @@ impl DataSourceRegistry {
     /// Remove an instance (database taken offline). Returns true if it
     /// existed. Used by the failure-injection tests.
     pub fn unregister(&self, vendor: &str, name: &str) -> bool {
-        let key = (vendor.to_ascii_lowercase(), name.to_ascii_lowercase());
-        let a = self.relational.write().remove(&key).is_some();
-        let b = self.object.write().remove(&key).is_some();
+        let a = remove(&self.relational, vendor, name);
+        let b = remove(&self.object, vendor, name);
         a || b
     }
 
@@ -177,10 +214,10 @@ impl DataSourceRegistry {
         let mut out: Vec<(String, String)> = self
             .relational
             .read()
-            .keys()
-            .chain(self.object.read().keys())
-            .cloned()
+            .iter()
+            .map(|(k, _)| k.clone())
             .collect();
+        out.extend(self.object.read().iter().map(|(k, _)| k.clone()));
         out.sort();
         out
     }
@@ -200,6 +237,46 @@ mod tests {
         assert!(reg.unregister("ORACLE", "RBH"));
         assert!(!reg.unregister("oracle", "rbh"));
         assert!(reg.relational("oracle", "rbh").is_err());
+    }
+
+    #[test]
+    fn a_lookup_folds_case_and_keeps_the_callers_name_in_its_error() {
+        let reg = DataSourceRegistry::new();
+        for name in ["Zeta", "alpha", "MBF Health", "mid"] {
+            reg.register_relational("Oracle", name, Database::new(name, Dialect::Oracle));
+        }
+        let mbf = reg.relational("oracle", "mbf health").unwrap();
+        for (vendor, name) in [
+            ("ORACLE", "MBF HEALTH"),
+            ("Oracle", "Mbf Health"),
+            ("oRaClE", "mBF hEALTH"),
+        ] {
+            assert!(
+                Arc::ptr_eq(&reg.relational(vendor, name).unwrap(), &mbf),
+                "{vendor}/{name}"
+            );
+        }
+        for (vendor, name) in [
+            ("Oracle", "Ghost"),
+            ("DB2", "MBF Health"),
+            ("Oracle", "MBF Health "),
+        ] {
+            match reg.relational(vendor, name) {
+                Err(e @ ConnectError::UnknownDataSource(_)) => {
+                    let today = ConnectError::UnknownDataSource(format!("{vendor}/{name}"));
+                    assert_eq!(e.to_string(), today.to_string());
+                }
+                other => panic!("{vendor}/{name}: {:?}", other.map(|_| ())),
+            }
+        }
+        // Re-registering under another case replaces the instance.
+        let again =
+            reg.register_relational("ORACLE", "mbf HEALTH", Database::new("m", Dialect::Oracle));
+        assert!(Arc::ptr_eq(
+            &reg.relational("oracle", "mbf health").unwrap(),
+            &again
+        ));
+        assert_eq!(reg.list().len(), 4);
     }
 
     #[test]

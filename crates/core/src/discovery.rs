@@ -34,6 +34,14 @@
 //! the same `TopicAnswer::of` level 0 runs on the local co-database, so
 //! a remote visit answers exactly as a local one would.
 //!
+//! The serving ORB answers a probe on the reactor thread that read it
+//! (`Servant::invoke_now`) when the co-database's shared guard is free
+//! and no stall is set: an in-memory read under a `try_read` cannot
+//! wait, so it skips the hand-off to a dispatch worker and back. A
+//! probe that finds the guard held by a writer (a Join or Leave, which
+//! always run on the pool) goes to the pool and waits there. The
+//! engine sends the same probe either way.
+//!
 //! # Pipelined waves
 //!
 //! The sites of one BFS wave are independent: each probe talks to a

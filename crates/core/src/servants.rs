@@ -20,7 +20,7 @@ use webfindit_connect::{
     CompensatingConnection, ConnectError, Connection, DriverManager, QueryOutput,
 };
 use webfindit_oostore::OValue;
-use webfindit_orb::interface::arg;
+use webfindit_orb::interface::{self, arg};
 use webfindit_orb::servant::ServantError;
 use webfindit_orb::Operation;
 use webfindit_relstore::{Datum, RowSink};
@@ -193,9 +193,45 @@ fn codb_err(e: webfindit_codb::CodbError) -> ServantError {
     ServantError::Application(e.to_string())
 }
 
+/// A coalition's members, as `members` answers them.
+fn members_of(codb: &CoDatabase, coalition: &str) -> Result<Vec<String>, ServantError> {
+    codb.members(coalition).map_err(codb_err)
+}
+
 impl CoDatabaseOperations for CoDatabaseServant {
     fn admit(&self) {
         self.stall.wait();
+    }
+
+    /// A `probe` or `members`, when no stall is set and the
+    /// co-database's shared guard is free ([`RwLock::try_read`]): the
+    /// body the pool runs, with its reply. Anything else, writes
+    /// included, is left to the dispatch pool.
+    fn invoke_now(
+        &self,
+        operation: &str,
+        args: &[Value],
+        out: &mut CdrWriter,
+    ) -> Option<Result<(), ServantError>> {
+        if self.stall.millis() > 0 {
+            return None;
+        }
+        let mut at = 0;
+        if operation == codb::Probe::NAME {
+            let topic: String = arg(args, &mut at, operation, "topic").ok()?;
+            let known: Option<i64> = arg(args, &mut at, operation, "known").ok()?;
+            let codb = self.codb.try_read()?;
+            Some(interface::write_reply(
+                &ProbeReply::of(&codb, &topic, known),
+                out,
+            ))
+        } else if operation == codb::Members::NAME {
+            let coalition: String = arg(args, &mut at, operation, "coalition").ok()?;
+            let codb = self.codb.try_read()?;
+            Some(members_of(&codb, &coalition).and_then(|m| interface::write_reply(&m, out)))
+        } else {
+            None
+        }
     }
 
     fn owner(&self) -> Result<String, ServantError> {
@@ -229,7 +265,7 @@ impl CoDatabaseOperations for CoDatabaseServant {
     }
 
     fn members(&self, coalition: String) -> Result<Vec<String>, ServantError> {
-        self.codb.read().members(&coalition).map_err(codb_err)
+        members_of(&self.codb.read(), &coalition)
     }
 
     fn memberships(&self, source: String) -> Result<Vec<String>, ServantError> {

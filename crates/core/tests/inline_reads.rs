@@ -1,23 +1,28 @@
 //! Which requests a site answers on the reactor thread that read them.
 //!
-//! An ISI `execute` whose statement is a primary-key point probe runs on
-//! the reactor (`Servant::invoke_now`) and is counted in the serving
-//! ORB's `requests inline`; every other request goes to the dispatch
-//! pool, and so does a point probe that would have to wait: one that
-//! finds the site's exclusive guard held, or a stall gate set. Against
-//! a live federation:
+//! An ISI `execute` whose statement is a primary-key point probe, and a
+//! co-database `probe` or `members`, run on the reactor
+//! (`Servant::invoke_now`) and are counted in the serving ORB's
+//! `requests inline`; every other request goes to the dispatch pool,
+//! and so does one of those that would have to wait: one that finds
+//! its site's or co-database's exclusive guard held, or a stall gate
+//! set. Against a live federation:
 //!
-//! * **Classification** — a point read counts as inline; a `BETWEEN`
-//!   range, a join, `GROUP BY`, an INSERT, an OQL query, a co-database
-//!   `probe` and an echo `ping` do not.
-//! * **A held guard** — the point read waits on a worker, and the reactor
-//!   keeps answering another connection.
-//! * **A stall gate** — the point read is held as long as the gate says,
-//!   and the reactor keeps answering another connection.
+//! * **Classification** — a point read, a `probe` and a `members` count
+//!   as inline; a `BETWEEN` range, a join, `GROUP BY`, an INSERT, an OQL
+//!   query, the co-database's writes (`advertise`, `withdraw`,
+//!   `create_coalition`) and its other reads (`find_links`, `subclasses`,
+//!   `descriptor`), and an echo `ping` do not.
+//! * **A held guard** — the point read or probe waits on a worker, and
+//!   the reactor keeps answering another connection.
+//! * **A stall gate** — the point read or probe is held as long as the
+//!   gate says, on a worker.
 //! * **Byte equality** — 200 seeded point probes (absent keys, NULL,
-//!   literals of other types, a DATE on a TEXT key, a crashed site)
-//!   answer inline exactly what `Servant::invoke_into` writes, and a
-//!   deferred one has written nothing.
+//!   literals of other types, a DATE on a TEXT key, a crashed site), and
+//!   200 seeded `probe`s and `members` (known and unknown topics; a
+//!   current, stale and absent stamp; an unknown coalition) answer
+//!   inline exactly what `Servant::invoke_into` writes, and a deferred
+//!   one has written nothing.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -26,11 +31,13 @@ use std::time::{Duration, Instant};
 use webfindit::federation::SiteVendor;
 use webfindit::isi;
 use webfindit::orb::servant::{echo, EchoServant, Servant};
-use webfindit::orb::{CallOptions, Orb, OrbConfig, OrbError};
+use webfindit::orb::{CallOptions, Operation, Orb, OrbConfig, OrbError};
+use webfindit::servants::CoDatabaseServant;
 use webfindit::value_map::read_result_set;
 use webfindit::wire::{ByteOrder, CdrReader, CdrWriter, Ior, Trailing, Value};
-use webfindit::{codb, Federation, SiteHandle, SiteSpec, WebfinditError};
+use webfindit::{codb, Federation, SiteHandle, SiteSpec, StallGate, WebfinditError};
 use webfindit_base::rng::StdRng;
+use webfindit_codb::{LinkEnd, ServiceLink};
 use webfindit_oostore::method::MethodTable;
 use webfindit_oostore::model::{ClassDef, OType, OValue};
 use webfindit_oostore::ObjectStore;
@@ -237,16 +244,79 @@ fn only_a_primary_key_point_read_runs_inline() {
             .unwrap();
     };
     assert_eq!(live.inline_in(oql), 0, "an OQL query");
-    let probe = || {
-        let topic = "patients".to_string();
-        let call = codb::Probe { topic, known: None };
-        live.fed.call(&clinic.codb_ior, call).unwrap();
-    };
-    assert_eq!(live.inline_in(probe), 0, "a co-database probe");
     let ping = || {
         live.fed.call(&live.echo, echo::Ping {}).unwrap();
     };
     assert_eq!(live.inline_in(ping), 0, "an echo ping");
+}
+
+#[test]
+fn only_a_probe_and_members_of_a_co_database_run_inline() {
+    let live = live();
+    let ior = &live.clinic.codb_ior;
+    let coalition = || "Inline Research".to_string();
+    let create = || {
+        let call = codb::CreateCoalition {
+            name: coalition(),
+            parent: None,
+            documentation: "inline research".into(),
+        };
+        live.fed.call(ior, call).unwrap();
+    };
+    assert_eq!(live.inline_in(create), 0, "create_coalition");
+    let advertise = || {
+        let descriptor = live.clinic.descriptor.clone();
+        let call = codb::Advertise {
+            coalition: coalition(),
+            descriptor,
+        };
+        live.fed.call(ior, call).unwrap();
+    };
+    assert_eq!(live.inline_in(advertise), 0, "advertise");
+
+    let probe = || {
+        let topic = "inline research".to_string();
+        let reply = live.fed.call(ior, codb::Probe { topic, known: None });
+        let answer = reply.unwrap().answer.expect("answered in full");
+        assert_eq!(answer.coalitions, [coalition()]);
+    };
+    assert_eq!(live.inline_in(probe), 1, "a co-database probe");
+    let members = || {
+        let reply = live.fed.call(
+            ior,
+            codb::Members {
+                coalition: coalition(),
+            },
+        );
+        assert_eq!(reply.unwrap(), [CLINIC]);
+    };
+    assert_eq!(live.inline_in(members), 1, "members");
+
+    let find_links = || {
+        let topic = "inline research".to_string();
+        live.fed.call(ior, codb::FindLinks { topic }).unwrap();
+    };
+    assert_eq!(live.inline_in(find_links), 0, "find_links");
+    let subclasses = || {
+        live.fed
+            .call(ior, codb::Subclasses { class: coalition() })
+            .unwrap();
+    };
+    assert_eq!(live.inline_in(subclasses), 0, "subclasses");
+    let descriptor = || {
+        let source = CLINIC.to_string();
+        live.fed.call(ior, codb::Descriptor { source }).unwrap();
+    };
+    assert_eq!(live.inline_in(descriptor), 0, "descriptor");
+    let withdraw = || {
+        let source = CLINIC.to_string();
+        let call = codb::Withdraw {
+            coalition: coalition(),
+            source,
+        };
+        live.fed.call(ior, call).unwrap();
+    };
+    assert_eq!(live.inline_in(withdraw), 0, "withdraw");
 }
 
 #[test]
@@ -309,6 +379,75 @@ fn a_stalled_point_read_is_held_by_a_worker() {
         live.inline(),
         inline,
         "neither the read nor the ping ran inline"
+    );
+}
+
+/// A `probe` of the clinic's co-database from its own thread, with how
+/// long it took.
+fn probe_from_a_thread(live: &Live) -> thread::JoinHandle<(Duration, u64)> {
+    let (fed, ior) = (Arc::clone(&live.fed), live.clinic.codb_ior.clone());
+    thread::spawn(move || {
+        let start = Instant::now();
+        let topic = "patients".to_string();
+        let reply = fed.call(&ior, codb::Probe { topic, known: None });
+        (start.elapsed(), reply.unwrap().version)
+    })
+}
+
+#[test]
+fn a_probe_that_finds_the_co_database_held_waits_on_a_worker() {
+    let live = live();
+    let (inline, served) = (live.inline(), live.served());
+    // Another thread holds the exclusive guard, so this one holds no
+    // lock while it waits on the network.
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let holder = {
+        let codb = Arc::clone(&live.clinic.codb);
+        thread::spawn(move || {
+            let guard = codb.write();
+            held_tx.send(guard.version()).unwrap();
+            release_rx.recv().unwrap();
+        })
+    };
+    let version = held_rx.recv_timeout(PROMPT).expect("the guard is taken");
+    let prober = probe_from_a_thread(&live);
+    live.await_served(served + 1);
+    assert!(
+        live.ping() < Duration::from_secs(1),
+        "the reactor must answer another connection while the probe waits"
+    );
+    thread::sleep(Duration::from_millis(100));
+    assert!(
+        !prober.is_finished(),
+        "the probe cannot finish while the co-database is held"
+    );
+    release_tx.send(()).unwrap();
+    holder.join().unwrap();
+    let (_, answered) = prober.join().unwrap();
+    assert_eq!(answered, version);
+    assert_eq!(
+        live.inline(),
+        inline,
+        "neither the probe nor the ping ran inline"
+    );
+}
+
+#[test]
+fn a_stalled_probe_is_held_by_a_worker() {
+    let live = live();
+    let inline = live.inline();
+    live.clinic.stall.stall(200);
+    let (took, _) = probe_from_a_thread(&live).join().unwrap();
+    live.clinic.stall.clear();
+    assert!(
+        took >= Duration::from_millis(200),
+        "the probe took {took:?}"
+    );
+    assert_eq!(
+        live.inline(),
+        inline,
+        "the stalled probe did not run inline"
     );
 }
 
@@ -410,4 +549,134 @@ fn an_inline_reply_is_the_reply_the_pool_writes() {
     assert!(answered >= 100, "{answered} of 200 answered inline");
     assert!(deferred > 0, "the DATE-on-TEXT probes defer");
     assert!(crashed > 0, "a crashed site answers its error inline");
+}
+
+/// Give the clinic's co-database coalitions, members and a link to
+/// answer from.
+fn populate(live: &Live) {
+    let mut codb = live.clinic.codb.write();
+    codb.create_coalition("Research", None, "medical research")
+        .unwrap();
+    codb.create_coalition("Oncology", Some("Research"), "cancer research")
+        .unwrap();
+    codb.create_coalition("Wards", None, "ward occupancy")
+        .unwrap();
+    for (coalition, site) in [
+        ("Research", &live.clinic),
+        ("Oncology", &live.ledger),
+        ("Wards", &live.archive),
+    ] {
+        codb.advertise(coalition, site.descriptor.clone()).unwrap();
+    }
+    codb.add_service_link(ServiceLink {
+        from: LinkEnd::Database(LEDGER.into()),
+        to: LinkEnd::Coalition("Wards".into()),
+        description: "bed transfers".into(),
+    })
+    .unwrap();
+}
+
+/// The arguments of a seeded `probe` or `members` of a co-database at
+/// `version`, or of one with a mistyped argument.
+fn codb_call(rng: &mut StdRng, version: i64) -> (&'static str, Vec<Value>) {
+    let topics = [
+        "medical research",
+        "cancer research",
+        "ward occupancy",
+        "bed transfers",
+        "patients",
+        "astronomy",
+        "",
+    ];
+    let coalitions = ["Research", "Oncology", "Wards", "research", "Ghost"];
+    match rng.gen_range(0..10u32) {
+        0..=5 => {
+            let topic = topics[rng.gen_range(0..topics.len())].to_string();
+            let known = match rng.gen_range(0..3u32) {
+                0 => Some(version),
+                1 => Some(version - 1 - rng.gen_range(0..3i64)),
+                _ => None,
+            };
+            let call = codb::Probe { topic, known };
+            (codb::Probe::NAME, call.args().unwrap())
+        }
+        6..=8 => {
+            let coalition = coalitions[rng.gen_range(0..coalitions.len())].to_string();
+            let call = codb::Members { coalition };
+            (codb::Members::NAME, call.args().unwrap())
+        }
+        _ => {
+            let op = [codb::Probe::NAME, codb::Members::NAME][rng.gen_range(0..2usize)];
+            (op, vec![Value::ULong(7)])
+        }
+    }
+}
+
+#[test]
+fn an_inline_co_database_reply_is_the_reply_the_pool_writes() {
+    let live = live();
+    populate(&live);
+    let servant = CoDatabaseServant::with_gate(Arc::clone(&live.clinic.codb), StallGate::new());
+    let ior = &live.clinic.codb_ior;
+    let mut rng = StdRng::seed_from_u64(41);
+    let (mut answered, mut deferred, mut refused) = (0, 0, 0);
+    for i in 0..200 {
+        if i % 50 == 25 {
+            // A registration moves the stamp under the callers.
+            let mut codb = live.clinic.codb.write();
+            codb.create_coalition(&format!("Late {i}"), Some("Research"), "late research")
+                .unwrap();
+        }
+        let version = live.clinic.codb.read().version() as i64;
+        let (op, args) = codb_call(&mut rng, version);
+        let order = [ByteOrder::BigEndian, ByteOrder::LittleEndian][rng.gen_range(0..2usize)];
+        let mut now_out = CdrWriter::new(order);
+        let now = servant.invoke_now(op, &args, &mut now_out);
+        let mut pool_out = CdrWriter::new(order);
+        let pooled = servant.invoke_into(op, &args, &mut pool_out);
+        let pool_bytes = pool_out.into_bytes();
+        let what = format!("{op} {args:?}");
+        match &now {
+            Some(answer) => {
+                answered += 1;
+                refused += usize::from(answer.is_err());
+                assert_eq!(answer, &pooled, "{what}");
+                if answer.is_ok() {
+                    assert_eq!(now_out.into_bytes(), pool_bytes, "{what}");
+                }
+            }
+            None => {
+                deferred += 1;
+                assert!(pooled.is_err(), "only a mistyped call defers: {what}");
+                assert_eq!(now_out.len(), 0, "a deferred call wrote nothing: {what}");
+            }
+        }
+
+        let inline = live.inline();
+        let over_wire = live.fed.invoke(ior, op, &args);
+        assert_eq!(live.inline() - inline, u64::from(now.is_some()), "{what}");
+        match (over_wire, pooled) {
+            (Ok(value), Ok(())) => {
+                let expected = Value::decode(&mut CdrReader::new(&pool_bytes, order)).unwrap();
+                assert_eq!(value, expected, "{what}");
+            }
+            (
+                Err(WebfinditError::Orb(OrbError::RemoteException {
+                    system,
+                    description,
+                })),
+                Err(e),
+            ) => {
+                assert_eq!(
+                    (system, description),
+                    (e.is_system(), e.description()),
+                    "{what}"
+                );
+            }
+            (got, expected) => panic!("{what}: got {got:?}, the pool answers {expected:?}"),
+        }
+    }
+    assert!(answered >= 150, "{answered} of 200 answered inline");
+    assert!(refused > 0, "an unknown coalition answers its error inline");
+    assert!(deferred > 0, "a mistyped call defers");
 }

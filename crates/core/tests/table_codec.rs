@@ -375,7 +375,7 @@ fn a_hostile_table_reply_fails_its_call_and_the_client_serves_on() {
     }
     // The plain `Value` decoder refuses the same bytes the same way.
     assert!(matches!(
-        client.invoke(&ior, "hostile", &[]),
+        client.invoke_with(&ior, "hostile", &[], &CallOptions::default()),
         Err(OrbError::Wire(WireError::TooLarge { .. }))
     ));
     let good = as_table("table").unwrap();
@@ -761,7 +761,7 @@ fn a_reply_too_large_to_frame_is_a_marshal_exception_remote_or_collocated() {
     }
     let ping = within({
         let (client, fat) = (Arc::clone(&client), fat.clone());
-        move || client.invoke(&fat, "ping", &[])
+        move || client.invoke_with(&fat, "ping", &[], &CallOptions::default())
     });
     assert_eq!(ping.unwrap(), Value::string("pong"));
 

@@ -59,8 +59,12 @@ fn an_isi_table_is_the_same_collocated_and_remote() {
     let args = [Value::string(sql)];
     let local_before = host.metrics().snapshot().local_dispatches;
 
-    let collocated = host.invoke(&site.isi_ior, "execute", &args).unwrap();
-    let remote = client.invoke(&site.isi_ior, "execute", &args).unwrap();
+    let collocated = host
+        .invoke_with(&site.isi_ior, "execute", &args, &CallOptions::default())
+        .unwrap();
+    let remote = client
+        .invoke_with(&site.isi_ior, "execute", &args, &CallOptions::default())
+        .unwrap();
     assert_eq!(collocated, remote);
 
     let table = |orb: &Orb| {

@@ -23,7 +23,7 @@
 //!   picked;
 //! * pipelined batches: a call is [`IiopChannel::start`] (admit, send)
 //!   then [`IiopChannel::finish`] (wait, classify), so
-//!   [`crate::Orb::invoke_all`] sends a whole batch before reading any
+//!   [`crate::Orb::call_all`] sends a whole batch before reading any
 //!   reply. Its caller waits on one request at a time, so the read half
 //!   is handed only to a caller flagged as parked on that connection;
 //! * deadlines: a caller waits at most its [`CallOptions::deadline`],
@@ -423,7 +423,7 @@ fn lead(
 ) -> Led {
     loop {
         // The socket wait (a checked blocking region inside
-        // `recv_frame_by`) is the blocking heart of Orb::invoke. The read
+        // `recv_frame_by`) is the blocking heart of every call. The read
         // half is the only lock held into it.
         let frame = match rd.tcp.recv_frame_by(deadline) {
             Ok(Some(f)) => f,

@@ -13,16 +13,16 @@
 //!   other servant dispatch, so a slow servant never holds up other
 //!   requests on the same connection and ten thousand idle connections
 //!   cost ten thousand fds, not ten thousand stacks;
-//! * acts as a client: [`Orb::invoke`] marshals a Request and ships it
-//!   over a multiplexed [`IiopChannel`] (see [`crate::channel`]); many
+//! * acts as a client: [`Orb::call`] marshals a typed Request and ships
+//!   it over a multiplexed [`IiopChannel`] (see [`crate::channel`]); many
 //!   concurrent callers share each connection instead of serializing on
-//!   a per-connection mutex. [`Orb::invoke_with`] additionally threads
-//!   [`CallOptions`] — a deadline and a retry policy — down to the wire,
-//!   and [`Orb::invoke_all`] pipelines a batch of calls from the calling
+//!   a per-connection mutex. Every call threads [`CallOptions`] — a
+//!   deadline and a retry policy — down to the wire, and
+//!   [`Orb::call_all`] pipelines a batch of calls from the calling
 //!   thread (every request sent before any reply is read); a single
-//!   call is a batch of one. [`Orb::invoke_as`] and
-//!   [`Orb::invoke_all_as`] let the caller pick the decoder of the
-//!   result; the others decode a [`Value`]. Invocations
+//!   call is a batch of one. The DII by name ([`Orb::invoke_with`])
+//!   decodes a [`Value`]; [`Orb::invoke_as`] and [`Orb::invoke_all_as`]
+//!   let the caller pick the decoder of the result. Invocations
 //!   whose target lives on this same ORB skip the socket (counted
 //!   separately — collocated calls were a selling point of 1990s ORBs
 //!   too) but not the codec: the servant writes the same reply frame a
@@ -102,7 +102,7 @@ impl OrbConfig {
     }
 }
 
-/// One call of a batch handed to [`Orb::invoke_all`].
+/// One call of a batch handed to [`Orb::invoke_all_as`].
 #[derive(Debug, Clone, Copy)]
 pub struct Invocation<'a> {
     /// The object to invoke.
@@ -138,7 +138,7 @@ enum Step<'a> {
 /// its own type (see [`Orb::invoke_as`]).
 type Decode<'d, T, E> = &'d dyn Fn(&mut CdrReader<'_>) -> Result<T, E>;
 
-/// The decoder behind [`Orb::invoke`] and [`Orb::invoke_all`].
+/// The decoder behind [`Orb::invoke_with`].
 fn decode_value(r: &mut CdrReader<'_>) -> OrbResult<Value> {
     Ok(Value::decode(r)?)
 }
@@ -252,14 +252,8 @@ impl Orb {
         host == self.config.advertised_host && port == self.config.advertised_port
     }
 
-    /// Invoke `operation(args)` on the object `ior` refers to, with
-    /// default [`CallOptions`] (no deadline, safe retries allowed).
-    pub fn invoke(&self, ior: &Ior, operation: &str, args: &[Value]) -> OrbResult<Value> {
-        self.invoke_with(ior, operation, args, &CallOptions::default())
-    }
-
-    /// Invoke `operation(args)` under explicit per-call `options`: a
-    /// batch of one for [`Orb::invoke_all`].
+    /// Invoke `operation(args)` on the object `ior` refers to, under
+    /// per-call `options`, and read the result back as a [`Value`].
     pub fn invoke_with(
         &self,
         ior: &Ior,
@@ -294,23 +288,14 @@ impl Orb {
 
     /// Invoke every call of `calls` under `options`, all first requests
     /// sent from the calling thread before any reply is read, so their
-    /// round trips overlap; the outcomes come back in call order. Each
+    /// round trips overlap; the outcomes come back in call order, each
+    /// successful result read by `decode` (see [`Orb::invoke_as`]). Each
     /// call tries its IOR's profiles in turn, falling through only when
     /// a request provably never reached an endpoint; retries, fall-through
     /// and `LocationForward` after a failed first request run one by one.
     /// A collocated call (its profile is this ORB's own endpoint) runs
     /// inline during the send phase, before later calls go out.
     /// All calls draw on one deadline, started here.
-    pub fn invoke_all(
-        &self,
-        calls: &[Invocation<'_>],
-        options: &CallOptions,
-    ) -> Vec<OrbResult<Value>> {
-        self.invoke_all_as(calls, options, decode_value)
-    }
-
-    /// [`Orb::invoke_all`] with the caller's decoder of each successful
-    /// result (see [`Orb::invoke_as`]).
     pub fn invoke_all_as<T, E: From<OrbError>>(
         &self,
         calls: &[Invocation<'_>],
@@ -338,7 +323,7 @@ impl Orb {
         out.pop().expect("one result per call")
     }
 
-    /// [`Orb::invoke_all`] for typed operations, each reply read by its
+    /// [`Orb::invoke_all_as`] for typed operations, each reply read by its
     /// operation. A call whose arguments cannot be marshalled fails in
     /// place, never sent.
     pub fn call_all<O: Operation>(
@@ -810,7 +795,7 @@ mod tests {
             Err(OrbError::RemoteException { system: true, .. }) => {}
             other => panic!("expected system exception, got {other:?}"),
         }
-        match visi.invoke(&ior, "no_such_op", &[]) {
+        match visi.invoke_with(&ior, "no_such_op", &[], &CallOptions::default()) {
             Err(OrbError::RemoteException {
                 system: true,
                 description,
@@ -962,7 +947,7 @@ mod tests {
                             args,
                         })
                         .collect();
-                    let out = client.invoke_all(&calls, &CallOptions::default());
+                    let out = client.invoke_all_as(&calls, &CallOptions::default(), decode_value);
                     for (args, reply) in args.iter().zip(out) {
                         assert_eq!(reply.unwrap(), Value::Sequence(args.to_vec()));
                     }

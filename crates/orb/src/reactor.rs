@@ -16,8 +16,12 @@
 //!   each request is first offered to its servant's
 //!   [`crate::servant::Servant::invoke_now`], which answers it on this
 //!   thread only when nothing on its path can wait (no blocking lock,
-//!   sleep, I/O or remote call; today an ISI primary-key point read
-//!   whose site guard a `try_read` gets). xlint's `reactor-blocking`
+//!   sleep, I/O or remote call): an ISI primary-key point read, and a
+//!   co-database `probe` or `members`, each under a shared guard that a
+//!   `try_read` got and with no stall gate set. A co-database write
+//!   (Join/Leave, `advertise`, `withdraw`) needs the exclusive guard,
+//!   which a reader may hold, and measured no gain inline, so it stays
+//!   on the pool with everything else. xlint's `reactor-blocking`
 //!   rule treats that hook as a root of the event loop, so a blocking
 //!   step on its path is a lint finding. Every other request runs on
 //!   the pool, so a stalled servant blocks one worker, never the event

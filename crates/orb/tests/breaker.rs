@@ -122,7 +122,12 @@ fn half_open_probe_closes_breaker_once_endpoint_heals() {
 
     // Steady state: traffic flows normally again.
     let again = client
-        .invoke(&ior, "echo", &[Value::string("steady")])
+        .invoke_with(
+            &ior,
+            "echo",
+            &[Value::string("steady")],
+            &CallOptions::default(),
+        )
         .unwrap();
     assert_eq!(again.as_str(), Some("steady"));
 
@@ -170,7 +175,12 @@ fn registry_faults_reach_live_connections_and_trip_the_breaker() {
 
     // Prove the connection is up first.
     let ok = client
-        .invoke(&ior, "echo", &[Value::string("pre")])
+        .invoke_with(
+            &ior,
+            "echo",
+            &[Value::string("pre")],
+            &CallOptions::default(),
+        )
         .unwrap();
     assert_eq!(ok.as_str(), Some("pre"));
 

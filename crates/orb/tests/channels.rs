@@ -133,7 +133,12 @@ fn prop_concurrent_callers_survive_reply_reordering() {
                 thread::spawn(move || {
                     let payload = format!("payload-{i}");
                     let got = client
-                        .invoke(&ior, "echo", &[Value::string(payload.clone())])
+                        .invoke_with(
+                            &ior,
+                            "echo",
+                            &[Value::string(payload.clone())],
+                            &CallOptions::default(),
+                        )
                         .expect("echo call completes");
                     assert_eq!(got.as_str(), Some(payload.as_str()));
                 })
@@ -294,7 +299,9 @@ fn a_reply_cut_off_by_a_deadline_is_finished_by_the_next_leader() {
 
     let b = {
         let client = Arc::clone(&client);
-        thread::spawn(move || client.invoke(&ior, "echo", &[Value::string("b")]))
+        thread::spawn(move || {
+            client.invoke_with(&ior, "echo", &[Value::string("b")], &CallOptions::default())
+        })
     };
     let b_id = match rx.recv().expect("B's request") {
         (b_conn, GiopMessage::Request { header, .. }) => {
@@ -360,7 +367,9 @@ fn concurrent_calls_to_a_slow_backend_overlap_on_one_channel() {
     .expect("client orb starts");
     let ior = server.activate("hold", Arc::new(HoldingServant));
     // One untimed call opens the channel, so the round times calls only.
-    client.invoke(&ior, "hold", &[]).expect("warm-up call");
+    client
+        .invoke_with(&ior, "hold", &[], &CallOptions::default())
+        .expect("warm-up call");
 
     let start = Arc::new(Barrier::new(THREADS + 1));
     let handles: Vec<_> = (0..THREADS)
@@ -369,7 +378,12 @@ fn concurrent_calls_to_a_slow_backend_overlap_on_one_channel() {
             thread::spawn(move || {
                 start.wait();
                 let payload = Value::string(format!("caller-{i}"));
-                let got = client.invoke(&ior, "hold", std::slice::from_ref(&payload));
+                let got = client.invoke_with(
+                    &ior,
+                    "hold",
+                    std::slice::from_ref(&payload),
+                    &CallOptions::default(),
+                );
                 assert_eq!(got.expect("held call completes"), payload, "caller {i}");
             })
         })

@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use webfindit_orb::servant::{InvokeResult, Servant, ServantError};
-use webfindit_orb::{Orb, OrbConfig, OrbDomain};
+use webfindit_orb::{CallOptions, Orb, OrbConfig, OrbDomain};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{self, FragmentAssembler, GiopHeader, GiopMessage, MessageKind};
 use webfindit_wire::transport::FramedTcp;
@@ -52,7 +52,9 @@ fn large_reply_streams_as_a_fragment_train() {
     let (server, client) = start_pair();
     let ior = server.activate("sized", Arc::new(SizedServant));
 
-    let out = client.invoke(&ior, "big", &[]).unwrap();
+    let out = client
+        .invoke_with(&ior, "big", &[], &CallOptions::default())
+        .unwrap();
     assert_eq!(out, Value::Str("B".repeat(300 * 1024)));
 
     // 300 KiB over 64 KiB chunks: one fragmented reply, ≥4 continuations.
@@ -76,7 +78,9 @@ fn small_replies_stay_unfragmented() {
     let ior = server.activate("sized", Arc::new(SizedServant));
 
     for _ in 0..3 {
-        let out = client.invoke(&ior, "small", &[]).unwrap();
+        let out = client
+            .invoke_with(&ior, "small", &[], &CallOptions::default())
+            .unwrap();
         assert_eq!(out, Value::Str("s".repeat(64)));
     }
     let s = server.metrics().snapshot();
@@ -95,7 +99,9 @@ fn fragmented_replies_interleave_with_small_ones_on_one_connection() {
 
     for i in 0..4 {
         let op = if i % 2 == 0 { "big" } else { "small" };
-        let out = client.invoke(&ior, op, &[]).unwrap();
+        let out = client
+            .invoke_with(&ior, op, &[], &CallOptions::default())
+            .unwrap();
         match out {
             Value::Str(s) if op == "big" => assert_eq!(s.len(), 300 * 1024),
             Value::Str(s) => assert_eq!(s.len(), 64),
@@ -292,7 +298,9 @@ fn a_servant_that_fails_partway_through_its_reply_sends_only_the_exception() {
     let (server, client) = start_pair();
     let ior = server.activate("halfway", Arc::new(HalfWayServant));
     assert_eq!(
-        client.invoke(&ior, "ok", &[]).unwrap(),
+        client
+            .invoke_with(&ior, "ok", &[], &CallOptions::default())
+            .unwrap(),
         Value::string("fine")
     );
 
@@ -302,7 +310,7 @@ fn a_servant_that_fails_partway_through_its_reply_sends_only_the_exception() {
         ("panic", true, "UNKNOWN: servant panicked: halfway"),
     ] {
         let received = client.metrics().snapshot().bytes_received;
-        match client.invoke(&ior, op, &[]) {
+        match client.invoke_with(&ior, op, &[], &CallOptions::default()) {
             Err(webfindit_orb::OrbError::RemoteException {
                 system,
                 description,
@@ -315,7 +323,9 @@ fn a_servant_that_fails_partway_through_its_reply_sends_only_the_exception() {
         let reply_bytes = client.metrics().snapshot().bytes_received - received;
         assert!(reply_bytes < 1024, "{op}: {reply_bytes} bytes came back");
         assert_eq!(
-            client.invoke(&ior, "ok", &[]).unwrap(),
+            client
+                .invoke_with(&ior, "ok", &[], &CallOptions::default())
+                .unwrap(),
             Value::string("fine"),
             "{op}: the next call"
         );

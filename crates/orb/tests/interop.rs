@@ -8,7 +8,7 @@ use std::time::Duration;
 use webfindit_base::prop::{self, string_of, vec_of};
 use webfindit_base::rng::StdRng;
 use webfindit_orb::servant::{EchoServant, InvokeResult, Servant, ServantError};
-use webfindit_orb::{Orb, OrbConfig, OrbDomain, OrbError};
+use webfindit_orb::{CallOptions, Orb, OrbConfig, OrbDomain, OrbError};
 use webfindit_wire::cdr::ByteOrder;
 use webfindit_wire::giop::{self, GiopMessage, LocateStatus};
 use webfindit_wire::transport::FramedTcp;
@@ -44,7 +44,7 @@ fn servant_panic_becomes_system_exception_and_connection_survives() {
     .unwrap();
     let ior = server.activate("p", Arc::new(PanickyServant));
 
-    match client.invoke(&ior, "boom", &[]) {
+    match client.invoke_with(&ior, "boom", &[], &CallOptions::default()) {
         Err(OrbError::RemoteException {
             system: true,
             description,
@@ -55,7 +55,9 @@ fn servant_panic_becomes_system_exception_and_connection_survives() {
     }
     // Same pooled connection still works afterwards.
     assert_eq!(
-        client.invoke(&ior, "ok", &[]).unwrap(),
+        client
+            .invoke_with(&ior, "ok", &[], &CallOptions::default())
+            .unwrap(),
         Value::string("fine")
     );
     server.shutdown();
@@ -104,7 +106,7 @@ fn a_too_deeply_nested_argument_earns_message_error_and_the_orb_survives() {
     )
     .unwrap();
     let pong = client
-        .invoke(&ior, "ping", &[])
+        .invoke_with(&ior, "ping", &[], &CallOptions::default())
         .expect("a new connection is served");
     assert_eq!(pong, Value::string("pong"));
     client.shutdown();
@@ -191,7 +193,12 @@ fn three_orb_mesh_full_interop() {
     for caller in &orbs {
         for ior in &iors {
             let out = caller
-                .invoke(ior, "echo", &[Value::Long(7), Value::string("mesh")])
+                .invoke_with(
+                    ior,
+                    "echo",
+                    &[Value::Long(7), Value::string("mesh")],
+                    &CallOptions::default(),
+                )
                 .unwrap();
             assert_eq!(
                 out,
@@ -242,7 +249,9 @@ fn values_cross_the_wire_unchanged() {
         )
         .unwrap();
         let ior = server.activate("echo", Arc::new(EchoServant));
-        let out = client.invoke(&ior, "echo", &values).unwrap();
+        let out = client
+            .invoke_with(&ior, "echo", &values, &CallOptions::default())
+            .unwrap();
         assert_eq!(out, Value::Sequence(values));
         server.shutdown();
         client.shutdown();
@@ -267,7 +276,9 @@ fn pooled_connection_survives_server_restart() {
     .unwrap();
     let ior = server1.activate("e", Arc::new(EchoServant));
     assert_eq!(
-        client.invoke(&ior, "ping", &[]).unwrap(),
+        client
+            .invoke_with(&ior, "ping", &[], &CallOptions::default())
+            .unwrap(),
         Value::string("pong")
     );
 
@@ -282,7 +293,9 @@ fn pooled_connection_survives_server_restart() {
 
     // The pooled connection is dead; the retry path must reconnect.
     assert_eq!(
-        client.invoke(&ior, "ping", &[]).unwrap(),
+        client
+            .invoke_with(&ior, "ping", &[], &CallOptions::default())
+            .unwrap(),
         Value::string("pong")
     );
     server2.shutdown();

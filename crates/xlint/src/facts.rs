@@ -131,8 +131,12 @@ pub enum Recv {
     SelfDot,
     /// `Type::foo(…)` / `module::foo(…)` — the segment before `::`.
     Path(String),
-    /// `expr.foo(…)` — resolves by method name across the workspace.
-    Method,
+    /// `expr.foo(…)` — resolves by method name across the workspace,
+    /// or, when `expr` is a parameter or `let` of the enclosing function
+    /// declared with a type, against that type (its last path segment).
+    Method(Option<String>),
+    /// `self.field.foo(…)` — resolves against the field's declared type.
+    SelfField(String),
     /// `foo(…)` — resolves to free functions by name.
     Bare,
 }
@@ -190,6 +194,13 @@ pub struct CounterDecl {
 pub struct FileFacts {
     pub path: PathBuf,
     pub crate_name: String,
+    /// The module the file is: its stem, or its directory for `mod.rs`.
+    pub module: String,
+    /// Traits the file declares: a receiver of one of these types is a
+    /// trait object or generic, so it resolves by name.
+    pub traits: Vec<String>,
+    /// Named struct fields with a declared type: (struct, field, type).
+    pub fields: Vec<(String, String, String)>,
     pub fns: Vec<FnFact>,
     pub counters: Vec<CounterDecl>,
     pub test_ranges: Vec<(usize, usize)>,
@@ -210,6 +221,8 @@ enum CtxKind {
     /// option is the implemented trait's name.
     ImplBlock,
     Fn,
+    /// `struct Name { … }`: its fields are the text before the `}`.
+    Struct(String),
     Other,
 }
 
@@ -262,9 +275,13 @@ fn parse_impl_header(header: &str) -> Option<String> {
     (!ty.is_empty()).then_some(ty)
 }
 
-/// Parse a `fn name(…)` header into the function's name and whether
-/// its first parameter is a `self` receiver, or None.
-fn parse_fn_header(header: &str) -> Option<(String, bool)> {
+/// A parsed `fn` header: the function's name, whether its first
+/// parameter is a `self` receiver, and its parameters declared with a
+/// type, as (name, [`type_name`]).
+type FnHeader = (String, bool, Vec<(String, String)>);
+
+/// Parse a `fn name(…)` header, or None.
+fn parse_fn_header(header: &str) -> Option<FnHeader> {
     // Find the `fn` keyword as a standalone word.
     let bytes = header.as_bytes();
     let mut at = None;
@@ -286,29 +303,32 @@ fn parse_fn_header(header: &str) -> Option<(String, bool)> {
     if name.is_empty() || !after.contains('(') {
         return None;
     }
-    Some((name.to_owned(), takes_self(&after[name_end..])))
+    let params = params_of(&after[name_end..]).unwrap_or_default();
+    let typed = split_top_level(params)
+        .into_iter()
+        .filter_map(typed_binding);
+    Some((name.to_owned(), takes_self(params), typed.collect()))
 }
 
-/// Whether the parameter list after a function's name (generics first,
-/// if any) opens with a `self` receiver: `self`, `mut self`, `&self`,
-/// `&'a mut self`, `self: Arc<Self>`.
-fn takes_self(after_name: &str) -> bool {
+/// The text after the `(` that opens the parameter list after a
+/// function's name (generics first, if any).
+fn params_of(after_name: &str) -> Option<&str> {
     let mut depth = 0usize;
-    let mut params = None;
     for (i, c) in after_name.char_indices() {
         match c {
             '<' => depth += 1,
             '>' => depth = depth.saturating_sub(1),
-            '(' if depth == 0 => {
-                params = Some(&after_name[i + 1..]);
-                break;
-            }
+            '(' if depth == 0 => return Some(&after_name[i + 1..]),
             _ => {}
         }
     }
-    let Some(mut p) = params.map(str::trim_start) else {
-        return false;
-    };
+    None
+}
+
+/// Whether a parameter list opens with a `self` receiver: `self`,
+/// `mut self`, `&self`, `&'a mut self`, `self: Arc<Self>`.
+fn takes_self(params: &str) -> bool {
+    let mut p = params.trim_start();
     if let Some(rest) = p.strip_prefix('&') {
         p = rest.trim_start();
         if let Some(rest) = p.strip_prefix('\'') {
@@ -323,6 +343,80 @@ fn takes_self(after_name: &str) -> bool {
     }
     p.strip_prefix("self")
         .is_some_and(|rest| !rest.bytes().next().is_some_and(is_ident_byte))
+}
+
+/// The type a declaration names, as its last path segment: `&mut
+/// a::Foo<T>` is `Foo`. None for slices, tuples, closures and anything
+/// else that is not a path to a type.
+fn type_name(ty: &str) -> Option<String> {
+    let ty = ty.trim_start().trim_start_matches('&');
+    let ty = ty.split(['<', '(', '[', '+']).next().unwrap_or_default();
+    let last = ty.split_whitespace().last()?;
+    let name = last.rsplit("::").next().unwrap_or(last);
+    let is_type =
+        name.starts_with(|c: char| c.is_ascii_uppercase()) && name.bytes().all(is_ident_byte);
+    is_type.then(|| name.to_owned())
+}
+
+/// The comma-separated items of `text` up to the bracket that closes
+/// the list it opens: `a: A, b: B<C, D>) -> E` is `a: A` and `b: B<C, D>`.
+fn split_top_level(text: &str) -> Vec<&str> {
+    let (mut depth, mut from) = (0usize, 0);
+    let mut items = Vec::new();
+    for (i, c) in text.char_indices() {
+        match c {
+            ')' | ']' | '}' if depth == 0 => {
+                items.push(&text[from..i]);
+                return items;
+            }
+            '(' | '<' | '[' | '{' => depth += 1,
+            ')' | '>' | ']' | '}' => depth = depth.saturating_sub(1),
+            ',' if depth == 0 => {
+                items.push(&text[from..i]);
+                from = i + 1;
+            }
+            _ => {}
+        }
+    }
+    items.push(&text[from..]);
+    items
+}
+
+/// The name a `struct Name {` header declares.
+fn struct_name(header: &str) -> Option<String> {
+    let mut words = header.split_whitespace();
+    words.find(|w| *w == "struct")?;
+    let name: String = words
+        .next()?
+        .bytes()
+        .take_while(|b| is_ident_byte(*b))
+        .map(char::from)
+        .collect();
+    (!name.is_empty()).then_some(name)
+}
+
+/// `name: Type` (or `mut name: Type`, or a field's `pub name: Type`)
+/// as (name, [`type_name`]).
+fn typed_binding(decl: &str) -> Option<(String, String)> {
+    let (pat, ty) = decl.split_once(':')?;
+    let name = pat.split_whitespace().last().unwrap_or_default();
+    if name.is_empty() || !name.bytes().all(is_ident_byte) || ty.starts_with(':') {
+        return None;
+    }
+    Some((name.to_owned(), type_name(ty)?))
+}
+
+/// The name a `let` statement binds, with its declared type if it has
+/// one; None when the pattern is not a plain name.
+fn let_binding(stmt: &str) -> Option<(String, Option<String>)> {
+    let rest = stmt.trim().trim_end_matches(';').strip_prefix("let ")?;
+    let decl = rest.split('=').next().unwrap_or(rest);
+    if let Some((name, ty)) = typed_binding(decl) {
+        return Some((name, Some(ty)));
+    }
+    let decl = decl.trim();
+    let name = decl.strip_prefix("mut ").unwrap_or(decl).trim();
+    (!name.is_empty() && name.bytes().all(is_ident_byte)).then(|| (name.to_owned(), None))
 }
 
 /// True when the statement is a `let` whose right-hand side *ends* with
@@ -377,8 +471,14 @@ fn acquire_sites(stmt: &str) -> Vec<(usize, &'static str, String)> {
     out
 }
 
-/// Extract call sites from one statement's scrubbed text.
-fn call_sites(stmt: &str, stmt_line: usize, guards: &[Guard]) -> Vec<CallSite> {
+/// Extract call sites from one statement's scrubbed text. `locals` are
+/// the enclosing function's names declared with a type.
+fn call_sites(
+    stmt: &str,
+    stmt_line: usize,
+    guards: &[Guard],
+    locals: Option<&BTreeMap<String, String>>,
+) -> Vec<CallSite> {
     let bytes = stmt.as_bytes();
     let mut out = Vec::new();
     for p in 1..bytes.len() {
@@ -398,12 +498,28 @@ fn call_sites(stmt: &str, stmt_line: usize, guards: &[Guard]) -> Vec<CallSite> {
             continue;
         }
         let recv = if stmt[..start].ends_with('.') {
-            let recv_end = start - 1;
-            match ident_before(stmt, recv_end) {
-                Some(r) if r == "self" && !stmt[..recv_end - r.len()].ends_with('.') => {
-                    Recv::SelfDot
+            let recv = stmt[..start - 1].trim_end();
+            match ident_before(recv, recv.len()) {
+                Some(r) => {
+                    let before = recv[..recv.len() - r.len()].trim_end();
+                    let self_field = before
+                        .strip_suffix('.')
+                        .and_then(|owner| owner.trim_end().strip_suffix("self"))
+                        .map(str::trim_end)
+                        .is_some_and(|o| {
+                            !o.ends_with(['.', ':']) && !o.bytes().last().is_some_and(is_ident_byte)
+                        });
+                    if self_field {
+                        Recv::SelfField(r)
+                    } else if before.ends_with(['.', ':']) {
+                        Recv::Method(None)
+                    } else if r == "self" {
+                        Recv::SelfDot
+                    } else {
+                        Recv::Method(locals.and_then(|l| l.get(&r)).cloned())
+                    }
                 }
-                _ => Recv::Method,
+                None => Recv::Method(None),
             }
         } else if stmt[..start].ends_with("::") {
             match ident_before(stmt, start - 2) {
@@ -434,6 +550,11 @@ struct Machine<'a> {
     guards: Vec<Guard>,
     ctx: Vec<Ctx>,
     fn_stack: Vec<usize>,
+    /// Per open function (parallel to `fn_stack`): its parameters and
+    /// `let`s declared with a type, by name.
+    locals: Vec<BTreeMap<String, String>>,
+    traits: Vec<String>,
+    fields: Vec<(String, String, String)>,
 }
 
 impl Machine<'_> {
@@ -568,7 +689,7 @@ impl Machine<'_> {
         }
 
         // Record facts into the enclosing function.
-        let calls = call_sites(stmt, stmt_line, &self.guards);
+        let calls = call_sites(stmt, stmt_line, &self.guards, self.locals.last());
         if let Some(&fi) = self.fn_stack.last() {
             let f = &mut self.fns[fi];
             for (_, call, site) in &acquires {
@@ -630,6 +751,15 @@ impl Machine<'_> {
             }
         }
 
+        // A `let` shadows its name from here on: with a type, the name
+        // has that type; without one, the earlier type no longer holds.
+        if let (Some((name, ty)), Some(locals)) = (let_binding(stmt), self.locals.last_mut()) {
+            match ty {
+                Some(ty) => locals.insert(name, ty),
+                None => locals.remove(&name),
+            };
+        }
+
         // New guards, live until their scope (or construct) closes.
         if let Some((name, site)) = let_guard(stmt) {
             self.guards.push(Guard {
@@ -652,7 +782,7 @@ impl Machine<'_> {
 
     /// Classify a `{`-terminated header and push the new scope context.
     fn open_scope(&mut self, header: &str, line: usize, depth: usize) {
-        let kind = if let Some((name, method)) = parse_fn_header(header) {
+        let kind = if let Some((name, method, params)) = parse_fn_header(header) {
             let impl_type = self.current_impl().cloned();
             let qualified = match &impl_type {
                 Some(t) => format!("{t}::{name}"),
@@ -671,6 +801,7 @@ impl Machine<'_> {
             });
             let fi = self.fns.len() - 1;
             self.fn_stack.push(fi);
+            self.locals.push(params.into_iter().collect());
             CtxKind::Fn
         } else if let Some(ty) = parse_impl_header(header) {
             self.impl_stack.push(ty);
@@ -685,8 +816,11 @@ impl Machine<'_> {
                 .take_while(|c| c.is_alphanumeric() || *c == '_')
                 .collect();
             // Trait default bodies count as methods of the trait name.
+            self.traits.push(name.clone());
             self.impl_stack.push(name);
             CtxKind::ImplBlock
+        } else if let Some(name) = struct_name(header) {
+            CtxKind::Struct(name)
         } else {
             CtxKind::Other
         };
@@ -701,11 +835,12 @@ impl Machine<'_> {
             match &ctx.kind {
                 CtxKind::Fn => {
                     self.fn_stack.pop();
+                    self.locals.pop();
                 }
                 CtxKind::ImplBlock => {
                     self.impl_stack.pop();
                 }
-                CtxKind::Other => {}
+                CtxKind::Struct(_) | CtxKind::Other => {}
             }
             self.ctx.pop();
         }
@@ -723,6 +858,9 @@ fn run_machine<'a>(path: &'a Path, scrubbed: &str) -> Machine<'a> {
         guards: Vec::new(),
         ctx: Vec::new(),
         fn_stack: Vec::new(),
+        locals: Vec::new(),
+        traits: Vec::new(),
+        fields: Vec::new(),
     };
     let mut depth: usize = 0;
     let mut stmt = String::new();
@@ -743,6 +881,15 @@ fn run_machine<'a>(path: &'a Path, scrubbed: &str) -> Machine<'a> {
                 in_stmt = false;
             }
             '}' => {
+                if let Some(Ctx {
+                    kind: CtxKind::Struct(name),
+                    ..
+                }) = m.ctx.last()
+                {
+                    let fields = split_top_level(&stmt).into_iter().filter_map(typed_binding);
+                    let fields: Vec<_> = fields.map(|(f, ty)| (name.clone(), f, ty)).collect();
+                    m.fields.extend(fields);
+                }
                 m.statement(&stmt, stmt_line, depth, false);
                 depth = depth.saturating_sub(1);
                 m.guards.retain(|g| g.depth <= depth);
@@ -823,6 +970,16 @@ fn extract_counters(scrubbed: &str, file_idx: usize) -> Vec<CounterDecl> {
     out
 }
 
+/// The module a source file is: `a/b.rs` is `b`, `a/b/mod.rs` is `b`.
+fn module_of(path: &Path) -> String {
+    let stem = path.file_stem().unwrap_or_default();
+    let name = match stem.to_str() {
+        Some("mod") => path.parent().and_then(Path::file_name).unwrap_or(stem),
+        _ => stem,
+    };
+    name.to_string_lossy().into_owned()
+}
+
 fn crate_of(path: &Path) -> String {
     let rel = path.to_string_lossy().replace('\\', "/");
     let mut parts = rel.split('/');
@@ -845,6 +1002,9 @@ pub fn extract(file_idx: usize, path: &Path, src: &str) -> FileFacts {
     FileFacts {
         path: path.to_path_buf(),
         crate_name: crate_of(path),
+        module: module_of(path),
+        traits: machine.traits,
+        fields: machine.fields,
         fns: machine.fns,
         counters,
         test_ranges,
@@ -897,9 +1057,37 @@ mod tests {
             ("fn a(selfish: u8) ", false),
             ("fn a() ", false),
         ] {
-            let (_, got) = parse_fn_header(header).unwrap();
+            let (_, got, _) = parse_fn_header(header).unwrap();
             assert_eq!(got, method, "{header}");
         }
+    }
+
+    #[test]
+    fn declared_receiver_types_are_recorded() {
+        let src = "pub struct Site {\n    pub(crate) store: RwLock<Store>,\n    index: a::Index,\n}\n\
+                   impl Site {\n    fn f(&self, s: &mut Store, n: usize) {\n        s.links();\n        self.index\n            .lookup();\n        let s = other();\n        s.links();\n        let t: Arc<Store> = make();\n        t.links();\n        let u: Store;\n        u.links();\n    }\n}\n";
+        let f = facts(src);
+        let field = |s: &str, n: &str, t: &str| (s.to_owned(), n.to_owned(), t.to_owned());
+        assert_eq!(
+            f.fields,
+            [
+                field("Site", "store", "RwLock"),
+                field("Site", "index", "Index")
+            ]
+        );
+        let recvs: Vec<&Recv> = f.fns[0].calls.iter().map(|c| &c.recv).collect();
+        assert_eq!(
+            recvs,
+            [
+                &Recv::Method(Some("Store".into())),
+                &Recv::SelfField("index".into()),
+                &Recv::Bare,
+                &Recv::Method(None),
+                &Recv::Bare,
+                &Recv::Method(Some("Arc".into())),
+                &Recv::Method(Some("Store".into())),
+            ]
+        );
     }
 
     #[test]

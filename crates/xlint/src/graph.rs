@@ -3,11 +3,15 @@
 //! Resolution is name-based and deliberately under-approximate: a lint
 //! must never drown real findings in false edges, so ambiguous method
 //! names that collide with std (`push`, `get`, `send`, …) only resolve
-//! through an explicit `self.` or `Type::` receiver. The trade-off is
-//! documented in DESIGN.md §7.
+//! through an explicit `self.` or `Type::` receiver. Two declarations
+//! narrow a name: a method called on a parameter or `let` declared with
+//! a workspace type that has a method of that name resolves to that
+//! type's methods alone, and `module::f(…)` resolves to an `f` in a file
+//! of that module when there is one. The trade-off is documented in
+//! DESIGN.md §7.
 
 use crate::facts::{FileFacts, FnFact, Recv};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Method names that collide with std-library methods so often that a
 /// bare `expr.name(…)` receiver carries no information. Calls through
@@ -133,6 +137,16 @@ pub fn build(files: &[FileFacts]) -> CallGraph {
         }
     }
 
+    let traits: BTreeSet<&str> = files
+        .iter()
+        .flat_map(|f| f.traits.iter().map(String::as_str))
+        .collect();
+    let field_types: BTreeMap<(&str, &str), &str> = files
+        .iter()
+        .flat_map(|f| &f.fields)
+        .map(|(ty, field, field_ty)| ((ty.as_str(), field.as_str()), field_ty.as_str()))
+        .collect();
+
     let prefer_same_crate = |candidates: &[NodeId], crate_name: &str| -> Vec<NodeId> {
         let same: Vec<NodeId> = candidates
             .iter()
@@ -152,6 +166,30 @@ pub fn build(files: &[FileFacts]) -> CallGraph {
             let id = (fi, gi);
             let out = edges.entry(id).or_default();
             for call in &f.calls {
+                // A method call binds to its receiver's declared type's
+                // own methods of that name, when it has some and is not
+                // a trait (a trait object or generic bound); else by name.
+                let method = |declared: Option<&str>| -> Vec<NodeId> {
+                    if METHOD_STOPLIST.contains(&call.name.as_str()) {
+                        return Vec::new();
+                    }
+                    let own = declared
+                        .filter(|ty| !traits.contains(ty))
+                        .and_then(|ty| by_qualified.get(&(ty.to_owned(), call.name.clone())));
+                    if let Some(own) = own {
+                        return own.clone();
+                    }
+                    let candidates = by_method
+                        .get(&call.name)
+                        .map(Vec::as_slice)
+                        .unwrap_or_default();
+                    let narrowed = prefer_same_crate(candidates, &file.crate_name);
+                    if narrowed.len() > AMBIG_CAP {
+                        Vec::new()
+                    } else {
+                        narrowed
+                    }
+                };
                 let targets: Vec<NodeId> = match &call.recv {
                     Recv::SelfDot => {
                         let ty = f.impl_type.clone().unwrap_or_default();
@@ -163,33 +201,34 @@ pub fn build(files: &[FileFacts]) -> CallGraph {
                     Recv::Path(seg) => {
                         match by_qualified.get(&(seg.clone(), call.name.clone())) {
                             Some(v) => v.clone(),
-                            // `module::free_fn(…)` — fall back to free
-                            // functions by name (same crate preferred).
-                            None => prefer_same_crate(
-                                by_free
+                            // `module::free_fn(…)` — the free functions of
+                            // that name in that module or, when it has
+                            // none, in any (same crate preferred).
+                            None => {
+                                let free = by_free
                                     .get(&call.name)
                                     .map(Vec::as_slice)
-                                    .unwrap_or_default(),
-                                &file.crate_name,
-                            ),
-                        }
-                    }
-                    Recv::Method => {
-                        if METHOD_STOPLIST.contains(&call.name.as_str()) {
-                            Vec::new()
-                        } else {
-                            let candidates = by_method
-                                .get(&call.name)
-                                .map(Vec::as_slice)
-                                .unwrap_or_default();
-                            let narrowed = prefer_same_crate(candidates, &file.crate_name);
-                            if narrowed.len() > AMBIG_CAP {
-                                Vec::new()
-                            } else {
-                                narrowed
+                                    .unwrap_or_default();
+                                let in_module: Vec<NodeId> = free
+                                    .iter()
+                                    .copied()
+                                    .filter(|id| files[id.0].module == *seg)
+                                    .collect();
+                                let scope = if in_module.is_empty() {
+                                    free
+                                } else {
+                                    &in_module
+                                };
+                                prefer_same_crate(scope, &file.crate_name)
                             }
                         }
                     }
+                    Recv::Method(ty) => method(ty.as_deref()),
+                    Recv::SelfField(field) => method(
+                        f.impl_type
+                            .as_deref()
+                            .and_then(|ty| field_types.get(&(ty, field.as_str())).copied()),
+                    ),
                     Recv::Bare => prefer_same_crate(
                         by_free
                             .get(&call.name)
@@ -299,6 +338,42 @@ mod tests {
         let g = build(&fs);
         // `t.scan()` can only be `Table::scan`.
         assert_eq!(g.edges[&(0, 2)], vec![((0, 1), 7)]);
+    }
+
+    #[test]
+    fn a_receiver_declared_with_a_type_resolves_to_its_methods() {
+        let fs = files(&[(
+            "crates/a/src/lib.rs",
+            "impl Store {\n    pub fn find(&self) {}\n    pub fn links(&self) {}\n}\n\
+             impl Servant {\n    pub fn links(&self) {}\n}\n\
+             fn of(store: &Store) { store.links(); }\n\
+             fn late() { let s: Arc<Servant> = make(); s.links(); let s = other(); s.links(); }\n",
+        )]);
+        let g = build(&fs);
+        // `store.links()` is `Store::links` alone.
+        assert_eq!(g.edges[&(0, 3)], vec![((0, 1), 8)]);
+        // `Arc<Servant>` names `Arc`, which has no `links`: by name, then
+        // by name again once an untyped `let` shadows `s`.
+        assert_eq!(g.edges[&(0, 4)].len(), 4);
+    }
+
+    #[test]
+    fn a_module_path_resolves_to_that_modules_function() {
+        let fs = files(&[
+            (
+                "crates/a/src/hook.rs",
+                "fn hook() { reply::write_reply(); wire::write_reply(); }\n",
+            ),
+            ("crates/a/src/reply.rs", "pub fn write_reply() {}\n"),
+            ("crates/a/src/reactor/mod.rs", "pub fn write_reply() {}\n"),
+        ]);
+        let g = build(&fs);
+        // `reply::write_reply` is the reply module's; `wire::write_reply`,
+        // in no module here, falls back to every `write_reply`.
+        assert_eq!(
+            g.edges[&(0, 0)],
+            vec![((1, 0), 1), ((1, 0), 1), ((2, 0), 1)]
+        );
     }
 
     #[test]

@@ -49,6 +49,24 @@ fn reactor_hook_fixture() {
     run_case("reactor_hook");
 }
 
+/// A method called on a parameter or `let` declared with a workspace
+/// type, or on a `self` field, resolves to that type's methods: a hook's
+/// helper reading a `&Store` does not reach the servant's same-name
+/// method that takes the store's guard; a `let` declared as the servant
+/// does, and is reported.
+#[test]
+fn typed_receiver_fixture() {
+    run_case("typed_receiver");
+}
+
+/// `module::f(…)` resolves to the `f` of that module: a hook writing
+/// through `reply::write_reply` does not reach `reactor::write_reply`,
+/// which takes a send guard; one calling `reactor::write_reply` does.
+#[test]
+fn module_path_fixture() {
+    run_case("module_path");
+}
+
 /// Healthy counters beside ones nothing ever increments, in a
 /// written-out struct and in a `counter_set!` declaration.
 #[test]
