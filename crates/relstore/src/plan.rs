@@ -21,12 +21,22 @@
 //! then renders), and bound, which is what runs.
 //!
 //! **Sargs.** Each WHERE conjunct that compares an indexed base column
-//! with a literal becomes a sarg candidate. Range conjuncts on the same
-//! column intersect into one two-sided range before the best candidate
-//! is chosen, comparing bounds by the B-tree's own [`Datum`] order (on
-//! equal keys an excluded bound is the tighter), so `a >= 10 AND a < 20`
-//! walks only the keys in between. The residual filter still evaluates
-//! the whole WHERE clause.
+//! with a literal becomes a sarg candidate; a range bound must convert
+//! to the column's type, and the sarg holds it converted. Range
+//! conjuncts on the same column intersect into one two-sided range
+//! before the best candidate is chosen, comparing bounds by the
+//! B-tree's own [`Datum`] order (on equal keys an excluded bound is the
+//! tighter), so `a >= 10 AND a < 20` walks only the keys in between.
+//!
+//! **Residual filter.** [`Table::index_range`] returns exactly the rows
+//! whose key its bounds' conjuncts accept under [`Datum::sql_cmp`], and
+//! such a comparison can neither fail nor be unknown on a row the range
+//! returned. So when the base access path is a range scan, the
+//! conjuncts merged into its range are true of every tuple above it,
+//! and the residual filter evaluates only the other conjuncts, as
+//! written and in their order; with none left there is no filter. An
+//! equality sarg, and every other access path, leaves the whole WHERE
+//! clause to the filter.
 //!
 //! Costing is deliberately simple: an equality sarg on an indexed
 //! column is estimated at `rows / distinct_keys`, a range sarg at
@@ -38,7 +48,7 @@
 use crate::expr::{AggFunc, BinOp, Expr};
 use crate::schema::Column;
 use crate::sql::ast::{JoinKind, OrderKey, SelectItem, SelectStmt};
-use crate::storage::{IndexKind, Table};
+use crate::storage::{key_bound, IndexKind, Table};
 use crate::types::{DataType, Datum, Row};
 use crate::{RelError, RelResult};
 use std::borrow::Cow;
@@ -457,10 +467,12 @@ pub struct IxJoinNode {
     pub(crate) via: IndexKind,
 }
 
-/// Residual predicate filter node. The planner always keeps the full
-/// WHERE clause here even when a sarg was pushed into an index scan, so
-/// three-valued logic, coercions, and evaluation errors behave exactly
-/// as in the reference executor.
+/// Residual predicate filter node: the WHERE conjuncts the base access
+/// path does not answer exactly. Under a range scan that is every
+/// conjunct not merged into its range, AND-ed in written order (see the
+/// module doc); otherwise the whole WHERE clause. Three-valued logic,
+/// coercions and evaluation errors behave as in the reference executor
+/// on every tuple the access path returns.
 #[derive(Debug, Clone)]
 pub struct FilterNode {
     pub(crate) input: Box<PhysicalPlan>,
@@ -735,21 +747,24 @@ impl PhysicalPlan {
     }
 }
 
-/// One sarg candidate extracted from a WHERE conjunct.
+/// One sarg candidate extracted from WHERE conjuncts.
 struct SargCandidate {
     col_idx: usize,
     column: String,
     sarg: Sarg,
     via: IndexKind,
     distinct: usize,
+    /// Positions, among the WHERE conjuncts, of those the sarg answers.
+    covers: Vec<usize>,
 }
 
-/// Extract an index-servable predicate from one conjunct, resolved
+/// Extract an index-servable predicate from conjunct `at`, resolved
 /// against the base table (offsets below `base_arity` in `layout`).
 /// Conjuncts that reference other bindings, fail to resolve, or compare
 /// non-literals are simply not sargable — the residual filter still
 /// evaluates them.
 fn sarg_of(
+    at: usize,
     conjunct: &Expr,
     layout: &Layout,
     base: &Table,
@@ -831,22 +846,21 @@ fn sarg_of(
     let via = base.index_kind(off)?;
     // The B-tree compares with the total sort order, which coincides
     // with SQL comparison only within the column's own type family.
-    // Range sargs therefore require a literal the column's type can
-    // represent, which the residual filter would otherwise handle via
-    // numeric coercion. Equality sargs are safe for any literal but a
-    // DATE against TEXT (see `eq_sargable`).
+    // A range bound is therefore converted to the column's type, so
+    // bounds merge and walk in the keys' own order, where
+    // `Table::index_range` is exact; a literal the type cannot hold
+    // (`2.5` on INT) leaves its conjunct to the residual filter.
+    // Equality sargs are safe for any literal but a DATE against TEXT
+    // (see `eq_sargable`).
     let col_type = base.schema.columns[off].data_type;
-    match &sarg {
-        Sarg::Eq(v) if !eq_sargable(v, col_type) => return None,
-        Sarg::Range { lo, hi } => {
-            for b in [lo, hi] {
-                if let Bound::Included(v) | Bound::Excluded(v) = b {
-                    v.coerce(col_type)?;
-                }
-            }
-        }
-        Sarg::Eq(_) => {}
-    }
+    let sarg = match sarg {
+        Sarg::Eq(v) if !eq_sargable(&v, col_type) => return None,
+        Sarg::Range { lo, hi } => Sarg::Range {
+            lo: key_bound(lo.as_ref(), col_type)?,
+            hi: key_bound(hi.as_ref(), col_type)?,
+        },
+        eq => eq,
+    };
     Some(SargCandidate {
         col_idx: off,
         column: base.schema.columns[off].name.clone(),
@@ -855,6 +869,7 @@ fn sarg_of(
         distinct: base
             .index_distinct(off)
             .unwrap_or_else(|| base.len().max(1)),
+        covers: vec![at],
     })
 }
 
@@ -870,7 +885,8 @@ fn eq_sargable(lit: &Datum, col_type: DataType) -> bool {
 /// range: `seq >= 7000 AND seq < 8500` walks 1 500 keys, not the 8 500
 /// below the upper bound alone. The merged candidate takes the place of
 /// its column's last range conjunct, so ties between columns break as
-/// they did before merging. Equality candidates pass through unchanged.
+/// they did before merging, and covers every conjunct merged into it.
+/// Equality candidates pass through unchanged.
 fn intersect_ranges(candidates: impl Iterator<Item = SargCandidate>) -> Vec<SargCandidate> {
     let mut out: Vec<SargCandidate> = Vec::new();
     for mut cand in candidates {
@@ -882,8 +898,8 @@ fn intersect_ranges(candidates: impl Iterator<Item = SargCandidate>) -> Vec<Sarg
                 )
         });
         if let Some(i) = earlier {
-            let (Sarg::Range { lo, hi }, Sarg::Range { lo: lo2, hi: hi2 }) =
-                (out.remove(i).sarg, cand.sarg)
+            let prev = out.remove(i);
+            let (Sarg::Range { lo, hi }, Sarg::Range { lo: lo2, hi: hi2 }) = (prev.sarg, cand.sarg)
             else {
                 unreachable!("only ranges merge")
             };
@@ -891,6 +907,7 @@ fn intersect_ranges(candidates: impl Iterator<Item = SargCandidate>) -> Vec<Sarg
                 lo: tighter(lo, lo2, Ordering::Greater),
                 hi: tighter(hi, hi2, Ordering::Less),
             };
+            cand.covers.extend(prev.covers);
         }
         out.push(cand);
     }
@@ -1090,21 +1107,26 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
     let stats = base.stats();
     let mut plan;
     let mut est_rows: f64;
-    let best = stmt.filter.as_ref().and_then(|filter| {
-        let candidates = conjuncts(filter)
-            .into_iter()
-            .filter_map(|c| sarg_of(c, &layout, base, base_arity));
-        intersect_ranges(candidates)
-            .into_iter()
-            // Prefer equality over range, then the most selective
-            // (highest distinct count) index.
-            .max_by_key(|c| (matches!(c.sarg, Sarg::Eq(_)), c.distinct))
-    });
+    let conjs = stmt.filter.as_ref().map(conjuncts).unwrap_or_default();
+    let candidates = conjs
+        .iter()
+        .enumerate()
+        .filter_map(|(at, c)| sarg_of(at, c, &layout, base, base_arity));
+    let best = intersect_ranges(candidates)
+        .into_iter()
+        // Prefer equality over range, then the most selective (highest
+        // distinct count) index.
+        .max_by_key(|c| (matches!(c.sarg, Sarg::Eq(_)), c.distinct));
+    // The conjuncts the access path answers exactly: a range's.
+    let mut covered = Vec::new();
     match best {
         Some(cand) => {
             let est = match cand.sarg {
                 Sarg::Eq(_) => (stats.rows / cand.distinct.max(1)).max(1),
-                Sarg::Range { .. } => (stats.rows / 4).max(1),
+                Sarg::Range { .. } => {
+                    covered = cand.covers;
+                    (stats.rows / 4).max(1)
+                }
             };
             est_rows = est as f64;
             plan = PhysicalPlan::IxScan(IxScanNode {
@@ -1201,12 +1223,22 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
         }
     }
 
-    // ---- Residual WHERE filter (always the full predicate).
-    if let Some(filter) = &stmt.filter {
+    // ---- Residual WHERE filter: the conjuncts a range scan does not
+    // answer exactly, or the whole clause when it answers none.
+    let residual = match &stmt.filter {
+        Some(filter) if covered.is_empty() => Some(filter.clone()),
+        _ => conjs
+            .iter()
+            .enumerate()
+            .filter(|(at, _)| !covered.contains(at))
+            .map(|(_, c)| (*c).clone())
+            .reduce(|l, r| Expr::bin(BinOp::And, l, r)),
+    };
+    if let Some(pred_written) = residual {
         plan = PhysicalPlan::Filter(Box::new(FilterNode {
             input: Box::new(plan),
-            pred: bind(filter, &layout, None)?,
-            pred_written: filter.clone(),
+            pred: bind(&pred_written, &layout, None)?,
+            pred_written,
         }));
     }
 
@@ -1353,6 +1385,31 @@ mod tests {
         let p = plan("SELECT salary FROM emp WHERE 2 < emp_id");
         let text = p.render().join("\n");
         assert!(text.contains("index range scan emp.emp_id > 2"), "{text}");
+    }
+
+    #[test]
+    fn range_bounds_merge_in_the_key_type() {
+        // '2024-1-9' sorts above '2024-01-10' as text; as a DATE bound
+        // it is the looser lower bound.
+        let mut visits = Table::new(crate::schema::TableSchema::new(
+            "visits",
+            vec![Column::new("day", DataType::Date).primary_key()],
+        ));
+        visits
+            .insert(vec![Datum::Text("2024-01-09".into())])
+            .unwrap();
+        let mut tables = HashMap::new();
+        tables.insert("visits".to_owned(), visits);
+        let sql = "SELECT day FROM visits WHERE day >= '2024-1-9' AND day >= '2024-01-10'";
+        let Statement::Select(s) = parse_statement(sql).unwrap() else {
+            unreachable!()
+        };
+        let text = plan_select(&s, &tables).unwrap().render().join("\n");
+        assert!(
+            text.contains("index range scan visits.day >= 2024-01-10 via PRIMARY KEY"),
+            "{text}"
+        );
+        assert!(!text.contains("filter"), "{text}");
     }
 
     #[test]

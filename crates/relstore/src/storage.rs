@@ -565,55 +565,91 @@ impl Table {
         }
     }
 
-    /// Slots whose `column` falls in the half-open/closed range
-    /// `(lo, hi)`, exploiting B-tree key order; `None` means no usable
-    /// index exists over `column`. NULL keys (which sort below every
-    /// non-null datum) are never returned: no SQL range predicate is
-    /// true of NULL. Slots come back in index-key order. An inverted
-    /// range (lo above hi) yields an empty result.
+    /// Slots whose `column` key `k` satisfies both bounds under
+    /// [`Datum::sql_cmp`] (`lo <= k` or `lo < k`, `k <= hi` or
+    /// `k < hi`), in index-key order; `None` means no usable index
+    /// exists over `column`. The answer is exact for every bound that
+    /// converts to the column's type as [`Datum::coerce`] converts a
+    /// literal (an INT on a DOUBLE column, a text date on a DATE
+    /// column), which is every range the planner serves from an index,
+    /// so the planner drops the conjuncts a range came from. NULL and
+    /// NaN keys, which no SQL range accepts, are never returned. A NULL
+    /// or NaN bound, a bound that does not convert, and an inverted
+    /// range return nothing.
     pub fn index_range(
         &self,
         column: usize,
         lo: Bound<&Datum>,
         hi: Bound<&Datum>,
     ) -> Option<Vec<usize>> {
-        static NULL_KEY: Datum = Datum::Null;
-        // An open lower bound must still skip the NULL keys that sort
-        // first in the B-tree.
-        let lo = match lo {
-            Bound::Unbounded => Bound::Excluded(&NULL_KEY),
-            other => other,
-        };
-        // BTreeMap::range panics on inverted bounds; detect and return
-        // an empty slot list instead.
-        let inverted = match (lo, hi) {
-            (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => {
-                match a.cmp(b) {
-                    Ordering::Greater => true,
-                    Ordering::Equal => {
-                        matches!(lo, Bound::Excluded(_)) && matches!(hi, Bound::Excluded(_))
-                    }
-                    Ordering::Less => false,
-                }
-            }
-            _ => false,
-        };
+        let ty = self.schema.columns[column].data_type;
+        let bounds = key_bounds(lo, hi, ty);
+        let walk = bounds.as_ref().map(|(lo, hi)| (lo.as_ref(), hi.as_ref()));
         if let Some(pk) = self.pk_range.as_ref().filter(|_| self.pk_cols == [column]) {
-            if inverted {
-                return Some(Vec::new());
-            }
-            return Some(pk.range::<Datum, _>((lo, hi)).map(|(_, &s)| s).collect());
+            return Some(walk.map_or_else(Vec::new, |walk| {
+                pk.range::<Datum, _>(walk).map(|(_, &s)| s).collect()
+            }));
         }
         self.secondary.iter().find(|s| s.column == column).map(|s| {
-            if inverted {
-                return Vec::new();
-            }
-            s.map
-                .range::<Datum, _>((lo, hi))
-                .flat_map(|(_, slots)| slots.as_slice().iter().copied())
-                .collect()
+            walk.map_or_else(Vec::new, |walk| {
+                s.map
+                    .range::<Datum, _>(walk)
+                    .flat_map(|(_, slots)| slots.as_slice().iter().copied())
+                    .collect()
+            })
         })
     }
+}
+
+/// `b` as a bound on keys of type `ty`: its value converted as
+/// [`Datum::coerce`] converts a literal (an INT on a DOUBLE column, a
+/// text date on a DATE column). `None` when the value does not convert,
+/// or is NULL or NaN, which no key satisfies under [`Datum::sql_cmp`].
+pub(crate) fn key_bound(b: Bound<&Datum>, ty: DataType) -> Option<Bound<Datum>> {
+    let typed = |d: &Datum| {
+        d.coerce(ty)
+            .filter(|d| !d.is_null() && !matches!(d, Datum::Double(v) if v.is_nan()))
+    };
+    Some(match b {
+        Bound::Included(d) => Bound::Included(typed(d)?),
+        Bound::Excluded(d) => Bound::Excluded(typed(d)?),
+        Bound::Unbounded => Bound::Unbounded,
+    })
+}
+
+/// The B-tree walk that answers `lo`/`hi` over keys of type `ty`: each
+/// bound a [`key_bound`], an open lower end above the NULL keys that
+/// sort first, and an open upper end of a DOUBLE column below the NaN
+/// keys that sort last. `None` when no key can satisfy both bounds.
+fn key_bounds(
+    lo: Bound<&Datum>,
+    hi: Bound<&Datum>,
+    ty: DataType,
+) -> Option<(Bound<Datum>, Bound<Datum>)> {
+    let lo = match key_bound(lo, ty)? {
+        Bound::Unbounded => Bound::Excluded(Datum::Null),
+        b => b,
+    };
+    let hi = match key_bound(hi, ty)? {
+        Bound::Unbounded if ty == DataType::Double => Bound::Excluded(Datum::Double(f64::NAN)),
+        b => b,
+    };
+    // `BTreeMap::range` panics on inverted bounds; an inverted range
+    // holds no key.
+    if let (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) =
+        (&lo, &hi)
+    {
+        match a.cmp(b) {
+            Ordering::Greater => return None,
+            Ordering::Equal
+                if matches!(lo, Bound::Excluded(_)) || matches!(hi, Bound::Excluded(_)) =>
+            {
+                return None
+            }
+            _ => {}
+        }
+    }
+    Some((lo, hi))
 }
 
 /// Which index structure serves an access path.
@@ -1013,6 +1049,65 @@ mod tests {
             .unwrap();
         assert_eq!(slots.len(), 1);
         assert_eq!(t.row(slots[0]).unwrap()[0], Datum::Int(2));
+    }
+
+    #[test]
+    fn index_range_never_returns_nan_keys() {
+        let mut t = Table::new(TableSchema::new(
+            "m",
+            vec![
+                Column::new("id", DataType::Int).primary_key(),
+                Column::new("c", DataType::Double),
+            ],
+        ));
+        for (id, c) in [1.0, f64::NAN, 7.0, 3.0].into_iter().enumerate() {
+            t.insert(vec![Datum::Int(id as i64), Datum::Double(c)])
+                .unwrap();
+        }
+        t.create_index("m_c", 1).unwrap();
+        let range = |lo: Bound<&Datum>, hi: Bound<&Datum>| t.index_range(1, lo, hi).unwrap();
+        let (two, ten) = (Datum::Int(2), Datum::Int(10));
+        // An INT bound answers as its DOUBLE does: NaN sorts after it.
+        assert_eq!(range(Bound::Included(&two), Bound::Included(&ten)), [3, 2]);
+        assert_eq!(
+            range(
+                Bound::Included(&Datum::Double(2.0)),
+                Bound::Included(&Datum::Double(10.0))
+            ),
+            [3, 2]
+        );
+        // An open upper end stops below the NaN keys.
+        assert_eq!(range(Bound::Excluded(&two), Bound::Unbounded), [3, 2]);
+        assert_eq!(range(Bound::Unbounded, Bound::Unbounded), [0, 3, 2]);
+        // A NaN or NULL bound, or one of no numeric type, holds no key.
+        let nan = Datum::Double(f64::NAN);
+        for b in [nan, Datum::Null, Datum::Text("2".into())] {
+            assert!(range(Bound::Included(&b), Bound::Unbounded).is_empty());
+            assert!(range(Bound::Unbounded, Bound::Included(&b)).is_empty());
+        }
+    }
+
+    #[test]
+    fn index_range_converts_text_dates_on_a_date_key() {
+        let mut t = Table::new(TableSchema::new(
+            "d",
+            vec![Column::new("day", DataType::Date).primary_key()],
+        ));
+        for day in ["2024-01-08", "2024-01-09", "2024-01-10"] {
+            t.insert(vec![Datum::Text(day.into())]).unwrap();
+        }
+        // '2024-1-9' sorts after '2024-01-10' as text, before it as a date.
+        let lo = Datum::Text("2024-1-9".into());
+        let hi = Datum::Text("2024-01-10".into());
+        let slots = t
+            .index_range(0, Bound::Included(&lo), Bound::Included(&hi))
+            .unwrap();
+        assert_eq!(slots, [1, 2]);
+        let junk = Datum::Text("junk".into());
+        assert!(t
+            .index_range(0, Bound::Included(&junk), Bound::Unbounded)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -136,7 +136,8 @@ impl Datum {
     }
 
     /// Total order for sorting/grouping: NULLs first and equal to each
-    /// other, then by type rank, then by value.
+    /// other, then by type rank, then by value, with NaN after every
+    /// other number and equal only to NaN.
     pub fn sort_cmp(&self, other: &Datum) -> Ordering {
         fn rank(d: &Datum) -> u8 {
             match d {
@@ -160,11 +161,10 @@ impl Datum {
                     if ra != rb {
                         ra.cmp(&rb)
                     } else {
-                        // NaN vs number lands here: order NaN last.
-                        match (self, other) {
-                            (Datum::Double(a), Datum::Double(b)) => a.is_nan().cmp(&b.is_nan()),
-                            _ => Ordering::Equal,
-                        }
+                        // Only NaN against a number lands here: NaN
+                        // sorts after every Int and Double.
+                        let nan = |d: &Datum| matches!(d, Datum::Double(v) if v.is_nan());
+                        nan(self).cmp(&nan(other))
                     }
                 }
             },
@@ -420,6 +420,23 @@ mod tests {
         assert_eq!(Datum::Null.sort_cmp(&Datum::Null), Ordering::Equal);
         assert_eq!(Datum::Null.sort_cmp(&Datum::Int(0)), Ordering::Less);
         assert_eq!(Datum::Int(0).sort_cmp(&Datum::Null), Ordering::Greater);
+    }
+
+    #[test]
+    fn nan_sorts_after_every_number() {
+        let nan = Datum::Double(f64::NAN);
+        for n in [
+            Datum::Int(i64::MAX),
+            Datum::Int(i64::MIN),
+            Datum::Double(f64::INFINITY),
+            Datum::Double(-0.0),
+        ] {
+            assert_eq!(nan.sort_cmp(&n), Ordering::Greater, "{n:?}");
+            assert_eq!(n.sort_cmp(&nan), Ordering::Less, "{n:?}");
+            assert!(!nan.group_eq(&n), "{n:?}");
+        }
+        assert_eq!(nan.sort_cmp(&Datum::Double(-f64::NAN)), Ordering::Equal);
+        assert_eq!(Datum::Null.sort_cmp(&nan), Ordering::Less);
     }
 
     #[test]

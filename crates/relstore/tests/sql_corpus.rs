@@ -257,6 +257,24 @@ fn explain_reflects_executor_decisions() {
         "{p}"
     );
 
+    // A range answers its own conjuncts: no filter re-checks them, and
+    // one that the range does not answer is all the filter holds.
+    let p = plan_text(
+        &mut db,
+        "EXPLAIN SELECT name FROM emp WHERE emp_id BETWEEN 1 AND 3",
+    );
+    assert!(
+        p.contains("index range scan emp.emp_id >= 1 AND emp_id <= 3"),
+        "{p}"
+    );
+    assert!(!p.contains("filter"), "{p}");
+    let p = plan_text(
+        &mut db,
+        "EXPLAIN SELECT name FROM emp WHERE emp_id BETWEEN 1 AND 3 AND salary > 1",
+    );
+    let filters: Vec<&str> = p.lines().filter(|l| l.contains("filter")).collect();
+    assert_eq!(filters, ["  filter: (salary > 1)"], "{p}");
+
     // Secondary index.
     let p = plan_text(&mut db, "EXPLAIN SELECT name FROM emp WHERE dept_id = 1");
     assert!(p.contains("via secondary index"), "{p}");
