@@ -1,7 +1,7 @@
 //! Counter sets declared once.
 //!
 //! Every layer of the stack keeps a handful of lock-free statistics
-//! (requests, bytes, cache hits, rows scanned). [`counter_set!`] turns
+//! (requests, bytes, cache hits, rows scanned). [`counter_set!`](crate::counter_set) turns
 //! one `kind name "label"` line per counter into everything a reader
 //! of those statistics needs — the atomic struct the owning layer
 //! bumps, a `Copy` snapshot, a before/after delta and an ordered

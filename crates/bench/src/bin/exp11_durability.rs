@@ -5,7 +5,7 @@
 //! * **WAL overhead** — per-transaction commit latency for single-row
 //!   INSERT transactions on three backends: in-memory (no WAL at all),
 //!   durable on [`SimVfs`] (WAL + checkpoints, RAM-backed), and durable
-//!   on [`DiskVfs`] (real files, real fsync). The in-memory column is
+//!   on [`DiskVfs`](webfindit_relstore::file_mgr::DiskVfs) (real files, real fsync). The in-memory column is
 //!   the floor; the gap to the durable columns is what the paper's
 //!   "databases may come and go" availability story costs per commit.
 //! * **Group commit** — the same row count committed in batches of 32

@@ -2,7 +2,7 @@
 
 use crate::ConnectResult;
 use std::fmt;
-use webfindit_oostore::{OValue, Oid};
+use webfindit_oostore::OValue;
 use webfindit_relstore::exec::ResultSet;
 use webfindit_relstore::{RowSink, TableSchema};
 
@@ -32,19 +32,13 @@ impl fmt::Display for BridgeKind {
 /// The result of executing a statement through a connection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryOutput {
-    /// A relational result set.
+    /// A result table: a relational answer, or an OQL answer whose
+    /// first column is the object's `oid`.
     Rows(ResultSet),
     /// DML affected-row count.
     Count(usize),
     /// DDL / control statement completed.
     Done,
-    /// OQL result from an object store: `(oid, projected values)` rows.
-    Objects {
-        /// Projected attribute names.
-        columns: Vec<String>,
-        /// Matching objects.
-        rows: Vec<(Oid, Vec<OValue>)>,
-    },
     /// A method invocation result from an object store.
     Value(OValue),
 }
@@ -62,7 +56,6 @@ impl QueryOutput {
     pub fn row_count(&self) -> usize {
         match self {
             QueryOutput::Rows(rs) => rs.rows.len(),
-            QueryOutput::Objects { rows, .. } => rows.len(),
             _ => 0,
         }
     }
@@ -72,10 +65,8 @@ impl QueryOutput {
     /// dialect cannot fold a row limit into the shipped query (mSQL has
     /// no LIMIT at all), so a pushed-down limit never widens the wire.
     pub fn truncate(&mut self, max_rows: usize) {
-        match self {
-            QueryOutput::Rows(rs) => rs.rows.truncate(max_rows),
-            QueryOutput::Objects { rows, .. } => rows.truncate(max_rows),
-            _ => {}
+        if let QueryOutput::Rows(rs) = self {
+            rs.rows.truncate(max_rows);
         }
     }
 }
@@ -123,20 +114,23 @@ pub struct SourceMetadata {
 /// A live connection to one data source.
 pub trait Connection: Send {
     /// Execute a statement in the source's native language (SQL for
-    /// relational sources, OQL for object stores).
-    fn execute(&mut self, text: &str) -> ConnectResult<QueryOutput>;
-
-    /// Execute a statement, handing a relational answer's column names
-    /// and rows to `sink` as the engine produces them. `None` means the
-    /// rows went to the sink; otherwise the output is what
-    /// [`Connection::execute`] returns, and the sink saw nothing. The
-    /// default runs `execute`.
+    /// relational sources, OQL for object stores), handing a table's
+    /// column names and rows to `sink` as the source produces them. An
+    /// OQL answer is a table whose first column, `oid`, holds each
+    /// object's identity. `None` means the rows went to the sink;
+    /// otherwise the output is returned whole and the sink saw nothing.
     fn execute_into(
         &mut self,
         text: &str,
-        _sink: &mut dyn RowSink<crate::ConnectError>,
-    ) -> ConnectResult<Option<QueryOutput>> {
-        self.execute(text).map(Some)
+        sink: &mut dyn RowSink<crate::ConnectError>,
+    ) -> ConnectResult<Option<QueryOutput>>;
+
+    /// [`Connection::execute_into`], with a table collected into
+    /// [`QueryOutput::Rows`].
+    fn execute(&mut self, text: &str) -> ConnectResult<QueryOutput> {
+        let mut rs = ResultSet::default();
+        let out = self.execute_into(text, &mut rs)?;
+        Ok(out.unwrap_or(QueryOutput::Rows(rs)))
     }
 
     /// [`Connection::execute_into`] for a statement answered without

@@ -91,16 +91,6 @@ impl CompensatingConnection {
 }
 
 impl Connection for CompensatingConnection {
-    fn execute(&mut self, text: &str) -> ConnectResult<QueryOutput> {
-        match self.inner.execute(text) {
-            Err(ConnectError::Rel(RelError::Unsupported(_))) => {
-                let stmt = parse_statement(text).map_err(ConnectError::Rel)?;
-                self.compensate_select(&stmt)
-            }
-            other => other,
-        }
-    }
-
     /// Forwards to the inner connection. relstore raises `Unsupported`
     /// from the dialect check or the planner, before the sink sees a
     /// column, so the staged fallback returns its output whole.

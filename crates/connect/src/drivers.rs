@@ -5,13 +5,13 @@ use crate::api::{
 };
 use crate::registry::{DataSourceRegistry, Instance, OoInstance};
 use crate::{ConnectError, ConnectResult};
+use std::borrow::Cow;
 use std::sync::Arc;
 use webfindit_oostore::{OValue, OqlQuery};
 use webfindit_relstore::engine::ExecOutcome;
-use webfindit_relstore::exec::ResultSet;
 use webfindit_relstore::sql::ast::Statement;
 use webfindit_relstore::sql::parse_statement;
-use webfindit_relstore::{Database, Dialect, ExecMetrics, RowSink};
+use webfindit_relstore::{Database, Datum, Dialect, ExecMetrics, RowSink};
 
 // ---- relational (JDBC) --------------------------------------------------
 
@@ -92,12 +92,6 @@ fn query_metrics(m: &ExecMetrics) -> DataMetrics {
 }
 
 impl Connection for RelationalConnection {
-    fn execute(&mut self, text: &str) -> ConnectResult<QueryOutput> {
-        let mut rs = ResultSet::default();
-        let out = self.execute_into(text, &mut rs)?;
-        Ok(out.unwrap_or(QueryOutput::Rows(rs)))
-    }
-
     /// A SELECT runs under the instance's shared guard, beside other
     /// readers, and streams its rows into `sink`; every other
     /// statement, and a SELECT that owes the instance a checkpoint,
@@ -287,7 +281,14 @@ impl ObjectConnection {
 }
 
 impl Connection for ObjectConnection {
-    fn execute(&mut self, text: &str) -> ConnectResult<QueryOutput> {
+    /// An OQL query runs under the instance's shared guard; its answer
+    /// then goes to `sink` as the table `oid, <projected…>`, one row per
+    /// object.
+    fn execute_into(
+        &mut self,
+        text: &str,
+        sink: &mut dyn RowSink<ConnectError>,
+    ) -> ConnectResult<Option<QueryOutput>> {
         let inst = self.live()?;
         let query = OqlQuery::parse(text)?;
         let (result, m) = query.execute_with_metrics(&inst.read().store)?;
@@ -297,10 +298,18 @@ impl Connection for ObjectConnection {
             rows_spilled: m.rows_spilled,
             ..DataMetrics::default()
         });
-        Ok(QueryOutput::Objects {
-            columns: result.columns,
-            rows: result.rows,
-        })
+        let mut columns = Vec::with_capacity(result.columns.len() + 1);
+        columns.push("oid".to_owned());
+        columns.extend(result.columns);
+        sink.columns(&columns)?;
+        let mut row = Vec::with_capacity(columns.len());
+        for (oid, values) in result.rows {
+            row.clear();
+            row.push(Cow::Owned(Datum::Int(oid.0 as i64)));
+            row.extend(values.into_iter().map(|v| Cow::Owned(cell(v))));
+            sink.row(&mut row)?;
+        }
+        Ok(None)
     }
 
     fn last_data_metrics(&self) -> Option<DataMetrics> {
@@ -350,6 +359,35 @@ impl Connection for ObjectConnection {
 
     fn close(&mut self) {
         self.inst = None;
+    }
+}
+
+/// An object value as a table cell. A scalar is the matching datum; a
+/// list or a reference is the text `Value`'s `Display` prints for its
+/// wire form, e.g. `[a, NULL, {oid: 3}]` and `{oid: 7}`.
+fn cell(v: OValue) -> Datum {
+    match v {
+        OValue::Null => Datum::Null,
+        OValue::Int(i) => Datum::Int(i),
+        OValue::Double(d) => Datum::Double(d),
+        OValue::Text(s) => Datum::Text(s),
+        OValue::Bool(b) => Datum::Bool(b),
+        compound => Datum::Text(wire_text(&compound)),
+    }
+}
+
+/// What `Value`'s `Display` prints for `v`'s wire form, where a
+/// reference is the record `{oid: ULong}`. A scalar prints as
+/// `OValue`'s own `Display` prints it.
+fn wire_text(v: &OValue) -> String {
+    match v {
+        OValue::Null => "NULL".to_owned(),
+        OValue::Ref(oid) => format!("{{oid: {}}}", oid.0 as u32),
+        OValue::List(items) => {
+            let items: Vec<String> = items.iter().map(wire_text).collect();
+            format!("[{}]", items.join(", "))
+        }
+        scalar => scalar.to_string(),
     }
 }
 
@@ -437,7 +475,10 @@ mod tests {
         assert_eq!(conn.bridge(), BridgeKind::Jni);
 
         let out = conn.execute("select name from Treatment").unwrap();
-        assert_eq!(out.row_count(), 1);
+        let rs = out.result_set().expect("an OQL answer is a table");
+        assert_eq!(rs.columns, ["oid", "name"]);
+        assert_eq!(rs.rows.len(), 1);
+        assert_eq!(rs.rows[0][1], Datum::Text("dialysis".into()));
 
         let v = conn.invoke("Treatment.count_all", &[]).unwrap();
         assert_eq!(v, QueryOutput::Value(OValue::Int(1)));

@@ -46,7 +46,7 @@
 //!
 //! The sites of one BFS wave are independent: each probe talks to a
 //! different co-database. [`DiscoveryEngine::find`] sends a wave's
-//! probes from the calling thread through [`Federation::invoke_all`],
+//! probes from the calling thread through [`Federation::call_all`],
 //! [`DiscoveryEngine::max_workers`] at a time, each batch sent whole
 //! before any of its replies is read — the round trips overlap and no
 //! thread is spawned (`crate::wave::batched`, the step every read

@@ -16,7 +16,7 @@
 //! * **Serial ≡ parallel.** Subqueries are shipped the way discovery
 //!   sends its probes (`crate::wave::batched`): each batch of
 //!   [`FedExecutor::max_workers`] goes out from the calling thread
-//!   through [`Federation::invoke_all_as`] before any answer is read,
+//!   through [`Federation::call_all`] before any answer is read,
 //!   results come back and merge in member order, and
 //!   unreachable-endpoint causes canonicalize through
 //!   [`crate::failure::degrade_reason`], so a `max_workers = 1`
@@ -29,12 +29,15 @@
 //!   shipped call, so the fan-out cannot hang on a silent member.
 //!
 //! Answers are read straight from each reply frame: `read_shipped`,
-//! the decoder [`Federation::invoke_all_as`] runs per member, turns a
-//! relational or object table into merge rows whose first slot is left
-//! for the site name, and the merge fills that slot once, in member
-//! order. Each cell is rendered as `Value`'s `Display` renders it; only
-//! a compound cell (a date record, a list, a reference) passes through
-//! a [`Value`], and only for itself.
+//! the decoder each member's `isi::Execute` carries into
+//! [`Federation::call_all`], turns the member's table into merge rows
+//! whose first slot is left for the site name, and the merge fills that
+//! slot once, in member order. Every member answers with the same table
+//! shape; a member that was shipped OQL leads its table with an `oid`
+//! column, which the decoder drops because the plan says the member is
+//! an object site. Each cell is rendered as `Value`'s `Display` renders
+//! it; only a compound cell (a date record) passes through a [`Value`],
+//! and only for itself.
 //!
 //! The cross-site join strategy is a semi-join: the build side
 //! (`Where probe In Build.Attr(…)`) runs first over the members
@@ -47,12 +50,13 @@ use crate::failure::{degrade_reason, is_breaker_rejection, SiteFailure};
 use crate::federation::Federation;
 use crate::servants::isi;
 use crate::trace::{Layer, Trace};
-use crate::value_map::{read_head, read_oid, read_row_len, table_fields};
+use crate::value_map::{is_result_set, read_head, read_row_len};
 use crate::{WebfinditError, WfResult};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use webfindit_tassili::ast::{Arg, FedScope, Literal, Predicate, SemiJoin, Statement};
 use webfindit_tassili::translate::{access_call_to_oql, access_call_to_sql};
+use webfindit_wire::marshal::expect_tag;
 use webfindit_wire::value::tag;
 use webfindit_wire::{CdrReader, Ior, Trailing, Value};
 
@@ -445,7 +449,6 @@ impl FedExecutor {
             .map(|plan| Ok(nc.resolve(&format!("isi/{}", plan.site))?))
             .collect();
         let keyed = kind == Wave::Build;
-        let read = |r: &mut CdrReader<'_>| read_shipped(r, keyed);
         let max_rows = match kind {
             Wave::Ship(Some(n)) => Some(n.min(u32::MAX as u64) as u32),
             _ => None,
@@ -454,10 +457,11 @@ impl FedExecutor {
             .iter()
             .zip(plans)
             .filter_map(|(target, plan)| {
+                let object = plan.language == "OQL";
                 let execute = isi::Execute {
                     text: plan.native.clone(),
                     max_rows: Trailing(max_rows),
-                    read,
+                    read: move |r: &mut CdrReader<'_>| read_shipped(r, keyed, object),
                 };
                 Some((target.as_ref().ok()?, execute))
             })
@@ -643,24 +647,26 @@ impl FedExecutor {
     }
 }
 
-/// Read one ISI `execute` answer, a relational or an object table,
-/// straight from the reply into merge rows (see [`Shipped`]), each cell
-/// rendered as `Value`'s `Display` renders it. When `keyed`, the first
-/// projected cell of every row also becomes a semi-join key. Object
-/// answers drop the leading OID cell: an object identity is site-local
-/// and meaningless in a federated merge. Any other answer is a
-/// [`WebfinditError::Protocol`] error.
-fn read_shipped(r: &mut CdrReader<'_>, keyed: bool) -> WfResult<Shipped> {
-    let fields = table_fields(r)
-        .filter(|f| matches!(f, 2 | 3))
-        .ok_or_else(|| WebfinditError::Protocol("federated subquery did not return rows".into()))?;
-    let object = fields == 3;
-    let (_, n) = read_head(r, fields)?;
+/// Read one ISI `execute` answer, a table, straight from the reply into
+/// merge rows (see [`Shipped`]), each cell rendered as `Value`'s
+/// `Display` renders it. When `keyed`, the first projected cell of every
+/// row also becomes a semi-join key. The answer of an `object` member
+/// (one shipped OQL) leads with its `oid` column, which is dropped: an
+/// object identity is site-local and meaningless in a federated merge.
+/// Any other answer is a [`WebfinditError::Protocol`] error.
+fn read_shipped(r: &mut CdrReader<'_>, keyed: bool, object: bool) -> WfResult<Shipped> {
+    if !is_result_set(r) {
+        return Err(WebfinditError::Protocol(
+            "federated subquery did not return rows".into(),
+        ));
+    }
+    let (_, n) = read_head(r)?;
     let (mut rows, mut bytes, mut keys) = (Vec::with_capacity(n), 0u64, Vec::new());
     for _ in 0..n {
         let mut width = read_row_len(r)?;
         if object && width > 0 {
-            read_oid(r)?;
+            expect_tag(r, tag::LONGLONG, "object oid")?;
+            r.read_longlong()?;
             width -= 1;
         }
         let mut row = Vec::with_capacity(width + 1);
@@ -673,14 +679,6 @@ fn read_shipped(r: &mut CdrReader<'_>, keyed: bool) -> WfResult<Shipped> {
         }
         rows.push(row);
     }
-    if object {
-        if r.read_str()? != "object_rows" {
-            return Err(WebfinditError::Protocol(
-                "object rows lack their flag".into(),
-            ));
-        }
-        Value::decode(r)?;
-    }
     Ok(Shipped { rows, bytes, keys })
 }
 
@@ -688,8 +686,8 @@ fn read_shipped(r: &mut CdrReader<'_>, keyed: bool) -> WfResult<Shipped> {
 /// as in a semi-join `IN` list. The literal follows the cell's wire type,
 /// never its spelling: a text key that happens to look numeric (`'007'`,
 /// a postcode) must reach the probe sites as text. `NULL` yields no key,
-/// since it never matches `IN`. A compound cell (a date record, a list, a
-/// reference) is read as a [`Value`] and ships as its rendering.
+/// since it never matches `IN`. A compound cell (a date record) is read
+/// as a [`Value`] and ships as its rendering.
 fn read_cell(r: &mut CdrReader<'_>, keyed: bool) -> WfResult<(String, Option<Literal>)> {
     let int = |v: i64| (v.to_string(), keyed.then_some(Literal::Int(v)));
     let text = |s: String| {
@@ -781,7 +779,7 @@ mod tests {
             let order = webfindit_wire::ByteOrder::BigEndian;
             let mut w = webfindit_wire::CdrWriter::new(order);
             answer.encode(&mut w).unwrap();
-            read_shipped(&mut CdrReader::new(&w.into_bytes(), order), keyed).unwrap()
+            read_shipped(&mut CdrReader::new(&w.into_bytes(), order), keyed, false).unwrap()
         };
         let shipped = read(true);
         assert_eq!(
@@ -856,38 +854,48 @@ mod tests {
         assert!(text.contains("degraded: B — endpoint h:1 unreachable"));
     }
 
-    /// The federated merge's reply decoder (`read_shipped`) and the
-    /// object-table writer (`value_map::write_object_rows`) against the
-    /// path they replaced: a reply decoded into a `Value` tree, then
-    /// mapped to string rows and semi-join keys, and an OQL answer built
-    /// as a `Value` record and encoded with `Value::encode`.
+    /// The federated merge's reply decoder (`read_shipped`) and the ISI's
+    /// object answers against the path they replaced: a reply decoded
+    /// into a `Value` tree, then mapped to string rows and semi-join
+    /// keys, and an OQL answer built as the `Value` record `{columns,
+    /// rows: [[ULong oid, cell…]]}` (less the flag field that marked it).
     ///
-    /// Over random relational and object answers of every cell kind, in
-    /// both byte orders and at the body offset of a GIOP frame:
+    /// Over random relational answers and random object sites whose
+    /// attributes take every `OValue` kind, in both byte orders and at
+    /// the body offset of a GIOP frame:
     ///
-    /// * the object-table writer writes the old record's bytes;
     /// * the decoder's rows (after the empty site slot), byte count and
-    ///   semi-join keys equal the old mapping's;
+    ///   semi-join keys equal the old mapping's, an object answer's
+    ///   equal to the old record's;
+    /// * an object answer's `Response::Table` cells print the strings
+    ///   the old record's cells printed, its `oid` column first;
     /// * an answer that is not a table fails with the old message.
     mod decoder {
         use crate::fedquery::read_shipped;
-        use crate::value_map::{write_object_rows, write_result_set};
+        use crate::processor::{decode_isi_output, Response};
+        use crate::servants::{InformationSourceOperations, IsiServant};
+        use crate::value_map::write_result_set;
         use crate::{WebfinditError, WfResult};
+        use std::sync::Arc;
         use webfindit_base::prop;
         use webfindit_base::rng::StdRng;
-        use webfindit_oostore::{OValue, Oid};
+        use webfindit_connect::manager::standard_manager;
+        use webfindit_connect::DataSourceRegistry;
+        use webfindit_oostore::method::MethodTable;
+        use webfindit_oostore::model::{ClassDef, OType};
+        use webfindit_oostore::{OValue, ObjectStore, Oid, OqlQuery};
         use webfindit_relstore::exec::ResultSet;
         use webfindit_relstore::types::Datum;
         use webfindit_tassili::ast::Literal;
-        use webfindit_wire::{ByteOrder, CdrReader, CdrWriter, Value};
+        use webfindit_wire::{ByteOrder, CdrReader, CdrWriter, Trailing, Value};
 
         /// What the old decoder produced: rows without the site slot, the
         /// rendered byte count, and the keys.
         type OldShipped = (Vec<Vec<String>>, u64, Vec<Literal>);
 
         /// The decoder `read_shipped` replaced, kept here as its oracle.
-        fn old_decode_rows(v: &Value, keyed: bool) -> WfResult<OldShipped> {
-            let object = v.field("object_rows").is_some();
+        /// It told an `object` record by its flag field.
+        fn old_decode_rows(v: &Value, keyed: bool, object: bool) -> WfResult<OldShipped> {
             if v.field("columns").is_none() {
                 return Err(WebfinditError::Protocol(
                     "federated subquery did not return rows".into(),
@@ -931,7 +939,8 @@ mod tests {
             })
         }
 
-        /// The OQL answer record the object-table writer replaced.
+        /// The record the ISI answered an OQL query with before an object
+        /// answer became a table.
         fn old_object_record(columns: &[String], rows: &[(Oid, Vec<OValue>)]) -> Value {
             Value::record([
                 (
@@ -950,7 +959,6 @@ mod tests {
                             .collect(),
                     ),
                 ),
-                ("object_rows", Value::Bool(true)),
             ])
         }
 
@@ -1016,38 +1024,102 @@ mod tests {
             }
         }
 
+        const OTYPES: [OType; 6] = [
+            OType::Int,
+            OType::Double,
+            OType::Text,
+            OType::Bool,
+            OType::List,
+            OType::Ref,
+        ];
+
+        /// A value an attribute of type `t` accepts: `NULL`, an `Int` for
+        /// a `Double`, or one of its own kind.
+        fn ovalue_of(rng: &mut StdRng, t: OType) -> OValue {
+            loop {
+                let v = ovalue(rng, 0);
+                match v.otype() {
+                    None => return v,
+                    Some(OType::Int) if t == OType::Double => return v,
+                    Some(k) if k == t => return v,
+                    Some(_) => {}
+                }
+            }
+        }
+
         fn columns(rng: &mut StdRng, width: usize) -> Vec<String> {
             (0..width)
                 .map(|_| prop::string_of(rng, TEXT, 0..8))
                 .collect()
         }
 
-        /// A random answer as `(its old Value record, the new writer's bytes)`.
-        fn answer(rng: &mut StdRng, order: ByteOrder) -> (Value, Vec<u8>) {
+        const OBJECT_QUERY: &str = "select * from C";
+
+        /// A random object site: `width` attributes of random types and up
+        /// to 20 objects. Returns its ISI and the old record of the answer
+        /// to [`OBJECT_QUERY`], built from the store's own answer.
+        fn object_site(rng: &mut StdRng, width: usize) -> (IsiServant, Value) {
+            let types: Vec<OType> = (0..width).map(|_| *prop::pick(rng, &OTYPES)).collect();
+            let mut class = ClassDef::root("C");
+            for (i, t) in types.iter().enumerate() {
+                class = class.attr(format!("a{i}"), *t);
+            }
+            let mut store = ObjectStore::new("Objects");
+            store.define_class(class).unwrap();
+            for _ in 0..rng.gen_range(0usize..20) {
+                let attrs: Vec<(String, OValue)> = types
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| (format!("a{i}"), ovalue_of(rng, *t)))
+                    .collect();
+                store.create("C", attrs).unwrap();
+            }
+            let answer = OqlQuery::parse(OBJECT_QUERY)
+                .unwrap()
+                .execute(&store)
+                .unwrap();
+            let old = old_object_record(&answer.columns, &answer.rows);
+            let registry = DataSourceRegistry::new();
+            registry.register_object("objectstore", "Objects", store, MethodTable::new());
+            let manager = Arc::new(standard_manager(registry));
+            let isi = IsiServant::new(manager, "native:objectstore://h/Objects");
+            (isi, old)
+        }
+
+        /// A random answer as `(its old Value record, the new reply bytes,
+        /// whether it is an object answer)`.
+        fn answer(rng: &mut StdRng, order: ByteOrder) -> (Value, Vec<u8>, bool) {
             let width = rng.gen_range(0usize..5);
-            let columns = columns(rng, width);
             if rng.gen_bool(0.5) {
+                let columns = columns(rng, width);
                 let rows = prop::vec_of(rng, 0..20, |rng| (0..width).map(|_| datum(rng)).collect());
                 let rs = ResultSet { columns, rows };
                 let bytes = frame_bytes(order, |w| write_result_set(&rs, w).unwrap());
                 (
                     Value::decode(&mut CdrReader::new(&bytes[12..], order)).unwrap(),
                     bytes,
+                    false,
                 )
             } else {
-                let rows: Vec<(Oid, Vec<OValue>)> = prop::vec_of(rng, 0..20, |rng| {
-                    let oid = Oid(rng.gen_range(0u64..1 << 32));
-                    (oid, (0..width).map(|_| ovalue(rng, 0)).collect())
+                let (isi, old) = object_site(rng, width);
+                let bytes = frame_bytes(order, |w| {
+                    isi.execute(OBJECT_QUERY.into(), Trailing(None), w).unwrap()
                 });
-                let old = old_object_record(&columns, &rows);
-                let bytes = frame_bytes(order, |w| write_object_rows(&columns, &rows, w).unwrap());
-                assert_eq!(
-                    bytes,
-                    frame_bytes(order, |w| old.encode(w).unwrap()),
-                    "{order:?}: object-table bytes differ"
-                );
-                (old, bytes)
+                (old, bytes, true)
             }
+        }
+
+        /// What the old browser showed of an object answer: the record's
+        /// columns, and every cell of its rows, the OID first, printed by
+        /// `Value`'s `Display`.
+        fn old_object_strings(old: &Value) -> (Vec<String>, Vec<Vec<String>>) {
+            let printed = |v: &Value| {
+                let cells = v.as_sequence().expect("a sequence");
+                cells.iter().map(Value::to_string).collect::<Vec<_>>()
+            };
+            let rows = old.field("rows").and_then(Value::as_sequence).unwrap();
+            let columns = printed(old.field("columns").unwrap());
+            (columns, rows.iter().map(printed).collect())
         }
 
         /// A frame writer: CDR alignment counts from byte 12, as in a GIOP body.
@@ -1067,11 +1139,11 @@ mod tests {
         fn the_fed_decoder_reads_what_the_value_path_read() {
             prop::cases(2_000, |rng| {
                 for order in [ByteOrder::BigEndian, ByteOrder::LittleEndian] {
-                    let (old, bytes) = answer(rng, order);
+                    let (old, bytes, object) = answer(rng, order);
                     for keyed in [false, true] {
-                        let (rows, old_bytes, keys) = old_decode_rows(&old, keyed).unwrap();
+                        let (rows, old_bytes, keys) = old_decode_rows(&old, keyed, object).unwrap();
                         let mut r = CdrReader::new(&bytes[12..], order);
-                        let new = read_shipped(&mut r, keyed).unwrap();
+                        let new = read_shipped(&mut r, keyed, object).unwrap();
                         assert!(r.is_exhausted(), "the decoder left bytes behind");
                         assert!(new.rows.iter().all(|row| row[0].is_empty()));
                         let cells: Vec<&[String]> = new.rows.iter().map(|row| &row[1..]).collect();
@@ -1079,6 +1151,23 @@ mod tests {
                         assert_eq!(new.bytes, old_bytes);
                         assert_eq!(debug(&new.keys), debug(&keys), "{order:?}: keys differ");
                     }
+                    if !object {
+                        continue;
+                    }
+                    let mut r = CdrReader::new(&bytes[12..], order);
+                    let Response::Table(rs) = decode_isi_output(&mut r).unwrap() else {
+                        panic!("{order:?}: an object answer is not a table")
+                    };
+                    assert!(r.is_exhausted(), "the table decode left bytes behind");
+                    let (columns, rows) = old_object_strings(&old);
+                    assert_eq!(rs.columns[0], "oid");
+                    assert_eq!(rs.columns[1..], columns);
+                    let printed: Vec<Vec<String>> = rs
+                        .rows
+                        .iter()
+                        .map(|row| row.iter().map(Datum::to_string).collect())
+                        .collect();
+                    assert_eq!(printed, rows, "{order:?}: printed cells differ");
                 }
             });
         }
@@ -1095,11 +1184,11 @@ mod tests {
                 Value::record([("rows", Value::Sequence(vec![]))]),
             ];
             for v in answers {
-                let old = old_decode_rows(&v, false).unwrap_err().to_string();
+                let old = old_decode_rows(&v, false, false).unwrap_err().to_string();
                 for order in [ByteOrder::BigEndian, ByteOrder::LittleEndian] {
                     let bytes = frame_bytes(order, |w| v.encode(w).unwrap());
                     let mut r = CdrReader::new(&bytes[12..], order);
-                    let Err(new) = read_shipped(&mut r, true) else {
+                    let Err(new) = read_shipped(&mut r, true, false) else {
                         panic!("{v}: a non-table answer was read as a table")
                     };
                     assert!(matches!(new, WebfinditError::Protocol(_)), "{v}: {new:?}");

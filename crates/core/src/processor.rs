@@ -55,15 +55,9 @@ pub enum Response {
     AccessInfo(Box<InformationSource>),
     /// Rendered exported interface types.
     Interface(Vec<String>),
-    /// A relational result table.
+    /// A result table: a relational answer, or an object answer whose
+    /// first column is `oid`.
     Table(ResultSet),
-    /// Object-query rows (first column is the OID).
-    Objects {
-        /// Column names (after the implicit oid column).
-        columns: Vec<String>,
-        /// Stringified cells, one row per object.
-        rows: Vec<Vec<String>>,
-    },
     /// A scalar result.
     Scalar(String),
     /// A federated query answer: merged rows plus degradation report.
@@ -129,14 +123,6 @@ impl Response {
             Response::AccessInfo(d) => d.to_string(),
             Response::Interface(types) => types.join("\n\n"),
             Response::Table(rs) => rs.to_text_table(),
-            Response::Objects { columns, rows } => {
-                let mut out = format!("oid | {}\n", columns.join(" | "));
-                for r in rows {
-                    out.push_str(&r.join(" | "));
-                    out.push('\n');
-                }
-                out
-            }
             Response::Scalar(s) => s.clone(),
             Response::Federated(outcome) => outcome.render(),
             Response::Plan(lines) => lines.join("\n"),
@@ -505,32 +491,13 @@ impl Processor {
     }
 }
 
-/// Decode an ISI's answer: a table straight into a [`ResultSet`], any
-/// other shape (objects, a count, void, a scalar) through its [`Value`].
-fn decode_isi_output(r: &mut CdrReader<'_>) -> WfResult<Response> {
+/// Decode an ISI's answer: a table, relational or object, straight into
+/// a [`ResultSet`]; a count, void or a scalar through its [`Value`].
+pub(crate) fn decode_isi_output(r: &mut CdrReader<'_>) -> WfResult<Response> {
     if is_result_set(r) {
         return Ok(Response::Table(read_result_set(r)?));
     }
     let v = Value::decode(r)?;
-    if v.field("object_rows").is_some() {
-        let columns = v
-            .field("columns")
-            .and_then(Value::as_sequence)
-            .ok_or_else(|| WebfinditError::Protocol("missing columns".into()))?
-            .iter()
-            .map(|c| c.to_string())
-            .collect();
-        let mut rows = Vec::new();
-        if let Some(seq) = v.field("rows").and_then(Value::as_sequence) {
-            for r in seq {
-                let cells = r
-                    .as_sequence()
-                    .ok_or_else(|| WebfinditError::Protocol("bad object row".into()))?;
-                rows.push(cells.iter().map(|c| c.to_string()).collect());
-            }
-        }
-        return Ok(Response::Objects { columns, rows });
-    }
     if let Some(n) = v.field("count") {
         return Ok(Response::Scalar(format!("{n} row(s) affected")));
     }

@@ -9,7 +9,7 @@
 //! ([`codb`], [`isi`]) that callers send.
 
 use crate::discovery::ProbeReply;
-use crate::value_map::{write_object_rows, write_result_set, TableWriter};
+use crate::value_map::{write_result_set, TableWriter};
 use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -450,13 +450,12 @@ fn refused(e: webfindit_wire::WireError) -> ConnectError {
     ConnectError::Sink(e.to_string())
 }
 
-/// Write a data-layer answer into a reply: a table, relational or
-/// object, through the typed table codec; a count as the record
-/// `{count: ULong}`; a value as its `Value`.
+/// Write a data-layer answer into a reply: a table through the typed
+/// table codec; a count as the record `{count: ULong}`; a value as its
+/// `Value`.
 fn write_output(out: QueryOutput, w: &mut CdrWriter) -> Result<(), ServantError> {
     match out {
         QueryOutput::Rows(rs) => write_result_set(&rs, w),
-        QueryOutput::Objects { columns, rows } => write_object_rows(&columns, &rows, w),
         QueryOutput::Count(n) => {
             write_record(w, 1);
             write_field(w, "count", &(n as u32))
@@ -533,9 +532,10 @@ impl InformationSourceOperations for IsiServant {
         out: &mut CdrWriter,
     ) -> Result<(), ServantError> {
         let max_rows = max_rows.0.map(|n| n as usize);
-        // A SELECT's rows go from the executor straight into the reply;
-        // past `max_rows` they are drained unwritten, so the data-layer
-        // counters are those of the whole statement.
+        // A table's rows (a SELECT's or an OQL query's) go from the
+        // connection straight into the reply; past `max_rows` they are
+        // drained unwritten, so the data-layer counters are those of the
+        // whole statement.
         let mut conn = self.open()?;
         let mut table = TableWriter::new(out, max_rows);
         let done = conn

@@ -1,26 +1,25 @@
 //! Tables between engine-level results and the wire.
 //!
 //! A table skips the `Value` tree. One row writer, `TableWriter`,
-//! encodes a relational table: the ISI hands it the executor's rows as
-//! they are produced, so a SELECT answered on the shared path goes into
-//! the reply frame with no `ResultSet` on the server, and
-//! [`write_result_set`] feeds it a collected [`ResultSet`]. It reserves
-//! the row count and patches it at the end, drops rows past a cap, and
-//! fails a row that takes the body past `MAX_MESSAGE_SIZE`.
-//! [`read_result_set`] reads a table straight back, and
-//! [`write_object_rows`] writes an OQL answer. The bytes are those
+//! encodes every table, relational or object: the ISI hands it the
+//! connection's rows as they are produced, so a SELECT answered on the
+//! shared path goes into the reply frame with no `ResultSet` on the
+//! server, and [`write_result_set`] feeds it a collected [`ResultSet`].
+//! It reserves the row count and patches it at the end, drops rows past
+//! a cap, and fails a row that takes the body past `MAX_MESSAGE_SIZE`.
+//! [`read_result_set`] reads a table straight back. The bytes are those
 //! `Value::encode` writes for the record `{columns: [Str], rows:
-//! [[cell]]}`, a date cell being `{date: "iso"}`; an object table leads
-//! each row with its OID and ends with `object_rows: true`.
+//! [[cell]]}`, a date cell being `{date: "iso"}`. An OQL answer is such
+//! a table whose first column, `oid`, holds each object's identity as a
+//! `LongLong`.
 
 use crate::{WebfinditError, WfResult};
 use std::borrow::Borrow;
-use webfindit_oostore::{OValue, Oid};
 use webfindit_relstore::exec::ResultSet;
 use webfindit_relstore::types::{format_date, parse_date, Datum};
 use webfindit_wire::marshal::{expect_tag, read_count};
 use webfindit_wire::value::tag;
-use webfindit_wire::{CdrReader, CdrWriter, Marshal, WireError, WireResult, MAX_MESSAGE_SIZE};
+use webfindit_wire::{CdrReader, CdrWriter, WireError, WireResult, MAX_MESSAGE_SIZE};
 
 /// Write `rs` as the record `{columns: [Str], rows: [[cell]]}`.
 pub fn write_result_set(rs: &ResultSet, w: &mut CdrWriter) -> WireResult<()> {
@@ -60,7 +59,7 @@ impl<'w> TableWriter<'w> {
 
     /// Write the head, up to the row count, which is reserved.
     pub(crate) fn head(&mut self, columns: &[String]) -> WireResult<()> {
-        write_head(self.w, 2, columns)?;
+        write_head(self.w, columns)?;
         self.count_at = Some(self.w.reserve_ulong());
         Ok(())
     }
@@ -77,16 +76,25 @@ impl<'w> TableWriter<'w> {
         write_count(w, cells.len());
         for d in cells {
             match d.borrow() {
-                Datum::Null => write_scalar(w, Scalar::Null)?,
-                Datum::Int(v) => write_scalar(w, Scalar::Int(*v))?,
-                Datum::Double(v) => write_scalar(w, Scalar::Double(*v))?,
-                Datum::Text(s) => write_scalar(w, Scalar::Text(s))?,
-                Datum::Bool(b) => write_scalar(w, Scalar::Bool(*b))?,
+                Datum::Null => w.write_octet(tag::NULL),
+                Datum::Int(v) => {
+                    w.write_octet(tag::LONGLONG);
+                    w.write_longlong(*v);
+                }
+                Datum::Double(v) => {
+                    w.write_octet(tag::DOUBLE);
+                    w.write_double(*v);
+                }
+                Datum::Text(s) => write_text(w, s)?,
+                Datum::Bool(b) => {
+                    w.write_octet(tag::BOOL);
+                    w.write_bool(*b);
+                }
                 Datum::Date(days) => {
                     w.write_octet(tag::STRUCT);
                     w.write_ulong(1);
                     w.write_string("date")?;
-                    write_scalar(w, Scalar::Text(&format_date(*days)))?;
+                    write_text(w, &format_date(*days))?;
                 }
             }
         }
@@ -107,76 +115,20 @@ impl<'w> TableWriter<'w> {
     }
 }
 
-/// Write an OQL answer as the record `{columns: [Str], rows: [[ULong
-/// oid, cell…]], object_rows: true}`: the bytes `Value::encode` writes
-/// for it, a reference cell being `{oid: ULong}`.
-pub(crate) fn write_object_rows(
-    columns: &[String],
-    rows: &[(Oid, Vec<OValue>)],
-    w: &mut CdrWriter,
-) -> WireResult<()> {
-    write_head(w, 3, columns)?;
-    w.write_ulong(rows.len() as u32);
-    for (oid, cells) in rows {
-        write_count(w, cells.len() + 1);
-        write_oid(w, *oid);
-        for v in cells {
-            v.write(w)?;
-        }
-    }
-    w.write_string("object_rows")?;
-    w.write_octet(tag::BOOL);
-    w.write_bool(true);
-    Ok(())
+fn write_text(w: &mut CdrWriter, s: &str) -> WireResult<()> {
+    w.write_octet(tag::STRING);
+    w.write_string(s)
 }
 
-/// An object identity on the wire: its number as a `ULong`.
-fn write_oid(w: &mut CdrWriter, oid: Oid) {
-    w.write_octet(tag::ULONG);
-    w.write_ulong(oid.0 as u32);
-}
-
-/// A scalar cell, which a relational and an object table write alike.
-enum Scalar<'a> {
-    Null,
-    Int(i64),
-    Double(f64),
-    Text(&'a str),
-    Bool(bool),
-}
-
-fn write_scalar(w: &mut CdrWriter, cell: Scalar<'_>) -> WireResult<()> {
-    match cell {
-        Scalar::Null => w.write_octet(tag::NULL),
-        Scalar::Int(v) => {
-            w.write_octet(tag::LONGLONG);
-            w.write_longlong(v);
-        }
-        Scalar::Double(v) => {
-            w.write_octet(tag::DOUBLE);
-            w.write_double(v);
-        }
-        Scalar::Text(s) => {
-            w.write_octet(tag::STRING);
-            w.write_string(s)?;
-        }
-        Scalar::Bool(b) => {
-            w.write_octet(tag::BOOL);
-            w.write_bool(b);
-        }
-    }
-    Ok(())
-}
-
-/// A table record's head: `fields` fields, the first two `columns` and
-/// `rows`, written up to the count of `rows`, which the caller writes.
-fn write_head(w: &mut CdrWriter, fields: u32, columns: &[String]) -> WireResult<()> {
+/// A table record's head, written up to the count of `rows`, which the
+/// caller writes.
+fn write_head(w: &mut CdrWriter, columns: &[String]) -> WireResult<()> {
     w.write_octet(tag::STRUCT);
-    w.write_ulong(fields);
+    w.write_ulong(2);
     w.write_string("columns")?;
     write_count(w, columns.len());
     for c in columns {
-        write_scalar(w, Scalar::Text(c))?;
+        write_text(w, c)?;
     }
     w.write_string("rows")?;
     w.write_octet(tag::SEQUENCE);
@@ -191,19 +143,10 @@ fn write_count(w: &mut CdrWriter, n: usize) {
 /// True when `r` is at a two-field record whose first field is
 /// `columns`: a table. Looks ahead without consuming.
 pub fn is_result_set(r: &CdrReader<'_>) -> bool {
-    table_fields(r) == Some(2)
-}
-
-/// The field count of the record `r` is at, when its first field is
-/// `columns`: 2 for a relational table, 3 for an object one. Looks
-/// ahead without consuming.
-pub(crate) fn table_fields(r: &CdrReader<'_>) -> Option<u32> {
     let mut r = r.clone();
-    if r.read_octet().ok()? != tag::STRUCT {
-        return None;
-    }
-    let fields = r.read_ulong().ok()?;
-    (r.read_str().ok()? == "columns").then_some(fields)
+    r.read_octet().ok() == Some(tag::STRUCT)
+        && r.read_ulong().ok() == Some(2)
+        && r.read_str().ok() == Some("columns")
 }
 
 /// Read what [`write_result_set`] wrote, with the checks `Value::decode`
@@ -211,7 +154,7 @@ pub(crate) fn table_fields(r: &CdrReader<'_>) -> Option<u32> {
 /// left before anything is sized by it, and bad UTF-8 or a bad date is an
 /// error, never a panic.
 pub fn read_result_set(r: &mut CdrReader<'_>) -> WfResult<ResultSet> {
-    let (columns, n) = read_head(r, 2)?;
+    let (columns, n) = read_head(r)?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
         let mut row = Vec::with_capacity(read_row_len(r)?);
@@ -223,11 +166,11 @@ pub fn read_result_set(r: &mut CdrReader<'_>) -> WfResult<ResultSet> {
     Ok(ResultSet { columns, rows })
 }
 
-/// Read what [`write_head`] wrote for a record of `fields` fields: the
-/// columns and the count of rows that follow.
-pub(crate) fn read_head(r: &mut CdrReader<'_>, fields: u32) -> WfResult<(Vec<String>, usize)> {
+/// Read what [`write_head`] wrote: the columns and the count of rows
+/// that follow.
+pub(crate) fn read_head(r: &mut CdrReader<'_>) -> WfResult<(Vec<String>, usize)> {
     expect_tag(r, tag::STRUCT, "result set")?;
-    if r.read_ulong()? != fields || r.read_str()? != "columns" {
+    if r.read_ulong()? != 2 || r.read_str()? != "columns" {
         return Err(WebfinditError::Protocol("result set lacks columns".into()));
     }
     let mut columns = Vec::with_capacity(read_count(r, "result set columns")?);
@@ -244,12 +187,6 @@ pub(crate) fn read_head(r: &mut CdrReader<'_>, fields: u32) -> WfResult<(Vec<Str
 /// The count of cells in the row `r` is at.
 pub(crate) fn read_row_len(r: &mut CdrReader<'_>) -> WireResult<usize> {
     read_count(r, "result set row")
-}
-
-/// Read what [`write_oid`] wrote.
-pub(crate) fn read_oid(r: &mut CdrReader<'_>) -> WireResult<Oid> {
-    expect_tag(r, tag::ULONG, "object row oid")?;
-    Ok(Oid(u64::from(r.read_ulong()?)))
 }
 
 fn read_datum(r: &mut CdrReader<'_>) -> WfResult<Datum> {
@@ -278,6 +215,7 @@ fn read_datum(r: &mut CdrReader<'_>) -> WfResult<Datum> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webfindit_wire::Marshal;
 
     fn table_roundtrip(rs: ResultSet) {
         let order = webfindit_wire::ByteOrder::LittleEndian;

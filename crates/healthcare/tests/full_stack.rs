@@ -169,10 +169,11 @@ fn all_three_bridge_kinds_serve_queries() {
             None,
         )
         .unwrap();
+    // An object answer is a table that leads with each object's oid.
     match r {
-        Response::Objects { columns, rows } => {
-            assert_eq!(columns, vec!["name", "cost"]);
-            assert!(!rows.is_empty());
+        Response::Table(rs) => {
+            assert_eq!(rs.columns, ["oid", "name", "cost"]);
+            assert!(!rs.rows.is_empty());
         }
         other => panic!("{other:?}"),
     }
@@ -185,7 +186,10 @@ fn all_three_bridge_kinds_serve_queries() {
             None,
         )
         .unwrap();
-    assert!(matches!(r, Response::Objects { .. }));
+    match r {
+        Response::Table(rs) => assert_eq!(rs.columns, ["oid", "suburb"]),
+        other => panic!("{other:?}"),
+    }
     dep.fed.shutdown();
 }
 

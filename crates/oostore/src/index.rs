@@ -70,7 +70,7 @@ impl Key {
     }
 }
 
-/// The keys an index scan reads. Every literal in it has a [`Key`].
+/// The keys an index scan reads. Every literal in it has a `Key`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KeyRange {
     /// The keys between two bounds, at least one of them finite.

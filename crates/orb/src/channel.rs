@@ -6,7 +6,7 @@
 //! replaces that with the channel architecture real ORBs use:
 //!
 //! * an [`IiopChannel`] per advertised endpoint owns a small bounded
-//!   pool of multiplexed connections ([`MuxConn`]); callers are spread
+//!   pool of multiplexed connections (`MuxConn`); callers are spread
 //!   round-robin and *share* each connection concurrently;
 //! * callers read their own replies (leader/follower): after its send a
 //!   caller takes the connection's read half if it is free and reads
@@ -21,8 +21,8 @@
 //!   connection, so what the peer said since the last call
 //!   (`CloseConnection`, EOF) is looked at when the connection is next
 //!   picked;
-//! * pipelined batches: a call is [`IiopChannel::start`] (admit, send)
-//!   then [`IiopChannel::finish`] (wait, classify), so
+//! * pipelined batches: a call is `IiopChannel::start` (admit, send)
+//!   then `IiopChannel::finish` (wait, classify), so
 //!   [`crate::Orb::call_all`] sends a whole batch before reading any
 //!   reply. Its caller waits on one request at a time, so the read half
 //!   is handed only to a caller flagged as parked on that connection;
@@ -515,7 +515,7 @@ fn delivered(rx: &Receiver<Wake>) -> Option<ReplyOutcome> {
 
 /// A multiplexed channel to one advertised endpoint.
 ///
-/// Holds up to `max_conns` live [`MuxConn`]s; callers are assigned
+/// Holds up to `max_conns` live `MuxConn`s; callers are assigned
 /// round-robin and share connections concurrently. Connections are
 /// created lazily and replaced when they die.
 pub struct IiopChannel {

@@ -1,12 +1,13 @@
 //! Typed interfaces: one declaration generates the skeleton and the stubs.
 //!
 //! The paper's ORBs compile each IDL interface into a client stub and a
-//! server skeleton, so a misspelt operation cannot be sent. [`interface!`]
-//! is that compiler: one declaration of an interface's operations, with
-//! typed arguments and results, generates
+//! server skeleton, so a misspelt operation cannot be sent.
+//! [`interface!`](macro@crate::interface) is that compiler: one
+//! declaration of an interface's operations, with typed arguments and
+//! results, generates
 //!
 //! * the servant trait, with one method per operation;
-//! * the [`Servant`](crate::Servant) skeleton of the implementing type:
+//! * the [`Servant`] skeleton of the implementing type:
 //!   `interface_id`, `invoke_into` dispatch that reads each typed argument
 //!   from the request's `&[Value]` (a missing or mistyped one is
 //!   `BAD_PARAM`) and writes the typed result into the reply, and the DSI

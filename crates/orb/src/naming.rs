@@ -3,7 +3,7 @@
 //! WebFINDIT needs a bootstrap step: given the *name* of a co-database
 //! or information source ("RBH", "Medicare"), obtain its IOR. CORBA
 //! solves this with the COS Naming service — itself a CORBA object — and
-//! so do we: [`NamingService`] is a [`Servant`] whose `bind`/`resolve`/
+//! so do we: [`NamingService`] is a [`Servant`](crate::Servant) whose `bind`/`resolve`/
 //! `unbind`/`list` operations travel through GIOP like any other call.
 //! IORs cross the wire in their stringified `IOR:…` form, exactly how
 //! 1990s deployments moved references between ORBs.

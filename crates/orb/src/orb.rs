@@ -7,7 +7,7 @@
 //!   advertised `(host, port)` with the shared [`OrbDomain`];
 //! * serves GIOP Requests arriving on that endpoint by dispatching into
 //!   its [`ObjectAdapter`]. The server core is the event-loop reactor
-//!   ([`crate::reactor`]): one poll-driven thread owns every
+//!   (`crate::reactor`): one poll-driven thread owns every
 //!   connection and answers the calls that cannot wait
 //!   ([`Servant::invoke_now`]), and a bounded worker pool runs all
 //!   other servant dispatch, so a slow servant never holds up other

@@ -1066,7 +1066,7 @@ fn bind_items(
 /// ambiguous name fails here, before any row is read) and reads table
 /// statistics for its access-path and join decisions.
 /// Single-table primary-key point lookups short-circuit past the cost
-/// pass (see [`plan_pk_point`]).
+/// pass (see `plan_pk_point`).
 pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelResult<PhysicalPlan> {
     if let Some(plan) = plan_pk_point(stmt, tables) {
         return Ok(plan);

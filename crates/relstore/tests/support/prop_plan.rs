@@ -36,8 +36,8 @@ use crate::plan::conjuncts;
 use crate::sql::{parse_statement, Statement};
 use crate::types::parse_date;
 use crate::{
-    plan_select, Column, DataType, Database, Datum, Dialect, ExecMetrics, PhysicalPlan, RelResult,
-    RowSink, Sarg, TableSchema,
+    plan_select, Column, DataType, Database, Datum, Dialect, ExecMetrics, PhysicalPlan, RelError,
+    RelResult, RowSink, Sarg, TableSchema,
 };
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -897,6 +897,47 @@ fn a_covered_range_keeps_the_errors_of_its_other_conjuncts() {
             ),
         }
     });
+}
+
+/// The divergence DESIGN states for rows an index never returns: they
+/// are never evaluated. A range on the nullable indexed `a`, beside a
+/// conjunct that raises, answers without error, while the reference,
+/// which reads every row, reaches that conjunct on a row whose `a` is
+/// NULL (the range is unknown there), or first when it is written
+/// before the range, and raises TypeMismatch.
+#[test]
+fn rows_a_range_never_returns_are_never_evaluated() {
+    let mut db = Database::new("prop", Dialect::Canonical);
+    db.execute("CREATE TABLE t1 (id INT PRIMARY KEY, a INT, b TEXT, c DOUBLE)")
+        .unwrap();
+    db.execute("CREATE INDEX t1_a ON t1 (a)").unwrap();
+    db.execute("INSERT INTO t1 VALUES (1, 3, 'icu', 1.0), (2, NULL, 'ward', NULL)")
+        .unwrap();
+    for sql in [
+        "SELECT t1.id FROM t1 WHERE t1.a > 32 AND t1.a < 32 AND (t1.id >= 0) + 1 > 0",
+        "SELECT t1.id FROM t1 WHERE (t1.id >= 0) + 1 > 0 AND t1.a > 32 AND t1.a < 32",
+    ] {
+        let Statement::Select(select) = parse_statement(sql).unwrap() else {
+            unreachable!()
+        };
+        let plan = plan_select(&select, db.tables()).unwrap();
+        let mut leaf = &plan;
+        while let Some(input) = leaf.input() {
+            leaf = input;
+        }
+        assert!(
+            matches!(leaf, PhysicalPlan::IxScan(s) if s.column == "a" && matches!(s.sarg, Sarg::Range { .. })),
+            "{sql}: {leaf:?}"
+        );
+        assert_residual(&db, sql);
+        let (planned, _) = db.select(&Statement::Select(select)).unwrap();
+        assert!(planned.rows.is_empty(), "{sql}");
+        let naive = run_naive(&db, sql);
+        assert!(
+            matches!(naive, Err(RelError::TypeMismatch { .. })),
+            "{sql}: {naive:?}"
+        );
+    }
 }
 
 /// Keys of one type that a table can hold but a SQL literal mostly

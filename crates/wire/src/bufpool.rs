@@ -12,7 +12,7 @@
 //! The pool is deliberately simple: a mutex-guarded stack. Encoding is
 //! measured in microseconds and the critical section is a `Vec::pop` /
 //! `Vec::push`, so contention is negligible next to the allocator work
-//! it avoids. Buffers that grew beyond [`BufPool::max_retained`] are
+//! it avoids. Buffers that grew beyond `BufPool::max_retained` are
 //! dropped instead of shelved, so one multi-megabyte reply cannot pin
 //! its high-water allocation forever.
 
