@@ -147,7 +147,8 @@ fn main() {
     );
     println!(
         "\nReading: the indexed relational path is fastest; the OQL filter reads\n\
-         its cost index, then rechecks and projects each candidate object;\n\
+         its cost index, whose range answers the whole filter, and projects\n\
+         the objects it returns with no recheck;\n\
          the compensated mSQL aggregate pays a full fetch of the\n\
          base table plus a local re-execution on every call — the price of\n\
          the fetch-and-compute wrapper trick for a missing vendor feature."

@@ -265,18 +265,13 @@ impl CoDatabase {
     pub fn members(&self, coalition: &str) -> CodbResult<Vec<String>> {
         self.coalition_exists(coalition)?;
         let oids = self.store.instances_of(coalition, true)?;
-        let mut names: Vec<String> = oids
+        let mut names: Vec<&str> = oids
             .into_iter()
-            .filter_map(|o| {
-                self.store
-                    .object(o)
-                    .ok()
-                    .and_then(|obj| obj.get("name").as_text().map(str::to_owned))
-            })
+            .filter_map(|o| self.store.object(o).ok()?.get("name").as_text())
             .collect();
-        names.sort();
+        names.sort_unstable();
         names.dedup();
-        Ok(names)
+        Ok(names.into_iter().map(str::to_owned).collect())
     }
 
     /// The coalitions a source belongs to (direct memberships).

@@ -7,7 +7,7 @@ use crate::registry::{DataSourceRegistry, Instance, OoInstance};
 use crate::{ConnectError, ConnectResult};
 use std::borrow::Cow;
 use std::sync::Arc;
-use webfindit_oostore::{OValue, OqlQuery};
+use webfindit_oostore::{OValue, Oid, OqlQuery, OqlSink};
 use webfindit_relstore::engine::ExecOutcome;
 use webfindit_relstore::sql::ast::Statement;
 use webfindit_relstore::sql::parse_statement;
@@ -281,9 +281,9 @@ impl ObjectConnection {
 }
 
 impl Connection for ObjectConnection {
-    /// An OQL query runs under the instance's shared guard; its answer
-    /// then goes to `sink` as the table `oid, <projected…>`, one row per
-    /// object.
+    /// An OQL query runs under the instance's shared guard and streams
+    /// its answer into `sink` as the table `oid, <projected…>`, one row
+    /// per object.
     fn execute_into(
         &mut self,
         text: &str,
@@ -291,24 +291,17 @@ impl Connection for ObjectConnection {
     ) -> ConnectResult<Option<QueryOutput>> {
         let inst = self.live()?;
         let query = OqlQuery::parse(text)?;
-        let (result, m) = query.execute_with_metrics(&inst.read().store)?;
+        let mut rows = ObjectRows {
+            sink,
+            row: Vec::new(),
+        };
+        let m = query.execute_into(&inst.read().store, &mut rows)?;
         self.last_metrics = Some(DataMetrics {
             rows_scanned: m.objects_scanned,
             index_hits: m.index_hits,
             rows_spilled: m.rows_spilled,
             ..DataMetrics::default()
         });
-        let mut columns = Vec::with_capacity(result.columns.len() + 1);
-        columns.push("oid".to_owned());
-        columns.extend(result.columns);
-        sink.columns(&columns)?;
-        let mut row = Vec::with_capacity(columns.len());
-        for (oid, values) in result.rows {
-            row.clear();
-            row.push(Cow::Owned(Datum::Int(oid.0 as i64)));
-            row.extend(values.into_iter().map(|v| Cow::Owned(cell(v))));
-            sink.row(&mut row)?;
-        }
         Ok(None)
     }
 
@@ -328,7 +321,7 @@ impl Connection for ObjectConnection {
                 let id: u64 = oid.parse().map_err(|_| {
                     ConnectError::WrongParadigm(format!("bad receiver oid in {method}"))
                 })?;
-                (n, Some(webfindit_oostore::Oid(id)))
+                (n, Some(Oid(id)))
             }
             None => (rest, None),
         };
@@ -362,17 +355,40 @@ impl Connection for ObjectConnection {
     }
 }
 
+/// An OQL answer as it reaches a table sink: the `oid` column first,
+/// each row written into one reused row of cells.
+struct ObjectRows<'s> {
+    sink: &'s mut dyn RowSink<ConnectError>,
+    row: Vec<Cow<'static, Datum>>,
+}
+
+impl OqlSink<ConnectError> for ObjectRows<'_> {
+    fn columns(&mut self, columns: &[String]) -> ConnectResult<()> {
+        let mut all = Vec::with_capacity(columns.len() + 1);
+        all.push("oid".to_owned());
+        all.extend_from_slice(columns);
+        self.sink.columns(&all)
+    }
+
+    fn row(&mut self, oid: Oid, values: &[&OValue]) -> ConnectResult<()> {
+        self.row.clear();
+        self.row.push(Cow::Owned(Datum::Int(oid.0 as i64)));
+        self.row.extend(values.iter().map(|v| Cow::Owned(cell(v))));
+        self.sink.row(&mut self.row)
+    }
+}
+
 /// An object value as a table cell. A scalar is the matching datum; a
 /// list or a reference is the text `Value`'s `Display` prints for its
 /// wire form, e.g. `[a, NULL, {oid: 3}]` and `{oid: 7}`.
-fn cell(v: OValue) -> Datum {
+fn cell(v: &OValue) -> Datum {
     match v {
         OValue::Null => Datum::Null,
-        OValue::Int(i) => Datum::Int(i),
-        OValue::Double(d) => Datum::Double(d),
-        OValue::Text(s) => Datum::Text(s),
-        OValue::Bool(b) => Datum::Bool(b),
-        compound => Datum::Text(wire_text(&compound)),
+        OValue::Int(i) => Datum::Int(*i),
+        OValue::Double(d) => Datum::Double(*d),
+        OValue::Text(s) => Datum::Text(s.clone()),
+        OValue::Bool(b) => Datum::Bool(*b),
+        compound => Datum::Text(wire_text(compound)),
     }
 }
 

@@ -50,10 +50,11 @@ use crate::failure::{degrade_reason, is_breaker_rejection, SiteFailure};
 use crate::federation::Federation;
 use crate::servants::isi;
 use crate::trace::{Layer, Trace};
-use crate::value_map::{is_result_set, read_head, read_row_len};
+use crate::value_map::{is_result_set, read_datum, read_head, read_row_len};
 use crate::{WebfinditError, WfResult};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
+use webfindit_relstore::types::{format_date, Datum};
 use webfindit_tassili::ast::{Arg, FedScope, Literal, Predicate, SemiJoin, Statement};
 use webfindit_tassili::translate::{access_call_to_oql, access_call_to_sql};
 use webfindit_wire::marshal::expect_tag;
@@ -682,43 +683,26 @@ fn read_shipped(r: &mut CdrReader<'_>, keyed: bool, object: bool) -> WfResult<Sh
     Ok(Shipped { rows, bytes, keys })
 }
 
-/// Read one cell: its rendering and, when `keyed`, the literal it ships
-/// as in a semi-join `IN` list. The literal follows the cell's wire type,
-/// never its spelling: a text key that happens to look numeric (`'007'`,
-/// a postcode) must reach the probe sites as text. `NULL` yields no key,
-/// since it never matches `IN`. A compound cell (a date record) is read
-/// as a [`Value`] and ships as its rendering.
+/// Read one cell, a datum as [`read_datum`] reads it: its rendering
+/// and, when `keyed`, the literal it ships as in a semi-join `IN` list.
+/// The literal follows the cell's wire type, never its spelling: a text
+/// key that happens to look numeric (`'007'`, a postcode) must reach the
+/// probe sites as text. `NULL` yields no key, since it never matches
+/// `IN`. A date renders as `Value` renders its record `{date: "iso"}`
+/// and ships as that text.
 fn read_cell(r: &mut CdrReader<'_>, keyed: bool) -> WfResult<(String, Option<Literal>)> {
-    let int = |v: i64| (v.to_string(), keyed.then_some(Literal::Int(v)));
     let text = |s: String| {
         let key = keyed.then(|| Literal::Str(s.clone()));
         (s, key)
     };
-    let start = r.clone();
-    Ok(match r.read_octet()? {
-        tag::NULL => ("NULL".to_owned(), None),
-        tag::VOID => text("void".to_owned()),
-        tag::BOOL => {
-            let b = r.read_bool()?;
-            (b.to_string(), keyed.then_some(Literal::Bool(b)))
-        }
-        tag::OCTET => int(i64::from(r.read_octet()?)),
-        tag::SHORT => int(i64::from(r.read_short()?)),
-        tag::LONG => int(i64::from(r.read_long()?)),
-        tag::LONGLONG => int(r.read_longlong()?),
-        tag::ULONG => int(i64::from(r.read_ulong()?)),
-        tag::FLOAT => {
-            let v = r.read_float()?;
-            (v.to_string(), keyed.then_some(Literal::Float(f64::from(v))))
-        }
-        tag::DOUBLE => {
-            let v = r.read_double()?;
-            (v.to_string(), keyed.then_some(Literal::Float(v)))
-        }
-        tag::STRING => text(r.read_string()?),
-        _ => {
-            *r = start;
-            text(Value::decode(r)?.to_string())
+    Ok(match read_datum(r)? {
+        Datum::Null => ("NULL".to_owned(), None),
+        Datum::Int(v) => (v.to_string(), keyed.then_some(Literal::Int(v))),
+        Datum::Double(v) => (v.to_string(), keyed.then_some(Literal::Float(v))),
+        Datum::Bool(b) => (b.to_string(), keyed.then_some(Literal::Bool(b))),
+        Datum::Text(s) => text(s),
+        Datum::Date(days) => {
+            text(Value::record([("date", Value::string(format_date(days)))]).to_string())
         }
     })
 }
@@ -757,7 +741,6 @@ mod tests {
             Value::string("007"),
             Value::Null,
             Value::LongLong(42),
-            Value::Long(7),
             Value::Double(2.5),
             Value::Bool(true),
             Value::string("true"),
@@ -775,19 +758,18 @@ mod tests {
                 ),
             ),
         ]);
-        let read = |keyed| {
+        let read = |answer: &Value, keyed| {
             let order = webfindit_wire::ByteOrder::BigEndian;
             let mut w = webfindit_wire::CdrWriter::new(order);
             answer.encode(&mut w).unwrap();
-            read_shipped(&mut CdrReader::new(&w.into_bytes(), order), keyed, false).unwrap()
+            read_shipped(&mut CdrReader::new(&w.into_bytes(), order), keyed, false)
         };
-        let shipped = read(true);
+        let shipped = read(&answer, true).unwrap();
         assert_eq!(
             shipped.keys,
             vec![
                 Literal::Str("007".into()),
                 Literal::Int(42),
-                Literal::Int(7),
                 Literal::Float(2.5),
                 Literal::Bool(true),
                 Literal::Str("true".into()),
@@ -797,7 +779,28 @@ mod tests {
         );
         assert_eq!(shipped.rows.len(), cells.len(), "NULL rows still ship");
         assert_eq!(shipped.rows[1], vec!["", "NULL", "ignored"]);
-        assert!(read(false).keys.is_empty());
+        assert!(read(&answer, false).unwrap().keys.is_empty());
+
+        // A table holds only the cells `TableWriter` writes: a LONG is
+        // refused, not read as a key.
+        let long = Value::record([
+            ("columns", Value::Sequence(vec![Value::string("k")])),
+            (
+                "rows",
+                Value::Sequence(vec![Value::Sequence(vec![Value::Long(7)])]),
+            ),
+        ]);
+        for keyed in [false, true] {
+            assert!(
+                matches!(
+                    read(&long, keyed),
+                    Err(WebfinditError::Orb(webfindit_orb::OrbError::Wire(
+                        webfindit_wire::WireError::BadTag { .. }
+                    )))
+                ),
+                "a LONG cell was read"
+            );
+        }
     }
 
     #[test]

@@ -189,7 +189,9 @@ pub(crate) fn read_row_len(r: &mut CdrReader<'_>) -> WireResult<usize> {
     read_count(r, "result set row")
 }
 
-fn read_datum(r: &mut CdrReader<'_>) -> WfResult<Datum> {
+/// Read one cell: a datum as [`TableWriter`] writes it. Any other tag
+/// is a `BadTag` error.
+pub(crate) fn read_datum(r: &mut CdrReader<'_>) -> WfResult<Datum> {
     Ok(match r.read_octet()? {
         tag::NULL => Datum::Null,
         tag::LONGLONG => Datum::Int(r.read_longlong()?),

@@ -18,7 +18,9 @@
 //!   the collecting path's do; likewise for an mSQL GROUP BY finished by
 //!   compensation and for a SELECT that owes a durable site a
 //!   checkpoint. A division by zero half-way through the rows fails the
-//!   call with one exception.
+//!   call with one exception. An object site streams an OQL answer the
+//!   same way: over random stores and queries, its bytes and counters
+//!   are those of the collected `OqlResult` written as a table.
 //! * **Oversized replies** — a result too large to frame fails its call
 //!   at once with a MARSHAL exception, remote or collocated, and the
 //!   client serves on.
@@ -39,6 +41,8 @@ use webfindit_base::rng::StdRng;
 use webfindit_connect::manager::standard_manager;
 use webfindit_connect::registry::Instance;
 use webfindit_connect::{CompensatingConnection, Connection, DataMetrics, DataSourceRegistry};
+use webfindit_oostore::method::MethodTable;
+use webfindit_oostore::{ClassDef, OType, OValue, ObjectStore, Oid, OqlQuery};
 use webfindit_relstore::exec::ResultSet;
 use webfindit_relstore::file_mgr::{SimVfs, Vfs};
 use webfindit_relstore::sql::parse_statement;
@@ -591,6 +595,180 @@ fn an_msql_group_by_is_compensated_into_the_same_reply() {
                 let (streamed, moved) = isi_reply(&site.isi, sql, max_rows, order);
                 assert_eq!(streamed.unwrap(), materialized(rs.clone(), max_rows, order));
                 assert_eq!(moved, counters);
+            }
+        }
+    });
+}
+
+/// `Visit(seq INT, cost DOUBLE, ward TEXT, urgent BOOL, tags LIST,
+/// next REF)` and its subclass `Stay(nights INT)`, with up to 30 random
+/// objects, every attribute sometimes NULL or unset, and some deleted so
+/// that OIDs have gaps.
+fn visit_store(rng: &mut StdRng) -> ObjectStore {
+    let mut store = ObjectStore::new("Archive");
+    store
+        .define_class(
+            ClassDef::root("Visit")
+                .attr("seq", OType::Int)
+                .attr("cost", OType::Double)
+                .attr("ward", OType::Text)
+                .attr("urgent", OType::Bool)
+                .attr("tags", OType::List)
+                .attr("next", OType::Ref),
+        )
+        .unwrap();
+    store
+        .define_class(
+            ClassDef::root("Stay")
+                .extends("Visit")
+                .attr("nights", OType::Int),
+        )
+        .unwrap();
+    let mut oids = Vec::new();
+    for _ in 0..rng.gen_range(0..30usize) {
+        let sub = rng.gen_bool(0.3);
+        let mut attrs = vec![
+            ("seq".to_string(), OValue::Int(rng.gen_range(-5i64..20))),
+            (
+                "cost".to_string(),
+                match rng.gen_range(0u32..3) {
+                    0 => OValue::Int(rng.gen_range(-3i64..4)),
+                    1 => OValue::Double(*prop::pick(rng, &[-0.0, 0.0, 1.5, f64::NAN, 2.0])),
+                    _ => OValue::Double(rng.gen_range(-4i64..8) as f64 * 0.5),
+                },
+            ),
+            (
+                "ward".to_string(),
+                OValue::Text(prop::string_of(rng, TEXT, 0..4)),
+            ),
+            ("urgent".to_string(), OValue::Bool(rng.gen_bool(0.5))),
+            (
+                "tags".to_string(),
+                OValue::List(prop::vec_of(rng, 0..3, |rng| {
+                    OValue::Text(prop::string_of(rng, TEXT, 0..3))
+                })),
+            ),
+            (
+                "next".to_string(),
+                OValue::Ref(Oid(rng.gen_range(0u64..40))),
+            ),
+        ];
+        if sub {
+            attrs.push(("nights".to_string(), OValue::Int(rng.gen_range(0i64..5))));
+        }
+        let attrs = attrs
+            .into_iter()
+            .filter_map(|(name, v)| match rng.gen_range(0u32..10) {
+                0 => None,
+                1 => Some((name, OValue::Null)),
+                _ => Some((name, v)),
+            });
+        let class = if sub { "Stay" } else { "Visit" };
+        oids.push(store.create(class, attrs).unwrap());
+    }
+    for oid in oids {
+        if rng.gen_bool(0.2) {
+            store.delete(oid).unwrap();
+        }
+    }
+    store
+}
+
+/// An OQL query over `visit_store`: an index range, an extent scan or
+/// none, under `ORDER BY` and `LIMIT` or not.
+fn visit_query(rng: &mut StdRng) -> String {
+    let class = *prop::pick(rng, &["Visit", "Visit", "Stay"]);
+    let projection = *prop::pick(rng, &["*", "seq", "ward, cost, tags", "next, urgent, seq"]);
+    let k = rng.gen_range(-2i64..16);
+    let filter = match rng.gen_range(0u32..7) {
+        0 => String::new(),
+        1 => format!(" where seq >= {k} and seq < {}", k + 6),
+        2 => format!(" where cost > {}.5 and ward <> 'a'", k % 3),
+        3 => format!(" where seq in ({k}, {}, 3) and urgent = true", k + 1),
+        4 => format!(" where ward like 'a%' or seq = {k}"),
+        5 => format!(" where ward >= 'b' and seq > {k}"),
+        _ => " where tags is not null and cost is null".into(),
+    };
+    let order = match rng.gen_range(0u32..4) {
+        0 => " order by cost desc",
+        1 => " order by ward",
+        _ => "",
+    };
+    let limit = if rng.gen_bool(0.3) {
+        format!(" limit {}", rng.gen_range(0..8))
+    } else {
+        String::new()
+    };
+    format!("select {projection} from {class}{filter}{order}{limit}")
+}
+
+/// `v` as the ISI writes it: as `Value` prints its wire form, for a
+/// list or a reference.
+fn object_cell(v: &OValue) -> Datum {
+    fn wire(v: &OValue) -> Value {
+        match v {
+            OValue::Null => Value::Null,
+            OValue::Int(i) => Value::LongLong(*i),
+            OValue::Double(d) => Value::Double(*d),
+            OValue::Text(s) => Value::string(s.clone()),
+            OValue::Bool(b) => Value::Bool(*b),
+            OValue::List(items) => Value::Sequence(items.iter().map(wire).collect()),
+            OValue::Ref(oid) => Value::record([("oid", Value::ULong(oid.0 as u32))]),
+        }
+    }
+    match v {
+        OValue::Null => Datum::Null,
+        OValue::Int(i) => Datum::Int(*i),
+        OValue::Double(d) => Datum::Double(*d),
+        OValue::Text(s) => Datum::Text(s.clone()),
+        OValue::Bool(b) => Datum::Bool(*b),
+        compound => Datum::Text(wire(compound).to_string()),
+    }
+}
+
+#[test]
+fn an_object_site_streams_the_bytes_and_counters_of_the_collected_answer() {
+    prop::cases(60, |rng| {
+        let registry = DataSourceRegistry::new();
+        let site = registry.register_object(
+            "objectstore",
+            "Archive",
+            visit_store(rng),
+            MethodTable::new(),
+        );
+        let manager = Arc::new(standard_manager(registry));
+        let isi = IsiServant::new(manager, "native:objectstore://h/Archive");
+        for _ in 0..4 {
+            let oql = visit_query(rng);
+            let (answer, m) = OqlQuery::parse(&oql)
+                .unwrap()
+                .execute_with_metrics(&site.read().store)
+                .unwrap();
+            let mut columns = vec!["oid".to_owned()];
+            columns.extend(answer.columns);
+            let rows = answer
+                .rows
+                .iter()
+                .map(|(oid, values)| {
+                    let mut row = vec![Datum::Int(oid.0 as i64)];
+                    row.extend(values.iter().map(object_cell));
+                    row
+                })
+                .collect();
+            let rs = ResultSet { columns, rows };
+            let counters = data_counters(DataMetrics {
+                rows_scanned: m.objects_scanned,
+                index_hits: m.index_hits,
+                rows_spilled: m.rows_spilled,
+                ..DataMetrics::default()
+            });
+            for max_rows in caps(rs.rows.len()) {
+                for order in [ByteOrder::BigEndian, ByteOrder::LittleEndian] {
+                    let (streamed, moved) = isi_reply(&isi, &oql, max_rows, order);
+                    let want = materialized(rs.clone(), max_rows, order);
+                    assert_eq!(streamed.unwrap(), want, "{oql} cap {max_rows:?} {order:?}");
+                    assert_eq!(moved, counters, "{oql} cap {max_rows:?}");
+                }
             }
         }
     });

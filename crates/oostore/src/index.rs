@@ -1,9 +1,10 @@
 //! Ordered attribute indexes over class extents.
 //!
 //! An index covers one attribute of one class's own extent and maps each
-//! key to the objects holding it. OQL reads it for an index scan; the
-//! scan only has to return a superset of the matching objects, because
-//! the executor re-evaluates the whole predicate on every candidate.
+//! key to the objects holding it. OQL reads it for an index scan, which
+//! returns exactly the objects whose key lies in its range: the plan
+//! drops from its filter every conjunct whose literal has an exact key
+//! (see [`Key::is_exact`]), so nothing rechecks what the scan returns.
 
 use crate::model::{OValue, Oid};
 use std::collections::BTreeSet;
@@ -12,9 +13,9 @@ use std::ops::Bound;
 /// An index key, ordered as [`OValue::compare`] orders values of one
 /// family. Int and Double share the numeric family, with −0.0 stored as
 /// +0.0; an i64 that does not round-trip through f64 may share a key
-/// with its neighbours, which is why every scan bound is inclusive.
-/// Text and Bool each keep their own order. The derived order puts the
-/// families in the order of the variants, so Text sorts last.
+/// with its neighbours. Text and Bool each keep their own order. The
+/// derived order puts the families in the order of the variants, so
+/// Text sorts last.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Key {
     Bool(bool),
@@ -35,6 +36,20 @@ impl Key {
             OValue::Text(s) => Some(Key::Text(s.clone())),
             OValue::Bool(b) => Some(Key::Bool(*b)),
             OValue::Null | OValue::List(_) | OValue::Ref(_) => None,
+        }
+    }
+
+    /// Whether the keys of the keyed literal `v` order every stored value
+    /// exactly as [`OValue::compare`] orders it against `v`: true for
+    /// Text, Bool, Double and an Int of magnitude below 2^53. A larger
+    /// Int is not: `2^53 + 1` compares greater than the literal `2^53`
+    /// but is stored under the same key, so a range bounded by such a
+    /// literal reads its bound inclusively and only narrows the objects
+    /// its conjunct is then checked on.
+    pub(crate) fn is_exact(v: &OValue) -> bool {
+        match v {
+            OValue::Int(i) => i.unsigned_abs() < 1 << 53,
+            _ => true,
         }
     }
 
@@ -70,7 +85,8 @@ impl Key {
     }
 }
 
-/// The keys an index scan reads. Every literal in it has a `Key`.
+/// The keys an index scan reads. Every literal in it has a `Key`, and
+/// the literal of an `Excluded` bound has an exact one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KeyRange {
     /// The keys between two bounds, at least one of them finite.
@@ -111,31 +127,43 @@ impl AttrIndex {
         }
     }
 
-    /// Append every object whose key lies in `range`.
+    /// Append every object whose key lies in `range`, each bound read
+    /// as inclusive or exclusive as it is given.
     pub(crate) fn scan(&self, range: &KeyRange, out: &mut Vec<Oid>) {
         match range {
             KeyRange::Between { lo, hi } => {
-                let key = |b: &Bound<OValue>| match b {
-                    Bound::Included(v) | Bound::Excluded(v) => Key::of(v),
+                // Each side as (key, inclusive); an open side stops at
+                // the end of its family.
+                let side = |b: &Bound<OValue>| match b {
+                    Bound::Included(v) => Key::of(v).map(|k| (k, true)),
+                    Bound::Excluded(v) => Key::of(v).map(|k| (k, false)),
                     Bound::Unbounded => None,
                 };
-                let (lo, hi) = match (key(lo), key(hi)) {
+                let (lo, hi) = match (side(lo), side(hi)) {
                     (Some(lo), Some(hi)) => (lo, Some(hi)),
                     (Some(lo), None) => {
-                        let hi = lo.family_max();
+                        let hi = lo.0.family_max().map(|k| (k, true));
                         (lo, hi)
                     }
-                    (None, Some(hi)) => (hi.family_min(), Some(hi)),
+                    (None, Some(hi)) => ((hi.0.family_min(), true), Some(hi)),
                     (None, None) => return,
                 };
-                if hi.as_ref().is_some_and(|hi| lo > *hi) {
-                    return;
+                if let Some(hi) = &hi {
+                    if lo.0 > hi.0 || (lo.0 == hi.0 && !(lo.1 && hi.1)) {
+                        return;
+                    }
                 }
+                // Entries are `(key, oid)`: OIDs 0 and `u64::MAX` sit
+                // before and after every object under one key.
+                let lower = match lo {
+                    (k, true) => Bound::Included((k, Oid(0))),
+                    (k, false) => Bound::Excluded((k, Oid(u64::MAX))),
+                };
                 let upper = match hi {
-                    Some(hi) => Bound::Included((hi, Oid(u64::MAX))),
+                    Some((k, true)) => Bound::Included((k, Oid(u64::MAX))),
+                    Some((k, false)) => Bound::Excluded((k, Oid(0))),
                     None => Bound::Unbounded,
                 };
-                let lower = Bound::Included((lo, Oid(0)));
                 out.extend(self.0.range((lower, upper)).map(|(_, oid)| *oid));
             }
             KeyRange::Points(values) => {

@@ -28,7 +28,7 @@ pub mod store;
 
 pub use index::KeyRange;
 pub use model::{AttrDef, ClassDef, OType, OValue, Oid};
-pub use oql::{OoExecMetrics, OqlPlan, OqlQuery};
+pub use oql::{OoExecMetrics, OqlPlan, OqlQuery, OqlSink};
 pub use store::{Object, ObjectStore};
 
 use std::fmt;

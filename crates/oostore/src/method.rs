@@ -120,7 +120,7 @@ mod tests {
         // The paper's Funding() access routine: returns the budget.
         mt.register("Research", "funding_of", |store, recv, _args| {
             let oid = recv.ok_or_else(|| OoError::MethodFailed("needs receiver".into()))?;
-            Ok(store.object(oid)?.get("funding"))
+            Ok(store.object(oid)?.get("funding").clone())
         });
         mt.register("Research", "describe", |store, recv, args| {
             let oid = recv.ok_or_else(|| OoError::MethodFailed("needs receiver".into()))?;

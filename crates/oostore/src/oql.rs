@@ -18,15 +18,24 @@
 //!
 //! When a top-level `AND` conjunct of `WHERE` compares one attribute
 //! with `=`, `<`, `<=`, `>`, `>=` or `IN` against a literal, the plan
-//! reads that attribute's index instead of the whole closure. The index
-//! only narrows the objects visited: each candidate is still checked
-//! against the full predicate, in OID order, so the rows and their
-//! order are the ones the extent scan gives.
+//! reads that attribute's index instead of the whole closure. The scan
+//! returns exactly the objects its range accepts, so the plan's filter
+//! keeps only the conjuncts the range does not answer, and there is no
+//! filter when it answers them all. A literal answers its conjunct when
+//! its key is exact; an Int of magnitude 2^53 or more is not, so its
+//! bound is read inclusively and its conjunct stays in the filter (see
+//! `Key::is_exact`). Candidates are visited in OID order, so the rows
+//! and their order are the ones the extent scan gives.
+//!
+//! One executor, [`OqlQuery::execute_into`], hands each row's values,
+//! borrowed from the store, to an [`OqlSink`]: in OID order, or after
+//! the sort under `ORDER BY`, and it stops at `LIMIT`. Collecting an
+//! [`OqlResult`] is one such sink.
 
 use crate::index::{Key, KeyRange};
 use crate::model::OValue;
 use crate::model::Oid;
-use crate::store::ObjectStore;
+use crate::store::{Object, ObjectStore};
 use crate::{OoError, OoResult};
 use std::cmp::Ordering;
 use std::fmt;
@@ -112,6 +121,31 @@ pub struct OqlResult {
     pub rows: Vec<(Oid, Vec<OValue>)>,
 }
 
+/// Receives an OQL answer as the executor produces it: the column names
+/// once, then each row's OID and projected values, borrowed from the
+/// store.
+pub trait OqlSink<E = OoError> {
+    /// The output column names.
+    fn columns(&mut self, columns: &[String]) -> Result<(), E>;
+
+    /// One output row.
+    fn row(&mut self, oid: Oid, values: &[&OValue]) -> Result<(), E>;
+}
+
+/// Collecting is one way to consume the rows: each value is cloned.
+impl<E> OqlSink<E> for OqlResult {
+    fn columns(&mut self, columns: &[String]) -> Result<(), E> {
+        self.columns = columns.to_vec();
+        Ok(())
+    }
+
+    fn row(&mut self, oid: Oid, values: &[&OValue]) -> Result<(), E> {
+        self.rows
+            .push((oid, values.iter().map(|v| (*v).clone()).collect()));
+        Ok(())
+    }
+}
+
 /// Execution counters for an OQL run, mirroring relstore's
 /// `ExecMetrics` vocabulary so Trace/OrbMetrics can observe data-layer
 /// work uniformly across both stores.
@@ -135,8 +169,8 @@ pub struct OoExecMetrics {
 /// Physical plan for an OQL query over a class-lattice extent.
 ///
 /// Rendered by `EXPLAIN`-style callers *and* walked conceptually by
-/// [`OqlQuery::execute_with_metrics`]; there is no separate description
-/// path to drift.
+/// [`OqlQuery::execute_into`]; there is no separate description path
+/// to drift.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OqlPlan {
     /// Scan the extent closure (instances of the class and subclasses).
@@ -147,7 +181,7 @@ pub enum OqlPlan {
         objects: usize,
     },
     /// Visit, in OID order, the objects of the extent closure whose
-    /// attribute has a key in the range.
+    /// attribute has a key in the range, and only those.
     IndexScan {
         /// Class whose closure is read.
         class: String,
@@ -156,7 +190,8 @@ pub enum OqlPlan {
         /// Keys read.
         range: KeyRange,
     },
-    /// Keep objects whose predicate is true.
+    /// Keep objects whose predicate is true: the `WHERE` conjuncts the
+    /// scan below does not answer.
     Filter {
         /// Upstream operator.
         input: Box<OqlPlan>,
@@ -287,8 +322,8 @@ impl fmt::Display for KeyRange {
     }
 }
 
-/// The tighter of two bounds on one side of a range: `toward` is
-/// `Greater` for lower bounds and `Less` for upper ones.
+/// The tighter of two bounds on one side of a range, by their keys:
+/// `toward` is `Greater` for lower bounds and `Less` for upper ones.
 fn tighter<'a>(
     old: Bound<&'a OValue>,
     new: Bound<&'a OValue>,
@@ -297,63 +332,97 @@ fn tighter<'a>(
     match (old, new) {
         (b, Bound::Unbounded) | (Bound::Unbounded, b) => b,
         (Bound::Included(o) | Bound::Excluded(o), Bound::Included(n) | Bound::Excluded(n)) => {
-            match n.compare(o) {
-                Some(ord) if ord == toward => new,
-                Some(Ordering::Equal) if matches!(new, Bound::Excluded(_)) => new,
+            match Key::of(n).cmp(&Key::of(o)) {
+                ord if ord == toward => new,
+                Ordering::Equal if matches!(new, Bound::Excluded(_)) => new,
                 _ => old,
             }
         }
     }
 }
 
-/// The index read `filter` allows, as (attribute, keys), from its
-/// top-level `AND` conjuncts: `=`, `<`, `<=`, `>`, `>=` and `IN`
-/// against literals that have an index key. The comparisons on one
-/// attribute and key family narrow one range. An equality goes first,
-/// then an `IN` list, then a range bounded on both sides, then one
-/// bounded on one side; the first such conjunct wins a tie.
-fn index_access(filter: &Pred) -> Option<(String, KeyRange)> {
-    let mut conjuncts = Vec::new();
+/// The top-level `AND` conjuncts of `filter`, in query order.
+fn conjuncts(filter: &Pred) -> Vec<&Pred> {
+    let mut out = Vec::new();
     let mut stack = vec![filter];
     while let Some(p) = stack.pop() {
         match p {
             Pred::And(a, b) => stack.extend([b.as_ref(), a.as_ref()]),
-            other => conjuncts.push(other),
+            other => out.push(other),
         }
     }
-    // (attribute, key family, lower bound, upper bound)
-    let mut ranges: Vec<(&str, Discriminant<Key>, _, _)> = Vec::new();
+    out
+}
+
+/// An index read: the attribute, the keys, and the conjuncts those keys
+/// answer exactly.
+struct Access<'q> {
+    attr: &'q str,
+    range: KeyRange,
+    answered: Vec<&'q Pred>,
+}
+
+/// The index read `conjuncts` allow: `=`, `<`, `<=`, `>`, `>=` and `IN`
+/// against literals that have an index key. The comparisons on one
+/// attribute and key family narrow one range, which answers each of
+/// them whose literal's key is exact; an `IN` list is answered when
+/// every keyed value in it is. A bound whose key is not exact is read
+/// inclusively. An equality goes first, then an `IN` list, then a range
+/// bounded on both sides, then one bounded on one side; the first such
+/// conjunct wins a tie.
+fn index_access<'q>(conjuncts: &[&'q Pred]) -> Option<Access<'q>> {
+    // (attribute, key family, lower bound, upper bound, answered)
+    let mut ranges: Vec<(&str, Discriminant<Key>, _, _, Vec<&Pred>)> = Vec::new();
     let mut lists = Vec::new();
-    for c in conjuncts {
+    for &c in conjuncts {
         match c {
             Pred::Cmp { attr, op, value } => {
                 let Some(family) = Key::of(value).map(|k| discriminant(&k)) else {
                     continue;
                 };
+                let exact = Key::is_exact(value);
+                let open = |v| {
+                    if exact {
+                        Bound::Excluded(v)
+                    } else {
+                        Bound::Included(v)
+                    }
+                };
                 let (lo, hi) = match op {
                     CmpOp::Eq => (Bound::Included(value), Bound::Included(value)),
-                    CmpOp::Lt => (Bound::Unbounded, Bound::Excluded(value)),
+                    CmpOp::Lt => (Bound::Unbounded, open(value)),
                     CmpOp::Le => (Bound::Unbounded, Bound::Included(value)),
-                    CmpOp::Gt => (Bound::Excluded(value), Bound::Unbounded),
+                    CmpOp::Gt => (open(value), Bound::Unbounded),
                     CmpOp::Ge => (Bound::Included(value), Bound::Unbounded),
                     CmpOp::Ne | CmpOp::Like => continue,
                 };
+                let answered = if exact { vec![c] } else { Vec::new() };
                 match ranges.iter_mut().find(|r| r.0 == attr && r.1 == family) {
                     Some(r) => {
                         r.2 = tighter(r.2, lo, Ordering::Greater);
                         r.3 = tighter(r.3, hi, Ordering::Less);
+                        r.4.extend(answered);
                     }
-                    None => ranges.push((attr, family, lo, hi)),
+                    None => ranges.push((attr, family, lo, hi, answered)),
                 }
             }
             Pred::In { attr, values } => {
-                let keyed = values.iter().filter(|v| Key::of(v).is_some()).cloned();
-                lists.push((attr.clone(), KeyRange::Points(keyed.collect())));
+                let keyed: Vec<OValue> = values
+                    .iter()
+                    .filter(|v| Key::of(v).is_some())
+                    .cloned()
+                    .collect();
+                let exact = keyed.iter().all(Key::is_exact);
+                lists.push(Access {
+                    attr,
+                    range: KeyRange::Points(keyed),
+                    answered: if exact { vec![c] } else { Vec::new() },
+                });
             }
             _ => {}
         }
     }
-    let rank = |range: &KeyRange| match range {
+    let rank = |access: &Access<'_>| match &access.range {
         KeyRange::Between {
             lo: Bound::Included(a),
             hi: Bound::Included(b),
@@ -371,15 +440,29 @@ fn index_access(filter: &Pred) -> Option<(String, KeyRange)> {
     };
     ranges
         .into_iter()
-        .map(|(attr, _, lo, hi)| {
-            let range = KeyRange::Between {
+        .map(|(attr, _, lo, hi, answered)| Access {
+            attr,
+            range: KeyRange::Between {
                 lo: lo.cloned(),
                 hi: hi.cloned(),
-            };
-            (attr.to_owned(), range)
+            },
+            answered,
         })
         .chain(lists)
-        .min_by_key(|(_, range)| rank(range))
+        .min_by_key(rank)
+}
+
+/// The text of `p` without the conjuncts in `answered`, or `None` when
+/// nothing is left.
+fn residual_text(p: &Pred, answered: &[&Pred]) -> Option<String> {
+    match p {
+        Pred::And(a, b) => match (residual_text(a, answered), residual_text(b, answered)) {
+            (Some(a), Some(b)) => Some(format!("({a} AND {b})")),
+            (one, None) | (None, one) => one,
+        },
+        leaf if answered.iter().any(|c| std::ptr::eq(*c, leaf)) => None,
+        leaf => Some(pred_to_text(leaf)),
+    }
 }
 
 fn pred_to_text(p: &Pred) -> String {
@@ -430,31 +513,42 @@ impl OqlQuery {
 
     /// Build the physical plan this query executes against `store`.
     pub fn plan(&self, store: &ObjectStore) -> OoResult<OqlPlan> {
-        self.plan_with_closure(store).map(|(plan, _)| plan)
+        self.planned(store).map(|p| p.plan)
     }
 
-    /// The plan, and the lowercase names of the classes in the extent
-    /// closure it reads.
-    fn plan_with_closure(&self, store: &ObjectStore) -> OoResult<(OqlPlan, Vec<String>)> {
+    /// The plan, with what running it needs beside its operators.
+    fn planned(&self, store: &ObjectStore) -> OoResult<Planned<'_>> {
         let closure = store.closure(&self.class)?;
-        let attrs = self.output_columns(store)?;
+        let columns = self.output_columns(store)?;
+        let conjuncts = self.filter.as_ref().map(conjuncts).unwrap_or_default();
         let class = self.class.clone();
-        let mut plan = match self.filter.as_ref().and_then(index_access) {
-            Some((attr, range)) => OqlPlan::IndexScan { class, attr, range },
-            None => OqlPlan::ExtentScan {
-                class,
-                objects: store.closure_len(&closure),
-            },
+        let (mut plan, answered) = match index_access(&conjuncts) {
+            Some(Access {
+                attr,
+                range,
+                answered,
+            }) => {
+                let attr = attr.to_owned();
+                (OqlPlan::IndexScan { class, attr, range }, answered)
+            }
+            None => {
+                let objects = store.closure_len(&closure);
+                (OqlPlan::ExtentScan { class, objects }, Vec::new())
+            }
         };
-        if let Some(p) = &self.filter {
+        if let Some(pred) = self
+            .filter
+            .as_ref()
+            .and_then(|p| residual_text(p, &answered))
+        {
             plan = OqlPlan::Filter {
                 input: Box::new(plan),
-                pred: pred_to_text(p),
+                pred,
             };
         }
         plan = OqlPlan::Project {
             input: Box::new(plan),
-            attrs,
+            attrs: columns.clone(),
         };
         if let Some((attr, desc)) = &self.order_by {
             plan = OqlPlan::Sort {
@@ -469,7 +563,16 @@ impl OqlQuery {
                 n,
             };
         }
-        Ok((plan, closure))
+        let residual = conjuncts
+            .into_iter()
+            .filter(|c| !answered.iter().any(|a| std::ptr::eq(*a, *c)))
+            .collect();
+        Ok(Planned {
+            plan,
+            closure,
+            residual,
+            columns,
+        })
     }
 
     /// Describe the plan [`OqlQuery::execute`] would run, without
@@ -478,19 +581,41 @@ impl OqlQuery {
         Ok(self.plan(store)?.render())
     }
 
-    /// Execute against a store.
+    /// Execute against a store, collecting the answer.
     pub fn execute(&self, store: &ObjectStore) -> OoResult<OqlResult> {
         self.execute_with_metrics(store).map(|(r, _)| r)
     }
 
-    /// Execute against a store, returning [`OoExecMetrics`] alongside
-    /// the result. `LIMIT` without `ORDER BY` stops the scan as soon as
-    /// enough objects matched.
+    /// Execute against a store, collecting the answer beside its
+    /// [`OoExecMetrics`].
     pub fn execute_with_metrics(
         &self,
         store: &ObjectStore,
     ) -> OoResult<(OqlResult, OoExecMetrics)> {
-        let (plan, closure) = self.plan_with_closure(store)?;
+        let mut result = OqlResult {
+            columns: Vec::new(),
+            rows: Vec::new(),
+        };
+        let m = self.execute_into(store, &mut result)?;
+        Ok((result, m))
+    }
+
+    /// Execute against a store, handing `sink` the column names and then
+    /// each row as it is produced: in OID order, or in sort order under
+    /// `ORDER BY`, whose sort holds `(key, oid, object)` entries, not
+    /// rows. `LIMIT` without `ORDER BY` stops the scan as soon as enough
+    /// objects matched. An error from `sink` ends the run.
+    pub fn execute_into<E, S>(&self, store: &ObjectStore, sink: &mut S) -> Result<OoExecMetrics, E>
+    where
+        E: From<OoError>,
+        S: OqlSink<E> + ?Sized,
+    {
+        let Planned {
+            plan,
+            closure,
+            residual,
+            columns,
+        } = self.planned(store)?;
         let mut m = OoExecMetrics {
             operators: plan.operator_names(),
             ..OoExecMetrics::default()
@@ -503,51 +628,59 @@ impl OqlQuery {
             }
             _ => store.closure_oids(&closure),
         };
-        let columns = self.output_columns(store)?;
-        let sort_attr = self.order_by.as_ref().map(|(attr, _)| attr.as_str());
-        let mut rows = Vec::new();
-        // The sort key of each row, when there is a sort.
-        let mut keys = Vec::new();
+        sink.columns(&columns)?;
+        let limit = self.limit.unwrap_or(usize::MAX);
+        let mut values: Vec<&OValue> = Vec::with_capacity(columns.len());
+        let mut sorted: Vec<(&OValue, Oid, &Object)> = Vec::new();
+        let mut sent = 0;
         for oid in oids {
             // LIMIT pushdown: without a sort there is no need to keep
             // scanning once the cap is reached.
-            if self.order_by.is_none() {
-                if let Some(n) = self.limit {
-                    if rows.len() >= n {
-                        break;
-                    }
-                }
+            if self.order_by.is_none() && sent == limit {
+                break;
             }
             let obj = store.object(oid)?;
             m.objects_scanned += 1;
-            if let Some(p) = &self.filter {
-                if !matches!(eval_pred(p, obj), Some(true)) {
-                    continue;
-                }
+            if !residual.iter().all(|p| eval_pred(p, obj) == Some(true)) {
+                continue;
             }
             m.objects_matched += 1;
-            let values = columns.iter().map(|c| obj.attr(c).clone()).collect();
-            rows.push((oid, values));
-            if let Some(attr) = sort_attr {
-                keys.push(obj.attr(attr));
+            if let Some((attr, _)) = &self.order_by {
+                sorted.push((obj.attr(attr), oid, obj));
+                continue;
             }
+            values.clear();
+            values.extend(columns.iter().map(|c| obj.attr(c)));
+            sink.row(oid, &values)?;
+            sent += 1;
         }
         if let Some((_, desc)) = &self.order_by {
-            m.rows_spilled += rows.len() as u64;
-            let mut keyed: Vec<(&OValue, (Oid, Vec<OValue>))> =
-                keys.into_iter().zip(rows).collect();
-            keyed.sort_by(|(a, (ao, _)), (b, (bo, _))| {
+            m.rows_spilled = sorted.len() as u64;
+            sorted.sort_by(|(a, ao, _), (b, bo, _)| {
                 let ord = sort_order(a, b);
                 let ord = if *desc { ord.reverse() } else { ord };
                 ord.then(ao.cmp(bo))
             });
-            rows = keyed.into_iter().map(|(_, row)| row).collect();
+            for (_, oid, obj) in sorted.into_iter().take(limit) {
+                values.clear();
+                values.extend(columns.iter().map(|c| obj.attr(c)));
+                sink.row(oid, &values)?;
+            }
         }
-        if let Some(n) = self.limit {
-            rows.truncate(n);
-        }
-        Ok((OqlResult { columns, rows }, m))
+        Ok(m)
     }
+}
+
+/// A plan, and what running it needs beside its operators.
+struct Planned<'q> {
+    plan: OqlPlan,
+    /// Lowercase names of the classes in the extent closure.
+    closure: Vec<String>,
+    /// The `WHERE` conjuncts the scan does not answer: the filter keeps
+    /// an object when each of them is true.
+    residual: Vec<&'q Pred>,
+    /// Output attribute names.
+    columns: Vec<String>,
 }
 
 /// The order `ORDER BY` sorts keys in: NULLs first, then Bools, then
@@ -1033,11 +1166,23 @@ mod tests {
         let r = q.execute(&store()).unwrap();
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0].1[0], OValue::from(120_000.0));
-        // The list renders back into the plan's filter line.
+        // The index reads the list and answers it, so no filter is left.
         let plan = q.plan(&store()).unwrap();
-        let text = plan.render().join("\n");
+        assert_eq!(
+            plan.render(),
+            vec![
+                "project: funding",
+                "  index scan Research.name {'QUT Research', 'Nowhere'} (closure)",
+            ]
+        );
+        // Under `OR` the list renders back into the filter line.
+        let q = OqlQuery::parse(
+            "select funding from Research where name in ('QUT Research', 'Nowhere') or active = true",
+        )
+        .unwrap();
+        let text = q.plan(&store()).unwrap().render().join("\n");
         assert!(
-            text.contains("name IN ('QUT Research', 'Nowhere')"),
+            text.contains("filter: (name IN ('QUT Research', 'Nowhere') OR active = true)"),
             "{text}"
         );
         // An empty IN list is a parse error, not an empty match.
@@ -1265,8 +1410,8 @@ mod order_limit_tests {
     }
 
     /// A range on one attribute under a top-level `AND` reads that
-    /// attribute's index: only the candidates are examined, and the
-    /// whole predicate is still checked on each.
+    /// attribute's index: only the objects in the range are examined,
+    /// and the filter keeps only the conjuncts the range does not answer.
     #[test]
     fn explain_renders_an_index_scan() {
         let s = funded();
@@ -1281,7 +1426,7 @@ mod order_limit_tests {
                 "limit: 2",
                 "  sort: amount DESC",
                 "    project: name",
-                "      filter: (amount > 15 AND name LIKE '%')",
+                "      filter: name LIKE '%'",
                 "        index scan G.amount (15, ∞) (closure)",
             ]
         );
@@ -1299,22 +1444,38 @@ mod order_limit_tests {
         assert_eq!(m.objects_matched, 2);
         assert_eq!(m.rows_spilled, 2);
 
-        // Comparisons on one attribute narrow one range, and a second
-        // attribute's conjunct is only rechecked.
+        // Comparisons on one attribute narrow one range, which answers
+        // all three; only the second attribute's conjunct is filtered.
         let q = OqlQuery::parse(
             "select name from G where amount >= 10 and name <> 'b' and amount < 30 and amount > 5",
         )
         .unwrap();
         let plan = q.plan(&s).unwrap();
-        let text = plan.render().join("\n");
-        assert!(
-            text.contains("index scan G.amount [10, 30) (closure)"),
-            "{text}"
+        assert_eq!(
+            plan.render(),
+            vec![
+                "project: name",
+                "  filter: name <> 'b'",
+                "    index scan G.amount [10, 30) (closure)",
+            ]
         );
-        // The scan reads its bounds inclusively (b, c and a), and the
-        // recheck drops a (30) and b.
+        // The scan excludes its upper bound, so it returns b and c but
+        // not a (30), and the filter drops b.
         let (r, m) = q.execute_with_metrics(&s).unwrap();
-        assert_eq!((m.index_hits, m.objects_scanned, r.rows.len()), (3, 3, 1));
+        assert_eq!((m.index_hits, m.objects_scanned, r.rows.len()), (2, 2, 1));
+
+        // A range that answers every conjunct leaves no filter.
+        let q = OqlQuery::parse("select name from G where amount > 10 and amount <= 30").unwrap();
+        let plan = q.plan(&s).unwrap();
+        assert_eq!(plan.operator_names(), vec!["index scan", "project"]);
+        let (r, m) = q.execute_with_metrics(&s).unwrap();
+        assert_eq!(m.operators, plan.operator_names());
+        let names: Vec<String> = r.rows.iter().map(|(_, v)| v[0].to_string()).collect();
+        assert_eq!(names, vec!["a", "c"]);
+        assert_eq!(
+            (m.index_hits, m.objects_scanned, m.objects_matched),
+            (2, 2, 2)
+        );
 
         // An equality beats a range, and an IN list beats a range too.
         let q = OqlQuery::parse("select name from G where amount > 5 and name = 'c'").unwrap();

@@ -16,12 +16,14 @@ pub struct Object {
 }
 
 impl Object {
-    /// Get one attribute (Null if unset).
-    pub fn get(&self, name: &str) -> OValue {
-        self.attrs
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .unwrap_or(OValue::Null)
+    /// Borrow one attribute by name, in any case (Null if unset). Only
+    /// a name with an uppercase letter is lowercased first.
+    pub fn get(&self, name: &str) -> &OValue {
+        if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            self.attr(&name.to_ascii_lowercase())
+        } else {
+            self.attr(name)
+        }
     }
 
     /// Borrow one attribute by its lowercase name (Null if unset).
@@ -43,8 +45,12 @@ pub struct ObjectStore {
     classes: BTreeMap<String, ClassDef>,
     /// Lowercase class name → direct extent (own instances only).
     extents: BTreeMap<String, Vec<Oid>>,
-    objects: BTreeMap<Oid, Object>,
-    next_oid: u64,
+    /// Every object ever created, in the slot its OID numbers. OIDs are
+    /// handed out densely and never reused, so a deleted object leaves
+    /// an empty slot.
+    objects: Vec<Option<Object>>,
+    /// How many slots hold an object.
+    live: usize,
     /// Attribute indexes, each bulk-built the first time a query
     /// constrains its attribute. A query holding only `&self` builds
     /// under the lock; writers own `&mut self` and keep every built
@@ -59,7 +65,7 @@ impl Clone for ObjectStore {
             classes: self.classes.clone(),
             extents: self.extents.clone(),
             objects: self.objects.clone(),
-            next_oid: self.next_oid,
+            live: self.live,
             indexes: RwLock::new(self.indexes.read().clone()),
         }
     }
@@ -81,7 +87,7 @@ impl ObjectStore {
 
     /// Number of live objects.
     pub fn object_count(&self) -> usize {
-        self.objects.len()
+        self.live
     }
 
     // ---- schema -------------------------------------------------------
@@ -119,8 +125,9 @@ impl ObjectStore {
         for class in &doomed {
             let ck = class.to_ascii_lowercase();
             if let Some(extent) = self.extents.remove(&ck) {
+                self.live -= extent.len();
                 for oid in extent {
-                    self.objects.remove(&oid);
+                    self.objects[oid.0 as usize] = None;
                 }
             }
             self.indexes.get_mut().remove(&ck);
@@ -262,20 +269,17 @@ impl ObjectStore {
             }
             map.insert(lname, value);
         }
-        let oid = Oid(self.next_oid);
-        self.next_oid += 1;
+        let oid = Oid(self.objects.len() as u64);
         if let Some(built) = self.indexes.get_mut().get_mut(&key) {
             for (attr, ix) in built {
                 ix.insert(oid, map.get(attr).unwrap_or(&OValue::Null));
             }
         }
-        self.objects.insert(
-            oid,
-            Object {
-                class: canonical,
-                attrs: map,
-            },
-        );
+        self.objects.push(Some(Object {
+            class: canonical,
+            attrs: map,
+        }));
+        self.live += 1;
         self.extents.get_mut(&key).expect("extent exists").push(oid);
         Ok(oid)
     }
@@ -284,8 +288,10 @@ impl ObjectStore {
     pub fn delete(&mut self, oid: Oid) -> OoResult<()> {
         let obj = self
             .objects
-            .remove(&oid)
+            .get_mut(oid.0 as usize)
+            .and_then(Option::take)
             .ok_or(OoError::NoSuchObject(oid))?;
+        self.live -= 1;
         let key = obj.class.to_ascii_lowercase();
         if let Some(extent) = self.extents.get_mut(&key) {
             extent.retain(|&o| o != oid);
@@ -300,7 +306,10 @@ impl ObjectStore {
 
     /// Borrow an object.
     pub fn object(&self, oid: Oid) -> OoResult<&Object> {
-        self.objects.get(&oid).ok_or(OoError::NoSuchObject(oid))
+        self.objects
+            .get(oid.0 as usize)
+            .and_then(Option::as_ref)
+            .ok_or(OoError::NoSuchObject(oid))
     }
 
     /// Set one attribute (validated like `create`).
@@ -327,7 +336,10 @@ impl ObjectStore {
                 });
             }
         }
-        let attrs = &mut self.objects.get_mut(&oid).expect("checked above").attrs;
+        let attrs = &mut self.objects[oid.0 as usize]
+            .as_mut()
+            .expect("checked above")
+            .attrs;
         let ix = self
             .indexes
             .get_mut()
@@ -383,10 +395,9 @@ impl ObjectStore {
     }
 
     /// The objects in the extents of `closure` whose `attr` (lowercase)
-    /// has a key in `range`, in OID order: a superset of the objects a
-    /// predicate with that range matches. Builds each missing index in
-    /// one sorted bulk load; a class that does not declare `attr` holds
-    /// no object with it and gets no index.
+    /// has a key in `range`, and no other, in OID order. Builds each
+    /// missing index in one sorted bulk load; a class that does not
+    /// declare `attr` holds no object with it and gets no index.
     pub(crate) fn index_candidates(
         &self,
         closure: &[String],
@@ -404,11 +415,10 @@ impl ObjectStore {
             if !self.all_attributes(class)?.iter().any(|a| a.name == attr) {
                 continue;
             }
-            let ix = AttrIndex::build(
-                self.extents[class]
-                    .iter()
-                    .map(|oid| (*oid, self.objects[oid].attr(attr))),
-            );
+            let ix = AttrIndex::build(self.extents[class].iter().map(|oid| {
+                let obj = self.objects[oid.0 as usize].as_ref();
+                (*oid, obj.expect("an extent holds live objects").attr(attr))
+            }));
             self.indexes
                 .write()
                 .entry(class.clone())

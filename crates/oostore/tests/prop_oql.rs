@@ -13,13 +13,21 @@
 //! OID order, and evaluates the predicate with its own three-valued
 //! comparison. Every query must return the same rows in the same order,
 //! and the operators that ran must be the ones the plan names.
+//!
+//! An index scan returns exactly the objects its range accepts, so the
+//! plan's filter must hold exactly the conjuncts the range does not
+//! answer; a classifier of its own decides which those are. The rows a
+//! sink is handed as they are produced must be the collected rows.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use webfindit_base::prop::{self, pick};
 use webfindit_base::rng::StdRng;
-use webfindit_oostore::oql::{CmpOp, Pred};
-use webfindit_oostore::{ClassDef, OType, OValue, ObjectStore, Oid, OqlQuery};
+use webfindit_oostore::oql::{CmpOp, OqlSink, Pred};
+use webfindit_oostore::{
+    ClassDef, KeyRange, OType, OValue, ObjectStore, Oid, OoError, OqlPlan, OqlQuery,
+};
 
 const BIG: i64 = 1 << 53;
 
@@ -378,9 +386,9 @@ fn reference(q: &OqlQuery, objects: &[Obj]) -> Vec<(Oid, Vec<OValue>)> {
         .collect()
 }
 
-#[test]
-fn planned_oql_matches_a_reference_scan() {
-    let (mut index_scans, mut extent_scans) = (0, 0);
+/// Run `check` on two generated queries between each of eight rounds
+/// of writes, in each of 1 000 worlds.
+fn each_query(mut check: impl FnMut(&World, &str, &OqlQuery)) {
     prop::cases(1000, |rng| {
         let mut w = new_world();
         for _ in 0..rng.gen_range(0..25) {
@@ -390,29 +398,348 @@ fn planned_oql_matches_a_reference_scan() {
             for _ in 0..2 {
                 let text = query(rng, w.sub_exists);
                 let q = OqlQuery::parse(&text).expect("generated queries parse");
-                let plan = q.plan(&w.store).expect("the class exists");
-                let (got, m) = q.execute_with_metrics(&w.store).expect("the class exists");
-                assert_eq!(m.operators, plan.operator_names(), "{text}");
-                match m.operators[0] {
-                    "index scan" => index_scans += 1,
-                    _ => extent_scans += 1,
-                }
-                // Debug text tells both zeros apart and equates NaNs.
-                assert_eq!(
-                    format!("{:?}", got.rows),
-                    format!("{:?}", reference(&q, &w.objects)),
-                    "{text}\n{}",
-                    plan.render().join("\n")
-                );
+                check(&w, &text, &q);
             }
             for _ in 0..rng.gen_range(1..4) {
                 mutate(&mut w, rng);
             }
         }
     });
+}
+
+#[test]
+fn planned_oql_matches_a_reference_scan() {
+    let (mut index_scans, mut extent_scans) = (0, 0);
+    each_query(|w, text, q| {
+        let plan = q.plan(&w.store).expect("the class exists");
+        let (got, m) = q.execute_with_metrics(&w.store).expect("the class exists");
+        assert_eq!(m.operators, plan.operator_names(), "{text}");
+        match m.operators[0] {
+            "index scan" => index_scans += 1,
+            _ => extent_scans += 1,
+        }
+        // Debug text tells both zeros apart and equates NaNs.
+        assert_eq!(
+            format!("{:?}", got.rows),
+            format!("{:?}", reference(q, &w.objects)),
+            "{text}\n{}",
+            plan.render().join("\n")
+        );
+    });
     // Both leaves ran often enough for the comparison to mean something.
     assert!(
         index_scans > 2000 && extent_scans > 2000,
         "{index_scans} {extent_scans}"
     );
+}
+
+// ---- which conjuncts a range answers -------------------------------------
+
+/// The key family an index files a literal under, if any: numbers
+/// share one, Text and Bool have their own.
+fn family(v: &OValue) -> Option<u8> {
+    match v {
+        OValue::Int(_) => Some(0),
+        OValue::Double(d) if !d.is_nan() => Some(0),
+        OValue::Text(_) => Some(1),
+        OValue::Bool(_) => Some(2),
+        _ => None,
+    }
+}
+
+/// Whether a literal's key orders stored values exactly as comparing
+/// with the literal does. An i64 of magnitude 2^53 or more shares its
+/// f64 key with a neighbour that compares unequal to it.
+fn exact(v: &OValue) -> bool {
+    !matches!(v, OValue::Int(i) if i.unsigned_abs() >= 1 << 53)
+}
+
+/// The top-level `AND` conjuncts of `p`, in query order.
+fn top_conjuncts(p: &Pred) -> Vec<&Pred> {
+    match p {
+        Pred::And(a, b) => {
+            let mut out = top_conjuncts(a);
+            out.extend(top_conjuncts(b));
+            out
+        }
+        other => vec![other],
+    }
+}
+
+/// The conjuncts a scan of `attr` over `range` answers exactly. A
+/// range between bounds answers every `=`, `<`, `<=`, `>` and `>=` on
+/// `attr` whose literal is in the bounds' family and has an exact key;
+/// a list of points answers the first `IN` on `attr` that lists them,
+/// when all its keyed values are exact.
+fn answered<'q>(conjuncts: &[&'q Pred], attr: &str, range: &KeyRange) -> Vec<&'q Pred> {
+    match range {
+        KeyRange::Between { lo, hi } => {
+            let bound = |b: &Bound<OValue>| match b {
+                Bound::Included(v) | Bound::Excluded(v) => family(v),
+                Bound::Unbounded => None,
+            };
+            let fam = bound(lo).or(bound(hi)).expect("one bound is finite");
+            conjuncts
+                .iter()
+                .copied()
+                .filter(|c| match c {
+                    Pred::Cmp { attr: a, op, value } => {
+                        a == attr
+                            && !matches!(op, CmpOp::Ne | CmpOp::Like)
+                            && family(value) == Some(fam)
+                            && exact(value)
+                    }
+                    _ => false,
+                })
+                .collect()
+        }
+        KeyRange::Points(points) => {
+            let list = conjuncts.iter().copied().find(|c| match c {
+                Pred::In { attr: a, values } => {
+                    let keyed: Vec<&OValue> =
+                        values.iter().filter(|v| family(v).is_some()).collect();
+                    a == attr
+                        && format!("{keyed:?}")
+                            == format!("{:?}", points.iter().collect::<Vec<_>>())
+                }
+                _ => false,
+            });
+            let list = list.expect("the chosen IN list is a conjunct");
+            let Pred::In { values, .. } = list else {
+                unreachable!()
+            };
+            let keyed = values.iter().filter(|v| family(v).is_some());
+            if keyed.clone().all(exact) {
+                vec![list]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+}
+
+fn literal_text(v: &OValue) -> String {
+    match v {
+        OValue::Text(s) => format!("'{}'", s.replace('\'', "''")),
+        other => other.to_string(),
+    }
+}
+
+/// `p` as EXPLAIN prints a predicate.
+fn pred_text(p: &Pred) -> String {
+    match p {
+        Pred::Cmp { attr, op, value } => {
+            let op = match op {
+                CmpOp::Eq => "=",
+                CmpOp::Ne => "<>",
+                CmpOp::Lt => "<",
+                CmpOp::Le => "<=",
+                CmpOp::Gt => ">",
+                CmpOp::Ge => ">=",
+                CmpOp::Like => "LIKE",
+            };
+            format!("{attr} {op} {}", literal_text(value))
+        }
+        Pred::IsNull { attr, negated } => {
+            format!("{attr} IS {}NULL", if *negated { "NOT " } else { "" })
+        }
+        Pred::In { attr, values } => {
+            let vs: Vec<String> = values.iter().map(literal_text).collect();
+            format!("{attr} IN ({})", vs.join(", "))
+        }
+        Pred::And(a, b) => format!("({} AND {})", pred_text(a), pred_text(b)),
+        Pred::Or(a, b) => format!("({} OR {})", pred_text(a), pred_text(b)),
+        Pred::Not(a) => format!("NOT {}", pred_text(a)),
+    }
+}
+
+/// `p`'s text without the conjuncts in `gone`, each `AND` left with one
+/// side printed as that side; `None` when nothing is left.
+fn without(p: &Pred, gone: &[&Pred]) -> Option<String> {
+    if gone.iter().any(|g| std::ptr::eq(*g, p)) {
+        return None;
+    }
+    match p {
+        Pred::And(a, b) => match (without(a, gone), without(b, gone)) {
+            (Some(a), Some(b)) => Some(format!("({a} AND {b})")),
+            (one, None) | (None, one) => one,
+        },
+        leaf => Some(pred_text(leaf)),
+    }
+}
+
+/// The plan's filter text, if it has a filter, and its leaf.
+fn filter_and_leaf(plan: &OqlPlan) -> (Option<&str>, &OqlPlan) {
+    let mut filter = None;
+    let mut node = plan;
+    while let Some(input) = node.input() {
+        if let OqlPlan::Filter { pred, .. } = node {
+            filter = Some(pred.as_str());
+        }
+        node = input;
+    }
+    (filter, node)
+}
+
+#[test]
+fn the_filter_holds_exactly_the_conjuncts_the_range_does_not_answer() {
+    let (mut unfiltered, mut partly, mut kept) = (0, 0, 0);
+    each_query(|w, text, q| {
+        let plan = q.plan(&w.store).expect("the class exists");
+        let (filter, leaf) = filter_and_leaf(&plan);
+        let want = match (leaf, &q.filter) {
+            (_, None) => None,
+            (OqlPlan::IndexScan { attr, range, .. }, Some(p)) => {
+                let conjuncts = top_conjuncts(p);
+                let gone = answered(&conjuncts, attr, range);
+                match (gone.len(), gone.len() == conjuncts.len()) {
+                    (_, true) => unfiltered += 1,
+                    (0, _) => kept += 1,
+                    _ => partly += 1,
+                }
+                without(p, &gone)
+            }
+            (_, Some(p)) => Some(pred_text(p)),
+        };
+        assert_eq!(
+            filter,
+            want.as_deref(),
+            "{text}\n{}",
+            plan.render().join("\n")
+        );
+    });
+    // Each outcome was planned often enough to mean something.
+    assert!(
+        unfiltered > 300 && partly > 300 && kept > 300,
+        "{unfiltered} {partly} {kept}"
+    );
+}
+
+/// A sink that records what it is handed, checks the order of the
+/// calls, and fails once it holds `cap` rows.
+struct Recorder {
+    columns: Option<Vec<String>>,
+    rows: Vec<(Oid, Vec<OValue>)>,
+    cap: usize,
+}
+
+#[derive(Debug, PartialEq)]
+enum SinkError {
+    Store(OoError),
+    Full,
+}
+
+impl From<OoError> for SinkError {
+    fn from(e: OoError) -> SinkError {
+        SinkError::Store(e)
+    }
+}
+
+impl OqlSink<SinkError> for Recorder {
+    fn columns(&mut self, columns: &[String]) -> Result<(), SinkError> {
+        assert!(self.columns.is_none(), "the columns come once");
+        self.columns = Some(columns.to_vec());
+        Ok(())
+    }
+
+    fn row(&mut self, oid: Oid, values: &[&OValue]) -> Result<(), SinkError> {
+        let width = self.columns.as_ref().expect("the columns come first").len();
+        assert_eq!(values.len(), width);
+        if self.rows.len() == self.cap {
+            return Err(SinkError::Full);
+        }
+        self.rows
+            .push((oid, values.iter().map(|v| (*v).clone()).collect()));
+        Ok(())
+    }
+}
+
+#[test]
+fn the_streamed_rows_are_the_collected_rows() {
+    each_query(|w, text, q| {
+        let (collected, m) = q.execute_with_metrics(&w.store).expect("the class exists");
+        let mut sink = Recorder {
+            columns: None,
+            rows: Vec::new(),
+            cap: usize::MAX,
+        };
+        let streamed = q.execute_into(&w.store, &mut sink);
+        assert_eq!(streamed, Ok(m), "{text}");
+        assert_eq!(sink.columns.as_ref(), Some(&collected.columns), "{text}");
+        assert_eq!(
+            format!("{:?}", sink.rows),
+            format!("{:?}", collected.rows),
+            "{text}"
+        );
+        // A sink that fails ends the run: it is handed no row after.
+        if !collected.rows.is_empty() {
+            let cap = collected.rows.len() / 2;
+            let mut full = Recorder {
+                columns: None,
+                rows: Vec::new(),
+                cap,
+            };
+            assert_eq!(q.execute_into(&w.store, &mut full), Err(SinkError::Full));
+            assert_eq!(
+                format!("{:?}", full.rows),
+                format!("{:?}", &collected.rows[..cap]),
+                "{text}"
+            );
+        }
+    });
+}
+
+/// `2^53 + 1` is greater than the Int literal `2^53` but is indexed
+/// under the same f64 key, so that literal's bound is read inclusively
+/// and its conjunct stays in the filter. A bound just below 2^53 is
+/// exact and answers its conjunct.
+#[test]
+fn an_int_bound_at_2_pow_53_is_read_inclusively_and_stays_in_the_filter() {
+    let mut w = new_world();
+    let mut oids = Vec::new();
+    for i in [BIG - 1, BIG, BIG + 1, BIG + 2] {
+        let attrs = BTreeMap::from([("i".to_string(), OValue::Int(i))]);
+        let oid = w.store.create("P", attrs.clone()).expect("an Int");
+        w.objects.push(Obj {
+            oid,
+            in_sub: false,
+            attrs,
+        });
+        oids.push(oid);
+    }
+    let q = OqlQuery::parse("select b, n, x from P where i > 9007199254740992").unwrap();
+    assert_eq!(
+        q.explain(&w.store).unwrap(),
+        vec![
+            "project: b, n, x",
+            "  filter: i > 9007199254740992",
+            "    index scan P.i [9007199254740992, ∞) (closure)",
+        ]
+    );
+    let (got, m) = q.execute_with_metrics(&w.store).unwrap();
+    let rows: Vec<Oid> = got.rows.iter().map(|(oid, _)| *oid).collect();
+    assert_eq!(rows, vec![oids[2], oids[3]], "2^53 + 1 is kept");
+    assert_eq!(
+        format!("{:?}", got.rows),
+        format!("{:?}", reference(&q, &w.objects))
+    );
+    // 2^53 and 2^53 + 1 share a key: both are read, the filter drops one.
+    assert_eq!((m.index_hits, m.objects_matched), (3, 2));
+
+    let q = OqlQuery::parse("select i from P where i > 9007199254740991").unwrap();
+    assert_eq!(
+        q.explain(&w.store).unwrap(),
+        vec![
+            "project: i",
+            "  index scan P.i (9007199254740991, ∞) (closure)",
+        ]
+    );
+    let rows: Vec<Oid> = q
+        .execute(&w.store)
+        .unwrap()
+        .rows
+        .iter()
+        .map(|(oid, _)| *oid)
+        .collect();
+    assert_eq!(rows, oids[1..]);
 }
