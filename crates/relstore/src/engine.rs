@@ -684,11 +684,7 @@ impl Database {
             return Err(RelError::TableExists(schema.name));
         }
         let mut table = Table::new(schema.clone());
-        let mut n = 0;
-        for row in rows {
-            table.insert(row)?;
-            n += 1;
-        }
+        let n = table.insert_all(rows)?;
         let mut wal: Vec<WalChange> = Vec::new();
         if self.storage.is_some() {
             wal.push(WalChange::CreateTable {

@@ -43,7 +43,7 @@ use crate::plan::{
     PhysicalPlan, ProjectNode, Sarg, SortSource,
 };
 use crate::sql::ast::{JoinKind, SelectStmt};
-use crate::storage::Table;
+use crate::storage::{Table, PROBE_BATCH};
 use crate::types::{Datum, GroupKey, Row};
 use crate::{RelError, RelResult};
 use std::borrow::Cow;
@@ -351,38 +351,85 @@ impl<'a> RowOp<'a> for HashJoinExec<'a> {
     }
 }
 
+/// An index join. It pulls up to `width` left tuples, probes the index
+/// with their keys as one batch ([`Table::index_lookup_batch`]), then
+/// emits each tuple's matches in left order. An error from the input is
+/// held until the tuples pulled before it have been emitted. Under a
+/// LIMIT that streams, `width` is 1, so the join pulls no left tuple
+/// before the one whose matches it emits next.
 struct IxJoinExec<'a> {
     input: BoxedRowOp<'a>,
     node: &'a IxJoinNode,
     right: &'a Table,
+    width: usize,
+    /// The batch's left tuples, `node.part` parts each.
+    lefts: Vec<&'a [Datum]>,
+    keys: Vec<&'a Datum>,
+    /// Each left tuple's index hits.
+    hits: Vec<&'a [usize]>,
+    /// The next left tuple of the batch to emit.
+    next: usize,
     /// Index hits of the current left tuple still to fetch.
     pending: &'a [usize],
+    /// The input's error or end, met while filling the batch.
+    held: Option<RelResult<()>>,
+}
+
+impl<'a> IxJoinExec<'a> {
+    /// Pull the next batch of left tuples and probe their keys.
+    fn fill(&mut self, t: &mut Tuple<'a>, m: &mut ExecMetrics) {
+        let (part, (lp, lc)) = (self.node.part, self.node.left);
+        self.lefts.clear();
+        self.keys.clear();
+        while self.keys.len() < self.width {
+            match self.input.next(t, m) {
+                Ok(true) => {
+                    let left: &'a [Datum] = t[lp];
+                    self.lefts.extend_from_slice(&t[..part]);
+                    self.keys.push(&left[lc]);
+                }
+                Ok(false) => {
+                    self.held = Some(Ok(()));
+                    break;
+                }
+                Err(e) => {
+                    self.held = Some(Err(e));
+                    break;
+                }
+            }
+        }
+        self.hits.clear();
+        self.right
+            .index_lookup_batch(self.node.right_col, &self.keys, &mut self.hits);
+        m.index_hits += self.hits.iter().map(|h| h.len() as u64).sum::<u64>();
+        self.next = 0;
+    }
 }
 
 impl<'a> RowOp<'a> for IxJoinExec<'a> {
     fn next(&mut self, t: &mut Tuple<'a>, m: &mut ExecMetrics) -> RelResult<bool> {
-        let (lp, lc) = self.node.left;
+        let part = self.node.part;
         loop {
             while let Some((&slot, rest)) = self.pending.split_first() {
                 self.pending = rest;
                 if let Some(r) = self.right.row(slot) {
                     scanned(r, m);
-                    t[self.node.part] = r;
+                    t[part] = r;
                     return Ok(true);
                 }
             }
-            if !self.input.next(t, m)? {
-                return Ok(false);
-            }
-            let key = &t[lp][lc];
-            if key.is_null() {
+            if let Some(&hits) = self.hits.get(self.next) {
+                let at = self.next * part;
+                t[..part].copy_from_slice(&self.lefts[at..at + part]);
+                self.pending = hits;
+                self.next += 1;
                 continue;
             }
-            self.pending = self
-                .right
-                .index_lookup(self.node.right_col, key)
-                .unwrap_or_default();
-            m.index_hits += self.pending.len() as u64;
+            if let Some(end) = self.held.take() {
+                self.held = Some(Ok(()));
+                return end.map(|()| false);
+            }
+            self.fill(t, m);
         }
     }
 }
@@ -724,11 +771,13 @@ impl KeyedOp for LimitExec<'_> {
     }
 }
 
-/// Build the tuple-advancing lower half of the pipeline.
+/// Build the tuple-advancing lower half of the pipeline, whose index
+/// joins pull `width` left tuples at a time.
 fn build_rowop<'a>(
     plan: &'a PhysicalPlan,
     tables: &'a HashMap<String, Table>,
     m: &mut ExecMetrics,
+    width: usize,
 ) -> RelResult<BoxedRowOp<'a>> {
     let op: BoxedRowOp<'a> = match plan {
         PhysicalPlan::SeqScan(n) => Box::new(SeqScanExec {
@@ -751,7 +800,7 @@ fn build_rowop<'a>(
             })
         }
         PhysicalPlan::NlJoin(n) => {
-            let input = build_rowop(&n.input, tables, m)?;
+            let input = build_rowop(&n.input, tables, m, width)?;
             let right_rows: Vec<&Row> = lookup(tables, &n.table)?.scan().map(|(_, r)| r).collect();
             m.rows_scanned += right_rows.len() as u64;
             m.bytes_scanned += right_rows.iter().map(|r| row_bytes(r)).sum::<u64>();
@@ -765,7 +814,7 @@ fn build_rowop<'a>(
             })
         }
         PhysicalPlan::HashJoin(n) => {
-            let input = build_rowop(&n.input, tables, m)?;
+            let input = build_rowop(&n.input, tables, m, width)?;
             let mut ht: HashMap<GroupKey<'a>, usize> = HashMap::new();
             let mut buckets: Vec<Vec<&Row>> = Vec::new();
             for (_, r) in lookup(tables, &n.table)?.scan() {
@@ -788,13 +837,19 @@ fn build_rowop<'a>(
             })
         }
         PhysicalPlan::IxJoin(n) => Box::new(IxJoinExec {
-            input: build_rowop(&n.input, tables, m)?,
+            input: build_rowop(&n.input, tables, m, width)?,
             node: n,
             right: lookup(tables, &n.table)?,
+            width,
+            lefts: Vec::with_capacity(width * n.part),
+            keys: Vec::with_capacity(width),
+            hits: Vec::with_capacity(width),
+            next: 0,
             pending: &[],
+            held: None,
         }),
         PhysicalPlan::Filter(n) => Box::new(FilterExec {
-            input: build_rowop(&n.input, tables, m)?,
+            input: build_rowop(&n.input, tables, m, width)?,
             pred: &n.pred,
         }),
         other => {
@@ -808,33 +863,39 @@ fn build_rowop<'a>(
     Ok(op)
 }
 
-/// Build the keyed upper half of the pipeline.
+/// Build the keyed upper half of the pipeline. Its index joins pull
+/// `batch` left tuples at a time, or one where a LIMIT above can stop
+/// the pipeline early: `streaming`, true under a LIMIT with no sort or
+/// aggregation between it and the joins, which drain their input.
 fn build_keyed<'a>(
     plan: &'a PhysicalPlan,
     tables: &'a HashMap<String, Table>,
     m: &mut ExecMetrics,
+    batch: usize,
+    streaming: bool,
 ) -> RelResult<Box<dyn KeyedOp + 'a>> {
+    let width = if streaming { 1 } else { batch };
     let op: Box<dyn KeyedOp + 'a> = match plan {
         PhysicalPlan::Limit(n) => Box::new(LimitExec {
-            input: build_keyed(&n.input, tables, m)?,
+            input: build_keyed(&n.input, tables, m, batch, true)?,
             remaining: n.n,
         }),
         PhysicalPlan::Sort(n) => Box::new(SortExec {
-            input: build_keyed(&n.input, tables, m)?,
+            input: build_keyed(&n.input, tables, m, batch, false)?,
             descs: n.keys.iter().map(|k| k.desc).collect(),
             out: None,
         }),
         PhysicalPlan::Distinct(n) => Box::new(DistinctExec {
-            input: build_keyed(&n.input, tables, m)?,
+            input: build_keyed(&n.input, tables, m, batch, streaming)?,
             seen: HashSet::new(),
         }),
         PhysicalPlan::Project(n) => Box::new(ProjectExec {
-            input: build_rowop(&n.input, tables, m)?,
+            input: build_rowop(&n.input, tables, m, width)?,
             node: n,
             tuple: vec![&[]; n.parts],
         }),
         PhysicalPlan::HashAggregate(n) => Box::new(HashAggregateExec {
-            input: build_rowop(&n.input, tables, m)?,
+            input: build_rowop(&n.input, tables, m, batch)?,
             node: n,
             groups: None,
         }),
@@ -860,18 +921,49 @@ where
     E: From<RelError>,
     S: RowSink<E> + ?Sized,
 {
+    run_plan(plan, tables, sink, PROBE_BATCH)
+}
+
+/// [`execute_plan_into`] with every index join pulling one left tuple
+/// at a time: the reference the batched joins must match, rows, errors
+/// and metrics alike.
+#[cfg(test)]
+pub(crate) fn execute_plan_one_at_a_time<E, S>(
+    plan: &PhysicalPlan,
+    tables: &HashMap<String, Table>,
+    sink: &mut S,
+) -> Result<ExecMetrics, E>
+where
+    E: From<RelError>,
+    S: RowSink<E> + ?Sized,
+{
+    run_plan(plan, tables, sink, 1)
+}
+
+/// Run `plan` into `sink` with index joins `batch` wide.
+fn run_plan<E, S>(
+    plan: &PhysicalPlan,
+    tables: &HashMap<String, Table>,
+    sink: &mut S,
+    batch: usize,
+) -> Result<ExecMetrics, E>
+where
+    E: From<RelError>,
+    S: RowSink<E> + ?Sized,
+{
     let (node, limit) = match plan {
         PhysicalPlan::Project(n) => (n, None),
         PhysicalPlan::Limit(l) => match &*l.input {
             PhysicalPlan::Project(n) => (n, Some(l.n)),
-            _ => return drain_keyed(plan, tables, sink),
+            _ => return drain_keyed(plan, tables, sink, batch),
         },
-        _ => return drain_keyed(plan, tables, sink),
+        _ => return drain_keyed(plan, tables, sink, batch),
     };
     // A root projection: its row borrows what it reads, and LIMIT stops
     // pulling once satisfied, as `LimitExec` does.
     let mut m = ExecMetrics::default();
-    let mut input = build_rowop(&node.input, tables, &mut m)?;
+    let width = if limit.is_some() { 1 } else { batch };
+    let mut input = build_rowop(&node.input, tables, &mut m, width)?;
     m.operators.push("project");
     if limit.is_some() {
         m.operators.push("limit");
@@ -899,13 +991,14 @@ fn drain_keyed<E, S>(
     plan: &PhysicalPlan,
     tables: &HashMap<String, Table>,
     sink: &mut S,
+    batch: usize,
 ) -> Result<ExecMetrics, E>
 where
     E: From<RelError>,
     S: RowSink<E> + ?Sized,
 {
     let mut m = ExecMetrics::default();
-    let mut op = build_keyed(plan, tables, &mut m)?;
+    let mut op = build_keyed(plan, tables, &mut m, batch, false)?;
     sink.columns(plan.output_columns())?;
     let mut row = Vec::new();
     while let Some((out, _)) = op.next(&mut m)? {

@@ -39,6 +39,11 @@ struct Bucket {
 /// The slot of a bucket that holds no entry; no heap reaches it.
 const VACANT: usize = usize::MAX;
 
+/// How many keys [`Table::index_lookup_batch`] probes a primary key's
+/// point index with at once, and so how many cache misses it can keep
+/// in flight.
+pub const PROBE_BATCH: usize = 16;
+
 /// The primary key's point index: linear probing over a power-of-two
 /// bucket array, at most 7/8 full. Keys are hashed by their
 /// [`GroupKey`]s under a per-table random seed, so a client cannot
@@ -62,20 +67,69 @@ impl PointIndex {
         h.finish()
     }
 
-    /// The bucket holding an entry with `hash` whose slot `eq` accepts.
-    fn position(&self, hash: u64, mut eq: impl FnMut(usize) -> bool) -> Option<usize> {
+    /// The first bucket from `i` on (wrapping) whose entry has `hash`,
+    /// or `None` once a vacant bucket ends the probe run. A probe starts
+    /// at `hash`'s home, `i = hash as usize`.
+    fn next_with(&self, hash: u64, mut i: usize) -> Option<usize> {
         let mask = self.buckets.len().checked_sub(1)?;
-        let mut i = hash as usize & mask;
         loop {
+            i &= mask;
             let b = self.buckets[i];
             if b.slot == VACANT {
                 return None;
             }
-            if b.hash == hash && eq(b.slot) {
+            if b.hash == hash {
                 return Some(i);
             }
-            i = (i + 1) & mask;
+            i += 1;
         }
+    }
+
+    /// [`PointIndex::get`] of each of `hashes` (`None` matches nothing),
+    /// appended to `out` as a slice of one slot or none. `load` reads
+    /// the heap slot of a candidate entry, and `eq(k, loaded)` tests it
+    /// against probe `k`. At most [`PROBE_BATCH`] probes run in stages,
+    /// each a loop of loads that do not depend on one another: every
+    /// home bucket, then every candidate's `load`, then every
+    /// comparison. So their cache misses are in flight together.
+    fn get_batch<'s, L: Copy>(
+        &'s self,
+        hashes: &[Option<u64>],
+        load: impl Fn(usize) -> L,
+        eq: impl Fn(usize, L) -> bool,
+        out: &mut Vec<&'s [usize]>,
+    ) {
+        assert!(hashes.len() <= PROBE_BATCH, "a batch of {}", hashes.len());
+        // Load every home bucket, walking its run to the first entry
+        // with the probe's hash.
+        let mut at: [Option<usize>; PROBE_BATCH] = std::array::from_fn(|k| {
+            let hash = hashes.get(k).copied().flatten()?;
+            self.next_with(hash, hash as usize)
+        });
+        // Load every candidate's heap slot.
+        let mut loaded: [Option<L>; PROBE_BATCH] =
+            std::array::from_fn(|k| at[k].map(|b| load(self.buckets[b].slot)));
+        // Compare every probe; an entry whose hash alone matched hands
+        // the walk on along the run.
+        for (k, &hash) in hashes.iter().enumerate() {
+            while let (Some(b), Some(l), Some(hash)) = (at[k], loaded[k], hash) {
+                if eq(k, l) {
+                    break;
+                }
+                at[k] = self.next_with(hash, b + 1);
+                loaded[k] = at[k].map(|b| load(self.buckets[b].slot));
+            }
+            out.push(at[k].map_or(&[], |b| std::slice::from_ref(&self.buckets[b].slot)));
+        }
+    }
+
+    /// The bucket holding an entry with `hash` whose slot `eq` accepts.
+    fn position(&self, hash: u64, mut eq: impl FnMut(usize) -> bool) -> Option<usize> {
+        let mut i = self.next_with(hash, hash as usize)?;
+        while !eq(self.buckets[i].slot) {
+            i = self.next_with(hash, i + 1)?;
+        }
+        Some(i)
     }
 
     /// The slot of the entry with `hash` that `eq` accepts, borrowed
@@ -87,20 +141,30 @@ impl PointIndex {
     /// Enter `slot` under `hash`; the caller has checked that its key is
     /// absent.
     fn insert(&mut self, hash: u64, slot: usize) {
-        if (self.len + 1) * 8 > self.buckets.len() * 7 {
-            let vacant = Bucket {
-                hash: 0,
-                slot: VACANT,
-            };
-            let grown = vec![vacant; (self.buckets.len() * 2).max(8)];
-            for b in std::mem::replace(&mut self.buckets, grown) {
-                if b.slot != VACANT {
-                    self.place(b);
-                }
-            }
-        }
+        self.reserve(1);
         self.place(Bucket { hash, slot });
         self.len += 1;
+    }
+
+    /// Grow, by doubling from 8 buckets, until `additional` more entries
+    /// fit at most 7/8 full, re-placing the entries held once.
+    fn reserve(&mut self, additional: usize) {
+        let mut size = self.buckets.len();
+        while (self.len + additional) * 8 > size * 7 {
+            size = (size * 2).max(8);
+        }
+        if size == self.buckets.len() {
+            return;
+        }
+        let vacant = Bucket {
+            hash: 0,
+            slot: VACANT,
+        };
+        for b in std::mem::replace(&mut self.buckets, vec![vacant; size]) {
+            if b.slot != VACANT {
+                self.place(b);
+            }
+        }
     }
 
     /// Store `b` in the first vacant bucket from its home on.
@@ -256,7 +320,8 @@ impl Table {
         self.secondary.iter().map(|s| s.name.clone()).collect()
     }
 
-    /// Validate and coerce a row against the schema.
+    /// Validate a row against the schema, converting each cell whose
+    /// type differs from its column's (Int→Double, a text date→Date).
     fn check_row(&self, mut row: Row) -> RelResult<Row> {
         if row.len() != self.schema.arity() {
             return Err(RelError::ArityMismatch {
@@ -272,6 +337,9 @@ impl Table {
                         self.schema.name, col.name
                     )));
                 }
+                continue;
+            }
+            if row[i].data_type() == Some(col.data_type) {
                 continue;
             }
             match row[i].coerce(col.data_type) {
@@ -359,6 +427,30 @@ impl Table {
         self.slots.push(Some(row));
         self.live += 1;
         Ok(slot)
+    }
+
+    /// Insert `rows` in order, as [`Table::insert`] does one by one, up
+    /// to the first error, and return how many were inserted. For a bulk
+    /// load: the heap and the point index are sized for every row up
+    /// front, and a one-column key's range B-tree is built once from its
+    /// keys in order, not by one descent per row.
+    pub fn insert_all(&mut self, rows: Vec<Row>) -> RelResult<usize> {
+        self.slots.reserve(rows.len());
+        if let Some(pk) = &mut self.pk {
+            pk.reserve(rows.len());
+        }
+        let ranged = self.pk_range.take().is_some();
+        let mut inserted = 0;
+        let result = rows.into_iter().try_for_each(|row| {
+            self.insert(row)?;
+            inserted += 1;
+            Ok(())
+        });
+        if ranged {
+            let col = self.pk_cols[0];
+            self.pk_range = Some(self.scan().map(|(s, r)| (r[col].clone(), s)).collect());
+        }
+        result.map(|()| inserted)
     }
 
     /// Delete the row in `slot`, returning it (for the undo log).
@@ -517,6 +609,73 @@ impl Table {
             .iter()
             .find(|s| s.column == column)
             .map(|s| s.map.get(value).map(SlotList::as_slice).unwrap_or_default())
+    }
+
+    /// [`Table::index_lookup`] of each of `keys` in turn, appended to
+    /// `out`, one slice per key: an empty one for a key that matches
+    /// nothing, for NULL (which an equi-join never matches, though a
+    /// secondary index holds NULL keys), and for every key when no
+    /// usable index exists.
+    ///
+    /// A one-column primary key probes up to [`PROBE_BATCH`] keys at a
+    /// time in stages: hash every key, load every home bucket, load
+    /// every candidate heap slot, then compare every key. Each stage is
+    /// a loop of loads that do not depend on one another, so a batch's
+    /// cache misses are in flight together instead of one after another.
+    /// A secondary index looks each key up in turn.
+    pub fn index_lookup_batch<'t>(
+        &'t self,
+        column: usize,
+        keys: &[&Datum],
+        out: &mut Vec<&'t [usize]>,
+    ) {
+        match &self.pk {
+            Some(pk) if self.pk_cols == [column] => {
+                for batch in keys.chunks(PROBE_BATCH) {
+                    self.pk_lookup_batch(pk, column, batch, out);
+                }
+            }
+            _ => out.extend(keys.iter().map(|key| match key {
+                Datum::Null => &[][..],
+                key => self.index_lookup(column, key).unwrap_or_default(),
+            })),
+        }
+    }
+
+    /// One batch of [`Table::index_lookup_batch`] over the one-column
+    /// primary key `column`, whose point index is `pk`.
+    fn pk_lookup_batch<'t>(
+        &'t self,
+        pk: &'t PointIndex,
+        column: usize,
+        keys: &[&Datum],
+        out: &mut Vec<&'t [usize]>,
+    ) {
+        let ty = self.schema.columns[column].data_type;
+        // Hash every key.
+        let probes: [Option<Cow<'_, Datum>>; PROBE_BATCH] =
+            std::array::from_fn(|k| keys.get(k).and_then(|key| probe_as(key, ty)));
+        let hashes: [Option<u64>; PROBE_BATCH] =
+            std::array::from_fn(|k| probes[k].as_deref().map(|p| pk.hash([GroupKey::of(p)])));
+        let hit_from = out.len();
+        pk.get_batch(
+            &hashes[..keys.len()],
+            |slot| self.slots[slot].as_deref(),
+            |k, row: Option<&[Datum]>| {
+                row.zip(probes[k].as_deref())
+                    .is_some_and(|(r, p)| GroupKey::of(&r[column]) == GroupKey::of(p))
+            },
+            out,
+        );
+        // Touch the text of every hit row, which the join's consumers
+        // read next, so that those misses overlap too.
+        for &slot in out[hit_from..].iter().copied().flatten() {
+            for cell in self.slots[slot].iter().flatten() {
+                if let Datum::Text(t) = cell {
+                    std::hint::black_box(t.as_bytes().first().copied());
+                }
+            }
+        }
     }
 
     /// The kind of index usable for point/range access on `column`,
@@ -694,6 +853,7 @@ mod tests {
     use super::*;
     use crate::schema::Column;
     use crate::types::DataType;
+    use webfindit_base::rng::StdRng;
 
     fn beds() -> Table {
         Table::new(TableSchema::new(
@@ -764,14 +924,66 @@ mod tests {
     fn type_coercion_on_insert() {
         let mut t = Table::new(TableSchema::new(
             "f",
-            vec![Column::new("x", DataType::Double)],
+            vec![
+                Column::new("i", DataType::Int),
+                Column::new("x", DataType::Double),
+                Column::new("s", DataType::Text).not_null(),
+                Column::new("day", DataType::Date),
+                Column::new("b", DataType::Bool),
+            ],
         ));
-        t.insert(vec![Datum::Int(3)]).unwrap();
-        assert_eq!(t.scan().next().unwrap().1[0], Datum::Double(3.0));
-        assert!(matches!(
-            t.insert(vec![Datum::Text("x".into())]),
-            Err(RelError::TypeMismatch { .. })
-        ));
+        let text = |s: &str| Datum::Text(s.into());
+        // Typed rows as stored, compared by variant: `Int(3)` is not
+        // `Double(3.0)` here, though they are equal under `==`.
+        let stored = |t: &Table, slot| format!("{:?}", t.row(slot).unwrap());
+        let same = vec![
+            Datum::Int(3),
+            Datum::Double(f64::NAN),
+            text("ward"),
+            Datum::Date(19727),
+            Datum::Bool(true),
+        ];
+        let s = t.insert(same.clone()).unwrap();
+        assert_eq!(stored(&t, s), format!("{same:?}"));
+        // Only a cell of another type converts: INT into DOUBLE, a text
+        // date into DATE. NULL stays NULL in a nullable column.
+        let s = t
+            .insert(vec![
+                Datum::Int(3),
+                Datum::Int(4),
+                text("2024-1-5"),
+                text("2024-1-5"),
+                Datum::Null,
+            ])
+            .unwrap();
+        assert_eq!(
+            stored(&t, s),
+            r#"[Int(3), Double(4.0), Text("2024-1-5"), Date(19727), Null]"#
+        );
+        for (col, cell) in [
+            (0, text("3")),
+            (0, Datum::Double(3.0)),
+            (2, Datum::Date(19727)),
+            (3, text("someday")),
+            (4, Datum::Int(1)),
+        ] {
+            let mut r = same.clone();
+            r[col] = cell.clone();
+            let Err(RelError::TypeMismatch { expected, found }) = t.insert(r) else {
+                panic!("{cell:?} in column {col} must not convert");
+            };
+            let ty = t.schema.columns[col].data_type;
+            let name = &t.schema.columns[col].name;
+            assert_eq!(expected, format!("{ty} for column {name}"));
+            assert_eq!(found, cell.to_string());
+        }
+        let mut r = same.clone();
+        r[2] = Datum::Null;
+        let Err(RelError::ConstraintViolation(msg)) = t.insert(r) else {
+            panic!("NULL into a NOT NULL column");
+        };
+        assert_eq!(msg, "column f.s is NOT NULL");
+        assert_eq!(t.len(), 2);
     }
 
     #[test]
@@ -896,6 +1108,178 @@ mod tests {
                 assert_holds(&ix, &live);
             }
         });
+    }
+
+    #[test]
+    fn point_index_batches_agree_with_single_probes_under_colliding_hashes() {
+        webfindit_base::prop::cases(64, |rng| {
+            let mut ix = PointIndex::default();
+            let mut live: Vec<(u64, usize)> = Vec::new();
+            // Four hashes whose homes sit near the end of the array, so
+            // their runs wrap into its start; deletions shift entries back.
+            let hash = |rng: &mut StdRng| {
+                rng.gen_range(0..4u64) * (1 << rng.gen_range(0..3u32)) + u64::MAX / 2
+            };
+            for slot in 0..rng.gen_range(0..120usize) {
+                if !live.is_empty() && rng.gen_bool(0.3) {
+                    let (h, s) = live.swap_remove(rng.gen_range(0..live.len()));
+                    ix.remove(h, s);
+                }
+                let h = hash(rng);
+                ix.insert(h, slot);
+                live.push((h, slot));
+            }
+            // Probes for live entries, for absent slots under a live
+            // hash, for hashes nobody holds, and `None`.
+            let probes: Vec<(Option<u64>, usize)> = (0..rng.gen_range(0..=PROBE_BATCH))
+                .map(|_| match rng.gen_range(0..4u32) {
+                    0 if !live.is_empty() => live[rng.gen_range(0..live.len())],
+                    0 | 1 => (hash(rng), 999),
+                    2 => (rng.gen_range(0..64u64), rng.gen_range(0..120usize)),
+                    _ => (0, usize::MAX),
+                })
+                .map(|(h, s)| ((s != usize::MAX).then_some(h), s))
+                .collect();
+            let hashes: Vec<Option<u64>> = probes.iter().map(|p| p.0).collect();
+            let mut got = Vec::new();
+            ix.get_batch(
+                &hashes,
+                |slot| slot,
+                |k, slot| slot == probes[k].1,
+                &mut got,
+            );
+            let want: Vec<&[usize]> = probes
+                .iter()
+                .map(|&(h, s)| {
+                    h.and_then(|h| ix.get(h, |slot| slot == s))
+                        .map_or(&[][..], std::slice::from_ref)
+                })
+                .collect();
+            assert_eq!(got, want);
+        });
+    }
+
+    #[test]
+    fn batch_lookups_equal_single_lookups_key_by_key() {
+        let mut t = Table::new(TableSchema::new(
+            "k",
+            vec![
+                Column::new("i", DataType::Int).primary_key(),
+                Column::new("day", DataType::Date),
+                Column::new("t", DataType::Text),
+            ],
+        ));
+        let mut days = Table::new(TableSchema::new(
+            "d",
+            vec![Column::new("day", DataType::Date).primary_key()],
+        ));
+        for n in 0..40i64 {
+            let day = format!("2024-01-{:02}", n % 28 + 1);
+            let row = vec![
+                Datum::Int(n * 2),
+                Datum::Text(day.clone()),
+                if n % 5 == 0 {
+                    Datum::Null
+                } else {
+                    Datum::Text(format!("w{}", n % 7))
+                },
+            ];
+            t.insert(row).unwrap();
+            let _ = days.insert(vec![Datum::Text(day)]);
+        }
+        t.create_index("by_t", 2).unwrap();
+        t.delete_slot(3).unwrap();
+        let mut keys: Vec<Datum> = vec![Datum::Null];
+        for n in 0..24i64 {
+            keys.extend([
+                Datum::Int(n),
+                Datum::Double(n as f64),
+                Datum::Double(n as f64 + 0.5),
+                Datum::Text(n.to_string()),
+                Datum::Text(format!("2024-1-{}", n + 1)),
+                Datum::Text(format!("w{n}")),
+                Datum::Date(19723 + n as i32),
+            ]);
+        }
+        keys.push(Datum::Text("someday".into()));
+        // Over the INT key, the DATE key, a secondary index (which holds
+        // NULL keys) and an unindexed column; longer and shorter than a
+        // batch, so that batches end at every offset.
+        for (table, column) in [(&t, 0), (&days, 0), (&t, 2), (&t, 1)] {
+            for len in [
+                0,
+                1,
+                PROBE_BATCH - 1,
+                PROBE_BATCH,
+                PROBE_BATCH + 1,
+                keys.len(),
+            ] {
+                let keys: Vec<&Datum> = keys.iter().take(len).collect();
+                let mut got = Vec::new();
+                table.index_lookup_batch(column, &keys, &mut got);
+                let want: Vec<&[usize]> = keys
+                    .iter()
+                    .map(|key| match key {
+                        Datum::Null => &[][..],
+                        key => table.index_lookup(column, key).unwrap_or_default(),
+                    })
+                    .collect();
+                assert_eq!(
+                    got, want,
+                    "{} column {column}, {len} keys",
+                    table.schema.name
+                );
+            }
+        }
+        // The probes found something on every index.
+        let hits = |table: &Table, column| {
+            let keys: Vec<&Datum> = keys.iter().collect();
+            let mut got = Vec::new();
+            table.index_lookup_batch(column, &keys, &mut got);
+            got.iter().filter(|h| !h.is_empty()).count()
+        };
+        assert!(hits(&t, 0) > 0 && hits(&days, 0) > 0 && hits(&t, 2) > 0);
+        assert_eq!(hits(&t, 1), 0);
+    }
+
+    #[test]
+    fn a_bulk_load_equals_inserting_row_by_row() {
+        // Keys out of order, then a duplicate key or an unconvertible
+        // cell at the end, or no fault.
+        for (n, fault) in [
+            (0, None),
+            (1, None),
+            (7, None),
+            (100, Some(0)),
+            (1000, Some(1)),
+        ] {
+            let mut rows: Vec<Row> = (0..n as i64)
+                .map(|id| row((id * 37) % n as i64, "ward"))
+                .collect();
+            match fault {
+                Some(0) => rows.push(row(3, "again")),
+                Some(_) => rows.push(vec![Datum::Text("x".into()), Datum::Null, Datum::Null]),
+                None => {}
+            }
+            rows.push(row(n as i64, "never reached on a fault"));
+            let mut one = beds();
+            let counted = rows
+                .iter()
+                .try_fold(0, |k, r| one.insert(r.clone()).map(|_| k + 1));
+            let mut bulk = beds();
+            let loaded = bulk.insert_all(rows.clone());
+            assert_eq!(format!("{loaded:?}"), format!("{counted:?}"), "{n} rows");
+            let heap = |t: &Table| format!("{:?}", t.scan().collect::<Vec<_>>());
+            assert_eq!(heap(&bulk), heap(&one));
+            let size = |t: &Table| t.pk.as_ref().unwrap().buckets.len();
+            assert_eq!(size(&bulk), size(&one), "{n} rows");
+            let all = |t: &Table| t.index_range(0, Bound::Unbounded, Bound::Unbounded);
+            assert_eq!(all(&bulk), all(&one));
+            for id in 0..=n as i64 + 1 {
+                let key = Datum::Int(id);
+                assert_eq!(bulk.index_lookup(0, &key), one.index_lookup(0, &key));
+            }
+        }
     }
 
     #[test]

@@ -105,15 +105,10 @@ impl Datum {
         match (self, target) {
             (Datum::Null, _) => Some(Datum::Null),
             (Datum::Int(v), DataType::Double) => Some(Datum::Double(*v as f64)),
-            (Datum::Int(v), DataType::Int) => Some(self.clone().tap_int(*v)),
             (Datum::Text(s), DataType::Date) => parse_date(s).map(Datum::Date),
             (d, t) if d.data_type() == Some(t) => Some(d.clone()),
             _ => None,
         }
-    }
-
-    fn tap_int(self, _v: i64) -> Datum {
-        self
     }
 
     /// SQL comparison: `None` when either side is NULL or the types are

@@ -30,11 +30,12 @@
 //!    answers, errors included, are still the reference's.
 
 use crate::exec::naive::execute_select_naive;
-use crate::exec::{execute_plan_into, ResultSet};
+use crate::exec::{execute_plan_into, execute_plan_one_at_a_time, ResultSet};
 use crate::expr::{BinOp, Expr};
 use crate::plan::conjuncts;
 use crate::sql::{parse_statement, Statement};
-use crate::types::parse_date;
+use crate::storage::PROBE_BATCH;
+use crate::types::{format_date, parse_date};
 use crate::{
     plan_select, Column, DataType, Database, Datum, Dialect, ExecMetrics, PhysicalPlan, RelError,
     RelResult, RowSink, Sarg, TableSchema,
@@ -1179,6 +1180,239 @@ fn a_range_is_exactly_its_conjuncts() {
             let (planned, _) = db.select(&stmt).unwrap();
             let naive = run_naive(&db, &sql).unwrap();
             assert_eq!(multiset(&planned.rows), multiset(&naive.rows), "{sql}");
+        }
+    });
+}
+
+/// A sink that keeps every row it is handed, so that the rows a
+/// statement emitted before an error can be compared too.
+#[derive(Default)]
+struct Kept(Vec<Vec<Datum>>);
+
+impl RowSink for Kept {
+    fn columns(&mut self, _: &[String]) -> RelResult<()> {
+        Ok(())
+    }
+
+    fn row(&mut self, row: &mut [Cow<'_, Datum>]) -> RelResult<()> {
+        self.0
+            .push(row.iter().map(|c| c.clone().into_owned()).collect());
+        Ok(())
+    }
+}
+
+/// `src(id, i, d, day, t)` of `n` rows, ids `0..n` in heap order, whose
+/// nullable columns join tables keyed on each type as in
+/// [`gen_keyed_db`]: `ki` INT, `kd` DOUBLE, `kt` TEXT, `kday` DATE
+/// (`k PRIMARY KEY, v INT`), and `dup(id, k, v)`, whose `k` a secondary
+/// index holds with duplicates. Each keyed table holds more rows than
+/// `src`, so every join the key types allow is an index join. `src`
+/// holds NULL, absent and duplicate keys; TEXT keys and `t` hold two
+/// spellings of some days.
+fn gen_batch_db(rng: &mut StdRng, n: usize) -> Database {
+    let mut db = Database::new("batch", Dialect::Canonical);
+    let first = parse_date("2024-01-01").unwrap();
+    // The unpadded spelling of day `k`, where it has one.
+    let spell = |k: i64| {
+        let padded = format_date(first + k as i32);
+        if k < 9 && k % 2 == 0 {
+            format!("2024-1-{}", k + 1)
+        } else {
+            padded
+        }
+    };
+    let keys: Vec<i64> = (0..2 * n as i64 + 8)
+        .filter(|k| k % 2 == 0 || rng.gen_bool(0.5))
+        .collect();
+    let key = |ty, k: i64| match ty {
+        DataType::Int => Datum::Int(k),
+        DataType::Double => Datum::Double(k as f64 / 2.0),
+        DataType::Date => Datum::Date(first + k as i32),
+        _ => Datum::Text(format_date(first + k as i32)),
+    };
+    let keyed = [
+        ("ki", DataType::Int),
+        ("kd", DataType::Double),
+        ("kday", DataType::Date),
+        ("kt", DataType::Text),
+    ];
+    for (name, ty) in keyed {
+        let schema = TableSchema::new(
+            name,
+            vec![
+                Column::new("k", ty).primary_key(),
+                Column::new("v", DataType::Int),
+            ],
+        );
+        let rows = keys.iter().map(|&k| vec![key(ty, k), Datum::Int(k * 10)]);
+        db.import_table(schema, rows.collect()).unwrap();
+    }
+    let schema = TableSchema::new(
+        "dup",
+        vec![
+            Column::new("id", DataType::Int).primary_key(),
+            Column::new("k", DataType::Int),
+            Column::new("v", DataType::Int),
+        ],
+    );
+    let rows = (0..n as i64 + 4).map(|id| {
+        let k = rng.gen_range(0..n as i64 / 2 + 2);
+        vec![Datum::Int(id), Datum::Int(k), Datum::Int(id * 10)]
+    });
+    db.import_table(schema, rows.collect()).unwrap();
+    db.execute("CREATE INDEX dup_k ON dup (k)").unwrap();
+    let schema = TableSchema::new(
+        "src",
+        vec![
+            Column::new("id", DataType::Int).primary_key(),
+            Column::new("i", DataType::Int),
+            Column::new("d", DataType::Double),
+            Column::new("day", DataType::Date),
+            Column::new("t", DataType::Text),
+        ],
+    );
+    let rows = (0..n as i64).map(|id| {
+        let k = rng.gen_range(0..2 * n as i64 + 12);
+        let mut cell = |d: Datum| if rng.gen_bool(0.15) { Datum::Null } else { d };
+        vec![
+            Datum::Int(id),
+            cell(Datum::Int(k)),
+            cell(Datum::Double(k as f64 / 2.0)),
+            cell(Datum::Date(first + k as i32)),
+            cell(Datum::Text(if k % 7 == 6 {
+                "ward".into()
+            } else {
+                spell(k)
+            })),
+        ]
+    });
+    db.import_table(schema, rows.collect()).unwrap();
+    db
+}
+
+/// `plan` with its filter moved below the index join it sits on. The
+/// filter reads only `src`, the join's left side, so the rows are the
+/// same; an error it raises now comes from the join's input.
+fn push_filter_below_join(plan: PhysicalPlan) -> PhysicalPlan {
+    match plan {
+        PhysicalPlan::Filter(mut f) => match *f.input {
+            PhysicalPlan::IxJoin(mut j) => {
+                f.input = j.input;
+                j.input = Box::new(PhysicalPlan::Filter(f));
+                PhysicalPlan::IxJoin(j)
+            }
+            input => {
+                f.input = Box::new(push_filter_below_join(input));
+                PhysicalPlan::Filter(f)
+            }
+        },
+        PhysicalPlan::Project(mut n) => {
+            n.input = Box::new(push_filter_below_join(*n.input));
+            PhysicalPlan::Project(n)
+        }
+        PhysicalPlan::Limit(mut n) => {
+            n.input = Box::new(push_filter_below_join(*n.input));
+            PhysicalPlan::Limit(n)
+        }
+        other => other,
+    }
+}
+
+/// Index joins that probe their left rows in batches answer as the
+/// one-tuple pull does: the same rows in the same order, the same error
+/// after the same rows, and equal [`ExecMetrics`] (`rows_scanned` and
+/// `index_hits` among them); without an error and a LIMIT, the rows are
+/// the reference's too. `src` has a length on either side of a multiple
+/// of the batch width, and joins every key type, NULL, absent and
+/// duplicate keys among its own. A filter moved below the join raises on
+/// one row, near a batch edge, so the error arrives while a batch is
+/// filling. A LIMIT over a join (through `DISTINCT` or not) streams, so
+/// the join pulls no row ahead of it; under an aggregate or a sort the
+/// join drains, and batches.
+#[test]
+fn batched_index_join_matches_the_reference() {
+    cases(40, |rng| {
+        let w = PROBE_BATCH as i64;
+        let n = (rng.gen_range(0..4i64) * w + rng.gen_range(-1..=1i64)).max(0) as usize;
+        let db = gen_batch_db(rng, n);
+        // A row on either side of a batch edge, or none.
+        let raise_at = rng.gen_range(0..4i64) * w + rng.gen_range(-1..=1i64);
+        let raises = format!("(src.id - {raise_at}) / (src.id - {raise_at}) = 1");
+        let limit = rng.gen_range(0..n + 3);
+        let joins = [
+            ("ki", "src.i"),
+            ("ki", "src.d"),
+            ("kd", "src.i"),
+            ("kday", "src.day"),
+            ("kt", "src.t"),
+            ("dup", "src.i"),
+        ];
+        let (table, col) = *pick(rng, &joins);
+        let from = format!("FROM src JOIN {table} ON {col} = {table}.k");
+        let chained = "FROM src JOIN ki ON src.i = ki.k JOIN dup ON src.i = dup.k";
+        // (SQL, whether the filter moves below the join, whether the
+        // answer is the reference's as a multiset.)
+        let queries = [
+            (format!("SELECT src.id, {table}.v {from}"), false, true),
+            (format!("SELECT src.id, ki.v, dup.v {chained}"), false, true),
+            (
+                format!("SELECT src.id, {table}.v {from} LIMIT {limit}"),
+                false,
+                false,
+            ),
+            (
+                format!("SELECT DISTINCT {table}.v {from} LIMIT {limit}"),
+                false,
+                false,
+            ),
+            (
+                format!("SELECT {table}.v, COUNT(*), SUM(src.id) {from} GROUP BY {table}.v"),
+                false,
+                true,
+            ),
+            (
+                format!("SELECT src.id, {table}.v {from} ORDER BY src.id DESC LIMIT {limit}"),
+                false,
+                false,
+            ),
+            (
+                format!("SELECT src.id, {table}.v {from} WHERE {raises}"),
+                true,
+                true,
+            ),
+            (
+                format!("SELECT src.id, {table}.v {from} WHERE {raises} LIMIT {limit}"),
+                true,
+                false,
+            ),
+            (
+                format!("SELECT src.id, ki.v, dup.v {chained} WHERE {raises}"),
+                true,
+                true,
+            ),
+        ];
+        for (sql, push, whole) in queries {
+            let Statement::Select(select) = parse_statement(&sql).unwrap() else {
+                unreachable!()
+            };
+            let mut plan = plan_select(&select, db.tables()).unwrap();
+            assert!(
+                plan.operator_names().contains(&"index join"),
+                "{sql}: {:?}",
+                plan.operator_names()
+            );
+            if push {
+                plan = push_filter_below_join(plan);
+            }
+            let (mut batched, mut one) = (Kept::default(), Kept::default());
+            let got = execute_plan_into(&plan, db.tables(), &mut batched);
+            let want = execute_plan_one_at_a_time(&plan, db.tables(), &mut one);
+            assert_eq!(sequence(&batched.0), sequence(&one.0), "{sql}");
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{sql}");
+            if whole && got.is_ok() {
+                let naive = run_naive(&db, &sql).unwrap_or_else(|e| panic!("naive {sql}: {e}"));
+                assert_eq!(multiset(&batched.0), multiset(&naive.rows), "{sql}");
+            }
         }
     });
 }
