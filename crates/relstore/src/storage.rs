@@ -963,6 +963,7 @@ mod tests {
         for (col, cell) in [
             (0, text("3")),
             (0, Datum::Double(3.0)),
+            (1, text("x")),
             (2, Datum::Date(19727)),
             (3, text("someday")),
             (4, Datum::Int(1)),
