@@ -23,6 +23,10 @@
 //!   current, stale and absent stamp; an unknown coalition) answer
 //!   inline exactly what `Servant::invoke_into` writes, and a deferred
 //!   one has written nothing.
+//! * **A long statement** — 200 000 conjuncts, which the reactor parses
+//!   to see whether they are a point read, get their reply on the
+//!   inline path and on the pool path; a 200 000-term `+` chain gets
+//!   the typed too-deep exception. The server then answers a point read.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -679,4 +683,41 @@ fn an_inline_co_database_reply_is_the_reply_the_pool_writes() {
     assert!(answered >= 150, "{answered} of 200 answered inline");
     assert!(refused > 0, "an unknown coalition answers its error inline");
     assert!(deferred > 0, "a mistyped call defers");
+}
+
+/// Every thread the ORB spawns has a 2 MiB stack. A statement of
+/// 200 000 conjuncts, about 2.6 MB, is parsed on the reactor, which
+/// finds it is no point read and hands it to a worker that answers it;
+/// with a stall set, only the worker parses it. A 200 000-term `+`
+/// chain, refused as too deep, comes back as an exception on both
+/// paths. After each, the site still answers a point read.
+#[test]
+fn a_long_statement_gets_a_reply_or_an_exception_on_either_path() {
+    let live = live();
+    let clinic = &live.clinic;
+    let long = |kw: &str, term: &str| {
+        let mut sql = String::from("SELECT name FROM patient WHERE id = 7");
+        for _ in 1..200_000 {
+            sql.push_str(kw);
+            sql.push_str(term);
+        }
+        sql
+    };
+    let conjuncts = long(" AND ", "age = 20");
+    let chain = long(" + ", "0");
+    let patient_7 = [[Datum::Text("patient 7".into())]];
+    for stall in [0, 5] {
+        clinic.isi_stall.stall(stall);
+        let rows = live.fed.call(&clinic.isi_ior, select(&conjuncts));
+        assert_eq!(rows.unwrap().rows, patient_7, "stall {stall}");
+        let refused = live.fed.call(&clinic.isi_ior, select(&chain)).unwrap_err();
+        assert!(
+            refused.to_string().contains("nest deeper than 64 levels"),
+            "stall {stall}: {refused}"
+        );
+        clinic.isi_stall.clear();
+        let point = select("SELECT name FROM patient WHERE id = 7");
+        let rows = live.fed.call(&clinic.isi_ior, point).unwrap();
+        assert_eq!(rows.rows, patient_7, "stall {stall}");
+    }
 }

@@ -416,7 +416,10 @@ fn federated_counters_reach_the_federation_and_trace() {
 /// A federated range over two relational members and an object member:
 /// each SQL member's index walk reads exactly the rows it returns, and
 /// every member's answer, object rows included, reaches the merge in
-/// member order.
+/// member order. The same range written as 100 conjuncts ships to each
+/// member as one flat list and answers the same rows; when the shipped
+/// text nested one parenthesis per `And`, both kinds of member refused
+/// it from 65 conjuncts on.
 #[test]
 fn a_federated_range_reads_only_each_members_key_range() {
     use webfindit::federation::{SiteSpec, SiteVendor};
@@ -515,5 +518,23 @@ fn a_federated_range_reads_only_each_members_key_range() {
     let after = scanned();
     let read: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
     assert_eq!(read, vec![150, 150], "rows scanned per SQL member");
+
+    // Lower bounds 700 down to 651 and upper bounds 850 to 899,
+    // interleaved.
+    let conjuncts: Vec<String> = (0..100)
+        .map(|i| match i % 2 {
+            0 => format!("Visits.Seq >= {}", 700 - i / 2),
+            _ => format!("Visits.Seq < {}", 850 + i / 2),
+        })
+        .collect();
+    let stmt = format!(
+        "Invoke Visits.Cost(({})) At Coalition Visit Records;",
+        conjuncts.join(" And ")
+    );
+    let Response::Federated(long) = fed_submit(&processor, &mut session, &stmt) else {
+        panic!("expected a federated answer");
+    };
+    assert!(long.complete(), "{:?}", long.degraded);
+    assert_eq!(long.rows, o.rows, "100 conjuncts answer as 2 do");
     dep.fed.shutdown();
 }

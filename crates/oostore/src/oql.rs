@@ -85,12 +85,47 @@ pub enum Pred {
         /// Admitted values (at least one).
         values: Vec<OValue>,
     },
-    /// Conjunction.
-    And(Box<Pred>, Box<Pred>),
-    /// Disjunction.
-    Or(Box<Pred>, Box<Pred>),
+    /// Conjunction of two or more parts, none of them an `And`. Built
+    /// by [`Pred::junction`].
+    And(Vec<Pred>),
+    /// Disjunction of two or more parts, none of them an `Or`. Built by
+    /// [`Pred::junction`].
+    Or(Vec<Pred>),
     /// Negation.
     Not(Box<Pred>),
+}
+
+impl Pred {
+    /// The one way a [`Pred::And`] or [`Pred::Or`] is built: `make` is
+    /// that variant, and a part that is itself one, parenthesised or not,
+    /// is spliced in. So a chain of any length is one flat list and
+    /// nothing recurses once per operator. A single part comes back
+    /// unchanged; `parts` must not be empty.
+    pub fn junction(make: fn(Vec<Pred>) -> Pred, parts: impl IntoIterator<Item = Pred>) -> Pred {
+        let kind = make(Vec::new());
+        let mut flat = Vec::new();
+        for part in parts {
+            match (&kind, part) {
+                (Pred::And(_), Pred::And(inner)) | (Pred::Or(_), Pred::Or(inner)) => {
+                    flat.extend(inner)
+                }
+                (_, part) => flat.push(part),
+            }
+        }
+        match flat.len() {
+            1 => flat.pop().expect("one part"),
+            _ => make(flat),
+        }
+    }
+
+    /// The parts of a [`Pred::And`], or this predicate as its one
+    /// conjunct.
+    pub fn conjuncts(&self) -> &[Pred] {
+        match self {
+            Pred::And(parts) => parts,
+            one => std::slice::from_ref(one),
+        }
+    }
 }
 
 /// Comparison operators.
@@ -249,10 +284,7 @@ impl OqlPlan {
 
     /// Operator names leaf-first (execution order).
     pub fn operator_names(&self) -> Vec<&'static str> {
-        let mut out = match self.input() {
-            Some(i) => i.operator_names(),
-            None => Vec::new(),
-        };
+        let mut out = self.input().map_or_else(Vec::new, OqlPlan::operator_names);
         out.push(self.name());
         out
     }
@@ -341,25 +373,12 @@ fn tighter<'a>(
     }
 }
 
-/// The top-level `AND` conjuncts of `filter`, in query order.
-fn conjuncts(filter: &Pred) -> Vec<&Pred> {
-    let mut out = Vec::new();
-    let mut stack = vec![filter];
-    while let Some(p) = stack.pop() {
-        match p {
-            Pred::And(a, b) => stack.extend([b.as_ref(), a.as_ref()]),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-/// An index read: the attribute, the keys, and the conjuncts those keys
-/// answer exactly.
+/// An index read: the attribute, the keys, and the positions, in
+/// ascending order, of the conjuncts those keys answer exactly.
 struct Access<'q> {
     attr: &'q str,
     range: KeyRange,
-    answered: Vec<&'q Pred>,
+    answered: Vec<usize>,
 }
 
 /// The index read `conjuncts` allow: `=`, `<`, `<=`, `>`, `>=` and `IN`
@@ -370,11 +389,11 @@ struct Access<'q> {
 /// inclusively. An equality goes first, then an `IN` list, then a range
 /// bounded on both sides, then one bounded on one side; the first such
 /// conjunct wins a tie.
-fn index_access<'q>(conjuncts: &[&'q Pred]) -> Option<Access<'q>> {
+fn index_access(conjuncts: &[Pred]) -> Option<Access<'_>> {
     // (attribute, key family, lower bound, upper bound, answered)
-    let mut ranges: Vec<(&str, Discriminant<Key>, _, _, Vec<&Pred>)> = Vec::new();
+    let mut ranges: Vec<(&str, Discriminant<Key>, _, _, Vec<usize>)> = Vec::new();
     let mut lists = Vec::new();
-    for &c in conjuncts {
+    for (at, c) in conjuncts.iter().enumerate() {
         match c {
             Pred::Cmp { attr, op, value } => {
                 let Some(family) = Key::of(value).map(|k| discriminant(&k)) else {
@@ -396,7 +415,7 @@ fn index_access<'q>(conjuncts: &[&'q Pred]) -> Option<Access<'q>> {
                     CmpOp::Ge => (Bound::Included(value), Bound::Unbounded),
                     CmpOp::Ne | CmpOp::Like => continue,
                 };
-                let answered = if exact { vec![c] } else { Vec::new() };
+                let answered = if exact { vec![at] } else { Vec::new() };
                 match ranges.iter_mut().find(|r| r.0 == attr && r.1 == family) {
                     Some(r) => {
                         r.2 = tighter(r.2, lo, Ordering::Greater);
@@ -416,7 +435,7 @@ fn index_access<'q>(conjuncts: &[&'q Pred]) -> Option<Access<'q>> {
                 lists.push(Access {
                     attr,
                     range: KeyRange::Points(keyed),
-                    answered: if exact { vec![c] } else { Vec::new() },
+                    answered: if exact { vec![at] } else { Vec::new() },
                 });
             }
             _ => {}
@@ -452,17 +471,14 @@ fn index_access<'q>(conjuncts: &[&'q Pred]) -> Option<Access<'q>> {
         .min_by_key(rank)
 }
 
-/// The text of `p` without the conjuncts in `answered`, or `None` when
-/// nothing is left.
-fn residual_text(p: &Pred, answered: &[&Pred]) -> Option<String> {
-    match p {
-        Pred::And(a, b) => match (residual_text(a, answered), residual_text(b, answered)) {
-            (Some(a), Some(b)) => Some(format!("({a} AND {b})")),
-            (one, None) | (None, one) => one,
-        },
-        leaf if answered.iter().any(|c| std::ptr::eq(*c, leaf)) => None,
-        leaf => Some(pred_to_text(leaf)),
+/// The text of `parts` joined by `sep` (` AND ` or ` OR `): one part as
+/// it is, two or more in one pair of parentheses.
+fn list_text<'p>(parts: impl IntoIterator<Item = &'p Pred>, sep: &str) -> String {
+    let mut texts: Vec<String> = parts.into_iter().map(pred_to_text).collect();
+    if texts.len() == 1 {
+        return texts.pop().expect("one part");
     }
+    format!("({})", texts.join(sep))
 }
 
 fn pred_to_text(p: &Pred) -> String {
@@ -486,8 +502,8 @@ fn pred_to_text(p: &Pred) -> String {
             let vs: Vec<String> = values.iter().map(value_to_text).collect();
             format!("{attr} IN ({})", vs.join(", "))
         }
-        Pred::And(a, b) => format!("({} AND {})", pred_to_text(a), pred_to_text(b)),
-        Pred::Or(a, b) => format!("({} OR {})", pred_to_text(a), pred_to_text(b)),
+        Pred::And(parts) => list_text(parts, " AND "),
+        Pred::Or(parts) => list_text(parts, " OR "),
         Pred::Not(a) => format!("NOT {}", pred_to_text(a)),
     }
 }
@@ -520,9 +536,9 @@ impl OqlQuery {
     fn planned(&self, store: &ObjectStore) -> OoResult<Planned<'_>> {
         let closure = store.closure(&self.class)?;
         let columns = self.output_columns(store)?;
-        let conjuncts = self.filter.as_ref().map(conjuncts).unwrap_or_default();
+        let conjuncts = self.filter.as_ref().map_or(&[][..], Pred::conjuncts);
         let class = self.class.clone();
-        let (mut plan, answered) = match index_access(&conjuncts) {
+        let (mut plan, answered) = match index_access(conjuncts) {
             Some(Access {
                 attr,
                 range,
@@ -536,14 +552,16 @@ impl OqlQuery {
                 (OqlPlan::ExtentScan { class, objects }, Vec::new())
             }
         };
-        if let Some(pred) = self
-            .filter
-            .as_ref()
-            .and_then(|p| residual_text(p, &answered))
-        {
+        let residual: Vec<&Pred> = conjuncts
+            .iter()
+            .enumerate()
+            .filter(|(at, _)| answered.binary_search(at).is_err())
+            .map(|(_, c)| c)
+            .collect();
+        if !residual.is_empty() {
             plan = OqlPlan::Filter {
                 input: Box::new(plan),
-                pred,
+                pred: list_text(residual.iter().copied(), " AND "),
             };
         }
         plan = OqlPlan::Project {
@@ -563,10 +581,6 @@ impl OqlQuery {
                 n,
             };
         }
-        let residual = conjuncts
-            .into_iter()
-            .filter(|c| !answered.iter().any(|a| std::ptr::eq(*a, *c)))
-            .collect();
         Ok(Planned {
             plan,
             closure,
@@ -760,18 +774,25 @@ fn eval_pred(p: &Pred, obj: &crate::store::Object) -> Option<bool> {
                 Some(false)
             }
         }
-        Pred::And(a, b) => match (eval_pred(a, obj), eval_pred(b, obj)) {
-            (Some(false), _) | (_, Some(false)) => Some(false),
-            (Some(true), Some(true)) => Some(true),
-            _ => None,
-        },
-        Pred::Or(a, b) => match (eval_pred(a, obj), eval_pred(b, obj)) {
-            (Some(true), _) | (_, Some(true)) => Some(true),
-            (Some(false), Some(false)) => Some(false),
-            _ => None,
-        },
+        Pred::And(parts) => eval_junction(parts, false, obj),
+        Pred::Or(parts) => eval_junction(parts, true, obj),
         Pred::Not(a) => eval_pred(a, obj).map(|b| !b),
     }
+}
+
+/// An AND (`decisive` false) or an OR (`decisive` true) in three-valued
+/// logic, left to right: the first part that is `decisive` settles it,
+/// and the parts after it are not evaluated.
+fn eval_junction(parts: &[Pred], decisive: bool, obj: &crate::store::Object) -> Option<bool> {
+    let mut unknown = false;
+    for part in parts {
+        match eval_pred(part, obj) {
+            Some(b) if b == decisive => return Some(decisive),
+            Some(_) => {}
+            None => unknown = true,
+        }
+    }
+    (!unknown).then_some(!decisive)
 }
 
 // ---- parsing ----------------------------------------------------------
@@ -926,21 +947,26 @@ impl Parser {
     }
 
     fn pred_or(&mut self) -> OoResult<Pred> {
-        let mut left = self.pred_and()?;
-        while self.eat_kw("or") {
-            let right = self.pred_and()?;
-            left = Pred::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.junction("or", Parser::pred_and, Pred::Or)
     }
 
     fn pred_and(&mut self) -> OoResult<Pred> {
-        let mut left = self.pred_not()?;
-        while self.eat_kw("and") {
-            let right = self.pred_not()?;
-            left = Pred::And(Box::new(left), Box::new(right));
+        self.junction("and", Parser::pred_not, Pred::And)
+    }
+
+    /// `part (kw part)*` as one flat list of the variant `join`; a lone
+    /// part is returned as it is.
+    fn junction(
+        &mut self,
+        kw: &str,
+        part: fn(&mut Parser) -> OoResult<Pred>,
+        join: fn(Vec<Pred>) -> Pred,
+    ) -> OoResult<Pred> {
+        let mut parts = vec![part(self)?];
+        while self.eat_kw(kw) {
+            parts.push(part(self)?);
         }
-        Ok(left)
+        Ok(Pred::junction(join, parts))
     }
 
     fn pred_not(&mut self) -> OoResult<Pred> {
@@ -1076,36 +1102,17 @@ fn lex(text: &str) -> Vec<(Tok, usize)> {
             out.push((Tok::Ident(text[start..i].to_owned()), start));
             continue;
         }
-        let rest = &text[i..];
-        let mut matched = false;
-        for sym in ["<>", "<=", ">=", "=", "<", ">", "(", ")", ",", "*", "-"] {
-            if rest.starts_with(sym) {
-                out.push((
-                    Tok::Sym(match sym {
-                        "<>" => "<>",
-                        "<=" => "<=",
-                        ">=" => ">=",
-                        "=" => "=",
-                        "<" => "<",
-                        ">" => ">",
-                        "(" => "(",
-                        ")" => ")",
-                        "," => ",",
-                        "*" => "*",
-                        "-" => "-",
-                        _ => unreachable!(),
-                    }),
-                    i,
-                ));
+        // Bytes, not `&text[i..]`: `i` may sit inside a character the
+        // lexer skipped a byte at a time.
+        let syms = ["<>", "<=", ">=", "=", "<", ">", "(", ")", ",", "*", "-"];
+        match syms.into_iter().find(|s| b[i..].starts_with(s.as_bytes())) {
+            Some(sym) => {
+                out.push((Tok::Sym(sym), i));
                 i += sym.len();
-                matched = true;
-                break;
             }
-        }
-        if !matched {
-            // Skip unknown characters; the parser will report a sensible
-            // error at the next expectation point.
-            i += 1;
+            // Skip unknown bytes; the parser will report a sensible error
+            // at the next expectation point.
+            None => i += 1,
         }
     }
     out.push((Tok::Eof, text.len()));
@@ -1253,6 +1260,31 @@ mod tests {
         assert!(OqlQuery::parse("select * from X where").is_err());
         assert!(OqlQuery::parse("select * from X where a ~ 3").is_err());
         assert!(OqlQuery::parse("select * from X trailing").is_err());
+        // A character of several bytes outside a string is skipped, not
+        // sliced through.
+        assert!(OqlQuery::parse("select * from X where é = 1").is_err());
+        assert!(OqlQuery::parse("select * from X where a = 1 ∧ b = 2").is_err());
+    }
+
+    /// `AND` and `OR` parse into flat lists: a parenthesised list of the
+    /// same kind is spliced into its parent, one of the other kind is a
+    /// part, and a lone part is no list.
+    #[test]
+    fn and_and_or_are_flat_lists() {
+        let cmp = |attr: &str| Pred::Cmp {
+            attr: attr.into(),
+            op: CmpOp::Eq,
+            value: OValue::Int(1),
+        };
+        let q = OqlQuery::parse(
+            "select * from X where (a = 1 and b = 1) and (c = 1 or d = 1 or (e = 1 or f = 1)) and g = 1",
+        )
+        .unwrap();
+        let or = Pred::Or(vec![cmp("c"), cmp("d"), cmp("e"), cmp("f")]);
+        let want = Pred::And(vec![cmp("a"), cmp("b"), or, cmp("g")]);
+        assert_eq!(q.filter, Some(want));
+        let one = OqlQuery::parse("select * from X where ((a = 1))").unwrap();
+        assert_eq!(one.filter, Some(cmp("a")));
     }
 
     #[test]

@@ -203,10 +203,39 @@ fn pred(rng: &mut StdRng, depth: u32) -> String {
     }
     match rng.gen_range(0..10) {
         0..=3 => atom(rng),
-        4..=6 => format!("({} and {})", pred(rng, depth - 1), pred(rng, depth - 1)),
-        7 | 8 => format!("({} or {})", pred(rng, depth - 1), pred(rng, depth - 1)),
+        4..=6 => format!("({})", chain(rng, depth - 1, " and ")),
+        7 | 8 => format!("({})", chain(rng, depth - 1, " or ")),
         _ => format!("not {}", pred(rng, depth - 1)),
     }
+}
+
+/// Two parts, or a flat chain of 2 to 8, joined by `kw`; a run of two
+/// or more of them may sit in parentheses, the same kind of chain
+/// inside its own kind, which parses into the same list.
+fn chain(rng: &mut StdRng, depth: u32, kw: &str) -> String {
+    let n = if rng.gen_bool(0.5) {
+        2
+    } else {
+        rng.gen_range(2..9)
+    };
+    let parts: Vec<String> = (0..n).map(|_| pred(rng, depth)).collect();
+    run_in_parens(rng, &parts, kw)
+}
+
+/// `parts` joined by `kw`, with a run of two or more of them in
+/// parentheses when there are three or more and the coin says so.
+fn run_in_parens(rng: &mut StdRng, parts: &[String], kw: &str) -> String {
+    let n = parts.len();
+    if n < 3 || rng.gen_bool(0.5) {
+        return parts.join(kw);
+    }
+    let from = rng.gen_range(0..n - 1);
+    let to = rng.gen_range(from + 2..=n);
+    let run = format!("({})", parts[from..to].join(kw));
+    let mut out: Vec<&str> = parts[..from].iter().map(String::as_str).collect();
+    out.push(&run);
+    out.extend(parts[to..].iter().map(String::as_str));
+    out.join(kw)
 }
 
 fn query(rng: &mut StdRng, sub_exists: bool) -> String {
@@ -225,7 +254,7 @@ fn query(rng: &mut StdRng, sub_exists: bool) -> String {
                 pred(rng, depth)
             })
             .collect();
-        text += &format!(" where {}", conjuncts.join(" and "));
+        text += &format!(" where {}", run_in_parens(rng, &conjuncts, " and "));
     }
     if rng.gen_bool(0.3) {
         let attr = *pick(rng, &["n", "i", "t", "x"]);
@@ -307,16 +336,26 @@ fn eval(p: &Pred, attrs: &BTreeMap<String, OValue>) -> Option<bool> {
                 Some(false)
             }
         }
-        Pred::And(a, b) => match (eval(a, attrs), eval(b, attrs)) {
-            (Some(false), _) | (_, Some(false)) => Some(false),
-            (Some(true), Some(true)) => Some(true),
-            _ => None,
-        },
-        Pred::Or(a, b) => match (eval(a, attrs), eval(b, attrs)) {
-            (Some(true), _) | (_, Some(true)) => Some(true),
-            (Some(false), Some(false)) => Some(false),
-            _ => None,
-        },
+        Pred::And(parts) => {
+            let all: Vec<Option<bool>> = parts.iter().map(|p| eval(p, attrs)).collect();
+            if all.contains(&Some(false)) {
+                Some(false)
+            } else if all.contains(&None) {
+                None
+            } else {
+                Some(true)
+            }
+        }
+        Pred::Or(parts) => {
+            let any: Vec<Option<bool>> = parts.iter().map(|p| eval(p, attrs)).collect();
+            if any.contains(&Some(true)) {
+                Some(true)
+            } else if any.contains(&None) {
+                None
+            } else {
+                Some(false)
+            }
+        }
         Pred::Not(a) => eval(a, attrs).map(|b| !b),
     }
 }
@@ -457,11 +496,7 @@ fn exact(v: &OValue) -> bool {
 /// The top-level `AND` conjuncts of `p`, in query order.
 fn top_conjuncts(p: &Pred) -> Vec<&Pred> {
     match p {
-        Pred::And(a, b) => {
-            let mut out = top_conjuncts(a);
-            out.extend(top_conjuncts(b));
-            out
-        }
+        Pred::And(parts) => parts.iter().collect(),
         other => vec![other],
     }
 }
@@ -547,25 +582,30 @@ fn pred_text(p: &Pred) -> String {
             let vs: Vec<String> = values.iter().map(literal_text).collect();
             format!("{attr} IN ({})", vs.join(", "))
         }
-        Pred::And(a, b) => format!("({} AND {})", pred_text(a), pred_text(b)),
-        Pred::Or(a, b) => format!("({} OR {})", pred_text(a), pred_text(b)),
+        Pred::And(parts) => parts_text(parts.iter().map(pred_text).collect(), " AND "),
+        Pred::Or(parts) => parts_text(parts.iter().map(pred_text).collect(), " OR "),
         Pred::Not(a) => format!("NOT {}", pred_text(a)),
     }
 }
 
-/// `p`'s text without the conjuncts in `gone`, each `AND` left with one
-/// side printed as that side; `None` when nothing is left.
+/// One part's text as it is; two or more joined by `sep` in one pair of
+/// parentheses.
+fn parts_text(mut texts: Vec<String>, sep: &str) -> String {
+    match texts.len() {
+        1 => texts.remove(0),
+        _ => format!("({})", texts.join(sep)),
+    }
+}
+
+/// `p`'s text without the top-level conjuncts in `gone`; `None` when
+/// nothing is left.
 fn without(p: &Pred, gone: &[&Pred]) -> Option<String> {
-    if gone.iter().any(|g| std::ptr::eq(*g, p)) {
-        return None;
-    }
-    match p {
-        Pred::And(a, b) => match (without(a, gone), without(b, gone)) {
-            (Some(a), Some(b)) => Some(format!("({a} AND {b})")),
-            (one, None) | (None, one) => one,
-        },
-        leaf => Some(pred_text(leaf)),
-    }
+    let kept: Vec<String> = top_conjuncts(p)
+        .into_iter()
+        .filter(|c| !gone.iter().any(|g| std::ptr::eq(*g, *c)))
+        .map(pred_text)
+        .collect();
+    (!kept.is_empty()).then(|| parts_text(kept, " AND "))
 }
 
 /// The plan's filter text, if it has a filter, and its leaf.

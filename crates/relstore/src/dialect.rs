@@ -16,7 +16,7 @@
 //!    that vendor would spell it (`ROWNUM`, `FETCH FIRST`, `TOP`, `+`
 //!    concatenation), which is what appears in wrapper traces.
 
-use crate::expr::{BinOp, Expr};
+use crate::expr::{list_sql, BinOp, Expr};
 use crate::sql::ast::{JoinKind, SelectItem, SelectStmt, Statement};
 use crate::{RelError, RelResult};
 use std::fmt;
@@ -222,6 +222,8 @@ impl Dialect {
                 op.symbol(),
                 self.render_expr(right)
             ),
+            Expr::And(parts) => list_sql(parts, |e| self.render_expr(e), " AND "),
+            Expr::Or(parts) => list_sql(parts, |e| self.render_expr(e), " OR "),
             Expr::Unary { op, expr } => match op {
                 crate::expr::UnaryOp::Not => format!("NOT ({})", self.render_expr(expr)),
                 crate::expr::UnaryOp::Neg => format!("-({})", self.render_expr(expr)),

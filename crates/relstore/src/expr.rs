@@ -53,10 +53,6 @@ pub enum BinOp {
     Gt,
     /// Greater or equal.
     Ge,
-    /// Three-valued AND.
-    And,
-    /// Three-valued OR.
-    Or,
     /// String concatenation (`||`).
     Concat,
     /// SQL LIKE with `%` and `_` wildcards.
@@ -78,8 +74,6 @@ impl BinOp {
             BinOp::Le => "<=",
             BinOp::Gt => ">",
             BinOp::Ge => ">=",
-            BinOp::And => "AND",
-            BinOp::Or => "OR",
             BinOp::Concat => "||",
             BinOp::Like => "LIKE",
         }
@@ -142,6 +136,12 @@ pub enum Expr {
         /// Operand.
         expr: Box<Expr>,
     },
+    /// Three-valued AND of two or more parts, none of them an `And`.
+    /// Built by [`Expr::junction`].
+    And(Vec<Expr>),
+    /// Three-valued OR of two or more parts, none of them an `Or`.
+    /// Built by [`Expr::junction`].
+    Or(Vec<Expr>),
     /// Binary operation.
     Binary {
         /// Operator.
@@ -220,22 +220,42 @@ impl Expr {
         }
     }
 
+    /// The one way a [`Expr::And`] or [`Expr::Or`] is built: `make` is
+    /// that variant, and a part that is itself one, parenthesised or not,
+    /// is spliced in. So a chain of any length is one flat list and
+    /// nothing recurses once per operator. A single part comes back
+    /// unchanged; `parts` must not be empty.
+    pub fn junction(make: fn(Vec<Expr>) -> Expr, parts: impl IntoIterator<Item = Expr>) -> Expr {
+        let kind = make(Vec::new());
+        let mut flat = Vec::new();
+        for part in parts {
+            match (&kind, part) {
+                (Expr::And(_), Expr::And(inner)) | (Expr::Or(_), Expr::Or(inner)) => {
+                    flat.extend(inner)
+                }
+                (_, part) => flat.push(part),
+            }
+        }
+        match flat.len() {
+            1 => flat.pop().expect("one part"),
+            _ => make(flat),
+        }
+    }
+
+    /// The parts of an [`Expr::And`], or this expression as its one
+    /// conjunct.
+    pub fn conjuncts(&self) -> &[Expr] {
+        match self {
+            Expr::And(parts) => parts,
+            one => std::slice::from_ref(one),
+        }
+    }
+
     /// Whether this expression tree contains an aggregate call.
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Slot { .. } => false,
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-        }
+        let mut found = Vec::new();
+        self.collect_aggregates(&mut found);
+        !found.is_empty()
     }
 
     /// Collect every distinct aggregate sub-expression, in first-seen
@@ -249,15 +269,16 @@ impl Expr {
             }
             Expr::Literal(_) | Expr::Column { .. } | Expr::Slot { .. } => {}
             Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr.collect_aggregates(out),
+            Expr::And(parts) | Expr::Or(parts) => {
+                parts.iter().for_each(|e| e.collect_aggregates(out))
+            }
             Expr::Binary { left, right, .. } => {
                 left.collect_aggregates(out);
                 right.collect_aggregates(out);
             }
             Expr::InList { expr, list, .. } => {
                 expr.collect_aggregates(out);
-                for e in list {
-                    e.collect_aggregates(out);
-                }
+                list.iter().for_each(|e| e.collect_aggregates(out));
             }
             Expr::Between {
                 expr, low, high, ..
@@ -286,6 +307,8 @@ impl Expr {
                 UnaryOp::Not => format!("NOT ({})", expr.to_sql()),
                 UnaryOp::Neg => format!("-({})", expr.to_sql()),
             },
+            Expr::And(parts) => list_sql(parts, Expr::to_sql, " AND "),
+            Expr::Or(parts) => list_sql(parts, Expr::to_sql, " OR "),
             Expr::Binary { op, left, right } => {
                 format!("({} {} {})", left.to_sql(), op.symbol(), right.to_sql())
             }
@@ -333,6 +356,13 @@ impl Expr {
             },
         }
     }
+}
+
+/// `parts` rendered by `render` and joined by `sep`, in one pair of
+/// parentheses: how every renderer writes an AND or OR list.
+pub(crate) fn list_sql(parts: &[Expr], render: impl Fn(&Expr) -> String, sep: &str) -> String {
+    let rendered: Vec<String> = parts.iter().map(render).collect();
+    format!("({})", rendered.join(sep))
 }
 
 /// What an expression evaluates against. `'a` is how long the values it
@@ -419,6 +449,8 @@ pub fn eval<'a, C: EvalContext<'a> + ?Sized>(expr: &'a Expr, ctx: &C) -> RelResu
                 },
             }
         }
+        Expr::And(parts) => eval_junction(parts, false, ctx).map(Cow::Owned),
+        Expr::Or(parts) => eval_junction(parts, true, ctx).map(Cow::Owned),
         Expr::Binary { op, left, right } => eval_binary(*op, left, right, ctx).map(Cow::Owned),
         Expr::IsNull { expr, negated } => {
             let v = eval(expr, ctx)?;
@@ -479,38 +511,32 @@ pub fn eval_true<'a, C: EvalContext<'a> + ?Sized>(expr: &'a Expr, ctx: &C) -> Re
     Ok(matches!(&*eval(expr, ctx)?, Datum::Bool(true)))
 }
 
+/// An AND (`decisive` false) or an OR (`decisive` true) in SQL's
+/// three-valued logic, left to right: the first part that is
+/// `decisive` settles it, and the parts after it are not evaluated, so
+/// neither are their errors.
+fn eval_junction<'a, C: EvalContext<'a> + ?Sized>(
+    parts: &'a [Expr],
+    decisive: bool,
+    ctx: &C,
+) -> RelResult<Datum> {
+    let mut unknown = false;
+    for part in parts {
+        match truth(&*eval(part, ctx)?)? {
+            Some(b) if b == decisive => return Ok(Datum::Bool(decisive)),
+            Some(_) => {}
+            None => unknown = true,
+        }
+    }
+    Ok(from_truth((!unknown).then_some(!decisive)))
+}
+
 fn eval_binary<'a, C: EvalContext<'a> + ?Sized>(
     op: BinOp,
     left: &'a Expr,
     right: &'a Expr,
     ctx: &C,
 ) -> RelResult<Datum> {
-    // AND/OR get short-circuit three-valued logic.
-    if op == BinOp::And || op == BinOp::Or {
-        let l = truth(&*eval(left, ctx)?)?;
-        // Short circuit where the answer is determined.
-        match (op, l) {
-            (BinOp::And, Some(false)) => return Ok(Datum::Bool(false)),
-            (BinOp::Or, Some(true)) => return Ok(Datum::Bool(true)),
-            _ => {}
-        }
-        let r = truth(&*eval(right, ctx)?)?;
-        let out = match op {
-            BinOp::And => match (l, r) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-            BinOp::Or => match (l, r) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
-            _ => unreachable!("only AND/OR handled here"),
-        };
-        return Ok(from_truth(out));
-    }
-
     let l = eval(left, ctx)?;
     let r = eval(right, ctx)?;
     let (l, r) = (&*l, &*r);
@@ -553,7 +579,6 @@ fn eval_binary<'a, C: EvalContext<'a> + ?Sized>(
                 found: format!("{l} LIKE {r}"),
             }),
         },
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
     }
 }
 
@@ -687,16 +712,56 @@ mod tests {
         let t = || Expr::lit(Datum::Bool(true));
         let f = || Expr::lit(Datum::Bool(false));
         let n = || Expr::lit(Datum::Null);
-        assert_eq!(ev(&Expr::bin(BinOp::And, f(), n())), Datum::Bool(false));
-        assert!(ev(&Expr::bin(BinOp::And, t(), n())).is_null());
-        assert_eq!(ev(&Expr::bin(BinOp::Or, t(), n())), Datum::Bool(true));
-        assert!(ev(&Expr::bin(BinOp::Or, f(), n())).is_null());
+        assert_eq!(
+            ev(&Expr::junction(Expr::And, [f(), n()])),
+            Datum::Bool(false)
+        );
+        assert!(ev(&Expr::junction(Expr::And, [t(), n()])).is_null());
+        assert_eq!(ev(&Expr::junction(Expr::Or, [t(), n()])), Datum::Bool(true));
+        assert!(ev(&Expr::junction(Expr::Or, [f(), n()])).is_null());
         // NOT NULL is NULL
         let not_null = Expr::Unary {
             op: UnaryOp::Not,
             expr: Box::new(n()),
         };
         assert!(ev(&not_null).is_null());
+    }
+
+    #[test]
+    fn a_junction_is_one_flat_list() {
+        let c = |n: i64| Expr::bin(BinOp::Eq, Expr::col("x"), Expr::lit(Datum::Int(n)));
+        let e = Expr::junction(
+            Expr::And,
+            [
+                Expr::junction(Expr::And, [c(1), c(2)]),
+                Expr::junction(Expr::Or, [c(3), c(4)]),
+                c(5),
+            ],
+        );
+        let or = Expr::Or(vec![c(3), c(4)]);
+        assert_eq!(e, Expr::And(vec![c(1), c(2), or, c(5)]));
+        assert_eq!(
+            e.to_sql(),
+            "((x = 1) AND (x = 2) AND ((x = 3) OR (x = 4)) AND (x = 5))"
+        );
+        assert_eq!(Expr::junction(Expr::Or, [c(1)]), c(1));
+        assert_eq!(e.conjuncts().len(), 4);
+        assert_eq!(c(1).conjuncts(), [c(1)]);
+    }
+
+    /// Left to right, the first FALSE of an AND (TRUE of an OR) settles
+    /// it; a part before it that fails fails the whole.
+    #[test]
+    fn a_junction_stops_at_its_first_decisive_part() {
+        let lit = |d: Datum| Expr::lit(d);
+        let boom = || Expr::bin(BinOp::Div, lit(Datum::Int(1)), lit(Datum::Int(0)));
+        let (t, f, n) = (Datum::Bool(true), Datum::Bool(false), Datum::Null);
+        let and = Expr::junction(Expr::And, [lit(n.clone()), lit(f.clone()), boom()]);
+        assert_eq!(ev(&and), f);
+        let or = Expr::junction(Expr::Or, [lit(n.clone()), lit(t.clone()), boom()]);
+        assert_eq!(ev(&or), t);
+        let late = Expr::junction(Expr::And, [lit(n), boom(), lit(f)]);
+        assert_eq!(eval(&late, &NoRows).unwrap_err(), RelError::DivisionByZero);
     }
 
     #[test]
@@ -802,14 +867,16 @@ mod tests {
 
     #[test]
     fn sql_printing() {
-        let e = Expr::bin(
-            BinOp::And,
-            Expr::bin(
-                BinOp::Eq,
-                Expr::qcol("a", "title"),
-                Expr::lit(Datum::Text("AIDS and drugs".into())),
-            ),
-            Expr::bin(BinOp::Gt, Expr::col("funding"), Expr::lit(Datum::Int(1000))),
+        let e = Expr::junction(
+            Expr::And,
+            [
+                Expr::bin(
+                    BinOp::Eq,
+                    Expr::qcol("a", "title"),
+                    Expr::lit(Datum::Text("AIDS and drugs".into())),
+                ),
+                Expr::bin(BinOp::Gt, Expr::col("funding"), Expr::lit(Datum::Int(1000))),
+            ],
         );
         assert_eq!(
             e.to_sql(),

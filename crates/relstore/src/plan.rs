@@ -54,7 +54,6 @@ use crate::{RelError, RelResult};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::ops::Bound;
 
 /// The table layout of a joined row: which bindings cover which column
@@ -169,6 +168,14 @@ fn bind(expr: &Expr, layout: &Layout, mut aggs: Option<&mut Vec<AggSpec>>) -> Re
             op: *op,
             expr: sub(expr)?,
         },
+        Expr::And(parts) | Expr::Or(parts) => {
+            let make = match expr {
+                Expr::And(_) => Expr::And,
+                _ => Expr::Or,
+            };
+            let bound = parts.iter().map(|e| sub(e).map(|b| *b));
+            Expr::junction(make, bound.collect::<RelResult<Vec<_>>>()?)
+        }
         Expr::Binary { op, left, right } => Expr::Binary {
             op: *op,
             left: sub(left)?,
@@ -269,22 +276,6 @@ pub(crate) fn lookup<'a>(tables: &'a HashMap<String, Table>, name: &str) -> RelR
     tables.get(&lower).ok_or(RelError::NoSuchTable(lower))
 }
 
-/// Split a conjunction into its AND-ed parts.
-pub(crate) fn conjuncts(expr: &Expr) -> Vec<&Expr> {
-    match expr {
-        Expr::Binary {
-            op: BinOp::And,
-            left,
-            right,
-        } => {
-            let mut v = conjuncts(left);
-            v.extend(conjuncts(right));
-            v
-        }
-        other => vec![other],
-    }
-}
-
 /// Expand the select list into `(expression, output name)` pairs. An
 /// item written as an expression is borrowed; a wildcard expands into
 /// owned column references.
@@ -368,21 +359,15 @@ pub(crate) fn equi_join_offsets(
     };
     let left_off =
         |t: &Option<String>, n: &str| -> Option<usize> { layout.resolve(t.as_deref(), n).ok() };
-    // a on left, b on right?
-    if let (Some(lo), Some(rc)) = (left_off(&at, &an), right_col(&bt, &bn)) {
-        // ensure b genuinely refers to the right table when unqualified:
-        // prefer the right side interpretation only if the left layout
-        // cannot resolve it unambiguously as well.
-        if bt.as_deref() == Some(right_binding) || left_off(&bt, &bn).is_none() {
-            return Some((lo, rc));
-        }
-    }
-    if let (Some(lo), Some(rc)) = (left_off(&bt, &bn), right_col(&at, &an)) {
-        if at.as_deref() == Some(right_binding) || left_off(&at, &an).is_none() {
-            return Some((lo, rc));
-        }
-    }
-    None
+    // One side on the left, the other on the right. An unqualified
+    // name is read as the right table's only if the left layout cannot
+    // resolve it as well.
+    let sides = [((&at, &an), (&bt, &bn)), ((&bt, &bn), (&at, &an))];
+    let found = sides.into_iter().find_map(|((lt, ln), (rt, rn))| {
+        let (lo, rc) = (left_off(lt, ln)?, right_col(rt, rn)?);
+        (rt.as_deref() == Some(right_binding) || left_off(rt, rn).is_none()).then_some((lo, rc))
+    });
+    found
 }
 
 /// A sargable predicate served directly by a B-tree index.
@@ -604,14 +589,10 @@ impl PhysicalPlan {
     /// Operator names bottom-up (leaf first), matching the order the
     /// executor records them in `ExecMetrics::operators`.
     pub fn operator_names(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        fn walk(p: &PhysicalPlan, out: &mut Vec<&'static str>) {
-            if let Some(i) = p.input() {
-                walk(i, out);
-            }
-            out.push(p.name());
-        }
-        walk(self, &mut out);
+        let mut out = self
+            .input()
+            .map_or_else(Vec::new, PhysicalPlan::operator_names);
+        out.push(self.name());
         out
     }
 
@@ -644,34 +625,21 @@ impl PhysicalPlan {
                     n.table, n.column, v, n.via, n.est_rows
                 )),
                 Sarg::Range { lo, hi } => {
-                    let mut cond = String::new();
-                    match lo {
-                        Bound::Included(v) => {
-                            let _ = write!(cond, "{} >= {}", n.column, v);
-                        }
-                        Bound::Excluded(v) => {
-                            let _ = write!(cond, "{} > {}", n.column, v);
-                        }
-                        Bound::Unbounded => {}
-                    }
-                    match hi {
-                        Bound::Included(v) => {
-                            if !cond.is_empty() {
-                                cond.push_str(" AND ");
-                            }
-                            let _ = write!(cond, "{} <= {}", n.column, v);
-                        }
-                        Bound::Excluded(v) => {
-                            if !cond.is_empty() {
-                                cond.push_str(" AND ");
-                            }
-                            let _ = write!(cond, "{} < {}", n.column, v);
-                        }
-                        Bound::Unbounded => {}
-                    }
+                    let side = |bound: &Bound<Datum>, open: &str, closed: &str| match bound {
+                        Bound::Included(v) => Some(format!("{} {closed} {v}", n.column)),
+                        Bound::Excluded(v) => Some(format!("{} {open} {v}", n.column)),
+                        Bound::Unbounded => None,
+                    };
+                    let cond: Vec<String> = [side(lo, ">", ">="), side(hi, "<", "<=")]
+                        .into_iter()
+                        .flatten()
+                        .collect();
                     out.push(format!(
                         "{pad}index range scan {}.{} via {} (~{} rows)",
-                        n.table, cond, n.via, n.est_rows
+                        n.table,
+                        cond.join(" AND "),
+                        n.via,
+                        n.est_rows
                     ));
                 }
             },
@@ -754,7 +722,8 @@ struct SargCandidate {
     sarg: Sarg,
     via: IndexKind,
     distinct: usize,
-    /// Positions, among the WHERE conjuncts, of those the sarg answers.
+    /// Positions, among the WHERE conjuncts, of those the sarg answers,
+    /// in ascending order.
     covers: Vec<usize>,
 }
 
@@ -781,36 +750,21 @@ fn sarg_of(
                 BinOp::Eq => Sarg::Eq(lit.clone()),
                 // Range ops never match NULL; skip null literals.
                 BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge if !lit.is_null() => {
-                    // Normalize `lit < col` to `col > lit`, etc.
-                    let op = if flipped {
-                        match op {
-                            BinOp::Lt => BinOp::Gt,
-                            BinOp::Le => BinOp::Ge,
-                            BinOp::Gt => BinOp::Lt,
-                            BinOp::Ge => BinOp::Le,
-                            _ => unreachable!(),
+                    let bound = match op {
+                        BinOp::Le | BinOp::Ge => Bound::Included(lit.clone()),
+                        _ => Bound::Excluded(lit.clone()),
+                    };
+                    // `col > lit` and `lit < col` bound the column below.
+                    if matches!(op, BinOp::Gt | BinOp::Ge) != flipped {
+                        Sarg::Range {
+                            lo: bound,
+                            hi: Bound::Unbounded,
                         }
                     } else {
-                        *op
-                    };
-                    match op {
-                        BinOp::Lt => Sarg::Range {
+                        Sarg::Range {
                             lo: Bound::Unbounded,
-                            hi: Bound::Excluded(lit.clone()),
-                        },
-                        BinOp::Le => Sarg::Range {
-                            lo: Bound::Unbounded,
-                            hi: Bound::Included(lit.clone()),
-                        },
-                        BinOp::Gt => Sarg::Range {
-                            lo: Bound::Excluded(lit.clone()),
-                            hi: Bound::Unbounded,
-                        },
-                        BinOp::Ge => Sarg::Range {
-                            lo: Bound::Included(lit.clone()),
-                            hi: Bound::Unbounded,
-                        },
-                        _ => unreachable!(),
+                            hi: bound,
+                        }
                     }
                 }
                 _ => return None,
@@ -886,32 +840,36 @@ fn eq_sargable(lit: &Datum, col_type: DataType) -> bool {
 /// below the upper bound alone. The merged candidate takes the place of
 /// its column's last range conjunct, so ties between columns break as
 /// they did before merging, and covers every conjunct merged into it.
-/// Equality candidates pass through unchanged.
+/// Equality candidates pass through unchanged. Each candidate costs at
+/// most one look at each column, however long the WHERE clause.
 fn intersect_ranges(candidates: impl Iterator<Item = SargCandidate>) -> Vec<SargCandidate> {
-    let mut out: Vec<SargCandidate> = Vec::new();
+    let mut out: Vec<Option<SargCandidate>> = Vec::new();
+    // `(column, where in out its merged range sits)`.
+    let mut ranges: Vec<(usize, usize)> = Vec::new();
     for mut cand in candidates {
-        let earlier = out.iter().position(|c| {
-            c.col_idx == cand.col_idx
-                && matches!(
-                    (&c.sarg, &cand.sarg),
-                    (Sarg::Range { .. }, Sarg::Range { .. })
-                )
-        });
-        if let Some(i) = earlier {
-            let prev = out.remove(i);
-            let (Sarg::Range { lo, hi }, Sarg::Range { lo: lo2, hi: hi2 }) = (prev.sarg, cand.sarg)
-            else {
-                unreachable!("only ranges merge")
-            };
-            cand.sarg = Sarg::Range {
-                lo: tighter(lo, lo2, Ordering::Greater),
-                hi: tighter(hi, hi2, Ordering::Less),
-            };
-            cand.covers.extend(prev.covers);
+        if matches!(cand.sarg, Sarg::Range { .. }) {
+            match ranges.iter_mut().find(|(col, _)| *col == cand.col_idx) {
+                Some((_, at)) => {
+                    let mut prev = out[*at].take().expect("a column's range is in place");
+                    let (Sarg::Range { lo, hi }, Sarg::Range { lo: lo2, hi: hi2 }) =
+                        (prev.sarg, cand.sarg)
+                    else {
+                        unreachable!("only ranges merge")
+                    };
+                    cand.sarg = Sarg::Range {
+                        lo: tighter(lo, lo2, Ordering::Greater),
+                        hi: tighter(hi, hi2, Ordering::Less),
+                    };
+                    prev.covers.append(&mut cand.covers);
+                    cand.covers = prev.covers;
+                    *at = out.len();
+                }
+                None => ranges.push((cand.col_idx, out.len())),
+            }
         }
-        out.push(cand);
+        out.push(Some(cand));
     }
-    out
+    out.into_iter().flatten().collect()
 }
 
 /// The tighter of two bounds on one side of a range: the one whose key
@@ -1107,7 +1065,7 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
     let stats = base.stats();
     let mut plan;
     let mut est_rows: f64;
-    let conjs = stmt.filter.as_ref().map(conjuncts).unwrap_or_default();
+    let conjs = stmt.filter.as_ref().map_or(&[][..], Expr::conjuncts);
     let candidates = conjs
         .iter()
         .enumerate()
@@ -1227,12 +1185,12 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
     // answer exactly, or the whole clause when it answers none.
     let residual = match &stmt.filter {
         Some(filter) if covered.is_empty() => Some(filter.clone()),
-        _ => conjs
-            .iter()
-            .enumerate()
-            .filter(|(at, _)| !covered.contains(at))
-            .map(|(_, c)| (*c).clone())
-            .reduce(|l, r| Expr::bin(BinOp::And, l, r)),
+        _ => {
+            let kept = conjs.iter().enumerate();
+            let kept = kept.filter(|(at, _)| covered.binary_search(at).is_err());
+            let kept: Vec<Expr> = kept.map(|(_, c)| c.clone()).collect();
+            (!kept.is_empty()).then(|| Expr::junction(Expr::And, kept))
+        }
     };
     if let Some(pred_written) = residual {
         plan = PhysicalPlan::Filter(Box::new(FilterNode {

@@ -13,11 +13,14 @@ use crate::{RelError, RelResult};
 
 /// How many expressions may sit inside one another: the whole
 /// expression is one level, and each parenthesis, `NOT`, unary minus,
-/// `IN` list or aggregate argument inside it one more. Parsing recurses
+/// `IN` list or aggregate argument inside it one more, as is each
+/// operator of a `+ - * / % ||` chain, whose tree grows one level per
+/// operator. Parsing, and every walk of the tree it builds, recurses
 /// once per level, so without a bound a peer could send a short
-/// statement that overflows the parsing thread's stack, which aborts
-/// the whole process. The SQL this system writes nests a handful of
-/// levels.
+/// statement that overflows the thread's stack, which aborts the whole
+/// process. `AND` and `OR` lists are flat (see [`Expr::junction`]) and count
+/// one level however long they are. The SQL this system writes nests a
+/// handful of levels.
 pub const MAX_EXPR_DEPTH: usize = 64;
 
 /// Parse a single SQL statement (a trailing `;` is allowed).
@@ -96,6 +99,14 @@ impl Parser {
         }
     }
 
+    /// The operator of the first of `ops` whose symbol comes next,
+    /// consumed.
+    fn eat_op(&mut self, ops: &[(&str, BinOp)]) -> Option<BinOp> {
+        ops.iter()
+            .find(|(sym, _)| self.eat_symbol(sym))
+            .map(|(_, op)| *op)
+    }
+
     fn expect_symbol(&mut self, sym: &str) -> RelResult<()> {
         if self.eat_symbol(sym) {
             Ok(())
@@ -104,9 +115,9 @@ impl Parser {
         }
     }
 
-    /// Parse one more level of expression nesting, refusing to go past
+    /// Open one more level of expression nesting, refusing to go past
     /// [`MAX_EXPR_DEPTH`].
-    fn nested(&mut self, level: fn(&mut Parser) -> RelResult<Expr>) -> RelResult<Expr> {
+    fn enter(&mut self) -> RelResult<()> {
         if self.depth == MAX_EXPR_DEPTH {
             return Err(RelError::TooDeep {
                 limit: MAX_EXPR_DEPTH,
@@ -114,9 +125,52 @@ impl Parser {
             });
         }
         self.depth += 1;
+        Ok(())
+    }
+
+    /// Parse one more level of expression nesting.
+    fn nested(&mut self, level: fn(&mut Parser) -> RelResult<Expr>) -> RelResult<Expr> {
+        self.enter()?;
         let e = level(self);
         self.depth -= 1;
         e
+    }
+
+    /// `part (kw part)*` as one flat list of the variant `join`; a lone
+    /// part is returned as it is.
+    fn junction(
+        &mut self,
+        kw: &str,
+        part: fn(&mut Parser) -> RelResult<Expr>,
+        join: fn(Vec<Expr>) -> Expr,
+    ) -> RelResult<Expr> {
+        let first = part(self)?;
+        if !self.peek_kw(kw) {
+            return Ok(first);
+        }
+        let mut parts = vec![first];
+        while self.eat_kw(kw) {
+            parts.push(part(self)?);
+        }
+        Ok(Expr::junction(join, parts))
+    }
+
+    /// The left-associative chain `operand (op operand)*` over the
+    /// operators `ops`. Each operator counts one level against
+    /// [`MAX_EXPR_DEPTH`] until the chain ends.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Parser) -> RelResult<Expr>,
+        ops: &[(&str, BinOp)],
+    ) -> RelResult<Expr> {
+        let open = self.depth;
+        let mut left = operand(self)?;
+        while let Some(op) = self.eat_op(ops) {
+            self.enter()?;
+            left = Expr::bin(op, left, operand(self)?);
+        }
+        self.depth = open;
+        Ok(left)
     }
 
     fn expect_eof(&self) -> RelResult<()> {
@@ -531,21 +585,11 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> RelResult<Expr> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw("or") {
-            let right = self.and_expr()?;
-            left = Expr::bin(BinOp::Or, left, right);
-        }
-        Ok(left)
+        self.junction("or", Parser::and_expr, Expr::Or)
     }
 
     fn and_expr(&mut self) -> RelResult<Expr> {
-        let mut left = self.not_expr()?;
-        while self.eat_kw("and") {
-            let right = self.not_expr()?;
-            left = Expr::bin(BinOp::And, left, right);
-        }
-        Ok(left)
+        self.junction("and", Parser::not_expr, Expr::And)
     }
 
     fn not_expr(&mut self) -> RelResult<Expr> {
@@ -618,21 +662,15 @@ impl Parser {
         }
 
         // Plain comparison operators.
-        let op = if self.eat_symbol("=") {
-            Some(BinOp::Eq)
-        } else if self.eat_symbol("<>") || self.eat_symbol("!=") {
-            Some(BinOp::Ne)
-        } else if self.eat_symbol("<=") {
-            Some(BinOp::Le)
-        } else if self.eat_symbol(">=") {
-            Some(BinOp::Ge)
-        } else if self.eat_symbol("<") {
-            Some(BinOp::Lt)
-        } else if self.eat_symbol(">") {
-            Some(BinOp::Gt)
-        } else {
-            None
-        };
+        let op = self.eat_op(&[
+            ("=", BinOp::Eq),
+            ("<>", BinOp::Ne),
+            ("!=", BinOp::Ne),
+            ("<=", BinOp::Le),
+            (">=", BinOp::Ge),
+            ("<", BinOp::Lt),
+            (">", BinOp::Gt),
+        ]);
         match op {
             Some(op) => {
                 let right = self.concat_expr()?;
@@ -643,47 +681,19 @@ impl Parser {
     }
 
     fn concat_expr(&mut self) -> RelResult<Expr> {
-        let mut left = self.additive()?;
-        while self.eat_symbol("||") {
-            let right = self.additive()?;
-            left = Expr::bin(BinOp::Concat, left, right);
-        }
-        Ok(left)
+        self.chain(Parser::additive, &[("||", BinOp::Concat)])
     }
 
     fn additive(&mut self) -> RelResult<Expr> {
-        let mut left = self.multiplicative()?;
-        loop {
-            if self.eat_symbol("+") {
-                let right = self.multiplicative()?;
-                left = Expr::bin(BinOp::Add, left, right);
-            } else if self.eat_symbol("-") {
-                let right = self.multiplicative()?;
-                left = Expr::bin(BinOp::Sub, left, right);
-            } else {
-                break;
-            }
-        }
-        Ok(left)
+        self.chain(
+            Parser::multiplicative,
+            &[("+", BinOp::Add), ("-", BinOp::Sub)],
+        )
     }
 
     fn multiplicative(&mut self) -> RelResult<Expr> {
-        let mut left = self.unary()?;
-        loop {
-            if self.eat_symbol("*") {
-                let right = self.unary()?;
-                left = Expr::bin(BinOp::Mul, left, right);
-            } else if self.eat_symbol("/") {
-                let right = self.unary()?;
-                left = Expr::bin(BinOp::Div, left, right);
-            } else if self.eat_symbol("%") {
-                let right = self.unary()?;
-                left = Expr::bin(BinOp::Mod, left, right);
-            } else {
-                break;
-            }
-        }
-        Ok(left)
+        let ops = [("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Mod)];
+        self.chain(Parser::unary, &ops)
     }
 
     fn unary(&mut self) -> RelResult<Expr> {
@@ -1022,18 +1032,21 @@ mod tests {
     }
 
     /// Nesting up to the limit parses and one level more is refused.
-    /// Without the limit, 20 000 nested parentheses or `NOT`s recurse
-    /// once per level and overflow a 2 MiB thread stack, which aborts
-    /// the process.
+    /// Without the limit, 20 000 nested parentheses or `NOT`s, or a
+    /// chain of 20 000 `+`s, recurse once per level and overflow a
+    /// 2 MiB thread stack, which aborts the process.
     #[test]
     fn deep_nesting_is_refused_on_a_small_stack() {
         let parens = |n: usize| format!("SELECT {}1{} FROM t", "(".repeat(n), ")".repeat(n));
         let nots = |n: usize| format!("SELECT * FROM t WHERE {}x = 1", "NOT ".repeat(n));
+        let chain = |n: usize| format!("SELECT 1{} FROM t", " + 1".repeat(n));
         // The whole expression is the first level.
-        for sql in [parens(MAX_EXPR_DEPTH - 1), nots(MAX_EXPR_DEPTH - 1)] {
+        let under = MAX_EXPR_DEPTH - 1;
+        for sql in [parens(under), nots(under), chain(under)] {
             assert!(parse_statement(&sql).is_ok(), "{sql}");
         }
-        for sql in [parens(MAX_EXPR_DEPTH), nots(MAX_EXPR_DEPTH)] {
+        let at = MAX_EXPR_DEPTH;
+        for sql in [parens(at), nots(at), chain(at)] {
             assert!(
                 matches!(
                     parse_statement(&sql),
@@ -1044,7 +1057,9 @@ mod tests {
         }
         let deep = std::thread::Builder::new()
             .stack_size(2 << 20)
-            .spawn(move || [parens(20_000), nots(20_000)].map(|sql| parse_statement(&sql)))
+            .spawn(move || {
+                [parens(20_000), nots(20_000), chain(20_000)].map(|sql| parse_statement(&sql))
+            })
             .unwrap()
             .join()
             .expect("parser thread returns");

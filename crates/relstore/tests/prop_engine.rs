@@ -79,16 +79,15 @@ fn arb_expr(rng: &mut StdRng, depth: u32) -> Expr {
             arb_expr(rng, depth - 1),
             arb_expr(rng, depth - 1),
         ),
-        5 => Expr::bin(
-            BinOp::And,
-            arb_expr(rng, depth - 1),
-            arb_expr(rng, depth - 1),
-        ),
-        6 => Expr::bin(
-            BinOp::Or,
-            arb_expr(rng, depth - 1),
-            arb_expr(rng, depth - 1),
-        ),
+        // A flat AND or OR list of 2 to 8 parts.
+        5 | 6 => {
+            let parts = vec_of(rng, 2..9, |r| arb_expr(r, depth - 1));
+            if pick == 5 {
+                Expr::junction(Expr::And, parts)
+            } else {
+                Expr::junction(Expr::Or, parts)
+            }
+        }
         _ => Expr::IsNull {
             expr: Box::new(arb_expr(rng, depth - 1)),
             negated: rng.gen_bool(0.5),
@@ -155,6 +154,43 @@ fn expr_print_parse_roundtrip() {
             },
             other => panic!("unexpected stmt {other:?}"),
         }
+    });
+}
+
+/// A list written with a run of its parts in parentheses, `(a AND b)
+/// AND c` or `a OR (b OR c) OR d`, parses into the one flat list the
+/// constructor builds from the same parts.
+#[test]
+fn a_parenthesised_run_of_a_list_parses_into_the_list() {
+    prop::cases(128, |rng| {
+        let and = rng.gen_bool(0.5);
+        let parts = vec_of(rng, 3..9, |r| arb_expr(r, 2));
+        let from = rng.gen_range(0..parts.len() - 1);
+        let to = rng.gen_range(from + 2..=parts.len());
+        let (kw, join): (&str, fn(Vec<Expr>) -> Expr) = if and {
+            (" AND ", Expr::And)
+        } else {
+            (" OR ", Expr::Or)
+        };
+        let text = |ps: &[Expr]| {
+            let texts: Vec<String> = ps.iter().map(Expr::to_sql).collect();
+            texts.join(kw)
+        };
+        let sql = format!(
+            "SELECT {}{}({}){}{} FROM dual_t",
+            text(&parts[..from]),
+            if from > 0 { kw } else { "" },
+            text(&parts[from..to]),
+            if to < parts.len() { kw } else { "" },
+            text(&parts[to..]),
+        );
+        let Statement::Select(s) = parse_statement(&sql).unwrap() else {
+            panic!("{sql}: not a SELECT");
+        };
+        let webfindit_relstore::sql::ast::SelectItem::Expr { expr, .. } = &s.items[0] else {
+            panic!("{sql}: not an expression");
+        };
+        assert_eq!(expr, &Expr::junction(join, parts), "{sql}");
     });
 }
 

@@ -32,7 +32,6 @@
 use crate::exec::naive::execute_select_naive;
 use crate::exec::{execute_plan_into, execute_plan_one_at_a_time, ResultSet};
 use crate::expr::{BinOp, Expr};
-use crate::plan::conjuncts;
 use crate::sql::{parse_statement, Statement};
 use crate::storage::PROBE_BATCH;
 use crate::types::{format_date, parse_date};
@@ -118,7 +117,7 @@ fn gen_pred(rng: &mut StdRng, qualify: bool) -> String {
         format!("{q}b IS NULL"),
         range_pair(rng, q),
     ];
-    match rng.gen_range(0..5usize) {
+    match rng.gen_range(0..6usize) {
         0 => format!("{} AND {}", pick(rng, &atoms), pick(rng, &atoms)),
         1 => format!("{} OR {}", pick(rng, &atoms), pick(rng, &atoms)),
         // Three range conjuncts on one column intersect into one sarg.
@@ -126,8 +125,32 @@ fn gen_pred(rng: &mut StdRng, qualify: bool) -> String {
             let col = *pick(rng, &["id", "a"]);
             format!("{} AND {}", range_pair(rng, q), range_bound(rng, q, col))
         }
+        3 => {
+            let parts: Vec<String> = (0..rng.gen_range(2..9usize))
+                .map(|_| pick(rng, &atoms).clone())
+                .collect();
+            let kw = *pick(rng, &[" AND ", " OR "]);
+            flat_chain(rng, &parts, kw)
+        }
         _ => pick(rng, &atoms).clone(),
     }
+}
+
+/// `parts` joined by `kw`, as one flat chain or with a run of two or
+/// more of them in parentheses: the same kind of chain inside its own
+/// kind, which parses into the same list.
+fn flat_chain(rng: &mut StdRng, parts: &[String], kw: &str) -> String {
+    let n = parts.len();
+    if n < 3 || rng.gen_bool(0.5) {
+        return parts.join(kw);
+    }
+    let from = rng.gen_range(0..n - 1);
+    let to = rng.gen_range(from + 2..=n);
+    let inner = format!("({})", parts[from..to].join(kw));
+    let mut out: Vec<&str> = parts[..from].iter().map(String::as_str).collect();
+    out.push(&inner);
+    out.extend(parts[to..].iter().map(String::as_str));
+    out.join(kw)
 }
 
 /// One range conjunct on `col`: any of the four comparisons, with the
@@ -817,19 +840,17 @@ fn assert_residual(db: &Database, sql: &str) {
     let expected = match (&select.filter, leaf) {
         (Some(w), PhysicalPlan::IxScan(scan)) if matches!(scan.sarg, Sarg::Range { .. }) => {
             let ty = db.tables()[&scan.table].schema.columns[scan.col_idx].data_type;
-            let all = conjuncts(w);
-            let rest: Vec<&Expr> = all
+            let all = w.conjuncts();
+            let rest: Vec<Expr> = all
                 .iter()
-                .copied()
                 .filter(|c| !answered_by_range(c, &scan.column, ty))
+                .cloned()
                 .collect();
             assert!(
                 rest.len() < all.len(),
                 "{sql}: a range that answers nothing"
             );
-            rest.into_iter()
-                .cloned()
-                .reduce(|l, r| Expr::bin(BinOp::And, l, r))
+            (!rest.is_empty()).then(|| Expr::junction(Expr::And, rest))
         }
         (w, _) => w.clone(),
     }
@@ -1153,8 +1174,8 @@ fn a_range_is_exactly_its_conjuncts() {
                 panic!("{sql}: {:?}", scan.sarg);
             };
             let table = &db.tables()[name];
-            let written = conjuncts(select.filter.as_ref().unwrap());
-            let heap = |cs: &[&Expr]| -> Vec<usize> {
+            let written = select.filter.as_ref().unwrap().conjuncts();
+            let heap = |cs: &[Expr]| -> Vec<usize> {
                 table
                     .scan()
                     .filter(|(_, r)| cs.iter().all(|c| accepts(c, &r[col])))
@@ -1171,11 +1192,12 @@ fn a_range_is_exactly_its_conjuncts() {
                 slots.windows(2).all(|w| key(w[0]) <= key(w[1])),
                 "{sql}: not in key order"
             );
-            assert_eq!(sorted(slots), heap(&written), "{sql}");
-            for c in &written {
+            assert_eq!(sorted(slots), heap(written), "{sql}");
+            for c in written {
                 let (lo, hi) = raw_bounds(c);
                 let slots = table.index_range(col, lo, hi).unwrap();
-                assert_eq!(sorted(slots), heap(&[c]), "{sql}: {}", c.to_sql());
+                let one = std::slice::from_ref(c);
+                assert_eq!(sorted(slots), heap(one), "{sql}: {}", c.to_sql());
             }
             let (planned, _) = db.select(&stmt).unwrap();
             let naive = run_naive(&db, &sql).unwrap();

@@ -81,12 +81,51 @@ pub enum Predicate {
         /// The admitted values (at least one).
         values: Vec<Literal>,
     },
-    /// Conjunction.
-    And(Box<Predicate>, Box<Predicate>),
-    /// Disjunction.
-    Or(Box<Predicate>, Box<Predicate>),
+    /// Conjunction of two or more parts, none of them an `And`. Built
+    /// by [`Predicate::junction`].
+    And(Vec<Predicate>),
+    /// Disjunction of two or more parts, none of them an `Or`. Built by
+    /// [`Predicate::junction`].
+    Or(Vec<Predicate>),
     /// Negation.
     Not(Box<Predicate>),
+}
+
+impl Predicate {
+    /// The one way a [`Predicate::And`] or [`Predicate::Or`] is built:
+    /// `make` is that variant, and a part that is itself one,
+    /// parenthesised or not, is spliced in. So a chain of any length is
+    /// one flat list and nothing recurses once per operator. A single
+    /// part comes back unchanged; `parts` must not be empty.
+    pub fn junction(
+        make: fn(Vec<Predicate>) -> Predicate,
+        parts: impl IntoIterator<Item = Predicate>,
+    ) -> Predicate {
+        let kind = make(Vec::new());
+        let mut flat = Vec::new();
+        for part in parts {
+            match (&kind, part) {
+                (Predicate::And(_), Predicate::And(inner))
+                | (Predicate::Or(_), Predicate::Or(inner)) => flat.extend(inner),
+                (_, part) => flat.push(part),
+            }
+        }
+        match flat.len() {
+            1 => flat.pop().expect("one part"),
+            _ => make(flat),
+        }
+    }
+}
+
+/// Each of `parts` rendered by `render` in parentheses, joined by `sep`:
+/// how every renderer writes an `And` or `Or` list.
+pub(crate) fn list_text(
+    parts: &[Predicate],
+    render: impl Fn(&Predicate) -> String,
+    sep: &str,
+) -> String {
+    let texts: Vec<String> = parts.iter().map(|p| format!("({})", render(p))).collect();
+    texts.join(sep)
 }
 
 /// An argument to an access-function invocation.
@@ -321,21 +360,11 @@ impl fmt::Display for Statement {
                 type_name,
                 function,
                 args,
-            } => {
-                let rendered: Vec<String> = args
-                    .iter()
-                    .map(|a| match a {
-                        Arg::AttrRef(p) => p.clone(),
-                        Arg::Literal(l) => l.to_string(),
-                        Arg::Predicate(p) => format!("({})", render_pred(p)),
-                    })
-                    .collect();
-                write!(
-                    f,
-                    "Invoke {type_name}.{function}({}) On Instance {instance};",
-                    rendered.join(", ")
-                )
-            }
+            } => write!(
+                f,
+                "Invoke {type_name}.{function}({}) On Instance {instance};",
+                render_args(args)
+            ),
             Statement::Native { instance, query } => write!(
                 f,
                 "Submit Native '{}' To Instance {instance};",
@@ -349,36 +378,19 @@ impl fmt::Display for Statement {
                 semi,
                 limit,
             } => {
-                let rendered: Vec<String> = args
-                    .iter()
-                    .map(|a| match a {
-                        Arg::AttrRef(p) => p.clone(),
-                        Arg::Literal(l) => l.to_string(),
-                        Arg::Predicate(p) => format!("({})", render_pred(p)),
-                    })
-                    .collect();
                 write!(
                     f,
                     "Invoke {type_name}.{function}({}) {scope}",
-                    rendered.join(", ")
+                    render_args(args)
                 )?;
                 if let Some(s) = semi {
-                    let build_args: Vec<String> = s
-                        .build_args
-                        .iter()
-                        .map(|a| match a {
-                            Arg::AttrRef(p) => p.clone(),
-                            Arg::Literal(l) => l.to_string(),
-                            Arg::Predicate(p) => format!("({})", render_pred(p)),
-                        })
-                        .collect();
                     write!(
                         f,
                         " Where {} In {}.{}({})",
                         s.probe_attr,
                         s.build_type,
                         s.build_attr,
-                        build_args.join(", ")
+                        render_args(&s.build_args)
                     )?;
                 }
                 if let Some(n) = limit {
@@ -431,6 +443,19 @@ impl fmt::Display for Statement {
     }
 }
 
+/// Render call arguments as written, comma-separated.
+fn render_args(args: &[Arg]) -> String {
+    let rendered: Vec<String> = args
+        .iter()
+        .map(|a| match a {
+            Arg::AttrRef(p) => p.clone(),
+            Arg::Literal(l) => l.to_string(),
+            Arg::Predicate(p) => format!("({})", render_pred(p)),
+        })
+        .collect();
+    rendered.join(", ")
+}
+
 /// Render a predicate in WebTassili/SQL-compatible syntax.
 pub fn render_pred(p: &Predicate) -> String {
     match p {
@@ -439,8 +464,8 @@ pub fn render_pred(p: &Predicate) -> String {
             let vs: Vec<String> = values.iter().map(|v| v.to_string()).collect();
             format!("{path} In ({})", vs.join(", "))
         }
-        Predicate::And(a, b) => format!("({}) And ({})", render_pred(a), render_pred(b)),
-        Predicate::Or(a, b) => format!("({}) Or ({})", render_pred(a), render_pred(b)),
+        Predicate::And(parts) => list_text(parts, render_pred, " And "),
+        Predicate::Or(parts) => list_text(parts, render_pred, " Or "),
         Predicate::Not(a) => format!("Not ({})", render_pred(a)),
     }
 }

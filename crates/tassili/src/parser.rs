@@ -449,21 +449,26 @@ impl Parser {
     }
 
     fn pred_or(&mut self) -> TassiliResult<Predicate> {
-        let mut left = self.pred_and()?;
-        while self.eat_kw("or") {
-            let right = self.pred_and()?;
-            left = Predicate::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.junction("or", Parser::pred_and, Predicate::Or)
     }
 
     fn pred_and(&mut self) -> TassiliResult<Predicate> {
-        let mut left = self.pred_not()?;
-        while self.eat_kw("and") {
-            let right = self.pred_not()?;
-            left = Predicate::And(Box::new(left), Box::new(right));
+        self.junction("and", Parser::pred_not, Predicate::And)
+    }
+
+    /// `part (kw part)*` as one flat list of the variant `join`; a lone
+    /// part is returned as it is.
+    fn junction(
+        &mut self,
+        kw: &str,
+        part: fn(&mut Parser) -> TassiliResult<Predicate>,
+        join: fn(Vec<Predicate>) -> Predicate,
+    ) -> TassiliResult<Predicate> {
+        let mut parts = vec![part(self)?];
+        while self.eat_kw(kw) {
+            parts.push(part(self)?);
         }
-        Ok(left)
+        Ok(Predicate::junction(join, parts))
     }
 
     fn pred_not(&mut self) -> TassiliResult<Predicate> {
@@ -681,7 +686,7 @@ mod tests {
                 .unwrap();
         match stmt {
             Statement::Invoke { args, .. } => {
-                assert!(matches!(args[0], Arg::Predicate(Predicate::Or(_, _))));
+                assert!(matches!(args[0], Arg::Predicate(Predicate::Or(_))));
             }
             other => panic!("{other:?}"),
         }

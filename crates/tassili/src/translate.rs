@@ -16,7 +16,7 @@
 //! For object-oriented sources the same call becomes an OQL query
 //! (`select funding from ResearchProjects where title = '…'`).
 
-use crate::ast::{Arg, Literal, PredOp, Predicate, Statement};
+use crate::ast::{list_text, Arg, Literal, PredOp, Predicate, Statement};
 use crate::{TassiliError, TassiliResult};
 
 /// Re-qualify an attribute path onto the alias: `Type.Attr` → `a.attr`,
@@ -44,16 +44,8 @@ pub fn predicate_to_sql(p: &Predicate, alias: &str) -> String {
             let vs: Vec<String> = values.iter().map(literal_sql).collect();
             format!("{} IN ({})", requalify(path, alias), vs.join(", "))
         }
-        Predicate::And(a, b) => format!(
-            "({}) AND ({})",
-            predicate_to_sql(a, alias),
-            predicate_to_sql(b, alias)
-        ),
-        Predicate::Or(a, b) => format!(
-            "({}) OR ({})",
-            predicate_to_sql(a, alias),
-            predicate_to_sql(b, alias)
-        ),
+        Predicate::And(parts) => list_text(parts, |p| predicate_to_sql(p, alias), " AND "),
+        Predicate::Or(parts) => list_text(parts, |p| predicate_to_sql(p, alias), " OR "),
         Predicate::Not(a) => format!("NOT ({})", predicate_to_sql(a, alias)),
     }
 }
@@ -75,35 +67,25 @@ pub fn predicate_to_oql(p: &Predicate) -> String {
             let vs: Vec<String> = values.iter().map(literal_sql).collect();
             format!("{attr} in ({})", vs.join(", "))
         }
-        Predicate::And(a, b) => {
-            format!("({}) and ({})", predicate_to_oql(a), predicate_to_oql(b))
-        }
-        Predicate::Or(a, b) => {
-            format!("({}) or ({})", predicate_to_oql(a), predicate_to_oql(b))
-        }
+        Predicate::And(parts) => list_text(parts, predicate_to_oql, " and "),
+        Predicate::Or(parts) => list_text(parts, predicate_to_oql, " or "),
         Predicate::Not(a) => format!("not ({})", predicate_to_oql(a)),
     }
 }
 
-/// A rendered conjunct, parenthesized when it is a top-level `Or` (so
-/// joining conjuncts with `AND` cannot change its meaning — `AND` binds
-/// tighter than `OR` in every target dialect).
-fn sql_conjunct(p: &Predicate, alias: &str, lonely: bool) -> String {
-    let rendered = predicate_to_sql(p, alias);
-    if !lonely && matches!(p, Predicate::Or(_, _)) {
-        format!("({rendered})")
-    } else {
-        rendered
-    }
-}
-
-fn oql_conjunct(p: &Predicate, lonely: bool) -> String {
-    let rendered = predicate_to_oql(p);
-    if !lonely && matches!(p, Predicate::Or(_, _)) {
-        format!("({rendered})")
-    } else {
-        rendered
-    }
+/// The call's predicate arguments and `extra`, AND-ed into one
+/// predicate, or `None` when there are none. An attribute reference
+/// restates the signature and has no WHERE effect.
+fn conjoined(args: &[Arg], extra: Option<&Predicate>) -> Option<Predicate> {
+    let preds: Vec<Predicate> = args
+        .iter()
+        .filter_map(|a| match a {
+            Arg::Predicate(p) => Some(p.clone()),
+            _ => None,
+        })
+        .chain(extra.cloned())
+        .collect();
+    (!preds.is_empty()).then(|| Predicate::junction(Predicate::And, preds))
 }
 
 /// Translate an access-function call into SQL against a relational
@@ -117,32 +99,19 @@ pub fn access_call_to_sql(
     extra: Option<&Predicate>,
 ) -> TassiliResult<String> {
     let alias = "a";
-    let mut preds: Vec<&Predicate> = Vec::new();
-    for arg in args {
-        match arg {
-            Arg::Predicate(p) => preds.push(p),
-            Arg::AttrRef(_) => {} // signature restatement, no WHERE effect
-            Arg::Literal(_) => {
-                return Err(TassiliError::Translate(
-                    "bare literal arguments need a predicate context".into(),
-                ))
-            }
-        }
+    if args.iter().any(|a| matches!(a, Arg::Literal(_))) {
+        return Err(TassiliError::Translate(
+            "bare literal arguments need a predicate context".into(),
+        ));
     }
-    preds.extend(extra);
-    let lonely = preds.len() == 1;
-    let conjuncts: Vec<String> = preds
-        .iter()
-        .map(|p| sql_conjunct(p, alias, lonely))
-        .collect();
     let mut sql = format!(
         "SELECT {alias}.{} FROM {} {alias}",
         function.to_ascii_lowercase(),
         type_name.to_ascii_lowercase()
     );
-    if !conjuncts.is_empty() {
+    if let Some(p) = conjoined(args, extra) {
         sql.push_str(" WHERE ");
-        sql.push_str(&conjuncts.join(" AND "));
+        sql.push_str(&predicate_to_sql(&p, alias));
     }
     Ok(sql)
 }
@@ -154,23 +123,14 @@ pub fn access_call_to_oql(
     args: &[Arg],
     extra: Option<&Predicate>,
 ) -> TassiliResult<String> {
-    let mut preds: Vec<&Predicate> = Vec::new();
-    for arg in args {
-        if let Arg::Predicate(p) = arg {
-            preds.push(p);
-        }
-    }
-    preds.extend(extra);
-    let lonely = preds.len() == 1;
-    let conjuncts: Vec<String> = preds.iter().map(|p| oql_conjunct(p, lonely)).collect();
     let mut oql = format!(
         "select {} from {}",
         function.to_ascii_lowercase(),
         type_name
     );
-    if !conjuncts.is_empty() {
+    if let Some(p) = conjoined(args, extra) {
         oql.push_str(" where ");
-        oql.push_str(&conjuncts.join(" and "));
+        oql.push_str(&predicate_to_oql(&p));
     }
     Ok(oql)
 }
@@ -252,8 +212,46 @@ mod tests {
         let stmt = parse("Invoke T.F((T.x = 1), (T.y = 2)) On Instance D;").unwrap();
         assert_eq!(
             translate_invoke_to_sql(&stmt).unwrap(),
-            "SELECT a.f FROM t a WHERE a.x = 1 AND a.y = 2"
+            "SELECT a.f FROM t a WHERE (a.x = 1) AND (a.y = 2)"
         );
+    }
+
+    /// The deepest parenthesis `text` opens.
+    fn paren_depth(text: &str) -> usize {
+        let mut depth = 0usize;
+        let mut deepest = 0;
+        for c in text.chars() {
+            match c {
+                '(' => depth += 1,
+                ')' => depth -= 1,
+                _ => {}
+            }
+            deepest = deepest.max(depth);
+        }
+        deepest
+    }
+
+    /// An `And` of 100 comparisons, one of them an `Or`, ships as one
+    /// flat list: a comparison sits in one parenthesis, and one inside
+    /// the `Or` in two, however long the list.
+    #[test]
+    fn a_long_and_ships_one_parenthesis_per_level() {
+        let invoke = |conjuncts: &[&str]| {
+            let text = format!("Invoke T.F(({})) On Instance D;", conjuncts.join(" And "));
+            parse(&text).unwrap()
+        };
+        let mut conjuncts = vec!["T.x >= 1"; 100];
+        let flat = invoke(&conjuncts);
+        conjuncts[50] = "(T.y = 2 Or T.y = 3)";
+        let mixed = invoke(&conjuncts);
+        for (stmt, levels) in [(flat, 1), (mixed, 2)] {
+            let sql = translate_invoke_to_sql(&stmt).unwrap();
+            let oql = translate_invoke_to_oql(&stmt).unwrap();
+            assert_eq!(paren_depth(&sql), levels, "{sql}");
+            assert_eq!(paren_depth(&oql), levels, "{oql}");
+            assert!(sql.starts_with("SELECT a.f FROM t a WHERE (a.x >= 1) AND (a.x >= 1) AND"));
+            assert!(oql.starts_with("select f from T where (x >= 1) and (x >= 1) and"));
+        }
     }
 
     #[test]

@@ -126,14 +126,12 @@ fn arb_op(rng: &mut StdRng) -> PredOp {
 fn arb_pred(rng: &mut StdRng, depth: u32) -> Predicate {
     let pick = if depth == 0 { 0 } else { rng.gen_range(0..7) };
     match pick {
-        1 => Predicate::And(
-            Box::new(arb_pred(rng, depth - 1)),
-            Box::new(arb_pred(rng, depth - 1)),
+        // Flat `And` and `Or` lists of 2 to 8 parts.
+        1 => Predicate::junction(
+            Predicate::And,
+            vec_of(rng, 2..9, |r| arb_pred(r, depth - 1)),
         ),
-        2 => Predicate::Or(
-            Box::new(arb_pred(rng, depth - 1)),
-            Box::new(arb_pred(rng, depth - 1)),
-        ),
+        2 => Predicate::junction(Predicate::Or, vec_of(rng, 2..9, |r| arb_pred(r, depth - 1))),
         3 => Predicate::Not(Box::new(arb_pred(rng, depth - 1))),
         4 => {
             let (t, a) = (arb_ident(rng), arb_ident(rng));
@@ -304,6 +302,42 @@ fn rendered_predicates_reparse() {
         let text = format!("Invoke T.F(({})) On Instance D;", render_pred(&p));
         let stmt = parse(&text);
         assert!(stmt.is_ok(), "predicate rendering unparseable: {text}");
+    });
+}
+
+/// A list written with a run of its parts in parentheses, `(a And b)
+/// And c` or `a Or (b Or c) Or d`, parses into the one flat list the
+/// constructor builds from the same parts.
+#[test]
+fn a_parenthesised_run_of_a_list_parses_into_the_list() {
+    prop::cases(256, |rng| {
+        let and = rng.gen_bool(0.5);
+        let parts = vec_of(rng, 3..9, |r| arb_pred(r, 2));
+        let from = rng.gen_range(0..parts.len() - 1);
+        let to = rng.gen_range(from + 2..=parts.len());
+        let kw = if and { " And " } else { " Or " };
+        let text = |ps: &[Predicate]| {
+            let texts: Vec<String> = ps.iter().map(|p| format!("({})", render_pred(p))).collect();
+            texts.join(kw)
+        };
+        let mut pieces = Vec::new();
+        if from > 0 {
+            pieces.push(text(&parts[..from]));
+        }
+        pieces.push(format!("({})", text(&parts[from..to])));
+        if to < parts.len() {
+            pieces.push(text(&parts[to..]));
+        }
+        let stmt = format!("Invoke T.F(({})) On Instance D;", pieces.join(kw));
+        let want = if and {
+            Predicate::junction(Predicate::And, parts)
+        } else {
+            Predicate::junction(Predicate::Or, parts)
+        };
+        let Ok(Statement::Invoke { args, .. }) = parse(&stmt) else {
+            panic!("{stmt}: not an Invoke");
+        };
+        assert_eq!(args, [Arg::Predicate(want)], "{stmt}");
     });
 }
 
