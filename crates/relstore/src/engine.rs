@@ -7,15 +7,16 @@
 //!
 //! * **statement atomicity** — a multi-row `INSERT` that fails half-way
 //!   undoes the rows it already wrote;
-//! * **explicit transactions** — `BEGIN`/`COMMIT`/`ROLLBACK` backed by an
-//!   undo log of inverse slot operations.
+//! * **explicit transactions** — `BEGIN`/`COMMIT`/`ROLLBACK` over one
+//!   list of [`Change`]s: ROLLBACK undoes it newest first, COMMIT writes
+//!   it to the WAL (durable databases).
 //!
 //! A database is either purely in-memory ([`Database::new`], the fast
 //! path — byte-identical behavior to before the durable tier existed)
 //! or durable ([`Database::open`]/[`Database::open_vfs`]/
-//! [`Database::make_durable`]): every mutation then also emits
-//! ARIES-style WAL records (redo + undo images) before the statement
-//! is acknowledged, the log is forced at commit, checkpoints write
+//! [`Database::make_durable`]): every statement's changes then also
+//! reach the WAL as ARIES-style records (redo + undo images) before the
+//! statement is acknowledged, the log is forced at commit, checkpoints write
 //! double-buffered page snapshots, and open-time recovery replays the
 //! log to the last committed state. A crash —
 //! real or injected via [`Database::arm_crash_point`] — leaves the
@@ -32,8 +33,9 @@ use crate::sql::ast::Statement;
 use crate::sql::parse_statement;
 use crate::storage::Table;
 use crate::types::{Datum, Row};
-use crate::wal::{CrashInjector, CrashPoint, LogMgr, TableImage, WalRecord};
+use crate::wal::{Change, CrashInjector, CrashPoint, LogMgr, WalRecord};
 use crate::{RelError, RelResult};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -73,111 +75,11 @@ type TxId = u64;
 /// The open transaction.
 #[derive(Debug)]
 struct Txn {
-    /// What `ROLLBACK` replays, newest first.
-    undo: Vec<UndoOp>,
+    /// Its changes in order: what ROLLBACK undoes newest first and
+    /// COMMIT writes to the WAL.
+    changes: Vec<Change>,
     /// The id its WAL records carry (`None` in memory).
     wal_tx: Option<TxId>,
-}
-
-/// Inverse operations recorded while a transaction is open.
-#[derive(Debug)]
-enum UndoOp {
-    /// Undo an insert: delete the slot.
-    Insert { table: String, slot: usize },
-    /// Undo a delete: restore the row into its slot.
-    Delete {
-        table: String,
-        slot: usize,
-        row: Row,
-    },
-    /// Undo an update: put the old row back.
-    Update {
-        table: String,
-        slot: usize,
-        old: Row,
-    },
-    /// Undo CREATE TABLE: drop it.
-    CreateTable { name: String },
-    /// Undo CREATE INDEX: drop it.
-    CreateIndex { table: String, name: String },
-    /// Undo DROP TABLE: put the whole table back.
-    DropTable { name: String, table: Box<Table> },
-}
-
-/// A successful statement's effects, captured (durable databases only)
-/// for WAL emission after the in-memory mutation lands.
-#[derive(Debug)]
-enum WalChange {
-    Insert {
-        table: String,
-        slot: usize,
-        row: Row,
-    },
-    Delete {
-        table: String,
-        slot: usize,
-        row: Row,
-    },
-    Update {
-        table: String,
-        slot: usize,
-        old: Row,
-        new: Row,
-    },
-    CreateTable {
-        schema: crate::schema::TableSchema,
-    },
-    DropTable {
-        image: TableImage,
-    },
-    CreateIndex {
-        table: String,
-        name: String,
-        column: usize,
-    },
-}
-
-impl WalChange {
-    fn into_record(self, tx: TxId) -> WalRecord {
-        match self {
-            WalChange::Insert { table, slot, row } => WalRecord::Insert {
-                tx,
-                table,
-                slot: slot as u64,
-                row,
-            },
-            WalChange::Delete { table, slot, row } => WalRecord::Delete {
-                tx,
-                table,
-                slot: slot as u64,
-                row,
-            },
-            WalChange::Update {
-                table,
-                slot,
-                old,
-                new,
-            } => WalRecord::Update {
-                tx,
-                table,
-                slot: slot as u64,
-                old,
-                new,
-            },
-            WalChange::CreateTable { schema } => WalRecord::CreateTable { tx, schema },
-            WalChange::DropTable { image } => WalRecord::DropTable { tx, table: image },
-            WalChange::CreateIndex {
-                table,
-                name,
-                column,
-            } => WalRecord::CreateIndex {
-                tx,
-                table,
-                name,
-                column: column as u32,
-            },
-        }
-    }
 }
 
 /// Cumulative durable-tier counters (zeroed for in-memory databases).
@@ -218,14 +120,6 @@ struct Storage {
     log: LogMgr,
     /// The id the next transaction gets.
     next_tx: TxId,
-    /// WAL records of the open transaction, buffered until COMMIT.
-    /// The engine is strictly no-steal (uncommitted data never reaches
-    /// a page), so nothing before the commit point needs to be on
-    /// disk; deferring the append means rolled-back transactions never
-    /// touch the log at all. This is what makes recovery's physical
-    /// slot-level UNDO sound: the only loser records that can exist
-    /// are a torn tail batch, which no committed record ever follows.
-    txn_buf: Vec<WalRecord>,
     injector: CrashInjector,
     /// Set when a crash (injected or simulated) killed this instance;
     /// every call fails with [`RelError::Unavailable`] until reopen.
@@ -249,7 +143,6 @@ impl Storage {
             vfs,
             log,
             next_tx,
-            txn_buf: Vec::new(),
             injector: CrashInjector::default(),
             dead: false,
             epoch,
@@ -282,7 +175,7 @@ impl Storage {
         RelError::Unavailable(format!("crash injected at {point}"))
     }
 
-    fn append(&mut self, rec: &WalRecord) -> RelResult<()> {
+    fn append(&mut self, rec: &WalRecord<'_>) -> RelResult<()> {
         let before = self.log.tail();
         self.log.append(rec)?;
         self.stats.wal_appends += 1;
@@ -292,8 +185,8 @@ impl Storage {
 
     /// Append a non-commit record, honoring the after-WAL-append
     /// crash point.
-    fn append_op(&mut self, rec: WalRecord) -> RelResult<()> {
-        self.append(&rec)?;
+    fn append_op(&mut self, rec: &WalRecord<'_>) -> RelResult<()> {
+        self.append(rec)?;
         if self.injector.hit(CrashPoint::AfterWalAppend) {
             return Err(self.crash(CrashPoint::AfterWalAppend));
         }
@@ -309,24 +202,29 @@ impl Storage {
     fn begin(&mut self) -> TxId {
         let tx = self.next_tx;
         self.next_tx += 1;
-        self.txn_buf.clear();
         tx
     }
 
-    /// Write the transaction's buffered records — `Begin`, the ops,
-    /// then `Commit` — and force the log. The ack invariant the crash
-    /// harness relies on: the commit record only becomes durable on
-    /// paths that go on to acknowledge the COMMIT, so "caller saw Ok"
-    /// ⟺ "recovery replays the transaction". `AfterWalAppend` can
-    /// fire on the Begin/op appends (leaving a loser tail batch for
-    /// recovery's UNDO pass), `PreCommitRecord` fires after the ops
-    /// but *before* the commit append, and no crash point sits
-    /// between the commit append and the fsync.
-    fn commit(&mut self, tx: TxId) -> RelResult<()> {
-        let ops = std::mem::take(&mut self.txn_buf);
-        self.append_op(WalRecord::Begin { tx })?;
-        for rec in ops {
-            self.append_op(rec)?;
+    /// Write transaction `tx`'s changes — `Begin`, the ops, then
+    /// `Commit` — and force the log. The engine is strictly no-steal
+    /// (uncommitted data never reaches a page), so nothing before the
+    /// commit point needs to be on disk, and a rolled-back transaction
+    /// never touches the log at all. This is what makes recovery's
+    /// physical slot-level UNDO sound: the only loser records that can
+    /// exist are a torn tail batch, which no committed record ever
+    /// follows. The ack invariant the crash harness relies on: the
+    /// commit record only becomes durable on paths that go on to
+    /// acknowledge the COMMIT, so "caller saw Ok" ⟺ "recovery replays
+    /// the transaction". `AfterWalAppend` can fire on the Begin/op
+    /// appends (leaving a loser tail batch for recovery's UNDO pass),
+    /// `PreCommitRecord` fires after the ops but *before* the commit
+    /// append, and no crash point sits between the commit append and
+    /// the fsync.
+    fn commit(&mut self, tx: TxId, changes: &[Change]) -> RelResult<()> {
+        self.append_op(&WalRecord::Begin { tx })?;
+        for change in changes {
+            let change = Cow::Borrowed(change);
+            self.append_op(&WalRecord::Op { tx, change })?;
         }
         if self.injector.hit(CrashPoint::PreCommitRecord) {
             return Err(self.crash(CrashPoint::PreCommitRecord));
@@ -336,26 +234,6 @@ impl Storage {
         self.stats.commits += 1;
         self.commits_since_ckpt += 1;
         Ok(())
-    }
-
-    /// Roll back the open transaction. Its buffered records are simply
-    /// discarded — nothing was ever appended, so the log needs no
-    /// abort record and recovery never sees the transaction.
-    fn rollback(&mut self) {
-        self.txn_buf.clear();
-        self.stats.rollbacks += 1;
-    }
-
-    /// Buffer one statement's changes: into the open transaction `open`,
-    /// or wrapped in a begin/commit of their own.
-    fn apply(&mut self, open: Option<TxId>, changes: Vec<WalChange>) -> RelResult<()> {
-        let tx = open.unwrap_or_else(|| self.begin());
-        self.txn_buf
-            .extend(changes.into_iter().map(|ch| ch.into_record(tx)));
-        match open {
-            Some(_) => Ok(()),
-            None => self.commit(tx),
-        }
     }
 
     /// Write a checkpoint: snapshot every table into the inactive
@@ -683,26 +561,22 @@ impl Database {
         if self.tables.contains_key(&schema.name) {
             return Err(RelError::TableExists(schema.name));
         }
-        let mut table = Table::new(schema.clone());
+        let mut table = Table::new(schema);
         let n = table.insert_all(rows)?;
-        let mut wal: Vec<WalChange> = Vec::new();
-        if self.storage.is_some() {
-            wal.push(WalChange::CreateTable {
-                schema: schema.clone(),
+        let mut log = self.recording().then(Vec::new);
+        if let Some(log) = &mut log {
+            log.push(Change::CreateTable {
+                schema: table.schema.clone(),
             });
-            for (slot, row) in table.scan() {
-                wal.push(WalChange::Insert {
-                    table: schema.name.clone(),
-                    slot,
-                    row: row.clone(),
-                });
-            }
+            log.extend(table.scan().map(|(slot, row)| Change::Insert {
+                table: table.schema.name.clone(),
+                slot,
+                row: row.clone(),
+            }));
         }
-        self.tables.insert(schema.name, table);
+        self.tables.insert(table.schema.name.clone(), table);
         self.stats.rows_written += n as u64;
-        if !wal.is_empty() {
-            self.wal_apply(wal)?;
-        }
+        self.record(log)?;
         Ok(n)
     }
 
@@ -834,10 +708,29 @@ impl Database {
         res
     }
 
-    /// Emit one successful statement's WAL records (durable only).
-    fn wal_apply(&mut self, changes: Vec<WalChange>) -> RelResult<()> {
-        let open = self.txn.as_ref().and_then(|t| t.wal_tx);
-        self.on_storage(|st| st.apply(open, changes))
+    /// True when a statement's changes are kept: inside a transaction,
+    /// for ROLLBACK and COMMIT, and on a durable database, for the WAL.
+    fn recording(&self) -> bool {
+        self.txn.is_some() || self.storage.is_some()
+    }
+
+    /// Keep one successful statement's changes (`None` when not
+    /// [`Database::recording`]): in the open transaction, or committed
+    /// as a transaction of their own on a durable database.
+    fn record(&mut self, log: Option<Vec<Change>>) -> RelResult<()> {
+        let Some(changes) = log.filter(|c| !c.is_empty()) else {
+            return Ok(());
+        };
+        match &mut self.txn {
+            Some(txn) => {
+                txn.changes.extend(changes);
+                Ok(())
+            }
+            None => self.on_storage(|st| {
+                let tx = st.begin();
+                st.commit(tx, &changes)
+            }),
+        }
     }
 
     /// Execute an already-parsed statement.
@@ -846,8 +739,7 @@ impl Database {
             return Err(RelError::Unavailable("database crashed; reopen it".into()));
         }
         self.maybe_checkpoint()?;
-        let durable = self.storage.is_some();
-        let mut wal: Vec<WalChange> = Vec::new();
+        let mut log = self.recording().then(Vec::new);
         let outcome = match stmt {
             Statement::Select(_) => {
                 let (rs, m) = self.select(stmt)?;
@@ -870,13 +762,8 @@ impl Database {
                 }
                 self.tables
                     .insert(schema.name.clone(), Table::new(schema.clone()));
-                if let Some(Txn { undo: log, .. }) = &mut self.txn {
-                    log.push(UndoOp::CreateTable {
-                        name: schema.name.clone(),
-                    });
-                }
-                if durable {
-                    wal.push(WalChange::CreateTable {
+                if let Some(log) = &mut log {
+                    log.push(Change::CreateTable {
                         schema: schema.clone(),
                     });
                 }
@@ -886,16 +773,8 @@ impl Database {
                 let lower = name.to_ascii_lowercase();
                 match self.tables.remove(&lower) {
                     Some(t) => {
-                        if durable {
-                            wal.push(WalChange::DropTable {
-                                image: TableImage::of(&t),
-                            });
-                        }
-                        if let Some(Txn { undo: log, .. }) = &mut self.txn {
-                            log.push(UndoOp::DropTable {
-                                name: lower,
-                                table: Box::new(t),
-                            });
+                        if let Some(log) = &mut log {
+                            log.push(Change::DropTable { table: Box::new(t) });
                         }
                         ExecOutcome::Done
                     }
@@ -915,14 +794,8 @@ impl Database {
                     .ok_or_else(|| RelError::NoSuchTable(lower.clone()))?;
                 let (ci, _) = t.schema.column(column)?;
                 t.create_index(name, ci)?;
-                if let Some(Txn { undo: log, .. }) = &mut self.txn {
-                    log.push(UndoOp::CreateIndex {
-                        table: lower.clone(),
-                        name: name.to_ascii_lowercase(),
-                    });
-                }
-                if durable {
-                    wal.push(WalChange::CreateIndex {
+                if let Some(log) = &mut log {
+                    log.push(Change::CreateIndex {
                         table: lower,
                         name: name.to_ascii_lowercase(),
                         column: ci,
@@ -934,14 +807,14 @@ impl Database {
                 table,
                 columns,
                 rows,
-            } => self.run_insert(table, columns.as_deref(), rows, &mut wal)?,
+            } => self.run_insert(table, columns.as_deref(), rows, &mut log)?,
             Statement::Update {
                 table,
                 assignments,
                 filter,
-            } => self.run_update(table, assignments, filter.as_ref(), &mut wal)?,
+            } => self.run_update(table, assignments, filter.as_ref(), &mut log)?,
             Statement::Delete { table, filter } => {
-                self.run_delete(table, filter.as_ref(), &mut wal)?
+                self.run_delete(table, filter.as_ref(), &mut log)?
             }
             Statement::Begin => {
                 if self.txn.is_some() {
@@ -950,7 +823,7 @@ impl Database {
                     ));
                 }
                 self.txn = Some(Txn {
-                    undo: Vec::new(),
+                    changes: Vec::new(),
                     wal_tx: self.storage.as_mut().map(Storage::begin),
                 });
                 ExecOutcome::Done
@@ -960,8 +833,10 @@ impl Database {
                     .txn
                     .as_ref()
                     .ok_or(RelError::TransactionState("no open transaction".into()))?;
-                if let Some(tx) = txn.wal_tx {
-                    self.on_storage(|st| st.commit(tx))?;
+                if let (Some(tx), Some(st)) = (txn.wal_tx, self.storage.as_mut()) {
+                    let res = st.commit(tx, &txn.changes);
+                    self.forget_if_crashed();
+                    res?;
                 }
                 self.txn = None;
                 ExecOutcome::Done
@@ -971,51 +846,18 @@ impl Database {
                     .txn
                     .take()
                     .ok_or(RelError::TransactionState("no open transaction".into()))?;
-                self.apply_undo(txn.undo);
+                for change in txn.changes.into_iter().rev() {
+                    recovery::undo(&mut self.tables, change);
+                }
                 if let Some(st) = &mut self.storage {
-                    st.rollback();
+                    st.stats.rollbacks += 1;
                 }
                 ExecOutcome::Done
             }
         };
-        if !wal.is_empty() {
-            self.wal_apply(wal)?;
-        }
+        self.record(log)?;
         self.stats.statements += 1;
         Ok(outcome)
-    }
-
-    fn apply_undo(&mut self, log: Vec<UndoOp>) {
-        for op in log.into_iter().rev() {
-            match op {
-                UndoOp::Insert { table, slot } => {
-                    if let Some(t) = self.tables.get_mut(&table) {
-                        t.delete_slot(slot);
-                    }
-                }
-                UndoOp::Delete { table, slot, row } => {
-                    if let Some(t) = self.tables.get_mut(&table) {
-                        t.restore_slot(slot, row);
-                    }
-                }
-                UndoOp::Update { table, slot, old } => {
-                    if let Some(t) = self.tables.get_mut(&table) {
-                        let _ = t.update_slot(slot, old);
-                    }
-                }
-                UndoOp::CreateTable { name } => {
-                    self.tables.remove(&name);
-                }
-                UndoOp::CreateIndex { table, name } => {
-                    if let Some(t) = self.tables.get_mut(&table) {
-                        t.drop_index(&name);
-                    }
-                }
-                UndoOp::DropTable { name, table } => {
-                    self.tables.insert(name, *table);
-                }
-            }
-        }
     }
 
     fn run_insert(
@@ -1023,9 +865,8 @@ impl Database {
         table: &str,
         columns: Option<&[String]>,
         value_rows: &[Vec<Expr>],
-        wal: &mut Vec<WalChange>,
+        log: &mut Option<Vec<Change>>,
     ) -> RelResult<ExecOutcome> {
-        let durable = self.storage.is_some();
         let lower = table.to_ascii_lowercase();
         let t = self
             .tables
@@ -1044,9 +885,7 @@ impl Database {
             None => (0..t.schema.arity()).collect(),
         };
 
-        // The WAL redo image is captured *after* insertion so it holds
-        // the coerced row exactly as stored.
-        let mut inserted: Vec<(usize, Option<Row>)> = Vec::new();
+        let mut inserted: Vec<usize> = Vec::new();
         let mut insert_all = || -> RelResult<()> {
             for exprs in value_rows {
                 if exprs.len() != positions.len() {
@@ -1059,43 +898,31 @@ impl Database {
                 for (i, e) in exprs.iter().enumerate() {
                     row[positions[i]] = eval(e, &ConstOnly)?.into_owned();
                 }
-                let slot = t.insert(row)?;
-                let captured = if durable { t.row(slot).cloned() } else { None };
-                inserted.push((slot, captured));
+                inserted.push(t.insert(row)?);
             }
             Ok(())
         };
-        match insert_all() {
-            Ok(()) => {
-                let n = inserted.len();
-                if let Some(Txn { undo: log, .. }) = &mut self.txn {
-                    for (slot, _) in &inserted {
-                        log.push(UndoOp::Insert {
-                            table: lower.clone(),
-                            slot: *slot,
-                        });
-                    }
-                }
-                for (slot, captured) in inserted {
-                    if let Some(row) = captured {
-                        wal.push(WalChange::Insert {
-                            table: lower.clone(),
-                            slot,
-                            row,
-                        });
-                    }
-                }
-                self.stats.rows_written += n as u64;
-                Ok(ExecOutcome::Count(n))
+        if let Err(e) = insert_all() {
+            // Statement atomicity: roll back this statement's rows.
+            for slot in inserted {
+                t.delete_slot(slot);
             }
-            Err(e) => {
-                // Statement atomicity: roll back this statement's rows.
-                for (slot, _) in inserted {
-                    t.delete_slot(slot);
-                }
-                Err(e)
-            }
+            return Err(e);
         }
+        let n = inserted.len();
+        if let Some(log) = log {
+            // The redo image is read back after insertion so it holds
+            // the coerced row exactly as stored.
+            log.extend(inserted.into_iter().filter_map(|slot| {
+                Some(Change::Insert {
+                    table: lower.clone(),
+                    slot,
+                    row: t.row(slot)?.clone(),
+                })
+            }));
+        }
+        self.stats.rows_written += n as u64;
+        Ok(ExecOutcome::Count(n))
     }
 
     fn run_update(
@@ -1103,9 +930,8 @@ impl Database {
         table: &str,
         assignments: &[(String, Expr)],
         filter: Option<&Expr>,
-        wal: &mut Vec<WalChange>,
+        log: &mut Option<Vec<Change>>,
     ) -> RelResult<ExecOutcome> {
-        let durable = self.storage.is_some();
         let lower = table.to_ascii_lowercase();
         let t = self
             .tables
@@ -1140,18 +966,13 @@ impl Database {
             changes.push((slot, new_row));
         }
 
-        // Phase 2: apply, undoing on mid-statement failure. The WAL
-        // after-image is read back post-update so it is the coerced
-        // row exactly as stored.
-        let mut applied: Vec<(usize, Row, Option<Row>)> = Vec::new();
+        // Phase 2: apply, undoing on mid-statement failure.
+        let mut applied: Vec<(usize, Row)> = Vec::new();
         for (slot, new_row) in changes {
             match t.update_slot(slot, new_row) {
-                Ok(old) => {
-                    let captured = if durable { t.row(slot).cloned() } else { None };
-                    applied.push((slot, old, captured));
-                }
+                Ok(old) => applied.push((slot, old)),
                 Err(e) => {
-                    for (s, old, _) in applied.into_iter().rev() {
+                    for (s, old) in applied.into_iter().rev() {
                         let _ = t.update_slot(s, old);
                     }
                     return Err(e);
@@ -1159,30 +980,17 @@ impl Database {
             }
         }
         let n = applied.len();
-        if durable {
-            for (slot, old, new) in applied {
-                if let Some(Txn { undo: log, .. }) = &mut self.txn {
-                    log.push(UndoOp::Update {
-                        table: lower.clone(),
-                        slot,
-                        old: old.clone(),
-                    });
-                }
-                wal.push(WalChange::Update {
+        if let Some(log) = log {
+            // The after-image is read back post-update so it is the
+            // coerced row exactly as stored.
+            log.extend(applied.into_iter().filter_map(|(slot, old)| {
+                Some(Change::Update {
                     table: lower.clone(),
                     slot,
                     old,
-                    new: new.expect("captured on the durable path"),
-                });
-            }
-        } else if let Some(Txn { undo: log, .. }) = &mut self.txn {
-            for (slot, old, _) in applied {
-                log.push(UndoOp::Update {
-                    table: lower.clone(),
-                    slot,
-                    old,
-                });
-            }
+                    new: t.row(slot)?.clone(),
+                })
+            }));
         }
         self.stats.rows_written += n as u64;
         Ok(ExecOutcome::Count(n))
@@ -1192,9 +1000,8 @@ impl Database {
         &mut self,
         table: &str,
         filter: Option<&Expr>,
-        wal: &mut Vec<WalChange>,
+        log: &mut Option<Vec<Change>>,
     ) -> RelResult<ExecOutcome> {
-        let durable = self.storage.is_some();
         let lower = table.to_ascii_lowercase();
         let t = self
             .tables
@@ -1220,21 +1027,8 @@ impl Database {
         for slot in victims {
             if let Some(row) = t.delete_slot(slot) {
                 n += 1;
-                if durable {
-                    if let Some(Txn { undo: log, .. }) = &mut self.txn {
-                        log.push(UndoOp::Delete {
-                            table: lower.clone(),
-                            slot,
-                            row: row.clone(),
-                        });
-                    }
-                    wal.push(WalChange::Delete {
-                        table: lower.clone(),
-                        slot,
-                        row,
-                    });
-                } else if let Some(Txn { undo: log, .. }) = &mut self.txn {
-                    log.push(UndoOp::Delete {
+                if let Some(log) = log {
+                    log.push(Change::Delete {
                         table: lower.clone(),
                         slot,
                         row,
@@ -1488,6 +1282,34 @@ mod tests {
         match db.execute(sql).unwrap().rows().unwrap().rows[0][0] {
             Datum::Int(n) => n,
             ref d => panic!("expected int, got {d:?}"),
+        }
+    }
+
+    #[test]
+    fn import_table_rollback_leaves_no_table() {
+        let schema = || {
+            crate::schema::TableSchema::new(
+                "staged",
+                vec![crate::schema::Column::new("id", crate::types::DataType::Int).primary_key()],
+            )
+        };
+        let vfs = SimVfs::new();
+        for mut db in [hospital_db(), durable_db(&vfs)] {
+            db.begin().unwrap();
+            db.import_table(schema(), vec![vec![Datum::Int(1)], vec![Datum::Int(2)]])
+                .unwrap();
+            assert_eq!(db.table("staged").unwrap().len(), 2);
+            db.rollback().unwrap();
+            assert!(db.table("staged").is_none(), "durable: {}", db.is_durable());
+            if db.is_durable() {
+                db.checkpoint().unwrap();
+                db.reopen().unwrap();
+                assert!(db.table("staged").is_none());
+                assert_eq!(count(&mut db, "SELECT COUNT(*) FROM beds"), 2);
+            }
+            // The name is free again.
+            db.import_table(schema(), vec![vec![Datum::Int(3)]])
+                .unwrap();
         }
     }
 

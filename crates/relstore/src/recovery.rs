@@ -26,7 +26,7 @@
 
 use crate::file_mgr::{fnv1a64, PageFileMgr, Vfs, PAGE_CAPACITY};
 use crate::storage::Table;
-use crate::wal::{dec_table_image, enc_table, Dec, Enc, LogMgr, WalRecord};
+use crate::wal::{dec_table, enc_table, Change, Dec, Enc, LogMgr, WalRecord};
 use crate::{RelError, RelResult};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -163,8 +163,7 @@ fn decode_snapshot(bytes: &[u8]) -> RelResult<HashMap<String, Table>> {
     let mut tables = HashMap::with_capacity(n);
     for _ in 0..n {
         let name = d.str()?;
-        let img = dec_table_image(&mut d)?;
-        tables.insert(name, img.restore());
+        tables.insert(name, dec_table(&mut d)?);
     }
     Ok(tables)
 }
@@ -254,105 +253,91 @@ pub struct Recovered {
     pub stats: RecoveryStats,
 }
 
-/// REDO one record (repeat history). Defensive against impossible
+/// REDO one change (repeat history). Defensive against impossible
 /// states: a redo onto unexpected state applies the after-image rather
 /// than panicking.
-fn redo(tables: &mut HashMap<String, Table>, rec: &WalRecord) -> bool {
-    match rec {
-        WalRecord::Begin { .. } | WalRecord::Commit { .. } => false,
-        WalRecord::Insert {
-            table, slot, row, ..
-        } => {
+fn redo(tables: &mut HashMap<String, Table>, change: &Change) {
+    match change {
+        Change::Insert { table, slot, row } => {
             if let Some(t) = tables.get_mut(table) {
-                let slot = *slot as usize;
-                if t.row(slot).is_some() {
-                    t.delete_slot(slot);
-                }
-                t.force_restore(slot, row.clone());
+                t.delete_slot(*slot);
+                t.force_restore(*slot, row.clone());
             }
-            true
         }
-        WalRecord::Delete { table, slot, .. } => {
+        Change::Delete { table, slot, .. } => {
             if let Some(t) = tables.get_mut(table) {
-                t.delete_slot(*slot as usize);
+                t.delete_slot(*slot);
             }
-            true
         }
-        WalRecord::Update {
+        Change::Update {
             table, slot, new, ..
         } => {
             if let Some(t) = tables.get_mut(table) {
-                let slot = *slot as usize;
-                t.delete_slot(slot);
-                t.force_restore(slot, new.clone());
+                t.delete_slot(*slot);
+                t.force_restore(*slot, new.clone());
             }
-            true
         }
-        WalRecord::CreateTable { schema, .. } => {
+        Change::CreateTable { schema } => {
             tables
                 .entry(schema.name.clone())
                 .or_insert_with(|| Table::new(schema.clone()));
-            true
         }
-        WalRecord::DropTable { table, .. } => {
+        Change::DropTable { table } => {
             tables.remove(&table.schema.name);
-            true
         }
-        WalRecord::CreateIndex {
+        Change::CreateIndex {
             table,
             name,
             column,
-            ..
         } => {
             if let Some(t) = tables.get_mut(table) {
-                let _ = t.create_index(name, *column as usize);
+                let _ = t.create_index(name, *column);
             }
-            true
         }
     }
 }
 
-/// UNDO one record (loser transactions, reverse log order).
-fn undo(tables: &mut HashMap<String, Table>, rec: &WalRecord) -> bool {
-    match rec {
-        WalRecord::Begin { .. } | WalRecord::Commit { .. } => false,
-        WalRecord::Insert { table, slot, .. } => {
-            if let Some(t) = tables.get_mut(table) {
-                t.delete_slot(*slot as usize);
+/// UNDO one change: ROLLBACK undoes an open transaction's changes
+/// through here newest first, and recovery a loser's records in
+/// reverse log order. An update puts the old row back in place, as
+/// [`Table::update_slot`] does, so a secondary index keeps the slot
+/// where it was unless the indexed column changed. A change to a
+/// missing table is passed over, and an update whose slot is empty
+/// has its old row restored there.
+pub(crate) fn undo(tables: &mut HashMap<String, Table>, change: Change) {
+    match change {
+        Change::Insert { table, slot, .. } => {
+            if let Some(t) = tables.get_mut(&table) {
+                t.delete_slot(slot);
             }
-            true
         }
-        WalRecord::Delete {
-            table, slot, row, ..
-        } => {
-            if let Some(t) = tables.get_mut(table) {
-                t.force_restore(*slot as usize, row.clone());
+        Change::Delete { table, slot, row } => {
+            if let Some(t) = tables.get_mut(&table) {
+                t.force_restore(slot, row);
             }
-            true
         }
-        WalRecord::Update {
+        Change::Update {
             table, slot, old, ..
         } => {
-            if let Some(t) = tables.get_mut(table) {
-                let slot = *slot as usize;
-                t.delete_slot(slot);
-                t.force_restore(slot, old.clone());
+            if let Some(t) = tables.get_mut(&table) {
+                if t.row(slot).is_some() {
+                    // The old row held its key until this change.
+                    let _ = t.update_slot(slot, old);
+                } else {
+                    t.force_restore(slot, old);
+                }
             }
-            true
         }
-        WalRecord::CreateTable { schema, .. } => {
+        Change::CreateTable { schema } => {
             tables.remove(&schema.name);
-            true
         }
-        WalRecord::DropTable { table, .. } => {
-            tables.insert(table.schema.name.clone(), table.restore());
-            true
+        Change::DropTable { table } => {
+            tables.insert(table.schema.name.clone(), *table);
         }
-        WalRecord::CreateIndex { table, name, .. } => {
-            if let Some(t) = tables.get_mut(table) {
-                t.drop_index(name);
+        Change::CreateIndex { table, name, .. } => {
+            if let Some(t) = tables.get_mut(&table) {
+                t.drop_index(&name);
             }
-            true
         }
     }
 }
@@ -413,20 +398,24 @@ pub fn recover(vfs: &Arc<dyn Vfs>) -> RelResult<Recovered> {
 
     // 4. REDO: repeat history in log order.
     for (_, rec) in &scan.records {
-        if redo(&mut tables, rec) {
+        if let WalRecord::Op { change, .. } = rec {
+            redo(&mut tables, change);
             stats.redo += 1;
         }
     }
 
-    // 5. UNDO losers in reverse log order. The engine buffers a
-    // transaction's records and appends them only at COMMIT, so the
-    // only losers that can exist are a torn tail batch (crash between
-    // the batch append and the commit fsync) — never followed by a
-    // committed record, which is what makes this physical slot-level
-    // undo sound.
-    for (_, rec) in scan.records.iter().rev() {
-        if !committed.contains(&rec.tx()) && undo(&mut tables, rec) {
-            stats.undo += 1;
+    // 5. UNDO losers in reverse log order. The engine keeps an open
+    // transaction's changes in memory and appends them only at COMMIT,
+    // so the only losers that can exist are a torn tail batch (crash
+    // between the batch append and the commit fsync) — never followed
+    // by a committed record, which is what makes this physical
+    // slot-level undo sound.
+    for (_, rec) in scan.records.into_iter().rev() {
+        if let WalRecord::Op { tx, change } = rec {
+            if !committed.contains(&tx) {
+                undo(&mut tables, change.into_owned());
+                stats.undo += 1;
+            }
         }
     }
 
@@ -447,6 +436,7 @@ mod tests {
     use crate::file_mgr::SimVfs;
     use crate::schema::{Column, TableSchema};
     use crate::types::{DataType, Datum};
+    use std::borrow::Cow;
 
     fn dyn_vfs() -> (Arc<SimVfs>, Arc<dyn Vfs>) {
         let v = SimVfs::new();
@@ -541,33 +531,45 @@ mod tests {
         let mut log = LogMgr::new(Arc::clone(&vfs), WAL_FILE, 0);
         // tx1 commits: create table + one insert. tx2 loses: one
         // insert + one update of tx1's row + one delete of its own.
+        let op = |tx, change| WalRecord::Op {
+            tx,
+            change: Cow::Owned(change),
+        };
         for rec in [
             WalRecord::Begin { tx: 1 },
-            WalRecord::CreateTable {
-                tx: 1,
-                schema: schema.clone(),
-            },
-            WalRecord::Insert {
-                tx: 1,
-                table: "beds".into(),
-                slot: 0,
-                row: vec![Datum::Int(1), Datum::Text("a".into())],
-            },
+            op(
+                1,
+                Change::CreateTable {
+                    schema: schema.clone(),
+                },
+            ),
+            op(
+                1,
+                Change::Insert {
+                    table: "beds".into(),
+                    slot: 0,
+                    row: vec![Datum::Int(1), Datum::Text("a".into())],
+                },
+            ),
             WalRecord::Commit { tx: 1 },
             WalRecord::Begin { tx: 2 },
-            WalRecord::Insert {
-                tx: 2,
-                table: "beds".into(),
-                slot: 1,
-                row: vec![Datum::Int(2), Datum::Text("b".into())],
-            },
-            WalRecord::Update {
-                tx: 2,
-                table: "beds".into(),
-                slot: 0,
-                old: vec![Datum::Int(1), Datum::Text("a".into())],
-                new: vec![Datum::Int(1), Datum::Text("hijacked".into())],
-            },
+            op(
+                2,
+                Change::Insert {
+                    table: "beds".into(),
+                    slot: 1,
+                    row: vec![Datum::Int(2), Datum::Text("b".into())],
+                },
+            ),
+            op(
+                2,
+                Change::Update {
+                    table: "beds".into(),
+                    slot: 0,
+                    old: vec![Datum::Int(1), Datum::Text("a".into())],
+                    new: vec![Datum::Int(1), Datum::Text("hijacked".into())],
+                },
+            ),
         ] {
             log.append(&rec).unwrap();
         }

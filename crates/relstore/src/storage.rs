@@ -3,7 +3,7 @@
 //!
 //! Rows live in slot-addressed heaps (`Vec<Option<Row>>`); deletion
 //! tombstones the slot so that slot ids stay stable for index entries
-//! and for the transaction undo log.
+//! and for the changes an open transaction and the WAL record.
 //!
 //! A primary key of any width is enforced, and answers `=`, through a
 //! point index: an open-addressing hash table whose buckets hold only a
@@ -435,75 +435,78 @@ impl Table {
     /// front, and a one-column key's range B-tree is built once from its
     /// keys in order, not by one descent per row.
     pub fn insert_all(&mut self, rows: Vec<Row>) -> RelResult<usize> {
-        self.slots.reserve(rows.len());
+        let n = rows.len();
+        self.bulk_load(n, |t| {
+            for row in rows {
+                t.insert(row)?;
+            }
+            Ok(n)
+        })
+    }
+
+    /// Run `fill`, which adds about `n` rows, as one bulk load, as
+    /// [`Table::insert_all`] describes. `insert_all` and the decoding of
+    /// a stored table both load through here.
+    pub(crate) fn bulk_load<T>(
+        &mut self,
+        n: usize,
+        fill: impl FnOnce(&mut Table) -> RelResult<T>,
+    ) -> RelResult<T> {
+        self.slots.reserve(n);
         if let Some(pk) = &mut self.pk {
-            pk.reserve(rows.len());
+            pk.reserve(n);
         }
         let ranged = self.pk_range.take().is_some();
-        let mut inserted = 0;
-        let result = rows.into_iter().try_for_each(|row| {
-            self.insert(row)?;
-            inserted += 1;
-            Ok(())
-        });
+        let result = fill(self);
         if ranged {
             let col = self.pk_cols[0];
             self.pk_range = Some(self.scan().map(|(s, r)| (r[col].clone(), s)).collect());
         }
-        result.map(|()| inserted)
+        result
     }
 
-    /// Delete the row in `slot`, returning it (for the undo log).
-    pub fn delete_slot(&mut self, slot: usize) -> Option<Row> {
+    /// Delete the row in `slot`, returning it.
+    pub(crate) fn delete_slot(&mut self, slot: usize) -> Option<Row> {
         let row = self.slots.get_mut(slot)?.take()?;
         self.live -= 1;
         self.unindex_row(&row, slot);
         Some(row)
     }
 
-    /// Restore a previously deleted row into its original slot
-    /// (transaction rollback). The slot must be empty.
-    pub fn restore_slot(&mut self, slot: usize, row: Row) {
+    /// Put `row` back into the empty `slot`, even if the heap has never
+    /// grown that far (undo of a delete, log replay and table decoding,
+    /// where slot ids must land exactly where they were). Intermediate
+    /// slots are padded with tombstones.
+    pub(crate) fn force_restore(&mut self, slot: usize, row: Row) {
+        if self.slots.len() <= slot {
+            self.slots.resize(slot + 1, None);
+        }
         debug_assert!(self.slots[slot].is_none(), "restoring into a live slot");
         self.index_row(&row, self.key_hash(&row), slot);
         self.slots[slot] = Some(row);
         self.live += 1;
     }
 
-    /// Restore `row` into `slot` even if the heap has never grown that
-    /// far (log replay and snapshot loading, where slot ids must land
-    /// exactly where the log says). Intermediate slots are padded with
-    /// tombstones.
-    pub fn force_restore(&mut self, slot: usize, row: Row) {
-        if self.slots.len() <= slot {
-            self.slots.resize(slot + 1, None);
-        }
-        self.restore_slot(slot, row);
-    }
-
     /// Grow the heap to at least `n` slots (tombstones), so that the
     /// next insert allocates the same slot id it did before a crash.
-    pub fn pad_slots(&mut self, n: usize) {
+    pub(crate) fn pad_slots(&mut self, n: usize) {
         if self.slots.len() < n {
             self.slots.resize(n, None);
         }
     }
 
     /// Total heap slots ever allocated (live + tombstoned).
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.slots.len()
     }
 
     /// Secondary index definitions as `(name, column)` pairs.
-    pub fn secondary_defs(&self) -> Vec<(String, usize)> {
-        self.secondary
-            .iter()
-            .map(|s| (s.name.clone(), s.column))
-            .collect()
+    pub(crate) fn secondary_defs(&self) -> impl Iterator<Item = (&str, usize)> {
+        self.secondary.iter().map(|s| (s.name.as_str(), s.column))
     }
 
     /// Replace the row in `slot`, returning the old row.
-    pub fn update_slot(&mut self, slot: usize, new_row: Row) -> RelResult<Row> {
+    pub(crate) fn update_slot(&mut self, slot: usize, new_row: Row) -> RelResult<Row> {
         let new_row = self.check_row(new_row)?;
         let old = self.slots[slot]
             .clone()
@@ -1039,7 +1042,7 @@ mod tests {
         let mut t = beds();
         let s = t.insert(row(1, "ward A")).unwrap();
         let r = t.delete_slot(s).unwrap();
-        t.restore_slot(s, r);
+        t.force_restore(s, r);
         assert_eq!(t.len(), 1);
         assert_eq!(t.index_lookup(0, &Datum::Int(1)).unwrap(), vec![s]);
     }

@@ -1,8 +1,9 @@
 //! The write-ahead log: ARIES-style REDO/UNDO records and the log
 //! manager.
 //!
-//! Every durable mutation appends one [`WalRecord`] carrying both the
-//! redo image and the undo (before) image, framed as
+//! Every durable mutation is one [`Change`], carrying both the redo
+//! image and the undo (before) image, and is appended at commit as one
+//! [`WalRecord`], framed as
 //! `[len u32][fnv1a64 u64][payload]` so a torn tail is detected by
 //! checksum and truncated rather than replayed as garbage. The log is
 //! forced (`fsync`) when a transaction commits — the only durability
@@ -17,16 +18,77 @@
 
 use crate::file_mgr::{fnv1a64, Vfs};
 use crate::schema::{Column, TableSchema};
+use crate::storage::Table;
 use crate::types::{DataType, Datum, Row};
 use crate::{RelError, RelResult};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
-/// One WAL record. DML records carry before images for UNDO and after
-/// images for REDO; `DropTable` snapshots the whole table so an
-/// uncommitted drop can be rolled back during recovery.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
+/// One mutation of a database, the only description of one: an open
+/// transaction holds its changes in order, ROLLBACK undoes them newest
+/// first (`recovery::undo`), COMMIT writes them to the log as
+/// `Begin, Op*, Commit`, and recovery redoes and undoes them. DML
+/// changes carry the before image UNDO needs and the after image REDO
+/// needs; `DropTable` carries the dropped table itself.
+#[derive(Debug, Clone)]
+pub enum Change {
+    /// A row was inserted into `table` at `slot`.
+    Insert {
+        /// Target table (lowercase).
+        table: String,
+        /// Heap slot the row landed in.
+        slot: usize,
+        /// The inserted row as stored (redo image; undo is "delete the
+        /// slot").
+        row: Row,
+    },
+    /// The row at `slot` of `table` was deleted.
+    Delete {
+        /// Target table (lowercase).
+        table: String,
+        /// Heap slot the row left.
+        slot: usize,
+        /// The deleted row (undo image; redo is "delete the slot").
+        row: Row,
+    },
+    /// The row at `slot` of `table` was replaced.
+    Update {
+        /// Target table (lowercase).
+        table: String,
+        /// Heap slot.
+        slot: usize,
+        /// Before image (undo).
+        old: Row,
+        /// After image as stored (redo).
+        new: Row,
+    },
+    /// `CREATE TABLE` ran, or `Database::import_table` created a table.
+    CreateTable {
+        /// The created schema.
+        schema: TableSchema,
+    },
+    /// `DROP TABLE` ran; the table rides along for UNDO.
+    DropTable {
+        /// The dropped table, moved out of the catalog.
+        table: Box<Table>,
+    },
+    /// `CREATE INDEX` ran.
+    CreateIndex {
+        /// Target table (lowercase).
+        table: String,
+        /// Index name (lowercase).
+        name: String,
+        /// Indexed column position.
+        column: usize,
+    },
+}
+
+/// One WAL record: a transaction's bracket or one of its changes. A
+/// commit logs the open transaction's changes borrowed; a scan reads
+/// them back owned.
+#[derive(Debug)]
+pub enum WalRecord<'c> {
     /// Transaction `tx` started.
     Begin {
         /// Transaction id.
@@ -37,130 +99,21 @@ pub enum WalRecord {
         /// Transaction id.
         tx: u64,
     },
-    /// A row was inserted into `table` at `slot`.
-    Insert {
+    /// Transaction `tx` made `change`.
+    Op {
         /// Transaction id.
         tx: u64,
-        /// Target table (lowercase).
-        table: String,
-        /// Heap slot the row landed in.
-        slot: u64,
-        /// The inserted row (redo image; undo is "delete the slot").
-        row: Row,
-    },
-    /// The row at `slot` of `table` was deleted.
-    Delete {
-        /// Transaction id.
-        tx: u64,
-        /// Target table (lowercase).
-        table: String,
-        /// Heap slot the row left.
-        slot: u64,
-        /// The deleted row (undo image; redo is "delete the slot").
-        row: Row,
-    },
-    /// The row at `slot` of `table` was replaced.
-    Update {
-        /// Transaction id.
-        tx: u64,
-        /// Target table (lowercase).
-        table: String,
-        /// Heap slot.
-        slot: u64,
-        /// Before image (undo).
-        old: Row,
-        /// After image (redo).
-        new: Row,
-    },
-    /// `CREATE TABLE` ran.
-    CreateTable {
-        /// Transaction id.
-        tx: u64,
-        /// The created schema.
-        schema: TableSchema,
-    },
-    /// `DROP TABLE` ran; the full table content rides along for UNDO.
-    DropTable {
-        /// Transaction id.
-        tx: u64,
-        /// The dropped table, snapshot at drop time.
-        table: TableImage,
-    },
-    /// `CREATE INDEX` ran.
-    CreateIndex {
-        /// Transaction id.
-        tx: u64,
-        /// Target table (lowercase).
-        table: String,
-        /// Index name (lowercase).
-        name: String,
-        /// Indexed column position.
-        column: u32,
+        /// What it changed.
+        change: Cow<'c, Change>,
     },
 }
 
-impl WalRecord {
+impl WalRecord<'_> {
     /// The owning transaction id.
     pub fn tx(&self) -> u64 {
         match self {
-            WalRecord::Begin { tx }
-            | WalRecord::Commit { tx }
-            | WalRecord::Insert { tx, .. }
-            | WalRecord::Delete { tx, .. }
-            | WalRecord::Update { tx, .. }
-            | WalRecord::CreateTable { tx, .. }
-            | WalRecord::DropTable { tx, .. }
-            | WalRecord::CreateIndex { tx, .. } => *tx,
+            WalRecord::Begin { tx } | WalRecord::Commit { tx } | WalRecord::Op { tx, .. } => *tx,
         }
-    }
-}
-
-/// A serializable snapshot of one table: schema, heap layout (slot ids
-/// preserved, tombstones included), and secondary index definitions.
-/// Used by `DropTable` records and by checkpoint snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableImage {
-    /// The table's schema.
-    pub schema: TableSchema,
-    /// Total heap slots ever allocated (live + tombstoned).
-    pub slot_count: u64,
-    /// Live `(slot, row)` pairs in slot order.
-    pub rows: Vec<(u64, Row)>,
-    /// Secondary index definitions `(name, column)`.
-    pub indexes: Vec<(String, u32)>,
-}
-
-impl TableImage {
-    /// Snapshot a live table.
-    pub fn of(table: &crate::storage::Table) -> TableImage {
-        TableImage {
-            schema: table.schema.clone(),
-            slot_count: table.slot_count() as u64,
-            rows: table
-                .scan()
-                .map(|(slot, row)| (slot as u64, row.clone()))
-                .collect(),
-            indexes: table
-                .secondary_defs()
-                .into_iter()
-                .map(|(n, c)| (n, c as u32))
-                .collect(),
-        }
-    }
-
-    /// Rebuild the live table this image was taken from, preserving
-    /// slot ids (log replay depends on them).
-    pub fn restore(&self) -> crate::storage::Table {
-        let mut t = crate::storage::Table::new(self.schema.clone());
-        for (slot, row) in &self.rows {
-            t.force_restore(*slot as usize, row.clone());
-        }
-        t.pad_slots(self.slot_count as usize);
-        for (name, column) in &self.indexes {
-            // Index names were unique when captured.
-            let _ = t.create_index(name, *column as usize);
-        }
-        t
     }
 }
 
@@ -230,6 +183,9 @@ impl<'a> Dec<'a> {
     }
     pub(crate) fn done(&self) -> bool {
         self.pos == self.buf.len()
+    }
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
     fn take(&mut self, n: usize) -> RelResult<&'a [u8]> {
         if self.pos + n > self.buf.len() {
@@ -369,81 +325,52 @@ fn dec_schema(d: &mut Dec<'_>) -> RelResult<TableSchema> {
     Ok(TableSchema { name, columns })
 }
 
-/// The one writer of the table format that snapshots and `DropTable`
-/// records share: schema, heap length, the live `(slot, row)` pairs in
-/// slot order, then the secondary index definitions.
-fn enc_table_parts<'r, 'i>(
-    e: &mut Enc,
-    schema: &TableSchema,
-    slot_count: u64,
-    rows: impl Iterator<Item = (u64, &'r Row)>,
-    indexes: impl Iterator<Item = (&'i str, u32)>,
-) {
-    enc_schema(e, schema);
-    e.u64(slot_count);
-    e.counted(rows, |e, (slot, row)| {
-        e.u64(slot);
+/// The table format that snapshots and `DropTable` records share:
+/// schema, heap length, the live `(slot, row)` pairs in slot order,
+/// then the secondary index definitions.
+pub(crate) fn enc_table(e: &mut Enc, table: &Table) {
+    enc_schema(e, &table.schema);
+    e.u64(table.slot_count() as u64);
+    e.counted(table.scan(), |e, (slot, row)| {
+        e.u64(slot as u64);
         enc_row(e, row);
     });
-    e.counted(indexes, |e, (name, column)| {
+    e.counted(table.secondary_defs(), |e, (name, column)| {
         e.str(name);
-        e.u32(column);
+        e.u32(column as u32);
     });
 }
 
-/// Encode a live table straight from its heap, in the same bytes
-/// [`enc_table_image`] writes for `TableImage::of(table)`.
-pub(crate) fn enc_table(e: &mut Enc, table: &crate::storage::Table) {
-    let defs = table.secondary_defs();
-    enc_table_parts(
-        e,
-        &table.schema,
-        table.slot_count() as u64,
-        table.scan().map(|(slot, row)| (slot as u64, row)),
-        defs.iter()
-            .map(|(name, column)| (name.as_str(), *column as u32)),
-    );
-}
-
-pub(crate) fn enc_table_image(e: &mut Enc, img: &TableImage) {
-    enc_table_parts(
-        e,
-        &img.schema,
-        img.slot_count,
-        img.rows.iter().map(|(slot, row)| (*slot, row)),
-        img.indexes
-            .iter()
-            .map(|(name, column)| (name.as_str(), *column)),
-    );
-}
-
-pub(crate) fn dec_table_image(d: &mut Dec<'_>) -> RelResult<TableImage> {
-    let schema = dec_schema(d)?;
+/// Read back what [`enc_table`] wrote: the rows go straight into their
+/// slots through the bulk load that [`Table::insert_all`] uses.
+pub(crate) fn dec_table(d: &mut Dec<'_>) -> RelResult<Table> {
+    let mut table = Table::new(dec_schema(d)?);
     let slot_count = d.u64()?;
     let n = d.u32()? as usize;
-    let mut rows = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let slot = d.u64()?;
-        rows.push((slot, dec_row(d)?));
+    // A row takes at least its slot and its arity, 12 bytes.
+    if n > d.remaining() / 12 {
+        return Err(RelError::Corrupt(format!("absurd row count {n}")));
     }
-    let ni = d.u32()? as usize;
-    let mut indexes = Vec::with_capacity(ni.min(1 << 16));
-    for _ in 0..ni {
+    table.bulk_load(n, |t| {
+        for _ in 0..n {
+            let slot = d.u64()? as usize;
+            t.force_restore(slot, dec_row(d)?);
+        }
+        Ok(())
+    })?;
+    table.pad_slots(slot_count as usize);
+    for _ in 0..d.u32()? {
         let name = d.str()?;
-        indexes.push((name, d.u32()?));
+        // Index names were unique when written.
+        let _ = table.create_index(&name, d.u32()? as usize);
     }
-    Ok(TableImage {
-        schema,
-        slot_count,
-        rows,
-        indexes,
-    })
+    Ok(table)
 }
 
 /// Record tags are part of the on-disk format. Tag 2 belonged to an
 /// abort record, never written since commits started appending whole
 /// batches; it stays unassigned.
-fn encode_record(rec: &WalRecord) -> Vec<u8> {
+fn encode_record(rec: &WalRecord<'_>) -> Vec<u8> {
     let mut e = Enc::new();
     match rec {
         WalRecord::Begin { tx } => {
@@ -454,114 +381,115 @@ fn encode_record(rec: &WalRecord) -> Vec<u8> {
             e.u8(1);
             e.u64(*tx);
         }
-        WalRecord::Insert {
-            tx,
-            table,
-            slot,
-            row,
-        } => {
+        WalRecord::Op { tx, change } => enc_change(&mut e, *tx, change),
+    }
+    e.0
+}
+
+/// A change record: its tag, `tx`, then the change's fields.
+fn enc_change(e: &mut Enc, tx: u64, change: &Change) {
+    match change {
+        Change::Insert { table, slot, row } => {
             e.u8(3);
-            e.u64(*tx);
+            e.u64(tx);
             e.str(table);
-            e.u64(*slot);
-            enc_row(&mut e, row);
+            e.u64(*slot as u64);
+            enc_row(e, row);
         }
-        WalRecord::Delete {
-            tx,
-            table,
-            slot,
-            row,
-        } => {
+        Change::Delete { table, slot, row } => {
             e.u8(4);
-            e.u64(*tx);
+            e.u64(tx);
             e.str(table);
-            e.u64(*slot);
-            enc_row(&mut e, row);
+            e.u64(*slot as u64);
+            enc_row(e, row);
         }
-        WalRecord::Update {
-            tx,
+        Change::Update {
             table,
             slot,
             old,
             new,
         } => {
             e.u8(5);
-            e.u64(*tx);
+            e.u64(tx);
             e.str(table);
-            e.u64(*slot);
-            enc_row(&mut e, old);
-            enc_row(&mut e, new);
+            e.u64(*slot as u64);
+            enc_row(e, old);
+            enc_row(e, new);
         }
-        WalRecord::CreateTable { tx, schema } => {
+        Change::CreateTable { schema } => {
             e.u8(6);
-            e.u64(*tx);
-            enc_schema(&mut e, schema);
+            e.u64(tx);
+            enc_schema(e, schema);
         }
-        WalRecord::DropTable { tx, table } => {
+        Change::DropTable { table } => {
             e.u8(7);
-            e.u64(*tx);
-            enc_table_image(&mut e, table);
+            e.u64(tx);
+            enc_table(e, table);
         }
-        WalRecord::CreateIndex {
-            tx,
+        Change::CreateIndex {
             table,
             name,
             column,
         } => {
             e.u8(8);
-            e.u64(*tx);
+            e.u64(tx);
             e.str(table);
             e.str(name);
-            e.u32(*column);
+            e.u32(*column as u32);
         }
     }
-    e.0
 }
 
-fn decode_record(payload: &[u8]) -> RelResult<WalRecord> {
+fn decode_record(payload: &[u8]) -> RelResult<WalRecord<'static>> {
     let mut d = Dec::new(payload);
-    let rec = match d.u8()? {
-        0 => WalRecord::Begin { tx: d.u64()? },
-        1 => WalRecord::Commit { tx: d.u64()? },
-        3 => WalRecord::Insert {
-            tx: d.u64()?,
-            table: d.str()?,
-            slot: d.u64()?,
-            row: dec_row(&mut d)?,
+    let tag = d.u8()?;
+    let tx = d.u64()?;
+    let rec = match tag {
+        0 => WalRecord::Begin { tx },
+        1 => WalRecord::Commit { tx },
+        tag => WalRecord::Op {
+            tx,
+            change: Cow::Owned(dec_change(&mut d, tag)?),
         },
-        4 => WalRecord::Delete {
-            tx: d.u64()?,
-            table: d.str()?,
-            slot: d.u64()?,
-            row: dec_row(&mut d)?,
-        },
-        5 => WalRecord::Update {
-            tx: d.u64()?,
-            table: d.str()?,
-            slot: d.u64()?,
-            old: dec_row(&mut d)?,
-            new: dec_row(&mut d)?,
-        },
-        6 => WalRecord::CreateTable {
-            tx: d.u64()?,
-            schema: dec_schema(&mut d)?,
-        },
-        7 => WalRecord::DropTable {
-            tx: d.u64()?,
-            table: dec_table_image(&mut d)?,
-        },
-        8 => WalRecord::CreateIndex {
-            tx: d.u64()?,
-            table: d.str()?,
-            name: d.str()?,
-            column: d.u32()?,
-        },
-        t => return Err(RelError::Corrupt(format!("unknown WAL record tag {t}"))),
     };
     if !d.done() {
         return Err(RelError::Corrupt("trailing bytes after WAL record".into()));
     }
     Ok(rec)
+}
+
+/// The body of a change record whose tag is `tag`.
+fn dec_change(d: &mut Dec<'_>, tag: u8) -> RelResult<Change> {
+    Ok(match tag {
+        3 => Change::Insert {
+            table: d.str()?,
+            slot: d.u64()? as usize,
+            row: dec_row(d)?,
+        },
+        4 => Change::Delete {
+            table: d.str()?,
+            slot: d.u64()? as usize,
+            row: dec_row(d)?,
+        },
+        5 => Change::Update {
+            table: d.str()?,
+            slot: d.u64()? as usize,
+            old: dec_row(d)?,
+            new: dec_row(d)?,
+        },
+        6 => Change::CreateTable {
+            schema: dec_schema(d)?,
+        },
+        7 => Change::DropTable {
+            table: Box::new(dec_table(d)?),
+        },
+        8 => Change::CreateIndex {
+            table: d.str()?,
+            name: d.str()?,
+            column: d.u32()? as usize,
+        },
+        t => return Err(RelError::Corrupt(format!("unknown WAL record tag {t}"))),
+    })
 }
 
 /// Frame header: 4-byte payload length + 8-byte payload checksum.
@@ -571,7 +499,7 @@ const FRAME_HDR: u64 = 12;
 #[derive(Debug)]
 pub struct LogScan {
     /// Decoded `(byte offset, record)` pairs in log order.
-    pub records: Vec<(u64, WalRecord)>,
+    pub records: Vec<(u64, WalRecord<'static>)>,
     /// Byte offset one past the last valid record.
     pub valid_end: u64,
     /// True when a torn/corrupt tail was found past `valid_end`.
@@ -603,7 +531,7 @@ impl LogMgr {
 
     /// Append `rec`, returning its LSN (byte offset). Not durable
     /// until [`LogMgr::flush`].
-    pub fn append(&mut self, rec: &WalRecord) -> RelResult<u64> {
+    pub fn append(&mut self, rec: &WalRecord<'_>) -> RelResult<u64> {
         let payload = encode_record(rec);
         let mut frame = Vec::with_capacity(payload.len() + FRAME_HDR as usize);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -742,12 +670,21 @@ impl CrashInjector {
 mod tests {
     use super::*;
     use crate::file_mgr::SimVfs;
+    use std::ops::Bound;
 
-    fn sample_records() -> Vec<WalRecord> {
+    fn sample_records() -> Vec<WalRecord<'static>> {
+        let op = |change| WalRecord::Op {
+            tx: 1,
+            change: Cow::Owned(change),
+        };
+        let mut dropped = Table::new(TableSchema::new(
+            "gone",
+            vec![Column::new("id", DataType::Int).primary_key()],
+        ));
+        dropped.insert(vec![Datum::Int(7)]).unwrap();
         vec![
             WalRecord::Begin { tx: 1 },
-            WalRecord::Insert {
-                tx: 1,
+            op(Change::Insert {
                 table: "beds".into(),
                 slot: 0,
                 row: vec![
@@ -758,22 +695,19 @@ mod tests {
                     Datum::Double(2.5),
                     Datum::Date(19000),
                 ],
-            },
-            WalRecord::Update {
-                tx: 1,
+            }),
+            op(Change::Update {
                 table: "beds".into(),
                 slot: 0,
                 old: vec![Datum::Int(1)],
                 new: vec![Datum::Int(2)],
-            },
-            WalRecord::Delete {
-                tx: 1,
+            }),
+            op(Change::Delete {
                 table: "beds".into(),
                 slot: 0,
                 row: vec![Datum::Int(2)],
-            },
-            WalRecord::CreateTable {
-                tx: 1,
+            }),
+            op(Change::CreateTable {
                 schema: TableSchema::new(
                     "t2",
                     vec![
@@ -781,13 +715,15 @@ mod tests {
                         Column::new("v", DataType::Text).not_null(),
                     ],
                 ),
-            },
-            WalRecord::CreateIndex {
-                tx: 1,
+            }),
+            op(Change::CreateIndex {
                 table: "t2".into(),
                 name: "t2_v".into(),
                 column: 1,
-            },
+            }),
+            op(Change::DropTable {
+                table: Box::new(dropped),
+            }),
             WalRecord::Commit { tx: 1 },
         ]
     }
@@ -804,8 +740,12 @@ mod tests {
         let scan = LogMgr::scan(&vfs, "wal", 0).unwrap();
         assert!(!scan.torn_tail);
         assert_eq!(scan.valid_end, log.tail());
-        let decoded: Vec<WalRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
-        assert_eq!(decoded, recs);
+        // Records compare by the bytes the log stores of them.
+        let decoded: Vec<Vec<u8>> = scan.records.iter().map(|(_, r)| encode_record(r)).collect();
+        let written: Vec<Vec<u8>> = recs.iter().map(encode_record).collect();
+        assert_eq!(decoded, written);
+        let txs: Vec<u64> = scan.records.iter().map(|(_, r)| r.tx()).collect();
+        assert_eq!(txs, vec![1; recs.len()]);
     }
 
     #[test]
@@ -854,7 +794,6 @@ mod tests {
 
     #[test]
     fn table_image_restores_slots_and_indexes() {
-        use crate::storage::Table;
         let mut t = Table::new(TableSchema::new(
             "beds",
             vec![
@@ -871,24 +810,52 @@ mod tests {
             .unwrap();
         t.delete_slot(s0);
         t.create_index("beds_loc", 1).unwrap();
+        t.insert(vec![Datum::Int(4), Datum::Text("c".into())])
+            .unwrap();
+        let last = t.slot_count();
+        t.delete_slot(last - 1);
 
-        let img = TableImage::of(&t);
         let mut e = Enc::new();
-        enc_table_image(&mut e, &img);
-        let mut live = Enc::new();
-        enc_table(&mut live, &t);
-        assert_eq!(live.0, e.0, "a live table encodes as its image does");
-        let img2 = dec_table_image(&mut Dec::new(&e.0)).unwrap();
-        assert_eq!(img, img2);
+        enc_table(&mut e, &t);
+        let mut d = Dec::new(&e.0);
+        let restored = dec_table(&mut d).unwrap();
+        assert!(d.done());
+        let mut again = Enc::new();
+        enc_table(&mut again, &restored);
+        assert_eq!(again.0, e.0, "a decoded table encodes as it was written");
 
-        let restored = img2.restore();
         assert_eq!(restored.len(), 2);
         assert_eq!(restored.slot_count(), t.slot_count());
         assert_eq!(restored.index_names(), vec!["beds_loc".to_string()]);
-        // Tombstoned slot stays free; next insert lands past it.
+        // Tombstoned slots stay free, the last one included.
         let rows: Vec<(usize, Row)> = restored.scan().map(|(s, r)| (s, r.clone())).collect();
         let orig: Vec<(usize, Row)> = t.scan().map(|(s, r)| (s, r.clone())).collect();
         assert_eq!(rows, orig);
+        // Every index answers as the original's does.
+        for key in [Datum::Int(1), Datum::Int(2), Datum::Int(3)] {
+            assert_eq!(restored.index_lookup(0, &key), t.index_lookup(0, &key));
+        }
+        let a = Datum::Text("a".into());
+        assert_eq!(restored.index_lookup(1, &a), t.index_lookup(1, &a));
+        let all = |t: &Table| t.index_range(0, Bound::Unbounded, Bound::Unbounded);
+        assert_eq!(all(&restored), all(&t));
+    }
+
+    #[test]
+    fn a_table_whose_row_count_outruns_its_bytes_is_corrupt() {
+        let t = Table::new(TableSchema::new(
+            "beds",
+            vec![Column::new("id", DataType::Int)],
+        ));
+        let mut e = Enc::new();
+        enc_table(&mut e, &t);
+        // Claim a billion rows in a record of a few dozen bytes.
+        let at = e.0.len() - 8;
+        e.0[at..at + 4].copy_from_slice(&1_000_000_000u32.to_le_bytes());
+        assert!(matches!(
+            dec_table(&mut Dec::new(&e.0)),
+            Err(RelError::Corrupt(_))
+        ));
     }
 
     #[test]

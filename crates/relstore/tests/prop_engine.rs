@@ -10,13 +10,15 @@
 //! * `ORDER BY` output is actually sorted under the engine's total order;
 //! * date parse/format round-trips across a wide range.
 
+use std::sync::Arc;
 use webfindit_base::prop::{self, pick, string_from, vec_of};
 use webfindit_base::rng::StdRng;
 use webfindit_relstore::expr::{BinOp, Expr};
+use webfindit_relstore::file_mgr::{SimVfs, Vfs};
 use webfindit_relstore::sql::ast::Statement;
 use webfindit_relstore::sql::parse_statement;
-use webfindit_relstore::types::{format_date, parse_date, DataType, Datum};
-use webfindit_relstore::{Database, Dialect, ExecOutcome, RelError};
+use webfindit_relstore::types::{format_date, parse_date, DataType, Datum, Row};
+use webfindit_relstore::{Column, Database, Dialect, ExecOutcome, RelError, TableSchema};
 
 const ALNUM_SPACE: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ";
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
@@ -481,37 +483,148 @@ fn duplicate_keys_keep_count_consistent() {
     });
 }
 
+/// One statement a rolled-back transaction may run: DML on `t`
+/// (key-changing updates included), and DDL on `t`, `u` and `w`.
+#[derive(Debug)]
+enum TxnOp {
+    Sql(String),
+    Import(&'static str, Vec<(i64, i64)>),
+}
+
+fn arb_txn_op(rng: &mut StdRng) -> TxnOp {
+    let (k, v) = (rng.gen_range(0i64..50), rng.gen_range(-100i64..100));
+    let name = *pick(rng, &["t", "u", "w"]);
+    TxnOp::Sql(match rng.gen_range(0u8..16) {
+        0..=3 => format!("INSERT INTO t VALUES ({k}, {v})"),
+        4..=5 => format!("UPDATE t SET v = {v} WHERE k = {k}"),
+        6 => format!("UPDATE t SET k = {k} WHERE v < {v}"),
+        7..=8 => format!("DELETE FROM t WHERE k = {k}"),
+        9 => format!("CREATE INDEX {name}_i{} ON {name} (v)", k % 3),
+        10 => format!("DROP TABLE {name}"),
+        11 => format!("CREATE TABLE {name} (k INT PRIMARY KEY, v INT)"),
+        12 => format!("INSERT INTO {name} VALUES ({k}, {v})"),
+        _ => {
+            let rows = vec_of(rng, 0..6, |r| {
+                (r.gen_range(0i64..50), r.gen_range(-100i64..100))
+            });
+            return TxnOp::Import(name, rows);
+        }
+    })
+}
+
+/// Every table's live `(slot, row)` pairs and index names, in table
+/// name order: the physical state a ROLLBACK must put back.
+type Layout = Vec<(String, Vec<(usize, Row)>, Vec<String>)>;
+
+fn layout(db: &Database) -> Layout {
+    let mut tables: Layout = db
+        .tables()
+        .iter()
+        .map(|(name, t)| {
+            let rows = t.scan().map(|(s, r)| (s, r.clone())).collect();
+            let mut idx = t.index_names();
+            idx.sort();
+            (name.clone(), rows, idx)
+        })
+        .collect();
+    tables.sort_by(|a, b| a.0.cmp(&b.0));
+    tables
+}
+
+/// The slots `t`'s index on `v` holds for each probed value, sorted: a
+/// reversed change must leave no stale entry and miss none.
+fn v_postings(db: &Database, probes: &[i64]) -> Vec<Option<Vec<usize>>> {
+    let t = db.table("t").expect("t is back after ROLLBACK");
+    probes
+        .iter()
+        .map(|&v| {
+            let mut slots = t.index_lookup(1, &Datum::Int(v))?.to_vec();
+            slots.sort_unstable();
+            Some(slots)
+        })
+        .collect()
+}
+
+/// ROLLBACK is the exact inverse of what its transaction did, on an
+/// in-memory database and on its durable twin alike: DML (key changes
+/// included), CREATE INDEX, DROP TABLE, CREATE TABLE and `import_table`
+/// leave every table's `(slot, row)` pairs and index names as they were
+/// before BEGIN, and `t`'s secondary index answers as it did. The
+/// durable twin holds the same content again after a reopen.
 #[test]
 fn rollback_is_exact_inverse() {
     prop::cases(128, |rng| {
         let seed = vec_of(rng, 1..20, |r| {
             (r.gen_range(0i64..50), r.gen_range(-100i64..100))
         });
-        let txn_ops = vec_of(rng, 0..15, |r| {
-            (
-                r.gen_range(0u8..3),
-                r.gen_range(0i64..50),
-                r.gen_range(-100i64..100),
-            )
-        });
-        let mut db = Database::new("r", Dialect::Canonical);
-        db.execute("CREATE TABLE t (k INT PRIMARY KEY, v INT)")
-            .unwrap();
-        for (k, v) in &seed {
-            let _ = db.execute(&format!("INSERT INTO t VALUES ({k}, {v})"));
+        let txn_ops = vec_of(rng, 0..15, arb_txn_op);
+        let mut probes: Vec<i64> = seed.iter().map(|&(_, v)| v).collect();
+        for op in &txn_ops {
+            if let TxnOp::Import(_, rows) = op {
+                probes.extend(rows.iter().map(|&(_, v)| v));
+            }
         }
-        let before = db.execute("SELECT * FROM t ORDER BY k").unwrap();
-        db.execute("BEGIN").unwrap();
-        for (op, k, v) in &txn_ops {
-            let sql = match op {
-                0 => format!("INSERT INTO t VALUES ({k}, {v})"),
-                1 => format!("UPDATE t SET v = {v} WHERE k = {k}"),
-                _ => format!("DELETE FROM t WHERE k = {k}"),
-            };
-            let _ = db.execute(&sql); // failures (e.g. dup key) are fine — txn continues
+        let vfs = SimVfs::new();
+        let durable = Database::open_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>, "r", Dialect::Canonical);
+        for mut db in [Database::new("r", Dialect::Canonical), durable.unwrap()] {
+            for sql in [
+                "CREATE TABLE t (k INT PRIMARY KEY, v INT)",
+                "CREATE INDEX t_v ON t (v)",
+                "CREATE TABLE u (k INT PRIMARY KEY, v INT)",
+                "INSERT INTO u VALUES (1, 1), (2, 2)",
+            ] {
+                db.execute(sql).unwrap();
+            }
+            for (k, v) in &seed {
+                let _ = db.execute(&format!("INSERT INTO t VALUES ({k}, {v})"));
+            }
+            let before = layout(&db);
+            let postings = v_postings(&db, &probes);
+            db.execute("BEGIN").unwrap();
+            for op in &txn_ops {
+                // Failures (a held key, a missing table) are fine: the
+                // transaction goes on.
+                let _ = match op {
+                    TxnOp::Sql(sql) => db.execute(sql).map(|_| ()),
+                    TxnOp::Import(name, rows) => {
+                        let rows = rows
+                            .iter()
+                            .map(|&(k, v)| vec![Datum::Int(k), Datum::Int(v)]);
+                        db.import_table(kv_schema(name), rows.collect()).map(|_| ())
+                    }
+                };
+            }
+            db.execute("ROLLBACK").unwrap();
+            let durable = db.is_durable();
+            assert_eq!(layout(&db), before, "durable: {durable}, ops: {txn_ops:?}");
+            assert_eq!(v_postings(&db, &probes), postings, "durable: {durable}");
+            if durable {
+                db.reopen().unwrap();
+                assert_eq!(content(&layout(&db)), content(&before));
+            }
         }
-        db.execute("ROLLBACK").unwrap();
-        let after = db.execute("SELECT * FROM t ORDER BY k").unwrap();
-        assert_eq!(before.rows().unwrap().rows, after.rows().unwrap().rows);
     });
+}
+
+fn kv_schema(name: &str) -> TableSchema {
+    TableSchema::new(
+        name,
+        vec![
+            Column::new("k", DataType::Int).primary_key(),
+            Column::new("v", DataType::Int),
+        ],
+    )
+}
+
+/// What recovery keeps of a layout: per table, the sorted rows and the
+/// index names. Slot ids are physical and may differ.
+fn content(layout: &Layout) -> Vec<(String, Vec<String>, Vec<String>)> {
+    layout
+        .iter()
+        .map(|(name, rows, idx)| {
+            let mut rows: Vec<String> = rows.iter().map(|(_, r)| format!("{r:?}")).collect();
+            rows.sort();
+            (name.clone(), rows, idx.clone())
+        })
+        .collect()
 }
