@@ -15,6 +15,8 @@
 //!   suites.
 //! * [`like`] — the SQL `LIKE` matcher both engines run, iterative so
 //!   that a hostile pattern costs neither stack nor exponential time.
+//! * [`float`] — [`float::write_double`], the one renderer of a double:
+//!   what `f64`'s `{}` writes, short decimals without std's formatter.
 //! * [`counters`] — the `counter_set!` macro: one declaration per
 //!   statistic, from which the atomic struct, its snapshot, the
 //!   before/after delta and the labelled listing are derived.
@@ -26,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod counters;
+pub mod float;
 pub mod like;
 pub mod prop;
 pub mod rng;

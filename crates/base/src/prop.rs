@@ -57,6 +57,42 @@ pub fn pick<'a, T>(rng: &mut StdRng, xs: &'a [T]) -> &'a T {
     &xs[rng.gen_range(0..xs.len())]
 }
 
+/// A double from the families a decimal renderer must get right, one
+/// family per draw: any bit pattern; a subnormal; a short decimal
+/// `m/10^k` with `k ≤ 20`; a dyadic `m/2^e`; an integer near 2^53; a
+/// signed zero, an infinity or NaN; the neighbour just above or below a
+/// power of 2 or of 10.
+pub fn double(rng: &mut StdRng) -> f64 {
+    let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+    let v = match rng.gen_range(0u32..7) {
+        0 => return f64::from_bits(rng.next_u64()),
+        1 => f64::from_bits(rng.next_u64() & ((1 << 52) - 1)),
+        2 => {
+            let digits = rng.gen_range(1u32..18);
+            let m = rng.gen_range(0..10u64.pow(digits));
+            m as f64 / 10f64.powi(rng.gen_range(0i32..=20))
+        }
+        3 => rng.gen_range(0u64..1 << 24) as f64 / 2f64.powi(rng.gen_range(0i32..60)),
+        4 => (1u64 << 53).wrapping_add_signed(rng.gen_range(-2_000i64..2_000)) as f64,
+        5 => *pick(rng, &[0.0, f64::INFINITY, f64::NAN]),
+        _ => {
+            let power = if rng.gen_bool(0.5) {
+                2f64.powi(rng.gen_range(-1022i32..1024))
+            } else {
+                format!("1e{}", rng.gen_range(-323i32..309))
+                    .parse()
+                    .unwrap_or(1.0)
+            };
+            if rng.gen_bool(0.5) {
+                power.next_up()
+            } else {
+                power.next_down()
+            }
+        }
+    };
+    sign * v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

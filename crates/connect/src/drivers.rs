@@ -13,6 +13,12 @@ use webfindit_relstore::sql::ast::Statement;
 use webfindit_relstore::sql::parse_statement;
 use webfindit_relstore::{Database, Datum, Dialect, ExecMetrics, RowSink};
 
+/// The longest statement text, in bytes, that
+/// [`Connection::execute_now`] parses. A point read's text is far
+/// shorter; parsing a statement of megabytes would hold the reactor
+/// thread for a tenth of a second or more.
+const INLINE_TEXT_MAX: usize = 1024;
+
 // ---- relational (JDBC) --------------------------------------------------
 
 /// A JDBC-style driver for one relational vendor.
@@ -149,13 +155,17 @@ impl Connection for RelationalConnection {
 
     /// A point probe under the shared guard, if the guard is free and
     /// the instance owes no checkpoint: `execute_into`'s SELECT path,
-    /// taking the guard with `try_read`.
+    /// taking the guard with `try_read`. A statement longer than
+    /// `INLINE_TEXT_MAX` is declined unparsed.
     fn execute_now(
         &mut self,
         text: &str,
         sink: &mut dyn RowSink<ConnectError>,
     ) -> Option<ConnectResult<()>> {
         let db = self.db.as_ref()?;
+        if text.len() > INLINE_TEXT_MAX {
+            return None;
+        }
         let stmt = parse_statement(text).ok()?;
         let guard = db.try_read()?;
         if guard.owes_checkpoint() {

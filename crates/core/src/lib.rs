@@ -54,7 +54,7 @@ pub use discovery::{CodbAnswerCache, DiscoveryEngine, DiscoveryOutcome, Lead};
 pub use docs::{DocFormat, DocStore, Document};
 pub use failure::SiteFailure;
 pub use federation::{Federation, SiteHandle, SiteSpec};
-pub use fedquery::{FedExecutor, FedOutcome, FedPlan, FedStats};
+pub use fedquery::{Cell, FedExecutor, FedOutcome, FedPlan, FedStats};
 pub use processor::{Processor, Response};
 pub use servants::{codb, isi, StallGate};
 pub use session::BrowserSession;

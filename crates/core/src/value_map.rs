@@ -192,7 +192,13 @@ pub(crate) fn read_row_len(r: &mut CdrReader<'_>) -> WireResult<usize> {
 /// Read one cell: a datum as [`TableWriter`] writes it. Any other tag
 /// is a `BadTag` error.
 pub(crate) fn read_datum(r: &mut CdrReader<'_>) -> WfResult<Datum> {
-    Ok(match r.read_octet()? {
+    let t = r.read_octet()?;
+    read_tagged_datum(t, r)
+}
+
+/// [`read_datum`] after its tag `t`.
+pub(crate) fn read_tagged_datum(t: u8, r: &mut CdrReader<'_>) -> WfResult<Datum> {
+    Ok(match t {
         tag::NULL => Datum::Null,
         tag::LONGLONG => Datum::Int(r.read_longlong()?),
         tag::DOUBLE => Datum::Double(r.read_double()?),

@@ -231,6 +231,13 @@ fn only_a_primary_key_point_read_runs_inline() {
         assert_eq!(rows.rows, [[Datum::Text("patient 7".into())]]);
     };
     assert_eq!(live.inline_in(point), 1, "a point read runs inline");
+    // The reactor does not parse a statement over 1 KiB, whatever it is.
+    let padded = || {
+        let sql = format!("SELECT name FROM patient WHERE id = 7{}", " ".repeat(1024));
+        let rows = live.fed.call(&clinic.isi_ior, select(&sql)).unwrap();
+        assert_eq!(rows.rows, [[Datum::Text("patient 7".into())]]);
+    };
+    assert_eq!(live.inline_in(padded), 0, "a point read over 1 KiB");
 
     for sql in [
         "SELECT name FROM patient WHERE id BETWEEN 3 AND 3",
@@ -686,9 +693,9 @@ fn an_inline_co_database_reply_is_the_reply_the_pool_writes() {
 }
 
 /// Every thread the ORB spawns has a 2 MiB stack. A statement of
-/// 200 000 conjuncts, about 2.6 MB, is parsed on the reactor, which
-/// finds it is no point read and hands it to a worker that answers it;
-/// with a stall set, only the worker parses it. A 200 000-term `+`
+/// 200 000 conjuncts, about 2.6 MB, is too long for the reactor to
+/// parse, so it goes to a worker unparsed and the worker answers it;
+/// neither statement counts as answered inline. A 200 000-term `+`
 /// chain, refused as too deep, comes back as an exception on both
 /// paths. After each, the site still answers a point read.
 #[test]
@@ -708,13 +715,19 @@ fn a_long_statement_gets_a_reply_or_an_exception_on_either_path() {
     let patient_7 = [[Datum::Text("patient 7".into())]];
     for stall in [0, 5] {
         clinic.isi_stall.stall(stall);
-        let rows = live.fed.call(&clinic.isi_ior, select(&conjuncts));
-        assert_eq!(rows.unwrap().rows, patient_7, "stall {stall}");
-        let refused = live.fed.call(&clinic.isi_ior, select(&chain)).unwrap_err();
-        assert!(
-            refused.to_string().contains("nest deeper than 64 levels"),
-            "stall {stall}: {refused}"
-        );
+        let conjuncts = || {
+            let rows = live.fed.call(&clinic.isi_ior, select(&conjuncts));
+            assert_eq!(rows.unwrap().rows, patient_7, "stall {stall}");
+        };
+        assert_eq!(live.inline_in(conjuncts), 0, "stall {stall}: conjuncts");
+        let chain = || {
+            let refused = live.fed.call(&clinic.isi_ior, select(&chain)).unwrap_err();
+            assert!(
+                refused.to_string().contains("nest deeper than 64 levels"),
+                "stall {stall}: {refused}"
+            );
+        };
+        assert_eq!(live.inline_in(chain), 0, "stall {stall}: chain");
         clinic.isi_stall.clear();
         let point = select("SELECT name FROM patient WHERE id = 7");
         let rows = live.fed.call(&clinic.isi_ior, point).unwrap();

@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 use webfindit::orb::CallOptions;
 use webfindit::processor::{Processor, Response};
 use webfindit::session::BrowserSession;
+use webfindit::Cell;
 use webfindit_healthcare::build_healthcare;
 
 const UNION: &str = "Invoke ResearchProjects.Funding() At Coalition Research;";
@@ -241,7 +242,7 @@ fn semi_join_ships_keys_from_medibank_to_mbf() {
                 assert!(o.complete(), "{statement}: {:?}", o.degraded);
                 assert_eq!(o.per_site.len(), 1);
                 assert_eq!(o.per_site[0].0, "MBF");
-                let premiums: Vec<String> = o.rows.iter().map(|r| r[1].clone()).collect();
+                let premiums: Vec<Cell> = o.rows.iter().map(|r| r[1].clone()).collect();
                 assert_eq!(premiums, expected, "semi-join keeps exactly the matches");
                 assert!(o.stats.keys_shipped > 0, "{:?}", o.stats);
                 // rows_shipped counts both the build rows (one per

@@ -1,6 +1,7 @@
 //! The object model: OIDs, values, attribute and class definitions.
 
 use std::fmt;
+use webfindit_base::float::write_double;
 use webfindit_wire::marshal::{read_field, write_field, write_record};
 use webfindit_wire::value::{tag, MAX_VALUE_DEPTH};
 use webfindit_wire::{CdrReader, CdrWriter, Marshal, WireError, WireResult};
@@ -124,7 +125,7 @@ impl fmt::Display for OValue {
         match self {
             OValue::Null => write!(f, "null"),
             OValue::Int(v) => write!(f, "{v}"),
-            OValue::Double(v) => write!(f, "{v}"),
+            OValue::Double(v) => write_double(f, *v),
             OValue::Text(s) => write!(f, "{s}"),
             OValue::Bool(b) => write!(f, "{b}"),
             OValue::List(items) => {

@@ -219,8 +219,19 @@ impl Storage {
     /// appends (leaving a loser tail batch for recovery's UNDO pass),
     /// `PreCommitRecord` fires after the ops but *before* the commit
     /// append, and no crash point sits between the commit append and
-    /// the fsync.
+    /// the fsync. A failed append or fsync kills the instance as a crash
+    /// does: the log may end in a partial batch, or in a commit record
+    /// that could still reach the disk, so nothing may be appended behind
+    /// it and memory may neither keep nor undo the transaction.
     fn commit(&mut self, tx: TxId, changes: &[Change]) -> RelResult<()> {
+        let res = self.write_commit(tx, changes);
+        if res.is_err() {
+            self.dead = true;
+        }
+        res
+    }
+
+    fn write_commit(&mut self, tx: TxId, changes: &[Change]) -> RelResult<()> {
         self.append_op(&WalRecord::Begin { tx })?;
         for change in changes {
             let change = Cow::Borrowed(change);
@@ -1269,13 +1280,28 @@ mod tests {
     use crate::file_mgr::SimVfs;
 
     fn durable_db(vfs: &Arc<SimVfs>) -> Database {
-        let mut db =
-            Database::open_vfs(Arc::clone(vfs) as Arc<dyn Vfs>, "RBH", Dialect::Canonical).unwrap();
+        durable_db_on(Arc::clone(vfs) as Arc<dyn Vfs>)
+    }
+
+    /// Two beds in a durable database on `vfs`.
+    fn durable_db_on(vfs: Arc<dyn Vfs>) -> Database {
+        let mut db = Database::open_vfs(vfs, "RBH", Dialect::Canonical).unwrap();
+        beds(&mut db);
+        db
+    }
+
+    /// The two beds of [`durable_db`] in memory.
+    fn hospital_twin() -> Database {
+        let mut db = Database::new("RBH", Dialect::Canonical);
+        beds(&mut db);
+        db
+    }
+
+    fn beds(db: &mut Database) {
         db.execute("CREATE TABLE beds (id INT PRIMARY KEY, loc TEXT)")
             .unwrap();
         db.execute("INSERT INTO beds VALUES (1, 'ward A'), (2, 'ward B')")
             .unwrap();
-        db
     }
 
     fn count(db: &mut Database, sql: &str) -> i64 {
@@ -1410,6 +1436,142 @@ mod tests {
         vfs.power_loss(55);
         db.reopen().unwrap();
         assert_eq!(count(&mut db, "SELECT COUNT(*) FROM beds"), 2);
+    }
+
+    /// A [`SimVfs`] whose `n`-th WAL write (or fsync, when `syncs`) after
+    /// [`FailingVfs::arm`] fails before it reaches the inner store.
+    #[derive(Debug)]
+    struct FailingVfs {
+        inner: Arc<SimVfs>,
+        syncs: bool,
+        /// Calls left until the failing one; 0 when disarmed.
+        left: std::sync::atomic::AtomicU64,
+    }
+
+    impl FailingVfs {
+        fn arm(&self, n: u64) {
+            self.left.store(n, std::sync::atomic::Ordering::SeqCst);
+        }
+
+        fn hit(&self, sync: bool, file: &str) -> RelResult<()> {
+            use std::sync::atomic::Ordering::SeqCst;
+            let counted = sync == self.syncs && file == recovery::WAL_FILE;
+            if counted && self.left.fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1)) == Ok(1) {
+                return Err(RelError::Storage(format!("{file}: injected I/O error")));
+            }
+            Ok(())
+        }
+    }
+
+    impl Vfs for FailingVfs {
+        fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> RelResult<usize> {
+            self.inner.read_at(file, offset, buf)
+        }
+        fn write_at(&self, file: &str, offset: u64, data: &[u8]) -> RelResult<()> {
+            self.hit(false, file)?;
+            self.inner.write_at(file, offset, data)
+        }
+        fn len(&self, file: &str) -> RelResult<u64> {
+            self.inner.len(file)
+        }
+        fn sync(&self, file: &str) -> RelResult<()> {
+            self.hit(true, file)?;
+            self.inner.sync(file)
+        }
+        fn truncate(&self, file: &str, len: u64) -> RelResult<()> {
+            self.inner.truncate(file, len)
+        }
+    }
+
+    /// A failed WAL write or fsync inside COMMIT kills the instance: the
+    /// COMMIT errs, every later statement (ROLLBACK too) is
+    /// `Unavailable`, and a reopen recovers the acknowledged commits. A
+    /// failed write leaves no commit record, so they are exactly what
+    /// comes back; after a failed fsync the commit record may still be
+    /// on disk, so the failed transaction comes back whole or not at all.
+    /// Every WAL write and every fsync of the script fails once in turn.
+    #[test]
+    fn a_failed_commit_write_kills_the_instance() {
+        let script: [&[&str]; 5] = [
+            &["INSERT INTO beds VALUES (3, 'ward C')"],
+            &[
+                "BEGIN",
+                "INSERT INTO beds VALUES (4, 'ward D')",
+                "UPDATE beds SET loc = 'moved' WHERE id = 1",
+                "COMMIT",
+            ],
+            &["DELETE FROM beds WHERE id = 2"],
+            &["BEGIN", "INSERT INTO beds VALUES (5, 'ward E')", "COMMIT"],
+            &["UPDATE beds SET loc = 'ward Z' WHERE id = 3"],
+        ];
+        let rows = |db: &mut Database| {
+            db.execute("SELECT id, loc FROM beds ORDER BY id")
+                .unwrap()
+                .rows()
+                .unwrap()
+                .rows
+                .clone()
+        };
+        for syncs in [false, true] {
+            for n in 1.. {
+                let vfs = Arc::new(FailingVfs {
+                    inner: SimVfs::new(),
+                    syncs,
+                    left: Default::default(),
+                });
+                let mut db = durable_db_on(Arc::clone(&vfs) as Arc<dyn Vfs>);
+                // `acked` runs what was acknowledged, `whole` also the
+                // transaction whose COMMIT failed.
+                let (mut acked, mut whole) = (hospital_twin(), hospital_twin());
+                vfs.arm(n);
+                let mut failed = false;
+                for txn in script {
+                    for (i, sql) in txn.iter().enumerate() {
+                        whole.execute(sql).unwrap();
+                        match db.execute(sql) {
+                            Ok(_) => {}
+                            Err(e) => {
+                                assert_eq!(i + 1, txn.len(), "{sql}: only a commit writes the WAL");
+                                assert!(matches!(e, RelError::Storage(_)), "{sql}: {e}");
+                                failed = true;
+                            }
+                        }
+                    }
+                    if failed {
+                        break;
+                    }
+                    for sql in txn.iter() {
+                        acked.execute(sql).unwrap();
+                    }
+                }
+                if !failed {
+                    assert!(n > 1, "the script writes the WAL");
+                    break;
+                }
+                assert!(db.is_crashed(), "n = {n}, syncs = {syncs}");
+                for sql in [
+                    "SELECT COUNT(*) FROM beds",
+                    "ROLLBACK",
+                    "INSERT INTO beds VALUES (9, 'late')",
+                ] {
+                    assert!(
+                        matches!(db.execute(sql), Err(RelError::Unavailable(_))),
+                        "{sql} ran on a dead instance"
+                    );
+                }
+                db.reopen().unwrap();
+                let recovered = rows(&mut db);
+                let (acked, whole) = (rows(&mut acked), rows(&mut whole));
+                if syncs {
+                    assert!(
+                        recovered == acked || recovered == whole,
+                        "n = {n}: {recovered:?}"
+                    );
+                } else {
+                    assert_eq!(recovered, acked, "n = {n}: a failed write came back");
+                }
+            }
+        }
     }
 
     #[test]

@@ -505,15 +505,17 @@ impl Table {
         self.secondary.iter().map(|s| (s.name.as_str(), s.column))
     }
 
-    /// Replace the row in `slot`, returning the old row.
+    /// Replace the row in `slot`, returning the old row, which is moved
+    /// out of the heap (`Option::replace`) once the checks have passed,
+    /// not copied.
     pub(crate) fn update_slot(&mut self, slot: usize, new_row: Row) -> RelResult<Row> {
         let new_row = self.check_row(new_row)?;
         let old = self.slots[slot]
-            .clone()
+            .as_ref()
             .expect("update_slot targets a live slot");
         // Primary key change must stay unique.
         if self.pk_cols.iter().any(|&c| old[c] != new_row[c]) {
-            let (old_hash, hash) = (self.key_hash(&old), self.key_hash(&new_row));
+            let (old_hash, hash) = (self.key_hash(old), self.key_hash(&new_row));
             if self.key_taken(&new_row, hash) {
                 return Err(RelError::DuplicateKey(format!(
                     "update collides in table {}",
@@ -531,12 +533,12 @@ impl Table {
         }
         for idx in &mut self.secondary {
             if old[idx.column] != new_row[idx.column] {
-                idx.remove(&old, slot);
+                idx.remove(old, slot);
                 idx.add(&new_row, slot);
             }
         }
-        self.slots[slot] = Some(new_row);
-        Ok(old)
+        let old = self.slots[slot].replace(new_row);
+        Ok(old.expect("update_slot targets a live slot"))
     }
 
     /// Iterate live `(slot, row)` pairs.

@@ -16,6 +16,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
+use webfindit_base::float::write_double;
 
 /// Declared column types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -248,7 +249,7 @@ impl fmt::Display for Datum {
         match self {
             Datum::Null => write!(f, "NULL"),
             Datum::Int(v) => write!(f, "{v}"),
-            Datum::Double(v) => write!(f, "{v}"),
+            Datum::Double(v) => write_double(f, *v),
             Datum::Text(s) => write!(f, "{s}"),
             Datum::Bool(b) => write!(f, "{b}"),
             Datum::Date(d) => write!(f, "{}", format_date(*d)),

@@ -1,6 +1,7 @@
 //! The WebTassili statement AST.
 
 use std::fmt;
+use webfindit_base::float::write_double;
 
 /// A literal value in a WebTassili expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,7 +21,7 @@ impl fmt::Display for Literal {
         match self {
             Literal::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
             Literal::Int(v) => write!(f, "{v}"),
-            Literal::Float(v) => write!(f, "{v}"),
+            Literal::Float(v) => write_double(f, *v),
             Literal::Bool(b) => write!(f, "{b}"),
         }
     }

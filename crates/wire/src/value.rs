@@ -11,6 +11,7 @@ use crate::cdr::{CdrReader, CdrWriter};
 use crate::ior::Ior;
 use crate::{WireError, WireResult};
 use std::fmt;
+use webfindit_base::float::write_double;
 
 /// Type tags used on the wire, one octet each. Public so that a typed
 /// codec elsewhere (a result-set table, say) can write and read the
@@ -302,7 +303,7 @@ impl fmt::Display for Value {
             Value::LongLong(v) => write!(f, "{v}"),
             Value::ULong(v) => write!(f, "{v}"),
             Value::Float(v) => write!(f, "{v}"),
-            Value::Double(v) => write!(f, "{v}"),
+            Value::Double(v) => write_double(f, *v),
             Value::Str(s) => write!(f, "{s}"),
             Value::Sequence(items) => {
                 write!(f, "[")?;
